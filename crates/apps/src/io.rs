@@ -2,45 +2,40 @@
 //! compares: direct (native), OCALL (vanilla SGX SDK / Graphene), and
 //! Eleos exit-less RPC.
 //!
-//! All receive entry points funnel through one reap/sort/decrypt
-//! helper: the path-specific code only collects *raw* wire messages in
-//! the socket's arrival order, and the whole batch is then decrypted in
-//! a single [`Session::decrypt_batch_in_enclave`] pass (the batched
-//! crypto pipeline). `recv_msg` is literally a batch of one. Batch
-//! size and crypto amortization are session configuration
-//! ([`ServerIoConfig`]), not per-call arguments.
+//! Every receive entry point is one reap: the path-specific code only
+//! collects *raw* wire messages in arrival order, and the whole reap is
+//! then decrypted in a single [`Session::decrypt_batch_in_enclave`]
+//! pass (the batched crypto pipeline). `recv_msg` is literally a reap
+//! of depth one. Batch size and crypto amortization are session
+//! configuration ([`ServerIoConfig`]), not per-call arguments.
 //!
 //! Every `ServerIo` is built through exactly one entry point,
 //! [`ServerIoConfig::build`], which wires the staging buffers, the
 //! optional shard map ([`ServerIoConfig::routed`]), and the wire
 //! [`Session`] together.
 //!
-//! On the RPC path the reap is split into one scatter-gather
-//! `recvmmsg`/`sendmmsg`-style *sub-batch* per worker — one syscall
-//! and one kernel-metadata charge per sub-batch instead of per
-//! message — and the sub-batches execute in parallel across the
-//! workers. Each descriptor carries the socket's dequeue sequence, so
-//! the reap merges the sub-batches back into global arrival order by
-//! a seq sort (the multi-worker generalization of the `RECV_TAGGED`
-//! merge). The per-message path survives behind
-//! [`ServerIoConfig::scatter_gather`]`(false)` as the baseline
-//! `repro crypto_bench` compares against.
+//! # The RPC pipeline: one `recv_mmsg`/`send_mmsg` job per shard
 //!
-//! # Sharded multi-socket serving
+//! A [`ServerIo`] serves a socket *set* — one socket per shard,
+//! SO_REUSEPORT style; a single-socket server is the set of one. On
+//! the RPC path each reap submits one scatter-gather `recv_mmsg` job
+//! per shard (at that shard's depth) as a single ring batch, and each
+//! send one `send_mmsg` job per socket: one syscall trap and one
+//! kernel-metadata charge per job instead of per message, whatever the
+//! worker count, with the jobs of different shards running in parallel
+//! across the workers. `recv_mmsg` pops a socket's queue front under
+//! one lock, and the load generator pins each client connection to one
+//! shard ([`crate::loadgen::shard_for`]), so per-shard slot order *is*
+//! per-connection arrival order — the only ordering contract. Nothing
+//! is merged or re-sequenced: requests come back concatenated shard by
+//! shard and each reply leaves through the socket its request arrived
+//! on. What the host writes back (the job's message count and the
+//! per-message length descriptors) is untrusted and bounded before use;
+//! see [`desc_rejects`](eleos_sim::stats::Stats::desc_rejects).
 //!
-//! A [`ServerIo`] built over a socket *set* (one socket per shard,
-//! SO_REUSEPORT style) runs one
-//! reap→decrypt→serve→seal→send pipeline per shard instead. Because
-//! the load generator pins each client connection to one shard
-//! ([`crate::loadgen::shard_for`]), per-shard slot order *is* arrival
-//! order: the sharded reap skips the global seq-sort merge (and its
-//! [`reap_merge`](eleos_sim::costs::CostModel::reap_merge) charge) and
-//! the sharded send uses unsequenced `send_mmsg`, skipping the kernel
-//! transmit reorder buffer (and its
-//! [`tx_reorder`](eleos_sim::costs::CostModel::tx_reorder) charge).
-//! The single-socket path keeps both, unchanged — per-connection
-//! response order is the only contract, and one socket carries every
-//! connection.
+//! The native and OCALL paths are the paper's baselines: one
+//! `recv`/`send` syscall per message over a single socket, in a
+//! sequential loop that stops at the first would-block.
 //!
 //! # Adaptive sub-batch sizing
 //!
@@ -143,8 +138,8 @@ impl IoPath {
 pub struct BalanceConfig {
     /// Periodically re-pin the hottest shard's heaviest connections
     /// onto the coldest shard (needs a
-    /// [`ShardMap`][crate::loadgen::ShardMap], i.e.
-    /// [`ServerIo::sharded_balanced`]).
+    /// [`ShardMap`], wired via
+    /// [`ServerIoConfig::routed`]).
     pub repin: bool,
     /// Let an idle shard steal one `recv_mmsg` sub-batch from the
     /// sibling with the deepest residual backlog.
@@ -183,8 +178,9 @@ pub struct ServerIoConfig {
     /// `batch_max` (and `batch`) when the depth is fixed.
     pub batch_min: usize,
     /// Upper bound for the adaptive sub-batch controller; also sizes
-    /// the descriptor staging and the sharded stripe. Equal to
-    /// `batch_min` when the depth is fixed.
+    /// the descriptor staging and the batch stripe
+    /// (`buf_len / batch_max`). Equal to `batch_min` when the depth is
+    /// fixed.
     pub batch_max: usize,
     /// Amortize the cipher setup across each batch (the batched
     /// crypto pipeline). `false` charges every message the full setup
@@ -192,20 +188,14 @@ pub struct ServerIoConfig {
     /// against. Wire bytes are identical either way.
     pub batched_crypto: bool,
     /// Defer reaping the scatter-gather send until the next batch
-    /// (double-buffered transmit): the workers execute the send
-    /// sub-batches while the serving core receives and processes the
-    /// following batch, so the overlap-aware wait usually charges
-    /// nothing. Responses still go out in order (transmit sequences in
-    /// the descriptors commit through the kernel reorder buffer), but
-    /// a caller that stops serving must [`ServerIo::flush`] to reap
-    /// the last one. Only engages on the RPC scatter-gather path.
+    /// (double-buffered transmit): the workers execute the send jobs
+    /// while the serving core receives and processes the following
+    /// batch, so the overlap-aware wait usually charges nothing.
+    /// Responses still go out in order (the next send waits for this
+    /// one before it reuses the transmit buffers), but a caller that
+    /// stops serving must [`ServerIo::flush`] to reap the last one.
+    /// Only engages on the RPC path.
     pub async_send: bool,
-    /// Use scatter-gather `recv_mmsg`/`send_mmsg` sub-batches (one per
-    /// worker) on the RPC path — one syscall trap and one
-    /// kernel-metadata charge per sub-batch (default). `false` falls
-    /// back to per-message `RECV_TAGGED`/`SEND` jobs, the baseline
-    /// `repro crypto_bench`'s `io=per-msg` cells measure.
-    pub scatter_gather: bool,
     /// Declared shard count, validated against the socket set at
     /// construction ([`Self::shards`]). `None` accepts any set size.
     pub shards: Option<usize>,
@@ -243,7 +233,6 @@ impl std::fmt::Debug for ServerIoConfig {
             .field("batch_max", &self.batch_max)
             .field("batched_crypto", &self.batched_crypto)
             .field("async_send", &self.async_send)
-            .field("scatter_gather", &self.scatter_gather)
             .field("shards", &self.shards)
             .field("balance", &self.balance)
             .field("replica", &self.replica)
@@ -262,7 +251,6 @@ impl Default for ServerIoConfig {
             batch_max: 16,
             batched_crypto: true,
             async_send: false,
-            scatter_gather: true,
             shards: None,
             balance: None,
             replica: 0,
@@ -345,16 +333,8 @@ impl ServerIoConfig {
         self
     }
 
-    /// Enables or disables scatter-gather sub-batch I/O on the RPC
-    /// path.
-    #[must_use]
-    pub fn scatter_gather(mut self, on: bool) -> Self {
-        self.scatter_gather = on;
-        self
-    }
-
     /// Declares the shard count this session expects.
-    /// [`ServerIo::sharded`] rejects a socket set of any other size —
+    /// [`Self::build`] rejects a socket set of any other size —
     /// a mismatch would silently mis-route the load generator's
     /// pinning hash, so it fails fast instead.
     ///
@@ -396,7 +376,7 @@ impl ServerIoConfig {
 
     /// Enables the shard balance layer (re-pinning and/or stealing
     /// per `b`). Re-pinning additionally needs the
-    /// [`ShardMap`][crate::loadgen::ShardMap] wired through
+    /// [`ShardMap`] wired through
     /// [`Self::routed`].
     ///
     /// # Panics
@@ -463,16 +443,6 @@ impl ServerIoConfig {
         }
     }
 
-    /// Label for the I/O submission mode in experiment output.
-    #[must_use]
-    pub fn io_label(&self) -> &'static str {
-        if self.scatter_gather {
-            "sg"
-        } else {
-            "per-msg"
-        }
-    }
-
     /// Label for the sub-batch sizing policy in experiment output:
     /// `adaptive` or `fixed-N`.
     #[must_use]
@@ -498,17 +468,15 @@ impl ServerIoConfig {
     /// The single [`ServerIo`] entry point: binds one serving
     /// pipeline (staging buffers + descriptor arrays + adaptive-depth
     /// state) to each socket of the shard set and wires the session
-    /// in. One socket is the classic single-socket server; with more
-    /// than one shard the reap/send skip the arrival-order merge and
-    /// the transmit reorder buffer — per-shard FIFO is enough, because
-    /// the load generator pins every connection to one shard.
+    /// in. One socket is the classic single-socket server — the same
+    /// pipeline with one shard.
     ///
     /// # Panics
     /// Panics if `fds` is empty, if the set's size disagrees with a
     /// declared [`Self::shards`] count or a wired [`Self::routed`]
     /// map, if `batch_max` does not fit the staging buffer, or if
-    /// more than one shard is combined with a non-RPC path or
-    /// per-message I/O (sharding rides the RPC scatter-gather path).
+    /// more than one shard is combined with a non-RPC path (the
+    /// native and OCALL baselines are single-socket loops).
     #[must_use]
     pub fn build(
         mut self,
@@ -550,10 +518,6 @@ impl ServerIoConfig {
                 "sharded serving rides the RPC path"
             );
             assert!(
-                self.scatter_gather,
-                "sharded serving needs scatter-gather sub-batches"
-            );
-            assert!(
                 fds.len() <= MAX_SHARDS,
                 "{} shards exceed the {MAX_SHARDS} per-shard stat slots",
                 fds.len()
@@ -587,7 +551,6 @@ impl ServerIoConfig {
             fd: fds[0],
             shards,
             last_reap: std::sync::Mutex::new(Vec::new()),
-            tx_seq: AtomicU64::new(0),
             pending_send: std::sync::Mutex::new(None),
             map,
             reap_count: AtomicU64::new(0),
@@ -610,13 +573,11 @@ struct Shard {
     tx_buf: u64,
     /// Untrusted descriptor array for scatter-gather receives:
     /// `batch_max` 16-byte entries (two little-endian `u64` words:
-    /// `(seq << 32) | len`, then the enqueue timestamp), like
-    /// `recvmmsg`'s msgvec plus the socket's dequeue sequence and
-    /// arrival stamp.
+    /// the length, then the enqueue timestamp), like `recvmmsg`'s
+    /// msgvec plus the arrival stamp.
     desc_rx: u64,
     /// Untrusted descriptor array for scatter-gather sends (same
-    /// 16-byte entries; the timestamp word is ignored and the `seq`
-    /// word only matters to the sequenced single-socket path).
+    /// 16-byte entries; the timestamp word is ignored).
     desc_tx: u64,
     /// The controller's current sub-batch depth (messages per reap).
     /// Constant at `cfg.batch` when the depth is fixed.
@@ -635,26 +596,21 @@ pub struct ServerIo {
     pub fd: Fd,
     /// The serving pipelines, one per socket.
     shards: Vec<Shard>,
-    /// `(socket, pipe, count)` split of the last sharded reap, so the
-    /// matching send can route each reply back out the socket its
-    /// request arrived on. `socket == pipe` for a shard's own reap; a
-    /// stolen run is staged in the thief's pipe (`pipe`) but belongs
-    /// to the victim's socket (`socket`).
+    /// `(socket, pipe, count)` split of the last reap, so the matching
+    /// send can route each reply back out the socket its request
+    /// arrived on. `socket == pipe` for a shard's own reap; a stolen
+    /// run is staged in the thief's pipe (`pipe`) but belongs to the
+    /// victim's socket (`socket`).
     last_reap: std::sync::Mutex<Vec<(usize, usize, usize)>>,
     /// The balance layer's connection→shard indirection, when wired
     /// via [`ServerIoConfig::routed`]. Consulted by the load
     /// generator at push time; the rebalancer re-pins through it.
     map: Option<Arc<ShardMap>>,
-    /// Sharded reaps completed — the rebalance period's clock.
+    /// Reaps completed — the rebalance period's clock.
     reap_count: AtomicU64,
     /// Requests decrypted since the last key rotation — the
     /// [`ServerIoConfig::rekey_every`] interval's clock.
     served: AtomicU64,
-    /// Next transmit sequence number for sequenced scatter-gather
-    /// sends (single-socket path only). The host commits payloads to
-    /// the wire strictly in this order, so parallel send sub-batches
-    /// cannot reorder responses.
-    tx_seq: AtomicU64,
     /// The in-flight deferred send, when `cfg.async_send` is on: the
     /// transmit buffers belong to the workers until this is reaped.
     pending_send: std::sync::Mutex<Option<eleos_rpc::RpcBatch>>,
@@ -711,51 +667,41 @@ impl ServerIo {
         shard.depth.store(next.clamp(min, max), Ordering::Relaxed);
     }
 
-    /// Receives and decrypts one request: a batch of one over the
-    /// shared reap path. Returns `None` when the socket queue is
-    /// empty. Single-socket servers only — a sharded server reaps
-    /// whole sub-batches per shard.
+    /// The slot size of a batch: the staging buffers striped into
+    /// `batch_max` message slots.
+    fn stripe(&self) -> usize {
+        self.cfg.buf_len / self.cfg.batch_max
+    }
+
+    /// Receives and decrypts one request: a reap of depth one, with
+    /// the whole receive buffer as its one slot. Returns `None` when
+    /// the socket queue is empty. Single-socket servers only — a
+    /// sharded server reaps whole sub-batches per shard.
     pub fn recv_msg(&self, ctx: &mut ThreadCtx) -> Option<Vec<u8>> {
         assert_eq!(
             self.shards.len(),
             1,
             "single-message receive is a single-socket affair; use recv_batch on a sharded server"
         );
-        self.recv_up_to(ctx, 1).pop()
+        self.reap(ctx, &[0], self.cfg.buf_len, Some(1)).pop()
     }
 
-    /// Receives and decrypts up to one sub-batch of requests, in the
-    /// socket's arrival order, decrypting the whole reap in one
-    /// batched crypto pass. The sub-batch depth is `cfg.batch`, or
-    /// the controller's current depth under [`ServerIoConfig::adaptive`];
-    /// a sharded server reaps one sub-batch per shard, concatenated
-    /// shard by shard.
+    /// Receives and decrypts up to one sub-batch of requests per
+    /// shard, each in its socket's arrival order and concatenated
+    /// shard by shard, decrypting the whole reap in one batched crypto
+    /// pass. The sub-batch depth is `cfg.batch`, or the controller's
+    /// current depth under [`ServerIoConfig::adaptive`].
     pub fn recv_batch(&self, ctx: &mut ThreadCtx) -> Vec<Vec<u8>> {
-        if self.shards.len() > 1 {
-            let all: Vec<usize> = (0..self.shards.len()).collect();
-            return self.recv_sharded(ctx, &all);
-        }
-        let depth = self.shard_depth(0);
-        let out = self.recv_up_to(ctx, depth);
-        let backlog = ctx.machine.host.rx_pending(self.fd);
-        if self.cfg.is_adaptive() {
-            self.adapt(&self.shards[0], out.len(), backlog);
-        }
-        let shard = &ctx.machine.stats.shard.replica[self.cfg.replica];
-        Stats::set(&shard.backlog[0], backlog as u64);
-        Stats::set(
-            &shard.depth[0],
-            self.shards[0].depth.load(Ordering::Relaxed),
-        );
-        out
+        let all: Vec<usize> = (0..self.shards.len()).collect();
+        self.recv_batch_on(ctx, &all)
     }
 
-    /// The sharded reap restricted to an owned shard subset — the
-    /// fleet tier's entry point, where each replica's pipeline reaps
-    /// only the shards the router assigned to it. Steal and rebalance
-    /// stay scoped to the subset: a stolen run is served by the pipe
-    /// that drained it, and a re-pin moves a connection's state with
-    /// its replies, so neither may cross a replica boundary.
+    /// The reap restricted to an owned shard subset — the fleet tier's
+    /// entry point, where each replica's pipeline reaps only the
+    /// shards the router assigned to it. Steal and rebalance stay
+    /// scoped to the subset: a stolen run is served by the pipe that
+    /// drained it, and a re-pin moves a connection's state with its
+    /// replies, so neither may cross a replica boundary.
     ///
     /// # Panics
     /// Panics if `active` is empty, not strictly increasing, or names
@@ -774,10 +720,7 @@ impl ServerIo {
             "shard subset {active:?} names shards past the {}-socket set",
             self.shards.len()
         );
-        if self.shards.len() == 1 {
-            return self.recv_batch(ctx);
-        }
-        self.recv_sharded(ctx, active)
+        self.reap(ctx, active, self.stripe(), None)
     }
 
     /// One fence-head check of the rekey interval: once the server
@@ -801,80 +744,63 @@ impl ServerIo {
         }
     }
 
-    /// The shared reap/sort/decrypt path behind every receive entry
-    /// point: collect up to `max` raw messages in arrival order, then
+    /// The one reap behind every receive entry point: collect raw
+    /// messages from the `active` shards into `stripe`-byte slots —
+    /// `depth` per shard, or each shard's controller depth — then
     /// decrypt them all in one [`Session::decrypt_batch_in_enclave`]
-    /// pass.
+    /// pass. (The paper's untrusted baseline also decrypts every
+    /// request, §2, so the crypto charge applies on all paths.)
     ///
-    /// The paper's untrusted baseline also decrypts every request
-    /// (§2), so the crypto charge applies on all paths.
-    fn recv_up_to(&self, ctx: &mut ThreadCtx, max: usize) -> Vec<Vec<u8>> {
-        assert!(max > 0);
-        self.maybe_rekey(ctx);
-        let raw = self.reap_raw(ctx, max);
-        if raw.is_empty() {
-            return Vec::new();
-        }
-        let refs: Vec<&[u8]> = raw.iter().map(Vec::as_slice).collect();
-        let out = self
-            .session
-            .decrypt_batch_in_enclave(ctx, &refs, self.cfg.batched_crypto);
-        self.served.fetch_add(out.len() as u64, Ordering::Relaxed);
-        out
-    }
-
-    /// The sharded reap: one `recv_mmsg` sub-batch per shard (each at
-    /// its shard's controller depth), submitted together as one RPC
-    /// batch. Per-shard slot order *is* arrival order — connections
-    /// never span shards — so there is no seq-sort merge and no
-    /// `reap_merge` charge; messages come back concatenated shard by
-    /// shard and the `(socket, pipe, count)` split is recorded for
-    /// the matching [`Self::send_batch`] to route replies home.
-    ///
-    /// With a [`BalanceConfig`] the reap grows a second wave: shards
-    /// that came back empty steal one sub-batch from the deepest
+    /// On the RPC path that is one `recv_mmsg` job per shard, submitted
+    /// together as one ring batch; the `(socket, pipe, count)` split is
+    /// recorded for the matching [`Self::send_batch`] to route replies
+    /// home. With a [`BalanceConfig`] the reap grows a second wave:
+    /// shards that came back empty steal one sub-batch from the deepest
     /// residual backlog (see the module docs), and every
     /// [`BalanceConfig::period`] reaps the rebalancer re-pins hot
-    /// connections through the shard map.
-    fn recv_sharded(&self, ctx: &mut ThreadCtx, active: &[usize]) -> Vec<Vec<u8>> {
-        let IoPath::Rpc(svc) = &self.path else {
-            unreachable!("sharded serving rides the RPC path (checked at construction)");
-        };
+    /// connections through the shard map. The native and OCALL
+    /// baselines loop over per-message `recv`s on their one socket.
+    fn reap(
+        &self,
+        ctx: &mut ThreadCtx,
+        active: &[usize],
+        stripe: usize,
+        depth: Option<u64>,
+    ) -> Vec<Vec<u8>> {
         self.maybe_rekey(ctx);
-        let stripe = self.cfg.buf_len / self.cfg.batch_max;
-        let reqs: Vec<(u64, [u64; 4])> = active
+        let runs: Vec<Run> = active
             .iter()
-            .map(|&k| {
-                let sh = &self.shards[k];
-                (
-                    funcs::RECV_MMSG,
-                    [
-                        sh.fd.0 as u64,
-                        sh.rx_buf,
-                        ((stripe as u64) << 32) | sh.depth.load(Ordering::Relaxed),
-                        sh.desc_rx,
-                    ],
-                )
+            .map(|&k| Run {
+                socket: k,
+                pipe: k,
+                want: depth.unwrap_or_else(|| self.shards[k].depth.load(Ordering::Relaxed)),
             })
             .collect();
-        let counts = svc.submit_batch(ctx, &reqs).wait_all(ctx);
-        let now = ctx.now();
         let mut raw: Vec<Vec<u8>> = Vec::new();
-        let mut reap = Vec::with_capacity(active.len());
+        let counts = match &self.path {
+            IoPath::Rpc(svc) => self.recv_runs(ctx, svc, &runs, stripe, &mut raw),
+            _ => {
+                while (raw.len() as u64) < runs[0].want {
+                    match self.recv_raw(ctx) {
+                        Some(msg) => raw.push(msg),
+                        None => break,
+                    }
+                }
+                vec![raw.len()]
+            }
+        };
+        let mut reap: Vec<(usize, usize, usize)> = Vec::with_capacity(runs.len());
         let mut backlog = vec![0usize; self.shards.len()];
-        for (&idx, &n) in active.iter().zip(counts.iter()) {
-            let n = n as usize;
-            reap.push((idx, idx, n));
-            if n > 0 {
-                self.read_run(ctx, idx, n, idx, now, &mut raw);
-            }
-            backlog[idx] = ctx.machine.host.rx_pending(self.shards[idx].fd);
-            if self.cfg.is_adaptive() {
-                self.adapt(&self.shards[idx], n, backlog[idx]);
-            }
+        for (run, &n) in runs.iter().zip(&counts) {
+            let k = run.socket;
+            reap.push((k, k, n));
+            backlog[k] = ctx.machine.host.rx_pending(self.shards[k].fd);
+            self.adapt(&self.shards[k], n, backlog[k]);
         }
-        if self.cfg.balance.is_some_and(|b| b.steal) {
-            self.steal_pass(ctx, svc, active, &counts, &mut backlog, &mut reap, &mut raw);
+        if let (IoPath::Rpc(svc), Some(BalanceConfig { steal: true, .. })) =
+            (&self.path, self.cfg.balance)
+        {
+            self.steal_pass(ctx, svc, stripe, &mut backlog, &mut reap, &mut raw);
         }
         for &k in active {
             let shard = &ctx.machine.stats.shard.replica[self.cfg.replica];
@@ -902,35 +828,88 @@ impl ServerIo {
         out
     }
 
-    /// Reads one reaped sub-batch out of pipe `pipe`'s staging
-    /// buffers: records each op's sojourn (globally and against shard
-    /// `charge`'s histogram — the *socket* the op waited on, not the
-    /// pipe that drained it) and appends the raw payloads in slot
-    /// order.
+    /// Submits one `recv_mmsg` job per run as a single ring batch,
+    /// waits for all of them, and appends each run's payloads to `raw`
+    /// in run order. Returns the number of messages accepted per run.
+    fn recv_runs(
+        &self,
+        ctx: &mut ThreadCtx,
+        svc: &RpcService,
+        runs: &[Run],
+        stripe: usize,
+        raw: &mut Vec<Vec<u8>>,
+    ) -> Vec<usize> {
+        let reqs: Vec<(u64, [u64; 4])> = runs
+            .iter()
+            .map(|run| {
+                let pipe = &self.shards[run.pipe];
+                (
+                    funcs::RECV_MMSG,
+                    [
+                        self.shards[run.socket].fd.0 as u64,
+                        pipe.rx_buf,
+                        ((stripe as u64) << 32) | run.want,
+                        pipe.desc_rx,
+                    ],
+                )
+            })
+            .collect();
+        let counts = svc.submit_batch(ctx, &reqs).wait_all(ctx);
+        let now = ctx.now();
+        runs.iter()
+            .zip(counts)
+            .map(|(run, n)| self.read_run(ctx, run, stripe, n, now, raw))
+            .collect()
+    }
+
+    /// Reads one reaped run out of its pipe's staging buffers: records
+    /// each op's sojourn (globally and against the histogram of the
+    /// *socket* the op waited on, not the pipe that drained it) and
+    /// appends the raw payloads in slot order. Returns how many
+    /// messages it accepted.
+    ///
+    /// Everything read here was written by the host and is untrusted:
+    /// a count `n` above the depth the job asked for discards the run
+    /// (no descriptor of it can be believed), and a descriptor longer
+    /// than its slot discards that message. Both are counted in
+    /// `desc_rejects`; neither sizes an allocation or a read.
     fn read_run(
         &self,
         ctx: &mut ThreadCtx,
-        pipe: usize,
-        n: usize,
-        charge: usize,
+        run: &Run,
+        stripe: usize,
+        n: u64,
         now: u64,
         raw: &mut Vec<Vec<u8>>,
-    ) {
-        let stripe = self.cfg.buf_len / self.cfg.batch_max;
-        let sh = &self.shards[pipe];
+    ) -> usize {
+        if n == 0 {
+            return 0;
+        }
+        if n > run.want {
+            Stats::bump(&ctx.machine.stats.desc_rejects);
+            return 0;
+        }
+        let n = n as usize;
+        let pipe = &self.shards[run.pipe];
         let mut descs = vec![0u8; n * DESC_STRIDE];
-        ctx.read_untrusted(sh.desc_rx, &mut descs);
-        for i in 0..n {
-            let at = i * DESC_STRIDE;
-            let w0 = u64::from_le_bytes(descs[at..at + 8].try_into().unwrap());
-            let enq = u64::from_le_bytes(descs[at + 8..at + 16].try_into().unwrap());
+        ctx.read_untrusted(pipe.desc_rx, &mut descs);
+        let mut accepted = 0;
+        for (i, desc) in descs.chunks_exact(DESC_STRIDE).enumerate() {
+            let len = u64::from_le_bytes(desc[..8].try_into().expect("descriptor word"));
+            let enq = u64::from_le_bytes(desc[8..].try_into().expect("descriptor word"));
+            if len > stripe as u64 {
+                Stats::bump(&ctx.machine.stats.desc_rejects);
+                continue;
+            }
             let wait = now.saturating_sub(enq);
             ctx.machine.stats.sojourn.record(wait);
-            ctx.machine.stats.shard.replica[self.cfg.replica].sojourn[charge].record(wait);
-            let mut msg = vec![0u8; (w0 & 0xffff_ffff) as usize];
-            ctx.read_untrusted(sh.rx_buf + (i * stripe) as u64, &mut msg);
+            ctx.machine.stats.shard.replica[self.cfg.replica].sojourn[run.socket].record(wait);
+            let mut msg = vec![0u8; len as usize];
+            ctx.read_untrusted(pipe.rx_buf + (i * stripe) as u64, &mut msg);
             raw.push(msg);
+            accepted += 1;
         }
+        accepted
     }
 
     /// The steal wave: every shard whose own reap came back empty
@@ -940,21 +919,22 @@ impl ServerIo {
     /// victim per reap: `recv_mmsg` pops the queue front under one
     /// lock, so a single steal is the victim's oldest contiguous run,
     /// but two concurrent steals of the same socket would interleave.
-    #[allow(clippy::too_many_arguments)]
+    ///
+    /// `reap` holds the first wave's `(socket, pipe, count)` records —
+    /// the owned subset, each shard through its own pipe — and gains
+    /// one record per successful steal.
     fn steal_pass(
         &self,
         ctx: &mut ThreadCtx,
-        svc: &Arc<RpcService>,
-        active: &[usize],
-        counts: &[u64],
+        svc: &RpcService,
+        stripe: usize,
         backlog: &mut [usize],
         reap: &mut Vec<(usize, usize, usize)>,
         raw: &mut Vec<Vec<u8>>,
     ) {
-        let stripe = self.cfg.buf_len / self.cfg.batch_max;
         let mut claimed = vec![false; self.shards.len()];
-        let mut steals: Vec<(usize, usize)> = Vec::new();
-        for (&t, &got) in active.iter().zip(counts.iter()) {
+        let mut steals: Vec<Run> = Vec::new();
+        for &(t, _, got) in reap.iter() {
             if got != 0 {
                 continue;
             }
@@ -966,9 +946,9 @@ impl ServerIo {
             // the drained run on the thief's pipeline, and crossing a
             // replica boundary would serve another replica's
             // connections out of order with its own reaps.
-            let victim = active
+            let victim = reap
                 .iter()
-                .copied()
+                .map(|&(v, _, _)| v)
                 .filter(|&v| {
                     v != t
                         && !claimed[v]
@@ -977,43 +957,28 @@ impl ServerIo {
                 .max_by_key(|&v| backlog[v]);
             let Some(v) = victim else { continue };
             claimed[v] = true;
-            steals.push((v, t));
+            // Steal half the victim's residual backlog (the classic
+            // steal-half split), capped by the thief's staging
+            // capacity — NOT by the thief's AIMD depth, which has just
+            // decayed toward the floor precisely because its own queue
+            // is empty. A depth-sized steal would move one or two
+            // messages per extra trap and cost more than it saves.
+            steals.push(Run {
+                socket: v,
+                pipe: t,
+                want: (backlog[v] / 2).clamp(1, self.cfg.batch_max) as u64,
+            });
         }
         if steals.is_empty() {
             return;
         }
-        let reqs: Vec<(u64, [u64; 4])> = steals
-            .iter()
-            .map(|&(v, t)| {
-                let th = &self.shards[t];
-                // Steal half the victim's residual backlog (the
-                // classic steal-half split), capped by the thief's
-                // staging capacity — NOT by the thief's AIMD depth,
-                // which has just decayed toward the floor precisely
-                // because its own queue is empty. A depth-sized steal
-                // would move one or two messages per extra trap and
-                // cost more than it saves.
-                let want = (backlog[v] / 2).clamp(1, self.cfg.batch_max) as u64;
-                (
-                    funcs::RECV_MMSG,
-                    [
-                        self.shards[v].fd.0 as u64,
-                        th.rx_buf,
-                        ((stripe as u64) << 32) | want,
-                        th.desc_rx,
-                    ],
-                )
-            })
-            .collect();
-        let got = svc.submit_batch(ctx, &reqs).wait_all(ctx);
-        let now = ctx.now();
-        for (&(v, t), &m) in steals.iter().zip(got.iter()) {
-            let m = m as usize;
+        let got = self.recv_runs(ctx, svc, &steals, stripe, raw);
+        for (run, &m) in steals.iter().zip(&got) {
             if m == 0 {
                 continue;
             }
+            let (v, t) = (run.socket, run.pipe);
             reap.push((v, t, m));
-            self.read_run(ctx, t, m, v, now, raw);
             let shard = &ctx.machine.stats.shard.replica[self.cfg.replica];
             Stats::add(&shard.steals_taken[t], 1);
             Stats::add(&shard.steals_given[v], 1);
@@ -1083,128 +1048,6 @@ impl ServerIo {
         map.decay();
     }
 
-    /// Collects up to `max` raw wire messages in the socket's arrival
-    /// order, without decrypting.
-    ///
-    /// On the RPC scatter-gather path the reap is split into one
-    /// `recvmmsg`-style sub-batch per worker — contiguous stripe
-    /// ranges of the receive buffer, submitted together as one RPC
-    /// batch. Each sub-batch costs one syscall and one kernel-metadata
-    /// charge regardless of how many messages it pops, and the
-    /// sub-batches drain the socket concurrently, so their slots
-    /// interleave; every descriptor carries the socket's dequeue
-    /// sequence and the reap merges by a global seq sort (paying
-    /// `reap_merge` per message when more than one sub-batch
-    /// interleaves). A single worker degenerates to the one-job
-    /// scatter-gather reap. With `scatter_gather` off the reap falls
-    /// back to per-message `RECV_TAGGED` jobs (same seq-sorted merge,
-    /// one syscall *per message*). On the native/OCALL paths this
-    /// degrades to a sequential loop that stops at the first
-    /// would-block.
-    fn reap_raw(&self, ctx: &mut ThreadCtx, max: usize) -> Vec<Vec<u8>> {
-        let sh = &self.shards[0];
-        let svc = match &self.path {
-            IoPath::Rpc(svc) => svc,
-            _ => {
-                let mut out = Vec::new();
-                while out.len() < max {
-                    match self.recv_raw(ctx) {
-                        Some(msg) => out.push(msg),
-                        None => break,
-                    }
-                }
-                return out;
-            }
-        };
-        let stripe = self.cfg.buf_len / max;
-        assert!(stripe > 0, "batch too large for the receive buffer");
-        let lanes = svc.worker_count().max(1).min(max);
-        if self.cfg.scatter_gather {
-            let ranges = split_ranges(max, svc.worker_count().max(1));
-            let reqs: Vec<(u64, [u64; 4])> = ranges
-                .iter()
-                .map(|&(start, count)| {
-                    (
-                        funcs::RECV_MMSG,
-                        [
-                            sh.fd.0 as u64,
-                            sh.rx_buf + (start * stripe) as u64,
-                            ((stripe as u64) << 32) | count as u64,
-                            sh.desc_rx + (start * DESC_STRIDE) as u64,
-                        ],
-                    )
-                })
-                .collect();
-            let counts = svc.submit_batch(ctx, &reqs).wait_all(ctx);
-            let now = ctx.now();
-            // (seq, slot, len, enqueue stamp) across all sub-batches:
-            // sub-batches pop concurrently, so arrival order is
-            // reconstructed from the dequeue sequences, not the slot
-            // layout.
-            let mut got: Vec<(u64, usize, usize, u64)> = Vec::new();
-            for (&(start, _), &n) in ranges.iter().zip(counts.iter()) {
-                let n = n as usize;
-                if n == 0 {
-                    continue;
-                }
-                let mut descs = vec![0u8; n * DESC_STRIDE];
-                ctx.read_untrusted(sh.desc_rx + (start * DESC_STRIDE) as u64, &mut descs);
-                for i in 0..n {
-                    let at = i * DESC_STRIDE;
-                    let w0 = u64::from_le_bytes(descs[at..at + 8].try_into().unwrap());
-                    let enq = u64::from_le_bytes(descs[at + 8..at + 16].try_into().unwrap());
-                    got.push((w0 >> 32, start + i, (w0 & 0xffff_ffff) as usize, enq));
-                }
-            }
-            got.sort_unstable_by_key(|&(seq, _, _, _)| seq);
-            // More than one sub-batch interleaved: pay the per-message
-            // merge (the sharded path skips this — per-shard slot
-            // order is already arrival order).
-            if lanes > 1 && got.len() > 1 {
-                ctx.compute(ctx.machine.cfg.costs.reap_merge * got.len() as u64);
-            }
-            let mut out = Vec::with_capacity(got.len());
-            for (_seq, slot, n, enq) in got {
-                let wait = now.saturating_sub(enq);
-                ctx.machine.stats.sojourn.record(wait);
-                // The single-socket server is shard 0 of a one-shard
-                // set, so its per-shard histogram mirrors the global.
-                ctx.machine.stats.shard.replica[self.cfg.replica].sojourn[0].record(wait);
-                let mut msg = vec![0u8; n];
-                ctx.read_untrusted(sh.rx_buf + (slot * stripe) as u64, &mut msg);
-                out.push(msg);
-            }
-            return out;
-        }
-        let reqs: Vec<(u64, [u64; 4])> = (0..max)
-            .map(|i| {
-                let addr = sh.rx_buf + (i * stripe) as u64;
-                (funcs::RECV_TAGGED, [sh.fd.0 as u64, addr, stripe as u64, 0])
-            })
-            .collect();
-        let rets = svc.submit_batch(ctx, &reqs).wait_all(ctx);
-        // (seq, stripe index, len) for every slot that got a message.
-        let mut got: Vec<(u64, usize, usize)> = rets
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, r)| r != u64::MAX)
-            .map(|(i, r)| (r >> 32, i, (r & 0xffff_ffff) as usize))
-            .collect();
-        got.sort_unstable_by_key(|&(seq, _, _)| seq);
-        // Same merge charge as the scatter-gather reap: the jobs ran
-        // across `lanes` workers and completed interleaved.
-        if lanes > 1 && got.len() > 1 {
-            ctx.compute(ctx.machine.cfg.costs.reap_merge * got.len() as u64);
-        }
-        let mut out = Vec::with_capacity(got.len());
-        for (_seq, i, n) in got {
-            let mut msg = vec![0u8; n];
-            ctx.read_untrusted(sh.rx_buf + (i * stripe) as u64, &mut msg);
-            out.push(msg);
-        }
-        out
-    }
-
     /// One raw receive on the non-RPC paths. Returns `None` when the
     /// socket queue is empty.
     fn recv_raw(&self, ctx: &mut ThreadCtx) -> Option<Vec<u8>> {
@@ -1267,32 +1110,23 @@ impl ServerIo {
     }
 
     /// Encrypts and sends a batch of responses, sealing them all in
-    /// one batched crypto pass.
-    ///
-    /// On the RPC path the `send` jobs go out as one batched
-    /// submission from per-message stripes of the transmit buffer; on
-    /// the other paths responses are sent one by one (but still
-    /// encrypted as a batch). A sharded server routes each reply back
-    /// out the shard its request arrived on (replies must answer the
-    /// last reap 1:1, in order — the serve loop's natural shape).
+    /// one batched crypto pass. The replies answer the last
+    /// [`Self::recv_batch`] in order — the serve loop's natural shape
+    /// — and each goes back out the socket its request arrived on.
     pub fn send_batch(&self, ctx: &mut ThreadCtx, replies: &[Vec<u8>]) {
-        if self.shards.len() > 1 {
-            self.send_sharded(ctx, replies);
-            return;
-        }
         let refs: Vec<&[u8]> = replies.iter().map(Vec::as_slice).collect();
-        self.send_all(ctx, &refs);
+        self.send_all(ctx, &refs, self.stripe());
     }
 
-    /// Encrypts and sends one response: a batch of one. Single-socket
-    /// servers only.
+    /// Encrypts and sends one response: a batch of one, with the whole
+    /// transmit buffer as its one slot. Single-socket servers only.
     pub fn send_msg(&self, ctx: &mut ThreadCtx, plain: &[u8]) {
         assert_eq!(
             self.shards.len(),
             1,
             "single-message send is a single-socket affair; use send_batch on a sharded server"
         );
-        self.send_all(ctx, &[plain]);
+        self.send_all(ctx, &[plain], self.cfg.buf_len);
     }
 
     /// Reaps the deferred send, if one is in flight. The overlap-aware
@@ -1337,40 +1171,48 @@ impl ServerIo {
         queued
     }
 
-    /// The sharded send: splits `replies` by the last reap's
-    /// `(socket, pipe, count)` record and sends each slice as one
-    /// *unsequenced* `send_mmsg` sub-batch out its socket — slot
-    /// order is per-shard arrival order, so the kernel transmit
-    /// reorder buffer (and its `tx_reorder` charge) is skipped.
+    /// The one encrypt/stage/send path behind every send entry point.
+    ///
+    /// On the RPC path `replies` is split by the last reap's
+    /// `(socket, pipe, count)` record and each slice goes out its
+    /// socket as one `send_mmsg` job from `stripe`-byte slots of the
+    /// pipe's transmit buffer. A one-shard server has nowhere else to
+    /// route a reply, so it needs no record (and may answer a reap
+    /// that dropped unauthenticated messages). The native and OCALL
+    /// baselines send message by message.
     ///
     /// A stolen run's replies are staged in the thief's transmit
     /// buffers but go out the *victim's* socket, strictly after the
-    /// victim's own sub-batch: two unsequenced jobs on one socket in
-    /// one submission could interleave across workers, so repeated
+    /// victim's own sub-batch: two jobs on one socket in one
+    /// submission could interleave across workers, so repeated
     /// sockets are deferred to a second send wave behind a barrier
     /// (and the send stays synchronous — a deferred second wave would
     /// race the next reap for the thief's buffers).
-    fn send_sharded(&self, ctx: &mut ThreadCtx, replies: &[Vec<u8>]) {
+    fn send_all(&self, ctx: &mut ThreadCtx, replies: &[&[u8]], stripe: usize) {
         if replies.is_empty() {
             return;
         }
-        let IoPath::Rpc(svc) = &self.path else {
-            unreachable!("sharded serving rides the RPC path (checked at construction)");
-        };
         // The transmit buffers may still belong to a deferred send.
         self.flush(ctx);
-        let refs: Vec<&[u8]> = replies.iter().map(Vec::as_slice).collect();
         let msgs = self
             .session
-            .encrypt_batch_in_enclave(ctx, &refs, self.cfg.batched_crypto);
-        let reap = self.last_reap.lock().expect("last reap").clone();
-        let total: usize = reap.iter().map(|&(_, _, n)| n).sum();
-        assert_eq!(
-            msgs.len(),
-            total,
-            "sharded send must answer the last reap 1:1"
-        );
-        let stripe = self.cfg.buf_len / self.cfg.batch_max;
+            .encrypt_batch_in_enclave(ctx, replies, self.cfg.batched_crypto);
+        let IoPath::Rpc(svc) = &self.path else {
+            self.send_sequential(ctx, &msgs);
+            return;
+        };
+        let reap = if self.shards.len() == 1 {
+            vec![(0, 0, msgs.len())]
+        } else {
+            let reap = self.last_reap.lock().expect("last reap").clone();
+            let total: usize = reap.iter().map(|&(_, _, n)| n).sum();
+            assert_eq!(
+                msgs.len(),
+                total,
+                "a sharded send must answer the last reap 1:1"
+            );
+            reap
+        };
         let mut seen = vec![false; self.shards.len()];
         let mut wave1 = Vec::new();
         let mut wave2 = Vec::new();
@@ -1379,6 +1221,10 @@ impl ServerIo {
             if n == 0 {
                 continue;
             }
+            assert!(
+                n * stripe <= self.cfg.buf_len && n <= self.cfg.batch_max,
+                "{n} responses overflow the transmit staging"
+            );
             let sh = &self.shards[pipe];
             let mut descs = Vec::with_capacity(n * DESC_STRIDE);
             for (i, msg) in msgs[off..off + n].iter().enumerate() {
@@ -1392,7 +1238,7 @@ impl ServerIo {
             }
             ctx.write_untrusted(sh.desc_tx, &descs);
             let req = (
-                funcs::SEND_MMSG_UNSEQ,
+                funcs::SEND_MMSG,
                 [
                     self.shards[socket].fd.0 as u64,
                     sh.tx_buf,
@@ -1421,77 +1267,12 @@ impl ServerIo {
         }
     }
 
-    /// The shared encrypt/stage/send path behind every single-socket
-    /// send entry point.
-    fn send_all(&self, ctx: &mut ThreadCtx, replies: &[&[u8]]) {
-        if replies.is_empty() {
-            return;
-        }
-        let sh = &self.shards[0];
-        let msgs = self
-            .session
-            .encrypt_batch_in_enclave(ctx, replies, self.cfg.batched_crypto);
-        let stripe = self.cfg.buf_len / msgs.len();
-        if let IoPath::Rpc(svc) = &self.path {
-            // The transmit buffer may still belong to a deferred send.
-            self.flush(ctx);
-            // Mirror of the receive side: one sendmmsg-style
-            // scatter-gather sub-batch per worker (one syscall and one
-            // kernel-metadata charge each), executing in parallel. The
-            // descriptors carry transmit sequences, so the kernel
-            // reorder buffer commits the responses to the wire in
-            // order no matter which worker runs which sub-batch.
-            if self.cfg.scatter_gather && msgs.len() <= self.cfg.batch_max {
-                let seq0 = self.tx_seq.fetch_add(msgs.len() as u64, Ordering::Relaxed);
-                let mut descs = Vec::with_capacity(msgs.len() * DESC_STRIDE);
-                for (i, msg) in msgs.iter().enumerate() {
-                    assert!(
-                        msg.len() <= stripe,
-                        "batched response exceeds its tx stripe"
-                    );
-                    ctx.write_untrusted(sh.tx_buf + (i * stripe) as u64, msg);
-                    let d = ((seq0 + i as u64) << 32) | msg.len() as u64;
-                    descs.extend_from_slice(&d.to_le_bytes());
-                    descs.extend_from_slice(&0u64.to_le_bytes());
-                }
-                ctx.write_untrusted(sh.desc_tx, &descs);
-                let ranges = split_ranges(msgs.len(), svc.worker_count().max(1));
-                let reqs: Vec<(u64, [u64; 4])> = ranges
-                    .iter()
-                    .map(|&(start, count)| {
-                        (
-                            funcs::SEND_MMSG,
-                            [
-                                sh.fd.0 as u64,
-                                sh.tx_buf + (start * stripe) as u64,
-                                ((stripe as u64) << 32) | count as u64,
-                                sh.desc_tx + (start * DESC_STRIDE) as u64,
-                            ],
-                        )
-                    })
-                    .collect();
-                let batch = svc.submit_batch(ctx, &reqs);
-                if self.cfg.async_send {
-                    *self.pending_send.lock().expect("pending send") = Some(batch);
-                } else {
-                    batch.wait_all(ctx);
-                }
-                return;
-            }
-            let mut reqs = Vec::with_capacity(msgs.len());
-            for (i, msg) in msgs.iter().enumerate() {
-                assert!(
-                    msg.len() <= stripe,
-                    "batched response exceeds its tx stripe"
-                );
-                let addr = sh.tx_buf + (i * stripe) as u64;
-                ctx.write_untrusted(addr, msg);
-                reqs.push((funcs::SEND, [sh.fd.0 as u64, addr, msg.len() as u64, 0]));
-            }
-            svc.submit_batch(ctx, &reqs).wait_all(ctx);
-            return;
-        }
+    /// The native/OCALL send loop: one `send` syscall per sealed
+    /// message, staged in equal slices of the transmit buffer.
+    fn send_sequential(&self, ctx: &mut ThreadCtx, msgs: &[Vec<u8>]) {
         let machine = Arc::clone(&ctx.machine);
+        let sh = &self.shards[0];
+        let stripe = self.cfg.buf_len / msgs.len();
         for (i, msg) in msgs.iter().enumerate() {
             assert!(
                 msg.len() <= stripe,
@@ -1511,30 +1292,19 @@ impl ServerIo {
                         m.host.send(c, fd, addr, len)
                     });
                 }
-                IoPath::Rpc(_) => unreachable!("handled above"),
+                IoPath::Rpc(_) => unreachable!("the RPC path sends through the ring"),
             }
         }
     }
 }
 
-/// Splits `total` slots into up to `parts` contiguous `(start, count)`
-/// ranges — one scatter-gather sub-batch per worker. The first
-/// `total % parts` ranges take the extra slot, so sub-batch sizes
-/// differ by at most one and every slot is covered exactly once.
-fn split_ranges(total: usize, parts: usize) -> Vec<(usize, usize)> {
-    let parts = parts.clamp(1, total.max(1));
-    let (base, rem) = (total / parts, total % parts);
-    let mut ranges = Vec::with_capacity(parts);
-    let mut start = 0;
-    for j in 0..parts {
-        let count = base + usize::from(j < rem);
-        if count == 0 {
-            break;
-        }
-        ranges.push((start, count));
-        start += count;
-    }
-    ranges
+/// One `recv_mmsg` job of a reap: up to `want` messages popped off
+/// shard `socket`'s queue into shard `pipe`'s staging buffers (the same
+/// shard, except for a stolen run).
+struct Run {
+    socket: usize,
+    pipe: usize,
+    want: u64,
 }
 
 #[cfg(test)]
@@ -1542,26 +1312,6 @@ mod tests {
     use super::*;
     use eleos_enclave::machine::{MachineConfig, SgxMachine};
     use eleos_enclave::thread::ThreadCtx;
-
-    #[test]
-    fn split_ranges_covers_every_slot_once() {
-        for total in 1..=65usize {
-            for parts in 1..=8usize {
-                let ranges = split_ranges(total, parts);
-                assert!(ranges.len() <= parts);
-                let mut next = 0;
-                for &(start, count) in &ranges {
-                    assert_eq!(start, next, "ranges must be contiguous");
-                    assert!(count > 0);
-                    next += count;
-                }
-                assert_eq!(next, total, "every slot covered exactly once");
-                let max = ranges.iter().map(|r| r.1).max().unwrap();
-                let min = ranges.iter().map(|r| r.1).min().unwrap();
-                assert!(max - min <= 1, "sub-batches differ by at most one");
-            }
-        }
-    }
 
     #[test]
     #[should_panic(expected = "batch(0)")]
@@ -1630,10 +1380,8 @@ mod tests {
 
     #[test]
     fn recv_batch_preserves_order_with_two_workers() {
-        // Two RPC workers reap the batch concurrently, so the recv
-        // jobs complete out of submission order; the sequence tags
-        // must restore the socket's arrival order through the shared
-        // reap/sort/decrypt path.
+        // Whichever of the two RPC workers claims the reap's one
+        // `recv_mmsg` job, slot order is the socket's arrival order.
         let m = SgxMachine::new(MachineConfig::tiny());
         let e = m.driver.create_enclave(&m, 1 << 20);
         let wire = Arc::new(Session::established([5u8; 16]));
@@ -1848,7 +1596,7 @@ mod tests {
     }
 
     #[test]
-    fn sojourn_histogram_records_every_scatter_gather_reap() {
+    fn sojourn_histogram_records_every_mmsg_reap() {
         let m = SgxMachine::new(MachineConfig::tiny());
         let e = m.driver.create_enclave(&m, 1 << 20);
         let wire = Arc::new(Session::established([13u8; 16]));

@@ -453,16 +453,8 @@ impl Kvs {
     /// per-message handoffs. The batch boundary is a storage fence.
     /// Returns the number of requests handled.
     pub fn handle_batch(&mut self, ctx: &mut ThreadCtx, io: &ServerIo) -> usize {
-        let requests = io.recv_batch(ctx);
-        let replies: Vec<Vec<u8>> = requests
-            .iter()
-            .map(|plain| self.process(ctx, plain))
-            .collect();
-        io.send_batch(ctx, &replies);
-        if !requests.is_empty() {
-            self.engine.fence(ctx);
-        }
-        requests.len()
+        let all: Vec<usize> = (0..io.shard_count()).collect();
+        self.handle_batch_on(ctx, io, &all)
     }
 
     /// [`Self::handle_batch`] over a shard subset: reaps only the

@@ -21,7 +21,7 @@
 //!   append-only segment store;
 //! - [`face`] — the LBP face-verification server of §5.2 (Fig 10);
 //! - [`loadgen`] — seeded client load (memaslap-style for the KVS);
-//! - [`wire`] — the AES-CTR wire [`Session`](wire::Session) (§5):
+//! - [`wire`] — the AES-CTR wire [`wire::Session`] (§5):
 //!   attestation handshake, epoch key rotation, revocation.
 
 pub mod face;

@@ -29,8 +29,7 @@ impl MaintenanceCtx {
     /// inter-tick sleep is a condvar wait, so dropping the handle
     /// stops the thread promptly rather than after up to a full
     /// interval. The tick itself is a no-op when the fleet was built
-    /// without [`FleetConfig::with_maintenance`]
-    /// (see [`crate::fleet_io::FleetConfig::with_maintenance`]).
+    /// without [`crate::fleet_io::FleetConfig::with_maintenance`].
     #[must_use]
     pub fn spawn(fleet: &Arc<FleetKvs>, interval: Duration) -> Self {
         let state = Arc::new((Mutex::new(false), Condvar::new()));

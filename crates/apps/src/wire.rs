@@ -385,8 +385,7 @@ impl Session {
     /// are charged.
     ///
     /// # Panics
-    /// Panics when the session is not established (see
-    /// [`seal_raw`](Self::seal_raw)).
+    /// Panics when the session is not established.
     #[must_use]
     pub fn encrypt(&self, plain: &[u8]) -> Vec<u8> {
         self.seal_raw(&[plain])

@@ -11,10 +11,10 @@
 //! `ThreadCtx::charge_crypto_batch` site). Both modes ride the same
 //! batched ring submission, so the delta isolates the crypto.
 //!
-//! A second sweep adds the **workers** dimension: with two RPC
-//! workers, scatter-gather sub-batch I/O (one `recv_mmsg`/`send_mmsg`
-//! job per worker) is compared against the per-message
-//! `RECV_TAGGED`/`SEND` baseline on the same two workers.
+//! A second sweep adds the **workers** dimension: a reap is one
+//! `recv_mmsg` job and a send one `send_mmsg` job per socket whatever
+//! the worker count, so a second RPC worker must not change what the
+//! single-socket pipeline costs.
 
 use std::sync::Arc;
 
@@ -38,9 +38,6 @@ const CHUNK: usize = 256;
 struct Cell {
     server: &'static str,
     crypto: &'static str,
-    /// I/O submission mode: `sg` (scatter-gather sub-batches, one per
-    /// worker) or `per-msg` (one `RECV_TAGGED`/`SEND` job per message).
-    io: &'static str,
     /// RPC worker threads serving the ring.
     workers: usize,
     batch: usize,
@@ -96,7 +93,6 @@ fn serve(
 }
 
 /// Runs one KVS (binary protocol) or text (memcached ASCII) cell.
-/// `sg` selects scatter-gather sub-batch I/O versus per-message jobs.
 fn kvs_cell(
     scale: Scale,
     text: bool,
@@ -104,7 +100,6 @@ fn kvs_cell(
     batched: bool,
     ops: usize,
     workers: usize,
-    sg: bool,
 ) -> Cell {
     let rig = Rig::with_workers(scale, Mode::EleosRpc, 4 << 20, false, workers);
     let mut ctx = rig.thread(0);
@@ -117,9 +112,7 @@ fn kvs_cell(
     let io_cfg = ServerIoConfig::with_buf_len(64 << 10)
         .batch(batch)
         .batched_crypto(batched)
-        .async_send(true)
-        .scatter_gather(sg);
-    let io_label = io_cfg.io_label();
+        .async_send(true);
     let io = rig.server_io_cfg(&ctx, io_cfg);
     let wire = Arc::clone(&rig.session);
     let fd = rig.fd;
@@ -147,7 +140,6 @@ fn kvs_cell(
     Cell {
         server: if text { "text" } else { "kvs" },
         crypto: if batched { "batched" } else { "per-msg" },
-        io: io_label,
         workers,
         batch,
         cycles_per_op: cycles as f64 / ops as f64,
@@ -177,7 +169,6 @@ fn param_cell(scale: Scale, batch: usize, batched: bool, ops: usize) -> Cell {
     Cell {
         server: "param",
         crypto: if batched { "batched" } else { "per-msg" },
-        io: "sg",
         workers: 1,
         batch,
         cycles_per_op: run.e2e_cycles as f64 / run.ops as f64,
@@ -212,8 +203,8 @@ pub fn run(scale: Scale, quick: bool) {
     for &server in servers {
         for &batch in batches {
             let run_one = |batched: bool| match server {
-                "kvs" => kvs_cell(scale, false, batch, batched, ops, 1, true),
-                "text" => kvs_cell(scale, true, batch, batched, ops, 1, true),
+                "kvs" => kvs_cell(scale, false, batch, batched, ops, 1),
+                "text" => kvs_cell(scale, true, batch, batched, ops, 1),
                 "param" => param_cell(scale, batch, batched, ops),
                 other => panic!("unknown server {other}"),
             };
@@ -234,29 +225,24 @@ pub fn run(scale: Scale, quick: bool) {
         }
     }
 
-    // Multi-worker sweep: with two RPC workers, the scatter-gather
-    // reap splits into one recv_mmsg/send_mmsg sub-batch per worker
-    // (one syscall trap + one kernel-metadata charge each) versus the
-    // per-message RECV_TAGGED/SEND baseline the same two workers run.
+    // Multi-worker sweep: the batched cells again with two RPC workers
+    // polling the ring. Each reap and each send is still one job.
     println!(
-        "   {:<7} {:>5} {:>14} {:>14} {:>12}  (workers=2, batched crypto)",
-        "server", "batch", "per-msg c/op", "sg c/op", "io gain"
+        "   {:<7} {:>5} {:>14} {:>14}  (batched crypto)",
+        "server", "batch", "1 worker c/op", "2 workers c/op"
     );
     for &server in &["kvs", "text"] {
         for &batch in batches {
-            let text = server == "text";
-            let per_msg = kvs_cell(scale, text, batch, true, ops, 2, false);
-            let sg = kvs_cell(scale, text, batch, true, ops, 2, true);
+            let two = kvs_cell(scale, server == "text", batch, true, ops, 2);
+            let one = cells
+                .iter()
+                .find(|c| c.server == server && c.batch == batch && c.crypto == "batched")
+                .expect("the single-worker sweep ran this cell");
             println!(
-                "   {:<7} {:>5} {:>14.0} {:>14.0} {:>12}",
-                server,
-                batch,
-                per_msg.cycles_per_op,
-                sg.cycles_per_op,
-                x(per_msg.cycles_per_op / sg.cycles_per_op),
+                "   {:<7} {:>5} {:>14.0} {:>14.0}",
+                server, batch, one.cycles_per_op, two.cycles_per_op,
             );
-            cells.push(per_msg);
-            cells.push(sg);
+            cells.push(two);
         }
     }
 
@@ -268,13 +254,12 @@ pub fn run(scale: Scale, quick: bool) {
     json.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         json.push_str(&format!(
-            "    {{ \"server\": \"{}\", \"crypto\": \"{}\", \"io\": \"{}\", \
+            "    {{ \"server\": \"{}\", \"crypto\": \"{}\", \
              \"workers\": {}, \"batch\": {}, \
              \"cycles_per_op\": {:.1}, \"crypto_batches\": {}, \"crypto_msgs\": {}, \
              \"crypto_setup_cycles\": {}, \"rpc_batches\": {} }}{}\n",
             c.server,
             c.crypto,
-            c.io,
             c.workers,
             c.batch,
             c.cycles_per_op,

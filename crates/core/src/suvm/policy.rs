@@ -3,7 +3,7 @@
 //! §3.2.2: "user code has full control over the spointer's page table,
 //! page size, and eviction policy" — this module is that control
 //! surface. [`EvictionPolicy`] separates victim *selection* from the
-//! fault/eviction machinery in [`super::fault`]: the runtime asks the
+//! fault/eviction machinery in `suvm/fault.rs`: the runtime asks the
 //! policy for candidates and reports insertions/accesses/removals; the
 //! runtime alone decides pin-safety and performs the unmap/seal.
 //!

@@ -7,7 +7,7 @@
 //!
 //! - [`aes`]: AES-128 and AES-256 block ciphers (FIPS-197),
 //! - [`ctr`]: CTR mode (NIST SP 800-38A),
-//! - [`derive`]: per-epoch session-key derivation (one-block AES MAC),
+//! - [`mod@derive`]: per-epoch session-key derivation (one-block AES MAC),
 //! - [`ghash`]: the GHASH universal hash over GF(2^128),
 //! - [`gcm`]: AES-GCM authenticated encryption (NIST SP 800-38D),
 //! - [`sealer`]: the [`Sealer`] batch contract every cipher implements.

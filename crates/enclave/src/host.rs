@@ -12,7 +12,7 @@
 //!    NIC-bound) — sockets count rx/tx bytes and the harness converts
 //!    them to a 10 Gb/s bound.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use parking_lot::Mutex;
 
@@ -31,21 +31,9 @@ pub struct Fd(pub u32);
 const KERNEL_META_BYTES: usize = 4096;
 
 /// Bytes per `recv_mmsg`/`send_mmsg` descriptor entry: two little-endian
-/// `u64` words — `(seq << 32) | len`, then the enqueue timestamp in
+/// `u64` words — the message length, then the enqueue timestamp in
 /// cycles (receive side; ignored by sends).
 pub const DESC_STRIDE: usize = 16;
-
-/// Transmit-ordering contract of a [`HostOs::send_mmsg`] batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendMode {
-    /// Commit through the kernel reorder buffer in descriptor-sequence
-    /// order (shared-socket servers whose sub-batches race on several
-    /// RPC workers). Pays `Costs::tx_reorder` per message.
-    Sequenced,
-    /// Commit in slot order with no sequencing (sharded servers: one
-    /// socket per pipeline, intra-shard order is arrival order).
-    Unsequenced,
-}
 
 struct Socket {
     /// Untrusted address of the kernel staging ring.
@@ -56,36 +44,22 @@ struct Socket {
     /// The enqueue timestamp rides the wire descriptors out of
     /// `recv_mmsg` so the serving path can compute per-op sojourn.
     rx_queue: VecDeque<(usize, usize, u64)>,
-    /// Monotonic dequeue counter; tags each popped message so
-    /// concurrent receivers can restore arrival order at reap time.
-    pop_seq: u64,
     /// Kernel metadata area address.
     meta: u64,
     rx_bytes: u64,
     tx_bytes: u64,
     /// Recent outbound messages, for verification by tests/loadgens.
     tx_log: VecDeque<Vec<u8>>,
-    /// Next transmit sequence number to commit to `tx_log`. Sequenced
-    /// sends (`send_mmsg`) carry their seq in the descriptor; commits
-    /// are held in `tx_pending` until the in-order prefix is complete,
-    /// so concurrent sub-batches on several RPC workers cannot
-    /// interleave the wire order.
-    tx_next_commit: u64,
-    /// Out-of-order sequenced sends waiting for their predecessors.
-    tx_pending: BTreeMap<u64, Vec<u8>>,
 }
 
 impl Socket {
-    /// Commits a sequenced outbound message, draining the in-order
-    /// prefix of the pending reorder buffer into `tx_log`.
-    fn commit_tx(&mut self, seq: u64, payload: Vec<u8>) {
-        self.tx_pending.insert(seq, payload);
-        while let Some(payload) = self.tx_pending.remove(&self.tx_next_commit) {
-            self.tx_next_commit += 1;
-            self.tx_log.push_back(payload);
-            if self.tx_log.len() > TX_LOG_CAP {
-                self.tx_log.pop_front();
-            }
+    /// Commits one outbound message to the wire: counted, and retained
+    /// (up to [`TX_LOG_CAP`]) for inspection.
+    fn transmit(&mut self, payload: Vec<u8>) {
+        self.tx_bytes += payload.len() as u64;
+        self.tx_log.push_back(payload);
+        if self.tx_log.len() > TX_LOG_CAP {
+            self.tx_log.pop_front();
         }
     }
 }
@@ -129,13 +103,10 @@ impl HostOs {
                 staging_cap,
                 write_pos: 0,
                 rx_queue: VecDeque::new(),
-                pop_seq: 0,
                 meta,
                 rx_bytes: 0,
                 tx_bytes: 0,
                 tx_log: VecDeque::new(),
-                tx_next_commit: 0,
-                tx_pending: BTreeMap::new(),
             },
         );
         fd
@@ -205,32 +176,16 @@ impl HostOs {
         buf_addr: u64,
         max_len: usize,
     ) -> Option<usize> {
-        self.recv_tagged(ctx, fd, buf_addr, max_len).map(|(_, n)| n)
-    }
-
-    /// [`Self::recv`] variant that also returns the socket's dequeue
-    /// sequence number. Messages popped concurrently by several RPC
-    /// workers complete out of order; sorting by this tag restores the
-    /// socket's arrival order.
-    pub fn recv_tagged(
-        &self,
-        ctx: &mut ThreadCtx,
-        fd: Fd,
-        buf_addr: u64,
-        max_len: usize,
-    ) -> Option<(u64, usize)> {
         assert!(!ctx.in_enclave(), "syscall from trusted mode");
         ctx.compute(ctx.machine.cfg.costs.syscall);
         Stats::bump(&ctx.machine.stats.syscalls);
-        let (staging_off, len, meta, seq) = {
+        let (staging_off, len, meta) = {
             let mut sockets = self.sockets.lock();
             let s = sockets.get_mut(&fd).expect("bad fd");
             let (off, len, _enq) = s.rx_queue.pop_front()?;
             let len = len.min(max_len);
             s.rx_bytes += len as u64;
-            let seq = s.pop_seq;
-            s.pop_seq += 1;
-            (s.staging + off as u64, len, s.meta, seq)
+            (s.staging + off as u64, len, s.meta)
         };
         // Kernel bookkeeping + the copy kernel->user, all polluting the
         // executor's cache partition.
@@ -240,23 +195,17 @@ impl HostOs {
         let mut payload = vec![0u8; len];
         ctx.read_untrusted(staging_off, &mut payload);
         ctx.write_untrusted(buf_addr, &payload);
-        Some((seq, len))
+        Some(len)
     }
 
     /// `recvmmsg(2)`-style scatter-gather receive: dequeues up to
     /// `max_msgs` messages, in arrival order, into consecutive
     /// `stripe`-byte slots starting at `buf_addr`, and writes one
     /// [`DESC_STRIDE`]-byte descriptor per message into the array at
-    /// `desc_addr`: two little-endian `u64` words,
-    /// `(dequeue_seq << 32) | len` followed by the message's enqueue
-    /// timestamp (cycles). Returns the number of messages received.
-    ///
-    /// The dequeue sequence in the first word's high half lets several
-    /// sub-batches, issued concurrently on different RPC workers,
-    /// merge back into the socket's global arrival order at reap time
-    /// (the multi-worker generalization of `recv_tagged`'s tag); the
-    /// timestamp word lets the reaper compute per-op sojourn
-    /// (SO_TIMESTAMPING-style ancillary data).
+    /// `desc_addr`: two little-endian `u64` words, the message length
+    /// followed by its enqueue timestamp (cycles), which lets the
+    /// reaper compute per-op sojourn (SO_TIMESTAMPING-style ancillary
+    /// data). Returns the number of messages received.
     ///
     /// The whole batch pays the trap/return and kernel-bookkeeping
     /// footprint **once** — that is the point of the syscall: the
@@ -276,9 +225,7 @@ impl HostOs {
         ctx.compute(ctx.machine.cfg.costs.syscall);
         Stats::bump(&ctx.machine.stats.syscalls);
         // One queue walk under one lock hold: the batch is atomic, so
-        // slot order *is* arrival order within the batch; the dequeue
-        // seq recorded per message orders it against concurrent
-        // sub-batches.
+        // slot order *is* arrival order.
         let (popped, meta) = {
             let mut sockets = self.sockets.lock();
             let s = sockets.get_mut(&fd).expect("bad fd");
@@ -289,9 +236,7 @@ impl HostOs {
                 };
                 let len = len.min(stripe);
                 s.rx_bytes += len as u64;
-                let seq = s.pop_seq;
-                s.pop_seq += 1;
-                popped.push((s.staging + off as u64, len, seq, enq));
+                popped.push((s.staging + off as u64, len, enq));
             }
             (popped, s.meta)
         };
@@ -304,11 +249,11 @@ impl HostOs {
         let mut scratch = vec![0u8; KERNEL_META_BYTES];
         ctx.read_untrusted(meta, &mut scratch);
         let mut descs = Vec::with_capacity(popped.len() * DESC_STRIDE);
-        for (i, &(staging_off, len, seq, enq)) in popped.iter().enumerate() {
+        for (i, &(staging_off, len, enq)) in popped.iter().enumerate() {
             let mut payload = vec![0u8; len];
             ctx.read_untrusted(staging_off, &mut payload);
             ctx.write_untrusted(buf_addr + (i * stripe) as u64, &payload);
-            descs.extend_from_slice(&((seq << 32) | len as u64).to_le_bytes());
+            descs.extend_from_slice(&(len as u64).to_le_bytes());
             descs.extend_from_slice(&enq.to_le_bytes());
         }
         ctx.write_untrusted(desc_addr, &descs);
@@ -317,28 +262,15 @@ impl HostOs {
 
     /// `sendmmsg(2)`-style scatter-gather send: transmits `n_msgs`
     /// messages from consecutive `stripe`-byte slots at `buf_addr`,
-    /// taking each message's transmit sequence and length from the
-    /// [`DESC_STRIDE`]-byte descriptor array at `desc_addr` (first
-    /// little-endian `u64` word `(tx_seq << 32) | len`, matching
-    /// `recv_mmsg`'s layout; the timestamp word is ignored on the send
-    /// side). Pays the trap/return and kernel bookkeeping once per
-    /// batch. Returns `n_msgs`.
+    /// taking each message's length from the [`DESC_STRIDE`]-byte
+    /// descriptor array at `desc_addr` (first little-endian `u64`
+    /// word, matching `recv_mmsg`'s layout; the timestamp word is
+    /// ignored on the send side). Pays the trap/return and kernel
+    /// bookkeeping once per batch. Returns `n_msgs`.
     ///
-    /// With [`SendMode::Sequenced`], the transmit sequence orders
-    /// commits across concurrent sub-batches: a message is held in a
-    /// kernel reorder buffer until every lower-sequenced message has
-    /// been committed, so the wire order equals the sender's sequence
-    /// allocation order no matter which RPC worker runs which
-    /// sub-batch. Senders must allocate sequences contiguously from 0
-    /// per socket. Each message pays the reorder-buffer bookkeeping
-    /// (`Costs::tx_reorder`).
-    ///
-    /// With [`SendMode::Unsequenced`], messages hit the wire in slot
-    /// order with no reorder-buffer charge — the mode a sharded server
-    /// uses, where each socket is owned by exactly one serving pipeline
-    /// and intra-shard order is already arrival order. The sequence
-    /// word is ignored. Do not mix the two modes on one socket.
-    #[allow(clippy::too_many_arguments)]
+    /// Messages hit the wire in slot order. One serving pipeline owns
+    /// each socket and submits at most one send job per socket at a
+    /// time, so slot order is the order the replies were produced in.
     pub fn send_mmsg(
         &self,
         ctx: &mut ThreadCtx,
@@ -347,7 +279,6 @@ impl HostOs {
         stripe: usize,
         n_msgs: usize,
         desc_addr: u64,
-        mode: SendMode,
     ) -> usize {
         assert!(!ctx.in_enclave(), "syscall from trusted mode");
         ctx.compute(ctx.machine.cfg.costs.syscall);
@@ -363,26 +294,12 @@ impl HostOs {
         ctx.read_untrusted(desc_addr, &mut descs);
         for i in 0..n_msgs {
             let at = i * DESC_STRIDE;
-            let d = u64::from_le_bytes(descs[at..at + 8].try_into().expect("desc"));
-            let (seq, len) = (d >> 32, (d & 0xffff_ffff) as usize);
+            let len = u64::from_le_bytes(descs[at..at + 8].try_into().expect("desc")) as usize;
             assert!(len <= stripe, "descriptor exceeds its stripe");
             let mut payload = vec![0u8; len];
             ctx.read_untrusted(buf_addr + (i * stripe) as u64, &mut payload);
             let mut sockets = self.sockets.lock();
-            let s = sockets.get_mut(&fd).expect("bad fd");
-            s.tx_bytes += len as u64;
-            match mode {
-                SendMode::Sequenced => {
-                    ctx.compute(ctx.machine.cfg.costs.tx_reorder);
-                    s.commit_tx(seq, payload);
-                }
-                SendMode::Unsequenced => {
-                    s.tx_log.push_back(payload);
-                    if s.tx_log.len() > TX_LOG_CAP {
-                        s.tx_log.pop_front();
-                    }
-                }
-            }
+            sockets.get_mut(&fd).expect("bad fd").transmit(payload);
         }
         n_msgs
     }
@@ -402,12 +319,7 @@ impl HostOs {
         let mut payload = vec![0u8; len];
         ctx.read_untrusted(buf_addr, &mut payload);
         let mut sockets = self.sockets.lock();
-        let s = sockets.get_mut(&fd).expect("bad fd");
-        s.tx_bytes += len as u64;
-        s.tx_log.push_back(payload);
-        if s.tx_log.len() > TX_LOG_CAP {
-            s.tx_log.pop_front();
-        }
+        sockets.get_mut(&fd).expect("bad fd").transmit(payload);
         len
     }
 
@@ -490,9 +402,7 @@ mod tests {
         t.read_untrusted(desc, &mut descs);
         for i in 0..n {
             let at = i * DESC_STRIDE;
-            let d = u64::from_le_bytes(descs[at..at + 8].try_into().unwrap());
-            assert_eq!(d >> 32, i as u64, "descriptor carries the dequeue seq");
-            let len = (d & 0xffff_ffff) as usize;
+            let len = u64::from_le_bytes(descs[at..at + 8].try_into().unwrap()) as usize;
             assert_eq!(len, 10);
             let enq = u64::from_le_bytes(descs[at + 8..at + 16].try_into().unwrap());
             assert_eq!(enq, push_start, "descriptor carries the enqueue stamp");
@@ -501,14 +411,10 @@ mod tests {
             assert_eq!(msg, vec![i as u8; 10]);
         }
 
-        // Echo all five back with one sendmmsg; the dequeue seqs 0..5
-        // double as contiguous transmit seqs.
+        // Echo all five back with one sendmmsg: the receive
+        // descriptors' length words double as the send descriptors.
         let s1 = m.stats.snapshot();
-        assert_eq!(
-            m.host
-                .send_mmsg(&mut t, fd, buf, 512, n, desc, SendMode::Sequenced),
-            5
-        );
+        assert_eq!(m.host.send_mmsg(&mut t, fd, buf, 512, n, desc), 5);
         let d = m.stats.snapshot() - s1;
         assert_eq!(d.syscalls, 1);
         assert_eq!(d.kernel_meta_reads, 1);
@@ -516,80 +422,6 @@ mod tests {
             assert_eq!(m.host.pop_response(fd).unwrap(), vec![i as u8; 10]);
         }
         assert_eq!(m.host.byte_counts(fd), (50, 50));
-    }
-
-    #[test]
-    fn sequenced_sends_commit_in_seq_order() {
-        let m = SgxMachine::new(MachineConfig::tiny());
-        let mut t = ThreadCtx::untrusted(&m, 0);
-        let fd = m.host.socket(&t, 4096);
-        let buf = m.alloc_untrusted(1024);
-        let desc = m.alloc_untrusted(DESC_STRIDE);
-        // Stage "b" then "a" in slot order, but sequence them 1 then 0:
-        // the second sub-batch completes first, yet the wire order must
-        // follow the sequence numbers.
-        t.write_untrusted(buf, b"b");
-        t.write_untrusted(buf + 256, b"a");
-        t.write_untrusted(desc, &((1u64 << 32) | 1).to_le_bytes());
-        assert_eq!(
-            m.host
-                .send_mmsg(&mut t, fd, buf, 256, 1, desc, SendMode::Sequenced),
-            1
-        );
-        assert_eq!(m.host.pop_response(fd), None, "seq 1 waits for seq 0");
-        t.write_untrusted(desc, &1u64.to_le_bytes());
-        assert_eq!(
-            m.host
-                .send_mmsg(&mut t, fd, buf + 256, 256, 1, desc, SendMode::Sequenced),
-            1
-        );
-        assert_eq!(m.host.pop_response(fd).unwrap(), b"a");
-        assert_eq!(m.host.pop_response(fd).unwrap(), b"b");
-    }
-
-    #[test]
-    fn unsequenced_sends_skip_the_reorder_buffer() {
-        let m = SgxMachine::new(MachineConfig::tiny());
-        let mut t = ThreadCtx::untrusted(&m, 0);
-        let fd = m.host.socket(&t, 4096);
-        let buf = m.alloc_untrusted(1024);
-        let desc = m.alloc_untrusted(2 * DESC_STRIDE);
-        t.write_untrusted(buf, b"x");
-        t.write_untrusted(buf + 256, b"y");
-        // Sequence words deliberately out of order and non-contiguous:
-        // unsequenced sends ignore them and commit in slot order.
-        let mut descs = Vec::new();
-        descs.extend_from_slice(&((9u64 << 32) | 1).to_le_bytes());
-        descs.extend_from_slice(&0u64.to_le_bytes());
-        descs.extend_from_slice(&((3u64 << 32) | 1).to_le_bytes());
-        descs.extend_from_slice(&0u64.to_le_bytes());
-        t.write_untrusted(desc, &descs);
-        let c0 = t.now();
-        assert_eq!(
-            m.host
-                .send_mmsg(&mut t, fd, buf, 256, 2, desc, SendMode::Unsequenced),
-            2
-        );
-        let unseq_cost = t.now() - c0;
-        assert_eq!(m.host.pop_response(fd).unwrap(), b"x");
-        assert_eq!(m.host.pop_response(fd).unwrap(), b"y");
-
-        // The sequenced path pays tx_reorder per message on top.
-        let fd2 = m.host.socket(&t, 4096);
-        let mut descs = Vec::new();
-        descs.extend_from_slice(&1u64.to_le_bytes());
-        descs.extend_from_slice(&0u64.to_le_bytes());
-        descs.extend_from_slice(&((1u64 << 32) | 1).to_le_bytes());
-        descs.extend_from_slice(&0u64.to_le_bytes());
-        t.write_untrusted(desc, &descs);
-        let c1 = t.now();
-        assert_eq!(
-            m.host
-                .send_mmsg(&mut t, fd2, buf, 256, 2, desc, SendMode::Sequenced),
-            2
-        );
-        let seq_cost = t.now() - c1;
-        assert_eq!(seq_cost - unseq_cost, 2 * m.cfg.costs.tx_reorder);
     }
 
     #[test]

@@ -75,7 +75,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use eleos_enclave::host::SendMode;
 use eleos_enclave::machine::SgxMachine;
 use eleos_enclave::thread::ThreadCtx;
 use eleos_sim::stats::Stats;
@@ -742,37 +741,21 @@ pub mod funcs {
     pub const UNLINK: u64 = 9;
     /// `poll(fd)` -> 1 ready / 0 empty.
     pub const POLL: u64 = 10;
-    /// `recv_tagged(fd, buf, max_len)` -> `(seq << 32) | len` or
-    /// `u64::MAX` (would block). `seq` is the socket's dequeue
-    /// sequence number, for restoring arrival order when several
-    /// workers reap a batch out of order; `len` is capped well below
-    /// 2^32 by the staging ring so the sentinel is unambiguous.
-    pub const RECV_TAGGED: u64 = 11;
     /// `recv_mmsg(fd, buf, (stripe << 32) | max_msgs, desc)` ->
     /// message count. Scatter-gather receive into `stripe`-byte slots
-    /// at `buf`; one 16-byte descriptor per message written at `desc`
-    /// (two little-endian `u64` words: `(seq << 32) | len`, then the
-    /// enqueue timestamp in cycles), where `seq` is the socket's
-    /// dequeue sequence (so several sub-batches reaped by different
-    /// workers can be merged back into arrival order); one kernel
+    /// at `buf`, in the socket's arrival order; one 16-byte descriptor
+    /// per message written at `desc` (two little-endian `u64` words:
+    /// the length, then the enqueue timestamp in cycles); one kernel
     /// crossing and one kernel-metadata charge for the whole
     /// sub-batch.
-    pub const RECV_MMSG: u64 = 12;
+    pub const RECV_MMSG: u64 = 11;
     /// `send_mmsg(fd, buf, (stripe << 32) | n_msgs, desc)` -> count.
     /// Scatter-gather counterpart of [`RECV_MMSG`] for transmit:
-    /// `desc` holds 16-byte entries whose first word is
-    /// `(seq << 32) | len` (the timestamp word is ignored), where
-    /// `seq` is the transmit sequence; the host commits payloads to
-    /// the wire strictly in `seq` order (a reorder buffer holds early
-    /// arrivals), so parallel send sub-batches cannot reorder
-    /// responses.
-    pub const SEND_MMSG: u64 = 13;
-    /// [`SEND_MMSG`] without transmit sequencing: payloads hit the
-    /// wire in slot order and the descriptors' sequence words are
-    /// ignored, skipping the reorder-buffer bookkeeping. For sharded
-    /// servers where one pipeline owns the socket and slot order
-    /// already *is* arrival order.
-    pub const SEND_MMSG_UNSEQ: u64 = 14;
+    /// `desc` holds 16-byte entries whose first word is the length
+    /// (the timestamp word is ignored); payloads hit the wire in slot
+    /// order, so a caller keeps at most one send job per socket in
+    /// flight.
+    pub const SEND_MMSG: u64 = 12;
 }
 
 /// Runs `f` with the worker's cache context switched to the LLC shard
@@ -805,8 +788,6 @@ pub fn with_syscalls(b: RpcBuilder, machine: &Arc<SgxMachine>) -> RpcBuilder {
     let m2 = Arc::clone(machine);
     let m3 = Arc::clone(machine);
     let m4 = Arc::clone(machine);
-    let m5 = Arc::clone(machine);
-    let m6 = Arc::clone(machine);
     b.register(
         funcs::RECV,
         UntrustedFn::new(move |ctx, args| {
@@ -824,21 +805,12 @@ pub fn with_syscalls(b: RpcBuilder, machine: &Arc<SgxMachine>) -> RpcBuilder {
         }),
     )
     .register(
-        funcs::RECV_TAGGED,
-        UntrustedFn::new(move |ctx, args| {
-            let fd = eleos_enclave::host::Fd(args[0] as u32);
-            m3.host
-                .recv_tagged(ctx, fd, args[1], args[2] as usize)
-                .map_or(u64::MAX, |(seq, n)| (seq << 32) | n as u64)
-        }),
-    )
-    .register(
         funcs::RECV_MMSG,
         UntrustedFn::new(move |ctx, args| {
             let fd = eleos_enclave::host::Fd(args[0] as u32);
             let (stripe, max) = ((args[2] >> 32) as usize, (args[2] & 0xffff_ffff) as usize);
-            with_shard_class(&m4, ctx, fd, |ctx| {
-                m4.host.recv_mmsg(ctx, fd, args[1], stripe, max, args[3]) as u64
+            with_shard_class(&m3, ctx, fd, |ctx| {
+                m3.host.recv_mmsg(ctx, fd, args[1], stripe, max, args[3]) as u64
             })
         }),
     )
@@ -847,22 +819,8 @@ pub fn with_syscalls(b: RpcBuilder, machine: &Arc<SgxMachine>) -> RpcBuilder {
         UntrustedFn::new(move |ctx, args| {
             let fd = eleos_enclave::host::Fd(args[0] as u32);
             let (stripe, n) = ((args[2] >> 32) as usize, (args[2] & 0xffff_ffff) as usize);
-            with_shard_class(&m5, ctx, fd, |ctx| {
-                m5.host
-                    .send_mmsg(ctx, fd, args[1], stripe, n, args[3], SendMode::Sequenced)
-                    as u64
-            })
-        }),
-    )
-    .register(
-        funcs::SEND_MMSG_UNSEQ,
-        UntrustedFn::new(move |ctx, args| {
-            let fd = eleos_enclave::host::Fd(args[0] as u32);
-            let (stripe, n) = ((args[2] >> 32) as usize, (args[2] & 0xffff_ffff) as usize);
-            with_shard_class(&m6, ctx, fd, |ctx| {
-                m6.host
-                    .send_mmsg(ctx, fd, args[1], stripe, n, args[3], SendMode::Unsequenced)
-                    as u64
+            with_shard_class(&m4, ctx, fd, |ctx| {
+                m4.host.send_mmsg(ctx, fd, args[1], stripe, n, args[3]) as u64
             })
         }),
     )

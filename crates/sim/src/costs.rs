@@ -106,21 +106,7 @@ pub struct CostModel {
     /// transfers for back-to-back posts pipeline).
     pub rpc_post: u64,
 
-    // --- Serving-path batching (multi-socket sharding) ---
-    /// Per-message cost, on the serving core, of merging concurrent
-    /// sub-batch reaps back into global arrival order: the descriptor
-    /// sort plus the gather of payload stripes in permuted (non-slot)
-    /// order. Charged only when a reap actually interleaves more than
-    /// one sub-batch over a shared socket; a sharded reap (one socket
-    /// per sub-batch) needs no merge and skips it.
-    pub reap_merge: u64,
-    /// Per-message kernel bookkeeping for a *sequenced* `sendmmsg`
-    /// commit: the transmit reorder buffer insert/drain that keeps
-    /// out-of-order sub-batches from reordering responses on a shared
-    /// socket. Sharded sends (one socket per pipeline, intra-shard
-    /// order preserved by construction) use the unsequenced mode and
-    /// skip it.
-    pub tx_reorder: u64,
+    // --- NUMA placement ---
     /// Additional per-line penalty when an LLC miss is served from a
     /// *remote* NUMA node's DRAM (QPI/UPI hop). Charged only when
     /// `MachineConfig::numa_nodes > 1` and the accessing core and the
@@ -204,8 +190,6 @@ impl Default for CostModel {
             rpc_roundtrip: 600,
             rpc_post: 150,
 
-            reap_merge: 120,
-            tx_reorder: 80,
             numa_remote: 60,
 
             session_handshake: 9_000,

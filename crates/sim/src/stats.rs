@@ -548,6 +548,8 @@ stats! {
     revocations,
     /// Messages rejected without serving: bad evidence, replayed handshake nonce, unknown key epoch, or a revoked session.
     auth_failures,
+    /// Host-written receive results the enclave refused to act on: a `recv_mmsg` count above the requested depth, or a descriptor length above its stripe.
+    desc_rejects,
     /// Whole slabs the rebalancer reassigned from a cold class to a starved one.
     slab_moves,
     /// Live items relocated out of departing slabs during rebalancing moves.
@@ -660,6 +662,7 @@ impl StatsSnapshot {
         put("rekeys", self.rekeys);
         put("revocations", self.revocations);
         put("auth_failures", self.auth_failures);
+        put("desc_rejects", self.desc_rejects);
         put("slab_moves", self.slab_moves);
         put("slab_relocated", self.slab_items_relocated);
         put("seg_merges", self.seg_merges);

@@ -10,8 +10,8 @@ cargo build --release --workspace --offline
 echo "== tests"
 cargo test --workspace --offline -q
 
-echo "== suvm paging proptests"
-cargo test --test suvm_paging --offline -q
+echo "== e2e bench unit tests + smoke run (API surface, metric names)"
+cargo test --offline --manifest-path bench/Cargo.toml -q
 
 echo "== paging_bench smoke"
 cargo run --release -p eleos-bench --bin repro --offline -- paging_bench --quick --scale 16
@@ -19,12 +19,6 @@ for label in clock fifo random lru slru buddy striped; do
     grep -q "\"$label\"" BENCH_paging.json \
         || { echo "BENCH_paging.json missing $label cells"; exit 1; }
 done
-
-echo "== crypto batch-equivalence proptests"
-cargo test -p eleos-crypto --offline -q
-
-echo "== scatter-gather / unified-sealer equivalence suite"
-cargo test --test batch_equivalence --offline -q
 
 echo "== crypto_bench smoke"
 cargo run --release -p eleos-bench --bin repro --offline -- crypto_bench --quick --scale 16
@@ -34,54 +28,29 @@ import itertools, json, sys
 cells = json.load(open("BENCH_crypto.json"))["cells"]
 by_series = {}
 for c in cells:
-    key = (c["server"], c["crypto"], c["workers"], c["io"])
+    key = (c["server"], c["crypto"], c["workers"])
     by_series.setdefault(key, {})[c["batch"]] = c["cycles_per_op"]
 
-# Single-worker sweep: batched crypto beats or matches per-message at
-# every depth, monotone nonincreasing in batch.
-for server, crypto in itertools.product(
-    ("kvs", "text", "param"), ("per-msg", "batched")
-):
-    series = by_series.get((server, crypto, 1, "sg"))
+# Every series is monotone nonincreasing in batch: both crypto modes on
+# one RPC worker, and the batched series again with a second worker (a
+# reap is one job either way).
+series_keys = [
+    (server, crypto, 1)
+    for server, crypto in itertools.product(
+        ("kvs", "text", "param"), ("per-msg", "batched")
+    )
+] + [(server, "batched", 2) for server in ("kvs", "text")]
+for key in series_keys:
+    series = by_series.get(key)
     if not series or sorted(series) != [1, 8]:
-        sys.exit(f"BENCH_crypto.json missing cells for ({server}, {crypto})")
+        sys.exit(f"BENCH_crypto.json missing cells for {key}")
     if series[8] > series[1]:
         sys.exit(
-            f"({server}, {crypto}) cycles/op not monotone nonincreasing: "
+            f"{key} cycles/op not monotone nonincreasing: "
             f"batch 1 = {series[1]}, batch 8 = {series[8]}"
         )
-
-# Multi-worker sweep: with two workers, scatter-gather sub-batches must
-# beat the per-message I/O baseline at batch 8 and stay monotone.
-for server in ("kvs", "text"):
-    sg = by_series.get((server, "batched", 2, "sg"))
-    per_msg = by_series.get((server, "batched", 2, "per-msg"))
-    if not sg or not per_msg or sorted(sg) != [1, 8] or sorted(per_msg) != [1, 8]:
-        sys.exit(f"BENCH_crypto.json missing workers=2 cells for {server}")
-    if sg[8] >= per_msg[8]:
-        sys.exit(
-            f"({server}, workers=2) sub-batches must beat per-message at "
-            f"batch 8: sg = {sg[8]}, per-msg = {per_msg[8]}"
-        )
-    if sg[8] > sg[1]:
-        sys.exit(
-            f"({server}, workers=2, sg) cycles/op not monotone nonincreasing: "
-            f"batch 1 = {sg[1]}, batch 8 = {sg[8]}"
-        )
-print(f"   {len(cells)} cells, workers=2 sub-batches beat per-message")
+print(f"   {len(cells)} cells, every series monotone in batch depth")
 EOF
-
-echo "== sharded-serving equivalence suite"
-cargo test --test sharding_equivalence --offline -q
-
-echo "== fleet equivalence suite (chaos schedules, byte-identical replies)"
-cargo test --test fleet_equivalence --offline -q
-
-echo "== session lifecycle suite (handshake, rekey, revocation)"
-cargo test --test security --offline -q
-
-echo "== storage shadow-model suite (both engines, rebalancer transparency)"
-cargo test --test storage_equivalence --offline -q
 
 echo "== storage_bench smoke"
 cargo run --release -p eleos-bench --bin repro --offline -- storage_bench --quick --scale 8
@@ -405,5 +374,8 @@ cargo fmt --all --check
 
 echo "== clippy"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== rustdoc (broken intra-doc links are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p 'eleos*'
 
 echo "CI OK"

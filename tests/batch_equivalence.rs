@@ -1,20 +1,21 @@
-//! Equivalence suite for the multi-worker scatter-gather I/O path and
-//! the unified `Sealer` key management:
+//! Equivalence suite for the scatter-gather RPC I/O path and the
+//! unified `Sealer` key management:
 //!
-//! - a multi-worker scatter-gather reap (one `recv_mmsg` sub-batch per
-//!   worker) yields byte-identical decrypted payloads in identical
-//!   order to the single-worker per-message path;
+//! - a scatter-gather reap (one `recv_mmsg` job per shard, any worker
+//!   count) yields byte-identical decrypted payloads in identical
+//!   order to the native path's per-message `recv` loop;
 //! - SUVM write-back through a shared [`eleos::crypto::Sealer`]
 //!   round-trips (seal -> evict -> fault -> open) identically to the
 //!   per-domain key path, and the clean-never-resealed /
 //!   pinned-never-evicted invariants hold either way;
-//! - `async_send` double-buffering composes with multi-worker
-//!   sub-batches (the pending batch is fully reaped before the
-//!   transmit buffer is reused), and a sub-batch that fills the ring
-//!   falls back without dropping or reordering;
+//! - `async_send` double-buffering composes with several workers
+//!   (the pending batch is fully reaped before the transmit buffer is
+//!   reused), and a submission that fills the ring falls back without
+//!   dropping or reordering;
 //! - cost accounting: exactly one syscall trap and one kernel-metadata
-//!   charge per sub-batch, and `crypto_setup_cycles` only ever charged
-//!   through the unified `ThreadCtx::charge_crypto_batch` path.
+//!   charge per leg per reap whatever the worker count, and
+//!   `crypto_setup_cycles` only ever charged through the unified
+//!   `ThreadCtx::charge_crypto_batch` path.
 
 use std::sync::Arc;
 
@@ -74,15 +75,15 @@ impl EchoRig {
     }
 }
 
-/// Pushes `payloads`, reaps them in one `recv_batch`, and returns the
-/// decrypted plaintexts in reap order.
-fn reap_once(payloads: &[Vec<u8>], workers: usize, sg: bool) -> Vec<Vec<u8>> {
-    let rig = EchoRig::new(
-        workers,
-        ServerIoConfig::with_buf_len(16 << 10)
-            .batch(payloads.len().max(1))
-            .scatter_gather(sg),
-    );
+fn reap_config(depth: usize) -> ServerIoConfig {
+    ServerIoConfig::with_buf_len(16 << 10).batch(depth.max(1))
+}
+
+/// Pushes `payloads`, reaps them in one scatter-gather `recv_batch`
+/// over `workers` RPC workers, and returns the decrypted plaintexts in
+/// reap order.
+fn reap_once(payloads: &[Vec<u8>], workers: usize) -> Vec<Vec<u8>> {
+    let rig = EchoRig::new(workers, reap_config(payloads.len()));
     for p in payloads {
         rig.push(p);
     }
@@ -92,18 +93,32 @@ fn reap_once(payloads: &[Vec<u8>], workers: usize, sg: bool) -> Vec<Vec<u8>> {
     out
 }
 
+/// The per-message reference: the same queue reaped by the native
+/// path's sequential `recv` loop, one syscall per message.
+fn reap_per_message(payloads: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let m = SgxMachine::new(MachineConfig::tiny());
+    let wire = Arc::new(Session::established([9u8; 16]));
+    let mut ut = ThreadCtx::untrusted(&m, 1);
+    let fd = m.host.socket(&ut, 256 << 10);
+    let io = reap_config(payloads.len()).build(&ut, &[fd], IoPath::Native, Arc::clone(&wire));
+    for p in payloads {
+        m.host.push_request(&ut, fd, &wire.encrypt(p));
+    }
+    io.recv_batch(&mut ut)
+}
+
 // ---------------------------------------------------------------------
-// Satellite 1: multi-worker scatter-gather reap == per-message path
+// Satellite 1: scatter-gather reap == per-message path
 // ---------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// For every worker count x batch depth, the scatter-gather
-    /// sub-batch reap returns byte-identical decrypted payloads in
-    /// identical order to the single-worker per-message reference.
+    /// For every worker count x batch depth, the scatter-gather reap
+    /// returns byte-identical decrypted payloads in identical order
+    /// to the native per-message reference.
     #[test]
-    fn scatter_gather_reap_matches_per_message_reference(
+    fn mmsg_reap_matches_per_message_reference(
         seed in prop::collection::vec(any::<u8>(), 64..65),
     ) {
         for workers in 1usize..=4 {
@@ -118,9 +133,9 @@ proptest! {
                             .collect()
                     })
                     .collect();
-                let reference = reap_once(&payloads, 1, false);
+                let reference = reap_per_message(&payloads);
                 prop_assert_eq!(&reference, &payloads, "reference path must echo the queue");
-                let got = reap_once(&payloads, workers, true);
+                let got = reap_once(&payloads, workers);
                 prop_assert_eq!(
                     &got, &reference,
                     "scatter-gather reap diverged (workers={}, depth={})",
@@ -276,9 +291,9 @@ fn sealer_config_selects_the_instance() {
 // Satellite 3: async_send composition and ring-full fallback
 // ---------------------------------------------------------------------
 
-/// Deferred sends with multi-worker sub-batches: every response
-/// reaches the socket in order, and the pending batch is fully reaped
-/// before the transmit buffer is reused for the next round.
+/// Deferred sends with two workers polling: every response reaches
+/// the socket in order, and the pending batch is fully reaped before
+/// the transmit buffer is reused for the next round.
 #[test]
 fn deferred_multi_worker_sends_stay_in_order() {
     let rig = EchoRig::new(
@@ -306,23 +321,24 @@ fn deferred_multi_worker_sends_stay_in_order() {
     }
 }
 
-/// Sub-batches that fill the ring back off and retry without dropping
+/// Submissions that fill the ring back off and retry without dropping
 /// or reordering messages: a one-slot ring forces `rpc_ring_full` on
-/// every multi-job submission, yet the echo stream stays intact.
+/// every two-shard (two-job) submission, yet each shard's echo stream
+/// stays intact.
 #[test]
 fn ring_full_sub_batches_fall_back_without_reordering() {
     let m = SgxMachine::new(MachineConfig::tiny());
     let e = m.driver.create_enclave(&m, 1 << 20);
     let wire = Arc::new(Session::established([3u8; 16]));
     let ut = ThreadCtx::untrusted(&m, 1);
-    let fd = m.host.socket(&ut, 256 << 10);
+    let fds = m.host.socket_set(&ut, 2, 256 << 10);
     let svc = with_syscalls(RpcService::builder(&m), &m)
         .workers(2, &[2, 3])
         .slots(1)
         .build();
-    let io = ServerIoConfig::with_buf_len(8192).batch(8).build(
+    let io = ServerIoConfig::with_buf_len(8192).batch(4).build(
         &ut,
-        &[fd],
+        &fds,
         IoPath::Rpc(Arc::new(svc)),
         Arc::clone(&wire),
     );
@@ -330,18 +346,21 @@ fn ring_full_sub_batches_fall_back_without_reordering() {
     t.enter();
     for round in 0..3u8 {
         for i in 0..8u8 {
-            m.host
-                .push_request(&ut, fd, &wire.encrypt(&[round * 8 + i; 20]));
-        }
-        let msgs = io.recv_batch(&mut t);
-        assert_eq!(msgs.len(), 8, "ring pressure must not drop messages");
-        for (i, msg) in msgs.iter().enumerate() {
-            assert_eq!(
-                msg,
-                &vec![round * 8 + i as u8; 20],
-                "ring pressure must not reorder messages"
+            m.host.push_request(
+                &ut,
+                fds[usize::from(i % 2)],
+                &wire.encrypt(&[round * 8 + i; 20]),
             );
         }
+        let msgs = io.recv_batch(&mut t);
+        // Shard 0's four (even payloads), then shard 1's (odd).
+        let want: Vec<Vec<u8>> = (0..8u8)
+            .map(|j| vec![round * 8 + (j % 4) * 2 + j / 4; 20])
+            .collect();
+        assert_eq!(
+            msgs, want,
+            "ring pressure must not drop or reorder messages"
+        );
         io.send_batch(&mut t, &msgs);
     }
     t.exit();
@@ -350,25 +369,25 @@ fn ring_full_sub_batches_fall_back_without_reordering() {
         d.rpc_ring_full > 0,
         "a one-slot ring must report back-pressure"
     );
-    let mut echoed = 0usize;
-    let mut next = 0u8;
-    while let Some(resp) = m.host.pop_response(fd) {
-        assert_eq!(wire.decrypt(&resp), vec![next; 20]);
-        next += 1;
-        echoed += 1;
+    for (k, &fd) in fds.iter().enumerate() {
+        let mut next = k as u8;
+        while let Some(resp) = m.host.pop_response(fd) {
+            assert_eq!(wire.decrypt(&resp), vec![next; 20]);
+            next += 2;
+        }
+        assert_eq!(next, 24 + k as u8, "ring pressure must not drop responses");
     }
-    assert_eq!(echoed, 24, "ring pressure must not drop responses");
 }
 
 // ---------------------------------------------------------------------
 // Satellite 4: cost accounting
 // ---------------------------------------------------------------------
 
-/// Each scatter-gather sub-batch costs exactly one syscall trap and
-/// one kernel-metadata charge, for 1, 2 and 4 workers, on both the
-/// receive and the transmit leg.
+/// A single-socket reap is one `recv_mmsg` job and its send one
+/// `send_mmsg` job, so each leg costs exactly one syscall trap and one
+/// kernel-metadata charge however many workers poll the ring.
 #[test]
-fn one_trap_and_one_meta_charge_per_sub_batch() {
+fn one_trap_and_one_meta_charge_per_leg_per_reap() {
     for workers in [1usize, 2, 4] {
         let rig = EchoRig::new(workers, ServerIoConfig::with_buf_len(8192).batch(8));
         let mut t = rig.thread();
@@ -379,18 +398,18 @@ fn one_trap_and_one_meta_charge_per_sub_batch() {
         let msgs = rig.io.recv_batch(&mut t);
         assert_eq!(msgs.len(), 8);
         let d = rig.m.stats.snapshot() - s0;
-        assert_eq!(d.syscalls, workers as u64, "one trap per recv sub-batch");
+        assert_eq!(d.syscalls, 1, "one trap per reap ({workers} workers)");
         assert_eq!(
-            d.kernel_meta_reads, workers as u64,
-            "one kernel-metadata walk per recv sub-batch"
+            d.kernel_meta_reads, 1,
+            "one kernel-metadata walk per reap ({workers} workers)"
         );
         let s0 = rig.m.stats.snapshot();
         rig.io.send_batch(&mut t, &msgs);
         let d = rig.m.stats.snapshot() - s0;
-        assert_eq!(d.syscalls, workers as u64, "one trap per send sub-batch");
+        assert_eq!(d.syscalls, 1, "one trap per send ({workers} workers)");
         assert_eq!(
-            d.kernel_meta_reads, workers as u64,
-            "one kernel-metadata walk per send sub-batch"
+            d.kernel_meta_reads, 1,
+            "one kernel-metadata walk per send ({workers} workers)"
         );
         t.exit();
     }

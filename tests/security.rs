@@ -170,6 +170,100 @@ fn revoked_session_drops_queued_messages() {
     );
 }
 
+/// The host writes the results of a `recv_mmsg` job — the message
+/// count and the per-message length descriptors — into untrusted
+/// memory. A hostile host that inflates either must get the message
+/// rejected and counted, never an oversized allocation, an out-of-slot
+/// read or a panic, and the next honest reap must be served.
+#[test]
+fn hostile_receive_descriptors_are_rejected_not_trusted() {
+    use eleos::apps::io::{IoPath, ServerIoConfig};
+    use eleos::apps::wire::Session;
+    use eleos::enclave::host::Fd;
+    use eleos::rpc::{funcs, with_syscalls, RpcService, UntrustedFn};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    const DEPTH: u64 = 4;
+    let m = small_machine();
+    let e = m.driver.create_enclave(&m, 1 << 20);
+    let session = Arc::new(Session::established([7u8; 16]));
+    let ut = ThreadCtx::untrusted(&m, 1);
+    let fd = m.host.socket(&ut, 64 << 10);
+    // Call 0 claims more messages than the job asked for; call 1
+    // returns two messages, the first with a 4 GiB length descriptor;
+    // every later call is the honest syscall.
+    let calls = AtomicUsize::new(0);
+    let host = Arc::clone(&m);
+    let hostile = UntrustedFn::new(move |ctx, args| {
+        let (stripe, max) = ((args[2] >> 32) as usize, (args[2] & 0xffff_ffff) as usize);
+        let honest = host
+            .host
+            .recv_mmsg(ctx, Fd(args[0] as u32), args[1], stripe, max, args[3]);
+        match calls.fetch_add(1, Ordering::SeqCst) {
+            0 => DEPTH + 1,
+            1 => {
+                assert_eq!(honest, 2);
+                ctx.write_untrusted(args[3], &(1u64 << 32).to_le_bytes());
+                2
+            }
+            _ => honest as u64,
+        }
+    });
+    let svc = with_syscalls(RpcService::builder(&m), &m)
+        .register(funcs::RECV_MMSG, hostile)
+        .workers(1, &[3])
+        .build();
+    let io = ServerIoConfig::with_buf_len(8192)
+        .batch(DEPTH as usize)
+        .build(&ut, &[fd], IoPath::Rpc(Arc::new(svc)), Arc::clone(&session));
+    let push = |body: u8| m.host.push_request(&ut, fd, &session.encrypt(&[body; 24]));
+    let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+    t.enter();
+
+    push(1);
+    assert!(
+        io.recv_batch(&mut t).is_empty(),
+        "a count above the requested depth discards the run"
+    );
+    assert_eq!(m.stats.snapshot().desc_rejects, 1);
+
+    push(2);
+    push(3);
+    let got = io.recv_batch(&mut t);
+    assert_eq!(
+        got,
+        vec![vec![3u8; 24]],
+        "the oversized descriptor's message is dropped, its neighbour served"
+    );
+    assert_eq!(m.stats.snapshot().desc_rejects, 2);
+    // The reap record matches what was accepted: one reply goes out.
+    io.send_batch(&mut t, &got);
+    assert_eq!(
+        session.decrypt(&m.host.pop_response(fd).unwrap()),
+        [3u8; 24]
+    );
+    assert!(m.host.pop_response(fd).is_none());
+
+    for body in 4..8u8 {
+        push(body);
+    }
+    let got = io.recv_batch(&mut t);
+    assert_eq!(
+        got,
+        (4..8u8).map(|b| vec![b; 24]).collect::<Vec<_>>(),
+        "the following well-formed reap is served in order"
+    );
+    io.send_batch(&mut t, &got);
+    for body in 4..8u8 {
+        assert_eq!(
+            session.decrypt(&m.host.pop_response(fd).unwrap()),
+            [body; 24]
+        );
+    }
+    assert_eq!(m.stats.snapshot().desc_rejects, 2);
+    t.exit();
+}
+
 #[test]
 fn suvm_backing_store_tamper_detected() {
     let m = small_machine();
