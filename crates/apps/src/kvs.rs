@@ -137,22 +137,31 @@ impl Kvs {
         self.engine.pool_bytes()
     }
 
-    /// Inserts or replaces `key` with `value` (no expiry).
-    pub fn set(&mut self, ctx: &mut ThreadCtx, key: &[u8], value: &[u8]) {
-        self.set_with_ttl(ctx, key, value, 0);
+    /// Inserts or replaces `key` with `value` (no expiry). Returns
+    /// `false`, leaving the store untouched, when the record is larger
+    /// than the engine can ever hold.
+    pub fn set(&mut self, ctx: &mut ThreadCtx, key: &[u8], value: &[u8]) -> bool {
+        self.set_with_ttl(ctx, key, value, 0)
     }
 
     /// Inserts or replaces `key` with `value`, expiring after
     /// `ttl_secs` of simulated time (0 = never) — memcached's
-    /// `exptime` semantics with lazy expiration.
-    pub fn set_with_ttl(&mut self, ctx: &mut ThreadCtx, key: &[u8], value: &[u8], ttl_secs: u32) {
+    /// `exptime` semantics with lazy expiration. Fails like
+    /// [`Self::set`].
+    pub fn set_with_ttl(
+        &mut self,
+        ctx: &mut ThreadCtx,
+        key: &[u8],
+        value: &[u8],
+        ttl_secs: u32,
+    ) -> bool {
         ctx.compute(OP_CYCLES);
         let expiry = if ttl_secs == 0 {
             0
         } else {
             now_secs(ctx).saturating_add(ttl_secs)
         };
-        self.engine.set(ctx, key, value, expiry, self.version);
+        self.engine.set(ctx, key, value, expiry, self.version)
     }
 
     /// Looks `key` up. Expired items are lazily deleted and read as
@@ -195,34 +204,10 @@ impl Kvs {
     /// `(key, value)`.
     pub fn for_each_item(&self, ctx: &mut ThreadCtx, mut f: impl FnMut(&[u8], &[u8])) {
         self.engine
-            .for_each(ctx, &mut |key, value, _version, _expiry| f(key, value));
+            .for_each_since(ctx, 0, &mut |key, value, _version, _expiry| f(key, value));
     }
 
-    /// Encodes every live, unexpired item as the snapshot plaintext:
-    /// `count u64 || (klen u32, vlen u32, version u64, expiry u32,
-    /// key, value)*` in index order. Shared by both snapshot flavors.
-    /// Absolute expiry deadlines travel with the items, so a restore
-    /// preserves each item's remaining TTL.
-    fn encode_items(&self, ctx: &mut ThreadCtx) -> Vec<u8> {
-        let mut body = Vec::new();
-        let mut count = 0u64;
-        self.engine
-            .for_each(ctx, &mut |key, value, version, expiry| {
-                body.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                body.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                body.extend_from_slice(&version.to_le_bytes());
-                body.extend_from_slice(&expiry.to_le_bytes());
-                body.extend_from_slice(key);
-                body.extend_from_slice(value);
-                count += 1;
-            });
-        let mut plain = Vec::with_capacity(8 + body.len());
-        plain.extend_from_slice(&count.to_le_bytes());
-        plain.extend_from_slice(&body);
-        plain
-    }
-
-    /// Merges an item log produced by [`Self::encode_items`]:
+    /// Merges an item log produced by [`Self::encode_items_since`]:
     /// last-writer-wins on the per-item write stamp. An absent key is
     /// inserted (keeping the log's stamp); a present key is overwritten
     /// only when the log's stamp is strictly newer — a store only ever
@@ -255,8 +240,7 @@ impl Kvs {
                 }
             }
             ctx.compute(OP_CYCLES);
-            self.engine.set(ctx, &key, &value, expiry, version);
-            applied += 1;
+            applied += u64::from(self.engine.set(ctx, &key, &value, expiry, version));
         }
         applied
     }
@@ -280,7 +264,7 @@ impl Kvs {
         domain: u32,
         epoch: u64,
     ) -> Snapshot {
-        let items = self.encode_items(ctx);
+        let items = self.encode_items_since(ctx, 0);
         let count = u64::from_le_bytes(items[..8].try_into().expect("count"));
         let label = self.engine.label().as_bytes();
         let mut meta = Vec::with_capacity(1 + label.len() + 8);
@@ -294,17 +278,19 @@ impl Kvs {
             .seal(ctx, sealer)
     }
 
-    /// Encodes only the items whose write stamp is `>= base` — the
-    /// delta log for an incremental snapshot. Same framing as
-    /// [`Self::encode_items`].
+    /// Encodes the live, unexpired items whose write stamp is
+    /// `>= base` as the snapshot plaintext: `count u64 || (klen u32,
+    /// vlen u32, version u64, expiry u32, key, value)*` in index
+    /// order. `base = 0` is the whole store; a larger base is the
+    /// delta log of an incremental snapshot, and the engine filters on
+    /// the clear stamp before it reads a record. Absolute expiry
+    /// deadlines travel with the items, so a restore preserves each
+    /// item's remaining TTL.
     fn encode_items_since(&self, ctx: &mut ThreadCtx, base: u64) -> Vec<u8> {
         let mut body = Vec::new();
         let mut count = 0u64;
         self.engine
-            .for_each(ctx, &mut |key, value, version, expiry| {
-                if version < base {
-                    return;
-                }
+            .for_each_since(ctx, base, &mut |key, value, version, expiry| {
                 body.extend_from_slice(&(key.len() as u32).to_le_bytes());
                 body.extend_from_slice(&(value.len() as u32).to_le_bytes());
                 body.extend_from_slice(&version.to_le_bytes());
@@ -396,7 +382,7 @@ impl Kvs {
         cipher: &eleos_crypto::gcm::AesGcm128,
         nonce: &eleos_crypto::gcm::Nonce,
     ) -> Vec<u8> {
-        let mut blob = self.encode_items(ctx);
+        let mut blob = self.encode_items_since(ctx, 0);
         ctx.compute(ctx.machine.cfg.costs.crypto(blob.len()));
         let tag = cipher.seal(nonce, b"kvs-snapshot", &mut blob);
         let mut out = Vec::with_capacity(12 + 16 + blob.len());
@@ -435,7 +421,8 @@ impl Kvs {
     /// with op 0 = GET, 1 = SET, 2 = SET-with-TTL (a `ttl u32` in
     /// seconds follows `val_len`, shifting the key to offset 11).
     /// Response: GET → `[1][val_len][value]` or `[0]`; SET and
-    /// SET-with-TTL → `[1]`.
+    /// SET-with-TTL → `[1]`, or `[0]` for a record too large to ever
+    /// store; anything that does not parse → [`MALFORMED_REPLY`].
     pub fn handle_request(&mut self, ctx: &mut ThreadCtx, io: &ServerIo) -> bool {
         let Some(plain) = io.recv_msg(ctx) else {
             return false;
@@ -480,14 +467,13 @@ impl Kvs {
     }
 
     /// Executes one decrypted binary-protocol request, returning the
-    /// response plaintext.
+    /// response plaintext. The body comes from a client, attested but
+    /// not trusted: one that does not parse is answered
+    /// [`MALFORMED_REPLY`] and counted in `malformed_requests`, and
+    /// the server keeps serving.
     fn process(&mut self, ctx: &mut ThreadCtx, plain: &[u8]) -> Vec<u8> {
-        let op = plain[0];
-        let klen = u16::from_le_bytes(plain[1..3].try_into().expect("short header")) as usize;
-        let vlen = u32::from_le_bytes(plain[3..7].try_into().expect("short header")) as usize;
-        let key = &plain[7..7 + klen];
-        match op {
-            0 => match self.get(ctx, key) {
+        match Request::parse(plain) {
+            Some(Request::Get { key }) => match self.get(ctx, key) {
                 Some(value) => {
                     let mut resp = Vec::with_capacity(5 + value.len());
                     resp.push(1u8);
@@ -497,20 +483,57 @@ impl Kvs {
                 }
                 None => vec![0u8],
             },
-            1 => {
-                let value = &plain[7 + klen..7 + klen + vlen];
-                self.set(ctx, key, value);
-                vec![1u8]
+            Some(Request::Set { key, value, ttl }) => {
+                vec![u8::from(self.set_with_ttl(ctx, key, value, ttl))]
             }
-            2 => {
-                let ttl = u32::from_le_bytes(plain[7..11].try_into().expect("short header"));
-                let key = &plain[11..11 + klen];
-                let value = &plain[11 + klen..11 + klen + vlen];
-                self.set_with_ttl(ctx, key, value, ttl);
-                vec![1u8]
+            None => {
+                Stats::bump(&ctx.machine.stats.malformed_requests);
+                vec![MALFORMED_REPLY]
             }
-            other => panic!("unknown KVS opcode {other}"),
         }
+    }
+}
+
+/// The one-byte reply to a request that does not parse.
+pub const MALFORMED_REPLY: u8 = 0xFF;
+
+/// A binary-protocol request, borrowed from its decrypted body.
+enum Request<'a> {
+    Get {
+        key: &'a [u8],
+    },
+    /// `ttl = 0` never expires.
+    Set {
+        key: &'a [u8],
+        value: &'a [u8],
+        ttl: u32,
+    },
+}
+
+impl<'a> Request<'a> {
+    /// Parses `[op u8][key_len u16][val_len u32]` + body; `None` for
+    /// a truncated header, an unknown opcode, or lengths that run past
+    /// the body.
+    fn parse(plain: &'a [u8]) -> Option<Self> {
+        let (&op, rest) = plain.split_first()?;
+        let (klen, rest) = rest.split_first_chunk::<2>()?;
+        let (vlen, rest) = rest.split_first_chunk::<4>()?;
+        let klen = usize::from(u16::from_le_bytes(*klen));
+        let vlen = u32::from_le_bytes(*vlen) as usize;
+        let (ttl, rest) = match op {
+            0 | 1 => (0, rest),
+            2 => {
+                let (ttl, rest) = rest.split_first_chunk::<4>()?;
+                (u32::from_le_bytes(*ttl), rest)
+            }
+            _ => return None,
+        };
+        let (key, rest) = rest.split_at_checked(klen)?;
+        if op == 0 {
+            return Some(Request::Get { key });
+        }
+        let value = rest.get(..vlen)?;
+        Some(Request::Set { key, value, ttl })
     }
 }
 
@@ -937,6 +960,21 @@ mod tests {
         let get_resp = wire.decrypt(&m.host.pop_response(fd).unwrap());
         assert_eq!(get_resp[0], 1);
         assert_eq!(&get_resp[5..], b"beta");
+        t.exit();
+    }
+
+    #[test]
+    fn oversize_set_is_refused_on_the_wire() {
+        let (mut kvs, mut t) = untrusted_kvs(8 << 20);
+        kvs.init(&mut t);
+        assert!(kvs.set(&mut t, b"k", b"small"));
+        // Header + key + 1 MiB is past the largest slab class.
+        let huge = vec![1u8; 1 << 20];
+        assert_eq!(kvs.process(&mut t, &build_set(b"k", &huge)), [0u8]);
+        assert_eq!(kvs.process(&mut t, &build_set_ttl(b"new", &huge, 9)), [0u8]);
+        assert_eq!(kvs.get(&mut t, b"k").unwrap(), b"small");
+        assert_eq!((kvs.len(), kvs.evictions()), (1, 0));
+        assert_eq!(t.machine.stats.snapshot().malformed_requests, 0);
         t.exit();
     }
 

@@ -18,7 +18,8 @@
 //!   with the paper's clear-metadata/secure-kv split over pluggable
 //!   [`storage`] engines: the memcached-style [`slab`] allocator
 //!   (optionally with a fence-time slab rebalancer) or a TTL-bucketed
-//!   append-only segment store;
+//!   append-only segment store, both chained on one clear-metadata
+//!   hash [`index`] with keyed in-node hashes;
 //! - [`face`] — the LBP face-verification server of §5.2 (Fig 10);
 //! - [`loadgen`] — seeded client load (memaslap-style for the KVS);
 //! - [`wire`] — the AES-CTR wire [`wire::Session`] (§5):
@@ -26,6 +27,7 @@
 
 pub mod face;
 pub mod fleet_io;
+pub mod index;
 pub mod io;
 pub mod kvs;
 pub mod loadgen;

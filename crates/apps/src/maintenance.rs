@@ -111,7 +111,9 @@ mod tests {
             wire,
             sealer,
             FleetConfig::small(2).with_maintenance(MaintenanceConfig::default()),
-            |ctx, kvs| kvs.set(ctx, b"k", b"v"),
+            |ctx, kvs| {
+                kvs.set(ctx, b"k", b"v");
+            },
         ));
         let worker = MaintenanceCtx::spawn(&fk, Duration::from_millis(1));
         // The worker's delta rounds run concurrently with this

@@ -83,6 +83,32 @@ impl DataSpace {
         }
     }
 
+    /// Reads a length-prefixed record through one pinned span: fills
+    /// `head` from `addr`, asks `tail_len` how many of the bytes that
+    /// follow the caller wants (`None` = not this record), and returns
+    /// them. On SUVM the head and tail share one translation per page
+    /// (a [`SpanCursor`](eleos_core::SpanCursor)) and, in direct mode,
+    /// one unseal per sub-page; the other spaces read sequentially.
+    pub fn read_record(
+        &self,
+        ctx: &mut ThreadCtx,
+        addr: u64,
+        head: &mut [u8],
+        tail_len: impl FnOnce(&[u8]) -> Option<usize>,
+    ) -> Option<Vec<u8>> {
+        if let DataSpace::Suvm { suvm, direct } = self {
+            let mut span = suvm.span(addr, *direct);
+            span.read(ctx, head);
+            let mut tail = vec![0u8; tail_len(head)?];
+            span.read(ctx, &mut tail);
+            return Some(tail);
+        }
+        self.read(ctx, addr, head);
+        let mut tail = vec![0u8; tail_len(head)?];
+        self.read(ctx, addr + head.len() as u64, &mut tail);
+        Some(tail)
+    }
+
     /// Writes `data` at `addr`.
     pub fn write(&self, ctx: &mut ThreadCtx, addr: u64, data: &[u8]) {
         match self {
@@ -167,6 +193,32 @@ mod tests {
             space.write_u64(&mut t, a + 100, 0xabcd);
             assert_eq!(space.read_u64(&mut t, a + 100), 0xabcd);
             space.free(a);
+        }
+        t.exit();
+    }
+
+    #[test]
+    fn read_record_returns_the_tail_the_caller_asks_for() {
+        let (m, e, s) = harness();
+        let spaces = [
+            DataSpace::Untrusted(Arc::clone(&m)),
+            DataSpace::Enclave(Arc::clone(&e)),
+            DataSpace::suvm(&s),
+        ];
+        let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+        t.enter();
+        for space in &spaces {
+            // A record straddling a page boundary of the space.
+            let a = space.alloc(2 * 4096) + 4090;
+            space.write(&mut t, a, b"\x05\0\0\0hello, tail");
+            let mut head = [0u8; 4];
+            let tail = space.read_record(&mut t, a, &mut head, |h| {
+                Some(u32::from_le_bytes(h.try_into().unwrap()) as usize)
+            });
+            assert_eq!(tail.as_deref(), Some(&b"hello"[..]), "{}", space.label());
+            let none = space.read_record(&mut t, a, &mut head, |_| None);
+            assert_eq!(none, None, "{}", space.label());
+            assert_eq!(head, [5, 0, 0, 0], "the head is filled either way");
         }
         t.exit();
     }

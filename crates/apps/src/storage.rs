@@ -37,31 +37,30 @@
 use eleos_enclave::thread::ThreadCtx;
 use eleos_sim::stats::{Stats, MAX_STORAGE_CLASSES};
 
-use crate::param_server::hash64;
+use crate::index::{Found, HashIndex, NIL};
 use crate::slab::{SlabPool, SLAB_BYTES};
 use crate::space::DataSpace;
 
-/// Metadata record size (shared by both engines' index nodes).
-pub(crate) const META_BYTES: usize = 48;
+// Index-node fields both engines keep at the same offsets. The index
+// owns the chain link and the hash word in bytes 0..12 (see
+// `crate::index`); every field here is clear metadata.
+const N_EXPIRY: u64 = 12;
+const N_VERSION: u64 = 40;
 
-// Slab-engine metadata record layout.
-const M_NEXT: u64 = 0;
-const M_LRU_PREV: u64 = 8;
-const M_LRU_NEXT: u64 = 16;
-const M_KV_ADDR: u64 = 24;
-const M_KV_CLASS: u64 = 32;
-const M_EXPIRY: u64 = 36;
-const M_VERSION: u64 = 40;
+// Slab-engine node fields.
+const M_LRU_PREV: u64 = 16;
+const M_LRU_NEXT: u64 = 24;
+/// The record's address in the low 56 bits, its slab class in the top
+/// byte.
+const M_KV: u64 = 32;
+const KV_ADDR_BITS: u32 = 56;
 
-// Segment-engine index node layout (same 48-byte records, no LRU
-// links — segment eviction is merge-based, not LRU-based).
-const S_NEXT: u64 = 0;
-const S_ITEM: u64 = 8;
-const S_SEG: u64 = 16;
-const S_FREQ: u64 = 20;
-const S_EXPIRY: u64 = 24;
-const S_FLAGS: u64 = 28;
-const S_VERSION: u64 = 32;
+// Segment-engine node fields (no LRU links — segment eviction is
+// merge-based, not LRU-based; bytes 36..40 are spare).
+const S_ITEM: u64 = 16;
+const S_SEG: u64 = 24;
+const S_FREQ: u64 = 28;
+const S_FLAGS: u64 = 32;
 
 // Segment-record roles (`S_FLAGS`): ordinary records, the chained
 // pieces of a value too large for one segment, and the head record
@@ -87,53 +86,77 @@ fn spill_part_key(key: &[u8], i: u32) -> Vec<u8> {
     pk
 }
 
-/// Null metadata pointer.
-pub(crate) const NIL: u64 = 0;
-
 /// Simulated wall-clock seconds on the calling core.
 pub(crate) fn now_secs(ctx: &ThreadCtx) -> u32 {
     (ctx.now() as f64 / eleos_sim::costs::CPU_HZ) as u32
 }
 
-/// Fixed-size allocator for metadata records in the (clear) metadata
-/// space.
-pub(crate) struct MetaPool {
-    space: DataSpace,
-    free: Vec<u64>,
-    block: usize,
+// --- Secure records -------------------------------------------------
+
+/// Bytes of `klen u32 ‖ vlen u32` in front of every record's key and
+/// value.
+const RECORD_HEADER: usize = 8;
+
+fn encode_record(key: &[u8], value: &[u8]) -> Vec<u8> {
+    let mut rec = Vec::with_capacity(RECORD_HEADER + key.len() + value.len());
+    rec.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    rec.extend_from_slice(&(value.len() as u32).to_le_bytes());
+    rec.extend_from_slice(key);
+    rec.extend_from_slice(value);
+    rec
 }
 
-impl MetaPool {
-    pub(crate) fn new(space: DataSpace) -> Self {
-        Self {
-            space,
-            free: Vec::new(),
-            block: 64 << 10,
-        }
-    }
+fn header_lens(header: &[u8]) -> (usize, usize) {
+    let klen = u32::from_le_bytes(header[..4].try_into().expect("klen"));
+    let vlen = u32::from_le_bytes(header[4..8].try_into().expect("vlen"));
+    (klen as usize, vlen as usize)
+}
 
-    pub(crate) fn alloc(&mut self) -> u64 {
-        if let Some(a) = self.free.pop() {
-            return a;
-        }
-        let base = self.space.alloc(self.block);
-        let n = self.block / META_BYTES;
-        for i in (1..n).rev() {
-            self.free.push(base + (i * META_BYTES) as u64);
-        }
-        // Never hand out address 0 as a record (0 is the NIL marker);
-        // the first record of the first block is skipped if it would
-        // be 0.
-        let first = base;
-        if first == NIL {
-            return self.free.pop().expect("block has >1 record");
-        }
-        first
+/// The engines' full key comparison. Reads the record at `addr`
+/// through one pinned span and returns its value if the record is
+/// `key`'s (empty unless `want_value`); another key's record is given
+/// up on after its header, or after its key when the lengths agree.
+fn read_if_key(
+    space: &DataSpace,
+    ctx: &mut ThreadCtx,
+    addr: u64,
+    key: &[u8],
+    want_value: bool,
+) -> Option<Vec<u8>> {
+    let mut header = [0u8; RECORD_HEADER];
+    let mut tail = space.read_record(ctx, addr, &mut header, |h| {
+        let (klen, vlen) = header_lens(h);
+        (klen == key.len()).then_some(klen + if want_value { vlen } else { 0 })
+    })?;
+    if tail[..key.len()] != *key {
+        return None;
     }
+    tail.drain(..key.len());
+    Some(tail)
+}
 
-    pub(crate) fn free(&mut self, addr: u64) {
-        self.free.push(addr);
-    }
+/// One record read back whole.
+struct Record {
+    key: Vec<u8>,
+    /// Empty when the value was not asked for.
+    value: Vec<u8>,
+    /// Bytes the record occupies, value included.
+    len: usize,
+}
+
+/// Reads the record at `addr` through one pinned span.
+fn read_record(space: &DataSpace, ctx: &mut ThreadCtx, addr: u64, want_value: bool) -> Record {
+    let mut header = [0u8; RECORD_HEADER];
+    let (mut klen, mut len) = (0, 0);
+    let mut key = space
+        .read_record(ctx, addr, &mut header, |h| {
+            let (k, v) = header_lens(h);
+            (klen, len) = (k, RECORD_HEADER + k + v);
+            Some(k + if want_value { v } else { 0 })
+        })
+        .expect("the whole record was asked for");
+    let value = key.split_off(klen);
+    Record { key, value, len }
 }
 
 /// Which storage engine a server runs, with its tuning.
@@ -215,7 +238,7 @@ impl Default for SegmentConfig {
 
 /// One storage engine behind the KVS front-end.
 ///
-/// The item callback `StorageEngine::for_each` feeds:
+/// The item callback `StorageEngine::for_each_since` feeds:
 /// `(key, value, version, expiry)`.
 pub type ItemVisitor<'a> = dyn FnMut(&[u8], &[u8], u64, u32) + 'a;
 
@@ -229,8 +252,17 @@ pub trait StorageEngine: Send {
     /// One-time index initialization (zeroes the bucket heads).
     fn init(&self, ctx: &mut ThreadCtx);
 
-    /// Inserts or replaces `key`.
-    fn set(&mut self, ctx: &mut ThreadCtx, key: &[u8], value: &[u8], expiry: u32, version: u64);
+    /// Inserts or replaces `key`. Returns `false`, leaving the store
+    /// untouched, for a record the engine could never hold however
+    /// much it evicted.
+    fn set(
+        &mut self,
+        ctx: &mut ThreadCtx,
+        key: &[u8],
+        value: &[u8],
+        expiry: u32,
+        version: u64,
+    ) -> bool;
 
     /// Looks `key` up. Expired items are lazily deleted and read as
     /// misses.
@@ -266,9 +298,11 @@ pub trait StorageEngine: Send {
     /// may run. Never called mid-batch.
     fn fence(&mut self, ctx: &mut ThreadCtx);
 
-    /// Visits every live, unexpired item (index order) with
-    /// `(key, value, version, expiry)`.
-    fn for_each(&self, ctx: &mut ThreadCtx, f: &mut ItemVisitor);
+    /// Visits every live, unexpired item stamped `>= base` (index
+    /// order) with `(key, value, version, expiry)`; `base = 0` visits
+    /// them all. The stamp is clear metadata, so an item below `base`
+    /// costs no record read.
+    fn for_each_since(&self, ctx: &mut ThreadCtx, base: u64, f: &mut ItemVisitor);
 
     /// Engine-specific metadata for the snapshot's `storage-meta`
     /// section (layout parameters a restore-side can sanity-check).
@@ -331,11 +365,9 @@ struct ClassWindow {
 /// The memcached slab/LRU engine (the seed's store) with an optional
 /// fence-time slab rebalancer.
 pub struct SlabEngine {
-    meta: MetaPool,
+    index: HashIndex,
     meta_space: DataSpace,
     slab: SlabPool,
-    buckets: u64,
-    heads: u64,
     lru_head: u64,
     lru_tail: u64,
     items: u64,
@@ -352,6 +384,26 @@ pub struct SlabEngine {
     background: bool,
 }
 
+/// What the slab engine's key comparison learned about a node.
+struct SlabHit {
+    kv: u64,
+    class: usize,
+    /// Empty unless the lookup asked for it.
+    value: Vec<u8>,
+}
+
+fn pack_kv(kv: u64, class: usize) -> u64 {
+    assert!(kv >> KV_ADDR_BITS == 0 && class < 256, "kv word overflow");
+    kv | (class as u64) << KV_ADDR_BITS
+}
+
+fn unpack_kv(word: u64) -> (u64, usize) {
+    (
+        word & ((1 << KV_ADDR_BITS) - 1),
+        (word >> KV_ADDR_BITS) as usize,
+    )
+}
+
 impl SlabEngine {
     fn new(
         meta_space: DataSpace,
@@ -360,16 +412,12 @@ impl SlabEngine {
         buckets: u64,
         rebalance: Option<RebalanceConfig>,
     ) -> Self {
-        let buckets = buckets.next_power_of_two();
-        let heads = meta_space.alloc((buckets * 8) as usize);
         let slab = SlabPool::new(data_space, mem_limit);
         let n = slab.class_count();
         Self {
-            meta: MetaPool::new(meta_space.clone()),
+            index: HashIndex::new(meta_space.clone(), buckets, mem_limit),
             meta_space,
             slab,
-            buckets,
-            heads,
             lru_head: NIL,
             lru_tail: NIL,
             items: 0,
@@ -383,37 +431,20 @@ impl SlabEngine {
         }
     }
 
-    fn bucket_addr(&self, key: &[u8]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in key {
-            h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
-        self.heads + (hash64(h) & (self.buckets - 1)) * 8
-    }
-
-    fn key_matches(&self, ctx: &mut ThreadCtx, kv_addr: u64, key: &[u8]) -> bool {
-        let klen = self.slab.space().read_u32(ctx, kv_addr) as usize;
-        if klen != key.len() {
-            return false;
-        }
-        let mut stored = vec![0u8; klen];
-        self.slab.space().read(ctx, kv_addr + 8, &mut stored);
-        stored == key
-    }
-
-    fn find(&self, ctx: &mut ThreadCtx, key: &[u8]) -> Option<(u64, u64)> {
-        let bucket = self.bucket_addr(key);
-        let mut prev = NIL;
-        let mut node = self.meta_space.read_u64(ctx, bucket);
-        while node != NIL {
-            let kv = self.meta_space.read_u64(ctx, node + M_KV_ADDR);
-            if self.key_matches(ctx, kv, key) {
-                return Some((node, prev));
-            }
-            prev = node;
-            node = self.meta_space.read_u64(ctx, node + M_NEXT);
-        }
-        None
+    /// Looks `key` (hashing to `word`) up. Only a node storing `word`
+    /// has its record read.
+    fn find(
+        &self,
+        ctx: &mut ThreadCtx,
+        word: u32,
+        key: &[u8],
+        want_value: bool,
+    ) -> Option<Found<SlabHit>> {
+        self.index.find(ctx, word, |ctx, node| {
+            let (kv, class) = unpack_kv(self.meta_space.read_u64(ctx, node + M_KV));
+            let value = read_if_key(self.slab.space(), ctx, kv, key, want_value)?;
+            Some(SlabHit { kv, class, value })
+        })
     }
 
     fn lru_unlink(&mut self, ctx: &mut ThreadCtx, node: u64) {
@@ -445,33 +476,26 @@ impl SlabEngine {
         }
     }
 
-    fn chain_unlink(&mut self, ctx: &mut ThreadCtx, key: &[u8], node: u64, prev: u64) {
-        let next = self.meta_space.read_u64(ctx, node + M_NEXT);
-        if prev == NIL {
-            self.meta_space.write_u64(ctx, self.bucket_addr(key), next);
-        } else {
-            self.meta_space.write_u64(ctx, prev + M_NEXT, next);
-        }
+    /// Drops the item [`Self::find`] returned: off its chain, off the
+    /// LRU, its chunk back to its class.
+    fn drop_found(&mut self, ctx: &mut ThreadCtx, word: u32, found: &Found<SlabHit>) {
+        self.lru_unlink(ctx, found.node);
+        self.index.remove(ctx, word, found.node, found.prev);
+        self.slab.free(found.hit.class, found.hit.kv);
+        self.items -= 1;
     }
 
-    /// Removes the LRU tail item to reclaim a chunk.
+    /// Removes the LRU tail item to reclaim a chunk. The victim is
+    /// unlinked by node identity: its record is never read.
     fn evict_one(&mut self, ctx: &mut ThreadCtx) -> bool {
         let victim = self.lru_tail;
         if victim == NIL {
             return false;
         }
-        let kv = self.meta_space.read_u64(ctx, victim + M_KV_ADDR);
-        let class = self.meta_space.read_u32(ctx, victim + M_KV_CLASS) as usize;
-        // Need the key to unlink from its chain.
-        let klen = self.slab.space().read_u32(ctx, kv) as usize;
-        let mut key = vec![0u8; klen];
-        self.slab.space().read(ctx, kv + 8, &mut key);
-        let (node, prev) = self.find(ctx, &key).expect("LRU item must be chained");
-        debug_assert_eq!(node, victim);
-        self.chain_unlink(ctx, &key, node, prev);
+        let (kv, class) = unpack_kv(self.meta_space.read_u64(ctx, victim + M_KV));
         self.lru_unlink(ctx, victim);
+        self.index.remove_node(ctx, victim);
         self.slab.free(class, kv);
-        self.meta.free(victim);
         self.items -= 1;
         self.evictions += 1;
         if self.rebalance.is_some() {
@@ -479,15 +503,6 @@ impl SlabEngine {
             self.totals[class].evictions += 1;
         }
         true
-    }
-
-    fn write_record(&mut self, ctx: &mut ThreadCtx, kv: u64, key: &[u8], value: &[u8]) {
-        let mut rec = Vec::with_capacity(8 + key.len() + value.len());
-        rec.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&(value.len() as u32).to_le_bytes());
-        rec.extend_from_slice(key);
-        rec.extend_from_slice(value);
-        self.slab.space().write(ctx, kv, &rec);
     }
 
     /// Host-side accounting of a set/hit against the class serving
@@ -553,34 +568,26 @@ impl SlabEngine {
     fn relocate_out(&mut self, ctx: &mut ThreadCtx, donor: usize, base: u64) -> u64 {
         let end = base + SLAB_BYTES as u64;
         let mut moved = 0u64;
-        for b in 0..self.buckets {
-            let mut node = self.meta_space.read_u64(ctx, self.heads + b * 8);
-            while node != NIL {
-                let class = self.meta_space.read_u32(ctx, node + M_KV_CLASS) as usize;
-                let kv = self.meta_space.read_u64(ctx, node + M_KV_ADDR);
-                if class == donor && kv >= base && kv < end {
-                    let dst = self
-                        .slab
-                        .alloc_in_class(donor)
-                        .expect("donor guaranteed spare chunks");
-                    // Copy the whole record (sizes + key + value).
-                    let klen = self.slab.space().read_u32(ctx, kv) as usize;
-                    let vlen = self.slab.space().read_u32(ctx, kv + 4) as usize;
-                    let mut rec = vec![0u8; 8 + klen + vlen];
-                    self.slab.space().read(ctx, kv, &mut rec);
-                    self.slab.space().write(ctx, dst, &rec);
-                    self.meta_space.write_u64(ctx, node + M_KV_ADDR, dst);
-                    self.slab.retire_chunk();
-                    moved += 1;
-                }
-                node = self.meta_space.read_u64(ctx, node + M_NEXT);
+        let (meta, slab) = (&self.meta_space, &mut self.slab);
+        self.index.for_each_node(ctx, |ctx, node| {
+            let (kv, class) = unpack_kv(meta.read_u64(ctx, node + M_KV));
+            if class == donor && kv >= base && kv < end {
+                let dst = slab
+                    .alloc_in_class(donor)
+                    .expect("donor guaranteed spare chunks");
+                let rec = read_record(slab.space(), ctx, kv, true);
+                slab.space()
+                    .write(ctx, dst, &encode_record(&rec.key, &rec.value));
+                meta.write_u64(ctx, node + M_KV, pack_kv(dst, class));
+                slab.retire_chunk();
+                moved += 1;
             }
-        }
+        });
         moved
     }
 
     /// One rebalance attempt: find the most-starved class and a donor
-    /// slab, strip + relocate + adopt. Returns whether a move ran.
+    /// slab, and move it. Returns whether a move ran.
     fn try_rebalance(&mut self, ctx: &mut ThreadCtx) -> bool {
         let needy = (0..self.slab.class_count())
             .filter(|&c| self.starved(c))
@@ -591,6 +598,12 @@ impl SlabEngine {
         let Some((donor, base)) = self.pick_donor(needy) else {
             return false;
         };
+        self.move_slab(ctx, donor, base, needy);
+        true
+    }
+
+    /// Reassigns class `donor`'s slab at `base` to class `needy`.
+    fn move_slab(&mut self, ctx: &mut ThreadCtx, donor: usize, base: u64, needy: usize) {
         // Order matters: strip the old class's free chunks *first* so
         // it can never hand out a chunk inside the departing slab
         // (the no-stranded-chunk invariant), then relocate survivors,
@@ -601,7 +614,6 @@ impl SlabEngine {
         ctx.compute(ctx.machine.cfg.costs.slab_move);
         Stats::bump(&ctx.machine.stats.slab_moves);
         Stats::add(&ctx.machine.stats.slab_items_relocated, moved);
-        true
     }
 
     /// Exponential decay keeps the windows tracking *recent* demand,
@@ -637,37 +649,39 @@ impl StorageEngine for SlabEngine {
     }
 
     fn init(&self, ctx: &mut ThreadCtx) {
-        let zeros = vec![0u8; 4096];
-        let len = self.buckets * 8;
-        let mut off = 0u64;
-        while off < len {
-            let n = ((len - off) as usize).min(4096);
-            self.meta_space.write(ctx, self.heads + off, &zeros[..n]);
-            off += n as u64;
-        }
+        self.index.init(ctx);
     }
 
-    fn set(&mut self, ctx: &mut ThreadCtx, key: &[u8], value: &[u8], expiry: u32, version: u64) {
-        let record_len = 8 + key.len() + value.len();
+    fn set(
+        &mut self,
+        ctx: &mut ThreadCtx,
+        key: &[u8],
+        value: &[u8],
+        expiry: u32,
+        version: u64,
+    ) -> bool {
+        let record_len = RECORD_HEADER + key.len() + value.len();
+        // No class holds it, so no amount of eviction would make room.
+        if self.slab.class_of(record_len).is_none() {
+            return false;
+        }
         self.note(record_len, false);
-        if let Some((node, prev)) = self.find(ctx, key) {
-            let kv = self.meta_space.read_u64(ctx, node + M_KV_ADDR);
-            let class = self.meta_space.read_u32(ctx, node + M_KV_CLASS) as usize;
-            if self.slab.chunk_size(class) >= record_len {
+        let word = self.index.word(key);
+        let record = encode_record(key, value);
+        if let Some(found) = self.find(ctx, word, key, false) {
+            if self.slab.chunk_size(found.hit.class) >= record_len {
                 // Overwrite in place.
-                self.write_record(ctx, kv, key, value);
-                self.meta_space.write_u32(ctx, node + M_EXPIRY, expiry);
-                self.meta_space.write_u64(ctx, node + M_VERSION, version);
-                self.lru_unlink(ctx, node);
-                self.lru_push_front(ctx, node);
-                return;
+                self.slab.space().write(ctx, found.hit.kv, &record);
+                self.meta_space
+                    .write_u32(ctx, found.node + N_EXPIRY, expiry);
+                self.meta_space
+                    .write_u64(ctx, found.node + N_VERSION, version);
+                self.lru_unlink(ctx, found.node);
+                self.lru_push_front(ctx, found.node);
+                return true;
             }
             // Wrong class: drop and reinsert.
-            self.chain_unlink(ctx, key, node, prev);
-            self.lru_unlink(ctx, node);
-            self.slab.free(class, kv);
-            self.meta.free(node);
-            self.items -= 1;
+            self.drop_found(ctx, word, &found);
         }
         // Allocate, evicting LRU victims if the pool is full.
         let (class, kv) = loop {
@@ -678,65 +692,46 @@ impl StorageEngine for SlabEngine {
                 }
             }
         };
-        self.write_record(ctx, kv, key, value);
-        let node = self.meta.alloc();
-        let bucket = self.bucket_addr(key);
-        let head = self.meta_space.read_u64(ctx, bucket);
-        self.meta_space.write_u64(ctx, node + M_NEXT, head);
-        self.meta_space.write_u64(ctx, node + M_KV_ADDR, kv);
+        self.slab.space().write(ctx, kv, &record);
+        let node = self.index.insert(ctx, word);
         self.meta_space
-            .write_u32(ctx, node + M_KV_CLASS, class as u32);
-        self.meta_space.write_u32(ctx, node + M_EXPIRY, expiry);
-        self.meta_space.write_u64(ctx, node + M_VERSION, version);
-        self.meta_space.write_u64(ctx, bucket, node);
+            .write_u64(ctx, node + M_KV, pack_kv(kv, class));
+        self.meta_space.write_u32(ctx, node + N_EXPIRY, expiry);
+        self.meta_space.write_u64(ctx, node + N_VERSION, version);
         self.lru_push_front(ctx, node);
         self.items += 1;
+        true
     }
 
     fn get(&mut self, ctx: &mut ThreadCtx, key: &[u8]) -> Option<Vec<u8>> {
-        let (node, prev) = self.find(ctx, key)?;
-        let expiry = self.meta_space.read_u32(ctx, node + M_EXPIRY);
+        let word = self.index.word(key);
+        let found = self.find(ctx, word, key, true)?;
+        let expiry = self.meta_space.read_u32(ctx, found.node + N_EXPIRY);
         if expiry != 0 && now_secs(ctx) >= expiry {
-            let kv = self.meta_space.read_u64(ctx, node + M_KV_ADDR);
-            let class = self.meta_space.read_u32(ctx, node + M_KV_CLASS) as usize;
-            self.chain_unlink(ctx, key, node, prev);
-            self.lru_unlink(ctx, node);
-            self.slab.free(class, kv);
-            self.meta.free(node);
-            self.items -= 1;
+            self.drop_found(ctx, word, &found);
             self.expired += 1;
             Stats::bump(&ctx.machine.stats.expired_items);
             return None;
         }
-        let kv = self.meta_space.read_u64(ctx, node + M_KV_ADDR);
-        let vlen = self.slab.space().read_u32(ctx, kv + 4) as usize;
-        let mut value = vec![0u8; vlen];
-        self.slab
-            .space()
-            .read(ctx, kv + 8 + key.len() as u64, &mut value);
-        self.lru_unlink(ctx, node);
-        self.lru_push_front(ctx, node);
-        self.note(8 + key.len() + vlen, true);
+        self.lru_unlink(ctx, found.node);
+        self.lru_push_front(ctx, found.node);
+        let value = found.hit.value;
+        self.note(RECORD_HEADER + key.len() + value.len(), true);
         Some(value)
     }
 
     fn delete(&mut self, ctx: &mut ThreadCtx, key: &[u8]) -> bool {
-        let Some((node, prev)) = self.find(ctx, key) else {
+        let word = self.index.word(key);
+        let Some(found) = self.find(ctx, word, key, false) else {
             return false;
         };
-        let kv = self.meta_space.read_u64(ctx, node + M_KV_ADDR);
-        let class = self.meta_space.read_u32(ctx, node + M_KV_CLASS) as usize;
-        self.chain_unlink(ctx, key, node, prev);
-        self.lru_unlink(ctx, node);
-        self.slab.free(class, kv);
-        self.meta.free(node);
-        self.items -= 1;
+        self.drop_found(ctx, word, &found);
         true
     }
 
     fn version_of(&mut self, ctx: &mut ThreadCtx, key: &[u8]) -> Option<u64> {
-        let (node, _) = self.find(ctx, key)?;
-        Some(self.meta_space.read_u64(ctx, node + M_VERSION))
+        let found = self.find(ctx, self.index.word(key), key, false)?;
+        Some(self.meta_space.read_u64(ctx, found.node + N_VERSION))
     }
 
     fn len(&self) -> u64 {
@@ -808,28 +803,21 @@ impl StorageEngine for SlabEngine {
         did
     }
 
-    fn for_each(&self, ctx: &mut ThreadCtx, f: &mut ItemVisitor) {
+    fn for_each_since(&self, ctx: &mut ThreadCtx, base: u64, f: &mut ItemVisitor) {
         let now = now_secs(ctx);
-        for b in 0..self.buckets {
-            let mut node = self.meta_space.read_u64(ctx, self.heads + b * 8);
-            while node != NIL {
-                let kv = self.meta_space.read_u64(ctx, node + M_KV_ADDR);
-                let version = self.meta_space.read_u64(ctx, node + M_VERSION);
-                let expiry = self.meta_space.read_u32(ctx, node + M_EXPIRY);
-                if expiry == 0 || now < expiry {
-                    let klen = self.slab.space().read_u32(ctx, kv) as usize;
-                    let vlen = self.slab.space().read_u32(ctx, kv + 4) as usize;
-                    let mut key = vec![0u8; klen];
-                    self.slab.space().read(ctx, kv + 8, &mut key);
-                    let mut value = vec![0u8; vlen];
-                    self.slab
-                        .space()
-                        .read(ctx, kv + 8 + klen as u64, &mut value);
-                    f(&key, &value, version, expiry);
-                }
-                node = self.meta_space.read_u64(ctx, node + M_NEXT);
+        self.index.for_each_node(ctx, |ctx, node| {
+            let version = self.meta_space.read_u64(ctx, node + N_VERSION);
+            if version < base {
+                return;
             }
-        }
+            let expiry = self.meta_space.read_u32(ctx, node + N_EXPIRY);
+            if expiry != 0 && now >= expiry {
+                return;
+            }
+            let (kv, _) = unpack_kv(self.meta_space.read_u64(ctx, node + M_KV));
+            let rec = read_record(self.slab.space(), ctx, kv, true);
+            f(&rec.key, &rec.value, version, expiry);
+        });
     }
 
     fn meta_blob(&self) -> Vec<u8> {
@@ -890,13 +878,11 @@ struct TtlBucket {
 /// segments expire, and merge passes compact the oldest sealed
 /// segments of a bucket under memory pressure.
 pub struct SegmentEngine {
-    meta: MetaPool,
+    index: HashIndex,
     meta_space: DataSpace,
     data_space: DataSpace,
     cfg: SegmentConfig,
     mem_limit: u64,
-    buckets: u64,
-    heads: u64,
     segments: Vec<Segment>,
     free_segs: Vec<usize>,
     ttl: Vec<TtlBucket>,
@@ -908,6 +894,13 @@ pub struct SegmentEngine {
     /// Background mode: fences publish only; expiry sweeps and merges
     /// run in the tick.
     background: bool,
+}
+
+/// What the segment engine's key comparison learned about a node.
+struct SegmentHit {
+    item: u64,
+    /// Empty unless the lookup asked for it.
+    value: Vec<u8>,
 }
 
 impl SegmentEngine {
@@ -926,17 +919,13 @@ impl SegmentEngine {
             mem_limit as usize >= (cfg.ttl_bounds.len() + 2) * cfg.segment_bytes,
             "mem_limit too small for one segment per TTL bucket"
         );
-        let buckets = buckets.next_power_of_two();
-        let heads = meta_space.alloc((buckets * 8) as usize);
         let n_ttl = cfg.ttl_bounds.len() + 1;
         Self {
-            meta: MetaPool::new(meta_space.clone()),
+            index: HashIndex::new(meta_space.clone(), buckets, mem_limit),
             meta_space,
             data_space,
             cfg,
             mem_limit,
-            buckets,
-            heads,
             segments: Vec::new(),
             free_segs: Vec::new(),
             ttl: vec![TtlBucket::default(); n_ttl],
@@ -948,46 +937,30 @@ impl SegmentEngine {
         }
     }
 
-    fn bucket_addr(&self, key: &[u8]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in key {
-            h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
-        self.heads + (hash64(h) & (self.buckets - 1)) * 8
-    }
-
-    fn key_matches(&self, ctx: &mut ThreadCtx, item: u64, key: &[u8]) -> bool {
-        let klen = self.data_space.read_u32(ctx, item) as usize;
-        if klen != key.len() {
-            return false;
-        }
-        let mut stored = vec![0u8; klen];
-        self.data_space.read(ctx, item + 8, &mut stored);
-        stored == key
-    }
-
-    fn find(&self, ctx: &mut ThreadCtx, key: &[u8]) -> Option<(u64, u64)> {
-        let bucket = self.bucket_addr(key);
-        let mut prev = NIL;
-        let mut node = self.meta_space.read_u64(ctx, bucket);
-        while node != NIL {
+    /// Looks `key` (hashing to `word`) up, returning its record's
+    /// address and — if asked for — value. Only a node storing `word`
+    /// has its record read.
+    fn find(
+        &self,
+        ctx: &mut ThreadCtx,
+        word: u32,
+        key: &[u8],
+        want_value: bool,
+    ) -> Option<Found<SegmentHit>> {
+        self.index.find(ctx, word, |ctx, node| {
             let item = self.meta_space.read_u64(ctx, node + S_ITEM);
-            if self.key_matches(ctx, item, key) {
-                return Some((node, prev));
-            }
-            prev = node;
-            node = self.meta_space.read_u64(ctx, node + S_NEXT);
-        }
-        None
+            let value = read_if_key(&self.data_space, ctx, item, key, want_value)?;
+            Some(SegmentHit { item, value })
+        })
     }
 
-    fn chain_unlink(&mut self, ctx: &mut ThreadCtx, key: &[u8], node: u64, prev: u64) {
-        let next = self.meta_space.read_u64(ctx, node + S_NEXT);
-        if prev == NIL {
-            self.meta_space.write_u64(ctx, self.bucket_addr(key), next);
-        } else {
-            self.meta_space.write_u64(ctx, prev + S_NEXT, next);
-        }
+    /// The node still pointing at the record at `item`, whose key
+    /// hashes to `word`, if any (a newer set may live elsewhere). No
+    /// record is read — safe while a merge is rewriting segments.
+    fn find_item(&self, ctx: &mut ThreadCtx, word: u32, item: u64) -> Option<Found<()>> {
+        self.index.find(ctx, word, |ctx, node| {
+            (self.meta_space.read_u64(ctx, node + S_ITEM) == item).then_some(())
+        })
     }
 
     /// The TTL bucket an item with `expiry` belongs to *now*.
@@ -1037,7 +1010,7 @@ impl SegmentEngine {
         value: &[u8],
         expiry: u32,
     ) -> (usize, u64) {
-        let record_len = 8 + key.len() + value.len();
+        let record_len = RECORD_HEADER + key.len() + value.len();
         assert!(
             record_len <= self.cfg.segment_bytes,
             "record larger than a segment"
@@ -1065,12 +1038,7 @@ impl SegmentEngine {
         } else {
             seg.max_expiry = seg.max_expiry.max(expiry);
         }
-        let mut rec = Vec::with_capacity(record_len);
-        rec.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&(value.len() as u32).to_le_bytes());
-        rec.extend_from_slice(key);
-        rec.extend_from_slice(value);
-        self.data_space.write(ctx, item, &rec);
+        self.data_space.write(ctx, item, &encode_record(key, value));
         (id, item)
     }
 
@@ -1080,33 +1048,12 @@ impl SegmentEngine {
         self.segments[seg].live -= 1;
     }
 
-    /// Unlinks `node` from `key`'s chain by walking node addresses
-    /// (no key-byte reads — safe while a merge is rewriting segment
-    /// regions other index entries still point into).
-    fn unlink_node(&mut self, ctx: &mut ThreadCtx, key: &[u8], node: u64) {
-        let bucket = self.bucket_addr(key);
-        let mut prev = NIL;
-        let mut cur = self.meta_space.read_u64(ctx, bucket);
-        while cur != NIL && cur != node {
-            prev = cur;
-            cur = self.meta_space.read_u64(ctx, cur + S_NEXT);
-        }
-        assert_eq!(cur, node, "node must be chained");
-        let next = self.meta_space.read_u64(ctx, node + S_NEXT);
-        if prev == NIL {
-            self.meta_space.write_u64(ctx, bucket, next);
-        } else {
-            self.meta_space.write_u64(ctx, prev + S_NEXT, next);
-        }
-    }
-
     /// Unlinks and frees the index node of an expired item.
-    fn drop_expired(&mut self, ctx: &mut ThreadCtx, key: &[u8], node: u64, prev: u64, seg: usize) {
+    fn drop_expired(&mut self, ctx: &mut ThreadCtx, word: u32, node: u64, prev: u64, seg: usize) {
         if self.meta_space.read_u32(ctx, node + S_FLAGS) == FLAG_PART {
             self.spill_parts -= 1;
         }
-        self.chain_unlink(ctx, key, node, prev);
-        self.meta.free(node);
+        self.index.remove(ctx, word, node, prev);
         self.dead_mark(seg);
         self.items -= 1;
         self.expired += 1;
@@ -1156,29 +1103,22 @@ impl SegmentEngine {
         let mut off = 0usize;
         while off < end {
             let item = base + off as u64;
-            let klen = self.data_space.read_u32(ctx, item) as usize;
-            let vlen = self.data_space.read_u32(ctx, item + 4) as usize;
-            let mut key = vec![0u8; klen];
-            self.data_space.read(ctx, item + 8, &mut key);
-            if let Some((node, prev)) = self.find(ctx, &key) {
-                // Only drop the index entry if it still points at
-                // *this* copy (a newer set may live elsewhere).
-                if self.meta_space.read_u64(ctx, node + S_ITEM) == item {
-                    if self.meta_space.read_u32(ctx, node + S_FLAGS) == FLAG_PART {
-                        self.spill_parts -= 1;
-                    }
-                    self.chain_unlink(ctx, &key, node, prev);
-                    self.meta.free(node);
-                    self.items -= 1;
-                    if expiring {
-                        self.expired += 1;
-                        Stats::bump(&ctx.machine.stats.expired_items);
-                    } else {
-                        self.evictions += 1;
-                    }
+            let rec = read_record(&self.data_space, ctx, item, false);
+            let word = self.index.word(&rec.key);
+            if let Some(Found { node, prev, .. }) = self.find_item(ctx, word, item) {
+                if self.meta_space.read_u32(ctx, node + S_FLAGS) == FLAG_PART {
+                    self.spill_parts -= 1;
+                }
+                self.index.remove(ctx, word, node, prev);
+                self.items -= 1;
+                if expiring {
+                    self.expired += 1;
+                    Stats::bump(&ctx.machine.stats.expired_items);
+                } else {
+                    self.evictions += 1;
                 }
             }
-            off += 8 + klen + vlen;
+            off += rec.len;
         }
         self.segments[seg].live = 0;
     }
@@ -1226,33 +1166,26 @@ impl SegmentEngine {
             let mut off = 0usize;
             while off < end {
                 let item = base + off as u64;
-                let klen = self.data_space.read_u32(ctx, item) as usize;
-                let vlen = self.data_space.read_u32(ctx, item + 4) as usize;
-                let mut key = vec![0u8; klen];
-                self.data_space.read(ctx, item + 8, &mut key);
-                if let Some((node, prev)) = self.find(ctx, &key) {
-                    if self.meta_space.read_u64(ctx, node + S_ITEM) == item {
-                        let expiry = self.meta_space.read_u32(ctx, node + S_EXPIRY);
-                        if expiry != 0 && now >= expiry {
-                            self.drop_expired(ctx, &key, node, prev, seg);
-                        } else {
-                            let freq = self.meta_space.read_u32(ctx, node + S_FREQ);
-                            let flags = self.meta_space.read_u32(ctx, node + S_FLAGS);
-                            let mut value = vec![0u8; vlen];
-                            self.data_space
-                                .read(ctx, item + 8 + klen as u64, &mut value);
-                            survivors.push(Survivor {
-                                key,
-                                value,
-                                node,
-                                expiry,
-                                freq,
-                                flags,
-                            });
-                        }
+                let Record { key, value, len } = read_record(&self.data_space, ctx, item, true);
+                let word = self.index.word(&key);
+                if let Some(Found { node, prev, .. }) = self.find_item(ctx, word, item) {
+                    let expiry = self.meta_space.read_u32(ctx, node + N_EXPIRY);
+                    if expiry != 0 && now >= expiry {
+                        self.drop_expired(ctx, word, node, prev, seg);
+                    } else {
+                        let freq = self.meta_space.read_u32(ctx, node + S_FREQ);
+                        let flags = self.meta_space.read_u32(ctx, node + S_FLAGS);
+                        survivors.push(Survivor {
+                            key,
+                            value,
+                            node,
+                            expiry,
+                            freq,
+                            flags,
+                        });
                     }
                 }
-                off += 8 + klen + vlen;
+                off += len;
             }
             self.segments[seg].live = 0;
         }
@@ -1268,7 +1201,7 @@ impl SegmentEngine {
         let mut repacked: Vec<usize> = Vec::new();
         let mut cur: Option<usize> = None;
         for s in survivors {
-            let len = 8 + s.key.len() + s.value.len();
+            let len = RECORD_HEADER + s.key.len() + s.value.len();
             let mut fits =
                 cur.is_some_and(|id| self.segments[id].write + len <= self.cfg.segment_bytes);
             if !fits && repacked.len() < max_targets {
@@ -1288,8 +1221,7 @@ impl SegmentEngine {
                 if s.flags == FLAG_PART {
                     self.spill_parts -= 1;
                 }
-                self.unlink_node(ctx, &s.key, s.node);
-                self.meta.free(s.node);
+                self.index.remove_node(ctx, s.node);
                 self.items -= 1;
                 self.evictions += 1;
                 continue;
@@ -1305,12 +1237,8 @@ impl SegmentEngine {
             } else {
                 seg.max_expiry = seg.max_expiry.max(s.expiry);
             }
-            let mut rec = Vec::with_capacity(len);
-            rec.extend_from_slice(&(s.key.len() as u32).to_le_bytes());
-            rec.extend_from_slice(&(s.value.len() as u32).to_le_bytes());
-            rec.extend_from_slice(&s.key);
-            rec.extend_from_slice(&s.value);
-            self.data_space.write(ctx, item, &rec);
+            self.data_space
+                .write(ctx, item, &encode_record(&s.key, &s.value));
             self.meta_space.write_u64(ctx, s.node + S_ITEM, item);
             self.meta_space.write_u32(ctx, s.node + S_SEG, id as u32);
         }
@@ -1352,40 +1280,35 @@ impl SegmentEngine {
         // Look the key up *after* appending: the append may have run a
         // merge that relocated (or evicted) the previous copy, so any
         // earlier index probe would be stale.
-        match self.find(ctx, key) {
-            Some((node, _)) => {
-                let old_seg = self.meta_space.read_u32(ctx, node + S_SEG) as usize;
+        let word = self.index.word(key);
+        let node = match self.find(ctx, word, key, false) {
+            Some(found) => {
+                let old_seg = self.meta_space.read_u32(ctx, found.node + S_SEG) as usize;
                 self.dead_mark(old_seg);
-                self.meta_space.write_u64(ctx, node + S_ITEM, item);
-                self.meta_space.write_u32(ctx, node + S_SEG, seg as u32);
-                self.meta_space.write_u32(ctx, node + S_EXPIRY, expiry);
-                self.meta_space.write_u32(ctx, node + S_FLAGS, flags);
-                self.meta_space.write_u64(ctx, node + S_VERSION, version);
+                found.node
             }
             None => {
-                let node = self.meta.alloc();
-                let bucket = self.bucket_addr(key);
-                let head = self.meta_space.read_u64(ctx, bucket);
-                self.meta_space.write_u64(ctx, node + S_NEXT, head);
-                self.meta_space.write_u64(ctx, node + S_ITEM, item);
-                self.meta_space.write_u32(ctx, node + S_SEG, seg as u32);
+                let node = self.index.insert(ctx, word);
                 self.meta_space.write_u32(ctx, node + S_FREQ, 0);
-                self.meta_space.write_u32(ctx, node + S_EXPIRY, expiry);
-                self.meta_space.write_u32(ctx, node + S_FLAGS, flags);
-                self.meta_space.write_u64(ctx, node + S_VERSION, version);
-                self.meta_space.write_u64(ctx, bucket, node);
                 self.items += 1;
                 if flags == FLAG_PART {
                     self.spill_parts += 1;
                 }
+                node
             }
-        }
+        };
+        self.meta_space.write_u64(ctx, node + S_ITEM, item);
+        self.meta_space.write_u32(ctx, node + S_SEG, seg as u32);
+        self.meta_space.write_u32(ctx, node + N_EXPIRY, expiry);
+        self.meta_space.write_u32(ctx, node + S_FLAGS, flags);
+        self.meta_space.write_u64(ctx, node + N_VERSION, version);
     }
 
     /// Stores a value too large for one segment: the value is split
     /// into parts under reserved derived keys, each appended like any
     /// record, and the client-visible key maps to a 16-byte descriptor
-    /// (`total_len u64 ‖ nparts u32 ‖ magic u32`).
+    /// (`total_len u64 ‖ nparts u32 ‖ magic u32`). Returns `false`,
+    /// before touching anything, for a value the pool cannot hold.
     fn set_spill(
         &mut self,
         ctx: &mut ThreadCtx,
@@ -1393,32 +1316,38 @@ impl SegmentEngine {
         value: &[u8],
         expiry: u32,
         version: u64,
-    ) {
-        self.drop_spill_parts_of(ctx, key);
-        let part_cap = self
+    ) -> bool {
+        // Every part fills a segment of its own, next to the open
+        // segment each TTL bucket may hold: a spill that does not fit
+        // would only evict its own earlier parts, and everything else
+        // on the way.
+        let Some(part_cap) = self
             .cfg
             .segment_bytes
-            .checked_sub(8 + key.len() + 5)
+            .checked_sub(RECORD_HEADER + key.len() + 5)
             .filter(|&c| c > 0)
-            .expect("key too large to spill across segments");
+        else {
+            return false;
+        };
+        let nparts = value.len().div_ceil(part_cap);
+        if ((nparts + self.ttl.len()) * self.cfg.segment_bytes) as u64 > self.mem_limit {
+            return false;
+        }
+        self.drop_spill_parts_of(ctx, key);
         for (i, chunk) in value.chunks(part_cap).enumerate() {
             let pk = spill_part_key(key, i as u32);
             self.insert_or_update(ctx, &pk, chunk, expiry, version, FLAG_PART);
         }
-        let nparts = value.len().div_ceil(part_cap) as u32;
         let mut desc = Vec::with_capacity(16);
         desc.extend_from_slice(&(value.len() as u64).to_le_bytes());
-        desc.extend_from_slice(&nparts.to_le_bytes());
+        desc.extend_from_slice(&(nparts as u32).to_le_bytes());
         desc.extend_from_slice(&SPILL_MAGIC.to_le_bytes());
         self.insert_or_update(ctx, key, &desc, expiry, version, FLAG_HEAD);
+        true
     }
 
-    /// Reads a spill head's descriptor `(total_len, nparts)`.
-    fn read_spill_desc(&mut self, ctx: &mut ThreadCtx, key: &[u8], node: u64) -> (u64, u32) {
-        let item = self.meta_space.read_u64(ctx, node + S_ITEM);
-        let mut desc = vec![0u8; 16];
-        self.data_space
-            .read(ctx, item + 8 + key.len() as u64, &mut desc);
+    /// Parses a spill head's value: `(total_len, nparts)`.
+    fn spill_desc(desc: &[u8]) -> (u64, u32) {
         let total = u64::from_le_bytes(desc[..8].try_into().expect("desc"));
         let nparts = u32::from_le_bytes(desc[8..12].try_into().expect("desc"));
         let magic = u32::from_le_bytes(desc[12..16].try_into().expect("desc"));
@@ -1426,26 +1355,30 @@ impl SegmentEngine {
         (total, nparts)
     }
 
-    /// If `key` currently maps to a spill head, deletes its parts (the
-    /// head itself is left for the caller to overwrite or remove).
+    /// Deletes the parts of the spill whose head record is at `item`
+    /// (the head itself is left for the caller to overwrite or remove).
+    fn drop_spill_parts(&mut self, ctx: &mut ThreadCtx, key: &[u8], item: u64) {
+        let desc = read_record(&self.data_space, ctx, item, true).value;
+        for i in 0..Self::spill_desc(&desc).1 {
+            self.delete(ctx, &spill_part_key(key, i));
+        }
+    }
+
+    /// If `key` currently maps to a spill head, deletes its parts.
     fn drop_spill_parts_of(&mut self, ctx: &mut ThreadCtx, key: &[u8]) {
-        let Some((node, _)) = self.find(ctx, key) else {
+        let Some(found) = self.find(ctx, self.index.word(key), key, false) else {
             return;
         };
-        if self.meta_space.read_u32(ctx, node + S_FLAGS) != FLAG_HEAD {
-            return;
-        }
-        let (_, nparts) = self.read_spill_desc(ctx, key, node);
-        for i in 0..nparts {
-            self.delete(ctx, &spill_part_key(key, i));
+        if self.meta_space.read_u32(ctx, found.node + S_FLAGS) == FLAG_HEAD {
+            self.drop_spill_parts(ctx, key, found.hit.item);
         }
     }
 
     /// Reassembles a spill from its parts. A missing part (evicted by
     /// a merge under pressure) makes the whole spill unreadable: the
     /// remnants are deleted and the read misses.
-    fn read_spill(&mut self, ctx: &mut ThreadCtx, key: &[u8], node: u64) -> Option<Vec<u8>> {
-        let (total, nparts) = self.read_spill_desc(ctx, key, node);
+    fn read_spill(&mut self, ctx: &mut ThreadCtx, key: &[u8], desc: &[u8]) -> Option<Vec<u8>> {
+        let (total, nparts) = Self::spill_desc(desc);
         let mut out = Vec::with_capacity(total as usize);
         for i in 0..nparts {
             match self.get(ctx, &spill_part_key(key, i)) {
@@ -1461,23 +1394,15 @@ impl SegmentEngine {
     }
 
     /// Read-only spill reassembly from the head's descriptor bytes
-    /// (for `for_each`, which cannot take `&mut self`). Returns
+    /// (for `for_each_since`, which cannot take `&mut self`). Returns
     /// `None` when a part is missing (broken spill).
     fn reassemble_spill(&self, ctx: &mut ThreadCtx, key: &[u8], desc: &[u8]) -> Option<Vec<u8>> {
-        let total = u64::from_le_bytes(desc[..8].try_into().expect("desc"));
-        let nparts = u32::from_le_bytes(desc[8..12].try_into().expect("desc"));
-        let magic = u32::from_le_bytes(desc[12..16].try_into().expect("desc"));
-        assert_eq!(magic, SPILL_MAGIC, "corrupt spill descriptor");
+        let (total, nparts) = Self::spill_desc(desc);
         let mut out = Vec::with_capacity(total as usize);
         for i in 0..nparts {
             let pk = spill_part_key(key, i);
-            let (node, _) = self.find(ctx, &pk)?;
-            let item = self.meta_space.read_u64(ctx, node + S_ITEM);
-            let vlen = self.data_space.read_u32(ctx, item + 4) as usize;
-            let mut chunk = vec![0u8; vlen];
-            self.data_space
-                .read(ctx, item + 8 + pk.len() as u64, &mut chunk);
-            out.extend_from_slice(&chunk);
+            let part = self.find(ctx, self.index.word(&pk), &pk, true)?;
+            out.extend_from_slice(&part.hit.value);
         }
         Some(out)
     }
@@ -1489,33 +1414,33 @@ impl StorageEngine for SegmentEngine {
     }
 
     fn init(&self, ctx: &mut ThreadCtx) {
-        let zeros = vec![0u8; 4096];
-        let len = self.buckets * 8;
-        let mut off = 0u64;
-        while off < len {
-            let n = ((len - off) as usize).min(4096);
-            self.meta_space.write(ctx, self.heads + off, &zeros[..n]);
-            off += n as u64;
-        }
+        self.index.init(ctx);
     }
 
-    fn set(&mut self, ctx: &mut ThreadCtx, key: &[u8], value: &[u8], expiry: u32, version: u64) {
-        let record_len = 8 + key.len() + value.len();
-        if record_len > self.cfg.segment_bytes {
-            self.set_spill(ctx, key, value, expiry, version);
-            return;
+    fn set(
+        &mut self,
+        ctx: &mut ThreadCtx,
+        key: &[u8],
+        value: &[u8],
+        expiry: u32,
+        version: u64,
+    ) -> bool {
+        if RECORD_HEADER + key.len() + value.len() > self.cfg.segment_bytes {
+            return self.set_spill(ctx, key, value, expiry, version);
         }
         // A plain set over a spill head must take the old parts along.
         self.drop_spill_parts_of(ctx, key);
         self.insert_or_update(ctx, key, value, expiry, version, FLAG_PLAIN);
+        true
     }
 
     fn get(&mut self, ctx: &mut ThreadCtx, key: &[u8]) -> Option<Vec<u8>> {
-        let (node, prev) = self.find(ctx, key)?;
-        let expiry = self.meta_space.read_u32(ctx, node + S_EXPIRY);
+        let word = self.index.word(key);
+        let Found { node, prev, hit } = self.find(ctx, word, key, true)?;
+        let expiry = self.meta_space.read_u32(ctx, node + N_EXPIRY);
         if expiry != 0 && now_secs(ctx) >= expiry {
             let seg = self.meta_space.read_u32(ctx, node + S_SEG) as usize;
-            self.drop_expired(ctx, key, node, prev, seg);
+            self.drop_expired(ctx, word, node, prev, seg);
             return None;
         }
         let flags = self.meta_space.read_u32(ctx, node + S_FLAGS);
@@ -1523,44 +1448,39 @@ impl StorageEngine for SegmentEngine {
         self.meta_space
             .write_u32(ctx, node + S_FREQ, freq.saturating_add(1));
         if flags == FLAG_HEAD {
-            return self.read_spill(ctx, key, node);
+            return self.read_spill(ctx, key, &hit.value);
         }
-        let item = self.meta_space.read_u64(ctx, node + S_ITEM);
-        let vlen = self.data_space.read_u32(ctx, item + 4) as usize;
-        let mut value = vec![0u8; vlen];
-        self.data_space
-            .read(ctx, item + 8 + key.len() as u64, &mut value);
-        Some(value)
+        Some(hit.value)
     }
 
     fn delete(&mut self, ctx: &mut ThreadCtx, key: &[u8]) -> bool {
-        let Some((node, _)) = self.find(ctx, key) else {
+        let word = self.index.word(key);
+        let Some(Found { node, prev, hit }) = self.find(ctx, word, key, false) else {
             return false;
         };
-        let flags = self.meta_space.read_u32(ctx, node + S_FLAGS);
-        if flags == FLAG_HEAD {
-            // Parts first; they live in other hash chains, but if one
-            // shares the head's bucket the head's `prev` would go
-            // stale, so re-find the head afterwards.
-            let (_, nparts) = self.read_spill_desc(ctx, key, node);
-            for i in 0..nparts {
-                self.delete(ctx, &spill_part_key(key, i));
-            }
-        } else if flags == FLAG_PART {
-            self.spill_parts -= 1;
-        }
-        let (node, prev) = self.find(ctx, key).expect("key still indexed");
         let seg = self.meta_space.read_u32(ctx, node + S_SEG) as usize;
-        self.chain_unlink(ctx, key, node, prev);
-        self.meta.free(node);
+        match self.meta_space.read_u32(ctx, node + S_FLAGS) {
+            FLAG_HEAD => {
+                // Parts first. One may share the head's chain and
+                // leave `prev` stale, so the head goes by identity.
+                self.drop_spill_parts(ctx, key, hit.item);
+                self.index.remove_node(ctx, node);
+            }
+            flags => {
+                if flags == FLAG_PART {
+                    self.spill_parts -= 1;
+                }
+                self.index.remove(ctx, word, node, prev);
+            }
+        }
         self.dead_mark(seg);
         self.items -= 1;
         true
     }
 
     fn version_of(&mut self, ctx: &mut ThreadCtx, key: &[u8]) -> Option<u64> {
-        let (node, _) = self.find(ctx, key)?;
-        Some(self.meta_space.read_u64(ctx, node + S_VERSION))
+        let found = self.find(ctx, self.index.word(key), key, false)?;
+        Some(self.meta_space.read_u64(ctx, found.node + N_VERSION))
     }
 
     fn len(&self) -> u64 {
@@ -1628,38 +1548,30 @@ impl StorageEngine for SegmentEngine {
         did
     }
 
-    fn for_each(&self, ctx: &mut ThreadCtx, f: &mut ItemVisitor) {
+    fn for_each_since(&self, ctx: &mut ThreadCtx, base: u64, f: &mut ItemVisitor) {
         let now = now_secs(ctx);
-        for b in 0..self.buckets {
-            let mut node = self.meta_space.read_u64(ctx, self.heads + b * 8);
-            while node != NIL {
-                let item = self.meta_space.read_u64(ctx, node + S_ITEM);
-                let version = self.meta_space.read_u64(ctx, node + S_VERSION);
-                let expiry = self.meta_space.read_u32(ctx, node + S_EXPIRY);
-                let flags = self.meta_space.read_u32(ctx, node + S_FLAGS);
-                // Spill parts are an encoding detail: heads are
-                // visited with their reassembled value, so snapshots
-                // stay engine-neutral.
-                if flags != FLAG_PART && (expiry == 0 || now < expiry) {
-                    let klen = self.data_space.read_u32(ctx, item) as usize;
-                    let vlen = self.data_space.read_u32(ctx, item + 4) as usize;
-                    let mut key = vec![0u8; klen];
-                    self.data_space.read(ctx, item + 8, &mut key);
-                    let mut value = vec![0u8; vlen];
-                    self.data_space
-                        .read(ctx, item + 8 + klen as u64, &mut value);
-                    if flags == FLAG_HEAD {
-                        // A broken spill chain is skipped entirely.
-                        if let Some(full) = self.reassemble_spill(ctx, &key, &value) {
-                            f(&key, &full, version, expiry);
-                        }
-                    } else {
-                        f(&key, &value, version, expiry);
-                    }
-                }
-                node = self.meta_space.read_u64(ctx, node + S_NEXT);
+        self.index.for_each_node(ctx, |ctx, node| {
+            let version = self.meta_space.read_u64(ctx, node + N_VERSION);
+            if version < base {
+                return;
             }
-        }
+            let expiry = self.meta_space.read_u32(ctx, node + N_EXPIRY);
+            let flags = self.meta_space.read_u32(ctx, node + S_FLAGS);
+            // Spill parts are an encoding detail: heads are visited
+            // with their reassembled value, so snapshots stay
+            // engine-neutral.
+            if flags == FLAG_PART || (expiry != 0 && now >= expiry) {
+                return;
+            }
+            let item = self.meta_space.read_u64(ctx, node + S_ITEM);
+            let rec = read_record(&self.data_space, ctx, item, true);
+            if flags != FLAG_HEAD {
+                f(&rec.key, &rec.value, version, expiry);
+            } else if let Some(full) = self.reassemble_spill(ctx, &rec.key, &rec.value) {
+                // A broken spill chain is skipped entirely.
+                f(&rec.key, &full, version, expiry);
+            }
+        });
     }
 
     fn meta_blob(&self) -> Vec<u8> {
@@ -1871,7 +1783,7 @@ mod tests {
         eng.set(&mut t, b"wide", &big, 0, 5);
         eng.set(&mut t, b"narrow", b"v", 0, 6);
         let mut seen: Vec<(Vec<u8>, Vec<u8>, u64)> = Vec::new();
-        eng.for_each(&mut t, &mut |k: &[u8], v: &[u8], ver, _| {
+        eng.for_each_since(&mut t, 0, &mut |k: &[u8], v: &[u8], ver, _| {
             seen.push((k.to_vec(), v.to_vec(), ver));
         });
         seen.sort();
@@ -1977,6 +1889,389 @@ mod tests {
                 assert_eq!(v, vec![7u8; 120]);
             }
         }
+        t.exit();
+    }
+
+    // --- One index, keyed in-node hashes, pinned record reads --------
+
+    use std::collections::HashMap;
+
+    use eleos_core::{Suvm, SuvmConfig};
+    use proptest::prelude::*;
+
+    /// Either engine, with the private maintenance entry points the
+    /// tests drive directly.
+    enum Eng {
+        Slab(SlabEngine),
+        Segment(SegmentEngine),
+    }
+
+    impl Eng {
+        fn build(
+            segment: bool,
+            meta: DataSpace,
+            data: DataSpace,
+            limit: u64,
+            buckets: u64,
+        ) -> Self {
+            if segment {
+                let cfg = SegmentConfig::default();
+                Eng::Segment(SegmentEngine::new(meta, data, limit, buckets, cfg))
+            } else {
+                let rebalance = Some(RebalanceConfig::default());
+                Eng::Slab(SlabEngine::new(meta, data, limit, buckets, rebalance))
+            }
+        }
+
+        fn api(&mut self) -> &mut dyn StorageEngine {
+            match self {
+                Eng::Slab(e) => e,
+                Eng::Segment(e) => e,
+            }
+        }
+
+        fn index(&mut self) -> &mut HashIndex {
+            match self {
+                Eng::Slab(e) => &mut e.index,
+                Eng::Segment(e) => &mut e.index,
+            }
+        }
+
+        /// Memory-pressure eviction: the LRU tail, or a merge pass.
+        fn evict(&mut self, ctx: &mut ThreadCtx) {
+            match self {
+                Eng::Slab(e) => {
+                    e.evict_one(ctx);
+                }
+                Eng::Segment(e) => {
+                    if e.ttl
+                        .iter()
+                        .any(|b| b.active.is_some() || !b.chain.is_empty())
+                    {
+                        e.merge(ctx);
+                    }
+                }
+            }
+        }
+
+        /// Moves live records: a slab handed to class `needy`, or a
+        /// merge pass repacking survivors.
+        fn relocate(&mut self, ctx: &mut ThreadCtx, needy_len: usize) {
+            match self {
+                Eng::Slab(e) => {
+                    let needy = e.slab.class_of(needy_len).expect("class");
+                    if let Some((donor, base)) = e.pick_donor(needy) {
+                        e.move_slab(ctx, donor, base, needy);
+                    }
+                }
+                Eng::Segment(_) => self.evict(ctx),
+            }
+        }
+
+        /// Address of `key`'s record, looked up the way a GET does.
+        fn record_addr(&mut self, ctx: &mut ThreadCtx, key: &[u8]) -> u64 {
+            match self {
+                Eng::Slab(e) => {
+                    let word = e.index.word(key);
+                    e.find(ctx, word, key, false).expect("stored").hit.kv
+                }
+                Eng::Segment(e) => {
+                    let word = e.index.word(key);
+                    e.find(ctx, word, key, false).expect("stored").hit.item
+                }
+            }
+        }
+    }
+
+    /// Machine, entered thread, clear metadata space and — when
+    /// `paging` — a SUVM data space over a 16-frame EPC++.
+    fn spaces(paging: bool) -> (ThreadCtx, DataSpace, DataSpace, Option<Arc<Suvm>>) {
+        let (m, t, meta) = rig();
+        let suvm = paging.then(|| {
+            Suvm::new(
+                &t,
+                SuvmConfig {
+                    backing_bytes: 64 << 20,
+                    ..SuvmConfig::tiny()
+                },
+            )
+        });
+        let data = match &suvm {
+            Some(s) => DataSpace::suvm(s),
+            None => DataSpace::Untrusted(m),
+        };
+        (t, meta, data, suvm)
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Set { k: usize, vlen: usize },
+        Get { k: usize },
+        Delete { k: usize },
+        Evict,
+        Relocate,
+        Fence,
+    }
+
+    /// Same-length keys (only the bytes tell them apart) next to keys
+    /// of other lengths.
+    fn test_key(k: usize) -> Vec<u8> {
+        if k % 4 == 3 {
+            format!("k{k}").into_bytes()
+        } else {
+            format!("key-{k:02}").into_bytes()
+        }
+    }
+
+    fn test_value(k: usize, stamp: u64, vlen: usize) -> Vec<u8> {
+        (0..vlen)
+            .map(|i| (i as u64 + 31 * k as u64 + 7 * stamp) as u8)
+            .collect()
+    }
+
+    /// Value lengths landing in four slab classes; the largest is two
+    /// chunks to a slab (so slab moves relocate live records) and
+    /// spills across three segments.
+    const VLENS: [usize; 4] = [24, 300, 2_000, 380_000];
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        // The vendored proptest has no weighted oneof: duplicates
+        // approximate a 4:3:2:1:1:1 mix.
+        let set = || (0usize..16, 0usize..4).prop_map(|(k, v)| Op::Set { k, vlen: VLENS[v] });
+        let get = || (0usize..16).prop_map(|k| Op::Get { k });
+        let delete = || (0usize..16).prop_map(|k| Op::Delete { k });
+        prop_oneof![
+            set(),
+            set(),
+            set(),
+            set(),
+            get(),
+            get(),
+            get(),
+            delete(),
+            delete(),
+            Just(Op::Evict),
+            Just(Op::Relocate),
+            Just(Op::Fence),
+        ]
+    }
+
+    /// Runs `ops` with every key forced onto one bucket and one stored
+    /// word, so the engine's full key comparison alone decides every
+    /// lookup, and checks every reply against a `HashMap`. Evictions
+    /// are the engine's choice: after any op that evicted, the shadow
+    /// drops exactly the keys the engine no longer serves.
+    fn check_collisions(segment: bool, paging: bool, ops: &[Op]) {
+        let (mut t, meta, data, _suvm) = spaces(paging);
+        let mut eng = Eng::build(segment, meta, data, 32 << 20, 64);
+        eng.api().init(&mut t);
+        eng.index().collide_all();
+        let mut shadow: HashMap<usize, Vec<u8>> = HashMap::new();
+        for (stamp, op) in ops.iter().enumerate() {
+            let stamp = stamp as u64;
+            let evicted = eng.api().evictions();
+            match *op {
+                Op::Set { k, vlen } => {
+                    let value = test_value(k, stamp, vlen);
+                    assert!(eng.api().set(&mut t, &test_key(k), &value, 0, stamp));
+                    shadow.insert(k, value);
+                }
+                Op::Get { k } => {
+                    let got = eng.api().get(&mut t, &test_key(k));
+                    assert_eq!(got.as_ref(), shadow.get(&k), "GET {k} at op {stamp}");
+                }
+                Op::Delete { k } => {
+                    let existed = eng.api().delete(&mut t, &test_key(k));
+                    assert_eq!(existed, shadow.remove(&k).is_some(), "DELETE {k}");
+                }
+                Op::Evict => eng.evict(&mut t),
+                Op::Relocate => eng.relocate(&mut t, VLENS[2]),
+                Op::Fence => eng.api().fence(&mut t),
+            }
+            if eng.api().evictions() != evicted {
+                // By GET: a spill that lost a part reads as a miss.
+                shadow.retain(|&k, _| eng.api().get(&mut t, &test_key(k)).is_some());
+            }
+            assert_eq!(eng.api().len(), shadow.len() as u64, "after {op:?}");
+        }
+        // Everything left reads back exactly, by lookup and by scan.
+        for (&k, value) in &shadow {
+            assert_eq!(eng.api().get(&mut t, &test_key(k)).as_ref(), Some(value));
+        }
+        let mut seen = 0;
+        eng.api()
+            .for_each_since(&mut t, 0, &mut |key, value, _, _| {
+                let k = (0..16).find(|&k| test_key(k) == key).expect("a test key");
+                assert_eq!(Some(&value.to_vec()), shadow.get(&k));
+                seen += 1;
+            });
+        assert_eq!(seen, shadow.len());
+        t.exit();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn full_key_comparison_decides_under_forced_collisions(
+            ops in proptest::collection::vec(op_strategy(), 30..70),
+        ) {
+            for segment in [false, true] {
+                for paging in [false, true] {
+                    check_collisions(segment, paging, &ops);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn relocation_under_forced_collisions_moves_live_records() {
+        // Non-vacuity for the property above: three big records take
+        // two slabs; with one deleted, the emptier slab's survivor has
+        // somewhere to go and the move relocates it.
+        let (mut t, meta, data, _suvm) = spaces(true);
+        let m = Arc::clone(&t.machine);
+        let mut eng = Eng::build(false, meta, data, 32 << 20, 64);
+        eng.api().init(&mut t);
+        eng.index().collide_all();
+        for k in 0..3 {
+            let value = test_value(k, 0, VLENS[3]);
+            assert!(eng.api().set(&mut t, &test_key(k), &value, 0, 0));
+        }
+        assert!(eng.api().delete(&mut t, &test_key(0)));
+        m.reset_counters();
+        eng.relocate(&mut t, VLENS[2]);
+        assert_eq!(m.stats.snapshot().slab_items_relocated, 1);
+        for k in 1..3 {
+            let got = eng.api().get(&mut t, &test_key(k));
+            assert_eq!(got, Some(test_value(k, 0, VLENS[3])));
+        }
+        t.exit();
+    }
+
+    /// Pages of the 4 KiB-paged secure space `[addr, addr + len)` spans.
+    fn pages_spanned(addr: u64, len: usize) -> u64 {
+        (addr + len as u64 - 1) / 4096 - addr / 4096 + 1
+    }
+
+    /// SUVM page-table lookups so far (each ends in a hit or a fault).
+    fn lookups(m: &SgxMachine) -> u64 {
+        let s = m.stats.snapshot();
+        s.suvm_major_faults + s.suvm_hits_protected + s.suvm_hits_probation
+    }
+
+    fn secure_touches_are_the_requests_own(segment: bool) {
+        let (mut t, meta, data, suvm) = spaces(true);
+        let suvm = suvm.expect("paging rig");
+        let m = Arc::clone(&t.machine);
+        // 64 items over 16 buckets: every chain holds ~4 strangers.
+        let mut eng = Eng::build(segment, meta, data, 32 << 20, 16);
+        eng.api().init(&mut t);
+        let value_of = |k: usize| test_value(k, 1, if k.is_multiple_of(8) { 5_000 } else { 100 });
+        for k in 0..64 {
+            assert!(eng.api().set(&mut t, &test_key(k), &value_of(k), 0, 0));
+        }
+        let record_len = |k: usize| RECORD_HEADER + test_key(k).len() + value_of(k).len();
+        let go_cold = |t: &mut ThreadCtx| while suvm.evict_one(t) {};
+        let faults = || m.stats.snapshot().suvm_major_faults;
+
+        // A GET hit faults exactly the pages its own record spans.
+        for k in [0, 5, 8, 63] {
+            let pages = pages_spanned(eng.record_addr(&mut t, &test_key(k)), record_len(k));
+            go_cold(&mut t);
+            let before = faults();
+            assert_eq!(eng.api().get(&mut t, &test_key(k)), Some(value_of(k)));
+            assert_eq!(faults() - before, pages, "GET hit of key {k}");
+        }
+
+        // A GET miss walks a chain of strangers in clear metadata only.
+        go_cold(&mut t);
+        let before = faults();
+        for k in 100..140 {
+            assert_eq!(eng.api().get(&mut t, &test_key(k)), None);
+        }
+        assert_eq!(faults() - before, 0, "GET misses touched secure memory");
+
+        // So does evicting an LRU victim the caller holds by address.
+        if let Eng::Slab(e) = &mut eng {
+            let before = (faults(), e.evictions);
+            assert!(e.evict_one(&mut t));
+            assert_eq!((faults(), e.evictions), (before.0, before.1 + 1));
+        }
+
+        // A delta scan reads the records stamped >= base and no other.
+        let fresh = [3usize, 8, 21, 40, 55];
+        for &k in &fresh {
+            assert!(eng.api().set(&mut t, &test_key(k), &value_of(k), 0, 7));
+        }
+        let pages: u64 = fresh
+            .iter()
+            .map(|&k| pages_spanned(eng.record_addr(&mut t, &test_key(k)), record_len(k)))
+            .sum();
+        go_cold(&mut t);
+        let before = lookups(&m);
+        let mut seen = Vec::new();
+        eng.api()
+            .for_each_since(&mut t, 7, &mut |key, _, version, _| {
+                assert_eq!(version, 7);
+                seen.push(key.to_vec());
+            });
+        seen.sort();
+        let mut want: Vec<Vec<u8>> = fresh.iter().map(|&k| test_key(k)).collect();
+        want.sort();
+        assert_eq!(seen, want);
+        assert_eq!(
+            lookups(&m) - before,
+            pages,
+            "one translation per page of each fresh record, none for the rest"
+        );
+        t.exit();
+    }
+
+    #[test]
+    fn slab_touches_only_the_requests_own_secure_pages() {
+        secure_touches_are_the_requests_own(false);
+    }
+
+    #[test]
+    fn segment_touches_only_the_requests_own_secure_pages() {
+        secure_touches_are_the_requests_own(true);
+    }
+
+    #[test]
+    fn oversize_set_fails_and_leaves_the_store_untouched() {
+        // Slab: a record no class can hold used to evict every item
+        // looking for room, then panic on the empty LRU.
+        let (mut eng, mut t) = slab_engine(4 << 20, None);
+        for i in 0..50u32 {
+            assert!(eng.set(&mut t, format!("k{i}").as_bytes(), &[i as u8; 100], 0, 1));
+        }
+        let huge = vec![7u8; SLAB_BYTES];
+        assert!(!eng.set(&mut t, b"huge", &huge, 0, 2));
+        assert!(!eng.set(&mut t, b"k7", &huge, 0, 2), "nor over a live key");
+        assert_eq!((eng.len(), eng.evictions()), (50, 0));
+        assert_eq!(eng.get(&mut t, b"k7").unwrap(), [7u8; 100]);
+        assert_eq!(eng.version_of(&mut t, b"k7"), Some(1));
+        assert_eq!(eng.get(&mut t, b"huge"), None);
+        t.exit();
+
+        // Segment: a spill the pool cannot hold used to evict its own
+        // earlier parts, and everything else on the way.
+        let (mut eng, mut t) = segment_engine(1 << 20);
+        for i in 0..50u32 {
+            assert!(eng.set(&mut t, format!("k{i}").as_bytes(), &[i as u8; 100], 0, 1));
+        }
+        let huge = vec![7u8; 2 << 20];
+        assert!(!eng.set(&mut t, b"huge", &huge, 0, 2));
+        assert!(!eng.set(&mut t, b"k7", &huge, 0, 2));
+        let long_key = vec![b'x'; 128 << 10];
+        assert!(
+            !eng.set(&mut t, &long_key, b"v", 0, 2),
+            "key too long to spill"
+        );
+        assert_eq!((eng.len(), eng.evictions()), (50, 0));
+        assert_eq!(eng.get(&mut t, b"k7").unwrap(), [7u8; 100]);
+        assert_eq!(eng.get(&mut t, b"huge"), None);
         t.exit();
     }
 }

@@ -13,8 +13,9 @@
 //!   `memcpy`/`memset`/`memcmp`, the in-enclave fault path, pluggable
 //!   eviction policies ([`suvm::policy`]) and backing stores
 //!   ([`suvm::store`]) with clean-page write-back elision, optional
-//!   batched asynchronous write-back, and direct sub-page access to
-//!   the backing store (§3.2.4);
+//!   batched asynchronous write-back, direct sub-page access to the
+//!   backing store (§3.2.4), and the pinned record cursor
+//!   ([`SpanCursor`]) that translates once per page;
 //! - [`spointer::SPtr`] — secure active pointers with software address
 //!   translation cached per page (§3.2.2);
 //! - [`swapper::Swapper`] — the periodic free-pool/ballooning thread
@@ -59,5 +60,6 @@ pub use containers::{SBox, SHashMap, SVec};
 pub use runtime::{Eleos, EleosBuilder};
 pub use snapshot::{Snapshot, SnapshotBuilder};
 pub use spointer::{Plain, SPtr};
+pub use suvm::span::SpanCursor;
 pub use suvm::{Suvm, Sva};
 pub use swapper::Swapper;

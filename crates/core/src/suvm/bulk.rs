@@ -7,20 +7,10 @@ impl Suvm {
     // ------------------------------------------------------------------
 
     /// Reads `buf.len()` bytes starting at `sva` (unlinked access: one
-    /// page-table lookup per page touched).
+    /// page-table lookup per page touched) — a one-shot
+    /// [`SpanCursor`](super::span::SpanCursor).
     pub fn read(&self, ctx: &mut ThreadCtx, sva: Sva, buf: &mut [u8]) {
-        let ps = self.cfg.page_size;
-        let mut off = 0usize;
-        while off < buf.len() {
-            let addr = sva + off as u64;
-            let page = self.page_of(addr);
-            let in_page = (addr % ps as u64) as usize;
-            let n = (ps - in_page).min(buf.len() - off);
-            let (frame, _) = self.fault_in_and_pin(ctx, page);
-            ctx.read_enclave(self.epcpp_vaddr(frame, in_page), &mut buf[off..off + n]);
-            self.unpin(frame);
-            off += n;
-        }
+        self.span(sva, false).read(ctx, buf);
     }
 
     /// Writes `data` starting at `sva`, marking the touched pages dirty.

@@ -14,79 +14,7 @@ impl Suvm {
     /// ([`SuvmConfig::seal_sub_pages`]); whole-page-sealed data falls
     /// back to unsealing the full page.
     pub fn read_direct(&self, ctx: &mut ThreadCtx, sva: Sva, buf: &mut [u8]) {
-        assert!(ctx.in_enclave(), "SUVM runs inside the enclave");
-        let ps = self.cfg.page_size;
-        let sp = self.cfg.sub_page_size;
-        let costs_crypto_fixed = self.machine.cfg.costs.crypto_fixed;
-        let cpb = self.machine.cfg.costs.crypto_cpb;
-        let mut off = 0usize;
-        while off < buf.len() {
-            let addr = sva + off as u64;
-            let page = self.page_of(addr);
-            let in_page = (addr % ps as u64) as usize;
-            let n = (ps - in_page).min(buf.len() - off);
-            ctx.compute(self.machine.cfg.costs.suvm_lookup);
-            // Consistency: a resident page may be newer than its sealed
-            // copy — serve it from the cache.
-            if let Some(frame) = self.try_pin(page) {
-                ctx.read_enclave(self.epcpp_vaddr(frame, in_page), &mut buf[off..off + n]);
-                self.unpin(frame);
-                off += n;
-                continue;
-            }
-            Stats::bump(&self.machine.stats.suvm_direct_accesses);
-            'retry: loop {
-                let (version, state) = self.seals().read(page);
-                match state {
-                    SealState::Fresh => buf[off..off + n].fill(0),
-                    SealState::SubPages { meta } => {
-                        let first_sub = in_page / sp;
-                        let last_sub = (in_page + n - 1) / sp;
-                        let mut scratch = vec![0u8; sp];
-                        for s in first_sub..=last_sub {
-                            ctx.read_untrusted(self.bs_addr(page, s * sp), &mut scratch);
-                            let (nonce, tag) = &meta[s];
-                            if self
-                                .sealer
-                                .open(nonce, &Self::aad(page, s as u32), &mut scratch, tag)
-                                .is_err()
-                            {
-                                if !self.seals().check(page, version) {
-                                    continue 'retry; // torn by a concurrent re-seal
-                                }
-                                panic!("SUVM sub-page failed authentication");
-                            }
-                            ctx.compute(costs_crypto_fixed + (cpb * sp as f64) as u64);
-                            let lo = in_page.max(s * sp);
-                            let hi = (in_page + n).min((s + 1) * sp);
-                            buf[off + (lo - in_page)..off + (hi - in_page)]
-                                .copy_from_slice(&scratch[lo - s * sp..hi - s * sp]);
-                        }
-                    }
-                    SealState::Page { nonce, tag } => {
-                        // Fallback: whole-page unseal into a scratch
-                        // buffer (costs a full page of crypto — the
-                        // point of sealing sub-pages is to avoid this).
-                        let mut scratch = vec![0u8; ps];
-                        ctx.read_untrusted(self.bs_addr(page, 0), &mut scratch);
-                        if self
-                            .sealer
-                            .open(&nonce, &Self::aad(page, u32::MAX), &mut scratch, &tag)
-                            .is_err()
-                        {
-                            if !self.seals().check(page, version) {
-                                continue 'retry;
-                            }
-                            panic!("SUVM page failed authentication");
-                        }
-                        ctx.compute(self.machine.cfg.costs.crypto(ps));
-                        buf[off..off + n].copy_from_slice(&scratch[in_page..in_page + n]);
-                    }
-                }
-                break;
-            }
-            off += n;
-        }
+        self.span(sva, true).read(ctx, buf);
     }
 
     /// Writes directly to the backing store at sub-page granularity

@@ -390,6 +390,7 @@ mod bulk;
 mod direct;
 mod fault;
 pub mod policy;
+pub mod span;
 pub mod store;
 mod writeback;
 

@@ -677,3 +677,117 @@ fn striped_store_rejects_blocks_larger_than_a_stripe() {
     }
     t.exit();
 }
+
+/// Page-table lookups so far: every `fault_in_and_pin`/direct lookup
+/// ends in exactly one hit or one major fault.
+fn lookups(m: &SgxMachine) -> u64 {
+    let s = m.stats.snapshot();
+    s.suvm_major_faults + s.suvm_hits_protected + s.suvm_hits_probation
+}
+
+fn pins(s: &Suvm) -> u32 {
+    s.frames
+        .iter()
+        .map(|f| f.pinned.load(Ordering::Acquire))
+        .sum()
+}
+
+#[test]
+fn span_cursor_translates_once_per_page() {
+    let (m, s, mut t) = setup(SuvmConfig::tiny());
+    let a = s.malloc(4 * 4096);
+    let data: Vec<u8> = (0..4 * 4096u32).map(|i| (i % 233) as u8).collect();
+    s.write(&mut t, a, &data);
+    while s.evict_one(&mut t) {}
+
+    // Header and tail on one page: one lookup (the fault); the tail
+    // goes through the same pin.
+    let before = lookups(&m);
+    let mut head = [0u8; 8];
+    let mut tail = vec![0u8; 1000];
+    {
+        let mut span = s.span(a + 100, false);
+        span.read(&mut t, &mut head);
+        assert_eq!(pins(&s), 1, "the cursor holds its page pinned");
+        span.read(&mut t, &mut tail);
+    }
+    assert_eq!(lookups(&m) - before, 1, "same-page tail = one lookup");
+    assert_eq!(&head[..], &data[100..108]);
+    assert_eq!(tail, &data[108..1108]);
+    assert_eq!(pins(&s), 0, "dropping the cursor unpins");
+
+    // A record straddling a page boundary: two lookups, the first
+    // page's pin released when the cursor moves on.
+    let before = lookups(&m);
+    let mut tail = vec![0u8; 600];
+    {
+        let mut span = s.span(a + 2 * 4096 - 300, false);
+        span.read(&mut t, &mut head);
+        span.read(&mut t, &mut tail);
+        assert_eq!(pins(&s), 1, "only the current page stays pinned");
+    }
+    assert_eq!(lookups(&m) - before, 2, "straddling record = two lookups");
+    let at = 2 * 4096 - 300;
+    assert_eq!(&head[..], &data[at..at + 8]);
+    assert_eq!(tail, &data[at + 8..at + 608]);
+    assert_eq!(pins(&s), 0);
+
+    // Reads never dirty a page: everything touched evicts clean.
+    assert!(s.frames.iter().all(|f| !f.dirty.load(Ordering::Acquire)));
+    let skips = m.stats.snapshot().suvm_clean_skips;
+    while s.evict_one(&mut t) {}
+    assert_eq!(m.stats.snapshot().suvm_clean_skips - skips, 3);
+    s.check_consistency();
+    t.exit();
+}
+
+#[test]
+fn direct_span_cursor_unseals_each_sub_page_once() {
+    let cfg = SuvmConfig {
+        seal_sub_pages: true,
+        ..SuvmConfig::tiny()
+    };
+    let (m, s, mut t) = setup(cfg);
+    let a = s.malloc(4 * 4096);
+    let data: Vec<u8> = (0..4 * 4096u32).map(|i| (i % 229) as u8).collect();
+    s.write(&mut t, a, &data);
+    while s.evict_one(&mut t) {}
+    let costs = &m.cfg.costs;
+    let unseal = costs.crypto_fixed + (costs.crypto_cpb * 1024.0) as u64;
+
+    // An 8-byte header and a 1 000-byte tail from offset 100: the
+    // record covers sub-pages 0 and 1, so exactly two unseals — the
+    // header's sub-page is not opened again for the tail.
+    let direct0 = m.stats.snapshot().suvm_direct_accesses;
+    let mut head = [0u8; 8];
+    let mut tail = vec![0u8; 1000];
+    let mut span = s.span(a + 100, true);
+    let c0 = t.now();
+    span.read(&mut t, &mut head);
+    let c1 = t.now();
+    span.read(&mut t, &mut tail);
+    let c2 = t.now();
+    drop(span);
+    assert_eq!(&head[..], &data[100..108]);
+    assert_eq!(tail, &data[108..1108]);
+    assert!(c1 - c0 >= costs.suvm_lookup + unseal);
+    assert!(
+        c2 - c1 >= unseal && c2 - c1 < 2 * unseal,
+        "the tail unseals only the sub-page the header did not: {} cycles",
+        c2 - c1
+    );
+    assert_eq!(m.stats.snapshot().suvm_direct_accesses - direct0, 1);
+    assert_eq!(s.resident_pages(), 0, "direct cursors never fill EPC++");
+
+    // A resident page is served (and pinned) from the cache instead.
+    s.write(&mut t, a + 4096, b"fresh");
+    let mut buf = [0u8; 5];
+    {
+        let mut span = s.span(a + 4096, true);
+        span.read(&mut t, &mut buf);
+        assert_eq!(pins(&s), 1);
+    }
+    assert_eq!(&buf, b"fresh");
+    assert_eq!(pins(&s), 0);
+    t.exit();
+}

@@ -550,6 +550,8 @@ stats! {
     auth_failures,
     /// Host-written receive results the enclave refused to act on: a `recv_mmsg` count above the requested depth, or a descriptor length above its stripe.
     desc_rejects,
+    /// Decrypted request bodies a server refused to act on: truncated header, unknown opcode, or lengths past the body.
+    malformed_requests,
     /// Whole slabs the rebalancer reassigned from a cold class to a starved one.
     slab_moves,
     /// Live items relocated out of departing slabs during rebalancing moves.
@@ -663,6 +665,7 @@ impl StatsSnapshot {
         put("revocations", self.revocations);
         put("auth_failures", self.auth_failures);
         put("desc_rejects", self.desc_rejects);
+        put("malformed", self.malformed_requests);
         put("slab_moves", self.slab_moves);
         put("slab_relocated", self.slab_items_relocated);
         put("seg_merges", self.seg_merges);

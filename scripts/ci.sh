@@ -13,6 +13,24 @@ cargo test --workspace --offline -q
 echo "== e2e bench unit tests + smoke run (API surface, metric names)"
 cargo test --offline --manifest-path bench/Cargo.toml -q
 
+echo "== e2e kvs-paging guard (a GET faults its own record's pages, nobody else's)"
+# Exit 0 means the traced run's conservation checks held. The Fig 11
+# record spans 1.12 pages; the 1.32 faults/op this guards against was
+# every chain walk also reading a stranger's key out of SUVM.
+cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
+    --workload kvs-paging --seed 1 --seconds 2 --trace 1 | tail -n 1 > target/e2e_guard.json
+python3 - <<'EOF'
+import json, sys
+
+run = json.load(open("target/e2e_guard.json"))
+faults = run["metrics"]["core.major_faults"]["value"]
+if run["failed"] != 0:
+    sys.exit(f"kvs-paging: {run['failed']} of {run['attempted']} ops failed")
+if faults > 1.2:
+    sys.exit(f"kvs-paging: {faults:.3f} SUVM major faults/op, want <= 1.2")
+print(f"   {run['attempted']} ops, 0 failed, {faults:.3f} major faults/op")
+EOF
+
 echo "== paging_bench smoke"
 cargo run --release -p eleos-bench --bin repro --offline -- paging_bench --quick --scale 16
 for label in clock fifo random lru slru buddy striped; do

@@ -385,3 +385,170 @@ fn untrusted_thread_cannot_touch_enclave_memory() {
         "untrusted read of enclave memory succeeded"
     );
 }
+
+// ---------------------------------------------------------------------
+// Request bodies come from clients: attested, not trusted
+// ---------------------------------------------------------------------
+
+/// A decrypted request body that does not parse — truncated header,
+/// lengths that run past the body, an opcode the protocol lacks — is
+/// answered `[0xFF]` and counted; the enclave neither panics nor stops
+/// serving the requests queued behind it.
+#[test]
+fn malformed_request_bodies_are_answered_not_fatal() {
+    use eleos::apps::io::{IoPath, ServerIoConfig};
+    use eleos::apps::kvs::{build_get, build_set, build_set_ttl, Kvs, MALFORMED_REPLY};
+    use eleos::apps::space::DataSpace;
+    use eleos::apps::wire::Session;
+
+    let m = small_machine();
+    let e = m.driver.create_enclave(&m, 1 << 20);
+    let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+    t.enter();
+    let space = DataSpace::Untrusted(Arc::clone(&m));
+    let mut kvs = Kvs::new(space.clone(), space, 4 << 20, 64);
+    kvs.init(&mut t);
+    let session = Arc::new(Session::established([9u8; 16]));
+    let fd = m.host.socket(&t, 64 << 10);
+    let io = ServerIoConfig::with_buf_len(32 << 10).batch(4).build(
+        &t,
+        &[fd],
+        IoPath::Ocall,
+        Arc::clone(&session),
+    );
+
+    let mut klen_past_body = build_get(b"alpha");
+    klen_past_body[1..3].copy_from_slice(&500u16.to_le_bytes());
+    let mut vlen_past_body = build_set(b"alpha", b"beta");
+    vlen_past_body[3..7].copy_from_slice(&u32::MAX.to_le_bytes());
+    let mut unknown_opcode = build_set(b"alpha", b"beta");
+    unknown_opcode[0] = 9;
+    let ttl_cut_short = build_set_ttl(b"", b"", 5)[..9].to_vec();
+    let malformed = [
+        vec![1u8],
+        vec![0u8, 5, 0, 0],
+        klen_past_body,
+        vlen_past_body,
+        unknown_opcode,
+        ttl_cut_short,
+    ];
+    for body in &malformed {
+        m.host.push_request(&t, fd, &session.encrypt(body));
+    }
+    m.host
+        .push_request(&t, fd, &session.encrypt(&build_set(b"alpha", b"beta")));
+    m.host
+        .push_request(&t, fd, &session.encrypt(&build_get(b"alpha")));
+    let mut served = 0;
+    loop {
+        let n = kvs.handle_batch(&mut t, &io);
+        if n == 0 {
+            break;
+        }
+        served += n;
+    }
+    assert_eq!(served, malformed.len() + 2);
+
+    for _ in &malformed {
+        let reply = session.decrypt(&m.host.pop_response(fd).unwrap());
+        assert_eq!(reply, [MALFORMED_REPLY]);
+    }
+    assert_eq!(session.decrypt(&m.host.pop_response(fd).unwrap()), [1u8]);
+    let hit = session.decrypt(&m.host.pop_response(fd).unwrap());
+    assert_eq!((hit[0], &hit[5..]), (1, &b"beta"[..]));
+    let stats = m.stats.snapshot();
+    assert_eq!(stats.malformed_requests, malformed.len() as u64);
+    assert_eq!(kvs.len(), 1, "no malformed request stored anything");
+    t.exit();
+}
+
+// ---------------------------------------------------------------------
+// Clear KVS metadata: what the host can read about the keys
+// ---------------------------------------------------------------------
+
+/// Every 4-byte-aligned nonzero word of untrusted memory.
+fn untrusted_words(m: &SgxMachine) -> std::collections::HashSet<u32> {
+    let mut words = std::collections::HashSet::new();
+    let mut buf = vec![0u8; 64 << 10];
+    for addr in (0..m.untrusted.size()).step_by(buf.len()) {
+        m.untrusted.read(addr as u64, &mut buf);
+        words.extend(
+            buf.chunks_exact(4)
+                .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+                .filter(|&w| w != 0),
+        );
+    }
+    words
+}
+
+/// The Eleos KVS keeps its hash chains in host-visible memory, and each
+/// chain node carries 32 bits of a hash of its item's key. Were that
+/// hash unkeyed, the host could test guesses offline: hash a candidate
+/// key, look for the word. It must be a PRF under a secret the host
+/// never sees, so no publicly computable hash of a stored key — nor the
+/// key itself — may appear anywhere in untrusted memory.
+#[test]
+fn clear_kvs_metadata_holds_no_unkeyed_hash_of_a_key() {
+    use eleos::apps::index::siphash24;
+    use eleos::apps::kvs::Kvs;
+    use eleos::apps::param_server::hash64;
+    use eleos::apps::space::DataSpace;
+
+    let m = small_machine();
+    let e = m.driver.create_enclave(&m, 4 << 20);
+    let t0 = ThreadCtx::for_enclave(&m, &e, 0);
+    let suvm = Suvm::new(
+        &t0,
+        SuvmConfig {
+            backing_bytes: 2 << 20,
+            ..SuvmConfig::tiny()
+        },
+    );
+    let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+    t.enter();
+    let mut kvs = Kvs::new(
+        DataSpace::Untrusted(Arc::clone(&m)),
+        DataSpace::suvm(&suvm),
+        1 << 20,
+        64,
+    );
+    kvs.init(&mut t);
+    // A recognizable write stamp proves the scan sees the nodes.
+    const STAMP: u32 = 0xC0FF_EE11;
+    kvs.set_write_version(u64::from(STAMP));
+    let keys: Vec<Vec<u8>> = (0..48u32)
+        .map(|i| format!("account:{i:04}:balance").into_bytes())
+        .collect();
+    for key in &keys {
+        assert!(kvs.set(&mut t, key, SECRET));
+    }
+    // Seal everything out, so the backing store is populated too.
+    while suvm.evict_one(&mut t) {}
+
+    let words = untrusted_words(&m);
+    assert!(
+        words.contains(&STAMP),
+        "the scan must cover the index nodes"
+    );
+    for key in &keys {
+        let fnv = key.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+        });
+        // The seed store's bucket hash, its FNV-1a core, and SipHash
+        // under the all-zero key.
+        for public in [fnv, hash64(fnv), siphash24((0, 0), key)] {
+            for half in [public as u32, (public >> 32) as u32] {
+                assert!(
+                    !words.contains(&half),
+                    "an unkeyed hash of {:?} is host-visible",
+                    String::from_utf8_lossy(key)
+                );
+            }
+        }
+    }
+    assert!(
+        !untrusted_contains(&m, b"account:"),
+        "key bytes in the clear"
+    );
+    t.exit();
+}
