@@ -15,10 +15,12 @@
 //! work per request — is preserved exactly.
 
 use eleos_enclave::thread::ThreadCtx;
+use eleos_sim::stats::Stats;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::io::ServerIo;
+use crate::kvs::MALFORMED_REPLY;
 use crate::space::DataSpace;
 
 /// Image side (the paper resizes FERET images to 512×512).
@@ -318,7 +320,8 @@ impl FaceServer {
     /// is drained.
     ///
     /// Request plaintext: `[id u64][side u32][pixels]`. Response:
-    /// `[1]` accepted / `[0]` rejected / `[2]` unknown id.
+    /// `[1]` accepted / `[0]` rejected / `[2]` unknown id /
+    /// [`MALFORMED_REPLY`] for a body that does not parse.
     pub fn handle_request(&mut self, ctx: &mut ThreadCtx, io: &ServerIo) -> bool {
         let Some(plain) = io.recv_msg(ctx) else {
             return false;
@@ -345,10 +348,22 @@ impl FaceServer {
     }
 
     /// Verifies one decrypted request, returning the response byte.
+    /// The body comes from a client, attested but not trusted: one that
+    /// is not exactly `[id u64][side u32]` plus a `side`×`side` image
+    /// at the database's resolution is answered [`MALFORMED_REPLY`]
+    /// and counted in `malformed_requests`, and the server keeps
+    /// serving.
     fn process(&mut self, ctx: &mut ThreadCtx, plain: &[u8]) -> u8 {
-        let id = u64::from_le_bytes(plain[..8].try_into().expect("short request"));
-        let side = u32::from_le_bytes(plain[8..12].try_into().expect("short request")) as usize;
-        let image = &plain[12..12 + side * side];
+        let side = self.db.side;
+        let request = plain.split_first_chunk::<8>().and_then(|(id, rest)| {
+            let (claimed, image) = rest.split_first_chunk::<4>()?;
+            (u32::from_le_bytes(*claimed) as usize == side && image.len() == side * side)
+                .then(|| (u64::from_le_bytes(*id), image))
+        });
+        let Some((id, image)) = request else {
+            Stats::bump(&ctx.machine.stats.malformed_requests);
+            return MALFORMED_REPLY;
+        };
         match self.verify(ctx, id, image) {
             Some((_, true)) => 1u8,
             Some((_, false)) => 0u8,

@@ -12,43 +12,73 @@
 //! per-shard property exactly as before, just with shards partitioned
 //! across enclaves instead of merged into one.
 //!
-//! # Failover (kill at a fence)
+//! # One state-transfer protocol
+//!
+//! Replica state leaves a store one way and enters one one way, for
+//! delta rounds, failover and rejoin alike:
+//!
+//! 1. the sender seals its writes stamped `>= base` as a portable
+//!    [`Snapshot`] under the fleet-shared [`Sealer`]
+//!    ([`Kvs::snapshot_since`]) at a fresh transfer epoch;
+//! 2. the frame goes onto the exit-less [`EnclaveChannel`] as one
+//!    chunked transfer per recipient (`MSG_DELTA_BEGIN` carrying the
+//!    epoch, then `MSG_DELTA_CHUNK`s) — ciphertext through untrusted
+//!    memory, no host round-trip;
+//! 3. each recipient reaps its copy, checks that both the clear
+//!    header and the authenticated epoch inside the frame are the one
+//!    step 1 just minted (the fence runs both halves, so it knows;
+//!    anything else is a replay), and merges it ([`Kvs::try_restore`]).
+//!
+//! Everything read in step 3 sat in untrusted memory and is parsed
+//! fallibly: a copy that fails framing, the epoch check or
+//! authentication is refused whole, counted in `frame_rejects`, and
+//! changes nothing on the receiver.
+//!
+//! # Two places it can run
+//!
+//! The byte-work is charged to whichever [`ThreadCtx`] it is handed,
+//! and that is the *only* thing the maintenance plane changes:
+//!
+//! - without [`FleetConfig::maintenance`] it runs on the replicas' own
+//!   serving threads, inside the fence, and every cycle is a
+//!   serving-path stall (`maint_stall_cycles`). Nothing streams
+//!   between fences, so a failover carries the whole store
+//!   (`base = 0`), to the heir alone;
+//! - with it, the same functions run on threads entered on the
+//!   maintenance core (the SUVM swapper worker's shape), driven by
+//!   [`FleetKvs::maintenance_tick`] — which also runs what only exists
+//!   off the serving path: a **failure detector** over per-replica
+//!   heartbeats that calls kill/respawn itself, the engines'
+//!   byte-work ([`Kvs::maintenance_tick`], which serving-path fences
+//!   then skip), and **delta rounds** streaming each replica's recent
+//!   writes to every peer, so a failover shrinks to a *final delta*
+//!   broadcast to all survivors.
+//!
+//! Replies are byte-identical either way, and the same bytes cross the
+//! channel when the same state moves (`tests/fleet_equivalence.rs`).
+//!
+//! # Failover and rejoin
 //!
 //! Replica death is modeled at sub-batch fences — the only points
 //! where the pipeline holds no half-served requests. [`FleetKvs::kill`]
-//! runs the fence protocol:
-//!
-//! 1. the victim flushes pending sends and (when SUVM-backed)
-//!    [`quiesces`](Suvm::quiesce) its secure memory — every reply it
-//!    ever reaped is on the wire, every dirty page sealed home;
-//! 2. it seals a portable [`Snapshot`] of its store under the
-//!    fleet-shared [`Sealer`] and stages it (preceded by its key
-//!    epoch) on the exit-less [`EnclaveChannel`] — ciphertext through
-//!    untrusted memory, no host round-trip;
-//! 3. the enclave dies: the driver reclaims its EPC frames and sealed
-//!    swap;
-//! 4. the heir receives and restores the snapshot **before** its next
-//!    reap, then the router reassigns the victim's shards to it.
-//!
-//! Nothing is lost because host-side socket queues outlive the
-//! enclave: requests the victim never reaped are still queued, and
-//! the heir reaps them — in arrival order — once it owns the shards.
-//! Replies stay byte-identical to an unkilled run because the restore
-//! merges the victim's items before the heir serves the victim's
-//! connections.
-//!
-//! # Rejoin
+//! has the victim flush pending sends and (when SUVM-backed)
+//! [`quiesce`](Suvm::quiesce) its secure memory, transfers its state,
+//! and only once **every** recipient has merged it lets the enclave
+//! die (the driver reclaims its EPC and sealed swap) and reassigns its
+//! shards to the heir; a refused transfer stops short of that, the
+//! victim keeps serving, and the caller is told. Nothing is lost
+//! because host-side socket queues outlive the enclave: requests the
+//! victim never reaped are still queued, and the heir — which merged
+//! the victim's items first — reaps them in arrival order.
 //!
 //! [`FleetKvs::respawn`] brings a dead slot back as a **fresh**
 //! enclave (new sealing identity — which is why snapshots are sealed
-//! under the shared fleet key, not per-enclave identities). The
-//! current owner of the slot's original shards donates a snapshot
-//! over the channel; the cold replica restores it, is marked serving,
-//! and takes its original (round-robin) shard slice back at the
-//! fence. Donating from the owner — not an arbitrary survivor — is
-//! what makes arbitrary kill/respawn schedules safe: the owner's
-//! store is the one that has been serving those connections, so it
-//! supersets everything the rejoining replica must know.
+//! under the shared fleet key). The current owner of the slot's
+//! original shards donates its whole store; the cold replica merges
+//! it, is marked serving, and takes its shard slice back; a refused
+//! donation tears the half-provisioned enclave down again. The owner —
+//! not an arbitrary survivor — donates because its store is the one
+//! that has been serving those connections.
 //!
 //! # Versioned merges
 //!
@@ -57,47 +87,21 @@
 //! killed, its snapshot holds *stale* values for those keys. Every
 //! restore therefore merges last-writer-wins on a per-item write stamp
 //! ([`Kvs::set_write_version`]): stores advance to stamp `epoch + 1`
-//! after every fence, a fence-`epoch` snapshot carries stamps at most
-//! `epoch`, and a re-imported stale copy can never clobber the value a
+//! after every transfer, an epoch-`e` snapshot carries stamps at most
+//! `e`, and a re-imported stale copy can never clobber the value a
 //! fresher interval wrote (the kill A → respawn A → kill B schedule
 //! exercises exactly this).
-//!
-//! # Background maintenance plane
-//!
-//! The protocols above are fence-*synchronous*: a kill fence carries a
-//! whole-store snapshot plus a whole-store restore on serving cores,
-//! and engine maintenance (slab relocations, segment expiry/merges)
-//! runs inside serving-path fences. With
-//! [`FleetConfig::with_maintenance`] all of that byte-work moves onto
-//! a dedicated maintenance core (the same shape as the SUVM swapper's
-//! worker), driven by [`FleetKvs::maintenance_tick`]:
-//!
-//! - **incremental delta snapshots** stream each replica's writes
-//!   since its last round to every serving peer in bounded chunks
-//!   ([`EnclaveChannel::send_chunked`], `MSG_DELTA_BEGIN`/
-//!   `MSG_DELTA_CHUNK`), so a later kill fence shrinks to a *final
-//!   delta* plus the shard reassignment and epoch flip;
-//! - **engine byte-work** runs via [`Kvs::maintenance_tick`] against
-//!   quiesced slabs; serving-core fences only publish counters
-//!   (`maint_stall_cycles` stays ≈ 0 on serving cores);
-//! - a **failure detector** compares per-replica heartbeats (bumped
-//!   by every [`FleetKvs::pump_replica`]) across ticks and drives
-//!   kill/respawn itself instead of the load loop.
-//!
-//! Delta epochs are checked monotone per *receiver* (a broadcast
-//! delivers one epoch to many stores); reply transparency versus the
-//! synchronous protocol is pinned by `tests/fleet_equivalence.rs`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use eleos_core::{Snapshot, Suvm, SuvmConfig};
+use eleos_core::{Snapshot, SnapshotError, Suvm, SuvmConfig};
 use eleos_crypto::Sealer;
 use eleos_enclave::fleet::{Fleet, ReplicaState};
 use eleos_enclave::host::Fd;
 use eleos_enclave::machine::SgxMachine;
 use eleos_enclave::thread::ThreadCtx;
-use eleos_rpc::EnclaveChannel;
+use eleos_rpc::channel::{EnclaveChannel, FrameError};
 use eleos_sim::stats::Stats;
 
 use crate::io::{IoPath, ServerIo, ServerIoConfig};
@@ -107,27 +111,21 @@ use crate::space::DataSpace;
 use crate::storage::EngineConfig;
 use crate::wire::Session;
 
-/// Channel message kind: a snapshot-epoch announcement (8 LE bytes),
-/// sent ahead of the snapshot it covers.
-pub const MSG_EPOCH: u8 = 1;
-/// Channel message kind: a serialized sealed [`Snapshot`].
-pub const MSG_SNAPSHOT: u8 = 2;
 /// Channel message kind: a wire-session key-epoch announcement (4 LE
 /// bytes) — the rekey initiator tells every peer which epoch now
 /// seals replies, so a fleet never serves half its shards under a key
 /// the router's client side has already retired.
 pub const MSG_REKEY: u8 = 3;
-/// Channel message kind: the BEGIN frame of a chunked delta snapshot
+/// Channel message kind: the BEGIN frame of a chunked state transfer
 /// ([`EnclaveChannel::send_chunked`] framing; the header carries the
-/// 8-byte delta epoch).
+/// 8-byte transfer epoch).
 pub const MSG_DELTA_BEGIN: u8 = 4;
-/// Channel message kind: one bounded chunk of a delta snapshot.
+/// Channel message kind: one bounded chunk of a state transfer.
 pub const MSG_DELTA_CHUNK: u8 = 5;
 
 /// Tunables for the background maintenance plane (see the module
-/// docs). Enabling it ([`FleetConfig::with_maintenance`]) switches
-/// every replica's storage engine to background mode and moves
-/// snapshot streaming, engine byte-work, and failure handling onto
+/// docs). Enabling it ([`FleetConfig::with_maintenance`]) moves state
+/// transfers, engine byte-work and failure handling onto
 /// [`FleetKvs::maintenance_tick`], driven from `core`.
 #[derive(Clone)]
 pub struct MaintenanceConfig {
@@ -138,8 +136,9 @@ pub struct MaintenanceConfig {
     /// Consecutive heartbeat-less ticks before the failure detector
     /// declares a serving replica dead and fails it over.
     pub hb_miss_threshold: u64,
-    /// Chunk size for streamed delta snapshots: bounds how much of
-    /// the cross-enclave ring one delta occupies at a time.
+    /// Chunk size for state transfers: bounds how much of the
+    /// cross-enclave ring one descriptor covers. A fleet without the
+    /// plane chunks at the default.
     pub chunk_bytes: usize,
 }
 
@@ -154,8 +153,8 @@ impl Default for MaintenanceConfig {
 }
 
 /// Mutable maintenance-plane state, all behind one lock: the failure
-/// detector's bookkeeping, per-sender delta bases, per-receiver delta
-/// epochs, and the rejoin queue.
+/// detector's bookkeeping, per-sender delta bases, and the rejoin
+/// queue.
 struct MaintState {
     /// Heartbeat value last observed per replica.
     last_hb: Vec<u64>,
@@ -164,10 +163,6 @@ struct MaintState {
     /// Per-sender write-stamp floor for the next delta: everything
     /// below it has already been streamed to every serving peer.
     delta_base: Vec<u64>,
-    /// Per-receiver highest delta epoch applied (monotonicity check —
-    /// deliberately per-receiver, a broadcast delivers one epoch to
-    /// many receivers).
-    last_delta_epoch: Vec<u64>,
     /// Dead slots queued for background respawn.
     rejoin: Vec<usize>,
     /// Maintenance-core cycles spent on detector-driven failovers.
@@ -194,12 +189,15 @@ impl MaintPlane {
                 last_hb: vec![0; replicas],
                 misses: vec![0; replicas],
                 delta_base: vec![0; replicas],
-                last_delta_epoch: vec![0; replicas],
                 rejoin: Vec::new(),
                 auto_failover_cycles: 0,
                 auto_recovery_cycles: 0,
             }),
         }
+    }
+
+    fn state(&self) -> std::sync::MutexGuard<'_, MaintState> {
+        self.state.lock().expect("maintenance state poisoned")
     }
 }
 
@@ -210,8 +208,11 @@ pub struct FleetConfig {
     pub replicas: usize,
     /// Linear EPC bytes per replica enclave.
     pub linear_bytes: usize,
-    /// Cross-enclave channel ring capacity (must hold the largest
-    /// snapshot plus its epoch message).
+    /// Cross-enclave channel ring capacity. Every copy of a transfer
+    /// is staged before the first is reaped, so it must hold one framed
+    /// snapshot (plus a 24-byte descriptor) per recipient: the whole
+    /// store once for a rejoin or a plane-less failover, a delta per
+    /// serving peer with the plane.
     pub channel_cap: usize,
     /// Per-replica KVS value-pool limit.
     pub mem_limit: u64,
@@ -233,10 +234,11 @@ pub struct FleetConfig {
     /// is engine-neutral, so a fleet could even mix engines across
     /// replicas — this knob keeps them uniform).
     pub engine: EngineConfig,
-    /// When set, the fleet runs the background maintenance plane:
-    /// engines switch to background mode, delta snapshots stream
-    /// between fences, and kill/respawn run off the serving path (see
-    /// the module docs). `None` keeps the fence-synchronous protocol.
+    /// The core that pays for replica-state byte-work. When set, state
+    /// transfers and engine maintenance run on the maintenance plane's
+    /// core and delta snapshots stream between fences; `None` runs the
+    /// same code on the serving cores, inside the fences (see the
+    /// module docs).
     pub maintenance: Option<MaintenanceConfig>,
 }
 
@@ -279,6 +281,24 @@ impl FleetConfig {
     }
 }
 
+/// A recipient refused a state transfer (see the module docs): the
+/// bytes that came off the channel failed framing, the epoch check or
+/// authentication. The recipient's store is as it was.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TransferRejected(pub &'static str);
+
+impl From<FrameError> for TransferRejected {
+    fn from(e: FrameError) -> Self {
+        Self(e.0)
+    }
+}
+
+impl From<SnapshotError> for TransferRejected {
+    fn from(e: SnapshotError) -> Self {
+        Self(e.0)
+    }
+}
+
 /// What one failover cost.
 #[derive(Debug, Clone, Copy)]
 pub struct FailoverReport {
@@ -286,10 +306,11 @@ pub struct FailoverReport {
     pub heir: usize,
     /// Shards reassigned at the fence.
     pub shards_moved: usize,
-    /// Serialized snapshot size carried over the channel.
+    /// Serialized snapshot size carried over the channel (per copy).
     pub snapshot_bytes: usize,
-    /// Serving-core cycles from fence entry to the heir owning the
-    /// shards with the restore complete.
+    /// Cycles the transfer's byte-work cost, from the victim's fence
+    /// seal to the last recipient's merge — on the maintenance core
+    /// with the plane, on the serving cores without.
     pub cycles: u64,
 }
 
@@ -302,7 +323,9 @@ pub struct RejoinReport {
     pub shards_taken: usize,
     /// Serialized snapshot size carried over the channel.
     pub snapshot_bytes: usize,
-    /// Serving-core cycles from fence entry to the replica serving.
+    /// Cycles from the donor's fence seal to the replica serving: the
+    /// transfer's byte-work (maintenance core with the plane, serving
+    /// cores without) plus wiring the fresh replica on its own core.
     pub cycles: u64,
 }
 
@@ -329,11 +352,9 @@ pub struct FleetKvs {
     fds: Vec<Fd>,
     /// One slot per replica index; `None` while Cold/Dead.
     slots: Vec<Mutex<Option<Replica>>>,
-    /// Snapshot epoch: bumped at every snapshot fence, announced
-    /// replica→replica over the channel ahead of the snapshot.
+    /// Transfer epoch: bumped by every state transfer and carried,
+    /// authenticated, inside the snapshot it stamps.
     epoch: AtomicU64,
-    /// Highest epoch any receiver has accepted (monotonicity check).
-    seen_epoch: AtomicU64,
     /// The background maintenance plane, when configured.
     maint: Option<MaintPlane>,
 }
@@ -382,7 +403,6 @@ impl FleetKvs {
             fds: fds.to_vec(),
             slots: Vec::new(),
             epoch: AtomicU64::new(0),
-            seen_epoch: AtomicU64::new(0),
             maint,
         };
         let mut slots = Vec::with_capacity(this.cfg.replicas);
@@ -402,6 +422,11 @@ impl FleetKvs {
     /// The core replica `r` serves on.
     fn core_of(&self, r: usize) -> usize {
         self.cfg.cores[r % self.cfg.cores.len()]
+    }
+
+    /// Replica `r`'s slot, locked.
+    fn slot(&self, r: usize) -> std::sync::MutexGuard<'_, Option<Replica>> {
+        self.slots[r].lock().expect("fleet slot poisoned")
     }
 
     /// Wires replica `r`'s runtime onto its (Restoring) enclave: an
@@ -427,9 +452,9 @@ impl FleetKvs {
             self.cfg.buckets,
             &self.cfg.engine,
         );
-        if self.maint.is_some() {
-            kvs.set_background(true);
-        }
+        // With a plane, it — not the replica's fences — runs the
+        // engine's maintenance tick.
+        kvs.set_background(self.maint.is_some());
         kvs.init(&mut ctx);
         let mut cfg = self.io_cfg.clone().replica(r);
         if cfg.balance.is_some() {
@@ -457,7 +482,7 @@ impl FleetKvs {
         &self.fleet
     }
 
-    /// The current snapshot epoch.
+    /// The current transfer epoch.
     #[must_use]
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Relaxed)
@@ -489,7 +514,7 @@ impl FleetKvs {
             .filter(|&r| r != initiator)
             .collect();
         let to = {
-            let mut slot = self.slots[initiator].lock().expect("fleet slot poisoned");
+            let mut slot = self.slot(initiator);
             let rep = slot.as_mut().expect("serving replica must be wired");
             self.session.finish_rekey();
             self.session.begin_rekey(&mut rep.ctx);
@@ -500,7 +525,7 @@ impl FleetKvs {
             to
         };
         for &r in &peers {
-            let mut slot = self.slots[r].lock().expect("fleet slot poisoned");
+            let mut slot = self.slot(r);
             let rep = slot.as_mut().expect("serving replica must be wired");
             let (kind, eb) = self
                 .chan
@@ -540,7 +565,7 @@ impl FleetKvs {
         if owned.is_empty() {
             return 0;
         }
-        let mut slot = self.slots[r].lock().expect("fleet slot poisoned");
+        let mut slot = self.slot(r);
         let rep = slot.as_mut().expect("serving replica must be wired");
         rep.kvs.handle_batch_on(&mut rep.ctx, &rep.io, &owned)
     }
@@ -549,182 +574,272 @@ impl FleetKvs {
     /// sends — the end-of-run fence.
     pub fn flush(&self) {
         for r in self.fleet.serving() {
-            let mut slot = self.slots[r].lock().expect("fleet slot poisoned");
-            if let Some(rep) = slot.as_mut() {
+            if let Some(rep) = self.slot(r).as_mut() {
                 rep.io.flush(&mut rep.ctx);
             }
         }
     }
 
-    /// Kills `victim` at a fence: snapshot out over the channel, EPC
-    /// reclaimed, shards drained to the heir (see the module docs for
-    /// the protocol and why no reply is lost). With the maintenance
-    /// plane configured, the byte-work (final delta + restores) runs
-    /// on the maintenance core instead of the serving cores.
+    /// Runs `work` — replica `r`'s share of replica-state byte-work —
+    /// on the core this fleet bills such work to, and returns its
+    /// result with the cycles it cost: a thread entered on the
+    /// maintenance core for the duration (the SUVM swapper worker's
+    /// shape) with the plane; without it `own`, the replica's serving
+    /// thread, where every cycle is a serving-path stall
+    /// (`maint_stall_cycles`). Which [`ThreadCtx`] the work gets is the
+    /// whole difference between the two modes.
+    fn on_work_core<T>(
+        &self,
+        r: usize,
+        own: &mut ThreadCtx,
+        work: impl FnOnce(&mut ThreadCtx) -> T,
+    ) -> (T, u64) {
+        let Some(mp) = &self.maint else {
+            let t0 = own.now();
+            let out = work(own);
+            let cycles = own.now() - t0;
+            Stats::add(&self.machine.stats.maint_stall_cycles, cycles);
+            return (out, cycles);
+        };
+        let clock = &self.machine.core(mp.cfg.core).clock;
+        let t0 = clock.now();
+        let mut ctx = ThreadCtx::for_enclave(&self.machine, &self.fleet.enclave(r), mp.cfg.core);
+        ctx.enter();
+        let out = work(&mut ctx);
+        ctx.exit();
+        (out, clock.now() - t0)
+    }
+
+    /// Sender half of every state transfer: seals replica `r`'s writes
+    /// stamped `>= base` at a fresh epoch and stages `copies` chunked
+    /// copies on the channel. `at_fence` first flushes `r`'s pending
+    /// sends and quiesces its SUVM — kill and respawn transfer at a
+    /// fence, delta rounds between them. Returns the epoch minted, the
+    /// framed size of one copy and the cycles spent.
+    fn send_state(&self, r: usize, base: u64, copies: usize, at_fence: bool) -> (u64, usize, u64) {
+        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
+        let enclave_id = self.fleet.enclave(r).id;
+        let chunk_bytes = self.cfg.maintenance.clone().unwrap_or_default().chunk_bytes;
+        let mut slot = self.slot(r);
+        let Replica {
+            ctx, io, kvs, suvm, ..
+        } = slot.as_mut().expect("serving replica must be wired");
+        let (len, cycles) = self.on_work_core(r, ctx, |ctx| {
+            if at_fence {
+                io.flush(ctx);
+                if let Some(suvm) = suvm {
+                    suvm.quiesce(ctx);
+                }
+            }
+            let bytes = kvs
+                .snapshot_since(ctx, self.sealer.as_ref(), enclave_id, epoch, base)
+                .to_bytes();
+            for _ in 0..copies {
+                self.chan.send_chunked(
+                    ctx,
+                    MSG_DELTA_BEGIN,
+                    MSG_DELTA_CHUNK,
+                    &epoch.to_le_bytes(),
+                    &bytes,
+                    chunk_bytes,
+                );
+            }
+            bytes.len()
+        });
+        (epoch, len, cycles)
+    }
+
+    /// Receiver half of every state transfer: reaps one chunked copy
+    /// off the channel and merges it into `rep` (replica `q`'s store,
+    /// installed in its slot or — for a rejoiner — not yet). Returns
+    /// the cycles spent.
+    ///
+    /// Everything read here crossed untrusted memory. A copy that
+    /// fails chunk framing, does not parse, is not the transfer
+    /// [`Self::send_state`] just sealed at `epoch` (a replay), or fails
+    /// authentication is refused whole: counted in `frame_rejects`,
+    /// store untouched. The copy is off the channel either way.
+    fn recv_state(&self, q: usize, rep: &mut Replica, epoch: u64) -> Result<u64, TransferRejected> {
+        let Replica { ctx, kvs, .. } = rep;
+        let (merged, cycles) = self.on_work_core(q, ctx, |ctx| {
+            let (header, payload) =
+                self.chan
+                    .recv_chunked(ctx, MSG_DELTA_BEGIN, MSG_DELTA_CHUNK)?;
+            let snap = Snapshot::from_bytes(&payload)?;
+            // The frame's epoch is authenticated into every section,
+            // so an older transfer cannot be relabelled to pass this.
+            if header != epoch.to_le_bytes() || snap.epoch() != epoch {
+                return Err(TransferRejected("not the transfer this fence sealed"));
+            }
+            kvs.try_restore(ctx, self.sealer.as_ref(), &snap)?;
+            Ok(())
+        });
+        if merged.is_err() {
+            Stats::bump(&self.machine.stats.frame_rejects);
+        }
+        merged.map(|()| cycles)
+    }
+
+    /// Kills `victim` at a fence: its state transfers to the survivors
+    /// over the channel, then its EPC is reclaimed and its shards
+    /// drain to the heir (see the module docs for the protocol and why
+    /// no reply is lost). With the maintenance plane the byte-work
+    /// runs on the maintenance core and is a final delta to every
+    /// survivor; without it, it runs on the victim's and the heir's
+    /// serving cores and is the whole store to the heir.
+    ///
+    /// # Errors
+    /// A recipient refused its copy. The victim is still serving and
+    /// still owns its shards; the next delta round or a retry re-sends.
     ///
     /// # Panics
     /// Panics when `victim` is not serving or no other replica is.
-    pub fn kill(&self, victim: usize) -> FailoverReport {
-        if self.maint.is_some() {
-            return self.kill_background(victim);
-        }
+    pub fn kill(&self, victim: usize) -> Result<FailoverReport, TransferRejected> {
         let serving = self.fleet.serving();
         assert!(
             serving.contains(&victim),
             "kill target {victim} is not serving"
         );
-        let heir = *serving
-            .iter()
-            .find(|&&r| r != victim)
+        let mut recipients: Vec<usize> = serving.into_iter().filter(|&r| r != victim).collect();
+        let heir = *recipients
+            .first()
             .expect("failover needs a surviving replica");
-        let (snapshot_bytes, snap_cycles) = self.snapshot_over_channel(victim);
-        {
-            let mut slot = self.slots[victim].lock().expect("fleet slot poisoned");
-            let mut rep = slot.take().expect("serving replica must be wired");
-            rep.ctx.exit();
+        // Delta rounds keep every serving store holding all streamed
+        // state, which is what lets any survivor donate or inherit in
+        // a later fence — so the final delta goes to all of them.
+        // Without the rounds only the heir needs the victim's state,
+        // and needs all of it.
+        let base = match &self.maint {
+            Some(mp) => mp.state().delta_base[victim],
+            None => {
+                recipients.truncate(1);
+                0
+            }
+        };
+        let (epoch, snapshot_bytes, mut cycles) =
+            self.send_state(victim, base, recipients.len(), true);
+        Stats::bump(&self.machine.stats.fleet_snapshots);
+        // Every staged copy is reaped, past a refusal too: the channel
+        // is empty again whatever happens.
+        let mut outcome = Ok(());
+        for &q in &recipients {
+            let mut slot = self.slot(q);
+            let rep = slot.as_mut().expect("serving replica must be wired");
+            match self.recv_state(q, rep, epoch) {
+                Ok(spent) => {
+                    cycles += spent;
+                    Stats::bump(&self.machine.stats.fleet_restores);
+                }
+                Err(refused) => outcome = Err(refused),
+            }
         }
+        // Some recipients may hold the transfer even if one refused
+        // it: close the write interval it was sealed in either way.
+        self.advance_write_versions();
+        outcome?;
+        // Only now — its state merged wherever it was sent, before the
+        // heir's next reap of the acquired shards — does the victim
+        // die. Merge-then-own is the failover correctness invariant.
+        let mut rep = self
+            .slot(victim)
+            .take()
+            .expect("serving replica must be wired");
+        rep.ctx.exit();
         self.fleet.kill(victim);
         Stats::bump(&self.machine.stats.fleet_failovers);
-        // The heir restores before its next reap of the acquired
-        // shards — the restore-then-own ordering is the failover
-        // correctness invariant.
-        let restore_cycles = self.restore_from_channel(heir);
         let moved = self.map.shards_of(victim);
         for &s in &moved {
             self.map.reassign(s, heir);
         }
-        self.advance_write_versions();
-        // The whole fence ran on serving cores: the victim's snapshot
-        // and the heir's restore both stall the serving path.
-        Stats::add(
-            &self.machine.stats.maint_stall_cycles,
-            snap_cycles + restore_cycles,
-        );
-        FailoverReport {
+        Ok(FailoverReport {
             heir,
             shards_moved: moved.len(),
             snapshot_bytes,
-            cycles: snap_cycles + restore_cycles,
-        }
+            cycles,
+        })
     }
 
-    /// Respawns dead slot `idx` as a fresh enclave that restores the
-    /// shard-owner's donated snapshot and takes its original shard
-    /// slice back (see the module docs).
+    /// Respawns dead slot `idx` as a fresh enclave that merges the
+    /// shard-owner's donated store and takes its original shard slice
+    /// back (see the module docs). The byte-work runs where
+    /// [`Self::kill`]'s does.
+    ///
+    /// # Errors
+    /// The rejoiner refused the donation. Its half-provisioned enclave
+    /// is destroyed and the slot is dead again, free to retry.
     ///
     /// # Panics
     /// Panics when `idx` is not dead or no donor is serving.
-    pub fn respawn(&self, idx: usize) -> RejoinReport {
-        if self.maint.is_some() {
-            return self.respawn_background(idx);
-        }
+    pub fn respawn(&self, idx: usize) -> Result<RejoinReport, TransferRejected> {
         // The donor must be the current owner of the slot's original
         // shards: its store is the one serving those connections, so
         // it supersets everything the rejoining replica needs. (All
         // shards of one residue class always move together, so one
         // probe suffices; an empty class falls back to any server.)
-        let donor = self.rejoin_donor(idx);
+        let class: Vec<usize> = (0..self.fds.len())
+            .filter(|s| s % self.cfg.replicas == idx)
+            .collect();
+        let donor = class.first().map_or_else(
+            || *self.fleet.serving().first().expect("rejoin needs a donor"),
+            |&s| self.map.replica_of(s),
+        );
         assert_eq!(
             self.fleet.state(donor),
             ReplicaState::Serving,
             "rejoin donor {donor} must be serving"
         );
         self.fleet.respawn(idx);
-        let (snapshot_bytes, snap_cycles) = self.snapshot_over_channel(donor);
-        let t0 = self.machine.core(self.core_of(idx)).clock.now();
+        // The whole store (base 0): the donor holds all streamed state
+        // plus its own unstreamed writes, so the rejoiner comes back
+        // fully caught up.
+        let (epoch, snapshot_bytes, send_cycles) = self.send_state(donor, 0, 1, true);
+        Stats::bump(&self.machine.stats.fleet_snapshots);
+        let wire_clock = &self.machine.core(self.core_of(idx)).clock;
+        let t0 = wire_clock.now();
         let mut rep = self.wire_replica(idx);
-        self.recv_restore(&mut rep);
-        let wire_cycles = rep.ctx.now() - t0;
-        *self.slots[idx].lock().expect("fleet slot poisoned") = Some(rep);
-        self.fleet.mark_serving(idx);
-        let mut taken = 0;
-        for s in 0..self.fds.len() {
-            if s % self.cfg.replicas == idx {
-                self.map.reassign(s, idx);
-                taken += 1;
+        let wire_cycles = wire_clock.now() - t0;
+        let recv_cycles = match self.recv_state(idx, &mut rep, epoch) {
+            Ok(spent) => spent,
+            Err(refused) => {
+                rep.ctx.exit();
+                self.fleet.kill(idx);
+                return Err(refused);
             }
+        };
+        Stats::bump(&self.machine.stats.fleet_restores);
+        *self.slot(idx) = Some(rep);
+        self.fleet.mark_serving(idx);
+        for &s in &class {
+            self.map.reassign(s, idx);
         }
         self.advance_write_versions();
-        // The donor snapshot ran on the donor's serving core.
-        Stats::add(&self.machine.stats.maint_stall_cycles, snap_cycles);
-        RejoinReport {
+        if let Some(mp) = &self.maint {
+            // Caught up through this transfer; the donor keeps
+            // streaming its own unstreamed interval, so the rejoiner's
+            // delta base starts at the fresh write interval — and the
+            // detector starts it with a clean record.
+            let mut st = mp.state();
+            st.delta_base[idx] = self.epoch() + 1;
+            st.misses[idx] = 0;
+            st.last_hb[idx] = mp.hb[idx].load(Ordering::Relaxed);
+        }
+        Ok(RejoinReport {
             donor,
-            shards_taken: taken,
+            shards_taken: class.len(),
             snapshot_bytes,
-            cycles: snap_cycles + wire_cycles,
-        }
+            cycles: send_cycles + wire_cycles + recv_cycles,
+        })
     }
 
-    /// Fence protocol, sender half: flush, quiesce, seal, stage the
-    /// epoch announcement and snapshot on the channel. Returns the
-    /// serialized snapshot size and the cycles the sender's core
-    /// spent.
-    fn snapshot_over_channel(&self, r: usize) -> (usize, u64) {
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let enclave_id = self.fleet.enclave(r).id;
-        let mut slot = self.slots[r].lock().expect("fleet slot poisoned");
-        let rep = slot.as_mut().expect("serving replica must be wired");
-        let t0 = rep.ctx.now();
-        rep.io.flush(&mut rep.ctx);
-        if let Some(suvm) = &rep.suvm {
-            suvm.quiesce(&mut rep.ctx);
-        }
-        let snap = rep
-            .kvs
-            .snapshot(&mut rep.ctx, self.sealer.as_ref(), enclave_id, epoch);
-        let bytes = snap.to_bytes();
-        self.chan
-            .send(&mut rep.ctx, MSG_EPOCH, &epoch.to_le_bytes());
-        self.chan.send(&mut rep.ctx, MSG_SNAPSHOT, &bytes);
-        Stats::bump(&self.machine.stats.fleet_snapshots);
-        (bytes.len(), rep.ctx.now() - t0)
-    }
-
-    /// Fence protocol, receiver half for an already-wired replica.
-    /// Returns the cycles the receiver's core spent.
-    fn restore_from_channel(&self, r: usize) -> u64 {
-        let mut slot = self.slots[r].lock().expect("fleet slot poisoned");
-        let rep = slot.as_mut().expect("serving replica must be wired");
-        let t0 = rep.ctx.now();
-        self.recv_restore(rep);
-        rep.ctx.now() - t0
-    }
-
-    /// Reaps the epoch announcement + snapshot pair off the channel
-    /// and restores it into `rep`'s store.
-    fn recv_restore(&self, rep: &mut Replica) {
-        let (kind, eb) = self
-            .chan
-            .recv(&mut rep.ctx)
-            .expect("fence protocol: epoch message staged");
-        assert_eq!(kind, MSG_EPOCH, "fence protocol: epoch precedes snapshot");
-        let epoch = u64::from_le_bytes(eb.try_into().expect("8-byte epoch"));
-        let last = self.seen_epoch.swap(epoch, Ordering::Relaxed);
-        assert!(
-            epoch > last,
-            "session-key epoch went backwards: {epoch} after {last}"
-        );
-        let (kind, bytes) = self
-            .chan
-            .recv(&mut rep.ctx)
-            .expect("fence protocol: snapshot staged");
-        assert_eq!(kind, MSG_SNAPSHOT);
-        let snap = Snapshot::from_bytes(&bytes);
-        assert_eq!(snap.epoch(), epoch, "snapshot epoch mismatch");
-        rep.kvs.restore(&mut rep.ctx, self.sealer.as_ref(), &snap);
-        Stats::bump(&self.machine.stats.fleet_restores);
-    }
-
-    /// Moves every live replica's store into the post-fence write
-    /// interval: writes stamped `epoch + 1` supersede everything a
-    /// fence-`epoch` snapshot carries, which is what keeps the
+    /// Moves every live replica's store into the post-transfer write
+    /// interval: writes stamped `epoch + 1` supersede everything an
+    /// epoch-`epoch` snapshot carries, which is what keeps the
     /// versioned restore merge last-writer-wins when a store's state
     /// bounces through several replicas (kill A, respawn A, kill B).
     fn advance_write_versions(&self) {
         let interval = self.epoch() + 1;
-        for slot in &self.slots {
-            let mut slot = slot.lock().expect("fleet slot poisoned");
-            if let Some(rep) = slot.as_mut() {
+        for r in 0..self.slots.len() {
+            if let Some(rep) = self.slot(r).as_mut() {
                 rep.kvs.set_write_version(interval);
             }
         }
@@ -757,34 +872,22 @@ impl FleetKvs {
         target
     }
 
-    /// Whether the background maintenance plane is configured.
-    #[must_use]
-    pub fn has_maintenance(&self) -> bool {
-        self.maint.is_some()
-    }
-
     /// Maintenance-core cycles spent on detector-driven failovers so
     /// far (0 without the plane).
     #[must_use]
     pub fn auto_failover_cycles(&self) -> u64 {
-        self.maint.as_ref().map_or(0, |mp| {
-            mp.state
-                .lock()
-                .expect("maintenance state poisoned")
-                .auto_failover_cycles
-        })
+        self.maint
+            .as_ref()
+            .map_or(0, |mp| mp.state().auto_failover_cycles)
     }
 
     /// Maintenance-core cycles spent on queued rejoins so far (0
     /// without the plane).
     #[must_use]
     pub fn auto_recovery_cycles(&self) -> u64 {
-        self.maint.as_ref().map_or(0, |mp| {
-            mp.state
-                .lock()
-                .expect("maintenance state poisoned")
-                .auto_recovery_cycles
-        })
+        self.maint
+            .as_ref()
+            .map_or(0, |mp| mp.state().auto_recovery_cycles)
     }
 
     /// Queues dead slot `idx` for background respawn at the next
@@ -798,27 +901,7 @@ impl FleetKvs {
             .maint
             .as_ref()
             .expect("rejoin queue needs the maintenance plane");
-        mp.state
-            .lock()
-            .expect("maintenance state poisoned")
-            .rejoin
-            .push(idx);
-    }
-
-    /// An entered thread on the maintenance core for replica `r`'s
-    /// enclave — the same shape as the SUVM swapper's worker thread.
-    /// Callers `exit()` it when done.
-    fn maint_ctx(&self, r: usize) -> ThreadCtx {
-        let core = self
-            .maint
-            .as_ref()
-            .expect("maintenance plane configured")
-            .cfg
-            .core;
-        let enclave = self.fleet.enclave(r);
-        let mut ctx = ThreadCtx::for_enclave(&self.machine, &enclave, core);
-        ctx.enter();
-        ctx
+        mp.state().rejoin.push(idx);
     }
 
     /// One pass of the background maintenance plane, run on the
@@ -827,32 +910,33 @@ impl FleetKvs {
     /// worker thread):
     ///
     /// 1. the failure detector compares heartbeats against the last
-    ///    tick and fails over replicas that missed
+    ///    tick and fails over ([`Self::kill`]) replicas that missed
     ///    `hb_miss_threshold` consecutive ticks;
-    /// 2. queued rejoins ([`Self::request_rejoin`]) respawn;
-    /// 3. every serving replica's engine runs its background
-    ///    byte-work ([`Kvs::maintenance_tick`]: slab relocations,
-    ///    segment expiry/merges) against the maintenance core;
+    /// 2. queued rejoins ([`Self::request_rejoin`]) respawn
+    ///    ([`Self::respawn`]);
+    /// 3. every serving replica's engine runs its byte-work
+    ///    ([`Kvs::maintenance_tick`]: slab relocations, segment
+    ///    expiry/merges) against the maintenance core;
     /// 4. a delta round streams each replica's writes since its last
-    ///    delta to every serving peer in bounded chunks, then opens
-    ///    the next write interval.
+    ///    delta to every serving peer, then opens the next write
+    ///    interval.
     ///
-    /// Returns whether any work ran. A no-op without the plane.
+    /// A kill or rejoin whose transfer is refused is retried at the
+    /// next tick. Returns whether any work ran. A no-op without the
+    /// plane.
     pub fn maintenance_tick(&self) -> bool {
         let Some(mp) = &self.maint else {
             return false;
         };
+        let clock = &self.machine.core(mp.cfg.core).clock;
         let mut did = false;
         // 1. Failure detector: heartbeat progress since the last tick.
         // The scan itself costs maintenance-core cycles.
         let mut victims = Vec::new();
         {
-            let mut st = mp.state.lock().expect("maintenance state poisoned");
+            let mut st = mp.state();
             for r in self.fleet.serving() {
-                self.machine
-                    .core(mp.cfg.core)
-                    .clock
-                    .advance(self.machine.cfg.costs.maint_heartbeat);
+                clock.advance(self.machine.cfg.costs.maint_heartbeat);
                 let cur = mp.hb[r].load(Ordering::Relaxed);
                 if cur == st.last_hb[r] {
                     st.misses[r] += 1;
@@ -870,305 +954,67 @@ impl FleetKvs {
             if self.fleet.serving().len() < 2 || self.fleet.state(v) != ReplicaState::Serving {
                 continue;
             }
-            let t0 = self.machine.core(mp.cfg.core).clock.now();
-            self.kill_background(v);
-            let dt = self.machine.core(mp.cfg.core).clock.now() - t0;
-            let mut st = mp.state.lock().expect("maintenance state poisoned");
-            st.misses[v] = 0;
-            st.auto_failover_cycles += dt;
+            let t0 = clock.now();
+            let killed = self.kill(v).is_ok();
+            let mut st = mp.state();
+            if killed {
+                st.misses[v] = 0;
+            }
+            st.auto_failover_cycles += clock.now() - t0;
             did = true;
         }
         // 2. Queued rejoins.
-        let pending: Vec<usize> = {
-            let mut st = mp.state.lock().expect("maintenance state poisoned");
-            std::mem::take(&mut st.rejoin)
-        };
+        let pending = std::mem::take(&mut mp.state().rejoin);
         for idx in pending {
             if self.fleet.state(idx) != ReplicaState::Dead {
                 continue;
             }
-            let t0 = self.machine.core(mp.cfg.core).clock.now();
-            self.respawn_background(idx);
-            let dt = self.machine.core(mp.cfg.core).clock.now() - t0;
-            let mut st = mp.state.lock().expect("maintenance state poisoned");
-            st.auto_recovery_cycles += dt;
+            let t0 = clock.now();
+            let rejoined = self.respawn(idx).is_ok();
+            let mut st = mp.state();
+            if !rejoined {
+                st.rejoin.push(idx);
+            }
+            st.auto_recovery_cycles += clock.now() - t0;
             did = true;
         }
-        // 3. Engine byte-work, off-core against quiesced slabs: the
-        // serving-core fences only published counters; the copies and
-        // merges happen here.
+        // 3. Engine byte-work: the replicas' fences only published
+        // gauges; the copies and merges happen here.
         for r in self.fleet.serving() {
-            let mut slot = self.slots[r].lock().expect("fleet slot poisoned");
+            let mut slot = self.slot(r);
             let Some(rep) = slot.as_mut() else { continue };
-            let mut mctx = self.maint_ctx(r);
-            if rep.kvs.maintenance_tick(&mut mctx) {
-                did = true;
-            }
-            mctx.exit();
+            let kvs = &mut rep.kvs;
+            did |= self
+                .on_work_core(r, &mut rep.ctx, |ctx| kvs.maintenance_tick(ctx))
+                .0;
         }
-        // 4. Delta round.
-        did |= self.delta_round();
-        did
-    }
-
-    /// Streams one incremental snapshot per serving replica to every
-    /// serving peer, in bounded chunks over the channel. Each round
-    /// shrinks what a later kill fence must carry to the writes since
-    /// this round — the fence's final delta plus the epoch flip.
-    fn delta_round(&self) -> bool {
-        let Some(mp) = &self.maint else {
-            return false;
-        };
+        // 4. Delta round: one incremental snapshot per serving replica
+        // to every serving peer. Each round shrinks what a later kill
+        // fence must carry to the writes since this round.
         let serving = self.fleet.serving();
         if serving.len() < 2 {
-            return false;
+            return did;
         }
         for &r in &serving {
-            let peers: Vec<usize> = serving.iter().copied().filter(|&q| q != r).collect();
-            let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-            let base = mp
-                .state
-                .lock()
-                .expect("maintenance state poisoned")
-                .delta_base[r];
-            let enclave_id = self.fleet.enclave(r).id;
-            {
-                let mut slot = self.slots[r].lock().expect("fleet slot poisoned");
+            let base = mp.state().delta_base[r];
+            let (epoch, ..) = self.send_state(r, base, serving.len() - 1, false);
+            let mut delivered = true;
+            for &q in serving.iter().filter(|&&q| q != r) {
+                let mut slot = self.slot(q);
                 let rep = slot.as_mut().expect("serving replica must be wired");
-                let mut mctx = self.maint_ctx(r);
-                let snap = rep.kvs.snapshot_since(
-                    &mut mctx,
-                    self.sealer.as_ref(),
-                    enclave_id,
-                    epoch,
-                    base,
-                );
-                let bytes = snap.to_bytes();
-                for _ in &peers {
-                    self.chan.send_chunked(
-                        &mut mctx,
-                        MSG_DELTA_BEGIN,
-                        MSG_DELTA_CHUNK,
-                        &epoch.to_le_bytes(),
-                        &bytes,
-                        mp.cfg.chunk_bytes,
-                    );
-                }
-                mctx.exit();
-            }
-            for &q in &peers {
-                self.apply_delta(q);
+                delivered &= self.recv_state(q, rep, epoch).is_ok();
             }
             // Open the next write interval: post-round writes carry
             // strictly larger stamps than anything just streamed, so
             // a rewrite of a streamed key is never mistaken for the
-            // streamed copy.
+            // streamed copy. A peer that refused its copy keeps `r`'s
+            // base where it was: the next round re-sends.
             self.advance_write_versions();
-            let interval = self.epoch() + 1;
-            mp.state
-                .lock()
-                .expect("maintenance state poisoned")
-                .delta_base[r] = interval;
+            if delivered {
+                mp.state().delta_base[r] = self.epoch() + 1;
+            }
         }
         true
-    }
-
-    /// Receives one chunked delta off the channel into serving
-    /// replica `q`'s store, on the maintenance core.
-    fn apply_delta(&self, q: usize) {
-        let mp = self.maint.as_ref().expect("maintenance plane configured");
-        let mut slot = self.slots[q].lock().expect("fleet slot poisoned");
-        let rep = slot.as_mut().expect("serving replica must be wired");
-        let mut mctx = self.maint_ctx(q);
-        let (header, payload) = self
-            .chan
-            .recv_chunked(&mut mctx, MSG_DELTA_BEGIN, MSG_DELTA_CHUNK)
-            .expect("delta protocol: chunks staged");
-        let epoch = u64::from_le_bytes(header.try_into().expect("8-byte epoch"));
-        {
-            let mut st = mp.state.lock().expect("maintenance state poisoned");
-            assert!(
-                epoch > st.last_delta_epoch[q],
-                "delta epoch went backwards on replica {q}"
-            );
-            st.last_delta_epoch[q] = epoch;
-        }
-        let snap = Snapshot::from_bytes(&payload);
-        assert_eq!(snap.epoch(), epoch, "delta snapshot epoch mismatch");
-        rep.kvs.restore(&mut mctx, self.sealer.as_ref(), &snap);
-        mctx.exit();
-    }
-
-    /// Background failover: the serving-path fence shrinks to the
-    /// shard reassignment and epoch flip — the victim's *final delta*
-    /// (only what the delta rounds have not yet streamed) and every
-    /// survivor's restore run on the maintenance core. The delta is
-    /// broadcast to **all** survivors, not just the heir, preserving
-    /// the invariant that every serving store holds all streamed
-    /// state (which is what lets any survivor donate or inherit in a
-    /// later fence).
-    fn kill_background(&self, victim: usize) -> FailoverReport {
-        let mp = self.maint.as_ref().expect("maintenance plane configured");
-        let serving = self.fleet.serving();
-        assert!(
-            serving.contains(&victim),
-            "kill target {victim} is not serving"
-        );
-        let heir = *serving
-            .iter()
-            .find(|&&r| r != victim)
-            .expect("failover needs a surviving replica");
-        let survivors: Vec<usize> = serving.iter().copied().filter(|&r| r != victim).collect();
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let base = mp
-            .state
-            .lock()
-            .expect("maintenance state poisoned")
-            .delta_base[victim];
-        let enclave_id = self.fleet.enclave(victim).id;
-        let t0 = self.machine.core(mp.cfg.core).clock.now();
-        let snapshot_bytes;
-        {
-            let mut slot = self.slots[victim].lock().expect("fleet slot poisoned");
-            let mut rep = slot.take().expect("serving replica must be wired");
-            let mut mctx = self.maint_ctx(victim);
-            rep.io.flush(&mut mctx);
-            if let Some(suvm) = &rep.suvm {
-                suvm.quiesce(&mut mctx);
-            }
-            let snap =
-                rep.kvs
-                    .snapshot_since(&mut mctx, self.sealer.as_ref(), enclave_id, epoch, base);
-            let bytes = snap.to_bytes();
-            snapshot_bytes = bytes.len();
-            for _ in &survivors {
-                self.chan.send_chunked(
-                    &mut mctx,
-                    MSG_DELTA_BEGIN,
-                    MSG_DELTA_CHUNK,
-                    &epoch.to_le_bytes(),
-                    &bytes,
-                    mp.cfg.chunk_bytes,
-                );
-            }
-            mctx.exit();
-            rep.ctx.exit();
-        }
-        self.fleet.kill(victim);
-        Stats::bump(&self.machine.stats.fleet_failovers);
-        Stats::bump(&self.machine.stats.fleet_snapshots);
-        for &q in &survivors {
-            self.apply_delta(q);
-            Stats::bump(&self.machine.stats.fleet_restores);
-        }
-        let moved = self.map.shards_of(victim);
-        for &s in &moved {
-            self.map.reassign(s, heir);
-        }
-        self.advance_write_versions();
-        FailoverReport {
-            heir,
-            shards_moved: moved.len(),
-            snapshot_bytes,
-            cycles: self.machine.core(mp.cfg.core).clock.now() - t0,
-        }
-    }
-
-    /// Background rejoin: the donor's full snapshot streams in chunks
-    /// on the maintenance core; the rejoined replica's delta state is
-    /// reset so the plane treats it as fully caught up.
-    fn respawn_background(&self, idx: usize) -> RejoinReport {
-        let mp = self.maint.as_ref().expect("maintenance plane configured");
-        let donor = self.rejoin_donor(idx);
-        assert_eq!(
-            self.fleet.state(donor),
-            ReplicaState::Serving,
-            "rejoin donor {donor} must be serving"
-        );
-        self.fleet.respawn(idx);
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let enclave_id = self.fleet.enclave(donor).id;
-        let t0 = self.machine.core(mp.cfg.core).clock.now();
-        let snapshot_bytes;
-        {
-            let mut slot = self.slots[donor].lock().expect("fleet slot poisoned");
-            let rep = slot.as_mut().expect("serving replica must be wired");
-            let mut mctx = self.maint_ctx(donor);
-            rep.io.flush(&mut mctx);
-            if let Some(suvm) = &rep.suvm {
-                suvm.quiesce(&mut mctx);
-            }
-            // Full image (base 0): the donor holds all streamed state
-            // plus its own unstreamed writes, so the rejoiner comes
-            // back fully caught up.
-            let snap =
-                rep.kvs
-                    .snapshot_since(&mut mctx, self.sealer.as_ref(), enclave_id, epoch, 0);
-            let bytes = snap.to_bytes();
-            snapshot_bytes = bytes.len();
-            self.chan.send_chunked(
-                &mut mctx,
-                MSG_DELTA_BEGIN,
-                MSG_DELTA_CHUNK,
-                &epoch.to_le_bytes(),
-                &bytes,
-                mp.cfg.chunk_bytes,
-            );
-            mctx.exit();
-        }
-        Stats::bump(&self.machine.stats.fleet_snapshots);
-        let mut rep = self.wire_replica(idx);
-        {
-            let mut mctx = self.maint_ctx(idx);
-            let (header, payload) = self
-                .chan
-                .recv_chunked(&mut mctx, MSG_DELTA_BEGIN, MSG_DELTA_CHUNK)
-                .expect("rejoin protocol: chunks staged");
-            let got = u64::from_le_bytes(header.try_into().expect("8-byte epoch"));
-            assert_eq!(got, epoch, "rejoin snapshot epoch mismatch");
-            let snap = Snapshot::from_bytes(&payload);
-            assert_eq!(snap.epoch(), epoch, "rejoin snapshot epoch mismatch");
-            rep.kvs.restore(&mut mctx, self.sealer.as_ref(), &snap);
-            mctx.exit();
-        }
-        Stats::bump(&self.machine.stats.fleet_restores);
-        *self.slots[idx].lock().expect("fleet slot poisoned") = Some(rep);
-        self.fleet.mark_serving(idx);
-        let mut taken = 0;
-        for s in 0..self.fds.len() {
-            if s % self.cfg.replicas == idx {
-                self.map.reassign(s, idx);
-                taken += 1;
-            }
-        }
-        self.advance_write_versions();
-        {
-            let mut st = mp.state.lock().expect("maintenance state poisoned");
-            // Caught up through `epoch`; the donor keeps streaming its
-            // own unstreamed interval, so the rejoiner's base starts
-            // at the fresh write interval.
-            st.delta_base[idx] = self.epoch() + 1;
-            st.last_delta_epoch[idx] = epoch;
-            st.misses[idx] = 0;
-            st.last_hb[idx] = mp.hb[idx].load(Ordering::Relaxed);
-        }
-        RejoinReport {
-            donor,
-            shards_taken: taken,
-            snapshot_bytes,
-            cycles: self.machine.core(mp.cfg.core).clock.now() - t0,
-        }
-    }
-
-    /// The current owner of dead slot `idx`'s original shard slice
-    /// (see [`Self::respawn`] for why the owner must donate).
-    fn rejoin_donor(&self, idx: usize) -> usize {
-        (0..self.fds.len())
-            .find(|&s| s % self.cfg.replicas == idx)
-            .map_or_else(
-                || *self.fleet.serving().first().expect("rejoin needs a donor"),
-                |s| self.map.replica_of(s),
-            )
     }
 }
 
@@ -1184,7 +1030,9 @@ mod tests {
 
     const SHARDS: usize = 4;
 
-    fn fleet(replicas: usize) -> (Arc<SgxMachine>, Arc<Session>, Vec<Fd>, FleetKvs) {
+    type Rig = (Arc<SgxMachine>, Arc<Session>, Vec<Fd>, FleetKvs);
+
+    fn fleet_with(replicas: usize, cfg: FleetConfig, sealer: Arc<dyn Sealer>) -> Rig {
         let m = SgxMachine::new(MachineConfig::tiny());
         let ut = ThreadCtx::untrusted(&m, 1);
         let fds: Vec<Fd> = (0..SHARDS).map(|_| m.host.socket(&ut, 256 << 10)).collect();
@@ -1192,7 +1040,6 @@ mod tests {
             .workers(2, &[2, 3])
             .build();
         let wire = Arc::new(Session::established([9u8; 16]));
-        let sealer: Arc<dyn Sealer> = Arc::new(AesGcm128::new(&[0x44u8; 16]));
         let fk = FleetKvs::new(
             &m,
             &fds,
@@ -1202,7 +1049,7 @@ mod tests {
             IoPath::Rpc(Arc::new(svc)),
             Arc::clone(&wire),
             sealer,
-            FleetConfig::small(replicas),
+            FleetConfig { replicas, ..cfg },
             |ctx, kvs| {
                 for i in 0..32u32 {
                     kvs.set(ctx, format!("seed-{i}").as_bytes(), &[i as u8; 48]);
@@ -1210,6 +1057,96 @@ mod tests {
             },
         );
         (m, wire, fds, fk)
+    }
+
+    fn plane_off() -> FleetConfig {
+        FleetConfig::small(0)
+    }
+
+    fn plane_on() -> FleetConfig {
+        FleetConfig::small(0).with_maintenance(MaintenanceConfig {
+            core: 1,
+            hb_miss_threshold: 3,
+            chunk_bytes: 4 << 10,
+        })
+    }
+
+    fn fleet(replicas: usize) -> Rig {
+        fleet_with(
+            replicas,
+            plane_off(),
+            Arc::new(AesGcm128::new(&[0x44u8; 16])),
+        )
+    }
+
+    fn fleet_bg(replicas: usize) -> Rig {
+        fleet_with(
+            replicas,
+            plane_on(),
+            Arc::new(AesGcm128::new(&[0x44u8; 16])),
+        )
+    }
+
+    /// Serves one SET of `key` through the shard of `fds` that replica
+    /// `owner` owns.
+    fn serve_set(rig: &Rig, owner: usize, key: &[u8], value: &[u8]) {
+        let (m, wire, fds, fk) = rig;
+        let ut = ThreadCtx::untrusted(m, 1);
+        let s = (0..SHARDS)
+            .find(|&s| fk.map().replica_of(s) == owner)
+            .unwrap();
+        m.host
+            .push_request(&ut, fds[s], &wire.encrypt(&build_set(key, value)));
+        while fk.pump() == 0 {}
+        fk.flush();
+        assert_eq!(wire.decrypt(&m.host.pop_response(fds[s]).unwrap()), [1u8]);
+    }
+
+    /// What replica `r`'s store holds for `key`.
+    fn stored(fk: &FleetKvs, r: usize, key: &[u8]) -> Option<Vec<u8>> {
+        let mut slot = fk.slot(r);
+        let rep = slot.as_mut().unwrap();
+        rep.kvs.get(&mut rep.ctx, key)
+    }
+
+    /// The fleet sealer, except that while `armed` it flips one bit of
+    /// every ciphertext it produces — what a hostile host does to a
+    /// chunk resting in the channel ring.
+    struct TamperingSealer {
+        inner: AesGcm128,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl Sealer for TamperingSealer {
+        fn name(&self) -> &'static str {
+            "tampering"
+        }
+
+        fn seal_batch(&self, jobs: &mut [eleos_crypto::sealer::SealJob<'_>]) -> Vec<[u8; 16]> {
+            let tags = self.inner.seal_batch(jobs);
+            if self.armed.load(Ordering::Relaxed) {
+                for job in jobs.iter_mut() {
+                    job.data[0] ^= 1;
+                }
+            }
+            tags
+        }
+
+        fn open_batch(
+            &self,
+            jobs: &mut [eleos_crypto::sealer::OpenJob<'_>],
+        ) -> Result<(), eleos_crypto::sealer::BatchAuthError> {
+            self.inner.open_batch(jobs)
+        }
+    }
+
+    fn hostile_fleet(replicas: usize, cfg: FleetConfig) -> (Arc<TamperingSealer>, Rig) {
+        let sealer = Arc::new(TamperingSealer {
+            inner: AesGcm128::new(&[0x44u8; 16]),
+            armed: false.into(),
+        });
+        let rig = fleet_with(replicas, cfg, Arc::clone(&sealer) as Arc<dyn Sealer>);
+        (sealer, rig)
     }
 
     #[test]
@@ -1268,7 +1205,7 @@ mod tests {
         fk.flush();
         assert_eq!(wire.decrypt(&m.host.pop_response(fds[s]).unwrap()), [1u8]);
 
-        let report = fk.kill(1);
+        let report = fk.kill(1).unwrap();
         assert_eq!(report.heir, 0);
         assert_eq!(report.shards_moved, 2);
         assert!(report.snapshot_bytes > 0);
@@ -1296,7 +1233,7 @@ mod tests {
     fn respawn_restores_from_the_shard_owner_and_takes_shards_back() {
         let (m, wire, fds, fk) = fleet(3);
         let ut = ThreadCtx::untrusted(&m, 1);
-        fk.kill(1);
+        fk.kill(1).unwrap();
         // Post-kill load lands on the heir; the rejoining replica must
         // see it, which is why the donor is the shard owner.
         let conn = (0..64u64).find(|&c| shard_for(c, SHARDS) == 1).unwrap();
@@ -1310,7 +1247,7 @@ mod tests {
         fk.flush();
         while m.host.pop_response(fds[1]).is_some() {}
 
-        let report = fk.respawn(1);
+        let report = fk.respawn(1).unwrap();
         assert_eq!(report.donor, 0, "shard 1's owner donates");
         assert_eq!(
             report.shards_taken, 1,
@@ -1333,7 +1270,7 @@ mod tests {
         assert_eq!(st.fleet_restores, 2);
         assert!(
             st.xchan_msgs >= 4,
-            "two fence protocols crossed the channel"
+            "two transfers (descriptor + chunk each) crossed the channel"
         );
     }
 
@@ -1341,7 +1278,7 @@ mod tests {
     #[should_panic(expected = "needs a surviving replica")]
     fn kill_of_the_last_replica_fails_fast() {
         let (_m, _wire, _fds, fk) = fleet(1);
-        fk.kill(0);
+        let _ = fk.kill(0);
     }
 
     #[test]
@@ -1393,44 +1330,12 @@ mod tests {
     fn epoch_advances_monotonically_across_fences() {
         let (_m, _wire, _fds, fk) = fleet(3);
         assert_eq!(fk.epoch(), 0);
-        fk.kill(2);
+        fk.kill(2).unwrap();
         assert_eq!(fk.epoch(), 1);
-        fk.respawn(2);
+        fk.respawn(2).unwrap();
         assert_eq!(fk.epoch(), 2);
-        fk.kill(1);
+        fk.kill(1).unwrap();
         assert_eq!(fk.epoch(), 3);
-    }
-
-    fn fleet_bg(replicas: usize) -> (Arc<SgxMachine>, Arc<Session>, Vec<Fd>, FleetKvs) {
-        let m = SgxMachine::new(MachineConfig::tiny());
-        let ut = ThreadCtx::untrusted(&m, 1);
-        let fds: Vec<Fd> = (0..SHARDS).map(|_| m.host.socket(&ut, 256 << 10)).collect();
-        let svc = with_syscalls(RpcService::builder(&m), &m)
-            .workers(2, &[2, 3])
-            .build();
-        let wire = Arc::new(Session::established([9u8; 16]));
-        let sealer: Arc<dyn Sealer> = Arc::new(AesGcm128::new(&[0x44u8; 16]));
-        let fk = FleetKvs::new(
-            &m,
-            &fds,
-            ServerIoConfig::with_buf_len(16 << 10)
-                .batch(4)
-                .shards(SHARDS),
-            IoPath::Rpc(Arc::new(svc)),
-            Arc::clone(&wire),
-            sealer,
-            FleetConfig::small(replicas).with_maintenance(MaintenanceConfig {
-                core: 1,
-                hb_miss_threshold: 3,
-                chunk_bytes: 4 << 10,
-            }),
-            |ctx, kvs| {
-                for i in 0..32u32 {
-                    kvs.set(ctx, format!("seed-{i}").as_bytes(), &[i as u8; 48]);
-                }
-            },
-        );
-        (m, wire, fds, fk)
     }
 
     #[test]
@@ -1450,15 +1355,11 @@ mod tests {
         fk.flush();
         while m.host.pop_response(fds[s]).is_some() {}
         assert!(fk.maintenance_tick(), "a delta round is work");
-        {
-            let mut slot = fk.slots[1].lock().unwrap();
-            let rep = slot.as_mut().unwrap();
-            assert_eq!(
-                rep.kvs.get(&mut rep.ctx, b"delta-key").unwrap(),
-                vec![5u8; 40],
-                "peer must hold the streamed item"
-            );
-        }
+        assert_eq!(
+            stored(&fk, 1, b"delta-key").unwrap(),
+            vec![5u8; 40],
+            "peer must hold the streamed item"
+        );
         let st = m.stats.snapshot();
         assert!(st.maint_chunks > 0, "deltas travel chunked");
         assert!(
@@ -1470,7 +1371,7 @@ mod tests {
         assert_eq!(st.fleet_snapshots, 0);
         assert_eq!(st.fleet_restores, 0);
         // A later background kill carries only the final delta.
-        let report = fk.kill(0);
+        let report = fk.kill(0).unwrap();
         assert_eq!(report.heir, 1);
         assert_eq!(m.stats.snapshot().fleet_failovers, 1);
     }
@@ -1512,5 +1413,151 @@ mod tests {
         fk.flush();
         let plain = wire.decrypt(&m.host.pop_response(fds[s]).unwrap());
         assert_eq!(plain[0], 1, "rejoined replica serves restored state");
+    }
+
+    #[test]
+    fn a_refused_delta_leaves_the_receiver_untouched_and_is_resent() {
+        let (sealer, rig) = hostile_fleet(2, plane_on());
+        let fk = &rig.3;
+        serve_set(&rig, 0, b"delta-key", &[5u8; 40]);
+        sealer.armed.store(true, Ordering::Relaxed);
+        fk.maintenance_tick();
+        let base = |r: usize| fk.maint.as_ref().unwrap().state().delta_base[r];
+        assert_eq!(stored(fk, 1, b"delta-key"), None, "nothing of it applied");
+        assert_eq!((base(0), base(1)), (0, 0), "no sender's base advanced");
+        assert_eq!(rig.0.stats.snapshot().frame_rejects, 2, "one per refusal");
+        assert_eq!(fk.chan.pending(), 0, "refused copies are off the ring");
+
+        sealer.armed.store(false, Ordering::Relaxed);
+        fk.maintenance_tick();
+        assert_eq!(stored(fk, 1, b"delta-key").unwrap(), vec![5u8; 40]);
+        assert!(base(0) > 0, "the next round re-sent");
+        assert_eq!(rig.0.stats.snapshot().frame_rejects, 2);
+    }
+
+    #[test]
+    fn a_refused_kill_or_rejoin_destroys_and_promotes_nobody() {
+        for cfg in [plane_off(), plane_on()] {
+            let (sealer, rig) = hostile_fleet(2, cfg);
+            let (m, fk) = (&rig.0, &rig.3);
+            serve_set(&rig, 1, b"fresh", &[7u8; 32]);
+
+            sealer.armed.store(true, Ordering::Relaxed);
+            let refused = fk.kill(1).unwrap_err();
+            assert_eq!(refused.0, "section failed authentication");
+            assert_eq!(fk.fleet().state(1), ReplicaState::Serving, "victim lives");
+            assert_eq!(fk.map().shards_of(1), vec![1, 3], "and keeps its shards");
+            assert_eq!(stored(fk, 0, b"fresh"), None);
+            assert_eq!(m.stats.snapshot().fleet_failovers, 0);
+            // It also still serves, and a retry over an honest channel
+            // goes through.
+            serve_set(&rig, 1, b"later", &[8u8; 32]);
+            sealer.armed.store(false, Ordering::Relaxed);
+            fk.kill(1).unwrap();
+            assert_eq!(stored(fk, 0, b"fresh").unwrap(), vec![7u8; 32]);
+            assert_eq!(stored(fk, 0, b"later").unwrap(), vec![8u8; 32]);
+
+            sealer.armed.store(true, Ordering::Relaxed);
+            assert!(fk.respawn(1).is_err());
+            assert_eq!(fk.fleet().state(1), ReplicaState::Dead, "torn down again");
+            assert!(fk.slot(1).is_none());
+            assert_eq!(fk.map().shards_of(0), vec![0, 1, 2, 3], "donor keeps all");
+            sealer.armed.store(false, Ordering::Relaxed);
+            fk.respawn(1).unwrap();
+            assert_eq!(stored(fk, 1, b"later").unwrap(), vec![8u8; 32]);
+            assert_eq!(m.stats.snapshot().frame_rejects, 2);
+        }
+    }
+
+    /// The ring is host memory: the host can keep a copy of any
+    /// transfer and put it back later. A fence refuses every transfer
+    /// but the one it just sealed — whether the replay lands in a
+    /// rejoiner (which has merged nothing yet) or in a serving peer the
+    /// old transfer was never addressed to.
+    #[test]
+    fn a_replayed_older_transfer_is_refused_by_rejoiner_and_peer() {
+        let rig = fleet(3);
+        let (m, fk) = (&rig.0, &rig.3);
+        serve_set(&rig, 0, b"k", &[1u8; 32]);
+        // What the host saw cross the ring at an earlier fence
+        // (the whole of replica 0's store, `k = v1`)...
+        fk.kill(2).unwrap();
+        let (old_epoch, ..) = fk.send_state(0, 0, 1, true);
+        let mut host = ThreadCtx::for_enclave(m, &fk.fleet.enclave(0), 1);
+        host.enter();
+        let drain = |host: &mut ThreadCtx| -> Vec<(u8, Vec<u8>)> {
+            std::iter::from_fn(|| fk.chan.recv(host)).collect()
+        };
+        let old = drain(&mut host);
+        assert!(old.len() >= 2, "a descriptor and at least one chunk");
+        fk.advance_write_versions();
+        serve_set(&rig, 0, b"k", &[2u8; 32]);
+
+        // ...swapped for the donation a rejoin stages,
+        fk.fleet.respawn(2);
+        let (epoch, ..) = fk.send_state(0, 0, 1, true);
+        assert!(epoch > old_epoch);
+        drain(&mut host);
+        for (kind, bytes) in &old {
+            fk.chan.send(&mut host, *kind, bytes);
+        }
+        let mut rejoiner = fk.wire_replica(2);
+        assert_eq!(
+            fk.recv_state(2, &mut rejoiner, epoch),
+            Err(TransferRejected("not the transfer this fence sealed"))
+        );
+        assert!(rejoiner.kvs.is_empty(), "nothing of the replay applied");
+        rejoiner.ctx.exit();
+        fk.fleet.kill(2);
+
+        // ...and for the failover state a third replica is to inherit.
+        let (epoch, ..) = fk.send_state(0, 0, 1, true);
+        drain(&mut host);
+        for (kind, bytes) in &old {
+            fk.chan.send(&mut host, *kind, bytes);
+        }
+        let mut slot = fk.slot(1);
+        assert!(fk.recv_state(1, slot.as_mut().unwrap(), epoch).is_err());
+        drop(slot);
+        assert_eq!(stored(fk, 1, b"k"), None, "the peer never saw `k = v1`");
+        assert_eq!(m.stats.snapshot().frame_rejects, 2);
+        assert_eq!(fk.chan.pending(), 0);
+        host.exit();
+
+        // The honest fences still go through, with the fresh value.
+        fk.respawn(2).unwrap();
+        assert_eq!(stored(fk, 2, b"k").unwrap(), vec![2u8; 32]);
+        fk.kill(0).unwrap();
+        assert_eq!(stored(fk, 1, b"k").unwrap(), vec![2u8; 32]);
+    }
+
+    #[test]
+    fn the_plane_retries_a_refused_failover_and_rejoin() {
+        let (sealer, rig) = hostile_fleet(2, plane_on());
+        let fk = &rig.3;
+        sealer.armed.store(true, Ordering::Relaxed);
+        // Replica 1 goes mute; the detector's kill is refused for as
+        // long as the channel is hostile, and goes through once it is
+        // not.
+        for _ in 0..5 {
+            fk.pump_replica(0);
+            fk.maintenance_tick();
+        }
+        assert_eq!(fk.fleet().state(1), ReplicaState::Serving);
+        sealer.armed.store(false, Ordering::Relaxed);
+        fk.pump_replica(0);
+        fk.maintenance_tick();
+        assert_eq!(fk.fleet().state(1), ReplicaState::Dead);
+
+        sealer.armed.store(true, Ordering::Relaxed);
+        fk.request_rejoin(1);
+        fk.pump_replica(0);
+        fk.maintenance_tick();
+        assert_eq!(fk.fleet().state(1), ReplicaState::Dead, "still queued");
+        sealer.armed.store(false, Ordering::Relaxed);
+        fk.pump_replica(0);
+        fk.maintenance_tick();
+        assert_eq!(fk.fleet().state(1), ReplicaState::Serving);
+        assert_eq!(stored(fk, 1, b"seed-3").unwrap(), vec![3u8; 48]);
     }
 }

@@ -12,16 +12,21 @@
 //! [`EngineConfig::Slab`] engine is the seed's slab/LRU store
 //! (optionally with the fence-time slab rebalancer), and
 //! [`EngineConfig::Segment`] swaps in the TTL-bucketed append-only
-//! segment store. Engine maintenance runs only in [`Kvs::fence`],
-//! which the batch handlers invoke at sub-batch boundaries.
+//! segment store. Engine byte-work (slab moves, segment expiry and
+//! merges) is one function, [`Kvs::maintenance_tick`]: by default
+//! [`Kvs::fence`] — which the batch handlers invoke at sub-batch
+//! boundaries — runs it inline on the serving core and charges it to
+//! `maint_stall_cycles`; after [`Kvs::set_background`] the fence only
+//! publishes gauges and a maintenance plane calls the tick from a core
+//! of its own.
 //!
 //! The *version* is a caller-managed write stamp (the fleet tier sets
 //! it to its fence-epoch interval): every `set` stamps the item, and
-//! [`Kvs::restore`] merges last-writer-wins on it, so a snapshot
+//! [`Kvs::try_restore`] merges last-writer-wins on it, so a snapshot
 //! re-imported after bouncing through another replica can never clobber
 //! a fresher value (see `fleet_io`'s fence protocol).
 
-use eleos_core::{Snapshot, SnapshotBuilder};
+use eleos_core::{Snapshot, SnapshotBuilder, SnapshotError};
 use eleos_crypto::Sealer;
 use eleos_enclave::thread::ThreadCtx;
 use eleos_sim::stats::Stats;
@@ -47,6 +52,9 @@ const STORAGE_META_SECTION: &str = "storage-meta";
 pub struct Kvs {
     engine: Box<dyn StorageEngine>,
     version: u64,
+    /// Whether someone else calls [`Kvs::maintenance_tick`]; when not,
+    /// [`Kvs::fence`] does.
+    background: bool,
 }
 
 impl Kvs {
@@ -77,6 +85,7 @@ impl Kvs {
         Self {
             engine: build_engine(cfg, meta_space, data_space, mem_limit, buckets),
             version: 0,
+            background: false,
         }
     }
 
@@ -95,7 +104,7 @@ impl Kvs {
 
     /// Sets the write stamp. The fleet tier advances this to its fence
     /// epoch after every fence, which is what makes the versioned
-    /// restore merge ([`Self::restore`]) last-writer-wins across
+    /// restore merge ([`Self::try_restore`]) last-writer-wins across
     /// arbitrary kill/respawn schedules: two stores only ever hold the
     /// same stamp for a key when they hold the same value.
     pub fn set_write_version(&mut self, version: u64) {
@@ -177,25 +186,31 @@ impl Kvs {
         self.engine.delete(ctx, key)
     }
 
-    /// Sub-batch fence: the only point where engine maintenance (slab
-    /// rebalancing, proactive segment expiry, gauge publishing) runs.
-    /// The batch handlers call it after every non-empty batch; serving
-    /// loops that bypass them must call it between batches themselves.
+    /// Sub-batch fence: publishes the engine's gauges and — unless a
+    /// maintenance plane has taken the job over
+    /// ([`Self::set_background`]) — runs the engine byte-work inline,
+    /// timing it into `maint_stall_cycles`. The batch handlers call it
+    /// after every non-empty batch; serving loops that bypass them
+    /// must call it between batches themselves.
     pub fn fence(&mut self, ctx: &mut ThreadCtx) {
         self.engine.fence(ctx);
+        if !self.background {
+            let t0 = ctx.now();
+            self.engine.maintenance_tick(ctx);
+            Stats::add(&ctx.machine.stats.maint_stall_cycles, ctx.now() - t0);
+        }
     }
 
-    /// Switches the engine between fence-synchronous maintenance (the
-    /// default) and background mode, where fences only publish
-    /// counters and the byte-work runs in [`Self::maintenance_tick`]
-    /// off the serving path.
+    /// Declares who calls [`Self::maintenance_tick`]: [`Self::fence`],
+    /// on the serving core (`false`, the default), or a maintenance
+    /// plane on a core of its own (`true`). Same byte-work either way.
     pub fn set_background(&mut self, on: bool) {
-        self.engine.set_background(on);
+        self.background = on;
     }
 
-    /// One engine background-maintenance pass, run by the maintenance
-    /// plane with a context on its own core. Returns whether any work
-    /// ran.
+    /// One pass of engine byte-work (slab moves and window decay,
+    /// segment expiry and reserve-keeping merges), charged to `ctx`'s
+    /// core. Returns whether any work ran.
     pub fn maintenance_tick(&mut self, ctx: &mut ThreadCtx) -> bool {
         self.engine.maintenance_tick(ctx)
     }
@@ -207,75 +222,36 @@ impl Kvs {
             .for_each_since(ctx, 0, &mut |key, value, _version, _expiry| f(key, value));
     }
 
-    /// Merges an item log produced by [`Self::encode_items_since`]:
-    /// last-writer-wins on the per-item write stamp. An absent key is
-    /// inserted (keeping the log's stamp); a present key is overwritten
-    /// only when the log's stamp is strictly newer — a store only ever
-    /// carries a *stale* copy of a key it no longer serves at a stamp
-    /// strictly below the current owner's, so equality means equal
-    /// bytes and skipping is safe. Items whose expiry deadline already
-    /// passed are dropped on the floor. Returns the number applied.
-    fn decode_items(&mut self, ctx: &mut ThreadCtx, plain: &[u8]) -> u64 {
-        let count = u64::from_le_bytes(plain[..8].try_into().expect("count"));
-        let mut off = 8usize;
+    /// Merges a parsed item log: last-writer-wins on the per-item
+    /// write stamp. An absent key is inserted (keeping the log's
+    /// stamp); a present key is overwritten only when the log's stamp
+    /// is strictly newer — a store only ever carries a *stale* copy of
+    /// a key it no longer serves at a stamp strictly below the current
+    /// owner's, so equality means equal bytes and skipping is safe.
+    /// Items whose expiry deadline already passed are dropped on the
+    /// floor. Returns the number applied.
+    fn apply_items(&mut self, ctx: &mut ThreadCtx, items: &[LoggedItem<'_>]) -> u64 {
         let mut applied = 0u64;
         let now = now_secs(ctx);
-        for _ in 0..count {
-            let klen = u32::from_le_bytes(plain[off..off + 4].try_into().expect("klen")) as usize;
-            let vlen =
-                u32::from_le_bytes(plain[off + 4..off + 8].try_into().expect("vlen")) as usize;
-            let version = u64::from_le_bytes(plain[off + 8..off + 16].try_into().expect("version"));
-            let expiry = u32::from_le_bytes(plain[off + 16..off + 20].try_into().expect("expiry"));
-            off += 20;
-            let key = plain[off..off + klen].to_vec();
-            off += klen;
-            let value = plain[off..off + vlen].to_vec();
-            off += vlen;
+        for &LoggedItem {
+            key,
+            value,
+            version,
+            expiry,
+        } in items
+        {
             if expiry != 0 && now >= expiry {
                 continue;
             }
-            if let Some(stored) = self.engine.version_of(ctx, &key) {
+            if let Some(stored) = self.engine.version_of(ctx, key) {
                 if stored >= version {
                     continue;
                 }
             }
             ctx.compute(OP_CYCLES);
-            applied += u64::from(self.engine.set(ctx, &key, &value, expiry, version));
+            applied += u64::from(self.engine.set(ctx, key, value, expiry, version));
         }
         applied
-    }
-
-    /// Captures every live item as the `"kvs-items"` section of a
-    /// portable [`Snapshot`] (plus a `"storage-meta"` section carrying
-    /// the engine's layout fingerprint), sealed through the shared
-    /// [`Sealer`] seam. `domain`/`epoch` scope the nonces (see
-    /// [`SnapshotBuilder::new`]); the fleet passes the sealing
-    /// enclave's id and its failover epoch.
-    ///
-    /// Callers whose data space is SUVM-backed should
-    /// [`quiesce`](eleos_core::Suvm::quiesce) the instance first —
-    /// this runs at a fence, and a fence means dirty pages are sealed
-    /// home.
-    #[must_use]
-    pub fn snapshot(
-        &self,
-        ctx: &mut ThreadCtx,
-        sealer: &dyn Sealer,
-        domain: u32,
-        epoch: u64,
-    ) -> Snapshot {
-        let items = self.encode_items_since(ctx, 0);
-        let count = u64::from_le_bytes(items[..8].try_into().expect("count"));
-        let label = self.engine.label().as_bytes();
-        let mut meta = Vec::with_capacity(1 + label.len() + 8);
-        meta.push(label.len() as u8);
-        meta.extend_from_slice(label);
-        meta.extend_from_slice(&count.to_le_bytes());
-        meta.extend_from_slice(&self.engine.meta_blob());
-        SnapshotBuilder::new(domain, epoch)
-            .section(KVS_SECTION, items)
-            .section(STORAGE_META_SECTION, meta)
-            .seal(ctx, sealer)
     }
 
     /// Encodes the live, unexpired items whose write stamp is
@@ -287,32 +263,37 @@ impl Kvs {
     /// deadlines travel with the items, so a restore preserves each
     /// item's remaining TTL.
     fn encode_items_since(&self, ctx: &mut ThreadCtx, base: u64) -> Vec<u8> {
-        let mut body = Vec::new();
+        let mut plain = vec![0u8; 8];
         let mut count = 0u64;
         self.engine
             .for_each_since(ctx, base, &mut |key, value, version, expiry| {
-                body.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                body.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                body.extend_from_slice(&version.to_le_bytes());
-                body.extend_from_slice(&expiry.to_le_bytes());
-                body.extend_from_slice(key);
-                body.extend_from_slice(value);
+                plain.extend_from_slice(&(key.len() as u32).to_le_bytes());
+                plain.extend_from_slice(&(value.len() as u32).to_le_bytes());
+                plain.extend_from_slice(&version.to_le_bytes());
+                plain.extend_from_slice(&expiry.to_le_bytes());
+                plain.extend_from_slice(key);
+                plain.extend_from_slice(value);
                 count += 1;
             });
-        let mut plain = Vec::with_capacity(8 + body.len());
-        plain.extend_from_slice(&count.to_le_bytes());
-        plain.extend_from_slice(&body);
+        plain[..8].copy_from_slice(&count.to_le_bytes());
         plain
     }
 
-    /// Incremental flavor of [`Self::snapshot`]: captures only the
-    /// items written at stamp `>= base`, so a receiver that already
-    /// holds everything below `base` can catch up from the delta
-    /// alone. `base = 0` degenerates to a full snapshot. The
-    /// `"storage-meta"` section carries the *delta* item count, so
-    /// [`Self::restore`] applies unchanged. The maintenance plane
-    /// streams these in chunks between failover fences; the number of
-    /// delta items is published as `snapshot_delta_items`.
+    /// The only way state leaves a store: captures the live items
+    /// written at stamp `>= base` as the `"kvs-items"` section of a
+    /// portable [`Snapshot`] (plus a `"storage-meta"` section), sealed
+    /// through the shared [`Sealer`] seam. `base = 0` is the whole
+    /// store (a host-file warm restart is
+    /// `snapshot_since(.., 0).to_bytes()`); a receiver holding
+    /// everything below a larger `base` catches up from the delta
+    /// alone. `domain`/`epoch` scope the nonces (see
+    /// [`SnapshotBuilder::new`]); the fleet passes the sealing
+    /// enclave's id and its transfer epoch. Publishes the item count as
+    /// `snapshot_delta_items`.
+    ///
+    /// Callers whose data space is SUVM-backed should
+    /// [`quiesce`](eleos_core::Suvm::quiesce) it first — this runs at a
+    /// fence, and a fence means dirty pages are sealed home.
     #[must_use]
     pub fn snapshot_since(
         &self,
@@ -327,91 +308,57 @@ impl Kvs {
         ctx.compute(count * ctx.machine.cfg.costs.snapshot_delta_item);
         Stats::add(&ctx.machine.stats.snapshot_delta_items, count);
         let label = self.engine.label().as_bytes();
-        let mut meta = Vec::with_capacity(1 + label.len() + 8);
-        meta.push(label.len() as u8);
-        meta.extend_from_slice(label);
-        meta.extend_from_slice(&count.to_le_bytes());
-        meta.extend_from_slice(&self.engine.meta_blob());
+        let blob = self.engine.meta_blob();
+        let meta = [&[label.len() as u8], label, &count.to_le_bytes(), &blob].concat();
         SnapshotBuilder::new(domain, epoch)
             .section(KVS_SECTION, items)
             .section(STORAGE_META_SECTION, meta)
             .seal(ctx, sealer)
     }
 
-    /// Restores items from a portable [`Snapshot`] captured by
-    /// [`Self::snapshot`] (possibly by a different enclave — snapshots
-    /// are sealed under a shared key precisely so a replica can
-    /// restore a dead sibling's state, and possibly by a *different
-    /// engine* — the item log is engine-neutral). The merge is
-    /// last-writer-wins on the per-item write stamp, so a stale copy
-    /// re-imported after bouncing through another replica never
-    /// clobbers a fresher value. Returns the number of items applied
-    /// (inserted or overwritten).
+    /// The only way state enters a store: merges a [`Snapshot`] from
+    /// [`Self::snapshot_since`] (possibly sealed by a different enclave
+    /// — that is what the shared key is for — or a *different engine*:
+    /// the item log is engine-neutral), last-writer-wins on the
+    /// per-item write stamp, so a stale copy re-imported after bouncing
+    /// through another replica never clobbers a fresher value. Returns
+    /// the number of items applied (inserted or overwritten).
     ///
-    /// # Panics
-    /// Panics when the snapshot lacks the `"kvs-items"` section, fails
-    /// authentication, or its `"storage-meta"` item count disagrees
-    /// with the item log (a mis-assembled snapshot).
-    pub fn restore(&mut self, ctx: &mut ThreadCtx, sealer: &dyn Sealer, snap: &Snapshot) -> u64 {
-        let plain = snap.open(ctx, sealer, KVS_SECTION);
-        if snap.has_section(STORAGE_META_SECTION) {
-            let meta = snap.open(ctx, sealer, STORAGE_META_SECTION);
-            let label_len = meta[0] as usize;
-            let declared = u64::from_le_bytes(
-                meta[1 + label_len..1 + label_len + 8]
-                    .try_into()
-                    .expect("storage-meta count"),
-            );
-            let logged = u64::from_le_bytes(plain[..8].try_into().expect("count"));
-            assert_eq!(
-                declared, logged,
-                "storage-meta item count disagrees with the item log"
-            );
-        }
-        self.decode_items(ctx, &plain)
-    }
-
-    /// Serializes every item into a sealed snapshot blob
-    /// (`AES-GCM(count || (klen,vlen,version,expiry,key,value)*)`),
-    /// suitable for writing to the untrusted host filesystem for warm
-    /// restarts.
-    #[must_use]
-    pub fn sealed_snapshot(
-        &self,
-        ctx: &mut ThreadCtx,
-        cipher: &eleos_crypto::gcm::AesGcm128,
-        nonce: &eleos_crypto::gcm::Nonce,
-    ) -> Vec<u8> {
-        let mut blob = self.encode_items_since(ctx, 0);
-        ctx.compute(ctx.machine.cfg.costs.crypto(blob.len()));
-        let tag = cipher.seal(nonce, b"kvs-snapshot", &mut blob);
-        let mut out = Vec::with_capacity(12 + 16 + blob.len());
-        out.extend_from_slice(nonce);
-        out.extend_from_slice(&tag);
-        out.extend_from_slice(&blob);
-        out
-    }
-
-    /// Restores items from a sealed snapshot produced by
-    /// [`Self::sealed_snapshot`]. Returns the number of items loaded.
-    ///
-    /// # Panics
-    /// Panics if the snapshot fails authentication (tampered file).
-    pub fn restore_snapshot(
+    /// # Errors
+    /// A section is missing or fails authentication, the item log does
+    /// not parse, or the `"storage-meta"` item count disagrees with
+    /// it. Everything is checked before the first item is applied: a
+    /// refused snapshot leaves the store untouched.
+    pub fn try_restore(
         &mut self,
         ctx: &mut ThreadCtx,
-        cipher: &eleos_crypto::gcm::AesGcm128,
-        blob: &[u8],
-    ) -> u64 {
-        assert!(blob.len() >= 28, "short snapshot");
-        let nonce: eleos_crypto::gcm::Nonce = blob[..12].try_into().expect("nonce");
-        let tag: eleos_crypto::gcm::Tag = blob[12..28].try_into().expect("tag");
-        let mut plain = blob[28..].to_vec();
-        cipher
-            .open(&nonce, b"kvs-snapshot", &mut plain, &tag)
-            .expect("KVS snapshot failed authentication: file tampered");
-        ctx.compute(ctx.machine.cfg.costs.crypto(plain.len()));
-        self.decode_items(ctx, &plain)
+        sealer: &dyn Sealer,
+        snap: &Snapshot,
+    ) -> Result<u64, SnapshotError> {
+        let plain = snap.open(ctx, sealer, KVS_SECTION)?;
+        let items = parse_items(&plain).ok_or(SnapshotError("malformed item log"))?;
+        let meta = snap.open(ctx, sealer, STORAGE_META_SECTION)?;
+        let declared = meta
+            .split_first()
+            .and_then(|(&label_len, rest)| rest.get(usize::from(label_len)..))
+            .and_then(|rest| rest.first_chunk::<8>())
+            .map(|count| u64::from_le_bytes(*count));
+        if declared != Some(items.len() as u64) {
+            return Err(SnapshotError("storage-meta item count disagrees"));
+        }
+        Ok(self.apply_items(ctx, &items))
+    }
+
+    /// [`Self::try_restore`], panicking on `Err`. Kept **only** because
+    /// the frozen e2e probe `core.snapshot_item` (`bench/src/probes.rs`)
+    /// calls it; the next benchmark PR should move the probe and delete
+    /// this. Nothing that reads bytes from untrusted memory may call it.
+    ///
+    /// # Panics
+    /// Panics where [`Self::try_restore`] returns an error.
+    pub fn restore(&mut self, ctx: &mut ThreadCtx, sealer: &dyn Sealer, snap: &Snapshot) -> u64 {
+        self.try_restore(ctx, sealer, snap)
+            .expect("restore of a snapshot from a trusted source")
     }
 
     /// Handles one protocol request. Returns `false` when the socket
@@ -461,7 +408,7 @@ impl Kvs {
             .collect();
         io.send_batch(ctx, &replies);
         if !requests.is_empty() {
-            self.engine.fence(ctx);
+            self.fence(ctx);
         }
         requests.len()
     }
@@ -492,6 +439,40 @@ impl Kvs {
             }
         }
     }
+}
+
+/// One entry of a snapshot's item log, borrowed from its plaintext.
+#[derive(Clone, Copy)]
+struct LoggedItem<'a> {
+    key: &'a [u8],
+    value: &'a [u8],
+    version: u64,
+    expiry: u32,
+}
+
+/// Parses `count u64 || (klen u32, vlen u32, version u64, expiry u32,
+/// key, value)*`; `None` when an entry runs past the log, the count
+/// disagrees with it, or bytes are left over.
+fn parse_items(plain: &[u8]) -> Option<Vec<LoggedItem<'_>>> {
+    let (count, mut rest) = plain.split_first_chunk::<8>()?;
+    // Grown per parsed entry, never sized by `count`.
+    let mut items = Vec::new();
+    for _ in 0..u64::from_le_bytes(*count) {
+        let (klen, r) = rest.split_first_chunk::<4>()?;
+        let (vlen, r) = r.split_first_chunk::<4>()?;
+        let (version, r) = r.split_first_chunk::<8>()?;
+        let (expiry, r) = r.split_first_chunk::<4>()?;
+        let (key, r) = r.split_at_checked(u32::from_le_bytes(*klen) as usize)?;
+        let (value, r) = r.split_at_checked(u32::from_le_bytes(*vlen) as usize)?;
+        items.push(LoggedItem {
+            key,
+            value,
+            version: u64::from_le_bytes(*version),
+            expiry: u32::from_le_bytes(*expiry),
+        });
+        rest = r;
+    }
+    rest.is_empty().then_some(items)
 }
 
 /// The one-byte reply to a request that does not parse.
@@ -759,7 +740,7 @@ mod tests {
         kvs.set_with_ttl(&mut t, b"short", b"lived", 300);
         kvs.set(&mut t, b"forever", b"kept");
         let sealer = AesGcm128::new(&[0x44u8; 16]);
-        let snap = kvs.snapshot(&mut t, &sealer, 9, 1);
+        let snap = kvs.snapshot_since(&mut t, &sealer, 9, 1, 0);
         let m = Arc::clone(&t.machine);
         let space = DataSpace::Untrusted(Arc::clone(&m));
         let mut seg = Kvs::with_engine(
@@ -789,13 +770,13 @@ mod tests {
             );
         }
         let sealer = AesGcm128::new(&[0x33u8; 16]);
-        let snap = kvs.snapshot(&mut t, &sealer, 7, 42);
+        let snap = kvs.snapshot_since(&mut t, &sealer, 7, 42, 0);
         assert_eq!(snap.epoch(), 42);
         // Round-trip through the byte form a cross-enclave channel
         // would carry; the payload is ciphertext end-to-end.
         let bytes = snap.to_bytes();
         assert!(!bytes.windows(6).any(|w| w == b"item-1"));
-        let reread = eleos_core::Snapshot::from_bytes(&bytes);
+        let reread = Snapshot::from_bytes(&bytes).unwrap();
 
         let m = Arc::clone(&t.machine);
         let space = DataSpace::Untrusted(Arc::clone(&m));
@@ -819,7 +800,7 @@ mod tests {
     }
 
     #[test]
-    fn sealed_snapshot_roundtrip_via_host_fs() {
+    fn snapshot_roundtrip_via_host_fs() {
         use eleos_crypto::gcm::AesGcm128;
         let (mut kvs, mut t) = untrusted_kvs(8 << 20);
         kvs.init(&mut t);
@@ -830,8 +811,8 @@ mod tests {
                 &vec![i as u8; 64 + i as usize],
             );
         }
-        let cipher = AesGcm128::new(&[0x51u8; 16]);
-        let blob = kvs.sealed_snapshot(&mut t, &cipher, &[7u8; 12]);
+        let sealer = AesGcm128::new(&[0x51u8; 16]);
+        let blob = kvs.snapshot_since(&mut t, &sealer, 7, 1, 0).to_bytes();
         // The snapshot is sealed: no key material visible.
         assert!(!blob.windows(6).any(|w| w == b"snap-1"));
 
@@ -853,10 +834,14 @@ mod tests {
         ut.read_untrusted(staging, &mut reread);
 
         // A fresh store restores everything.
-        let space = DataSpace::Untrusted(Arc::clone(&m));
-        let mut kvs2 = Kvs::new(space.clone(), space, 8 << 20, 1024);
+        let fresh = || {
+            let space = DataSpace::Untrusted(Arc::clone(&m));
+            Kvs::new(space.clone(), space, 8 << 20, 1024)
+        };
+        let mut kvs2 = fresh();
         kvs2.init(&mut t);
-        assert_eq!(kvs2.restore_snapshot(&mut t, &cipher, &reread), 200);
+        let snap = Snapshot::from_bytes(&reread).unwrap();
+        assert_eq!(kvs2.try_restore(&mut t, &sealer, &snap), Ok(200));
         for i in (0..200u32).step_by(23) {
             assert_eq!(
                 kvs2.get(&mut t, format!("snap-{i}").as_bytes()).unwrap(),
@@ -864,20 +849,57 @@ mod tests {
             );
         }
 
-        // A tampered snapshot is rejected.
+        // A tampered file is refused, and nothing of it is applied.
         let mut bad = reread.clone();
-        bad[40] ^= 1;
-        let mut kvs3 = Kvs::new(
-            DataSpace::Untrusted(Arc::clone(&m)),
-            DataSpace::Untrusted(Arc::clone(&m)),
-            8 << 20,
-            1024,
-        );
+        *bad.last_mut().unwrap() ^= 1;
+        let mut kvs3 = fresh();
         kvs3.init(&mut t);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            kvs3.restore_snapshot(&mut t, &cipher, &bad)
-        }));
-        assert!(r.is_err(), "tampered snapshot accepted");
+        let snap = Snapshot::from_bytes(&bad).unwrap();
+        assert_eq!(
+            kvs3.try_restore(&mut t, &sealer, &snap),
+            Err(SnapshotError("section failed authentication"))
+        );
+        assert!(kvs3.is_empty(), "a refused snapshot applies nothing");
+        t.exit();
+    }
+
+    #[test]
+    fn mis_assembled_snapshots_are_refused_whole() {
+        use eleos_crypto::gcm::AesGcm128;
+        let (mut kvs, mut t) = untrusted_kvs(8 << 20);
+        kvs.init(&mut t);
+        let sealer = AesGcm128::new(&[0x52u8; 16]);
+        let restore = |kvs: &mut Kvs, t: &mut ThreadCtx, b: SnapshotBuilder| {
+            let snap = b.seal(t, &sealer);
+            kvs.try_restore(t, &sealer, &snap).map_err(|e| e.0)
+        };
+        // One good entry followed by one whose value runs past the log.
+        let mut log = 2u64.to_le_bytes().to_vec();
+        for vlen in [1u32, 900] {
+            log.extend_from_slice(&1u32.to_le_bytes());
+            log.extend_from_slice(&vlen.to_le_bytes());
+            log.extend_from_slice(&[0u8; 12]);
+            log.extend_from_slice(b"kv");
+        }
+        let b = SnapshotBuilder::new(1, 1).section(KVS_SECTION, log);
+        assert_eq!(restore(&mut kvs, &mut t, b), Err("malformed item log"));
+        let b = SnapshotBuilder::new(1, 2).section("other", vec![]);
+        assert_eq!(restore(&mut kvs, &mut t, b), Err("no such section"));
+        // A well-formed empty log whose meta section declares one item,
+        // and one whose meta section is cut short.
+        for (epoch, meta) in [
+            (3, [&[0u8][..], &1u64.to_le_bytes()].concat()),
+            (4, vec![9]),
+        ] {
+            let b = SnapshotBuilder::new(1, epoch)
+                .section(KVS_SECTION, 0u64.to_le_bytes().to_vec())
+                .section(STORAGE_META_SECTION, meta);
+            assert_eq!(
+                restore(&mut kvs, &mut t, b),
+                Err("storage-meta item count disagrees")
+            );
+        }
+        assert!(kvs.is_empty(), "the good leading entry was not applied");
         t.exit();
     }
 
@@ -889,7 +911,7 @@ mod tests {
         kvs.set_with_ttl(&mut t, b"ttl-10", b"v", 10);
         kvs.set(&mut t, b"no-ttl", b"w");
         let sealer = AesGcm128::new(&[0x66u8; 16]);
-        let snap = kvs.snapshot(&mut t, &sealer, 1, 1);
+        let snap = kvs.snapshot_since(&mut t, &sealer, 1, 1, 0);
 
         // Restore 4 simulated seconds later: 6 seconds remain.
         let m = Arc::clone(&t.machine);

@@ -1,8 +1,8 @@
 //! The fleet maintenance worker thread.
 //!
 //! [`FleetKvs::maintenance_tick`] is the whole plane — failure
-//! detection, background engine byte-work, and chunked delta
-//! snapshots (see the `fleet_io` module docs). This module only adds
+//! detection, queued rejoins, engine byte-work, and delta rounds (see
+//! the `fleet_io` module docs). This module only adds
 //! the *driver*: a condvar-interruptible worker on the maintenance
 //! core, the same shape as the SUVM swapper
 //! ([`Swapper`](eleos_core::Swapper)).

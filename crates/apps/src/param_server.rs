@@ -12,8 +12,10 @@
 //! every enclave exit's TLB flush costs a page walk per hop).
 
 use eleos_enclave::thread::ThreadCtx;
+use eleos_sim::stats::Stats;
 
 use crate::io::ServerIo;
+use crate::kvs::MALFORMED_REPLY;
 use crate::space::DataSpace;
 
 /// Hash-table layout.
@@ -256,7 +258,8 @@ impl ParamServer {
     /// (missing keys read as 0).
     ///
     /// The legacy header-less update form (`[count u32][pairs…]`) is
-    /// also accepted.
+    /// also accepted. Anything else — and an update of key 0, the
+    /// table's empty-slot marker — is answered [`MALFORMED_REPLY`].
     pub fn handle_request(&mut self, ctx: &mut ThreadCtx, io: &ServerIo) -> Option<u64> {
         let plain = io.recv_msg(ctx)?;
         let (resp, inner) = self.process(ctx, &plain);
@@ -286,44 +289,69 @@ impl ParamServer {
     }
 
     /// Executes one decrypted request, returning the response
-    /// plaintext and the cycles spent in the processing loop.
+    /// plaintext and the cycles spent in the processing loop. The body
+    /// comes from a client, attested but not trusted: one that does
+    /// not parse is answered [`MALFORMED_REPLY`] and counted in
+    /// `malformed_requests`, and the server keeps serving.
     fn process(&mut self, ctx: &mut ThreadCtx, plain: &[u8]) -> (Vec<u8>, u64) {
+        let inner_start = ctx.now();
+        let resp = match Request::parse(plain) {
+            Some(Request::Update(pairs)) => {
+                for pair in pairs.chunks_exact(2) {
+                    self.update(ctx, pair[0], pair[1]);
+                }
+                (pairs.len() as u32 / 2).to_le_bytes().to_vec()
+            }
+            Some(Request::Read(keys)) => keys
+                .iter()
+                .flat_map(|&key| self.get(ctx, key).unwrap_or(0).to_le_bytes())
+                .collect(),
+            None => {
+                Stats::bump(&ctx.machine.stats.malformed_requests);
+                vec![MALFORMED_REPLY]
+            }
+        };
+        (resp, ctx.now() - inner_start)
+    }
+}
+
+/// A parameter-server request, decoded from its decrypted body.
+enum Request {
+    /// `key, delta, key, delta, …`; no key is 0 (the empty-slot
+    /// marker).
+    Update(Vec<u64>),
+    Read(Vec<u64>),
+}
+
+impl Request {
+    /// Parses `[op u8][count u32]` + `count` fixed-size items (or the
+    /// legacy header-less update); `None` for an empty or truncated
+    /// body, an unknown opcode, a count that disagrees with the bytes
+    /// that follow it, or an update of key 0.
+    fn parse(plain: &[u8]) -> Option<Self> {
         // Disambiguate: opcode-framed requests are 1 (mod 16 payload);
         // the legacy update form is exactly 4 + 16*count bytes.
         let (op, body) = if plain.len() % 16 == 4 {
-            (0u8, plain)
+            (0, plain)
         } else {
-            (plain[0], &plain[1..])
+            let (&op, body) = plain.split_first()?;
+            (op, body)
         };
-        let count = u32::from_le_bytes(body[..4].try_into().expect("short request")) as usize;
+        let (count, items) = body.split_first_chunk::<4>()?;
+        let count = u32::from_le_bytes(*count) as usize;
+        let (words, ragged) = items.as_chunks::<8>();
+        if !ragged.is_empty() {
+            return None;
+        }
+        let words: Vec<u64> = words.iter().map(|w| u64::from_le_bytes(*w)).collect();
         match op {
-            0 => {
-                assert_eq!(body.len(), 4 + count * 16, "malformed update request");
-                let inner_start = ctx.now();
-                for i in 0..count {
-                    let off = 4 + i * 16;
-                    let key = u64::from_le_bytes(body[off..off + 8].try_into().expect("len ok"));
-                    let delta =
-                        u64::from_le_bytes(body[off + 8..off + 16].try_into().expect("len ok"));
-                    self.update(ctx, key, delta);
-                }
-                let inner = ctx.now() - inner_start;
-                ((count as u32).to_le_bytes().to_vec(), inner)
-            }
-            1 => {
-                assert_eq!(body.len(), 4 + count * 8, "malformed read request");
-                let inner_start = ctx.now();
-                let mut resp = Vec::with_capacity(count * 8);
-                for i in 0..count {
-                    let off = 4 + i * 8;
-                    let key = u64::from_le_bytes(body[off..off + 8].try_into().expect("len ok"));
-                    let v = self.get(ctx, key).unwrap_or(0);
-                    resp.extend_from_slice(&v.to_le_bytes());
-                }
-                let inner = ctx.now() - inner_start;
-                (resp, inner)
-            }
-            other => panic!("unknown parameter-server opcode {other}"),
+            0 if words.len() == count.checked_mul(2)? => words
+                .iter()
+                .step_by(2)
+                .all(|&key| key != 0)
+                .then_some(Request::Update(words)),
+            1 if words.len() == count => Some(Request::Read(words)),
+            _ => None,
         }
     }
 }

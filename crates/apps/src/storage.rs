@@ -20,19 +20,18 @@
 //! Both engines keep the paper's §5.1 split: hash-chain/LRU/expiry
 //! metadata lives in the clear metadata space; keys, values and their
 //! sizes live in the secure data space, every access charged through
-//! [`DataSpace`]. Engine maintenance (rebalance moves, merges, segment
-//! expiry) runs **only** inside [`StorageEngine::fence`], which the
-//! serving path calls between batches — never mid-batch, reusing the
-//! fence discipline of shard rebalance and fleet failover.
-//!
-//! In **background mode** ([`StorageEngine::set_background`]) the
-//! fence keeps that role but sheds the byte-work: it only publishes
-//! gauges and decays demand windows, while the relocation/merge/expiry
-//! copies run in [`StorageEngine::maintenance_tick`] on the
-//! maintenance plane's core — the Eleos move of taking stall-inducing
-//! work off the serving threads. Fence-synchronous maintenance charges
-//! its cycles to the `maint_stall_cycles` stat so benches can show the
-//! stall disappearing from the serving cores.
+//! [`DataSpace`]. An engine's maintenance is two calls.
+//! [`StorageEngine::fence`], which the serving path makes between
+//! batches — never mid-batch, reusing the fence discipline of shard
+//! rebalance and fleet failover — only counts the fence and publishes
+//! gauges. [`StorageEngine::maintenance_tick`] does the byte-work:
+//! rebalance moves and window decay, segment expiry and the merges
+//! that keep a reserve of free segments. An engine does not know which
+//! core calls its tick: [`Kvs::fence`](crate::kvs::Kvs::fence) calls
+//! it inline and charges the cycles to `maint_stall_cycles`, or — the
+//! Eleos move of taking stall-inducing work off the serving threads —
+//! a maintenance plane calls it from a core of its own, and the stall
+//! disappears from the serving cores.
 
 use eleos_enclave::thread::ThreadCtx;
 use eleos_sim::stats::{Stats, MAX_STORAGE_CLASSES};
@@ -72,8 +71,8 @@ const FLAG_HEAD: u32 = 2;
 /// Sanity marker in a spill head's 16-byte descriptor ("SPLL").
 const SPILL_MAGIC: u32 = 0x5350_4C4C;
 
-/// Free segments the background tick tries to keep on hand so the
-/// serving-path allocator almost never reclaims inline.
+/// Free segments the maintenance tick tries to keep on hand so the
+/// set-path allocator almost never reclaims inline.
 const SEG_FREE_RESERVE: usize = 2;
 
 /// The derived key of spill part `i` of `key`: a reserved `0xFF`
@@ -293,9 +292,9 @@ pub trait StorageEngine: Send {
     /// Bytes of secure pool acquired from the data space.
     fn pool_bytes(&self) -> u64;
 
-    /// Sub-batch fence hook: the only place engine maintenance
-    /// (rebalance moves, proactive segment expiry, gauge publishing)
-    /// may run. Never called mid-batch.
+    /// Sub-batch fence hook: counts the fence and publishes gauges.
+    /// Never called mid-batch, and never moves a byte — that is
+    /// [`Self::maintenance_tick`].
     fn fence(&mut self, ctx: &mut ThreadCtx);
 
     /// Visits every live, unexpired item stamped `>= base` (index
@@ -308,18 +307,13 @@ pub trait StorageEngine: Send {
     /// section (layout parameters a restore-side can sanity-check).
     fn meta_blob(&self) -> Vec<u8>;
 
-    /// Switches between fence-synchronous maintenance (the default)
-    /// and background mode, where fences only publish counters and
-    /// the byte-work waits for [`Self::maintenance_tick`].
-    fn set_background(&mut self, _on: bool) {}
-
-    /// One background-maintenance pass, run by the maintenance plane
-    /// with a context pinned to its own core — never the serving
-    /// path's. Returns whether any work ran. A no-op unless the
-    /// engine is in background mode.
-    fn maintenance_tick(&mut self, _ctx: &mut ThreadCtx) -> bool {
-        false
-    }
+    /// One pass of maintenance byte-work, charged to whichever core
+    /// `ctx` runs on: the serving core when [`Kvs::fence`] calls it
+    /// inline, the maintenance plane's when that calls it instead.
+    /// Returns whether any work ran.
+    ///
+    /// [`Kvs::fence`]: crate::kvs::Kvs::fence
+    fn maintenance_tick(&mut self, ctx: &mut ThreadCtx) -> bool;
 }
 
 /// Builds the configured engine over the given spaces.
@@ -379,9 +373,8 @@ pub struct SlabEngine {
     window: Vec<ClassWindow>,
     /// Cumulative per-class totals, published as gauges at fences.
     totals: Vec<ClassWindow>,
+    /// Fences since the last maintenance pass.
     fences: u32,
-    /// Background mode: fences publish only; moves run in the tick.
-    background: bool,
 }
 
 /// What the slab engine's key comparison learned about a node.
@@ -427,7 +420,6 @@ impl SlabEngine {
             window: vec![ClassWindow::default(); n],
             totals: vec![ClassWindow::default(); n],
             fences: 0,
-            background: false,
         }
     }
 
@@ -618,8 +610,8 @@ impl SlabEngine {
 
     /// Exponential decay keeps the windows tracking *recent* demand,
     /// so a long-cold class eventually looks like a donor. Runs after
-    /// the byte-work (synchronous fence or background tick) so the
-    /// rebalancer always acts on pre-decay demand.
+    /// the tick's moves so the rebalancer always acts on pre-decay
+    /// demand.
     fn decay_windows(&mut self) {
         for w in &mut self.window {
             w.sets /= 2;
@@ -751,47 +743,24 @@ impl StorageEngine for SlabEngine {
     }
 
     fn fence(&mut self, ctx: &mut ThreadCtx) {
-        let Some(cfg) = self.rebalance.clone() else {
-            // Rebalancer off: the fence is free (bit- and
-            // cycle-identical to the seed's store).
-            return;
-        };
-        self.fences += 1;
-        self.publish_gauges(ctx);
-        if !self.fences.is_multiple_of(cfg.fence_period) {
-            return;
+        // Rebalancer off: the fence is free (bit- and cycle-identical
+        // to the seed's store).
+        if self.rebalance.is_some() {
+            self.fences += 1;
+            self.publish_gauges(ctx);
         }
-        if self.background {
-            // Background mode: the fence only publishes. Byte-work
-            // *and* window decay move to the maintenance tick so the
-            // tick sees the same pre-decay demand the synchronous
-            // fence would have acted on.
-            return;
-        }
-        // Fence-synchronous mode: the relocation byte-work runs
-        // right here, and every cycle of it stalls the serving
-        // core.
-        let t0 = ctx.now();
-        for _ in 0..cfg.max_moves_per_fence {
-            if !self.try_rebalance(ctx) {
-                break;
-            }
-        }
-        Stats::add(&ctx.machine.stats.maint_stall_cycles, ctx.now() - t0);
-        self.decay_windows();
-    }
-
-    fn set_background(&mut self, on: bool) {
-        self.background = on;
     }
 
     fn maintenance_tick(&mut self, ctx: &mut ThreadCtx) -> bool {
         let Some(cfg) = self.rebalance.clone() else {
             return false;
         };
-        if !self.background {
+        // Due once `fence_period` fences have passed since the last
+        // pass — whoever calls the tick, however it aligns to fences.
+        if self.fences < cfg.fence_period {
             return false;
         }
+        self.fences = 0;
         let mut did = false;
         for _ in 0..cfg.max_moves_per_fence {
             if !self.try_rebalance(ctx) {
@@ -891,9 +860,6 @@ pub struct SegmentEngine {
     expired: u64,
     /// Indexed nodes that are spill *parts* (excluded from `len`).
     spill_parts: u64,
-    /// Background mode: fences publish only; expiry sweeps and merges
-    /// run in the tick.
-    background: bool,
 }
 
 /// What the segment engine's key comparison learned about a node.
@@ -933,7 +899,6 @@ impl SegmentEngine {
             evictions: 0,
             expired: 0,
             spill_parts: 0,
-            background: false,
         }
     }
 
@@ -991,9 +956,8 @@ impl SegmentEngine {
                 self.segments.push(Segment::fresh(base));
                 return self.segments.len() - 1;
             }
-            // Inline reclamation stalls the set that triggered it; in
-            // background mode the tick's free-segment reserve makes
-            // this path rare.
+            // Inline reclamation stalls the set that triggered it; the
+            // tick's free-segment reserve makes this path rare.
             let t0 = ctx.now();
             self.reclaim(ctx);
             Stats::add(&ctx.machine.stats.maint_stall_cycles, ctx.now() - t0);
@@ -1500,15 +1464,6 @@ impl StorageEngine for SegmentEngine {
     }
 
     fn fence(&mut self, ctx: &mut ThreadCtx) {
-        if !self.background {
-            // Proactive whole-segment expiry: the host-side deadline
-            // check costs nothing, but actual reclamation does
-            // simulated work right here on the serving core. In
-            // background mode the sweep moves to the tick.
-            let t0 = ctx.now();
-            self.expire_segments(ctx);
-            Stats::add(&ctx.machine.stats.maint_stall_cycles, ctx.now() - t0);
-        }
         // Publish per-TTL-bucket live-segment counts as class gauges.
         let st = &ctx.machine.stats.storage;
         for (tb, b) in self.ttl.iter().enumerate().take(MAX_STORAGE_CLASSES) {
@@ -1517,17 +1472,12 @@ impl StorageEngine for SegmentEngine {
         }
     }
 
-    fn set_background(&mut self, on: bool) {
-        self.background = on;
-    }
-
     fn maintenance_tick(&mut self, ctx: &mut ThreadCtx) -> bool {
-        if !self.background {
-            return false;
-        }
+        // Proactive whole-segment expiry: the host-side deadline check
+        // costs nothing, the reclamation does simulated work.
         let mut did = self.expire_segments(ctx) > 0;
         // Merge proactively to keep a reserve of free segments, so the
-        // serving-path allocator almost never reclaims inline. Only
+        // set-path allocator almost never reclaims inline. Only
         // buckets with at least two sealed segments are compacted —
         // merging a lone segment would evict everything in it.
         loop {
@@ -1614,6 +1564,13 @@ mod tests {
         let eng = SegmentEngine::new(space.clone(), space, limit, 1024, SegmentConfig::default());
         eng.init(&mut t);
         (eng, t)
+    }
+
+    /// What `Kvs::fence` does with no maintenance plane: publish, then
+    /// the byte-work inline on the same thread.
+    fn fence_and_tick(eng: &mut dyn StorageEngine, t: &mut ThreadCtx) {
+        eng.fence(t);
+        eng.maintenance_tick(t);
     }
 
     #[test]
@@ -1705,9 +1662,9 @@ mod tests {
         }
         let pool_before = eng.pool_bytes();
         assert!(pool_before >= 128 << 10);
-        // Cross the deadline; the fence reclaims sealed segments whole.
+        // Cross the deadline; the tick reclaims sealed segments whole.
         t.compute(8 * 3_400_000_000);
-        eng.fence(&mut t);
+        fence_and_tick(&mut eng, &mut t);
         let d = m.stats.snapshot();
         assert!(d.seg_expired_segments > 0, "whole segments must expire");
         assert!(d.expired_items > 0);
@@ -1736,10 +1693,10 @@ mod tests {
         for i in 0..2_000u32 {
             eng.set(&mut t, format!("b-{i}").as_bytes(), &[2u8; 1200], 0, 1);
             if i % 64 == 0 {
-                eng.fence(&mut t);
+                fence_and_tick(&mut eng, &mut t);
             }
         }
-        eng.fence(&mut t);
+        fence_and_tick(&mut eng, &mut t);
         let d = m.stats.snapshot();
         assert!(d.slab_moves > 0, "the rebalancer must move slabs");
         // Everything in phase B's recent window still reads correctly.
@@ -1795,57 +1752,137 @@ mod tests {
         t.exit();
     }
 
-    #[test]
-    fn background_slab_moves_happen_in_the_tick_not_the_fence() {
-        let (mut eng, mut t) = slab_engine(4 << 20, Some(RebalanceConfig::default()));
-        let m = Arc::clone(&t.machine);
-        eng.set_background(true);
-        m.reset_counters();
-        // Calcify on small items, then shift to large ones (the same
-        // load the synchronous rebalancer test uses).
+    /// Calcify on small items, delete three in four, shift to large
+    /// ones; `fence` runs every 64 sets.
+    fn shifting_load(
+        eng: &mut SlabEngine,
+        t: &mut ThreadCtx,
+        fence: fn(&mut SlabEngine, &mut ThreadCtx),
+    ) {
         for i in 0..20_000u32 {
-            eng.set(&mut t, format!("a-{i}").as_bytes(), &[1u8; 100], 0, 1);
+            eng.set(t, format!("a-{i}").as_bytes(), &[1u8; 100], 0, 1);
         }
-        for i in 0..20_000u32 {
-            eng.delete(&mut t, format!("a-{i}").as_bytes());
+        for i in (0..20_000u32).filter(|i| i % 4 != 0) {
+            eng.delete(t, format!("a-{i}").as_bytes());
         }
         for i in 0..2_000u32 {
-            eng.set(&mut t, format!("b-{i}").as_bytes(), &[2u8; 1200], 0, 1);
+            eng.set(t, format!("b-{i}").as_bytes(), &[2u8; 1200], 0, 1);
             if i % 64 == 0 {
-                eng.fence(&mut t);
+                fence(eng, t);
             }
         }
-        let d = m.stats.snapshot();
-        assert_eq!(d.slab_moves, 0, "background fences must not move slabs");
-        assert_eq!(d.maint_stall_cycles, 0, "background fences must not stall");
-        assert!(
-            eng.maintenance_tick(&mut t),
-            "the tick must find the starved class"
-        );
-        let d = m.stats.snapshot();
-        assert!(d.slab_moves > 0, "moves run in the tick");
-        assert_eq!(d.maint_stall_cycles, 0, "tick work is not a serving stall");
+    }
+
+    /// Half the sets carry a 5 s TTL, simulated time advances 0.1 s per
+    /// fence, and the pool never fills, so whole-segment expiry is the
+    /// only reclamation.
+    fn ttl_load(
+        eng: &mut SegmentEngine,
+        t: &mut ThreadCtx,
+        fence: fn(&mut SegmentEngine, &mut ThreadCtx),
+    ) {
+        for i in 0..6000u32 {
+            let ttl = if i % 2 == 0 { 5 } else { 0 };
+            let value = vec![(i % 251) as u8; 200 + (i as usize % 200)];
+            eng.set(t, format!("key-{i:05}").as_bytes(), &value, ttl, 1);
+            if i % 64 == 0 {
+                t.compute(340_000_000);
+                fence(eng, t);
+            }
+        }
+    }
+
+    #[test]
+    fn a_tick_is_due_however_it_aligns_to_the_fence_period() {
+        // 32 fences at period 5: a plane's tick lands off a multiple of
+        // the period, and must still run the pass those fences earned.
+        let cfg = RebalanceConfig {
+            fence_period: 5,
+            ..RebalanceConfig::default()
+        };
+        let (mut eng, mut t) = slab_engine(4 << 20, Some(cfg));
+        shifting_load(&mut eng, &mut t, |eng, t| eng.fence(t));
+        assert!(eng.maintenance_tick(&mut t), "32 fences passed: due");
+        for _ in 0..4 {
+            eng.fence(&mut t);
+            assert!(!eng.maintenance_tick(&mut t), "under a period since");
+        }
         t.exit();
     }
 
     #[test]
-    fn background_segment_tick_merges_proactively() {
+    fn a_fence_moves_no_bytes_and_fence_plus_tick_is_the_old_synchronous_fence() {
+        // The counts the fence-synchronous engines produced on these
+        // loads before `fence` and `maintenance_tick` were split.
+        const SYNC_SLAB_MOVES: u64 = 2;
+        const SYNC_ITEMS_RELOCATED: u64 = 2816;
+        const SYNC_EXPIRED_ITEMS: u64 = 2977;
+        const SYNC_EXPIRED_SEGMENTS: u64 = 48;
+
+        let (mut eng, mut t) = slab_engine(4 << 20, Some(RebalanceConfig::default()));
+        let m = Arc::clone(&t.machine);
+        m.reset_counters();
+        shifting_load(&mut eng, &mut t, |eng, t| {
+            let before = t.now();
+            eng.fence(t);
+            assert_eq!(t.now(), before, "a fence charges nothing");
+        });
+        assert_eq!(m.stats.snapshot().slab_moves, 0, "a fence moves no slab");
+        assert!(
+            eng.maintenance_tick(&mut t),
+            "the tick finds the starved class"
+        );
+        assert!(m.stats.snapshot().slab_moves > 0);
+        t.exit();
+
+        let (mut eng, mut t) = slab_engine(4 << 20, Some(RebalanceConfig::default()));
+        let m = Arc::clone(&t.machine);
+        m.reset_counters();
+        shifting_load(&mut eng, &mut t, |eng, t| fence_and_tick(eng, t));
+        let d = m.stats.snapshot();
+        assert_eq!(d.slab_moves, SYNC_SLAB_MOVES);
+        assert_eq!(d.slab_items_relocated, SYNC_ITEMS_RELOCATED);
+        assert_eq!(d.maint_stall_cycles, 0, "an engine does not know who pays");
+        t.exit();
+
+        let (mut eng, mut t) = segment_engine(8 << 20);
+        let m = Arc::clone(&t.machine);
+        m.reset_counters();
+        ttl_load(&mut eng, &mut t, |eng, t| eng.fence(t));
+        let d = m.stats.snapshot();
+        assert_eq!(
+            (d.seg_expired_segments, d.expired_items, d.seg_merges),
+            (0, 0, 0),
+            "a fence expires and merges nothing"
+        );
+        t.exit();
+
+        let (mut eng, mut t) = segment_engine(8 << 20);
+        let m = Arc::clone(&t.machine);
+        m.reset_counters();
+        ttl_load(&mut eng, &mut t, |eng, t| fence_and_tick(eng, t));
+        let d = m.stats.snapshot();
+        assert_eq!(d.expired_items, SYNC_EXPIRED_ITEMS);
+        assert_eq!(d.seg_expired_segments, SYNC_EXPIRED_SEGMENTS);
+        t.exit();
+    }
+
+    #[test]
+    fn segment_tick_merges_to_keep_a_free_reserve() {
         let (mut eng, mut t) = segment_engine(1 << 20);
         let m = Arc::clone(&t.machine);
-        eng.set_background(true);
         m.reset_counters();
         for i in 0..6000u32 {
             let key = format!("key-{i:05}");
             let value = vec![(i % 251) as u8; 200 + (i as usize % 200)];
             eng.set(&mut t, key.as_bytes(), &value, 0, 1);
             if i % 64 == 0 {
-                eng.fence(&mut t);
-                eng.maintenance_tick(&mut t);
+                fence_and_tick(&mut eng, &mut t);
             }
         }
         let d = m.stats.snapshot();
         assert!(d.bg_merges > 0, "the tick must merge proactively");
-        // Recent keys survive with correct bytes despite background
+        // Recent keys survive with correct bytes despite the
         // compaction.
         let mut present = 0;
         for i in 5900..6000u32 {
@@ -1855,7 +1892,7 @@ mod tests {
                 present += 1;
             }
         }
-        assert!(present > 50, "recent keys should survive background merges");
+        assert!(present > 50, "recent keys should survive the tick's merges");
         t.exit();
     }
 
@@ -1880,7 +1917,7 @@ mod tests {
         for i in 0..2_500u32 {
             eng.set(&mut t, format!("fill-{i}").as_bytes(), &[3u8; 1200], 0, 1);
             if i % 64 == 0 {
-                eng.fence(&mut t);
+                fence_and_tick(&mut eng, &mut t);
             }
         }
         // Any keep-* item still indexed must read back exactly.
@@ -2086,7 +2123,7 @@ mod tests {
                 }
                 Op::Evict => eng.evict(&mut t),
                 Op::Relocate => eng.relocate(&mut t, VLENS[2]),
-                Op::Fence => eng.api().fence(&mut t),
+                Op::Fence => fence_and_tick(eng.api(), &mut t),
             }
             if eng.api().evictions() != evicted {
                 // By GET: a spill that lost a part reads as a miss.

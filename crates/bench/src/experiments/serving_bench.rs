@@ -56,23 +56,26 @@
 //! run and respawn it at 75%, with the kill fired *mid-backlog* so
 //! the outstanding requests see the failover window:
 //!
-//! - `kill-respawn` runs the fence synchronously: the victim's
-//!   snapshot and the heir's restore stall the serving cores, and the
-//!   stranded backlog's sojourn eats the whole fence.
+//! - `kill-respawn` has no maintenance plane, so [`FleetKvs::kill`]
+//!   and [`FleetKvs::respawn`] run their state transfer inline: the
+//!   victim's seal and the heir's merge stall the serving cores, and
+//!   the stranded backlog's sojourn eats the whole fence.
 //! - `kill-respawn-bg` runs the maintenance plane
 //!   ([`FleetKvs::maintenance_tick`] on its own core): the bench
 //!   *mutes* the victim (stops pumping it) and the background failure
-//!   detector kills it off-path after `hb_miss_threshold` heartbeat-
-//!   less ticks; the respawn goes through
-//!   [`FleetKvs::request_rejoin`]. The snapshot/restore byte-work
-//!   lands on the maintenance core, so the stranded backlog resumes
-//!   as soon as the shards move — the failover-window p99 collapses
-//!   while busy cycles/op stays put.
+//!   detector calls the same `kill` off-path after
+//!   `hb_miss_threshold` heartbeat-less ticks; the respawn goes
+//!   through [`FleetKvs::request_rejoin`]. The transfer's byte-work
+//!   lands on the maintenance core (and, delta rounds having streamed
+//!   most of the state already, is a final delta), so the stranded
+//!   backlog resumes as soon as the shards move — the failover-window
+//!   p99 collapses while busy cycles/op stays put.
 //!
 //! Both carry `lost_replies` (must be zero — host sockets outlive the
 //! enclave and the heir restores the victim's snapshot before reaping
-//! its shards), `failover_cycles` / `recovery_cycles` (serving-core
-//! fence cost, or maintenance-core cost for the background cell),
+//! its shards), `failover_cycles` / `recovery_cycles` (what the
+//! transfers cost the serving cores, or the maintenance core for the
+//! background cell),
 //! `maint_chunks` / `hb_misses`, and per-replica served-op counts.
 //!
 //! # Session cells
@@ -158,17 +161,20 @@ struct Cell {
     /// Requests pushed minus replies received — must be zero even
     /// across a kill/respawn.
     lost_replies: u64,
-    /// Serving-core cycles spent in kill-fence failovers.
+    /// Cycles spent in kill-fence failovers (serving cores, or the
+    /// maintenance core for the background cell).
     failover_cycles: u64,
-    /// Serving-core cycles from respawn to the rejoined replica
-    /// serving again.
+    /// Cycles from respawn to the rejoined replica serving again
+    /// (likewise).
     recovery_cycles: u64,
     /// Requests served per replica (empty for single-enclave cells).
     replica_ops: Vec<u64>,
-    /// Delta-snapshot chunks the maintenance plane streamed.
+    /// State-transfer chunks staged on the cross-enclave channel.
     maint_chunks: u64,
     /// Heartbeat misses the background failure detector counted.
     hb_misses: u64,
+    /// Serving-core cycles stalled in maintenance byte-work run inline.
+    maint_stall: u64,
     /// Session-key epoch rotations during the measured phase.
     rekeys: u64,
     /// Messages dropped unserved (revoked session or unknown epoch).
@@ -376,6 +382,7 @@ fn cell(
         replica_ops: Vec::new(),
         maint_chunks: d.maint_chunks,
         hb_misses: d.hb_misses,
+        maint_stall: d.maint_stall_cycles,
         rekeys: d.rekeys,
         auth_failures: d.auth_failures,
         ops,
@@ -397,7 +404,7 @@ fn cell(
 
 /// Runs one fleet cell: `replicas` enclaves over [`FLEET_SHARDS`]
 /// shared sockets on the steady load. `chaos` is `"none"`,
-/// `"kill-respawn"` (synchronous fence at the serving cores) or
+/// `"kill-respawn"` (transfers inline on the serving cores) or
 /// `"kill-respawn-bg"` (the maintenance plane's failure detector and
 /// rejoin queue, off the serving path); both chaos schedules fire the
 /// kill mid-backlog so the outstanding requests see the failover
@@ -519,7 +526,7 @@ fn fleet_cell(
                             if background {
                                 muted.push(v);
                             } else {
-                                failover_cycles += fk.kill(v).cycles;
+                                failover_cycles += fk.kill(v).expect("honest channel").cycles;
                             }
                         }
                         ChaosAction::Respawn(v) => {
@@ -527,7 +534,7 @@ fn fleet_cell(
                                 muted.retain(|&r| r != v);
                                 fk.request_rejoin(v);
                             } else {
-                                recovery_cycles += fk.respawn(v).cycles;
+                                recovery_cycles += fk.respawn(v).expect("honest channel").cycles;
                             }
                         }
                     }
@@ -587,6 +594,7 @@ fn fleet_cell(
             .collect(),
         maint_chunks: d.maint_chunks,
         hb_misses: d.hb_misses,
+        maint_stall: d.maint_stall_cycles,
         rekeys: d.rekeys,
         auth_failures: d.auth_failures,
         ops,
@@ -692,6 +700,7 @@ fn rekey_cell(scale: Scale, chaos: &'static str, interval: Option<u64>, quick: b
         replica_ops: Vec::new(),
         maint_chunks: d.maint_chunks,
         hb_misses: d.hb_misses,
+        maint_stall: d.maint_stall_cycles,
         rekeys: d.rekeys,
         auth_failures: d.auth_failures,
         ops,
@@ -867,6 +876,7 @@ fn revoke_cell(scale: Scale, quick: bool) -> Cell {
         replica_ops: vec![a_pushed, b_served],
         maint_chunks: d.maint_chunks,
         hb_misses: d.hb_misses,
+        maint_stall: d.maint_stall_cycles,
         rekeys: d.rekeys,
         auth_failures: d.auth_failures,
         ops: pushed,
@@ -1067,7 +1077,7 @@ pub fn run(scale: Scale, quick: bool) {
              \"busy_cycles_per_op\": {:.1}, \"throughput_ops_s\": {:.1}, \
              \"lost_replies\": {}, \"failover_cycles\": {}, \"recovery_cycles\": {}, \
              \"replica_ops\": {}, \"maint_chunks\": {}, \"hb_misses\": {}, \
-             \"rekeys\": {}, \"auth_failures\": {}, \
+             \"maint_stall_cycles\": {}, \"rekeys\": {}, \"auth_failures\": {}, \
              \"sojourn_p50\": {}, \"sojourn_p95\": {}, \"sojourn_p99\": {}, \
              \"sojourn_count\": {}, \"rpc_batches\": {}, \
              \"shard_backlog\": {}, \"shard_depth\": {}, \
@@ -1088,6 +1098,7 @@ pub fn run(scale: Scale, quick: bool) {
             json_array(&c.replica_ops),
             c.maint_chunks,
             c.hb_misses,
+            c.maint_stall,
             c.rekeys,
             c.auth_failures,
             c.sojourn_p50,

@@ -16,13 +16,15 @@
 //!   whole expired segments at fences and keeps the op path free of
 //!   LRU pointer maintenance.
 //!
-//! The `slab-rebal-bg` and `segment-bg` engines run the same configs
-//! in **background mode**: serving-path fences only publish counters,
-//! and the relocation/merge byte-work runs in
-//! [`Kvs::maintenance_tick`] on a second core after each fence. Each
-//! cell carries `maint_stall_cycles` (serving-core cycles stalled in
-//! fence byte-work — must be ~0 for the background engines) and
-//! `bg_merges` (proactive segment merges the tick performed).
+//! The `slab-rebal-bg` and `segment-bg` engines are the same engines
+//! and the same byte-work ([`Kvs::maintenance_tick`]); what differs is
+//! who calls it. Without `-bg`, [`Kvs::fence`] runs the tick inline on
+//! the serving core; with it ([`Kvs::set_background`]) the fence only
+//! publishes gauges and the bench calls the tick from a second core
+//! after each fence. Each cell carries `maint_stall_cycles`
+//! (serving-core cycles stalled in maintenance byte-work — 0 for the
+//! `-bg` engines) and `bg_merges` (reserve-keeping segment merges the
+//! tick performed, inline or not).
 
 use std::sync::Arc;
 
@@ -66,17 +68,18 @@ struct Cell {
     expired: u64,
     slab_moves: u64,
     seg_merges: u64,
-    /// Serving-core cycles stalled in fence-synchronous byte-work
-    /// (~0 for the background engines — that is their whole point).
+    /// Serving-core cycles stalled in maintenance byte-work (0 for
+    /// the background engines — that is their whole point).
     maint_stall: u64,
-    /// Proactive segment merges the background tick performed.
+    /// Reserve-keeping segment merges the maintenance tick performed.
     bg_merges: u64,
     refills: u64,
     items_end: u64,
 }
 
 /// `(label, config, background)` — the background entries run the
-/// same engine configs with the byte-work moved off the fence.
+/// same engine configs with the maintenance tick called from
+/// [`MAINT_CORE`] instead of from the fence.
 fn engines() -> Vec<(&'static str, EngineConfig, bool)> {
     let rebal = EngineConfig::Slab {
         rebalance: Some(RebalanceConfig::default()),

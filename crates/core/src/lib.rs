@@ -58,7 +58,7 @@ pub mod table;
 pub use config::{EvictPolicy, SealerConfig, StoreKind, SuvmConfig};
 pub use containers::{SBox, SHashMap, SVec};
 pub use runtime::{Eleos, EleosBuilder};
-pub use snapshot::{Snapshot, SnapshotBuilder};
+pub use snapshot::{Snapshot, SnapshotBuilder, SnapshotError};
 pub use spointer::{Plain, SPtr};
 pub use suvm::span::SpanCursor;
 pub use suvm::{Suvm, Sva};

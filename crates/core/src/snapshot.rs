@@ -33,6 +33,12 @@ use eleos_enclave::thread::ThreadCtx;
 /// Framing magic of [`Snapshot::to_bytes`] (`"ELSN"`).
 const MAGIC: u32 = 0x4e53_4c45;
 
+/// Why a snapshot frame or section was refused. Frames rest in
+/// untrusted memory between sealing and restoring, so a refusal is an
+/// expected outcome a hostile host can force — never a panic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapshotError(pub &'static str);
+
 /// One sealed section: `blob` is AES-GCM ciphertext of the section's
 /// plaintext under the snapshot's sealer, authenticated together with
 /// the section name and the snapshot epoch.
@@ -152,30 +158,10 @@ impl Snapshot {
         self.epoch
     }
 
-    /// Number of sections.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sections.len()
-    }
-
-    /// Whether the snapshot carries no sections.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sections.is_empty()
-    }
-
     /// The section names, in capture order.
     #[must_use]
     pub fn section_names(&self) -> Vec<&str> {
         self.sections.iter().map(|s| s.name.as_str()).collect()
-    }
-
-    /// Whether the named section is present (without opening it) —
-    /// restore paths use this to accept snapshots from before an
-    /// optional section existed.
-    #[must_use]
-    pub fn has_section(&self, name: &str) -> bool {
-        self.sections.iter().any(|s| s.name == name)
     }
 
     /// Total sealed payload bytes across sections (what a transport
@@ -188,16 +174,20 @@ impl Snapshot {
     /// Verifies and decrypts the named section, returning its
     /// plaintext. Charges the caller one crypto batch of one.
     ///
-    /// # Panics
-    /// Panics when the section does not exist or fails authentication
-    /// — a tampered or misrouted snapshot must never restore silently.
-    #[must_use]
-    pub fn open(&self, ctx: &mut ThreadCtx, sealer: &dyn Sealer, name: &str) -> Vec<u8> {
+    /// # Errors
+    /// The section does not exist or fails authentication — a tampered
+    /// or misrouted snapshot must never restore silently.
+    pub fn open(
+        &self,
+        ctx: &mut ThreadCtx,
+        sealer: &dyn Sealer,
+        name: &str,
+    ) -> Result<Vec<u8>, SnapshotError> {
         let s = self
             .sections
             .iter()
             .find(|s| s.name == name)
-            .unwrap_or_else(|| panic!("snapshot has no section {name:?}"));
+            .ok_or(SnapshotError("no such section"))?;
         let aad = section_aad(name, self.epoch);
         let mut plain = s.blob.clone();
         let mut jobs = [OpenJob {
@@ -208,9 +198,9 @@ impl Snapshot {
         }];
         sealer
             .open_batch(&mut jobs)
-            .expect("snapshot section failed authentication: bytes tampered in transit");
+            .map_err(|_| SnapshotError("section failed authentication"))?;
         ctx.charge_crypto_batch([plain.len()], true);
-        plain
+        Ok(plain)
     }
 
     /// Frames the snapshot (sections stay sealed) for a byte
@@ -232,73 +222,63 @@ impl Snapshot {
         out
     }
 
-    /// Parses a frame produced by [`Self::to_bytes`].
+    /// Parses a frame produced by [`Self::to_bytes`]. The frame comes
+    /// out of untrusted memory: every length is checked against the
+    /// bytes actually present before anything is sliced or allocated,
+    /// and forgery that parses still dies at [`Self::open`].
     ///
-    /// # Panics
-    /// Panics on malformed framing (wrong magic, truncated sections) —
-    /// the frame travels through untrusted memory, and parsing it is
-    /// cheap compared to the authentication that follows, so garbage
-    /// fails loudly here and forgery still dies at [`Self::open`].
-    #[must_use]
-    pub fn from_bytes(bytes: &[u8]) -> Self {
-        let mut r = Reader { bytes, at: 0 };
-        assert_eq!(
-            u32::from_le_bytes(r.take(4).try_into().expect("magic")),
-            MAGIC,
-            "not a snapshot frame"
-        );
-        let epoch = u64::from_le_bytes(r.take(8).try_into().expect("epoch"));
-        let count = u32::from_le_bytes(r.take(4).try_into().expect("count"));
-        let sections = (0..count)
-            .map(|_| {
-                let name_len = u16::from_le_bytes(r.take(2).try_into().expect("name len")) as usize;
-                let name = String::from_utf8(r.take(name_len).to_vec()).expect("utf-8 name");
-                let nonce: Nonce = r.take(12).try_into().expect("nonce");
-                let tag: Tag = r.take(16).try_into().expect("tag");
-                let blob_len = u32::from_le_bytes(r.take(4).try_into().expect("blob len")) as usize;
-                let blob = r.take(blob_len).to_vec();
-                Section {
-                    name,
-                    nonce,
-                    tag,
-                    blob,
-                }
-            })
-            .collect();
-        assert_eq!(r.at, bytes.len(), "trailing bytes after snapshot frame");
-        Snapshot { epoch, sections }
-    }
-
-    /// Parses a frame that arrived split into bounded chunks (the
-    /// maintenance plane streams delta snapshots over the cross-enclave
-    /// channel in pieces so the ring stays small). Equivalent to
-    /// concatenating the chunks and calling [`Self::from_bytes`].
-    ///
-    /// # Panics
-    /// Panics on malformed framing, like [`Self::from_bytes`].
-    #[must_use]
-    pub fn from_chunks(chunks: &[Vec<u8>]) -> Self {
-        let total: usize = chunks.iter().map(Vec::len).sum();
-        let mut bytes = Vec::with_capacity(total);
-        for c in chunks {
-            bytes.extend_from_slice(c);
+    /// # Errors
+    /// Wrong magic, a section running past the frame, a non-UTF-8
+    /// name, or bytes left over after the last section.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        let mut r = Reader(bytes);
+        if u32::from_le_bytes(r.array()?) != MAGIC {
+            return Err(SnapshotError("not a snapshot frame"));
         }
-        Self::from_bytes(&bytes)
+        let epoch = u64::from_le_bytes(r.array()?);
+        let count = u32::from_le_bytes(r.array()?);
+        // Grown per parsed section, never sized by `count`: a section
+        // takes at least 34 frame bytes, so the frame bounds the loop.
+        let mut sections = Vec::new();
+        for _ in 0..count {
+            let name_len = usize::from(u16::from_le_bytes(r.array()?));
+            let name = std::str::from_utf8(r.take(name_len)?)
+                .map_err(|_| SnapshotError("section name is not UTF-8"))?
+                .to_owned();
+            let (nonce, tag): (Nonce, Tag) = (r.array()?, r.array()?);
+            let blob_len = u32::from_le_bytes(r.array()?) as usize;
+            let blob = r.take(blob_len)?.to_vec();
+            sections.push(Section {
+                name,
+                nonce,
+                tag,
+                blob,
+            });
+        }
+        if !r.0.is_empty() {
+            return Err(SnapshotError("trailing bytes after the last section"));
+        }
+        Ok(Snapshot { epoch, sections })
     }
 }
 
-/// Bounds-checked cursor over a snapshot frame.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
+/// Bounds-checked cursor over the unread rest of a snapshot frame.
+struct Reader<'a>(&'a [u8]);
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> &'a [u8] {
-        assert!(self.at + n <= self.bytes.len(), "truncated snapshot frame");
-        let s = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        s
+    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+        let (head, rest) = self
+            .0
+            .split_at_checked(n)
+            .ok_or(SnapshotError("truncated frame"))?;
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
     }
 }
 
@@ -333,11 +313,18 @@ mod tests {
         // Sealed: the plaintext never appears in the frame.
         assert!(!frame.windows(12).any(|w| w == b"the item log"));
 
-        let back = Snapshot::from_bytes(&frame);
-        assert_eq!(back.open(&mut t, &sealer, "kvs-items"), b"the item log");
+        let back = Snapshot::from_bytes(&frame).unwrap();
         assert_eq!(
-            back.open(&mut t, &sealer, "epoch"),
+            back.open(&mut t, &sealer, "kvs-items").unwrap(),
+            b"the item log"
+        );
+        assert_eq!(
+            back.open(&mut t, &sealer, "epoch").unwrap(),
             42u64.to_le_bytes().to_vec()
+        );
+        assert_eq!(
+            back.open(&mut t, &sealer, "absent"),
+            Err(SnapshotError("no such section"))
         );
     }
 
@@ -373,7 +360,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "failed authentication")]
     fn tampered_section_fails_to_open() {
         let (_m, mut t) = rig();
         let sealer = AesGcm128::new(&[2u8; 16]);
@@ -383,11 +369,15 @@ mod tests {
         let mut frame = snap.to_bytes();
         let n = frame.len();
         frame[n - 1] ^= 1; // flip a ciphertext bit
-        let _ = Snapshot::from_bytes(&frame).open(&mut t, &sealer, "state");
+        let c0 = t.now();
+        let opened = Snapshot::from_bytes(&frame)
+            .unwrap()
+            .open(&mut t, &sealer, "state");
+        assert_eq!(opened, Err(SnapshotError("section failed authentication")));
+        assert_eq!(t.now(), c0, "a rejected section charges nothing");
     }
 
     #[test]
-    #[should_panic(expected = "failed authentication")]
     fn replayed_epoch_fails_to_open() {
         // The epoch is authenticated: re-framing a section under a
         // different epoch breaks the AAD.
@@ -398,19 +388,40 @@ mod tests {
             .seal(&mut t, &sealer);
         let mut frame = snap.to_bytes();
         frame[4..12].copy_from_slice(&8u64.to_le_bytes()); // epoch 7 -> 8
-        let _ = Snapshot::from_bytes(&frame).open(&mut t, &sealer, "state");
+        let replayed = Snapshot::from_bytes(&frame).unwrap();
+        assert!(replayed.open(&mut t, &sealer, "state").is_err());
     }
 
     #[test]
-    #[should_panic(expected = "truncated snapshot frame")]
-    fn truncated_frame_fails_fast() {
+    fn malformed_frames_are_errors_not_panics() {
         let (_m, mut t) = rig();
         let sealer = AesGcm128::new(&[4u8; 16]);
         let frame = SnapshotBuilder::new(0, 1)
             .section("state", vec![1u8; 64])
             .seal(&mut t, &sealer)
             .to_bytes();
-        let _ = Snapshot::from_bytes(&frame[..frame.len() - 10]);
+        let err = |bytes: &[u8]| Snapshot::from_bytes(bytes).err().map(|e| e.0);
+        for cut in 0..frame.len() {
+            assert_eq!(err(&frame[..cut]), Some("truncated frame"), "cut {cut}");
+        }
+        let mut longer = frame.clone();
+        longer.push(0);
+        assert_eq!(err(&longer), Some("trailing bytes after the last section"));
+        let mut bad_magic = frame.clone();
+        bad_magic[0] ^= 1;
+        assert_eq!(err(&bad_magic), Some("not a snapshot frame"));
+        // A section count or blob length the frame cannot back is a
+        // truncation, not an allocation.
+        let mut many = frame.clone();
+        many[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(err(&many), Some("truncated frame"));
+        let mut huge_blob = frame.clone();
+        let blob_len_at = 16 + 2 + 5 + 12 + 16;
+        huge_blob[blob_len_at..blob_len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(err(&huge_blob), Some("truncated frame"));
+        let mut bad_name = frame;
+        bad_name[18] = 0xFF;
+        assert_eq!(err(&bad_name), Some("section name is not UTF-8"));
     }
 
     #[test]

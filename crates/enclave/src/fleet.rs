@@ -8,10 +8,10 @@
 //!
 //! ```text
 //! cold ──spawn──▶ restoring ──mark_serving──▶ serving
-//!                     ▲                          │
-//!                     └──respawn── dead ◀──kill──┤
-//!                                    ▲           ▼
-//!                                    └──kill── draining
+//!                   │ ▲                          │
+//!                   │ └──respawn── dead ◀──kill──┤
+//!                   │               ▲ ▲          ▼
+//!                   └─────kill──────┘ └─kill── draining
 //! ```
 //!
 //! A replica serves traffic only in `Serving`. `kill` routes through
@@ -20,7 +20,8 @@
 //! enclave's EPC frames and swap through the driver so survivors'
 //! fair share grows immediately. `respawn` creates a *fresh* enclave
 //! (new id, new sealing identity) in `Restoring`; the caller restores
-//! state into it over the cross-enclave channel before promoting it.
+//! state into it over the cross-enclave channel before promoting it,
+//! or — when the restore is refused — `kill`s it back to `Dead`.
 
 use std::sync::Arc;
 
@@ -154,14 +155,15 @@ impl Fleet {
     }
 
     /// Destroys the replica's enclave, reclaiming its EPC frames and
-    /// swap. Valid from `Serving` (abrupt kill at a fence) or
-    /// `Draining` (graceful). The slot ends `Dead` and can be
-    /// respawned.
+    /// swap. Valid from `Serving` (abrupt kill at a fence),
+    /// `Draining` (graceful) or `Restoring` (provisioning abandoned:
+    /// the state it was sent was refused). The slot ends `Dead` and
+    /// can be respawned.
     pub fn kill(&self, idx: usize) {
         let mut slots = self.slots.lock();
         let slot = &mut slots[idx];
         assert!(
-            matches!(slot.state, ReplicaState::Serving | ReplicaState::Draining),
+            !matches!(slot.state, ReplicaState::Cold | ReplicaState::Dead),
             "kill needs a live replica (replica {idx} is {:?})",
             slot.state
         );
@@ -225,6 +227,10 @@ mod tests {
         assert_eq!(m.driver.active_enclaves(), 2);
         // The respawned enclave is a new identity.
         assert_ne!(e.id, f.enclave(1).id);
+        // Provisioning can be abandoned: the slot is dead again.
+        f.kill(0);
+        assert_eq!(f.state(0), ReplicaState::Dead);
+        assert_eq!(m.driver.active_enclaves(), 1);
     }
 
     #[test]

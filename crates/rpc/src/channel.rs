@@ -37,9 +37,15 @@ use eleos_sim::stats::Stats;
 /// mirroring the RPC ring's slot-sized handoffs.
 pub const CHUNK_BYTES: usize = 4096;
 
+/// Why [`EnclaveChannel::recv_chunked`] refused a transfer. The ring
+/// is untrusted memory, so a hostile host can force a refusal — it is
+/// an expected outcome, never a panic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameError(pub &'static str);
+
 /// One staged message: `kind` discriminates payload types (the fleet
-/// uses it for snapshot vs. epoch messages), `at`/`len` locate the
-/// payload in the ring.
+/// uses it for rekey announcements vs. state-transfer frames),
+/// `at`/`len` locate the payload in the ring.
 struct Msg {
     kind: u8,
     at: usize,
@@ -87,12 +93,6 @@ impl EnclaveChannel {
                 msgs: VecDeque::new(),
             }),
         })
-    }
-
-    /// Ring capacity in bytes.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.cap
     }
 
     /// Messages currently staged and unreceived.
@@ -158,11 +158,21 @@ impl EnclaveChannel {
     /// # Panics
     /// Panics when called from untrusted mode.
     pub fn recv(&self, ctx: &mut ThreadCtx) -> Option<(u8, Vec<u8>)> {
+        self.recv_if(ctx, |_| true)
+    }
+
+    /// [`Self::recv`], but only when the oldest message's kind
+    /// satisfies `want` (checked and popped under one lock).
+    fn recv_if(&self, ctx: &mut ThreadCtx, want: impl Fn(u8) -> bool) -> Option<(u8, Vec<u8>)> {
+        // The caller's own mode, not channel bytes: not input-reachable.
         assert!(
             ctx.in_enclave(),
             "cross-enclave channels are for trusted code on both ends"
         );
         let mut inner = self.inner.lock();
+        if !want(inner.msgs.front()?.kind) {
+            return None;
+        }
         let msg = inner.msgs.pop_front()?;
         let mut bytes = vec![0u8; msg.len];
         let first = (self.cap - msg.at).min(msg.len);
@@ -178,11 +188,11 @@ impl EnclaveChannel {
 
     /// Stages `payload` as a bounded chunked transfer: one `begin_kind`
     /// descriptor message carrying `header` plus the transfer geometry,
-    /// then `ceil(len / chunk_bytes)` `chunk_kind` messages. The fleet
-    /// maintenance plane uses this to stream delta snapshots while the
-    /// ring stays bounded at `chunk_bytes` granularity. Each chunk pays
-    /// the usual staged-traffic charges plus the fixed `maint_chunk`
-    /// descriptor bookkeeping, and bumps the `maint_chunks` stat.
+    /// then `ceil(len / chunk_bytes)` `chunk_kind` messages. Every
+    /// fleet state transfer (delta round, failover, rejoin) travels
+    /// this way, described to the ring `chunk_bytes` at a time. Each
+    /// chunk pays the usual staged-traffic charges plus the fixed
+    /// `maint_chunk` descriptor bookkeeping, and bumps `maint_chunks`.
     ///
     /// Returns the number of chunks staged (zero-length payloads stage
     /// a single empty chunk so the receiver's framing stays uniform).
@@ -210,13 +220,9 @@ impl EnclaveChannel {
         begin.extend_from_slice(&(nchunks as u32).to_le_bytes());
         begin.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         self.send(ctx, begin_kind, &begin);
-        for chunk in payload.chunks(chunk_bytes) {
-            self.send(ctx, chunk_kind, chunk);
-            ctx.compute(self.machine.cfg.costs.maint_chunk);
-            Stats::bump(&self.machine.stats.maint_chunks);
-        }
-        if payload.is_empty() {
-            self.send(ctx, chunk_kind, &[]);
+        for i in 0..nchunks {
+            let end = payload.len().min((i + 1) * chunk_bytes);
+            self.send(ctx, chunk_kind, &payload[i * chunk_bytes..end]);
             ctx.compute(self.machine.cfg.costs.maint_chunk);
             Stats::bump(&self.machine.stats.maint_chunks);
         }
@@ -225,43 +231,58 @@ impl EnclaveChannel {
 
     /// Reaps one chunked transfer staged with
     /// [`EnclaveChannel::send_chunked`], reassembling the payload.
-    /// Returns `None` when the ring is empty; the `(header, payload)`
-    /// pair otherwise.
+    /// Returns the `(header, payload)` pair.
     ///
-    /// # Panics
-    /// Panics when the front of the ring is not a well-formed transfer
-    /// (wrong kinds or a truncated chunk sequence) — interleaving
-    /// other traffic into an in-flight transfer is an orchestration
-    /// bug, exactly like ring overflow.
+    /// The descriptor and the chunks sat in untrusted memory, so
+    /// nothing in them is believed: the payload grows only by bytes
+    /// actually reaped (never sized by the descriptor's `total`), and
+    /// every chunk up to the next descriptor is consumed whatever the
+    /// descriptor claimed, so a refused transfer cannot leave a tail
+    /// for the next receive to misread.
+    ///
+    /// # Errors
+    /// The ring is empty, the front message is not a `begin_kind`
+    /// descriptor, the descriptor is truncated, or the chunks reaped
+    /// disagree with the count and length it announced.
     pub fn recv_chunked(
         &self,
         ctx: &mut ThreadCtx,
         begin_kind: u8,
         chunk_kind: u8,
-    ) -> Option<(Vec<u8>, Vec<u8>)> {
-        let (kind, begin) = self.recv(ctx)?;
-        assert_eq!(kind, begin_kind, "expected a chunked-transfer descriptor");
-        let hlen = u32::from_le_bytes(begin[..4].try_into().expect("framing")) as usize;
-        let header = begin[4..4 + hlen].to_vec();
-        let nchunks = u32::from_le_bytes(begin[4 + hlen..8 + hlen].try_into().expect("framing"));
-        let total = u64::from_le_bytes(begin[8 + hlen..16 + hlen].try_into().expect("framing"));
-        let mut payload = Vec::with_capacity(total as usize);
-        for _ in 0..nchunks {
-            let (kind, chunk) = self.recv(ctx).expect("truncated chunked transfer");
-            assert_eq!(
-                kind, chunk_kind,
-                "foreign message inside a chunked transfer"
-            );
+    ) -> Result<(Vec<u8>, Vec<u8>), FrameError> {
+        let (kind, begin) = self.recv(ctx).ok_or(FrameError("no transfer staged"))?;
+        let mut payload = Vec::new();
+        let mut chunks = 0u32;
+        while let Some((_, chunk)) = self.recv_if(ctx, |k| k == chunk_kind) {
             payload.extend_from_slice(&chunk);
             ctx.compute(self.machine.cfg.costs.maint_chunk);
+            chunks += 1;
         }
-        assert_eq!(
-            payload.len() as u64,
-            total,
-            "chunked transfer length mismatch"
-        );
-        Some((header, payload))
+        if kind != begin_kind {
+            return Err(FrameError("expected a chunked-transfer descriptor"));
+        }
+        let (header, nchunks, total) =
+            parse_begin(&begin).ok_or(FrameError("truncated chunked-transfer descriptor"))?;
+        if chunks != nchunks || payload.len() as u64 != total {
+            return Err(FrameError("chunks disagree with their descriptor"));
+        }
+        Ok((header.to_vec(), payload))
     }
+}
+
+/// Splits a chunked-transfer descriptor
+/// (`hdr_len u32 ‖ hdr ‖ nchunks u32 ‖ total u64`) into
+/// `(header, nchunks, total)`; `None` when it is truncated or overlong.
+fn parse_begin(begin: &[u8]) -> Option<(&[u8], u32, u64)> {
+    let (hlen, rest) = begin.split_first_chunk::<4>()?;
+    let (header, rest) = rest.split_at_checked(u32::from_le_bytes(*hlen) as usize)?;
+    let (nchunks, rest) = rest.split_first_chunk::<4>()?;
+    let total: [u8; 8] = rest.try_into().ok()?;
+    Some((
+        header,
+        u32::from_le_bytes(*nchunks),
+        u64::from_le_bytes(total),
+    ))
 }
 
 #[cfg(test)]
@@ -344,7 +365,7 @@ mod tests {
         let n = ch.send_chunked(&mut ta, 4, 5, b"hdr", &payload, 2048);
         assert_eq!(n, 3);
         assert_eq!(m.stats.snapshot().maint_chunks, 3);
-        let (hdr, got) = ch.recv_chunked(&mut tb, 4, 5).expect("staged");
+        let (hdr, got) = ch.recv_chunked(&mut tb, 4, 5).unwrap();
         assert_eq!(hdr, b"hdr");
         assert_eq!(got, payload);
         assert_eq!(ch.pending(), 0);
@@ -356,9 +377,53 @@ mod tests {
         let ch = EnclaveChannel::new(&m, 1024);
         let n = ch.send_chunked(&mut ta, 4, 5, b"epoch", &[], 256);
         assert_eq!(n, 1);
-        let (hdr, got) = ch.recv_chunked(&mut tb, 4, 5).expect("staged");
+        let (hdr, got) = ch.recv_chunked(&mut tb, 4, 5).unwrap();
         assert_eq!(hdr, b"epoch");
         assert!(got.is_empty());
+    }
+
+    #[test]
+    fn hostile_chunk_framing_is_refused_and_the_next_transfer_survives() {
+        let (m, mut ta, mut tb) = rig();
+        let ch = EnclaveChannel::new(&m, 16 << 10);
+        let mut host = ThreadCtx::untrusted(&m, 2);
+        let payload = [0x5au8; 3000];
+        // A descriptor is `hdr_len u32 ‖ hdr ‖ nchunks u32 ‖ total u64`
+        // at the transfer's first ring byte; the host rewrites one
+        // field of it while it rests there.
+        let lies: [(u64, u32); 3] = [
+            (0, u32::MAX), // header runs past the descriptor
+            (7, 9),        // more chunks announced than staged
+            (11, 2999),    // a total the chunks do not add up to
+        ];
+        let mut at = 0u64;
+        for (field, lie) in lies {
+            ch.send_chunked(&mut ta, 4, 5, b"hdr", &payload, 1024);
+            host.write_untrusted(ch.buf + at + field, &lie.to_le_bytes());
+            assert!(ch.recv_chunked(&mut tb, 4, 5).is_err(), "field {field}");
+            assert_eq!(ch.pending(), 0, "the refused transfer's chunks are gone");
+            at += 19 + 3000;
+        }
+        // A stray message where a descriptor belongs takes the chunks
+        // behind it along.
+        ch.send(&mut ta, 9, b"stray");
+        ch.send(&mut ta, 5, b"orphan chunk");
+        assert_eq!(
+            ch.recv_chunked(&mut tb, 4, 5),
+            Err(FrameError("expected a chunked-transfer descriptor"))
+        );
+        assert_eq!(ch.pending(), 0);
+        // And an honest transfer behind all that still round-trips.
+        ch.send_chunked(&mut ta, 4, 5, b"hdr", &payload, 1024);
+        let (hdr, got) = ch.recv_chunked(&mut tb, 4, 5).unwrap();
+        assert_eq!(
+            (hdr.as_slice(), got.as_slice()),
+            (&b"hdr"[..], &payload[..])
+        );
+        assert_eq!(
+            ch.recv_chunked(&mut tb, 4, 5),
+            Err(FrameError("no transfer staged"))
+        );
     }
 
     #[test]

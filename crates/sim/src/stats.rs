@@ -552,6 +552,8 @@ stats! {
     desc_rejects,
     /// Decrypted request bodies a server refused to act on: truncated header, unknown opcode, or lengths past the body.
     malformed_requests,
+    /// Replica-state transfers a receiver refused to apply: broken chunk framing, a malformed snapshot frame, an epoch other than the one the fence minted (a replay), or a section that failed authentication.
+    frame_rejects,
     /// Whole slabs the rebalancer reassigned from a cold class to a starved one.
     slab_moves,
     /// Live items relocated out of departing slabs during rebalancing moves.
@@ -562,13 +564,13 @@ stats! {
     seg_expired_segments,
     /// Items dropped because their TTL deadline passed (lazy get-side expiry plus segment expiry sweeps).
     expired_items,
-    /// Delta-snapshot chunks carried over the cross-enclave channel by the maintenance plane.
+    /// Chunks of replica-state transfers (delta rounds, failovers, rejoins) staged on the cross-enclave channel.
     maint_chunks,
-    /// Serving-core cycles stalled inside fence-synchronous maintenance (slab moves, segment expiry/merges, fleet snapshot+restore); ~0 when the background maintenance plane runs the byte-work off-core.
+    /// Serving-core cycles stalled in maintenance byte-work run inline (the engine tick inside `Kvs::fence`, fleet state transfers inside a kill/respawn fence, a segment SET reclaiming for itself); 0 from fences when a maintenance plane runs the same work on its own core.
     maint_stall_cycles,
-    /// Items carried by incremental (delta) snapshots streamed by the maintenance plane.
+    /// Items carried by `Kvs::snapshot_since` snapshots (`base = 0` carries the whole store).
     snapshot_delta_items,
-    /// Segment-store merge passes run off the serving path by the background maintenance tick.
+    /// Segment-store merge passes the maintenance tick ran ahead of need, to keep free segments in reserve.
     bg_merges,
     /// Heartbeat ticks that found a replica's pump counter stalled (failure-detector evidence).
     hb_misses,
@@ -666,6 +668,7 @@ impl StatsSnapshot {
         put("auth_failures", self.auth_failures);
         put("desc_rejects", self.desc_rejects);
         put("malformed", self.malformed_requests);
+        put("frame_rejects", self.frame_rejects);
         put("slab_moves", self.slab_moves);
         put("slab_relocated", self.slab_items_relocated);
         put("seg_merges", self.seg_merges);

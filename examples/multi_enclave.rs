@@ -137,7 +137,7 @@ fn main() {
         reap(&mut outstanding);
 
         if round + 1 == KILL_AT {
-            let rep = fk.kill(1);
+            let rep = fk.kill(1).expect("the host left the transfer intact");
             println!(
                 "kill replica 1 at a fence: heir {} takes {} shards, {} KiB snapshot over the \
                  channel, {} cycles; survivor's fair share now {} MiB",
@@ -153,7 +153,7 @@ fn main() {
             );
         }
         if round + 1 == RESPAWN_AT {
-            let rep = fk.respawn(1);
+            let rep = fk.respawn(1).expect("the host left the transfer intact");
             println!(
                 "respawn replica 1: owner {} donates {} KiB, {} shards taken back, {} cycles",
                 rep.donor,

@@ -64,7 +64,7 @@ fn main() {
     // Quiesce, then capture: the snapshot's sections are sealed in one
     // amortized batch and the frame stays ciphertext end-to-end.
     suvm1.quiesce(&mut t1);
-    let snap = kvs.snapshot(&mut t1, &seal_key, DOMAIN, 1);
+    let snap = kvs.snapshot_since(&mut t1, &seal_key, DOMAIN, 1, 0);
     let blob = snap.to_bytes();
     println!(
         "snapshot sealed at epoch {}: sections {:?}, {} KiB framed",
@@ -110,7 +110,11 @@ fn main() {
         4096,
     );
     kvs2.init(&mut t2);
-    let restored = kvs2.restore(&mut t2, &seal_key, &Snapshot::from_bytes(&reread));
+    // The file sat on the untrusted host: parse and restore fallibly.
+    let snap = Snapshot::from_bytes(&reread).expect("the host returned the frame intact");
+    let restored = kvs2
+        .try_restore(&mut t2, &seal_key, &snap)
+        .expect("the host returned the sections intact");
     println!("run 2: restored {restored} items");
     assert_eq!(
         kvs2.get(&mut t2, b"session:1234").as_deref(),
@@ -129,13 +133,13 @@ fn main() {
         4096,
     );
     kvs3.init(&mut t2);
-    let quiet: Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Send + Sync> = Box::new(|_| {});
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(quiet);
-    let tampered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        kvs3.restore(&mut t2, &seal_key, &Snapshot::from_bytes(&bad))
-    }));
-    std::panic::set_hook(prev);
-    println!("tampered snapshot rejected: {}", tampered.is_err());
+    let tampered = Snapshot::from_bytes(&bad)
+        .and_then(|snap| kvs3.try_restore(&mut t2, &seal_key, &snap))
+        .expect_err("a tampered snapshot must not restore");
+    println!(
+        "tampered snapshot rejected ({}); {} of its items applied",
+        tampered.0,
+        kvs3.len()
+    );
     t2.exit();
 }

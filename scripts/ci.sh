@@ -4,6 +4,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== one implementation each (no deleted second path reappears)"
+# PR 15 folded the fence-synchronous and background kill/respawn, the
+# two channel protocols, the engines' background flag and three of
+# Kvs's five snapshot entry points into one implementation each; the
+# only survivor of these names is `Kvs::set_background` (who calls the
+# maintenance tick) — and the warm-restart example's own file name.
+if grep -rnE 'kill_background|respawn_background|snapshot_over_channel|recv_restore|MSG_EPOCH|MSG_SNAPSHOT|sealed_snapshot|restore_snapshot|from_chunks|fn set_background' \
+        crates/*/src src examples tests \
+    | grep -vE '^crates/apps/src/kvs\.rs:[0-9]+: +pub fn set_background\(' \
+    | grep -vF -- '--example sealed_snapshot' ; then
+    echo "a deleted name is back (see above)"
+    exit 1
+fi
+
 echo "== build (release)"
 cargo build --release --workspace --offline
 
@@ -99,11 +113,11 @@ if rebal["slab_moves"] == 0:
 if static["slab_moves"] != 0:
     sys.exit("shifting: the static engine moved slabs")
 
-# Background maintenance: the fence-synchronous rebalancer stalls the
-# serving core for its relocation byte-work; the background engine
-# does the same moves from maintenance ticks on another core, so its
-# serving-path stall is zero and its busy cycles/op match the
-# synchronous engine's within noise.
+# Background maintenance: the same engine tick, called inline by the
+# serving fence, stalls the serving core for its relocation byte-work;
+# called from another core it makes the same moves, so the serving-path
+# stall is zero and busy cycles/op match the inline engine's within
+# noise.
 bg = by[("shifting", "slab-rebal-bg")]
 if rebal["maint_stall_cycles"] == 0:
     sys.exit("shifting: the synchronous rebalancer recorded no fence stall")
@@ -314,6 +328,14 @@ sync_chaos = fleet[("adaptive", 3, "kill-respawn")]
 bg_chaos = fleet[("adaptive", 3, "kill-respawn-bg")]
 if bg_chaos["maint_chunks"] == 0:
     sys.exit("kill-respawn-bg streamed no delta chunks")
+# The two cells run the same kill/respawn code: inline it stalls the
+# serving cores for every cycle of the transfers, on the plane for none.
+if bg_chaos["maint_stall_cycles"] != 0:
+    sys.exit(
+        f"kill-respawn-bg stalled the serving path {bg_chaos['maint_stall_cycles']} cycles"
+    )
+if sync_chaos["maint_stall_cycles"] == 0:
+    sys.exit("kill-respawn recorded no serving-path stall for its inline transfers")
 if bg_chaos["hb_misses"] == 0:
     sys.exit("kill-respawn-bg observed no heartbeat misses")
 if bg_chaos["sojourn_p99"] > sync_chaos["sojourn_p99"] * 0.5:

@@ -186,9 +186,10 @@ fn run_fleet_with(
 }
 
 /// [`run_fleet_with`] with the background maintenance plane when
-/// `maint` is set: kills and respawns take the background path, and a
-/// maintenance tick (engine byte-work + a delta round) runs after
-/// every round — exactly the interleaving the serving bench drives.
+/// `maint` is set: the same `kill`/`respawn` run their byte-work on
+/// the maintenance core, and a maintenance tick (engine byte-work + a
+/// delta round) runs after every round — exactly the interleaving the
+/// serving bench drives.
 fn run_fleet_full(
     replicas: usize,
     schedule: &[(usize, Fence)],
@@ -224,10 +225,10 @@ fn run_fleet_full(
             if at == round {
                 match fence {
                     Fence::Kill(v) => {
-                        r.fk.kill(v);
+                        r.fk.kill(v).expect("honest channel");
                     }
                     Fence::Respawn(v) => {
-                        r.fk.respawn(v);
+                        r.fk.respawn(v).expect("honest channel");
                     }
                     Fence::Rekey(v) => {
                         r.fk.rekey_wire(v);
@@ -347,11 +348,11 @@ fn reimported_stale_snapshot_never_clobbers_fresher_writes() {
             .decrypt(&r.m.host.pop_response(r.fds[s]).expect("a reply"))
     };
     assert_eq!(do_req(&build_set(b"bounce", &[1u8; 16])), [1u8]);
-    r.fk.kill(1); // heir 0 imports bounce=v1
+    r.fk.kill(1).unwrap(); // heir 0 imports bounce=v1
     assert_eq!(do_req(&build_set(b"bounce", &[2u8; 16])), [1u8]);
-    r.fk.respawn(1); // rejoiner imports bounce=v2 from donor 0
+    r.fk.respawn(1).unwrap(); // rejoiner imports bounce=v2 from donor 0
     assert_eq!(do_req(&build_set(b"bounce", &[3u8; 16])), [1u8]);
-    r.fk.kill(0); // victim 0's snapshot still holds bounce=v2 — stale
+    r.fk.kill(0).unwrap(); // victim 0's snapshot still holds bounce=v2 — stale
     let reply = do_req(&build_get(b"bounce"));
     assert_eq!(reply[0], 1, "key must survive the schedule");
     assert_eq!(&reply[5..], [3u8; 16], "stale re-import must not win");
@@ -421,14 +422,14 @@ proptest! {
         // The fence: quiesce (every dirty page sealed home), then seal.
         suvm_a.quiesce(&mut ta);
         let sealer = AesGcm128::new(&[0x77u8; 16]);
-        let snap = a.snapshot(&mut ta, &sealer, 1, 7);
+        let snap = a.snapshot_since(&mut ta, &sealer, 1, 7, 0);
         prop_assert_eq!(snap.epoch(), 7);
         let bytes = snap.to_bytes();
         prop_assert!(!bytes.windows(4).any(|w| w == b"it-1"), "sealed bytes leak keys");
-        let reread = eleos::suvm::Snapshot::from_bytes(&bytes);
+        let reread = eleos::suvm::Snapshot::from_bytes(&bytes).expect("an intact frame");
 
         let (_suvm_b, mut b, mut tb) = mk(1);
-        prop_assert_eq!(b.restore(&mut tb, &sealer, &reread), u64::from(n));
+        prop_assert_eq!(b.try_restore(&mut tb, &sealer, &reread), Ok(u64::from(n)));
         for i in 0..n {
             let expect = if i % 5 == 0 { value(i + 1000) } else { value(i) };
             prop_assert_eq!(
@@ -440,7 +441,7 @@ proptest! {
         // Write stamps survived the round-trip: re-importing the same
         // snapshot is a no-op, and an interval-3 write in B supersedes
         // the snapshot's interval-3 copy only by being applied later.
-        prop_assert_eq!(b.restore(&mut tb, &sealer, &reread), 0);
+        prop_assert_eq!(b.try_restore(&mut tb, &sealer, &reread), Ok(0));
         ta.exit();
         tb.exit();
     }
@@ -614,14 +615,14 @@ fn segment_replica_failover_preserves_ttl_items() {
     assert_eq!(reply[0], 1);
     assert_eq!(&reply[5..], [0u8; 40]);
     assert_eq!(do_req(&build_set(b"bounce", &[1u8; 16])), [1u8]);
-    r.fk.kill(1); // heir 0 imports the segment store's item log
+    r.fk.kill(1).unwrap(); // heir 0 imports the segment store's item log
     let reply = do_req(&ttl_get);
     assert_eq!(reply[0], 1, "TTL'd item lost on failover");
     assert_eq!(&reply[5..], [0u8; 40]);
     assert_eq!(do_req(&build_set(b"bounce", &[2u8; 16])), [1u8]);
-    r.fk.respawn(1); // rejoiner restores from donor 0's snapshot
+    r.fk.respawn(1).unwrap(); // rejoiner restores from donor 0's snapshot
     assert_eq!(do_req(&build_set(b"bounce", &[3u8; 16])), [1u8]);
-    r.fk.kill(0); // stale re-import: replica 0 still holds bounce=v2
+    r.fk.kill(0).unwrap(); // stale re-import: replica 0 still holds bounce=v2
     let reply = do_req(&ttl_get);
     assert_eq!(reply[0], 1, "TTL'd item lost on second failover");
     assert_eq!(&reply[5..], [0u8; 40]);
@@ -640,13 +641,15 @@ fn segment_replica_failover_preserves_ttl_items() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
-    /// A fleet running the background maintenance plane — delta
-    /// snapshots streaming between rounds, background kill/respawn,
-    /// engine byte-work on the maintenance core — returns
-    /// byte-identical per-connection replies to the fence-synchronous
-    /// single-replica baseline, on both engines, across every chaos
-    /// schedule. The maintenance plane may move *when and where* the
-    /// byte-work runs; it must never change what any client reads.
+    /// The maintenance plane may move *when and where* the byte-work
+    /// runs; it must never change what any client reads. The same
+    /// `kill`/`respawn`/fence code, run with the plane (delta
+    /// snapshots streaming between rounds, transfers and engine
+    /// byte-work on the maintenance core) and without it (everything
+    /// inline on the serving cores), returns byte-identical
+    /// per-connection replies — to each other and to the
+    /// single-replica baseline — on both engines, across every chaos
+    /// schedule.
     #[test]
     fn background_maintenance_plane_is_reply_transparent(
         seed in prop::collection::vec(any::<u8>(), 16..17),
@@ -665,21 +668,82 @@ proptest! {
             let reqs = request_stream(&seed);
             let reference = run_fleet_with(1, &[], &reqs, engine.clone());
             for schedule in schedules(replicas) {
-                let got = run_fleet_full(
-                    replicas,
-                    &schedule,
-                    &reqs,
-                    engine.clone(),
-                    Some(maint.clone()),
-                );
-                prop_assert_eq!(
-                    &got, &reference,
-                    "background plane diverged (replicas={}, schedule={:?})",
-                    replicas, &schedule
-                );
+                for plane in [None, Some(maint.clone())] {
+                    let on = plane.is_some();
+                    let got = run_fleet_full(replicas, &schedule, &reqs, engine.clone(), plane);
+                    prop_assert_eq!(
+                        &got, &reference,
+                        "fleet diverged (plane on={}, replicas={}, schedule={:?})",
+                        on, replicas, &schedule
+                    );
+                }
             }
         }
     }
+}
+
+/// The plane changes which core pays for a transfer, not the transfer:
+/// the same schedule on the same state puts the same bytes, in the same
+/// messages, on the channel with the plane and without it. Only the
+/// bill differs — with the plane the serving core's clock does not
+/// move across a fence and nothing is charged to `maint_stall_cycles`;
+/// without it every cycle of the fence lands there.
+#[test]
+fn same_bytes_cross_the_channel_whichever_core_pays() {
+    struct Bill {
+        kill_bytes: usize,
+        rejoin_bytes: usize,
+        xchan: (u64, u64),
+        stall: u64,
+        serving_core_cycles: u64,
+    }
+    let run = |maint: Option<MaintenanceConfig>| {
+        let r = rig_full(2, EngineConfig::default(), maint);
+        let ut = ThreadCtx::untrusted(&r.m, 1);
+        // Identical pre-fence traffic: one write per connection.
+        for conn in 0..N_CONNS as u64 {
+            let (s, _) = r.fk.map().route_replica(conn);
+            let set = build_set(format!("own-{conn}").as_bytes(), &[conn as u8; 64]);
+            r.m.host.push_request(&ut, r.fds[s], &r.wire.encrypt(&set));
+        }
+        let mut served = 0;
+        while served < N_CONNS {
+            served += r.fk.pump();
+        }
+        r.fk.flush();
+        let serving_core = r.m.core(0);
+        let (s0, t0) = (r.m.stats.snapshot(), serving_core.clock.now());
+        let kill = r.fk.kill(1).expect("honest channel");
+        let rejoin = r.fk.respawn(1).expect("honest channel");
+        let d = r.m.stats.snapshot() - s0;
+        assert_eq!(d.frame_rejects, 0);
+        Bill {
+            kill_bytes: kill.snapshot_bytes,
+            rejoin_bytes: rejoin.snapshot_bytes,
+            xchan: (d.xchan_msgs, d.xchan_bytes),
+            stall: d.maint_stall_cycles,
+            // Wiring the rejoiner (entering its enclave, zeroing its
+            // index) is serving-core work in both modes; everything
+            // else a fence costs is the transfer.
+            serving_core_cycles: serving_core.clock.now() - t0,
+        }
+    };
+    let off = run(None);
+    let on = run(Some(MaintenanceConfig::default()));
+    assert!(off.kill_bytes > 0 && off.rejoin_bytes > off.kill_bytes / 2);
+    assert_eq!(on.kill_bytes, off.kill_bytes);
+    assert_eq!(on.rejoin_bytes, off.rejoin_bytes);
+    assert_eq!(on.xchan, off.xchan, "same messages, same bytes");
+    assert_eq!(on.stall, 0, "the plane keeps fences off the serving path");
+    assert!(
+        off.stall > 0,
+        "inline, the transfer is a serving-path stall"
+    );
+    assert_eq!(
+        off.serving_core_cycles - on.serving_core_cycles,
+        off.stall,
+        "the serving core's clock moves by exactly the transfers it ran"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -718,7 +782,7 @@ proptest! {
             src.set(&mut t, format!("k-{i}").as_bytes(), &vec![b ^ i as u8; 16 + (b as usize % 48)]);
         }
         let sealer = AesGcm128::new(&[0x2au8; 16]);
-        let base_snap = src.snapshot(&mut t, &sealer, 1, 1);
+        let base_snap = src.snapshot_since(&mut t, &sealer, 1, 1, 0);
         // Phase 2 (interval 2): overwrites and fresh keys; at least
         // one write always happens, so the delta is never vacuous.
         src.set_write_version(2);
@@ -727,18 +791,18 @@ proptest! {
             src.set(&mut t, format!("k-{}", b as usize % n1).as_bytes(), &vec![b; 24 + i]);
             src.set(&mut t, format!("fresh-{i}").as_bytes(), &[b ^ 0x55; 24]);
         }
-        let mono_snap = src.snapshot(&mut t, &sealer, 1, 2);
+        let mono_snap = src.snapshot_since(&mut t, &sealer, 1, 2, 0);
+        let carried = m.stats.snapshot().snapshot_delta_items;
         let delta_snap = src.snapshot_since(&mut t, &sealer, 1, 2, 2);
-        prop_assert!(
-            m.stats.snapshot().snapshot_delta_items >= 1,
-            "the delta must carry the forced write"
-        );
+        let carried = m.stats.snapshot().snapshot_delta_items - carried;
+        prop_assert!(carried >= 1, "the delta must carry the forced write");
+        prop_assert!(carried < src.len(), "and must be a strict subset of the store");
 
         let mut mono = mk(&mut t);
-        mono.restore(&mut t, &sealer, &mono_snap);
+        mono.try_restore(&mut t, &sealer, &mono_snap).expect("sealed here");
         let mut incr = mk(&mut t);
-        incr.restore(&mut t, &sealer, &base_snap);
-        incr.restore(&mut t, &sealer, &delta_snap);
+        incr.try_restore(&mut t, &sealer, &base_snap).expect("sealed here");
+        incr.try_restore(&mut t, &sealer, &delta_snap).expect("sealed here");
 
         prop_assert_eq!(incr.len(), mono.len(), "store sizes diverged");
         let mut keys = Vec::new();

@@ -18,23 +18,18 @@ fn small_machine() -> Arc<SgxMachine> {
     })
 }
 
-/// Scans all untrusted memory for `needle`; returns true if found.
-/// Chunks overlap by 64 bytes so boundary-straddling matches are seen.
+/// First address in untrusted memory holding `needle`.
+fn untrusted_find(m: &SgxMachine, needle: &[u8]) -> Option<u64> {
+    let mut all = vec![0u8; m.untrusted.size()];
+    m.untrusted.read(0, &mut all);
+    all.windows(needle.len())
+        .position(|w| w == needle)
+        .map(|at| at as u64)
+}
+
+/// Whether `needle` appears anywhere in untrusted memory.
 fn untrusted_contains(m: &SgxMachine, needle: &[u8]) -> bool {
-    assert!(needle.len() <= 64);
-    let size = m.untrusted.size();
-    let step = 64 << 10;
-    let mut buf = vec![0u8; step + 64];
-    let mut addr = 0usize;
-    while addr < size {
-        let n = (step + 64).min(size - addr);
-        m.untrusted.read(addr as u64, &mut buf[..n]);
-        if buf[..n].windows(needle.len()).any(|w| w == needle) {
-            return true;
-        }
-        addr += step;
-    }
-    false
+    untrusted_find(m, needle).is_some()
 }
 
 #[test]
@@ -390,32 +385,79 @@ fn untrusted_thread_cannot_touch_enclave_memory() {
 // Request bodies come from clients: attested, not trusted
 // ---------------------------------------------------------------------
 
+/// An entered enclave thread on a fresh machine, for a server under
+/// test.
+fn entered_thread() -> (Arc<SgxMachine>, ThreadCtx) {
+    let m = small_machine();
+    let e = m.driver.create_enclave(&m, 1 << 20);
+    let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+    t.enter();
+    (m, t)
+}
+
+/// Queues every `malformed` body and then every well-formed
+/// `(body, expected reply)` on one socket, drains them through `serve`
+/// (one batch per call, returning how many requests it handled), and
+/// checks that each malformed body was answered `[0xFF]` and counted,
+/// and that the requests queued behind them were served as usual.
+fn serve_past_malformed_bodies(
+    t: &mut ThreadCtx,
+    malformed: &[Vec<u8>],
+    well_formed: &[(Vec<u8>, Vec<u8>)],
+    mut serve: impl FnMut(&mut ThreadCtx, &eleos::apps::io::ServerIo) -> usize,
+) {
+    use eleos::apps::io::{IoPath, ServerIoConfig};
+    use eleos::apps::kvs::MALFORMED_REPLY;
+    use eleos::apps::wire::Session;
+
+    let m = Arc::clone(&t.machine);
+    let session = Arc::new(Session::established([9u8; 16]));
+    let fd = m.host.socket(t, 64 << 10);
+    let io = ServerIoConfig::with_buf_len(32 << 10).batch(4).build(
+        t,
+        &[fd],
+        IoPath::Ocall,
+        Arc::clone(&session),
+    );
+    for body in malformed.iter().chain(well_formed.iter().map(|(b, _)| b)) {
+        m.host.push_request(t, fd, &session.encrypt(body));
+    }
+    let mut served = 0;
+    loop {
+        let n = serve(t, &io);
+        if n == 0 {
+            break;
+        }
+        served += n;
+    }
+    assert_eq!(served, malformed.len() + well_formed.len());
+    for _ in malformed {
+        let reply = session.decrypt(&m.host.pop_response(fd).unwrap());
+        assert_eq!(reply, [MALFORMED_REPLY]);
+    }
+    for (body, expected) in well_formed {
+        let reply = session.decrypt(&m.host.pop_response(fd).unwrap());
+        assert_eq!(&reply, expected, "reply to {body:?}");
+    }
+    assert_eq!(
+        m.stats.snapshot().malformed_requests,
+        malformed.len() as u64
+    );
+}
+
 /// A decrypted request body that does not parse — truncated header,
 /// lengths that run past the body, an opcode the protocol lacks — is
 /// answered `[0xFF]` and counted; the enclave neither panics nor stops
 /// serving the requests queued behind it.
 #[test]
 fn malformed_request_bodies_are_answered_not_fatal() {
-    use eleos::apps::io::{IoPath, ServerIoConfig};
-    use eleos::apps::kvs::{build_get, build_set, build_set_ttl, Kvs, MALFORMED_REPLY};
+    use eleos::apps::kvs::{build_get, build_set, build_set_ttl, Kvs};
     use eleos::apps::space::DataSpace;
-    use eleos::apps::wire::Session;
 
-    let m = small_machine();
-    let e = m.driver.create_enclave(&m, 1 << 20);
-    let mut t = ThreadCtx::for_enclave(&m, &e, 0);
-    t.enter();
+    let (m, mut t) = entered_thread();
     let space = DataSpace::Untrusted(Arc::clone(&m));
     let mut kvs = Kvs::new(space.clone(), space, 4 << 20, 64);
     kvs.init(&mut t);
-    let session = Arc::new(Session::established([9u8; 16]));
-    let fd = m.host.socket(&t, 64 << 10);
-    let io = ServerIoConfig::with_buf_len(32 << 10).batch(4).build(
-        &t,
-        &[fd],
-        IoPath::Ocall,
-        Arc::clone(&session),
-    );
 
     let mut klen_past_body = build_get(b"alpha");
     klen_past_body[1..3].copy_from_slice(&500u16.to_le_bytes());
@@ -432,34 +474,307 @@ fn malformed_request_bodies_are_answered_not_fatal() {
         unknown_opcode,
         ttl_cut_short,
     ];
-    for body in &malformed {
-        m.host.push_request(&t, fd, &session.encrypt(body));
-    }
-    m.host
-        .push_request(&t, fd, &session.encrypt(&build_set(b"alpha", b"beta")));
-    m.host
-        .push_request(&t, fd, &session.encrypt(&build_get(b"alpha")));
-    let mut served = 0;
-    loop {
-        let n = kvs.handle_batch(&mut t, &io);
-        if n == 0 {
-            break;
-        }
-        served += n;
-    }
-    assert_eq!(served, malformed.len() + 2);
-
-    for _ in &malformed {
-        let reply = session.decrypt(&m.host.pop_response(fd).unwrap());
-        assert_eq!(reply, [MALFORMED_REPLY]);
-    }
-    assert_eq!(session.decrypt(&m.host.pop_response(fd).unwrap()), [1u8]);
-    let hit = session.decrypt(&m.host.pop_response(fd).unwrap());
-    assert_eq!((hit[0], &hit[5..]), (1, &b"beta"[..]));
-    let stats = m.stats.snapshot();
-    assert_eq!(stats.malformed_requests, malformed.len() as u64);
+    let well_formed = [
+        (build_set(b"alpha", b"beta"), vec![1u8]),
+        (build_get(b"alpha"), b"\x01\x04\0\0\0beta".to_vec()),
+    ];
+    serve_past_malformed_bodies(&mut t, &malformed, &well_formed, |t, io| {
+        kvs.handle_batch(t, io)
+    });
     assert_eq!(kvs.len(), 1, "no malformed request stored anything");
     t.exit();
+}
+
+/// The parameter server parses the same way: an attested client that
+/// sends an empty body, a lone opcode, a truncated count, a count the
+/// body cannot back, an opcode the protocol lacks or an update of the
+/// empty-slot key gets `[0xFF]`, and the server answers the next
+/// well-formed request.
+#[test]
+fn malformed_param_server_requests_are_answered_not_fatal() {
+    use eleos::apps::param_server::{
+        build_read_request, build_update_request, ParamServer, TableKind,
+    };
+    use eleos::apps::space::DataSpace;
+
+    let (m, mut t) = entered_thread();
+    let mut server = ParamServer::new(
+        DataSpace::Untrusted(Arc::clone(&m)),
+        TableKind::OpenAddressing,
+        64,
+    );
+    server.init(&mut t);
+
+    let mut oversized_count = build_read_request(&[1, 2]);
+    oversized_count[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+    let mut truncated = build_read_request(&[1, 2]);
+    truncated.truncate(1 + 4 + 13);
+    let mut unknown_opcode = build_read_request(&[1]);
+    unknown_opcode[0] = 7;
+    let malformed = [
+        vec![],
+        vec![1u8],
+        vec![1u8, 2, 0],
+        oversized_count,
+        truncated,
+        unknown_opcode,
+        build_update_request(&[(3, 1), (0, 1)]),
+    ];
+    let well_formed = [
+        (
+            build_update_request(&[(5, 40)]),
+            1u32.to_le_bytes().to_vec(),
+        ),
+        (
+            build_read_request(&[5, 6]),
+            [40u64.to_le_bytes(), 0u64.to_le_bytes()].concat(),
+        ),
+    ];
+    serve_past_malformed_bodies(&mut t, &malformed, &well_formed, |t, io| {
+        server.handle_batch(t, io).0
+    });
+    assert_eq!(server.len(), 1, "no malformed request stored anything");
+    t.exit();
+}
+
+/// And the face-verification server: a body that is not exactly an
+/// id, the database's side length and a side×side image — empty, cut
+/// inside the header, cut inside the image, claiming a 4-gigapixel
+/// side, or carrying the wrong resolution — gets `[0xFF]`.
+#[test]
+fn malformed_face_requests_are_answered_not_fatal() {
+    use eleos::apps::face::{build_verify_request, lbp_histogram, synth_image, FaceDb, FaceServer};
+    use eleos::apps::space::DataSpace;
+
+    const SIDE: usize = 32;
+    let (m, mut t) = entered_thread();
+    let mut db = FaceDb::new(DataSpace::Untrusted(Arc::clone(&m)), SIDE, 8);
+    db.init(&mut t);
+    let face = synth_image(1, SIDE);
+    db.enroll(&mut t, 1, &lbp_histogram(&face, SIDE));
+    let mut server = FaceServer::new(db, f64::MAX);
+
+    let good = build_verify_request(1, SIDE, &face);
+    let mut huge_side = good.clone();
+    huge_side[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+    let malformed = [
+        vec![],
+        vec![1u8],
+        good[..11].to_vec(),
+        good[..good.len() - 1].to_vec(),
+        huge_side,
+        build_verify_request(1, 16, &synth_image(1, 16)),
+    ];
+    // An enrolled identity is accepted; an unknown one is still its
+    // own answer.
+    let well_formed = [
+        (good.clone(), vec![1u8]),
+        (build_verify_request(2, SIDE, &face), vec![2u8]),
+    ];
+    serve_past_malformed_bodies(&mut t, &malformed, &well_formed, |t, io| {
+        server.handle_batch(t, io)
+    });
+    assert_eq!(server.decisions(), (1, 0));
+    t.exit();
+}
+
+// ---------------------------------------------------------------------
+// Replica state crosses untrusted memory: sealed, and parsed fallibly
+// ---------------------------------------------------------------------
+
+/// The sender's chunks rest in the channel's untrusted ring until the
+/// receiver reaps them. A host that flips a bit of one in between gets
+/// the transfer refused — reassembled, parsed, and dead at
+/// authentication — with nothing of it applied; a host that rewrites
+/// the descriptor gets it refused at the framing. Neither panics, and
+/// the honest transfer behind them is merged.
+#[test]
+fn a_chunk_corrupted_in_the_channel_ring_is_refused_not_restored() {
+    use eleos::apps::kvs::Kvs;
+    use eleos::apps::space::DataSpace;
+    use eleos::crypto::gcm::AesGcm128;
+    use eleos::rpc::EnclaveChannel;
+    use eleos::suvm::Snapshot;
+
+    let m = small_machine();
+    let e = m.driver.create_enclave(&m, 1 << 20);
+    let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+    t.enter();
+    let store = || {
+        let space = DataSpace::Untrusted(Arc::clone(&m));
+        Kvs::new(space.clone(), space, 4 << 20, 64)
+    };
+    let (mut from, mut to) = (store(), store());
+    from.init(&mut t);
+    to.init(&mut t);
+    for i in 0..64u32 {
+        from.set(&mut t, format!("item-{i}").as_bytes(), &[i as u8; 100]);
+    }
+    let sealer = AesGcm128::new(&[0x61u8; 16]);
+    let chan = EnclaveChannel::new(&m, 64 << 10);
+    let receive = |t: &mut ThreadCtx, to: &mut Kvs| -> Result<u64, &'static str> {
+        let (_, payload) = chan.recv_chunked(t, 4, 5).map_err(|e| e.0)?;
+        let snap = Snapshot::from_bytes(&payload).map_err(|e| e.0)?;
+        to.try_restore(t, &sealer, &snap).map_err(|e| e.0)
+    };
+
+    // A bit of the second chunk's ciphertext.
+    let frame = from.snapshot_since(&mut t, &sealer, 1, 1, 0).to_bytes();
+    chan.send_chunked(&mut t, 4, 5, &1u64.to_le_bytes(), &frame, 2048);
+    let at = untrusted_find(&m, &frame[3000..3032]).expect("the chunk is in the ring");
+    let mut byte = [0u8; 1];
+    m.untrusted.read(at, &mut byte);
+    m.untrusted.write(at, &[byte[0] ^ 0x10]);
+    assert_eq!(
+        receive(&mut t, &mut to),
+        Err("section failed authentication")
+    );
+    assert!(to.is_empty(), "nothing of a refused transfer is applied");
+
+    // The descriptor's chunk count.
+    let frame = from.snapshot_since(&mut t, &sealer, 1, 2, 0).to_bytes();
+    chan.send_chunked(&mut t, 4, 5, &2u64.to_le_bytes(), &frame, 2048);
+    let mut descriptor = 8u32.to_le_bytes().to_vec();
+    descriptor.extend_from_slice(&2u64.to_le_bytes());
+    let at = untrusted_find(&m, &descriptor).expect("the descriptor is in the ring");
+    m.untrusted.write(at + 12, &1u32.to_le_bytes());
+    assert_eq!(
+        receive(&mut t, &mut to),
+        Err("chunks disagree with their descriptor")
+    );
+    assert!(to.is_empty());
+    assert_eq!(chan.pending(), 0, "the refused transfer left no tail");
+
+    // Left alone, the same state goes through.
+    let frame = from.snapshot_since(&mut t, &sealer, 1, 3, 0).to_bytes();
+    chan.send_chunked(&mut t, 4, 5, &3u64.to_le_bytes(), &frame, 2048);
+    assert_eq!(receive(&mut t, &mut to), Ok(64));
+    assert_eq!(to.get(&mut t, b"item-7").unwrap(), vec![7u8; 100]);
+    t.exit();
+}
+
+/// One hostile edit of bytes at rest in untrusted memory; positions
+/// are fractions of the buffer so one strategy fits every length.
+#[derive(Debug, Clone)]
+enum Mutation {
+    Truncate(f64),
+    Flip(f64, u8),
+    Splice(f64, Vec<u8>),
+}
+
+impl Mutation {
+    /// Applies the edit; `resize` says whether the buffer may change
+    /// length (a host file may, bytes staged in a ring may not).
+    fn apply(&self, bytes: &mut Vec<u8>, resize: bool) {
+        let len = bytes.len();
+        if len == 0 {
+            return;
+        }
+        let (Mutation::Truncate(f) | Mutation::Flip(f, _) | Mutation::Splice(f, _)) = self;
+        let at = ((len as f64 * f) as usize).min(len - 1);
+        match self {
+            Mutation::Truncate(_) if resize => bytes.truncate(at),
+            Mutation::Truncate(_) => bytes[at..].fill(0),
+            Mutation::Flip(_, bit) => bytes[at] ^= 1 << (bit % 8),
+            Mutation::Splice(_, junk) if resize => {
+                bytes.splice(at..at, junk.iter().copied());
+            }
+            Mutation::Splice(_, junk) => {
+                let n = junk.len().min(len - at);
+                bytes[at..at + n].copy_from_slice(&junk[..n]);
+            }
+        }
+    }
+}
+
+fn mutation() -> impl proptest::strategy::Strategy<Value = Mutation> {
+    use proptest::prelude::*;
+    prop_oneof![
+        (0.0..1.0f64).prop_map(Mutation::Truncate),
+        (0.0..1.0f64, any::<u8>()).prop_map(|(f, b)| Mutation::Flip(f, b)),
+        (0.0..1.0f64, prop::collection::vec(any::<u8>(), 1..40))
+            .prop_map(|(f, junk)| Mutation::Splice(f, junk)),
+    ]
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+    /// Byte-level fuzz of the one receive path. A sealed frame is
+    /// truncated, bit-flipped and spliced with junk — as a host file
+    /// (`in_ring = false`) and as a chunk sequence staged in the
+    /// channel ring, descriptor included (`in_ring = true`) — and then
+    /// received the way the fleet receives: `recv_chunked` →
+    /// `Snapshot::from_bytes` → `Kvs::try_restore`. Whatever the edit,
+    /// nothing panics, a refusal applies nothing, and every item the
+    /// receiver ends up holding is one the sender held, byte for byte.
+    #[test]
+    fn mutated_frames_and_chunk_sequences_never_panic_or_forge(
+        edits in proptest::collection::vec(mutation(), 1..4),
+        in_ring in proptest::prelude::any::<bool>(),
+    ) {
+        use eleos::apps::kvs::Kvs;
+        use eleos::apps::space::DataSpace;
+        use eleos::crypto::gcm::AesGcm128;
+        use eleos::rpc::EnclaveChannel;
+        use eleos::suvm::Snapshot;
+        use proptest::prelude::*;
+
+        let m = small_machine();
+        let e = m.driver.create_enclave(&m, 1 << 20);
+        let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+        t.enter();
+        let store = || {
+            let space = DataSpace::Untrusted(Arc::clone(&m));
+            Kvs::new(space.clone(), space, 4 << 20, 64)
+        };
+        let (mut from, mut to) = (store(), store());
+        from.init(&mut t);
+        to.init(&mut t);
+        let held = |i: u32| (format!("item-{i}").into_bytes(), vec![i as u8; 40 + i as usize]);
+        for i in 0..24u32 {
+            let (key, value) = held(i);
+            from.set(&mut t, &key, &value);
+        }
+        let sealer = AesGcm128::new(&[0x62u8; 16]);
+        let mut frame = from.snapshot_since(&mut t, &sealer, 1, 1, 0).to_bytes();
+
+        let restored = if in_ring {
+            let chan = EnclaveChannel::new(&m, 16 << 10);
+            chan.send_chunked(&mut t, 4, 5, &1u64.to_le_bytes(), &frame, 1024);
+            let mut descriptor = 8u32.to_le_bytes().to_vec();
+            descriptor.extend_from_slice(&1u64.to_le_bytes());
+            let ring = untrusted_find(&m, &descriptor).expect("the ring holds the descriptor");
+            let mut staged = vec![0u8; 24 + frame.len()];
+            m.untrusted.read(ring, &mut staged);
+            for edit in &edits {
+                edit.apply(&mut staged, false);
+            }
+            m.untrusted.write(ring, &staged);
+            chan.recv_chunked(&mut t, 4, 5)
+                .map_err(|e| e.0)
+                .and_then(|(_, payload)| Snapshot::from_bytes(&payload).map_err(|e| e.0))
+        } else {
+            for edit in &edits {
+                edit.apply(&mut frame, true);
+            }
+            Snapshot::from_bytes(&frame).map_err(|e| e.0)
+        }
+        .and_then(|snap| to.try_restore(&mut t, &sealer, &snap).map_err(|e| e.0));
+
+        match restored {
+            Ok(applied) => prop_assert_eq!(applied, to.len()),
+            Err(_) => prop_assert!(to.is_empty(), "a refusal applies nothing"),
+        }
+        let mut forged = Vec::new();
+        to.for_each_item(&mut t, |key, value| {
+            if !(0..24).any(|i| held(i) == (key.to_vec(), value.to_vec())) {
+                forged.push(key.to_vec());
+            }
+        });
+        prop_assert!(forged.is_empty(), "restored items the sender never held: {:?}", forged);
+        t.exit();
+    }
 }
 
 // ---------------------------------------------------------------------
