@@ -596,11 +596,12 @@ pub struct ServerIo {
     pub fd: Fd,
     /// The serving pipelines, one per socket.
     shards: Vec<Shard>,
-    /// `(socket, pipe, count)` split of the last reap, so the matching
-    /// send can route each reply back out the socket its request
-    /// arrived on. `socket == pipe` for a shard's own reap; a stolen
-    /// run is staged in the thief's pipe (`pipe`) but belongs to the
-    /// victim's socket (`socket`).
+    /// `(socket, pipe, count)` split of the requests the last reap
+    /// delivered (frames the session refused are not counted), so the
+    /// matching send can route each reply back out the socket its
+    /// request arrived on. `socket == pipe` for a shard's own reap; a
+    /// stolen run is staged in the thief's pipe (`pipe`) but belongs to
+    /// the victim's socket (`socket`).
     last_reap: std::sync::Mutex<Vec<(usize, usize, usize)>>,
     /// The balance layer's connection→shard indirection, when wired
     /// via [`ServerIoConfig::routed`]. Consulted by the load
@@ -810,20 +811,30 @@ impl ServerIo {
                 self.shards[k].depth.load(Ordering::Relaxed),
             );
         }
-        *self.last_reap.lock().expect("last reap") = reap;
         if let (Some(b), Some(map)) = (self.cfg.balance, self.map.as_ref()) {
             let reaps = self.reap_count.fetch_add(1, Ordering::Relaxed) + 1;
             if b.repin && reaps.is_multiple_of(b.period as u64) {
                 self.rebalance(ctx, map, b.max_moves, active);
             }
         }
-        if raw.is_empty() {
-            return Vec::new();
-        }
         let refs: Vec<&[u8]> = raw.iter().map(Vec::as_slice).collect();
-        let out = self
-            .session
-            .decrypt_batch_in_enclave(ctx, &refs, self.cfg.batched_crypto);
+        let (out, dropped) =
+            self.session
+                .decrypt_batch_reporting_drops(ctx, &refs, self.cfg.batched_crypto);
+        // A frame the session refused gets no reply: take it out of the
+        // run that delivered it (`raw` is the runs back to back), so
+        // the record the matching send routes by is what was handed on.
+        let mut dropped = dropped.into_iter().peekable();
+        let mut end = 0;
+        for run in &mut reap {
+            end += run.2;
+            while dropped.next_if(|&at| at < end).is_some() {
+                run.2 -= 1;
+            }
+        }
+        // (The lock is poisoned only if a serving thread already
+        // panicked holding it — not something a frame can cause.)
+        *self.last_reap.lock().expect("last reap") = reap;
         self.served.fetch_add(out.len() as u64, Ordering::Relaxed);
         out
     }
@@ -1176,10 +1187,11 @@ impl ServerIo {
     /// On the RPC path `replies` is split by the last reap's
     /// `(socket, pipe, count)` record and each slice goes out its
     /// socket as one `send_mmsg` job from `stripe`-byte slots of the
-    /// pipe's transmit buffer. A one-shard server has nowhere else to
-    /// route a reply, so it needs no record (and may answer a reap
-    /// that dropped unauthenticated messages). The native and OCALL
-    /// baselines send message by message.
+    /// pipe's transmit buffer. The record counts only the requests
+    /// the reap delivered — frames the session refused are already
+    /// subtracted — so the replies always match it. A one-shard server
+    /// has nowhere else to route a reply and needs no record. The
+    /// native and OCALL baselines send message by message.
     ///
     /// A stolen run's replies are staged in the thief's transmit
     /// buffers but go out the *victim's* socket, strictly after the
@@ -1188,6 +1200,11 @@ impl ServerIo {
     /// sockets are deferred to a second send wave behind a barrier
     /// (and the send stays synchronous — a deferred second wave would
     /// race the next reap for the thief's buffers).
+    ///
+    /// # Panics
+    /// Panics when a sharded server's replies do not answer the last
+    /// reap 1:1 — a bug in the serve loop, not something a peer's
+    /// bytes can cause — or when they overflow the transmit staging.
     fn send_all(&self, ctx: &mut ThreadCtx, replies: &[&[u8]], stripe: usize) {
         if replies.is_empty() {
             return;
@@ -1206,6 +1223,11 @@ impl ServerIo {
         } else {
             let reap = self.last_reap.lock().expect("last reap").clone();
             let total: usize = reap.iter().map(|&(_, _, n)| n).sum();
+            // Not input-reachable: the record counts exactly the
+            // requests the reap handed the serve loop (refused frames
+            // are subtracted there), so only a serve loop that drops or
+            // invents a reply — a bug in this program — can trip it;
+            // the lock above is poisoned only by an earlier panic.
             assert_eq!(
                 msgs.len(),
                 total,

@@ -2194,7 +2194,7 @@ mod tests {
     /// SUVM page-table lookups so far (each ends in a hit or a fault).
     fn lookups(m: &SgxMachine) -> u64 {
         let s = m.stats.snapshot();
-        s.suvm_major_faults + s.suvm_hits_protected + s.suvm_hits_probation
+        s.suvm_major_faults + s.suvm_hits
     }
 
     fn secure_touches_are_the_requests_own(segment: bool) {

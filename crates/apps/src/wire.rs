@@ -323,19 +323,22 @@ impl Session {
 
     /// The one open path: decrypts every message whose epoch tag is
     /// still in the key buffer in one [`Sealer::open_batch`] pass, and
-    /// *drops* the rest — revoked sessions drop everything. Returns
-    /// the accepted plaintexts (reap order preserved) and the dropped
-    /// count. Once a nonempty reap carries no old-epoch messages, an
-    /// in-flight rotation's label is retired.
+    /// *drops* the rest — frames too short to carry the nonce prefix
+    /// included; revoked sessions drop everything. Returns the
+    /// accepted plaintexts (reap order preserved) and the positions in
+    /// `msgs` of the dropped frames, ascending. Once a nonempty reap
+    /// carries no old-epoch messages, an in-flight rotation's label is
+    /// retired.
     ///
     /// # Panics
-    /// Panics when the session has not completed its handshake, or on
-    /// a message shorter than the nonce prefix.
-    fn open_raw(&self, msgs: &[&[u8]]) -> (Vec<Vec<u8>>, usize) {
+    /// Panics when the session has not completed its handshake.
+    fn open_raw(&self, msgs: &[&[u8]]) -> (Vec<Vec<u8>>, Vec<usize>) {
         if msgs.is_empty() {
-            return (Vec::new(), 0);
+            return (Vec::new(), Vec::new());
         }
         let state = self.state();
+        // Not input-reachable: servers are built over an established
+        // session, and no frame can move a session back to Handshake.
         assert!(
             state != SessionState::Handshake,
             "opened before the handshake established the session"
@@ -345,21 +348,23 @@ impl Session {
             SessionState::Rekeying { from, .. } => Some(from),
             _ => None,
         };
-        let mut dropped = 0usize;
+        let mut dropped: Vec<usize> = Vec::new();
         let mut old_in_flight = false;
         let mut nonces: Vec<[u8; NONCE_LEN]> = Vec::with_capacity(msgs.len());
         let mut plains: Vec<Vec<u8>> = Vec::with_capacity(msgs.len());
-        for m in msgs {
-            assert!(m.len() >= NONCE_LEN, "short wire message");
-            let nonce: [u8; NONCE_LEN] = m[..NONCE_LEN].try_into().expect("len checked");
-            let epoch = Self::epoch_of(&nonce);
-            if revoked || self.ctr_for(epoch).is_none() {
-                dropped += 1;
+        for (at, m) in msgs.iter().enumerate() {
+            // Accepted: a whole nonce prefix whose epoch tag names a
+            // key still in the buffer.
+            let keyed = m
+                .split_first_chunk::<NONCE_LEN>()
+                .filter(|(nonce, _)| !revoked && self.ctr_for(Self::epoch_of(nonce)).is_some());
+            let Some((nonce, body)) = keyed else {
+                dropped.push(at);
                 continue;
-            }
-            old_in_flight |= rekeying_from == Some(epoch);
-            nonces.push(nonce);
-            plains.push(m[NONCE_LEN..].to_vec());
+            };
+            old_in_flight |= rekeying_from == Some(Self::epoch_of(nonce));
+            nonces.push(*nonce);
+            plains.push(body.to_vec());
         }
         let mut jobs: Vec<OpenJob<'_>> = nonces
             .iter()
@@ -371,6 +376,8 @@ impl Session {
                 tag: [0u8; 16],
             })
             .collect();
+        // Not input-reachable: every job's epoch was found in the key
+        // buffer above, and CTR carries no tag a frame could fail.
         self.open_batch(&mut jobs)
             .expect("CTR wire decrypt is unauthenticated");
         drop(jobs);
@@ -401,8 +408,8 @@ impl Session {
     #[must_use]
     pub fn decrypt(&self, msg: &[u8]) -> Vec<u8> {
         let (mut plains, dropped) = self.open_raw(&[msg]);
-        assert_eq!(
-            dropped, 0,
+        assert!(
+            dropped.is_empty(),
             "response dropped: epoch outside the key buffer or session revoked"
         );
         plains.pop().expect("a batch of one yields one message")
@@ -411,12 +418,13 @@ impl Session {
     /// Server side: decrypts a sorted batch of wire messages in one
     /// [`Sealer::open_batch`] pass, charging `ctx` per accepted
     /// message (with the setup amortized across the batch when
-    /// `amortize` is set). Messages the session refuses — unknown
-    /// epoch, or any message on a revoked session — are dropped and
-    /// counted into `auth_failures`, never served and never charged.
+    /// `amortize` is set). Messages the session refuses — shorter than
+    /// the nonce prefix, unknown epoch, or any message on a revoked
+    /// session — are dropped and counted into `auth_failures`, never
+    /// served and never charged.
     ///
     /// # Panics
-    /// Panics on a message shorter than the nonce prefix.
+    /// Panics when the session has not completed its handshake.
     #[must_use]
     pub fn decrypt_batch_in_enclave(
         &self,
@@ -424,17 +432,26 @@ impl Session {
         msgs: &[&[u8]],
         amortize: bool,
     ) -> Vec<Vec<u8>> {
-        if msgs.is_empty() {
-            return Vec::new();
-        }
+        self.decrypt_batch_reporting_drops(ctx, msgs, amortize).0
+    }
+
+    /// [`Self::decrypt_batch_in_enclave`], also returning the positions
+    /// in `msgs` of the frames it dropped (ascending) — what a reap
+    /// needs to keep its reply routing equal to what it delivered.
+    pub(crate) fn decrypt_batch_reporting_drops(
+        &self,
+        ctx: &mut ThreadCtx,
+        msgs: &[&[u8]],
+        amortize: bool,
+    ) -> (Vec<Vec<u8>>, Vec<usize>) {
         let (plains, dropped) = self.open_raw(msgs);
-        if dropped > 0 {
-            Stats::add(&ctx.machine.stats.auth_failures, dropped as u64);
+        if !dropped.is_empty() {
+            Stats::add(&ctx.machine.stats.auth_failures, dropped.len() as u64);
         }
         if !plains.is_empty() {
             ctx.charge_crypto_batch(plains.iter().map(Vec::len), amortize);
         }
-        plains
+        (plains, dropped)
     }
 
     /// Server side: encrypts a batch of responses in one

@@ -15,6 +15,10 @@
 //!   --full      the paper's scale (93MB PRM, 500MB datasets; slow)
 //!   --quick     trim the paging_bench/crypto_bench axes (CI smoke)
 //! ```
+//!
+//! `paging_bench` (`{clock, fifo}` x write-back batch) checks its own
+//! claim and makes `repro` exit non-zero when a batch >= 8 cell does
+//! not beat its policy's inline cell.
 
 use eleos_bench::experiments as exp;
 use eleos_bench::harness::Scale;

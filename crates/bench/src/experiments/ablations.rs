@@ -190,7 +190,7 @@ pub fn run_policy_sweep(scale: Scale) {
     header(
         "ablate_policy",
         "EPC++ eviction policy on a 60/40 hot/cold random-read mix",
-        "recency-aware policies (CLOCK/LRU/SLRU) retain the hot set; FIFO and Random churn it",
+        "recency-aware CLOCK retains the hot set; FIFO churns it",
     );
     let buf = scale.bytes(200 << 20);
     let ops = scale.ops(40_000);
@@ -198,14 +198,7 @@ pub fn run_policy_sweep(scale: Scale) {
         "   {:<12} {:>12} {:>12}",
         "policy", "reads/s", "suvm faults"
     );
-    for (name, policy) in [
-        ("clock", EvictPolicy::Clock),
-        ("fifo", EvictPolicy::Fifo),
-        ("random", EvictPolicy::Random(5)),
-        ("lru", EvictPolicy::LruApprox(5)),
-        ("slru", EvictPolicy::Slru),
-        ("slru-tuned", EvictPolicy::SlruTuned),
-    ] {
+    for policy in [EvictPolicy::Clock, EvictPolicy::Fifo] {
         let m = paper_machine(scale);
         let cfg = SuvmConfig {
             policy,
@@ -245,7 +238,7 @@ pub fn run_policy_sweep(scale: Scale) {
         let d = m.stats.snapshot() - s0;
         println!(
             "   {:<12} {:>12} {:>12}",
-            name,
+            policy.label(),
             kops(throughput(
                 ops as u64,
                 ctx.now() - c0,

@@ -1,7 +1,8 @@
-//! Paging microbenchmark for the pluggable SUVM architecture: eviction
-//! policy x backing store x write-back batch size, on a dirty-heavy
-//! random access mix over a working set ~4x EPC++. Emits
-//! `BENCH_paging.json` for machine consumption.
+//! Paging microbenchmark for SUVM: eviction policy x write-back batch
+//! size, on a dirty-heavy random access mix over a working set ~4x
+//! EPC++. Emits `BENCH_paging.json` for machine consumption and exits
+//! non-zero unless every policy's batch >= 8 cells beat its inline
+//! cell.
 //!
 //! The serving thread's cycles/op is the figure of merit: with
 //! `wb_batch = 0` every fault seals its victim inline (full GCM setup
@@ -10,7 +11,7 @@
 //! a second thread context on another core, standing in for the
 //! swapper — seals them in batches that amortize the GCM setup.
 
-use eleos_core::{EvictPolicy, StoreKind, Suvm, SuvmConfig};
+use eleos_core::{EvictPolicy, Suvm, SuvmConfig};
 use eleos_enclave::thread::ThreadCtx;
 use eleos_sim::costs::PAGE_SIZE;
 use rand::rngs::StdRng;
@@ -24,7 +25,6 @@ const TICK_EVERY: usize = 64;
 /// One measured cell of the sweep.
 struct Cell {
     policy: &'static str,
-    store: &'static str,
     batch: usize,
     cycles_per_op: f64,
     major_faults: u64,
@@ -36,18 +36,14 @@ struct Cell {
     wb_queue_peak: u64,
 }
 
-/// Runs one policy/store/batch configuration and measures the serving
-/// core. The working set is allocated in stripe-safe chunks so the
-/// same layout works on both the monolithic and the striped store.
-fn run_cell(scale: Scale, policy: EvictPolicy, store: StoreKind, batch: usize, ops: usize) -> Cell {
+/// Runs one policy/batch configuration and measures the serving core.
+fn run_cell(scale: Scale, policy: EvictPolicy, batch: usize, ops: usize) -> Cell {
     let epcpp = scale.bytes(24 << 20).next_power_of_two();
-    let chunk = epcpp / 2;
-    let buf = chunk * 8; // ~4x EPC++
+    let buf = epcpp * 4;
     let cfg = SuvmConfig {
         epcpp_bytes: epcpp,
         backing_bytes: buf * 2,
         policy,
-        store,
         wb_batch: batch,
         ..SuvmConfig::default()
     };
@@ -61,10 +57,9 @@ fn run_cell(scale: Scale, policy: EvictPolicy, store: StoreKind, batch: usize, o
     // its counter, not the serving thread's.
     let mut sw = ThreadCtx::for_enclave(&m, &e, 1);
     sw.enter();
-    let bases: Vec<u64> = (0..8).map(|_| s.malloc(chunk)).collect();
-    let chunk_pages = (chunk / PAGE_SIZE) as u64;
-    let pages = chunk_pages * bases.len() as u64;
-    let addr_of = |p: u64| bases[(p / chunk_pages) as usize] + (p % chunk_pages) * PAGE_SIZE as u64;
+    let base = s.malloc(buf);
+    let pages = (buf / PAGE_SIZE) as u64;
+    let addr_of = |p: u64| base + p * PAGE_SIZE as u64;
 
     let page = vec![0xabu8; PAGE_SIZE];
     for p in 0..pages {
@@ -102,7 +97,6 @@ fn run_cell(scale: Scale, policy: EvictPolicy, store: StoreKind, batch: usize, o
     sw.exit();
     Cell {
         policy: policy.label(),
-        store: store.label(),
         batch,
         cycles_per_op: cycles as f64 / ops as f64,
         major_faults: d.suvm_major_faults,
@@ -117,27 +111,22 @@ fn run_cell(scale: Scale, policy: EvictPolicy, store: StoreKind, batch: usize, o
 
 /// Runs the sweep, prints a table, and writes `BENCH_paging.json`.
 /// `quick` trims the batch axis for CI smoke runs.
+///
+/// # Panics
+/// Panics — so `repro` exits non-zero — when a batch >= 8 cell does
+/// not beat its policy's inline cell, the claim the header prints.
 pub fn run(scale: Scale, quick: bool) {
     header(
         "paging_bench",
-        "eviction policy x backing store x write-back batch, dirty-heavy 4x EPC++",
+        "eviction policy x write-back batch, dirty-heavy 4x EPC++",
         "batched async write-back amortizes GCM setup: batch>=8 beats inline eviction",
     );
-    let policies = [
-        EvictPolicy::Clock,
-        EvictPolicy::Fifo,
-        EvictPolicy::Random(5),
-        EvictPolicy::LruApprox(9),
-        EvictPolicy::Slru,
-        EvictPolicy::SlruTuned,
-    ];
-    let stores = [StoreKind::Buddy, StoreKind::Striped { stripes: 8 }];
+    let policies = [EvictPolicy::Clock, EvictPolicy::Fifo];
     let batches: &[usize] = if quick { &[0, 8] } else { &[0, 4, 8, 16] };
     let ops = scale.ops(if quick { 8_000 } else { 20_000 });
     println!(
-        "   {:<7} {:<8} {:>5} {:>12} {:>9} {:>8} {:>8} {:>9} {:>8} {:>9}",
+        "   {:<7} {:>5} {:>12} {:>9} {:>8} {:>8} {:>9} {:>8} {:>9}",
         "policy",
-        "store",
         "batch",
         "cycles/op",
         "vs inl.",
@@ -148,29 +137,30 @@ pub fn run(scale: Scale, quick: bool) {
         "wb_peak"
     );
     let mut cells: Vec<Cell> = Vec::new();
+    let mut losers: Vec<String> = Vec::new();
     for policy in policies {
-        for store in stores {
-            let mut inline_cpo = 0.0f64;
-            for &batch in batches {
-                let c = run_cell(scale, policy, store, batch, ops);
-                if batch == 0 {
-                    inline_cpo = c.cycles_per_op;
-                }
-                println!(
-                    "   {:<7} {:<8} {:>5} {:>12.0} {:>9} {:>8} {:>8} {:>9} {:>8} {:>9}",
-                    c.policy,
-                    c.store,
-                    c.batch,
-                    c.cycles_per_op,
-                    x(inline_cpo / c.cycles_per_op),
-                    c.major_faults,
-                    c.evictions,
-                    c.wb_pages,
-                    c.wb_rescues,
-                    c.wb_queue_peak
-                );
-                cells.push(c);
+        let mut inline_cpo = 0.0f64;
+        for &batch in batches {
+            let c = run_cell(scale, policy, batch, ops);
+            if batch == 0 {
+                inline_cpo = c.cycles_per_op;
             }
+            println!(
+                "   {:<7} {:>5} {:>12.0} {:>9} {:>8} {:>8} {:>9} {:>8} {:>9}",
+                c.policy,
+                c.batch,
+                c.cycles_per_op,
+                x(inline_cpo / c.cycles_per_op),
+                c.major_faults,
+                c.evictions,
+                c.wb_pages,
+                c.wb_rescues,
+                c.wb_queue_peak
+            );
+            if batch >= 8 && c.cycles_per_op >= inline_cpo {
+                losers.push(format!("{} batch {batch}", c.policy));
+            }
+            cells.push(c);
         }
     }
 
@@ -182,12 +172,11 @@ pub fn run(scale: Scale, quick: bool) {
     json.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         json.push_str(&format!(
-            "    {{ \"policy\": \"{}\", \"store\": \"{}\", \"batch\": {}, \
+            "    {{ \"policy\": \"{}\", \"batch\": {}, \
              \"cycles_per_op\": {:.1}, \"major_faults\": {}, \"evictions\": {}, \
              \"clean_skips\": {}, \"wb_batches\": {}, \"wb_pages\": {}, \
              \"wb_rescues\": {}, \"wb_queue_peak\": {} }}{}\n",
             c.policy,
-            c.store,
             c.batch,
             c.cycles_per_op,
             c.major_faults,
@@ -204,4 +193,8 @@ pub fn run(scale: Scale, quick: bool) {
     let path = "BENCH_paging.json";
     std::fs::write(path, &json).expect("write BENCH_paging.json");
     println!("   wrote {path}");
+    assert!(
+        losers.is_empty(),
+        "cells that do not beat their policy's inline eviction: {losers:?}"
+    );
 }

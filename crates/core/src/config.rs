@@ -1,78 +1,17 @@
 //! SUVM configuration.
 
-use std::sync::Arc;
-
-use eleos_crypto::Sealer;
-
-/// Which [`Sealer`] a SUVM instance seals its backing store with.
-///
-/// The paper stores "a random per-application key" in the EPC (§3.2.3);
-/// [`SealerConfig::PerDomain`] models that default. Deployments that
-/// want one key-management domain across subsystems — e.g. the SUVM
-/// swapper sealing with the same cipher instance the serving path
-/// already manages — inject it with [`SealerConfig::Shared`]. Either
-/// way, every seal flows through the one [`Sealer`] trait, so the
-/// setup-amortization contract (`Costs::crypto_batch_fixed`) has a
-/// single owner.
-#[derive(Clone, Default)]
-pub enum SealerConfig {
-    /// Derive a per-domain AES-GCM-128 key from the enclave id
-    /// (deterministic stand-in for the paper's random per-application
-    /// key). The default.
-    #[default]
-    PerDomain,
-    /// Seal with an existing, externally managed sealer instance.
-    /// SUVM keeps nonces disjoint across instances by scoping them
-    /// with the enclave id, so sharing one keyed cipher between
-    /// domains is safe.
-    Shared(Arc<dyn Sealer>),
-}
-
-impl core::fmt::Debug for SealerConfig {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            SealerConfig::PerDomain => f.write_str("per-domain"),
-            SealerConfig::Shared(s) => write!(f, "shared({})", s.name()),
-        }
-    }
-}
-
-impl SealerConfig {
-    /// Short label used in experiment headers and JSON output.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            SealerConfig::PerDomain => "per-domain",
-            SealerConfig::Shared(_) => "shared",
-        }
-    }
-}
-
 /// EPC++ eviction policy.
 ///
 /// §3.2.2: "user code has full control over the spointer's page table,
 /// page size, **and eviction policy**" — hardware paging offers no such
 /// choice. CLOCK is the default; FIFO mirrors what the (opaque) SGX
-/// driver effectively does; Random is the adversarial baseline.
+/// driver effectively does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictPolicy {
     /// Second-chance CLOCK over the frame pool (default).
     Clock,
     /// Evict the page resident the longest, ignoring reuse.
     Fifo,
-    /// Deterministic pseudo-random victim selection (seeded).
-    Random(u64),
-    /// Sampled LRU approximation: stamp frames on access, evict the
-    /// oldest of a small seeded random sample.
-    LruApprox(u64),
-    /// Pin-aware segmented LRU: re-pinned frames are promoted to a
-    /// protected class that the sweep demotes before evicting.
-    Slru,
-    /// SLRU with a self-tuning protected capacity: the split between
-    /// probation and protected adapts to the observed hit mix (grows
-    /// the protected class while it earns its hits, shrinks it when it
-    /// hoards frames the probation class needs).
-    SlruTuned,
 }
 
 impl EvictPolicy {
@@ -82,36 +21,6 @@ impl EvictPolicy {
         match self {
             EvictPolicy::Clock => "clock",
             EvictPolicy::Fifo => "fifo",
-            EvictPolicy::Random(_) => "random",
-            EvictPolicy::LruApprox(_) => "lru",
-            EvictPolicy::Slru => "slru",
-            EvictPolicy::SlruTuned => "slru-tuned",
-        }
-    }
-}
-
-/// Backing-store layout for the sealed page images.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreKind {
-    /// One untrusted region, one buddy allocator, one crypto table —
-    /// the paper's memsys5 setup (default).
-    Buddy,
-    /// The region, allocator and crypto-table shards split into
-    /// `stripes` independent columns to cut lock contention. A single
-    /// allocation cannot exceed `backing_bytes / stripes`.
-    Striped {
-        /// Number of stripes (power of two).
-        stripes: usize,
-    },
-}
-
-impl StoreKind {
-    /// Short label used in experiment headers and JSON output.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            StoreKind::Buddy => "buddy",
-            StoreKind::Striped { .. } => "striped",
         }
     }
 }
@@ -142,16 +51,19 @@ pub struct SuvmConfig {
     /// per-eviction fixed overhead; default off (enable for
     /// direct-access workloads).
     pub seal_sub_pages: bool,
-    /// Free-frame low watermark the swapper maintains.
+    /// Free-frame low watermark the swapper maintains (clamped to half
+    /// the current pool).
     pub free_watermark: usize,
     /// EPC bytes the enclave needs outside EPC++ (code, heap, SUVM
     /// metadata); the ballooning logic reserves this from the driver
-    /// share.
+    /// share. The paper's prototype keeps page tables and crypto
+    /// metadata in EPC and lets native paging evict them under pressure
+    /// (§4.1/§4.2, visible as Fig 7's slowdown past ~1 GB): once the
+    /// estimated metadata footprint exceeds this, fault paths are
+    /// charged the amortized hardware faults those accesses would take.
     pub headroom_bytes: usize,
     /// EPC++ eviction policy.
     pub policy: EvictPolicy,
-    /// Backing-store layout.
-    pub store: StoreKind,
     /// Batched asynchronous write-back. `0` (default) keeps the
     /// classic inline seal-on-evict fault path. A positive value makes
     /// the fault path only *detach* victims onto a write-back queue;
@@ -159,16 +71,6 @@ pub struct SuvmConfig {
     /// dry) drains the queue in batches of this size, sealing with the
     /// GCM key schedule amortized across the batch.
     pub wb_batch: usize,
-    /// Model the EPC pressure of SUVM's own metadata: the paper's
-    /// prototype keeps page tables and crypto metadata in EPC and lets
-    /// native paging evict them under pressure (§4.1/§4.2, visible as
-    /// Fig 7's slowdown past ~1 GB). When the estimated metadata
-    /// footprint exceeds `headroom_bytes`, fault paths are charged the
-    /// amortized hardware faults those metadata accesses would take.
-    pub model_metadata_pressure: bool,
-    /// The cipher the backing store is sealed with: a per-domain key
-    /// (default) or a shared, externally managed [`Sealer`] instance.
-    pub sealer: SealerConfig,
 }
 
 impl Default for SuvmConfig {
@@ -183,10 +85,7 @@ impl Default for SuvmConfig {
             free_watermark: 8,
             headroom_bytes: 4 << 20,
             policy: EvictPolicy::Clock,
-            store: StoreKind::Buddy,
             wb_batch: 0,
-            model_metadata_pressure: true,
-            sealer: SealerConfig::PerDomain,
         }
     }
 }
@@ -205,10 +104,7 @@ impl SuvmConfig {
             free_watermark: 2,
             headroom_bytes: 64 << 10,
             policy: EvictPolicy::Clock,
-            store: StoreKind::Buddy,
             wb_batch: 0,
-            model_metadata_pressure: true,
-            sealer: SealerConfig::PerDomain,
         }
     }
 
@@ -242,16 +138,6 @@ impl SuvmConfig {
             "backing_bytes must be page aligned"
         );
         assert!(self.frames() >= 2, "need at least two EPC++ frames");
-        if let StoreKind::Striped { stripes } = self.store {
-            assert!(
-                stripes.is_power_of_two(),
-                "striped store needs a power-of-two stripe count"
-            );
-            assert!(
-                self.backing_bytes / stripes >= self.page_size,
-                "each stripe must hold at least one page"
-            );
-        }
     }
 }
 
@@ -264,25 +150,6 @@ mod tests {
         SuvmConfig::default().validate();
         SuvmConfig::tiny().validate();
         assert_eq!(SuvmConfig::tiny().frames(), 16);
-    }
-
-    #[test]
-    fn sealer_config_labels_and_debug() {
-        use eleos_crypto::gcm::AesGcm128;
-        let per = SealerConfig::PerDomain;
-        assert_eq!(per.label(), "per-domain");
-        assert_eq!(format!("{per:?}"), "per-domain");
-        let shared = SealerConfig::Shared(Arc::new(AesGcm128::new(&[1u8; 16])));
-        assert_eq!(shared.label(), "shared");
-        assert_eq!(format!("{shared:?}"), "shared(aes128-gcm)");
-        // Cloning a shared config aliases the same instance.
-        let SealerConfig::Shared(a) = shared.clone() else {
-            panic!("clone changed the variant");
-        };
-        let SealerConfig::Shared(b) = shared else {
-            panic!("original variant consumed");
-        };
-        assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //!
 //! - [`Suvm`] — the runtime: `suvm_malloc`/`suvm_free`
 //!   ([`Suvm::malloc`]/[`Suvm::free`]), bulk
-//!   `memcpy`/`memset`/`memcmp`, the in-enclave fault path, pluggable
-//!   eviction policies ([`suvm::policy`]) and backing stores
-//!   ([`suvm::store`]) with clean-page write-back elision, optional
-//!   batched asynchronous write-back, direct sub-page access to the
-//!   backing store (§3.2.4), and the pinned record cursor
+//!   `memcpy`/`memset`/`memcmp`, the in-enclave fault path, a
+//!   user-selectable eviction policy ([`suvm::policy`]) over one sealed
+//!   buddy-allocated backing store with clean-page write-back elision,
+//!   optional batched asynchronous write-back, direct sub-page access
+//!   to the backing store (§3.2.4), and the pinned record cursor
 //!   ([`SpanCursor`]) that translates once per page;
 //! - [`spointer::SPtr`] — secure active pointers with software address
 //!   translation cached per page (§3.2.2);
@@ -55,7 +55,7 @@ pub mod suvm;
 pub mod swapper;
 pub mod table;
 
-pub use config::{EvictPolicy, SealerConfig, StoreKind, SuvmConfig};
+pub use config::{EvictPolicy, SuvmConfig};
 pub use containers::{SBox, SHashMap, SVec};
 pub use runtime::{Eleos, EleosBuilder};
 pub use snapshot::{Snapshot, SnapshotBuilder, SnapshotError};

@@ -11,8 +11,7 @@
 //! identity (the SGX sealing key, SUVM's per-domain key) dies with its
 //! enclave, so a replica restoring a dead sibling's state could never
 //! open anything sealed under those. Fleet snapshots are instead
-//! sealed under a key the replicas share ([`SealerConfig::Shared`] is
-//! the same idea one layer down), and the framed bytes of
+//! sealed under a key the replicas share, and the framed bytes of
 //! [`Snapshot::to_bytes`] stay ciphertext end-to-end — safe to stage
 //! in untrusted memory, ship over an exit-less cross-enclave channel
 //! or park on the host filesystem.
@@ -22,8 +21,6 @@
 //! nonces: every section nonce is `domain ‖ epoch ‖ index`, so
 //! distinct senders (distinct `domain`, e.g. the sealing enclave's id)
 //! and monotonically growing `epoch`s per sender can never collide.
-//!
-//! [`SealerConfig::Shared`]: crate::config::SealerConfig::Shared
 
 use eleos_crypto::gcm::{Nonce, Tag};
 use eleos_crypto::sealer::{OpenJob, SealJob};

@@ -45,6 +45,14 @@ impl Suvm {
         }
     }
 
+    /// The free-frame count the swapper maintains: the configured
+    /// watermark, clamped to half the current pool (as `SgxDriver`
+    /// clamps its own) so a ballooned-down or small EPC++ is never
+    /// emptied to refill it.
+    pub(super) fn free_target(&self) -> usize {
+        self.cfg.free_watermark.min(self.frame_limit() / 2)
+    }
+
     /// One swapper pass (§3.2.3 cases 2 and 3): applies the driver's
     /// ballooning target, then refills the free pool to the watermark.
     pub fn swapper_tick(&self, ctx: &mut ThreadCtx) {
@@ -55,7 +63,7 @@ impl Suvm {
         let budget = share_bytes.saturating_sub(self.cfg.headroom_bytes);
         let target = (budget / self.cfg.page_size).clamp(2, self.frames.len());
         self.resize(ctx, target);
-        let want = self.cfg.free_watermark;
+        let want = self.free_target();
         if self.cfg.wb_batch > 0 {
             // Batched mode: this *is* the asynchronous half — drain
             // whatever the fault path detached since the last tick,

@@ -36,7 +36,7 @@ impl Suvm {
     pub fn prefetch(&self, ctx: &mut ThreadCtx, sva: Sva, len: usize) {
         let first = self.page_of(sva);
         let last = self.page_of(sva + len.saturating_sub(1) as u64);
-        let budget = self.frame_limit().saturating_sub(self.cfg.free_watermark);
+        let budget = self.frame_limit() - self.free_target();
         for (i, page) in (first..=last).enumerate() {
             if i >= budget {
                 break;

@@ -43,9 +43,9 @@ impl Suvm {
             Stats::bump(&self.machine.stats.suvm_direct_accesses);
             // Exclusive writer for this page's sealed image from here
             // to the commit.
-            self.seals().begin_write(page);
+            self.store.seals.begin_write(page);
             // Bring the page's seal state to sub-page form.
-            let mut meta = match self.seals().get_unchecked(page) {
+            let mut meta = match self.store.seals.get_unchecked(page) {
                 SealState::SubPages { meta } => meta.into_vec(),
                 SealState::Fresh => {
                     // Materialize a zero page as sealed sub-pages.
@@ -60,13 +60,13 @@ impl Suvm {
                         );
                         meta.push((nonce, tag));
                     }
-                    ctx.write_untrusted_raw(self.bs_addr(page, 0), &zeros);
+                    ctx.write_untrusted_raw(self.store.addr_of(page, 0), &zeros);
                     meta
                 }
                 SealState::Page { nonce, tag } => {
                     // Re-seal the whole page as sub-pages first.
                     let mut buf = vec![0u8; ps];
-                    ctx.read_untrusted_raw(self.bs_addr(page, 0), &mut buf);
+                    ctx.read_untrusted_raw(self.store.addr_of(page, 0), &mut buf);
                     self.sealer
                         .open(&nonce, &Self::aad(page, u32::MAX), &mut buf, &tag)
                         .expect("SUVM page failed authentication");
@@ -81,7 +81,7 @@ impl Suvm {
                         );
                         meta.push((nonce, tag));
                     }
-                    ctx.write_untrusted_raw(self.bs_addr(page, 0), &buf);
+                    ctx.write_untrusted_raw(self.store.addr_of(page, 0), &buf);
                     ctx.compute(self.machine.cfg.costs.crypto(ps));
                     meta
                 }
@@ -91,7 +91,7 @@ impl Suvm {
             let mut scratch = vec![0u8; sp];
             for s in first_sub..=last_sub {
                 let (nonce, tag) = meta[s];
-                ctx.read_untrusted(self.bs_addr(page, s * sp), &mut scratch);
+                ctx.read_untrusted(self.store.addr_of(page, s * sp), &mut scratch);
                 self.sealer
                     .open(&nonce, &Self::aad(page, s as u32), &mut scratch, &tag)
                     .expect("SUVM sub-page failed authentication");
@@ -103,11 +103,11 @@ impl Suvm {
                 let new_tag =
                     self.sealer
                         .seal(&new_nonce, &Self::aad(page, s as u32), &mut scratch);
-                ctx.write_untrusted(self.bs_addr(page, s * sp), &scratch);
+                ctx.write_untrusted(self.store.addr_of(page, s * sp), &scratch);
                 meta[s] = (new_nonce, new_tag);
                 ctx.compute(2 * (costs_crypto_fixed + (cpb * sp as f64) as u64));
             }
-            self.seals().commit_write(
+            self.store.seals.commit_write(
                 page,
                 SealState::SubPages {
                     meta: meta.into_boxed_slice(),

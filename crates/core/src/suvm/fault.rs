@@ -71,12 +71,9 @@ impl Suvm {
     /// fault touches ~2 metadata entries at random; the expected
     /// hardware-fault cost of those touches is charged here.
     fn charge_metadata_pressure(&self, ctx: &mut ThreadCtx) {
-        if !self.cfg.model_metadata_pressure {
-            return;
-        }
         // ~44 B per sealed page (nonce, tag, version, hash slot) plus
         // 16 B per EPC++ frame mapping.
-        let meta = self.seals().live_entries() * 44 + self.frames.len() * 16;
+        let meta = self.store.seals.live_entries() * 44 + self.frames.len() * 16;
         let headroom = self.cfg.headroom_bytes.max(1);
         if meta <= headroom {
             return;
@@ -105,14 +102,7 @@ impl Suvm {
                 if meta.queued.swap(false, Ordering::AcqRel) {
                     Stats::bump(&self.machine.stats.suvm_wb_rescues);
                 }
-                match self.policy.class_of(frame) {
-                    super::policy::VictimClass::Protected => {
-                        Stats::bump(&self.machine.stats.suvm_hits_protected);
-                    }
-                    super::policy::VictimClass::Probation => {
-                        Stats::bump(&self.machine.stats.suvm_hits_probation);
-                    }
-                }
+                Stats::bump(&self.machine.stats.suvm_hits);
                 self.policy.on_access(frame);
                 frame
             })
@@ -173,24 +163,38 @@ impl Suvm {
     /// the deterministic drain tool — it happily evicts queued frames
     /// too (the stale queue entry is skipped at drain time).
     pub fn evict_one(&self, ctx: &mut ThreadCtx) -> bool {
+        self.scan_victims(false, |frame, page| self.try_evict_frame(ctx, frame, page))
+    }
+
+    /// The bounded victim scan of [`EvictionPolicy`]'s contract: asks
+    /// the policy for up to `2n + 1` candidates, skips pinned and empty
+    /// frames (and, with `skip_queued`, frames already parked on the
+    /// write-back queue), honors the second chance on the first lap
+    /// only — a full fruitless revolution must still evict — and hands
+    /// each surviving `(frame, page)` to `take` until it returns `true`.
+    /// Returns whether `take` ended the scan.
+    pub(super) fn scan_victims(
+        &self,
+        skip_queued: bool,
+        mut take: impl FnMut(u32, u64) -> bool,
+    ) -> bool {
         let n = self.frames.len();
-        let max_steps = 2 * n + 1;
-        for step in 0..max_steps {
+        for step in 0..2 * n + 1 {
             let idx = self.policy.next_candidate(step, n);
             let meta = &self.frames[idx];
-            if meta.pinned.load(Ordering::Acquire) > 0 {
+            if meta.pinned.load(Ordering::Acquire) > 0
+                || (skip_queued && meta.queued.load(Ordering::Acquire))
+            {
                 continue;
             }
             let page = meta.page.load(Ordering::Acquire);
             if page == NO_PAGE {
                 continue;
             }
-            // Second chance only on the first lap (a full fruitless
-            // revolution must still evict).
             if step < n && self.policy.second_chance(idx as u32) {
                 continue;
             }
-            if self.try_evict_frame(ctx, idx as u32, page) {
+            if take(idx as u32, page) {
                 return true;
             }
         }
@@ -214,9 +218,8 @@ impl Suvm {
         if !unmapped {
             return false;
         }
-        self.count_eviction_class(frame);
         let dirty = meta.dirty.swap(false, Ordering::AcqRel);
-        let has_copy = self.seals().get(page).has_copy();
+        let has_copy = self.store.seals.get(page).has_copy();
         if dirty || !has_copy || !self.cfg.clean_skip {
             // Inline eviction is a batch of one: every seal op pays the
             // full setup.
@@ -244,23 +247,9 @@ impl Suvm {
         true
     }
 
-    /// Bumps the per-class eviction counter for `frame` (called before
-    /// the policy forgets the frame).
-    pub(super) fn count_eviction_class(&self, frame: u32) {
-        match self.policy.class_of(frame) {
-            super::policy::VictimClass::Protected => {
-                Stats::bump(&self.machine.stats.suvm_evictions_protected);
-            }
-            super::policy::VictimClass::Probation => {
-                Stats::bump(&self.machine.stats.suvm_evictions_probation);
-            }
-        }
-    }
-
-    /// Seals `frame`'s contents into the backing store as `page`
-    /// through the configured [`eleos_crypto::Sealer`], and returns the
-    /// byte length of each seal operation performed (one page, or one
-    /// entry per sub-page).
+    /// Seals `frame`'s contents into the backing store as `page` and
+    /// returns the byte length of each seal operation performed (one
+    /// page, or one entry per sub-page).
     ///
     /// This is the *functional* half of an eviction: no crypto cycles
     /// are charged here. Callers feed the returned lengths to
@@ -276,7 +265,7 @@ impl Suvm {
         let ps = self.cfg.page_size;
         let mut buf = vec![0u8; ps];
         ctx.read_enclave_raw(self.epcpp_vaddr(frame, 0), &mut buf);
-        self.seals().begin_write(page);
+        self.store.seals.begin_write(page);
         let (state, lens) = if self.cfg.seal_sub_pages {
             let sp = self.cfg.sub_page_size;
             let n_subs = ps / sp;
@@ -303,8 +292,8 @@ impl Suvm {
                 .seal(&nonce, &Self::aad(page, u32::MAX), &mut buf);
             (SealState::Page { nonce, tag }, vec![ps])
         };
-        ctx.write_untrusted_raw(self.bs_addr(page, 0), &buf);
-        self.seals().commit_write(page, state);
+        ctx.write_untrusted_raw(self.store.addr_of(page, 0), &buf);
+        self.store.seals.commit_write(page, state);
         Stats::add(&self.machine.stats.sealed_bytes, ps as u64);
         lens
     }
@@ -318,7 +307,7 @@ impl Suvm {
     /// metadata version — genuine tampering with untrusted memory.
     fn load_page_in(&self, ctx: &mut ThreadCtx, page: u64, frame: u32) -> bool {
         let ps = self.cfg.page_size;
-        let (version, state) = self.seals().read(page);
+        let (version, state) = self.store.seals.read(page);
         match state {
             SealState::Fresh => {
                 let zeros = vec![0u8; ps];
@@ -329,7 +318,7 @@ impl Suvm {
             }
             SealState::Page { nonce, tag } => {
                 let mut buf = vec![0u8; ps];
-                ctx.read_untrusted_raw(self.bs_addr(page, 0), &mut buf);
+                ctx.read_untrusted_raw(self.store.addr_of(page, 0), &mut buf);
                 match self
                     .sealer
                     .open(&nonce, &Self::aad(page, u32::MAX), &mut buf, &tag)
@@ -340,7 +329,7 @@ impl Suvm {
                         Stats::add(&self.machine.stats.sealed_bytes, ps as u64);
                         true
                     }
-                    Err(_) if !self.seals().check(page, version) => false,
+                    Err(_) if !self.store.seals.check(page, version) => false,
                     Err(_) => {
                         panic!("SUVM page failed authentication: backing store tampered")
                     }
@@ -349,7 +338,7 @@ impl Suvm {
             SealState::SubPages { meta } => {
                 let sp = self.cfg.sub_page_size;
                 let mut buf = vec![0u8; ps];
-                ctx.read_untrusted_raw(self.bs_addr(page, 0), &mut buf);
+                ctx.read_untrusted_raw(self.store.addr_of(page, 0), &mut buf);
                 for (s, (nonce, tag)) in meta.iter().enumerate() {
                     let span = &mut buf[s * sp..(s + 1) * sp];
                     if self
@@ -357,7 +346,7 @@ impl Suvm {
                         .open(nonce, &Self::aad(page, s as u32), span, tag)
                         .is_err()
                     {
-                        if !self.seals().check(page, version) {
+                        if !self.store.seals.check(page, version) {
                             return false;
                         }
                         panic!("SUVM sub-page failed authentication: backing store tampered");

@@ -32,11 +32,11 @@ use eleos_enclave::machine::SgxMachine;
 use eleos_enclave::thread::ThreadCtx;
 use eleos_sim::stats::Stats;
 
-use crate::config::{SealerConfig, SuvmConfig};
-use crate::table::{CryptoTable, InversePt, SealState, NO_PAGE};
+use crate::config::SuvmConfig;
+use crate::table::{InversePt, SealState, NO_PAGE};
 
 use self::policy::EvictionPolicy;
-use self::store::BackingStore;
+use self::store::SealedBuddyStore;
 
 /// Per-EPC++-frame metadata.
 pub(crate) struct FrameMeta {
@@ -70,15 +70,14 @@ pub struct Suvm {
     pt: InversePt,
     /// Victim selection (trait object; see [`policy`]).
     policy: Box<dyn EvictionPolicy>,
-    /// Sealed page images + crypto table (trait object; see [`store`]).
-    store: Box<dyn BackingStore>,
+    /// Sealed page images + crypto table (see [`store`]).
+    store: SealedBuddyStore,
     /// Detached-but-not-yet-sealed victims awaiting a batched drain
     /// (`(frame, page)`; see [`writeback`]).
     wb: Mutex<VecDeque<(u32, u64)>>,
-    /// The cipher every backing-store seal/open flows through —
-    /// per-domain GCM by default, or an externally shared instance
-    /// ([`SealerConfig::Shared`]) for unified key management.
-    sealer: Arc<dyn Sealer>,
+    /// The cipher every backing-store seal/open flows through: the
+    /// per-application key of §3.2.3.
+    sealer: AesGcm128,
     nonce_ctr: AtomicU64,
     /// Per-instance counters (machine-wide stats aggregate across all
     /// SUVM instances; multi-enclave experiments need them apart).
@@ -135,25 +134,19 @@ impl Suvm {
             dirty: AtomicBool::new(false),
             queued: AtomicBool::new(false),
         });
-        let sealer: Arc<dyn Sealer> = match &cfg.sealer {
-            SealerConfig::PerDomain => {
-                // Random per-application key stored in the EPC (§3.2.3);
-                // deterministic here for reproducible simulations.
-                let mut key = [0u8; 16];
-                key[..4].copy_from_slice(&enclave.id.to_le_bytes());
-                key[4..12].copy_from_slice(b"suvm-key");
-                Arc::new(AesGcm128::new(&key))
-            }
-            SealerConfig::Shared(s) => Arc::clone(s),
-        };
+        // Random per-application key stored in the EPC (§3.2.3);
+        // deterministic here for reproducible simulations.
+        let mut key = [0u8; 16];
+        key[..4].copy_from_slice(&enclave.id.to_le_bytes());
+        key[4..12].copy_from_slice(b"suvm-key");
         Arc::new(Self {
             pt: InversePt::new(n * 2),
             policy: policy::build_policy(cfg.policy, n),
-            store: store::build_store(cfg.store, &machine, cfg.backing_bytes, cfg.page_size),
+            store: SealedBuddyStore::new(&machine, cfg.backing_bytes, cfg.page_size),
             wb: Mutex::new(VecDeque::new()),
             free: Mutex::new((0..n as u32).rev().collect()),
             limit: AtomicUsize::new(n),
-            sealer,
+            sealer: AesGcm128::new(&key),
             nonce_ctr: AtomicU64::new(1),
             local: LocalStats::default(),
             frames,
@@ -199,13 +192,7 @@ impl Suvm {
     /// Number of pages with seal metadata (diagnostics).
     #[must_use]
     pub fn debug_seal_entries(&self) -> usize {
-        self.seals().live_entries()
-    }
-
-    /// Label of the sealer the backing store is sealed with.
-    #[must_use]
-    pub fn sealer_name(&self) -> &'static str {
-        self.sealer.name()
+        self.store.seals.live_entries()
     }
 
     /// Detached victims waiting for a batched write-back drain.
@@ -244,11 +231,14 @@ impl Suvm {
     }
 
     /// Frees an allocation, decommitting any fully covered pages.
+    ///
+    /// # Panics
+    /// Panics when `sva` is not a live allocation.
     pub fn free(&self, sva: Sva) {
-        self.store
-            .size_of(sva)
+        let size = self
+            .store
+            .free(sva)
             .expect("suvm_free of non-allocated address");
-        let size = self.store.free(sva).expect("suvm_free failed");
         // Decommit whole pages covered by the block: drop cached frames
         // (if unpinned) and forget seal state, so the space is really
         // reclaimed.
@@ -270,7 +260,7 @@ impl Suvm {
                     }
                 }
             });
-            self.seals().clear(page);
+            self.store.seals.clear(page);
         }
     }
 
@@ -294,21 +284,8 @@ impl Suvm {
         self.epcpp_base + frame as u64 * self.cfg.page_size as u64 + in_page as u64
     }
 
-    #[inline]
-    fn bs_addr(&self, page: u64, in_page: usize) -> u64 {
-        self.store.addr_of(page, in_page)
-    }
-
-    /// The crypto-metadata table (owned by the backing store).
-    #[inline]
-    pub(crate) fn seals(&self) -> &CryptoTable {
-        self.store.crypto()
-    }
-
-    /// Draws the next seal nonce. The enclave id scopes the nonce so
-    /// that several SUVM instances sharing one keyed sealer
-    /// ([`SealerConfig::Shared`]) can never repeat a (key, nonce) pair
-    /// across domains.
+    /// Draws the next seal nonce: a per-instance counter, scoped by
+    /// the enclave id.
     fn next_nonce(&self) -> [u8; 12] {
         let v = self.nonce_ctr.fetch_add(1, Ordering::Relaxed);
         let mut n = [0u8; 12];
@@ -391,7 +368,7 @@ mod direct;
 mod fault;
 pub mod policy;
 pub mod span;
-pub mod store;
+mod store;
 mod writeback;
 
 #[cfg(test)]

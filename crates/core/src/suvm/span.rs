@@ -127,7 +127,7 @@ impl SpanCursor<'_> {
             _ => unreachable!("read_sealed on a cached page"),
         };
         'retry: loop {
-            let (version, state) = s.seals().read(page);
+            let (version, state) = s.store.seals.read(page);
             match state {
                 SealState::Fresh => out.fill(0),
                 SealState::SubPages { meta } => {
@@ -135,12 +135,12 @@ impl SpanCursor<'_> {
                     for sub in in_page / sp..=(end - 1) / sp {
                         if held != Some(sub as u32) {
                             self.plain.resize(sp, 0);
-                            ctx.read_untrusted(s.bs_addr(page, sub * sp), &mut self.plain);
+                            ctx.read_untrusted(s.store.addr_of(page, sub * sp), &mut self.plain);
                             let (nonce, tag) = &meta[sub];
                             let aad = Suvm::aad(page, sub as u32);
                             if s.sealer.open(nonce, &aad, &mut self.plain, tag).is_err() {
                                 held = None;
-                                if !s.seals().check(page, version) {
+                                if !s.store.seals.check(page, version) {
                                     continue 'retry; // torn by a concurrent re-seal
                                 }
                                 panic!("SUVM sub-page failed authentication");
@@ -160,11 +160,11 @@ impl SpanCursor<'_> {
                     // avoid this).
                     if held != Some(WHOLE_PAGE) {
                         self.plain.resize(ps, 0);
-                        ctx.read_untrusted(s.bs_addr(page, 0), &mut self.plain);
+                        ctx.read_untrusted(s.store.addr_of(page, 0), &mut self.plain);
                         let aad = Suvm::aad(page, WHOLE_PAGE);
                         if s.sealer.open(&nonce, &aad, &mut self.plain, &tag).is_err() {
                             held = None;
-                            if !s.seals().check(page, version) {
+                            if !s.store.seals.check(page, version) {
                                 continue 'retry;
                             }
                             panic!("SUVM page failed authentication");

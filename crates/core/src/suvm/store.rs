@@ -1,24 +1,12 @@
-//! Pluggable sealed backing stores for SUVM.
+//! The sealed backing store for SUVM.
 //!
 //! §3.2.3 puts the sealed page images in untrusted memory managed by a
 //! memsys5-style buddy allocator, with the crypto metadata (nonce, tag,
-//! version) in an in-enclave table. [`BackingStore`] abstracts that
-//! layout so [`super::Suvm`] only deals in secure virtual addresses:
-//! the store decides where a page's ciphertext lives and which locks
-//! guard the allocator and crypto table.
-//!
-//! Two implementations ship:
-//!
-//! - [`SealedBuddyStore`] — the paper's setup: one untrusted region,
-//!   one buddy allocator behind one mutex, one crypto table.
-//! - [`StripedStore`] — the same, sharded into `stripes` independent
-//!   stripes (own region, own allocator lock, proportionally more
-//!   crypto-table shards) so concurrent faulting threads don't
-//!   serialize on the allocator mutex. One allocation cannot exceed a
-//!   stripe, so large secure buffers must be built from ≤ stripe-sized
-//!   chunks.
+//! version) in an in-enclave table. [`SealedBuddyStore`] is that
+//! layout — one untrusted region, one buddy allocator behind one mutex,
+//! one crypto table — so [`super::Suvm`] only deals in secure virtual
+//! addresses: offsets into the store's one contiguous space.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -26,66 +14,19 @@ use parking_lot::Mutex;
 use eleos_enclave::machine::SgxMachine;
 use eleos_sim::alloc::{AllocError, BuddyAllocator};
 
-use crate::config::StoreKind;
 use crate::table::CryptoTable;
 
 /// Where sealed page images live and how their space is managed.
-///
-/// Addresses handed out ([`Self::alloc`]) and consumed
-/// ([`Self::addr_of`]) are *secure virtual addresses* — offsets into
-/// one contiguous logical space — regardless of how the store scatters
-/// them across untrusted regions.
-pub trait BackingStore: Send + Sync {
-    /// Short label for stats and experiment output.
-    fn name(&self) -> &'static str;
-
-    /// Allocates `len` bytes of secure virtual space.
-    fn alloc(&self, len: usize) -> Result<u64, AllocError>;
-
-    /// Frees an allocation, returning its block size.
-    fn free(&self, sva: u64) -> Result<u64, AllocError>;
-
-    /// The block size of an allocation, if `sva` is one.
-    fn size_of(&self, sva: u64) -> Option<u64>;
-
-    /// Bytes currently allocated.
-    fn used(&self) -> u64;
-
-    /// Untrusted address of byte `in_page` of `page`'s sealed image.
-    fn addr_of(&self, page: u64, in_page: usize) -> u64;
-
-    /// The crypto-metadata table guarding this store's pages.
-    fn crypto(&self) -> &CryptoTable;
-}
-
-/// Builds the store configured by [`StoreKind`].
-pub(crate) fn build_store(
-    kind: StoreKind,
-    machine: &Arc<SgxMachine>,
-    backing_bytes: usize,
-    page_size: usize,
-) -> Box<dyn BackingStore> {
-    match kind {
-        StoreKind::Buddy => Box::new(SealedBuddyStore::new(machine, backing_bytes, page_size)),
-        StoreKind::Striped { stripes } => Box::new(StripedStore::new(
-            machine,
-            backing_bytes,
-            page_size,
-            stripes,
-        )),
-    }
-}
-
-/// The classic single-region store (memsys5 buddy + one crypto table).
-pub struct SealedBuddyStore {
+pub(super) struct SealedBuddyStore {
     base: u64,
     alloc: Mutex<BuddyAllocator>,
-    seals: CryptoTable,
+    /// The crypto-metadata table guarding this store's pages.
+    pub(super) seals: CryptoTable,
     page_size: u64,
 }
 
 impl SealedBuddyStore {
-    fn new(machine: &Arc<SgxMachine>, backing_bytes: usize, page_size: usize) -> Self {
+    pub(super) fn new(machine: &Arc<SgxMachine>, backing_bytes: usize, page_size: usize) -> Self {
         Self {
             base: machine.alloc_untrusted(backing_bytes),
             alloc: Mutex::new(BuddyAllocator::new(backing_bytes as u64, 16)),
@@ -93,139 +34,24 @@ impl SealedBuddyStore {
             page_size: page_size as u64,
         }
     }
-}
 
-impl BackingStore for SealedBuddyStore {
-    fn name(&self) -> &'static str {
-        "buddy"
-    }
-
-    fn alloc(&self, len: usize) -> Result<u64, AllocError> {
+    /// Allocates `len` bytes of secure virtual space.
+    pub(super) fn alloc(&self, len: usize) -> Result<u64, AllocError> {
         self.alloc.lock().alloc(len)
     }
 
-    fn free(&self, sva: u64) -> Result<u64, AllocError> {
+    /// Frees the allocation at `sva`, returning its block size.
+    pub(super) fn free(&self, sva: u64) -> Result<u64, AllocError> {
         self.alloc.lock().free(sva)
     }
 
-    fn size_of(&self, sva: u64) -> Option<u64> {
-        self.alloc.lock().size_of(sva)
-    }
-
-    fn used(&self) -> u64 {
+    /// Bytes currently allocated.
+    pub(super) fn used(&self) -> u64 {
         self.alloc.lock().used()
     }
 
-    fn addr_of(&self, page: u64, in_page: usize) -> u64 {
+    /// Untrusted address of byte `in_page` of `page`'s sealed image.
+    pub(super) fn addr_of(&self, page: u64, in_page: usize) -> u64 {
         self.base + page * self.page_size + in_page as u64
-    }
-
-    fn crypto(&self) -> &CryptoTable {
-        &self.seals
-    }
-}
-
-/// The sharded store: `stripes` independent (region, allocator,
-/// crypto-shard) columns addressed by interleaving the secure virtual
-/// space in `stripe_bytes` runs.
-pub struct StripedStore {
-    stripe_bytes: u64,
-    bases: Vec<u64>,
-    allocs: Vec<Mutex<BuddyAllocator>>,
-    next: AtomicUsize,
-    seals: CryptoTable,
-    page_size: u64,
-}
-
-impl StripedStore {
-    fn new(
-        machine: &Arc<SgxMachine>,
-        backing_bytes: usize,
-        page_size: usize,
-        stripes: usize,
-    ) -> Self {
-        assert!(stripes.is_power_of_two(), "stripes must be a power of two");
-        let stripe_bytes = (backing_bytes / stripes) as u64;
-        assert!(
-            stripe_bytes >= page_size as u64 && stripe_bytes.is_power_of_two(),
-            "each stripe must be a power-of-two number of pages"
-        );
-        let mut bases = Vec::with_capacity(stripes);
-        let mut allocs = Vec::with_capacity(stripes);
-        let nodes = machine.cfg.numa_nodes;
-        for s in 0..stripes {
-            let base = machine.alloc_untrusted(stripe_bytes as usize);
-            // Stripes interleave round-robin across NUMA nodes, so a
-            // shard pinned near node `s % nodes` faults against local
-            // DRAM (a no-op bind on single-node machines).
-            machine.bind_numa(base, stripe_bytes as usize, s % nodes);
-            bases.push(base);
-            allocs.push(Mutex::new(BuddyAllocator::new(stripe_bytes, 16)));
-        }
-        Self {
-            stripe_bytes,
-            bases,
-            allocs,
-            next: AtomicUsize::new(0),
-            // More shards ⇒ less seqlock contention across stripes.
-            seals: CryptoTable::new((stripes * 64).clamp(64, 1024)),
-            page_size: page_size as u64,
-        }
-    }
-
-    #[inline]
-    fn stripe_of(&self, sva: u64) -> (usize, u64) {
-        ((sva / self.stripe_bytes) as usize, sva % self.stripe_bytes)
-    }
-}
-
-impl BackingStore for StripedStore {
-    fn name(&self) -> &'static str {
-        "striped"
-    }
-
-    fn alloc(&self, len: usize) -> Result<u64, AllocError> {
-        if len as u64 > self.stripe_bytes {
-            // A block may not span stripes; callers chunk big buffers.
-            return Err(AllocError::BadSize(len));
-        }
-        let start = self.next.fetch_add(1, Ordering::Relaxed);
-        let n = self.allocs.len();
-        for i in 0..n {
-            let s = (start + i) & (n - 1);
-            if let Ok(off) = self.allocs[s].lock().alloc(len) {
-                return Ok(s as u64 * self.stripe_bytes + off);
-            }
-        }
-        Err(AllocError::OutOfMemory)
-    }
-
-    fn free(&self, sva: u64) -> Result<u64, AllocError> {
-        let (s, off) = self.stripe_of(sva);
-        self.allocs
-            .get(s)
-            .ok_or(AllocError::BadFree(sva))?
-            .lock()
-            .free(off)
-    }
-
-    fn size_of(&self, sva: u64) -> Option<u64> {
-        let (s, off) = self.stripe_of(sva);
-        self.allocs.get(s)?.lock().size_of(off)
-    }
-
-    fn used(&self) -> u64 {
-        self.allocs.iter().map(|a| a.lock().used()).sum()
-    }
-
-    fn addr_of(&self, page: u64, in_page: usize) -> u64 {
-        // Pages never span stripes: stripe_bytes is a power-of-two
-        // multiple of the page size.
-        let (s, off) = self.stripe_of(page * self.page_size);
-        self.bases[s] + off + in_page as u64
-    }
-
-    fn crypto(&self) -> &CryptoTable {
-        &self.seals
     }
 }

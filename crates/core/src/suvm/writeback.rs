@@ -5,8 +5,7 @@
 //! *detaches* victims: clean pages are freed outright (the §3.2.4
 //! elision), dirty ones are flagged `queued` and parked — still mapped
 //! — on a FIFO write-back queue. The swapper drains the queue off the
-//! serving core in batches; every seal flows through the configured
-//! [`eleos_crypto::Sealer`] and the whole drain is charged as **one**
+//! serving core in batches; the whole drain is charged as **one**
 //! batch via `ThreadCtx::charge_crypto_batch` — the same amortization
 //! contract the wire pipeline uses (the first seal op pays the full
 //! `crypto_fixed` setup, follow-ons a quarter; no private amortization
@@ -33,31 +32,16 @@ impl Suvm {
     /// ones immediately and parking dirty ones on the write-back
     /// queue. Returns `(freed, queued)`.
     pub(super) fn detach_victims(&self, ctx: &mut ThreadCtx, max: usize) -> (usize, usize) {
-        let n = self.frames.len();
-        let max_steps = 2 * n + 1;
+        debug_assert!(max > 0, "a detach pass takes at least one victim");
         let (mut freed, mut queued) = (0usize, 0usize);
-        for step in 0..max_steps {
-            if freed + queued >= max {
-                break;
-            }
-            let idx = self.policy.next_candidate(step, n);
-            let meta = &self.frames[idx];
-            if meta.pinned.load(Ordering::Acquire) > 0 || meta.queued.load(Ordering::Acquire) {
-                continue;
-            }
-            let page = meta.page.load(Ordering::Acquire);
-            if page == NO_PAGE {
-                continue;
-            }
-            if step < n && self.policy.second_chance(idx as u32) {
-                continue;
-            }
-            match self.detach_frame(ctx, idx as u32, page) {
+        self.scan_victims(true, |frame, page| {
+            match self.detach_frame(ctx, frame, page) {
                 Detached::Freed => freed += 1,
                 Detached::Queued => queued += 1,
                 Detached::Lost => {}
             }
-        }
+            freed + queued >= max
+        });
         (freed, queued)
     }
 
@@ -69,7 +53,7 @@ impl Suvm {
         // eviction, no queue round-trip.
         let clean = !meta.dirty.load(Ordering::Acquire)
             && self.cfg.clean_skip
-            && self.seals().get(page).has_copy();
+            && self.store.seals.get(page).has_copy();
         if clean {
             return if self.try_evict_frame(ctx, frame, page) {
                 Detached::Freed
@@ -141,7 +125,6 @@ impl Suvm {
             if !claimed {
                 continue;
             }
-            self.count_eviction_class(frame);
             meta.dirty.store(false, Ordering::Release);
             seal_lens.extend(self.seal_page_raw(ctx, page, frame));
             meta.page.store(NO_PAGE, Ordering::Release);

@@ -520,14 +520,8 @@ stats! {
     suvm_wb_rescues,
     /// High-water mark of the SUVM write-back queue depth.
     suvm_wb_queue_peak,
-    /// SUVM page-cache hits on probation-class frames.
-    suvm_hits_probation,
-    /// SUVM page-cache hits on protected-class frames.
-    suvm_hits_protected,
-    /// SUVM evictions of probation-class frames.
-    suvm_evictions_probation,
-    /// SUVM evictions of protected-class frames.
-    suvm_evictions_protected,
+    /// SUVM page-cache hits (a lookup that found its page resident).
+    suvm_hits,
     /// High-water mark of EPC frames any enclave held *beyond* its fair share while siblings were active (fleet contention pressure).
     epc_over_share_peak,
     /// Snapshots sealed by the fleet tier (quiesce-at-fence captures).
@@ -635,10 +629,7 @@ impl StatsSnapshot {
         put("wb_pages", self.suvm_wb_pages);
         put("wb_rescues", self.suvm_wb_rescues);
         put("wb_peak", self.suvm_wb_queue_peak);
-        put("hits_probation", self.suvm_hits_probation);
-        put("hits_protected", self.suvm_hits_protected);
-        put("evict_probation", self.suvm_evictions_probation);
-        put("evict_protected", self.suvm_evictions_protected);
+        put("suvm_hits", self.suvm_hits);
         put("tlb_flushes", self.tlb_flushes);
         put("llc_miss", self.llc_misses);
         put(

@@ -17,6 +17,13 @@ if grep -rnE 'kill_background|respawn_background|snapshot_over_channel|recv_rest
     echo "a deleted name is back (see above)"
     exit 1
 fi
+# PR 17 collapsed SUVM paging to CLOCK / FIFO, the one buddy store and
+# the one per-domain sealer.
+if grep -rnE 'StripedStore|StoreKind|BackingStore|build_store|SealerConfig|sealer_name\b|LruApprox|RandomPolicy|Slru|VictimClass|protected_cap|model_metadata_pressure|suvm_hits_pro|suvm_evictions_pro' \
+        crates/*/src src examples tests ; then
+    echo "a deleted SUVM paging name is back (see above)"
+    exit 1
+fi
 
 echo "== build (release)"
 cargo build --release --workspace --offline
@@ -45,12 +52,8 @@ if faults > 1.2:
 print(f"   {run['attempted']} ops, 0 failed, {faults:.3f} major faults/op")
 EOF
 
-echo "== paging_bench smoke"
+echo "== paging_bench smoke (exits non-zero unless batch >= 8 beats inline for every policy)"
 cargo run --release -p eleos-bench --bin repro --offline -- paging_bench --quick --scale 16
-for label in clock fifo random lru slru buddy striped; do
-    grep -q "\"$label\"" BENCH_paging.json \
-        || { echo "BENCH_paging.json missing $label cells"; exit 1; }
-done
 
 echo "== crypto_bench smoke"
 cargo run --release -p eleos-bench --bin repro --offline -- crypto_bench --quick --scale 16

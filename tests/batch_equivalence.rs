@@ -1,13 +1,9 @@
 //! Equivalence suite for the scatter-gather RPC I/O path and the
-//! unified `Sealer` key management:
+//! unified crypto-batch accounting:
 //!
 //! - a scatter-gather reap (one `recv_mmsg` job per shard, any worker
 //!   count) yields byte-identical decrypted payloads in identical
 //!   order to the native path's per-message `recv` loop;
-//! - SUVM write-back through a shared [`eleos::crypto::Sealer`]
-//!   round-trips (seal -> evict -> fault -> open) identically to the
-//!   per-domain key path, and the clean-never-resealed /
-//!   pinned-never-evicted invariants hold either way;
 //! - `async_send` double-buffering composes with several workers
 //!   (the pending batch is fully reaped before the transmit buffer is
 //!   reused), and a submission that fills the ring falls back without
@@ -21,13 +17,10 @@ use std::sync::Arc;
 
 use eleos::apps::io::{IoPath, ServerIo, ServerIoConfig};
 use eleos::apps::wire::Session;
-use eleos::crypto::gcm::AesGcm128;
-use eleos::crypto::Sealer;
 use eleos::enclave::machine::{MachineConfig, SgxMachine};
 use eleos::enclave::thread::ThreadCtx;
 use eleos::rpc::{with_syscalls, RpcService};
-use eleos::suvm::spointer::SPtr;
-use eleos::suvm::{SealerConfig, Suvm, SuvmConfig};
+use eleos::suvm::{Suvm, SuvmConfig};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -143,147 +136,6 @@ proptest! {
                 );
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Satellite 2: SUVM write-back through a shared Sealer
-// ---------------------------------------------------------------------
-
-/// Working-set span: 16 pages through an 8-frame EPC++.
-const SPAN: usize = 64 << 10;
-
-fn suvm_rig(sealer: SealerConfig) -> (Arc<SgxMachine>, Arc<Suvm>, ThreadCtx) {
-    let m = SgxMachine::new(MachineConfig {
-        epc_bytes: 2 << 20,
-        ..MachineConfig::tiny()
-    });
-    let e = m.driver.create_enclave(&m, 16 << 20);
-    let t0 = ThreadCtx::for_enclave(&m, &e, 0);
-    let s = Suvm::new(
-        &t0,
-        SuvmConfig {
-            epcpp_bytes: 8 * 4096,
-            backing_bytes: 1 << 20,
-            wb_batch: 8,
-            sealer,
-            ..SuvmConfig::tiny()
-        },
-    );
-    let mut t = ThreadCtx::for_enclave(&m, &e, 0);
-    t.enter();
-    (m, s, t)
-}
-
-/// Runs a write/read/evict/drain workload and returns
-/// `(final contents, sealed entry count)` after a full quiesce.
-fn run_suvm_workload(sealer: SealerConfig, ops: &[(usize, Vec<u8>)]) -> (Vec<u8>, usize) {
-    let (m, s, mut t) = suvm_rig(sealer);
-    let sva = s.malloc(SPAN);
-    let fill = vec![0x5au8; SPAN];
-    s.write(&mut t, sva, &fill);
-    let mut shadow = fill;
-    for (i, (at, data)) in ops.iter().enumerate() {
-        let at = (*at).min(SPAN - data.len());
-        s.write(&mut t, sva + at as u64, data);
-        shadow[at..at + data.len()].copy_from_slice(data);
-        match i % 3 {
-            0 => {
-                s.evict_one(&mut t);
-            }
-            1 => {
-                s.drain_writeback(&mut t, 4);
-            }
-            _ => {
-                let mut buf = vec![0u8; data.len()];
-                s.read(&mut t, sva + at as u64, &mut buf);
-                prop_assert_eq!(&buf, &shadow[at..at + data.len()]);
-            }
-        }
-        s.check_consistency();
-    }
-    // Pinned pages must survive a full eviction sweep un-evicted.
-    let pin_at = 0usize;
-    let p = SPtr::<u64>::new(&s, sva + pin_at as u64);
-    let want = u64::from_le_bytes(shadow[pin_at..pin_at + 8].try_into().unwrap());
-    prop_assert_eq!(p.get(&mut t), want);
-    let faults_before = s.local_stats().major_faults;
-    while s.evict_one(&mut t) {}
-    while s.writeback_queue_len() > 0 {
-        s.drain_writeback(&mut t, 8);
-    }
-    prop_assert_eq!(p.get(&mut t), want, "pinned page corrupted");
-    prop_assert_eq!(
-        s.local_stats().major_faults,
-        faults_before,
-        "pinned page was evicted"
-    );
-    drop(p);
-    // Quiesce everything and fault it all back in: seal -> evict ->
-    // fault -> open for every page.
-    while s.evict_one(&mut t) {}
-    while s.writeback_queue_len() > 0 {
-        s.drain_writeback(&mut t, 8);
-    }
-    s.check_consistency();
-    let mut back = vec![0u8; SPAN];
-    s.read(&mut t, sva, &mut back);
-    prop_assert_eq!(&back, &shadow, "sealed round-trip corrupted the contents");
-    // Everything is clean with a valid sealed copy now: a second full
-    // eviction must elide every re-seal, shared key or not.
-    let s0 = m.stats.snapshot();
-    while s.evict_one(&mut t) {}
-    let d = m.stats.snapshot() - s0;
-    prop_assert_eq!(
-        d.suvm_evictions,
-        d.suvm_clean_skips,
-        "clean pages must never be re-sealed"
-    );
-    prop_assert_eq!(d.suvm_wb_pages, 0, "clean pages must never be queued");
-    (back, s.debug_seal_entries())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The same workload through a per-domain sealer and through a
-    /// shared `Sealer` leaves identical contents and an identical
-    /// sealed population, and both uphold the paging invariants.
-    #[test]
-    fn shared_sealer_roundtrips_like_per_domain(
-        ops in prop::collection::vec(
-            (0..SPAN, prop::collection::vec(any::<u8>(), 1..200)),
-            4..20,
-        ),
-    ) {
-        let per_domain = run_suvm_workload(SealerConfig::PerDomain, &ops);
-        let shared: Arc<dyn Sealer> = Arc::new(AesGcm128::new(&[0x77u8; 16]));
-        let via_shared = run_suvm_workload(SealerConfig::Shared(shared), &ops);
-        prop_assert_eq!(per_domain.0, via_shared.0, "contents diverge across key management");
-        prop_assert_eq!(
-            per_domain.1, via_shared.1,
-            "sealed population diverges across key management"
-        );
-    }
-}
-
-/// The configured sealer is observable: per-domain builds a private
-/// GCM, shared uses the caller's instance.
-#[test]
-fn sealer_config_selects_the_instance() {
-    let (_m, s, mut t) = suvm_rig(SealerConfig::PerDomain);
-    assert_eq!(s.sealer_name(), "aes128-gcm");
-    let shared: Arc<dyn Sealer> = Arc::new(eleos::crypto::ctr::Ctr128::new(&[1u8; 16]));
-    let (_m2, s2, mut t2) = suvm_rig(SealerConfig::Shared(shared));
-    assert_eq!(s2.sealer_name(), "aes128-ctr");
-    // Both still page correctly.
-    for (s, t) in [(&s, &mut t), (&s2, &mut t2)] {
-        let sva = s.malloc(SPAN);
-        s.write(t, sva + 40_000, b"keyed either way");
-        while s.evict_one(t) {}
-        let mut buf = [0u8; 16];
-        s.read(t, sva + 40_000, &mut buf);
-        assert_eq!(&buf, b"keyed either way");
     }
 }
 
@@ -436,12 +288,36 @@ fn wire_setup_cycles_follow_the_unified_formula() {
     t.exit();
 }
 
+/// Working-set span: 16 pages through an 8-frame EPC++.
+const SPAN: usize = 64 << 10;
+
+fn suvm_rig() -> (Arc<SgxMachine>, Arc<Suvm>, ThreadCtx) {
+    let m = SgxMachine::new(MachineConfig {
+        epc_bytes: 2 << 20,
+        ..MachineConfig::tiny()
+    });
+    let e = m.driver.create_enclave(&m, 16 << 20);
+    let t0 = ThreadCtx::for_enclave(&m, &e, 0);
+    let s = Suvm::new(
+        &t0,
+        SuvmConfig {
+            epcpp_bytes: 8 * 4096,
+            backing_bytes: 1 << 20,
+            wb_batch: 8,
+            ..SuvmConfig::tiny()
+        },
+    );
+    let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+    t.enter();
+    (m, s, t)
+}
+
 /// SUVM write-back drains charge their setup through the same unified
 /// path: one crypto batch per drain, leader at full setup, follow-ons
 /// at a quarter — no private amortization in `writeback.rs`.
 #[test]
 fn drain_setup_cycles_follow_the_unified_formula() {
-    let (m, s, mut t) = suvm_rig(SealerConfig::PerDomain);
+    let (m, s, mut t) = suvm_rig();
     let sva = s.malloc(SPAN);
     let fill = vec![0xa1u8; SPAN];
     s.write(&mut t, sva, &fill);

@@ -165,6 +165,75 @@ fn revoked_session_drops_queued_messages() {
     );
 }
 
+/// Any network peer — no session needed — can put arbitrary bytes on
+/// a server socket. A frame too short to carry the nonce prefix, or
+/// one tagged with an epoch outside the key buffer, is dropped and
+/// counted like any other refused frame: the enclave does not panic,
+/// the valid requests around it are answered on the sockets they
+/// arrived on, and the next clean round is served.
+#[test]
+fn short_and_unknown_epoch_frames_are_dropped_not_fatal() {
+    use eleos::apps::io::{IoPath, ServerIoConfig};
+    use eleos::apps::wire::{Session, NONCE_LEN};
+    use eleos::rpc::{with_syscalls, RpcService};
+
+    for sharded in [true, false] {
+        let m = small_machine();
+        let e = m.driver.create_enclave(&m, 1 << 20);
+        let session = Arc::new(Session::established([3u8; 16]));
+        let ut = ThreadCtx::untrusted(&m, 1);
+        // Two shards on the RPC path; the native baseline is one socket.
+        let (fds, path, mut t) = if sharded {
+            let svc = with_syscalls(RpcService::builder(&m), &m)
+                .workers(1, &[3])
+                .build();
+            let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+            t.enter();
+            let fds = m.host.socket_set(&ut, 2, 64 << 10);
+            (fds, IoPath::Rpc(Arc::new(svc)), t)
+        } else {
+            let fds = vec![m.host.socket(&ut, 64 << 10)];
+            (fds, IoPath::Native, ThreadCtx::untrusted(&m, 0))
+        };
+        let io = ServerIoConfig::with_buf_len(8192).batch(8).build(
+            &ut,
+            &fds,
+            path,
+            Arc::clone(&session),
+        );
+        let (first, last) = (fds[0], fds[fds.len() - 1]);
+        let push = |fd, frame: &[u8]| m.host.push_request(&ut, fd, frame);
+        // One echo round: whatever the reap accepts goes straight back.
+        let mut echo = || {
+            let got = io.recv_batch(&mut t);
+            io.send_batch(&mut t, &got);
+            got
+        };
+        let reply = |fd| m.host.pop_response(fd).map(|r| session.decrypt(&r));
+
+        // [valid, 1 byte, unknown epoch] on the first socket, [one byte
+        // short of the nonce, valid] on the last.
+        push(first, &session.encrypt(&[1u8; 24]));
+        push(first, &[0x5a]);
+        push(first, &[0xff; NONCE_LEN + 24]);
+        push(last, &[0x5a; NONCE_LEN - 1]);
+        push(last, &session.encrypt(&[2u8; 24]));
+        assert_eq!(echo(), vec![vec![1u8; 24], vec![2u8; 24]]);
+        assert_eq!(m.stats.snapshot().auth_failures, 3, "sharded={sharded}");
+        assert_eq!(reply(first), Some(vec![1u8; 24]));
+        assert_eq!(reply(last), Some(vec![2u8; 24]));
+
+        // The following clean round is served as usual.
+        push(first, &session.encrypt(&[3u8; 24]));
+        push(last, &session.encrypt(&[4u8; 24]));
+        assert_eq!(echo(), vec![vec![3u8; 24], vec![4u8; 24]]);
+        assert_eq!(reply(first), Some(vec![3u8; 24]));
+        assert_eq!(reply(last), Some(vec![4u8; 24]));
+        assert!(fds.iter().all(|&fd| m.host.pop_response(fd).is_none()));
+        assert_eq!(m.stats.snapshot().auth_failures, 3);
+    }
+}
+
 /// The host writes the results of a `recv_mmsg` job — the message
 /// count and the per-message length descriptors — into untrusted
 /// memory. A hostile host that inflates either must get the message

@@ -1,6 +1,5 @@
-//! Property and equivalence tests for the pluggable SUVM paging
-//! architecture: every eviction policy x backing store x write-back
-//! mode must satisfy the same invariants —
+//! Property and equivalence tests for SUVM paging: every eviction
+//! policy x write-back mode must satisfy the same invariants —
 //!
 //! - SUVM contents always match a flat shadow memory;
 //! - a pinned (spointer-linked) page is never evicted;
@@ -15,7 +14,7 @@ use std::sync::Arc;
 use eleos::enclave::machine::{MachineConfig, SgxMachine};
 use eleos::enclave::thread::ThreadCtx;
 use eleos::suvm::spointer::SPtr;
-use eleos::suvm::{EvictPolicy, StoreKind, Suvm, SuvmConfig};
+use eleos::suvm::{EvictPolicy, Suvm, SuvmConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -24,11 +23,7 @@ use rand::{RngExt, SeedableRng};
 /// constant.
 const SPAN: usize = 64 << 10;
 
-fn rig(
-    policy: EvictPolicy,
-    store: StoreKind,
-    wb_batch: usize,
-) -> (Arc<SgxMachine>, Arc<Suvm>, ThreadCtx) {
+fn rig(policy: EvictPolicy, wb_batch: usize) -> (Arc<SgxMachine>, Arc<Suvm>, ThreadCtx) {
     let m = SgxMachine::new(MachineConfig {
         epc_bytes: 2 << 20,
         ..MachineConfig::tiny()
@@ -41,7 +36,6 @@ fn rig(
             epcpp_bytes: 8 * 4096,
             backing_bytes: 1 << 20,
             policy,
-            store,
             wb_batch,
             ..SuvmConfig::tiny()
         },
@@ -77,9 +71,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// Runs `ops` against one configuration, checking every invariant the
-/// paging architecture promises independent of policy and store.
-fn run_model(policy: EvictPolicy, store: StoreKind, wb_batch: usize, ops: &[Op]) {
-    let (m, s, mut t) = rig(policy, store, wb_batch);
+/// paging architecture promises independent of policy.
+fn run_model(policy: EvictPolicy, wb_batch: usize, ops: &[Op]) {
+    let (m, s, mut t) = rig(policy, wb_batch);
     let sva = s.malloc(SPAN);
     // Populate every page so each one has real content and, once
     // evicted, a sealed copy (a never-written zero-fill page has
@@ -144,7 +138,7 @@ fn run_model(policy: EvictPolicy, store: StoreKind, wb_batch: usize, ops: &[Op])
     prop_assert_eq!(&back, &shadow);
     // Everything is now clean with a valid sealed copy, so a second
     // full eviction must elide every write-back (§3.2.4) regardless of
-    // policy, store, or write-back mode.
+    // policy or write-back mode.
     while s.writeback_queue_len() > 0 {
         s.drain_writeback(&mut t, 8);
     }
@@ -161,32 +155,19 @@ fn run_model(policy: EvictPolicy, store: StoreKind, wb_batch: usize, ops: &[Op])
     s.check_consistency();
 }
 
-const POLICIES: [EvictPolicy; 6] = [
-    EvictPolicy::Clock,
-    EvictPolicy::Fifo,
-    EvictPolicy::Random(3),
-    EvictPolicy::LruApprox(11),
-    EvictPolicy::Slru,
-    EvictPolicy::SlruTuned,
-];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The policy-independent invariants hold under arbitrary
-    /// fault/evict/pin/drain/resize interleavings, for every eviction
-    /// policy, both backing stores, and both write-back modes.
+    /// fault/evict/pin/drain/resize interleavings, for both eviction
+    /// policies and both write-back modes.
     #[test]
     fn paging_invariants_hold_across_policies(
         ops in prop::collection::vec(op_strategy(), 1..28),
     ) {
-        for policy in POLICIES {
-            for (store, wb_batch) in [
-                (StoreKind::Buddy, 0),
-                (StoreKind::Buddy, 8),
-                (StoreKind::Striped { stripes: 4 }, 8),
-            ] {
-                run_model(policy, store, wb_batch, &ops);
+        for policy in [EvictPolicy::Clock, EvictPolicy::Fifo] {
+            for wb_batch in [0, 8] {
+                run_model(policy, wb_batch, &ops);
             }
         }
     }
@@ -200,51 +181,45 @@ proptest! {
 /// equality plus an equal entry count is the store-level equivalence.)
 #[test]
 fn batched_writeback_equals_inline_eviction() {
-    for store in [StoreKind::Buddy, StoreKind::Striped { stripes: 4 }] {
-        let mut contents: Vec<Vec<u8>> = Vec::new();
-        let mut seal_entries = Vec::new();
-        for wb_batch in [0usize, 8] {
-            let (_m, s, mut t) = rig(EvictPolicy::Clock, store, wb_batch);
-            let sva = s.malloc(SPAN);
-            let mut shadow = vec![0u8; SPAN];
-            let mut rng = StdRng::seed_from_u64(77);
-            for i in 0..400u64 {
-                let at = rng.random_range(0..(SPAN as u64 - 64)) as usize;
-                if rng.random_range(0..10) < 7 {
-                    let data: Vec<u8> = (0..48).map(|j| (i as usize + j) as u8).collect();
-                    s.write(&mut t, sva + at as u64, &data);
-                    shadow[at..at + 48].copy_from_slice(&data);
-                } else {
-                    let mut buf = [0u8; 48];
-                    s.read(&mut t, sva + at as u64, &mut buf);
-                    assert_eq!(buf, shadow[at..at + 48]);
-                }
-                if wb_batch > 0 && i % 16 == 15 {
-                    s.drain_writeback(&mut t, 8);
-                }
+    let mut contents: Vec<Vec<u8>> = Vec::new();
+    let mut seal_entries = Vec::new();
+    for wb_batch in [0usize, 8] {
+        let (_m, s, mut t) = rig(EvictPolicy::Clock, wb_batch);
+        let sva = s.malloc(SPAN);
+        let mut shadow = vec![0u8; SPAN];
+        let mut rng = StdRng::seed_from_u64(77);
+        for i in 0..400u64 {
+            let at = rng.random_range(0..(SPAN as u64 - 64)) as usize;
+            if rng.random_range(0..10) < 7 {
+                let data: Vec<u8> = (0..48).map(|j| (i as usize + j) as u8).collect();
+                s.write(&mut t, sva + at as u64, &data);
+                shadow[at..at + 48].copy_from_slice(&data);
+            } else {
+                let mut buf = [0u8; 48];
+                s.read(&mut t, sva + at as u64, &mut buf);
+                assert_eq!(buf, shadow[at..at + 48]);
             }
-            while s.writeback_queue_len() > 0 {
+            if wb_batch > 0 && i % 16 == 15 {
                 s.drain_writeback(&mut t, 8);
             }
-            while s.evict_one(&mut t) {}
-            s.check_consistency();
-            seal_entries.push(s.debug_seal_entries());
-            let mut back = vec![0u8; SPAN];
-            s.read(&mut t, sva, &mut back);
-            assert_eq!(back, shadow, "sealed contents diverge from shadow");
-            contents.push(back);
         }
-        assert_eq!(
-            contents[0],
-            contents[1],
-            "batched write-back changed the stored plaintext ({})",
-            store.label()
-        );
-        assert_eq!(
-            seal_entries[0],
-            seal_entries[1],
-            "batched write-back changed the sealed population ({})",
-            store.label()
-        );
+        while s.writeback_queue_len() > 0 {
+            s.drain_writeback(&mut t, 8);
+        }
+        while s.evict_one(&mut t) {}
+        s.check_consistency();
+        seal_entries.push(s.debug_seal_entries());
+        let mut back = vec![0u8; SPAN];
+        s.read(&mut t, sva, &mut back);
+        assert_eq!(back, shadow, "sealed contents diverge from shadow");
+        contents.push(back);
     }
+    assert_eq!(
+        contents[0], contents[1],
+        "batched write-back changed the stored plaintext"
+    );
+    assert_eq!(
+        seal_entries[0], seal_entries[1],
+        "batched write-back changed the sealed population"
+    );
 }
