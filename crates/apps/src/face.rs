@@ -19,12 +19,9 @@ use eleos_sim::stats::Stats;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::io::ServerIo;
 use crate::kvs::MALFORMED_REPLY;
 use crate::space::DataSpace;
 
-/// Image side (the paper resizes FERET images to 512×512).
-pub const IMG_SIDE: usize = 512;
 /// LBP histogram block side in pixels.
 pub const BLOCK: usize = 16;
 /// Histogram bins per block: 58 uniform patterns + 1 catch-all.
@@ -316,44 +313,18 @@ impl FaceServer {
         Some((score, ok))
     }
 
-    /// Handles one request from `io`. Returns `false` when the queue
-    /// is drained.
+    /// Verifies one decrypted request, returning the response
+    /// plaintext — the closure a serve loop
+    /// ([`ServerIo::serve`](crate::io::ServerIo::serve)) runs per
+    /// request.
     ///
     /// Request plaintext: `[id u64][side u32][pixels]`. Response:
-    /// `[1]` accepted / `[0]` rejected / `[2]` unknown id /
-    /// [`MALFORMED_REPLY`] for a body that does not parse.
-    pub fn handle_request(&mut self, ctx: &mut ThreadCtx, io: &ServerIo) -> bool {
-        let Some(plain) = io.recv_msg(ctx) else {
-            return false;
-        };
-        let resp = self.process(ctx, &plain);
-        io.send_msg(ctx, &[resp]);
-        true
-    }
-
-    /// Handles up to `io.cfg.batch` requests as one pipelined batch
-    /// (receives posted together, the reap decrypted in one batched
-    /// crypto pass, verifications run back-to-back, responses
-    /// batch-encrypted and sent together — on the RPC path each I/O
-    /// stage is a single amortized ring submission). Returns the
-    /// number of requests handled.
-    pub fn handle_batch(&mut self, ctx: &mut ThreadCtx, io: &ServerIo) -> usize {
-        let requests = io.recv_batch(ctx);
-        let replies: Vec<Vec<u8>> = requests
-            .iter()
-            .map(|plain| vec![self.process(ctx, plain)])
-            .collect();
-        io.send_batch(ctx, &replies);
-        requests.len()
-    }
-
-    /// Verifies one decrypted request, returning the response byte.
-    /// The body comes from a client, attested but not trusted: one that
-    /// is not exactly `[id u64][side u32]` plus a `side`×`side` image
-    /// at the database's resolution is answered [`MALFORMED_REPLY`]
-    /// and counted in `malformed_requests`, and the server keeps
-    /// serving.
-    fn process(&mut self, ctx: &mut ThreadCtx, plain: &[u8]) -> u8 {
+    /// `[1]` accepted / `[0]` rejected / `[2]` unknown id. The body
+    /// comes from a client, attested but not trusted: one that is not
+    /// exactly `[id u64][side u32]` plus a `side`×`side` image at the
+    /// database's resolution is answered [`MALFORMED_REPLY`] and
+    /// counted in `malformed_requests`, and the server keeps serving.
+    pub fn process(&mut self, ctx: &mut ThreadCtx, plain: &[u8]) -> Vec<u8> {
         let side = self.db.side;
         let request = plain.split_first_chunk::<8>().and_then(|(id, rest)| {
             let (claimed, image) = rest.split_first_chunk::<4>()?;
@@ -362,13 +333,14 @@ impl FaceServer {
         });
         let Some((id, image)) = request else {
             Stats::bump(&ctx.machine.stats.malformed_requests);
-            return MALFORMED_REPLY;
+            return vec![MALFORMED_REPLY];
         };
-        match self.verify(ctx, id, image) {
+        // (`verify` asserts the image size `request` just checked.)
+        vec![match self.verify(ctx, id, image) {
             Some((_, true)) => 1u8,
             Some((_, false)) => 0u8,
             None => 2u8,
-        }
+        }]
     }
 }
 

@@ -1,6 +1,6 @@
 //! Server-side network I/O over the three syscall paths the paper
-//! compares: direct (native), OCALL (vanilla SGX SDK / Graphene), and
-//! Eleos exit-less RPC.
+//! compares ([`IoPath`]): direct (native), OCALL (vanilla SGX SDK /
+//! Graphene), and Eleos exit-less RPC.
 //!
 //! Every receive entry point is one reap: the path-specific code only
 //! collects *raw* wire messages in arrival order, and the whole reap is
@@ -33,9 +33,29 @@
 //! per-message length descriptors) is untrusted and bounded before use;
 //! see [`desc_rejects`](eleos_sim::stats::Stats::desc_rejects).
 //!
+//! # The baselines, and the one way out
+//!
 //! The native and OCALL paths are the paper's baselines: one
 //! `recv`/`send` syscall per message over a single socket, in a
-//! sequential loop that stops at the first would-block.
+//! sequential loop that stops at the first would-block. Each of those
+//! syscalls — and the `poll` of a blocking wait, on every path — is one
+//! [`IoPath::call`] over the staging buffers this module owns:
+//! `eleos-rpc` holds the syscall table and the only `match` that sends
+//! a single syscall out natively, by OCALL or over the ring. What
+//! stays here is the *batched* submission (`if let IoPath::Rpc`), which
+//! is a different shape — many jobs, one handoff — not a fourth path.
+//!
+//! # One serve loop
+//!
+//! [`ServerIo::serve_on`] is `reap → f per request → send` written
+//! once; [`ServerIo::serve`] is all shards and [`ServerIo::serve_one`]
+//! the depth-one pair. A front-end is the closure: [`Kvs::process`],
+//! [`process_text`], [`ParamServer::process`], [`FaceServer::process`].
+//!
+//! [`Kvs::process`]: crate::kvs::Kvs::process
+//! [`process_text`]: crate::text_protocol::process_text
+//! [`ParamServer::process`]: crate::param_server::ParamServer::process
+//! [`FaceServer::process`]: crate::face::FaceServer::process
 //!
 //! # Adaptive sub-batch sizing
 //!
@@ -100,6 +120,7 @@ use std::sync::Arc;
 
 use eleos_enclave::host::{Fd, DESC_STRIDE};
 use eleos_enclave::thread::ThreadCtx;
+pub use eleos_rpc::IoPath;
 use eleos_rpc::{funcs, RpcService};
 use eleos_sim::stats::{Stats, MAX_REPLICAS, MAX_SHARDS};
 
@@ -108,30 +129,6 @@ use crate::wire::{Session, SessionState};
 
 /// Fixed-point scale for the per-shard arrival-rate EWMA.
 const EWMA_SCALE: u64 = 16;
-
-/// How the server reaches the host OS.
-#[derive(Clone)]
-pub enum IoPath {
-    /// Direct syscalls from untrusted code (the no-SGX baseline).
-    Native,
-    /// OCALL per syscall (vanilla SGX; also our stand-in for
-    /// Graphene's exit path, §5.1).
-    Ocall,
-    /// Eleos exit-less RPC (§3.1).
-    Rpc(Arc<RpcService>),
-}
-
-impl IoPath {
-    /// Label used in experiment output.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            IoPath::Native => "native",
-            IoPath::Ocall => "ocall",
-            IoPath::Rpc(_) => "rpc",
-        }
-    }
-}
 
 /// Tunables for the shard balance layer (see the module docs).
 #[derive(Clone, Copy, Debug)]
@@ -423,26 +420,6 @@ impl ServerIoConfig {
         self
     }
 
-    /// Label for the rekey interval in experiment output: `rekey-N`
-    /// or `rekey-inf`.
-    #[must_use]
-    pub fn rekey_label(&self) -> String {
-        match self.rekey_interval {
-            Some(n) => format!("rekey-{n}"),
-            None => "rekey-inf".to_owned(),
-        }
-    }
-
-    /// Label for the balance layer in experiment output.
-    #[must_use]
-    pub fn balance_label(&self) -> &'static str {
-        if self.balance.is_some() {
-            "balanced"
-        } else {
-            "static"
-        }
-    }
-
     /// Label for the sub-batch sizing policy in experiment output:
     /// `adaptive` or `fixed-N`.
     #[must_use]
@@ -624,13 +601,6 @@ pub struct ServerIo {
 }
 
 impl ServerIo {
-    /// The balance layer's connection map, when this server was built
-    /// with [`ServerIoConfig::routed`].
-    #[must_use]
-    pub fn shard_map(&self) -> Option<&Arc<ShardMap>> {
-        self.map.as_ref()
-    }
-
     /// Number of serving pipelines (sockets).
     #[must_use]
     pub fn shard_count(&self) -> usize {
@@ -1059,36 +1029,24 @@ impl ServerIo {
         map.decay();
     }
 
-    /// One raw receive on the non-RPC paths. Returns `None` when the
-    /// socket queue is empty.
+    /// One raw `recv` syscall on the native/OCALL baselines. Returns
+    /// `None` when the socket queue is empty.
     fn recv_raw(&self, ctx: &mut ThreadCtx) -> Option<Vec<u8>> {
-        let machine = Arc::clone(&ctx.machine);
         let sh = &self.shards[0];
-        let n = match &self.path {
-            IoPath::Native => {
-                assert!(!ctx.in_enclave(), "native path runs untrusted");
-                machine.host.recv(ctx, sh.fd, sh.rx_buf, self.cfg.buf_len)?
-            }
-            IoPath::Ocall => {
-                let fd = sh.fd;
-                let (rx, len) = (sh.rx_buf, self.cfg.buf_len);
-                let r = ctx.ocall(|c| {
-                    let m = Arc::clone(&c.machine);
-                    m.host.recv(c, fd, rx, len)
-                });
-                r?
-            }
-            IoPath::Rpc(_) => unreachable!("the RPC path reaps through the ring"),
-        };
-        let mut msg = vec![0u8; n];
+        let args = [u64::from(sh.fd.0), sh.rx_buf, self.cfg.buf_len as u64, 0];
+        let n = self.path.call(ctx, funcs::RECV, args);
+        if n == u64::MAX {
+            return None;
+        }
+        let mut msg = vec![0u8; n as usize];
         ctx.read_untrusted(sh.rx_buf, &mut msg);
         Some(msg)
     }
 
     /// Blocking receive: when the queue is empty, waits via repeated
-    /// `poll()` OCALLs (the paper's split: short calls go exit-less,
-    /// long blocking waits take the naive exit, §3.1) and then
-    /// receives. On the native path it simply spins on `poll`.
+    /// `poll()` syscalls — OCALLs on both enclaved paths (the paper's
+    /// split: short calls go exit-less, long blocking waits take the
+    /// naive exit, §3.1, made by [`IoPath::call`]) — and then receives.
     /// Single-socket servers only.
     ///
     /// Returns `None` when the session has been revoked — the one
@@ -1102,19 +1060,8 @@ impl ServerIo {
             if let Some(msg) = self.recv_msg(ctx) {
                 return Some(msg);
             }
-            let fd = self.fd;
-            let ready = match &self.path {
-                IoPath::Native => {
-                    let m = Arc::clone(&ctx.machine);
-                    m.host.poll(ctx, fd)
-                }
-                // Both enclaved paths block via OCALL, per the paper.
-                _ => ctx.ocall(|c| {
-                    let m = Arc::clone(&c.machine);
-                    m.host.poll(c, fd)
-                }),
-            };
-            if !ready {
+            let fd = u64::from(self.fd.0);
+            if self.path.call(ctx, funcs::POLL, [fd, 0, 0, 0]) == 0 {
                 std::thread::yield_now();
             }
         }
@@ -1138,6 +1085,51 @@ impl ServerIo {
             "single-message send is a single-socket affair; use send_batch on a sharded server"
         );
         self.send_all(ctx, &[plain], self.cfg.buf_len);
+    }
+
+    /// The serve loop, written once: reaps the `active` shards
+    /// ([`Self::recv_batch_on`]), hands each decrypted request to `f`
+    /// with the serving thread, and sends the replies it returns back
+    /// in order ([`Self::send_batch`]). `f` is a front-end's `process`
+    /// — it owns the parse, the malformed reply and the application.
+    /// Returns the number of requests served (zero when the sockets
+    /// were drained).
+    pub fn serve_on(
+        &self,
+        ctx: &mut ThreadCtx,
+        active: &[usize],
+        mut f: impl FnMut(&mut ThreadCtx, &[u8]) -> Vec<u8>,
+    ) -> usize {
+        let requests = self.recv_batch_on(ctx, active);
+        let replies: Vec<Vec<u8>> = requests.iter().map(|plain| f(ctx, plain)).collect();
+        self.send_batch(ctx, &replies);
+        requests.len()
+    }
+
+    /// [`Self::serve_on`] over every shard.
+    pub fn serve(
+        &self,
+        ctx: &mut ThreadCtx,
+        f: impl FnMut(&mut ThreadCtx, &[u8]) -> Vec<u8>,
+    ) -> usize {
+        let all: Vec<usize> = (0..self.shards.len()).collect();
+        self.serve_on(ctx, &all, f)
+    }
+
+    /// The serve loop at depth one: [`Self::recv_msg`], `f`,
+    /// [`Self::send_msg`]. Returns `false` when the socket queue is
+    /// drained. Single-socket servers only.
+    pub fn serve_one(
+        &self,
+        ctx: &mut ThreadCtx,
+        f: impl FnOnce(&mut ThreadCtx, &[u8]) -> Vec<u8>,
+    ) -> bool {
+        let Some(plain) = self.recv_msg(ctx) else {
+            return false;
+        };
+        let reply = f(ctx, &plain);
+        self.send_msg(ctx, &reply);
+        true
     }
 
     /// Reaps the deferred send, if one is in flight. The overlap-aware
@@ -1292,7 +1284,6 @@ impl ServerIo {
     /// The native/OCALL send loop: one `send` syscall per sealed
     /// message, staged in equal slices of the transmit buffer.
     fn send_sequential(&self, ctx: &mut ThreadCtx, msgs: &[Vec<u8>]) {
-        let machine = Arc::clone(&ctx.machine);
         let sh = &self.shards[0];
         let stripe = self.cfg.buf_len / msgs.len();
         for (i, msg) in msgs.iter().enumerate() {
@@ -1302,20 +1293,8 @@ impl ServerIo {
             );
             let addr = sh.tx_buf + (i * stripe) as u64;
             ctx.write_untrusted(addr, msg);
-            match &self.path {
-                IoPath::Native => {
-                    machine.host.send(ctx, sh.fd, addr, msg.len());
-                }
-                IoPath::Ocall => {
-                    let fd = sh.fd;
-                    let len = msg.len();
-                    ctx.ocall(move |c| {
-                        let m = Arc::clone(&c.machine);
-                        m.host.send(c, fd, addr, len)
-                    });
-                }
-                IoPath::Rpc(_) => unreachable!("the RPC path sends through the ring"),
-            }
+            let args = [u64::from(sh.fd.0), addr, msg.len() as u64, 0];
+            self.path.call(ctx, funcs::SEND, args);
         }
     }
 }

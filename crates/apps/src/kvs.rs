@@ -96,13 +96,8 @@ impl Kvs {
         self.engine.label()
     }
 
-    /// The write stamp every subsequent `set` records on its item.
-    #[must_use]
-    pub fn write_version(&self) -> u64 {
-        self.version
-    }
-
-    /// Sets the write stamp. The fleet tier advances this to its fence
+    /// Sets the write stamp every subsequent `set` records on its
+    /// item. The fleet tier advances this to its fence
     /// epoch after every fence, which is what makes the versioned
     /// restore merge ([`Self::try_restore`]) last-writer-wins across
     /// arbitrary kill/respawn schedules: two stores only ever hold the
@@ -361,31 +356,12 @@ impl Kvs {
             .expect("restore of a snapshot from a trusted source")
     }
 
-    /// Handles one protocol request. Returns `false` when the socket
-    /// queue is drained.
-    ///
-    /// Request plaintext: `[op u8][key_len u16][val_len u32][key][value]`
-    /// with op 0 = GET, 1 = SET, 2 = SET-with-TTL (a `ttl u32` in
-    /// seconds follows `val_len`, shifting the key to offset 11).
-    /// Response: GET → `[1][val_len][value]` or `[0]`; SET and
-    /// SET-with-TTL → `[1]`, or `[0]` for a record too large to ever
-    /// store; anything that does not parse → [`MALFORMED_REPLY`].
-    pub fn handle_request(&mut self, ctx: &mut ThreadCtx, io: &ServerIo) -> bool {
-        let Some(plain) = io.recv_msg(ctx) else {
-            return false;
-        };
-        let resp = self.process(ctx, &plain);
-        io.send_msg(ctx, &resp);
-        true
-    }
-
-    /// Handles up to `io.cfg.batch` protocol requests as one
-    /// pipelined batch: receives posted together, the whole reap
-    /// decrypted in one batched crypto pass, lookups run back-to-back,
-    /// responses batch-encrypted and sent together — on the RPC path
-    /// each I/O stage is a single amortized ring submission instead of
-    /// per-message handoffs. The batch boundary is a storage fence.
-    /// Returns the number of requests handled.
+    /// Serves up to one sub-batch per shard as one pipelined batch
+    /// ([`ServerIo::serve`] over [`Self::process`]): receives posted
+    /// together, the whole reap decrypted in one batched crypto pass,
+    /// lookups run back-to-back, responses batch-encrypted and sent
+    /// together. The batch boundary is a storage fence. Returns the
+    /// number of requests handled.
     pub fn handle_batch(&mut self, ctx: &mut ThreadCtx, io: &ServerIo) -> usize {
         let all: Vec<usize> = (0..io.shard_count()).collect();
         self.handle_batch_on(ctx, io, &all)
@@ -393,32 +369,34 @@ impl Kvs {
 
     /// [`Self::handle_batch`] over a shard subset: reaps only the
     /// `active` shards (a fleet replica's owned slice of the shared
-    /// socket set), serves, and sends. Returns the number of requests
-    /// handled.
+    /// socket set), serves, sends and fences. Returns the number of
+    /// requests handled.
     pub fn handle_batch_on(
         &mut self,
         ctx: &mut ThreadCtx,
         io: &ServerIo,
         active: &[usize],
     ) -> usize {
-        let requests = io.recv_batch_on(ctx, active);
-        let replies: Vec<Vec<u8>> = requests
-            .iter()
-            .map(|plain| self.process(ctx, plain))
-            .collect();
-        io.send_batch(ctx, &replies);
-        if !requests.is_empty() {
+        let served = io.serve_on(ctx, active, |ctx, plain| self.process(ctx, plain));
+        if served > 0 {
             self.fence(ctx);
         }
-        requests.len()
+        served
     }
 
     /// Executes one decrypted binary-protocol request, returning the
-    /// response plaintext. The body comes from a client, attested but
-    /// not trusted: one that does not parse is answered
-    /// [`MALFORMED_REPLY`] and counted in `malformed_requests`, and
-    /// the server keeps serving.
-    fn process(&mut self, ctx: &mut ThreadCtx, plain: &[u8]) -> Vec<u8> {
+    /// response plaintext — the closure a serve loop
+    /// ([`ServerIo::serve`], [`ServerIo::serve_one`]) runs per request.
+    ///
+    /// Request plaintext: `[op u8][key_len u16][val_len u32][key][value]`
+    /// with op 0 = GET, 1 = SET, 2 = SET-with-TTL (a `ttl u32` in
+    /// seconds follows `val_len`, shifting the key to offset 11).
+    /// Response: GET → `[1][val_len][value]` or `[0]`; SET and
+    /// SET-with-TTL → `[1]`, or `[0]` for a record too large to ever
+    /// store. The body comes from a client, attested but not trusted:
+    /// one that does not parse is answered [`MALFORMED_REPLY`] and
+    /// counted in `malformed_requests`, and the server keeps serving.
+    pub fn process(&mut self, ctx: &mut ThreadCtx, plain: &[u8]) -> Vec<u8> {
         match Request::parse(plain) {
             Some(Request::Get { key }) => match self.get(ctx, key) {
                 Some(value) => {
@@ -974,9 +952,12 @@ mod tests {
             .push_request(&t, fd, &wire.encrypt(&build_set(b"alpha", b"beta")));
         m.host
             .push_request(&t, fd, &wire.encrypt(&build_get(b"alpha")));
-        assert!(kvs.handle_request(&mut t, &io));
-        assert!(kvs.handle_request(&mut t, &io));
-        assert!(!kvs.handle_request(&mut t, &io), "queue drained");
+        assert!(io.serve_one(&mut t, |c, p| kvs.process(c, p)));
+        assert!(io.serve_one(&mut t, |c, p| kvs.process(c, p)));
+        assert!(
+            !io.serve_one(&mut t, |c, p| kvs.process(c, p)),
+            "queue drained"
+        );
         // SET ack then GET hit.
         assert_eq!(wire.decrypt(&m.host.pop_response(fd).unwrap()), &[1u8]);
         let get_resp = wire.decrypt(&m.host.pop_response(fd).unwrap());
@@ -1020,8 +1001,8 @@ mod tests {
         );
         m.host
             .push_request(&t, fd, &wire.encrypt(&build_get(b"session")));
-        assert!(kvs.handle_request(&mut t, &io));
-        assert!(kvs.handle_request(&mut t, &io));
+        assert!(io.serve_one(&mut t, |c, p| kvs.process(c, p)));
+        assert!(io.serve_one(&mut t, |c, p| kvs.process(c, p)));
         assert_eq!(wire.decrypt(&m.host.pop_response(fd).unwrap()), &[1u8]);
         let hit = wire.decrypt(&m.host.pop_response(fd).unwrap());
         assert_eq!(hit[0], 1);
@@ -1030,7 +1011,7 @@ mod tests {
         t.compute(6 * 3_400_000_000);
         m.host
             .push_request(&t, fd, &wire.encrypt(&build_get(b"session")));
-        assert!(kvs.handle_request(&mut t, &io));
+        assert!(io.serve_one(&mut t, |c, p| kvs.process(c, p)));
         assert_eq!(
             wire.decrypt(&m.host.pop_response(fd).unwrap()),
             &[0u8],

@@ -8,11 +8,8 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use eleos_enclave::host::Fd;
-use eleos_enclave::machine::SgxMachine;
 use eleos_enclave::thread::ThreadCtx;
 
-use crate::face;
 use crate::kvs;
 use crate::param_server::build_update_request;
 use crate::wire::Session;
@@ -135,48 +132,10 @@ impl KvsLoad {
         (i, kvs::build_get(&self.key(i)))
     }
 
-    /// Next GET drawn from a [`Zipf`] distribution (hot keys first).
-    pub fn get_plain_zipf(&mut self, zipf: &Zipf) -> (u64, Vec<u8>) {
-        let i = zipf.sample(&mut self.rng) as u64;
-        (i, kvs::build_get(&self.key(i)))
-    }
-
     /// Total data-set bytes (what "500 MB of data" means in §6.2.2).
     #[must_use]
     pub fn dataset_bytes(&self) -> u64 {
         self.n_items * (self.key_len + self.value_len) as u64
-    }
-}
-
-/// Face-verification request stream: random enrolled identities,
-/// genuine captures.
-pub struct FaceLoad {
-    rng: StdRng,
-    /// Enrolled identities are `1..=n_ids`.
-    pub n_ids: u64,
-    /// Image side.
-    pub side: usize,
-    capture: u64,
-}
-
-impl FaceLoad {
-    /// Creates a seeded generator.
-    #[must_use]
-    pub fn new(seed: u64, n_ids: u64, side: usize) -> Self {
-        Self {
-            rng: StdRng::seed_from_u64(seed),
-            n_ids,
-            side,
-            capture: 0,
-        }
-    }
-
-    /// Next verification request plaintext (genuine attempt).
-    pub fn next_plain(&mut self) -> Vec<u8> {
-        let id = self.rng.random_range(1..=self.n_ids);
-        self.capture += 1;
-        let img = face::synth_capture(id, self.side, self.capture);
-        face::build_verify_request(id, self.side, &img)
     }
 }
 
@@ -197,22 +156,6 @@ pub fn attest_session(ctx: &mut ThreadCtx, session: &Session) {
     session
         .verify(ctx, &session.identity(), nonce, &report)
         .expect("the load generator attests the identity it configured");
-}
-
-/// Pushes `n` encrypted requests from `next_plain` onto `fd`'s queue.
-pub fn fill_socket(
-    machine: &SgxMachine,
-    ctx: &ThreadCtx,
-    fd: Fd,
-    session: &Session,
-    n: usize,
-    mut next_plain: impl FnMut() -> Vec<u8>,
-) {
-    for _ in 0..n {
-        machine
-            .host
-            .push_request(ctx, fd, &session.encrypt(&next_plain()));
-    }
 }
 
 /// Hashes a client connection id onto one shard of an `n_shards`-wide
@@ -604,29 +547,6 @@ impl ConnStream {
     }
 }
 
-/// Pushes `n` encrypted requests onto a shard set: `req_of(i)` names
-/// request `i`'s `(connection, enqueue timestamp)` — the request lands
-/// on `fds[shard_for(conn, fds.len())]` and carries the explicit
-/// stamp (in the serving core's timebase) so the reap can histogram
-/// cycles of sojourn.
-pub fn fill_socket_set(
-    machine: &SgxMachine,
-    ctx: &ThreadCtx,
-    fds: &[Fd],
-    session: &Session,
-    n: usize,
-    mut req_of: impl FnMut(usize) -> (u64, u64),
-    mut next_plain: impl FnMut() -> Vec<u8>,
-) {
-    for i in 0..n {
-        let (conn, stamp) = req_of(i);
-        let fd = fds[shard_for(conn, fds.len())];
-        machine
-            .host
-            .push_request_at(ctx, fd, &session.encrypt(&next_plain()), stamp);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -858,14 +778,5 @@ mod tests {
         let h3 = hot_of(&mut s);
         assert!(h1 < 16, "first epoch draws from the initial set");
         assert!(h2 >= 16 && h3 > h2, "fresh ids take over each epoch");
-    }
-
-    #[test]
-    fn face_load_builds_valid_requests() {
-        let mut g = FaceLoad::new(1, 4, 64);
-        let p = g.next_plain();
-        let id = u64::from_le_bytes(p[..8].try_into().unwrap());
-        assert!((1..=4).contains(&id));
-        assert_eq!(p.len(), 12 + 64 * 64);
     }
 }

@@ -14,7 +14,6 @@
 use eleos_enclave::thread::ThreadCtx;
 use eleos_sim::stats::Stats;
 
-use crate::io::ServerIo;
 use crate::kvs::MALFORMED_REPLY;
 use crate::space::DataSpace;
 
@@ -112,9 +111,16 @@ impl ParamServer {
     }
 
     /// Inserts or updates `key` by adding `delta` (keys must be
-    /// nonzero). Returns the new value.
-    pub fn update(&mut self, ctx: &mut ThreadCtx, key: u64, delta: u64) -> u64 {
+    /// nonzero). Returns the new value, or `None` — leaving the table
+    /// untouched — for a new key once the table holds the `capacity` it
+    /// was sized for (half its buckets, in both layouts): which keys a
+    /// request names is the client's choice, so a full table refuses,
+    /// it does not panic or grow.
+    pub fn update(&mut self, ctx: &mut ThreadCtx, key: u64, delta: u64) -> Option<u64> {
+        // Not input-reachable: `Request::parse` refuses an update of
+        // key 0, and every other caller picks its own keys.
         assert_ne!(key, 0, "key 0 is the empty-slot marker");
+        let full = self.entries * 2 >= self.buckets;
         ctx.compute(HASH_CYCLES);
         let h = hash64(key) & (self.buckets - 1);
         match self.kind {
@@ -126,17 +132,16 @@ impl ParamServer {
                     if k == key {
                         let v = self.space.read_u64(ctx, addr + 8).wrapping_add(delta);
                         self.space.write_u64(ctx, addr + 8, v);
-                        return v;
+                        return Some(v);
                     }
                     if k == 0 {
-                        assert!(
-                            self.entries * 2 < self.buckets,
-                            "parameter table over capacity"
-                        );
+                        if full {
+                            return None;
+                        }
                         self.space.write_u64(ctx, addr, key);
                         self.space.write_u64(ctx, addr + 8, delta);
                         self.entries += 1;
-                        return delta;
+                        return Some(delta);
                     }
                     slot = (slot + 1) & (self.buckets - 1);
                 }
@@ -149,14 +154,16 @@ impl ParamServer {
                     if k == key {
                         let v = self.space.read_u64(ctx, node + 8).wrapping_add(delta);
                         self.space.write_u64(ctx, node + 8, v);
-                        return v;
+                        return Some(v);
                     }
                     node = self.space.read_u64(ctx, node + 16);
                 }
-                // Insert at head. Node addresses are nonzero because
-                // the head array occupies offset 0 of the space... not
-                // guaranteed in general, so bias by +1 page via a
-                // dedicated guard allocation at construction if needed.
+                if full {
+                    return None;
+                }
+                // Insert at head. Internal invariant, not input: the
+                // head array was allocated first, so no later node of
+                // this space sits at address 0 (the list terminator).
                 let new = self.space.alloc(NODE_BYTES);
                 assert_ne!(new, 0, "node at null address");
                 self.space.write_u64(ctx, new, key);
@@ -165,7 +172,7 @@ impl ParamServer {
                 self.space.write_u64(ctx, new + 16, old_head);
                 self.space.write_u64(ctx, head_addr, new);
                 self.entries += 1;
-                delta
+                Some(delta)
             }
         }
     }
@@ -204,9 +211,14 @@ impl ParamServer {
     }
 
     /// Populates keys `1..=n` with value = key.
+    ///
+    /// # Panics
+    /// Panics when `n` (the operator's, not a client's) overruns the
+    /// table's capacity.
     pub fn populate(&mut self, ctx: &mut ThreadCtx, n: u64) {
         for key in 1..=n {
-            self.update(ctx, key, key);
+            self.update(ctx, key, key)
+                .expect("parameter table over capacity");
         }
     }
 
@@ -247,60 +259,36 @@ impl ParamServer {
         self.entries = n;
     }
 
-    /// Handles one client request from `io`. Returns the cycles spent
-    /// in the processing loop (the paper's "in-enclave execution
-    /// time", which excludes the direct costs of exits and system
-    /// calls — Figs 2 and 6), or `None` when the socket is drained.
+    /// Executes one decrypted request, returning the response
+    /// plaintext — the closure a serve loop
+    /// ([`ServerIo::serve`](crate::io::ServerIo::serve)) runs per
+    /// request. (The paper's "in-enclave execution time", Figs 2 and
+    /// 6, is the serving thread's clock across this call.)
     ///
     /// Update request: `[0u8][count u32][(key u64, delta u64) × count]`
-    /// → ack `[count u32]`. Read request ("retrieves their values",
-    /// §2): `[1u8][count u32][key u64 × count]` → `[value u64 × count]`
-    /// (missing keys read as 0).
+    /// → ack `[applied u32]`, the number of pairs applied: `count`,
+    /// unless new keys overran the table ([`Self::update`]), which also
+    /// counts one `malformed_requests`. Read request ("retrieves their
+    /// values", §2): `[1u8][count u32][key u64 × count]` →
+    /// `[value u64 × count]` (missing keys read as 0). The legacy
+    /// header-less update form (`[count u32][pairs…]`) is also
+    /// accepted.
     ///
-    /// The legacy header-less update form (`[count u32][pairs…]`) is
-    /// also accepted. Anything else — and an update of key 0, the
-    /// table's empty-slot marker — is answered [`MALFORMED_REPLY`].
-    pub fn handle_request(&mut self, ctx: &mut ThreadCtx, io: &ServerIo) -> Option<u64> {
-        let plain = io.recv_msg(ctx)?;
-        let (resp, inner) = self.process(ctx, &plain);
-        io.send_msg(ctx, &resp);
-        Some(inner)
-    }
-
-    /// Handles up to `io.cfg.batch` requests as one pipelined batch:
-    /// all receives are posted together, the reap decrypted in one
-    /// batched crypto pass, processed back-to-back, and the responses
-    /// batch-encrypted and sent together — on the RPC path each I/O
-    /// stage is a single amortized ring submission instead of
-    /// per-message handoffs. Returns `(requests handled, total
-    /// in-enclave processing cycles)`; handles zero requests when the
-    /// socket is drained.
-    pub fn handle_batch(&mut self, ctx: &mut ThreadCtx, io: &ServerIo) -> (usize, u64) {
-        let requests = io.recv_batch(ctx);
-        let mut inner_total = 0;
-        let mut replies = Vec::with_capacity(requests.len());
-        for plain in &requests {
-            let (resp, inner) = self.process(ctx, plain);
-            inner_total += inner;
-            replies.push(resp);
-        }
-        io.send_batch(ctx, &replies);
-        (requests.len(), inner_total)
-    }
-
-    /// Executes one decrypted request, returning the response
-    /// plaintext and the cycles spent in the processing loop. The body
-    /// comes from a client, attested but not trusted: one that does
-    /// not parse is answered [`MALFORMED_REPLY`] and counted in
+    /// The body comes from a client, attested but not trusted: anything
+    /// else — and an update of key 0, the table's empty-slot marker —
+    /// is answered [`MALFORMED_REPLY`] and counted in
     /// `malformed_requests`, and the server keeps serving.
-    fn process(&mut self, ctx: &mut ThreadCtx, plain: &[u8]) -> (Vec<u8>, u64) {
-        let inner_start = ctx.now();
-        let resp = match Request::parse(plain) {
+    pub fn process(&mut self, ctx: &mut ThreadCtx, plain: &[u8]) -> Vec<u8> {
+        match Request::parse(plain) {
             Some(Request::Update(pairs)) => {
-                for pair in pairs.chunks_exact(2) {
-                    self.update(ctx, pair[0], pair[1]);
+                let applied = pairs
+                    .chunks_exact(2)
+                    .filter(|pair| self.update(ctx, pair[0], pair[1]).is_some())
+                    .count();
+                if applied < pairs.len() / 2 {
+                    Stats::bump(&ctx.machine.stats.malformed_requests);
                 }
-                (pairs.len() as u32 / 2).to_le_bytes().to_vec()
+                (applied as u32).to_le_bytes().to_vec()
             }
             Some(Request::Read(keys)) => keys
                 .iter()
@@ -310,8 +298,7 @@ impl ParamServer {
                 Stats::bump(&ctx.machine.stats.malformed_requests);
                 vec![MALFORMED_REPLY]
             }
-        };
-        (resp, ctx.now() - inner_start)
+        }
     }
 }
 
@@ -401,8 +388,8 @@ mod tests {
         let mut ps = ParamServer::new(space, TableKind::OpenAddressing, 1000);
         ps.init(&mut t);
         assert!(ps.is_empty());
-        assert_eq!(ps.update(&mut t, 42, 10), 10);
-        assert_eq!(ps.update(&mut t, 42, 5), 15);
+        assert_eq!(ps.update(&mut t, 42, 10), Some(10));
+        assert_eq!(ps.update(&mut t, 42, 5), Some(15));
         assert_eq!(ps.get(&mut t, 42), Some(15));
         assert_eq!(ps.get(&mut t, 43), None);
         assert_eq!(ps.len(), 1);
@@ -487,9 +474,9 @@ mod tests {
             .push_request(&t, fd, &wire.encrypt(&build_update_request(&[(10, 1)])));
         m.host
             .push_request(&t, fd, &wire.encrypt(&build_read_request(&[10, 20, 30])));
-        assert!(ps.handle_request(&mut t, &io).is_some());
-        assert!(ps.handle_request(&mut t, &io).is_some());
-        assert!(ps.handle_request(&mut t, &io).is_some());
+        for _ in 0..3 {
+            assert!(io.serve_one(&mut t, |c, p| ps.process(c, p)));
+        }
         let _ = m.host.pop_response(fd);
         let _ = m.host.pop_response(fd);
         let resp = wire.decrypt(&m.host.pop_response(fd).expect("read response"));

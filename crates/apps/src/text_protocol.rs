@@ -8,8 +8,8 @@
 //! (`VALUE`/`END`, `STORED`, `DELETED`/`NOT_FOUND`).
 
 use eleos_enclave::thread::ThreadCtx;
+use eleos_sim::stats::Stats;
 
-use crate::io::ServerIo;
 use crate::kvs::Kvs;
 
 /// Parse/format cost per command, in cycles.
@@ -74,15 +74,17 @@ pub fn parse(msg: &[u8]) -> Result<Command, ParseError> {
             let exptime: u32 = parse_num(parts.next().ok_or(ParseError("set needs exptime"))?)?;
             let bytes: usize =
                 parse_num(parts.next().ok_or(ParseError("set needs a byte count"))?)? as usize;
-            if rest.len() < bytes + 2 || &rest[bytes..bytes + 2] != b"\r\n" {
-                return Err(ParseError("bad data line"));
+            // The count is the client's: it sizes nothing until the
+            // data line is shown to hold that many bytes and a CRLF.
+            match rest.split_at_checked(bytes) {
+                Some((value, tail)) if tail.starts_with(b"\r\n") => Ok(Command::Set {
+                    key: key.to_vec(),
+                    flags,
+                    exptime,
+                    value: value.to_vec(),
+                }),
+                _ => Err(ParseError("bad data line")),
             }
-            Ok(Command::Set {
-                key: key.to_vec(),
-                flags,
-                exptime,
-                value: rest[..bytes].to_vec(),
-            })
         }
         _ => Err(ParseError("unknown verb")),
     }
@@ -133,35 +135,15 @@ pub fn format_delete(key: &[u8]) -> Vec<u8> {
     m
 }
 
-/// Serves one ASCII-protocol request from `io` against `kvs`.
-/// Returns `false` when the socket is drained.
-pub fn handle_text_request(kvs: &mut Kvs, ctx: &mut ThreadCtx, io: &ServerIo) -> bool {
-    let Some(msg) = io.recv_msg(ctx) else {
-        return false;
-    };
-    let resp = process_text(kvs, ctx, &msg);
-    io.send_msg(ctx, &resp);
-    true
-}
-
-/// Serves up to `io.cfg.batch` ASCII-protocol requests as one
-/// pipelined batch (receives posted together, the reap decrypted in
-/// one batched crypto pass, replies batch-encrypted and sent together
-/// — one amortized ring submission per stage on the RPC path).
-/// Returns the number of requests handled.
-pub fn handle_text_batch(kvs: &mut Kvs, ctx: &mut ThreadCtx, io: &ServerIo) -> usize {
-    let requests = io.recv_batch(ctx);
-    let replies: Vec<Vec<u8>> = requests
-        .iter()
-        .map(|msg| process_text(kvs, ctx, msg))
-        .collect();
-    io.send_batch(ctx, &replies);
-    requests.len()
-}
-
-/// Parses and executes one ASCII command, returning the response
-/// plaintext.
-fn process_text(kvs: &mut Kvs, ctx: &mut ThreadCtx, msg: &[u8]) -> Vec<u8> {
+/// Parses and executes one ASCII command against `kvs`, returning the
+/// response plaintext — the closure a serve loop
+/// ([`ServerIo::serve`](crate::io::ServerIo::serve)) runs per request.
+/// A `set` the store refuses (a record larger than it can ever hold)
+/// is answered memcached's `SERVER_ERROR object too large for cache`.
+/// The body comes from a client, attested but not trusted: one that
+/// does not parse is answered `ERROR` and counted in
+/// `malformed_requests`, like the binary front-ends' `[0xFF]`.
+pub fn process_text(kvs: &mut Kvs, ctx: &mut ThreadCtx, msg: &[u8]) -> Vec<u8> {
     ctx.compute(PARSE_CYCLES);
     match parse(msg) {
         Ok(Command::Get { keys }) => {
@@ -184,8 +166,11 @@ fn process_text(kvs: &mut Kvs, ctx: &mut ThreadCtx, msg: &[u8]) -> Vec<u8> {
             value,
             ..
         }) => {
-            kvs.set_with_ttl(ctx, &key, &value, exptime);
-            b"STORED\r\n".to_vec()
+            if kvs.set_with_ttl(ctx, &key, &value, exptime) {
+                b"STORED\r\n".to_vec()
+            } else {
+                b"SERVER_ERROR object too large for cache\r\n".to_vec()
+            }
         }
         Ok(Command::Delete { key }) => {
             if kvs.delete(ctx, &key) {
@@ -194,7 +179,10 @@ fn process_text(kvs: &mut Kvs, ctx: &mut ThreadCtx, msg: &[u8]) -> Vec<u8> {
                 b"NOT_FOUND\r\n".to_vec()
             }
         }
-        Err(_) => b"ERROR\r\n".to_vec(),
+        Err(_) => {
+            Stats::bump(&ctx.machine.stats.malformed_requests);
+            b"ERROR\r\n".to_vec()
+        }
     }
 }
 
@@ -322,11 +310,12 @@ mod tests {
         let mut kvs = Kvs::new(space.clone(), space, 8 << 20, 1024);
         let wire = Arc::new(Session::established([6u8; 16]));
         let ut = ThreadCtx::untrusted(&m, 1);
-        let fd = m.host.socket(&ut, 64 << 10);
+        // (Staging sized for the one oversize `set` below.)
+        let fd = m.host.socket(&ut, 4 << 20);
         let mut t = ThreadCtx::for_enclave(&m, &e, 0);
         t.enter();
         kvs.init(&mut t);
-        let io = crate::io::ServerIoConfig::with_buf_len(32 << 10).build(
+        let io = crate::io::ServerIoConfig::with_buf_len(2 << 20).build(
             &t,
             &[fd],
             IoPath::Ocall,
@@ -346,6 +335,13 @@ mod tests {
             (format_delete(b"greeting"), b"DELETED\r\n".to_vec()),
             (format_delete(b"greeting"), b"NOT_FOUND\r\n".to_vec()),
             (b"gibberish\r\n".to_vec(), b"ERROR\r\n".to_vec()),
+            // A record the store can never hold (no slab class is
+            // that wide) is refused, not acknowledged and dropped.
+            (
+                format_set(b"huge", 0, 0, &vec![7u8; 1 << 20]),
+                b"SERVER_ERROR object too large for cache\r\n".to_vec(),
+            ),
+            (format_get(b"huge"), b"END\r\n".to_vec()),
         ];
         // Multi-get: present keys listed in order, absent keys skipped.
         let multi = [
@@ -358,10 +354,12 @@ mod tests {
         ];
         for (req, expect) in session.into_iter().chain(multi) {
             m.host.push_request(&ut, fd, &wire.encrypt(&req));
-            assert!(handle_text_request(&mut kvs, &mut t, &io));
+            assert!(io.serve_one(&mut t, |c, msg| process_text(&mut kvs, c, msg)));
             let resp = wire.decrypt(&m.host.pop_response(fd).expect("response"));
             assert_eq!(resp, expect, "request {:?}", String::from_utf8_lossy(&req));
         }
+        let stats = m.stats.snapshot();
+        assert_eq!(stats.malformed_requests, 1, "the one parse error");
         t.exit();
     }
 
@@ -404,7 +402,8 @@ mod tests {
             m.host.push_request(&ut, fd, &wire.encrypt(req));
         }
         let s0 = m.stats.snapshot();
-        assert_eq!(handle_text_batch(&mut kvs, &mut t, &io), 4);
+        let served = io.serve(&mut t, |c, msg| process_text(&mut kvs, c, msg));
+        assert_eq!(served, 4);
         let d = m.stats.snapshot() - s0;
         assert_eq!(d.enclave_exits, 0, "batched serving must not exit");
         assert_eq!(d.ocalls, 0);

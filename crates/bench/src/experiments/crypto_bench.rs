@@ -1,6 +1,7 @@
 //! Serving-path crypto microbenchmark: server x batch depth x crypto
 //! mode, on cache-resident tables so the wire crypto dominates the
-//! serving core. Emits `BENCH_crypto.json` for machine consumption.
+//! serving core. The run checks the claim its header prints and fails
+//! otherwise.
 //!
 //! The serving thread's cycles/op is the figure of merit: per-message
 //! crypto pays the full GCM/CTR key-schedule setup (`crypto_fixed`)
@@ -22,7 +23,7 @@ use eleos_apps::io::ServerIoConfig;
 use eleos_apps::kvs::Kvs;
 use eleos_apps::loadgen::KvsLoad;
 use eleos_apps::param_server::TableKind;
-use eleos_apps::text_protocol::{format_get, handle_text_batch};
+use eleos_apps::text_protocol::{format_get, process_text};
 use eleos_enclave::thread::ThreadCtx;
 
 use crate::harness::{header, run_param_server_batched, x, Mode, Rig, Scale};
@@ -44,8 +45,6 @@ struct Cell {
     cycles_per_op: f64,
     crypto_batches: u64,
     crypto_msgs: u64,
-    crypto_setup: u64,
-    rpc_batches: u64,
 }
 
 /// Feeds `n_requests` encrypted requests through `handle` in socket
@@ -128,7 +127,7 @@ fn kvs_cell(
     };
     let mut handle = |ctx: &mut ThreadCtx| {
         if text {
-            handle_text_batch(&mut kvs, ctx, &io)
+            io.serve(ctx, |ctx, msg| process_text(&mut kvs, ctx, msg))
         } else {
             kvs.handle_batch(ctx, &io)
         }
@@ -145,8 +144,6 @@ fn kvs_cell(
         cycles_per_op: cycles as f64 / ops as f64,
         crypto_batches: d.crypto_batches,
         crypto_msgs: d.crypto_msgs,
-        crypto_setup: d.crypto_setup_cycles,
-        rpc_batches: d.rpc_batches,
     }
 }
 
@@ -174,18 +171,22 @@ fn param_cell(scale: Scale, batch: usize, batched: bool, ops: usize) -> Cell {
         cycles_per_op: run.e2e_cycles as f64 / run.ops as f64,
         crypto_batches: run.stats.crypto_batches,
         crypto_msgs: run.stats.crypto_msgs,
-        crypto_setup: run.stats.crypto_setup_cycles,
-        rpc_batches: run.stats.rpc_batches,
     }
 }
 
-/// Runs the sweep, prints a table, and writes `BENCH_crypto.json`.
-/// `quick` trims the batch axis for CI smoke runs.
+/// Runs the sweep and prints a table. `quick` trims the batch axis
+/// for CI smoke runs.
+///
+/// # Panics
+/// Panics — so `repro` exits non-zero — unless every `(server, crypto,
+/// workers)` series ran at every batch depth and its cycles/op never
+/// rise with the depth, the claim the header prints.
 pub fn run(scale: Scale, quick: bool) {
     header(
         "crypto_bench",
         "server x batch depth x crypto mode, cache-resident tables",
-        "batched pipeline amortizes GCM/CTR setup: >=1.2x serving cycles/op at batch >= 8",
+        "deeper batches amortize ring handoff and GCM/CTR setup: every series' \
+         cycles/op is monotone non-increasing in batch depth, one worker or two",
     );
     let batches: &[usize] = if quick {
         &[1, 8]
@@ -246,32 +247,38 @@ pub fn run(scale: Scale, quick: bool) {
         }
     }
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"serving_crypto\",\n");
-    json.push_str(&format!("  \"scale\": {},\n", scale.0));
-    json.push_str(&format!("  \"ops\": {ops},\n"));
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"server\": \"{}\", \"crypto\": \"{}\", \
-             \"workers\": {}, \"batch\": {}, \
-             \"cycles_per_op\": {:.1}, \"crypto_batches\": {}, \"crypto_msgs\": {}, \
-             \"crypto_setup_cycles\": {}, \"rpc_batches\": {} }}{}\n",
-            c.server,
-            c.crypto,
-            c.workers,
-            c.batch,
-            c.cycles_per_op,
-            c.crypto_batches,
-            c.crypto_msgs,
-            c.crypto_setup,
-            c.rpc_batches,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
+    // The header's claim, checked: both crypto modes of every server
+    // on one worker, and the batched KVS/text series again on two.
+    let series = servers
+        .iter()
+        .flat_map(|&server| [(server, "per-msg", 1), (server, "batched", 1)])
+        .chain([("kvs", "batched", 2), ("text", "batched", 2)]);
+    let mut broken: Vec<String> = Vec::new();
+    for key in series {
+        let by_depth: Vec<&Cell> = cells
+            .iter()
+            .filter(|c| (c.server, c.crypto, c.workers) == key)
+            .collect();
+        if !by_depth.iter().map(|c| c.batch).eq(batches.iter().copied()) {
+            broken.push(format!(
+                "{key:?}: not measured at every depth of {batches:?}"
+            ));
+        }
+        for pair in by_depth.windows(2) {
+            if pair[1].cycles_per_op > pair[0].cycles_per_op {
+                broken.push(format!(
+                    "{key:?}: {:.1} c/op at batch {} rises to {:.1} at batch {}",
+                    pair[0].cycles_per_op, pair[0].batch, pair[1].cycles_per_op, pair[1].batch
+                ));
+            }
+        }
     }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_crypto.json";
-    std::fs::write(path, &json).expect("write BENCH_crypto.json");
-    println!("   wrote {path}");
+    assert!(
+        broken.is_empty(),
+        "series that are not monotone non-increasing in batch depth: {broken:#?}"
+    );
+    println!(
+        "   {} cells, every series monotone in batch depth",
+        cells.len()
+    );
 }

@@ -99,7 +99,8 @@ fn phase(
                 }
                 for _ in 0..batch {
                     let mut srv = server.lock().expect("server mutex");
-                    assert!(srv.handle_request(&mut ctx, &io), "request queued");
+                    let served = io.serve_one(&mut ctx, |c, plain| srv.process(c, plain));
+                    assert!(served, "request queued");
                 }
                 served += batch;
             }

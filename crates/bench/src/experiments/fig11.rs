@@ -98,7 +98,8 @@ fn get_phase(kr: &KvsRig, threads: usize, gets_per_thread: usize, value_len: usi
                 }
                 for _ in 0..batch {
                     let mut k = kvs.lock().expect("kvs mutex");
-                    assert!(k.handle_request(&mut ctx, &io), "request queued");
+                    let served = io.serve_one(&mut ctx, |c, plain| k.process(c, plain));
+                    assert!(served, "request queued");
                 }
                 served += batch;
             }

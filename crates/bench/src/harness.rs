@@ -346,72 +346,25 @@ pub struct PsRun {
 }
 
 /// Builds, populates, warms and measures a parameter server under
-/// `mode`. `gen` produces request plaintexts.
+/// the rig's mode, one request per receive/send (the per-message
+/// entry points — the paper's server). `gen` produces request
+/// plaintexts.
 pub fn run_param_server(
     rig: &Rig,
     kind: TableKind,
     n_keys: u64,
     n_requests: usize,
     warmup: usize,
-    mut gen: impl FnMut() -> Vec<u8>,
+    gen: impl FnMut() -> Vec<u8>,
 ) -> PsRun {
-    let mut ctx = rig.thread(0);
-    let mut server = ParamServer::new(rig.data_space(), kind, n_keys);
-    server.init(&mut ctx);
-    if kind == TableKind::OpenAddressing {
-        server.populate_bulk(&mut ctx, n_keys);
-    } else {
-        server.populate(&mut ctx, n_keys);
-    }
-    let io = rig.server_io(&ctx, 64 << 10);
-
-    // Warm-up (paper: first ten invocations discarded).
-    let ut = ThreadCtx::untrusted(&rig.machine, 0);
-    for _ in 0..warmup {
-        rig.machine
-            .host
-            .push_request(&ut, rig.fd, &rig.session.encrypt(&gen()));
-        server
-            .handle_request(&mut ctx, &io)
-            .expect("warmup request");
-    }
-
-    rig.machine.reset_counters();
-    let s0 = rig.machine.stats.snapshot();
-    let c0 = ctx.now();
-    let mut inner = 0u64;
-    let mut served = 0usize;
-    while served < n_requests {
-        // Keep the socket fed in batches without overrunning staging.
-        let batch = (n_requests - served).min(256);
-        for _ in 0..batch {
-            rig.machine
-                .host
-                .push_request(&ut, rig.fd, &rig.session.encrypt(&gen()));
-        }
-        for _ in 0..batch {
-            inner += server
-                .handle_request(&mut ctx, &io)
-                .expect("request queued");
-        }
-        served += batch;
-    }
-    let run = PsRun {
-        ops: served as u64,
-        e2e_cycles: ctx.now() - c0,
-        inner_cycles: inner,
-        stats: rig.machine.stats.snapshot() - s0,
-    };
-    if ctx.in_enclave() {
-        ctx.exit();
-    }
-    run
+    let cfg = ServerIoConfig::with_buf_len(64 << 10);
+    measure_param_server(rig, kind, n_keys, n_requests, warmup, cfg, false, gen)
 }
 
 /// Like [`run_param_server`], but serves requests in pipelined batches
-/// of `batch` via [`ParamServer::handle_batch`]: on the RPC path each
-/// recv/send stage is one amortized ring submission instead of a
-/// round-trip per request.
+/// of `batch` ([`ServerIo::serve`]): on the RPC path each recv/send
+/// stage is one amortized ring submission instead of a round-trip per
+/// request.
 #[allow(clippy::too_many_arguments)]
 pub fn run_param_server_batched(
     rig: &Rig,
@@ -421,9 +374,29 @@ pub fn run_param_server_batched(
     warmup: usize,
     batch: usize,
     batched_crypto: bool,
+    gen: impl FnMut() -> Vec<u8>,
+) -> PsRun {
+    let cfg = ServerIoConfig::with_buf_len(64 << 10)
+        .batch(batch)
+        .batched_crypto(batched_crypto)
+        .async_send(true);
+    measure_param_server(rig, kind, n_keys, n_requests, warmup, cfg, true, gen)
+}
+
+/// The one measurement behind both entry points: `pipelined` serves a
+/// sub-batch per step ([`ServerIo::serve`]), otherwise a message
+/// ([`ServerIo::serve_one`], which the warm-up always uses).
+#[allow(clippy::too_many_arguments)]
+fn measure_param_server(
+    rig: &Rig,
+    kind: TableKind,
+    n_keys: u64,
+    n_requests: usize,
+    warmup: usize,
+    cfg: ServerIoConfig,
+    pipelined: bool,
     mut gen: impl FnMut() -> Vec<u8>,
 ) -> PsRun {
-    assert!(batch > 0);
     let mut ctx = rig.thread(0);
     let mut server = ParamServer::new(rig.data_space(), kind, n_keys);
     server.init(&mut ctx);
@@ -432,28 +405,38 @@ pub fn run_param_server_batched(
     } else {
         server.populate(&mut ctx, n_keys);
     }
-    let io = rig.server_io_cfg(
-        &ctx,
-        ServerIoConfig::with_buf_len(64 << 10)
-            .batch(batch)
-            .batched_crypto(batched_crypto)
-            .async_send(true),
-    );
+    let io = rig.server_io_cfg(&ctx, cfg);
+    // The serve-loop closure: one request through `process`, adding
+    // the serving clock across the call — the paper's "in-enclave
+    // execution time" (Figs 2 and 6), which excludes the direct costs
+    // of exits and system calls — to `inner`.
+    fn timed<'a>(
+        server: &'a mut ParamServer,
+        inner: &'a mut u64,
+    ) -> impl FnMut(&mut ThreadCtx, &[u8]) -> Vec<u8> + 'a {
+        move |ctx, plain| {
+            let t0 = ctx.now();
+            let reply = server.process(ctx, plain);
+            *inner += ctx.now() - t0;
+            reply
+        }
+    }
+    let mut inner = 0u64;
 
+    // Warm-up (paper: first ten invocations discarded).
     let ut = ThreadCtx::untrusted(&rig.machine, 0);
     for _ in 0..warmup {
         rig.machine
             .host
             .push_request(&ut, rig.fd, &rig.session.encrypt(&gen()));
-        server
-            .handle_request(&mut ctx, &io)
-            .expect("warmup request");
+        let served = io.serve_one(&mut ctx, timed(&mut server, &mut inner));
+        assert!(served, "warmup request");
     }
 
     rig.machine.reset_counters();
     let s0 = rig.machine.stats.snapshot();
     let c0 = ctx.now();
-    let mut inner = 0u64;
+    inner = 0;
     let mut served = 0usize;
     while served < n_requests {
         // Keep the socket fed in chunks without overrunning staging.
@@ -465,9 +448,13 @@ pub fn run_param_server_batched(
         }
         let mut drained = 0usize;
         while drained < chunk {
-            let (n, ic) = server.handle_batch(&mut ctx, &io);
+            let step = timed(&mut server, &mut inner);
+            let n = if pipelined {
+                io.serve(&mut ctx, step)
+            } else {
+                usize::from(io.serve_one(&mut ctx, step))
+            };
             assert!(n > 0, "queued requests must be served");
-            inner += ic;
             drained += n;
         }
         served += chunk;

@@ -210,13 +210,11 @@ mod tests {
         rt.suvm.read(&mut t, buf + 12345, &mut out);
         assert_eq!(&out, b"runtime");
         // Exit-less file I/O works through the prewired RPC.
+        let os = eleos_rpc::IoPath::Rpc(Arc::clone(&rt.rpc));
         let path = rt.machine.alloc_untrusted(16);
         t.write_untrusted(path, b"/rt");
-        let fd = rt.rpc.call(&mut t, eleos_rpc::funcs::OPEN, [path, 3, 0, 0]);
-        assert_eq!(
-            rt.rpc.call(&mut t, eleos_rpc::funcs::CLOSE, [fd, 0, 0, 0]),
-            0
-        );
+        let fd = os.call(&mut t, eleos_rpc::funcs::OPEN, [path, 3, 0, 0]);
+        assert_eq!(os.call(&mut t, eleos_rpc::funcs::CLOSE, [fd, 0, 0, 0]), 0);
         assert_eq!(rt.machine.stats.snapshot().enclave_exits, 0);
         t.exit();
         rt.shutdown();

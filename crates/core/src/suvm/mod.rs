@@ -264,12 +264,6 @@ impl Suvm {
         }
     }
 
-    /// Bytes currently allocated in the backing store.
-    #[must_use]
-    pub fn allocated_bytes(&self) -> u64 {
-        self.store.used()
-    }
-
     // ------------------------------------------------------------------
     // Address helpers.
     // ------------------------------------------------------------------

@@ -45,11 +45,6 @@ impl SealedBuddyStore {
         self.alloc.lock().free(sva)
     }
 
-    /// Bytes currently allocated.
-    pub(super) fn used(&self) -> u64 {
-        self.alloc.lock().used()
-    }
-
     /// Untrusted address of byte `in_page` of `page`'s sealed image.
     pub(super) fn addr_of(&self, page: u64, in_page: usize) -> u64 {
         self.base + page * self.page_size + in_page as u64

@@ -206,12 +206,6 @@ impl HostFs {
             .map(|_| ())
             .ok_or(FsError::NotFound)
     }
-
-    /// Number of files (diagnostics).
-    #[must_use]
-    pub fn file_count(&self) -> usize {
-        self.files.lock().len()
-    }
 }
 
 #[cfg(test)]

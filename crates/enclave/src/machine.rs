@@ -179,12 +179,6 @@ impl SgxMachine {
         })
     }
 
-    /// A machine with the default (paper §6) configuration.
-    #[must_use]
-    pub fn new_default() -> Arc<Self> {
-        Self::new(MachineConfig::default())
-    }
-
     /// Returns core `id`.
     ///
     /// # Panics
@@ -224,11 +218,6 @@ impl SgxMachine {
     /// Applies the Eleos CAT partition (75% enclave / 25% RPC ways).
     pub fn enable_cat(&self) {
         self.llc.lock().partition_eleos();
-    }
-
-    /// Removes LLC partitioning.
-    pub fn disable_cat(&self) {
-        self.llc.lock().partition_none();
     }
 
     /// Carves the RPC CAT slice into `n` per-shard sub-partitions (see

@@ -35,8 +35,12 @@
 //!   workers are fenced into 25% of the LLC ways, so their I/O buffers
 //!   stop evicting enclave state;
 //! - **OCALL fallback**: long-blocking calls (the paper's `poll()`)
-//!   should keep using OCALLs rather than burn a worker — see
-//!   [`ThreadCtx::ocall`](eleos_enclave::thread::ThreadCtx::ocall).
+//!   keep using OCALLs rather than burn a worker — [`IoPath::call`]
+//!   makes that split.
+//!
+//! The syscalls themselves are one table: the [`funcs`] ids, their one
+//! implementation [`dispatch`], and [`IoPath::call`], which issues one
+//! of them natively, by OCALL or over the ring.
 //!
 //! # Examples
 //!
@@ -66,7 +70,6 @@
 //! ```
 
 pub mod channel;
-pub mod libos;
 
 pub use channel::EnclaveChannel;
 
@@ -75,6 +78,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use eleos_enclave::fs::{FileFd, FsError};
+use eleos_enclave::host::Fd;
 use eleos_enclave::machine::SgxMachine;
 use eleos_enclave::thread::ThreadCtx;
 use eleos_sim::stats::Stats;
@@ -92,9 +97,10 @@ const OFF_CYCLES: u64 = 48;
 const DESC_BYTES: usize = 40;
 
 /// Returned by a worker when the requested `func_id` has no registered
-/// handler (also bumps the `rpc_errors` counter). Note the host syscall
-/// shims reuse `u64::MAX` as their would-block/error value; check
-/// `rpc_errors` to distinguish a routing failure from a syscall error.
+/// handler (also bumps the `rpc_errors` counter), and by [`dispatch`]
+/// for an id outside the syscall table. Note the syscalls reuse
+/// `u64::MAX` as their would-block/error value; check `rpc_errors` to
+/// distinguish a routing failure from a syscall error.
 pub const ERR_UNREGISTERED: u64 = u64::MAX;
 
 /// The boxed calling convention of the shared ring: the worker's
@@ -362,7 +368,11 @@ fn execute_job(shared: &Shared, ctx: &mut ThreadCtx, core: usize, pos: u64) {
             ERR_UNREGISTERED
         }
     };
-    let elapsed = ctx.now() - start;
+    // Saturating: a bench that resets the core clocks
+    // (`SgxMachine::reset_counters`) under a deferred job still in
+    // flight loses that one job's cycles; a wrapped difference would
+    // turn the waiter's clock back by this core's whole history.
+    let elapsed = ctx.now().saturating_sub(start);
     ctx.write_untrusted(base + OFF_RET, &ret.to_le_bytes());
     ctx.write_untrusted_raw(base + OFF_CYCLES, &elapsed.to_le_bytes());
     Stats::bump(&shared.machine.stats.rpc_calls);
@@ -718,8 +728,9 @@ impl Drop for RpcService {
     }
 }
 
-/// Well-known function ids for the host-OS syscalls; apps may register
-/// more from 100 upward.
+/// Well-known function ids for the host-OS syscalls — the syscall ABI,
+/// implemented once by [`dispatch`]; apps may register more from 100
+/// upward.
 pub mod funcs {
     /// `recv(fd, buf, max_len)` -> length or `u64::MAX` (would block).
     pub const RECV: u64 = 1;
@@ -739,7 +750,9 @@ pub mod funcs {
     pub const FSIZE: u64 = 8;
     /// `unlink(path_addr, path_len)` -> 0 or `u64::MAX`.
     pub const UNLINK: u64 = 9;
-    /// `poll(fd)` -> 1 ready / 0 empty.
+    /// `poll(fd)` -> 1 ready / 0 empty. The paper's long-blocking
+    /// call: [`IoPath::call`](super::IoPath::call) never sends it over
+    /// the ring, so no builder registers it.
     pub const POLL: u64 = 10;
     /// `recv_mmsg(fd, buf, (stripe << 32) | max_msgs, desc)` ->
     /// message count. Scatter-gather receive into `stripe`-byte slots
@@ -766,7 +779,7 @@ pub mod funcs {
 fn with_shard_class<R>(
     m: &SgxMachine,
     ctx: &mut ThreadCtx,
-    fd: eleos_enclave::host::Fd,
+    fd: Fd,
     f: impl FnOnce(&mut ThreadCtx) -> R,
 ) -> R {
     match m.shard_class_of(fd.0) {
@@ -781,112 +794,119 @@ fn with_shard_class<R>(
     }
 }
 
-/// Registers the standard socket syscalls ([`funcs`]) on a builder.
+/// The syscall table: executes `func(args)` against the host OS on
+/// `ctx`, which must be in untrusted mode — an RPC worker, the far side
+/// of an OCALL, or a native thread. Every [`funcs`] id is one arm and
+/// this is their only implementation; an id outside the table returns
+/// [`ERR_UNREGISTERED`]. Errors and would-block come back as
+/// `u64::MAX`.
+pub fn dispatch(m: &SgxMachine, ctx: &mut ThreadCtx, func: u64, args: [u64; 4]) -> u64 {
+    let size = |n: Option<usize>| n.map_or(u64::MAX, |n| n as u64);
+    let unit = |r: Result<(), FsError>| r.map_or(u64::MAX, |()| 0);
+    // `open`/`unlink` name their file by a path staged in untrusted
+    // memory.
+    let path = |ctx: &mut ThreadCtx| {
+        let mut path = vec![0u8; args[1] as usize];
+        ctx.read_untrusted(args[0], &mut path);
+        String::from_utf8(path).ok()
+    };
+    let (sock, file) = (Fd(args[0] as u32), FileFd(args[0] as u32));
+    let (buf, len) = (args[1], args[2] as usize);
+    // The scatter-gather calls pack `(stripe << 32) | count`.
+    let (stripe, count) = ((args[2] >> 32) as usize, (args[2] & 0xffff_ffff) as usize);
+    match func {
+        funcs::RECV => size(m.host.recv(ctx, sock, buf, len)),
+        funcs::SEND => m.host.send(ctx, sock, buf, len) as u64,
+        funcs::POLL => u64::from(m.host.poll(ctx, sock)),
+        funcs::RECV_MMSG => with_shard_class(m, ctx, sock, |ctx| {
+            m.host.recv_mmsg(ctx, sock, buf, stripe, count, args[3]) as u64
+        }),
+        funcs::SEND_MMSG => with_shard_class(m, ctx, sock, |ctx| {
+            m.host.send_mmsg(ctx, sock, buf, stripe, count, args[3]) as u64
+        }),
+        funcs::OPEN => path(ctx).map_or(u64::MAX, |p| m.fs.open(ctx, &p).0 as u64),
+        funcs::CLOSE => unit(m.fs.close(ctx, file)),
+        funcs::READ => size(m.fs.read(ctx, file, buf, len).ok()),
+        funcs::WRITE => size(m.fs.write(ctx, file, buf, len).ok()),
+        funcs::SEEK => unit(m.fs.seek(ctx, file, args[1] as usize)),
+        funcs::FSIZE => size(m.fs.size(ctx, file).ok()),
+        funcs::UNLINK => path(ctx).map_or(u64::MAX, |p| unit(m.fs.unlink(ctx, &p))),
+        _ => ERR_UNREGISTERED,
+    }
+}
+
+/// How code reaches the host OS: the three syscall paths the paper
+/// compares (§3.1), chosen in one place the way Graphene's syscall
+/// layer does (§5.1).
+#[derive(Clone)]
+pub enum IoPath {
+    /// Direct syscalls from untrusted code (the no-SGX baseline).
+    Native,
+    /// OCALL per syscall (vanilla SGX; also our stand-in for
+    /// Graphene's exit path, §5.1).
+    Ocall,
+    /// Eleos exit-less RPC (§3.1).
+    Rpc(Arc<RpcService>),
+}
+
+impl IoPath {
+    /// Label used in experiment output.
+    #[must_use]
+    pub fn label(&self) -> &'static str {
+        match self {
+            IoPath::Native => "native",
+            IoPath::Ocall => "ocall",
+            IoPath::Rpc(_) => "rpc",
+        }
+    }
+
+    /// Issues the syscall `func(args)` (a [`funcs`] id, run by
+    /// [`dispatch`]) on this path — the only place a single syscall
+    /// picks its way out. Buffers named by `args` are the caller's, in
+    /// untrusted memory. A long wait ([`funcs::POLL`]) never rides the
+    /// ring: it would burn a worker for as long as it blocks, so the
+    /// RPC path takes the naive exit for it (§3.1).
+    ///
+    /// # Panics
+    /// Panics on [`IoPath::Native`] from inside an enclave.
+    pub fn call(&self, ctx: &mut ThreadCtx, func: u64, args: [u64; 4]) -> u64 {
+        let m = Arc::clone(&ctx.machine);
+        match self {
+            IoPath::Native => {
+                assert!(!ctx.in_enclave(), "native path runs untrusted");
+                dispatch(&m, ctx, func, args)
+            }
+            IoPath::Rpc(svc) if func != funcs::POLL => svc.call(ctx, func, args),
+            IoPath::Ocall | IoPath::Rpc(_) => ctx.ocall(|host| dispatch(&m, host, func, args)),
+        }
+    }
+}
+
+/// Registers [`dispatch`] under each of `ids` on a builder.
+fn register(b: RpcBuilder, machine: &Arc<SgxMachine>, ids: &[u64]) -> RpcBuilder {
+    ids.iter().fold(b, |b, &id| {
+        let m = Arc::clone(machine);
+        b.register(
+            id,
+            UntrustedFn::new(move |ctx, args| dispatch(&m, ctx, id, args)),
+        )
+    })
+}
+
+/// Registers the socket syscalls ([`funcs::RECV`], [`funcs::SEND`] and
+/// their scatter-gather forms) on a builder.
 #[must_use]
 pub fn with_syscalls(b: RpcBuilder, machine: &Arc<SgxMachine>) -> RpcBuilder {
-    let m1 = Arc::clone(machine);
-    let m2 = Arc::clone(machine);
-    let m3 = Arc::clone(machine);
-    let m4 = Arc::clone(machine);
-    b.register(
-        funcs::RECV,
-        UntrustedFn::new(move |ctx, args| {
-            let fd = eleos_enclave::host::Fd(args[0] as u32);
-            m1.host
-                .recv(ctx, fd, args[1], args[2] as usize)
-                .map_or(u64::MAX, |n| n as u64)
-        }),
-    )
-    .register(
-        funcs::SEND,
-        UntrustedFn::new(move |ctx, args| {
-            let fd = eleos_enclave::host::Fd(args[0] as u32);
-            m2.host.send(ctx, fd, args[1], args[2] as usize) as u64
-        }),
-    )
-    .register(
-        funcs::RECV_MMSG,
-        UntrustedFn::new(move |ctx, args| {
-            let fd = eleos_enclave::host::Fd(args[0] as u32);
-            let (stripe, max) = ((args[2] >> 32) as usize, (args[2] & 0xffff_ffff) as usize);
-            with_shard_class(&m3, ctx, fd, |ctx| {
-                m3.host.recv_mmsg(ctx, fd, args[1], stripe, max, args[3]) as u64
-            })
-        }),
-    )
-    .register(
-        funcs::SEND_MMSG,
-        UntrustedFn::new(move |ctx, args| {
-            let fd = eleos_enclave::host::Fd(args[0] as u32);
-            let (stripe, n) = ((args[2] >> 32) as usize, (args[2] & 0xffff_ffff) as usize);
-            with_shard_class(&m4, ctx, fd, |ctx| {
-                m4.host.send_mmsg(ctx, fd, args[1], stripe, n, args[3]) as u64
-            })
-        }),
-    )
+    use funcs::{RECV, RECV_MMSG, SEND, SEND_MMSG};
+    register(b, machine, &[RECV, SEND, RECV_MMSG, SEND_MMSG])
 }
 
 /// Registers the filesystem syscalls ([`funcs::OPEN`]..[`funcs::UNLINK`])
 /// on a builder.
 #[must_use]
 pub fn with_fs(b: RpcBuilder, machine: &Arc<SgxMachine>) -> RpcBuilder {
-    use eleos_enclave::fs::FileFd;
-    let r = |e: Result<usize, eleos_enclave::fs::FsError>| e.map_or(u64::MAX, |v| v as u64);
-    let m = Arc::clone(machine);
-    let b = b.register(
-        funcs::OPEN,
-        UntrustedFn::new(move |ctx, args| {
-            let mut path = vec![0u8; args[1] as usize];
-            ctx.read_untrusted(args[0], &mut path);
-            let path = String::from_utf8(path).expect("utf-8 path");
-            m.fs.open(ctx, &path).0 as u64
-        }),
-    );
-    let m = Arc::clone(machine);
-    let b = b.register(
-        funcs::CLOSE,
-        UntrustedFn::new(move |ctx, args| {
-            m.fs.close(ctx, FileFd(args[0] as u32))
-                .map_or(u64::MAX, |()| 0)
-        }),
-    );
-    let m = Arc::clone(machine);
-    let b = b.register(
-        funcs::READ,
-        UntrustedFn::new(move |ctx, args| {
-            r(m.fs.read(ctx, FileFd(args[0] as u32), args[1], args[2] as usize))
-        }),
-    );
-    let m = Arc::clone(machine);
-    let b = b.register(
-        funcs::WRITE,
-        UntrustedFn::new(move |ctx, args| {
-            r(m.fs.write(ctx, FileFd(args[0] as u32), args[1], args[2] as usize))
-        }),
-    );
-    let m = Arc::clone(machine);
-    let b = b.register(
-        funcs::SEEK,
-        UntrustedFn::new(move |ctx, args| {
-            m.fs.seek(ctx, FileFd(args[0] as u32), args[1] as usize)
-                .map_or(u64::MAX, |()| 0)
-        }),
-    );
-    let m = Arc::clone(machine);
-    let b = b.register(
-        funcs::FSIZE,
-        UntrustedFn::new(move |ctx, args| r(m.fs.size(ctx, FileFd(args[0] as u32)))),
-    );
-    let m = Arc::clone(machine);
-    b.register(
-        funcs::UNLINK,
-        UntrustedFn::new(move |ctx, args| {
-            let mut path = vec![0u8; args[1] as usize];
-            ctx.read_untrusted(args[0], &mut path);
-            let path = String::from_utf8(path).expect("utf-8 path");
-            m.fs.unlink(ctx, &path).map_or(u64::MAX, |()| 0)
-        }),
-    )
+    use funcs::{CLOSE, FSIZE, OPEN, READ, SEEK, UNLINK, WRITE};
+    register(b, machine, &[OPEN, CLOSE, READ, WRITE, SEEK, FSIZE, UNLINK])
 }
 
 #[cfg(test)]
@@ -1214,6 +1234,115 @@ mod tests {
             "file I/O was exit-less"
         );
         t.exit();
+    }
+
+    /// Walks every [`funcs`] id (and one id outside the table) over
+    /// one socket and one file on `path`, checking after each call how
+    /// the path left the enclave. Returns every return value (a file
+    /// descriptor as "valid or not") and every byte the walk moved.
+    fn walk_the_syscall_table(m: &Arc<SgxMachine>, path: &IoPath) -> (Vec<u64>, Vec<Vec<u8>>) {
+        use funcs::*;
+        let ut = ThreadCtx::untrusted(m, 2);
+        let sock = m.host.socket(&ut, 16 << 10);
+        for msg in [&b"one"[..], b"two", b"three"] {
+            m.host.push_request(&ut, sock, msg);
+        }
+        let e = m.driver.create_enclave(m, 16 * 4096);
+        let mut t = match path {
+            IoPath::Native => ThreadCtx::untrusted(m, 0),
+            _ => ThreadCtx::for_enclave(m, &e, 0),
+        };
+        if !matches!(path, IoPath::Native) {
+            t.enter();
+        }
+        // Untrusted staging: the file's name, a data area, descriptors.
+        let name = format!("/walk-{}", path.label());
+        let name_at = m.alloc_untrusted(64);
+        t.write_untrusted(name_at, name.as_bytes());
+        let (data, desc) = (m.alloc_untrusted(1024), m.alloc_untrusted(64));
+        let (sock, name_len) = (u64::from(sock.0), name.len() as u64);
+
+        let mut called = std::collections::BTreeSet::new();
+        let mut call = |t: &mut ThreadCtx, func: u64, args: [u64; 4]| {
+            let s0 = m.stats.snapshot();
+            let ret = path.call(t, func, args);
+            let d = m.stats.snapshot() - s0;
+            let (exits, rides) = match path {
+                IoPath::Native => (0, 0),
+                IoPath::Ocall => (1, 0),
+                IoPath::Rpc(_) if func == POLL => (1, 0),
+                IoPath::Rpc(_) => (0, 1),
+            };
+            let label = path.label();
+            assert_eq!(d.ocalls, exits, "{label}: OCALLs of syscall {func}");
+            assert_eq!(d.enclave_exits, exits, "{label}: exits of syscall {func}");
+            assert_eq!(d.rpc_calls, rides, "{label}: ring jobs of syscall {func}");
+            called.insert(func);
+            ret
+        };
+        let mut rets = Vec::new();
+        let t = &mut t;
+        // Sockets: three queued messages in, the same three echoed out.
+        rets.push(call(t, POLL, [sock, 0, 0, 0]));
+        rets.push(call(t, RECV, [sock, data, 64, 0]));
+        rets.push(call(t, RECV_MMSG, [sock, data + 64, (32 << 32) | 4, desc]));
+        rets.push(call(t, RECV, [sock, data, 64, 0]));
+        rets.push(call(t, POLL, [sock, 0, 0, 0]));
+        rets.push(call(t, SEND, [sock, data, 3, 0]));
+        rets.push(call(t, SEND_MMSG, [sock, data + 64, (32 << 32) | 2, desc]));
+        // Files: create, write, size, seek, read back, close, unlink.
+        let fd = call(t, OPEN, [name_at, name_len, 0, 0]);
+        rets.push(u64::from(fd != u64::MAX));
+        rets.push(call(t, WRITE, [fd, data + 64, 37, 0]));
+        rets.push(call(t, FSIZE, [fd, 0, 0, 0]));
+        rets.push(call(t, SEEK, [fd, 32, 0, 0]));
+        rets.push(call(t, READ, [fd, data + 512, 64, 0]));
+        rets.push(call(t, CLOSE, [fd, 0, 0, 0]));
+        rets.push(call(t, CLOSE, [fd, 0, 0, 0]));
+        rets.push(call(t, UNLINK, [name_at, name_len, 0, 0]));
+        rets.push(call(t, UNLINK, [name_at, name_len, 0, 0]));
+        rets.push(call(t, 99, [0; 4]));
+        assert!(
+            called.into_iter().eq((1..=12).chain([99])),
+            "every id walked"
+        );
+
+        let mut moved = vec![vec![0u8; 5]];
+        t.read_untrusted(data + 512, &mut moved[0]);
+        if t.in_enclave() {
+            t.exit();
+        }
+        let sock = Fd(sock as u32);
+        moved.extend(std::iter::from_fn(|| m.host.pop_response(sock)));
+        (rets, moved)
+    }
+
+    #[test]
+    fn every_syscall_is_the_same_call_on_all_three_paths() {
+        let m = machine();
+        let svc = with_fs(with_syscalls(RpcService::builder(&m), &m), &m)
+            .workers(1, &[3])
+            .build();
+        let max = u64::MAX;
+        // poll, recv, recv_mmsg, recv, poll, send, send_mmsg;
+        let sockets = [1, 3, 2, max, 0, 3, 2];
+        // open, write, fsize, seek, read, close twice, unlink twice.
+        let files = [1, 37, 37, 0, 5, 0, max, 0, max];
+        let rets: Vec<u64> = (sockets.into_iter().chain(files))
+            .chain([ERR_UNREGISTERED])
+            .collect();
+        // The file held the two mmsg slots ("two" at 0, "three" at 32);
+        // the socket echoed all three messages in arrival order.
+        let moved: Vec<Vec<u8>> = [&b"three"[..], b"one", b"two", b"three"]
+            .map(<[u8]>::to_vec)
+            .into();
+        for path in [IoPath::Native, IoPath::Ocall, IoPath::Rpc(Arc::new(svc))] {
+            let got = walk_the_syscall_table(&m, &path);
+            assert_eq!(got, (rets.clone(), moved.clone()), "{}", path.label());
+        }
+        // The ring counted its one unknown id; a path that dispatches
+        // inline has no registry to miss.
+        assert_eq!(m.stats.snapshot().rpc_errors, 1);
     }
 
     #[test]

@@ -275,12 +275,6 @@ impl CostModel {
         };
         (base * factor) as u64
     }
-
-    /// Converts a cycle count to seconds at the simulated clock rate.
-    #[must_use]
-    pub fn cycles_to_secs(&self, cycles: u64) -> f64 {
-        cycles as f64 / CPU_HZ
-    }
 }
 
 /// Which physical region an address belongs to.

@@ -91,7 +91,7 @@ fn main() {
             fd,
             &session.encrypt(&build_verify_request(claimed, SIDE, &img)),
         );
-        assert!(server.handle_request(&mut ctx, &io));
+        assert!(io.serve_one(&mut ctx, |ctx, plain| server.process(ctx, plain)));
         let resp = session.decrypt(&machine.host.pop_response(fd).expect("response"));
         let accepted = resp[0] == 1;
         if accepted == genuine_attempt {

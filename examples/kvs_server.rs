@@ -10,7 +10,7 @@ use eleos::apps::io::{IoPath, ServerIoConfig};
 use eleos::apps::kvs::Kvs;
 use eleos::apps::loadgen::attest_session;
 use eleos::apps::space::DataSpace;
-use eleos::apps::text_protocol::{format_get, format_set, handle_text_request};
+use eleos::apps::text_protocol::{format_get, format_set, process_text};
 use eleos::apps::wire::Session;
 use eleos::enclave::machine::{MachineConfig, SgxMachine};
 use eleos::enclave::thread::ThreadCtx;
@@ -73,7 +73,7 @@ fn main() {
             fd,
             &session.encrypt(&format_set(key.as_bytes(), 0, 0, &value)),
         );
-        assert!(handle_text_request(&mut kvs, &mut ctx, &io));
+        assert!(io.serve_one(&mut ctx, |ctx, msg| process_text(&mut kvs, ctx, msg)));
         let ack = session.decrypt(&machine.host.pop_response(fd).expect("ack"));
         assert_eq!(ack, b"STORED\r\n");
     }
@@ -92,7 +92,7 @@ fn main() {
         machine
             .host
             .push_request(&ut, fd, &session.encrypt(&format_get(key.as_bytes())));
-        assert!(handle_text_request(&mut kvs, &mut ctx, &io));
+        assert!(io.serve_one(&mut ctx, |ctx, msg| process_text(&mut kvs, ctx, msg)));
         let resp = session.decrypt(&machine.host.pop_response(fd).expect("response sent"));
         assert!(resp.starts_with(b"VALUE "), "GET must hit");
     }

@@ -84,9 +84,8 @@ fn run(mode: &str) -> f64 {
                 .push_request(&ut, fd, &session.encrypt(&load.next_plain()));
         }
         for _ in 0..batch {
-            server
-                .handle_request(&mut ctx, &io)
-                .expect("request queued");
+            let served = io.serve_one(&mut ctx, |ctx, plain| server.process(ctx, plain));
+            assert!(served, "request queued");
         }
         served += batch;
     }

@@ -2,8 +2,9 @@
 //! captures a portable [`Snapshot`] (the same library type fleet
 //! failover ships over the cross-enclave channel), writes its framed
 //! ciphertext to the untrusted host filesystem through exit-less file
-//! syscalls, and a second enclave "process" restores it. Tampering
-//! with the file is detected.
+//! syscalls — [`IoPath::call`] over the RPC ring; the same calls would
+//! run by OCALL on `IoPath::Ocall` — and a second enclave "process"
+//! restores it. Tampering with the file is detected.
 //!
 //! Run with: `cargo run --release --example sealed_snapshot`
 
@@ -14,7 +15,7 @@ use eleos::apps::space::DataSpace;
 use eleos::crypto::gcm::AesGcm128;
 use eleos::enclave::machine::{MachineConfig, SgxMachine};
 use eleos::enclave::thread::ThreadCtx;
-use eleos::rpc::{funcs, with_fs, RpcService};
+use eleos::rpc::{funcs, with_fs, IoPath, RpcService};
 use eleos::suvm::{Snapshot, Suvm, SuvmConfig};
 
 /// Nonce domain for this application's snapshots (would be the sealing
@@ -26,11 +27,11 @@ fn main() {
         epc_bytes: 16 << 20,
         ..MachineConfig::default()
     });
-    let svc = Arc::new(
-        with_fs(RpcService::builder(&machine), &machine)
-            .workers(1, &[7])
-            .build(),
-    );
+    let svc = with_fs(RpcService::builder(&machine), &machine)
+        .workers(1, &[7])
+        .build();
+    // The one place a syscall picks its way out of the enclave.
+    let os = IoPath::Rpc(Arc::new(svc));
     // The sealing key would come from SGX sealing (EGETKEY); it is the
     // same for both "runs" of the application.
     let seal_key = AesGcm128::new(&[0x5e; 16]);
@@ -79,9 +80,9 @@ fn main() {
     let path = machine.alloc_untrusted(64);
     t1.write_untrusted(path, b"/var/kvs.img");
     let exits_before = machine.stats.snapshot().enclave_exits;
-    let fd = svc.call(&mut t1, funcs::OPEN, [path, 12, 0, 0]);
-    let wrote = svc.call(&mut t1, funcs::WRITE, [fd, staging, blob.len() as u64, 0]);
-    svc.call(&mut t1, funcs::CLOSE, [fd, 0, 0, 0]);
+    let fd = os.call(&mut t1, funcs::OPEN, [path, 12, 0, 0]);
+    let wrote = os.call(&mut t1, funcs::WRITE, [fd, staging, blob.len() as u64, 0]);
+    os.call(&mut t1, funcs::CLOSE, [fd, 0, 0, 0]);
     assert_eq!(wrote as usize, blob.len());
     println!(
         "snapshot written to the host FS without an enclave exit: {}",
@@ -96,9 +97,9 @@ fn main() {
     let mut t2 = ThreadCtx::for_enclave(&machine, &e2, 0);
     t2.enter();
     let suvm2 = Suvm::new(&t2, suvm_cfg);
-    let fd = svc.call(&mut t2, funcs::OPEN, [path, 12, 0, 0]);
-    let size = svc.call(&mut t2, funcs::FSIZE, [fd, 0, 0, 0]) as usize;
-    let n = svc.call(&mut t2, funcs::READ, [fd, staging, size as u64, 0]) as usize;
+    let fd = os.call(&mut t2, funcs::OPEN, [path, 12, 0, 0]);
+    let size = os.call(&mut t2, funcs::FSIZE, [fd, 0, 0, 0]) as usize;
+    let n = os.call(&mut t2, funcs::READ, [fd, staging, size as u64, 0]) as usize;
     assert_eq!(n, size);
     let mut reread = vec![0u8; n];
     t2.read_untrusted(staging, &mut reread);

@@ -25,6 +25,16 @@ if grep -rnE 'StripedStore|StoreKind|BackingStore|build_store|SealerConfig|seale
     exit 1
 fi
 
+# PR 18 put one syscall table behind `IoPath` (no libOS shim, no second
+# path enum) and one serve loop behind every front-end (`ServerIo::
+# serve_on`/`serve`/`serve_one` over a `process` closure), and deleted
+# the dead load-generator and label helpers.
+if grep -rnE 'LibOs|SyscallMode|handle_text_request|handle_text_batch|fn handle_request|recv_many|fill_socket|FaceLoad|get_plain_zipf|rekey_label|balance_label' \
+        crates/*/src src examples tests ; then
+    echo "a deleted syscall-shim / serve-loop name is back (see above)"
+    exit 1
+fi
+
 echo "== build (release)"
 cargo build --release --workspace --offline
 
@@ -55,37 +65,8 @@ EOF
 echo "== paging_bench smoke (exits non-zero unless batch >= 8 beats inline for every policy)"
 cargo run --release -p eleos-bench --bin repro --offline -- paging_bench --quick --scale 16
 
-echo "== crypto_bench smoke"
+echo "== crypto_bench smoke (exits non-zero unless every series is monotone in batch depth)"
 cargo run --release -p eleos-bench --bin repro --offline -- crypto_bench --quick --scale 16
-python3 - <<'EOF'
-import itertools, json, sys
-
-cells = json.load(open("BENCH_crypto.json"))["cells"]
-by_series = {}
-for c in cells:
-    key = (c["server"], c["crypto"], c["workers"])
-    by_series.setdefault(key, {})[c["batch"]] = c["cycles_per_op"]
-
-# Every series is monotone nonincreasing in batch: both crypto modes on
-# one RPC worker, and the batched series again with a second worker (a
-# reap is one job either way).
-series_keys = [
-    (server, crypto, 1)
-    for server, crypto in itertools.product(
-        ("kvs", "text", "param"), ("per-msg", "batched")
-    )
-] + [(server, "batched", 2) for server in ("kvs", "text")]
-for key in series_keys:
-    series = by_series.get(key)
-    if not series or sorted(series) != [1, 8]:
-        sys.exit(f"BENCH_crypto.json missing cells for {key}")
-    if series[8] > series[1]:
-        sys.exit(
-            f"{key} cycles/op not monotone nonincreasing: "
-            f"batch 1 = {series[1]}, batch 8 = {series[8]}"
-        )
-print(f"   {len(cells)} cells, every series monotone in batch depth")
-EOF
 
 echo "== storage_bench smoke"
 cargo run --release -p eleos-bench --bin repro --offline -- storage_bench --quick --scale 8

@@ -116,7 +116,10 @@ fn param_server_run(mode: &str) -> Vec<u64> {
         s.machine
             .host
             .push_request(&ut, s.fd, &s.session.encrypt(&load.next_plain()));
-        server.handle_request(&mut s.ctx, &io).expect("queued");
+        assert!(
+            io.serve_one(&mut s.ctx, |c, plain| server.process(c, plain)),
+            "queued"
+        );
     }
     let out = (1..=32u64)
         .map(|k| server.get(&mut s.ctx, k * 997).expect("populated key"))
@@ -154,7 +157,10 @@ fn eleos_mode_never_exits_the_enclave() {
         s.machine
             .host
             .push_request(&ut, s.fd, &s.session.encrypt(&load.next_plain()));
-        server.handle_request(&mut s.ctx, &io).expect("queued");
+        assert!(
+            io.serve_one(&mut s.ctx, |c, plain| server.process(c, plain)),
+            "queued"
+        );
     }
     let st = s.machine.stats.snapshot();
     assert_eq!(st.enclave_exits, 0, "request handling must be exit-less");
@@ -184,7 +190,10 @@ fn sgx_mode_pays_exits_and_faults() {
         s.machine
             .host
             .push_request(&ut, s.fd, &s.session.encrypt(&load.next_plain()));
-        server.handle_request(&mut s.ctx, &io).expect("queued");
+        assert!(
+            io.serve_one(&mut s.ctx, |c, plain| server.process(c, plain)),
+            "queued"
+        );
     }
     let st = s.machine.stats.snapshot();
     assert_eq!(st.enclave_exits, 200, "one OCALL per recv and per send");
@@ -212,7 +221,10 @@ fn kvs_full_protocol_all_modes() {
             s.machine
                 .host
                 .push_request(&ut, s.fd, &s.session.encrypt(&load.set_plain(i)));
-            assert!(kvs.handle_request(&mut s.ctx, &io), "{mode}: SET {i}");
+            assert!(
+                io.serve_one(&mut s.ctx, |c, plain| kvs.process(c, plain)),
+                "{mode}: SET {i}"
+            );
             let resp = s
                 .session
                 .decrypt(&s.machine.host.pop_response(s.fd).expect("ack"));
@@ -222,7 +234,7 @@ fn kvs_full_protocol_all_modes() {
             s.machine
                 .host
                 .push_request(&ut, s.fd, &s.session.encrypt(&build_get(&load.key(i))));
-            assert!(kvs.handle_request(&mut s.ctx, &io));
+            assert!(io.serve_one(&mut s.ctx, |c, plain| kvs.process(c, plain)));
             let resp = s
                 .session
                 .decrypt(&s.machine.host.pop_response(s.fd).expect("value"));
@@ -235,12 +247,12 @@ fn kvs_full_protocol_all_modes() {
             s.fd,
             &s.session.encrypt(&build_set(&load.key(3), b"tiny")),
         );
-        assert!(kvs.handle_request(&mut s.ctx, &io));
+        assert!(io.serve_one(&mut s.ctx, |c, plain| kvs.process(c, plain)));
         let _ = s.machine.host.pop_response(s.fd);
         s.machine
             .host
             .push_request(&ut, s.fd, &s.session.encrypt(&build_get(&load.key(3))));
-        assert!(kvs.handle_request(&mut s.ctx, &io));
+        assert!(io.serve_one(&mut s.ctx, |c, plain| kvs.process(c, plain)));
         let resp = s
             .session
             .decrypt(&s.machine.host.pop_response(s.fd).expect("value"));
@@ -284,7 +296,7 @@ fn face_pipeline_in_enclave() {
         s.fd,
         &s.session.encrypt(&build_verify_request(2, side, &img)),
     );
-    assert!(server.handle_request(&mut s.ctx, &io));
+    assert!(io.serve_one(&mut s.ctx, |c, plain| server.process(c, plain)));
     assert_eq!(
         s.session
             .decrypt(&s.machine.host.pop_response(s.fd).expect("resp")),
@@ -297,7 +309,7 @@ fn face_pipeline_in_enclave() {
         s.fd,
         &s.session.encrypt(&build_verify_request(2, side, &img)),
     );
-    assert!(server.handle_request(&mut s.ctx, &io));
+    assert!(io.serve_one(&mut s.ctx, |c, plain| server.process(c, plain)));
     assert_eq!(
         s.session
             .decrypt(&s.machine.host.pop_response(s.fd).expect("resp")),
@@ -310,11 +322,153 @@ fn face_pipeline_in_enclave() {
         &s.session
             .encrypt(&build_verify_request(99, side, &synth_image(1, side))),
     );
-    assert!(server.handle_request(&mut s.ctx, &io));
+    assert!(io.serve_one(&mut s.ctx, |c, plain| server.process(c, plain)));
     assert_eq!(
         s.session
             .decrypt(&s.machine.host.pop_response(s.fd).expect("resp")),
         &[2u8]
     );
     s.ctx.exit();
+}
+
+/// What one request path cost: the serving thread's final clock and
+/// the stat deltas over the script.
+#[derive(Debug, PartialEq)]
+struct Pinned {
+    now: u64,
+    enclave_exits: u64,
+    ocalls: u64,
+    syscalls: u64,
+    kernel_meta_reads: u64,
+    rpc_calls: u64,
+    rpc_batches: u64,
+    crypto_setup_cycles: u64,
+}
+
+/// Serves one seeded 64-request script — eight blocks of eight,
+/// alternating KVS SET/GET and parameter update/read — in `mode`, per
+/// message (`batch = 1`) or a block at a time, and returns what it
+/// cost plus every reply.
+fn pinned_request_path(mode: &str, batch: usize) -> (Pinned, Vec<Vec<u8>>) {
+    use eleos::apps::param_server::{build_read_request, build_update_request};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    let mut s = stack(mode);
+    let ut = ThreadCtx::untrusted(&s.machine, 1);
+    let ps_fd = s.machine.host.socket(&ut, 1 << 20);
+    let meta_space = DataSpace::Untrusted(Arc::clone(&s.machine));
+    let mut kvs = Kvs::new(meta_space, s.space.clone(), 16 << 20, 256);
+    kvs.init(&mut s.ctx);
+    let mut ps = ParamServer::new(s.space.clone(), TableKind::OpenAddressing, 256);
+    ps.init(&mut s.ctx);
+    let build = |fd| {
+        let cfg = ServerIoConfig::with_buf_len(64 << 10);
+        let cfg = if batch == 1 { cfg } else { cfg.batch(batch) };
+        cfg.build(&s.ctx, &[fd], s.path.clone(), Arc::clone(&s.session))
+    };
+    let (kvs_io, ps_io) = (build(s.fd), build(ps_fd));
+
+    let mut rng = StdRng::seed_from_u64(18);
+    let script: Vec<Vec<u8>> = (0..64usize)
+        .map(|i| {
+            let to_kvs = (i / 8) % 2 == 0;
+            let write = rng.random_range(0..2u32) == 0 || i % 8 == 0;
+            if to_kvs {
+                let key = format!("key-{}", rng.random_range(0..16u32));
+                if write {
+                    let len = rng.random_range(16..256usize);
+                    build_set(key.as_bytes(), &vec![i as u8; len])
+                } else {
+                    build_get(key.as_bytes())
+                }
+            } else {
+                let keys: Vec<u64> = (0..4).map(|_| rng.random_range(1..=64u64)).collect();
+                if write {
+                    let pairs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, i as u64)).collect();
+                    build_update_request(&pairs)
+                } else {
+                    build_read_request(&keys)
+                }
+            }
+        })
+        .collect();
+
+    let s0 = s.machine.stats.snapshot();
+    let mut replies = Vec::new();
+    for (block, requests) in script.chunks(8).enumerate() {
+        let to_kvs = block % 2 == 0;
+        let fd = if to_kvs { s.fd } else { ps_fd };
+        for step in requests.chunks(batch) {
+            for plain in step {
+                s.machine
+                    .host
+                    .push_request(&ut, fd, &s.session.encrypt(plain));
+            }
+            let ctx = &mut s.ctx;
+            let served = match (to_kvs, batch) {
+                (true, 1) => usize::from(kvs_io.serve_one(ctx, |c, plain| kvs.process(c, plain))),
+                (true, _) => kvs.handle_batch(ctx, &kvs_io),
+                (false, 1) => usize::from(ps_io.serve_one(ctx, |c, plain| ps.process(c, plain))),
+                (false, _) => ps_io.serve(ctx, |c, plain| ps.process(c, plain)),
+            };
+            assert_eq!(served, step.len(), "{mode}/{batch}: block {block}");
+            for _ in step {
+                let sealed = s.machine.host.pop_response(fd).expect("reply");
+                replies.push(s.session.decrypt(&sealed));
+            }
+        }
+    }
+    let d = s.machine.stats.snapshot() - s0;
+    let pinned = Pinned {
+        now: s.ctx.now(),
+        enclave_exits: d.enclave_exits,
+        ocalls: d.ocalls,
+        syscalls: d.syscalls,
+        kernel_meta_reads: d.kernel_meta_reads,
+        rpc_calls: d.rpc_calls,
+        rpc_batches: d.rpc_batches,
+        crypto_setup_cycles: d.crypto_setup_cycles,
+    };
+    if s.ctx.in_enclave() {
+        s.ctx.exit();
+    }
+    (pinned, replies)
+}
+
+/// The unit-speed guard of the request path: the same script costs the
+/// serving thread the same cycles, exits, syscalls and crypto set-up as
+/// it did at the commit before PR 18 put one syscall table behind
+/// `IoPath` and one serve loop behind every front-end (the constants
+/// were measured there) — on the native and OCALL baselines too, which
+/// the e2e instrument covers only through its ungated `ref.*` row.
+#[test]
+fn request_path_cycles_are_pinned() {
+    let pin = |now, exits, syscalls, rpc, crypto_setup_cycles| Pinned {
+        now,
+        enclave_exits: exits,
+        ocalls: exits,
+        syscalls,
+        kernel_meta_reads: syscalls,
+        rpc_calls: rpc,
+        rpc_batches: rpc,
+        crypto_setup_cycles,
+    };
+    let cells = [
+        ("native", 1, pin(552_461, 0, 128, 0, 51_200)),
+        ("sgx", 1, pin(1_706_815, 128, 128, 0, 51_200)),
+        ("eleos", 1, pin(850_421, 0, 128, 128, 51_200)),
+        ("eleos", 8, pin(434_167, 0, 16, 16, 17_600)),
+    ];
+    let mut reference: Option<Vec<Vec<u8>>> = None;
+    for (mode, batch, expected) in cells {
+        let (measured, replies) = pinned_request_path(mode, batch);
+        assert_eq!(measured, expected, "{mode}, batch {batch}");
+        assert_eq!(replies.len(), 64);
+        let reference = reference.get_or_insert_with(|| replies.clone());
+        assert_eq!(
+            &replies, reference,
+            "{mode}, batch {batch}: replies diverged"
+        );
+    }
 }

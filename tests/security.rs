@@ -465,18 +465,19 @@ fn entered_thread() -> (Arc<SgxMachine>, ThreadCtx) {
 }
 
 /// Queues every `malformed` body and then every well-formed
-/// `(body, expected reply)` on one socket, drains them through `serve`
-/// (one batch per call, returning how many requests it handled), and
-/// checks that each malformed body was answered `[0xFF]` and counted,
+/// `(body, expected reply)` on one socket, serves them in batches
+/// through `process` (a front-end's per-request closure), and checks
+/// that each malformed body was answered `malformed_reply` — `[0xFF]`
+/// on the binary protocols, `ERROR\r\n` on the text one — and counted,
 /// and that the requests queued behind them were served as usual.
 fn serve_past_malformed_bodies(
     t: &mut ThreadCtx,
     malformed: &[Vec<u8>],
+    malformed_reply: &[u8],
     well_formed: &[(Vec<u8>, Vec<u8>)],
-    mut serve: impl FnMut(&mut ThreadCtx, &eleos::apps::io::ServerIo) -> usize,
+    mut process: impl FnMut(&mut ThreadCtx, &[u8]) -> Vec<u8>,
 ) {
     use eleos::apps::io::{IoPath, ServerIoConfig};
-    use eleos::apps::kvs::MALFORMED_REPLY;
     use eleos::apps::wire::Session;
 
     let m = Arc::clone(&t.machine);
@@ -491,37 +492,40 @@ fn serve_past_malformed_bodies(
     for body in malformed.iter().chain(well_formed.iter().map(|(b, _)| b)) {
         m.host.push_request(t, fd, &session.encrypt(body));
     }
+    let counted = m.stats.snapshot().malformed_requests;
     let mut served = 0;
     loop {
-        let n = serve(t, &io);
+        let n = io.serve(t, &mut process);
         if n == 0 {
             break;
         }
         served += n;
     }
     assert_eq!(served, malformed.len() + well_formed.len());
-    for _ in malformed {
+    for body in malformed {
         let reply = session.decrypt(&m.host.pop_response(fd).unwrap());
-        assert_eq!(reply, [MALFORMED_REPLY]);
+        assert_eq!(reply, malformed_reply, "reply to {body:?}");
     }
     for (body, expected) in well_formed {
         let reply = session.decrypt(&m.host.pop_response(fd).unwrap());
         assert_eq!(&reply, expected, "reply to {body:?}");
     }
     assert_eq!(
-        m.stats.snapshot().malformed_requests,
+        m.stats.snapshot().malformed_requests - counted,
         malformed.len() as u64
     );
 }
 
 /// A decrypted request body that does not parse — truncated header,
 /// lengths that run past the body, an opcode the protocol lacks — is
-/// answered `[0xFF]` and counted; the enclave neither panics nor stops
-/// serving the requests queued behind it.
+/// answered `[0xFF]` (`ERROR` by the text front-end) and counted; the
+/// enclave neither panics nor stops serving the requests queued behind
+/// it.
 #[test]
 fn malformed_request_bodies_are_answered_not_fatal() {
-    use eleos::apps::kvs::{build_get, build_set, build_set_ttl, Kvs};
+    use eleos::apps::kvs::{build_get, build_set, build_set_ttl, Kvs, MALFORMED_REPLY};
     use eleos::apps::space::DataSpace;
+    use eleos::apps::text_protocol::{format_get, format_set, process_text};
 
     let (m, mut t) = entered_thread();
     let space = DataSpace::Untrusted(Arc::clone(&m));
@@ -547,10 +551,37 @@ fn malformed_request_bodies_are_answered_not_fatal() {
         (build_set(b"alpha", b"beta"), vec![1u8]),
         (build_get(b"alpha"), b"\x01\x04\0\0\0beta".to_vec()),
     ];
-    serve_past_malformed_bodies(&mut t, &malformed, &well_formed, |t, io| {
-        kvs.handle_batch(t, io)
-    });
+    serve_past_malformed_bodies(
+        &mut t,
+        &malformed,
+        &[MALFORMED_REPLY],
+        &well_formed,
+        |t, plain| kvs.process(t, plain),
+    );
     assert_eq!(kvs.len(), 1, "no malformed request stored anything");
+
+    // The memcached text front-end of the same store: no CRLF, an empty
+    // line, an unknown verb, a byte count that is not a number, one the
+    // data line cannot back, and a data line one byte short.
+    let malformed = [
+        b"get alpha".to_vec(),
+        b"\r\n".to_vec(),
+        b"bogus\r\n".to_vec(),
+        b"set k 0 0 nope\r\nhello\r\n".to_vec(),
+        b"set k 0 0 4294967295\r\nhello\r\n".to_vec(),
+        b"set k 0 0 5\r\nhell\r\n".to_vec(),
+    ];
+    let well_formed = [
+        (format_set(b"gamma", 0, 0, b"delta"), b"STORED\r\n".to_vec()),
+        (
+            format_get(b"alpha"),
+            b"VALUE alpha 0 4\r\nbeta\r\nEND\r\n".to_vec(),
+        ),
+    ];
+    serve_past_malformed_bodies(&mut t, &malformed, b"ERROR\r\n", &well_formed, |t, msg| {
+        process_text(&mut kvs, t, msg)
+    });
+    assert_eq!(kvs.len(), 2, "no malformed command stored anything");
     t.exit();
 }
 
@@ -561,6 +592,7 @@ fn malformed_request_bodies_are_answered_not_fatal() {
 /// well-formed request.
 #[test]
 fn malformed_param_server_requests_are_answered_not_fatal() {
+    use eleos::apps::kvs::MALFORMED_REPLY;
     use eleos::apps::param_server::{
         build_read_request, build_update_request, ParamServer, TableKind,
     };
@@ -599,11 +631,55 @@ fn malformed_param_server_requests_are_answered_not_fatal() {
             [40u64.to_le_bytes(), 0u64.to_le_bytes()].concat(),
         ),
     ];
-    serve_past_malformed_bodies(&mut t, &malformed, &well_formed, |t, io| {
-        server.handle_batch(t, io).0
-    });
+    serve_past_malformed_bodies(
+        &mut t,
+        &malformed,
+        &[MALFORMED_REPLY],
+        &well_formed,
+        |t, plain| server.process(t, plain),
+    );
     assert_eq!(server.len(), 1, "no malformed request stored anything");
     t.exit();
+}
+
+/// Which keys a request names is the client's choice: one update
+/// carrying 64 new keys into a capacity-8 table gets the 8 that fit
+/// applied and acknowledged, is counted, and kills nothing — in either
+/// layout the table still answers reads of what it holds, and the next
+/// well-formed request is served.
+#[test]
+fn param_server_over_capacity_is_refused_not_fatal() {
+    use eleos::apps::param_server::{
+        build_read_request, build_update_request, ParamServer, TableKind,
+    };
+    use eleos::apps::space::DataSpace;
+
+    for kind in [TableKind::OpenAddressing, TableKind::Chaining] {
+        let (m, mut t) = entered_thread();
+        let mut server = ParamServer::new(DataSpace::Untrusted(Arc::clone(&m)), kind, 8);
+        server.init(&mut t);
+
+        let flood: Vec<(u64, u64)> = (1..=64).map(|key| (key, 10 * key)).collect();
+        let ack = server.process(&mut t, &build_update_request(&flood));
+        assert_eq!(ack, 8u32.to_le_bytes(), "{kind:?}: pairs applied");
+        assert_eq!(server.len(), 8, "{kind:?}");
+        assert_eq!(m.stats.snapshot().malformed_requests, 1, "{kind:?}");
+
+        // Reads of the keys that fit (and of one that did not).
+        let values = server.process(&mut t, &build_read_request(&[1, 8, 9]));
+        let expected = [10u64.to_le_bytes(), 80u64.to_le_bytes(), 0u64.to_le_bytes()];
+        assert_eq!(values, expected.concat(), "{kind:?}");
+        // A full table still updates the keys it holds: a request that
+        // adds none is well-formed, and a mixed one applies its part.
+        let ack = server.process(&mut t, &build_update_request(&[(3, 5)]));
+        assert_eq!(ack, 1u32.to_le_bytes(), "{kind:?}");
+        let ack = server.process(&mut t, &build_update_request(&[(99, 1), (3, 5)]));
+        assert_eq!(ack, 1u32.to_le_bytes(), "{kind:?}");
+        assert_eq!(server.get(&mut t, 3), Some(40), "{kind:?}");
+        assert_eq!(server.get(&mut t, 99), None, "{kind:?}");
+        assert_eq!(m.stats.snapshot().malformed_requests, 2, "{kind:?}");
+        t.exit();
+    }
 }
 
 /// And the face-verification server: a body that is not exactly an
@@ -613,6 +689,7 @@ fn malformed_param_server_requests_are_answered_not_fatal() {
 #[test]
 fn malformed_face_requests_are_answered_not_fatal() {
     use eleos::apps::face::{build_verify_request, lbp_histogram, synth_image, FaceDb, FaceServer};
+    use eleos::apps::kvs::MALFORMED_REPLY;
     use eleos::apps::space::DataSpace;
 
     const SIDE: usize = 32;
@@ -640,9 +717,13 @@ fn malformed_face_requests_are_answered_not_fatal() {
         (good.clone(), vec![1u8]),
         (build_verify_request(2, SIDE, &face), vec![2u8]),
     ];
-    serve_past_malformed_bodies(&mut t, &malformed, &well_formed, |t, io| {
-        server.handle_batch(t, io)
-    });
+    serve_past_malformed_bodies(
+        &mut t,
+        &malformed,
+        &[MALFORMED_REPLY],
+        &well_formed,
+        |t, plain| server.process(t, plain),
+    );
     assert_eq!(server.decisions(), (1, 0));
     t.exit();
 }

@@ -31,7 +31,7 @@ use eleos::apps::loadgen::attest_session;
 use eleos::apps::loadgen::{shard_for, KvsLoad, ShardMap};
 use eleos::apps::param_server::{build_read_request, build_update_request, ParamServer, TableKind};
 use eleos::apps::space::DataSpace;
-use eleos::apps::text_protocol::{format_get, handle_text_batch};
+use eleos::apps::text_protocol::{format_get, process_text};
 use eleos::apps::wire::Session;
 use eleos::enclave::host::Fd;
 use eleos::enclave::machine::{MachineConfig, SgxMachine};
@@ -233,7 +233,7 @@ fn run_kvs(
         let kvs = &mut kvs;
         serve_to_completion(&mut t, hi - lo, |t| {
             if text {
-                handle_text_batch(kvs, t, io)
+                io.serve(t, |t, msg| process_text(kvs, t, msg))
             } else {
                 kvs.handle_batch(t, io)
             }
@@ -276,7 +276,9 @@ fn run_param(
         }
         let io = &rig.io;
         let srv = &mut srv;
-        serve_to_completion(&mut t, hi - lo, |t| srv.handle_batch(t, io).0);
+        serve_to_completion(&mut t, hi - lo, |t| {
+            io.serve(t, |t, plain| srv.process(t, plain))
+        });
     }
     rig.io.flush(&mut t);
     let probes = (0..N_CONNS as u64)
@@ -321,7 +323,9 @@ fn run_face(
         }
         let io = &rig.io;
         let srv = &mut srv;
-        serve_to_completion(&mut t, hi - lo, |t| srv.handle_batch(t, io));
+        serve_to_completion(&mut t, hi - lo, |t| {
+            io.serve(t, |t, plain| srv.process(t, plain))
+        });
     }
     rig.io.flush(&mut t);
     t.exit();
