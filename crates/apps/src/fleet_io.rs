@@ -367,9 +367,8 @@ impl FleetKvs {
     /// round-robin ([`ShardMap::with_replicas`]).
     ///
     /// # Panics
-    /// Panics when `cfg.replicas` is zero, exceeds the per-replica
-    /// stat gauges, or the config/socket-set combination violates the
-    /// [`ServerIoConfig::build`] invariants.
+    /// Panics when `cfg.replicas` is zero or the config/socket-set
+    /// combination violates the [`ServerIoConfig::build`] invariants.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn new(
@@ -431,8 +430,7 @@ impl FleetKvs {
 
     /// Wires replica `r`'s runtime onto its (Restoring) enclave: an
     /// entered thread on the replica's serving core, a store, and
-    /// pipelines over the full socket set tagged with the replica's
-    /// gauge slot.
+    /// pipelines over the full socket set.
     fn wire_replica(&self, r: usize) -> Replica {
         let enclave = self.fleet.enclave(r);
         let mut ctx = ThreadCtx::for_enclave(&self.machine, &enclave, self.core_of(r));
@@ -456,7 +454,7 @@ impl FleetKvs {
         // engine's maintenance tick.
         kvs.set_background(self.maint.is_some());
         kvs.init(&mut ctx);
-        let mut cfg = self.io_cfg.clone().replica(r);
+        let mut cfg = self.io_cfg.clone();
         if cfg.balance.is_some() {
             cfg = cfg.routed(Arc::clone(&self.map));
         }
@@ -978,8 +976,8 @@ impl FleetKvs {
             st.auto_recovery_cycles += clock.now() - t0;
             did = true;
         }
-        // 3. Engine byte-work: the replicas' fences only published
-        // gauges; the copies and merges happen here.
+        // 3. Engine byte-work: the replicas' fences only counted
+        // themselves; the copies and merges happen here.
         for r in self.fleet.serving() {
             let mut slot = self.slot(r);
             let Some(rep) = slot.as_mut() else { continue };
@@ -1033,9 +1031,18 @@ mod tests {
     type Rig = (Arc<SgxMachine>, Arc<Session>, Vec<Fd>, FleetKvs);
 
     fn fleet_with(replicas: usize, cfg: FleetConfig, sealer: Arc<dyn Sealer>) -> Rig {
+        fleet_over(SHARDS, replicas, cfg, sealer)
+    }
+
+    fn fleet_over(
+        shards: usize,
+        replicas: usize,
+        cfg: FleetConfig,
+        sealer: Arc<dyn Sealer>,
+    ) -> Rig {
         let m = SgxMachine::new(MachineConfig::tiny());
         let ut = ThreadCtx::untrusted(&m, 1);
-        let fds: Vec<Fd> = (0..SHARDS).map(|_| m.host.socket(&ut, 256 << 10)).collect();
+        let fds: Vec<Fd> = (0..shards).map(|_| m.host.socket(&ut, 256 << 10)).collect();
         let svc = with_syscalls(RpcService::builder(&m), &m)
             .workers(2, &[2, 3])
             .build();
@@ -1045,7 +1052,7 @@ mod tests {
             &fds,
             ServerIoConfig::with_buf_len(16 << 10)
                 .batch(4)
-                .shards(SHARDS),
+                .shards(shards),
             IoPath::Rpc(Arc::new(svc)),
             Arc::clone(&wire),
             sealer,
@@ -1151,42 +1158,36 @@ mod tests {
 
     #[test]
     fn fleet_serves_seeded_gets_across_replicas() {
-        let (m, wire, fds, fk) = fleet(2);
-        let ut = ThreadCtx::untrusted(&m, 1);
-        let mut pushed = [0usize; SHARDS];
-        for conn in 0..8u64 {
-            let s = shard_for(conn, SHARDS);
-            let key = format!("seed-{}", conn % 32);
-            m.host
-                .push_request(&ut, fds[s], &wire.encrypt(&build_get(key.as_bytes())));
-            pushed[s] += 1;
-        }
-        let mut served = 0;
-        for _ in 0..32 {
-            served += fk.pump();
-            if served == 8 {
-                break;
+        // Two replicas over four shards, and a fleet wider than any
+        // fixed stat grid ever was: five replicas, one shard each.
+        for (shards, replicas) in [(SHARDS, 2), (5, 5)] {
+            let sealer = Arc::new(AesGcm128::new(&[0x44u8; 16]));
+            let (m, wire, fds, fk) = fleet_over(shards, replicas, plane_off(), sealer);
+            let ut = ThreadCtx::untrusted(&m, 1);
+            for (s, &fd) in fds.iter().enumerate() {
+                for i in 0..2 {
+                    let get = build_get(format!("seed-{}", 2 * s + i).as_bytes());
+                    m.host.push_request(&ut, fd, &wire.encrypt(&get));
+                }
             }
-        }
-        fk.flush();
-        assert_eq!(served, 8);
-        for (s, &n) in pushed.iter().enumerate() {
-            let mut got = 0;
-            while let Some(resp) = m.host.pop_response(fds[s]) {
-                let plain = wire.decrypt(&resp);
-                assert_eq!(plain[0], 1, "seeded key must be found");
-                got += 1;
+            let mut served = vec![0usize; replicas];
+            for _ in 0..32 {
+                for (r, n) in served.iter_mut().enumerate() {
+                    *n += fk.pump_replica(r);
+                }
             }
-            assert_eq!(got, n, "shard {s} answers everything it queued");
-        }
-        // Both replicas did work (each owns half the shard set), and
-        // each credited only its own gauge slot.
-        let st = m.stats.snapshot();
-        for r in 0..2 {
-            let handled: u64 = (0..SHARDS)
-                .map(|s| st.shard.replica[r].sojourn[s].count())
-                .sum();
-            assert!(handled > 0, "replica {r} must have reaped");
+            fk.flush();
+            for (s, &fd) in fds.iter().enumerate() {
+                let mut got = 0;
+                while let Some(resp) = m.host.pop_response(fd) {
+                    let plain = wire.decrypt(&resp);
+                    assert_eq!(plain[0], 1, "seeded key must be found");
+                    got += 1;
+                }
+                assert_eq!(got, 2, "shard {s} answers everything it queued");
+            }
+            // Every replica did exactly its shards' share of the work.
+            assert_eq!(served, vec![2 * shards / replicas; replicas]);
         }
     }
 
@@ -1366,8 +1367,7 @@ mod tests {
             st.snapshot_delta_items >= 1,
             "the delta carried the fresh item"
         );
-        // The counters the fences publish did not move: no failover
-        // snapshot/restore happened.
+        // No failover snapshot/restore happened.
         assert_eq!(st.fleet_snapshots, 0);
         assert_eq!(st.fleet_restores, 0);
         // A later background kill carries only the final delta.

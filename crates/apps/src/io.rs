@@ -95,10 +95,12 @@
 //!   the victim's own replies (a second send wave), so the wire
 //!   order is untouched.
 //!
-//! Per-shard backlog/depth gauges, steal and migration counts, and
-//! per-shard sojourn histograms land in
-//! [`ShardStats`](eleos_sim::stats::ShardStats) for
-//! `repro serving_bench` to report.
+//! Each shard's backlog and depth gauges, steal and migration counts
+//! and sojourn histogram live in that server's own pipeline state and
+//! are read through [`ServerIo::shard_stats`] — two servers on one
+//! machine never share a number, and
+//! [`reset_counters`](eleos_enclave::machine::SgxMachine::reset_counters)
+//! does not reach them (a bench subtracts its post-warm-up reading).
 //!
 //! # Fence-integrated key rotation
 //!
@@ -122,7 +124,7 @@ use eleos_enclave::host::{Fd, DESC_STRIDE};
 use eleos_enclave::thread::ThreadCtx;
 pub use eleos_rpc::IoPath;
 use eleos_rpc::{funcs, RpcService};
-use eleos_sim::stats::{Stats, MAX_REPLICAS, MAX_SHARDS};
+use eleos_sim::stats::{Hist, HistSnapshot, Stats};
 
 use crate::loadgen::ShardMap;
 use crate::wire::{Session, SessionState};
@@ -165,14 +167,9 @@ impl Default for BalanceConfig {
 pub struct ServerIoConfig {
     /// Size of each untrusted staging buffer (receive and transmit).
     pub buf_len: usize,
-    /// Messages reaped/sent per batch call; the receive buffer is
-    /// striped into this many slots, so `buf_len / batch` bounds the
-    /// message size. With [`Self::adaptive`] this is the *initial*
-    /// depth and the controller moves within
-    /// `[batch_min, batch_max]`.
-    pub batch: usize,
-    /// Lower bound for the adaptive sub-batch controller. Equal to
-    /// `batch_max` (and `batch`) when the depth is fixed.
+    /// Messages reaped per shard per batch call: the fixed depth, or
+    /// with [`Self::adaptive`] the controller's initial depth and
+    /// lower bound (it moves within `[batch_min, batch_max]`).
     pub batch_min: usize,
     /// Upper bound for the adaptive sub-batch controller; also sizes
     /// the descriptor staging and the batch stripe
@@ -199,11 +196,6 @@ pub struct ServerIoConfig {
     /// The shard balance layer ([`Self::balanced`]); `None` keeps the
     /// static pipeline bit-for-bit.
     pub balance: Option<BalanceConfig>,
-    /// Which replica's per-shard stat gauges this session writes
-    /// ([`Self::replica`]). A fleet gives each replica's pipeline its
-    /// own slot so their backlog/steal/sojourn gauges stay apart;
-    /// single-enclave servers keep the default slot 0.
-    pub replica: usize,
     /// Rotate the wire session's key epoch after this many decrypted
     /// requests ([`Self::rekey_every`]); `None` never rotates. The
     /// rotation fires at the head of a reap fence and is
@@ -225,14 +217,12 @@ impl std::fmt::Debug for ServerIoConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerIoConfig")
             .field("buf_len", &self.buf_len)
-            .field("batch", &self.batch)
             .field("batch_min", &self.batch_min)
             .field("batch_max", &self.batch_max)
             .field("batched_crypto", &self.batched_crypto)
             .field("async_send", &self.async_send)
             .field("shards", &self.shards)
             .field("balance", &self.balance)
-            .field("replica", &self.replica)
             .field("rekey_interval", &self.rekey_interval)
             .field("routed", &self.map.is_some())
             .finish()
@@ -243,14 +233,12 @@ impl Default for ServerIoConfig {
     fn default() -> Self {
         Self {
             buf_len: 64 << 10,
-            batch: 16,
             batch_min: 16,
             batch_max: 16,
             batched_crypto: true,
             async_send: false,
             shards: None,
             balance: None,
-            replica: 0,
             rekey_interval: None,
             map: None,
         }
@@ -279,7 +267,6 @@ impl ServerIoConfig {
             batch > 0,
             "batch(0): a reap needs at least one slot (the stripe size is buf_len / batch)"
         );
-        self.batch = batch;
         self.batch_min = batch;
         self.batch_max = batch;
         self
@@ -303,7 +290,6 @@ impl ServerIoConfig {
             min <= max,
             "adaptive({min}, {max}): batch_min must not exceed batch_max"
         );
-        self.batch = min;
         self.batch_min = min;
         self.batch_max = max;
         self
@@ -336,38 +322,11 @@ impl ServerIoConfig {
     /// pinning hash, so it fails fast instead.
     ///
     /// # Panics
-    /// Panics if `n` is zero, or if `n` exceeds [`MAX_SHARDS`] — the
-    /// per-shard stat gauges are fixed arrays, and a count past the
-    /// last slot would silently alias (or drop) gauge writes, so the
-    /// config fails fast at build time instead.
+    /// Panics if `n` is zero.
     #[must_use]
     pub fn shards(mut self, n: usize) -> Self {
         assert!(n > 0, "shards(0): a server needs at least one shard");
-        assert!(
-            n <= MAX_SHARDS,
-            "shards({n}): the per-shard stat gauges have {MAX_SHARDS} slots; \
-             raise MAX_SHARDS in eleos-sim to shard wider"
-        );
         self.shards = Some(n);
-        self
-    }
-
-    /// Selects which replica's slot of the fleet-indexed shard gauges
-    /// this session writes (a fleet runs one `ServerIo` per replica
-    /// over the same global [`Stats`]). Validated here, at config
-    /// build time, so a fleet that outgrows the gauge array fails
-    /// fast instead of aliasing a sibling replica's gauges.
-    ///
-    /// # Panics
-    /// Panics if `r` is not below [`MAX_REPLICAS`].
-    #[must_use]
-    pub fn replica(mut self, r: usize) -> Self {
-        assert!(
-            r < MAX_REPLICAS,
-            "replica({r}): the shard gauges have {MAX_REPLICAS} replica slots; \
-             raise MAX_REPLICAS in eleos-sim to run a larger fleet"
-        );
-        self.replica = r;
         self
     }
 
@@ -494,23 +453,15 @@ impl ServerIoConfig {
                 matches!(path, IoPath::Rpc(_)),
                 "sharded serving rides the RPC path"
             );
-            assert!(
-                fds.len() <= MAX_SHARDS,
-                "{} shards exceed the {MAX_SHARDS} per-shard stat slots",
-                fds.len()
-            );
             // Tag each socket with its shard class so the RPC workers'
             // mmsg fills land in that shard's LLC slice when the
-            // machine partitions the RPC fence (`partition_shards`).
+            // machine partitions the RPC fence (`partition_shards`; a
+            // class past the LLC's last slice shares the RPC slice).
             for (k, &fd) in fds.iter().enumerate() {
                 ctx.machine.set_shard_class(fd.0, k as u8);
             }
         }
-        let depth0 = if self.is_adaptive() {
-            self.batch_min
-        } else {
-            self.batch
-        } as u64;
+        let depth0 = self.batch_min as u64;
         let descs = self.batch_max * DESC_STRIDE;
         let shards = fds
             .iter()
@@ -522,6 +473,11 @@ impl ServerIoConfig {
                 desc_tx: ctx.machine.alloc_untrusted(descs),
                 depth: AtomicU64::new(depth0),
                 ewma: AtomicU64::new(depth0 * EWMA_SCALE),
+                backlog: AtomicU64::new(0),
+                steals_taken: AtomicU64::new(0),
+                steals_given: AtomicU64::new(0),
+                migrations: AtomicU64::new(0),
+                sojourn: Hist::default(),
             })
             .collect();
         ServerIo {
@@ -540,7 +496,7 @@ impl ServerIoConfig {
 }
 
 /// One serving pipeline: a socket plus its own untrusted staging
-/// buffers, descriptor arrays, and adaptive-depth state.
+/// buffers, descriptor arrays, adaptive-depth state and telemetry.
 struct Shard {
     /// The shard's socket.
     fd: Fd,
@@ -557,12 +513,44 @@ struct Shard {
     /// 16-byte entries; the timestamp word is ignored).
     desc_tx: u64,
     /// The controller's current sub-batch depth (messages per reap).
-    /// Constant at `cfg.batch` when the depth is fixed.
+    /// Constant at `cfg.batch_min` when the depth is fixed.
     depth: AtomicU64,
     /// Fixed-point ([`EWMA_SCALE`]) EWMA of messages per reap — the
     /// shard's observed arrival rate, which the controller shrinks
     /// toward when the queue drains.
     ewma: AtomicU64,
+    /// Kernel-ring backlog left behind this shard's socket by the last
+    /// reap that covered it (a gauge: what the steal pass ranks by).
+    backlog: AtomicU64,
+    /// Sub-batch runs this shard's pipe stole from a loaded sibling.
+    steals_taken: AtomicU64,
+    /// Sub-batch runs an idle sibling stole from this shard's socket.
+    steals_given: AtomicU64,
+    /// Connections the rebalancer migrated off this shard.
+    migrations: AtomicU64,
+    /// Sojourn of every op that waited on this shard's socket (a
+    /// stolen op is credited here, not to the pipe that drained it).
+    sojourn: Hist,
+}
+
+/// A point-in-time copy of one shard's telemetry
+/// ([`ServerIo::shard_stats`]). `backlog` and `depth` are gauges (last
+/// value); the rest count from the server's construction, so a
+/// measured phase subtracts the reading it took after warm-up.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ShardSnapshot {
+    /// Kernel-ring backlog the last reap left behind the socket.
+    pub backlog: u64,
+    /// Current sub-batch depth.
+    pub depth: u64,
+    /// Sub-batch runs this shard stole from a loaded sibling.
+    pub steals_taken: u64,
+    /// Sub-batch runs stolen from this shard by an idle sibling.
+    pub steals_given: u64,
+    /// Connections the rebalancer migrated off this shard.
+    pub migrations: u64,
+    /// Sojourn of the ops that waited on this shard's socket.
+    pub sojourn: HistSnapshot,
 }
 
 /// One server session: a socket set (one socket per shard — one for
@@ -607,11 +595,21 @@ impl ServerIo {
         self.shards.len()
     }
 
-    /// Shard `idx`'s current sub-batch depth (the fixed `cfg.batch`
-    /// unless the config is adaptive).
+    /// Every shard's telemetry, in shard order.
     #[must_use]
-    pub fn shard_depth(&self, idx: usize) -> usize {
-        self.shards[idx].depth.load(Ordering::Relaxed) as usize
+    pub fn shard_stats(&self) -> Vec<ShardSnapshot> {
+        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        self.shards
+            .iter()
+            .map(|sh| ShardSnapshot {
+                backlog: get(&sh.backlog),
+                depth: get(&sh.depth),
+                steals_taken: get(&sh.steals_taken),
+                steals_given: get(&sh.steals_given),
+                migrations: get(&sh.migrations),
+                sojourn: sh.sojourn.snapshot(),
+            })
+            .collect()
     }
 
     /// One AIMD step for a shard's sub-batch depth, fed by the reap
@@ -660,8 +658,8 @@ impl ServerIo {
     /// Receives and decrypts up to one sub-batch of requests per
     /// shard, each in its socket's arrival order and concatenated
     /// shard by shard, decrypting the whole reap in one batched crypto
-    /// pass. The sub-batch depth is `cfg.batch`, or the controller's
-    /// current depth under [`ServerIoConfig::adaptive`].
+    /// pass. The sub-batch depth is `cfg.batch_min`, or the
+    /// controller's current depth under [`ServerIoConfig::adaptive`].
     pub fn recv_batch(&self, ctx: &mut ThreadCtx) -> Vec<Vec<u8>> {
         let all: Vec<usize> = (0..self.shards.len()).collect();
         self.recv_batch_on(ctx, &all)
@@ -761,30 +759,21 @@ impl ServerIo {
             }
         };
         let mut reap: Vec<(usize, usize, usize)> = Vec::with_capacity(runs.len());
-        let mut backlog = vec![0usize; self.shards.len()];
         for (run, &n) in runs.iter().zip(&counts) {
             let k = run.socket;
             reap.push((k, k, n));
-            backlog[k] = ctx.machine.host.rx_pending(self.shards[k].fd);
-            self.adapt(&self.shards[k], n, backlog[k]);
+            let backlog = self.note_backlog(ctx, k);
+            self.adapt(&self.shards[k], n, backlog);
         }
         if let (IoPath::Rpc(svc), Some(BalanceConfig { steal: true, .. })) =
             (&self.path, self.cfg.balance)
         {
-            self.steal_pass(ctx, svc, stripe, &mut backlog, &mut reap, &mut raw);
-        }
-        for &k in active {
-            let shard = &ctx.machine.stats.shard.replica[self.cfg.replica];
-            Stats::set(&shard.backlog[k], backlog[k] as u64);
-            Stats::set(
-                &shard.depth[k],
-                self.shards[k].depth.load(Ordering::Relaxed),
-            );
+            self.steal_pass(ctx, svc, stripe, &mut reap, &mut raw);
         }
         if let (Some(b), Some(map)) = (self.cfg.balance, self.map.as_ref()) {
             let reaps = self.reap_count.fetch_add(1, Ordering::Relaxed) + 1;
             if b.repin && reaps.is_multiple_of(b.period as u64) {
-                self.rebalance(ctx, map, b.max_moves, active);
+                self.rebalance(map, b.max_moves, active);
             }
         }
         let refs: Vec<&[u8]> = raw.iter().map(Vec::as_slice).collect();
@@ -807,6 +796,15 @@ impl ServerIo {
         *self.last_reap.lock().expect("last reap") = reap;
         self.served.fetch_add(out.len() as u64, Ordering::Relaxed);
         out
+    }
+
+    /// Reads the kernel-ring backlog behind shard `k`'s socket into the
+    /// shard's gauge and returns it.
+    fn note_backlog(&self, ctx: &ThreadCtx, k: usize) -> usize {
+        let shard = &self.shards[k];
+        let backlog = ctx.machine.host.rx_pending(shard.fd);
+        shard.backlog.store(backlog as u64, Ordering::Relaxed);
+        backlog
     }
 
     /// Submits one `recv_mmsg` job per run as a single ring batch,
@@ -884,7 +882,7 @@ impl ServerIo {
             }
             let wait = now.saturating_sub(enq);
             ctx.machine.stats.sojourn.record(wait);
-            ctx.machine.stats.shard.replica[self.cfg.replica].sojourn[run.socket].record(wait);
+            self.shards[run.socket].sojourn.record(wait);
             let mut msg = vec![0u8; len as usize];
             ctx.read_untrusted(pipe.rx_buf + (i * stripe) as u64, &mut msg);
             raw.push(msg);
@@ -909,10 +907,10 @@ impl ServerIo {
         ctx: &mut ThreadCtx,
         svc: &RpcService,
         stripe: usize,
-        backlog: &mut [usize],
         reap: &mut Vec<(usize, usize, usize)>,
         raw: &mut Vec<Vec<u8>>,
     ) {
+        let backlog = |v: usize| self.shards[v].backlog.load(Ordering::Relaxed);
         let mut claimed = vec![false; self.shards.len()];
         let mut steals: Vec<Run> = Vec::new();
         for &(t, _, got) in reap.iter() {
@@ -933,9 +931,9 @@ impl ServerIo {
                 .filter(|&v| {
                     v != t
                         && !claimed[v]
-                        && backlog[v] > self.shards[v].depth.load(Ordering::Relaxed) as usize
+                        && backlog(v) > self.shards[v].depth.load(Ordering::Relaxed)
                 })
-                .max_by_key(|&v| backlog[v]);
+                .max_by_key(|&v| backlog(v));
             let Some(v) = victim else { continue };
             claimed[v] = true;
             // Steal half the victim's residual backlog (the classic
@@ -947,7 +945,7 @@ impl ServerIo {
             steals.push(Run {
                 socket: v,
                 pipe: t,
-                want: (backlog[v] / 2).clamp(1, self.cfg.batch_max) as u64,
+                want: (backlog(v) / 2).clamp(1, self.cfg.batch_max as u64),
             });
         }
         if steals.is_empty() {
@@ -960,10 +958,9 @@ impl ServerIo {
             }
             let (v, t) = (run.socket, run.pipe);
             reap.push((v, t, m));
-            let shard = &ctx.machine.stats.shard.replica[self.cfg.replica];
-            Stats::add(&shard.steals_taken[t], 1);
-            Stats::add(&shard.steals_given[v], 1);
-            backlog[v] = ctx.machine.host.rx_pending(self.shards[v].fd);
+            Stats::bump(&self.shards[t].steals_taken);
+            Stats::bump(&self.shards[v].steals_given);
+            self.note_backlog(ctx, v);
         }
     }
 
@@ -987,7 +984,7 @@ impl ServerIo {
     /// Only future arrivals move — queued messages stay on the socket
     /// the kernel already holds them in, so per-connection order is a
     /// per-socket FIFO property on both sides of the fence.
-    fn rebalance(&self, ctx: &ThreadCtx, map: &Arc<ShardMap>, max_moves: usize, active: &[usize]) {
+    fn rebalance(&self, map: &Arc<ShardMap>, max_moves: usize, active: &[usize]) {
         /// Weight gap below which a rebalance is noise, not signal
         /// (decay shrinks stale weights toward zero between chunks).
         const FLOOR: u64 = 8;
@@ -1017,12 +1014,7 @@ impl ServerIo {
                     break;
                 }
             }
-            if moved > 0 {
-                Stats::add(
-                    &ctx.machine.stats.shard.replica[self.cfg.replica].migrations[hot],
-                    moved,
-                );
-            }
+            Stats::add(&self.shards[hot].migrations, moved);
         }
         // Halve the arrival weights each decision so the ranking
         // tracks recent traffic, not all-time totals.
@@ -1557,6 +1549,39 @@ mod tests {
     }
 
     #[test]
+    fn nine_shards_serve_a_round_each() {
+        // One past `llc::MAX_SHARD_CLASSES`: nothing sizes an array by
+        // the shard count, and the ninth socket's kernel traffic falls
+        // back to the shared RPC cache slice.
+        let m = SgxMachine::new(MachineConfig::tiny());
+        let e = m.driver.create_enclave(&m, 1 << 20);
+        let wire = Arc::new(Session::established([10u8; 16]));
+        let ut = ThreadCtx::untrusted(&m, 2);
+        let fds = m.host.socket_set(&ut, 9, 64 << 10);
+        let svc = eleos_rpc::with_syscalls(eleos_rpc::RpcService::builder(&m), &m)
+            .workers(2, &[2, 3])
+            .build();
+        let io = ServerIoConfig::with_buf_len(8192).batch(4).shards(9).build(
+            &ut,
+            &fds,
+            IoPath::Rpc(Arc::new(svc)),
+            Arc::clone(&wire),
+        );
+        let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+        t.enter();
+        for (k, &fd) in fds.iter().enumerate() {
+            m.host.push_request(&ut, fd, &wire.encrypt(&[k as u8; 24]));
+        }
+        assert_eq!(io.serve(&mut t, |_, plain| plain.to_vec()), 9);
+        t.exit();
+        for (k, &fd) in fds.iter().enumerate() {
+            let reply = m.host.pop_response(fd).expect("every shard answers");
+            assert_eq!(wire.decrypt(&reply), [k as u8; 24]);
+            assert_eq!(io.shard_stats()[k].sojourn.count(), 1);
+        }
+    }
+
+    #[test]
     fn adaptive_depth_grows_on_backlog_and_halves_when_idle() {
         let m = SgxMachine::new(MachineConfig::tiny());
         let e = m.driver.create_enclave(&m, 1 << 20);
@@ -1569,7 +1594,8 @@ mod tests {
         let io = ServerIoConfig::with_buf_len(32 << 10)
             .adaptive(1, 16)
             .build(&ut, &[fd], IoPath::Rpc(Arc::new(svc)), Arc::clone(&wire));
-        assert_eq!(io.shard_depth(0), 1, "adaptive depth starts at the floor");
+        let depth = || io.shard_stats()[0].depth;
+        assert_eq!(depth(), 1, "adaptive depth starts at the floor");
         let mut t = ThreadCtx::for_enclave(&m, &e, 0);
         t.enter();
         // A standing burst: every reap leaves a backlog, so the depth
@@ -1584,15 +1610,15 @@ mod tests {
             seen += got;
         }
         assert!(
-            io.shard_depth(0) >= 8,
+            depth() >= 8,
             "backlog must grow the depth (got {})",
-            io.shard_depth(0)
+            depth()
         );
         // Idle polls: empty reaps halve the depth back to the floor.
         for _ in 0..8 {
             assert!(io.recv_batch(&mut t).is_empty());
         }
-        assert_eq!(io.shard_depth(0), 1, "empty reaps must shrink to the floor");
+        assert_eq!(depth(), 1, "empty reaps must shrink to the floor");
         t.exit();
     }
 
@@ -1671,28 +1697,37 @@ mod tests {
         // idle. The balanced reap must return shard 0's oldest run
         // plus a stolen second run — four messages in arrival order —
         // and every reply must still leave shard 0's socket, in order.
+        // A second server on the same machine reaps one message of its
+        // own: neither server's shard numbers may show the other's.
         let m = SgxMachine::new(MachineConfig::tiny());
         let e = m.driver.create_enclave(&m, 1 << 20);
         let wire = Arc::new(Session::established([17u8; 16]));
         let ut = ThreadCtx::untrusted(&m, 2);
         let fds = m.host.socket_set(&ut, 2, 64 << 10);
+        let other_fds = m.host.socket_set(&ut, 2, 64 << 10);
         let svc = eleos_rpc::with_syscalls(eleos_rpc::RpcService::builder(&m), &m)
             .workers(2, &[2, 3])
             .build();
-        let io = ServerIoConfig::with_buf_len(8192)
+        let path = IoPath::Rpc(Arc::new(svc));
+        let cfg = ServerIoConfig::with_buf_len(8192)
             .batch(2)
             .balanced(BalanceConfig {
                 repin: false,
                 steal: true,
                 ..BalanceConfig::default()
-            })
-            .build(&ut, &fds, IoPath::Rpc(Arc::new(svc)), Arc::clone(&wire));
+            });
+        let io = cfg
+            .clone()
+            .build(&ut, &fds, path.clone(), Arc::clone(&wire));
+        let other = cfg.build(&ut, &other_fds, path, Arc::clone(&wire));
         let mut t = ThreadCtx::for_enclave(&m, &e, 0);
         t.enter();
         for i in 0..6u8 {
             m.host.push_request(&ut, fds[0], &wire.encrypt(&[i; 24]));
         }
-        let s0 = m.stats.snapshot();
+        m.host
+            .push_request(&ut, other_fds[1], &wire.encrypt(&[9; 24]));
+        assert_eq!(other.recv_batch(&mut t), [vec![9u8; 24]]);
         let msgs = io.recv_batch(&mut t);
         assert_eq!(
             msgs,
@@ -1700,15 +1735,19 @@ mod tests {
             "own run then the stolen run, both in arrival order"
         );
         io.send_batch(&mut t, &msgs);
-        let d = m.stats.snapshot() - s0;
-        assert_eq!(d.shard.replica[0].steals_taken, [0, 1, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(d.shard.replica[0].steals_given, [1, 0, 0, 0, 0, 0, 0, 0]);
+        let (victim, thief) = (io.shard_stats()[0], io.shard_stats()[1]);
+        assert_eq!((victim.steals_given, victim.steals_taken), (1, 0));
+        assert_eq!((thief.steals_given, thief.steals_taken), (0, 1));
         assert_eq!(
-            d.shard.replica[0].sojourn[0].count(),
+            victim.sojourn.count(),
             4,
             "stolen sojourns credit the socket they waited on"
         );
-        assert_eq!(d.shard.replica[0].sojourn[1].count(), 0);
+        assert_eq!(thief.sojourn.count(), 0, "not the pipe that drained them");
+        assert_eq!(victim.backlog, 2, "the residue behind the victim's socket");
+        let counts = |s: &ShardSnapshot| (s.steals_taken, s.steals_given, s.sojourn.count());
+        let theirs: Vec<_> = other.shard_stats().iter().map(counts).collect();
+        assert_eq!(theirs, [(0, 0, 0), (0, 0, 1)], "servers share no gauge");
         // The remaining two messages drain without a steal (the
         // backlog fits shard 0's own reap exactly... at depth 2).
         let rest = io.recv_batch(&mut t);
@@ -1775,7 +1814,6 @@ mod tests {
         }
         let mut t = ThreadCtx::for_enclave(&m, &e, 0);
         t.enter();
-        let s0 = m.stats.snapshot();
         // A depth-2 reap leaves a 10-deep backlog on the home shard
         // and nothing on its sibling; all 12 arrival weights sit on
         // the home shard. The period-1 rebalancer must move the hot
@@ -1784,16 +1822,12 @@ mod tests {
         // move flips the gap negative.
         let msgs = io.recv_batch(&mut t);
         io.send_batch(&mut t, &msgs);
-        let d = m.stats.snapshot() - s0;
         assert_ne!(map.shard_of(conn), home, "the hot connection moved");
         assert_eq!(map.shard_of(other), home, "the light one stayed");
-        let mut want = [0u64; 8];
-        want[home] = 1;
-        assert_eq!(d.shard.replica[0].migrations, want);
-        assert_eq!(
-            d.shard.replica[0].backlog[home], 10,
-            "backlog gauge reads the residue"
-        );
+        let stats = io.shard_stats();
+        assert_eq!(stats[home].migrations, 1);
+        assert_eq!(stats[1 - home].migrations, 0);
+        assert_eq!(stats[home].backlog, 10, "backlog gauge reads the residue");
         // Future arrivals land on the new shard; queued ones drain
         // from the old socket untouched.
         let moved = map.route(conn);

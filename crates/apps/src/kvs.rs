@@ -17,8 +17,8 @@
 //! [`Kvs::fence`] — which the batch handlers invoke at sub-batch
 //! boundaries — runs it inline on the serving core and charges it to
 //! `maint_stall_cycles`; after [`Kvs::set_background`] the fence only
-//! publishes gauges and a maintenance plane calls the tick from a core
-//! of its own.
+//! counts itself and a maintenance plane calls the tick from a core of
+//! its own.
 //!
 //! The *version* is a caller-managed write stamp (the fleet tier sets
 //! it to its fence-epoch interval): every `set` stamps the item, and
@@ -181,14 +181,14 @@ impl Kvs {
         self.engine.delete(ctx, key)
     }
 
-    /// Sub-batch fence: publishes the engine's gauges and — unless a
+    /// Sub-batch fence: counts the fence for the engine and — unless a
     /// maintenance plane has taken the job over
     /// ([`Self::set_background`]) — runs the engine byte-work inline,
     /// timing it into `maint_stall_cycles`. The batch handlers call it
     /// after every non-empty batch; serving loops that bypass them
     /// must call it between batches themselves.
     pub fn fence(&mut self, ctx: &mut ThreadCtx) {
-        self.engine.fence(ctx);
+        self.engine.fence();
         if !self.background {
             let t0 = ctx.now();
             self.engine.maintenance_tick(ctx);

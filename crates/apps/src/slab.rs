@@ -107,6 +107,14 @@ impl SlabPool {
         Some((idx, addr))
     }
 
+    /// Whether class `idx` can ever satisfy an allocation: it owns a
+    /// slab (whose chunks eviction can free) or the pool can still
+    /// carve one.
+    pub(crate) fn can_serve(&self, idx: usize) -> bool {
+        self.slab_bytes + SLAB_BYTES as u64 <= self.limit
+            || self.slabs.iter().any(|s| s.class == idx)
+    }
+
     /// Returns a chunk to its class.
     pub fn free(&mut self, class: usize, addr: u64) {
         self.classes[class].free.push(addr);

@@ -23,8 +23,8 @@
 //! [`DataSpace`]. An engine's maintenance is two calls.
 //! [`StorageEngine::fence`], which the serving path makes between
 //! batches — never mid-batch, reusing the fence discipline of shard
-//! rebalance and fleet failover — only counts the fence and publishes
-//! gauges. [`StorageEngine::maintenance_tick`] does the byte-work:
+//! rebalance and fleet failover — only counts the fence.
+//! [`StorageEngine::maintenance_tick`] does the byte-work:
 //! rebalance moves and window decay, segment expiry and the merges
 //! that keep a reserve of free segments. An engine does not know which
 //! core calls its tick: [`Kvs::fence`](crate::kvs::Kvs::fence) calls
@@ -34,7 +34,7 @@
 //! disappears from the serving cores.
 
 use eleos_enclave::thread::ThreadCtx;
-use eleos_sim::stats::{Stats, MAX_STORAGE_CLASSES};
+use eleos_sim::stats::Stats;
 
 use crate::index::{Found, HashIndex, NIL};
 use crate::slab::{SlabPool, SLAB_BYTES};
@@ -292,10 +292,10 @@ pub trait StorageEngine: Send {
     /// Bytes of secure pool acquired from the data space.
     fn pool_bytes(&self) -> u64;
 
-    /// Sub-batch fence hook: counts the fence and publishes gauges.
-    /// Never called mid-batch, and never moves a byte — that is
-    /// [`Self::maintenance_tick`].
-    fn fence(&mut self, ctx: &mut ThreadCtx);
+    /// Sub-batch fence hook: counts the fence towards the next due
+    /// [`Self::maintenance_tick`]. Never called mid-batch, and never
+    /// moves a byte — that is the tick.
+    fn fence(&mut self);
 
     /// Visits every live, unexpired item stamped `>= base` (index
     /// order) with `(key, value, version, expiry)`; `base = 0` visits
@@ -371,8 +371,6 @@ pub struct SlabEngine {
     /// Decaying per-class demand windows (only maintained when the
     /// rebalancer is on).
     window: Vec<ClassWindow>,
-    /// Cumulative per-class totals, published as gauges at fences.
-    totals: Vec<ClassWindow>,
     /// Fences since the last maintenance pass.
     fences: u32,
 }
@@ -418,7 +416,6 @@ impl SlabEngine {
             expired: 0,
             rebalance,
             window: vec![ClassWindow::default(); n],
-            totals: vec![ClassWindow::default(); n],
             fences: 0,
         }
     }
@@ -492,7 +489,6 @@ impl SlabEngine {
         self.evictions += 1;
         if self.rebalance.is_some() {
             self.window[class].evictions += 1;
-            self.totals[class].evictions += 1;
         }
         true
     }
@@ -506,10 +502,8 @@ impl SlabEngine {
         if let Some(c) = self.slab.class_of(record_len) {
             if hit {
                 self.window[c].hits += 1;
-                self.totals[c].hits += 1;
             } else {
                 self.window[c].sets += 1;
-                self.totals[c].sets += 1;
             }
         }
     }
@@ -619,16 +613,6 @@ impl SlabEngine {
             w.evictions /= 2;
         }
     }
-
-    /// Publishes the cumulative per-class totals as gauges.
-    fn publish_gauges(&self, ctx: &ThreadCtx) {
-        let st = &ctx.machine.stats.storage;
-        for (c, t) in self.totals.iter().enumerate().take(MAX_STORAGE_CLASSES) {
-            Stats::set(&st.hits[c], t.hits);
-            Stats::set(&st.evictions[c], t.evictions);
-            Stats::set(&st.sets[c], t.sets);
-        }
-    }
 }
 
 impl StorageEngine for SlabEngine {
@@ -654,13 +638,14 @@ impl StorageEngine for SlabEngine {
     ) -> bool {
         let record_len = RECORD_HEADER + key.len() + value.len();
         // No class holds it, so no amount of eviction would make room.
-        if self.slab.class_of(record_len).is_none() {
+        let Some(class) = self.slab.class_of(record_len) else {
             return false;
-        }
+        };
         self.note(record_len, false);
         let word = self.index.word(key);
         let record = encode_record(key, value);
-        if let Some(found) = self.find(ctx, word, key, false) {
+        let found = self.find(ctx, word, key, false);
+        if let Some(found) = &found {
             if self.slab.chunk_size(found.hit.class) >= record_len {
                 // Overwrite in place.
                 self.slab.space().write(ctx, found.hit.kv, &record);
@@ -672,10 +657,22 @@ impl StorageEngine for SlabEngine {
                 self.lru_push_front(ctx, found.node);
                 return true;
             }
-            // Wrong class: drop and reinsert.
-            self.drop_found(ctx, word, &found);
         }
-        // Allocate, evicting LRU victims if the pool is full.
+        // The record needs a chunk of its own class. A class that owns
+        // no slab and cannot carve one gains nothing from eviction —
+        // victims free chunks of *their* classes, never a page — so
+        // refuse like the oversize SET, before anything is dropped.
+        if !self.slab.can_serve(class) {
+            return false;
+        }
+        if let Some(found) = &found {
+            // Wrong class: drop and reinsert.
+            self.drop_found(ctx, word, found);
+        }
+        // Allocate, evicting LRU victims while the pool is full. Not
+        // input-reachable: the class owns a slab here, and each of its
+        // chunks is free or a live item on the LRU, so one comes free
+        // before the LRU empties.
         let (class, kv) = loop {
             match self.slab.alloc(record_len) {
                 Some(x) => break x,
@@ -742,12 +739,10 @@ impl StorageEngine for SlabEngine {
         self.slab.slab_bytes
     }
 
-    fn fence(&mut self, ctx: &mut ThreadCtx) {
-        // Rebalancer off: the fence is free (bit- and cycle-identical
-        // to the seed's store).
+    fn fence(&mut self) {
+        // Rebalancer off: no tick will ever be due.
         if self.rebalance.is_some() {
             self.fences += 1;
-            self.publish_gauges(ctx);
         }
     }
 
@@ -1463,14 +1458,9 @@ impl StorageEngine for SegmentEngine {
         (self.segments.len() * self.cfg.segment_bytes) as u64
     }
 
-    fn fence(&mut self, ctx: &mut ThreadCtx) {
-        // Publish per-TTL-bucket live-segment counts as class gauges.
-        let st = &ctx.machine.stats.storage;
-        for (tb, b) in self.ttl.iter().enumerate().take(MAX_STORAGE_CLASSES) {
-            let segs = b.chain.len() as u64 + u64::from(b.active.is_some());
-            Stats::set(&st.sets[tb], segs);
-        }
-    }
+    // Segment maintenance is due at every tick, so there is no fence
+    // to count.
+    fn fence(&mut self) {}
 
     fn maintenance_tick(&mut self, ctx: &mut ThreadCtx) -> bool {
         // Proactive whole-segment expiry: the host-side deadline check
@@ -1566,10 +1556,10 @@ mod tests {
         (eng, t)
     }
 
-    /// What `Kvs::fence` does with no maintenance plane: publish, then
+    /// What `Kvs::fence` does with no maintenance plane: count, then
     /// the byte-work inline on the same thread.
     fn fence_and_tick(eng: &mut dyn StorageEngine, t: &mut ThreadCtx) {
-        eng.fence(t);
+        eng.fence();
         eng.maintenance_tick(t);
     }
 
@@ -1801,10 +1791,10 @@ mod tests {
             ..RebalanceConfig::default()
         };
         let (mut eng, mut t) = slab_engine(4 << 20, Some(cfg));
-        shifting_load(&mut eng, &mut t, |eng, t| eng.fence(t));
+        shifting_load(&mut eng, &mut t, |eng, _| eng.fence());
         assert!(eng.maintenance_tick(&mut t), "32 fences passed: due");
         for _ in 0..4 {
-            eng.fence(&mut t);
+            eng.fence();
             assert!(!eng.maintenance_tick(&mut t), "under a period since");
         }
         t.exit();
@@ -1822,11 +1812,7 @@ mod tests {
         let (mut eng, mut t) = slab_engine(4 << 20, Some(RebalanceConfig::default()));
         let m = Arc::clone(&t.machine);
         m.reset_counters();
-        shifting_load(&mut eng, &mut t, |eng, t| {
-            let before = t.now();
-            eng.fence(t);
-            assert_eq!(t.now(), before, "a fence charges nothing");
-        });
+        shifting_load(&mut eng, &mut t, |eng, _| eng.fence());
         assert_eq!(m.stats.snapshot().slab_moves, 0, "a fence moves no slab");
         assert!(
             eng.maintenance_tick(&mut t),
@@ -1848,7 +1834,7 @@ mod tests {
         let (mut eng, mut t) = segment_engine(8 << 20);
         let m = Arc::clone(&t.machine);
         m.reset_counters();
-        ttl_load(&mut eng, &mut t, |eng, t| eng.fence(t));
+        ttl_load(&mut eng, &mut t, |eng, _| eng.fence());
         let d = m.stats.snapshot();
         assert_eq!(
             (d.seg_expired_segments, d.expired_items, d.seg_merges),
@@ -1901,7 +1887,7 @@ mod tests {
         let (mut eng, mut t) = slab_engine(4 << 20, None);
         eng.set(&mut t, b"k", b"v", 0, 1);
         let before = t.now();
-        eng.fence(&mut t);
+        fence_and_tick(&mut eng, &mut t);
         assert_eq!(t.now(), before, "disabled rebalancer must charge nothing");
         t.exit();
     }

@@ -38,9 +38,10 @@
 //! The skewed and churn shapes additionally run **balanced** cells at
 //! 2 and 4 shards: the balance layer with the default
 //! [`BalanceConfig`] (hot-connection re-pinning through a
-//! [`ShardMap`] plus sub-batch work stealing). Every cell carries the
-//! per-shard gauges (backlog, AIMD depth, steals, migrations,
-//! per-shard sojourn p99) so the imbalance — and the balance layer
+//! [`ShardMap`] plus sub-batch work stealing). Every single-enclave
+//! cell carries its server's per-shard numbers
+//! ([`ServerIo::shard_stats`]: backlog, AIMD depth, steals,
+//! migrations, sojourn p99) so the imbalance — and the balance layer
 //! eating it — is visible in the JSON.
 //!
 //! # Fleet cells
@@ -76,7 +77,10 @@
 //! its shards), `failover_cycles` / `recovery_cycles` (what the
 //! transfers cost the serving cores, or the maintenance core for the
 //! background cell),
-//! `maint_chunks` / `hb_misses`, and per-replica served-op counts.
+//! `maint_chunks` / `hb_misses`, and per-replica served-op counts
+//! (the tally of what [`FleetKvs::pump_replica`] returned). Fleet
+//! cells leave the per-shard arrays empty: each replica's server keeps
+//! its own.
 //!
 //! # Session cells
 //!
@@ -94,7 +98,7 @@
 use std::sync::Arc;
 
 use eleos_apps::fleet_io::{FleetConfig, FleetKvs, MaintenanceConfig};
-use eleos_apps::io::{BalanceConfig, ServerIo, ServerIoConfig};
+use eleos_apps::io::{BalanceConfig, ServerIo, ServerIoConfig, ShardSnapshot};
 use eleos_apps::kvs::Kvs;
 use eleos_apps::loadgen::{shard_for, ChaosAction, ChaosPlan, ConnStream, KvsLoad, ShardMap};
 use eleos_crypto::gcm::AesGcm128;
@@ -187,13 +191,23 @@ struct Cell {
     sojourn_p99: u64,
     sojourn_count: u64,
     rpc_batches: u64,
-    /// Per-shard gauges, `shards` entries each.
-    shard_backlog: Vec<u64>,
-    shard_depth: Vec<u64>,
-    steals_taken: Vec<u64>,
-    steals_given: Vec<u64>,
-    migrations: Vec<u64>,
-    shard_sojourn_p99: Vec<u64>,
+    /// The cell's own server's shards over the measured phase
+    /// ([`shards_since`]); empty for a fleet cell.
+    per_shard: Vec<ShardSnapshot>,
+}
+
+/// `io`'s per-shard numbers for the phase that began at the reading
+/// `base`: gauges as they stand, counters and sojourn less `base`
+/// (`reset_counters` does not reach a server's own numbers).
+fn shards_since(base: &[ShardSnapshot], io: &ServerIo) -> Vec<ShardSnapshot> {
+    let phase = |(now, base): (&ShardSnapshot, &ShardSnapshot)| ShardSnapshot {
+        steals_taken: now.steals_taken - base.steals_taken,
+        steals_given: now.steals_given - base.steals_given,
+        migrations: now.migrations - base.migrations,
+        sojourn: now.sojourn - base.sojourn,
+        ..*now
+    };
+    io.shard_stats().iter().zip(base).map(phase).collect()
 }
 
 /// The sub-batch sizing policies under test.
@@ -362,13 +376,13 @@ fn cell(
     // measured phase.
     run_shape(&mut ctx, CHUNK);
     rig.machine.reset_counters();
+    let shards0 = io.shard_stats();
     let c0 = ctx.now();
     let idle = run_shape(&mut ctx, ops);
     let busy = (ctx.now() - c0).saturating_sub(idle);
     io.flush(&mut ctx);
     let d = rig.machine.stats.snapshot();
     ctx.exit();
-    let sh = &d.shard.replica[0];
     Cell {
         shards,
         policy: policy.to_owned(),
@@ -393,12 +407,7 @@ fn cell(
         sojourn_p99: d.sojourn.p99(),
         sojourn_count: d.sojourn.count(),
         rpc_batches: d.rpc_batches,
-        shard_backlog: sh.backlog[..shards].to_vec(),
-        shard_depth: sh.depth[..shards].to_vec(),
-        steals_taken: sh.steals_taken[..shards].to_vec(),
-        steals_given: sh.steals_given[..shards].to_vec(),
-        migrations: sh.migrations[..shards].to_vec(),
-        shard_sojourn_p99: sh.sojourn[..shards].iter().map(|h| h.p99()).collect(),
+        per_shard: shards_since(&shards0, &io),
     }
 }
 
@@ -501,6 +510,7 @@ fn fleet_cell(
     rig.machine.reset_counters();
     let t0 = fk.sync_clocks();
     let (mut failover_cycles, mut recovery_cycles) = (0u64, 0u64);
+    let mut replica_ops = vec![0u64; replicas];
     let mut replies = 0u64;
     // Replicas the chaos schedule has muted: the bench stops pumping
     // them, their heartbeat stalls, and the background failure
@@ -540,10 +550,12 @@ fn fleet_cell(
                     }
                 }
             }
-            let got: usize = (0..replicas)
-                .filter(|r| !muted.contains(r))
-                .map(|r| fk.pump_replica(r))
-                .sum();
+            let mut got = 0usize;
+            for r in (0..replicas).filter(|r| !muted.contains(r)) {
+                let n = fk.pump_replica(r);
+                replica_ops[r] += n as u64;
+                got += n;
+            }
             done += got;
             reap_replies(&mut replies);
             if got == 0 {
@@ -574,7 +586,6 @@ fn fleet_cell(
     // per-replica cores the fleet's wall-clock is the bottleneck core.
     let busy = fk.sync_clocks() - t0;
     let d = rig.machine.stats.snapshot();
-    let sh = &d.shard.replica[0];
     Cell {
         shards: FLEET_SHARDS,
         policy: policy.to_owned(),
@@ -585,13 +596,7 @@ fn fleet_cell(
         lost_replies: ops as u64 - replies,
         failover_cycles,
         recovery_cycles,
-        replica_ops: (0..replicas)
-            .map(|r| {
-                (0..FLEET_SHARDS)
-                    .map(|s| d.shard.replica[r].sojourn[s].count())
-                    .sum()
-            })
-            .collect(),
+        replica_ops,
         maint_chunks: d.maint_chunks,
         hb_misses: d.hb_misses,
         maint_stall: d.maint_stall_cycles,
@@ -605,12 +610,7 @@ fn fleet_cell(
         sojourn_p99: d.sojourn.p99(),
         sojourn_count: d.sojourn.count(),
         rpc_batches: d.rpc_batches,
-        shard_backlog: sh.backlog[..FLEET_SHARDS].to_vec(),
-        shard_depth: sh.depth[..FLEET_SHARDS].to_vec(),
-        steals_taken: sh.steals_taken[..FLEET_SHARDS].to_vec(),
-        steals_given: sh.steals_given[..FLEET_SHARDS].to_vec(),
-        migrations: sh.migrations[..FLEET_SHARDS].to_vec(),
-        shard_sojourn_p99: sh.sojourn[..FLEET_SHARDS].iter().map(|h| h.p99()).collect(),
+        per_shard: Vec::new(),
     }
 }
 
@@ -675,6 +675,7 @@ fn rekey_cell(scale: Scale, chaos: &'static str, interval: Option<u64>, quick: b
     let mut warmup = 0u64;
     run_chunk(&mut ctx, CHUNK, &mut warmup);
     rig.machine.reset_counters();
+    let shards0 = io.shard_stats();
     let c0 = ctx.now();
     let mut replies = 0u64;
     let mut pushed = 0usize;
@@ -686,7 +687,6 @@ fn rekey_cell(scale: Scale, chaos: &'static str, interval: Option<u64>, quick: b
     let busy = ctx.now() - c0;
     let d = rig.machine.stats.snapshot();
     ctx.exit();
-    let sh = &d.shard.replica[0];
     Cell {
         shards: 1,
         policy: "adaptive".to_owned(),
@@ -711,12 +711,7 @@ fn rekey_cell(scale: Scale, chaos: &'static str, interval: Option<u64>, quick: b
         sojourn_p99: d.sojourn.p99(),
         sojourn_count: d.sojourn.count(),
         rpc_batches: d.rpc_batches,
-        shard_backlog: sh.backlog[..1].to_vec(),
-        shard_depth: sh.depth[..1].to_vec(),
-        steals_taken: sh.steals_taken[..1].to_vec(),
-        steals_given: sh.steals_given[..1].to_vec(),
-        shard_sojourn_p99: sh.sojourn[..1].iter().map(|h| h.p99()).collect(),
-        migrations: sh.migrations[..1].to_vec(),
+        per_shard: shards_since(&shards0, &io),
     }
 }
 
@@ -781,6 +776,7 @@ fn revoke_cell(scale: Scale, quick: bool) -> Cell {
     while machine.host.pop_response(fds[0]).is_some() {}
     while machine.host.pop_response(fds[1]).is_some() {}
     rig.machine.reset_counters();
+    let shards0 = io_a.shard_stats();
     let c0 = ctx.now();
     let mut pushed = 0usize;
     let mut revoked = false;
@@ -862,7 +858,6 @@ fn revoke_cell(scale: Scale, quick: bool) -> Cell {
     let d = rig.machine.stats.snapshot();
     ctx.exit();
     assert!(revoked, "the schedule must fire the revocation");
-    let sh = &d.shard.replica[0];
     Cell {
         shards: 1,
         policy: "adaptive".to_owned(),
@@ -887,12 +882,8 @@ fn revoke_cell(scale: Scale, quick: bool) -> Cell {
         sojourn_p99: d.sojourn.p99(),
         sojourn_count: d.sojourn.count(),
         rpc_batches: d.rpc_batches,
-        shard_backlog: sh.backlog[..1].to_vec(),
-        shard_depth: sh.depth[..1].to_vec(),
-        steals_taken: sh.steals_taken[..1].to_vec(),
-        steals_given: sh.steals_given[..1].to_vec(),
-        migrations: sh.migrations[..1].to_vec(),
-        shard_sojourn_p99: sh.sojourn[..1].iter().map(|h| h.p99()).collect(),
+        // The surviving session's server.
+        per_shard: shards_since(&shards0, &io_a),
     }
 }
 
@@ -902,13 +893,13 @@ fn cfg_group(io: &ServerIo) -> usize {
     if io.cfg.is_adaptive() {
         1
     } else {
-        io.cfg.batch
+        io.cfg.batch_min
     }
 }
 
 /// Renders a `[a, b, c]` JSON array of numbers.
-fn json_array(v: &[u64]) -> String {
-    let items: Vec<String> = v.iter().map(u64::to_string).collect();
+fn json_array(v: impl Iterator<Item = u64>) -> String {
+    let items: Vec<String> = v.map(|n| n.to_string()).collect();
     format!("[{}]", items.join(", "))
 }
 
@@ -1071,6 +1062,7 @@ pub fn run(scale: Scale, quick: bool) {
     json.push_str(&format!("  \"workers\": {WORKERS},\n"));
     json.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
+        let col = |f: fn(&ShardSnapshot) -> u64| json_array(c.per_shard.iter().map(f));
         json.push_str(&format!(
             "    {{ \"load\": \"{}\", \"policy\": \"{}\", \"shards\": {}, \
              \"balance\": \"{}\", \"replicas\": {}, \"chaos\": \"{}\", \"ops\": {}, \
@@ -1095,7 +1087,7 @@ pub fn run(scale: Scale, quick: bool) {
             c.lost_replies,
             c.failover_cycles,
             c.recovery_cycles,
-            json_array(&c.replica_ops),
+            json_array(c.replica_ops.iter().copied()),
             c.maint_chunks,
             c.hb_misses,
             c.maint_stall,
@@ -1106,12 +1098,12 @@ pub fn run(scale: Scale, quick: bool) {
             c.sojourn_p99,
             c.sojourn_count,
             c.rpc_batches,
-            json_array(&c.shard_backlog),
-            json_array(&c.shard_depth),
-            json_array(&c.steals_taken),
-            json_array(&c.steals_given),
-            json_array(&c.migrations),
-            json_array(&c.shard_sojourn_p99),
+            col(|s| s.backlog),
+            col(|s| s.depth),
+            col(|s| s.steals_taken),
+            col(|s| s.steals_given),
+            col(|s| s.migrations),
+            col(|s| s.sojourn.p99()),
             if i + 1 < cells.len() { "," } else { "" }
         ));
     }

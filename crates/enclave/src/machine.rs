@@ -42,12 +42,6 @@ pub struct MachineConfig {
     pub swapper_period: u64,
     /// Free-frame low watermark the swapper maintains.
     pub free_watermark: usize,
-    /// NUMA nodes the cores and untrusted DRAM are split across.
-    /// Default 1 (UMA — no placement effects, the paper's platform).
-    /// With more nodes, cores split contiguously across nodes, memory
-    /// ranges are bound via [`SgxMachine::bind_numa`], and each LLC
-    /// miss to a remote node's range pays `CostModel::numa_remote`.
-    pub numa_nodes: usize,
 }
 
 impl Default for MachineConfig {
@@ -61,7 +55,6 @@ impl Default for MachineConfig {
             costs: CostModel::default(),
             swapper_period: 16,
             free_watermark: 32,
-            numa_nodes: 1,
         }
     }
 }
@@ -82,7 +75,6 @@ impl MachineConfig {
             costs: CostModel::default(),
             swapper_period: 8,
             free_watermark: 4,
-            numa_nodes: 1,
         }
     }
 
@@ -134,9 +126,6 @@ pub struct SgxMachine {
     pub fs: crate::fs::HostFs,
     cores: Vec<Arc<Core>>,
     next_enclave_id: AtomicU32,
-    /// Untrusted ranges bound to a NUMA node (start, end, node);
-    /// unbound ranges live on node 0. Later bindings win.
-    numa_ranges: Mutex<Vec<(u64, u64, usize)>>,
     /// Socket fds registered as belonging to a serving shard; RPC
     /// syscall handlers run those fds' traffic in the shard's own LLC
     /// class ([`CacheCtx::Shard`]).
@@ -147,10 +136,6 @@ impl SgxMachine {
     /// Builds a machine.
     #[must_use]
     pub fn new(cfg: MachineConfig) -> Arc<Self> {
-        assert!(
-            cfg.numa_nodes >= 1 && cfg.numa_nodes <= cfg.cores,
-            "numa_nodes must be in 1..=cores"
-        );
         let untrusted_cap = (cfg.untrusted_bytes as u64).next_power_of_two();
         let cores = (0..cfg.cores)
             .map(|id| {
@@ -173,7 +158,6 @@ impl SgxMachine {
             fs: crate::fs::HostFs::new(),
             cores,
             next_enclave_id: AtomicU32::new(1),
-            numa_ranges: Mutex::new(Vec::new()),
             shard_classes: Mutex::new(std::collections::HashMap::new()),
             cfg,
         })
@@ -239,45 +223,11 @@ impl SgxMachine {
         self.shard_classes.lock().get(&fd).copied()
     }
 
-    /// Binds the untrusted range `[addr, addr+len)` to NUMA `node`.
-    /// Later bindings shadow earlier ones. No-op effect when the
-    /// machine has a single node (everything is node 0 anyway).
-    pub fn bind_numa(&self, addr: u64, len: usize, node: usize) {
-        assert!(node < self.cfg.numa_nodes, "node {node} out of range");
-        self.numa_ranges
-            .lock()
-            .push((addr, addr + len as u64, node));
-    }
-
-    /// The NUMA node owning physical address `paddr` (node 0 when
-    /// unbound or on a single-node machine).
-    #[must_use]
-    pub fn numa_node_of(&self, paddr: u64) -> usize {
-        if self.cfg.numa_nodes == 1 {
-            return 0;
-        }
-        self.numa_ranges
-            .lock()
-            .iter()
-            .rev()
-            .find(|(s, e, _)| (*s..*e).contains(&paddr))
-            .map_or(0, |(_, _, n)| *n)
-    }
-
-    /// The NUMA node core `core_id` belongs to (cores split
-    /// contiguously across nodes).
-    #[must_use]
-    pub fn core_node(&self, core_id: usize) -> usize {
-        core_id * self.cfg.numa_nodes / self.cfg.cores
-    }
-
     /// Charges the memory-hierarchy cost of touching
     /// `[paddr, paddr+len)` with access `kind` from cache context
-    /// `cctx` on a core of NUMA node `from_node`, updating the caller's
-    /// sequential-stream state `seq_line`. Returns the cycle cost (the
-    /// caller advances its own clock). On a multi-node machine, each
-    /// LLC miss to a range bound to a different node pays the
-    /// `numa_remote` hop on top of the DRAM cost.
+    /// `cctx`, updating the caller's sequential-stream state
+    /// `seq_line`. Returns the cycle cost (the caller advances its own
+    /// clock).
     pub fn charge_mem(
         &self,
         cctx: CacheCtx,
@@ -285,12 +235,10 @@ impl SgxMachine {
         paddr: u64,
         len: usize,
         kind: AccessKind,
-        from_node: usize,
     ) -> u64 {
         if len == 0 {
             return 0;
         }
-        let remote = self.cfg.numa_nodes > 1 && self.numa_node_of(paddr) != from_node;
         let c = &self.cfg.costs;
         let first = paddr / LINE as u64;
         let last = (paddr + len as u64 - 1) / LINE as u64;
@@ -317,9 +265,6 @@ impl SgxMachine {
                     }
                     misses += 1;
                     cycles += miss;
-                    if remote {
-                        cycles += c.numa_remote;
-                    }
                     if out.domain == Domain::Epc {
                         misses_epc += 1;
                     }
@@ -337,9 +282,6 @@ impl SgxMachine {
         Stats::add(&self.stats.llc_misses, misses);
         Stats::add(&self.stats.llc_misses_epc, misses_epc);
         Stats::add(&self.stats.llc_writebacks, writebacks);
-        if remote {
-            Stats::add(&self.stats.numa_remote_misses, misses);
-        }
         cycles
     }
 
@@ -421,8 +363,8 @@ mod tests {
     fn charge_mem_counts_hits_and_misses() {
         let m = SgxMachine::new(MachineConfig::tiny());
         let mut seq = u64::MAX - 1;
-        let cold = m.charge_mem(CacheCtx::Other, &mut seq, 0x1000, 128, AccessKind::Read, 0);
-        let warm = m.charge_mem(CacheCtx::Other, &mut seq, 0x1000, 128, AccessKind::Read, 0);
+        let cold = m.charge_mem(CacheCtx::Other, &mut seq, 0x1000, 128, AccessKind::Read);
+        let warm = m.charge_mem(CacheCtx::Other, &mut seq, 0x1000, 128, AccessKind::Read);
         assert!(cold > warm, "cold {cold} vs warm {warm}");
         let s = m.stats.snapshot();
         assert_eq!(s.llc_misses, 2);
@@ -434,14 +376,7 @@ mod tests {
         use eleos_sim::costs::EPC_BASE;
         let m = SgxMachine::new(MachineConfig::tiny());
         let mut seq = u64::MAX - 1;
-        let u = m.charge_mem(
-            CacheCtx::Other,
-            &mut seq,
-            0x10_0000,
-            64,
-            AccessKind::Read,
-            0,
-        );
+        let u = m.charge_mem(CacheCtx::Other, &mut seq, 0x10_0000, 64, AccessKind::Read);
         m.reset_measurement();
         let mut seq = u64::MAX - 1;
         let e = m.charge_mem(
@@ -450,7 +385,6 @@ mod tests {
             EPC_BASE + 0x10_0000,
             64,
             AccessKind::Read,
-            0,
         );
         assert!(e > 4 * u, "EPC miss {e} should dwarf untrusted {u}");
     }
@@ -459,90 +393,11 @@ mod tests {
     fn reset_clears_counters_and_clocks() {
         let m = SgxMachine::new(MachineConfig::tiny());
         let mut seq = 0;
-        m.charge_mem(CacheCtx::Other, &mut seq, 0, 64, AccessKind::Write, 0);
+        m.charge_mem(CacheCtx::Other, &mut seq, 0, 64, AccessKind::Write);
         m.core(0).clock.advance(10);
         m.reset_measurement();
         assert_eq!(m.stats.snapshot().llc_misses, 0);
         assert_eq!(m.core(0).clock.now(), 0);
-    }
-
-    #[test]
-    fn cores_split_contiguously_across_numa_nodes() {
-        let m = SgxMachine::new(MachineConfig {
-            numa_nodes: 2,
-            ..MachineConfig::tiny()
-        });
-        assert_eq!(m.core_node(0), 0);
-        assert_eq!(m.core_node(1), 0);
-        assert_eq!(m.core_node(2), 1);
-        assert_eq!(m.core_node(3), 1);
-        // Single-node machines put every core on node 0.
-        let uma = SgxMachine::new(MachineConfig::tiny());
-        assert_eq!(uma.core_node(3), 0);
-    }
-
-    #[test]
-    fn remote_numa_misses_pay_the_hop() {
-        let cfg = MachineConfig {
-            numa_nodes: 2,
-            ..MachineConfig::tiny()
-        };
-        let m = SgxMachine::new(cfg);
-        m.bind_numa(0x10_0000, 4096, 1);
-        // Access from a node-0 core: bound-to-node-1 range is remote.
-        let mut seq = u64::MAX - 1;
-        let remote = m.charge_mem(
-            CacheCtx::Other,
-            &mut seq,
-            0x10_0000,
-            64,
-            AccessKind::Read,
-            0,
-        );
-        m.reset_measurement();
-        let mut seq = u64::MAX - 1;
-        let local = m.charge_mem(
-            CacheCtx::Other,
-            &mut seq,
-            0x10_0000,
-            64,
-            AccessKind::Read,
-            1,
-        );
-        assert_eq!(
-            remote - local,
-            m.cfg.costs.numa_remote,
-            "one miss, one hop charge"
-        );
-        m.reset_measurement();
-        let mut seq = u64::MAX - 1;
-        m.charge_mem(
-            CacheCtx::Other,
-            &mut seq,
-            0x10_0000,
-            64,
-            AccessKind::Read,
-            0,
-        );
-        assert_eq!(m.stats.snapshot().numa_remote_misses, 1);
-        // Unbound ranges live on node 0.
-        assert_eq!(m.numa_node_of(0x20_0000), 0);
-        assert_eq!(m.numa_node_of(0x10_0000), 1);
-    }
-
-    #[test]
-    fn uma_machine_never_charges_numa() {
-        let m = SgxMachine::new(MachineConfig::tiny());
-        let mut seq = u64::MAX - 1;
-        m.charge_mem(
-            CacheCtx::Other,
-            &mut seq,
-            0x10_0000,
-            4096,
-            AccessKind::Read,
-            0,
-        );
-        assert_eq!(m.stats.snapshot().numa_remote_misses, 0);
     }
 
     #[test]

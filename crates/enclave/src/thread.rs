@@ -230,10 +230,9 @@ impl ThreadCtx {
                 }
             }
         }
-        let node = self.machine.core_node(self.core.id);
-        cycles +=
-            self.machine
-                .charge_mem(self.cache_ctx, &mut self.seq_line, addr, len, kind, node);
+        cycles += self
+            .machine
+            .charge_mem(self.cache_ctx, &mut self.seq_line, addr, len, kind);
         self.core.clock.advance(cycles);
     }
 
@@ -375,14 +374,12 @@ impl ThreadCtx {
                 Some(frame) => {
                     let paddr = EpcPool::paddr(frame) + in_page as u64;
                     if charged {
-                        let node = self.machine.core_node(self.core.id);
                         let cycles = self.machine.charge_mem(
                             self.cache_ctx,
                             &mut self.seq_line,
                             paddr,
                             n,
                             kind,
-                            node,
                         );
                         self.core.clock.advance(cycles);
                     } else {

@@ -106,14 +106,6 @@ pub struct CostModel {
     /// transfers for back-to-back posts pipeline).
     pub rpc_post: u64,
 
-    // --- NUMA placement ---
-    /// Additional per-line penalty when an LLC miss is served from a
-    /// *remote* NUMA node's DRAM (QPI/UPI hop). Charged only when
-    /// `MachineConfig::numa_nodes > 1` and the accessing core and the
-    /// target range live on different nodes; shard-local buffer and
-    /// stripe placement exists to avoid it.
-    pub numa_remote: u64,
-
     // --- Session lifecycle (attestation + key rotation) ---
     /// One attestation handshake: producing the `EREPORT`-style
     /// evidence structure (MAC over enclave identity + session nonce)
@@ -189,8 +181,6 @@ impl Default for CostModel {
 
             rpc_roundtrip: 600,
             rpc_post: 150,
-
-            numa_remote: 60,
 
             session_handshake: 9_000,
             session_rekey: 1_600,

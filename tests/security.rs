@@ -585,6 +585,43 @@ fn malformed_request_bodies_are_answered_not_fatal() {
     t.exit();
 }
 
+/// Which sizes a client SETs is its choice as well. A 4 MiB store has
+/// four 1 MiB slab pages; once four size classes own them, a record of
+/// a fifth class can get a page only from eviction, and eviction frees
+/// chunks of other classes, never a page. Such a SET — fresh, or an
+/// overwrite that would move its key into the pageless class — is
+/// answered `[0]` like an oversize one: nothing is evicted or dropped,
+/// the four resident keys keep their values and the server serves on.
+#[test]
+fn a_set_no_slab_page_can_hold_is_refused_not_fatal() {
+    use eleos::apps::kvs::{build_get, build_set, Kvs, MALFORMED_REPLY};
+    use eleos::apps::space::DataSpace;
+
+    let (m, mut t) = entered_thread();
+    let space = DataSpace::Untrusted(Arc::clone(&m));
+    let mut kvs = Kvs::new(space.clone(), space, 4 << 20, 64);
+    kvs.init(&mut t);
+
+    let key = |i: usize| format!("size-{i}").into_bytes();
+    let value = |i: usize| vec![i as u8; [100, 300, 1000, 3000, 6000][i]];
+    let mut script: Vec<(Vec<u8>, Vec<u8>)> = (0..5)
+        .map(|i| (build_set(&key(i), &value(i)), vec![u8::from(i < 4)]))
+        .collect();
+    script.push((build_set(&key(0), &value(4)), vec![0u8]));
+    for i in 0..4 {
+        let mut found = vec![1u8];
+        found.extend_from_slice(&(value(i).len() as u32).to_le_bytes());
+        found.extend_from_slice(&value(i));
+        script.push((build_get(&key(i)), found));
+    }
+    script.push((build_get(&key(4)), vec![0u8]));
+    serve_past_malformed_bodies(&mut t, &[], &[MALFORMED_REPLY], &script, |t, plain| {
+        kvs.process(t, plain)
+    });
+    assert_eq!((kvs.len(), kvs.evictions()), (4, 0));
+    t.exit();
+}
+
 /// The parameter server parses the same way: an attested client that
 /// sends an empty body, a lone opcode, a truncated count, a count the
 /// body cannot back, an opcode the protocol lacks or an update of the

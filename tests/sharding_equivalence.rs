@@ -622,8 +622,9 @@ fn a_steal_costs_one_extra_trap_and_meta_walk() {
         d.kernel_meta_reads, 2,
         "the victim's reap and the steal each walk the metadata once"
     );
-    assert_eq!(d.shard.replica[0].steals_taken[1], 1);
-    assert_eq!(d.shard.replica[0].steals_given[0], 1);
+    let shards = rig.io.shard_stats();
+    assert_eq!(shards[1].steals_taken, 1);
+    assert_eq!(shards[0].steals_given, 1);
     let s0 = rig.m.stats.snapshot();
     rig.io.send_batch(&mut t, &msgs);
     let d = rig.m.stats.snapshot() - s0;
