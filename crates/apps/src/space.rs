@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use eleos_core::Suvm;
+use eleos_core::{Access, Suvm};
 use eleos_enclave::enclave::Enclave;
 use eleos_enclave::machine::SgxMachine;
 use eleos_enclave::thread::ThreadCtx;
@@ -26,29 +26,37 @@ pub enum DataSpace {
     Suvm {
         /// The SUVM instance.
         suvm: Arc<Suvm>,
-        /// Use direct sub-page backing-store access (§3.2.4) instead
-        /// of the EPC++ page cache.
-        direct: bool,
+        /// How an access reaches a page that is not in EPC++.
+        access: Access,
     },
 }
 
 impl DataSpace {
-    /// A SUVM-backed space using the page cache.
+    /// A SUVM-backed space that picks the page cache or direct
+    /// sub-page access per access ([`Access::Adaptive`]) — what every
+    /// server gets.
     #[must_use]
     pub fn suvm(suvm: &Arc<Suvm>) -> Self {
-        DataSpace::Suvm {
-            suvm: Arc::clone(suvm),
-            direct: false,
-        }
+        Self::suvm_with(suvm, Access::Adaptive)
     }
 
-    /// A SUVM-backed space using direct sub-page access.
+    /// A SUVM-backed space forced through the page cache (the paper's
+    /// EPC++ rows).
+    #[must_use]
+    pub fn suvm_cached(suvm: &Arc<Suvm>) -> Self {
+        Self::suvm_with(suvm, Access::Cached)
+    }
+
+    /// A SUVM-backed space forced to direct sub-page access (§3.2.4,
+    /// the paper's direct rows).
     #[must_use]
     pub fn suvm_direct(suvm: &Arc<Suvm>) -> Self {
-        DataSpace::Suvm {
-            suvm: Arc::clone(suvm),
-            direct: true,
-        }
+        Self::suvm_with(suvm, Access::Direct)
+    }
+
+    fn suvm_with(suvm: &Arc<Suvm>, access: Access) -> Self {
+        let suvm = Arc::clone(suvm);
+        DataSpace::Suvm { suvm, access }
     }
 
     /// Allocates `len` bytes, returning a space-local address.
@@ -75,11 +83,7 @@ impl DataSpace {
         match self {
             DataSpace::Untrusted(_) => ctx.read_untrusted(addr, buf),
             DataSpace::Enclave(_) => ctx.read_enclave(addr, buf),
-            DataSpace::Suvm {
-                suvm,
-                direct: false,
-            } => suvm.read(ctx, addr, buf),
-            DataSpace::Suvm { suvm, direct: true } => suvm.read_direct(ctx, addr, buf),
+            DataSpace::Suvm { suvm, access } => suvm.span(addr, *access).read(ctx, buf),
         }
     }
 
@@ -87,8 +91,9 @@ impl DataSpace {
     /// `head` from `addr`, asks `tail_len` how many of the bytes that
     /// follow the caller wants (`None` = not this record), and returns
     /// them. On SUVM the head and tail share one translation per page
-    /// (a [`SpanCursor`](eleos_core::SpanCursor)) and, in direct mode,
-    /// one unseal per sub-page; the other spaces read sequentially.
+    /// (a [`SpanCursor`](eleos_core::SpanCursor)) and, where the cursor
+    /// bypasses EPC++, one unseal per sub-page; the other spaces read
+    /// sequentially.
     pub fn read_record(
         &self,
         ctx: &mut ThreadCtx,
@@ -96,8 +101,8 @@ impl DataSpace {
         head: &mut [u8],
         tail_len: impl FnOnce(&[u8]) -> Option<usize>,
     ) -> Option<Vec<u8>> {
-        if let DataSpace::Suvm { suvm, direct } = self {
-            let mut span = suvm.span(addr, *direct);
+        if let DataSpace::Suvm { suvm, access } = self {
+            let mut span = suvm.span(addr, *access);
             span.read(ctx, head);
             let mut tail = vec![0u8; tail_len(head)?];
             span.read(ctx, &mut tail);
@@ -114,11 +119,10 @@ impl DataSpace {
         match self {
             DataSpace::Untrusted(_) => ctx.write_untrusted(addr, data),
             DataSpace::Enclave(_) => ctx.write_enclave(addr, data),
-            DataSpace::Suvm {
-                suvm,
-                direct: false,
-            } => suvm.write(ctx, addr, data),
-            DataSpace::Suvm { suvm, direct: true } => suvm.write_direct(ctx, addr, data),
+            DataSpace::Suvm { suvm, access } => match access {
+                Access::Cached => suvm.write(ctx, addr, data),
+                Access::Direct | Access::Adaptive => suvm.write_direct(ctx, addr, data),
+            },
         }
     }
 
@@ -154,8 +158,11 @@ impl DataSpace {
         match self {
             DataSpace::Untrusted(_) => "untrusted",
             DataSpace::Enclave(_) => "enclave",
-            DataSpace::Suvm { direct: false, .. } => "suvm",
-            DataSpace::Suvm { direct: true, .. } => "suvm-direct",
+            DataSpace::Suvm { access, .. } => match access {
+                Access::Cached => "suvm-cached",
+                Access::Direct => "suvm-direct",
+                Access::Adaptive => "suvm",
+            },
         }
     }
 }
@@ -231,7 +238,7 @@ mod tests {
         let s = Suvm::new(
             &t0,
             SuvmConfig {
-                seal_sub_pages: true,
+                sub_page_size: 1024,
                 ..SuvmConfig::tiny()
             },
         );

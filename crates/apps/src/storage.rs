@@ -2006,14 +2006,17 @@ mod tests {
         }
     }
 
-    /// Machine, entered thread, clear metadata space and — when
-    /// `paging` — a SUVM data space over a 16-frame EPC++.
-    fn spaces(paging: bool) -> (ThreadCtx, DataSpace, DataSpace, Option<Arc<Suvm>>) {
+    /// Machine, entered thread, clear metadata space and — given a
+    /// sub-page size to seal in — a SUVM data space over a 16-frame
+    /// EPC++: 4096 is whole-page seals (every miss faults), 1024 lets
+    /// cold reads and writes bypass EPC++.
+    fn spaces(paging: Option<usize>) -> (ThreadCtx, DataSpace, DataSpace, Option<Arc<Suvm>>) {
         let (m, t, meta) = rig();
-        let suvm = paging.then(|| {
+        let suvm = paging.map(|sub_page_size| {
             Suvm::new(
                 &t,
                 SuvmConfig {
+                    sub_page_size,
                     backing_bytes: 64 << 20,
                     ..SuvmConfig::tiny()
                 },
@@ -2084,7 +2087,7 @@ mod tests {
     /// lookup, and checks every reply against a `HashMap`. Evictions
     /// are the engine's choice: after any op that evicted, the shadow
     /// drops exactly the keys the engine no longer serves.
-    fn check_collisions(segment: bool, paging: bool, ops: &[Op]) {
+    fn check_collisions(segment: bool, paging: Option<usize>, ops: &[Op]) {
         let (mut t, meta, data, _suvm) = spaces(paging);
         let mut eng = Eng::build(segment, meta, data, 32 << 20, 64);
         eng.api().init(&mut t);
@@ -2140,7 +2143,7 @@ mod tests {
             ops in proptest::collection::vec(op_strategy(), 30..70),
         ) {
             for segment in [false, true] {
-                for paging in [false, true] {
+                for paging in [None, Some(4096), Some(1024)] {
                     check_collisions(segment, paging, &ops);
                 }
             }
@@ -2152,7 +2155,7 @@ mod tests {
         // Non-vacuity for the property above: three big records take
         // two slabs; with one deleted, the emptier slab's survivor has
         // somewhere to go and the move relocates it.
-        let (mut t, meta, data, _suvm) = spaces(true);
+        let (mut t, meta, data, _suvm) = spaces(Some(4096));
         let m = Arc::clone(&t.machine);
         let mut eng = Eng::build(false, meta, data, 32 << 20, 64);
         eng.api().init(&mut t);
@@ -2184,7 +2187,7 @@ mod tests {
     }
 
     fn secure_touches_are_the_requests_own(segment: bool) {
-        let (mut t, meta, data, suvm) = spaces(true);
+        let (mut t, meta, data, suvm) = spaces(Some(4096));
         let suvm = suvm.expect("paging rig");
         let m = Arc::clone(&t.machine);
         // 64 items over 16 buckets: every chain holds ~4 strangers.
@@ -2259,6 +2262,100 @@ mod tests {
     #[test]
     fn segment_touches_only_the_requests_own_secure_pages() {
         secure_touches_are_the_requests_own(true);
+    }
+
+    /// The same accounting where a page leaves EPC++ as four 1 KiB
+    /// sub-pages: a request for a cold record pays for the sub-pages
+    /// the record spans and faults nothing in, unless the record was
+    /// read a moment ago.
+    fn cold_records_bypass_the_page_cache(segment: bool) {
+        let (mut t, meta, data, suvm) = spaces(Some(1024));
+        let suvm = suvm.expect("paging rig");
+        let m = Arc::clone(&t.machine);
+        let mut eng = Eng::build(segment, meta, data.clone(), 32 << 20, 16);
+        eng.api().init(&mut t);
+        let value_of =
+            |k: usize, stamp: u64| test_value(k, stamp, if k == 8 { 5_000 } else { 100 });
+        for k in 0..64 {
+            assert!(eng.api().set(&mut t, &test_key(k), &value_of(k, 1), 0, 0));
+        }
+        // "Cold" is evicted and not read for a while: eight pages of
+        // the same space, read four at a time, push every earlier
+        // read miss out of the 16 / 4-miss reuse window.
+        let other = data.alloc(8 * 4096);
+        data.write(&mut t, other, &[1u8; 8 * 4096]);
+        let mut next = 0;
+        let mut go_cold = |t: &mut ThreadCtx| {
+            while suvm.evict_one(t) {}
+            for _ in 0..4 {
+                data.read(t, other + next % 8 * 4096, &mut [0u8; 8]);
+                next += 1;
+            }
+            assert_eq!(suvm.resident_pages(), 0);
+        };
+        // (major faults, sub-pages unsealed or re-sealed) so far.
+        let touched = || {
+            let s = m.stats.snapshot();
+            (s.suvm_major_faults, s.sealed_bytes / 1024)
+        };
+        let since = |before: (u64, u64)| (touched().0 - before.0, touched().1 - before.1);
+
+        for k in [5, 8] {
+            let addr = eng.record_addr(&mut t, &test_key(k));
+            let len = RECORD_HEADER + test_key(k).len() + value_of(k, 1).len();
+            let pages = pages_spanned(addr, len);
+            let subs = (addr + len as u64 - 1) / 1024 - addr / 1024 + 1;
+            go_cold(&mut t);
+            // Cold: no fault, one unseal per sub-page of the record.
+            let before = touched();
+            assert_eq!(eng.api().get(&mut t, &test_key(k)), Some(value_of(k, 1)));
+            assert_eq!(since(before), (0, subs), "cold GET of key {k}");
+            assert_eq!(suvm.resident_pages(), 0);
+            // Again at once: the record's pages are worth caching (a
+            // fault unseals all four sub-pages of a page) ...
+            let before = touched();
+            assert_eq!(eng.api().get(&mut t, &test_key(k)), Some(value_of(k, 1)));
+            assert_eq!(since(before), (pages, 4 * pages), "second GET of key {k}");
+            // ... and the third GET is a hit.
+            let before = touched();
+            assert_eq!(eng.api().get(&mut t, &test_key(k)), Some(value_of(k, 1)));
+            assert_eq!(since(before), (0, 0), "third GET of key {k}");
+        }
+
+        // A cold overwrite is written through: the new record faults
+        // nothing in and stays out of EPC++, its value there to read.
+        // (The segment engine looks an overwritten key up twice — for
+        // a spill head, and again once the append may have merged —
+        // so to SUVM the old record's page is one just re-read.)
+        go_cold(&mut t);
+        let before = touched();
+        assert!(eng.api().set(&mut t, &test_key(5), &value_of(5, 2), 0, 0));
+        let old_page = u64::from(segment);
+        assert_eq!(since(before).0, old_page, "cold SET faulted");
+        assert!(since(before).1 > 4 * old_page, "cold SET sealed nothing");
+        assert_eq!(suvm.resident_pages() as u64, old_page);
+        assert_eq!(eng.api().get(&mut t, &test_key(5)), Some(value_of(5, 2)));
+
+        // A record landing on never-sealed pages has no sealed copy to
+        // write through to: it goes through EPC++ like any write did.
+        go_cold(&mut t);
+        let big = test_value(99, 1, 40_000);
+        let before = touched();
+        assert!(eng.api().set(&mut t, &test_key(99), &big, 0, 0));
+        assert!(since(before).0 >= pages_spanned(0, big.len()) - 1);
+        assert!(suvm.resident_pages() > 0);
+        assert_eq!(eng.api().get(&mut t, &test_key(99)), Some(big));
+        t.exit();
+    }
+
+    #[test]
+    fn slab_cold_records_bypass_the_page_cache() {
+        cold_records_bypass_the_page_cache(false);
+    }
+
+    #[test]
+    fn segment_cold_records_bypass_the_page_cache() {
+        cold_records_bypass_the_page_cache(true);
     }
 
     #[test]

@@ -41,6 +41,7 @@ fn bench_fig7_kernel(c: &mut Criterion) {
             let s = Suvm::new(
                 &t0,
                 SuvmConfig {
+                    sub_page_size: 4096, // EPC++-only rig: whole-page seals
                     epcpp_bytes: 256 << 10,
                     backing_bytes: 4 << 20,
                     ..SuvmConfig::default()

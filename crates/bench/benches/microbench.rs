@@ -65,6 +65,7 @@ fn suvm_rig() -> (Arc<SgxMachine>, Arc<Suvm>, ThreadCtx) {
     let s = Suvm::new(
         &t0,
         SuvmConfig {
+            sub_page_size: 4096, // EPC++-only rig: whole-page seals
             epcpp_bytes: 1 << 20,
             backing_bytes: 8 << 20,
             ..SuvmConfig::default()

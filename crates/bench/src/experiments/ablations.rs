@@ -83,7 +83,6 @@ pub fn run_subpage_sweep(scale: Scale) {
         let m = paper_machine(scale);
         let cfg = SuvmConfig {
             sub_page_size: sub,
-            seal_sub_pages: true,
             ..paper_suvm_config(scale, buf)
         };
         let e = m.driver.create_enclave(&m, cfg.epcpp_bytes * 2 + (8 << 20));
@@ -270,7 +269,7 @@ pub fn run_pagesize_sweep(scale: Scale) {
         let m = paper_machine(scale);
         let cfg = SuvmConfig {
             page_size,
-            sub_page_size: (page_size / 4).max(256),
+            sub_page_size: page_size,
             ..paper_suvm_config(scale, buf)
         };
         let e = m.driver.create_enclave(&m, cfg.epcpp_bytes * 2 + (8 << 20));

@@ -72,6 +72,7 @@ pub fn run(scale: Scale) {
     let suvm = Suvm::new(
         &t0,
         SuvmConfig {
+            sub_page_size: PAGE_SIZE, // EPC++-only rig: whole-page seals
             epcpp_bytes: 64 * PAGE_SIZE,
             backing_bytes: 4 << 20,
             ..SuvmConfig::default()

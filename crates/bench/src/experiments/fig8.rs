@@ -19,6 +19,7 @@ fn measure(scale: Scale, array_bytes: usize) {
     let suvm = Suvm::new(
         &t0,
         SuvmConfig {
+            sub_page_size: 4096, // EPC++-only rig: whole-page seals
             epcpp_bytes: (array_bytes * 2).next_power_of_two(),
             backing_bytes: (array_bytes * 2).next_power_of_two(),
             ..SuvmConfig::default()

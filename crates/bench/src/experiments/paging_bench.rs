@@ -41,6 +41,7 @@ fn run_cell(scale: Scale, policy: EvictPolicy, batch: usize, ops: usize) -> Cell
     let epcpp = scale.bytes(24 << 20).next_power_of_two();
     let buf = epcpp * 4;
     let cfg = SuvmConfig {
+        sub_page_size: 4096, // EPC++-only rig: whole-page seals
         epcpp_bytes: epcpp,
         backing_bytes: buf * 2,
         policy,

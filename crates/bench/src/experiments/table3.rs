@@ -1,7 +1,8 @@
 //! Table 3: direct sub-page backing-store access vs EPC++ page-cache
-//! access, for short random reads without locality.
+//! access, for short random reads without locality — and the
+//! per-access choice between them beside the paper's two columns.
 
-use eleos_core::{Suvm, SuvmConfig};
+use eleos_core::{Access, Suvm};
 use eleos_enclave::thread::ThreadCtx;
 use eleos_sim::costs::PAGE_SIZE;
 use rand::rngs::StdRng;
@@ -13,22 +14,20 @@ use crate::harness::{header, paper_machine, paper_suvm_config, Scale};
 /// the paper's §6.1.2.
 const SIZES: [usize; 4] = [16, 256, 2048, 4096];
 
-fn one_mode(scale: Scale, buf_bytes: usize, size: usize, n: usize, direct: bool) -> f64 {
+fn one_mode(scale: Scale, buf_bytes: usize, size: usize, n: usize, access: Access) -> f64 {
     let m = paper_machine(scale);
     let e = m
         .driver
         .create_enclave(&m, scale.bytes(70 << 20) * 2 + (16 << 20));
     let t0 = ThreadCtx::for_enclave(&m, &e, 0);
-    // Only the direct-access instance seals sub-pages; the EPC++
+    // Only the instances that bypass EPC++ seal sub-pages; the EPC++
     // baseline uses whole-page seals (one tag per page), as in the
     // paper's comparison.
-    let suvm = Suvm::new(
-        &t0,
-        SuvmConfig {
-            seal_sub_pages: direct,
-            ..paper_suvm_config(scale, buf_bytes)
-        },
-    );
+    let mut cfg = paper_suvm_config(scale, buf_bytes);
+    if access != Access::Cached {
+        cfg.sub_page_size = 1024;
+    }
+    let suvm = Suvm::new(&t0, cfg);
     let mut t = ThreadCtx::for_enclave(&m, &e, 0);
     t.enter();
     let sva = suvm.malloc(buf_bytes);
@@ -47,22 +46,14 @@ fn one_mode(scale: Scale, buf_bytes: usize, size: usize, n: usize, direct: bool)
     // Warm pass.
     for _ in 0..n / 4 {
         let off = rng.random_range(0..slots) * size as u64;
-        if direct {
-            suvm.read_direct(&mut t, sva + off, &mut buf);
-        } else {
-            suvm.read(&mut t, sva + off, &mut buf);
-        }
+        suvm.span(sva + off, access).read(&mut t, &mut buf);
     }
     m.reset_counters();
     let mut rng = StdRng::seed_from_u64(29);
     let c0 = t.now();
     for _ in 0..n {
         let off = rng.random_range(0..slots) * size as u64;
-        if direct {
-            suvm.read_direct(&mut t, sva + off, &mut buf);
-        } else {
-            suvm.read(&mut t, sva + off, &mut buf);
-        }
+        suvm.span(sva + off, access).read(&mut t, &mut buf);
     }
     let per = (t.now() - c0) as f64 / n as f64;
     t.exit();
@@ -79,18 +70,20 @@ pub fn run(scale: Scale) {
     let buf = scale.bytes(200 << 20);
     let n = scale.ops(40_000);
     println!(
-        "   {:<12} {:>14} {:>14} {:>10}",
-        "bytes/access", "epc++ c/acc", "direct c/acc", "speedup"
+        "   {:<12} {:>14} {:>14} {:>10} {:>16}",
+        "bytes/access", "epc++ c/acc", "direct c/acc", "speedup", "adaptive c/acc"
     );
     for size in SIZES {
-        let epcpp = one_mode(scale, buf, size, n, false);
-        let direct = one_mode(scale, buf, size, n, true);
+        let epcpp = one_mode(scale, buf, size, n, Access::Cached);
+        let direct = one_mode(scale, buf, size, n, Access::Direct);
+        let adaptive = one_mode(scale, buf, size, n, Access::Adaptive);
         println!(
-            "   {:<12} {:>14.0} {:>14.0} {:>9.0}%",
+            "   {:<12} {:>14.0} {:>14.0} {:>9.0}% {:>16.0}",
             size,
             epcpp,
             direct,
-            100.0 * (epcpp - direct) / epcpp
+            100.0 * (epcpp - direct) / epcpp,
+            adaptive
         );
     }
 }

@@ -75,10 +75,13 @@ pub fn paper_machine(scale: Scale) -> Arc<SgxMachine> {
     })
 }
 
-/// The paper's SUVM configuration (EPC++ 60 MiB) at scale.
+/// The paper's SUVM configuration (EPC++ 60 MiB) at scale, sealing
+/// whole pages: the EPC++ rows. Rigs that bypass EPC++ (direct,
+/// adaptive) override `sub_page_size`.
 #[must_use]
 pub fn paper_suvm_config(scale: Scale, backing_bytes: usize) -> SuvmConfig {
     SuvmConfig {
+        sub_page_size: SuvmConfig::default().page_size,
         epcpp_bytes: scale.bytes(60 << 20),
         backing_bytes: backing_bytes.next_power_of_two(),
         headroom_bytes: scale.bytes(16 << 20),
@@ -113,10 +116,13 @@ pub enum Mode {
     SgxOcall,
     /// Eleos RPC only: enclave data, exit-less syscalls.
     EleosRpc,
-    /// Eleos RPC + SUVM (+ CAT).
+    /// Eleos RPC + SUVM (+ CAT), every access through EPC++.
     EleosSuvm,
     /// Eleos RPC + SUVM with direct sub-page access.
     EleosSuvmDirect,
+    /// Eleos RPC + SUVM choosing EPC++ or direct access per access —
+    /// not a paper row: what the servers run.
+    EleosSuvmAdaptive,
 }
 
 impl Mode {
@@ -129,6 +135,7 @@ impl Mode {
             Mode::EleosRpc => "eleos-rpc",
             Mode::EleosSuvm => "eleos-suvm",
             Mode::EleosSuvmDirect => "eleos-direct",
+            Mode::EleosSuvmAdaptive => "eleos-adaptive",
         }
     }
 
@@ -203,24 +210,24 @@ impl Rig {
                 .create_enclave(&machine, data_bytes * 2 + (64 << 20))
         });
         let suvm = match mode {
-            Mode::EleosSuvm | Mode::EleosSuvmDirect => {
+            Mode::EleosSuvm | Mode::EleosSuvmDirect | Mode::EleosSuvmAdaptive => {
                 let e = enclave.as_ref().expect("suvm needs an enclave");
                 let ctx = ThreadCtx::for_enclave(&machine, e, 0);
                 let mut cfg = paper_suvm_config(scale, data_bytes * 2);
-                if mode == Mode::EleosSuvmDirect {
-                    cfg.seal_sub_pages = true;
+                if mode != Mode::EleosSuvm {
+                    cfg.sub_page_size = 1024;
                 }
                 Some(Suvm::new(&ctx, cfg))
             }
             _ => None,
         };
         let rpc = match mode {
-            Mode::EleosRpc | Mode::EleosSuvm | Mode::EleosSuvmDirect => Some(Arc::new(
+            Mode::Native | Mode::SgxOcall => None,
+            _ => Some(Arc::new(
                 with_syscalls(RpcService::builder(&machine), &machine)
                     .workers(workers, &RPC_WORKER_CORES[..workers])
                     .build(),
             )),
-            _ => None,
         };
         // Every rig session starts with the attestation handshake: the
         // load generator verifies the serving identity's evidence
@@ -250,8 +257,9 @@ impl Rig {
             Mode::SgxOcall | Mode::EleosRpc => {
                 DataSpace::Enclave(Arc::clone(self.enclave.as_ref().expect("enclaved")))
             }
-            Mode::EleosSuvm => DataSpace::suvm(self.suvm.as_ref().expect("suvm")),
+            Mode::EleosSuvm => DataSpace::suvm_cached(self.suvm.as_ref().expect("suvm")),
             Mode::EleosSuvmDirect => DataSpace::suvm_direct(self.suvm.as_ref().expect("suvm")),
+            Mode::EleosSuvmAdaptive => DataSpace::suvm(self.suvm.as_ref().expect("suvm")),
         }
     }
 

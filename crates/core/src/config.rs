@@ -35,9 +35,16 @@ impl EvictPolicy {
 pub struct SuvmConfig {
     /// EPC++ page size in bytes (power of two; default 4 KiB).
     pub page_size: usize,
-    /// Sub-page granularity for direct backing-store access (power of
-    /// two dividing `page_size`; default 1 KiB — the paper's §6.1.2
-    /// configuration).
+    /// The unit an evicted page is sealed in (power of two dividing
+    /// `page_size`; default 1 KiB — the paper's §6.1.2 configuration).
+    /// A page leaves EPC++ as `page_size / sub_page_size` independently
+    /// authenticated units, which is what lets an access to a cold
+    /// page unseal only the units its bytes span instead of faulting
+    /// the page in (§3.2.4, [`crate::Access`]); each unit pays its own
+    /// crypto set-up on a whole-page fault or write-back.
+    /// `sub_page_size == page_size` is the whole-page seal format:
+    /// one unit, nothing to bypass to, every miss faults — the paper's
+    /// EPC++-only configuration.
     pub sub_page_size: usize,
     /// EPC++ capacity in bytes (default 60 MiB, the paper's §6.1.2
     /// setting).
@@ -46,11 +53,6 @@ pub struct SuvmConfig {
     pub backing_bytes: usize,
     /// Skip write-back of clean pages on eviction (§3.2.4; default on).
     pub clean_skip: bool,
-    /// Seal evicted pages at sub-page granularity so that direct
-    /// accesses can decrypt individual sub-pages (§3.2.4). Costs extra
-    /// per-eviction fixed overhead; default off (enable for
-    /// direct-access workloads).
-    pub seal_sub_pages: bool,
     /// Free-frame low watermark the swapper maintains (clamped to half
     /// the current pool).
     pub free_watermark: usize,
@@ -81,7 +83,6 @@ impl Default for SuvmConfig {
             epcpp_bytes: 60 << 20,
             backing_bytes: 2 << 30,
             clean_skip: true,
-            seal_sub_pages: false,
             free_watermark: 8,
             headroom_bytes: 4 << 20,
             policy: EvictPolicy::Clock,
@@ -91,16 +92,16 @@ impl Default for SuvmConfig {
 }
 
 impl SuvmConfig {
-    /// A small configuration for unit tests.
+    /// A small configuration for unit tests: 16 frames, whole-page
+    /// seals.
     #[must_use]
     pub fn tiny() -> Self {
         Self {
             page_size: 4096,
-            sub_page_size: 1024,
+            sub_page_size: 4096,
             epcpp_bytes: 16 * 4096,
             backing_bytes: 1 << 20,
             clean_skip: true,
-            seal_sub_pages: false,
             free_watermark: 2,
             headroom_bytes: 64 << 10,
             policy: EvictPolicy::Clock,

@@ -14,8 +14,9 @@
 //!   user-selectable eviction policy ([`suvm::policy`]) over one sealed
 //!   buddy-allocated backing store with clean-page write-back elision,
 //!   optional batched asynchronous write-back, direct sub-page access
-//!   to the backing store (§3.2.4), and the pinned record cursor
-//!   ([`SpanCursor`]) that translates once per page;
+//!   to the backing store (§3.2.4) chosen per access ([`Access`]), and
+//!   the pinned record cursor ([`SpanCursor`]) that translates once
+//!   per page;
 //! - [`spointer::SPtr`] — secure active pointers with software address
 //!   translation cached per page (§3.2.2);
 //! - [`swapper::Swapper`] — the periodic free-pool/ballooning thread
@@ -60,6 +61,6 @@ pub use containers::{SBox, SHashMap, SVec};
 pub use runtime::{Eleos, EleosBuilder};
 pub use snapshot::{Snapshot, SnapshotBuilder, SnapshotError};
 pub use spointer::{Plain, SPtr};
-pub use suvm::span::SpanCursor;
+pub use suvm::span::{Access, SpanCursor};
 pub use suvm::{Suvm, Sva};
 pub use swapper::Swapper;

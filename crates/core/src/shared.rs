@@ -178,11 +178,13 @@ impl SharedToken {
                 let (version, state) = r.seals.read(page);
                 match state {
                     SealState::Fresh => buf[off..off + n].fill(0),
-                    SealState::Page { nonce, tag } => {
+                    SealState::SubPages { meta } => {
+                        // Shared regions seal whole pages: one unit.
+                        let (nonce, tag) = &meta[0];
                         let mut scratch = vec![0u8; ps];
                         ctx.read_untrusted(r.bs_base + page * ps as u64, &mut scratch);
                         if r.gcm
-                            .open(&nonce, &SharedRegion::aad(page), &mut scratch, &tag)
+                            .open(nonce, &SharedRegion::aad(page), &mut scratch, tag)
                             .is_err()
                         {
                             if !r.seals.check(page, version) {
@@ -192,9 +194,6 @@ impl SharedToken {
                         }
                         ctx.compute(costs_crypto);
                         buf[off..off + n].copy_from_slice(&scratch[in_page..in_page + n]);
-                    }
-                    SealState::SubPages { .. } => {
-                        unreachable!("shared regions seal whole pages")
                     }
                 }
                 break;
@@ -220,21 +219,22 @@ impl SharedToken {
             let mut scratch = vec![0u8; ps];
             match r.seals.get_unchecked(page) {
                 SealState::Fresh => {}
-                SealState::Page { nonce, tag } => {
+                SealState::SubPages { meta } => {
+                    let (nonce, tag) = &meta[0];
                     ctx.read_untrusted(r.bs_base + page * ps as u64, &mut scratch);
                     r.gcm
-                        .open(&nonce, &SharedRegion::aad(page), &mut scratch, &tag)
+                        .open(nonce, &SharedRegion::aad(page), &mut scratch, tag)
                         .expect("shared page failed authentication");
                     ctx.compute(costs_crypto);
                 }
-                SealState::SubPages { .. } => unreachable!("shared regions seal whole pages"),
             }
             scratch[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
             let nonce = r.next_nonce();
             let tag = r.gcm.seal(&nonce, &SharedRegion::aad(page), &mut scratch);
             ctx.compute(costs_crypto);
             ctx.write_untrusted(r.bs_base + page * ps as u64, &scratch);
-            r.seals.commit_write(page, SealState::Page { nonce, tag });
+            let meta = Box::new([(nonce, tag)]);
+            r.seals.commit_write(page, SealState::SubPages { meta });
             Stats::add(&r.machine.stats.sealed_bytes, ps as u64);
             off += n;
         }

@@ -1,4 +1,5 @@
 //! SUVM bulk memory operations (suvm_memcpy and friends).
+use super::span::Access;
 use super::*;
 
 impl Suvm {
@@ -10,7 +11,7 @@ impl Suvm {
     /// page-table lookup per page touched) — a one-shot
     /// [`SpanCursor`](super::span::SpanCursor).
     pub fn read(&self, ctx: &mut ThreadCtx, sva: Sva, buf: &mut [u8]) {
-        self.span(sva, false).read(ctx, buf);
+        self.span(sva, Access::Cached).read(ctx, buf);
     }
 
     /// Writes `data` starting at `sva`, marking the touched pages dirty.

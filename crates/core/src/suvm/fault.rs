@@ -10,13 +10,17 @@ impl Suvm {
     /// `(frame, was_resident)`.
     pub(crate) fn fault_in_and_pin(&self, ctx: &mut ThreadCtx, page: u64) -> (u32, bool) {
         assert!(ctx.in_enclave(), "SUVM runs inside the enclave");
-        let costs = &self.machine.cfg.costs;
-        ctx.compute(costs.suvm_lookup);
-        // Fast path: resident.
-        if let Some(frame) = self.try_pin(page) {
-            return (frame, true);
+        ctx.compute(self.machine.cfg.costs.suvm_lookup);
+        match self.try_pin(page) {
+            Some(frame) => (frame, true),
+            None => self.fault_in(ctx, page),
         }
-        // Major fault: acquire a frame, load, then publish.
+    }
+
+    /// The major fault behind a lookup that missed: acquires a frame,
+    /// loads `page` into it, publishes and pins it. Returns like
+    /// [`Self::fault_in_and_pin`].
+    pub(super) fn fault_in(&self, ctx: &mut ThreadCtx, page: u64) -> (u32, bool) {
         Stats::bump(&self.machine.stats.suvm_major_faults);
         self.local.major_faults.fetch_add(1, Ordering::Relaxed);
         self.charge_metadata_pressure(ctx);
@@ -219,7 +223,7 @@ impl Suvm {
             return false;
         }
         let dirty = meta.dirty.swap(false, Ordering::AcqRel);
-        let has_copy = self.store.seals.get(page).has_copy();
+        let has_copy = self.store.seals.has_copy(page);
         if dirty || !has_copy || !self.cfg.clean_skip {
             // Inline eviction is a batch of one: every seal op pays the
             // full setup.
@@ -249,7 +253,7 @@ impl Suvm {
 
     /// Seals `frame`'s contents into the backing store as `page` and
     /// returns the byte length of each seal operation performed (one
-    /// page, or one entry per sub-page).
+    /// per sub-page).
     ///
     /// This is the *functional* half of an eviction: no crypto cycles
     /// are charged here. Callers feed the returned lengths to
@@ -266,31 +270,16 @@ impl Suvm {
         let mut buf = vec![0u8; ps];
         ctx.read_enclave_raw(self.epcpp_vaddr(frame, 0), &mut buf);
         self.store.seals.begin_write(page);
-        let (state, lens) = if self.cfg.seal_sub_pages {
-            let sp = self.cfg.sub_page_size;
-            let n_subs = ps / sp;
-            let mut meta = Vec::with_capacity(n_subs);
-            for s in 0..n_subs {
-                let nonce = self.next_nonce();
-                let tag = self.sealer.seal(
-                    &nonce,
-                    &Self::aad(page, s as u32),
-                    &mut buf[s * sp..(s + 1) * sp],
-                );
-                meta.push((nonce, tag));
-            }
-            (
-                SealState::SubPages {
-                    meta: meta.into_boxed_slice(),
-                },
-                vec![sp; n_subs],
-            )
-        } else {
+        let sp = self.cfg.sub_page_size;
+        let mut meta = Vec::with_capacity(ps / sp);
+        for (s, unit) in buf.chunks_mut(sp).enumerate() {
             let nonce = self.next_nonce();
-            let tag = self
-                .sealer
-                .seal(&nonce, &Self::aad(page, u32::MAX), &mut buf);
-            (SealState::Page { nonce, tag }, vec![ps])
+            let tag = self.sealer.seal(&nonce, &Self::aad(page, s as u32), unit);
+            meta.push((nonce, tag));
+        }
+        let lens = vec![sp; meta.len()];
+        let state = SealState::SubPages {
+            meta: meta.into_boxed_slice(),
         };
         ctx.write_untrusted_raw(self.store.addr_of(page, 0), &buf);
         self.store.seals.commit_write(page, state);
@@ -315,25 +304,6 @@ impl Suvm {
                 // Fast zero-fill: ~32 bytes/cycle.
                 ctx.compute(ps as u64 / 32);
                 true
-            }
-            SealState::Page { nonce, tag } => {
-                let mut buf = vec![0u8; ps];
-                ctx.read_untrusted_raw(self.store.addr_of(page, 0), &mut buf);
-                match self
-                    .sealer
-                    .open(&nonce, &Self::aad(page, u32::MAX), &mut buf, &tag)
-                {
-                    Ok(()) => {
-                        ctx.charge_crypto_batch([ps], false);
-                        ctx.write_enclave_raw(self.epcpp_vaddr(frame, 0), &buf);
-                        Stats::add(&self.machine.stats.sealed_bytes, ps as u64);
-                        true
-                    }
-                    Err(_) if !self.store.seals.check(page, version) => false,
-                    Err(_) => {
-                        panic!("SUVM page failed authentication: backing store tampered")
-                    }
-                }
             }
             SealState::SubPages { meta } => {
                 let sp = self.cfg.sub_page_size;

@@ -6,9 +6,9 @@
 //! - a **page cache** (*EPC++*) carved out of enclave-linear memory —
 //!   so the SGX driver can still evict its frames under PRM pressure,
 //!   which is exactly the multi-enclave hazard §3.3 coordinates around;
-//! - a **backing store** in untrusted memory, holding AES-GCM-sealed
-//!   page (or sub-page) images, allocated by a memsys5-style buddy
-//!   allocator;
+//! - a **backing store** in untrusted memory, holding each evicted
+//!   page as AES-GCM-sealed sub-page images, allocated by a
+//!   memsys5-style buddy allocator;
 //! - the **inverse page table** and **crypto-metadata table** in
 //!   enclave memory (see [`crate::table`]);
 //! - a software fault path that runs *entirely inside the enclave*: no
@@ -16,8 +16,9 @@
 //!
 //! The two paper optimizations impossible under hardware paging are
 //! here: clean pages skip write-back on eviction, and direct sub-page
-//! access bypasses the page cache for locality-free workloads
-//! (§3.2.4).
+//! access bypasses the page cache for accesses without reuse (§3.2.4)
+//! — chosen per access by [`span::Access::Adaptive`] where the paper
+//! chose per workload.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -79,6 +80,10 @@ pub struct Suvm {
     /// per-application key of §3.2.3.
     sealer: AesGcm128,
     nonce_ctr: AtomicU64,
+    /// The read-miss clock [`span::Access::Adaptive`] measures reuse
+    /// distance on: ticks once per adaptive read that missed EPC++ on
+    /// a page it could bypass to.
+    read_misses: AtomicU64,
     /// Per-instance counters (machine-wide stats aggregate across all
     /// SUVM instances; multi-enclave experiments need them apart).
     pub(super) local: LocalStats,
@@ -148,6 +153,7 @@ impl Suvm {
             limit: AtomicUsize::new(n),
             sealer: AesGcm128::new(&key),
             nonce_ctr: AtomicU64::new(1),
+            read_misses: AtomicU64::new(0),
             local: LocalStats::default(),
             frames,
             epcpp_base,

@@ -1,9 +1,27 @@
-//! A pinned read cursor over a contiguous secure span.
+//! A pinned read cursor over a contiguous secure span, and the rule
+//! that decides how it reaches a page that is not in EPC++.
 use super::*;
 
-/// Index of the sealed unit covering a whole page (the `sub` value
-/// whole-page seals authenticate under).
-const WHOLE_PAGE: u32 = u32::MAX;
+/// How an access reaches a page that is not resident in EPC++. A
+/// resident page is always served from EPC++ (it may be newer than its
+/// sealed copy), and a page the backing store holds no copy of in
+/// units smaller than a page — never evicted, or `sub_page_size ==
+/// page_size` — is always faulted in: there is nothing to bypass to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// Fault the page into EPC++ — the paper's page-cache row.
+    Cached,
+    /// Bypass EPC++: unseal (or, writing, re-seal) only the sub-pages
+    /// the bytes span — the paper's direct-access row (§3.2.4).
+    Direct,
+    /// Choose per access. A write goes through like
+    /// [`Access::Direct`]; so does a read, unless the page's previous
+    /// read miss was fewer than `frame_limit() / (page_size /
+    /// sub_page_size)` read misses ago. A fault costs about as much as
+    /// bypassing every sub-page of the page, so only a page re-read
+    /// within that window repays being cached, and is faulted in.
+    Adaptive,
+}
 
 /// The translation a cursor currently holds.
 enum Held {
@@ -13,13 +31,12 @@ enum Held {
         page: u64,
         frame: u32,
     },
-    /// `page` was not cached when a direct cursor reached it: its
-    /// bytes come from the backing store. `unit` is the sealed unit
-    /// (sub-page index, or [`WHOLE_PAGE`]) whose plaintext the cursor
-    /// still holds.
+    /// `page` was not cached when the cursor reached it and the access
+    /// bypasses EPC++: its bytes come from the backing store. `unit`
+    /// is the sub-page whose plaintext the cursor still holds.
     Sealed {
         page: u64,
-        unit: Option<u32>,
+        unit: Option<usize>,
     },
 }
 
@@ -27,33 +44,50 @@ enum Held {
 /// page**: the first access to a page pays `suvm_lookup` (plus the
 /// fault, if any) and pins the frame; every further [`Self::read`]
 /// through the same pin pays `spointer_linked`, like a linked
-/// spointer (§3.2.2). A *direct* cursor (§3.2.4) bypasses EPC++ for
-/// non-resident pages and unseals each sub-page at most once. The pin
-/// is dropped when the cursor moves to another page or goes out of
-/// scope.
+/// spointer (§3.2.2). On a page its [`Access`] bypasses EPC++ for, the
+/// cursor unseals each sub-page at most once. The pin is dropped when
+/// the cursor moves to another page or goes out of scope.
 ///
 /// The span must not be written while a cursor over it is open.
 pub struct SpanCursor<'a> {
     suvm: &'a Suvm,
     pos: Sva,
-    direct: bool,
+    access: Access,
     held: Held,
-    /// Plaintext of the sealed unit named by [`Held::Sealed`].
+    /// Plaintext of the sub-page named by [`Held::Sealed`].
     plain: Vec<u8>,
 }
 
 impl Suvm {
-    /// Opens a read cursor at `sva`; `direct` selects sub-page
-    /// backing-store access for non-resident pages.
+    /// Opens a read cursor at `sva` that reaches non-resident pages
+    /// by `access`.
     #[must_use]
-    pub fn span(&self, sva: Sva, direct: bool) -> SpanCursor<'_> {
+    pub fn span(&self, sva: Sva, access: Access) -> SpanCursor<'_> {
         SpanCursor {
             suvm: self,
             pos: sva,
-            direct,
+            access,
             held: Held::Nothing,
             plain: Vec::new(),
         }
+    }
+
+    /// Whether an `access` that missed EPC++ on `page` is served from
+    /// the backing store instead of faulting the page in. Only reads
+    /// ask with [`Access::Adaptive`]: asking stamps the page and ticks
+    /// the read-miss clock.
+    pub(super) fn bypasses(&self, page: u64, access: Access) -> bool {
+        let n_subs = self.cfg.page_size / self.cfg.sub_page_size;
+        if access == Access::Cached || n_subs == 1 || !self.store.seals.has_copy(page) {
+            return false;
+        }
+        if access == Access::Direct {
+            return true;
+        }
+        let now = self.read_misses.fetch_add(1, Ordering::Relaxed) + 1;
+        let last = self.store.seals.stamp_miss(page, now);
+        // (A racing miss may have stamped a later reading: distance 0.)
+        last == 0 || now.saturating_sub(last) >= (self.frame_limit() / n_subs) as u64
     }
 }
 
@@ -82,29 +116,26 @@ impl SpanCursor<'_> {
 
     /// Makes `page` the held translation.
     fn translate(&mut self, ctx: &mut ThreadCtx, page: u64) {
-        let costs = &self.suvm.machine.cfg.costs;
+        let s = self.suvm;
         match self.held {
             Held::Frame { page: p, .. } | Held::Sealed { page: p, .. } if p == page => {
-                ctx.compute(costs.spointer_linked);
+                ctx.compute(s.machine.cfg.costs.spointer_linked);
                 return;
             }
             _ => self.release(),
         }
-        self.held = if self.direct {
-            assert!(ctx.in_enclave(), "SUVM runs inside the enclave");
-            ctx.compute(costs.suvm_lookup);
-            // Consistency: a resident page may be newer than its sealed
-            // copy — serve it from the cache.
-            match self.suvm.try_pin(page) {
-                Some(frame) => Held::Frame { page, frame },
-                None => {
-                    Stats::bump(&self.suvm.machine.stats.suvm_direct_accesses);
-                    Held::Sealed { page, unit: None }
-                }
+        assert!(ctx.in_enclave(), "SUVM runs inside the enclave");
+        ctx.compute(s.machine.cfg.costs.suvm_lookup);
+        self.held = match s.try_pin(page) {
+            Some(frame) => Held::Frame { page, frame },
+            None if s.bypasses(page, self.access) => {
+                Stats::bump(&s.machine.stats.suvm_direct_accesses);
+                Held::Sealed { page, unit: None }
             }
-        } else {
-            let (frame, _) = self.suvm.fault_in_and_pin(ctx, page);
-            Held::Frame { page, frame }
+            None => {
+                let (frame, _) = s.fault_in(ctx, page);
+                Held::Frame { page, frame }
+            }
         };
     }
 
@@ -115,25 +146,23 @@ impl SpanCursor<'_> {
     }
 
     /// Copies `out.len()` bytes at `in_page` of the non-resident
-    /// `page` out of the backing store, unsealing only the units the
-    /// cursor does not already hold in plaintext.
+    /// `page` out of the backing store, unsealing only the sub-pages
+    /// the cursor does not already hold in plaintext.
     fn read_sealed(&mut self, ctx: &mut ThreadCtx, page: u64, in_page: usize, out: &mut [u8]) {
         let s = self.suvm;
-        let ps = s.cfg.page_size;
         let sp = s.cfg.sub_page_size;
-        let costs = &s.machine.cfg.costs;
-        let mut held = match self.held {
-            Held::Sealed { unit, .. } => unit,
-            _ => unreachable!("read_sealed on a cached page"),
+        let end = in_page + out.len();
+        let Held::Sealed { unit: mut held, .. } = self.held else {
+            unreachable!("read_sealed on a cached page")
         };
         'retry: loop {
             let (version, state) = s.store.seals.read(page);
             match state {
+                // Decommitted since the cursor got here.
                 SealState::Fresh => out.fill(0),
                 SealState::SubPages { meta } => {
-                    let end = in_page + out.len();
                     for sub in in_page / sp..=(end - 1) / sp {
-                        if held != Some(sub as u32) {
+                        if held != Some(sub) {
                             self.plain.resize(sp, 0);
                             ctx.read_untrusted(s.store.addr_of(page, sub * sp), &mut self.plain);
                             let (nonce, tag) = &meta[sub];
@@ -145,34 +174,15 @@ impl SpanCursor<'_> {
                                 }
                                 panic!("SUVM sub-page failed authentication");
                             }
-                            ctx.compute(costs.crypto_fixed + (costs.crypto_cpb * sp as f64) as u64);
-                            held = Some(sub as u32);
+                            ctx.charge_crypto_batch([sp], false);
+                            Stats::add(&s.machine.stats.sealed_bytes, sp as u64);
+                            held = Some(sub);
                         }
                         let lo = in_page.max(sub * sp);
                         let hi = end.min((sub + 1) * sp);
                         out[lo - in_page..hi - in_page]
                             .copy_from_slice(&self.plain[lo - sub * sp..hi - sub * sp]);
                     }
-                }
-                SealState::Page { nonce, tag } => {
-                    // Fallback: whole-page unseal (costs a full page of
-                    // crypto — the point of sealing sub-pages is to
-                    // avoid this).
-                    if held != Some(WHOLE_PAGE) {
-                        self.plain.resize(ps, 0);
-                        ctx.read_untrusted(s.store.addr_of(page, 0), &mut self.plain);
-                        let aad = Suvm::aad(page, WHOLE_PAGE);
-                        if s.sealer.open(&nonce, &aad, &mut self.plain, &tag).is_err() {
-                            held = None;
-                            if !s.store.seals.check(page, version) {
-                                continue 'retry;
-                            }
-                            panic!("SUVM page failed authentication");
-                        }
-                        ctx.compute(costs.crypto(ps));
-                        held = Some(WHOLE_PAGE);
-                    }
-                    out.copy_from_slice(&self.plain[in_page..in_page + out.len()]);
                 }
             }
             break;

@@ -1,5 +1,6 @@
 //! Unit tests for the SUVM runtime.
 
+use super::span::Access;
 use super::*;
 use eleos_enclave::machine::MachineConfig;
 use eleos_sim::costs::PAGE_SIZE;
@@ -127,7 +128,7 @@ fn clean_skip_disabled_always_writes_back() {
 #[test]
 fn direct_read_matches_cached_read() {
     let cfg = SuvmConfig {
-        seal_sub_pages: true,
+        sub_page_size: 1024,
         ..SuvmConfig::tiny()
     };
     let (_m, s, mut t) = setup(cfg);
@@ -161,7 +162,7 @@ fn direct_read_matches_cached_read() {
 #[test]
 fn direct_write_read_roundtrip() {
     let cfg = SuvmConfig {
-        seal_sub_pages: true,
+        sub_page_size: 1024,
         ..SuvmConfig::tiny()
     };
     let (_m, s, mut t) = setup(cfg);
@@ -342,10 +343,15 @@ fn all_eviction_policies_preserve_data() {
 }
 
 /// One seeded 400-op read/write/pin workload over 64 pages through the
-/// 16-frame `SuvmConfig::tiny()` cache. Returns `[ThreadCtx::now(),
+/// 16-frame `SuvmConfig::tiny()` cache — sealing 1 KiB sub-pages when
+/// `access` is one that can bypass EPC++. Returns `[ThreadCtx::now(),
 /// suvm_major_faults, suvm_evictions, suvm_clean_skips, suvm_wb_pages,
 /// sealed_bytes]` at the end of the run.
-fn pinned_workload(policy: crate::config::EvictPolicy, wb_batch: usize) -> [u64; 6] {
+fn pinned_workload(
+    policy: crate::config::EvictPolicy,
+    wb_batch: usize,
+    access: Access,
+) -> [u64; 6] {
     use crate::spointer::SPtr;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -353,6 +359,7 @@ fn pinned_workload(policy: crate::config::EvictPolicy, wb_batch: usize) -> [u64;
     let (m, s, mut t) = setup(SuvmConfig {
         policy,
         wb_batch,
+        sub_page_size: if access == Access::Cached { 4096 } else { 1024 },
         ..SuvmConfig::tiny()
     });
     let a = s.malloc(SPAN as usize);
@@ -361,8 +368,9 @@ fn pinned_workload(policy: crate::config::EvictPolicy, wb_batch: usize) -> [u64;
     for i in 0..400u64 {
         let at = rng.random_range(0..SPAN - 64);
         match rng.random_range(0..10) {
-            0..=4 => s.write(&mut t, a + at, &[i as u8; 64]),
-            5..=8 => s.read(&mut t, a + at, &mut [0u8; 64]),
+            0..=4 if access == Access::Cached => s.write(&mut t, a + at, &[i as u8; 64]),
+            0..=4 => s.write_direct(&mut t, a + at, &[i as u8; 64]),
+            5..=8 => s.span(a + at, access).read(&mut t, &mut [0u8; 64]),
             _ => {
                 // A linked spointer keeps its page pinned until the
                 // next one replaces it.
@@ -390,23 +398,28 @@ fn pinned_workload(policy: crate::config::EvictPolicy, wb_batch: usize) -> [u64;
     out
 }
 
-/// The unit-speed guard for the paging layer: the constants were
-/// measured at `a8bd3ad`, before the store / sealer / victim-scan
-/// refactor, so any charge that refactor moved shows up here.
+/// The unit-speed guard for the paging layer: the constants of the
+/// three `Cached` rows were measured at `a8bd3ad`, before the store /
+/// sealer / victim-scan refactor, so any charge that refactor moved
+/// shows up here; the `Adaptive` row was pinned when the rule landed.
 #[test]
 fn paging_cycles_are_pinned() {
     use crate::config::EvictPolicy;
     assert_eq!(
-        pinned_workload(EvictPolicy::Clock, 0),
+        pinned_workload(EvictPolicy::Clock, 0, Access::Cached),
         [3_659_563, 311, 295, 93, 0, 1_839_104]
     );
     assert_eq!(
-        pinned_workload(EvictPolicy::Clock, 8),
+        pinned_workload(EvictPolicy::Clock, 8, Access::Cached),
         [3_863_268, 337, 330, 119, 211, 1_982_464]
     );
     assert_eq!(
-        pinned_workload(EvictPolicy::Fifo, 0),
+        pinned_workload(EvictPolicy::Fifo, 0, Access::Cached),
         [3_718_467, 315, 299, 93, 0, 1_871_872]
+    );
+    assert_eq!(
+        pinned_workload(EvictPolicy::Clock, 0, Access::Adaptive),
+        [2_271_696, 97, 81, 11, 0, 799_744]
     );
 }
 
@@ -730,7 +743,7 @@ fn span_cursor_translates_once_per_page() {
     let mut head = [0u8; 8];
     let mut tail = vec![0u8; 1000];
     {
-        let mut span = s.span(a + 100, false);
+        let mut span = s.span(a + 100, Access::Cached);
         span.read(&mut t, &mut head);
         assert_eq!(pins(&s), 1, "the cursor holds its page pinned");
         span.read(&mut t, &mut tail);
@@ -745,7 +758,7 @@ fn span_cursor_translates_once_per_page() {
     let before = lookups(&m);
     let mut tail = vec![0u8; 600];
     {
-        let mut span = s.span(a + 2 * 4096 - 300, false);
+        let mut span = s.span(a + 2 * 4096 - 300, Access::Cached);
         span.read(&mut t, &mut head);
         span.read(&mut t, &mut tail);
         assert_eq!(pins(&s), 1, "only the current page stays pinned");
@@ -768,7 +781,7 @@ fn span_cursor_translates_once_per_page() {
 #[test]
 fn direct_span_cursor_unseals_each_sub_page_once() {
     let cfg = SuvmConfig {
-        seal_sub_pages: true,
+        sub_page_size: 1024,
         ..SuvmConfig::tiny()
     };
     let (m, s, mut t) = setup(cfg);
@@ -785,7 +798,7 @@ fn direct_span_cursor_unseals_each_sub_page_once() {
     let direct0 = m.stats.snapshot().suvm_direct_accesses;
     let mut head = [0u8; 8];
     let mut tail = vec![0u8; 1000];
-    let mut span = s.span(a + 100, true);
+    let mut span = s.span(a + 100, Access::Direct);
     let c0 = t.now();
     span.read(&mut t, &mut head);
     let c1 = t.now();
@@ -807,11 +820,151 @@ fn direct_span_cursor_unseals_each_sub_page_once() {
     s.write(&mut t, a + 4096, b"fresh");
     let mut buf = [0u8; 5];
     {
-        let mut span = s.span(a + 4096, true);
+        let mut span = s.span(a + 4096, Access::Direct);
         span.read(&mut t, &mut buf);
         assert_eq!(pins(&s), 1);
     }
     assert_eq!(&buf, b"fresh");
     assert_eq!(pins(&s), 0);
+    t.exit();
+}
+
+/// A 16-frame rig sealing 1 KiB sub-pages, holding `pages` written
+/// pages of a recognisable pattern, all evicted.
+fn cold_sub_page_rig(pages: usize) -> (Arc<SgxMachine>, Arc<Suvm>, ThreadCtx, Sva, Vec<u8>) {
+    let (m, s, mut t) = setup(SuvmConfig {
+        sub_page_size: 1024,
+        ..SuvmConfig::tiny()
+    });
+    let a = s.malloc(pages * 4096);
+    let data: Vec<u8> = (0..pages as u32 * 4096).map(|i| (i % 227) as u8).collect();
+    s.write(&mut t, a, &data);
+    while s.evict_one(&mut t) {}
+    (m, s, t, a, data)
+}
+
+#[test]
+fn bypass_crypto_is_counted_and_costs_what_it_did() {
+    // The cycle constants were measured at 86d3027, where both paths
+    // charged their sub-page crypto with a bare `ctx.compute` that no
+    // `crypto_*` counter (nor `sealed_bytes`) saw.
+    let (m, s, mut t, a, data) = cold_sub_page_rig(4);
+    let fixed = m.cfg.costs.crypto_fixed;
+    let crypto = |d: eleos_sim::stats::StatsSnapshot| {
+        [
+            d.crypto_batches,
+            d.crypto_msgs,
+            d.crypto_setup_cycles,
+            d.sealed_bytes,
+        ]
+    };
+
+    // A read over sub-pages 0 and 1: two unseals, each its own batch.
+    let (s0, c0) = (m.stats.snapshot(), t.now());
+    let mut buf = vec![0u8; 1008];
+    s.read_direct(&mut t, a + 100, &mut buf);
+    assert_eq!(buf, &data[100..1108]);
+    assert_eq!(t.now() - c0, 6_008);
+    assert_eq!(crypto(m.stats.snapshot() - s0), [2, 2, 2 * fixed, 2 * 1024]);
+
+    // A write-through inside one sub-page: its open and its re-seal.
+    let (s0, c0) = (m.stats.snapshot(), t.now());
+    s.write_direct(&mut t, a + 5000, b"twenty-byte payload!");
+    assert_eq!(t.now() - c0, 6_008);
+    assert_eq!(crypto(m.stats.snapshot() - s0), [1, 2, 2 * fixed, 2 * 1024]);
+    assert_eq!(s.resident_pages(), 0);
+    t.exit();
+}
+
+#[test]
+fn direct_write_to_a_never_sealed_page_takes_the_cached_path() {
+    // It used to seal four zero sub-pages and write a page of
+    // ciphertext to the backing store without charging either.
+    let payload = b"twenty-byte payload!";
+    let cost = |direct: bool| {
+        let (_m, s, mut t, ..) = cold_sub_page_rig(4);
+        let b = s.malloc(4096);
+        let c0 = t.now();
+        if direct {
+            s.write_direct(&mut t, b + 1000, payload);
+        } else {
+            s.write(&mut t, b + 1000, payload);
+        }
+        let cycles = t.now() - c0;
+        assert_eq!(s.resident_pages(), 1, "the page was faulted in");
+        assert!(s.frames.iter().any(|f| f.dirty.load(Ordering::Acquire)));
+        for access in [Access::Cached, Access::Direct, Access::Adaptive] {
+            let mut buf = [0u8; 22];
+            s.span(b + 999, access).read(&mut t, &mut buf);
+            assert_eq!((buf[0], &buf[1..21], buf[21]), (0, &payload[..], 0));
+        }
+        t.exit();
+        cycles
+    };
+    assert_eq!(cost(true), cost(false));
+}
+
+#[test]
+fn adaptive_reads_bypass_cold_pages_and_cache_reused_ones() {
+    let (m, s, mut t, a, data) = cold_sub_page_rig(64);
+    let f0 = m.stats.snapshot().suvm_major_faults;
+    let faults = || m.stats.snapshot().suvm_major_faults - f0;
+    let read = |t: &mut ThreadCtx, page: u64| {
+        let mut buf = [0u8; 64];
+        let at = page * 4096 + 2000;
+        s.span(a + at, Access::Adaptive).read(t, &mut buf);
+        assert_eq!(buf, data[at as usize..at as usize + 64], "page {page}");
+    };
+    // 16 frames of four sub-pages: a page re-read fewer than 4 read
+    // misses after its last one is worth a frame.
+    read(&mut t, 0);
+    assert_eq!((faults(), s.resident_pages()), (0, 0), "first touch");
+    read(&mut t, 0);
+    assert_eq!(
+        (faults(), s.resident_pages()),
+        (1, 1),
+        "re-read at distance 1"
+    );
+    read(&mut t, 0);
+    assert_eq!(faults(), 1, "now a hit");
+    // Page 1, then three other cold pages: its next miss is the 4th
+    // after its last one — outside the window.
+    for page in [1, 2, 3, 4, 1] {
+        read(&mut t, page);
+    }
+    assert_eq!((faults(), s.resident_pages()), (1, 1));
+    // ... and two after that one is inside it.
+    for page in [5, 6, 1] {
+        read(&mut t, page);
+    }
+    assert_eq!((faults(), s.resident_pages()), (2, 2));
+    // The window follows the ballooned frame limit: 8 frames, 2 misses.
+    s.resize(&mut t, 8);
+    for page in [10, 11, 10] {
+        read(&mut t, page);
+    }
+    assert_eq!(faults(), 2, "distance 2 no longer qualifies");
+    read(&mut t, 10);
+    assert_eq!(faults(), 3);
+    // A write is no reuse: it neither reads nor sets the stamp.
+    read(&mut t, 20);
+    s.write_direct(&mut t, a + 21 * 4096, b"w");
+    s.write_direct(&mut t, a + 21 * 4096 + 1, b"w");
+    read(&mut t, 21);
+    assert_eq!(faults(), 3, "writes did not make page 21 look reused");
+    t.exit();
+
+    // With one unit per page there is nothing to bypass to: adaptive
+    // is the cached path.
+    let (m, s, mut t) = setup(SuvmConfig::tiny());
+    let a = s.malloc(4 * 4096);
+    s.write(&mut t, a, &[7u8; 4 * 4096]);
+    while s.evict_one(&mut t) {}
+    let mut buf = [0u8; 8];
+    s.span(a, Access::Adaptive).read(&mut t, &mut buf);
+    s.span(a + 4096, Access::Direct).read(&mut t, &mut buf);
+    s.write_direct(&mut t, a + 2 * 4096, b"x");
+    let st = m.stats.snapshot();
+    assert_eq!((st.suvm_major_faults, st.suvm_direct_accesses), (4 + 3, 0));
     t.exit();
 }

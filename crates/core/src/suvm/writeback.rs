@@ -53,7 +53,7 @@ impl Suvm {
         // eviction, no queue round-trip.
         let clean = !meta.dirty.load(Ordering::Acquire)
             && self.cfg.clean_skip
-            && self.store.seals.get(page).has_copy();
+            && self.store.seals.has_copy(page);
         if clean {
             return if self.try_evict_frame(ctx, frame, page) {
                 Detached::Freed

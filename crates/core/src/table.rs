@@ -7,8 +7,8 @@
 //! - the **inverse page table** ([`InversePt`]): backing-store page →
 //!   EPC++ frame;
 //! - the **crypto-metadata table** ([`CryptoTable`]): backing-store
-//!   page → nonce + HMAC of the sealed copy (whole-page or per
-//!   sub-page).
+//!   page → nonce + HMAC of each sealed unit of its copy, and when
+//!   the page last missed EPC++ on a read.
 //!
 //! Both conceptually live in EPC; like the paper's prototype, SUVM does
 //! not evict its own metadata (§4.2).
@@ -96,16 +96,10 @@ pub enum SealState {
     /// Never evicted: the backing store holds nothing; a fault
     /// zero-fills.
     Fresh,
-    /// Sealed as one whole page.
-    Page {
-        /// Sealing nonce.
-        nonce: Nonce,
-        /// Authentication tag.
-        tag: Tag,
-    },
-    /// Sealed as independent sub-pages (enables direct access).
+    /// Sealed as independently authenticated units of the store's
+    /// sub-page size — one unit when that is the page size.
     SubPages {
-        /// Per-sub-page `(nonce, tag)` in order.
+        /// Per-unit `(nonce, tag)` in order.
         meta: Box<[(Nonce, Tag)]>,
     },
 }
@@ -118,7 +112,12 @@ impl SealState {
     }
 }
 
-/// The crypto-metadata table: sharded `page -> (version, SealState)`.
+/// One page's entry: seqlock version, seal state, and the reading of
+/// the owner's read-miss clock at the page's previous read miss (0 =
+/// none yet).
+type Entry = (u64, SealState, u64);
+
+/// The crypto-metadata table: sharded `page -> Entry`.
 ///
 /// The version implements a per-page **seqlock** over the pair
 /// (metadata, sealed bytes in the untrusted backing store): sealing a
@@ -128,7 +127,7 @@ impl SealState {
 /// version or a version change, and retries — only a *stable* version
 /// with a failing tag is evidence of tampering.
 pub struct CryptoTable {
-    shards: Vec<Mutex<std::collections::HashMap<u64, (u64, SealState)>>>,
+    shards: Vec<Mutex<std::collections::HashMap<u64, Entry>>>,
     mask: usize,
     live: std::sync::atomic::AtomicUsize,
 }
@@ -153,7 +152,7 @@ impl CryptoTable {
         self.live.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    fn shard(&self, page: u64) -> &Mutex<std::collections::HashMap<u64, (u64, SealState)>> {
+    fn shard(&self, page: u64) -> &Mutex<std::collections::HashMap<u64, Entry>> {
         let h = (page.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33) as usize;
         &self.shards[h & self.mask]
     }
@@ -167,12 +166,18 @@ impl CryptoTable {
                 let g = self.shard(page).lock();
                 match g.get(&page) {
                     None => return (0, SealState::Fresh),
-                    Some((v, state)) if v % 2 == 0 => return (*v, state.clone()),
+                    Some((v, state, _)) if v % 2 == 0 => return (*v, state.clone()),
                     _ => {}
                 }
             }
             std::hint::spin_loop();
         }
+    }
+
+    /// Whether the backing store holds a sealed copy of `page`.
+    pub(crate) fn has_copy(&self, page: u64) -> bool {
+        let g = self.shard(page).lock();
+        g.get(&page).is_some_and(|e| e.1.has_copy())
     }
 
     /// Returns the seal state of `page` (`Fresh` if unknown).
@@ -187,7 +192,7 @@ impl CryptoTable {
         let g = self.shard(page).lock();
         match g.get(&page) {
             None => v == 0,
-            Some((cur, _)) => *cur == v,
+            Some((cur, ..)) => *cur == v,
         }
     }
 
@@ -200,7 +205,7 @@ impl CryptoTable {
                 let mut inserted = false;
                 let e = g.entry(page).or_insert_with(|| {
                     inserted = true;
-                    (0, SealState::Fresh)
+                    (0, SealState::Fresh, 0)
                 });
                 if inserted {
                     self.live.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -231,8 +236,17 @@ impl CryptoTable {
         self.shard(page)
             .lock()
             .get(&page)
-            .map(|(_, s)| s.clone())
+            .map(|(_, s, _)| s.clone())
             .unwrap_or(SealState::Fresh)
+    }
+
+    /// Stamps `page` as having missed on a read at miss-clock `now`
+    /// and returns its previous stamp (0 when it has none, or no
+    /// entry).
+    pub(crate) fn stamp_miss(&self, page: u64, now: u64) -> u64 {
+        let mut g = self.shard(page).lock();
+        g.get_mut(&page)
+            .map_or(0, |e| std::mem::replace(&mut e.2, now))
     }
 
     /// Forgets `page` (decommit), waiting out any in-flight writer.
@@ -242,7 +256,7 @@ impl CryptoTable {
                 let mut g = self.shard(page).lock();
                 match g.get(&page) {
                     None => return,
-                    Some((v, _)) if v % 2 == 0 => {
+                    Some((v, ..)) if v % 2 == 0 => {
                         g.remove(&page);
                         self.live.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
                         return;
@@ -300,21 +314,34 @@ mod tests {
         ct.begin_write(9);
         ct.commit_write(
             9,
-            SealState::Page {
-                nonce: [1; 12],
-                tag: [2; 16],
+            SealState::SubPages {
+                meta: Box::new([([1; 12], [2; 16])]),
             },
         );
         assert!(ct.get(9).has_copy());
         match ct.get(9) {
-            SealState::Page { nonce, tag } => {
-                assert_eq!(nonce, [1; 12]);
-                assert_eq!(tag, [2; 16]);
-            }
-            _ => panic!("wrong state"),
+            SealState::SubPages { meta } => assert_eq!(*meta, [([1; 12], [2; 16])]),
+            SealState::Fresh => panic!("wrong state"),
         }
         ct.clear(9);
         assert!(!ct.get(9).has_copy());
+    }
+
+    #[test]
+    fn miss_stamps_live_and_die_with_the_entry() {
+        let ct = CryptoTable::new(8);
+        assert_eq!(ct.stamp_miss(4, 7), 0, "no entry, nothing to stamp");
+        assert_eq!(ct.stamp_miss(4, 8), 0);
+        ct.begin_write(4);
+        ct.commit_write(4, SealState::SubPages { meta: Box::new([]) });
+        assert_eq!(ct.stamp_miss(4, 9), 0, "first miss of a sealed page");
+        assert_eq!(ct.stamp_miss(4, 12), 9);
+        // A re-seal keeps the stamp; a decommit forgets it.
+        ct.begin_write(4);
+        ct.commit_write(4, SealState::SubPages { meta: Box::new([]) });
+        assert_eq!(ct.stamp_miss(4, 13), 12);
+        ct.clear(4);
+        assert_eq!(ct.stamp_miss(4, 14), 0);
     }
 
     #[test]
@@ -328,9 +355,8 @@ mod tests {
         assert!(!ct.check(5, 0));
         ct.commit_write(
             5,
-            SealState::Page {
-                nonce: [0; 12],
-                tag: [0; 16],
+            SealState::SubPages {
+                meta: Box::new([([0; 12], [0; 16])]),
             },
         );
         let (v1, s) = ct.read(5);
@@ -351,9 +377,8 @@ mod tests {
                     ct.begin_write(1);
                     ct.commit_write(
                         1,
-                        SealState::Page {
-                            nonce: [(i % 251) as u8; 12],
-                            tag: [0; 16],
+                        SealState::SubPages {
+                            meta: Box::new([([(i % 251) as u8; 12], [0; 16])]),
                         },
                     );
                 }

@@ -42,6 +42,14 @@ if grep -rnE 'FleetShardStats|FleetShardSnapshot|ShardStatsSnapshot|StorageClass
     echo "a deleted stat-grid / NUMA name is back (see above)"
     exit 1
 fi
+# PR 20 made direct-vs-cached a per-access choice (`Access`) and the
+# sub-page seal the one seal format: no construction-time bool, no
+# `seal_sub_pages` switch, no whole-page `SealState`.
+if grep -rnE 'seal_sub_pages|SealState::Page|direct: (true|false)' \
+        crates/*/src src examples tests ; then
+    echo "a deleted direct-access switch is back (see above)"
+    exit 1
+fi
 if git grep -nE 'RUST_MIN_STACK *=' -- . ':!ROADMAP.md' ':!CHANGES.md' ':!ISSUE.md' ; then
     echo "a tracked file sets RUST_MIN_STACK: shrink what is on the stack instead"
     exit 1
@@ -56,10 +64,12 @@ cargo test --workspace --offline -q
 echo "== e2e bench unit tests + smoke run (API surface, metric names)"
 cargo test --offline --manifest-path bench/Cargo.toml -q
 
-echo "== e2e kvs-paging guard (a GET faults its own record's pages, nobody else's)"
-# Exit 0 means the traced run's conservation checks held. The Fig 11
-# record spans 1.12 pages; the 1.32 faults/op this guards against was
-# every chain walk also reading a stranger's key out of SUVM.
+echo "== e2e kvs-paging guard (a cold record is read in place: only a re-read page is faulted in)"
+# Exit 0 means the traced run's conservation checks held. A uniformly
+# random GET unseals the sub-pages of its record and faults nothing in;
+# what is left (0.03/op) is pages re-read within the reuse window. The
+# 1.12 faults/op this guards against was every GET faulting its own
+# record's pages, 1.32 every chain walk a stranger's as well.
 cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
     --workload kvs-paging --seed 1 --seconds 2 --trace 1 | tail -n 1 > target/e2e_guard.json
 python3 - <<'EOF'
@@ -69,8 +79,8 @@ run = json.load(open("target/e2e_guard.json"))
 faults = run["metrics"]["core.major_faults"]["value"]
 if run["failed"] != 0:
     sys.exit(f"kvs-paging: {run['failed']} of {run['attempted']} ops failed")
-if faults > 1.2:
-    sys.exit(f"kvs-paging: {faults:.3f} SUVM major faults/op, want <= 1.2")
+if faults > 0.1:
+    sys.exit(f"kvs-paging: {faults:.3f} SUVM major faults/op, want <= 0.1")
 print(f"   {run['attempted']} ops, 0 failed, {faults:.3f} major faults/op")
 EOF
 

@@ -72,7 +72,6 @@ fn stack(mode: &str) -> Stack {
                 SuvmConfig {
                     epcpp_bytes: 1 << 20,
                     backing_bytes: 32 << 20,
-                    seal_sub_pages: mode == "eleos-direct",
                     ..SuvmConfig::default()
                 },
             );

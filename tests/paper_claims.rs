@@ -35,6 +35,7 @@ fn suvm_on(m: &Arc<SgxMachine>, epcpp: usize, backing: usize) -> (Arc<Suvm>, Thr
     let s = Suvm::new(
         &t0,
         SuvmConfig {
+            sub_page_size: PAGE_SIZE, // the paper's EPC++ rows seal whole pages
             epcpp_bytes: epcpp,
             backing_bytes: backing.next_power_of_two(),
             headroom_bytes: 1 << 20,
@@ -165,6 +166,7 @@ fn claim_clean_page_elision_helps_reads() {
         let s = Suvm::new(
             &t0,
             SuvmConfig {
+                sub_page_size: PAGE_SIZE, // the paper's EPC++ rows seal whole pages
                 epcpp_bytes: 256 * PAGE_SIZE,
                 backing_bytes: 16 << 20,
                 clean_skip,
@@ -251,6 +253,7 @@ fn claim_epcpp_overcommit_thrashes() {
                 let s = Suvm::new(
                     &t0,
                     SuvmConfig {
+                        sub_page_size: PAGE_SIZE, // the paper's EPC++ rows seal whole pages
                         epcpp_bytes: epcpp,
                         backing_bytes: 32 << 20,
                         headroom_bytes: 1 << 20,

@@ -9,7 +9,7 @@ use eleos::suvm::spointer::SPtr;
 use eleos::suvm::{Suvm, SuvmConfig};
 use proptest::prelude::*;
 
-fn rig(seal_sub_pages: bool) -> (Arc<SgxMachine>, Arc<Suvm>, ThreadCtx) {
+fn rig(sub_page_size: usize) -> (Arc<SgxMachine>, Arc<Suvm>, ThreadCtx) {
     let m = SgxMachine::new(MachineConfig {
         epc_bytes: 2 << 20,
         ..MachineConfig::tiny()
@@ -21,7 +21,7 @@ fn rig(seal_sub_pages: bool) -> (Arc<SgxMachine>, Arc<Suvm>, ThreadCtx) {
         SuvmConfig {
             epcpp_bytes: 8 * 4096, // tiny cache: constant eviction
             backing_bytes: 1 << 20,
-            seal_sub_pages,
+            sub_page_size,
             ..SuvmConfig::tiny()
         },
     );
@@ -37,6 +37,8 @@ enum Op {
     Read { at: usize, len: usize },
     ReadDirect { at: usize, len: usize },
     WriteDirect { at: usize, data: Vec<u8> },
+    ReadAdaptive { at: usize, len: usize },
+    WriteAdaptive { at: usize, data: Vec<u8> },
     EvictAll,
 }
 
@@ -48,6 +50,9 @@ fn op_strategy(span: usize) -> impl Strategy<Value = Op> {
         (0..span, 1usize..300).prop_map(|(at, len)| Op::ReadDirect { at, len }),
         (0..span, prop::collection::vec(any::<u8>(), 1..200))
             .prop_map(|(at, data)| Op::WriteDirect { at, data }),
+        (0..span, 1usize..300).prop_map(|(at, len)| Op::ReadAdaptive { at, len }),
+        (0..span, prop::collection::vec(any::<u8>(), 1..200))
+            .prop_map(|(at, data)| Op::WriteAdaptive { at, data }),
         Just(Op::EvictAll),
     ]
 }
@@ -56,10 +61,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// SUVM behaves exactly like flat memory under arbitrary
-    /// interleavings of cached/direct reads/writes and full evictions.
+    /// interleavings of cached/direct/adaptive reads/writes and full
+    /// evictions (the adaptive ones through the product's
+    /// `DataSpace::suvm`).
     #[test]
     fn suvm_matches_shadow_memory(ops in prop::collection::vec(op_strategy(60_000), 1..50)) {
-        let (_m, s, mut t) = rig(true);
+        let (_m, s, mut t) = rig(1024);
+        let adaptive = eleos::apps::space::DataSpace::suvm(&s);
         let span = 64 << 10;
         let sva = s.malloc(span);
         let mut shadow = vec![0u8; span];
@@ -87,6 +95,17 @@ proptest! {
                     s.read_direct(&mut t, sva + at as u64, &mut buf);
                     prop_assert_eq!(&buf, &shadow[at..at + len]);
                 }
+                Op::WriteAdaptive { at, data } => {
+                    let at = at.min(span - data.len());
+                    adaptive.write(&mut t, sva + at as u64, &data);
+                    shadow[at..at + data.len()].copy_from_slice(&data);
+                }
+                Op::ReadAdaptive { at, len } => {
+                    let at = at.min(span - len);
+                    let mut buf = vec![0u8; len];
+                    adaptive.read(&mut t, sva + at as u64, &mut buf);
+                    prop_assert_eq!(&buf, &shadow[at..at + len]);
+                }
                 Op::EvictAll => {
                     while s.evict_one(&mut t) {}
                     prop_assert_eq!(s.resident_pages(), 0);
@@ -100,7 +119,7 @@ proptest! {
     /// (aligned) offsets, across evictions.
     #[test]
     fn spointer_typed_roundtrip(values in prop::collection::vec((0usize..8000, any::<u64>()), 1..60)) {
-        let (_m, s, mut t) = rig(false);
+        let (_m, s, mut t) = rig(4096);
         let sva = s.malloc(64 << 10);
         let mut shadow = std::collections::HashMap::new();
         for (slot, v) in values {
@@ -120,7 +139,7 @@ proptest! {
     /// element, and cross-page moves unlink.
     #[test]
     fn spointer_arithmetic(steps in prop::collection::vec((any::<bool>(), 1u64..2000), 1..40)) {
-        let (_m, s, mut t) = rig(false);
+        let (_m, s, mut t) = rig(4096);
         let n = 8192u64;
         let sva = s.malloc((n * 8) as usize);
         // Identity contents.
@@ -213,7 +232,7 @@ proptest! {
     /// Ballooning to any size keeps data intact and respects limits.
     #[test]
     fn resize_preserves_contents(sizes in prop::collection::vec(2usize..16, 1..8)) {
-        let (_m, s, mut t) = rig(false);
+        let (_m, s, mut t) = rig(4096);
         let sva = s.malloc(32 * 4096);
         for page in 0..32u64 {
             s.write(&mut t, sva + page * 4096, &[page as u8 + 1; 32]);

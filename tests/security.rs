@@ -328,6 +328,14 @@ fn hostile_receive_descriptors_are_rejected_not_trusted() {
     t.exit();
 }
 
+/// The message of a caught panic.
+fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
+    p.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
 #[test]
 fn suvm_backing_store_tamper_detected() {
     let m = small_machine();
@@ -368,11 +376,7 @@ fn suvm_backing_store_tamper_detected() {
     // ciphertext) or authentication caught the tampering — silent
     // corruption is the one outcome the assert above forbids.
     if let Err(p) = result {
-        let msg = p
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
+        let msg = panic_message(p);
         assert!(
             msg.contains("authentication"),
             "must fail closed on tampering, got: {msg}"
@@ -420,14 +424,249 @@ fn replayed_backing_store_page_is_rejected() {
             String::from_utf8_lossy(&buf)
         ),
         Err(p) => {
-            let msg = p
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_default();
+            let msg = panic_message(p);
             assert!(msg.contains("authentication"), "unexpected panic: {msg}");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The sealed sub-pages a cold access reads and re-seals in place
+// ---------------------------------------------------------------------
+
+/// Runs `f`, which must die on an authentication failure.
+fn must_fail_closed<R: std::fmt::Debug>(what: &str, f: impl FnOnce() -> R) {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+        Ok(got) => panic!("{what} went undetected: {got:?}"),
+        Err(p) => {
+            let msg = panic_message(p);
+            assert!(msg.contains("authentication"), "{what}: {msg}");
+        }
+    }
+}
+
+/// The product's SUVM path with everything cold: 1 KiB sub-page seals
+/// behind `DataSpace::suvm`, eight pages of a per-sub-page pattern
+/// written and evicted, and the host's view of them. EPC++ is four
+/// frames of four sub-pages — a reuse window of one read miss, which
+/// no re-read fits in — so every read of a cold page here bypasses it.
+struct ColdSubPages {
+    m: Arc<SgxMachine>,
+    suvm: Arc<Suvm>,
+    space: eleos::apps::space::DataSpace,
+    t: ThreadCtx,
+    sva: u64,
+    /// Untrusted address of the sealed image of the page at `sva`.
+    image: u64,
+}
+
+impl ColdSubPages {
+    const PAGES: u64 = 8;
+
+    fn pattern(page: u64, sub: u64) -> [u8; 1024] {
+        [(16 * page + sub + 1) as u8; 1024]
+    }
+
+    fn new() -> Self {
+        let m = small_machine();
+        let e = m.driver.create_enclave(&m, 16 << 20);
+        let t0 = ThreadCtx::for_enclave(&m, &e, 0);
+        let suvm = Suvm::new(
+            &t0,
+            SuvmConfig {
+                sub_page_size: 1024,
+                epcpp_bytes: 4 * 4096,
+                backing_bytes: 1 << 20,
+                ..SuvmConfig::tiny()
+            },
+        );
+        let space = eleos::apps::space::DataSpace::suvm(&suvm);
+        let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+        t.enter();
+        let sva = space.alloc((Self::PAGES * 4096) as usize);
+        assert_eq!(sva % 4096, 0);
+        let mut before = vec![0u8; m.untrusted.size()];
+        m.untrusted.read(0, &mut before);
+        for page in 0..Self::PAGES {
+            for sub in 0..4 {
+                space.write(
+                    &mut t,
+                    sva + page * 4096 + sub * 1024,
+                    &Self::pattern(page, sub),
+                );
+            }
+        }
+        while suvm.evict_one(&mut t) {}
+        // Sealing the pages out is all that wrote to untrusted memory
+        // since `before`, lowest address first.
+        let mut after = vec![0u8; before.len()];
+        m.untrusted.read(0, &mut after);
+        let first = before.iter().zip(&after).position(|(a, b)| a != b);
+        let image = first.expect("sealed images") as u64 & !4095;
+        Self {
+            m,
+            suvm,
+            space,
+            t,
+            sva,
+            image,
+        }
+    }
+
+    /// Host address and current ciphertext of sub-page `sub` of `page`.
+    fn ciphertext(&self, page: u64, sub: u64) -> (u64, [u8; 1024]) {
+        let addr = self.image + page * 4096 + sub * 1024;
+        let mut bytes = [0u8; 1024];
+        self.m.untrusted.read(addr, &mut bytes);
+        (addr, bytes)
+    }
+
+    /// Reads 64 bytes of the sub-page back through the data space,
+    /// without faulting anything in.
+    fn read(&mut self, page: u64, sub: u64) -> [u8; 64] {
+        let mut buf = [0u8; 64];
+        let at = self.sva + page * 4096 + sub * 1024 + 100;
+        self.space.read(&mut self.t, at, &mut buf);
+        assert_eq!(self.suvm.resident_pages(), 0, "the read bypassed EPC++");
+        buf
+    }
+}
+
+#[test]
+fn tampered_sub_page_fails_closed_on_bypass_read_and_write_through() {
+    let mut rig = ColdSubPages::new();
+    let (addr, bytes) = rig.ciphertext(2, 1);
+    rig.m.untrusted.write(addr + 500, &[bytes[500] ^ 0x01]);
+    // Its neighbours still open, and read right.
+    assert_eq!(rig.read(2, 0), ColdSubPages::pattern(2, 0)[..64]);
+    assert_eq!(rig.read(2, 2), ColdSubPages::pattern(2, 2)[..64]);
+    must_fail_closed("a flipped ciphertext bit under a bypass read", || {
+        rig.read(2, 1)
+    });
+    // A write-through opens the sub-page before it re-seals it: the
+    // flipped bit must not be laundered into a fresh, valid seal.
+    let faults = rig.m.stats.snapshot().suvm_major_faults;
+    must_fail_closed("a flipped ciphertext bit under a write-through", || {
+        let at = rig.sva + 2 * 4096 + 1024 + 7;
+        rig.space.write(&mut rig.t, at, b"overwrite");
+    });
+    assert_eq!(rig.m.stats.snapshot().suvm_major_faults, faults);
+}
+
+#[test]
+fn replayed_sub_page_is_rejected_after_a_write_through() {
+    // Freshness is per sub-page: a write-through re-seals the one
+    // sub-page it touches under a fresh nonce, and the image it
+    // replaced must be dead from then on.
+    let mut rig = ColdSubPages::new();
+    let (addr, old) = rig.ciphertext(1, 2);
+    let at = rig.sva + 4096 + 2 * 1024 + 100;
+    rig.space.write(&mut rig.t, at, b"version-2");
+    assert_eq!(rig.suvm.resident_pages(), 0, "written through");
+    assert_ne!(rig.ciphertext(1, 2).1, old, "re-sealed in place");
+    assert_eq!(&rig.read(1, 2)[..9], b"version-2");
+    rig.m.untrusted.write(addr, &old);
+    must_fail_closed("a replayed sub-page", || rig.read(1, 2));
+}
+
+#[test]
+fn transposed_sub_pages_are_rejected() {
+    // Every sealed unit is bound to its (page, sub-page) position.
+    let mut rig = ColdSubPages::new();
+    // Within one page ...
+    let (a, first) = rig.ciphertext(3, 0);
+    let (b, second) = rig.ciphertext(3, 1);
+    rig.m.untrusted.write(a, &second);
+    rig.m.untrusted.write(b, &first);
+    must_fail_closed("sub-pages swapped within a page", || rig.read(3, 0));
+    must_fail_closed("sub-pages swapped within a page", || rig.read(3, 1));
+    // ... and the same sub-page slot of two pages.
+    let (a, first) = rig.ciphertext(5, 3);
+    let (b, second) = rig.ciphertext(6, 3);
+    rig.m.untrusted.write(a, &second);
+    rig.m.untrusted.write(b, &first);
+    must_fail_closed("sub-pages swapped across pages", || rig.read(5, 3));
+    must_fail_closed("sub-pages swapped across pages", || rig.read(6, 3));
+    assert_eq!(rig.read(5, 2), ColdSubPages::pattern(5, 2)[..64]);
+}
+
+/// The same over the wire: a GET of a cold record whose sealed bytes
+/// the host corrupted kills the enclave on the authentication failure.
+/// No reply — least of all one carrying the wrong bytes — goes out.
+#[test]
+fn kvs_get_of_a_tampered_cold_record_fails_closed() {
+    use eleos::apps::io::{IoPath, ServerIoConfig};
+    use eleos::apps::kvs::{build_get, Kvs};
+    use eleos::apps::space::DataSpace;
+    use eleos::apps::wire::Session;
+
+    let m = small_machine();
+    let e = m.driver.create_enclave(&m, 16 << 20);
+    let t0 = ThreadCtx::for_enclave(&m, &e, 0);
+    let suvm = Suvm::new(
+        &t0,
+        SuvmConfig {
+            sub_page_size: 1024,
+            backing_bytes: 4 << 20,
+            ..SuvmConfig::tiny()
+        },
+    );
+    let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+    t.enter();
+    let mut kvs = Kvs::new(
+        DataSpace::Untrusted(Arc::clone(&m)),
+        DataSpace::suvm(&suvm),
+        2 << 20,
+        64,
+    );
+    kvs.init(&mut t);
+    for i in 0..40u32 {
+        assert!(kvs.set(&mut t, format!("key-{i}").as_bytes(), &[i as u8; 700]));
+    }
+    // The clear index is in untrusted memory too, and already written:
+    // what the evictions add is the sealed record bytes alone.
+    let mut before = vec![0u8; m.untrusted.size()];
+    m.untrusted.read(0, &mut before);
+    while suvm.evict_one(&mut t) {}
+    let mut after = vec![0u8; before.len()];
+    m.untrusted.read(0, &mut after);
+    // One flipped bit in every sealed sub-page.
+    let mut flipped = 0;
+    for unit in (0..after.len()).step_by(1024) {
+        if before[unit..unit + 1024] != after[unit..unit + 1024] {
+            m.untrusted
+                .write(unit as u64 + 300, &[after[unit + 300] ^ 0x80]);
+            flipped += 1;
+        }
+    }
+    assert!(
+        flipped >= 40 * 700 / 1024,
+        "sealed records found: {flipped}"
+    );
+
+    let session = Arc::new(Session::established([9u8; 16]));
+    let fd = m.host.socket(&t, 64 << 10);
+    let io = ServerIoConfig::with_buf_len(32 << 10).build(
+        &t,
+        &[fd],
+        IoPath::Ocall,
+        Arc::clone(&session),
+    );
+    m.host
+        .push_request(&t, fd, &session.encrypt(&build_get(b"key-17")));
+    let faults = m.stats.snapshot().suvm_major_faults;
+    must_fail_closed("a GET of a tampered cold record", || {
+        io.serve_one(&mut t, |c, plain| kvs.process(c, plain))
+    });
+    assert_eq!(
+        m.stats.snapshot().suvm_major_faults,
+        faults,
+        "a bypass read"
+    );
+    assert!(
+        m.host.pop_response(fd).is_none(),
+        "a reply left the enclave"
+    );
 }
 
 #[test]

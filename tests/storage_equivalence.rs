@@ -4,7 +4,9 @@
 //!   behaves exactly like a plain `HashMap` with TTL deadlines under
 //!   random SET/SET_TTL/GET/DELETE/ADVANCE/FENCE sequences — with the
 //!   kv pool in plain untrusted memory and again behind a tiny SUVM
-//!   page cache (constant paging pressure);
+//!   page cache (constant paging pressure), sealing whole pages (every
+//!   miss faults) and 1 KiB sub-pages (cold reads and writes bypass
+//!   the cache);
 //! - the slab rebalancer is reply-transparent: for any fence schedule
 //!   and delete pattern, a rebalancing store returns byte-identical
 //!   GET results to a static one, even while whole slabs (and the live
@@ -95,7 +97,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// sides drop it), while a DELETE of a lapsed-but-unobserved item may
 /// report either outcome (the slab store still holds it; the segment
 /// store may have reclaimed its whole segment at a fence).
-fn check_engine(cfg: &EngineConfig, paging: bool, ops: &[Op]) {
+fn check_engine(cfg: &EngineConfig, paging: Option<usize>, ops: &[Op]) {
     let m = SgxMachine::new(MachineConfig {
         epc_bytes: 2 << 20,
         untrusted_bytes: 64 << 20,
@@ -103,10 +105,11 @@ fn check_engine(cfg: &EngineConfig, paging: bool, ops: &[Op]) {
     });
     let e = m.driver.create_enclave(&m, 32 << 20);
     let t0 = ThreadCtx::for_enclave(&m, &e, 0);
-    let suvm = paging.then(|| {
+    let suvm = paging.map(|sub_page_size| {
         Suvm::new(
             &t0,
             SuvmConfig {
+                sub_page_size,
                 epcpp_bytes: 8 * 4096, // tiny cache: constant eviction
                 backing_bytes: 16 << 20,
                 ..SuvmConfig::tiny()
@@ -200,11 +203,11 @@ proptest! {
 
     /// Every engine matches the TTL'd `HashMap` shadow, with the kv
     /// pool in untrusted memory and again behind a thrashing SUVM
-    /// page cache.
+    /// page cache, without and with sub-pages to bypass it to.
     #[test]
     fn engines_match_shadow_model(ops in prop::collection::vec(op_strategy(), 1..100)) {
         for cfg in engines() {
-            for paging in [false, true] {
+            for paging in [None, Some(4096), Some(1024)] {
                 check_engine(&cfg, paging, &ops);
             }
         }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use eleos::enclave::machine::{MachineConfig, SgxMachine};
 use eleos::enclave::thread::ThreadCtx;
 use eleos::suvm::spointer::SPtr;
-use eleos::suvm::{EvictPolicy, Suvm, SuvmConfig};
+use eleos::suvm::{Access, EvictPolicy, Suvm, SuvmConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -222,4 +222,95 @@ fn batched_writeback_equals_inline_eviction() {
         seal_entries[0], seal_entries[1],
         "batched write-back changed the sealed population"
     );
+}
+
+/// Draws a page from a percentage and a uniformly random page.
+type Pick = fn(u64, u64) -> u64;
+
+/// Mean cycles per `len`-byte read of a page drawn by `pick` (from two
+/// random words), after a warm-up, under each of `Cached`, `Direct`
+/// and `Adaptive` in turn: 2 048 written-and-evicted pages behind a
+/// 256-frame EPC++ sealing 1 KiB sub-pages, everything evicted again
+/// between two runs. The forced modes leave no stamp behind, so the
+/// adaptive run starts as cold as they did.
+fn read_costs(len: usize, pick: Pick) -> [f64; 3] {
+    const PAGES: u64 = 2048;
+    let m = SgxMachine::new(MachineConfig {
+        epc_bytes: 8 << 20,
+        untrusted_bytes: 64 << 20,
+        ..MachineConfig::tiny()
+    });
+    let e = m.driver.create_enclave(&m, 16 << 20);
+    let t0 = ThreadCtx::for_enclave(&m, &e, 0);
+    let s = Suvm::new(
+        &t0,
+        SuvmConfig {
+            sub_page_size: 1024,
+            epcpp_bytes: 256 * 4096,
+            backing_bytes: 16 << 20,
+            headroom_bytes: 4 << 20,
+            ..SuvmConfig::tiny()
+        },
+    );
+    let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+    t.enter();
+    let sva = s.malloc(PAGES as usize * 4096);
+    for page in 0..PAGES {
+        s.write(&mut t, sva + page * 4096, &[page as u8; 4096]);
+    }
+    let costs = [Access::Cached, Access::Direct, Access::Adaptive].map(|access| {
+        while s.evict_one(&mut t) {}
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut buf = vec![0u8; len];
+        let mut run = |t: &mut ThreadCtx, reads: u64| {
+            let c0 = t.now();
+            for _ in 0..reads {
+                let page = pick(rng.random_range(0..100), rng.random_range(0..PAGES));
+                let at = rng.random_range(0..4096 / len as u64) * len as u64;
+                s.span(sva + page * 4096 + at, access).read(t, &mut buf);
+                assert_eq!(buf[0], page as u8);
+            }
+            (t.now() - c0) as f64 / reads as f64
+        };
+        run(&mut t, 2_000);
+        run(&mut t, 4_000)
+    });
+    s.check_consistency();
+    t.exit();
+    costs
+}
+
+/// The per-access rule against the two construction-time modes it
+/// replaced. Forced-direct never caches a hot page, forced-cached
+/// faults on every cold one; adaptive must stay near the better of the
+/// two wherever one of them is right, match the cache on a hot set
+/// that fits it, and beat both where the stream mixes the two.
+#[test]
+fn adaptive_tracks_the_better_forced_mode() {
+    const HOT: u64 = 128;
+    let streams: [(&str, Pick); 3] = [
+        ("uniform", |_, page| page),
+        ("hot set", |_, page| page % HOT),
+        (
+            "90/10 mix",
+            |pct, page| if pct < 90 { page % HOT } else { page },
+        ),
+    ];
+    for len in [64usize, 1024] {
+        for (name, pick) in streams {
+            let [cached, direct, adaptive] = read_costs(len, pick);
+            let cell = format!(
+                "{len} B {name}: cached {cached:.0} direct {direct:.0} adaptive {adaptive:.0}"
+            );
+            println!("{cell}");
+            let best = cached.min(direct);
+            assert!(adaptive <= 1.25 * best, "{cell}");
+            if name == "hot set" {
+                assert!(adaptive <= 1.01 * cached, "{cell}");
+            }
+            if (len, name) == (64, "90/10 mix") {
+                assert!(adaptive < best, "{cell}");
+            }
+        }
+    }
 }
