@@ -495,11 +495,20 @@ impl FleetKvs {
     /// under an epoch its peers have not heard of. Returns the new
     /// epoch.
     ///
+    /// # Errors
+    /// A peer refused its announcement: what it read back off the
+    /// channel — untrusted memory — was not a rekey message, was not
+    /// four bytes, or did not carry the epoch just announced. The
+    /// refusal is counted in `frame_rejects` and nothing of it is
+    /// applied; every peer's copy is off the ring either way. The
+    /// rotation itself stands (both epochs' keys are buffered, so
+    /// nothing in flight is lost); the next rotation announces afresh.
+    ///
     /// # Panics
     /// Panics when `initiator` is not serving, or when the shared
     /// session is not in a rotatable state (never established, or
     /// revoked).
-    pub fn rekey_wire(&self, initiator: usize) -> u32 {
+    pub fn rekey_wire(&self, initiator: usize) -> Result<u32, TransferRejected> {
         assert_eq!(
             self.fleet.state(initiator),
             ReplicaState::Serving,
@@ -522,18 +531,22 @@ impl FleetKvs {
             }
             to
         };
+        let mut heard = Ok(to);
         for &r in &peers {
             let mut slot = self.slot(r);
             let rep = slot.as_mut().expect("serving replica must be wired");
-            let (kind, eb) = self
-                .chan
-                .recv(&mut rep.ctx)
-                .expect("rekey protocol: announcement staged");
-            assert_eq!(kind, MSG_REKEY, "rekey protocol: unexpected message kind");
-            let heard = u32::from_le_bytes(eb.try_into().expect("4-byte epoch"));
-            assert_eq!(heard, to, "rekey announcement must carry the new epoch");
+            let refusal = match self.chan.recv(&mut rep.ctx) {
+                Some((MSG_REKEY, eb)) => match <[u8; 4]>::try_from(eb) {
+                    Ok(eb) if u32::from_le_bytes(eb) == to => continue,
+                    Ok(_) => "not the epoch this fence announced",
+                    Err(_) => "truncated rekey announcement",
+                },
+                _ => "expected a rekey announcement",
+            };
+            Stats::bump(&self.machine.stats.frame_rejects);
+            heard = Err(TransferRejected(refusal));
         }
-        to
+        heard
     }
 
     /// Runs one serving round: every serving replica reaps its owned
@@ -1300,7 +1313,7 @@ mod tests {
         while served < 8 {
             served += fk.pump();
         }
-        let to = fk.rekey_wire(0);
+        let to = fk.rekey_wire(0).expect("honest channel");
         assert_eq!(to, 1, "first wire rotation lands on epoch 1");
         assert_eq!(wire.epoch(), 1);
         // Epoch-0 messages queued before the announcement still drain;

@@ -411,12 +411,6 @@ impl ChaosPlan {
         ])
     }
 
-    /// Kill-only (the replica stays dead for the rest of the run).
-    #[must_use]
-    pub fn kill_at(victim: usize, at: usize) -> Self {
-        Self::new(vec![(at, ChaosAction::Kill(victim))])
-    }
-
     /// Actions whose fence is `<= pushed`, in schedule order; each is
     /// returned exactly once.
     pub fn take_due(&mut self, pushed: usize) -> Vec<ChaosAction> {

@@ -9,16 +9,18 @@
 //!        fig7a, fig7b, table2,
 //!        fig8a, fig8b, table3, fig9, fig10, fig11, table4,
 //!        meta_ablation, ablate_clean, ablate_subpage, ablate_epcpp,
-//!        ablate_pagesize, ablate_policy, pf_latency
+//!        ablate_pagesize, ablate_policy, ablate_zipf, storage_bench,
+//!        pf_latency (an alias of costs; the one id `all` leaves out)
 //!
 //!   --scale N   divide capacities/datasets by N (default 4)
 //!   --full      the paper's scale (93MB PRM, 500MB datasets; slow)
-//!   --quick     trim the paging_bench/crypto_bench axes (CI smoke)
+//!   --quick     trim the paging_bench/crypto_bench/serving_bench/
+//!               storage_bench axes and op counts (CI smoke)
 //! ```
 //!
-//! `paging_bench` (`{clock, fifo}` x write-back batch) checks its own
-//! claim and makes `repro` exit non-zero when a batch >= 8 cell does
-//! not beat its policy's inline cell.
+//! `paging_bench`, `crypto_bench`, `serving_bench` and `storage_bench`
+//! check their own header claims and make `repro` exit non-zero (a
+//! panic, 101) when one does not hold; no id writes a file.
 
 use eleos_bench::experiments as exp;
 use eleos_bench::harness::Scale;

@@ -233,9 +233,3 @@ pub fn run_table2(scale: Scale) {
         );
     }
 }
-
-/// §6.1.2 "SUVM software page faults vs SGX hardware page faults" —
-/// re-measured fault latencies (also part of `repro costs`).
-pub fn run_pf_latency(scale: Scale) {
-    crate::experiments::costs::run(scale);
-}

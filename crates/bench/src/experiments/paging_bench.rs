@@ -1,8 +1,7 @@
 //! Paging microbenchmark for SUVM: eviction policy x write-back batch
 //! size, on a dirty-heavy random access mix over a working set ~4x
-//! EPC++. Emits `BENCH_paging.json` for machine consumption and exits
-//! non-zero unless every policy's batch >= 8 cells beat its inline
-//! cell.
+//! EPC++. Exits non-zero unless every policy's batch >= 8 cells beat
+//! its inline cell; writes no file.
 //!
 //! The serving thread's cycles/op is the figure of merit: with
 //! `wb_batch = 0` every fault seals its victim inline (full GCM setup
@@ -29,8 +28,6 @@ struct Cell {
     cycles_per_op: f64,
     major_faults: u64,
     evictions: u64,
-    clean_skips: u64,
-    wb_batches: u64,
     wb_pages: u64,
     wb_rescues: u64,
     wb_queue_peak: u64,
@@ -102,16 +99,14 @@ fn run_cell(scale: Scale, policy: EvictPolicy, batch: usize, ops: usize) -> Cell
         cycles_per_op: cycles as f64 / ops as f64,
         major_faults: d.suvm_major_faults,
         evictions: d.suvm_evictions,
-        clean_skips: d.suvm_clean_skips,
-        wb_batches: d.suvm_wb_batches,
         wb_pages: d.suvm_wb_pages,
         wb_rescues: d.suvm_wb_rescues,
         wb_queue_peak: d.suvm_wb_queue_peak,
     }
 }
 
-/// Runs the sweep, prints a table, and writes `BENCH_paging.json`.
-/// `quick` trims the batch axis for CI smoke runs.
+/// Runs the sweep and prints a table. `quick` trims the batch axis
+/// for CI smoke runs.
 ///
 /// # Panics
 /// Panics — so `repro` exits non-zero — when a batch >= 8 cell does
@@ -137,7 +132,6 @@ pub fn run(scale: Scale, quick: bool) {
         "rescue",
         "wb_peak"
     );
-    let mut cells: Vec<Cell> = Vec::new();
     let mut losers: Vec<String> = Vec::new();
     for policy in policies {
         let mut inline_cpo = 0.0f64;
@@ -161,39 +155,9 @@ pub fn run(scale: Scale, quick: bool) {
             if batch >= 8 && c.cycles_per_op >= inline_cpo {
                 losers.push(format!("{} batch {batch}", c.policy));
             }
-            cells.push(c);
         }
     }
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"suvm_paging\",\n");
-    json.push_str(&format!("  \"scale\": {},\n", scale.0));
-    json.push_str(&format!("  \"ops\": {ops},\n"));
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"policy\": \"{}\", \"batch\": {}, \
-             \"cycles_per_op\": {:.1}, \"major_faults\": {}, \"evictions\": {}, \
-             \"clean_skips\": {}, \"wb_batches\": {}, \"wb_pages\": {}, \
-             \"wb_rescues\": {}, \"wb_queue_peak\": {} }}{}\n",
-            c.policy,
-            c.batch,
-            c.cycles_per_op,
-            c.major_faults,
-            c.evictions,
-            c.clean_skips,
-            c.wb_batches,
-            c.wb_pages,
-            c.wb_rescues,
-            c.wb_queue_peak,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_paging.json";
-    std::fs::write(path, &json).expect("write BENCH_paging.json");
-    println!("   wrote {path}");
     assert!(
         losers.is_empty(),
         "cells that do not beat their policy's inline eviction: {losers:?}"

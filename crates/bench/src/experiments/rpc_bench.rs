@@ -1,6 +1,6 @@
 //! RPC ring microbenchmark: caller cycles/op for synchronous `call()`
 //! vs batched `submit_batch()` at increasing in-flight depth, on the
-//! real polling ring. Emits `BENCH_rpc.json` for machine consumption.
+//! real polling ring.
 
 use std::sync::Arc;
 
@@ -65,7 +65,7 @@ fn batched_cycles_per_op(
     d as f64 / n as f64
 }
 
-/// Runs the sweep, prints a table, and writes `BENCH_rpc.json`.
+/// Runs the sweep and prints a table.
 pub fn run(scale: Scale) {
     header(
         "rpc_bench",
@@ -78,30 +78,8 @@ pub fn run(scale: Scale) {
     let sync = sync_cycles_per_op(&machine, &svc, n);
     println!("   {:<10} {:>14} {:>10}", "depth", "cycles/op", "vs sync");
     println!("   {:<10} {:>14.0} {:>10}", "sync", sync, x(1.0));
-    let depths = [4usize, 8, 16, 32, 64];
-    let mut rows = Vec::new();
-    for depth in depths {
+    for depth in [4usize, 8, 16, 32, 64] {
         let b = batched_cycles_per_op(&machine, &svc, n, depth);
         println!("   {:<10} {:>14.0} {:>10}", depth, b, x(sync / b));
-        rows.push((depth, b));
     }
-
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"rpc_throughput\",\n");
-    json.push_str(&format!("  \"scale\": {},\n", scale.0));
-    json.push_str(&format!("  \"ops\": {n},\n"));
-    json.push_str(&format!("  \"worker_cycles_per_op\": {NOP_CYCLES},\n"));
-    json.push_str(&format!("  \"sync_cycles_per_op\": {sync:.1},\n"));
-    json.push_str("  \"batched\": [\n");
-    for (i, (depth, b)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"depth\": {depth}, \"cycles_per_op\": {b:.1}, \"speedup_vs_sync\": {:.3} }}{}\n",
-            sync / b,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_rpc.json";
-    std::fs::write(path, &json).expect("write BENCH_rpc.json");
-    println!("   wrote {path}");
 }

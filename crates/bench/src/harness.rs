@@ -287,12 +287,6 @@ impl Rig {
         t
     }
 
-    /// A `ServerIo` bound to this rig's socket with default batching.
-    #[must_use]
-    pub fn server_io(&self, ctx: &ThreadCtx, buf_len: usize) -> ServerIo {
-        self.server_io_cfg(ctx, ServerIoConfig::with_buf_len(buf_len))
-    }
-
     /// A `ServerIo` bound to this rig's socket with an explicit config
     /// (batch depth, crypto mode).
     #[must_use]

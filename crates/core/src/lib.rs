@@ -8,8 +8,7 @@
 //! it removes both classes of exits that §2 of the paper identifies as
 //! the root cause of in-enclave slowdowns.
 //!
-//! - [`Suvm`] — the runtime: `suvm_malloc`/`suvm_free`
-//!   ([`Suvm::malloc`]/[`Suvm::free`]), bulk
+//! - [`Suvm`] — the runtime: [`Suvm::malloc`]/[`Suvm::free`], bulk
 //!   `memcpy`/`memset`/`memcmp`, the in-enclave fault path, a
 //!   user-selectable eviction policy ([`suvm::policy`]) over one sealed
 //!   buddy-allocated backing store with clean-page write-back elision,
@@ -21,6 +20,9 @@
 //!   translation cached per page (§3.2.2);
 //! - [`swapper::Swapper`] — the periodic free-pool/ballooning thread
 //!   (§3.3);
+//! - [`shared::SharedRegion`] — inter-enclave shared secure memory
+//!   under its own key domain (the paper's §8 sketch);
+//! - [`snapshot::Snapshot`] — sealed, authenticated state transfer;
 //! - [`config::SuvmConfig`] — the expert tuning surface.
 //!
 //! # Examples
@@ -46,9 +48,6 @@
 //! ```
 
 pub mod config;
-pub mod containers;
-pub mod raw;
-pub mod runtime;
 pub mod shared;
 pub mod snapshot;
 pub mod spointer;
@@ -57,8 +56,6 @@ pub mod swapper;
 pub mod table;
 
 pub use config::{EvictPolicy, SuvmConfig};
-pub use containers::{SBox, SHashMap, SVec};
-pub use runtime::{Eleos, EleosBuilder};
 pub use snapshot::{Snapshot, SnapshotBuilder, SnapshotError};
 pub use spointer::{Plain, SPtr};
 pub use suvm::span::{Access, SpanCursor};

@@ -242,16 +242,6 @@ impl<T: Plain> SPtr<T> {
         ctx.write_enclave(self.suvm.epcpp_vaddr(frame, in_page), data);
         self.suvm.mark_dirty(frame);
     }
-
-    /// Bulk read starting at this spointer (unlinked path).
-    pub fn read_bytes(&self, ctx: &mut ThreadCtx, buf: &mut [u8]) {
-        self.suvm.read(ctx, self.sva, buf);
-    }
-
-    /// Bulk write starting at this spointer (unlinked path).
-    pub fn write_bytes(&self, ctx: &mut ThreadCtx, data: &[u8]) {
-        self.suvm.write(ctx, self.sva, data);
-    }
 }
 
 impl<T: Plain> Clone for SPtr<T> {

@@ -219,7 +219,7 @@ impl Suvm {
     }
 
     // ------------------------------------------------------------------
-    // Allocation (suvm_malloc / suvm_free, §3.2.3).
+    // Allocation (§3.2.3).
     // ------------------------------------------------------------------
 
     /// Allocates `len` bytes of secure virtual memory.

@@ -231,7 +231,7 @@ fn run_fleet_full(
                         r.fk.respawn(v).expect("honest channel");
                     }
                     Fence::Rekey(v) => {
-                        r.fk.rekey_wire(v);
+                        r.fk.rekey_wire(v).expect("honest channel");
                     }
                 }
             }

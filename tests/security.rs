@@ -1,7 +1,7 @@
 //! Security properties of the full stack (paper §3.2.5): privacy,
 //! integrity and freshness of everything that leaves the enclave.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use eleos::enclave::machine::{MachineConfig, SgxMachine};
 use eleos::enclave::thread::ThreadCtx;
@@ -18,11 +18,26 @@ fn small_machine() -> Arc<SgxMachine> {
     })
 }
 
-/// First address in untrusted memory holding `needle`.
-fn untrusted_find(m: &SgxMachine, needle: &[u8]) -> Option<u64> {
+/// Everything the host can see: a copy of all of untrusted memory.
+fn untrusted_image(m: &SgxMachine) -> Vec<u8> {
     let mut all = vec![0u8; m.untrusted.size()];
     m.untrusted.read(0, &mut all);
-    all.windows(needle.len())
+    all
+}
+
+/// Where two readings of untrusted memory first differ.
+fn first_change(before: &[u8], after: &[u8]) -> usize {
+    before
+        .iter()
+        .zip(after)
+        .position(|(a, b)| a != b)
+        .expect("the step in between wrote to untrusted memory")
+}
+
+/// First address in untrusted memory holding `needle`.
+fn untrusted_find(m: &SgxMachine, needle: &[u8]) -> Option<u64> {
+    untrusted_image(m)
+        .windows(needle.len())
         .position(|w| w == needle)
         .map(|at| at as u64)
 }
@@ -669,6 +684,101 @@ fn kvs_get_of_a_tampered_cold_record_fails_closed() {
     );
 }
 
+// ---------------------------------------------------------------------
+// The inter-enclave shared region (§8): a key domain of its own
+// ---------------------------------------------------------------------
+
+/// Two enclaves on `m`, each with an entered thread on its own core.
+fn two_entered_enclaves(m: &Arc<SgxMachine>) -> [ThreadCtx; 2] {
+    [0, 1].map(|core| {
+        let e = m.driver.create_enclave(m, 1 << 20);
+        let mut t = ThreadCtx::for_enclave(m, &e, core);
+        t.enter();
+        t
+    })
+}
+
+/// Writes `data` at `addr` through `tok` and returns where the page's
+/// sealed image landed in untrusted memory, with the image.
+fn sealed_shared_page(
+    m: &SgxMachine,
+    tok: &eleos::suvm::shared::SharedToken,
+    t: &mut ThreadCtx,
+    addr: u64,
+    data: &[u8],
+) -> (u64, Vec<u8>) {
+    let before = untrusted_image(m);
+    tok.write(t, addr, data);
+    let after = untrusted_image(m);
+    let at = first_change(&before, &after) / 4096 * 4096;
+    (at as u64, after[at..at + 4096].to_vec())
+}
+
+#[test]
+fn replayed_shared_region_page_is_rejected() {
+    // Freshness: the nonce and tag of a shared page live in the
+    // metadata the joined enclaves share, out of the host's reach, and
+    // every write re-seals under a fresh nonce — so the older sealed
+    // image the host kept is dead, for the other enclave's reads and
+    // for the read-modify-write of the next write alike.
+    use eleos::suvm::shared::SharedRegion;
+
+    let m = small_machine();
+    let [mut writer, mut reader] = two_entered_enclaves(&m);
+    let region = SharedRegion::establish(&m, 1 << 20, [0x33; 16]);
+    let tok_w = region.join(writer.enclave().unwrap());
+    let tok_r = region.join(reader.enclave().unwrap());
+    let buf = tok_w.alloc(4096);
+    let (at, old) = sealed_shared_page(&m, &tok_w, &mut writer, buf, b"version-1");
+    let (again, new) = sealed_shared_page(&m, &tok_w, &mut writer, buf, b"version-2");
+    assert_eq!(at, again, "re-sealed in place");
+    assert_ne!(old, new);
+    let mut got = [0u8; 9];
+    tok_r.read(&mut reader, buf, &mut got);
+    assert_eq!(&got, b"version-2");
+
+    m.untrusted.write(at, &old);
+    must_fail_closed("a replayed shared page", || {
+        tok_r.read(&mut reader, buf, &mut got);
+        got
+    });
+    must_fail_closed("a write over a replayed shared page", || {
+        tok_w.write(&mut writer, buf + 100, b"patch");
+    });
+}
+
+#[test]
+fn shared_region_page_does_not_open_under_another_regions_key() {
+    // Two regions, two keys. Both pages sit at the same region offset
+    // and are each region's first seal, so position, AAD and nonce
+    // coincide: the key is all that tells them apart. A host that
+    // transplants one region's sealed page into the other's store gets
+    // an authentication failure, not the first region's plaintext.
+    use eleos::suvm::shared::SharedRegion;
+
+    let m = small_machine();
+    let [mut ta, mut tb] = two_entered_enclaves(&m);
+    let region_a = SharedRegion::establish(&m, 1 << 20, [0x33; 16]);
+    let region_b = SharedRegion::establish(&m, 1 << 20, [0x44; 16]);
+    let tok_a = region_a.join(ta.enclave().unwrap());
+    let tok_b = region_b.join(tb.enclave().unwrap());
+    let (buf_a, buf_b) = (tok_a.alloc(4096), tok_b.alloc(4096));
+    assert_eq!(buf_a, buf_b, "same offset in either region");
+    let (_, page_a) = sealed_shared_page(&m, &tok_a, &mut ta, buf_a, SECRET);
+    let (at_b, _) = sealed_shared_page(&m, &tok_b, &mut tb, buf_b, b"region b's own");
+
+    m.untrusted.write(at_b, &page_a);
+    must_fail_closed("a page sealed under another region's key", || {
+        let mut got = [0u8; 32];
+        tok_b.read(&mut tb, buf_b, &mut got);
+        got
+    });
+    // Region a, untouched, still opens for its own token.
+    let mut got = [0u8; 32];
+    tok_a.read(&mut ta, buf_a, &mut got);
+    assert_eq!(&got, SECRET);
+}
+
 #[test]
 fn untrusted_thread_cannot_touch_enclave_memory() {
     let m = small_machine();
@@ -1077,6 +1187,108 @@ fn a_chunk_corrupted_in_the_channel_ring_is_refused_not_restored() {
     assert_eq!(receive(&mut t, &mut to), Ok(64));
     assert_eq!(to.get(&mut t, b"item-7").unwrap(), vec![7u8; 100]);
     t.exit();
+}
+
+/// A rekey announcement rests in the same ring between the initiator
+/// staging it and each peer reading it back. A host that swaps it for
+/// the previous rotation's in between gets it refused and counted; the
+/// fleet keeps serving and the next rotation goes through.
+#[test]
+fn a_rekey_announcement_rewritten_in_the_ring_is_refused_not_fatal() {
+    use eleos::apps::fleet_io::{FleetConfig, FleetKvs};
+    use eleos::apps::io::{IoPath, ServerIoConfig};
+    use eleos::apps::kvs::build_get;
+    use eleos::apps::loadgen::attest_session;
+    use eleos::apps::wire::Session;
+    use eleos::crypto::gcm::AesGcm128;
+    use eleos::rpc::{dispatch, funcs, with_syscalls, RpcService, UntrustedFn};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+
+    // `rekey_wire` stages and reaps inside one call, so the host needs
+    // the call held open in between: an RPC worker, once armed, parks
+    // inside a receive syscall of replica 1 — whose pump holds that
+    // replica's slot, the lock the reaping half has to take.
+    let m = SgxMachine::new(MachineConfig::tiny());
+    let armed = Arc::new(AtomicBool::new(false));
+    let (parked_tx, parked) = mpsc::channel::<()>();
+    let (release, release_rx) = mpsc::channel::<()>();
+    let (parked_tx, release_rx) = (Mutex::new(parked_tx), Mutex::new(release_rx));
+    let gate = {
+        let (m, armed) = (Arc::clone(&m), Arc::clone(&armed));
+        UntrustedFn::new(move |ctx, args| {
+            if armed.swap(false, Ordering::SeqCst) {
+                parked_tx.lock().unwrap().send(()).unwrap();
+                release_rx.lock().unwrap().recv().unwrap();
+            }
+            dispatch(&m, ctx, funcs::RECV_MMSG, args)
+        })
+    };
+    let svc = with_syscalls(RpcService::builder(&m), &m)
+        .register(funcs::RECV_MMSG, gate)
+        .workers(2, &[2, 3])
+        .build();
+    let ut = ThreadCtx::untrusted(&m, 1);
+    let fds: Vec<_> = (0..2).map(|_| m.host.socket(&ut, 64 << 10)).collect();
+    let wire = Arc::new(Session::handshake([9u8; 16], [0x63u8; 16]));
+    attest_session(&mut ThreadCtx::untrusted(&m, 1), &wire);
+    let fk = FleetKvs::new(
+        &m,
+        &fds,
+        ServerIoConfig::with_buf_len(16 << 10).batch(4).shards(2),
+        IoPath::Rpc(Arc::new(svc)),
+        Arc::clone(&wire),
+        Arc::new(AesGcm128::new(&[0x2au8; 16])),
+        FleetConfig::small(2).on_cores(&[0, 1]),
+        |ctx, kvs| {
+            kvs.set(ctx, b"k", b"v");
+        },
+    );
+
+    // An honest rotation shows where announcements land: four bytes,
+    // one after the other from the head of the ring.
+    let before = untrusted_image(&m);
+    assert_eq!(fk.rekey_wire(0), Ok(1));
+    let ring = first_change(&before, &untrusted_image(&m)) as u64;
+    let staged = |at: u64| {
+        let mut epoch = [0u8; 4];
+        m.untrusted.read(at, &mut epoch);
+        u32::from_le_bytes(epoch)
+    };
+    assert_eq!(staged(ring), 1);
+
+    let s0 = m.stats.snapshot();
+    let refused = std::thread::scope(|s| {
+        armed.store(true, Ordering::SeqCst);
+        let pump = s.spawn(|| fk.pump_replica(1));
+        parked.recv().unwrap();
+        let rekey = s.spawn(|| fk.rekey_wire(0));
+        while staged(ring + 4) != 2 {
+            std::thread::yield_now();
+        }
+        m.untrusted.write(ring + 4, &1u32.to_le_bytes());
+        release.send(()).unwrap();
+        assert_eq!(pump.join().unwrap(), 0, "nothing was queued");
+        rekey.join().expect("a refusal, not a panic")
+    });
+    assert_eq!(refused.unwrap_err().0, "not the epoch this fence announced");
+    assert_eq!((m.stats.snapshot() - s0).frame_rejects, 1);
+
+    // The fleet still serves, on either replica, and rotates again.
+    for &fd in &fds {
+        m.host
+            .push_request(&ut, fd, &wire.encrypt(&build_get(b"k")));
+    }
+    let mut served = 0;
+    while served < 2 {
+        served += fk.pump();
+    }
+    fk.flush();
+    for &fd in &fds {
+        let reply = wire.decrypt(&m.host.pop_response(fd).expect("a reply per request"));
+        assert_eq!(reply[0], 1, "the seeded key is found");
+    }
+    assert_eq!(fk.rekey_wire(0), Ok(3));
 }
 
 /// One hostile edit of bytes at rest in untrusted memory; positions
