@@ -632,3 +632,113 @@ fn a_steal_costs_one_extra_trap_and_meta_walk() {
     assert_eq!(d.kernel_meta_reads, 2);
     t.exit();
 }
+
+// ---------------------------------------------------------------------
+// Pin: what static sharded serving costs
+// ---------------------------------------------------------------------
+
+/// What two push → serve rounds cost one static sharded KVS server.
+#[derive(Debug, PartialEq, Eq)]
+struct ShardedCost {
+    /// Cycles on the serving core's clock.
+    cycles: u64,
+    rpc_batches: u64,
+    syscalls: u64,
+    kernel_meta_reads: u64,
+    llc_misses: u64,
+}
+
+/// Serves two rounds of 96 binary-KVS GETs whose connections are drawn
+/// from a Zipf(0.99) stream and pinned to shards by [`shard_for`], on a
+/// CAT-partitioned tiny machine behind one RPC worker (one worker, so
+/// every sub-batch runs in submission order and the counts below are
+/// exact). Every reply must come back out of the socket its request
+/// went in on.
+fn sharded_serving_cost(shards: usize, cfg: ServerIoConfig) -> ShardedCost {
+    const ROUND: usize = 96;
+    let m = SgxMachine::new(MachineConfig::tiny());
+    m.enable_cat();
+    let e = m.driver.create_enclave(&m, 1 << 20);
+    let wire = Arc::new(Session::handshake([9u8; 16], [0x62u8; 16]));
+    let mut ut = ThreadCtx::untrusted(&m, 1);
+    attest_session(&mut ut, &wire);
+    let fds: Vec<Fd> = (0..shards).map(|_| m.host.socket(&ut, 256 << 10)).collect();
+    let svc = with_syscalls(RpcService::builder(&m), &m)
+        .workers(1, &[3])
+        .build();
+    let io = cfg
+        .shards(shards)
+        .build(&ut, &fds, IoPath::Rpc(Arc::new(svc)), Arc::clone(&wire));
+    let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+    t.enter();
+    let space = DataSpace::Untrusted(Arc::clone(&m));
+    let mut kvs = Kvs::new(space.clone(), space, 8 << 20, 256);
+    kvs.init(&mut t);
+    let mut load = KvsLoad::new(7, 64, 16, 48);
+    for i in 0..load.n_items {
+        kvs.set(&mut t, &load.key(i), &load.value(i));
+    }
+    let mut conns = eleos::apps::loadgen::ConnStream::skewed(41, 64, 0.99);
+
+    let (c0, s0) = (t.now(), m.stats.snapshot());
+    let (mut pushed, mut replied) = (vec![0usize; shards], vec![0usize; shards]);
+    for _round in 0..2 {
+        for _ in 0..ROUND {
+            let s = shard_for(conns.next(), shards);
+            let (_, plain) = load.get_plain();
+            m.host.push_request(&ut, fds[s], &wire.encrypt(&plain));
+            pushed[s] += 1;
+        }
+        serve_to_completion(&mut t, ROUND, |t| {
+            let served = kvs.handle_batch(t, &io);
+            // (The host keeps only a socket's latest replies: read each
+            // step's before the next one sends.)
+            for (s, &fd) in fds.iter().enumerate() {
+                while let Some(r) = m.host.pop_response(fd) {
+                    assert_eq!(wire.decrypt(&r)[0], 1, "every GET hits a filled item");
+                    replied[s] += 1;
+                }
+            }
+            served
+        });
+    }
+    let d = m.stats.snapshot() - s0;
+    let cost = ShardedCost {
+        cycles: t.now() - c0,
+        rpc_batches: d.rpc_batches,
+        syscalls: d.syscalls,
+        kernel_meta_reads: d.kernel_meta_reads,
+        llc_misses: d.llc_misses,
+    };
+    t.exit();
+    assert_eq!(replied, pushed, "every shard answers what it was sent");
+    cost
+}
+
+/// The unit-speed guard of static sharded serving: the same skewed
+/// script costs the serving core the same cycles, ring batches, traps,
+/// kernel-metadata walks and LLC misses as it did at the commit before
+/// the shard-balance layer and the per-shard CAT classes were deleted
+/// (the constants were measured there).
+#[test]
+fn sharded_serving_cycles_are_pinned() {
+    let fixed = || ServerIoConfig::with_buf_len(16 << 10).batch(8);
+    let adaptive = || ServerIoConfig::with_buf_len(16 << 10).adaptive(1, 32);
+    let pin = |cycles, rpc_batches, syscalls, kernel_meta_reads, llc_misses| ShardedCost {
+        cycles,
+        rpc_batches,
+        syscalls,
+        kernel_meta_reads,
+        llc_misses,
+    };
+    let rows = [
+        (2, "fixed-8", fixed(), pin(527_796, 30, 56, 52, 667)),
+        (2, "adaptive", adaptive(), pin(447_592, 12, 24, 24, 882)),
+        (4, "fixed-8", fixed(), pin(612_830, 22, 72, 56, 1_409)),
+        (4, "adaptive", adaptive(), pin(533_338, 10, 37, 34, 1_515)),
+    ];
+    for (shards, policy, cfg, expected) in rows {
+        let measured = sharded_serving_cost(shards, cfg);
+        assert_eq!(measured, expected, "shards={shards}, {policy}");
+    }
+}
