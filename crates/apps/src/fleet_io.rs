@@ -454,11 +454,7 @@ impl FleetKvs {
         // engine's maintenance tick.
         kvs.set_background(self.maint.is_some());
         kvs.init(&mut ctx);
-        let mut cfg = self.io_cfg.clone();
-        if cfg.balance.is_some() {
-            cfg = cfg.routed(Arc::clone(&self.map));
-        }
-        let io = cfg.build(
+        let io = self.io_cfg.clone().build(
             &ctx,
             &self.fds,
             self.path.clone(),

@@ -10,9 +10,8 @@
 //! configuration ([`ServerIoConfig`]), not per-call arguments.
 //!
 //! Every `ServerIo` is built through exactly one entry point,
-//! [`ServerIoConfig::build`], which wires the staging buffers, the
-//! optional shard map ([`ServerIoConfig::routed`]), and the wire
-//! [`Session`] together.
+//! [`ServerIoConfig::build`], which wires the staging buffers and the
+//! wire [`Session`] together.
 //!
 //! # The RPC pipeline: one `recv_mmsg`/`send_mmsg` job per shard
 //!
@@ -29,9 +28,11 @@
 //! per-connection arrival order — the only ordering contract. Nothing
 //! is merged or re-sequenced: requests come back concatenated shard by
 //! shard and each reply leaves through the socket its request arrived
-//! on. What the host writes back (the job's message count and the
-//! per-message length descriptors) is untrusted and bounded before use;
-//! see [`desc_rejects`](eleos_sim::stats::Stats::desc_rejects).
+//! on, staged in that shard's own buffers: a connection stays on the
+//! shard it hashed to. What the host writes back (the job's message
+//! count and the per-message length descriptors) is untrusted and
+//! bounded before use; see
+//! [`desc_rejects`](eleos_sim::stats::Stats::desc_rejects).
 //!
 //! # The baselines, and the one way out
 //!
@@ -69,38 +70,23 @@
 //! histogram, so `repro serving_bench` can report p50/p95/p99 latency
 //! next to throughput.
 //!
-//! # Shard balance (re-pinning and work stealing)
+//! # Per-shard telemetry
 //!
-//! Static connection pinning leaves sockets idle under skew: a Zipf
-//! load parks most arrivals on one shard while its siblings poll
-//! empty queues. [`ServerIoConfig::balanced`] (with the map wired via
-//! [`ServerIoConfig::routed`]) layers two remedies over the sharded
-//! pipeline, both operating only at *sub-batch boundaries* so
-//! per-connection arrival order stays a per-socket FIFO property:
-//!
-//! - **Hot-connection re-pinning** ([`BalanceConfig::repin`]): every
-//!   [`BalanceConfig::period`] reaps the server compares per-shard
-//!   residual backlog (falling back to the shard map's arrival
-//!   weights when every queue drained) and re-pins up to
-//!   [`BalanceConfig::max_moves`] of the hottest shard's heaviest
-//!   connections onto the coldest shard via the
-//!   [`crate::loadgen::ShardMap`] indirection. Only *future*
-//!   arrivals move; queued messages stay where the kernel has them.
-//! - **Sub-batch work stealing** ([`BalanceConfig::steal`]): a shard
-//!   whose reap came back empty steals one `recv_mmsg` sub-batch
-//!   from the sibling with the deepest residual backlog. `recv_mmsg`
-//!   pops the queue front atomically, so the stolen run is the
-//!   victim's *oldest contiguous* run; its replies are staged in the
-//!   thief's buffers but transmitted out the victim's socket, after
-//!   the victim's own replies (a second send wave), so the wire
-//!   order is untouched.
-//!
-//! Each shard's backlog and depth gauges, steal and migration counts
-//! and sojourn histogram live in that server's own pipeline state and
-//! are read through [`ServerIo::shard_stats`] — two servers on one
-//! machine never share a number, and
+//! Each shard's backlog and depth gauges and its sojourn histogram
+//! live in that server's own pipeline state and are read through
+//! [`ServerIo::shard_stats`] — two servers on one machine never share
+//! a number, and
 //! [`reset_counters`](eleos_enclave::machine::SgxMachine::reset_counters)
 //! does not reach them (a bench subtracts its post-warm-up reading).
+//!
+//! # Replies that do not fit
+//!
+//! How long a reply is is the application's answer to a client's
+//! request — a multi-key `get` can outgrow the transmit slot its batch
+//! gives it. Such a reply is not sent and is counted in
+//! [`reply_rejects`](eleos_sim::stats::Stats::reply_rejects); every
+//! other reply of the batch still leaves on its own socket, in order,
+//! and the server keeps serving.
 //!
 //! # Fence-integrated key rotation
 //!
@@ -108,11 +94,11 @@
 //! requests and, at the head of the next reap fence after the
 //! interval elapses, rotates the wire [`Session`]'s key epoch
 //! ([`Session::begin_rekey`]). The fence is the same sub-batch
-//! boundary the steal/rebalance/failover machinery uses — the only
-//! point where the pipeline holds no half-served requests — and the
-//! rotation itself is double-buffered inside the session, so the
-//! serving path never stalls: in-flight old-epoch messages keep
-//! draining while new arrivals seal under the new epoch.
+//! boundary the fleet's failover uses — the only point where the
+//! pipeline holds no half-served requests — and the rotation itself
+//! is double-buffered inside the session, so the serving path never
+//! stalls: in-flight old-epoch messages keep draining while new
+//! arrivals seal under the new epoch.
 //! [`ServerIo::revoke`] is the terminal fence: it revokes the session
 //! and drains every queued message off the shard sockets, dropped and
 //! counted instead of served.
@@ -126,44 +112,13 @@ pub use eleos_rpc::IoPath;
 use eleos_rpc::{funcs, RpcService};
 use eleos_sim::stats::{Hist, HistSnapshot, Stats};
 
-use crate::loadgen::ShardMap;
 use crate::wire::{Session, SessionState};
 
 /// Fixed-point scale for the per-shard arrival-rate EWMA.
 const EWMA_SCALE: u64 = 16;
 
-/// Tunables for the shard balance layer (see the module docs).
-#[derive(Clone, Copy, Debug)]
-pub struct BalanceConfig {
-    /// Periodically re-pin the hottest shard's heaviest connections
-    /// onto the coldest shard (needs a
-    /// [`ShardMap`], wired via
-    /// [`ServerIoConfig::routed`]).
-    pub repin: bool,
-    /// Let an idle shard steal one `recv_mmsg` sub-batch from the
-    /// sibling with the deepest residual backlog.
-    pub steal: bool,
-    /// Reaps between rebalance decisions. The fence between
-    /// decisions is what keeps migrations cheap: the map only
-    /// changes at sub-batch boundaries.
-    pub period: usize,
-    /// Connections re-pinned per rebalance decision.
-    pub max_moves: usize,
-}
-
-impl Default for BalanceConfig {
-    fn default() -> Self {
-        Self {
-            repin: true,
-            steal: true,
-            period: 4,
-            max_moves: 2,
-        }
-    }
-}
-
 /// Session tunables for a [`ServerIo`] connection.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct ServerIoConfig {
     /// Size of each untrusted staging buffer (receive and transmit).
     pub buf_len: usize,
@@ -193,40 +148,12 @@ pub struct ServerIoConfig {
     /// Declared shard count, validated against the socket set at
     /// construction ([`Self::shards`]). `None` accepts any set size.
     pub shards: Option<usize>,
-    /// The shard balance layer ([`Self::balanced`]); `None` keeps the
-    /// static pipeline bit-for-bit.
-    pub balance: Option<BalanceConfig>,
     /// Rotate the wire session's key epoch after this many decrypted
     /// requests ([`Self::rekey_every`]); `None` never rotates. The
     /// rotation fires at the head of a reap fence and is
     /// double-buffered inside the [`Session`], so it never stalls the
     /// serving path.
     pub rekey_interval: Option<u64>,
-    /// The balance layer's connection→shard indirection
-    /// ([`Self::routed`]): the load generator routes arrivals through
-    /// it and the rebalancer re-pins through the same map, so both
-    /// sides always agree on where a connection lives. Validated
-    /// against the socket set at [`Self::build`] time.
-    map: Option<Arc<ShardMap>>,
-}
-
-impl std::fmt::Debug for ServerIoConfig {
-    // Hand-written because `ShardMap` (interior-mutable routing state)
-    // is deliberately not `Debug`; the config prints whether a map is
-    // wired, not its contents.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServerIoConfig")
-            .field("buf_len", &self.buf_len)
-            .field("batch_min", &self.batch_min)
-            .field("batch_max", &self.batch_max)
-            .field("batched_crypto", &self.batched_crypto)
-            .field("async_send", &self.async_send)
-            .field("shards", &self.shards)
-            .field("balance", &self.balance)
-            .field("rekey_interval", &self.rekey_interval)
-            .field("routed", &self.map.is_some())
-            .finish()
-    }
 }
 
 impl Default for ServerIoConfig {
@@ -238,9 +165,7 @@ impl Default for ServerIoConfig {
             batched_crypto: true,
             async_send: false,
             shards: None,
-            balance: None,
             rekey_interval: None,
-            map: None,
         }
     }
 }
@@ -330,38 +255,6 @@ impl ServerIoConfig {
         self
     }
 
-    /// Enables the shard balance layer (re-pinning and/or stealing
-    /// per `b`). Re-pinning additionally needs the
-    /// [`ShardMap`] wired through
-    /// [`Self::routed`].
-    ///
-    /// # Panics
-    /// Panics if `b.period` or `b.max_moves` is zero.
-    #[must_use]
-    pub fn balanced(mut self, b: BalanceConfig) -> Self {
-        assert!(
-            b.period > 0,
-            "balanced: the rebalance period is in reaps and must be at least one"
-        );
-        assert!(
-            b.max_moves > 0,
-            "balanced: a rebalance that may move nothing is a no-op; use repin: false"
-        );
-        self.balance = Some(b);
-        self
-    }
-
-    /// Wires the balance layer's connection→shard map into the
-    /// config: the load generator routes arrivals through `map` and
-    /// the periodic rebalancer re-pins hot connections through the
-    /// same map, so both sides always agree on where a connection
-    /// lives. Validated against the socket set by [`Self::build`].
-    #[must_use]
-    pub fn routed(mut self, map: Arc<ShardMap>) -> Self {
-        self.map = Some(map);
-        self
-    }
-
     /// Rotates the wire session's key epoch after every `n` decrypted
     /// requests, at the head of the next reap fence (see the module
     /// docs — the rotation is double-buffered and stall-free).
@@ -409,13 +302,13 @@ impl ServerIoConfig {
     ///
     /// # Panics
     /// Panics if `fds` is empty, if the set's size disagrees with a
-    /// declared [`Self::shards`] count or a wired [`Self::routed`]
-    /// map, if `batch_max` does not fit the staging buffer, or if
+    /// declared [`Self::shards`] count, if `batch_max` does not fit
+    /// the staging buffer, or if
     /// more than one shard is combined with a non-RPC path (the
     /// native and OCALL baselines are single-socket loops).
     #[must_use]
     pub fn build(
-        mut self,
+        self,
         ctx: &ThreadCtx,
         fds: &[Fd],
         path: IoPath,
@@ -432,16 +325,6 @@ impl ServerIoConfig {
                 fds.len()
             );
         }
-        let map = self.map.take();
-        if let Some(map) = &map {
-            assert_eq!(
-                map.n_shards(),
-                fds.len(),
-                "the shard map routes over {} shard(s) but the socket set has {}",
-                map.n_shards(),
-                fds.len()
-            );
-        }
         assert!(
             self.buf_len / self.batch_max > 0,
             "batch_max {} too large for a {}-byte staging buffer",
@@ -453,13 +336,6 @@ impl ServerIoConfig {
                 matches!(path, IoPath::Rpc(_)),
                 "sharded serving rides the RPC path"
             );
-            // Tag each socket with its shard class so the RPC workers'
-            // mmsg fills land in that shard's LLC slice when the
-            // machine partitions the RPC fence (`partition_shards`; a
-            // class past the LLC's last slice shares the RPC slice).
-            for (k, &fd) in fds.iter().enumerate() {
-                ctx.machine.set_shard_class(fd.0, k as u8);
-            }
         }
         let depth0 = self.batch_min as u64;
         let descs = self.batch_max * DESC_STRIDE;
@@ -474,9 +350,6 @@ impl ServerIoConfig {
                 depth: AtomicU64::new(depth0),
                 ewma: AtomicU64::new(depth0 * EWMA_SCALE),
                 backlog: AtomicU64::new(0),
-                steals_taken: AtomicU64::new(0),
-                steals_given: AtomicU64::new(0),
-                migrations: AtomicU64::new(0),
                 sojourn: Hist::default(),
             })
             .collect();
@@ -485,8 +358,6 @@ impl ServerIoConfig {
             shards,
             last_reap: std::sync::Mutex::new(Vec::new()),
             pending_send: std::sync::Mutex::new(None),
-            map,
-            reap_count: AtomicU64::new(0),
             served: AtomicU64::new(0),
             cfg: self,
             path,
@@ -520,22 +391,15 @@ struct Shard {
     /// toward when the queue drains.
     ewma: AtomicU64,
     /// Kernel-ring backlog left behind this shard's socket by the last
-    /// reap that covered it (a gauge: what the steal pass ranks by).
+    /// reap that covered it (a gauge).
     backlog: AtomicU64,
-    /// Sub-batch runs this shard's pipe stole from a loaded sibling.
-    steals_taken: AtomicU64,
-    /// Sub-batch runs an idle sibling stole from this shard's socket.
-    steals_given: AtomicU64,
-    /// Connections the rebalancer migrated off this shard.
-    migrations: AtomicU64,
-    /// Sojourn of every op that waited on this shard's socket (a
-    /// stolen op is credited here, not to the pipe that drained it).
+    /// Sojourn of every op that waited on this shard's socket.
     sojourn: Hist,
 }
 
 /// A point-in-time copy of one shard's telemetry
 /// ([`ServerIo::shard_stats`]). `backlog` and `depth` are gauges (last
-/// value); the rest count from the server's construction, so a
+/// value); `sojourn` counts from the server's construction, so a
 /// measured phase subtracts the reading it took after warm-up.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSnapshot {
@@ -543,12 +407,6 @@ pub struct ShardSnapshot {
     pub backlog: u64,
     /// Current sub-batch depth.
     pub depth: u64,
-    /// Sub-batch runs this shard stole from a loaded sibling.
-    pub steals_taken: u64,
-    /// Sub-batch runs stolen from this shard by an idle sibling.
-    pub steals_given: u64,
-    /// Connections the rebalancer migrated off this shard.
-    pub migrations: u64,
     /// Sojourn of the ops that waited on this shard's socket.
     pub sojourn: HistSnapshot,
 }
@@ -561,19 +419,11 @@ pub struct ServerIo {
     pub fd: Fd,
     /// The serving pipelines, one per socket.
     shards: Vec<Shard>,
-    /// `(socket, pipe, count)` split of the requests the last reap
-    /// delivered (frames the session refused are not counted), so the
-    /// matching send can route each reply back out the socket its
-    /// request arrived on. `socket == pipe` for a shard's own reap; a
-    /// stolen run is staged in the thief's pipe (`pipe`) but belongs to
-    /// the victim's socket (`socket`).
-    last_reap: std::sync::Mutex<Vec<(usize, usize, usize)>>,
-    /// The balance layer's connection→shard indirection, when wired
-    /// via [`ServerIoConfig::routed`]. Consulted by the load
-    /// generator at push time; the rebalancer re-pins through it.
-    map: Option<Arc<ShardMap>>,
-    /// Reaps completed — the rebalance period's clock.
-    reap_count: AtomicU64,
+    /// `(shard, count)` split of the requests the last reap delivered
+    /// (frames the session refused are not counted), so the matching
+    /// send can route each reply back out the socket its request
+    /// arrived on.
+    last_reap: std::sync::Mutex<Vec<(usize, usize)>>,
     /// Requests decrypted since the last key rotation — the
     /// [`ServerIoConfig::rekey_every`] interval's clock.
     served: AtomicU64,
@@ -604,9 +454,6 @@ impl ServerIo {
             .map(|sh| ShardSnapshot {
                 backlog: get(&sh.backlog),
                 depth: get(&sh.depth),
-                steals_taken: get(&sh.steals_taken),
-                steals_given: get(&sh.steals_given),
-                migrations: get(&sh.migrations),
                 sojourn: sh.sojourn.snapshot(),
             })
             .collect()
@@ -667,10 +514,7 @@ impl ServerIo {
 
     /// The reap restricted to an owned shard subset — the fleet tier's
     /// entry point, where each replica's pipeline reaps only the
-    /// shards the router assigned to it. Steal and rebalance stay
-    /// scoped to the subset: a stolen run is served by the pipe that
-    /// drained it, and a re-pin moves a connection's state with its
-    /// replies, so neither may cross a replica boundary.
+    /// shards the router assigned to it.
     ///
     /// # Panics
     /// Panics if `active` is empty, not strictly increasing, or names
@@ -721,14 +565,10 @@ impl ServerIo {
     /// request, §2, so the crypto charge applies on all paths.)
     ///
     /// On the RPC path that is one `recv_mmsg` job per shard, submitted
-    /// together as one ring batch; the `(socket, pipe, count)` split is
+    /// together as one ring batch; the `(shard, count)` split is
     /// recorded for the matching [`Self::send_batch`] to route replies
-    /// home. With a [`BalanceConfig`] the reap grows a second wave:
-    /// shards that came back empty steal one sub-batch from the deepest
-    /// residual backlog (see the module docs), and every
-    /// [`BalanceConfig::period`] reaps the rebalancer re-pins hot
-    /// connections through the shard map. The native and OCALL
-    /// baselines loop over per-message `recv`s on their one socket.
+    /// home. The native and OCALL baselines loop over per-message
+    /// `recv`s on their one socket.
     fn reap(
         &self,
         ctx: &mut ThreadCtx,
@@ -740,8 +580,7 @@ impl ServerIo {
         let runs: Vec<Run> = active
             .iter()
             .map(|&k| Run {
-                socket: k,
-                pipe: k,
+                shard: k,
                 want: depth.unwrap_or_else(|| self.shards[k].depth.load(Ordering::Relaxed)),
             })
             .collect();
@@ -758,23 +597,13 @@ impl ServerIo {
                 vec![raw.len()]
             }
         };
-        let mut reap: Vec<(usize, usize, usize)> = Vec::with_capacity(runs.len());
+        let mut reap: Vec<(usize, usize)> = Vec::with_capacity(runs.len());
         for (run, &n) in runs.iter().zip(&counts) {
-            let k = run.socket;
-            reap.push((k, k, n));
-            let backlog = self.note_backlog(ctx, k);
-            self.adapt(&self.shards[k], n, backlog);
-        }
-        if let (IoPath::Rpc(svc), Some(BalanceConfig { steal: true, .. })) =
-            (&self.path, self.cfg.balance)
-        {
-            self.steal_pass(ctx, svc, stripe, &mut reap, &mut raw);
-        }
-        if let (Some(b), Some(map)) = (self.cfg.balance, self.map.as_ref()) {
-            let reaps = self.reap_count.fetch_add(1, Ordering::Relaxed) + 1;
-            if b.repin && reaps.is_multiple_of(b.period as u64) {
-                self.rebalance(map, b.max_moves, active);
-            }
+            reap.push((run.shard, n));
+            let shard = &self.shards[run.shard];
+            let backlog = ctx.machine.host.rx_pending(shard.fd);
+            shard.backlog.store(backlog as u64, Ordering::Relaxed);
+            self.adapt(shard, n, backlog);
         }
         let refs: Vec<&[u8]> = raw.iter().map(Vec::as_slice).collect();
         let (out, dropped) =
@@ -786,9 +615,9 @@ impl ServerIo {
         let mut dropped = dropped.into_iter().peekable();
         let mut end = 0;
         for run in &mut reap {
-            end += run.2;
+            end += run.1;
             while dropped.next_if(|&at| at < end).is_some() {
-                run.2 -= 1;
+                run.1 -= 1;
             }
         }
         // (The lock is poisoned only if a serving thread already
@@ -796,15 +625,6 @@ impl ServerIo {
         *self.last_reap.lock().expect("last reap") = reap;
         self.served.fetch_add(out.len() as u64, Ordering::Relaxed);
         out
-    }
-
-    /// Reads the kernel-ring backlog behind shard `k`'s socket into the
-    /// shard's gauge and returns it.
-    fn note_backlog(&self, ctx: &ThreadCtx, k: usize) -> usize {
-        let shard = &self.shards[k];
-        let backlog = ctx.machine.host.rx_pending(shard.fd);
-        shard.backlog.store(backlog as u64, Ordering::Relaxed);
-        backlog
     }
 
     /// Submits one `recv_mmsg` job per run as a single ring batch,
@@ -821,14 +641,14 @@ impl ServerIo {
         let reqs: Vec<(u64, [u64; 4])> = runs
             .iter()
             .map(|run| {
-                let pipe = &self.shards[run.pipe];
+                let sh = &self.shards[run.shard];
                 (
                     funcs::RECV_MMSG,
                     [
-                        self.shards[run.socket].fd.0 as u64,
-                        pipe.rx_buf,
+                        sh.fd.0 as u64,
+                        sh.rx_buf,
                         ((stripe as u64) << 32) | run.want,
-                        pipe.desc_rx,
+                        sh.desc_rx,
                     ],
                 )
             })
@@ -841,10 +661,9 @@ impl ServerIo {
             .collect()
     }
 
-    /// Reads one reaped run out of its pipe's staging buffers: records
-    /// each op's sojourn (globally and against the histogram of the
-    /// *socket* the op waited on, not the pipe that drained it) and
-    /// appends the raw payloads in slot order. Returns how many
+    /// Reads one reaped run out of its shard's staging buffers: records
+    /// each op's sojourn (globally and against the shard's histogram)
+    /// and appends the raw payloads in slot order. Returns how many
     /// messages it accepted.
     ///
     /// Everything read here was written by the host and is untrusted:
@@ -869,9 +688,9 @@ impl ServerIo {
             return 0;
         }
         let n = n as usize;
-        let pipe = &self.shards[run.pipe];
+        let sh = &self.shards[run.shard];
         let mut descs = vec![0u8; n * DESC_STRIDE];
-        ctx.read_untrusted(pipe.desc_rx, &mut descs);
+        ctx.read_untrusted(sh.desc_rx, &mut descs);
         let mut accepted = 0;
         for (i, desc) in descs.chunks_exact(DESC_STRIDE).enumerate() {
             let len = u64::from_le_bytes(desc[..8].try_into().expect("descriptor word"));
@@ -882,143 +701,13 @@ impl ServerIo {
             }
             let wait = now.saturating_sub(enq);
             ctx.machine.stats.sojourn.record(wait);
-            self.shards[run.socket].sojourn.record(wait);
+            sh.sojourn.record(wait);
             let mut msg = vec![0u8; len as usize];
-            ctx.read_untrusted(pipe.rx_buf + (i * stripe) as u64, &mut msg);
+            ctx.read_untrusted(sh.rx_buf + (i * stripe) as u64, &mut msg);
             raw.push(msg);
             accepted += 1;
         }
         accepted
-    }
-
-    /// The steal wave: every shard whose own reap came back empty
-    /// picks the un-claimed sibling with the deepest residual backlog
-    /// and reaps one extra `recv_mmsg` sub-batch from *that* socket
-    /// into its own (idle) staging buffers. At most one thief per
-    /// victim per reap: `recv_mmsg` pops the queue front under one
-    /// lock, so a single steal is the victim's oldest contiguous run,
-    /// but two concurrent steals of the same socket would interleave.
-    ///
-    /// `reap` holds the first wave's `(socket, pipe, count)` records —
-    /// the owned subset, each shard through its own pipe — and gains
-    /// one record per successful steal.
-    fn steal_pass(
-        &self,
-        ctx: &mut ThreadCtx,
-        svc: &RpcService,
-        stripe: usize,
-        reap: &mut Vec<(usize, usize, usize)>,
-        raw: &mut Vec<Vec<u8>>,
-    ) {
-        let backlog = |v: usize| self.shards[v].backlog.load(Ordering::Relaxed);
-        let mut claimed = vec![false; self.shards.len()];
-        let mut steals: Vec<Run> = Vec::new();
-        for &(t, _, got) in reap.iter() {
-            if got != 0 {
-                continue;
-            }
-            // A victim is only worth robbing when its residue
-            // outruns its own sub-batch depth — anything smaller the
-            // victim clears on its next (already amortized) reap, and
-            // the steal's extra trap would cost more than it saves.
-            // Victims come from the same owned subset: a steal serves
-            // the drained run on the thief's pipeline, and crossing a
-            // replica boundary would serve another replica's
-            // connections out of order with its own reaps.
-            let victim = reap
-                .iter()
-                .map(|&(v, _, _)| v)
-                .filter(|&v| {
-                    v != t
-                        && !claimed[v]
-                        && backlog(v) > self.shards[v].depth.load(Ordering::Relaxed)
-                })
-                .max_by_key(|&v| backlog(v));
-            let Some(v) = victim else { continue };
-            claimed[v] = true;
-            // Steal half the victim's residual backlog (the classic
-            // steal-half split), capped by the thief's staging
-            // capacity — NOT by the thief's AIMD depth, which has just
-            // decayed toward the floor precisely because its own queue
-            // is empty. A depth-sized steal would move one or two
-            // messages per extra trap and cost more than it saves.
-            steals.push(Run {
-                socket: v,
-                pipe: t,
-                want: (backlog(v) / 2).clamp(1, self.cfg.batch_max as u64),
-            });
-        }
-        if steals.is_empty() {
-            return;
-        }
-        let got = self.recv_runs(ctx, svc, &steals, stripe, raw);
-        for (run, &m) in steals.iter().zip(&got) {
-            if m == 0 {
-                continue;
-            }
-            let (v, t) = (run.socket, run.pipe);
-            reap.push((v, t, m));
-            Stats::bump(&self.shards[t].steals_taken);
-            Stats::bump(&self.shards[v].steals_given);
-            self.note_backlog(ctx, v);
-        }
-    }
-
-    /// One rebalance decision at a sub-batch boundary: rank shards by
-    /// the map's recent *arrival weights*, and when the hottest
-    /// shard's intake exceeds the coldest's by at least a quarter of
-    /// its own, re-pin up to `max_moves` of its heaviest connections
-    /// onto the coldest.
-    ///
-    /// The ranking deliberately ignores residual socket backlog.
-    /// Queued messages never move across the fence, so backlog is a
-    /// lagging signal: it stays skewed for many reaps after a re-pin
-    /// already fixed the intake, and ranking by it keeps firing until
-    /// every connection has been shovelled to the other side — the
-    /// imbalance flips instead of closing. Arrival weights respond to
-    /// the actuator instantly (a re-pinned connection's weight moves
-    /// with it), so the loop converges. Each move is also guarded so
-    /// it cannot overshoot: moving a connection of weight `w` shrinks
-    /// the hot/cold gap only when `w` is smaller than the gap.
-    ///
-    /// Only future arrivals move — queued messages stay on the socket
-    /// the kernel already holds them in, so per-connection order is a
-    /// per-socket FIFO property on both sides of the fence.
-    fn rebalance(&self, map: &Arc<ShardMap>, max_moves: usize, active: &[usize]) {
-        /// Weight gap below which a rebalance is noise, not signal
-        /// (decay shrinks stale weights toward zero between chunks).
-        const FLOOR: u64 = 8;
-        let w = map.shard_weights();
-        // Hot and cold are ranked over the owned subset only: a re-pin
-        // moves a connection's future arrivals with its serving state,
-        // and state never crosses a replica boundary outside an
-        // explicit failover handoff.
-        let hot = active.iter().copied().max_by_key(|&k| w[k]).unwrap_or(0);
-        let cold = active.iter().copied().min_by_key(|&k| w[k]).unwrap_or(0);
-        let mut gap = (w[hot] - w[cold]) as i64;
-        if hot != cold && gap as u64 >= FLOOR && gap as u64 * 4 >= w[hot] {
-            let mut moved = 0u64;
-            for (conn, cw) in map.hottest_conns(hot, max_moves) {
-                // Moving `cw` changes the gap to |gap - 2cw|; demand
-                // it at least halve, or the move trades one hot shard
-                // for another (a connection carrying most of the gap
-                // can't be split — leave it and move its lighter
-                // neighbours instead).
-                if 4 * cw as i64 > 3 * gap {
-                    continue;
-                }
-                map.repin(conn, cold);
-                moved += 1;
-                gap -= 2 * cw as i64;
-                if gap <= 0 {
-                    break;
-                }
-            }
-            Stats::add(&self.shards[hot].migrations, moved);
-        }
-        // Halve the arrival weights each decision so the ranking
-        // tracks recent traffic, not all-time totals.
-        map.decay();
     }
 
     /// One raw `recv` syscall on the native/OCALL baselines. Returns
@@ -1169,26 +858,24 @@ impl ServerIo {
     /// The one encrypt/stage/send path behind every send entry point.
     ///
     /// On the RPC path `replies` is split by the last reap's
-    /// `(socket, pipe, count)` record and each slice goes out its
-    /// socket as one `send_mmsg` job from `stripe`-byte slots of the
-    /// pipe's transmit buffer. The record counts only the requests
-    /// the reap delivered — frames the session refused are already
-    /// subtracted — so the replies always match it. A one-shard server
-    /// has nowhere else to route a reply and needs no record. The
-    /// native and OCALL baselines send message by message.
+    /// `(shard, count)` record and each slice goes out its shard's
+    /// socket as one `send_mmsg` job from `stripe`-byte slots of that
+    /// shard's transmit buffer — one job per socket, all submitted as
+    /// one ring batch. The record counts only the requests the reap
+    /// delivered — frames the session refused are already subtracted —
+    /// so the replies always match it. A one-shard server has nowhere
+    /// else to route a reply and needs no record. The native and OCALL
+    /// baselines send message by message.
     ///
-    /// A stolen run's replies are staged in the thief's transmit
-    /// buffers but go out the *victim's* socket, strictly after the
-    /// victim's own sub-batch: two jobs on one socket in one
-    /// submission could interleave across workers, so repeated
-    /// sockets are deferred to a second send wave behind a barrier
-    /// (and the send stays synchronous — a deferred second wave would
-    /// race the next reap for the thief's buffers).
+    /// A sealed reply longer than its slot — or one past the last slot
+    /// the staging holds — is left out and counted in `reply_rejects`
+    /// (see the module docs); the replies that fit are staged in
+    /// consecutive slots, in order.
     ///
     /// # Panics
     /// Panics when a sharded server's replies do not answer the last
     /// reap 1:1 — a bug in the serve loop, not something a peer's
-    /// bytes can cause — or when they overflow the transmit staging.
+    /// bytes can cause.
     fn send_all(&self, ctx: &mut ThreadCtx, replies: &[&[u8]], stripe: usize) {
         if replies.is_empty() {
             return;
@@ -1203,10 +890,10 @@ impl ServerIo {
             return;
         };
         let reap = if self.shards.len() == 1 {
-            vec![(0, 0, msgs.len())]
+            vec![(0, msgs.len())]
         } else {
             let reap = self.last_reap.lock().expect("last reap").clone();
-            let total: usize = reap.iter().map(|&(_, _, n)| n).sum();
+            let total: usize = reap.iter().map(|&(_, n)| n).sum();
             // Not input-reachable: the record counts exactly the
             // requests the reap handed the serve loop (refused frames
             // are subtracted there), so only a serve loop that drops or
@@ -1219,70 +906,61 @@ impl ServerIo {
             );
             reap
         };
-        let mut seen = vec![false; self.shards.len()];
-        let mut wave1 = Vec::new();
-        let mut wave2 = Vec::new();
+        let slots = (self.cfg.buf_len / stripe).min(self.cfg.batch_max);
+        let mut jobs = Vec::with_capacity(reap.len());
         let mut off = 0;
-        for &(socket, pipe, n) in &reap {
-            if n == 0 {
-                continue;
-            }
-            assert!(
-                n * stripe <= self.cfg.buf_len && n <= self.cfg.batch_max,
-                "{n} responses overflow the transmit staging"
-            );
-            let sh = &self.shards[pipe];
+        for &(k, n) in &reap {
+            let sh = &self.shards[k];
             let mut descs = Vec::with_capacity(n * DESC_STRIDE);
-            for (i, msg) in msgs[off..off + n].iter().enumerate() {
-                assert!(
-                    msg.len() <= stripe,
-                    "batched response exceeds its tx stripe"
-                );
-                ctx.write_untrusted(sh.tx_buf + (i * stripe) as u64, msg);
+            let mut staged = 0;
+            for msg in &msgs[off..off + n] {
+                if msg.len() > stripe || staged == slots {
+                    Stats::bump(&ctx.machine.stats.reply_rejects);
+                    continue;
+                }
+                ctx.write_untrusted(sh.tx_buf + (staged * stripe) as u64, msg);
                 descs.extend_from_slice(&(msg.len() as u64).to_le_bytes());
                 descs.extend_from_slice(&0u64.to_le_bytes());
-            }
-            ctx.write_untrusted(sh.desc_tx, &descs);
-            let req = (
-                funcs::SEND_MMSG,
-                [
-                    self.shards[socket].fd.0 as u64,
-                    sh.tx_buf,
-                    ((stripe as u64) << 32) | n as u64,
-                    sh.desc_tx,
-                ],
-            );
-            if seen[socket] {
-                wave2.push(req);
-            } else {
-                seen[socket] = true;
-                wave1.push(req);
+                staged += 1;
             }
             off += n;
-        }
-        if wave2.is_empty() {
-            let batch = svc.submit_batch(ctx, &wave1);
-            if self.cfg.async_send {
-                *self.pending_send.lock().expect("pending send") = Some(batch);
-            } else {
-                batch.wait_all(ctx);
+            if staged == 0 {
+                continue;
             }
+            ctx.write_untrusted(sh.desc_tx, &descs);
+            jobs.push((
+                funcs::SEND_MMSG,
+                [
+                    sh.fd.0 as u64,
+                    sh.tx_buf,
+                    ((stripe as u64) << 32) | staged as u64,
+                    sh.desc_tx,
+                ],
+            ));
+        }
+        if jobs.is_empty() {
+            return;
+        }
+        let batch = svc.submit_batch(ctx, &jobs);
+        if self.cfg.async_send {
+            *self.pending_send.lock().expect("pending send") = Some(batch);
         } else {
-            svc.submit_batch(ctx, &wave1).wait_all(ctx);
-            svc.submit_batch(ctx, &wave2).wait_all(ctx);
+            batch.wait_all(ctx);
         }
     }
 
     /// The native/OCALL send loop: one `send` syscall per sealed
-    /// message, staged in equal slices of the transmit buffer.
+    /// message, staged in equal slices of the transmit buffer. A
+    /// message longer than its slice is left out and counted in
+    /// `reply_rejects`.
     fn send_sequential(&self, ctx: &mut ThreadCtx, msgs: &[Vec<u8>]) {
         let sh = &self.shards[0];
         let stripe = self.cfg.buf_len / msgs.len();
         for (i, msg) in msgs.iter().enumerate() {
-            assert!(
-                msg.len() <= stripe,
-                "batched response exceeds its tx stripe"
-            );
+            if msg.len() > stripe {
+                Stats::bump(&ctx.machine.stats.reply_rejects);
+                continue;
+            }
             let addr = sh.tx_buf + (i * stripe) as u64;
             ctx.write_untrusted(addr, msg);
             let args = [u64::from(sh.fd.0), addr, msg.len() as u64, 0];
@@ -1292,11 +970,9 @@ impl ServerIo {
 }
 
 /// One `recv_mmsg` job of a reap: up to `want` messages popped off
-/// shard `socket`'s queue into shard `pipe`'s staging buffers (the same
-/// shard, except for a stolen run).
+/// `shard`'s socket queue into its staging buffers.
 struct Run {
-    socket: usize,
-    pipe: usize,
+    shard: usize,
     want: u64,
 }
 
@@ -1550,9 +1226,7 @@ mod tests {
 
     #[test]
     fn nine_shards_serve_a_round_each() {
-        // One past `llc::MAX_SHARD_CLASSES`: nothing sizes an array by
-        // the shard count, and the ninth socket's kernel traffic falls
-        // back to the shared RPC cache slice.
+        // Nothing sizes an array by the shard count or caps it.
         let m = SgxMachine::new(MachineConfig::tiny());
         let e = m.driver.create_enclave(&m, 1 << 20);
         let wire = Arc::new(Session::established([10u8; 16]));
@@ -1672,33 +1346,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shard map routes over 3 shard(s) but the socket set has 2")]
-    fn mismatched_shard_map_fails_fast() {
-        let m = SgxMachine::new(MachineConfig::tiny());
-        let ut = ThreadCtx::untrusted(&m, 2);
-        let fds = m.host.socket_set(&ut, 2, 64 << 10);
-        let svc = eleos_rpc::with_syscalls(eleos_rpc::RpcService::builder(&m), &m)
-            .workers(1, &[3])
-            .build();
-        let _ = ServerIoConfig::with_buf_len(8192)
-            .batch(4)
-            .routed(crate::loadgen::ShardMap::new(3))
-            .build(
-                &ut,
-                &fds,
-                IoPath::Rpc(Arc::new(svc)),
-                Arc::new(Session::established([1u8; 16])),
-            );
-    }
-
-    #[test]
-    fn idle_shard_steals_the_oldest_contiguous_run() {
-        // Shard 0 holds six queued messages at depth two; shard 1 is
-        // idle. The balanced reap must return shard 0's oldest run
-        // plus a stolen second run — four messages in arrival order —
-        // and every reply must still leave shard 0's socket, in order.
-        // A second server on the same machine reaps one message of its
-        // own: neither server's shard numbers may show the other's.
+    fn shard_gauges_read_the_residue_and_belong_to_their_server() {
+        // Shard 0 holds six queued messages at depth two: the reap
+        // takes the oldest two and the backlog gauge reads the four
+        // left behind. A second server on the same machine reaps one
+        // message of its own: neither server's shard numbers may show
+        // the other's.
         let m = SgxMachine::new(MachineConfig::tiny());
         let e = m.driver.create_enclave(&m, 1 << 20);
         let wire = Arc::new(Session::established([17u8; 16]));
@@ -1709,13 +1362,7 @@ mod tests {
             .workers(2, &[2, 3])
             .build();
         let path = IoPath::Rpc(Arc::new(svc));
-        let cfg = ServerIoConfig::with_buf_len(8192)
-            .batch(2)
-            .balanced(BalanceConfig {
-                repin: false,
-                steal: true,
-                ..BalanceConfig::default()
-            });
+        let cfg = ServerIoConfig::with_buf_len(8192).batch(2);
         let io = cfg
             .clone()
             .build(&ut, &fds, path.clone(), Arc::clone(&wire));
@@ -1728,112 +1375,17 @@ mod tests {
         m.host
             .push_request(&ut, other_fds[1], &wire.encrypt(&[9; 24]));
         assert_eq!(other.recv_batch(&mut t), [vec![9u8; 24]]);
-        let msgs = io.recv_batch(&mut t);
-        assert_eq!(
-            msgs,
-            (0..4u8).map(|i| vec![i; 24]).collect::<Vec<_>>(),
-            "own run then the stolen run, both in arrival order"
-        );
-        io.send_batch(&mut t, &msgs);
-        let (victim, thief) = (io.shard_stats()[0], io.shard_stats()[1]);
-        assert_eq!((victim.steals_given, victim.steals_taken), (1, 0));
-        assert_eq!((thief.steals_given, thief.steals_taken), (0, 1));
-        assert_eq!(
-            victim.sojourn.count(),
-            4,
-            "stolen sojourns credit the socket they waited on"
-        );
-        assert_eq!(thief.sojourn.count(), 0, "not the pipe that drained them");
-        assert_eq!(victim.backlog, 2, "the residue behind the victim's socket");
-        let counts = |s: &ShardSnapshot| (s.steals_taken, s.steals_given, s.sojourn.count());
-        let theirs: Vec<_> = other.shard_stats().iter().map(counts).collect();
-        assert_eq!(theirs, [(0, 0, 0), (0, 0, 1)], "servers share no gauge");
-        // The remaining two messages drain without a steal (the
-        // backlog fits shard 0's own reap exactly... at depth 2).
-        let rest = io.recv_batch(&mut t);
-        assert_eq!(rest.len(), 2);
-        io.send_batch(&mut t, &rest);
+        assert_eq!(io.recv_batch(&mut t), [vec![0u8; 24], vec![1u8; 24]]);
         t.exit();
-        let mut out = Vec::new();
-        while let Some(resp) = m.host.pop_response(fds[0]) {
-            out.push(wire.decrypt(&resp));
-        }
-        assert_eq!(
-            out,
-            (0..6u8).map(|i| vec![i; 24]).collect::<Vec<_>>(),
-            "replies leave the victim's socket in arrival order"
-        );
-        assert!(
-            m.host.pop_response(fds[1]).is_none(),
-            "thief sends nothing home"
-        );
-    }
-
-    #[test]
-    fn rebalancer_repins_hot_connections_at_the_fence() {
-        let m = SgxMachine::new(MachineConfig::tiny());
-        let e = m.driver.create_enclave(&m, 1 << 20);
-        let wire = Arc::new(Session::established([19u8; 16]));
-        let ut = ThreadCtx::untrusted(&m, 2);
-        let fds = m.host.socket_set(&ut, 2, 64 << 10);
-        let svc = eleos_rpc::with_syscalls(eleos_rpc::RpcService::builder(&m), &m)
-            .workers(2, &[2, 3])
-            .build();
-        let map = crate::loadgen::ShardMap::new(2);
-        let io = ServerIoConfig::with_buf_len(8192)
-            .batch(2)
-            .balanced(BalanceConfig {
-                repin: true,
-                steal: false,
-                period: 1,
-                max_moves: 1,
-            })
-            .routed(Arc::clone(&map))
-            .build(&ut, &fds, IoPath::Rpc(Arc::new(svc)), Arc::clone(&wire));
-        // One hot connection plus a lighter one on the same home
-        // shard, routed through the map like the load generator does.
-        // (The lighter sibling matters: with a single connection the
-        // whole weight would move at once, flipping the imbalance
-        // instead of closing it, and the overshoot guard refuses.)
-        let conn = 7u64;
-        let home = map.shard_of(conn);
-        let other = (0..64u64)
-            .find(|&c| c != conn && crate::loadgen::shard_for(c, 2) == home)
-            .unwrap();
-        for i in 0..8u8 {
-            let shard = map.route(conn);
-            assert_eq!(shard, home, "routing is stable before the fence");
-            m.host
-                .push_request(&ut, fds[shard], &wire.encrypt(&[i; 24]));
-        }
-        for i in 8..12u8 {
-            let shard = map.route(other);
-            assert_eq!(shard, home);
-            m.host
-                .push_request(&ut, fds[shard], &wire.encrypt(&[i; 24]));
-        }
-        let mut t = ThreadCtx::for_enclave(&m, &e, 0);
-        t.enter();
-        // A depth-2 reap leaves a 10-deep backlog on the home shard
-        // and nothing on its sibling; all 12 arrival weights sit on
-        // the home shard. The period-1 rebalancer must move the hot
-        // connection (weight 8, under the 12-weight gap) to the cold
-        // shard at the reap boundary — and only that one, since the
-        // move flips the gap negative.
-        let msgs = io.recv_batch(&mut t);
-        io.send_batch(&mut t, &msgs);
-        assert_ne!(map.shard_of(conn), home, "the hot connection moved");
-        assert_eq!(map.shard_of(other), home, "the light one stayed");
-        let stats = io.shard_stats();
-        assert_eq!(stats[home].migrations, 1);
-        assert_eq!(stats[1 - home].migrations, 0);
-        assert_eq!(stats[home].backlog, 10, "backlog gauge reads the residue");
-        // Future arrivals land on the new shard; queued ones drain
-        // from the old socket untouched.
-        let moved = map.route(conn);
-        assert_ne!(moved, home);
-        while !io.recv_batch(&mut t).is_empty() {}
-        t.exit();
+        let read = |io: &ServerIo| -> Vec<(u64, u64)> {
+            let stats = io.shard_stats();
+            stats
+                .iter()
+                .map(|s| (s.backlog, s.sojourn.count()))
+                .collect()
+        };
+        assert_eq!(read(&io), [(4, 2), (0, 0)]);
+        assert_eq!(read(&other), [(0, 0), (0, 1)], "servers share no gauge");
     }
 
     #[test]

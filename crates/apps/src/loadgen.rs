@@ -169,45 +169,24 @@ pub fn shard_for(conn: u64, n_shards: usize) -> usize {
     (conn.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize % n_shards
 }
 
-/// A shared connection→shard indirection over [`shard_for`]'s static
-/// Fibonacci pinning.
+/// The fleet's router: connection → shard → owning replica.
 ///
-/// The load-generator side routes each arrival through
-/// [`ShardMap::route`]; the serving side's rebalancer reads the
-/// accumulated per-connection weights and [`ShardMap::repin`]s the
-/// heaviest connections off the hottest shard. Re-pins take effect for
-/// *future* arrivals only (a migration fence): messages already queued
-/// stay on the shard they arrived at, and the rebalancer only runs at
-/// sub-batch boundaries, so per-shard FIFO order remains per-connection
-/// order across a migration.
+/// The first hop is [`shard_for`]'s static hash — a connection stays on
+/// the shard it hashed to for its whole life. The second is the one
+/// thing that moves: which replica of a
+/// [`FleetKvs`](crate::fleet_io::FleetKvs) owns each shard, changed
+/// only by [`Self::reassign`] at a failover or rejoin fence. The load
+/// generator and the fleet share one map, so both always agree on who
+/// reaps a shard's socket.
 pub struct ShardMap {
     n_shards: usize,
     n_replicas: usize,
-    inner: std::sync::Mutex<MapInner>,
-}
-
-#[derive(Default)]
-struct MapInner {
-    /// Rebalancer overrides; absent connections use [`shard_for`].
-    pins: std::collections::HashMap<u64, usize>,
-    /// Arrivals per connection since the last decay (EWMA-ish: halved
-    /// at every rebalance so stale hotness fades).
-    weights: std::collections::HashMap<u64, u64>,
-    /// Which fleet replica currently owns each shard (all zero for
-    /// single-replica maps). Reassignments happen only at failover /
-    /// rejoin fences, never mid-batch.
-    owners: Vec<usize>,
+    /// Which fleet replica currently owns each shard. Reassignments
+    /// happen only at failover / rejoin fences, never mid-batch.
+    owners: std::sync::Mutex<Vec<usize>>,
 }
 
 impl ShardMap {
-    /// A map over `n_shards` shards with no pins (identical to
-    /// [`shard_for`] until the first [`Self::repin`]), all owned by
-    /// replica 0.
-    #[must_use]
-    pub fn new(n_shards: usize) -> std::sync::Arc<Self> {
-        Self::with_replicas(n_shards, 1)
-    }
-
     /// A map over `n_shards` shards spread round-robin across
     /// `n_replicas` fleet replicas: shard `s` starts owned by replica
     /// `s % n_replicas`, so every replica owns a contiguous-in-stride
@@ -221,31 +200,15 @@ impl ShardMap {
         std::sync::Arc::new(Self {
             n_shards,
             n_replicas,
-            inner: std::sync::Mutex::new(MapInner {
-                owners: (0..n_shards).map(|s| s % n_replicas).collect(),
-                ..MapInner::default()
-            }),
+            owners: std::sync::Mutex::new((0..n_shards).map(|s| s % n_replicas).collect()),
         })
-    }
-
-    /// Number of shards the map routes onto.
-    #[must_use]
-    pub fn n_shards(&self) -> usize {
-        self.n_shards
-    }
-
-    /// Number of fleet replicas the map knows about (1 for maps built
-    /// with [`Self::new`]).
-    #[must_use]
-    pub fn n_replicas(&self) -> usize {
-        self.n_replicas
     }
 
     /// The replica that currently owns `shard`.
     #[must_use]
     pub fn replica_of(&self, shard: usize) -> usize {
         assert!(shard < self.n_shards, "shard out of range");
-        self.inner.lock().expect("shard map poisoned").owners[shard]
+        self.owners.lock().expect("shard map poisoned")[shard]
     }
 
     /// The shards `replica` currently owns, in ascending order — the
@@ -253,9 +216,9 @@ impl ShardMap {
     #[must_use]
     pub fn shards_of(&self, replica: usize) -> Vec<usize> {
         assert!(replica < self.n_replicas, "replica out of range");
-        let inner = self.inner.lock().expect("shard map poisoned");
+        let owners = self.owners.lock().expect("shard map poisoned");
         (0..self.n_shards)
-            .filter(|&s| inner.owners[s] == replica)
+            .filter(|&s| owners[s] == replica)
             .collect()
     }
 
@@ -266,105 +229,21 @@ impl ShardMap {
     pub fn reassign(&self, shard: usize, replica: usize) {
         assert!(shard < self.n_shards, "shard out of range");
         assert!(replica < self.n_replicas, "reassign target out of range");
-        self.inner.lock().expect("shard map poisoned").owners[shard] = replica;
+        self.owners.lock().expect("shard map poisoned")[shard] = replica;
     }
 
     /// Routes one arrival all the way down: `conn` → shard → owning
-    /// replica. Counts the arrival toward `conn`'s hotness weight.
+    /// replica.
+    #[must_use]
     pub fn route_replica(&self, conn: u64) -> (usize, usize) {
-        let mut inner = self.inner.lock().expect("shard map poisoned");
-        *inner.weights.entry(conn).or_insert(0) += 1;
-        let s = inner
-            .pins
-            .get(&conn)
-            .copied()
-            .unwrap_or_else(|| shard_for(conn, self.n_shards));
-        (s, inner.owners[s])
+        let s = self.shard_of(conn);
+        (s, self.replica_of(s))
     }
 
-    /// The shard `conn` currently routes to.
+    /// The shard `conn` routes to: [`shard_for`] over this map's width.
     #[must_use]
     pub fn shard_of(&self, conn: u64) -> usize {
-        self.inner
-            .lock()
-            .expect("shard map poisoned")
-            .pins
-            .get(&conn)
-            .copied()
-            .unwrap_or_else(|| shard_for(conn, self.n_shards))
-    }
-
-    /// Routes one arrival: returns `conn`'s shard and counts the
-    /// arrival toward its hotness weight.
-    pub fn route(&self, conn: u64) -> usize {
-        let mut inner = self.inner.lock().expect("shard map poisoned");
-        *inner.weights.entry(conn).or_insert(0) += 1;
-        inner
-            .pins
-            .get(&conn)
-            .copied()
-            .unwrap_or_else(|| shard_for(conn, self.n_shards))
-    }
-
-    /// Pins `conn` to `shard` for all future arrivals.
-    pub fn repin(&self, conn: u64, shard: usize) {
-        assert!(shard < self.n_shards, "repin target out of range");
-        self.inner
-            .lock()
-            .expect("shard map poisoned")
-            .pins
-            .insert(conn, shard);
-    }
-
-    /// Total arrival weight currently routed to each shard.
-    #[must_use]
-    pub fn shard_weights(&self) -> Vec<u64> {
-        let inner = self.inner.lock().expect("shard map poisoned");
-        let mut w = vec![0u64; self.n_shards];
-        for (&conn, &weight) in &inner.weights {
-            let s = inner
-                .pins
-                .get(&conn)
-                .copied()
-                .unwrap_or_else(|| shard_for(conn, self.n_shards));
-            w[s] += weight;
-        }
-        w
-    }
-
-    /// The up-to-`k` heaviest connections currently routed to `shard`
-    /// with their arrival weights, hottest first — the rebalancer
-    /// needs the weights to judge whether a move shrinks the hot/cold
-    /// gap or overshoots it.
-    #[must_use]
-    pub fn hottest_conns(&self, shard: usize, k: usize) -> Vec<(u64, u64)> {
-        let inner = self.inner.lock().expect("shard map poisoned");
-        let mut on_shard: Vec<(u64, u64)> = inner
-            .weights
-            .iter()
-            .filter(|(&conn, _)| {
-                inner
-                    .pins
-                    .get(&conn)
-                    .copied()
-                    .unwrap_or_else(|| shard_for(conn, self.n_shards))
-                    == shard
-            })
-            .map(|(&conn, &w)| (conn, w))
-            .collect();
-        on_shard.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        on_shard.truncate(k);
-        on_shard
-    }
-
-    /// Halves every connection weight (dropping the ones that reach
-    /// zero) so hotness tracks the recent past, not the whole run.
-    pub fn decay(&self) {
-        let mut inner = self.inner.lock().expect("shard map poisoned");
-        inner.weights.retain(|_, w| {
-            *w /= 2;
-            *w > 0
-        });
+        shard_for(conn, self.n_shards)
     }
 }
 
@@ -437,22 +316,8 @@ pub struct ConnStream {
 }
 
 enum StreamKind {
-    RoundRobin {
-        n: u64,
-        next: u64,
-    },
-    Skewed {
-        zipf: Zipf,
-        rng: StdRng,
-    },
-    Churn {
-        zipf: Zipf,
-        rng: StdRng,
-        active: Vec<u64>,
-        next_id: u64,
-        epoch_len: usize,
-        until_churn: usize,
-    },
+    RoundRobin { n: u64, next: u64 },
+    Skewed { zipf: Zipf, rng: StdRng },
 }
 
 impl ConnStream {
@@ -468,8 +333,7 @@ impl ConnStream {
 
     /// Zipf(α)-skewed arrivals over connections `0..n` (α ≈ 0.99 is
     /// the classic web/KVS skew): connection 0 sends the bulk of the
-    /// traffic, so whichever shard it hashes to becomes hot under
-    /// static pinning.
+    /// traffic, so whichever shard it hashes to becomes hot.
     #[must_use]
     pub fn skewed(seed: u64, n: u64, alpha: f64) -> Self {
         assert!(n > 0);
@@ -477,27 +341,6 @@ impl ConnStream {
             kind: StreamKind::Skewed {
                 zipf: Zipf::new(n as usize, alpha),
                 rng: StdRng::seed_from_u64(seed),
-            },
-        }
-    }
-
-    /// Connection churn: Zipf-skewed arrivals over an active set of
-    /// `n` connections whose hot half is retired and replaced with
-    /// fresh (monotonically increasing) connection ids every
-    /// `epoch_len` arrivals — the hot connection's *identity* rotates,
-    /// so a static pinning that was balanced last epoch strands a
-    /// different shard this epoch.
-    #[must_use]
-    pub fn churn(seed: u64, n: u64, epoch_len: usize) -> Self {
-        assert!(n > 0 && epoch_len > 0);
-        Self {
-            kind: StreamKind::Churn {
-                zipf: Zipf::new(n as usize, 0.99),
-                rng: StdRng::seed_from_u64(seed),
-                active: (0..n).collect(),
-                next_id: n,
-                epoch_len,
-                until_churn: epoch_len,
             },
         }
     }
@@ -514,29 +357,6 @@ impl ConnStream {
                 c
             }
             StreamKind::Skewed { zipf, rng } => zipf.sample(rng) as u64,
-            StreamKind::Churn {
-                zipf,
-                rng,
-                active,
-                next_id,
-                epoch_len,
-                until_churn,
-            } => {
-                if *until_churn == 0 {
-                    // Retire the hot half, admit fresh ids at the hot
-                    // end of the Zipf ranking.
-                    let retire = (active.len() / 2).max(1);
-                    let kept: Vec<u64> = active.iter().skip(retire).copied().collect();
-                    let fresh: Vec<u64> = (0..retire as u64).map(|i| *next_id + i).collect();
-                    *next_id += retire as u64;
-                    active.clear();
-                    active.extend(fresh);
-                    active.extend(kept);
-                    *until_churn = *epoch_len;
-                }
-                *until_churn -= 1;
-                active[zipf.sample(rng).min(active.len() - 1)]
-            }
         }
     }
 }
@@ -632,65 +452,34 @@ mod tests {
     }
 
     #[test]
-    fn shard_map_defaults_to_the_static_hash() {
-        let map = ShardMap::new(4);
-        for conn in 0..64u64 {
-            assert_eq!(map.shard_of(conn), shard_for(conn, 4));
+    fn shard_map_routes_by_the_static_hash_and_follows_a_reassign() {
+        let map = ShardMap::with_replicas(4, 2);
+        for conn in 0..256u64 {
+            let s = shard_for(conn, 4);
+            assert_eq!(map.shard_of(conn), s);
+            assert_eq!(map.route_replica(conn), (s, s % 2));
         }
-    }
-
-    #[test]
-    fn repin_overrides_future_routing_only() {
-        let map = ShardMap::new(4);
-        let conn = (0..64u64).find(|&c| shard_for(c, 4) == 0).unwrap();
-        let target = 3;
-        map.repin(conn, target);
-        assert_eq!(map.shard_of(conn), target);
-        assert_eq!(map.route(conn), target);
-        // Other connections keep their static placement.
-        let other = (0..64u64).find(|&c| shard_for(c, 4) == 1).unwrap();
-        assert_eq!(map.shard_of(other), 1);
-    }
-
-    #[test]
-    fn weights_track_arrivals_and_decay() {
-        let map = ShardMap::new(2);
-        let hot = (0..64u64).find(|&c| shard_for(c, 2) == 0).unwrap();
-        let cold = (0..64u64)
-            .find(|&c| c != hot && shard_for(c, 2) == 0)
-            .unwrap();
-        for _ in 0..8 {
-            map.route(hot);
+        map.reassign(1, 0);
+        for conn in 0..256u64 {
+            let s = shard_for(conn, 4);
+            assert_eq!(map.shard_of(conn), s, "a connection never changes shard");
+            let owner = if s == 3 { 1 } else { 0 };
+            assert_eq!(map.route_replica(conn), (s, owner));
         }
-        map.route(cold);
-        assert_eq!(map.shard_weights()[0], 9);
-        assert_eq!(map.hottest_conns(0, 1), vec![(hot, 8)]);
-        assert_eq!(map.hottest_conns(0, 4), vec![(hot, 8), (cold, 1)]);
-        map.decay();
-        assert_eq!(map.shard_weights()[0], 4, "8/2 + 1/2 (dropped)");
-        // Re-pinning moves the weight to the new shard.
-        map.repin(hot, 1);
-        assert_eq!(map.shard_weights(), vec![0, 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "repin target out of range")]
-    fn repin_out_of_range_fails_fast() {
-        ShardMap::new(2).repin(0, 2);
     }
 
     #[test]
     fn replica_ownership_starts_round_robin() {
         let map = ShardMap::with_replicas(5, 2);
-        assert_eq!(map.n_replicas(), 2);
+        assert_eq!(map.n_replicas, 2);
         assert_eq!(map.shards_of(0), vec![0, 2, 4]);
         assert_eq!(map.shards_of(1), vec![1, 3]);
         for s in 0..5 {
             assert_eq!(map.replica_of(s), s % 2);
         }
         // Single-replica maps put everything on replica 0.
-        let solo = ShardMap::new(3);
-        assert_eq!(solo.n_replicas(), 1);
+        let solo = ShardMap::with_replicas(3, 1);
+        assert_eq!(solo.n_replicas, 1);
         assert_eq!(solo.shards_of(0), vec![0, 1, 2]);
     }
 
@@ -754,23 +543,5 @@ mod tests {
             hottest as f64 > 4_000.0 * 0.10,
             "head conn must dominate: {hottest}"
         );
-    }
-
-    #[test]
-    fn churn_stream_rotates_the_hot_connection() {
-        let epoch = 256;
-        let mut s = ConnStream::churn(5, 16, epoch);
-        let hot_of = |s: &mut ConnStream| {
-            let mut counts = std::collections::HashMap::new();
-            for _ in 0..epoch {
-                *counts.entry(s.next()).or_insert(0u32) += 1;
-            }
-            counts.into_iter().max_by_key(|&(_, n)| n).unwrap().0
-        };
-        let h1 = hot_of(&mut s);
-        let h2 = hot_of(&mut s);
-        let h3 = hot_of(&mut s);
-        assert!(h1 < 16, "first epoch draws from the initial set");
-        assert!(h2 >= 16 && h3 > h2, "fresh ids take over each epoch");
     }
 }

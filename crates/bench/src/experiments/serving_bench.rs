@@ -1,6 +1,5 @@
 //! Sharded-serving benchmark: shards x sub-batch policy x load shape
-//! x placement (static pinning vs the balance layer), on a
-//! cache-resident KVS GET workload so the serving pipeline (reap,
+//! on a cache-resident KVS GET workload so the serving pipeline (reap,
 //! crypto, send), not memory, dominates. The run checks its own
 //! claims (`check_claims`) and panics — exit 101 — when one fails; it
 //! writes no file.
@@ -18,7 +17,7 @@
 //! The sweep crosses shards ∈ {1, 2, 4} (single-socket merge path vs
 //! per-shard pipelines), sub-batch policy ∈ {fixed-1, fixed-8,
 //! fixed-32, adaptive} and load shape ∈ {steady, bursty, trickle,
-//! skewed, churn}:
+//! skewed}:
 //!
 //! - **steady** keeps a standing backlog across round-robin
 //!   connections (throughput regime: deep batches amortize, adaptive
@@ -31,16 +30,10 @@
 //!   serves each arrival as it lands — the latency half of the
 //!   batching trade-off.
 //! - **skewed** draws connections from a Zipf(α=0.99) — most traffic
-//!   lands on a handful of connections, so static pinning floods one
-//!   shard while its siblings poll empty queues.
-//! - **churn** is the same Zipf over a rotating connection population:
-//!   the hot set retires every epoch and fresh connections take over,
-//!   so yesterday's balance is today's imbalance.
-//!
-//! The skewed and churn shapes additionally run **balanced** cells at
-//! 2 and 4 shards: the balance layer with the default
-//! [`BalanceConfig`] (hot-connection re-pinning through a
-//! [`ShardMap`] plus sub-batch work stealing).
+//!   lands on a handful of connections, so the shard the head
+//!   connection hashes to runs hot while its siblings poll shallow
+//!   queues. Connections stay where they hashed; the cell checks that
+//!   a second shard still pays under that skew.
 //!
 //! # Fleet cells
 //!
@@ -94,9 +87,9 @@
 use std::sync::Arc;
 
 use eleos_apps::fleet_io::{FleetConfig, FleetKvs, MaintenanceConfig};
-use eleos_apps::io::{BalanceConfig, ServerIo, ServerIoConfig};
+use eleos_apps::io::{ServerIo, ServerIoConfig};
 use eleos_apps::kvs::Kvs;
-use eleos_apps::loadgen::{shard_for, ChaosAction, ChaosPlan, ConnStream, KvsLoad, ShardMap};
+use eleos_apps::loadgen::{shard_for, ChaosAction, ChaosPlan, ConnStream, KvsLoad};
 use eleos_crypto::gcm::AesGcm128;
 use eleos_crypto::Sealer;
 use eleos_enclave::thread::ThreadCtx;
@@ -109,8 +102,7 @@ const N_ITEMS: u64 = 512;
 /// the only thing moving.
 const WORKERS: usize = 4;
 /// Client connections the load generator multiplexes (each pinned to
-/// one shard by [`shard_for`], or routed by the balanced cells'
-/// [`ShardMap`]).
+/// one shard by [`shard_for`]).
 const N_CONNS: u64 = 64;
 /// Ceiling of the adaptive controller and the deepest fixed policy.
 const BATCH_MAX: usize = 32;
@@ -122,13 +114,8 @@ const BURST: usize = 64;
 const BURST_QUIET: u64 = 100_000;
 /// Cycles between trickle arrivals.
 const TRICKLE_GAP: u64 = 20_000;
-/// Zipf exponent for the skewed and churn connection streams.
+/// Zipf exponent for the skewed connection stream.
 const ZIPF_ALPHA: f64 = 0.99;
-/// Arrivals per churn epoch (the hot half of the connection
-/// population retires this often). Four feed chunks: long enough
-/// that adapting to the current hot set pays off, short enough that
-/// a run crosses several rotations.
-const CHURN_EPOCH: usize = 4 * CHUNK;
 
 /// Shards the fleet cells run over (fixed so the replicas axis is the
 /// only thing moving, and equal to the widest single-enclave cell for
@@ -152,7 +139,6 @@ struct Cell {
     shards: usize,
     policy: String,
     load: &'static str,
-    balance: &'static str,
     /// Enclave replicas serving the cell (1 = the single-enclave
     /// pipeline; >1 = the fleet tier).
     replicas: usize,
@@ -207,19 +193,17 @@ fn policies() -> Vec<(String, ServerIoConfig)> {
 fn conn_stream(load: &str) -> ConnStream {
     match load {
         "skewed" => ConnStream::skewed(41, N_CONNS, ZIPF_ALPHA),
-        "churn" => ConnStream::churn(43, N_CONNS, CHURN_EPOCH),
         _ => ConnStream::round_robin(N_CONNS),
     }
 }
 
-/// Runs one (shards, policy, load, placement) cell.
+/// Runs one (shards, policy, load) cell.
 fn cell(
     scale: Scale,
     shards: usize,
     policy: &str,
     cfg: ServerIoConfig,
     load: &'static str,
-    balanced: bool,
     quick: bool,
 ) -> Cell {
     let rig = Rig::with_workers(scale, Mode::EleosRpc, 4 << 20, false, WORKERS);
@@ -231,18 +215,7 @@ fn cell(
         kvs.set(&mut ctx, &gen.key(i), &gen.value(i));
     }
     let fds = rig.socket_set(shards);
-    let map = balanced.then(|| ShardMap::new(shards));
-    let io = match &map {
-        Some(m) => rig.server_io_balanced(
-            &ctx,
-            &fds,
-            cfg.clone()
-                .shards(shards)
-                .balanced(BalanceConfig::default()),
-            m,
-        ),
-        None => rig.server_io_sharded(&ctx, &fds, cfg.clone().shards(shards)),
-    };
+    let io = rig.server_io_sharded(&ctx, &fds, cfg.clone().shards(shards));
 
     // The load generator lives on another core; arrivals are stamped
     // on the serving core's timebase so sojourn is one clock.
@@ -253,23 +226,17 @@ fn cell(
     let mut push = |stamp: u64| {
         let (_, plain) = gen.get_plain();
         let conn = stream.next();
-        let s = match &map {
-            Some(m) => m.route(conn),
-            None => shard_for(conn, fds.len()),
-        };
+        let s = shard_for(conn, fds.len());
         machine
             .host
             .push_request_at(&ut, fds[s], &wire.encrypt(&plain), stamp);
     };
     let ops = match load {
         "steady" => scale.ops(if quick { 512 } else { 2048 }) / CHUNK * CHUNK,
-        // The skewed and churn shapes need several feed chunks per
-        // run: re-pinning moves only *future* arrivals, so its win
-        // shows up one chunk after the decision, and a one-chunk run
-        // would measure pure overhead.
-        "skewed" | "churn" => {
-            (scale.ops(if quick { 2048 } else { 8192 }) / CHUNK * CHUNK).max(2 * CHURN_EPOCH)
-        }
+        // The skewed shape runs at least eight feed chunks: how hot
+        // the head connection's shard runs is a property of the Zipf
+        // stream, not of one 256-arrival sample of it.
+        "skewed" => (scale.ops(if quick { 2048 } else { 8192 }) / CHUNK * CHUNK).max(8 * CHUNK),
         "bursty" => scale.ops(if quick { 256 } else { 1024 }) / BURST * BURST,
         "trickle" => scale.ops(if quick { 128 } else { 512 }) / BATCH_MAX * BATCH_MAX,
         other => panic!("unknown load shape {other}"),
@@ -293,9 +260,9 @@ fn cell(
         };
         match load {
             // Throughput regime: a standing backlog per feed chunk.
-            // The skewed and churn shapes differ only in which
-            // connections (and therefore shards) the chunk lands on.
-            "steady" | "skewed" | "churn" => {
+            // The skewed shape differs only in which connections (and
+            // therefore shards) the chunk lands on.
+            "steady" | "skewed" => {
                 let mut served = 0usize;
                 while served < n {
                     let c = (n - served).min(CHUNK);
@@ -368,7 +335,6 @@ fn cell(
         shards,
         policy: policy.to_owned(),
         load,
-        balance: if balanced { "balanced" } else { "static" },
         replicas: 1,
         chaos: "none",
         lost_replies: 0,
@@ -570,7 +536,6 @@ fn fleet_cell(
         shards: FLEET_SHARDS,
         policy: policy.to_owned(),
         load: "steady",
-        balance: "static",
         replicas,
         chaos,
         lost_replies: ops as u64 - replies,
@@ -669,7 +634,6 @@ fn rekey_cell(scale: Scale, chaos: &'static str, interval: Option<u64>, quick: b
         shards: 1,
         policy: "adaptive".to_owned(),
         load: "steady",
-        balance: "static",
         replicas: 1,
         chaos,
         lost_replies: ops as u64 - replies,
@@ -838,7 +802,6 @@ fn revoke_cell(scale: Scale, quick: bool) -> Cell {
         shards: 1,
         policy: "adaptive".to_owned(),
         load: "steady",
-        balance: "static",
         replicas: 1,
         chaos: "revoke",
         lost_replies: a_pushed - a_replies,
@@ -873,7 +836,9 @@ fn cfg_group(io: &ServerIo) -> usize {
 }
 
 /// Every load shape of the sweep.
-const LOADS: [&str; 5] = ["steady", "bursty", "trickle", "skewed", "churn"];
+const LOADS: [&str; 4] = ["steady", "bursty", "trickle", "skewed"];
+/// Every shard count of the sweep.
+const SHARDS: [usize; 3] = [1, 2, 4];
 /// The fleet cells, `(policy, replicas, chaos)`: the replicas axis on
 /// the steady load plus the two chaos cells.
 const FLEET_CELLS: [(&str, usize, &str); 6] = [
@@ -892,18 +857,6 @@ const REKEY_CELLS: [(&str, Option<u64>); 4] = [
     ("rekey-256", Some(256)),
 ];
 
-/// The `(shards, balanced)` placements a load shape runs. The balance
-/// layer only matters (and only engages its steal and re-pin
-/// machinery) on multi-shard skew, so the balanced leg runs on the two
-/// shapes built to produce it.
-fn placements(load: &str) -> Vec<(usize, bool)> {
-    let mut out = vec![(1, false), (2, false), (4, false)];
-    if matches!(load, "skewed" | "churn") {
-        out.extend([(2, true), (4, true)]);
-    }
-    out
-}
-
 /// Checks, on one run's cells, every claim the header and the module
 /// doc make.
 ///
@@ -914,16 +867,15 @@ fn check_claims(cells: &[Cell]) {
     // Fleet cells (the ones with per-replica op counts) re-run the
     // replicas = 1 configuration through the fleet harness, so they
     // are looked up apart from the single-enclave sweep.
-    let sweep = |load: &str, policy: &str, shards: usize, balanced: bool| -> &Cell {
-        let balance = if balanced { "balanced" } else { "static" };
+    let sweep = |load: &str, policy: &str, shards: usize| -> &Cell {
         cells
             .iter()
             .find(|c| {
                 c.replica_ops.is_empty()
-                    && (c.load, c.policy.as_str(), c.shards, c.balance, c.chaos)
-                        == (load, policy, shards, balance, "none")
+                    && (c.load, c.policy.as_str(), c.shards, c.chaos)
+                        == (load, policy, shards, "none")
             })
-            .unwrap_or_else(|| panic!("missing sweep cell ({load}, {policy}, {shards}, {balance})"))
+            .unwrap_or_else(|| panic!("missing sweep cell ({load}, {policy}, {shards})"))
     };
     let fleet = |policy: &str, replicas: usize, chaos: &str| -> &Cell {
         cells
@@ -940,15 +892,15 @@ fn check_claims(cells: &[Cell]) {
             .find(|c| c.chaos == chaos)
             .unwrap_or_else(|| panic!("missing session cell {chaos}"))
     };
-    assert_eq!(cells.len(), 87, "76 sweep + 6 fleet + 5 session cells");
+    assert_eq!(cells.len(), 59, "48 sweep + 6 fleet + 5 session cells");
 
     // Every sweep cell is there, with percentiles and one gauge row
     // per shard.
     for load in LOADS {
         for (policy, _) in policies() {
-            for (shards, balanced) in placements(load) {
-                let c = sweep(load, &policy, shards, balanced);
-                let at = format!("({load}, {policy}, {shards}, {})", c.balance);
+            for shards in SHARDS {
+                let c = sweep(load, &policy, shards);
+                let at = format!("({load}, {policy}, {shards})");
                 assert!(
                     c.sojourn_p50 <= c.sojourn_p95 && c.sojourn_p95 <= c.sojourn_p99,
                     "{at} percentiles not ordered"
@@ -959,11 +911,11 @@ fn check_claims(cells: &[Cell]) {
         }
     }
 
-    for shards in [1, 2, 4] {
+    for shards in SHARDS {
         // Bursty load: the adaptive depth must grow into the burst and
         // at least match the shallow fixed policy's throughput.
-        let ad = sweep("bursty", "adaptive", shards, false);
-        let f1 = sweep("bursty", "fixed-1", shards, false);
+        let ad = sweep("bursty", "adaptive", shards);
+        let f1 = sweep("bursty", "fixed-1", shards);
         assert!(
             ad.throughput_ops_s >= f1.throughput_ops_s,
             "bursty shards={shards}: adaptive throughput {:.0} below fixed-1 {:.0}",
@@ -973,8 +925,8 @@ fn check_claims(cells: &[Cell]) {
         // Trickle load: adaptive serves each arrival instead of
         // waiting out a full fixed-32 batch, so its tail latency must
         // not exceed the deep fixed policy's.
-        let ad = sweep("trickle", "adaptive", shards, false);
-        let f32 = sweep("trickle", "fixed-32", shards, false);
+        let ad = sweep("trickle", "adaptive", shards);
+        let f32 = sweep("trickle", "fixed-32", shards);
         assert!(
             ad.sojourn_p99 <= f32.sojourn_p99,
             "trickle shards={shards}: adaptive p99 {} exceeds fixed-32 p99 {}",
@@ -983,26 +935,16 @@ fn check_claims(cells: &[Cell]) {
         );
     }
 
-    // Skewed and churning load: the balance layer (re-pinning +
-    // stealing) must beat or match static pinning on busy cycles/op
-    // for the adaptive policy, and must not worsen its p99 sojourn.
-    for load in ["skewed", "churn"] {
-        for shards in [2, 4] {
-            let bal = sweep(load, "adaptive", shards, true);
-            let st = sweep(load, "adaptive", shards, false);
-            assert!(
-                bal.busy_cycles_per_op <= st.busy_cycles_per_op,
-                "{load} shards={shards}: balanced busy cycles/op {:.0} exceeds static {:.0}",
-                bal.busy_cycles_per_op,
-                st.busy_cycles_per_op
-            );
-            assert!(
-                bal.sojourn_p99 <= st.sojourn_p99,
-                "{load} shards={shards}: balanced p99 {} exceeds static p99 {}",
-                bal.sojourn_p99,
-                st.sojourn_p99
-            );
-        }
+    // Skewed load: connections stay where they hashed, so one shard
+    // runs hot — and a second shard must still pay for itself, at
+    // every policy.
+    for (policy, _) in policies() {
+        let one = sweep("skewed", &policy, 1).busy_cycles_per_op;
+        let two = sweep("skewed", &policy, 2).busy_cycles_per_op;
+        assert!(
+            two <= one,
+            "skewed {policy}: shards=2 busy cycles/op {two:.0} exceeds shards=1 {one:.0}"
+        );
     }
 
     // Fleet cells: zero lost replies, chaos or not — host socket
@@ -1113,7 +1055,7 @@ fn check_claims(cells: &[Cell]) {
     // A session that never rotates must cost what the static-key
     // pipeline costs (within 2% of the sweep's steady/adaptive/1-shard
     // cell), and rotating every 4096 requests stays within 5% of it.
-    let baseline = sweep("steady", "adaptive", 1, false).busy_cycles_per_op;
+    let baseline = sweep("steady", "adaptive", 1).busy_cycles_per_op;
     for (label, slack) in [("rekey-inf", 1.02), ("rekey-4096", 1.05)] {
         let cpo = session(label).busy_cycles_per_op;
         assert!(
@@ -1148,26 +1090,25 @@ fn check_claims(cells: &[Cell]) {
 pub fn run(scale: Scale, quick: bool) {
     header(
         "serving_bench",
-        "shards x sub-batch policy x load shape x placement, cache-resident KVS GETs",
+        "shards x sub-batch policy x load shape, cache-resident KVS GETs",
         "sharding drops the merge/reorder tax; adaptive depth rides the throughput \
-         ceiling on steady load and the latency floor on trickle load; re-pinning \
-         and stealing keep every shard productive under skewed and churning load",
+         ceiling on steady load and the latency floor on trickle load; a second \
+         shard still pays when Zipf-skewed connections stay where they hashed",
     );
     let mut cells: Vec<Cell> = Vec::new();
     for load in LOADS {
         println!(
-            "   {:<8} {:<8} {:>6} {:>9} {:>12} {:>10} {:>10} {:>10} {:>10}",
-            "load", "policy", "shards", "balance", "busy c/op", "ops/s", "p50", "p95", "p99"
+            "   {:<8} {:<8} {:>6} {:>12} {:>10} {:>10} {:>10} {:>10}",
+            "load", "policy", "shards", "busy c/op", "ops/s", "p50", "p95", "p99"
         );
         for (policy, cfg) in policies() {
-            for (shards, balanced) in placements(load) {
-                let c = cell(scale, shards, &policy, cfg.clone(), load, balanced, quick);
+            for shards in SHARDS {
+                let c = cell(scale, shards, &policy, cfg.clone(), load, quick);
                 println!(
-                    "   {:<8} {:<8} {:>6} {:>9} {:>12.0} {:>10} {:>10} {:>10} {:>10}",
+                    "   {:<8} {:<8} {:>6} {:>12.0} {:>10} {:>10} {:>10} {:>10}",
                     c.load,
                     c.policy,
                     c.shards,
-                    c.balance,
                     c.busy_cycles_per_op,
                     kops(c.throughput_ops_s),
                     c.sojourn_p50,
@@ -1247,12 +1188,11 @@ mod tests {
 
     /// A cell on which every "at least as good as" claim holds with
     /// equality.
-    fn flat(load: &'static str, policy: &str, shards: usize, balanced: bool) -> Cell {
+    fn flat(load: &'static str, policy: &str, shards: usize) -> Cell {
         Cell {
             shards,
             policy: policy.to_owned(),
             load,
-            balance: if balanced { "balanced" } else { "static" },
             replicas: 1,
             chaos: "none",
             lost_replies: 0,
@@ -1275,20 +1215,20 @@ mod tests {
         }
     }
 
-    /// The 87 cells of a run on which every claim holds — the
+    /// The 59 cells of a run on which every claim holds — the
     /// background chaos cell's p99 at exactly half the synchronous
     /// cell's, the boundary a real run lands on.
     fn passing_cells() -> Vec<Cell> {
         let mut cells = Vec::new();
         for load in LOADS {
             for (policy, _) in policies() {
-                for (shards, balanced) in placements(load) {
-                    cells.push(flat(load, &policy, shards, balanced));
+                for shards in SHARDS {
+                    cells.push(flat(load, &policy, shards));
                 }
             }
         }
         for (policy, replicas, chaos) in FLEET_CELLS {
-            let c = flat("steady", policy, FLEET_SHARDS, false);
+            let c = flat("steady", policy, FLEET_SHARDS);
             cells.push(Cell {
                 replicas,
                 chaos,
@@ -1311,14 +1251,14 @@ mod tests {
             cells.push(Cell {
                 chaos,
                 rekeys: u64::from(chaos == "rekey-256"),
-                ..flat("steady", "adaptive", 1, false)
+                ..flat("steady", "adaptive", 1)
             });
         }
         cells.push(Cell {
             chaos: "revoke",
             replica_ops: vec![1024, 512],
             auth_failures: 128,
-            ..flat("steady", "adaptive", 1, false)
+            ..flat("steady", "adaptive", 1)
         });
         cells
     }
@@ -1333,18 +1273,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "missing sweep cell (churn, fixed-8, 4, balanced)")]
+    #[should_panic(expected = "missing sweep cell (skewed, fixed-8, 4)")]
     fn a_missing_sweep_cell_fails_the_run() {
         let mut cells = passing_cells();
-        // Keep the count at 87: the cell is replaced, not just dropped.
+        // Keep the count at 59: the cell is replaced, not just dropped.
         let gone = cells
             .iter()
-            .position(|c| {
-                (c.load, c.policy.as_str(), c.shards, c.balance)
-                    == ("churn", "fixed-8", 4, "balanced")
-            })
+            .position(|c| (c.load, c.policy.as_str(), c.shards) == ("skewed", "fixed-8", 4))
             .unwrap();
-        cells[gone] = flat("churn", "fixed-8", 4, false);
+        cells[gone] = flat("skewed", "fixed-8", 2);
+        check_claims(&cells);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "skewed adaptive: shards=2 busy cycles/op 1001 exceeds shards=1 1000"
+    )]
+    fn a_second_shard_that_does_not_pay_under_skew_fails_the_run() {
+        let mut cells = passing_cells();
+        let two = cells
+            .iter_mut()
+            .find(|c| (c.load, c.policy.as_str(), c.shards) == ("skewed", "adaptive", 2))
+            .unwrap();
+        two.busy_cycles_per_op = 1001.0;
         check_claims(&cells);
     }
 

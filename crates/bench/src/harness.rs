@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use eleos_apps::io::{IoPath, ServerIo, ServerIoConfig};
-use eleos_apps::loadgen::{attest_session, ShardMap};
+use eleos_apps::loadgen::attest_session;
 use eleos_apps::param_server::{ParamServer, TableKind};
 use eleos_apps::space::DataSpace;
 use eleos_apps::wire::Session;
@@ -317,21 +317,6 @@ impl Rig {
     #[must_use]
     pub fn server_io_sharded(&self, ctx: &ThreadCtx, fds: &[Fd], cfg: ServerIoConfig) -> ServerIo {
         cfg.build(ctx, fds, self.io_path(), Arc::clone(&self.session))
-    }
-
-    /// A balance-layered sharded `ServerIo` (the map wired via
-    /// [`ServerIoConfig::routed`]); the load generator must route
-    /// arrivals through the same `map`.
-    #[must_use]
-    pub fn server_io_balanced(
-        &self,
-        ctx: &ThreadCtx,
-        fds: &[Fd],
-        cfg: ServerIoConfig,
-        map: &Arc<ShardMap>,
-    ) -> ServerIo {
-        cfg.routed(Arc::clone(map))
-            .build(ctx, fds, self.io_path(), Arc::clone(&self.session))
     }
 }
 

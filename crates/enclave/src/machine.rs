@@ -126,10 +126,6 @@ pub struct SgxMachine {
     pub fs: crate::fs::HostFs,
     cores: Vec<Arc<Core>>,
     next_enclave_id: AtomicU32,
-    /// Socket fds registered as belonging to a serving shard; RPC
-    /// syscall handlers run those fds' traffic in the shard's own LLC
-    /// class ([`CacheCtx::Shard`]).
-    shard_classes: Mutex<std::collections::HashMap<u32, u8>>,
 }
 
 impl SgxMachine {
@@ -158,7 +154,6 @@ impl SgxMachine {
             fs: crate::fs::HostFs::new(),
             cores,
             next_enclave_id: AtomicU32::new(1),
-            shard_classes: Mutex::new(std::collections::HashMap::new()),
             cfg,
         })
     }
@@ -202,25 +197,6 @@ impl SgxMachine {
     /// Applies the Eleos CAT partition (75% enclave / 25% RPC ways).
     pub fn enable_cat(&self) {
         self.llc.lock().partition_eleos();
-    }
-
-    /// Carves the RPC CAT slice into `n` per-shard sub-partitions (see
-    /// [`Llc::partition_shards`]). Call after [`Self::enable_cat`].
-    pub fn partition_shards(&self, n: usize) {
-        self.llc.lock().partition_shards(n);
-    }
-
-    /// Registers socket `fd` as shard `class`'s socket: RPC syscall
-    /// handlers will run its kernel traffic under
-    /// [`CacheCtx::Shard`]`(class)`.
-    pub fn set_shard_class(&self, fd: u32, class: u8) {
-        self.shard_classes.lock().insert(fd, class);
-    }
-
-    /// The shard class registered for `fd`, if any.
-    #[must_use]
-    pub fn shard_class_of(&self, fd: u32) -> Option<u8> {
-        self.shard_classes.lock().get(&fd).copied()
     }
 
     /// Charges the memory-hierarchy cost of touching
@@ -398,13 +374,5 @@ mod tests {
         m.reset_measurement();
         assert_eq!(m.stats.snapshot().llc_misses, 0);
         assert_eq!(m.core(0).clock.now(), 0);
-    }
-
-    #[test]
-    fn shard_class_registry_roundtrip() {
-        let m = SgxMachine::new(MachineConfig::tiny());
-        assert_eq!(m.shard_class_of(3), None);
-        m.set_shard_class(3, 1);
-        assert_eq!(m.shard_class_of(3), Some(1));
     }
 }

@@ -771,29 +771,6 @@ pub mod funcs {
     pub const SEND_MMSG: u64 = 12;
 }
 
-/// Runs `f` with the worker's cache context switched to the LLC shard
-/// class registered for `fd` (if any): a sharded server registers each
-/// shard's socket via `SgxMachine::set_shard_class`, so its kernel
-/// traffic fills that shard's carved way slice instead of the common
-/// RPC ways — two shards' socket streams stop evicting each other.
-fn with_shard_class<R>(
-    m: &SgxMachine,
-    ctx: &mut ThreadCtx,
-    fd: Fd,
-    f: impl FnOnce(&mut ThreadCtx) -> R,
-) -> R {
-    match m.shard_class_of(fd.0) {
-        Some(class) => {
-            let prev = ctx.cache_ctx;
-            ctx.cache_ctx = eleos_sim::llc::CacheCtx::Shard(class);
-            let r = f(ctx);
-            ctx.cache_ctx = prev;
-            r
-        }
-        None => f(ctx),
-    }
-}
-
 /// The syscall table: executes `func(args)` against the host OS on
 /// `ctx`, which must be in untrusted mode — an RPC worker, the far side
 /// of an OCALL, or a native thread. Every [`funcs`] id is one arm and
@@ -818,12 +795,8 @@ pub fn dispatch(m: &SgxMachine, ctx: &mut ThreadCtx, func: u64, args: [u64; 4]) 
         funcs::RECV => size(m.host.recv(ctx, sock, buf, len)),
         funcs::SEND => m.host.send(ctx, sock, buf, len) as u64,
         funcs::POLL => u64::from(m.host.poll(ctx, sock)),
-        funcs::RECV_MMSG => with_shard_class(m, ctx, sock, |ctx| {
-            m.host.recv_mmsg(ctx, sock, buf, stripe, count, args[3]) as u64
-        }),
-        funcs::SEND_MMSG => with_shard_class(m, ctx, sock, |ctx| {
-            m.host.send_mmsg(ctx, sock, buf, stripe, count, args[3]) as u64
-        }),
+        funcs::RECV_MMSG => m.host.recv_mmsg(ctx, sock, buf, stripe, count, args[3]) as u64,
+        funcs::SEND_MMSG => m.host.send_mmsg(ctx, sock, buf, stripe, count, args[3]) as u64,
         funcs::OPEN => path(ctx).map_or(u64::MAX, |p| m.fs.open(ctx, &p).0 as u64),
         funcs::CLOSE => unit(m.fs.close(ctx, file)),
         funcs::READ => size(m.fs.read(ctx, file, buf, len).ok()),

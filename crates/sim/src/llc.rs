@@ -21,9 +21,6 @@ use crate::costs::{domain_of, AccessKind, Domain, LINE};
 /// Base address of the synthetic MEE integrity-tree region.
 pub const MEE_BASE: u64 = 0x80_0000_0000;
 
-/// Maximum number of per-shard cache classes ([`CacheCtx::Shard`]).
-pub const MAX_SHARD_CLASSES: usize = 8;
-
 /// Cache-context classes for CAT partitioning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheCtx {
@@ -31,11 +28,6 @@ pub enum CacheCtx {
     Enclave,
     /// Eleos RPC worker threads.
     Rpc,
-    /// RPC worker traffic on behalf of serving shard `k`. Fills use the
-    /// shard's own way slice when [`Llc::partition_shards`] carved one,
-    /// and fall back to the plain RPC partition otherwise — shard
-    /// traffic never escapes the RPC fence.
-    Shard(u8),
     /// Everything else (host OS, untrusted app code).
     Other,
 }
@@ -44,8 +36,7 @@ impl CacheCtx {
     fn idx(self) -> usize {
         match self {
             CacheCtx::Enclave => 0,
-            // Unpartitioned shard traffic accounts as RPC-class.
-            CacheCtx::Rpc | CacheCtx::Shard(_) => 1,
+            CacheCtx::Rpc => 1,
             CacheCtx::Other => 2,
         }
     }
@@ -91,12 +82,8 @@ pub struct Llc {
     flags: Vec<u8>,
     /// LRU ticks, parallel to `tags`.
     lru: Vec<u64>,
-    /// Allowed-way bitmasks per [`CacheCtx`] base class.
+    /// Allowed-way bitmasks per [`CacheCtx`] class.
     way_masks: [u64; 3],
-    /// Per-shard way slices, used by [`CacheCtx::Shard`] fills once
-    /// [`Llc::partition_shards`] has carved them.
-    shard_masks: [u64; MAX_SHARD_CLASSES],
-    shards_partitioned: bool,
     tick: u64,
 }
 
@@ -123,8 +110,6 @@ impl Llc {
             flags: vec![0; n],
             lru: vec![0; n],
             way_masks: [all; 3],
-            shard_masks: [0; MAX_SHARD_CLASSES],
-            shards_partitioned: false,
             tick: 0,
         }
     }
@@ -145,17 +130,7 @@ impl Llc {
         };
         assert!(mask & all != 0, "partition must contain at least one way");
         assert_eq!(mask & !all, 0, "partition exceeds associativity");
-        match ctx {
-            CacheCtx::Shard(k) => {
-                assert!(
-                    (k as usize) < MAX_SHARD_CLASSES,
-                    "shard class {k} exceeds MAX_SHARD_CLASSES ({MAX_SHARD_CLASSES})"
-                );
-                self.shard_masks[k as usize] = mask & all;
-                self.shards_partitioned = true;
-            }
-            base => self.way_masks[base.idx()] = mask & all,
-        }
+        self.way_masks[ctx.idx()] = mask & all;
     }
 
     /// Applies the paper's Eleos split: 75% of ways to the enclave, 25%
@@ -167,33 +142,6 @@ impl Llc {
         let rpc_mask = ((1u64 << rpc_ways) - 1) << enclave_ways;
         self.set_partition(CacheCtx::Enclave, enclave_mask);
         self.set_partition(CacheCtx::Rpc, rpc_mask);
-        self.shards_partitioned = false;
-    }
-
-    /// Carves the current RPC partition into `n` per-shard way slices
-    /// (round-robin over the RPC ways; when the RPC slice has fewer
-    /// ways than shards, shards share ways round-robin so every shard
-    /// still owns at least one fill way). Shard fills stay inside the
-    /// RPC fence, but two shards' socket traffic stops evicting each
-    /// other.
-    pub fn partition_shards(&mut self, n: usize) {
-        assert!(n >= 1, "partition_shards needs at least one shard");
-        assert!(
-            n <= MAX_SHARD_CLASSES,
-            "partition_shards({n}) exceeds MAX_SHARD_CLASSES ({MAX_SHARD_CLASSES})"
-        );
-        let rpc = self.way_masks[CacheCtx::Rpc.idx()];
-        let ways: Vec<u64> = (0..64).filter(|w| rpc & (1 << w) != 0).collect();
-        self.shard_masks = [0; MAX_SHARD_CLASSES];
-        for (i, w) in ways.iter().enumerate() {
-            self.shard_masks[i % n] |= 1 << w;
-        }
-        for k in 0..n {
-            if self.shard_masks[k] == 0 {
-                self.shard_masks[k] = 1 << ways[k % ways.len()];
-            }
-        }
-        self.shards_partitioned = true;
     }
 
     /// Removes any partitioning.
@@ -204,22 +152,6 @@ impl Llc {
             (1u64 << self.ways) - 1
         };
         self.way_masks = [all; 3];
-        self.shard_masks = [0; MAX_SHARD_CLASSES];
-        self.shards_partitioned = false;
-    }
-
-    /// The way mask a fill from `ctx` may use. Shard classes beyond the
-    /// carved set (or with no slice) fall back to the RPC fence.
-    fn fill_mask(&self, ctx: CacheCtx) -> u64 {
-        if let CacheCtx::Shard(k) = ctx {
-            if self.shards_partitioned {
-                let m = self.shard_masks.get(k as usize).copied().unwrap_or(0);
-                if m != 0 {
-                    return m;
-                }
-            }
-        }
-        self.way_masks[ctx.idx()]
     }
 
     /// Accesses one cache line containing `paddr`.
@@ -262,7 +194,7 @@ impl Llc {
         }
 
         // Miss: fill into the LRU way among those allowed for `ctx`.
-        let mask = self.fill_mask(ctx);
+        let mask = self.way_masks[ctx.idx()];
         let mut victim = None;
         let mut victim_tick = u64::MAX;
         for w in 0..self.ways {
@@ -469,94 +401,5 @@ mod tests {
     fn empty_partition_rejected() {
         let mut c = small();
         c.set_partition(CacheCtx::Rpc, 0);
-    }
-
-    #[test]
-    fn shard_slices_carve_the_rpc_fence() {
-        let mut c = Llc::new(&LlcConfig::default());
-        c.partition_eleos();
-        c.partition_shards(2);
-        let rpc = c.way_masks[CacheCtx::Rpc.idx()];
-        let (s0, s1) = (
-            c.fill_mask(CacheCtx::Shard(0)),
-            c.fill_mask(CacheCtx::Shard(1)),
-        );
-        assert_eq!(s0 & s1, 0, "shard slices must be disjoint");
-        assert_eq!(s0 | s1, rpc, "slices must cover exactly the RPC ways");
-        assert!(s0.count_ones() >= 1 && s1.count_ones() >= 1);
-        // A shard class beyond the carved set falls back to the fence.
-        assert_eq!(c.fill_mask(CacheCtx::Shard(5)), rpc);
-    }
-
-    #[test]
-    fn more_shards_than_rpc_ways_share_round_robin() {
-        let mut c = small(); // 4 ways -> partition_eleos gives RPC 1 way.
-        c.partition_eleos();
-        c.partition_shards(3);
-        let rpc = c.way_masks[CacheCtx::Rpc.idx()];
-        for k in 0..3u8 {
-            let m = c.fill_mask(CacheCtx::Shard(k));
-            assert_eq!(m.count_ones(), 1, "each shard owns a fill way");
-            assert_eq!(m & !rpc, 0, "shard ways stay inside the RPC fence");
-        }
-    }
-
-    #[test]
-    fn shard_fills_do_not_evict_a_sibling_shard() {
-        let mut c = small();
-        c.set_partition(CacheCtx::Shard(0), 0b0001);
-        c.set_partition(CacheCtx::Shard(1), 0b0010);
-        let stride = 64 * 64;
-        c.access_line(CacheCtx::Shard(0), 0, AccessKind::Read);
-        // Shard 1 streams many lines through its own way...
-        for i in 10..30u64 {
-            c.access_line(CacheCtx::Shard(1), i * stride, AccessKind::Read);
-        }
-        // ...without touching shard 0's resident line.
-        assert!(
-            c.access_line(CacheCtx::Shard(0), 0, AccessKind::Read).hit,
-            "shard 0's line was evicted through the shard partition"
-        );
-    }
-
-    #[test]
-    fn unpartitioned_shard_traffic_uses_the_rpc_fence() {
-        let mut c = small();
-        c.set_partition(CacheCtx::Rpc, 0b0001);
-        c.set_partition(CacheCtx::Enclave, 0b1110);
-        let stride = 64 * 64;
-        for i in 0..3u64 {
-            c.access_line(CacheCtx::Enclave, i * stride, AccessKind::Read);
-        }
-        // No partition_shards call: shard traffic must stay fenced to
-        // the single RPC way and leave the enclave's lines alone.
-        for i in 10..30u64 {
-            c.access_line(CacheCtx::Shard(3), i * stride, AccessKind::Read);
-        }
-        for i in 0..3u64 {
-            assert!(
-                c.access_line(CacheCtx::Enclave, i * stride, AccessKind::Read)
-                    .hit,
-                "shard traffic escaped the RPC fence"
-            );
-        }
-    }
-
-    #[test]
-    fn partition_none_drops_shard_slices() {
-        let mut c = Llc::new(&LlcConfig::default());
-        c.partition_eleos();
-        c.partition_shards(4);
-        c.partition_none();
-        assert!(!c.shards_partitioned);
-        assert_eq!(c.fill_mask(CacheCtx::Shard(0)).count_ones(), 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds MAX_SHARD_CLASSES")]
-    fn too_many_shard_partitions_rejected() {
-        let mut c = Llc::new(&LlcConfig::default());
-        c.partition_eleos();
-        c.partition_shards(MAX_SHARD_CLASSES + 1);
     }
 }

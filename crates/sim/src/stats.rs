@@ -311,6 +311,8 @@ stats! {
     auth_failures,
     /// Host-written receive results the enclave refused to act on: a `recv_mmsg` count above the requested depth, or a descriptor length above its stripe.
     desc_rejects,
+    /// Replies a server did not send because the sealed message outgrew its transmit slot (a multi-key `get` past the batch stripe, a reply past `buf_len`); the rest of the batch still went out.
+    reply_rejects,
     /// Decrypted request bodies a server refused to act on: truncated header, unknown opcode, or lengths past the body.
     malformed_requests,
     /// Replica-state transfers a receiver refused to apply: broken chunk framing, a malformed snapshot frame, an epoch other than the one the fence minted (a replay), or a section that failed authentication.
@@ -507,7 +509,7 @@ mod tests {
     fn summary_prints_every_counter_under_its_field_name() {
         let s = Stats::default();
         let live = s.counters();
-        assert_eq!(live.len(), 61);
+        assert_eq!(live.len(), 62);
         for (i, (_, counter)) in live.iter().enumerate() {
             Stats::add(counter, 1_000 + i as u64);
         }

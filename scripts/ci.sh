@@ -59,6 +59,14 @@ if grep -rnE 'RawSPtr|suvm_malloc|sptr_(read|write|add|deref_u64|set_u64)|SBox|S
     echo "a deleted uncalled-API / second-harness name is back (see above)"
     exit 1
 fi
+# PR 22 made `shard_for` the only placement: no balance layer (re-pin,
+# steal, second send wave), no `churn` load shape, no per-shard CAT
+# classes.
+if grep -rnE 'BalanceConfig|steal_pass|steals_(taken|given)|\.balanced\(|\.routed\(|\.repin\(|hottest_conns|shard_weights|server_io_balanced|partition_shards|set_shard_class|shard_class_of|with_shard_class|CacheCtx::Shard|MAX_SHARD_CLASSES|ConnStream::churn' \
+        crates/*/src src examples tests ; then
+    echo "a deleted shard-balance / shard-class name is back (see above)"
+    exit 1
+fi
 if git grep -nE 'RUST_MIN_STACK *=' -- . ':!ROADMAP.md' ':!CHANGES.md' ':!ISSUE.md' ; then
     echo "a tracked file sets RUST_MIN_STACK: shrink what is on the stack instead"
     exit 1
@@ -93,6 +101,9 @@ if faults > 0.1:
 print(f"   {run['attempted']} ops, 0 failed, {faults:.3f} major faults/op")
 EOF
 
+echo "== rpc_bench smoke (exits non-zero unless every batched depth beats call(), the cost falls through depth 16 and stays within 5% of its minimum past it)"
+cargo run --release -p eleos-bench --bin repro --offline -- rpc_bench --quick --scale 16
+
 echo "== paging_bench smoke (exits non-zero unless batch >= 8 beats inline for every policy)"
 cargo run --release -p eleos-bench --bin repro --offline -- paging_bench --quick --scale 16
 
@@ -102,11 +113,12 @@ cargo run --release -p eleos-bench --bin repro --offline -- crypto_bench --quick
 echo "== storage_bench smoke (exits non-zero unless its header claims hold on all 15 cells)"
 cargo run --release -p eleos-bench --bin repro --offline -- storage_bench --quick --scale 8
 
-echo "== serving_bench smoke (exits non-zero unless its header claims hold on all 87 cells)"
-# Scale 8, not 16: at 1/16 the LLC is barely larger than four shards'
-# staging buffers, and the balance layer's extra buffer traffic
-# (stolen runs land in the thief's stripes) drowns the round savings
-# it exists to demonstrate.
+echo "== serving_bench smoke (exits non-zero unless its header claims hold on all 59 cells)"
+# Scale 8, not 16 like the other smokes: every other claim holds at 1/16
+# too, but the `kill-respawn-bg` p99 claim (at least 2x below the
+# synchronous fence's) sits on its boundary at 1/8 (524 288 vs 245 760
+# or 262 144) and one histogram bucket past it at 1/16 (294 912, 1.78x,
+# 6 runs of 6) — ROADMAP A-3.
 cargo run --release -p eleos-bench --bin repro --offline -- serving_bench --quick --scale 8
 
 echo "== fmt"

@@ -971,6 +971,119 @@ fn a_set_no_slab_page_can_hold_is_refused_not_fatal() {
     t.exit();
 }
 
+/// How long a reply is is the client's choice too. A text server on the
+/// batched RPC path stripes its 32 KiB transmit buffer into four 8 KiB
+/// slots; three 3 KiB values fit one each, a `get a b c` of all three
+/// does not. That reply is not sent and is counted — the replies around
+/// it in the same batch leave on their own sockets in order, and the
+/// server answers the next request.
+#[test]
+fn a_reply_that_outgrows_its_batch_slot_is_dropped_not_fatal() {
+    use eleos::apps::io::{IoPath, ServerIoConfig};
+    use eleos::apps::kvs::Kvs;
+    use eleos::apps::space::DataSpace;
+    use eleos::apps::text_protocol::{format_get, format_multi_get, format_set, process_text};
+    use eleos::apps::wire::Session;
+    use eleos::rpc::{with_syscalls, RpcService};
+
+    let m = small_machine();
+    let e = m.driver.create_enclave(&m, 1 << 20);
+    let session = Arc::new(Session::established([9u8; 16]));
+    let ut = ThreadCtx::untrusted(&m, 1);
+    let fds = m.host.socket_set(&ut, 2, 64 << 10);
+    let svc = with_syscalls(RpcService::builder(&m), &m)
+        .workers(1, &[3])
+        .build();
+    let io = ServerIoConfig::with_buf_len(32 << 10).batch(4).build(
+        &ut,
+        &fds,
+        IoPath::Rpc(Arc::new(svc)),
+        Arc::clone(&session),
+    );
+    let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+    t.enter();
+    let space = DataSpace::Untrusted(Arc::clone(&m));
+    let mut kvs = Kvs::new(space.clone(), space, 4 << 20, 64);
+    kvs.init(&mut t);
+
+    let value = |k: u8| vec![k; 3 << 10];
+    let found = |k: u8| {
+        let mut r = format!("VALUE {} 0 {}\r\n", k as char, 3 << 10).into_bytes();
+        r.extend_from_slice(&value(k));
+        r.extend_from_slice(b"\r\nEND\r\n");
+        r
+    };
+    let push = |shard: usize, body: &[u8]| {
+        m.host.push_request(&ut, fds[shard], &session.encrypt(body));
+    };
+    let replies = |shard: usize| {
+        let mut out = Vec::new();
+        while let Some(r) = m.host.pop_response(fds[shard]) {
+            out.push(session.decrypt(&r));
+        }
+        out
+    };
+
+    for k in *b"abc" {
+        push(0, &format_set(&[k], 0, 0, &value(k)));
+    }
+    assert_eq!(io.serve(&mut t, |t, msg| process_text(&mut kvs, t, msg)), 3);
+    assert_eq!(replies(0), vec![b"STORED\r\n".to_vec(); 3]);
+
+    // One batch over both shards, the oversize reply in the middle of
+    // shard 0's run.
+    push(0, &format_get(b"a"));
+    push(0, &format_multi_get(&[b"a", b"b", b"c"]));
+    push(0, &format_get(b"b"));
+    push(1, &format_get(b"c"));
+    let rejected = m.stats.snapshot().reply_rejects;
+    assert_eq!(io.serve(&mut t, |t, msg| process_text(&mut kvs, t, msg)), 4);
+    assert_eq!(m.stats.snapshot().reply_rejects - rejected, 1);
+    assert_eq!(replies(0), [found(b'a'), found(b'b')]);
+    assert_eq!(replies(1), [found(b'c')]);
+
+    push(0, &format_get(b"c"));
+    assert_eq!(io.serve(&mut t, |t, msg| process_text(&mut kvs, t, msg)), 1);
+    assert_eq!(replies(0), [found(b'c')]);
+    assert_eq!(m.stats.snapshot().reply_rejects - rejected, 1);
+    t.exit();
+}
+
+/// The same on the per-message OCALL path, where a reply's slot is the
+/// whole transmit buffer: a GET of a value longer than `buf_len` gets
+/// no reply and is counted, and the next request is answered.
+#[test]
+fn a_reply_longer_than_the_transmit_buffer_is_dropped_not_fatal() {
+    use eleos::apps::io::{IoPath, ServerIoConfig};
+    use eleos::apps::kvs::{build_get, Kvs};
+    use eleos::apps::space::DataSpace;
+    use eleos::apps::wire::Session;
+
+    let (m, mut t) = entered_thread();
+    let space = DataSpace::Untrusted(Arc::clone(&m));
+    let mut kvs = Kvs::new(space.clone(), space, 4 << 20, 64);
+    kvs.init(&mut t);
+    kvs.set(&mut t, b"big", &[7u8; 6000]);
+    kvs.set(&mut t, b"small", b"fits");
+
+    let session = Arc::new(Session::established([9u8; 16]));
+    let fd = m.host.socket(&t, 64 << 10);
+    let io =
+        ServerIoConfig::with_buf_len(4096).build(&t, &[fd], IoPath::Ocall, Arc::clone(&session));
+    m.host
+        .push_request(&t, fd, &session.encrypt(&build_get(b"big")));
+    m.host
+        .push_request(&t, fd, &session.encrypt(&build_get(b"small")));
+    assert!(io.serve_one(&mut t, |t, plain| kvs.process(t, plain)));
+    assert_eq!(m.stats.snapshot().reply_rejects, 1);
+    assert!(m.host.pop_response(fd).is_none(), "nothing was sent");
+    assert!(io.serve_one(&mut t, |t, plain| kvs.process(t, plain)));
+    let reply = session.decrypt(&m.host.pop_response(fd).expect("the next reply"));
+    assert_eq!(reply, b"\x01\x04\0\0\0fits");
+    assert_eq!(m.stats.snapshot().reply_rejects, 1);
+    t.exit();
+}
+
 /// The parameter server parses the same way: an attested client that
 /// sends an empty body, a lone opcode, a truncated count, a count the
 /// body cannot back, an opcode the protocol lacks or an update of the

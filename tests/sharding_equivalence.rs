@@ -8,16 +8,12 @@
 //!   parameter server, face verification);
 //! - commutative updates land identically whatever the shard
 //!   interleaving (the parameter-server probe);
-//! - the balance layer (hot-connection re-pinning through a
-//!   [`ShardMap`] plus sub-batch work stealing) returns byte-identical
-//!   per-connection replies to the static sharded path — replies are
-//!   regrouped by the shard each request was *pushed* to, so a
-//!   mid-run migration or a steal that broke per-connection order
-//!   fails the byte comparison;
 //! - cost accounting: exactly one syscall trap and one
-//!   kernel-metadata charge per shard sub-batch on both legs, an
-//!   empty shard's poll costs a trap but no metadata walk, and a
-//!   steal adds exactly one extra trap and one extra walk.
+//!   kernel-metadata charge per shard sub-batch on both legs, and an
+//!   empty shard's poll costs a trap but no metadata walk;
+//! - the pin: what two rounds of a Zipf-skewed stream cost a static 2-
+//!   and 4-shard server, in cycles and counters, measured before the
+//!   shard-balance layer was deleted.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -25,10 +21,10 @@ use std::sync::Arc;
 use eleos::apps::face::{
     build_verify_request, chi_square, lbp_histogram, synth_capture, synth_image, FaceDb, FaceServer,
 };
-use eleos::apps::io::{BalanceConfig, IoPath, ServerIo, ServerIoConfig};
+use eleos::apps::io::{IoPath, ServerIo, ServerIoConfig};
 use eleos::apps::kvs::{build_get, Kvs};
 use eleos::apps::loadgen::attest_session;
-use eleos::apps::loadgen::{shard_for, KvsLoad, ShardMap};
+use eleos::apps::loadgen::{shard_for, KvsLoad};
 use eleos::apps::param_server::{build_read_request, build_update_request, ParamServer, TableKind};
 use eleos::apps::space::DataSpace;
 use eleos::apps::text_protocol::{format_get, process_text};
@@ -56,15 +52,10 @@ struct ShardRig {
     wire: Arc<Session>,
     fds: Vec<Fd>,
     io: ServerIo,
-    /// The balance layer's connection map, `None` on the static path.
-    map: Option<Arc<ShardMap>>,
 }
 
 impl ShardRig {
-    /// `balanced` layers an aggressive rebalancer (period 2, steal on)
-    /// over the sharded pipeline so short proptest runs still cross
-    /// migration fences and steal waves.
-    fn new(shards: usize, workers: usize, cfg: ServerIoConfig, balanced: bool) -> ShardRig {
+    fn new(shards: usize, workers: usize, cfg: ServerIoConfig) -> ShardRig {
         let m = SgxMachine::new(MachineConfig::tiny());
         let e = m.driver.create_enclave(&m, 1 << 20);
         let wire = Arc::new(Session::handshake([9u8; 16], [0x62u8; 16]));
@@ -75,41 +66,22 @@ impl ShardRig {
             .workers(workers, &[2, 3])
             .build();
         let path = IoPath::Rpc(Arc::new(svc));
-        let (io, map) = if balanced {
-            let map = ShardMap::new(shards);
-            let cfg = cfg.balanced(BalanceConfig {
-                repin: true,
-                steal: true,
-                period: 2,
-                max_moves: 2,
-            });
-            let io = cfg
-                .routed(Arc::clone(&map))
-                .build(&ut, &fds, path, Arc::clone(&wire));
-            (io, Some(map))
-        } else {
-            (cfg.build(&ut, &fds, path, Arc::clone(&wire)), None)
-        };
+        let io = cfg.build(&ut, &fds, path, Arc::clone(&wire));
         ShardRig {
             m,
             e,
             wire,
             fds,
             io,
-            map,
         }
     }
 
     /// Pushes one encrypted request from `conn`, landing on the shard
-    /// the load generator pins (or the shard map currently routes)
-    /// that connection to, and returns that shard — the push-time
-    /// routing decision the reply regrouping keys on.
+    /// the load generator pins that connection to, and returns that
+    /// shard — what the reply regrouping keys on.
     fn push(&self, conn: u64, plain: &[u8]) -> usize {
         let ut = ThreadCtx::untrusted(&self.m, 1);
-        let s = match &self.map {
-            Some(map) => map.route(conn),
-            None => shard_for(conn, self.fds.len()),
-        };
+        let s = shard_for(conn, self.fds.len());
         self.m
             .host
             .push_request(&ut, self.fds[s], &self.wire.encrypt(plain));
@@ -136,13 +108,9 @@ fn serve_to_completion(t: &mut ThreadCtx, n: usize, mut step: impl FnMut(&mut Th
 /// Drains every shard's response queue and re-groups the decrypted
 /// replies by connection: per-shard FIFO order is per-connection
 /// order, so the `i`-th reply on a shard answers the `i`-th request
-/// that `pushed` recorded landing there. The log carries the
-/// *push-time* routing decision, which is what makes this regrouping
-/// valid across migration fences (queued requests answer on the old
-/// socket; re-pinned ones on the new) and steals (stolen replies
-/// still leave the victim's socket, after its own run). A server
-/// that reorders within a shard mis-assigns replies here and fails
-/// the byte comparison.
+/// that `pushed` recorded landing there. A server that reorders
+/// within a shard mis-assigns replies here and fails the byte
+/// comparison.
 fn replies_by_conn(rig: &ShardRig, pushed: &[(u64, usize)]) -> Vec<Vec<Vec<u8>>> {
     let mut streams: Vec<VecDeque<Vec<u8>>> = rig
         .fds
@@ -192,9 +160,8 @@ fn request_stream(seed: &[u8]) -> (Vec<u64>, Vec<u64>) {
 // Per-server runs
 // ---------------------------------------------------------------------
 
-/// The two push→serve rounds every run takes: a balanced rig may
-/// re-pin a hot connection at the round boundary, so the second
-/// round's pushes exercise routing *across* a migration fence.
+/// The two push→serve rounds every run takes: the second round's
+/// pushes land behind sockets the first round already drained.
 fn rounds(n: usize) -> [(usize, usize); 2] {
     [(0, n / 2), (n / 2, n)]
 }
@@ -207,9 +174,8 @@ fn run_kvs(
     conns: &[u64],
     keys: &[u64],
     text: bool,
-    balanced: bool,
 ) -> Vec<Vec<Vec<u8>>> {
-    let rig = ShardRig::new(shards, 2, cfg, balanced);
+    let rig = ShardRig::new(shards, 2, cfg);
     let mut t = rig.thread();
     let space = DataSpace::Untrusted(Arc::clone(&rig.m));
     let mut kvs = Kvs::new(space.clone(), space, 8 << 20, 256);
@@ -253,10 +219,9 @@ fn run_param(
     cfg: ServerIoConfig,
     conns: &[u64],
     keys: &[u64],
-    balanced: bool,
 ) -> (Vec<Vec<Vec<u8>>>, Vec<u64>) {
     const TABLE: u64 = 4096;
-    let rig = ShardRig::new(shards, 2, cfg, balanced);
+    let rig = ShardRig::new(shards, 2, cfg);
     let mut t = rig.thread();
     let space = DataSpace::Untrusted(Arc::clone(&rig.m));
     let mut srv = ParamServer::new(space, TableKind::OpenAddressing, TABLE);
@@ -290,15 +255,9 @@ fn run_param(
 
 /// Serves a genuine/impostor/unknown face-verification stream;
 /// returns the per-connection reply streams.
-fn run_face(
-    shards: usize,
-    cfg: ServerIoConfig,
-    conns: &[u64],
-    keys: &[u64],
-    balanced: bool,
-) -> Vec<Vec<Vec<u8>>> {
+fn run_face(shards: usize, cfg: ServerIoConfig, conns: &[u64], keys: &[u64]) -> Vec<Vec<Vec<u8>>> {
     const SIDE: usize = 32;
-    let rig = ShardRig::new(shards, 2, cfg, balanced);
+    let rig = ShardRig::new(shards, 2, cfg);
     let mut t = rig.thread();
     let space = DataSpace::Untrusted(Arc::clone(&rig.m));
     let mut db = FaceDb::new(space, SIDE, 4);
@@ -346,10 +305,10 @@ proptest! {
         seed in prop::collection::vec(any::<u8>(), 32..33),
     ) {
         let (conns, keys) = request_stream(&seed);
-        let reference = run_kvs(1, policies()[0].clone(), &conns, &keys, false, false);
+        let reference = run_kvs(1, policies()[0].clone(), &conns, &keys, false);
         for cfg in policies() {
             for shards in 1..=4usize {
-                let got = run_kvs(shards, cfg.clone(), &conns, &keys, false, false);
+                let got = run_kvs(shards, cfg.clone(), &conns, &keys, false);
                 prop_assert_eq!(
                     &got, &reference,
                     "binary KVS diverged (shards={}, {})", shards, cfg.policy_label()
@@ -365,10 +324,10 @@ proptest! {
         seed in prop::collection::vec(any::<u8>(), 32..33),
     ) {
         let (conns, keys) = request_stream(&seed);
-        let reference = run_kvs(1, policies()[0].clone(), &conns, &keys, true, false);
+        let reference = run_kvs(1, policies()[0].clone(), &conns, &keys, true);
         for cfg in policies() {
             for shards in 1..=4usize {
-                let got = run_kvs(shards, cfg.clone(), &conns, &keys, true, false);
+                let got = run_kvs(shards, cfg.clone(), &conns, &keys, true);
                 prop_assert_eq!(
                     &got, &reference,
                     "text KVS diverged (shards={}, {})", shards, cfg.policy_label()
@@ -385,10 +344,10 @@ proptest! {
         seed in prop::collection::vec(any::<u8>(), 32..33),
     ) {
         let (conns, keys) = request_stream(&seed);
-        let (ref_replies, ref_probes) = run_param(1, policies()[0].clone(), &conns, &keys, false);
+        let (ref_replies, ref_probes) = run_param(1, policies()[0].clone(), &conns, &keys);
         for cfg in policies() {
             for shards in 1..=4usize {
-                let (replies, probes) = run_param(shards, cfg.clone(), &conns, &keys, false);
+                let (replies, probes) = run_param(shards, cfg.clone(), &conns, &keys);
                 prop_assert_eq!(
                     &replies, &ref_replies,
                     "param server replies diverged (shards={}, {})", shards, cfg.policy_label()
@@ -408,101 +367,13 @@ proptest! {
         seed in prop::collection::vec(any::<u8>(), 32..33),
     ) {
         let (conns, keys) = request_stream(&seed);
-        let reference = run_face(1, policies()[0].clone(), &conns, &keys, false);
+        let reference = run_face(1, policies()[0].clone(), &conns, &keys);
         for cfg in policies() {
             for shards in 1..=4usize {
-                let got = run_face(shards, cfg.clone(), &conns, &keys, false);
+                let got = run_face(shards, cfg.clone(), &conns, &keys);
                 prop_assert_eq!(
                     &got, &reference,
                     "face server diverged (shards={}, {})", shards, cfg.policy_label()
-                );
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Satellite: the balance layer preserves per-connection bytes
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(2))]
-
-    /// Re-pinning + stealing (aggressive: period 2, two moves) return
-    /// byte-identical per-connection binary-KVS replies to the static
-    /// sharded path, across 1–4 shards and both sub-batch policies.
-    #[test]
-    fn balanced_kvs_matches_the_static_sharded_path(
-        seed in prop::collection::vec(any::<u8>(), 32..33),
-    ) {
-        let (conns, keys) = request_stream(&seed);
-        for cfg in policies() {
-            for shards in 1..=4usize {
-                let stat = run_kvs(shards, cfg.clone(), &conns, &keys, false, false);
-                let bal = run_kvs(shards, cfg.clone(), &conns, &keys, false, true);
-                prop_assert_eq!(
-                    &bal, &stat,
-                    "balanced binary KVS diverged (shards={}, {})", shards, cfg.policy_label()
-                );
-            }
-        }
-    }
-
-    /// Same for the memcached-text protocol.
-    #[test]
-    fn balanced_text_kvs_matches_the_static_sharded_path(
-        seed in prop::collection::vec(any::<u8>(), 32..33),
-    ) {
-        let (conns, keys) = request_stream(&seed);
-        for cfg in policies() {
-            for shards in 1..=4usize {
-                let stat = run_kvs(shards, cfg.clone(), &conns, &keys, true, false);
-                let bal = run_kvs(shards, cfg.clone(), &conns, &keys, true, true);
-                prop_assert_eq!(
-                    &bal, &stat,
-                    "balanced text KVS diverged (shards={}, {})", shards, cfg.policy_label()
-                );
-            }
-        }
-    }
-
-    /// Same for the parameter server, replies *and* post-run state.
-    #[test]
-    fn balanced_param_server_matches_the_static_sharded_path(
-        seed in prop::collection::vec(any::<u8>(), 32..33),
-    ) {
-        let (conns, keys) = request_stream(&seed);
-        for cfg in policies() {
-            for shards in 1..=4usize {
-                let (stat_replies, stat_probes) =
-                    run_param(shards, cfg.clone(), &conns, &keys, false);
-                let (bal_replies, bal_probes) =
-                    run_param(shards, cfg.clone(), &conns, &keys, true);
-                prop_assert_eq!(
-                    &bal_replies, &stat_replies,
-                    "balanced param replies diverged (shards={}, {})", shards, cfg.policy_label()
-                );
-                prop_assert_eq!(
-                    &bal_probes, &stat_probes,
-                    "balanced param state diverged (shards={}, {})", shards, cfg.policy_label()
-                );
-            }
-        }
-    }
-
-    /// Same for the face-verification server.
-    #[test]
-    fn balanced_face_server_matches_the_static_sharded_path(
-        seed in prop::collection::vec(any::<u8>(), 32..33),
-    ) {
-        let (conns, keys) = request_stream(&seed);
-        for cfg in policies() {
-            for shards in 1..=4usize {
-                let stat = run_face(shards, cfg.clone(), &conns, &keys, false);
-                let bal = run_face(shards, cfg.clone(), &conns, &keys, true);
-                prop_assert_eq!(
-                    &bal, &stat,
-                    "balanced face server diverged (shards={}, {})", shards, cfg.policy_label()
                 );
             }
         }
@@ -520,12 +391,7 @@ proptest! {
 #[test]
 fn one_trap_and_one_meta_charge_per_shard_sub_batch() {
     for shards in [2usize, 4] {
-        let rig = ShardRig::new(
-            shards,
-            2,
-            ServerIoConfig::with_buf_len(8192).batch(8),
-            false,
-        );
+        let rig = ShardRig::new(shards, 2, ServerIoConfig::with_buf_len(8192).batch(8));
         let mut t = rig.thread();
         for s in 0..shards {
             let conn = (0..64u64)
@@ -561,7 +427,7 @@ fn one_trap_and_one_meta_charge_per_shard_sub_batch() {
 /// shard entirely.
 #[test]
 fn empty_shard_poll_costs_a_trap_but_no_meta_walk() {
-    let rig = ShardRig::new(2, 2, ServerIoConfig::with_buf_len(8192).batch(8), false);
+    let rig = ShardRig::new(2, 2, ServerIoConfig::with_buf_len(8192).batch(8));
     let mut t = rig.thread();
     let conn = (0..64u64)
         .find(|&c| shard_for(c, 2) == 0)
@@ -583,53 +449,6 @@ fn empty_shard_poll_costs_a_trap_but_no_meta_walk() {
     let d = rig.m.stats.snapshot() - s0;
     assert_eq!(d.syscalls, 1, "the empty shard sends nothing");
     assert_eq!(d.kernel_meta_reads, 1);
-    t.exit();
-}
-
-/// A steal is one extra `recv_mmsg` sub-batch: one more trap and one
-/// more metadata walk on the receive leg, and one extra unsequenced
-/// send sub-batch (second wave) on the victim's socket — the whole
-/// stolen run still amortizes like any other sub-batch instead of
-/// costing per message.
-#[test]
-fn a_steal_costs_one_extra_trap_and_meta_walk() {
-    let cfg = ServerIoConfig::with_buf_len(8192)
-        .batch(2)
-        .balanced(BalanceConfig {
-            repin: false,
-            steal: true,
-            ..BalanceConfig::default()
-        });
-    let rig = ShardRig::new(2, 2, cfg, false);
-    let mut t = rig.thread();
-    let conn = (0..64u64)
-        .find(|&c| shard_for(c, 2) == 0)
-        .expect("a connection for shard 0");
-    for i in 0..6u8 {
-        rig.push(conn, &[i; 24]);
-    }
-    let s0 = rig.m.stats.snapshot();
-    let msgs = rig.io.recv_batch(&mut t);
-    // Primary reap takes 2; the idle sibling steals half the 4-deep
-    // residue, capped at its 2-slot staging capacity.
-    assert_eq!(msgs.len(), 4, "shard 0's run plus the stolen run");
-    let d = rig.m.stats.snapshot() - s0;
-    assert_eq!(
-        d.syscalls, 3,
-        "two shard polls plus one steal sub-batch on the receive leg"
-    );
-    assert_eq!(
-        d.kernel_meta_reads, 2,
-        "the victim's reap and the steal each walk the metadata once"
-    );
-    let shards = rig.io.shard_stats();
-    assert_eq!(shards[1].steals_taken, 1);
-    assert_eq!(shards[0].steals_given, 1);
-    let s0 = rig.m.stats.snapshot();
-    rig.io.send_batch(&mut t, &msgs);
-    let d = rig.m.stats.snapshot() - s0;
-    assert_eq!(d.syscalls, 2, "victim-socket send plus the second wave");
-    assert_eq!(d.kernel_meta_reads, 2);
     t.exit();
 }
 
