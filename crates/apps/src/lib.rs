@@ -25,6 +25,8 @@
 //! - [`wire`] — the AES-CTR wire [`wire::Session`] (§5):
 //!   attestation handshake, epoch key rotation, revocation.
 
+#![forbid(unsafe_code)]
+
 pub mod face;
 pub mod fleet_io;
 pub mod index;

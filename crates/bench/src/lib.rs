@@ -6,5 +6,7 @@
 //! See `EXPERIMENTS.md` at the repository root for a captured run
 //! annotated against the paper's numbers.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod harness;

@@ -47,6 +47,8 @@
 //! t.exit();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod shared;
 pub mod snapshot;

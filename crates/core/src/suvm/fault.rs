@@ -209,11 +209,27 @@ impl Suvm {
     /// clean). Returns `false` if the mapping changed or is pinned.
     pub(super) fn try_evict_frame(&self, ctx: &mut ThreadCtx, frame: u32, page: u64) -> bool {
         let meta = &self.frames[frame as usize];
+        let mut seal = false;
         let unmapped = self.pt.with_bucket(page, |b| {
             let Some(idx) = b.iter().position(|(p, f)| *p == page && *f == frame) else {
                 return false;
             };
             if meta.pinned.load(Ordering::Acquire) > 0 {
+                return false;
+            }
+            // Unpinned under the bucket lock: nobody is writing the
+            // frame, so its dirty flag is final. A clean page with a
+            // valid sealed copy is dropped without the write-back.
+            seal = meta.dirty.load(Ordering::Acquire)
+                || !self.store.seals.has_copy(page)
+                || !self.cfg.clean_skip;
+            // A page that will be sealed takes its seal write *before*
+            // it leaves the table: whoever misses on it from here on
+            // waits out the odd version and reads the new image, never
+            // the one this eviction is about to replace. No spinning
+            // under the bucket lock — if a write-through holds the
+            // seal, this victim is passed over.
+            if seal && !self.store.seals.try_begin_write(page) {
                 return false;
             }
             b.swap_remove(idx);
@@ -222,9 +238,8 @@ impl Suvm {
         if !unmapped {
             return false;
         }
-        let dirty = meta.dirty.swap(false, Ordering::AcqRel);
-        let has_copy = self.store.seals.has_copy(page);
-        if dirty || !has_copy || !self.cfg.clean_skip {
+        meta.dirty.store(false, Ordering::Release);
+        if seal {
             // Inline eviction is a batch of one: every seal op pays the
             // full setup.
             let lens = self.seal_page_raw(ctx, page, frame);
@@ -245,7 +260,7 @@ impl Suvm {
             ctx.now(),
             eleos_sim::trace::Event::SuvmEvict {
                 page,
-                clean_skip: !(dirty || !has_copy || !self.cfg.clean_skip),
+                clean_skip: !seal,
             },
         );
         true
@@ -264,12 +279,12 @@ impl Suvm {
     ///
     /// The crypto-metadata seqlock brackets the (ciphertext, metadata)
     /// update so concurrent readers never mistake a torn pair for
-    /// tampering.
+    /// tampering. The caller began the write (`try_begin_write`) when
+    /// it unmapped the page; this commits it.
     pub(super) fn seal_page_raw(&self, ctx: &mut ThreadCtx, page: u64, frame: u32) -> Vec<usize> {
         let ps = self.cfg.page_size;
         let mut buf = vec![0u8; ps];
         ctx.read_enclave_raw(self.epcpp_vaddr(frame, 0), &mut buf);
-        self.store.seals.begin_write(page);
         let sp = self.cfg.sub_page_size;
         let mut meta = Vec::with_capacity(ps / sp);
         for (s, unit) in buf.chunks_mut(sp).enumerate() {

@@ -119,6 +119,13 @@ impl Suvm {
                     // newer entry is still in the queue).
                     return false;
                 }
+                // As in `try_evict_frame`: the seal write is taken
+                // before the page leaves the table. If a write-through
+                // holds it the frame stays mapped, dirty and unparked,
+                // like a rescued one.
+                if !self.store.seals.try_begin_write(page) {
+                    return false;
+                }
                 b.swap_remove(idx);
                 true
             });

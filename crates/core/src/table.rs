@@ -199,24 +199,30 @@ impl CryptoTable {
     /// Starts a (re-)seal of `page`: bumps the version to odd. Spins
     /// if another writer is in progress.
     pub fn begin_write(&self, page: u64) {
-        loop {
-            {
-                let mut g = self.shard(page).lock();
-                let mut inserted = false;
-                let e = g.entry(page).or_insert_with(|| {
-                    inserted = true;
-                    (0, SealState::Fresh, 0)
-                });
-                if inserted {
-                    self.live.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-                if e.0.is_multiple_of(2) {
-                    e.0 += 1;
-                    return;
-                }
-            }
+        while !self.try_begin_write(page) {
             std::hint::spin_loop();
         }
+    }
+
+    /// [`Self::begin_write`] without the wait: `false`, and nothing
+    /// done, when another writer is in progress. For a caller that
+    /// holds a lock it must not spin under.
+    #[must_use]
+    pub(crate) fn try_begin_write(&self, page: u64) -> bool {
+        let mut g = self.shard(page).lock();
+        let mut inserted = false;
+        let e = g.entry(page).or_insert_with(|| {
+            inserted = true;
+            (0, SealState::Fresh, 0)
+        });
+        if inserted {
+            self.live.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        let free = e.0.is_multiple_of(2);
+        if free {
+            e.0 += 1;
+        }
+        free
     }
 
     /// Commits a seal started by [`Self::begin_write`].

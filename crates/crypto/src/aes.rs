@@ -3,7 +3,11 @@
 //! The S-box and its inverse are derived at compile time from the GF(2^8)
 //! multiplicative inverse plus the affine transform, rather than being
 //! transcribed as 256 literals; the FIPS-197 test vectors below pin the
-//! result.
+//! result. Block encryption runs on AES-NI when the host has it (see
+//! the crate docs, "Which code runs"); key expansion and decryption are
+//! always the code in this file.
+
+use crate::hw;
 
 /// The AES block size in bytes.
 pub const BLOCK_SIZE: usize = 16;
@@ -130,6 +134,9 @@ pub struct Aes {
     /// Round keys, as words in big-endian column order; `4 * (rounds+1)`.
     round_keys: Vec<u32>,
     rounds: usize,
+    /// The same schedule repacked for AES-NI; `None` when the host has
+    /// no hardware path, and then the table code below encrypts.
+    hw: Option<hw::AesKeys>,
 }
 
 impl Aes {
@@ -172,9 +179,33 @@ impl Aes {
             w.push(w[i - nk] ^ temp);
         }
         Self {
+            hw: hw::AesKeys::new(&w),
             round_keys: w,
             rounds,
         }
+    }
+
+    /// The hardware key schedule, when this key runs on the hardware
+    /// path.
+    pub(crate) fn hw(&self) -> Option<&hw::AesKeys> {
+        self.hw.as_ref()
+    }
+
+    /// This key on every path the host can run, named: the table path
+    /// always (first), the hardware path when the CPU has it — so a
+    /// test that loops over them skips the hardware case where
+    /// detection says no.
+    #[cfg(test)]
+    pub(crate) fn paths(self) -> Vec<(&'static str, Self)> {
+        let table = Self {
+            hw: None,
+            ..self.clone()
+        };
+        let mut paths = vec![("table", table)];
+        if self.hw.is_some() {
+            paths.push(("hardware", self));
+        }
+        paths
     }
 
     fn add_round_key(&self, state: &mut [u8; 16], round: usize) {
@@ -188,11 +219,13 @@ impl Aes {
 
     /// Encrypts a single block in place.
     ///
-    /// Uses the classic four-T-table formulation (here one table plus
-    /// rotations, trading a shade of speed for table footprint): this
-    /// path runs on every sealed page, so it is the hot loop of the
-    /// whole simulation.
+    /// The portable path is the classic four-T-table formulation (here
+    /// one table plus rotations, trading a shade of speed for table
+    /// footprint).
     pub fn encrypt_block(&self, block: &mut Block) {
+        if let Some(hw) = &self.hw {
+            return hw.encrypt_block(block);
+        }
         let rk = &self.round_keys;
         let mut s0 = u32::from_be_bytes(block[0..4].try_into().unwrap()) ^ rk[0];
         let mut s1 = u32::from_be_bytes(block[4..8].try_into().unwrap()) ^ rk[1];
@@ -340,51 +373,49 @@ mod tests {
             0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
             0x07, 0x34,
         ];
-        let aes = Aes::new_128(&key);
-        aes.encrypt_block(&mut block);
-        let expect: Block = [
-            0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
-            0x0b, 0x32,
-        ];
-        assert_eq!(block, expect);
-        aes.decrypt_block(&mut block);
-        assert_eq!(
-            block,
-            [
-                0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
-                0x07, 0x34
-            ]
-        );
+        let plain = block;
+        for (path, aes) in Aes::new_128(&key).paths() {
+            aes.encrypt_block(&mut block);
+            let expect: Block = [
+                0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
+                0x0b, 0x32,
+            ];
+            assert_eq!(block, expect, "{path}");
+            aes.decrypt_block(&mut block);
+            assert_eq!(block, plain, "{path}");
+        }
     }
 
     /// FIPS-197 Appendix C.1: AES-128 with the 00..0f key.
     #[test]
     fn aes128_fips197_appendix_c1() {
         let key: [u8; 16] = core::array::from_fn(|i| i as u8);
-        let mut block: Block = core::array::from_fn(|i| (i as u8) * 0x11);
-        let aes = Aes::new_128(&key);
-        aes.encrypt_block(&mut block);
-        let expect: Block = [
-            0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
-            0xc5, 0x5a,
-        ];
-        assert_eq!(block, expect);
+        let plain: Block = core::array::from_fn(|i| (i as u8) * 0x11);
+        for (path, aes) in Aes::new_128(&key).paths() {
+            let expect: Block = [
+                0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
+                0xc5, 0x5a,
+            ];
+            assert_eq!(aes.encrypt(&plain), expect, "{path}");
+        }
     }
 
     /// FIPS-197 Appendix C.3: AES-256.
     #[test]
     fn aes256_fips197_appendix_c3() {
         let key: [u8; 32] = core::array::from_fn(|i| i as u8);
-        let mut block: Block = core::array::from_fn(|i| (i as u8) * 0x11);
-        let aes = Aes::new_256(&key);
-        aes.encrypt_block(&mut block);
-        let expect: Block = [
-            0x8e, 0xa2, 0xb7, 0xca, 0x51, 0x67, 0x45, 0xbf, 0xea, 0xfc, 0x49, 0x90, 0x4b, 0x49,
-            0x60, 0x89,
-        ];
-        assert_eq!(block, expect);
-        aes.decrypt_block(&mut block);
-        assert_eq!(block, core::array::from_fn(|i| (i as u8) * 0x11));
+        let plain: Block = core::array::from_fn(|i| (i as u8) * 0x11);
+        for (path, aes) in Aes::new_256(&key).paths() {
+            let mut block = plain;
+            aes.encrypt_block(&mut block);
+            let expect: Block = [
+                0x8e, 0xa2, 0xb7, 0xca, 0x51, 0x67, 0x45, 0xbf, 0xea, 0xfc, 0x49, 0x90, 0x4b, 0x49,
+                0x60, 0x89,
+            ];
+            assert_eq!(block, expect, "{path}");
+            aes.decrypt_block(&mut block);
+            assert_eq!(block, plain, "{path}");
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! inside [`crate::gcm`].
 
 use crate::aes::{Aes, Block, BLOCK_SIZE};
-use crate::gcm::Tag;
+use crate::gcm::{Nonce, Tag};
 use crate::sealer::{BatchAuthError, OpenJob, SealJob, Sealer, ZERO_TAG};
+use crate::AuthError;
 
 /// Applies the AES-CTR keystream to `data` in place.
 ///
@@ -17,6 +18,9 @@ use crate::sealer::{BatchAuthError, OpenJob, SealJob, Sealer, ZERO_TAG};
 /// CTR is an involution: applying it twice with the same parameters
 /// restores the plaintext.
 pub fn ctr_xor(aes: &Aes, counter_block: &Block, data: &mut [u8]) {
+    if let Some(hw) = aes.hw() {
+        return hw.ctr_xor(counter_block, data);
+    }
     let mut counter = *counter_block;
     for chunk in data.chunks_mut(BLOCK_SIZE) {
         let keystream = aes.encrypt(&counter);
@@ -54,6 +58,13 @@ impl Ctr128 {
         }
     }
 
+    /// This key on every path the host can run (see [`Aes::paths`]).
+    #[cfg(test)]
+    pub(crate) fn paths(key: &[u8; 16]) -> Vec<(&'static str, Self)> {
+        let paths = Aes::new_128(key).paths().into_iter();
+        paths.map(|(path, aes)| (path, Self { aes })).collect()
+    }
+
     /// Encrypts or decrypts `data` in place under `nonce`.
     pub fn apply(&self, nonce: &[u8; 12], data: &mut [u8]) {
         let mut counter = [0u8; BLOCK_SIZE];
@@ -75,19 +86,32 @@ impl Sealer for Ctr128 {
     fn seal_batch(&self, jobs: &mut [SealJob<'_>]) -> Vec<Tag> {
         self.setup();
         jobs.iter_mut()
-            .map(|j| {
-                self.apply(&j.nonce, j.data);
-                ZERO_TAG
-            })
+            .map(|j| self.seal(&j.nonce, j.aad, j.data))
             .collect()
     }
 
     fn open_batch(&self, jobs: &mut [OpenJob<'_>]) -> Result<(), BatchAuthError> {
         self.setup();
         for j in jobs.iter_mut() {
-            // CTR is an involution: the same keystream pass decrypts.
             self.apply(&j.nonce, j.data);
         }
+        Ok(())
+    }
+
+    fn seal(&self, nonce: &Nonce, _aad: &[u8], data: &mut [u8]) -> Tag {
+        self.apply(nonce, data);
+        ZERO_TAG
+    }
+
+    /// CTR is an involution: the same keystream pass decrypts.
+    fn open(
+        &self,
+        nonce: &Nonce,
+        _aad: &[u8],
+        data: &mut [u8],
+        _tag: &Tag,
+    ) -> Result<(), AuthError> {
+        self.apply(nonce, data);
         Ok(())
     }
 }
@@ -107,20 +131,22 @@ mod tests {
             0xf0, 0xf1, 0xf2, 0xf3, 0xf4, 0xf5, 0xf6, 0xf7, 0xf8, 0xf9, 0xfa, 0xfb, 0xfc, 0xfd,
             0xfe, 0xff,
         ];
-        let mut data: Vec<u8> = vec![
+        let plain: Vec<u8> = vec![
             0x6b, 0xc1, 0xbe, 0xe2, 0x2e, 0x40, 0x9f, 0x96, 0xe9, 0x3d, 0x7e, 0x11, 0x73, 0x93,
             0x17, 0x2a, // block 1
             0xae, 0x2d, 0x8a, 0x57, 0x1e, 0x03, 0xac, 0x9c, 0x9e, 0xb7, 0x6f, 0xac, 0x45, 0xaf,
             0x8e, 0x51, // block 2
         ];
-        let aes = Aes::new_128(&key);
-        ctr_xor(&aes, &counter, &mut data);
-        let expect: Vec<u8> = vec![
-            0x87, 0x4d, 0x61, 0x91, 0xb6, 0x20, 0xe3, 0x26, 0x1b, 0xef, 0x68, 0x64, 0x99, 0x0d,
-            0xb6, 0xce, 0x98, 0x06, 0xf6, 0x6b, 0x79, 0x70, 0xfd, 0xff, 0x86, 0x17, 0x18, 0x7b,
-            0xb9, 0xff, 0xfd, 0xff,
-        ];
-        assert_eq!(data, expect);
+        for (path, aes) in Aes::new_128(&key).paths() {
+            let mut data = plain.clone();
+            ctr_xor(&aes, &counter, &mut data);
+            let expect: Vec<u8> = vec![
+                0x87, 0x4d, 0x61, 0x91, 0xb6, 0x20, 0xe3, 0x26, 0x1b, 0xef, 0x68, 0x64, 0x99, 0x0d,
+                0xb6, 0xce, 0x98, 0x06, 0xf6, 0x6b, 0x79, 0x70, 0xfd, 0xff, 0x86, 0x17, 0x18, 0x7b,
+                0xb9, 0xff, 0xfd, 0xff,
+            ];
+            assert_eq!(data, expect, "{path}");
+        }
     }
 
     #[test]

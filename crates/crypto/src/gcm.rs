@@ -91,13 +91,28 @@ macro_rules! impl_gcm {
     ($name:ident, $ctor:ident, $keylen:expr, $label:expr) => {
         impl $name {
             /// Creates a GCM instance, precomputing the AES key
-            /// schedule and the GHASH table (the state a batch
-            /// [`Sealer::setup`] amortizes).
+            /// schedule and the GHASH key — powers of `H` or the
+            /// 64 KiB table, by the path the host runs (the state a
+            /// batch [`Sealer::setup`] amortizes).
             #[must_use]
             pub fn new(key: &[u8; $keylen]) -> Self {
                 let aes = Aes::$ctor(key);
                 let h = GhashKey::new(&aes.encrypt(&[0u8; 16]));
                 Self { aes, h }
+            }
+
+            /// This key on every path the host can run: the block
+            /// cipher's and the hash key's lists pair up (see
+            /// [`Aes::paths`]).
+            #[cfg(test)]
+            pub(crate) fn paths(key: &[u8; $keylen]) -> Vec<(&'static str, Self)> {
+                let aes = Aes::$ctor(key).paths();
+                let h = GhashKey::paths(&aes[0].1.encrypt(&[0u8; 16]));
+                assert_eq!(aes.len(), h.len(), "one detection decides both");
+                let paths = aes.into_iter().zip(h);
+                paths
+                    .map(|((path, aes), (_, h))| (path, Self { aes, h }))
+                    .collect()
             }
         }
 
@@ -109,17 +124,31 @@ macro_rules! impl_gcm {
             fn seal_batch(&self, jobs: &mut [SealJob<'_>]) -> Vec<Tag> {
                 self.setup();
                 jobs.iter_mut()
-                    .map(|j| seal_impl(&self.aes, &self.h, &j.nonce, j.aad, j.data))
+                    .map(|j| self.seal(&j.nonce, j.aad, j.data))
                     .collect()
             }
 
             fn open_batch(&self, jobs: &mut [OpenJob<'_>]) -> Result<(), BatchAuthError> {
                 self.setup();
                 for (index, j) in jobs.iter_mut().enumerate() {
-                    open_impl(&self.aes, &self.h, &j.nonce, j.aad, j.data, &j.tag)
+                    self.open(&j.nonce, j.aad, j.data, &j.tag)
                         .map_err(|AuthError| BatchAuthError { index })?;
                 }
                 Ok(())
+            }
+
+            fn seal(&self, nonce: &Nonce, aad: &[u8], data: &mut [u8]) -> Tag {
+                seal_impl(&self.aes, &self.h, nonce, aad, data)
+            }
+
+            fn open(
+                &self,
+                nonce: &Nonce,
+                aad: &[u8],
+                data: &mut [u8],
+                tag: &Tag,
+            ) -> Result<(), AuthError> {
+                open_impl(&self.aes, &self.h, nonce, aad, data, tag)
             }
         }
     };
@@ -142,20 +171,34 @@ mod tests {
     /// GCM spec test case 1: empty everything, zero key/IV.
     #[test]
     fn gcm_test_case_1() {
-        let gcm = AesGcm128::new(&[0u8; 16]);
-        let mut data = [0u8; 0];
-        let tag = gcm.seal(&[0u8; 12], &[], &mut data);
-        assert_eq!(tag.to_vec(), hex("58e2fccefa7e3061367f1d57a4e7455a"));
+        for (path, gcm) in AesGcm128::paths(&[0u8; 16]) {
+            let mut data = [0u8; 0];
+            let tag = gcm.seal(&[0u8; 12], &[], &mut data);
+            assert_eq!(
+                tag.to_vec(),
+                hex("58e2fccefa7e3061367f1d57a4e7455a"),
+                "{path}"
+            );
+        }
     }
 
     /// GCM spec test case 2: one zero block of plaintext.
     #[test]
     fn gcm_test_case_2() {
-        let gcm = AesGcm128::new(&[0u8; 16]);
-        let mut data = [0u8; 16];
-        let tag = gcm.seal(&[0u8; 12], &[], &mut data);
-        assert_eq!(data.to_vec(), hex("0388dace60b6a392f328c2b971b2fe78"));
-        assert_eq!(tag.to_vec(), hex("ab6e47d42cec13bdf53a67b21257bddf"));
+        for (path, gcm) in AesGcm128::paths(&[0u8; 16]) {
+            let mut data = [0u8; 16];
+            let tag = gcm.seal(&[0u8; 12], &[], &mut data);
+            assert_eq!(
+                data.to_vec(),
+                hex("0388dace60b6a392f328c2b971b2fe78"),
+                "{path}"
+            );
+            assert_eq!(
+                tag.to_vec(),
+                hex("ab6e47d42cec13bdf53a67b21257bddf"),
+                "{path}"
+            );
+        }
     }
 
     /// GCM spec test case 3: 4 blocks of plaintext, no AAD.
@@ -163,20 +206,27 @@ mod tests {
     fn gcm_test_case_3() {
         let key: [u8; 16] = hex("feffe9928665731c6d6a8f9467308308").try_into().unwrap();
         let nonce: Nonce = hex("cafebabefacedbaddecaf888").try_into().unwrap();
-        let mut data = hex("d9313225f88406e5a55909c5aff5269a\
+        let plain = hex("d9313225f88406e5a55909c5aff5269a\
              86a7a9531534f7da2e4c303d8a318a72\
              1c3c0c95956809532fcf0e2449a6b525\
              b16aedf5aa0de657ba637b391aafd255");
-        let gcm = AesGcm128::new(&key);
-        let tag = gcm.seal(&nonce, &[], &mut data);
-        assert_eq!(
-            data,
-            hex("42831ec2217774244b7221b784d0d49c\
-                 e3aa212f2c02a4e035c17e2329aca12e\
-                 21d514b25466931c7d8f6a5aac84aa05\
-                 1ba30b396a0aac973d58e091473f5985")
-        );
-        assert_eq!(tag.to_vec(), hex("4d5c2af327cd64a62cf35abd2ba6fab4"));
+        for (path, gcm) in AesGcm128::paths(&key) {
+            let mut data = plain.clone();
+            let tag = gcm.seal(&nonce, &[], &mut data);
+            assert_eq!(
+                data,
+                hex("42831ec2217774244b7221b784d0d49c\
+                     e3aa212f2c02a4e035c17e2329aca12e\
+                     21d514b25466931c7d8f6a5aac84aa05\
+                     1ba30b396a0aac973d58e091473f5985"),
+                "{path}"
+            );
+            assert_eq!(
+                tag.to_vec(),
+                hex("4d5c2af327cd64a62cf35abd2ba6fab4"),
+                "{path}"
+            );
+        }
     }
 
     /// GCM spec test case 4: AAD and a truncated final block.
@@ -185,20 +235,27 @@ mod tests {
         let key: [u8; 16] = hex("feffe9928665731c6d6a8f9467308308").try_into().unwrap();
         let nonce: Nonce = hex("cafebabefacedbaddecaf888").try_into().unwrap();
         let aad = hex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
-        let mut data = hex("d9313225f88406e5a55909c5aff5269a\
+        let plain = hex("d9313225f88406e5a55909c5aff5269a\
              86a7a9531534f7da2e4c303d8a318a72\
              1c3c0c95956809532fcf0e2449a6b525\
              b16aedf5aa0de657ba637b39");
-        let gcm = AesGcm128::new(&key);
-        let tag = gcm.seal(&nonce, &aad, &mut data);
-        assert_eq!(
-            data,
-            hex("42831ec2217774244b7221b784d0d49c\
-                 e3aa212f2c02a4e035c17e2329aca12e\
-                 21d514b25466931c7d8f6a5aac84aa05\
-                 1ba30b396a0aac973d58e091")
-        );
-        assert_eq!(tag.to_vec(), hex("5bc94fbc3221a5db94fae95ae7121a47"));
+        for (path, gcm) in AesGcm128::paths(&key) {
+            let mut data = plain.clone();
+            let tag = gcm.seal(&nonce, &aad, &mut data);
+            assert_eq!(
+                data,
+                hex("42831ec2217774244b7221b784d0d49c\
+                     e3aa212f2c02a4e035c17e2329aca12e\
+                     21d514b25466931c7d8f6a5aac84aa05\
+                     1ba30b396a0aac973d58e091"),
+                "{path}"
+            );
+            assert_eq!(
+                tag.to_vec(),
+                hex("5bc94fbc3221a5db94fae95ae7121a47"),
+                "{path}"
+            );
+        }
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //!
 //! Blocks are interpreted with bit 0 as the most significant bit of the
 //! first byte, per the GCM specification. Multiplication by the fixed
-//! hash subkey `H` is table-driven (16 tables of 256 precomputed
-//! products, one per byte position — 64 KiB per key): GHASH runs over
-//! every sealed page, so it shares the hot path with AES.
+//! hash subkey `H` is carry-less-multiply hardware over precomputed
+//! powers of `H` when the host has it, and otherwise table-driven (16
+//! tables of 256 precomputed products, one per byte position — 64 KiB
+//! per key, built only on that path).
+
+use crate::hw;
 
 /// The GCM reduction constant: x^128 + x^7 + x^2 + x + 1, reflected
 /// into the top byte.
@@ -29,16 +32,31 @@ pub fn gf128_mul(x: u128, y: u128) -> u128 {
     z
 }
 
-/// A precomputed GHASH key: for each byte position `i` and byte value
-/// `b`, the product `(b << 8·(15−i)) · H`.
-pub struct GhashKey {
-    table: Box<[[u128; 256]; 16]>,
+/// A precomputed GHASH key: whatever per-key state multiplying by `H`
+/// needs on the path this host runs.
+pub struct GhashKey(KeyImpl);
+
+enum KeyImpl {
+    /// `H^1 ..= H^8` for the carry-less-multiply kernel.
+    Hw(hw::GhashPowers),
+    /// For each byte position `i` and byte value `b`, the product
+    /// `(b << 8·(15−i)) · H`.
+    Table(Box<[[u128; 256]; 16]>),
 }
 
 impl GhashKey {
-    /// Precomputes the multiplication tables for subkey `h`.
+    /// Precomputes the per-key state for subkey `h`.
     #[must_use]
     pub fn new(h: &[u8; 16]) -> Self {
+        match hw::GhashPowers::new(h) {
+            Some(powers) => Self(KeyImpl::Hw(powers)),
+            None => Self::portable(h),
+        }
+    }
+
+    /// The table path, whatever the host has: the only path without
+    /// the hardware, and the reference the kernel is tested against.
+    fn portable(h: &[u8; 16]) -> Self {
         let h = u128::from_be_bytes(*h);
         let mut table = Box::new([[0u128; 256]; 16]);
         for pos in 0..16 {
@@ -56,19 +74,43 @@ impl GhashKey {
                 }
             }
         }
-        Self { table }
+        Self(KeyImpl::Table(table))
+    }
+
+    /// This subkey on every path the host can run, named: the table
+    /// path always (first), the hardware path when the CPU has it.
+    #[cfg(test)]
+    pub(crate) fn paths(h: &[u8; 16]) -> Vec<(&'static str, Self)> {
+        let mut paths = vec![("table", Self::portable(h))];
+        if let Some(powers) = hw::GhashPowers::new(h) {
+            paths.push(("hardware", Self(KeyImpl::Hw(powers))));
+        }
+        paths
     }
 
     /// Multiplies `z` by `H`.
     #[must_use]
     pub fn mul(&self, z: u128) -> u128 {
-        let bytes = z.to_be_bytes();
-        let mut acc = 0u128;
-        for (pos, &b) in bytes.iter().enumerate() {
-            acc ^= self.table[pos][b as usize];
-        }
-        acc
+        self.absorb(0, &[z.to_be_bytes()])
     }
+
+    /// Absorbs whole blocks: `acc = (acc ^ block) · H` for each.
+    fn absorb(&self, acc: u128, blocks: &[[u8; 16]]) -> u128 {
+        match &self.0 {
+            KeyImpl::Hw(powers) => powers.absorb(acc, blocks),
+            KeyImpl::Table(table) => blocks.iter().fold(acc, |acc, block| {
+                table_mul(table, acc ^ u128::from_be_bytes(*block))
+            }),
+        }
+    }
+}
+
+fn table_mul(table: &[[u128; 256]; 16], z: u128) -> u128 {
+    let mut acc = 0u128;
+    for (row, &b) in table.iter().zip(z.to_be_bytes().iter()) {
+        acc ^= row[b as usize];
+    }
+    acc
 }
 
 /// Incremental GHASH state keyed by a precomputed [`GhashKey`].
@@ -86,16 +128,12 @@ impl<'k> Ghash<'k> {
 
     /// Absorbs `data`, zero-padding the final partial block.
     pub fn update_padded(&mut self, data: &[u8]) {
-        let mut chunks = data.chunks_exact(16);
-        for chunk in &mut chunks {
-            let block = u128::from_be_bytes(chunk.try_into().unwrap());
-            self.acc = self.key.mul(self.acc ^ block);
-        }
-        let rem = chunks.remainder();
+        let (blocks, rem) = data.as_chunks::<16>();
+        self.acc = self.key.absorb(self.acc, blocks);
         if !rem.is_empty() {
             let mut block = [0u8; 16];
             block[..rem.len()].copy_from_slice(rem);
-            self.acc = self.key.mul(self.acc ^ u128::from_be_bytes(block));
+            self.acc = self.key.absorb(self.acc, &[block]);
         }
     }
 
@@ -163,17 +201,18 @@ mod tests {
     #[test]
     fn table_mul_matches_reference() {
         let h_bytes = [0x42u8; 16];
-        let key = GhashKey::new(&h_bytes);
         let h = u128::from_be_bytes(h_bytes);
-        for z in [
-            0u128,
-            1,
-            1 << 127,
-            0xdead_beef_cafe_f00d,
-            u128::MAX,
-            0x0123_4567_89ab_cdef_0f1e_2d3c_4b5a_6978,
-        ] {
-            assert_eq!(key.mul(z), gf128_mul(z, h), "z = {z:#x}");
+        for (path, key) in GhashKey::paths(&h_bytes) {
+            for z in [
+                0u128,
+                1,
+                1 << 127,
+                0xdead_beef_cafe_f00d,
+                u128::MAX,
+                0x0123_4567_89ab_cdef_0f1e_2d3c_4b5a_6978,
+            ] {
+                assert_eq!(key.mul(z), gf128_mul(z, h), "{path}: z = {z:#x}");
+            }
         }
     }
 
@@ -193,17 +232,18 @@ mod tests {
         use crate::aes::Aes;
         let aes = Aes::new_128(&[0u8; 16]);
         let h = aes.encrypt(&[0u8; 16]);
-        let key = GhashKey::new(&h);
         // J0 = IV || 0^31 || 1 with IV = 0^96; first CTR block is inc32(J0).
         let mut ctr_block = [0u8; 16];
         ctr_block[15] = 2;
         let c = aes.encrypt(&ctr_block);
-        let s = ghash(&key, &[], &c);
-        let expect: [u8; 16] = [
-            0xf3, 0x8c, 0xbb, 0x1a, 0xd6, 0x92, 0x23, 0xdc, 0xc3, 0x45, 0x7a, 0xe5, 0xb6, 0xb0,
-            0xf8, 0x85,
-        ];
-        assert_eq!(s, expect);
+        for (path, key) in GhashKey::paths(&h) {
+            let s = ghash(&key, &[], &c);
+            let expect: [u8; 16] = [
+                0xf3, 0x8c, 0xbb, 0x1a, 0xd6, 0x92, 0x23, 0xdc, 0xc3, 0x45, 0x7a, 0xe5, 0xb6, 0xb0,
+                0xf8, 0x85,
+            ];
+            assert_eq!(s, expect, "{path}");
+        }
     }
 
     #[test]

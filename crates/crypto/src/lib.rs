@@ -1,4 +1,5 @@
-//! From-scratch cryptographic primitives for the Eleos reproduction.
+//! Cryptographic primitives for the Eleos reproduction, written here
+//! from the specifications.
 //!
 //! The paper seals every page evicted from the SUVM page cache (EPC++)
 //! with AES-GCM — "just like the `EWB` SGX instruction" (§3.2.3) — and
@@ -13,16 +14,32 @@
 //! - [`sealer`]: the [`Sealer`] batch contract every cipher implements.
 //!
 //! All sealing goes through the [`Sealer`] trait: single-message
-//! `seal`/`open` are provided as batches of one, and the batch entry
-//! points (`seal_batch`/`open_batch`) are what the SUVM write-back
-//! drain and the server request pipeline use to amortize the per-key
-//! setup across a scatter-gather batch.
+//! `seal`/`open` are batches of one (the ciphers here implement them
+//! directly and allocate nothing), and the batch entry points
+//! (`seal_batch`/`open_batch`) are what the SUVM write-back drain and
+//! the server request pipeline use to amortize the per-key setup across
+//! a scatter-gather batch.
 //!
 //! Functional behaviour is real — tampered ciphertexts genuinely fail
-//! authentication, which the SUVM integrity tests rely on. *Performance*
-//! is not: the simulator charges AES-NI-rate cycle costs for sealing
-//! (see `eleos_sim::costs`), so this implementation favours clarity over
-//! speed.
+//! authentication, which the SUVM integrity tests rely on.
+//!
+//! # Which code runs
+//!
+//! Three primitives — block encrypt, the CTR keystream and the GHASH
+//! block loop — have two implementations. On an x86-64 host whose CPU
+//! reports AES-NI, PCLMULQDQ and SSSE3 they are the hardware kernels of
+//! the private `hw` module (`aesenc` on the same key schedule, an
+//! 8-block interleaved counter stream, carry-less multiplies over
+//! precomputed powers of `H`); anywhere else they are the table code in
+//! [`aes`] and [`ghash`], which is also the oracle the kernels are
+//! tested against. The choice is made once per key, at construction,
+//! from what the CPU reports; nothing selects it from outside, and the
+//! two produce identical bytes, so sealed data is interchangeable.
+//!
+//! The *simulated* cost of sealing does not depend on which ran: the
+//! simulator charges AES-NI-rate cycles from its cost model
+//! (`eleos_sim::costs`), and callers bill them, never this crate. The
+//! kernels only shorten the host time a run takes.
 //!
 //! # Examples
 //!
@@ -39,12 +56,20 @@
 //! assert_eq!(&buf, b"secret page contents");
 //! ```
 
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod aes;
 pub mod ctr;
 pub mod derive;
 pub mod gcm;
 pub mod ghash;
+#[allow(unsafe_code)]
+mod hw;
 pub mod sealer;
+
+#[cfg(test)]
+mod equivalence;
 
 pub use derive::derive_key;
 pub use sealer::{BatchAuthError, OpenJob, SealJob, Sealer};

@@ -8,7 +8,9 @@
 //! [`Sealer`] is where that contract lives: [`Sealer::setup`] is the
 //! amortization point, [`Sealer::seal_batch`] / [`Sealer::open_batch`]
 //! are the scatter-gather entry points, and the single-message
-//! [`Sealer::seal`] / [`Sealer::open`] are batches of one.
+//! [`Sealer::seal`] / [`Sealer::open`] are batches of one (the ciphers
+//! of this crate implement them directly and loop over them in the
+//! batch entry points, so one message allocates nothing).
 //!
 //! A batched seal is byte-for-byte identical to sealing each message
 //! alone — every job carries its own nonce, AAD and tag. The win is
@@ -103,7 +105,9 @@ pub trait Sealer: Send + Sync {
     /// job's buffer.
     fn open_batch(&self, jobs: &mut [OpenJob<'_>]) -> Result<(), BatchAuthError>;
 
-    /// Seals a single message: a batch of one.
+    /// Seals a single message: a batch of one. An implementor that
+    /// overrides this to spare the batch's `Vec` must return what a
+    /// batch of one returns.
     fn seal(&self, nonce: &Nonce, aad: &[u8], data: &mut [u8]) -> Tag {
         let mut jobs = [SealJob {
             nonce: *nonce,

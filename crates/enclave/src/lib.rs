@@ -32,6 +32,8 @@
 //! thread.exit();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod driver;
 pub mod enclave;
 pub mod epc;

@@ -69,6 +69,8 @@
 //! t.exit();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod channel;
 
 pub use channel::EnclaveChannel;

@@ -20,6 +20,8 @@
 //! in `eleos-enclave`; the Eleos runtime (RPC + SUVM) in `eleos-rpc`
 //! and `eleos-core`.
 
+#![forbid(unsafe_code)]
+
 pub mod alloc;
 pub mod clock;
 pub mod costs;

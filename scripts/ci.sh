@@ -67,6 +67,15 @@ if grep -rnE 'BalanceConfig|steal_pass|steals_(taken|given)|\.balanced\(|\.route
     echo "a deleted shard-balance / shard-class name is back (see above)"
     exit 1
 fi
+# PR 23 brought the first `unsafe` into the tree: the hardware AES /
+# CLMUL kernels. It lives in one module; seven crates `forbid` it, and
+# this keeps it out of tests and examples too (`-w`: the lint names
+# `unsafe_code` / `undocumented_unsafe_blocks` are other words).
+if grep -rnw unsafe crates/*/src src tests examples \
+    | grep -v '^crates/crypto/src/hw\.rs:' ; then
+    echo "unsafe outside crates/crypto/src/hw.rs (see above)"
+    exit 1
+fi
 if git grep -nE 'RUST_MIN_STACK *=' -- . ':!ROADMAP.md' ':!CHANGES.md' ':!ISSUE.md' ; then
     echo "a tracked file sets RUST_MIN_STACK: shrink what is on the stack instead"
     exit 1
@@ -76,7 +85,12 @@ echo "== build (release)"
 cargo build --release --workspace --offline
 
 echo "== tests"
+# Built first so the wall time printed is the suites' own: the parent
+# number for the next host-time claim.
+cargo test --workspace --offline -q --no-run
+tests_started=$SECONDS
 cargo test --workspace --offline -q
+echo "== tests took $((SECONDS - tests_started)) s"
 
 echo "== e2e bench unit tests + smoke run (API surface, metric names)"
 cargo test --offline --manifest-path bench/Cargo.toml -q

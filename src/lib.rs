@@ -49,6 +49,8 @@
 //! `crates/bench/src/bin/repro.rs` for the per-figure reproduction
 //! harness (`cargo run --release -p eleos-bench --bin repro -- all`).
 
+#![forbid(unsafe_code)]
+
 pub use eleos_apps as apps;
 pub use eleos_core as suvm;
 pub use eleos_crypto as crypto;
