@@ -353,8 +353,13 @@ impl Stats {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Convenience relaxed add.
+    /// Convenience relaxed add. Adding zero writes nothing, so a caller
+    /// that publishes a usually-zero count does not pull the counter's
+    /// cache line away from the threads that do write it.
     pub fn add(counter: &AtomicU64, n: u64) {
+        if n == 0 {
+            return;
+        }
         counter.fetch_add(n, Ordering::Relaxed);
     }
 

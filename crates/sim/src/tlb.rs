@@ -7,16 +7,64 @@
 //! touches it directly; shootdowns arrive as interrupts via
 //! [`crate::clock::CoreClock::post_interrupt`].
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 /// A fully associative, LRU-replaced translation cache.
+///
+/// A lookup is one hash probe, and so is an eviction: the entries are
+/// threaded on a recency list whose tail is always the exact least
+/// recently used one.
 #[derive(Debug)]
 pub struct Tlb {
-    /// `(asid, vpn, tick)` triples.
-    entries: Vec<(u32, u64, u64)>,
+    /// `(asid, vpn)` → slot in `nodes`.
+    map: HashMap<(u32, u64), u32, BuildHasherDefault<KeyHasher>>,
+    /// Slab of entries; a flushed entry's slot goes on `free`.
+    nodes: Vec<Node>,
+    free: Vec<u32>,
+    /// Most recently used entry, or [`NIL`].
+    head: u32,
+    /// Least recently used entry — the next victim — or [`NIL`].
+    tail: u32,
     capacity: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    flushes: u64,
+}
+
+/// One cached translation, linked MRU → LRU through `next`.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    asid: u32,
+    vpn: u64,
+    prev: u32,
+    next: u32,
+}
+
+/// No slot: the end of the recency list.
+const NIL: u32 = u32::MAX;
+
+/// A multiply-rotate hash (the `FxHash` step) over the `(asid, vpn)`
+/// words: a few cycles instead of SipHash's keyed rounds, which a TLB
+/// nobody can feed adversarial keys has no use for.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Default number of entries (Skylake L2 STLB order of magnitude is
@@ -34,14 +82,14 @@ impl Tlb {
     /// Creates an empty TLB with `capacity` entries.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0);
+        assert!(capacity > 0 && capacity < NIL as usize);
         Self {
-            entries: Vec::with_capacity(capacity),
+            map: HashMap::default(),
+            nodes: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
             capacity,
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            flushes: 0,
         }
     }
 
@@ -50,70 +98,110 @@ impl Tlb {
     /// raised by the page-table layer before the walk completes).
     /// Returns `true` on a hit.
     pub fn access(&mut self, asid: u32, vpn: u64) -> bool {
-        self.tick += 1;
-        if let Some(e) = self
-            .entries
-            .iter_mut()
-            .find(|(a, v, _)| *a == asid && *v == vpn)
-        {
-            e.2 = self.tick;
-            self.hits += 1;
+        if let Some(&slot) = self.map.get(&(asid, vpn)) {
+            self.unlink(slot);
+            self.push_front(slot);
             return true;
         }
-        self.misses += 1;
-        if self.entries.len() == self.capacity {
-            let (idx, _) = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, _, t))| *t)
-                .expect("non-empty");
-            self.entries.swap_remove(idx);
-        }
-        self.entries.push((asid, vpn, self.tick));
+        let node = Node {
+            asid,
+            vpn,
+            prev: NIL,
+            next: NIL,
+        };
+        let slot = if self.map.len() == self.capacity {
+            let victim = self.tail;
+            let old = self.nodes[victim as usize];
+            self.map.remove(&(old.asid, old.vpn));
+            self.unlink(victim);
+            self.nodes[victim as usize] = node;
+            victim
+        } else if let Some(slot) = self.free.pop() {
+            self.nodes[slot as usize] = node;
+            slot
+        } else {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        };
+        self.push_front(slot);
+        self.map.insert((asid, vpn), slot);
         false
     }
 
     /// Checks membership without altering LRU state.
     #[must_use]
     pub fn contains(&self, asid: u32, vpn: u64) -> bool {
-        self.entries.iter().any(|(a, v, _)| *a == asid && *v == vpn)
+        self.map.contains_key(&(asid, vpn))
     }
 
     /// Drops everything (enclave exit, AEX).
     pub fn flush(&mut self) {
-        self.entries.clear();
-        self.flushes += 1;
+        self.map.clear();
+        self.nodes.clear();
+        self.free.clear();
+        self.head = NIL;
+        self.tail = NIL;
     }
 
     /// Drops one translation (single-page shootdown).
     pub fn flush_page(&mut self, asid: u32, vpn: u64) {
-        self.entries.retain(|(a, v, _)| !(*a == asid && *v == vpn));
+        if let Some(slot) = self.map.remove(&(asid, vpn)) {
+            self.unlink(slot);
+            self.free.push(slot);
+        }
     }
 
     /// Drops all translations of one address space — what `EEXIT`/AEX do
     /// to the enclave's mappings while untrusted mappings survive.
     pub fn flush_asid(&mut self, asid: u32) {
-        self.entries.retain(|(a, _, _)| *a != asid);
-        self.flushes += 1;
+        let mut slot = self.head;
+        while slot != NIL {
+            let node = self.nodes[slot as usize];
+            if node.asid == asid {
+                self.map.remove(&(node.asid, node.vpn));
+                self.unlink(slot);
+                self.free.push(slot);
+            }
+            slot = node.next;
+        }
     }
 
     /// Current number of cached translations.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.map.len()
     }
 
     /// Whether the TLB is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.map.is_empty()
     }
 
-    /// `(hits, misses, flushes)` counters for this core.
-    #[must_use]
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.flushes)
+    /// Takes `slot` out of the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let Node { prev, next, .. } = self.nodes[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    /// Makes `slot` the most recently used entry.
+    fn push_front(&mut self, slot: u32) {
+        let old = self.head;
+        let node = &mut self.nodes[slot as usize];
+        node.prev = NIL;
+        node.next = old;
+        match old {
+            NIL => self.tail = slot,
+            h => self.nodes[h as usize].prev = slot,
+        }
+        self.head = slot;
     }
 }
 
@@ -127,7 +215,7 @@ mod tests {
         assert!(!t.access(1, 100));
         assert!(t.access(1, 100));
         assert!(!t.access(2, 100), "asid must disambiguate");
-        assert_eq!(t.counters(), (1, 2, 0));
+        assert_eq!(t.len(), 2);
     }
 
     #[test]
@@ -150,7 +238,7 @@ mod tests {
         t.flush();
         assert!(t.is_empty());
         assert!(!t.access(0, 1), "post-flush access misses");
-        assert_eq!(t.counters().2, 1);
+        assert_eq!(t.len(), 1);
     }
 
     #[test]

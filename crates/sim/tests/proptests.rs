@@ -6,6 +6,149 @@ use eleos_sim::llc::{CacheCtx, Llc, LlcConfig};
 use eleos_sim::mem::PagedMem;
 use eleos_sim::tlb::Tlb;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+
+/// The `Vec`-scan TLB that [`Tlb`] replaced (PR 26), kept verbatim bar
+/// its unread counters: the oracle its O(1) successor must match step
+/// for step. The minimum tick is the least recently used entry because
+/// ticks are unique.
+struct RefTlb {
+    /// `(asid, vpn, tick)` triples.
+    entries: Vec<(u32, u64, u64)>,
+    capacity: usize,
+    tick: u64,
+}
+
+impl RefTlb {
+    fn new(capacity: usize) -> Self {
+        assert!(capacity > 0);
+        Self {
+            entries: Vec::with_capacity(capacity),
+            capacity,
+            tick: 0,
+        }
+    }
+
+    fn access(&mut self, asid: u32, vpn: u64) -> bool {
+        self.tick += 1;
+        if let Some(e) = self
+            .entries
+            .iter_mut()
+            .find(|(a, v, _)| *a == asid && *v == vpn)
+        {
+            e.2 = self.tick;
+            return true;
+        }
+        if self.entries.len() == self.capacity {
+            let (idx, _) = self
+                .entries
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, (_, _, t))| *t)
+                .expect("non-empty");
+            self.entries.swap_remove(idx);
+        }
+        self.entries.push((asid, vpn, self.tick));
+        false
+    }
+
+    fn contains(&self, asid: u32, vpn: u64) -> bool {
+        self.entries.iter().any(|(a, v, _)| *a == asid && *v == vpn)
+    }
+
+    fn flush(&mut self) {
+        self.entries.clear();
+    }
+
+    fn flush_page(&mut self, asid: u32, vpn: u64) {
+        self.entries.retain(|(a, v, _)| !(*a == asid && *v == vpn));
+    }
+
+    fn flush_asid(&mut self, asid: u32) {
+        self.entries.retain(|(a, _, _)| *a != asid);
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum TlbOp {
+    Access(u32, u64),
+    Contains(u32, u64),
+    Flush,
+    FlushPage(u32, u64),
+    FlushAsid(u32),
+}
+
+/// Mostly accesses, so that small TLBs fill and evict between flushes.
+fn tlb_op() -> impl Strategy<Value = TlbOp> {
+    (0u32..100, 0u32..4, 0u64..24).prop_map(|(pick, asid, vpn)| match pick {
+        0..=69 => TlbOp::Access(asid, vpn),
+        70..=79 => TlbOp::Contains(asid, vpn),
+        80..=91 => TlbOp::FlushPage(asid, vpn),
+        92..=97 => TlbOp::FlushAsid(asid),
+        _ => TlbOp::Flush,
+    })
+}
+
+/// Applies `op` to both TLBs; they must return the same and then hold
+/// the same translations (same length, every oracle entry present).
+fn step_both(t: &mut Tlb, r: &mut RefTlb, op: TlbOp) {
+    let (got, want) = match op {
+        TlbOp::Access(a, v) => (Some(t.access(a, v)), Some(r.access(a, v))),
+        TlbOp::Contains(a, v) => (Some(t.contains(a, v)), Some(r.contains(a, v))),
+        TlbOp::Flush => {
+            t.flush();
+            r.flush();
+            (None, None)
+        }
+        TlbOp::FlushPage(a, v) => {
+            t.flush_page(a, v);
+            r.flush_page(a, v);
+            (None, None)
+        }
+        TlbOp::FlushAsid(a) => {
+            t.flush_asid(a);
+            r.flush_asid(a);
+            (None, None)
+        }
+    };
+    assert_eq!(got, want, "{op:?}");
+    assert_eq!(t.len(), r.len(), "{op:?}");
+    for &(a, v, _) in &r.entries {
+        assert!(t.contains(a, v), "({a}, {v}) missing after {op:?}");
+    }
+}
+
+/// A `kvs-paging`-shaped trace at the default 512 entries: a hot
+/// handful of enclave pages, a cold stream of enclave pages that
+/// overflows the TLB, untrusted (ASID 0) buffers that survive exits, a
+/// single-page shootdown now and then, and an exit every 64 steps.
+#[test]
+fn tlb_matches_the_scan_on_a_kvs_paging_trace() {
+    let mut t = Tlb::new(512);
+    let mut r = RefTlb::new(512);
+    let mut rng = StdRng::seed_from_u64(26);
+    let mut cold = 1_000u64;
+    for step in 1..=20_000u32 {
+        let op = match rng.random_range(0u32..100) {
+            0..=54 => TlbOp::Access(1, rng.random_range(0u64..8)),
+            55..=84 => {
+                cold += 1;
+                TlbOp::Access(1, cold)
+            }
+            85..=96 => TlbOp::Access(0, rng.random_range(0u64..2_048)),
+            _ => TlbOp::FlushPage(1, cold - rng.random_range(0u64..600)),
+        };
+        step_both(&mut t, &mut r, op);
+        if step % 64 == 0 {
+            step_both(&mut t, &mut r, TlbOp::FlushAsid(1));
+        }
+    }
+}
 
 proptest! {
     /// Live buddy allocations never overlap and never exceed capacity,
@@ -106,5 +249,22 @@ proptest! {
         }
         t.flush();
         prop_assert!(t.is_empty());
+    }
+
+    /// The O(1) TLB and the scan it replaced agree on every return value
+    /// and every key's membership under any interleaving of lookups,
+    /// evictions at capacity, selective flushes and slot reuse.
+    #[test]
+    fn tlb_matches_the_scan_it_replaced(cap in 1usize..=16, ops in prop::collection::vec(tlb_op(), 1..400)) {
+        let mut t = Tlb::new(cap);
+        let mut r = RefTlb::new(cap);
+        for op in ops {
+            step_both(&mut t, &mut r, op);
+            for asid in 0..4 {
+                for vpn in 0..24 {
+                    prop_assert_eq!(t.contains(asid, vpn), r.contains(asid, vpn));
+                }
+            }
+        }
     }
 }

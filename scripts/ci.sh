@@ -92,6 +92,11 @@ tests_started=$SECONDS
 cargo test --workspace --offline -q
 echo "== tests took $((SECONDS - tests_started)) s"
 
+echo "== host ns per memory-model step (timing for the log, never fails the build)"
+# The parent numbers for the next host-time claim (ROADMAP N6).
+cargo test --release --offline -q -p eleos-enclave --test host_cost -- --ignored --nocapture \
+    | grep '^|' || echo "   (the host-cost timing did not run)"
+
 echo "== e2e bench unit tests + smoke run (API surface, metric names)"
 cargo test --offline --manifest-path bench/Cargo.toml -q
 
@@ -103,17 +108,23 @@ echo "== e2e kvs-paging guard (a cold record is read in place: only a re-read pa
 # record's pages, 1.32 every chain walk a stranger's as well.
 cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
     --workload kvs-paging --seed 1 --seconds 2 --trace 1 | tail -n 1 > target/e2e_guard.json
-python3 - <<'EOF'
-import json, sys
-
-run = json.load(open("target/e2e_guard.json"))
-faults = run["metrics"]["core.major_faults"]["value"]
-if run["failed"] != 0:
-    sys.exit(f"kvs-paging: {run['failed']} of {run['attempted']} ops failed")
-if faults > 0.1:
-    sys.exit(f"kvs-paging: {faults:.3f} SUVM major faults/op, want <= 0.1")
-print(f"   {run['attempted']} ops, 0 failed, {faults:.3f} major faults/op")
-EOF
+# One number out of the one-line result: `"name": N` or `"name": {"value": N, ...`.
+guard_field() {
+    sed -nE "s/.*\"$1\": (\{\"value\": )?([0-9.e+-]+).*/\2/p" target/e2e_guard.json
+}
+attempted=$(guard_field attempted)
+failed=$(guard_field failed)
+faults=$(guard_field 'core\.major_faults')
+: "${attempted:?no attempted count in the guard run}" "${failed:?no failed count}" "${faults:?no core.major_faults}"
+if [ "$failed" != 0 ]; then
+    echo "kvs-paging: $failed of $attempted ops failed" >&2
+    exit 1
+fi
+if awk -v f="$faults" 'BEGIN { exit !(f > 0.1) }'; then
+    printf 'kvs-paging: %.3f SUVM major faults/op, want <= 0.1\n' "$faults" >&2
+    exit 1
+fi
+printf '   %s ops, 0 failed, %.3f major faults/op\n' "$attempted" "$faults"
 
 echo "== rpc_bench smoke (exits non-zero unless every batched depth beats call(), the cost falls through depth 16 and stays within 5% of its minimum past it)"
 cargo run --release -p eleos-bench --bin repro --offline -- rpc_bench --quick --scale 16
