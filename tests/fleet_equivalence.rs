@@ -746,6 +746,119 @@ fn same_bytes_cross_the_channel_whichever_core_pays() {
     );
 }
 
+/// FNV-1a over `bytes`, folded into `h`.
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// What every delta round carries and what the final kill ships, pinned
+/// on a fixed SET/GET schedule: per tick, the items the two delta
+/// snapshots carry and the channel messages, bytes and chunks they take;
+/// then the kill's snapshot size and a digest of each replica's store.
+/// Nothing in the schedule reads a clock (no TTL is near its deadline),
+/// so a change that only makes a round cheaper leaves every constant
+/// alone. The maintenance core's cycles per tick are printed, not
+/// pinned: a cheaper round is allowed to show there.
+///
+/// The fleet hands out no store iterator, so a replica's contents are
+/// read back the way a client reads them: a GET of every key the
+/// schedule can have written, routed to that replica.
+#[test]
+fn delta_rounds_and_the_final_kill_ship_pinned_bytes() {
+    const TICKS: usize = 6;
+    let maint = MaintenanceConfig {
+        core: 1,
+        hb_miss_threshold: 1000, // no detector kill: the schedule kills
+        chunk_bytes: 4 << 10,
+    };
+    let r = rig_full(2, EngineConfig::default(), Some(maint));
+    let ut = ThreadCtx::untrusted(&r.m, 1);
+    let serve = |conn: u64, plain: &[u8]| -> Vec<u8> {
+        let (s, _) = r.fk.map().route_replica(conn);
+        r.m.host.push_request(&ut, r.fds[s], &r.wire.encrypt(plain));
+        while r.fk.pump() == 0 {}
+        r.fk.flush();
+        r.wire
+            .decrypt(&r.m.host.pop_response(r.fds[s]).expect("a reply"))
+    };
+    // Before tick `t`: `t % 3 * 4` SETs of connection-local keys (none
+    // before ticks 0 and 3; later ticks overwrite some earlier keys),
+    // each followed by a GET of a seed.
+    let writes = |t: usize| {
+        for i in 0..(t % 3) * 4 {
+            let conn = ((t + i) % N_CONNS) as u64;
+            let slot = (t * 5 + i) % 3;
+            let value = vec![(t * 16 + i) as u8; 24 + i];
+            let key = format!("own-{conn}-{slot}");
+            assert_eq!(serve(conn, &build_set(key.as_bytes(), &value)), [1u8]);
+            let seed = format!("seed-{}", (t * 7 + i) % N_ITEMS as usize);
+            assert_eq!(serve(conn, &build_get(seed.as_bytes()))[0], 1);
+        }
+    };
+    let mut rows = Vec::new();
+    for t in 0..TICKS {
+        writes(t);
+        let (s0, c0) = (r.m.stats.snapshot(), r.m.core(1).clock.now());
+        assert!(r.fk.maintenance_tick(), "a delta round is work");
+        let d = r.m.stats.snapshot() - s0;
+        assert_eq!(d.frame_rejects, 0);
+        rows.push((
+            d.snapshot_delta_items,
+            d.xchan_msgs,
+            d.xchan_bytes,
+            d.maint_chunks,
+        ));
+        println!(
+            "tick {t}: {} maintenance-core cycles",
+            r.m.core(1).clock.now() - c0
+        );
+    }
+    // Writes after the last round: only the kill carries them.
+    writes(TICKS + 1);
+    let keys: Vec<String> = (0..N_ITEMS)
+        .map(|i| format!("seed-{i}"))
+        .chain((0..N_CONNS).flat_map(|c| (0..3).map(move |s| format!("own-{c}-{s}"))))
+        .collect();
+    let digest = |replica: usize| {
+        let conn = (0..N_CONNS as u64)
+            .find(|&c| r.fk.map().route_replica(c).1 == replica)
+            .expect("a connection the replica serves");
+        keys.iter().fold(0xcbf2_9ce4_8422_2325, |h, k| {
+            fnv(fnv(h, k.as_bytes()), &serve(conn, &build_get(k.as_bytes())))
+        })
+    };
+    let before = (digest(0), digest(1));
+    let s0 = r.m.stats.snapshot();
+    let kill = r.fk.kill(1).expect("honest channel");
+    let d = r.m.stats.snapshot() - s0;
+    assert_eq!(d.frame_rejects, 0);
+    let after = digest(0);
+    // (items, messages, bytes, chunks) per tick. The first round carries
+    // both replicas' 24 seeds (stamp 0, base 0); a round with nothing
+    // new still sends two empty snapshots.
+    assert_eq!(
+        rows,
+        [
+            (48, 4, 3520, 2),
+            (6, 4, 639, 2),
+            (13, 4, 1031, 2),
+            (0, 4, 324, 2),
+            (6, 4, 641, 2),
+            (13, 4, 1032, 2),
+        ]
+    );
+    assert_eq!((d.snapshot_delta_items, kill.snapshot_bytes), (1, 191));
+    assert_eq!(
+        (before, after),
+        (
+            (0x6ad4_0cc3_9e9b_5123, 0xee13_94cb_7f20_f436),
+            0xbae3_2c13_c51f_54f6
+        )
+    );
+}
+
 // ---------------------------------------------------------------------
 // Satellite: incremental == monolithic snapshot restore
 // ---------------------------------------------------------------------
