@@ -17,20 +17,38 @@
 //! test for keys (hash a guess, look for the word) and hand clients a
 //! recipe for flooding one chain. What the word does leak — which
 //! items share a key hash — the bucket position leaks already.
+//!
+//! The index also owns each node's **write stamp** (`N_VERSION`: the
+//! fleet write interval the item was last stored at). The engines
+//! read and write it only through `HashIndex::version` and
+//! `HashIndex::set_version`. Besides the charged write into the node,
+//! `set_version` raises a host-side **line stamp**, one per 64-byte
+//! line of bucket heads (8 buckets). The invariant: a line stamp is
+//! `>=` every version ever stored in a node of its buckets. A walk
+//! bounded `since` a version (`HashIndex::for_each_node`, a delta
+//! round) therefore skips a line stamped below it without reading its
+//! heads, since no node there can hold a version the round would keep.
+//! Like `free`, the line stamps are index bookkeeping and cost no
+//! simulated cycle; a walk from `since = 0` reads every line.
 
 use eleos_enclave::thread::ThreadCtx;
 
 use crate::param_server::hash64;
 use crate::space::DataSpace;
 
-/// Size of an index node. The index owns [`N_NEXT`] and [`N_HASH`];
-/// the rest is the engine's.
+/// Size of an index node. The index owns [`N_NEXT`], [`N_HASH`] and
+/// [`N_VERSION`]; the rest is the engine's.
 const META_BYTES: usize = 48;
 /// Chain link (`u64`).
 const N_NEXT: u64 = 0;
 /// The low 32 bits of the keyed hash of the item's key (`u32`), next
 /// to the link so a chain step over a stranger reads one cache line.
 const N_HASH: u64 = 8;
+/// The item's write stamp (`u64`), behind the engine's fields.
+const N_VERSION: u64 = 40;
+
+/// Bucket heads per 64-byte line: the buckets one line stamp covers.
+const HEADS_PER_LINE: u64 = 8;
 
 /// Null node pointer.
 pub(crate) const NIL: u64 = 0;
@@ -103,6 +121,9 @@ pub(crate) struct HashIndex {
     /// All ones, except in the tests that force every key onto one
     /// bucket and one stored word.
     word_mask: u32,
+    /// Per line of [`HEADS_PER_LINE`] bucket heads, the largest version
+    /// ever stored in a node of those buckets (host-side, uncharged).
+    stamps: Vec<u64>,
 }
 
 impl HashIndex {
@@ -125,6 +146,7 @@ impl HashIndex {
             free: Vec::new(),
             secret: (k0, hash64(k0 ^ buckets)),
             word_mask: u32::MAX,
+            stamps: vec![0; buckets.div_ceil(HEADS_PER_LINE) as usize],
         }
     }
 
@@ -147,8 +169,12 @@ impl HashIndex {
         siphash24(self.secret, key) as u32 & self.word_mask
     }
 
+    fn bucket_of(&self, word: u32) -> u64 {
+        u64::from(word) & (self.buckets - 1)
+    }
+
     fn head_of(&self, word: u32) -> u64 {
-        self.heads + (u64::from(word) & (self.buckets - 1)) * 8
+        self.heads + self.bucket_of(word) * 8
     }
 
     /// Walks `word`'s chain. Nodes storing a different word are
@@ -215,17 +241,41 @@ impl HashIndex {
         self.remove(ctx, word, node, prev);
     }
 
-    /// Visits every node in bucket order. `f` must not unlink.
+    /// Stores `version` as the write stamp of `node`, chained on
+    /// `word`'s bucket, and raises that bucket's line stamp to cover it.
+    pub(crate) fn set_version(&mut self, ctx: &mut ThreadCtx, word: u32, node: u64, version: u64) {
+        self.meta.write_u64(ctx, node + N_VERSION, version);
+        let line = (self.bucket_of(word) / HEADS_PER_LINE) as usize;
+        self.stamps[line] = self.stamps[line].max(version);
+    }
+
+    /// The write stamp [`Self::set_version`] last stored in `node`.
+    pub(crate) fn version(&self, ctx: &mut ThreadCtx, node: u64) -> u64 {
+        self.meta.read_u64(ctx, node + N_VERSION)
+    }
+
+    /// Visits, in bucket order, every node of every line of bucket
+    /// heads whose stamp is `>= since` — a superset of the nodes
+    /// stamped `>= since`, in the order the full walk (`since = 0`)
+    /// visits them. A line below `since` costs nothing. `f` must not
+    /// unlink.
     pub(crate) fn for_each_node(
         &self,
         ctx: &mut ThreadCtx,
+        since: u64,
         mut f: impl FnMut(&mut ThreadCtx, u64),
     ) {
-        for b in 0..self.buckets {
-            let mut node = self.meta.read_u64(ctx, self.heads + b * 8);
-            while node != NIL {
-                f(ctx, node);
-                node = self.meta.read_u64(ctx, node + N_NEXT);
+        for (line, &stamp) in (0..).zip(&self.stamps) {
+            if stamp < since {
+                continue;
+            }
+            let first = line * HEADS_PER_LINE;
+            for b in first..(first + HEADS_PER_LINE).min(self.buckets) {
+                let mut node = self.meta.read_u64(ctx, self.heads + b * 8);
+                while node != NIL {
+                    f(ctx, node);
+                    node = self.meta.read_u64(ctx, node + N_NEXT);
+                }
             }
         }
     }
@@ -323,10 +373,41 @@ mod tests {
         index.remove(&mut t, 5, found.node, found.prev);
         index.remove_node(&mut t, nodes[3]);
         let mut left = Vec::new();
-        index.for_each_node(&mut t, |_, n| left.push(n));
+        index.for_each_node(&mut t, 0, |_, n| left.push(n));
         assert_eq!(left, [nodes[2], nodes[1]]);
         // Freed nodes are reused before a new block is carved.
         assert_eq!(index.insert(&mut t, 3), nodes[3]);
+        t.exit();
+    }
+
+    #[test]
+    fn a_bounded_walk_skips_lines_stamped_below_it() {
+        // 64 buckets: line 0 holds buckets 0..8, line 2 buckets 16..24.
+        let (mut index, mut t) = rig(64);
+        let mut stored = |word: u32, version: u64| {
+            let node = index.insert(&mut t, word);
+            index.set_version(&mut t, word, node, version);
+            node
+        };
+        let old = stored(3, 1);
+        let new = stored(17, 5);
+        // An older stamp (a restore merge's) leaves line 2 at 5.
+        let merged = stored(20, 2);
+        let walk = |t: &mut ThreadCtx, since: u64| {
+            let mut seen = Vec::new();
+            index.for_each_node(t, since, |_, n| seen.push(n));
+            seen
+        };
+        assert_eq!(walk(&mut t, 0), [old, new, merged]);
+        assert_eq!(
+            walk(&mut t, 2),
+            [new, merged],
+            "line 0 skipped, line 2 whole"
+        );
+        assert_eq!(walk(&mut t, 5), [new, merged]);
+        let t0 = t.now();
+        assert!(walk(&mut t, 6).is_empty());
+        assert_eq!(t.now(), t0, "a line below `since` is not read");
         t.exit();
     }
 }

@@ -41,10 +41,10 @@ use crate::slab::{SlabPool, SLAB_BYTES};
 use crate::space::DataSpace;
 
 // Index-node fields both engines keep at the same offsets. The index
-// owns the chain link and the hash word in bytes 0..12 (see
-// `crate::index`); every field here is clear metadata.
+// owns the chain link and the hash word in bytes 0..12 and the write
+// stamp in bytes 40..48 (see `crate::index`); every field here is clear
+// metadata.
 const N_EXPIRY: u64 = 12;
-const N_VERSION: u64 = 40;
 
 // Slab-engine node fields.
 const M_LRU_PREV: u64 = 16;
@@ -300,7 +300,8 @@ pub trait StorageEngine: Send {
     /// Visits every live, unexpired item stamped `>= base` (index
     /// order) with `(key, value, version, expiry)`; `base = 0` visits
     /// them all. The stamp is clear metadata, so an item below `base`
-    /// costs no record read.
+    /// costs no record read, and the index skips unread every line of
+    /// bucket heads that holds nothing stamped `>= base`.
     fn for_each_since(&self, ctx: &mut ThreadCtx, base: u64, f: &mut ItemVisitor);
 
     /// Engine-specific metadata for the snapshot's `storage-meta`
@@ -555,7 +556,7 @@ impl SlabEngine {
         let end = base + SLAB_BYTES as u64;
         let mut moved = 0u64;
         let (meta, slab) = (&self.meta_space, &mut self.slab);
-        self.index.for_each_node(ctx, |ctx, node| {
+        self.index.for_each_node(ctx, 0, |ctx, node| {
             let (kv, class) = unpack_kv(meta.read_u64(ctx, node + M_KV));
             if class == donor && kv >= base && kv < end {
                 let dst = slab
@@ -651,8 +652,7 @@ impl StorageEngine for SlabEngine {
                 self.slab.space().write(ctx, found.hit.kv, &record);
                 self.meta_space
                     .write_u32(ctx, found.node + N_EXPIRY, expiry);
-                self.meta_space
-                    .write_u64(ctx, found.node + N_VERSION, version);
+                self.index.set_version(ctx, word, found.node, version);
                 self.lru_unlink(ctx, found.node);
                 self.lru_push_front(ctx, found.node);
                 return true;
@@ -686,7 +686,7 @@ impl StorageEngine for SlabEngine {
         self.meta_space
             .write_u64(ctx, node + M_KV, pack_kv(kv, class));
         self.meta_space.write_u32(ctx, node + N_EXPIRY, expiry);
-        self.meta_space.write_u64(ctx, node + N_VERSION, version);
+        self.index.set_version(ctx, word, node, version);
         self.lru_push_front(ctx, node);
         self.items += 1;
         true
@@ -720,7 +720,7 @@ impl StorageEngine for SlabEngine {
 
     fn version_of(&mut self, ctx: &mut ThreadCtx, key: &[u8]) -> Option<u64> {
         let found = self.find(ctx, self.index.word(key), key, false)?;
-        Some(self.meta_space.read_u64(ctx, found.node + N_VERSION))
+        Some(self.index.version(ctx, found.node))
     }
 
     fn len(&self) -> u64 {
@@ -769,8 +769,8 @@ impl StorageEngine for SlabEngine {
 
     fn for_each_since(&self, ctx: &mut ThreadCtx, base: u64, f: &mut ItemVisitor) {
         let now = now_secs(ctx);
-        self.index.for_each_node(ctx, |ctx, node| {
-            let version = self.meta_space.read_u64(ctx, node + N_VERSION);
+        self.index.for_each_node(ctx, base, |ctx, node| {
+            let version = self.index.version(ctx, node);
             if version < base {
                 return;
             }
@@ -1260,7 +1260,7 @@ impl SegmentEngine {
         self.meta_space.write_u32(ctx, node + S_SEG, seg as u32);
         self.meta_space.write_u32(ctx, node + N_EXPIRY, expiry);
         self.meta_space.write_u32(ctx, node + S_FLAGS, flags);
-        self.meta_space.write_u64(ctx, node + N_VERSION, version);
+        self.index.set_version(ctx, word, node, version);
     }
 
     /// Stores a value too large for one segment: the value is split
@@ -1439,7 +1439,7 @@ impl StorageEngine for SegmentEngine {
 
     fn version_of(&mut self, ctx: &mut ThreadCtx, key: &[u8]) -> Option<u64> {
         let found = self.find(ctx, self.index.word(key), key, false)?;
-        Some(self.meta_space.read_u64(ctx, found.node + N_VERSION))
+        Some(self.index.version(ctx, found.node))
     }
 
     fn len(&self) -> u64 {
@@ -1490,8 +1490,8 @@ impl StorageEngine for SegmentEngine {
 
     fn for_each_since(&self, ctx: &mut ThreadCtx, base: u64, f: &mut ItemVisitor) {
         let now = now_secs(ctx);
-        self.index.for_each_node(ctx, |ctx, node| {
-            let version = self.meta_space.read_u64(ctx, node + N_VERSION);
+        self.index.for_each_node(ctx, base, |ctx, node| {
+            let version = self.index.version(ctx, node);
             if version < base {
                 return;
             }

@@ -97,6 +97,11 @@ echo "== host ns per memory-model step (timing for the log, never fails the buil
 cargo test --release --offline -q -p eleos-enclave --test host_cost -- --ignored --nocapture \
     | grep '^|' || echo "   (the host-cost timing did not run)"
 
+echo "== host us per delta round (timing for the log, never fails the build)"
+# One bounded and one whole `Kvs::snapshot_since` on fleet-open's store.
+cargo test --release --offline -q --test host_cost -- --ignored --nocapture \
+    | grep '^|' || echo "   (the delta-round timing did not run)"
+
 echo "== e2e bench unit tests + smoke run (API surface, metric names)"
 cargo test --offline --manifest-path bench/Cargo.toml -q
 
@@ -141,9 +146,9 @@ cargo run --release -p eleos-bench --bin repro --offline -- storage_bench --quic
 echo "== serving_bench smoke (exits non-zero unless its header claims hold on all 59 cells)"
 # Scale 8, not 16 like the other smokes: every other claim holds at 1/16
 # too, but the `kill-respawn-bg` p99 claim (at least 2x below the
-# synchronous fence's) sits on its boundary at 1/8 (524 288 vs 245 760
-# or 262 144) and one histogram bucket past it at 1/16 (294 912, 1.78x,
-# 6 runs of 6) — ROADMAP A-3.
+# synchronous fence's) sits on its boundary. At 1/8 it reads 245 760
+# against 524 288 (2.1x) in most runs and 262 144 (exactly 2.0x) in the
+# rest; at 1/16 it still fails, 294 912 (1.78x) — ROADMAP A-3.
 cargo run --release -p eleos-bench --bin repro --offline -- serving_bench --quick --scale 8
 
 echo "== fmt"
