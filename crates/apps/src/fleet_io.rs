@@ -48,7 +48,7 @@
 //!   maintenance core (the SUVM swapper worker's shape), driven by
 //!   [`FleetKvs::maintenance_tick`] — which also runs what only exists
 //!   off the serving path: a **failure detector** over per-replica
-//!   heartbeats that calls kill/respawn itself, the engines'
+//!   heartbeats that calls kill/respawn itself, the replicas' engine
 //!   byte-work ([`Kvs::maintenance_tick`], which serving-path fences
 //!   then skip), and **delta rounds** streaming each replica's recent
 //!   writes to every peer, so a failover shrinks to a *final delta*
@@ -108,7 +108,6 @@ use crate::io::{IoPath, ServerIo, ServerIoConfig};
 use crate::kvs::Kvs;
 use crate::loadgen::ShardMap;
 use crate::space::DataSpace;
-use crate::storage::EngineConfig;
 use crate::wire::Session;
 
 /// Channel message kind: a wire-session key-epoch announcement (4 LE
@@ -230,10 +229,6 @@ pub struct FleetConfig {
     /// own core; pair that with [`FleetKvs::sync_clocks`] barriers so
     /// per-op timestamps stay on one timebase.
     pub cores: Vec<usize>,
-    /// Storage engine every replica runs (the item-log snapshot format
-    /// is engine-neutral, so a fleet could even mix engines across
-    /// replicas — this knob keeps them uniform).
-    pub engine: EngineConfig,
     /// The core that pays for replica-state byte-work. When set, state
     /// transfers and engine maintenance run on the maintenance plane's
     /// core and delta snapshots stream between fences; `None` runs the
@@ -256,7 +251,6 @@ impl FleetConfig {
             buckets: 1024,
             suvm: None,
             cores: vec![0],
-            engine: EngineConfig::default(),
             maintenance: None,
         }
     }
@@ -443,13 +437,7 @@ impl FleetKvs {
             None => (DataSpace::Enclave(Arc::clone(&enclave)), None),
         };
         let meta = DataSpace::Untrusted(Arc::clone(&self.machine));
-        let mut kvs = Kvs::with_engine(
-            meta,
-            data,
-            self.cfg.mem_limit,
-            self.cfg.buckets,
-            &self.cfg.engine,
-        );
+        let mut kvs = Kvs::new(meta, data, self.cfg.mem_limit, self.cfg.buckets);
         // With a plane, it — not the replica's fences — runs the
         // engine's maintenance tick.
         kvs.set_background(self.maint.is_some());
@@ -922,8 +910,8 @@ impl FleetKvs {
     /// 2. queued rejoins ([`Self::request_rejoin`]) respawn
     ///    ([`Self::respawn`]);
     /// 3. every serving replica's engine runs its byte-work
-    ///    ([`Kvs::maintenance_tick`]: slab relocations, segment
-    ///    expiry/merges) against the maintenance core;
+    ///    ([`Kvs::maintenance_tick`]: slab relocations) against the
+    ///    maintenance core;
     /// 4. a delta round streams each replica's writes since its last
     ///    delta to every serving peer, then opens the next write
     ///    interval.
@@ -986,7 +974,7 @@ impl FleetKvs {
             did = true;
         }
         // 3. Engine byte-work: the replicas' fences only counted
-        // themselves; the copies and merges happen here.
+        // themselves; the copies happen here.
         for r in self.fleet.serving() {
             let mut slot = self.slot(r);
             let Some(rep) = slot.as_mut() else { continue };

@@ -1,4 +1,4 @@
-//! The one hash index both storage engines chain their items on.
+//! The hash index the storage engine chains its items on.
 //!
 //! Eleos §5.1 keeps memcached's hash chains in *clear* memory so that
 //! walking them never pays for secure paging — but a chain step that
@@ -7,7 +7,7 @@
 //! a **keyed** hash of each item's key in its clear node: the walk
 //! compares that word and asks the engine to look at the record only
 //! when it matches, and unlinking a node the caller holds by address
-//! (LRU eviction, merge overflow) finds the bucket from the stored word
+//! (LRU eviction) finds the bucket from the stored word
 //! and walks by node identity. A miss, a stranger in the chain and an
 //! evicted victim touch zero secure bytes.
 //!
@@ -19,8 +19,8 @@
 //! items share a key hash — the bucket position leaks already.
 //!
 //! The index also owns each node's **write stamp** (`N_VERSION`: the
-//! fleet write interval the item was last stored at). The engines
-//! read and write it only through `HashIndex::version` and
+//! fleet write interval the item was last stored at). The engine
+//! reads and writes it only through `HashIndex::version` and
 //! `HashIndex::set_version`. Besides the charged write into the node,
 //! `set_version` raises a host-side **line stamp**, one per 64-byte
 //! line of bucket heads (8 buckets). The invariant: a line stamp is
@@ -296,7 +296,7 @@ impl HashIndex {
     }
 
     /// Forces every key onto one bucket and one stored word, so only
-    /// the engines' full key comparison tells items apart.
+    /// the engine's full key comparison tells items apart.
     #[cfg(test)]
     pub(crate) fn collide_all(&mut self) {
         self.word_mask = 0;

@@ -7,18 +7,15 @@
 //! metadata space, while the **keys, values and their sizes** live in
 //! the secure data space (SUVM in the Eleos configuration).
 //!
-//! The store itself is now a thin protocol/snapshot front-end over a
-//! pluggable [`StorageEngine`] (see [`crate::storage`]): the default
-//! [`EngineConfig::Slab`] engine is the seed's slab/LRU store
-//! (optionally with the fence-time slab rebalancer), and
-//! [`EngineConfig::Segment`] swaps in the TTL-bucketed append-only
-//! segment store. Engine byte-work (slab moves, segment expiry and
-//! merges) is one function, [`Kvs::maintenance_tick`]: by default
-//! [`Kvs::fence`] — which the batch handlers invoke at sub-batch
-//! boundaries — runs it inline on the serving core and charges it to
-//! `maint_stall_cycles`; after [`Kvs::set_background`] the fence only
-//! counts itself and a maintenance plane calls the tick from a core of
-//! its own.
+//! The store itself is a thin protocol/snapshot front-end over the
+//! [`SlabEngine`] (see [`crate::storage`]): the seed's slab/LRU store,
+//! with the fence-time slab rebalancer when built by
+//! [`Kvs::with_rebalancer`]. Engine byte-work (slab moves) is one
+//! function, [`Kvs::maintenance_tick`]: by default [`Kvs::fence`] —
+//! which the batch handlers invoke at sub-batch boundaries — runs it
+//! inline on the serving core and charges it to `maint_stall_cycles`;
+//! after [`Kvs::set_background`] the fence only counts itself and a
+//! maintenance plane calls the tick from a core of its own.
 //!
 //! The *version* is a caller-managed write stamp (the fleet tier sets
 //! it to its fence-epoch interval): every `set` stamps the item, and
@@ -33,7 +30,7 @@ use eleos_sim::stats::Stats;
 
 use crate::io::ServerIo;
 use crate::space::DataSpace;
-use crate::storage::{build_engine, now_secs, EngineConfig, StorageEngine};
+use crate::storage::{now_secs, SlabEngine};
 
 /// Per-operation parsing/hashing compute, in cycles.
 const OP_CYCLES: u64 = 120;
@@ -48,9 +45,9 @@ const KVS_SECTION: &str = "kvs-items";
 const STORAGE_META_SECTION: &str = "storage-meta";
 
 /// The key-value store: protocol parsing, write-stamping and
-/// snapshot/restore over a pluggable [`StorageEngine`].
+/// snapshot/restore over the [`SlabEngine`].
 pub struct Kvs {
-    engine: Box<dyn StorageEngine>,
+    engine: SlabEngine,
     version: u64,
     /// Whether someone else calls [`Kvs::maintenance_tick`]; when not,
     /// [`Kvs::fence`] does.
@@ -59,41 +56,37 @@ pub struct Kvs {
 
 impl Kvs {
     /// Creates a store with a `mem_limit`-byte value pool in
-    /// `data_space` and chains/heads in `meta_space`, running the
-    /// default slab engine (no rebalancer) — byte- and cycle-identical
-    /// to the seed's store.
+    /// `data_space` and chains/heads in `meta_space`, with no
+    /// rebalancer — byte- and cycle-identical to the seed's store.
     #[must_use]
     pub fn new(meta_space: DataSpace, data_space: DataSpace, mem_limit: u64, buckets: u64) -> Self {
-        Self::with_engine(
-            meta_space,
-            data_space,
-            mem_limit,
-            buckets,
-            &EngineConfig::default(),
-        )
+        Self::build(meta_space, data_space, mem_limit, buckets, false)
     }
 
-    /// Creates a store running the configured engine.
+    /// [`Self::new`] with the slab rebalancer: at fences, whole slabs
+    /// move from cold size classes to starved ones.
     #[must_use]
-    pub fn with_engine(
+    pub fn with_rebalancer(
         meta_space: DataSpace,
         data_space: DataSpace,
         mem_limit: u64,
         buckets: u64,
-        cfg: &EngineConfig,
+    ) -> Self {
+        Self::build(meta_space, data_space, mem_limit, buckets, true)
+    }
+
+    fn build(
+        meta_space: DataSpace,
+        data_space: DataSpace,
+        mem_limit: u64,
+        buckets: u64,
+        rebalance: bool,
     ) -> Self {
         Self {
-            engine: build_engine(cfg, meta_space, data_space, mem_limit, buckets),
+            engine: SlabEngine::new(meta_space, data_space, mem_limit, buckets, rebalance),
             version: 0,
             background: false,
         }
-    }
-
-    /// The engine's short label (`"slab"`, `"slab-rebal"`,
-    /// `"segment"`).
-    #[must_use]
-    pub fn engine_label(&self) -> &'static str {
-        self.engine.label()
     }
 
     /// Sets the write stamp every subsequent `set` records on its
@@ -203,9 +196,8 @@ impl Kvs {
         self.background = on;
     }
 
-    /// One pass of engine byte-work (slab moves and window decay,
-    /// segment expiry and reserve-keeping merges), charged to `ctx`'s
-    /// core. Returns whether any work ran.
+    /// One pass of engine byte-work (slab moves and window decay),
+    /// charged to `ctx`'s core. Returns whether any work ran.
     pub fn maintenance_tick(&mut self, ctx: &mut ThreadCtx) -> bool {
         self.engine.maintenance_tick(ctx)
     }
@@ -214,7 +206,7 @@ impl Kvs {
     /// `(key, value)`.
     pub fn for_each_item(&self, ctx: &mut ThreadCtx, mut f: impl FnMut(&[u8], &[u8])) {
         self.engine
-            .for_each_since(ctx, 0, &mut |key, value, _version, _expiry| f(key, value));
+            .for_each_since(ctx, 0, |key, value, _version, _expiry| f(key, value));
     }
 
     /// Merges a parsed item log: last-writer-wins on the per-item
@@ -261,7 +253,7 @@ impl Kvs {
         let mut plain = vec![0u8; 8];
         let mut count = 0u64;
         self.engine
-            .for_each_since(ctx, base, &mut |key, value, version, expiry| {
+            .for_each_since(ctx, base, |key, value, version, expiry| {
                 plain.extend_from_slice(&(key.len() as u32).to_le_bytes());
                 plain.extend_from_slice(&(value.len() as u32).to_le_bytes());
                 plain.extend_from_slice(&version.to_le_bytes());
@@ -313,11 +305,12 @@ impl Kvs {
 
     /// The only way state enters a store: merges a [`Snapshot`] from
     /// [`Self::snapshot_since`] (possibly sealed by a different enclave
-    /// — that is what the shared key is for — or a *different engine*:
-    /// the item log is engine-neutral), last-writer-wins on the
-    /// per-item write stamp, so a stale copy re-imported after bouncing
-    /// through another replica never clobbers a fresher value. Returns
-    /// the number of items applied (inserted or overwritten).
+    /// — that is what the shared key is for — or a store with the other
+    /// rebalancer setting: the item log is layout-neutral),
+    /// last-writer-wins on the per-item write stamp, so a stale copy
+    /// re-imported after bouncing through another replica never
+    /// clobbers a fresher value. Returns the number of items applied
+    /// (inserted or overwritten).
     ///
     /// # Errors
     /// A section is missing or fails authentication, the item log does
@@ -541,22 +534,10 @@ mod tests {
     use eleos_core::{Suvm, SuvmConfig};
     use eleos_enclave::machine::{MachineConfig, SgxMachine};
 
-    use crate::storage::SegmentConfig;
-
     fn untrusted_kvs(limit: u64) -> (Kvs, ThreadCtx) {
         let m = SgxMachine::new(MachineConfig::scaled(8));
         let space = DataSpace::Untrusted(Arc::clone(&m));
         let kvs = Kvs::new(space.clone(), space, limit, 1024);
-        let e = m.driver.create_enclave(&m, 1 << 20);
-        let mut t = ThreadCtx::for_enclave(&m, &e, 0);
-        t.enter();
-        (kvs, t)
-    }
-
-    fn untrusted_kvs_with(limit: u64, cfg: &EngineConfig) -> (Kvs, ThreadCtx) {
-        let m = SgxMachine::new(MachineConfig::scaled(8));
-        let space = DataSpace::Untrusted(Arc::clone(&m));
-        let kvs = Kvs::with_engine(space.clone(), space, limit, 1024, cfg);
         let e = m.driver.create_enclave(&m, 1 << 20);
         let mut t = ThreadCtx::for_enclave(&m, &e, 0);
         t.enter();
@@ -688,30 +669,9 @@ mod tests {
     }
 
     #[test]
-    fn segment_engine_serves_the_same_api() {
-        let cfg = EngineConfig::Segment(SegmentConfig::default());
-        let (mut kvs, mut t) = untrusted_kvs_with(8 << 20, &cfg);
-        kvs.init(&mut t);
-        assert_eq!(kvs.engine_label(), "segment");
-        for i in 0..500u32 {
-            kvs.set(&mut t, format!("s-{i}").as_bytes(), &[(i % 97) as u8; 64]);
-        }
-        for i in (0..500u32).step_by(7) {
-            assert_eq!(
-                kvs.get(&mut t, format!("s-{i}").as_bytes()).unwrap(),
-                vec![(i % 97) as u8; 64]
-            );
-        }
-        assert!(kvs.delete(&mut t, b"s-0"));
-        assert_eq!(kvs.len(), 499);
-        kvs.fence(&mut t);
-        t.exit();
-    }
-
-    #[test]
-    fn snapshot_restores_across_engines() {
-        // Seal from a slab store, restore into a segment store: the
-        // item log is engine-neutral.
+    fn snapshot_restores_across_rebalancer_settings() {
+        // Seal from a static store, restore into a rebalancing one: the
+        // item log is layout-neutral, whatever `storage-meta` labels.
         use eleos_crypto::gcm::AesGcm128;
         let (mut kvs, mut t) = untrusted_kvs(8 << 20);
         kvs.init(&mut t);
@@ -721,17 +681,11 @@ mod tests {
         let snap = kvs.snapshot_since(&mut t, &sealer, 9, 1, 0);
         let m = Arc::clone(&t.machine);
         let space = DataSpace::Untrusted(Arc::clone(&m));
-        let mut seg = Kvs::with_engine(
-            space.clone(),
-            space,
-            8 << 20,
-            1024,
-            &EngineConfig::Segment(SegmentConfig::default()),
-        );
-        seg.init(&mut t);
-        assert_eq!(seg.restore(&mut t, &sealer, &snap), 2);
-        assert_eq!(seg.get(&mut t, b"short").unwrap(), b"lived");
-        assert_eq!(seg.get(&mut t, b"forever").unwrap(), b"kept");
+        let mut rebal = Kvs::with_rebalancer(space.clone(), space, 8 << 20, 1024);
+        rebal.init(&mut t);
+        assert_eq!(rebal.restore(&mut t, &sealer, &snap), 2);
+        assert_eq!(rebal.get(&mut t, b"short").unwrap(), b"lived");
+        assert_eq!(rebal.get(&mut t, b"forever").unwrap(), b"kept");
         t.exit();
     }
 

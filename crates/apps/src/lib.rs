@@ -15,11 +15,10 @@
 //! Applications:
 //! - [`param_server`] — the §2 motivation workload (Figs 1, 2, 6);
 //! - [`kvs`] — the memcached-style store of §5.1 (Fig 11, Table 4),
-//!   with the paper's clear-metadata/secure-kv split over pluggable
-//!   [`storage`] engines: the memcached-style [`slab`] allocator
-//!   (optionally with a fence-time slab rebalancer) or a TTL-bucketed
-//!   append-only segment store, both chained on one clear-metadata
-//!   hash [`index`] with keyed in-node hashes;
+//!   with the paper's clear-metadata/secure-kv split over its
+//!   [`storage`] engine: the memcached-style [`slab`] allocator
+//!   (optionally with a fence-time slab rebalancer), chained on a
+//!   clear-metadata hash [`index`] with keyed in-node hashes;
 //! - [`face`] — the LBP face-verification server of §5.2 (Fig 10);
 //! - [`loadgen`] — seeded client load (memaslap-style for the KVS);
 //! - [`wire`] — the AES-CTR wire [`wire::Session`] (§5):

@@ -1,7 +1,7 @@
-//! Storage-engine shootout: static slabs vs the slab rebalancer vs
-//! the TTL-bucketed segment store, across three serving mixes. The
-//! run checks its own claims (`check_claims`) and panics — exit 101
-//! — when one fails; it writes no file.
+//! Storage-engine benchmark: static slabs vs the slab rebalancer,
+//! inline and on a maintenance core, across three serving mixes. The
+//! run checks its own claims (`check_claims`) and panics — exit 101 —
+//! when one fails; it writes no file.
 //!
 //! Cells (engine x workload):
 //!
@@ -10,28 +10,23 @@
 //!   size and serve the new one out of a sliver of the pool, so every
 //!   miss pays a backend refill; the rebalancer reassigns whole slabs
 //!   to the starved class at fences.
-//! - `skewed` — a stable skewed read mix inside the memory limit; no
-//!   engine should be able to buy much here (sanity/tie cell).
+//! - `skewed` — a stable skewed read mix inside the memory limit; the
+//!   rebalancer has nothing to move here (the tie cell).
 //! - `ttl` — short-TTL cache traffic under memory pressure with
-//!   simulated think time between ops: the segment store reclaims
-//!   whole expired segments at fences and keeps the op path free of
-//!   LRU pointer maintenance.
+//!   simulated think time between ops, so deadlines lapse mid-run.
 //!
-//! The `slab-rebal-bg` and `segment-bg` engines are the same engines
-//! and the same byte-work ([`Kvs::maintenance_tick`]); what differs is
-//! who calls it. Without `-bg`, [`Kvs::fence`] runs the tick inline on
-//! the serving core; with it ([`Kvs::set_background`]) the fence only
-//! counts itself and the bench calls the tick from a second core
-//! after each fence. Each cell carries `maint_stall_cycles`
-//! (serving-core cycles stalled in maintenance byte-work — 0 for the
-//! `-bg` engines) and `bg_merges` (reserve-keeping segment merges the
-//! tick performed, inline or not).
+//! The `slab-rebal-bg` engine is the `slab-rebal` engine and the same
+//! byte-work ([`Kvs::maintenance_tick`]); what differs is who calls it.
+//! Without `-bg`, [`Kvs::fence`] runs the tick inline on the serving
+//! core; with it ([`Kvs::set_background`]) the fence only counts
+//! itself and the bench calls the tick from a second core after each
+//! fence. Each cell carries `maint_stall_cycles` (serving-core cycles
+//! stalled in maintenance byte-work — 0 for `slab-rebal-bg`).
 
 use std::sync::Arc;
 
 use eleos_apps::kvs::Kvs;
 use eleos_apps::space::DataSpace;
-use eleos_apps::storage::{EngineConfig, RebalanceConfig, SegmentConfig};
 use eleos_enclave::machine::{MachineConfig, SgxMachine};
 use eleos_enclave::thread::ThreadCtx;
 
@@ -42,7 +37,7 @@ use crate::harness::{header, Scale};
 const REFILL_CYCLES: u64 = 15_000;
 /// Ops per sub-batch fence (the serving loop's batch size).
 const FENCE_EVERY: usize = 64;
-/// Core the background engines' maintenance ticks run on (the serving
+/// Core the background engine's maintenance ticks run on (the serving
 /// thread is on core 0).
 const MAINT_CORE: usize = 1;
 
@@ -68,43 +63,37 @@ struct Cell {
     evictions: u64,
     expired: u64,
     slab_moves: u64,
-    seg_merges: u64,
     /// Serving-core cycles stalled in maintenance byte-work (0 for
-    /// the background engines — that is their whole point).
+    /// the background engine — that is its whole point).
     maint_stall: u64,
-    /// Reserve-keeping segment merges the maintenance tick performed.
-    bg_merges: u64,
     refills: u64,
     items_end: u64,
 }
 
-/// `(label, config, background)` — the background entries run the
-/// same engine configs with the maintenance tick called from
-/// [`MAINT_CORE`] instead of from the fence.
-fn engines() -> Vec<(&'static str, EngineConfig, bool)> {
-    let rebal = EngineConfig::Slab {
-        rebalance: Some(RebalanceConfig::default()),
-    };
-    let seg = EngineConfig::Segment(SegmentConfig::default());
-    vec![
-        ("slab-static", EngineConfig::Slab { rebalance: None }, false),
-        ("slab-rebal", rebal.clone(), false),
-        ("slab-rebal-bg", rebal, true),
-        ("segment", seg.clone(), false),
-        ("segment-bg", seg, true),
-    ]
-}
+/// `(label, rebalance, background)` — the background entry runs the
+/// rebalancer with its maintenance tick called from [`MAINT_CORE`]
+/// instead of from the fence.
+const ENGINES: [(&str, bool, bool); 3] = [
+    ("slab-static", false, false),
+    ("slab-rebal", true, false),
+    ("slab-rebal-bg", true, true),
+];
 
-/// Builds the serving thread plus, for background engines, an entered
-/// maintenance thread on [`MAINT_CORE`].
+/// Builds the serving thread plus, for the background engine, an
+/// entered maintenance thread on [`MAINT_CORE`].
 fn rig(
     mem_limit: u64,
-    cfg: &EngineConfig,
+    rebalance: bool,
     background: bool,
 ) -> (Arc<SgxMachine>, ThreadCtx, Kvs, Option<ThreadCtx>) {
     let m = SgxMachine::new(MachineConfig::scaled(8));
     let space = DataSpace::Untrusted(Arc::clone(&m));
-    let mut kvs = Kvs::with_engine(space.clone(), space, mem_limit, 4096, cfg);
+    let new = if rebalance {
+        Kvs::with_rebalancer
+    } else {
+        Kvs::new
+    };
+    let mut kvs = new(space.clone(), space, mem_limit, 4096);
     let e = m.driver.create_enclave(&m, 1 << 20);
     let mut t = ThreadCtx::for_enclave(&m, &e, 0);
     t.enter();
@@ -120,8 +109,7 @@ fn rig(
 
 /// One background pass after a serving-path fence: the maintenance
 /// core first idles forward to the serving core's time (its clock
-/// only moves when ticks run, and segment expiry reads the clock),
-/// then runs the engine byte-work off-core.
+/// only moves when ticks run), then runs the engine byte-work off-core.
 fn bg_tick(m: &SgxMachine, t: &ThreadCtx, kvs: &mut Kvs, mt: &mut Option<ThreadCtx>) {
     let Some(mt) = mt.as_mut() else { return };
     let clock = &m.core(MAINT_CORE).clock;
@@ -162,9 +150,7 @@ fn finish(
         evictions: kvs.evictions(),
         expired: kvs.expired(),
         slab_moves: d.slab_moves,
-        seg_merges: d.seg_merges,
         maint_stall: d.maint_stall_cycles,
-        bg_merges: d.bg_merges,
         refills,
         items_end: kvs.len(),
     }
@@ -174,11 +160,11 @@ fn finish(
 /// calcifies the pool, then the write mix switches to ~1.2 KiB values
 /// with reads over a recency window larger than what the calcified
 /// layout leaves the new class.
-fn run_shifting(name: &'static str, cfg: &EngineConfig, background: bool, ops: usize) -> Cell {
+fn run_shifting(name: &'static str, rebalance: bool, background: bool, ops: usize) -> Cell {
     const A_ITEMS: u64 = 35_000;
     const WARMUP_WRITES: u64 = 2_500;
     const WINDOW: u64 = 2_000;
-    let (m, mut t, mut kvs, mut mt) = rig(8 << 20, cfg, background);
+    let (m, mut t, mut kvs, mut mt) = rig(8 << 20, rebalance, background);
     for i in 0..A_ITEMS {
         kvs.set(&mut t, format!("a-{i}").as_bytes(), &[0x11u8; 160]);
     }
@@ -242,11 +228,11 @@ fn run_shifting(name: &'static str, cfg: &EngineConfig, background: bool, ops: u
 }
 
 /// A stable skewed read mix over a working set inside the memory
-/// limit — the tie cell; no engine has leverage.
-fn run_skewed(name: &'static str, cfg: &EngineConfig, background: bool, ops: usize) -> Cell {
+/// limit — the tie cell; the rebalancer has no leverage.
+fn run_skewed(name: &'static str, rebalance: bool, background: bool, ops: usize) -> Cell {
     const N: u64 = 6_000;
     let value_of = |i: u64| vec![(i % 251) as u8; 100 + (i as usize % 7) * 90];
-    let (m, mut t, mut kvs, mut mt) = rig(8 << 20, cfg, background);
+    let (m, mut t, mut kvs, mut mt) = rig(8 << 20, rebalance, background);
     for i in 0..N {
         kvs.set(&mut t, format!("s-{i}").as_bytes(), &value_of(i));
     }
@@ -275,12 +261,12 @@ fn run_skewed(name: &'static str, cfg: &EngineConfig, background: bool, ops: usi
 
 /// Short-TTL cache traffic under a tight pool, with think time
 /// advancing the simulated clock so deadlines actually pass mid-run.
-fn run_ttl(name: &'static str, cfg: &EngineConfig, background: bool, ops: usize) -> Cell {
+fn run_ttl(name: &'static str, rebalance: bool, background: bool, ops: usize) -> Cell {
     const WINDOW: u64 = 500;
     /// Simulated client think time per op: moves the clock so the
     /// 2-9 s TTLs lapse during the run, even at `--quick` op counts.
     const THINK_CYCLES: u64 = 30_000_000;
-    let (m, mut t, mut kvs, mut mt) = rig(1 << 20, cfg, background);
+    let (m, mut t, mut kvs, mut mt) = rig(1 << 20, rebalance, background);
     m.reset_counters();
     let mut rng = Rng(0x5eed_0003);
     let mut refills = 0u64;
@@ -314,8 +300,8 @@ fn run_ttl(name: &'static str, cfg: &EngineConfig, background: bool, ops: usize)
 }
 
 /// The claims the header prints, checked against the measured cells
-/// (that no background engine stalls a serving fence is asserted cell
-/// by cell in [`run`]).
+/// (that the background engine stalls no serving fence is asserted
+/// cell by cell in [`run`]).
 ///
 /// # Panics
 /// Panics on the first claim that does not hold.
@@ -337,7 +323,7 @@ fn check_claims(cells: &[Cell]) {
             b.busy_cpo
         );
     };
-    assert_eq!(cells.len(), 15, "three workloads x five engines");
+    assert_eq!(cells.len(), 9, "three workloads x three engines");
 
     // Shifting size mix: the rebalancer reassigns whole slabs to the
     // starved class, so it beats static slabs and has moved slabs to
@@ -360,18 +346,27 @@ fn check_claims(cells: &[Cell]) {
         bg.busy_cpo,
         rebal.busy_cpo
     );
-    let seg_bg = by("shifting", "segment-bg");
-    assert!(
-        seg_bg.bg_merges > 0,
-        "segment-bg never merged ahead of need"
-    );
-    beats(seg_bg, by("shifting", "segment"));
 
-    // TTL-heavy traffic: whole-segment expiry beats per-item LRU work,
-    // and the cell really exercises TTLs on both sides.
-    let (seg, slab) = (by("ttl", "segment"), by("ttl", "slab-static"));
-    beats(seg, slab);
-    assert!(seg.expired > 0 && slab.expired > 0, "ttl: nothing expired");
+    // A stable mix starves no class: the rebalancer moves nothing, and
+    // costs the serving path nothing, to the cycle.
+    let fixed = by("skewed", "slab-static");
+    for engine in ["slab-rebal", "slab-rebal-bg"] {
+        let c = by("skewed", engine);
+        assert_eq!(c.slab_moves, 0, "skewed: {engine} moved slabs");
+        assert!(
+            c.busy_cpo == fixed.busy_cpo,
+            "skewed: {engine} at {} busy c/op is not slab-static's {}",
+            c.busy_cpo,
+            fixed.busy_cpo
+        );
+    }
+
+    // TTL-heavy traffic: deadlines lapse mid-run, and every engine
+    // drops the lapsed items it meets.
+    for (engine, ..) in ENGINES {
+        let c = by("ttl", engine);
+        assert!(c.expired > 0, "ttl: {engine} expired nothing");
+    }
 }
 
 /// Runs engines x workloads, prints a table and checks the claims.
@@ -379,12 +374,12 @@ fn check_claims(cells: &[Cell]) {
 pub fn run(scale: Scale, quick: bool) {
     header(
         "storage_bench",
-        "storage engine x workload: static slab vs slab rebalancer vs segment store",
-        "rebalancer wins the shifting-size cell; segment store wins the TTL-heavy cell",
+        "storage engine x workload: static slabs vs the slab rebalancer, inline and off-core",
+        "rebalancer wins the shifting-size cell and ties the skewed one to the cycle",
     );
     let ops = scale.ops(if quick { 8_000 } else { 24_000 });
     println!(
-        "   {:<9} {:<14} {:>8} {:>10} {:>9} {:>9} {:>6} {:>7} {:>10} {:>7} {:>8} {:>9}",
+        "   {:<9} {:<14} {:>8} {:>10} {:>9} {:>9} {:>6} {:>10} {:>8} {:>9}",
         "cell",
         "engine",
         "ops",
@@ -392,24 +387,22 @@ pub fn run(scale: Scale, quick: bool) {
         "evict",
         "expired",
         "moves",
-        "merges",
         "stall",
-        "bgmerge",
         "refills",
         "items"
     );
     let mut cells: Vec<Cell> = Vec::new();
-    type Runner = fn(&'static str, &EngineConfig, bool, usize) -> Cell;
+    type Runner = fn(&'static str, bool, bool, usize) -> Cell;
     let workloads: [(&str, Runner); 3] = [
         ("shifting", run_shifting),
         ("skewed", run_skewed),
         ("ttl", run_ttl),
     ];
     for (_, runner) in workloads {
-        for (name, cfg, background) in engines() {
-            let c = runner(name, &cfg, background, ops);
+        for (name, rebalance, background) in ENGINES {
+            let c = runner(name, rebalance, background, ops);
             println!(
-                "   {:<9} {:<14} {:>8} {:>10.0} {:>9} {:>9} {:>6} {:>7} {:>10} {:>7} {:>8} {:>9}",
+                "   {:<9} {:<14} {:>8} {:>10.0} {:>9} {:>9} {:>6} {:>10} {:>8} {:>9}",
                 c.cell,
                 c.engine,
                 c.ops,
@@ -417,16 +410,14 @@ pub fn run(scale: Scale, quick: bool) {
                 c.evictions,
                 c.expired,
                 c.slab_moves,
-                c.seg_merges,
                 c.maint_stall,
-                c.bg_merges,
                 c.refills,
                 c.items_end
             );
             if background {
                 assert_eq!(
                     c.maint_stall, 0,
-                    "background engines must not stall serving fences"
+                    "the background engine must not stall serving fences"
                 );
             }
             cells.push(c);

@@ -126,10 +126,6 @@ pub struct CostModel {
     /// simulated copies of relocated live items, which are charged
     /// through the data space like any other access.
     pub slab_move: u64,
-    /// Fixed bookkeeping for one segment-store merge pass (choosing
-    /// victims, recycling segment frames) on top of the simulated
-    /// copies of surviving items.
-    pub seg_merge: u64,
 
     // --- Background maintenance plane (off the serving path) ---
     /// One failure-detector heartbeat probe: reading a replica's pump
@@ -186,7 +182,6 @@ impl Default for CostModel {
             session_rekey: 1_600,
 
             slab_move: 300,
-            seg_merge: 900,
 
             maint_heartbeat: 40,
             maint_chunk: 250,

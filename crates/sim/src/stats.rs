@@ -321,20 +321,14 @@ stats! {
     slab_moves,
     /// Live items relocated out of departing slabs during rebalancing moves.
     slab_items_relocated,
-    /// Segment-store merge passes (compacting a TTL bucket's oldest segments).
-    seg_merges,
-    /// Whole segments reclaimed proactively because every item had expired.
-    seg_expired_segments,
-    /// Items dropped because their TTL deadline passed (lazy get-side expiry plus segment expiry sweeps).
+    /// Items dropped because their TTL deadline passed (expired lazily, when a GET finds them).
     expired_items,
     /// Chunks of replica-state transfers (delta rounds, failovers, rejoins) staged on the cross-enclave channel.
     maint_chunks,
-    /// Serving-core cycles stalled in maintenance byte-work run inline (the engine tick inside `Kvs::fence`, fleet state transfers inside a kill/respawn fence, a segment SET reclaiming for itself); 0 from fences when a maintenance plane runs the same work on its own core.
+    /// Serving-core cycles stalled in maintenance byte-work run inline (the engine tick inside `Kvs::fence`, fleet state transfers inside a kill/respawn fence); 0 from fences when a maintenance plane runs the same work on its own core.
     maint_stall_cycles,
     /// Items carried by `Kvs::snapshot_since` snapshots (`base = 0` carries the whole store).
     snapshot_delta_items,
-    /// Segment-store merge passes the maintenance tick ran ahead of need, to keep free segments in reserve.
-    bg_merges,
     /// Heartbeat ticks that found a replica's pump counter stalled (failure-detector evidence).
     hb_misses,
 }
@@ -514,7 +508,7 @@ mod tests {
     fn summary_prints_every_counter_under_its_field_name() {
         let s = Stats::default();
         let live = s.counters();
-        assert_eq!(live.len(), 62);
+        assert_eq!(live.len(), 59);
         for (i, (_, counter)) in live.iter().enumerate() {
             Stats::add(counter, 1_000 + i as u64);
         }

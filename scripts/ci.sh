@@ -67,6 +67,15 @@ if grep -rnE 'BalanceConfig|steal_pass|steals_(taken|given)|\.balanced\(|\.route
     echo "a deleted shard-balance / shard-class name is back (see above)"
     exit 1
 fi
+# PR 28 left the KVS one storage engine: no segment store, no engine
+# trait or config enum, no rebalancer knobs (the rebalancer is
+# `Kvs::with_rebalancer`), and none of the segment store's costs or
+# stats.
+if grep -rnE 'SegmentEngine|SegmentConfig|EngineConfig|StorageEngine|build_engine|RebalanceConfig|engine_label|seg_merge|bg_merges|seg_expired_segments|spill_part_key' \
+        crates/*/src src examples tests ; then
+    echo "a deleted storage-engine name is back (see above)"
+    exit 1
+fi
 # PR 23 brought the first `unsafe` into the tree: the hardware AES /
 # CLMUL kernels. It lives in one module; seven crates `forbid` it, and
 # this keeps it out of tests and examples too (`-w`: the lint names
@@ -140,7 +149,7 @@ cargo run --release -p eleos-bench --bin repro --offline -- paging_bench --quick
 echo "== crypto_bench smoke (exits non-zero unless every series is monotone in batch depth)"
 cargo run --release -p eleos-bench --bin repro --offline -- crypto_bench --quick --scale 16
 
-echo "== storage_bench smoke (exits non-zero unless its header claims hold on all 15 cells)"
+echo "== storage_bench smoke (exits non-zero unless its header claims hold on all 9 cells)"
 cargo run --release -p eleos-bench --bin repro --offline -- storage_bench --quick --scale 8
 
 echo "== serving_bench smoke (exits non-zero unless its header claims hold on all 59 cells)"

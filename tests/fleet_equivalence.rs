@@ -24,7 +24,6 @@ use eleos::apps::io::{IoPath, ServerIoConfig};
 use eleos::apps::kvs::{build_get, build_set, Kvs};
 use eleos::apps::loadgen::attest_session;
 use eleos::apps::space::DataSpace;
-use eleos::apps::storage::{EngineConfig, SegmentConfig};
 use eleos::apps::wire::Session;
 use eleos::crypto::gcm::AesGcm128;
 use eleos::crypto::Sealer;
@@ -59,21 +58,16 @@ struct FleetRig {
     fk: FleetKvs,
 }
 
-fn rig(replicas: usize) -> FleetRig {
-    rig_with(replicas, EngineConfig::default())
-}
-
-/// Like [`rig`], but on an explicit storage engine. A third of the
+/// A `replicas`-wide fleet over [`SHARDS`] sockets. A third of the
 /// seeded items carry a (long) TTL, so every snapshot/restore cycle in
 /// the chaos schedules must carry expiry metadata intact for replies
 /// to stay byte-identical.
-fn rig_with(replicas: usize, engine: EngineConfig) -> FleetRig {
-    rig_full(replicas, engine, None)
+fn rig(replicas: usize) -> FleetRig {
+    rig_full(replicas, None)
 }
 
-/// Like [`rig_with`], optionally running the background maintenance
-/// plane.
-fn rig_full(replicas: usize, engine: EngineConfig, maint: Option<MaintenanceConfig>) -> FleetRig {
+/// Like [`rig`], optionally running the background maintenance plane.
+fn rig_full(replicas: usize, maint: Option<MaintenanceConfig>) -> FleetRig {
     let m = SgxMachine::new(MachineConfig::tiny());
     let ut = ThreadCtx::untrusted(&m, 1);
     let fds: Vec<Fd> = (0..SHARDS).map(|_| m.host.socket(&ut, 256 << 10)).collect();
@@ -96,7 +90,6 @@ fn rig_full(replicas: usize, engine: EngineConfig, maint: Option<MaintenanceConf
         Arc::clone(&wire),
         sealer,
         FleetConfig {
-            engine,
             maintenance: maint,
             ..FleetConfig::small(replicas)
         },
@@ -172,20 +165,10 @@ fn run_fleet(
     schedule: &[(usize, Fence)],
     reqs: &[(u64, Req)],
 ) -> Vec<Vec<Vec<u8>>> {
-    run_fleet_with(replicas, schedule, reqs, EngineConfig::default())
+    run_fleet_full(replicas, schedule, reqs, None)
 }
 
-/// [`run_fleet`] on an explicit storage engine.
-fn run_fleet_with(
-    replicas: usize,
-    schedule: &[(usize, Fence)],
-    reqs: &[(u64, Req)],
-    engine: EngineConfig,
-) -> Vec<Vec<Vec<u8>>> {
-    run_fleet_full(replicas, schedule, reqs, engine, None)
-}
-
-/// [`run_fleet_with`] with the background maintenance plane when
+/// [`run_fleet`] with the background maintenance plane when
 /// `maint` is set: the same `kill`/`respawn` run their byte-work on
 /// the maintenance core, and a maintenance tick (engine byte-work + a
 /// delta round) runs after every round — exactly the interleaving the
@@ -194,11 +177,10 @@ fn run_fleet_full(
     replicas: usize,
     schedule: &[(usize, Fence)],
     reqs: &[(u64, Req)],
-    engine: EngineConfig,
     maint: Option<MaintenanceConfig>,
 ) -> Vec<Vec<Vec<u8>>> {
     let ticking = maint.is_some();
-    let r = rig_full(replicas, engine, maint);
+    let r = rig_full(replicas, maint);
     let ut = ThreadCtx::untrusted(&r.m, 1);
     let mut streams: Vec<VecDeque<Vec<u8>>> = vec![VecDeque::new(); SHARDS];
     let mut pushed: Vec<(u64, usize)> = Vec::with_capacity(reqs.len());
@@ -556,44 +538,16 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Satellite: the segment engine behind the fleet
+// Satellite: TTL'd items across failovers
 // ---------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(2))]
-
-    /// A fleet whose replicas run the TTL-bucketed segment store
-    /// matches its own single-replica baseline across every chaos
-    /// schedule: the engine-neutral item-log snapshot (now carrying
-    /// per-item expiry and the storage-meta section) loses nothing on
-    /// failover, so replies stay byte-identical — including GETs of
-    /// the TTL'd third of the seeded items.
-    #[test]
-    fn segment_fleet_matches_single_replica_across_chaos_schedules(
-        seed in prop::collection::vec(any::<u8>(), 16..17),
-    ) {
-        let engine = EngineConfig::Segment(SegmentConfig::default());
-        let reqs = request_stream(&seed);
-        let reference = run_fleet_with(1, &[], &reqs, engine.clone());
-        for schedule in schedules(2) {
-            let got = run_fleet_with(2, &schedule, &reqs, engine.clone());
-            prop_assert_eq!(
-                &got, &reference,
-                "segment fleet diverged (schedule={:?})", &schedule
-            );
-        }
-    }
-}
-
-/// Kill/respawn a replica running the segment engine,
-/// deterministically: a TTL'd seed item must survive two failovers
-/// (its expiry travels in the snapshot item log), and the versioned
-/// restore merge must still refuse the stale re-import — on a store
-/// whose internals (append-only segments, TTL buckets) share nothing
-/// with the slab engine the fleet was built against.
+/// Kill/respawn a replica, deterministically: a TTL'd seed item must
+/// survive two failovers (its expiry travels in the snapshot item log),
+/// and the versioned restore merge must still refuse the stale
+/// re-import.
 #[test]
-fn segment_replica_failover_preserves_ttl_items() {
-    let r = rig_with(2, EngineConfig::Segment(SegmentConfig::default()));
+fn replica_failover_preserves_ttl_items() {
+    let r = rig(2);
     let ut = ThreadCtx::untrusted(&r.m, 1);
     let conn = (0..64u64)
         .find(|&c| {
@@ -615,7 +569,7 @@ fn segment_replica_failover_preserves_ttl_items() {
     assert_eq!(reply[0], 1);
     assert_eq!(&reply[5..], [0u8; 40]);
     assert_eq!(do_req(&build_set(b"bounce", &[1u8; 16])), [1u8]);
-    r.fk.kill(1).unwrap(); // heir 0 imports the segment store's item log
+    r.fk.kill(1).unwrap(); // heir 0 imports the victim's item log
     let reply = do_req(&ttl_get);
     assert_eq!(reply[0], 1, "TTL'd item lost on failover");
     assert_eq!(&reply[5..], [0u8; 40]);
@@ -648,8 +602,7 @@ proptest! {
     /// byte-work on the maintenance core) and without it (everything
     /// inline on the serving cores), returns byte-identical
     /// per-connection replies — to each other and to the
-    /// single-replica baseline — on both engines, across every chaos
-    /// schedule.
+    /// single-replica baseline — across every chaos schedule.
     #[test]
     fn background_maintenance_plane_is_reply_transparent(
         seed in prop::collection::vec(any::<u8>(), 16..17),
@@ -659,18 +612,13 @@ proptest! {
             hb_miss_threshold: 1000, // schedules drive kills explicitly
             chunk_bytes: 4 << 10,
         };
-        let segment = EngineConfig::Segment(SegmentConfig::default());
-        for (engine, replicas) in [
-            (EngineConfig::default(), 2usize),
-            (EngineConfig::default(), 3),
-            (segment, 2),
-        ] {
-            let reqs = request_stream(&seed);
-            let reference = run_fleet_with(1, &[], &reqs, engine.clone());
+        let reqs = request_stream(&seed);
+        let reference = run_fleet(1, &[], &reqs);
+        for replicas in [2usize, 3] {
             for schedule in schedules(replicas) {
                 for plane in [None, Some(maint.clone())] {
                     let on = plane.is_some();
-                    let got = run_fleet_full(replicas, &schedule, &reqs, engine.clone(), plane);
+                    let got = run_fleet_full(replicas, &schedule, &reqs, plane);
                     prop_assert_eq!(
                         &got, &reference,
                         "fleet diverged (plane on={}, replicas={}, schedule={:?})",
@@ -698,7 +646,7 @@ fn same_bytes_cross_the_channel_whichever_core_pays() {
         serving_core_cycles: u64,
     }
     let run = |maint: Option<MaintenanceConfig>| {
-        let r = rig_full(2, EngineConfig::default(), maint);
+        let r = rig_full(2, maint);
         let ut = ThreadCtx::untrusted(&r.m, 1);
         // Identical pre-fence traffic: one write per connection.
         for conn in 0..N_CONNS as u64 {
@@ -773,7 +721,7 @@ fn delta_rounds_and_the_final_kill_ship_pinned_bytes() {
         hb_miss_threshold: 1000, // no detector kill: the schedule kills
         chunk_bytes: 4 << 10,
     };
-    let r = rig_full(2, EngineConfig::default(), Some(maint));
+    let r = rig_full(2, Some(maint));
     let ut = ThreadCtx::untrusted(&r.m, 1);
     let serve = |conn: u64, plain: &[u8]| -> Vec<u8> {
         let (s, _) = r.fk.map().route_replica(conn);
