@@ -352,6 +352,19 @@ fn pinned_workload(
     wb_batch: usize,
     access: Access,
 ) -> [u64; 6] {
+    let run = pinned_run(policy, wb_batch, access, |_, _, _| {});
+    run[..6].try_into().unwrap()
+}
+
+/// [`pinned_workload`] followed by `tail` (given the workload's 64-page
+/// region). Returns its six values plus `suvm_wb_rescues` and
+/// `suvm_wb_queue_peak`.
+fn pinned_run(
+    policy: crate::config::EvictPolicy,
+    wb_batch: usize,
+    access: Access,
+    tail: impl FnOnce(&Suvm, &mut ThreadCtx, Sva),
+) -> [u64; 8] {
     use crate::spointer::SPtr;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -385,6 +398,8 @@ fn pinned_workload(
     }
     drop(linked);
     s.check_consistency();
+    tail(&s, &mut t, a);
+    s.check_consistency();
     let st = m.stats.snapshot();
     let out = [
         t.now(),
@@ -393,9 +408,52 @@ fn pinned_workload(
         st.suvm_clean_skips,
         st.suvm_wb_pages,
         st.sealed_bytes,
+        st.suvm_wb_rescues,
+        st.suvm_wb_queue_peak,
     ];
     t.exit();
     out
+}
+
+/// Every other way a frame leaves EPC++, after the seeded workload
+/// over region `a`: a pin rescuing a parked frame (batched mode only),
+/// a quiesce, a `free` of a region holding resident dirty and clean
+/// pages, a balloon down and back up, and one swapper tick over a
+/// refilled cache.
+fn release_paths_tail(s: &Suvm, t: &mut ThreadCtx, a: Sva) {
+    let batched = s.cfg.wb_batch > 0;
+    for page in 0..64u64 {
+        if s.writeback_queue_len() > 0 {
+            break;
+        }
+        s.write(t, a + page * 4096, &[0xa5; 64]);
+    }
+    let parked = s.wb.lock().back().map(|&(_, page)| page);
+    assert_eq!(parked.is_some(), batched, "a dirty victim is parked");
+    if let Some(page) = parked {
+        let rescues = s.machine.stats.snapshot().suvm_wb_rescues;
+        s.read(t, page * 4096, &mut [0u8; 8]);
+        assert_eq!(s.machine.stats.snapshot().suvm_wb_rescues, rescues + 1);
+    }
+    let b = s.malloc(8 * 4096);
+    s.write(t, b, &[7u8; 8 * 4096]);
+    assert!(s.quiesce(t) >= 8);
+    for page in 0..8u64 {
+        if page < 4 {
+            s.read(t, b + page * 4096, &mut [0u8; 8]);
+        } else {
+            s.write(t, b + page * 4096, &[8u8; 64]);
+        }
+    }
+    let resident = s.resident_pages();
+    s.free(b);
+    assert_eq!(s.resident_pages(), resident - 8, "free decommits b");
+    s.resize(t, 4);
+    s.resize(t, 16);
+    for page in 0..20u64 {
+        s.write(t, a + page * 4096, &[0x5a; 64]);
+    }
+    s.swapper_tick(t);
 }
 
 /// The unit-speed guard for the paging layer: the constants of the
@@ -420,6 +478,21 @@ fn paging_cycles_are_pinned() {
     assert_eq!(
         pinned_workload(EvictPolicy::Clock, 0, Access::Adaptive),
         [2_271_696, 97, 81, 11, 0, 799_744]
+    );
+    // Pinned at `6da10e1`, before the eviction layer's release paths
+    // were folded into one: the FIFO hand under batched write-back, and
+    // every other way a frame leaves EPC++ under both write-back modes.
+    assert_eq!(
+        pinned_run(EvictPolicy::Fifo, 8, Access::Cached, |_, _, _| {}),
+        [3_905_646, 336, 334, 116, 218, 2_007_040, 18, 18]
+    );
+    assert_eq!(
+        pinned_run(EvictPolicy::Clock, 0, Access::Cached, release_paths_tail),
+        [5_015_277, 408, 386, 95, 16, 2_568_192, 0, 16]
+    );
+    assert_eq!(
+        pinned_run(EvictPolicy::Clock, 8, Access::Cached, release_paths_tail),
+        [4_258_386, 373, 353, 120, 233, 2_187_264, 24, 18]
     );
 }
 
