@@ -45,7 +45,7 @@
 //!   between fences, so a failover carries the whole store
 //!   (`base = 0`), to the heir alone;
 //! - with it, the same functions run on threads entered on the
-//!   maintenance core (the SUVM swapper worker's shape), driven by
+//!   maintenance core (the shape of a SUVM swapper tick), driven by
 //!   [`FleetKvs::maintenance_tick`] — which also runs what only exists
 //!   off the serving path: a **failure detector** over per-replica
 //!   heartbeats that calls kill/respawn itself, the replicas' engine
@@ -578,8 +578,8 @@ impl FleetKvs {
     /// Runs `work` — replica `r`'s share of replica-state byte-work —
     /// on the core this fleet bills such work to, and returns its
     /// result with the cycles it cost: a thread entered on the
-    /// maintenance core for the duration (the SUVM swapper worker's
-    /// shape) with the plane; without it `own`, the replica's serving
+    /// maintenance core for the duration (the shape of a SUVM swapper
+    /// tick) with the plane; without it `own`, the replica's serving
     /// thread, where every cycle is a serving-path stall
     /// (`maint_stall_cycles`). Which [`ThreadCtx`] the work gets is the
     /// whole difference between the two modes.
@@ -900,9 +900,9 @@ impl FleetKvs {
     }
 
     /// One pass of the background maintenance plane, run on the
-    /// maintenance core (directly by deterministic tests/benches, or
-    /// from a [`MaintenanceCtx`](crate::maintenance::MaintenanceCtx)
-    /// worker thread):
+    /// maintenance core by whoever paces it (the serving bench between
+    /// rounds, the fleet tests at chosen points, a thread of its own in
+    /// the concurrency test):
     ///
     /// 1. the failure detector compares heartbeats against the last
     ///    tick and fails over ([`Self::kill`]) replicas that missed

@@ -32,7 +32,6 @@ pub mod index;
 pub mod io;
 pub mod kvs;
 pub mod loadgen;
-pub mod maintenance;
 pub mod param_server;
 pub mod slab;
 pub mod space;

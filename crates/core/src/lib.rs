@@ -10,16 +10,16 @@
 //!
 //! - [`Suvm`] — the runtime: [`Suvm::malloc`]/[`Suvm::free`], bulk
 //!   `memcpy`/`memset`/`memcmp`, the in-enclave fault path, a
-//!   user-selectable eviction policy ([`suvm::policy`]) over one sealed
-//!   buddy-allocated backing store with clean-page write-back elision,
-//!   optional batched asynchronous write-back, direct sub-page access
-//!   to the backing store (§3.2.4) chosen per access ([`Access`]), and
-//!   the pinned record cursor ([`SpanCursor`]) that translates once
-//!   per page;
+//!   user-selectable eviction policy ([`EvictPolicy`]: one CLOCK hand,
+//!   with or without the second chance) over one sealed buddy-allocated
+//!   backing store with clean-page write-back elision, optional batched
+//!   asynchronous write-back, direct sub-page access to the backing
+//!   store (§3.2.4) chosen per access ([`Access`]), the pinned record
+//!   cursor ([`SpanCursor`]) that translates once per page, and the
+//!   periodic free-pool/ballooning pass the untrusted runtime calls
+//!   ([`Suvm::swapper_tick`], §3.3);
 //! - [`spointer::SPtr`] — secure active pointers with software address
 //!   translation cached per page (§3.2.2);
-//! - [`swapper::Swapper`] — the periodic free-pool/ballooning thread
-//!   (§3.3);
 //! - [`shared::SharedRegion`] — inter-enclave shared secure memory
 //!   under its own key domain (the paper's §8 sketch);
 //! - [`snapshot::Snapshot`] — sealed, authenticated state transfer;
@@ -54,7 +54,6 @@ pub mod shared;
 pub mod snapshot;
 pub mod spointer;
 pub mod suvm;
-pub mod swapper;
 pub mod table;
 
 pub use config::{EvictPolicy, SuvmConfig};
@@ -62,4 +61,3 @@ pub use snapshot::{Snapshot, SnapshotBuilder, SnapshotError};
 pub use spointer::{Plain, SPtr};
 pub use suvm::span::{Access, SpanCursor};
 pub use suvm::{Suvm, Sva};
-pub use swapper::Swapper;

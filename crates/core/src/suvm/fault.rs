@@ -54,7 +54,7 @@ impl Suvm {
                 meta.page.store(page, Ordering::Release);
                 meta.pinned.store(1, Ordering::Release);
                 meta.dirty.store(false, Ordering::Release);
-                self.policy.on_insert(frame);
+                self.hand.touch(frame);
                 b.push((page, frame));
                 true
             });
@@ -107,7 +107,7 @@ impl Suvm {
                     Stats::bump(&self.machine.stats.suvm_wb_rescues);
                 }
                 Stats::bump(&self.machine.stats.suvm_hits);
-                self.policy.on_access(frame);
+                self.hand.touch(frame);
                 frame
             })
         })
@@ -170,13 +170,12 @@ impl Suvm {
         self.scan_victims(false, |frame, page| self.try_evict_frame(ctx, frame, page))
     }
 
-    /// The bounded victim scan of [`EvictionPolicy`]'s contract: asks
-    /// the policy for up to `2n + 1` candidates, skips pinned and empty
-    /// frames (and, with `skip_queued`, frames already parked on the
-    /// write-back queue), honors the second chance on the first lap
-    /// only — a full fruitless revolution must still evict — and hands
-    /// each surviving `(frame, page)` to `take` until it returns `true`.
-    /// Returns whether `take` ended the scan.
+    /// The bounded victim scan: advances the hand up to `2n + 1` times,
+    /// skips pinned and empty frames (and, with `skip_queued`, frames
+    /// already parked on the write-back queue), honors CLOCK's second
+    /// chance on the first lap only — a full fruitless revolution must
+    /// still evict — and hands each surviving `(frame, page)` to `take`
+    /// until it returns `true`. Returns whether `take` ended the scan.
     pub(super) fn scan_victims(
         &self,
         skip_queued: bool,
@@ -184,7 +183,7 @@ impl Suvm {
     ) -> bool {
         let n = self.frames.len();
         for step in 0..2 * n + 1 {
-            let idx = self.policy.next_candidate(step, n);
+            let idx = self.hand.advance();
             let meta = &self.frames[idx];
             if meta.pinned.load(Ordering::Acquire) > 0
                 || (skip_queued && meta.queued.load(Ordering::Acquire))
@@ -195,7 +194,7 @@ impl Suvm {
             if page == NO_PAGE {
                 continue;
             }
-            if step < n && self.policy.second_chance(idx as u32) {
+            if step < n && self.hand.spare(idx as u32) {
                 continue;
             }
             if take(idx as u32, page) {
@@ -238,31 +237,10 @@ impl Suvm {
         if !unmapped {
             return false;
         }
-        meta.dirty.store(false, Ordering::Release);
-        if seal {
-            // Inline eviction is a batch of one: every seal op pays the
-            // full setup.
-            let lens = self.seal_page_raw(ctx, page, frame);
-            ctx.charge_crypto_batch(lens, false);
-        } else {
-            // Clean page with a valid sealed copy: discard without the
-            // write-back (§3.2.4). SGX's EWB cannot do this.
-            Stats::bump(&self.machine.stats.suvm_clean_skips);
-            self.local.clean_skips.fetch_add(1, Ordering::Relaxed);
-        }
-        meta.page.store(NO_PAGE, Ordering::Release);
-        meta.queued.store(false, Ordering::Release);
-        self.policy.on_remove(frame);
-        self.push_free(frame);
-        Stats::bump(&self.machine.stats.suvm_evictions);
-        self.local.evictions.fetch_add(1, Ordering::Relaxed);
-        self.machine.trace.record(
-            ctx.now(),
-            eleos_sim::trace::Event::SuvmEvict {
-                page,
-                clean_skip: !seal,
-            },
-        );
+        // Inline eviction is a batch of one: every seal op pays the
+        // full setup.
+        let lens = self.retire(ctx, frame, page, seal);
+        ctx.charge_crypto_batch(lens, false);
         true
     }
 

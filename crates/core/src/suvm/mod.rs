@@ -36,7 +36,7 @@ use eleos_sim::stats::Stats;
 use crate::config::SuvmConfig;
 use crate::table::{InversePt, SealState, NO_PAGE};
 
-use self::policy::EvictionPolicy;
+use self::policy::ClockHand;
 use self::store::SealedBuddyStore;
 
 /// Per-EPC++-frame metadata.
@@ -69,8 +69,8 @@ pub struct Suvm {
     /// Ballooning limit: only frames `0..limit` are usable (§3.3).
     limit: AtomicUsize,
     pt: InversePt,
-    /// Victim selection (trait object; see [`policy`]).
-    policy: Box<dyn EvictionPolicy>,
+    /// Victim selection under [`SuvmConfig::policy`].
+    hand: ClockHand,
     /// Sealed page images + crypto table (see [`store`]).
     store: SealedBuddyStore,
     /// Detached-but-not-yet-sealed victims awaiting a batched drain
@@ -146,7 +146,7 @@ impl Suvm {
         key[4..12].copy_from_slice(b"suvm-key");
         Arc::new(Self {
             pt: InversePt::new(n * 2),
-            policy: policy::build_policy(cfg.policy, n),
+            hand: ClockHand::new(cfg.policy, n),
             store: SealedBuddyStore::new(&machine, cfg.backing_bytes, cfg.page_size),
             wb: Mutex::new(VecDeque::new()),
             free: Mutex::new((0..n as u32).rev().collect()),
@@ -255,14 +255,9 @@ impl Suvm {
             self.pt.with_bucket(page, |b| {
                 if let Some(idx) = b.iter().position(|(p, _)| *p == page) {
                     let frame = b[idx].1;
-                    let meta = &self.frames[frame as usize];
-                    if meta.pinned.load(Ordering::Acquire) == 0 {
+                    if self.frames[frame as usize].pinned.load(Ordering::Acquire) == 0 {
                         b.swap_remove(idx);
-                        meta.page.store(NO_PAGE, Ordering::Release);
-                        meta.dirty.store(false, Ordering::Release);
-                        meta.queued.store(false, Ordering::Release);
-                        self.policy.on_remove(frame);
-                        self.push_free(frame);
+                        self.vacate(frame);
                     }
                 }
             });
@@ -366,7 +361,7 @@ mod balloon;
 mod bulk;
 mod direct;
 mod fault;
-pub mod policy;
+mod policy;
 pub mod span;
 mod store;
 mod writeback;

@@ -1,4 +1,6 @@
-//! Batched asynchronous write-back (the `wb_batch > 0` fault path).
+//! How a frame leaves EPC++ — the one release path, [`Suvm::vacate`],
+//! [`Suvm::retire`] and [`Suvm::park`] (`docs/suvm-paging.md` maps its
+//! callers) — and batched asynchronous write-back (`wb_batch > 0`).
 //!
 //! Inline eviction pays the full seal on the serving core, on every
 //! fault that needs a frame. In batched mode the fault path only
@@ -28,6 +30,50 @@
 use super::*;
 
 impl Suvm {
+    /// Returns an unmapped `frame` to the pool: no page, no flags, no
+    /// reference bit, on the free list.
+    pub(super) fn vacate(&self, frame: u32) {
+        let meta = &self.frames[frame as usize];
+        meta.page.store(NO_PAGE, Ordering::Release);
+        meta.dirty.store(false, Ordering::Release);
+        meta.queued.store(false, Ordering::Release);
+        self.hand.forget(frame);
+        self.push_free(frame);
+    }
+
+    /// Finishes the eviction of `page` from `frame` once a claim has
+    /// unmapped it: seals it out (`seal`, the claim having begun the
+    /// seal write) or drops it clean, vacates the frame and counts the
+    /// eviction. Returns the seal lengths for the caller to charge.
+    pub(super) fn retire(
+        &self,
+        ctx: &mut ThreadCtx,
+        frame: u32,
+        page: u64,
+        seal: bool,
+    ) -> Vec<usize> {
+        let lens = if seal {
+            self.seal_page_raw(ctx, page, frame)
+        } else {
+            // Clean page with a valid sealed copy: discard without the
+            // write-back (§3.2.4). SGX's EWB cannot do this.
+            Stats::bump(&self.machine.stats.suvm_clean_skips);
+            self.local.clean_skips.fetch_add(1, Ordering::Relaxed);
+            Vec::new()
+        };
+        self.vacate(frame);
+        Stats::bump(&self.machine.stats.suvm_evictions);
+        self.local.evictions.fetch_add(1, Ordering::Relaxed);
+        self.machine.trace.record(
+            ctx.now(),
+            eleos_sim::trace::Event::SuvmEvict {
+                page,
+                clean_skip: !seal,
+            },
+        );
+        lens
+    }
+
     /// Scans for up to `max` victims on the fault path, freeing clean
     /// ones immediately and parking dirty ones on the write-back
     /// queue. Returns `(freed, queued)`.
@@ -35,54 +81,44 @@ impl Suvm {
         debug_assert!(max > 0, "a detach pass takes at least one victim");
         let (mut freed, mut queued) = (0usize, 0usize);
         self.scan_victims(true, |frame, page| {
-            match self.detach_frame(ctx, frame, page) {
-                Detached::Freed => freed += 1,
-                Detached::Queued => queued += 1,
-                Detached::Lost => {}
+            // Clean pages short-circuit: same unmap-and-discard as
+            // inline eviction, no queue round-trip.
+            let clean = !self.frames[frame as usize].dirty.load(Ordering::Acquire)
+                && self.cfg.clean_skip
+                && self.store.seals.has_copy(page);
+            if clean {
+                freed += usize::from(self.try_evict_frame(ctx, frame, page));
+            } else {
+                queued += usize::from(self.park(frame, page));
             }
             freed + queued >= max
         });
         (freed, queued)
     }
 
-    /// Detaches one victim: frees it when clean (with a sealed copy),
-    /// otherwise parks it on the write-back queue.
-    fn detach_frame(&self, ctx: &mut ThreadCtx, frame: u32, page: u64) -> Detached {
+    /// Parks dirty `frame` on the write-back queue, still holding
+    /// `page`: a reader hitting the page before the drain rescues it
+    /// instead of re-faulting. Returns `false`, parking nothing, when
+    /// the mapping changed, the frame is pinned or it is parked
+    /// already. The flag flips under the bucket lock, so a concurrent
+    /// rescue cannot race it.
+    fn park(&self, frame: u32, page: u64) -> bool {
         let meta = &self.frames[frame as usize];
-        // Clean pages short-circuit: same unmap-and-discard as inline
-        // eviction, no queue round-trip.
-        let clean = !meta.dirty.load(Ordering::Acquire)
-            && self.cfg.clean_skip
-            && self.store.seals.has_copy(page);
-        if clean {
-            return if self.try_evict_frame(ctx, frame, page) {
-                Detached::Freed
-            } else {
-                Detached::Lost
-            };
-        }
         let parked = self.pt.with_bucket(page, |b| {
-            if !b.iter().any(|(p, f)| *p == page && *f == frame) {
-                return false;
-            }
-            if meta.pinned.load(Ordering::Acquire) > 0 {
-                return false;
-            }
-            // Still mapped: a reader hitting the page before the drain
-            // rescues it instead of re-faulting.
-            !meta.queued.swap(true, Ordering::AcqRel)
+            b.iter().any(|(p, f)| *p == page && *f == frame)
+                && meta.pinned.load(Ordering::Acquire) == 0
+                && !meta.queued.swap(true, Ordering::AcqRel)
         });
-        if !parked {
-            return Detached::Lost;
+        if parked {
+            let depth = {
+                let mut wb = self.wb.lock();
+                wb.push_back((frame, page));
+                wb.len() as u64
+            };
+            Stats::bump(&self.machine.stats.suvm_wb_queued);
+            Stats::peak(&self.machine.stats.suvm_wb_queue_peak, depth);
         }
-        let depth = {
-            let mut wb = self.wb.lock();
-            wb.push_back((frame, page));
-            wb.len() as u64
-        };
-        Stats::bump(&self.machine.stats.suvm_wb_queued);
-        Stats::peak(&self.machine.stats.suvm_wb_queue_peak, depth);
-        Detached::Queued
+        parked
     }
 
     /// Drains up to `max` queued victims in one batch, sealing each
@@ -129,29 +165,13 @@ impl Suvm {
                 b.swap_remove(idx);
                 true
             });
-            if !claimed {
-                continue;
+            if claimed {
+                seal_lens.extend(self.retire(ctx, frame, page, true));
+                sealed += 1;
             }
-            meta.dirty.store(false, Ordering::Release);
-            seal_lens.extend(self.seal_page_raw(ctx, page, frame));
-            meta.page.store(NO_PAGE, Ordering::Release);
-            self.policy.on_remove(frame);
-            self.push_free(frame);
-            sealed += 1;
-            Stats::bump(&self.machine.stats.suvm_evictions);
-            self.local.evictions.fetch_add(1, Ordering::Relaxed);
-            self.machine.trace.record(
-                ctx.now(),
-                eleos_sim::trace::Event::SuvmEvict {
-                    page,
-                    clean_skip: false,
-                },
-            );
         }
-        // One amortized charge for the whole drain, through the same
-        // `ThreadCtx::charge_crypto_batch` contract the wire pipeline
-        // uses: the batch leader pays the full setup, follow-ons a
-        // quarter.
+        // One amortized charge for the whole drain: the batch leader
+        // pays the full setup, follow-ons a quarter.
         ctx.charge_crypto_batch(seal_lens, true);
         if sealed > 0 {
             Stats::bump(&self.machine.stats.suvm_wb_batches);
@@ -183,21 +203,7 @@ impl Suvm {
                 0,
                 "quiesce at a fence found a pinned dirty frame {frame} (page {page})"
             );
-            // Same hint protocol as the detach path: park under the
-            // bucket lock so a concurrent rescue cannot race the flag.
-            let parked = self.pt.with_bucket(page, |b| {
-                b.iter().any(|(p, f)| *p == page && *f == frame)
-                    && !meta.queued.swap(true, Ordering::AcqRel)
-            });
-            if parked {
-                let depth = {
-                    let mut wb = self.wb.lock();
-                    wb.push_back((frame, page));
-                    wb.len() as u64
-                };
-                Stats::bump(&self.machine.stats.suvm_wb_queued);
-                Stats::peak(&self.machine.stats.suvm_wb_queue_peak, depth);
-            }
+            self.park(frame, page);
         }
         let mut sealed = 0;
         loop {
@@ -208,14 +214,4 @@ impl Suvm {
             sealed += self.drain_writeback(ctx, depth);
         }
     }
-}
-
-/// Outcome of [`Suvm::detach_frame`].
-enum Detached {
-    /// Clean victim, unmapped and freed immediately.
-    Freed,
-    /// Dirty victim parked on the write-back queue.
-    Queued,
-    /// The frame was pinned/remapped concurrently; nothing happened.
-    Lost,
 }

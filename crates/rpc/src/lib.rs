@@ -690,23 +690,9 @@ impl RpcService {
             } else {
                 costs.rpc_post
             };
-            // Split the borrow: `post` needs `&self`, the full-ring
-            // callback drains completions owned by the batch.
-            let pending = &mut batch.pending;
-            let results = &mut batch.results;
-            let worker_cycles = &mut batch.worker_cycles;
+            // A full ring drains the batch's own completions.
             let fut = self.post(ctx, func_id, args, charge, |ctx| {
-                let mut i = 0;
-                while i < pending.len() {
-                    if pending[i].1.is_done() {
-                        let (done_idx, mut fut) = pending.swap_remove(i);
-                        let (ret, cycles) = fut.reap(ctx);
-                        results[done_idx] = Some(ret);
-                        *worker_cycles += cycles;
-                    } else {
-                        i += 1;
-                    }
-                }
+                batch.reap_ready(ctx);
             });
             batch.pending.push((idx, fut));
         }

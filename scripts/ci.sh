@@ -76,6 +76,15 @@ if grep -rnE 'SegmentEngine|SegmentConfig|EngineConfig|StorageEngine|build_engin
     echo "a deleted storage-engine name is back (see above)"
     exit 1
 fi
+# SUVM has one victim hand (no policy trait or policy objects) and no
+# pacemaker threads: the swapper is `Suvm::swapper_tick` and the
+# maintenance plane `FleetKvs::maintenance_tick`, each driven by its
+# caller.
+if grep -rnE 'EvictionPolicy|ClockPolicy|FifoPolicy|build_policy|\bSwapper\b|MaintenanceCtx|swapper::|apps::maintenance' \
+        crates/*/src src examples tests ; then
+    echo "a deleted eviction-policy / pacemaker-thread name is back (see above)"
+    exit 1
+fi
 # PR 23 brought the first `unsafe` into the tree: the hardware AES /
 # CLMUL kernels. It lives in one module; seven crates `forbid` it, and
 # this keeps it out of tests and examples too (`-w`: the lint names

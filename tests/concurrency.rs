@@ -1,14 +1,52 @@
 //! Concurrency stress across the stack: application threads, the
-//! background swapper, driver pressure from a second enclave, and the
-//! exit-less RPC pool, all at once.
+//! SUVM swapper and the fleet maintenance plane ticking on threads of
+//! their own, driver pressure from a second enclave, and the exit-less
+//! RPC pool, all at once. Everything else drives `Suvm::swapper_tick`
+//! and `FleetKvs::maintenance_tick` at chosen points; these tests are
+//! the only threaded drivers.
 
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
+use eleos::apps::fleet_io::{FleetConfig, FleetKvs, MaintenanceConfig};
+use eleos::apps::io::{IoPath, ServerIoConfig};
+use eleos::apps::kvs::{build_get, build_set};
+use eleos::apps::wire::Session;
+use eleos::crypto::gcm::AesGcm128;
+use eleos::crypto::Sealer;
 use eleos::enclave::machine::{MachineConfig, SgxMachine};
 use eleos::enclave::thread::ThreadCtx;
-use eleos::rpc::{RpcService, UntrustedFn};
-use eleos::suvm::{Suvm, SuvmConfig, Swapper};
+use eleos::rpc::{with_syscalls, RpcService, UntrustedFn};
+use eleos::suvm::{Suvm, SuvmConfig};
+
+/// A plain thread running `tick` about once a millisecond until
+/// [`Ticker::stop`].
+struct Ticker {
+    stop: Arc<AtomicBool>,
+    thread: JoinHandle<()>,
+}
+
+impl Ticker {
+    fn spawn(mut tick: impl FnMut() + Send + 'static) -> Self {
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = Arc::clone(&stop);
+        let thread = std::thread::spawn(move || {
+            while !stopped.load(Ordering::Acquire) {
+                tick();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        Self { stop, thread }
+    }
+
+    fn stop(self) {
+        self.stop.store(true, Ordering::Release);
+        self.thread.join().expect("ticker thread");
+    }
+}
 
 #[test]
 fn suvm_under_full_pressure() {
@@ -46,7 +84,12 @@ fn suvm_under_full_pressure() {
             t.exit();
         })
     };
-    let swapper = Swapper::spawn(&m, &suvm, 6, Duration::from_millis(1));
+    // The untrusted runtime's periodic swapper call (§3.3), on core 6.
+    let swapper = {
+        let s = Arc::clone(&suvm);
+        let mut t = ThreadCtx::for_enclave(&m, &e, 6);
+        Ticker::spawn(move || t.ecall(|t| s.swapper_tick(t)))
+    };
 
     let region = suvm.malloc(16 << 20);
     let mut handles = Vec::new();
@@ -185,4 +228,83 @@ fn ballooning_between_two_live_suvm_enclaves() {
     for h in handles {
         h.join().expect("enclave thread");
     }
+}
+
+#[test]
+fn fleet_serves_while_maintenance_ticks_on_another_thread() {
+    // Two replicas, each owning one of two sockets, served from this
+    // thread while a second thread runs the maintenance plane's delta
+    // rounds against them.
+    let m = SgxMachine::new(MachineConfig::tiny());
+    let ut = ThreadCtx::untrusted(&m, 1);
+    let fds: Vec<_> = (0..2).map(|_| m.host.socket(&ut, 256 << 10)).collect();
+    let svc = with_syscalls(RpcService::builder(&m), &m)
+        .workers(2, &[2, 3])
+        .build();
+    let wire = Arc::new(Session::established([9u8; 16]));
+    let sealer: Arc<dyn Sealer> = Arc::new(AesGcm128::new(&[0x44u8; 16]));
+    let maint = MaintenanceConfig {
+        // The serving loop's pace is this thread's, not the ticker's:
+        // no replica is failed over for being slower than it.
+        hb_miss_threshold: u64::MAX,
+        ..MaintenanceConfig::default()
+    };
+    let fk = Arc::new(FleetKvs::new(
+        &m,
+        &fds,
+        ServerIoConfig::with_buf_len(16 << 10).batch(4).shards(2),
+        IoPath::Rpc(Arc::new(svc)),
+        Arc::clone(&wire),
+        sealer,
+        FleetConfig::small(2).with_maintenance(maint),
+        |ctx, kvs| {
+            kvs.set(ctx, b"seed", b"v");
+        },
+    ));
+    let maintenance = {
+        let fk = Arc::clone(&fk);
+        Ticker::spawn(move || {
+            fk.maintenance_tick();
+        })
+    };
+    const CONNS: u64 = 8;
+    // At least 32 rounds, and on until a delta round has landed.
+    for round in 0u32.. {
+        if round >= 32 && m.stats.snapshot().maint_chunks > 0 {
+            break;
+        }
+        assert!(round < 100_000, "no delta round ever ran");
+        // Per connection, a SET of its own key and a GET of it: per
+        // shard, the replies come back in push order.
+        let mut expect: Vec<VecDeque<Vec<u8>>> = vec![VecDeque::new(); fds.len()];
+        for conn in 0..CONNS {
+            let (s, _) = fk.map().route_replica(conn);
+            let key = format!("own-{conn}");
+            let value = [round as u8; 24];
+            for req in [build_set(key.as_bytes(), &value), build_get(key.as_bytes())] {
+                m.host.push_request(&ut, fds[s], &wire.encrypt(&req));
+            }
+            expect[s].push_back(vec![1]);
+            let mut hit = vec![1];
+            hit.extend_from_slice(&24u32.to_le_bytes());
+            hit.extend_from_slice(&value);
+            expect[s].push_back(hit);
+        }
+        let mut done = 0;
+        while done < 2 * CONNS as usize {
+            let got = fk.pump();
+            assert!(got > 0, "queued requests must be served");
+            done += got;
+        }
+        fk.flush();
+        for (s, want) in expect.iter_mut().enumerate() {
+            while let Some(resp) = m.host.pop_response(fds[s]) {
+                let want = want.pop_front().expect("no surplus reply");
+                assert_eq!(wire.decrypt(&resp), want, "round {round} shard {s}");
+            }
+            assert!(want.is_empty(), "round {round} lost a reply on shard {s}");
+        }
+    }
+    maintenance.stop();
+    assert!(m.stats.snapshot().maint_chunks > 0);
 }
