@@ -3,11 +3,10 @@
 //!
 //! PR 6 sharded serving *within* one enclave: one reap→decrypt→serve→
 //! seal→send pipeline per socket, connections pinned to shards. This
-//! module lifts the same structure one level: a [`FleetKvs`] owns a
-//! [`Fleet`] of N enclave replicas, and the
-//! [`ShardMap`] router gains a third hop — connection → shard →
-//! **owning replica**. Each replica runs the full pipeline over only
-//! its owned slice of the shared socket set
+//! module lifts the same structure one level: a [`FleetKvs`] owns N
+//! enclave replicas, and the [`ShardMap`] router gains a third hop —
+//! connection → shard → **owning replica**. Each replica runs the full
+//! pipeline over only its owned slice of the shared socket set
 //! ([`ServerIo::recv_batch_on`]), so per-connection FIFO order is a
 //! per-shard property exactly as before, just with shards partitioned
 //! across enclaves instead of merged into one.
@@ -75,7 +74,7 @@
 //! enclave (new sealing identity — which is why snapshots are sealed
 //! under the shared fleet key). The current owner of the slot's
 //! original shards donates its whole store; the cold replica merges
-//! it, is marked serving, and takes its shard slice back; a refused
+//! it, takes its slot, and takes its shard slice back; a refused
 //! donation tears the half-provisioned enclave down again. The owner —
 //! not an arbitrary survivor — donates because its store is the one
 //! that has been serving those connections.
@@ -97,7 +96,7 @@ use std::sync::{Arc, Mutex};
 
 use eleos_core::{Snapshot, SnapshotError, Suvm, SuvmConfig};
 use eleos_crypto::Sealer;
-use eleos_enclave::fleet::{Fleet, ReplicaState};
+use eleos_enclave::enclave::Enclave;
 use eleos_enclave::host::Fd;
 use eleos_enclave::machine::SgxMachine;
 use eleos_enclave::thread::ThreadCtx;
@@ -323,7 +322,7 @@ pub struct RejoinReport {
     pub cycles: u64,
 }
 
-/// One live replica's serving state: its enclave-entered thread, its
+/// One live replica: its thread, which owns the replica's enclave, its
 /// pipelines over the shared socket set, and its store.
 struct Replica {
     ctx: ThreadCtx,
@@ -332,10 +331,13 @@ struct Replica {
     suvm: Option<Arc<Suvm>>,
 }
 
+/// A live replica as its slot holds it, with a lock of its own: a serving
+/// round parked in a receive never blocks a read of the live set.
+type Live = Arc<parking_lot::Mutex<Replica>>;
+
 /// A KVS served by a fleet of enclave replicas (see the module docs).
 pub struct FleetKvs {
     machine: Arc<SgxMachine>,
-    fleet: Fleet,
     map: Arc<ShardMap>,
     chan: Arc<EnclaveChannel>,
     sealer: Arc<dyn Sealer>,
@@ -344,8 +346,9 @@ pub struct FleetKvs {
     path: IoPath,
     session: Arc<Session>,
     fds: Vec<Fd>,
-    /// One slot per replica index; `None` while Cold/Dead.
-    slots: Vec<Mutex<Option<Replica>>>,
+    /// One slot per replica index: a replica is live exactly while its
+    /// slot holds it (`new`, `kill` and `respawn` fill and empty slots).
+    slots: Vec<Mutex<Option<Live>>>,
     /// Transfer epoch: bumped by every state transfer and carried,
     /// authenticated, inside the snapshot it stamps.
     epoch: AtomicU64,
@@ -376,7 +379,9 @@ impl FleetKvs {
         mut seed: impl FnMut(&mut ThreadCtx, &mut Kvs),
     ) -> Self {
         assert!(cfg.replicas > 0, "a fleet needs at least one replica");
-        let fleet = Fleet::new(machine, cfg.replicas, cfg.linear_bytes);
+        let enclaves: Vec<Arc<Enclave>> = (0..cfg.replicas)
+            .map(|_| machine.driver.create_enclave(machine, cfg.linear_bytes))
+            .collect();
         let map = ShardMap::with_replicas(fds.len(), cfg.replicas);
         let chan = EnclaveChannel::new(machine, cfg.channel_cap);
         let maint = cfg
@@ -385,7 +390,6 @@ impl FleetKvs {
             .map(|m| MaintPlane::new(m, cfg.replicas));
         let this = Self {
             machine: Arc::clone(machine),
-            fleet,
             map,
             chan,
             sealer,
@@ -399,15 +403,14 @@ impl FleetKvs {
             maint,
         };
         let mut slots = Vec::with_capacity(this.cfg.replicas);
-        for r in 0..this.cfg.replicas {
-            let mut rep = this.wire_replica(r);
+        for (r, enclave) in enclaves.iter().enumerate() {
+            let mut rep = this.wire_replica(r, enclave);
             seed(&mut rep.ctx, &mut rep.kvs);
             // Seed items carry stamp 0 (identical in every replica);
             // serving-interval writes start at 1 so the versioned
             // restore merge can tell them apart.
             rep.kvs.set_write_version(1);
-            this.fleet.mark_serving(r);
-            slots.push(Mutex::new(Some(rep)));
+            slots.push(Mutex::new(Some(Arc::new(parking_lot::Mutex::new(rep)))));
         }
         Self { slots, ..this }
     }
@@ -417,24 +420,38 @@ impl FleetKvs {
         self.cfg.cores[r % self.cfg.cores.len()]
     }
 
-    /// Replica `r`'s slot, locked.
-    fn slot(&self, r: usize) -> std::sync::MutexGuard<'_, Option<Replica>> {
+    /// Replica `r`'s slot, locked only to read, fill or empty it.
+    fn slot(&self, r: usize) -> std::sync::MutexGuard<'_, Option<Live>> {
         self.slots[r].lock().expect("fleet slot poisoned")
     }
 
-    /// Wires replica `r`'s runtime onto its (Restoring) enclave: an
-    /// entered thread on the replica's serving core, a store, and
-    /// pipelines over the full socket set.
-    fn wire_replica(&self, r: usize) -> Replica {
-        let enclave = self.fleet.enclave(r);
-        let mut ctx = ThreadCtx::for_enclave(&self.machine, &enclave, self.core_of(r));
+    /// Runs `f` on replica `r` under the replica's own lock; `None`
+    /// when `r` is dead.
+    fn with_replica<T>(&self, r: usize, f: impl FnOnce(&mut Replica) -> T) -> Option<T> {
+        let live = self.slot(r).clone()?;
+        let out = f(&mut live.lock());
+        Some(out)
+    }
+
+    /// The live replicas, in index order, read one slot at a time.
+    fn live(&self) -> Vec<usize> {
+        (0..self.slots.len())
+            .filter(|&r| self.slot(r).is_some())
+            .collect()
+    }
+
+    /// Wires replica `r`'s runtime onto `enclave`, a fresh one not yet
+    /// in a slot: an entered thread on the replica's serving core, a
+    /// store, and pipelines over the full socket set.
+    fn wire_replica(&self, r: usize, enclave: &Arc<Enclave>) -> Replica {
+        let mut ctx = ThreadCtx::for_enclave(&self.machine, enclave, self.core_of(r));
         ctx.enter();
         let (data, suvm) = match &self.cfg.suvm {
             Some(suvm_cfg) => {
                 let suvm = Suvm::new(&ctx, suvm_cfg.clone());
                 (DataSpace::suvm(&suvm), Some(suvm))
             }
-            None => (DataSpace::Enclave(Arc::clone(&enclave)), None),
+            None => (DataSpace::Enclave(Arc::clone(enclave)), None),
         };
         let meta = DataSpace::Untrusted(Arc::clone(&self.machine));
         let mut kvs = Kvs::new(meta, data, self.cfg.mem_limit, self.cfg.buckets);
@@ -456,12 +473,6 @@ impl FleetKvs {
     #[must_use]
     pub fn map(&self) -> &Arc<ShardMap> {
         &self.map
-    }
-
-    /// The underlying fleet (membership and lifecycle states).
-    #[must_use]
-    pub fn fleet(&self) -> &Fleet {
-        &self.fleet
     }
 
     /// The current transfer epoch.
@@ -493,33 +504,26 @@ impl FleetKvs {
     /// session is not in a rotatable state (never established, or
     /// revoked).
     pub fn rekey_wire(&self, initiator: usize) -> Result<u32, TransferRejected> {
-        assert_eq!(
-            self.fleet.state(initiator),
-            ReplicaState::Serving,
-            "rekey initiator {initiator} must be serving"
-        );
         let peers: Vec<usize> = self
-            .fleet
-            .serving()
+            .live()
             .into_iter()
             .filter(|&r| r != initiator)
             .collect();
-        let to = {
-            let mut slot = self.slot(initiator);
-            let rep = slot.as_mut().expect("serving replica must be wired");
-            self.session.finish_rekey();
-            self.session.begin_rekey(&mut rep.ctx);
-            let to = self.session.epoch();
-            for _ in &peers {
-                self.chan.send(&mut rep.ctx, MSG_REKEY, &to.to_le_bytes());
-            }
-            to
-        };
+        let to = self
+            .with_replica(initiator, |rep| {
+                self.session.finish_rekey();
+                self.session.begin_rekey(&mut rep.ctx);
+                let to = self.session.epoch();
+                for _ in &peers {
+                    self.chan.send(&mut rep.ctx, MSG_REKEY, &to.to_le_bytes());
+                }
+                to
+            })
+            .unwrap_or_else(|| panic!("rekey initiator {initiator} must be serving"));
         let mut heard = Ok(to);
         for &r in &peers {
-            let mut slot = self.slot(r);
-            let rep = slot.as_mut().expect("serving replica must be wired");
-            let refusal = match self.chan.recv(&mut rep.ctx) {
+            let heard_back = self.with_replica(r, |rep| self.chan.recv(&mut rep.ctx));
+            let refusal = match heard_back.flatten() {
                 Some((MSG_REKEY, eb)) => match <[u8; 4]>::try_from(eb) {
                     Ok(eb) if u32::from_le_bytes(eb) == to => continue,
                     Ok(_) => "not the epoch this fence announced",
@@ -547,45 +551,40 @@ impl FleetKvs {
     /// One serving round for replica `r` alone (0 when it is not
     /// serving or owns no shards).
     pub fn pump_replica(&self, r: usize) -> usize {
-        if self.fleet.state(r) != ReplicaState::Serving {
-            return 0;
-        }
-        // A pumped replica is a live replica: the heartbeat feeds the
-        // background failure detector (a mute replica stops bumping
-        // and gets failed over after `hb_miss_threshold` ticks).
-        if let Some(mp) = &self.maint {
-            mp.hb[r].fetch_add(1, Ordering::Relaxed);
-        }
-        let owned = self.map.shards_of(r);
-        if owned.is_empty() {
-            return 0;
-        }
-        let mut slot = self.slot(r);
-        let rep = slot.as_mut().expect("serving replica must be wired");
-        rep.kvs.handle_batch_on(&mut rep.ctx, &rep.io, &owned)
+        self.with_replica(r, |rep| {
+            // A pumped replica is a live replica: the heartbeat feeds the
+            // background failure detector (a mute replica stops bumping
+            // and gets failed over after `hb_miss_threshold` ticks).
+            if let Some(mp) = &self.maint {
+                mp.hb[r].fetch_add(1, Ordering::Relaxed);
+            }
+            let owned = self.map.shards_of(r);
+            if owned.is_empty() {
+                return 0;
+            }
+            rep.kvs.handle_batch_on(&mut rep.ctx, &rep.io, &owned)
+        })
+        .unwrap_or(0)
     }
 
     /// Flushes every serving replica's pending (double-buffered)
     /// sends — the end-of-run fence.
     pub fn flush(&self) {
-        for r in self.fleet.serving() {
-            if let Some(rep) = self.slot(r).as_mut() {
-                rep.io.flush(&mut rep.ctx);
-            }
+        for r in 0..self.slots.len() {
+            self.with_replica(r, |rep| rep.io.flush(&mut rep.ctx));
         }
     }
 
-    /// Runs `work` — replica `r`'s share of replica-state byte-work —
-    /// on the core this fleet bills such work to, and returns its
-    /// result with the cycles it cost: a thread entered on the
-    /// maintenance core for the duration (the shape of a SUVM swapper
-    /// tick) with the plane; without it `own`, the replica's serving
-    /// thread, where every cycle is a serving-path stall
+    /// Runs `work` — a replica's share of replica-state byte-work — on
+    /// the core this fleet bills such work to, and returns its result
+    /// with the cycles it cost: a thread entered in `own`'s enclave on
+    /// the maintenance core for the duration (the shape of a SUVM
+    /// swapper tick) with the plane; without it `own`, the replica's
+    /// serving thread, where every cycle is a serving-path stall
     /// (`maint_stall_cycles`). Which [`ThreadCtx`] the work gets is the
     /// whole difference between the two modes.
     fn on_work_core<T>(
         &self,
-        r: usize,
         own: &mut ThreadCtx,
         work: impl FnOnce(&mut ThreadCtx) -> T,
     ) -> (T, u64) {
@@ -598,7 +597,7 @@ impl FleetKvs {
         };
         let clock = &self.machine.core(mp.cfg.core).clock;
         let t0 = clock.now();
-        let mut ctx = ThreadCtx::for_enclave(&self.machine, &self.fleet.enclave(r), mp.cfg.core);
+        let mut ctx = ThreadCtx::for_enclave(&self.machine, enclave_of(own), mp.cfg.core);
         ctx.enter();
         let out = work(&mut ctx);
         ctx.exit();
@@ -611,15 +610,18 @@ impl FleetKvs {
     /// sends and quiesces its SUVM — kill and respawn transfer at a
     /// fence, delta rounds between them. Returns the epoch minted, the
     /// framed size of one copy and the cycles spent.
+    ///
+    /// # Panics
+    /// Panics when `r` is dead: it has no state to send.
     fn send_state(&self, r: usize, base: u64, copies: usize, at_fence: bool) -> (u64, usize, u64) {
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let enclave_id = self.fleet.enclave(r).id;
         let chunk_bytes = self.cfg.maintenance.clone().unwrap_or_default().chunk_bytes;
-        let mut slot = self.slot(r);
-        let Replica {
-            ctx, io, kvs, suvm, ..
-        } = slot.as_mut().expect("serving replica must be wired");
-        let (len, cycles) = self.on_work_core(r, ctx, |ctx| {
+        let Some(live) = self.slot(r).clone() else {
+            panic!("replica {r} is not serving");
+        };
+        let Replica { ctx, io, kvs, suvm } = &mut *live.lock();
+        let enclave_id = enclave_of(ctx).id;
+        let (len, cycles) = self.on_work_core(ctx, |ctx| {
             if at_fence {
                 io.flush(ctx);
                 if let Some(suvm) = suvm {
@@ -645,7 +647,7 @@ impl FleetKvs {
     }
 
     /// Receiver half of every state transfer: reaps one chunked copy
-    /// off the channel and merges it into `rep` (replica `q`'s store,
+    /// off the channel and merges it into `rep` (a replica's store,
     /// installed in its slot or — for a rejoiner — not yet). Returns
     /// the cycles spent.
     ///
@@ -654,9 +656,9 @@ impl FleetKvs {
     /// [`Self::send_state`] just sealed at `epoch` (a replay), or fails
     /// authentication is refused whole: counted in `frame_rejects`,
     /// store untouched. The copy is off the channel either way.
-    fn recv_state(&self, q: usize, rep: &mut Replica, epoch: u64) -> Result<u64, TransferRejected> {
+    fn recv_state(&self, rep: &mut Replica, epoch: u64) -> Result<u64, TransferRejected> {
         let Replica { ctx, kvs, .. } = rep;
-        let (merged, cycles) = self.on_work_core(q, ctx, |ctx| {
+        let (merged, cycles) = self.on_work_core(ctx, |ctx| {
             let (header, payload) =
                 self.chan
                     .recv_chunked(ctx, MSG_DELTA_BEGIN, MSG_DELTA_CHUNK)?;
@@ -690,12 +692,7 @@ impl FleetKvs {
     /// # Panics
     /// Panics when `victim` is not serving or no other replica is.
     pub fn kill(&self, victim: usize) -> Result<FailoverReport, TransferRejected> {
-        let serving = self.fleet.serving();
-        assert!(
-            serving.contains(&victim),
-            "kill target {victim} is not serving"
-        );
-        let mut recipients: Vec<usize> = serving.into_iter().filter(|&r| r != victim).collect();
+        let mut recipients: Vec<usize> = self.live().into_iter().filter(|&r| r != victim).collect();
         let heir = *recipients
             .first()
             .expect("failover needs a surviving replica");
@@ -718,14 +715,13 @@ impl FleetKvs {
         // is empty again whatever happens.
         let mut outcome = Ok(());
         for &q in &recipients {
-            let mut slot = self.slot(q);
-            let rep = slot.as_mut().expect("serving replica must be wired");
-            match self.recv_state(q, rep, epoch) {
-                Ok(spent) => {
+            match self.with_replica(q, |rep| self.recv_state(rep, epoch)) {
+                Some(Ok(spent)) => {
                     cycles += spent;
                     Stats::bump(&self.machine.stats.fleet_restores);
                 }
-                Err(refused) => outcome = Err(refused),
+                Some(Err(refused)) => outcome = Err(refused),
+                None => {}
             }
         }
         // Some recipients may hold the transfer even if one refused
@@ -734,13 +730,16 @@ impl FleetKvs {
         outcome?;
         // Only now — its state merged wherever it was sent, before the
         // heir's next reap of the acquired shards — does the victim
-        // die. Merge-then-own is the failover correctness invariant.
-        let mut rep = self
-            .slot(victim)
-            .take()
-            .expect("serving replica must be wired");
-        rep.ctx.exit();
-        self.fleet.kill(victim);
+        // die: its thread exits, then its enclave is destroyed.
+        // Merge-then-own is the failover correctness invariant.
+        let dead = self.slot(victim).take();
+        if let Some(live) = dead {
+            let mut rep = live.lock();
+            rep.ctx.exit();
+            self.machine
+                .driver
+                .destroy_enclave(&self.machine, enclave_of(&rep.ctx));
+        }
         Stats::bump(&self.machine.stats.fleet_failovers);
         let moved = self.map.shards_of(victim);
         for &s in &moved {
@@ -775,15 +774,14 @@ impl FleetKvs {
             .filter(|s| s % self.cfg.replicas == idx)
             .collect();
         let donor = class.first().map_or_else(
-            || *self.fleet.serving().first().expect("rejoin needs a donor"),
+            || *self.live().first().expect("rejoin needs a donor"),
             |&s| self.map.replica_of(s),
         );
-        assert_eq!(
-            self.fleet.state(donor),
-            ReplicaState::Serving,
-            "rejoin donor {donor} must be serving"
-        );
-        self.fleet.respawn(idx);
+        assert!(self.slot(idx).is_none(), "respawn target {idx} is serving");
+        // A fresh enclave (new id, new sealing identity), created before
+        // the donor seals: ids and allocation order feed the cycles.
+        let m = &self.machine;
+        let enclave = m.driver.create_enclave(m, self.cfg.linear_bytes);
         // The whole store (base 0): the donor holds all streamed state
         // plus its own unstreamed writes, so the rejoiner comes back
         // fully caught up.
@@ -791,19 +789,18 @@ impl FleetKvs {
         Stats::bump(&self.machine.stats.fleet_snapshots);
         let wire_clock = &self.machine.core(self.core_of(idx)).clock;
         let t0 = wire_clock.now();
-        let mut rep = self.wire_replica(idx);
+        let mut rep = self.wire_replica(idx, &enclave);
         let wire_cycles = wire_clock.now() - t0;
-        let recv_cycles = match self.recv_state(idx, &mut rep, epoch) {
+        let recv_cycles = match self.recv_state(&mut rep, epoch) {
             Ok(spent) => spent,
             Err(refused) => {
                 rep.ctx.exit();
-                self.fleet.kill(idx);
+                m.driver.destroy_enclave(m, &enclave);
                 return Err(refused);
             }
         };
         Stats::bump(&self.machine.stats.fleet_restores);
-        *self.slot(idx) = Some(rep);
-        self.fleet.mark_serving(idx);
+        *self.slot(idx) = Some(Arc::new(parking_lot::Mutex::new(rep)));
         for &s in &class {
             self.map.reassign(s, idx);
         }
@@ -834,9 +831,7 @@ impl FleetKvs {
     fn advance_write_versions(&self) {
         let interval = self.epoch() + 1;
         for r in 0..self.slots.len() {
-            if let Some(rep) = self.slot(r).as_mut() {
-                rep.kvs.set_write_version(interval);
-            }
+            self.with_replica(r, |rep| rep.kvs.set_write_version(interval));
         }
     }
 
@@ -846,12 +841,7 @@ impl FleetKvs {
     /// load generator stamps the next one. A no-op for a multiplexed
     /// fleet (one core). Returns the barrier time.
     pub fn sync_clocks(&self) -> u64 {
-        let mut cores: Vec<usize> = self
-            .fleet
-            .serving()
-            .iter()
-            .map(|&r| self.core_of(r))
-            .collect();
+        let mut cores: Vec<usize> = self.live().into_iter().map(|r| self.core_of(r)).collect();
         cores.push(self.cfg.cores[0]);
         cores.sort_unstable();
         cores.dedup();
@@ -930,7 +920,7 @@ impl FleetKvs {
         let mut victims = Vec::new();
         {
             let mut st = mp.state();
-            for r in self.fleet.serving() {
+            for r in self.live() {
                 clock.advance(self.machine.cfg.costs.maint_heartbeat);
                 let cur = mp.hb[r].load(Ordering::Relaxed);
                 if cur == st.last_hb[r] {
@@ -946,7 +936,7 @@ impl FleetKvs {
             }
         }
         for v in victims {
-            if self.fleet.serving().len() < 2 || self.fleet.state(v) != ReplicaState::Serving {
+            if self.live().len() < 2 || self.slot(v).is_none() {
                 continue;
             }
             let t0 = clock.now();
@@ -961,7 +951,7 @@ impl FleetKvs {
         // 2. Queued rejoins.
         let pending = std::mem::take(&mut mp.state().rejoin);
         for idx in pending {
-            if self.fleet.state(idx) != ReplicaState::Dead {
+            if self.slot(idx).is_some() {
                 continue;
             }
             let t0 = clock.now();
@@ -975,18 +965,19 @@ impl FleetKvs {
         }
         // 3. Engine byte-work: the replicas' fences only counted
         // themselves; the copies happen here.
-        for r in self.fleet.serving() {
-            let mut slot = self.slot(r);
-            let Some(rep) = slot.as_mut() else { continue };
-            let kvs = &mut rep.kvs;
+        for r in 0..self.slots.len() {
             did |= self
-                .on_work_core(r, &mut rep.ctx, |ctx| kvs.maintenance_tick(ctx))
-                .0;
+                .with_replica(r, |rep| {
+                    let kvs = &mut rep.kvs;
+                    self.on_work_core(&mut rep.ctx, |ctx| kvs.maintenance_tick(ctx))
+                        .0
+                })
+                .unwrap_or(false);
         }
         // 4. Delta round: one incremental snapshot per serving replica
         // to every serving peer. Each round shrinks what a later kill
         // fence must carry to the writes since this round.
-        let serving = self.fleet.serving();
+        let serving = self.live();
         if serving.len() < 2 {
             return did;
         }
@@ -995,9 +986,8 @@ impl FleetKvs {
             let (epoch, ..) = self.send_state(r, base, serving.len() - 1, false);
             let mut delivered = true;
             for &q in serving.iter().filter(|&&q| q != r) {
-                let mut slot = self.slot(q);
-                let rep = slot.as_mut().expect("serving replica must be wired");
-                delivered &= self.recv_state(q, rep, epoch).is_ok();
+                let merged = self.with_replica(q, |rep| self.recv_state(rep, epoch));
+                delivered &= matches!(merged, Some(Ok(_)));
             }
             // Open the next write interval: post-round writes carry
             // strictly larger stamps than anything just streamed, so
@@ -1011,6 +1001,12 @@ impl FleetKvs {
         }
         true
     }
+}
+
+/// The enclave a replica's thread is bound to. A replica's thread is
+/// always built by [`ThreadCtx::for_enclave`], so it has one.
+fn enclave_of(ctx: &ThreadCtx) -> &Arc<Enclave> {
+    ctx.enclave().expect("a replica thread has an enclave")
 }
 
 #[cfg(test)]
@@ -1108,9 +1104,8 @@ mod tests {
 
     /// What replica `r`'s store holds for `key`.
     fn stored(fk: &FleetKvs, r: usize, key: &[u8]) -> Option<Vec<u8>> {
-        let mut slot = fk.slot(r);
-        let rep = slot.as_mut().unwrap();
-        rep.kvs.get(&mut rep.ctx, key)
+        fk.with_replica(r, |rep| rep.kvs.get(&mut rep.ctx, key))
+            .unwrap()
     }
 
     /// The fleet sealer, except that while `armed` it flips one bit of
@@ -1208,7 +1203,7 @@ mod tests {
         assert_eq!(report.shards_moved, 2);
         assert!(report.snapshot_bytes > 0);
         assert!(report.cycles > 0);
-        assert_eq!(fk.fleet().state(1), ReplicaState::Dead);
+        assert_eq!(fk.live(), [0]);
         assert_eq!(fk.map().shards_of(0), vec![0, 1, 2, 3]);
 
         m.host
@@ -1252,7 +1247,7 @@ mod tests {
             "4 shards over 3 replicas: class 1 = {{1}}"
         );
         assert!(report.cycles > 0);
-        assert_eq!(fk.fleet().state(1), ReplicaState::Serving);
+        assert_eq!(fk.live(), [0, 1, 2]);
         assert_eq!(fk.map().replica_of(1), 1);
 
         m.host
@@ -1277,6 +1272,21 @@ mod tests {
     fn kill_of_the_last_replica_fails_fast() {
         let (_m, _wire, _fds, fk) = fleet(1);
         let _ = fk.kill(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "replica 1 is not serving")]
+    fn kill_of_a_dead_replica_fails_fast() {
+        let (_m, _wire, _fds, fk) = fleet(3);
+        fk.kill(1).unwrap();
+        let _ = fk.kill(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "respawn target 1 is serving")]
+    fn respawn_of_a_live_replica_fails_fast() {
+        let (_m, _wire, _fds, fk) = fleet(2);
+        let _ = fk.respawn(1);
     }
 
     #[test]
@@ -1383,10 +1393,10 @@ mod tests {
             fk.pump_replica(0);
             fk.maintenance_tick();
             if round < 2 {
-                assert_eq!(fk.fleet().state(1), ReplicaState::Serving);
+                assert_eq!(fk.live(), [0, 1]);
             }
         }
-        assert_eq!(fk.fleet().state(1), ReplicaState::Dead);
+        assert_eq!(fk.live(), [0]);
         assert_eq!(fk.map().shards_of(0), vec![0, 1, 2, 3]);
         let st = m.stats.snapshot();
         assert!(st.hb_misses >= 3, "each tick counted the miss");
@@ -1398,7 +1408,7 @@ mod tests {
         fk.request_rejoin(1);
         fk.pump_replica(0);
         fk.maintenance_tick();
-        assert_eq!(fk.fleet().state(1), ReplicaState::Serving);
+        assert_eq!(fk.live(), [0, 1]);
         assert!(fk.auto_recovery_cycles() > 0, "rejoin cost maint cycles");
         let s = (0..SHARDS).find(|&s| fk.map().replica_of(s) == 1).unwrap();
         m.host
@@ -1442,7 +1452,7 @@ mod tests {
             sealer.armed.store(true, Ordering::Relaxed);
             let refused = fk.kill(1).unwrap_err();
             assert_eq!(refused.0, "section failed authentication");
-            assert_eq!(fk.fleet().state(1), ReplicaState::Serving, "victim lives");
+            assert_eq!(fk.live(), [0, 1], "victim lives");
             assert_eq!(fk.map().shards_of(1), vec![1, 3], "and keeps its shards");
             assert_eq!(stored(fk, 0, b"fresh"), None);
             assert_eq!(m.stats.snapshot().fleet_failovers, 0);
@@ -1455,9 +1465,10 @@ mod tests {
             assert_eq!(stored(fk, 0, b"later").unwrap(), vec![8u8; 32]);
 
             sealer.armed.store(true, Ordering::Relaxed);
+            let enclaves = m.driver.active_enclaves();
             assert!(fk.respawn(1).is_err());
-            assert_eq!(fk.fleet().state(1), ReplicaState::Dead, "torn down again");
-            assert!(fk.slot(1).is_none());
+            assert_eq!(fk.live(), [0], "torn down again");
+            assert_eq!(m.driver.active_enclaves(), enclaves);
             assert_eq!(fk.map().shards_of(0), vec![0, 1, 2, 3], "donor keeps all");
             sealer.armed.store(false, Ordering::Relaxed);
             fk.respawn(1).unwrap();
@@ -1480,7 +1491,10 @@ mod tests {
         // (the whole of replica 0's store, `k = v1`)...
         fk.kill(2).unwrap();
         let (old_epoch, ..) = fk.send_state(0, 0, 1, true);
-        let mut host = ThreadCtx::for_enclave(m, &fk.fleet.enclave(0), 1);
+        let donor = fk
+            .with_replica(0, |rep| Arc::clone(enclave_of(&rep.ctx)))
+            .unwrap();
+        let mut host = ThreadCtx::for_enclave(m, &donor, 1);
         host.enter();
         let drain = |host: &mut ThreadCtx| -> Vec<(u8, Vec<u8>)> {
             std::iter::from_fn(|| fk.chan.recv(host)).collect()
@@ -1491,21 +1505,21 @@ mod tests {
         serve_set(&rig, 0, b"k", &[2u8; 32]);
 
         // ...swapped for the donation a rejoin stages,
-        fk.fleet.respawn(2);
+        let fresh = m.driver.create_enclave(m, fk.cfg.linear_bytes);
         let (epoch, ..) = fk.send_state(0, 0, 1, true);
         assert!(epoch > old_epoch);
         drain(&mut host);
         for (kind, bytes) in &old {
             fk.chan.send(&mut host, *kind, bytes);
         }
-        let mut rejoiner = fk.wire_replica(2);
+        let mut rejoiner = fk.wire_replica(2, &fresh);
         assert_eq!(
-            fk.recv_state(2, &mut rejoiner, epoch),
+            fk.recv_state(&mut rejoiner, epoch),
             Err(TransferRejected("not the transfer this fence sealed"))
         );
         assert!(rejoiner.kvs.is_empty(), "nothing of the replay applied");
         rejoiner.ctx.exit();
-        fk.fleet.kill(2);
+        m.driver.destroy_enclave(m, &fresh);
 
         // ...and for the failover state a third replica is to inherit.
         let (epoch, ..) = fk.send_state(0, 0, 1, true);
@@ -1513,9 +1527,8 @@ mod tests {
         for (kind, bytes) in &old {
             fk.chan.send(&mut host, *kind, bytes);
         }
-        let mut slot = fk.slot(1);
-        assert!(fk.recv_state(1, slot.as_mut().unwrap(), epoch).is_err());
-        drop(slot);
+        let merged = fk.with_replica(1, |rep| fk.recv_state(rep, epoch));
+        assert!(merged.unwrap().is_err());
         assert_eq!(stored(fk, 1, b"k"), None, "the peer never saw `k = v1`");
         assert_eq!(m.stats.snapshot().frame_rejects, 2);
         assert_eq!(fk.chan.pending(), 0);
@@ -1540,21 +1553,21 @@ mod tests {
             fk.pump_replica(0);
             fk.maintenance_tick();
         }
-        assert_eq!(fk.fleet().state(1), ReplicaState::Serving);
+        assert_eq!(fk.live(), [0, 1]);
         sealer.armed.store(false, Ordering::Relaxed);
         fk.pump_replica(0);
         fk.maintenance_tick();
-        assert_eq!(fk.fleet().state(1), ReplicaState::Dead);
+        assert_eq!(fk.live(), [0]);
 
         sealer.armed.store(true, Ordering::Relaxed);
         fk.request_rejoin(1);
         fk.pump_replica(0);
         fk.maintenance_tick();
-        assert_eq!(fk.fleet().state(1), ReplicaState::Dead, "still queued");
+        assert_eq!(fk.live(), [0], "still queued");
         sealer.armed.store(false, Ordering::Relaxed);
         fk.pump_replica(0);
         fk.maintenance_tick();
-        assert_eq!(fk.fleet().state(1), ReplicaState::Serving);
+        assert_eq!(fk.live(), [0, 1]);
         assert_eq!(stored(fk, 1, b"seed-3").unwrap(), vec![3u8; 48]);
     }
 }

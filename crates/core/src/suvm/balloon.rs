@@ -58,7 +58,7 @@ impl Suvm {
     pub fn swapper_tick(&self, ctx: &mut ThreadCtx) {
         assert!(ctx.in_enclave(), "the swapper enters the enclave");
         // Ballooning: size EPC++ to our PRM share minus headroom.
-        let share_frames_4k = self.machine.driver.available_epc_for(self.enclave.id);
+        let share_frames_4k = self.machine.driver.available_epc();
         let share_bytes = share_frames_4k * eleos_sim::costs::PAGE_SIZE;
         let budget = share_bytes.saturating_sub(self.cfg.headroom_bytes);
         let target = (budget / self.cfg.page_size).clamp(2, self.frames.len());

@@ -94,10 +94,10 @@ impl SgxDriver {
     }
 
     /// The Eleos `ioctl` (§4.1): the PRM share currently available to
-    /// one enclave, in frames. Today's driver splits the PRM evenly, so
-    /// this returns `total / active`.
+    /// each enclave, in frames. The driver splits the PRM evenly, so
+    /// this is `total / active`.
     #[must_use]
-    pub fn available_epc_for(&self, _enclave_id: u32) -> usize {
+    pub fn available_epc(&self) -> usize {
         let n = self.active_enclaves().max(1);
         self.total_frames / n
     }

@@ -37,7 +37,6 @@
 pub mod driver;
 pub mod enclave;
 pub mod epc;
-pub mod fleet;
 pub mod fs;
 pub mod host;
 pub mod machine;
@@ -46,7 +45,6 @@ pub mod thread;
 pub use driver::SgxDriver;
 pub use enclave::Enclave;
 pub use epc::EpcPool;
-pub use fleet::{Fleet, ReplicaState};
 pub use fs::{FileFd, FsError, HostFs};
 pub use host::{Fd, HostOs};
 pub use machine::{Core, MachineConfig, SgxMachine};

@@ -73,13 +73,13 @@ fn destroyed_enclaves_release_their_frames() {
 fn ioctl_share_tracks_enclave_count() {
     let m = machine(60);
     let e1 = m.driver.create_enclave(&m, PAGE_SIZE);
-    assert_eq!(m.driver.available_epc_for(e1.id), 60);
+    assert_eq!(m.driver.available_epc(), 60);
     let e2 = m.driver.create_enclave(&m, PAGE_SIZE);
-    assert_eq!(m.driver.available_epc_for(e1.id), 30);
+    assert_eq!(m.driver.available_epc(), 30);
     let e3 = m.driver.create_enclave(&m, PAGE_SIZE);
-    assert_eq!(m.driver.available_epc_for(e3.id), 20);
+    assert_eq!(m.driver.available_epc(), 20);
     m.driver.destroy_enclave(&m, &e2);
-    assert_eq!(m.driver.available_epc_for(e1.id), 30);
+    assert_eq!(m.driver.available_epc(), 30);
     m.driver.destroy_enclave(&m, &e1);
     m.driver.destroy_enclave(&m, &e3);
 }

@@ -81,14 +81,11 @@ fn main() {
             }
         },
     );
-    for r in 0..REPLICAS {
-        let id = fk.fleet().enclave(r).id;
-        println!(
-            "replica {r}: enclave {id}, driver fair share {} MiB of {} MiB EPC",
-            (machine.driver.available_epc_for(id) * 4096) >> 20,
-            machine.cfg.epc_bytes >> 20
-        );
-    }
+    println!(
+        "{REPLICAS} replicas, driver fair share {} MiB each of {} MiB EPC",
+        (machine.driver.available_epc() * 4096) >> 20,
+        machine.cfg.epc_bytes >> 20
+    );
 
     // A conn pinned to a replica-1 shard: its pre-kill SET must survive
     // the failover (the heir restores the victim's snapshot first).
@@ -150,11 +147,7 @@ fn main() {
                 rep.shards_moved,
                 rep.snapshot_bytes >> 10,
                 rep.cycles,
-                (machine
-                    .driver
-                    .available_epc_for(fk.fleet().enclave(rep.heir).id)
-                    * 4096)
-                    >> 20
+                (machine.driver.available_epc() * 4096) >> 20
             );
         }
         if round + 1 == RESPAWN_AT {

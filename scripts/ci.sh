@@ -85,6 +85,14 @@ if grep -rnE 'EvictionPolicy|ClockPolicy|FifoPolicy|build_policy|\bSwapper\b|Mai
     echo "a deleted eviction-policy / pacemaker-thread name is back (see above)"
     exit 1
 fi
+# PR 30 made a replica its `FleetKvs` slot: no substrate-level fleet
+# layer with its own lifecycle states, and a fair-share ioctl that takes
+# no enclave id.
+if grep -rnE '\bReplicaState\b|enclave::fleet|\bFleet::|mark_draining|mark_serving|available_epc_for|\.fleet\(\)' \
+        crates/*/src crates/*/tests src examples tests ; then
+    echo "a deleted fleet-lifecycle name is back (see above)"
+    exit 1
+fi
 # PR 23 brought the first `unsafe` into the tree: the hardware AES /
 # CLMUL kernels. It lives in one module; seven crates `forbid` it, and
 # this keeps it out of tests and examples too (`-w`: the lint names

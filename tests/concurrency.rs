@@ -215,7 +215,7 @@ fn ballooning_between_two_live_suvm_enclaves() {
                 }
             }
             // After ballooning, each EPC++ respects its share.
-            let share_bytes = m.driver.available_epc_for(e.id) * 4096;
+            let share_bytes = m.driver.available_epc() * 4096;
             assert!(
                 s.frame_limit() * 4096 <= share_bytes,
                 "EPC++ {} frames exceeds share {} bytes",
