@@ -19,12 +19,20 @@
 //! SO_REUSEPORT style; a single-socket server is the set of one. On
 //! the RPC path each reap submits one scatter-gather `recv_mmsg` job
 //! per shard (at that shard's depth) as a single ring batch, and each
-//! send one `send_mmsg` job per socket: one syscall trap and one
-//! kernel-metadata charge per job instead of per message, whatever the
-//! worker count, with the jobs of different shards running in parallel
-//! across the workers. `recv_mmsg` pops a socket's queue front under
-//! one lock, and the load generator pins each client connection to one
-//! shard ([`crate::loadgen::shard_for`]), so per-shard slot order *is*
+//! send one `send_mmsg` job per socket *per group*: one syscall trap
+//! and one kernel-metadata charge per job instead of per message, with
+//! the jobs of different shards running in parallel across the
+//! workers. A send is sealed, staged and posted in groups of about
+//! 8 KiB of sealed bytes, and the enclave seals the next group while a
+//! worker transmits the last; it waits once, at the end, so every
+//! reply is on its socket when the send returns. A send is split into
+//! groups only on a one-worker ring, which transmits its jobs in post
+//! order; with more workers a send is one group, so each socket gets
+//! one job per send. A send under 8 KiB is one group.
+//!
+//! `recv_mmsg` pops a socket's queue front under one lock, and the
+//! load generator pins each client connection to one shard
+//! ([`crate::loadgen::shard_for`]), so per-shard slot order *is*
 //! per-connection arrival order — the only ordering contract. Nothing
 //! is merged or re-sequenced: requests come back concatenated shard by
 //! shard and each reply leaves through the socket its request arrived
@@ -116,6 +124,12 @@ use crate::wire::{Session, SessionState};
 
 /// Fixed-point scale for the per-shard arrival-rate EWMA.
 const EWMA_SCALE: u64 = 16;
+
+/// Sealed bytes an RPC send stages before it posts them as one group
+/// of `send_mmsg` jobs and seals the next group while the worker
+/// transmits this one: twice the 4 KiB of kernel bookkeeping each
+/// extra job makes the worker read.
+const SEND_GROUP_BYTES: usize = 8 << 10;
 
 /// Session tunables for a [`ServerIo`] connection.
 #[derive(Clone, Debug)]
@@ -859,9 +873,11 @@ impl ServerIo {
     ///
     /// On the RPC path `replies` is split by the last reap's
     /// `(shard, count)` record and each slice goes out its shard's
-    /// socket as one `send_mmsg` job from `stripe`-byte slots of that
-    /// shard's transmit buffer — one job per socket, all submitted as
-    /// one ring batch. The record counts only the requests the reap
+    /// socket from `stripe`-byte slots of that shard's transmit buffer,
+    /// group by group ([`Self::plan_send`]): each group is sealed in
+    /// one pass, staged, and posted into one ring batch as one
+    /// `send_mmsg` job per socket it covers, and the batch is waited
+    /// for once. The record counts only the requests the reap
     /// delivered — frames the session refused are already subtracted —
     /// so the replies always match it. A one-shard server has nowhere
     /// else to route a reply and needs no record. The native and OCALL
@@ -882,15 +898,16 @@ impl ServerIo {
         }
         // The transmit buffers may still belong to a deferred send.
         self.flush(ctx);
-        let msgs = self
-            .session
-            .encrypt_batch_in_enclave(ctx, replies, self.cfg.batched_crypto);
+        let amortize = self.cfg.batched_crypto;
         let IoPath::Rpc(svc) = &self.path else {
+            let msgs = self
+                .session
+                .encrypt_batch_in_enclave(ctx, replies, 0, amortize);
             self.send_sequential(ctx, &msgs);
             return;
         };
         let reap = if self.shards.len() == 1 {
-            vec![(0, msgs.len())]
+            vec![(0, replies.len())]
         } else {
             let reap = self.last_reap.lock().expect("last reap").clone();
             let total: usize = reap.iter().map(|&(_, n)| n).sum();
@@ -900,53 +917,129 @@ impl ServerIo {
             // invents a reply — a bug in this program — can trip it;
             // the lock above is poisoned only by an earlier panic.
             assert_eq!(
-                msgs.len(),
+                replies.len(),
                 total,
                 "a sharded send must answer the last reap 1:1"
             );
             reap
         };
-        let slots = (self.cfg.buf_len / stripe).min(self.cfg.batch_max);
-        let mut jobs = Vec::with_capacity(reap.len());
-        let mut off = 0;
-        for &(k, n) in &reap {
-            let sh = &self.shards[k];
-            let mut descs = Vec::with_capacity(n * DESC_STRIDE);
-            let mut staged = 0;
-            for msg in &msgs[off..off + n] {
-                if msg.len() > stripe || staged == slots {
-                    Stats::bump(&ctx.machine.stats.reply_rejects);
-                    continue;
-                }
-                ctx.write_untrusted(sh.tx_buf + (staged * stripe) as u64, msg);
-                descs.extend_from_slice(&(msg.len() as u64).to_le_bytes());
-                descs.extend_from_slice(&0u64.to_le_bytes());
-                staged += 1;
-            }
-            off += n;
-            if staged == 0 {
+        let (placed, ends) = self.plan_send(replies, &reap, stripe, svc.worker_count());
+        let mut batch = None;
+        let mut start = 0;
+        for end in ends {
+            let msgs =
+                self.session
+                    .encrypt_batch_in_enclave(ctx, &replies[start..end], start, amortize);
+            let jobs = self.stage(ctx, &placed[start..end], &msgs, stripe);
+            start = end;
+            if jobs.is_empty() {
                 continue;
             }
-            ctx.write_untrusted(sh.desc_tx, &descs);
-            jobs.push((
-                funcs::SEND_MMSG,
-                [
-                    sh.fd.0 as u64,
-                    sh.tx_buf,
-                    ((stripe as u64) << 32) | staged as u64,
-                    sh.desc_tx,
-                ],
-            ));
+            match &mut batch {
+                None => batch = Some(svc.submit_batch(ctx, &jobs)),
+                Some(batch) => svc.extend_batch(ctx, batch, &jobs),
+            }
         }
-        if jobs.is_empty() {
+        let Some(batch) = batch else {
             return;
-        }
-        let batch = svc.submit_batch(ctx, &jobs);
+        };
         if self.cfg.async_send {
             *self.pending_send.lock().expect("pending send") = Some(batch);
         } else {
             batch.wait_all(ctx);
         }
+    }
+
+    /// Where each reply of a send goes, and where its groups end.
+    ///
+    /// A reply goes to the next transmit slot of its shard, or nowhere
+    /// when its sealed frame ([`Session::sealed_len`]) is longer than a
+    /// slot or the shard's slots are used up. On a one-worker ring,
+    /// whose FIFO transmits a socket's jobs in post order, a group ends
+    /// once its staged sealed bytes reach [`SEND_GROUP_BYTES`]. More
+    /// workers could take two jobs of one socket out of order, so there
+    /// a send is one group. The last group ends with the last reply.
+    /// Only sizes decide, so a seed gives the same groups every run.
+    fn plan_send(
+        &self,
+        replies: &[&[u8]],
+        reap: &[(usize, usize)],
+        stripe: usize,
+        workers: usize,
+    ) -> (Vec<(usize, Option<usize>)>, Vec<usize>) {
+        let slots = (self.cfg.buf_len / stripe).min(self.cfg.batch_max);
+        let mut placed = Vec::with_capacity(replies.len());
+        let mut ends = Vec::new();
+        let mut grouped = 0;
+        let mut lens = replies.iter().map(|r| Session::sealed_len(r.len()));
+        for &(k, n) in reap {
+            let mut staged = 0;
+            for len in lens.by_ref().take(n) {
+                let slot = if len <= stripe && staged < slots {
+                    staged += 1;
+                    grouped += len;
+                    Some(staged - 1)
+                } else {
+                    None
+                };
+                placed.push((k, slot));
+                if workers == 1 && grouped >= SEND_GROUP_BYTES {
+                    ends.push(placed.len());
+                    grouped = 0;
+                }
+            }
+        }
+        if ends.last() != Some(&replies.len()) {
+            ends.push(replies.len());
+        }
+        (placed, ends)
+    }
+
+    /// Stages one group's sealed replies in their planned transmit
+    /// slots, writes each shard's descriptors for them, and returns
+    /// one `send_mmsg` job per shard the group staged anything for. A
+    /// reply placed nowhere is counted in `reply_rejects`.
+    fn stage(
+        &self,
+        ctx: &mut ThreadCtx,
+        placed: &[(usize, Option<usize>)],
+        msgs: &[Vec<u8>],
+        stripe: usize,
+    ) -> Vec<(u64, [u64; 4])> {
+        let mut msgs = msgs.iter();
+        let mut jobs = Vec::new();
+        for run in placed.chunk_by(|a, b| a.0 == b.0) {
+            let sh = &self.shards[run[0].0];
+            let mut descs = Vec::with_capacity(run.len() * DESC_STRIDE);
+            let mut first = None;
+            for (&(_, slot), msg) in run.iter().zip(msgs.by_ref()) {
+                let Some(slot) = slot else {
+                    Stats::bump(&ctx.machine.stats.reply_rejects);
+                    continue;
+                };
+                debug_assert!(msg.len() <= stripe, "a planned reply outgrew its slot");
+                first.get_or_insert(slot);
+                ctx.write_untrusted(sh.tx_buf + (slot * stripe) as u64, msg);
+                descs.extend_from_slice(&(msg.len() as u64).to_le_bytes());
+                descs.extend_from_slice(&0u64.to_le_bytes());
+            }
+            let Some(first) = first else {
+                continue;
+            };
+            let desc = sh.desc_tx + (first * DESC_STRIDE) as u64;
+            ctx.write_untrusted(desc, &descs);
+            let staged = (descs.len() / DESC_STRIDE) as u64;
+            jobs.push((
+                funcs::SEND_MMSG,
+                [
+                    sh.fd.0 as u64,
+                    sh.tx_buf + (first * stripe) as u64,
+                    ((stripe as u64) << 32) | staged,
+                    desc,
+                ],
+            ));
+        }
+        jobs
     }
 
     /// The native/OCALL send loop: one `send` syscall per sealed

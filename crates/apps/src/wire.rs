@@ -48,8 +48,9 @@
 //! The serving path works in *batches*:
 //! [`Session::decrypt_batch_in_enclave`] opens a whole sorted reap in
 //! one [`Sealer::open_batch`] pass and
-//! [`Session::encrypt_batch_in_enclave`] seals all responses in one
-//! [`Sealer::seal_batch`] pass. With `amortize` set, the cipher setup
+//! [`Session::encrypt_batch_in_enclave`] seals a send's responses in
+//! one [`Sealer::seal_batch`] pass per group the send streams (one
+//! group for a send under 8 KiB). With `amortize` set, the cipher setup
 //! is charged once per batch — the leader pays the full
 //! `crypto_fixed`, follow-ons a quarter (`CostModel::crypto_batched`,
 //! the same contract the SUVM write-back drain uses) — which is where
@@ -278,6 +279,12 @@ impl Session {
             .map(|(_, ctr)| ctr.clone())
     }
 
+    /// Bytes [`Self::seal_raw`] frames a `plain_len`-byte plaintext
+    /// into: the nonce, then the ciphertext (CTR adds no tag).
+    pub(crate) const fn sealed_len(plain_len: usize) -> usize {
+        NONCE_LEN + plain_len
+    }
+
     /// The one seal path: frames each plaintext as
     /// `nonce(counter, epoch) || ciphertext` under the current epoch
     /// and seals the whole batch in one [`Sealer::seal_batch`] pass.
@@ -298,7 +305,7 @@ impl Session {
             .iter()
             .map(|p| {
                 let n = self.counter.fetch_add(1, Ordering::Relaxed);
-                let mut msg = Vec::with_capacity(NONCE_LEN + p.len());
+                let mut msg = Vec::with_capacity(Self::sealed_len(p.len()));
                 msg.extend_from_slice(&n.to_le_bytes());
                 msg.extend_from_slice(&epoch.to_le_bytes());
                 msg.extend_from_slice(p);
@@ -457,18 +464,21 @@ impl Session {
     /// Server side: encrypts a batch of responses in one
     /// [`Sealer::seal_batch`] pass under the current epoch, charging
     /// `ctx` per message (with the setup amortized across the batch
-    /// when `amortize` is set).
+    /// when `amortize` is set). `first` is the index of `plains[0]` in
+    /// its batch: a send that seals its batch group by group passes
+    /// each group's offset, so the groups pay one batch's setup.
     #[must_use]
     pub fn encrypt_batch_in_enclave(
         &self,
         ctx: &mut ThreadCtx,
         plains: &[&[u8]],
+        first: usize,
         amortize: bool,
     ) -> Vec<Vec<u8>> {
         if plains.is_empty() {
             return Vec::new();
         }
-        ctx.charge_crypto_batch(plains.iter().map(|p| p.len()), amortize);
+        ctx.charge_crypto_batch_from(first, plains.iter().map(|p| p.len()), amortize);
         self.seal_raw(plains)
     }
 }
@@ -599,13 +609,49 @@ mod tests {
         let s = Session::established([5u8; 16]);
         let plains: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i ^ 0x5a; 33]).collect();
         let refs: Vec<&[u8]> = plains.iter().map(Vec::as_slice).collect();
-        let msgs = s.encrypt_batch_in_enclave(&mut t, &refs, true);
+        let msgs = s.encrypt_batch_in_enclave(&mut t, &refs, 0, true);
         assert_eq!(msgs.len(), plains.len());
         for (msg, plain) in msgs.iter().zip(plains.iter()) {
             assert!(!msg[NONCE_LEN..].windows(8).any(|w| w == &plain[..8]));
             assert_eq!(&s.decrypt(msg), plain);
         }
         t.exit();
+    }
+
+    #[test]
+    fn a_batch_sealed_in_groups_is_one_batch() {
+        // Six replies sealed whole, or as groups of two and four that
+        // name their offsets: the same bytes, cycles and crypto stats.
+        let seal = |ends: &[usize]| {
+            let m = SgxMachine::new(MachineConfig::tiny());
+            let e = m.driver.create_enclave(&m, 1 << 20);
+            let mut t = eleos_enclave::thread::ThreadCtx::for_enclave(&m, &e, 0);
+            t.enter();
+            let s = Session::established([5u8; 16]);
+            let plains: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 40 + usize::from(i)]).collect();
+            let refs: Vec<&[u8]> = plains.iter().map(Vec::as_slice).collect();
+            let c0 = t.now();
+            let mut msgs = Vec::new();
+            let mut start = 0;
+            for &end in ends {
+                msgs.extend(s.encrypt_batch_in_enclave(&mut t, &refs[start..end], start, true));
+                start = end;
+            }
+            let d = m.stats.snapshot();
+            let cost = (
+                t.now() - c0,
+                d.crypto_batches,
+                d.crypto_msgs,
+                d.crypto_setup_cycles,
+            );
+            t.exit();
+            (msgs, cost)
+        };
+        let whole = seal(&[6]);
+        assert_eq!(seal(&[2, 6]), whole);
+        let full = MachineConfig::tiny().costs.crypto_fixed;
+        let (_, batches, msgs, setup) = whole.1;
+        assert_eq!((batches, msgs, setup), (1, 6, full + 5 * (full / 4)));
     }
 
     #[test]

@@ -269,8 +269,9 @@ impl HostOs {
     /// bookkeeping once per batch. Returns `n_msgs`.
     ///
     /// Messages hit the wire in slot order. One serving pipeline owns
-    /// each socket and submits at most one send job per socket at a
-    /// time, so slot order is the order the replies were produced in.
+    /// each socket and has at most one send job per socket in flight —
+    /// or several on a one-worker ring, which runs them in post order —
+    /// so slot order is the order the replies were produced in.
     pub fn send_mmsg(
         &self,
         ctx: &mut ThreadCtx,

@@ -111,10 +111,24 @@ impl ThreadCtx {
     /// `crypto_setup_cycles` stats so experiments can report the
     /// amortization.
     pub fn charge_crypto_batch(&mut self, lens: impl IntoIterator<Item = usize>, amortize: bool) {
+        self.charge_crypto_batch_from(0, lens, amortize);
+    }
+
+    /// [`Self::charge_crypto_batch`] for the messages of one batch from
+    /// index `first` on, for a batch billed piece by piece as each
+    /// piece is sealed: the pieces pay exactly what the whole batch
+    /// would in one call, and only the piece at `first == 0` counts a
+    /// crypto batch.
+    pub fn charge_crypto_batch_from(
+        &mut self,
+        first: usize,
+        lens: impl IntoIterator<Item = usize>,
+        amortize: bool,
+    ) {
         let machine = Arc::clone(&self.machine);
         let costs = &machine.cfg.costs;
         let (mut n, mut setup) = (0u64, 0u64);
-        for (i, len) in lens.into_iter().enumerate() {
+        for (i, len) in (first..).zip(lens) {
             let fixed = if amortize {
                 costs.crypto_batch_fixed(i)
             } else {
@@ -127,7 +141,9 @@ impl ThreadCtx {
         if n == 0 {
             return;
         }
-        Stats::bump(&machine.stats.crypto_batches);
+        if first == 0 {
+            Stats::bump(&machine.stats.crypto_batches);
+        }
         Stats::add(&machine.stats.crypto_msgs, n);
         Stats::add(&machine.stats.crypto_setup_cycles, setup);
     }

@@ -93,6 +93,14 @@ if grep -rnE '\bReplicaState\b|enclave::fleet|\bFleet::|mark_draining|mark_servi
     echo "a deleted fleet-lifecycle name is back (see above)"
     exit 1
 fi
+# The send is streamed in groups: an RPC batch keeps one `(posted_at,
+# worker_cycles)` pair per group of posts and waits for their serialized
+# finish, not one submission stamp.
+if grep -rnE '\bsubmitted_at\b' \
+        crates/*/src crates/*/tests src examples tests ; then
+    echo "a deleted RPC-batch name is back (see above)"
+    exit 1
+fi
 # PR 23 brought the first `unsafe` into the tree: the hardware AES /
 # CLMUL kernels. It lives in one module; seven crates `forbid` it, and
 # this keeps it out of tests and examples too (`-w`: the lint names
