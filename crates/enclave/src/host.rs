@@ -35,6 +35,10 @@ const KERNEL_META_BYTES: usize = 4096;
 /// cycles (receive side; ignored by sends).
 pub const DESC_STRIDE: usize = 16;
 
+/// Descriptor entries per 64-byte cache line: the unit `recv_mmsg`
+/// publishes its descriptors in.
+pub const DESC_LINE: usize = 4;
+
 struct Socket {
     /// Untrusted address of the kernel staging ring.
     staging: u64,
@@ -44,6 +48,9 @@ struct Socket {
     /// The enqueue timestamp rides the wire descriptors out of
     /// `recv_mmsg` so the serving path can compute per-op sojourn.
     rx_queue: VecDeque<(usize, usize, u64)>,
+    /// When each descriptor line of the last `recv_mmsg` became
+    /// visible ([`HostOs::rx_marks`]).
+    rx_marks: Vec<u64>,
     /// Kernel metadata area address.
     meta: u64,
     rx_bytes: u64,
@@ -103,6 +110,7 @@ impl HostOs {
                 staging_cap,
                 write_pos: 0,
                 rx_queue: VecDeque::new(),
+                rx_marks: Vec::new(),
                 meta,
                 rx_bytes: 0,
                 tx_bytes: 0,
@@ -164,6 +172,20 @@ impl HostOs {
         self.sockets.lock().get(&fd).map_or(0, |s| s.rx_queue.len())
     }
 
+    /// When the last [`Self::recv_mmsg`] on `fd` published each of its
+    /// descriptor lines, in order: the worker cycles since that call
+    /// began, the origin of the job's measured worker cycles. This is
+    /// simulator timing kept host-side, like [`Self::rx_pending`]: it is
+    /// never read from untrusted memory and never decides what is
+    /// served, only when a streamed reap can see each line.
+    #[must_use]
+    pub fn rx_marks(&self, fd: Fd) -> Vec<u64> {
+        self.sockets
+            .lock()
+            .get(&fd)
+            .map_or_else(Vec::new, |s| s.rx_marks.clone())
+    }
+
     /// `recv(2)`: copies the next message into `[buf_addr, +max_len)`
     /// in untrusted memory. Returns the message length, or `None` if
     /// the queue is empty (EWOULDBLOCK).
@@ -211,6 +233,12 @@ impl HostOs {
     /// footprint **once** — that is the point of the syscall: the
     /// kernel walks the socket queue a single time, so per-message
     /// cost degenerates to the user copies.
+    ///
+    /// Like Linux's `recvmmsg`, which writes each entry's `msg_len` as
+    /// it receives that datagram, the descriptors are published as the
+    /// copies go: one [`DESC_LINE`]-entry line at a time, right after
+    /// that line's payloads are copied, and [`Self::rx_marks`] records
+    /// when each line became visible.
     pub fn recv_mmsg(
         &self,
         ctx: &mut ThreadCtx,
@@ -222,11 +250,12 @@ impl HostOs {
     ) -> usize {
         assert!(!ctx.in_enclave(), "syscall from trusted mode");
         assert!(max_msgs > 0);
+        let start = ctx.now();
         ctx.compute(ctx.machine.cfg.costs.syscall);
         Stats::bump(&ctx.machine.stats.syscalls);
         // One queue walk under one lock hold: the batch is atomic, so
         // slot order *is* arrival order.
-        let (popped, meta) = {
+        let (popped, meta, mut marks) = {
             let mut sockets = self.sockets.lock();
             let s = sockets.get_mut(&fd).expect("bad fd");
             let mut popped = Vec::with_capacity(max_msgs.min(s.rx_queue.len()));
@@ -238,25 +267,42 @@ impl HostOs {
                 s.rx_bytes += len as u64;
                 popped.push((s.staging + off as u64, len, enq));
             }
-            (popped, s.meta)
+            s.rx_marks.clear();
+            let marks = if popped.is_empty() {
+                Vec::new()
+            } else {
+                std::mem::take(&mut s.rx_marks)
+            };
+            (popped, s.meta, marks)
         };
         if popped.is_empty() {
             return 0;
         }
         // Kernel bookkeeping once per batch, then the copies
-        // kernel->user per message.
+        // kernel->user per message, each line of descriptors written
+        // once its payloads are in place.
         Stats::bump(&ctx.machine.stats.kernel_meta_reads);
         let mut scratch = vec![0u8; KERNEL_META_BYTES];
         ctx.read_untrusted(meta, &mut scratch);
-        let mut descs = Vec::with_capacity(popped.len() * DESC_STRIDE);
-        for (i, &(staging_off, len, enq)) in popped.iter().enumerate() {
-            let mut payload = vec![0u8; len];
-            ctx.read_untrusted(staging_off, &mut payload);
-            ctx.write_untrusted(buf_addr + (i * stripe) as u64, &payload);
-            descs.extend_from_slice(&(len as u64).to_le_bytes());
-            descs.extend_from_slice(&enq.to_le_bytes());
+        let mut payload = Vec::new();
+        for (line, msgs) in popped.chunks(DESC_LINE).enumerate() {
+            let first = line * DESC_LINE;
+            let mut descs = [0u8; DESC_LINE * DESC_STRIDE];
+            for (j, &(staging_off, len, enq)) in msgs.iter().enumerate() {
+                payload.resize(len, 0);
+                ctx.read_untrusted(staging_off, &mut payload);
+                ctx.write_untrusted(buf_addr + ((first + j) * stripe) as u64, &payload);
+                let desc = &mut descs[j * DESC_STRIDE..(j + 1) * DESC_STRIDE];
+                desc[..8].copy_from_slice(&(len as u64).to_le_bytes());
+                desc[8..].copy_from_slice(&enq.to_le_bytes());
+            }
+            let desc = desc_addr + (first * DESC_STRIDE) as u64;
+            ctx.write_untrusted(desc, &descs[..msgs.len() * DESC_STRIDE]);
+            // Saturating, like the job's own measurement: a bench may
+            // reset the core clocks under a call in flight.
+            marks.push(ctx.now().saturating_sub(start));
         }
-        ctx.write_untrusted(desc_addr, &descs);
+        self.sockets.lock().get_mut(&fd).expect("bad fd").rx_marks = marks;
         popped.len()
     }
 
@@ -423,6 +469,30 @@ mod tests {
             assert_eq!(m.host.pop_response(fd).unwrap(), vec![i as u8; 10]);
         }
         assert_eq!(m.host.byte_counts(fd), (50, 50));
+    }
+
+    #[test]
+    fn descriptor_lines_are_marked_as_they_are_published() {
+        let m = SgxMachine::new(MachineConfig::tiny());
+        let mut t = ThreadCtx::untrusted(&m, 0);
+        let fd = m.host.socket(&t, 64 << 10);
+        for i in 0..6u8 {
+            m.host.push_request(&t, fd, &[i; 100]);
+        }
+        let buf = m.alloc_untrusted(8 * 512);
+        let desc = m.alloc_untrusted(8 * DESC_STRIDE);
+        let c0 = t.now();
+        assert_eq!(m.host.recv_mmsg(&mut t, fd, buf, 512, 8, desc), 6);
+        // Two lines: four entries, then two. Each is visible once its
+        // payloads are copied, and the second no later than the call's
+        // end.
+        let marks = m.host.rx_marks(fd);
+        assert_eq!(marks.len(), 2);
+        assert!(m.cfg.costs.syscall < marks[0] && marks[0] < marks[1]);
+        assert!(marks[1] <= t.now() - c0);
+        // An empty call publishes nothing.
+        assert_eq!(m.host.recv_mmsg(&mut t, fd, buf, 512, 8, desc), 0);
+        assert!(m.host.rx_marks(fd).is_empty());
     }
 
     #[test]

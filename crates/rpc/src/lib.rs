@@ -29,7 +29,10 @@
 //!   worker serving the batch;
 //! - [`RpcService::extend_batch`] posts a follow-on group into a
 //!   submitted batch, so the caller can prepare the next jobs while
-//!   the workers run the last ones and still wait once.
+//!   the workers run the last ones and still wait once;
+//! - [`RpcBatch::collect`] is the same completion loop without the
+//!   charge: it hands back each job's `(ret, worker_cycles)`, for a
+//!   caller that times its own progress against the workers'.
 //!
 //! Two refinements from the paper are implemented:
 //!
@@ -472,14 +475,15 @@ impl Drop for RpcFuture {
 /// A set of in-flight RPCs posted by [`RpcService::submit_batch`] and
 /// any follow-on groups [`RpcService::extend_batch`] added to it.
 pub struct RpcBatch {
-    /// `(request index, group, future)` still in flight, in post order.
-    pending: Vec<(usize, usize, RpcFuture)>,
-    /// Results by request index (filled as completions are reaped).
-    results: Vec<Option<u64>>,
-    /// One `(posted_at, worker_cycles)` pair per group of posts: the
-    /// caller's clock when the group's last post landed, and the
-    /// workers' measured cycles across its reaped jobs.
-    groups: Vec<(u64, u64)>,
+    /// `(request index, future)` still in flight, in post order.
+    pending: Vec<(usize, RpcFuture)>,
+    /// `(ret, worker_cycles)` by request index (filled as completions
+    /// are reaped).
+    results: Vec<Option<(u64, u64)>>,
+    /// One `(posted_at, end)` pair per group of posts: the caller's
+    /// clock when the group's last post landed, and the request index
+    /// one past the group's last job.
+    groups: Vec<(u64, usize)>,
     n_workers: usize,
 }
 
@@ -489,11 +493,9 @@ impl RpcBatch {
         let mut reaped = 0;
         let mut i = 0;
         while i < self.pending.len() {
-            if self.pending[i].2.is_done() {
-                let (idx, group, mut fut) = self.pending.swap_remove(i);
-                let (ret, cycles) = fut.reap(ctx);
-                self.results[idx] = Some(ret);
-                self.groups[group].1 += cycles;
+            if self.pending[i].1.is_done() {
+                let (idx, mut fut) = self.pending.swap_remove(i);
+                self.results[idx] = Some(fut.reap(ctx));
                 reaped += 1;
             } else {
                 i += 1;
@@ -502,10 +504,23 @@ impl RpcBatch {
         reaped
     }
 
+    /// Blocks until every job in the batch has completed and returns
+    /// the first group's post time (the caller's clock) and each job's
+    /// `(ret, worker_cycles)` in post order — *without* charging the
+    /// caller for the wait. A caller that times its own progress
+    /// against the workers', like a reap that reads each descriptor
+    /// line as the worker publishes it, charges the wait itself;
+    /// everyone else uses [`Self::wait_all`].
+    pub fn collect(mut self, ctx: &mut ThreadCtx) -> (u64, Vec<(u64, u64)>) {
+        let jobs = self.complete(ctx);
+        (self.first_post(), jobs)
+    }
+
     /// Blocks until every job in the batch has completed, charging the
     /// caller the pool-parallel wait time (total worker cycles divided
     /// by the number of workers that could run concurrently), and
-    /// returns the results in request order.
+    /// returns the results in request order: [`Self::collect`]'s
+    /// completion loop plus this charge.
     ///
     /// The charge is overlap-aware: workers execute concurrently with
     /// the enclave from the moment of submission, so any cycles the
@@ -520,7 +535,28 @@ impl RpcBatch {
     /// one group that is `W / lanes` minus the caller's progress since
     /// the post.
     pub fn wait_all(mut self, ctx: &mut ThreadCtx) -> Vec<u64> {
-        let n_jobs = self.results.len();
+        let jobs = self.complete(ctx);
+        let lanes = self.n_workers.min(jobs.len()).max(1) as u64;
+        // Measured from the first group's post, saturating: a bench
+        // that resets the core clocks under a deferred batch must not
+        // turn this into its whole history.
+        let first = self.first_post();
+        let (finish, _) = self.groups.iter().fold((0, 0), |(f, start), &(at, end)| {
+            let cycles: u64 = jobs[start..end].iter().map(|&(_, c)| c).sum();
+            (f.max(at.saturating_sub(first)) + cycles / lanes, end)
+        });
+        ctx.compute(finish.saturating_sub(ctx.now().saturating_sub(first)));
+        jobs.into_iter().map(|(ret, _)| ret).collect()
+    }
+
+    /// The caller's clock when the first group's last post landed.
+    fn first_post(&self) -> u64 {
+        self.groups.first().map_or(0, |&(at, _)| at)
+    }
+
+    /// The one completion loop: reaps every pending job and returns
+    /// each job's `(ret, worker_cycles)` in post order.
+    fn complete(&mut self, ctx: &mut ThreadCtx) -> Vec<(u64, u64)> {
         let mut backoff = Backoff::new();
         while !self.pending.is_empty() {
             if self.reap_ready(ctx) > 0 {
@@ -529,16 +565,7 @@ impl RpcBatch {
                 backoff.snooze();
             }
         }
-        let lanes = self.n_workers.min(n_jobs).max(1) as u64;
-        // Measured from the first group's post, saturating: a bench
-        // that resets the core clocks under a deferred batch must not
-        // turn this into its whole history.
-        let first = self.groups.first().map_or(0, |&(at, _)| at);
-        let finish = self.groups.iter().fold(0, |f: u64, &(at, cycles)| {
-            f.max(at.saturating_sub(first)) + cycles / lanes
-        });
-        ctx.compute(finish.saturating_sub(ctx.now().saturating_sub(first)));
-        self.results
+        std::mem::take(&mut self.results)
             .into_iter()
             .map(|r| r.expect("all pending reaped"))
             .collect()
@@ -717,8 +744,6 @@ impl RpcService {
         reqs: &[(u64, [u64; 4])],
     ) {
         let costs = &self.shared.machine.cfg.costs;
-        let group = batch.groups.len();
-        batch.groups.push((0, 0));
         for &(func_id, args) in reqs {
             let idx = batch.results.len();
             let charge = if idx == 0 {
@@ -731,9 +756,9 @@ impl RpcService {
             let fut = self.post(ctx, func_id, args, charge, |ctx| {
                 batch.reap_ready(ctx);
             });
-            batch.pending.push((idx, group, fut));
+            batch.pending.push((idx, fut));
         }
-        batch.groups[group].0 = ctx.now();
+        batch.groups.push((ctx.now(), batch.results.len()));
     }
 
     /// The machine this service runs on.
@@ -1156,6 +1181,28 @@ mod tests {
             2,
             "a follow-on group is no new batch"
         );
+    }
+
+    #[test]
+    fn collect_hands_back_every_job_and_charges_no_wait() {
+        // The same four 1 000-cycle jobs `wait_all` charges 4 000 for:
+        // `collect` returns the post time and each job's result and
+        // measured cycles in post order, and leaves the wait to the
+        // caller.
+        let m = machine();
+        let svc = fixed_cost_service(&m, 16, 1_000);
+        let e = m.driver.create_enclave(&m, 16 * 4096);
+        let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+        t.enter();
+        svc.call(&mut t, 10, [0; 4]); // warm up
+        let reqs: Vec<_> = (0..4u64).map(|i| (10, [i, 0, 0, 0])).collect();
+        let batch = svc.submit_batch(&mut t, &reqs);
+        let posted = t.now();
+        let (first, jobs) = batch.collect(&mut t);
+        assert_eq!(first, posted);
+        assert_eq!(jobs, [(0, 1_000), (1, 1_000), (2, 1_000), (3, 1_000)]);
+        assert!(t.now() - posted < 1_000, "collect charged a wait");
+        t.exit();
     }
 
     #[test]

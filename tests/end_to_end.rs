@@ -441,6 +441,9 @@ fn pinned_request_path(mode: &str, batch: usize) -> (Pinned, Vec<Vec<u8>>) {
 /// `IoPath` and one serve loop behind every front-end (the constants
 /// were measured there) — on the native and OCALL baselines too, which
 /// the e2e instrument covers only through its ungated `ref.*` row.
+/// The one exception is the batch-8 Eleos cell, whose one-worker reaps
+/// read each descriptor line as the worker publishes it (434 167 before
+/// the receive leg was streamed).
 #[test]
 fn request_path_cycles_are_pinned() {
     let pin = |now, exits, syscalls, rpc, crypto_setup_cycles| Pinned {
@@ -457,7 +460,7 @@ fn request_path_cycles_are_pinned() {
         ("native", 1, pin(552_461, 0, 128, 0, 51_200)),
         ("sgx", 1, pin(1_706_815, 128, 128, 0, 51_200)),
         ("eleos", 1, pin(850_421, 0, 128, 128, 51_200)),
-        ("eleos", 8, pin(434_167, 0, 16, 16, 17_600)),
+        ("eleos", 8, pin(422_115, 0, 16, 16, 17_600)),
     ];
     let mut reference: Option<Vec<Vec<u8>>> = None;
     for (mode, batch, expected) in cells {
