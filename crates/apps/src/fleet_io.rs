@@ -60,8 +60,8 @@
 //!
 //! Replica death is modeled at sub-batch fences — the only points
 //! where the pipeline holds no half-served requests. [`FleetKvs::kill`]
-//! has the victim flush pending sends and (when SUVM-backed)
-//! [`quiesce`](Suvm::quiesce) its secure memory, transfers its state,
+//! has the victim (when SUVM-backed) [`quiesce`](Suvm::quiesce) its
+//! secure memory, transfers its state,
 //! and only once **every** recipient has merged it lets the enclave
 //! die (the driver reclaims its EPC and sealed swap) and reassigns its
 //! shards to the heir; a refused transfer stops short of that, the
@@ -567,14 +567,6 @@ impl FleetKvs {
         .unwrap_or(0)
     }
 
-    /// Flushes every serving replica's pending (double-buffered)
-    /// sends — the end-of-run fence.
-    pub fn flush(&self) {
-        for r in 0..self.slots.len() {
-            self.with_replica(r, |rep| rep.io.flush(&mut rep.ctx));
-        }
-    }
-
     /// Runs `work` — a replica's share of replica-state byte-work — on
     /// the core this fleet bills such work to, and returns its result
     /// with the cycles it cost: a thread entered in `own`'s enclave on
@@ -606,10 +598,10 @@ impl FleetKvs {
 
     /// Sender half of every state transfer: seals replica `r`'s writes
     /// stamped `>= base` at a fresh epoch and stages `copies` chunked
-    /// copies on the channel. `at_fence` first flushes `r`'s pending
-    /// sends and quiesces its SUVM — kill and respawn transfer at a
-    /// fence, delta rounds between them. Returns the epoch minted, the
-    /// framed size of one copy and the cycles spent.
+    /// copies on the channel. `at_fence` first quiesces `r`'s SUVM —
+    /// kill and respawn transfer at a fence, delta rounds between them.
+    /// Returns the epoch minted, the framed size of one copy and the
+    /// cycles spent.
     ///
     /// # Panics
     /// Panics when `r` is dead: it has no state to send.
@@ -619,11 +611,10 @@ impl FleetKvs {
         let Some(live) = self.slot(r).clone() else {
             panic!("replica {r} is not serving");
         };
-        let Replica { ctx, io, kvs, suvm } = &mut *live.lock();
+        let Replica { ctx, kvs, suvm, .. } = &mut *live.lock();
         let enclave_id = enclave_of(ctx).id;
         let (len, cycles) = self.on_work_core(ctx, |ctx| {
             if at_fence {
-                io.flush(ctx);
                 if let Some(suvm) = suvm {
                     suvm.quiesce(ctx);
                 }
@@ -1098,7 +1089,6 @@ mod tests {
         m.host
             .push_request(&ut, fds[s], &wire.encrypt(&build_set(key, value)));
         while fk.pump() == 0 {}
-        fk.flush();
         assert_eq!(wire.decrypt(&m.host.pop_response(fds[s]).unwrap()), [1u8]);
     }
 
@@ -1168,7 +1158,6 @@ mod tests {
                     *n += fk.pump_replica(r);
                 }
             }
-            fk.flush();
             for (s, &fd) in fds.iter().enumerate() {
                 let mut got = 0;
                 while let Some(resp) = m.host.pop_response(fd) {
@@ -1195,7 +1184,6 @@ mod tests {
         m.host
             .push_request(&ut, fds[s], &wire.encrypt(&build_set(b"fresh", &[7u8; 32])));
         while fk.pump() == 0 {}
-        fk.flush();
         assert_eq!(wire.decrypt(&m.host.pop_response(fds[s]).unwrap()), [1u8]);
 
         let report = fk.kill(1).unwrap();
@@ -1212,7 +1200,6 @@ mod tests {
         while served == 0 {
             served = fk.pump();
         }
-        fk.flush();
         let plain = wire.decrypt(&m.host.pop_response(fds[s]).unwrap());
         assert_eq!(plain[0], 1, "heir must hold the victim's item");
         assert_eq!(&plain[5..], [7u8; 32]);
@@ -1237,7 +1224,6 @@ mod tests {
         );
         let _ = conn;
         while fk.pump() == 0 {}
-        fk.flush();
         while m.host.pop_response(fds[1]).is_some() {}
 
         let report = fk.respawn(1).unwrap();
@@ -1256,7 +1242,6 @@ mod tests {
         while served == 0 {
             served = fk.pump();
         }
-        fk.flush();
         let plain = wire.decrypt(&m.host.pop_response(fds[1]).unwrap());
         assert_eq!(plain[0], 1, "rejoined replica holds post-kill state");
         let st = m.stats.snapshot();
@@ -1316,7 +1301,6 @@ mod tests {
         while served < 16 {
             served += fk.pump();
         }
-        fk.flush();
         let mut answered = 0;
         for &fd in &fds {
             while let Some(resp) = m.host.pop_response(fd) {
@@ -1360,7 +1344,6 @@ mod tests {
             &wire.encrypt(&build_set(b"delta-key", &[5u8; 40])),
         );
         while fk.pump() == 0 {}
-        fk.flush();
         while m.host.pop_response(fds[s]).is_some() {}
         assert!(fk.maintenance_tick(), "a delta round is work");
         assert_eq!(
@@ -1417,7 +1400,6 @@ mod tests {
         while served == 0 {
             served = fk.pump();
         }
-        fk.flush();
         let plain = wire.decrypt(&m.host.pop_response(fds[s]).unwrap());
         assert_eq!(plain[0], 1, "rejoined replica serves restored state");
     }

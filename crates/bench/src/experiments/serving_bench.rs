@@ -180,7 +180,7 @@ struct Cell {
 
 /// The sub-batch sizing policies under test.
 fn policies() -> Vec<(String, ServerIoConfig)> {
-    let base = || ServerIoConfig::with_buf_len(64 << 10).async_send(false);
+    let base = || ServerIoConfig::with_buf_len(64 << 10);
     let mut out: Vec<(String, ServerIoConfig)> = [1usize, 8, BATCH_MAX]
         .iter()
         .map(|&b| (format!("fixed-{b}"), base().batch(b)))
@@ -328,7 +328,6 @@ fn cell(
     let c0 = ctx.now();
     let idle = run_shape(&mut ctx, ops);
     let busy = (ctx.now() - c0).saturating_sub(idle);
-    io.flush(&mut ctx);
     let d = rig.machine.stats.snapshot();
     ctx.exit();
     Cell {
@@ -451,7 +450,6 @@ fn fleet_cell(
             reap_replies(&mut warmup_replies);
         }
     }
-    fk.flush();
     reap_replies(&mut warmup_replies);
     rig.machine.reset_counters();
     let t0 = fk.sync_clocks();
@@ -522,7 +520,6 @@ fn fleet_cell(
             fk.maintenance_tick();
         }
     }
-    fk.flush();
     reap_replies(&mut replies);
     if background {
         failover_cycles = fk.auto_failover_cycles();
@@ -574,9 +571,7 @@ fn rekey_cell(scale: Scale, chaos: &'static str, interval: Option<u64>, quick: b
         kvs.set(&mut ctx, &gen.key(i), &gen.value(i));
     }
     let fds = rig.socket_set(1);
-    let mut cfg = ServerIoConfig::with_buf_len(64 << 10)
-        .async_send(false)
-        .adaptive(1, BATCH_MAX);
+    let mut cfg = ServerIoConfig::with_buf_len(64 << 10).adaptive(1, BATCH_MAX);
     if let Some(n) = interval {
         cfg = cfg.rekey_every(n);
     }
@@ -613,7 +608,6 @@ fn rekey_cell(scale: Scale, chaos: &'static str, interval: Option<u64>, quick: b
             // decrypting while the reply's epoch is still buffered.
             reap_replies(replies);
         }
-        io.flush(ctx);
         reap_replies(replies);
     };
     let mut warmup = 0u64;
@@ -673,11 +667,7 @@ fn revoke_cell(scale: Scale, quick: bool) -> Cell {
         kvs.set(&mut ctx, &gen.key(i), &gen.value(i));
     }
     let fds = rig.socket_set(2);
-    let base = || {
-        ServerIoConfig::with_buf_len(64 << 10)
-            .async_send(false)
-            .adaptive(1, BATCH_MAX)
-    };
+    let base = || ServerIoConfig::with_buf_len(64 << 10).adaptive(1, BATCH_MAX);
     let io_a = rig.server_io_sharded(&ctx, &fds[..1], base());
     let session_b = Arc::new(eleos_apps::wire::Session::established([0x5bu8; 16]));
     let io_b = base().build(&ctx, &fds[1..], rig.io_path(), Arc::clone(&session_b));
@@ -712,7 +702,6 @@ fn revoke_cell(scale: Scale, quick: bool) -> Cell {
             done += kvs.handle_batch(&mut ctx, io);
             while machine.host.pop_response(fd).is_some() {}
         }
-        io.flush(&mut ctx);
     }
     while machine.host.pop_response(fds[0]).is_some() {}
     while machine.host.pop_response(fds[1]).is_some() {}
@@ -753,8 +742,6 @@ fn revoke_cell(scale: Scale, quick: bool) -> Cell {
                 }
             }
             b_served += half as u64;
-            io_a.flush(&mut ctx);
-            io_b.flush(&mut ctx);
             while let Some(resp) = machine.host.pop_response(fds[1]) {
                 let _ = session_b.decrypt(&resp);
             }
@@ -773,7 +760,6 @@ fn revoke_cell(scale: Scale, quick: bool) -> Cell {
                 done += kvs.handle_batch(&mut ctx, &io_a);
                 reap_a(&mut a_replies);
             }
-            io_a.flush(&mut ctx);
             pushed += c;
         }
         reap_a(&mut a_replies);
@@ -792,7 +778,6 @@ fn revoke_cell(scale: Scale, quick: bool) -> Cell {
             revoked = true;
         }
     }
-    io_a.flush(&mut ctx);
     reap_a(&mut a_replies);
     let busy = ctx.now() - c0;
     let d = rig.machine.stats.snapshot();

@@ -365,8 +365,7 @@ pub fn run_param_server_batched(
 ) -> PsRun {
     let cfg = ServerIoConfig::with_buf_len(64 << 10)
         .batch(batch)
-        .batched_crypto(batched_crypto)
-        .async_send(true);
+        .batched_crypto(batched_crypto);
     measure_param_server(rig, kind, n_keys, n_requests, warmup, cfg, true, gen)
 }
 
@@ -446,7 +445,6 @@ fn measure_param_server(
         }
         served += chunk;
     }
-    io.flush(&mut ctx);
     let run = PsRun {
         ops: served as u64,
         e2e_cycles: ctx.now() - c0,

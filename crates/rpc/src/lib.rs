@@ -376,8 +376,8 @@ fn execute_job(shared: &Shared, ctx: &mut ThreadCtx, core: usize, pos: u64) {
             ERR_UNREGISTERED
         }
     };
-    // Saturating: a bench that resets the core clocks
-    // (`SgxMachine::reset_counters`) under a deferred job still in
+    // Saturating: a caller that resets the core clocks
+    // (`SgxMachine::reset_counters`) under an `RpcFuture` still in
     // flight loses that one job's cycles; a wrapped difference would
     // turn the waiter's clock back by this core's whole history.
     let elapsed = ctx.now().saturating_sub(start);
@@ -525,8 +525,9 @@ impl RpcBatch {
     /// The charge is overlap-aware: workers execute concurrently with
     /// the enclave from the moment of submission, so any cycles the
     /// caller has already spent computing since then come off the
-    /// wait. A caller that defers the wait past enough of its own work
-    /// (the paper's asynchronous exit-less calls, §3.1) pays nothing.
+    /// wait. A grouped send, which seals the next group while the
+    /// worker transmits this one, pays only for the worker time its
+    /// sealing did not cover.
     ///
     /// With several groups the workers take them in post order, each
     /// no earlier than it was posted: the wait runs to the serialized
@@ -537,15 +538,12 @@ impl RpcBatch {
     pub fn wait_all(mut self, ctx: &mut ThreadCtx) -> Vec<u64> {
         let jobs = self.complete(ctx);
         let lanes = self.n_workers.min(jobs.len()).max(1) as u64;
-        // Measured from the first group's post, saturating: a bench
-        // that resets the core clocks under a deferred batch must not
-        // turn this into its whole history.
         let first = self.first_post();
         let (finish, _) = self.groups.iter().fold((0, 0), |(f, start), &(at, end)| {
             let cycles: u64 = jobs[start..end].iter().map(|&(_, c)| c).sum();
             (f.max(at.saturating_sub(first)) + cycles / lanes, end)
         });
-        ctx.compute(finish.saturating_sub(ctx.now().saturating_sub(first)));
+        ctx.compute(finish.saturating_sub(ctx.now() - first));
         jobs.into_iter().map(|(ret, _)| ret).collect()
     }
 

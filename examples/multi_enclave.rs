@@ -135,7 +135,6 @@ fn main() {
             assert!(done > before, "queued requests must be served");
             reap(&mut outstanding);
         }
-        fk.flush();
         reap(&mut outstanding);
 
         if round + 1 == KILL_AT {
@@ -161,7 +160,6 @@ fn main() {
             );
         }
     }
-    fk.flush();
     reap(&mut outstanding);
     assert_eq!(outstanding, 0, "every pushed request was answered");
 
@@ -172,7 +170,6 @@ fn main() {
         .host
         .push_request(&ut, fds[s], &session.encrypt(&build_get(probe.as_bytes())));
     while fk.pump() == 0 {}
-    fk.flush();
     let plain = session.decrypt(&machine.host.pop_response(fds[s]).unwrap());
     assert_eq!(plain[0], 1, "pre-kill write must survive the failover");
     assert_eq!(&plain[5..], [(KILL_AT - 1) as u8; 64]);

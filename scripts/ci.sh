@@ -113,6 +113,14 @@ if grep -rnE 'read_run\(ctx, run, stripe, n, now|groups\[group\]|ctr_for\(Self::
     echo "a superseded receive-leg shape is back (see above)"
     exit 1
 fi
+# Every RPC send is waited for before it returns: no deferred send held
+# between batches, and no `flush` for a caller to remember. Only
+# `bench/src/rig.rs` still calls `async_send`, with `false`.
+if grep -rnE 'pending_send|async_send\(true|fn flush\(&self|\b(io|io_a|io_b|fk)\.flush\(' \
+        crates/*/src crates/*/tests src examples tests ; then
+    echo "a deleted deferred-send name is back (see above)"
+    exit 1
+fi
 # PR 23 brought the first `unsafe` into the tree: the hardware AES /
 # CLMUL kernels. It lives in one module; seven crates `forbid` it, and
 # this keeps it out of tests and examples too (`-w`: the lint names

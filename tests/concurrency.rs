@@ -296,7 +296,6 @@ fn fleet_serves_while_maintenance_ticks_on_another_thread() {
             assert!(got > 0, "queued requests must be served");
             done += got;
         }
-        fk.flush();
         for (s, want) in expect.iter_mut().enumerate() {
             while let Some(resp) = m.host.pop_response(fds[s]) {
                 let want = want.pop_front().expect("no surplus reply");

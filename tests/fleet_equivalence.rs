@@ -233,7 +233,6 @@ fn run_fleet_full(
             assert!(got > 0, "queued requests must be served");
             done += got;
         }
-        r.fk.flush();
         for (s, q) in streams.iter_mut().enumerate() {
             while let Some(resp) = r.m.host.pop_response(r.fds[s]) {
                 q.push_back(r.wire.decrypt(&resp));
@@ -361,7 +360,6 @@ fn reimported_stale_snapshot_never_clobbers_fresher_writes() {
     let do_req = |plain: &[u8]| -> Vec<u8> {
         r.m.host.push_request(&ut, r.fds[s], &r.wire.encrypt(plain));
         while r.fk.pump() == 0 {}
-        r.fk.flush();
         r.wire
             .decrypt(&r.m.host.pop_response(r.fds[s]).expect("a reply"))
     };
@@ -590,7 +588,6 @@ fn replica_failover_preserves_ttl_items() {
     let do_req = |plain: &[u8]| -> Vec<u8> {
         r.m.host.push_request(&ut, r.fds[s], &r.wire.encrypt(plain));
         while r.fk.pump() == 0 {}
-        r.fk.flush();
         r.wire
             .decrypt(&r.m.host.pop_response(r.fds[s]).expect("a reply"))
     };
@@ -689,7 +686,6 @@ fn same_bytes_cross_the_channel_whichever_core_pays() {
         while served < N_CONNS {
             served += r.fk.pump();
         }
-        r.fk.flush();
         let serving_core = r.m.core(0);
         let (s0, t0) = (r.m.stats.snapshot(), serving_core.clock.now());
         let kill = r.fk.kill(1).expect("honest channel");
@@ -758,7 +754,6 @@ fn delta_rounds_and_the_final_kill_ship_pinned_bytes() {
         let (s, _) = r.fk.map().route_replica(conn);
         r.m.host.push_request(&ut, r.fds[s], &r.wire.encrypt(plain));
         while r.fk.pump() == 0 {}
-        r.fk.flush();
         r.wire
             .decrypt(&r.m.host.pop_response(r.fds[s]).expect("a reply"))
     };
@@ -962,7 +957,6 @@ fn births_and_deaths(plane: bool) -> Vec<LifeRow> {
             assert!(got > 0, "queued requests must be served");
             done += got;
         }
-        r.fk.flush();
         for &fd in &r.fds {
             while let Some(resp) = r.m.host.pop_response(fd) {
                 *digest = fnv(*digest, &r.wire.decrypt(&resp));
@@ -1082,9 +1076,8 @@ fn replica_births_and_deaths_are_pinned() {
 /// ROADMAP N8's question: is a one-replica `FleetKvs` without the
 /// maintenance plane the same server as a `Kvs` behind a `ServerIo`?
 /// Both get the same machine, sockets, RPC service, session and seed,
-/// and serve one fixed GET/SET script a round at a time, flushing at
-/// every round's fence. The replies match byte for byte, per
-/// connection, and the serving core's clock, seeding included, to the
+/// and serve one fixed GET/SET script a round at a time. The replies
+/// match byte for byte, per connection, and the serving core's clock, seeding included, to the
 /// cycle: the fleet adds a router and a channel, and neither is on the
 /// request path of a replica that owns every shard.
 #[test]
@@ -1099,11 +1092,7 @@ fn one_replica_fleet_serves_like_a_lone_server() {
         Arc::new(AesGcm128::new(&[0x2au8; 16])),
         FleetConfig::small(1),
     );
-    let fleet_replies = serve_script(&fleet.m, &fleet.fds, &fleet.wire, &reqs, || {
-        let got = fleet.fk.pump();
-        fleet.fk.flush();
-        got
-    });
+    let fleet_replies = serve_script(&fleet.m, &fleet.fds, &fleet.wire, &reqs, || fleet.fk.pump());
 
     // The lone server, built in the order `FleetKvs::new` wires its
     // replica: enclave, entered thread, store, pipeline, then the seed.
@@ -1122,11 +1111,7 @@ fn one_replica_fleet_serves_like_a_lone_server() {
     kvs.init(&mut ctx);
     let io = io_config().build(&ctx, &fds, path, Arc::clone(&wire));
     seed_items(&mut ctx, &mut kvs);
-    let lone_replies = serve_script(&m, &fds, &wire, &reqs, || {
-        let got = kvs.handle_batch(&mut ctx, &io);
-        io.flush(&mut ctx);
-        got
-    });
+    let lone_replies = serve_script(&m, &fds, &wire, &reqs, || kvs.handle_batch(&mut ctx, &io));
 
     assert_eq!(fleet_replies, lone_replies, "replies diverged");
     assert_eq!(

@@ -1639,7 +1639,6 @@ fn a_rekey_announcement_rewritten_in_the_ring_is_refused_not_fatal() {
     while served < 2 {
         served += fk.pump();
     }
-    fk.flush();
     for &fd in &fds {
         let reply = wire.decrypt(&m.host.pop_response(fd).expect("a reply per request"));
         assert_eq!(reply[0], 1, "the seeded key is found");

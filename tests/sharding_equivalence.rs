@@ -205,7 +205,6 @@ fn run_kvs(
             }
         });
     }
-    rig.io.flush(&mut t);
     t.exit();
     replies_by_conn(&rig, &pushed)
 }
@@ -245,7 +244,6 @@ fn run_param(
             io.serve(t, |t, plain| srv.process(t, plain))
         });
     }
-    rig.io.flush(&mut t);
     let probes = (0..N_CONNS as u64)
         .map(|c| srv.get(&mut t, 1 + c).expect("populated key"))
         .collect();
@@ -286,7 +284,6 @@ fn run_face(shards: usize, cfg: ServerIoConfig, conns: &[u64], keys: &[u64]) -> 
             io.serve(t, |t, plain| srv.process(t, plain))
         });
     }
-    rig.io.flush(&mut t);
     t.exit();
     replies_by_conn(&rig, &pushed)
 }
