@@ -47,6 +47,50 @@
 //! reap re-arms the entries it read with one charged write, even when
 //! its shards delivered one line or less.
 //!
+//! # Reaping ahead
+//!
+//! A lone server on a one-worker ring overlaps the worker with the
+//! enclave *across* the legs of its loop too. When [`ServerIo::recv_batch`]
+//! (and so [`ServerIo::serve`] and `Kvs::handle_batch`) is about to
+//! return, it posts the next reap at once if that reap is certain to
+//! come back full: every shard's queue holds at least the shard's next
+//! depth, read after the controller stepped. The worker then copies
+//! batch *N + 1* in while the enclave serves batch *N*, and the send of
+//! batch *N*, once it has posted its last group, reads and decrypts
+//! batch *N + 1* while the worker transmits — before it waits, so every
+//! reply is still on its socket when the send returns. The next reap
+//! only hands that batch on. One worker runs jobs in post order, so a
+//! send whose first post would land before the copy ends waits for
+//! that end first — reading the batch line by line as the worker
+//! publishes it, as the reap would have, rather than idling.
+//!
+//! The batches stay the same: a socket's queue is FIFO and the reap
+//! posted ahead asks each shard for exactly the depth the next reap
+//! would, from a queue that holds at least that many, so it pops what
+//! the next reap would have. Each shard's controller is still fed when
+//! the batch is handed on, against the backlog queued then, so every
+//! later depth is what it would have been. A pending reap is the next
+//! reap whichever entry point asks — `recv_msg` hands it out one
+//! request at a time — and a due key rotation leaves it unopened, to
+//! be opened under the rotated session at the head of the next reap.
+//!
+//! The timing is modelled, not raced: the reap posted ahead is settled
+//! host-side as soon as it is posted, uncharged, and replayed through
+//! the streamed reader at the times the worker published its lines; the
+//! send settles its own jobs before it reads ahead
+//! ([`RpcBatch::wait_all_with`]). So the worker never runs
+//! host-concurrently with charged enclave work, and a seed gives the
+//! same cycles on a rig without CAT. A clock reset since the post
+//! leaves nothing to replay: the lines count as published then.
+//!
+//! Only a lone server reaps ahead. A fleet replica reaps through
+//! [`ServerIo::recv_batch_on`], which never does: its shards can be
+//! reassigned at any fence, and a killed replica must leave the
+//! requests it did not reap in the kernel queue for the survivor. With
+//! more workers, or on the native and OCALL paths, nothing changes.
+//! [`ServerIo::revoke`] drops a pending reap with the queued traffic;
+//! dropping a server with one pending loses that batch.
+//!
 //! `recv_mmsg` pops a socket's queue front under one lock, and the
 //! load generator pins each client connection to one shard
 //! ([`crate::loadgen::shard_for`]), so per-shard slot order *is*
@@ -134,7 +178,7 @@ use std::sync::Arc;
 use eleos_enclave::host::{Fd, DESC_LINE, DESC_STRIDE};
 use eleos_enclave::thread::ThreadCtx;
 pub use eleos_rpc::IoPath;
-use eleos_rpc::{funcs, RpcService};
+use eleos_rpc::{funcs, RpcBatch, RpcService};
 use eleos_sim::stats::{Hist, HistSnapshot, Stats};
 
 use crate::wire::{OpenGate, Session, SessionState};
@@ -385,6 +429,7 @@ impl ServerIoConfig {
             shards,
             last_reap: std::sync::Mutex::new(Vec::new()),
             served: AtomicU64::new(0),
+            ahead: std::sync::Mutex::new(None),
             cfg: self,
             path,
             session,
@@ -453,6 +498,8 @@ pub struct ServerIo {
     /// Requests decrypted since the last key rotation — the
     /// [`ServerIoConfig::rekey_every`] interval's clock.
     served: AtomicU64,
+    /// The next reap, when the last one posted it ahead.
+    ahead: std::sync::Mutex<Option<Ahead>>,
     /// Session tunables.
     pub cfg: ServerIoConfig,
     /// Syscall mechanism.
@@ -522,7 +569,7 @@ impl ServerIo {
             1,
             "single-message receive is a single-socket affair; use recv_batch on a sharded server"
         );
-        self.reap(ctx, &[0], self.cfg.buf_len, Some(1)).pop()
+        self.reap(ctx, &[0], self.cfg.buf_len, Some(1), false).pop()
     }
 
     /// Receives and decrypts up to one sub-batch of requests per
@@ -530,14 +577,18 @@ impl ServerIo {
     /// shard by shard, decrypting the whole reap in one batched crypto
     /// pass. The sub-batch depth is `cfg.batch_min`, or the
     /// controller's current depth under [`ServerIoConfig::adaptive`].
+    /// On a one-worker ring it may post the next reap before it
+    /// returns (see the module docs' "Reaping ahead").
     pub fn recv_batch(&self, ctx: &mut ThreadCtx) -> Vec<Vec<u8>> {
         let all: Vec<usize> = (0..self.shards.len()).collect();
-        self.recv_batch_on(ctx, &all)
+        self.reap(ctx, &all, self.stripe(), None, true)
     }
 
     /// The reap restricted to an owned shard subset — the fleet tier's
     /// entry point, where each replica's pipeline reaps only the
-    /// shards the router assigned to it.
+    /// shards the router assigned to it. It never reaps ahead, but a
+    /// reap already posted ahead is the next reap: it comes back whole,
+    /// whatever `active` names.
     ///
     /// # Panics
     /// Panics if `active` is empty, not strictly increasing, or names
@@ -556,7 +607,15 @@ impl ServerIo {
             "shard subset {active:?} names shards past the {}-socket set",
             self.shards.len()
         );
-        self.reap(ctx, active, self.stripe(), None)
+        self.reap(ctx, active, self.stripe(), None, false)
+    }
+
+    /// Whether the rekey interval has elapsed, so the head of the next
+    /// reap rotates the key epoch.
+    fn rekey_due(&self) -> bool {
+        self.cfg
+            .rekey_interval
+            .is_some_and(|n| self.served.load(Ordering::Relaxed) >= n)
     }
 
     /// One fence-head check of the rekey interval: once the server
@@ -567,10 +626,7 @@ impl ServerIo {
     /// half-served requests — so rotation never splits a batch's
     /// crypto between epochs mid-serve.
     fn maybe_rekey(&self, ctx: &mut ThreadCtx) {
-        let Some(interval) = self.cfg.rekey_interval else {
-            return;
-        };
-        if self.served.load(Ordering::Relaxed) < interval {
+        if !self.rekey_due() {
             return;
         }
         self.served.store(0, Ordering::Relaxed);
@@ -583,25 +639,82 @@ impl ServerIo {
     /// The one reap behind every receive entry point: collect raw
     /// messages from the `active` shards into `stripe`-byte slots —
     /// `depth` per shard, or each shard's controller depth — then
-    /// decrypt them all in one pass, charged as one amortized batch
-    /// ([`Session::decrypt_batch_in_enclave`]) or, when the reap was
-    /// streamed, billed frame by frame as each was read. (The paper's
-    /// untrusted baseline also decrypts every request, §2, so the
-    /// crypto charge applies on all paths.)
+    /// decrypt them all in one pass ([`Self::reap_now`]). A reap posted
+    /// ahead is the next reap, whichever entry point asks: it is handed
+    /// on instead, opened here if no send opened it yet. `recv_msg`
+    /// (`depth` one) hands its requests out one at a time. With
+    /// `post_next` — [`Self::recv_batch`] and [`Self::serve`] — the reap
+    /// then posts the one after it ([`Self::post_ahead`]).
     ///
-    /// On the RPC path that is one `recv_mmsg` job per shard, submitted
-    /// together as one ring batch ([`Self::recv_runs`]); the `(shard, count)` split is
-    /// recorded for the matching [`Self::send_batch`] to route replies
-    /// home. The native and OCALL baselines loop over per-message
-    /// `recv`s on their one socket.
+    /// Each shard's controller is fed when its requests are handed on,
+    /// against the backlog queued then, and the `(shard, count)` split
+    /// is recorded for the matching [`Self::send_batch`] to route
+    /// replies home.
     fn reap(
         &self,
         ctx: &mut ThreadCtx,
         active: &[usize],
         stripe: usize,
         depth: Option<u64>,
+        post_next: bool,
     ) -> Vec<Vec<u8>> {
         self.maybe_rekey(ctx);
+        let pending = self.ahead.lock().expect("ahead").take();
+        let mut reaped = match pending {
+            Some(Ahead::Opened(reaped)) => reaped,
+            Some(Ahead::Posted(settled)) => self.open_settled(ctx, settled),
+            None => self.reap_now(ctx, active, stripe, depth),
+        };
+        for (k, n) in reaped.accepted.drain(..) {
+            let shard = &self.shards[k];
+            let backlog = ctx.machine.host.rx_pending(shard.fd);
+            shard.backlog.store(backlog as u64, Ordering::Relaxed);
+            self.adapt(shard, n, backlog);
+        }
+        if let Some(depth) = depth {
+            if reaped.out.len() as u64 > depth {
+                let rest = reaped.split_off(depth as usize);
+                *self.ahead.lock().expect("ahead") = Some(Ahead::Opened(rest));
+            }
+        }
+        // (The lock is poisoned only if a serving thread already
+        // panicked holding it — not something a frame can cause.)
+        *self.last_reap.lock().expect("last reap") = reaped.record;
+        self.served
+            .fetch_add(reaped.out.len() as u64, Ordering::Relaxed);
+        if let (true, IoPath::Rpc(svc)) = (post_next, &self.path) {
+            self.post_ahead(ctx, svc);
+        }
+        reaped.out
+    }
+
+    /// Reaps the `active` shards now. (The paper's untrusted baseline
+    /// also decrypts every request, §2, so the crypto charge applies on
+    /// all paths.)
+    ///
+    /// On the RPC path that is one `recv_mmsg` job per shard, submitted
+    /// together as one ring batch. By default the reap waits for every
+    /// job, reads each run whole and decrypts them all in one pass,
+    /// charged as one amortized batch
+    /// ([`Session::decrypt_batch_in_enclave`]). A reap is streamed
+    /// instead on a one-worker ring, whose jobs run in post order — run
+    /// *k*'s job starts when run *k − 1*'s ends (`wait_all`'s
+    /// serialized chain with one lane) — when some run can span two
+    /// lines of descriptors: it settles the jobs uncharged and reads
+    /// each run's lines at the times the worker published them
+    /// ([`Self::open_settled`]). A run of at most [`DESC_LINE`]
+    /// messages is one line, published after its last payload is
+    /// copied, just before its job ends: it has nothing to overlap.
+    /// With more workers the order of the jobs is not known. The native
+    /// and OCALL baselines loop over per-message `recv`s on their one
+    /// socket.
+    fn reap_now(
+        &self,
+        ctx: &mut ThreadCtx,
+        active: &[usize],
+        stripe: usize,
+        depth: Option<u64>,
+    ) -> Reaped {
         let runs: Vec<Run> = active
             .iter()
             .map(|&k| Run {
@@ -610,83 +723,39 @@ impl ServerIo {
             })
             .collect();
         let mut raw: Vec<Vec<u8>> = Vec::new();
-        let (counts, gate) = match &self.path {
-            IoPath::Rpc(svc) => self.recv_runs(ctx, svc, &runs, stripe, &mut raw),
-            _ => {
-                while (raw.len() as u64) < runs[0].want {
-                    match self.recv_raw(ctx) {
-                        Some(msg) => raw.push(msg),
-                        None => break,
-                    }
+        let IoPath::Rpc(svc) = &self.path else {
+            while (raw.len() as u64) < runs[0].want {
+                match self.recv_raw(ctx) {
+                    Some(msg) => raw.push(msg),
+                    None => break,
                 }
-                (vec![raw.len()], None)
             }
+            return self.open(ctx, vec![(0, raw.len())], &raw, None);
         };
-        let mut reap: Vec<(usize, usize)> = Vec::with_capacity(runs.len());
-        for (run, &n) in runs.iter().zip(&counts) {
-            reap.push((run.shard, n));
-            let shard = &self.shards[run.shard];
-            let backlog = ctx.machine.host.rx_pending(shard.fd);
-            shard.backlog.store(backlog as u64, Ordering::Relaxed);
-            self.adapt(shard, n, backlog);
+        let batch = svc.submit_batch(ctx, &self.recv_jobs(&runs, stripe));
+        if svc.worker_count() == 1 && runs.iter().any(|run| run.want > DESC_LINE as u64) {
+            let settled = self.settle(ctx, batch, runs, stripe);
+            return self.open_settled(ctx, settled);
         }
-        let refs: Vec<&[u8]> = raw.iter().map(Vec::as_slice).collect();
-        // A streamed reap billed each decrypt as it read the frame, and
-        // opens under the gate it billed by, so the two cannot disagree
-        // on a frame; the open itself is one pass either way.
-        let (out, dropped) = match &gate {
-            Some(gate) => self.session.open_reporting_drops(ctx, gate, &refs),
-            None => self
-                .session
-                .decrypt_batch_reporting_drops(ctx, &refs, self.cfg.batched_crypto),
-        };
-        // A frame the session refused gets no reply: take it out of the
-        // run that delivered it (`raw` is the runs back to back), so
-        // the record the matching send routes by is what was handed on.
-        let mut dropped = dropped.into_iter().peekable();
-        let mut end = 0;
-        for run in &mut reap {
-            end += run.1;
-            while dropped.next_if(|&at| at < end).is_some() {
-                run.1 -= 1;
-            }
-        }
-        // (The lock is poisoned only if a serving thread already
-        // panicked holding it — not something a frame can cause.)
-        *self.last_reap.lock().expect("last reap") = reap;
-        self.served.fetch_add(out.len() as u64, Ordering::Relaxed);
-        out
+        let counts = batch.wait_all(ctx);
+        let now = ctx.now();
+        let accepted = runs
+            .iter()
+            .zip(counts)
+            .map(|(run, n)| {
+                let lines = &mut Lines::Waited { now };
+                (
+                    run.shard,
+                    self.read_run(ctx, run, stripe, n, lines, &mut raw),
+                )
+            })
+            .collect();
+        self.open(ctx, accepted, &raw, None)
     }
 
-    /// Submits one `recv_mmsg` job per run as a single ring batch and
-    /// appends each run's payloads to `raw` in run order. Returns the
-    /// number of messages accepted per run, and — when the reap was
-    /// streamed — the [`OpenGate`] it billed the frames' decrypts by,
-    /// which the open must judge them by too.
-    ///
-    /// By default it waits for every job and then reads each run whole.
-    /// A reap is streamed instead on a one-worker ring, whose jobs run
-    /// in post order — run *k*'s job starts when run *k − 1*'s ends
-    /// (`wait_all`'s serialized chain with one lane) — when some run
-    /// can span two lines of descriptors: it collects the jobs
-    /// uncharged and reads each run's lines at the times the worker
-    /// published them ([`HostOs::rx_marks`]), billing each frame's
-    /// decrypt as it goes. A run of at most [`DESC_LINE`] messages is
-    /// one line, published after its last payload is copied, just
-    /// before its job ends: it has nothing to overlap. With more
-    /// workers the order of the jobs is not known.
-    ///
-    /// [`HostOs::rx_marks`]: eleos_enclave::host::HostOs::rx_marks
-    fn recv_runs(
-        &self,
-        ctx: &mut ThreadCtx,
-        svc: &RpcService,
-        runs: &[Run],
-        stripe: usize,
-        raw: &mut Vec<Vec<u8>>,
-    ) -> (Vec<usize>, Option<OpenGate>) {
-        let reqs: Vec<(u64, [u64; 4])> = runs
-            .iter()
+    /// One `recv_mmsg` job per run, into `stripe`-byte slots.
+    fn recv_jobs(&self, runs: &[Run], stripe: usize) -> Vec<(u64, [u64; 4])> {
+        runs.iter()
             .map(|run| {
                 let sh = &self.shards[run.shard];
                 (
@@ -699,35 +768,64 @@ impl ServerIo {
                     ],
                 )
             })
+            .collect()
+    }
+
+    /// Waits host-side for a one-worker receive batch without charging
+    /// the wait ([`RpcBatch::collect`]) and keeps what a streamed read
+    /// replays: when the first job started on the serving core's clock,
+    /// each job's count and worker cycles, and when it published each
+    /// line ([`HostOs::rx_marks`]).
+    ///
+    /// [`HostOs::rx_marks`]: eleos_enclave::host::HostOs::rx_marks
+    fn settle(
+        &self,
+        ctx: &mut ThreadCtx,
+        batch: RpcBatch,
+        runs: Vec<Run>,
+        stripe: usize,
+    ) -> Settled {
+        let (start, jobs) = batch.collect(ctx);
+        let marks = runs
+            .iter()
+            .zip(&jobs)
+            .map(|(run, &(n, _))| match n {
+                // (An empty job published no line.)
+                0 => Vec::new(),
+                _ => ctx.machine.host.rx_marks(self.shards[run.shard].fd),
+            })
             .collect();
-        let batch = svc.submit_batch(ctx, &reqs);
-        let streamed =
-            svc.worker_count() == 1 && runs.iter().any(|run| run.want > DESC_LINE as u64);
-        if !streamed {
-            let counts = batch.wait_all(ctx);
-            let now = ctx.now();
-            let counts = runs
-                .iter()
-                .zip(counts)
-                .map(|(run, n)| self.read_run(ctx, run, stripe, n, &mut Lines::Waited { now }, raw))
-                .collect();
-            return (counts, None);
+        Settled {
+            runs,
+            stripe,
+            start,
+            jobs,
+            marks,
         }
-        let (mut start, jobs) = batch.collect(ctx);
+    }
+
+    /// Reads a settled reap's runs line by line at the times the worker
+    /// published them, billing each frame's decrypt as it goes, and
+    /// opens them under the [`OpenGate`] it billed by.
+    fn open_settled(&self, ctx: &mut ThreadCtx, mut settled: Settled) -> Reaped {
+        settled.rebase(ctx.now());
+        let Settled {
+            runs,
+            stripe,
+            mut start,
+            jobs,
+            marks,
+        } = settled;
         let mut bill = Bill {
             gate: self.session.open_gate(),
             next: 0,
             amortize: self.cfg.batched_crypto,
         };
-        let counts = runs
+        let mut raw = Vec::new();
+        let accepted = runs
             .iter()
-            .zip(jobs)
-            .map(|(run, (n, cycles))| {
-                // (An empty job published no line.)
-                let marks = match n {
-                    0 => Vec::new(),
-                    _ => ctx.machine.host.rx_marks(self.shards[run.shard].fd),
-                };
+            .zip(jobs.into_iter().zip(marks))
+            .map(|(run, ((n, cycles), marks))| {
                 let mut lines = Lines::Streamed {
                     start,
                     marks,
@@ -735,10 +833,82 @@ impl ServerIo {
                     bill: &mut bill,
                 };
                 start += cycles;
-                self.read_run(ctx, run, stripe, n, &mut lines, raw)
+                (
+                    run.shard,
+                    self.read_run(ctx, run, stripe, n, &mut lines, &mut raw),
+                )
             })
             .collect();
-        (counts, Some(bill.gate))
+        self.open(ctx, accepted, &raw, Some(bill.gate))
+    }
+
+    /// Opens a reap's raw frames — `raw` is the runs `accepted` counts,
+    /// back to back — in one pass: under `gate` when a streamed read
+    /// already billed each decrypt by it (so the two cannot disagree on
+    /// a frame), else as one charged batch decrypt.
+    fn open(
+        &self,
+        ctx: &mut ThreadCtx,
+        accepted: Vec<(usize, usize)>,
+        raw: &[Vec<u8>],
+        gate: Option<OpenGate>,
+    ) -> Reaped {
+        let refs: Vec<&[u8]> = raw.iter().map(Vec::as_slice).collect();
+        let (out, dropped) = match &gate {
+            Some(gate) => self.session.open_reporting_drops(ctx, gate, &refs),
+            None => self
+                .session
+                .decrypt_batch_reporting_drops(ctx, &refs, self.cfg.batched_crypto),
+        };
+        // A frame the session refused gets no reply: take it out of the
+        // run that delivered it, so the record the matching send routes
+        // by is what was handed on.
+        let mut record = accepted.clone();
+        let mut dropped = dropped.into_iter().peekable();
+        let mut end = 0;
+        for run in &mut record {
+            end += run.1;
+            while dropped.next_if(|&at| at < end).is_some() {
+                run.1 -= 1;
+            }
+        }
+        Reaped {
+            accepted,
+            out,
+            record,
+        }
+    }
+
+    /// Posts the next reap ahead when it is certain to come back full:
+    /// on a one-worker ring, with every shard's queue holding at least
+    /// that shard's next depth, so it pops exactly what the next reap
+    /// would have. The jobs are settled host-side at once, uncharged;
+    /// the next send or reap reads them as the worker published them,
+    /// while the serve loop ran (see the module docs).
+    fn post_ahead(&self, ctx: &mut ThreadCtx, svc: &RpcService) {
+        if svc.worker_count() != 1 {
+            return;
+        }
+        let runs: Vec<Run> = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(k, sh)| Run {
+                shard: k,
+                want: sh.depth.load(Ordering::Relaxed),
+            })
+            .collect();
+        let host = &ctx.machine.host;
+        if runs
+            .iter()
+            .any(|run| (host.rx_pending(self.shards[run.shard].fd) as u64) < run.want)
+        {
+            return;
+        }
+        let stripe = self.stripe();
+        let batch = svc.submit_batch(ctx, &self.recv_jobs(&runs, stripe));
+        let settled = self.settle(ctx, batch, runs, stripe);
+        *self.ahead.lock().expect("ahead") = Some(Ahead::Posted(settled));
     }
 
     /// Reads one reaped run out of its shard's staging buffers — the
@@ -912,22 +1082,33 @@ impl ServerIo {
         &self,
         ctx: &mut ThreadCtx,
         active: &[usize],
-        mut f: impl FnMut(&mut ThreadCtx, &[u8]) -> Vec<u8>,
+        f: impl FnMut(&mut ThreadCtx, &[u8]) -> Vec<u8>,
     ) -> usize {
         let requests = self.recv_batch_on(ctx, active);
-        let replies: Vec<Vec<u8>> = requests.iter().map(|plain| f(ctx, plain)).collect();
-        self.send_batch(ctx, &replies);
-        requests.len()
+        self.answer(ctx, &requests, f)
     }
 
-    /// [`Self::serve_on`] over every shard.
+    /// [`Self::serve_on`] over every shard, reaping through
+    /// [`Self::recv_batch`]: a lone server's loop, which reaps ahead.
     pub fn serve(
         &self,
         ctx: &mut ThreadCtx,
         f: impl FnMut(&mut ThreadCtx, &[u8]) -> Vec<u8>,
     ) -> usize {
-        let all: Vec<usize> = (0..self.shards.len()).collect();
-        self.serve_on(ctx, &all, f)
+        let requests = self.recv_batch(ctx);
+        self.answer(ctx, &requests, f)
+    }
+
+    /// The serve loop's second half: `f` per request, then one send.
+    fn answer(
+        &self,
+        ctx: &mut ThreadCtx,
+        requests: &[Vec<u8>],
+        mut f: impl FnMut(&mut ThreadCtx, &[u8]) -> Vec<u8>,
+    ) -> usize {
+        let replies: Vec<Vec<u8>> = requests.iter().map(|plain| f(ctx, plain)).collect();
+        self.send_batch(ctx, &replies);
+        requests.len()
     }
 
     /// The serve loop at depth one: [`Self::recv_msg`], `f`,
@@ -950,25 +1131,29 @@ impl ServerIo {
     /// flips to [`SessionState::Revoked`] (refusing all future seals
     /// and opens), and the traffic already queued on the shard sockets
     /// is drained and dropped without serving — a revoked peer's bytes
-    /// never reach the application. Returns how many messages were
-    /// queued at the moment of revocation.
+    /// never reach the application. A reap posted ahead is dropped
+    /// with it, opened or not. Returns how many messages were queued at
+    /// the moment of revocation, the ones reaped ahead included.
     pub fn revoke(&self, ctx: &mut ThreadCtx) -> usize {
         self.session.revoke(ctx);
-        let queued: usize = self
-            .shards
-            .iter()
-            .map(|sh| ctx.machine.host.rx_pending(sh.fd))
-            .sum();
+        let ahead = self.ahead.lock().expect("ahead").take();
+        let queued: usize = ahead.map_or(0, |a| a.len())
+            + self
+                .shards
+                .iter()
+                .map(|sh| ctx.machine.host.rx_pending(sh.fd))
+                .sum::<usize>();
         // The reap machinery still runs (the kernel does not know the
         // session died), but every message fails the epoch lookup in
         // the open path and is dropped, so the batches come back
-        // empty.
+        // empty. The drain reaps nothing ahead.
+        let all: Vec<usize> = (0..self.shards.len()).collect();
         while self
             .shards
             .iter()
             .any(|sh| ctx.machine.host.rx_pending(sh.fd) > 0)
         {
-            let drained = self.recv_batch(ctx);
+            let drained = self.recv_batch_on(ctx, &all);
             assert!(
                 drained.is_empty(),
                 "a revoked session must not surface queued traffic"
@@ -1042,13 +1227,47 @@ impl ServerIo {
                 continue;
             }
             match &mut batch {
-                None => batch = Some(svc.submit_batch(ctx, &jobs)),
+                None => {
+                    self.wait_for_ahead(ctx);
+                    batch = Some(svc.submit_batch(ctx, &jobs));
+                }
                 Some(batch) => svc.extend_batch(ctx, batch, &jobs),
             }
         }
         if let Some(batch) = batch {
-            batch.wait_all(ctx);
+            batch.wait_all_with(ctx, |ctx| self.open_ahead(ctx));
         }
+    }
+
+    /// The one worker runs jobs in post order: a send whose first post
+    /// would land before the worker has copied the reap posted ahead
+    /// waits for that copy to end — reading it line by line as the
+    /// worker publishes it, as the reap itself would have.
+    fn wait_for_ahead(&self, ctx: &mut ThreadCtx) {
+        let end = match &mut *self.ahead.lock().expect("ahead") {
+            Some(Ahead::Posted(settled)) => {
+                settled.rebase(ctx.now());
+                settled.end()
+            }
+            _ => return,
+        };
+        if ctx.now() < end {
+            self.open_ahead(ctx);
+            ctx.compute(end.saturating_sub(ctx.now()));
+        }
+    }
+
+    /// Reads and opens the reap posted ahead while the worker transmits
+    /// a send — unless the head of the next reap rotates the key epoch,
+    /// under which that reap must open.
+    fn open_ahead(&self, ctx: &mut ThreadCtx) {
+        let mut ahead = self.ahead.lock().expect("ahead");
+        *ahead = match ahead.take() {
+            Some(Ahead::Posted(settled)) if !self.rekey_due() => {
+                Some(Ahead::Opened(self.open_settled(ctx, settled)))
+            }
+            other => other,
+        };
     }
 
     /// Where each reply of a send goes, and where its groups end.
@@ -1168,6 +1387,86 @@ impl ServerIo {
 struct Run {
     shard: usize,
     want: u64,
+}
+
+/// A reap whose jobs have run: the worker's timing, kept for a
+/// streamed read to replay ([`ServerIo::settle`]).
+struct Settled {
+    runs: Vec<Run>,
+    stripe: usize,
+    /// The serving core's clock when the first job's post landed.
+    start: u64,
+    /// Each job's `(count, worker_cycles)`, in post order.
+    jobs: Vec<(u64, u64)>,
+    /// When each job published each line, in its worker cycles.
+    marks: Vec<Vec<u64>>,
+}
+
+impl Settled {
+    /// When the worker finished the last job, on the serving core's
+    /// clock.
+    fn end(&self) -> u64 {
+        self.start + self.jobs.iter().map(|&(_, cycles)| cycles).sum::<u64>()
+    }
+
+    /// A clock reset since the post (`now < start`) leaves no time to
+    /// replay: every line counts as published now.
+    fn rebase(&mut self, now: u64) {
+        if now < self.start {
+            self.start = now;
+            self.jobs.iter_mut().for_each(|job| job.1 = 0);
+            self.marks.iter_mut().flatten().for_each(|mark| *mark = 0);
+        }
+    }
+}
+
+/// A reap read and opened, not yet handed on.
+struct Reaped {
+    /// `(shard, count)` of the messages each run's descriptors
+    /// delivered: what the shard's depth controller is fed.
+    accepted: Vec<(usize, usize)>,
+    /// The requests the session opened, the runs back to back.
+    out: Vec<Vec<u8>>,
+    /// `(shard, count)` split of `out`, for the matching send.
+    record: Vec<(usize, usize)>,
+}
+
+impl Reaped {
+    /// Splits a one-shard reap after its first `n` requests and
+    /// returns the rest, whose controller step this one keeps.
+    fn split_off(&mut self, n: usize) -> Reaped {
+        let out = self.out.split_off(n);
+        self.record = vec![(0, n)];
+        Reaped {
+            accepted: Vec::new(),
+            record: vec![(0, out.len())],
+            out,
+        }
+    }
+}
+
+/// The next reap, posted before the last one returned.
+enum Ahead {
+    /// Settled, not yet read.
+    Posted(Settled),
+    /// Read and opened by a send, while the worker transmitted it.
+    Opened(Reaped),
+}
+
+impl Ahead {
+    /// How many requests it holds: what the host said each job popped,
+    /// bounded by the depth asked for, until it is opened.
+    fn len(&self) -> usize {
+        match self {
+            Ahead::Posted(s) => s
+                .runs
+                .iter()
+                .zip(&s.jobs)
+                .map(|(run, &(n, _))| n.min(run.want) as usize)
+                .sum(),
+            Ahead::Opened(r) => r.out.len(),
+        }
+    }
 }
 
 /// When a reap reads a run's descriptors ([`ServerIo::read_run`]).
@@ -1711,5 +2010,153 @@ mod tests {
         );
         assert!(io.recv_batch(&mut t).is_empty());
         t.exit();
+    }
+
+    /// A one-worker echo server at depth four, with a CAT-partitioned
+    /// LLC so its clocks are exact.
+    fn ahead_rig() -> (
+        Arc<SgxMachine>,
+        ThreadCtx,
+        ThreadCtx,
+        Arc<Session>,
+        Fd,
+        ServerIo,
+    ) {
+        let m = SgxMachine::new(MachineConfig::tiny());
+        m.enable_cat();
+        let e = m.driver.create_enclave(&m, 1 << 20);
+        let wire = Arc::new(Session::established([29u8; 16]));
+        let ut = ThreadCtx::untrusted(&m, 2);
+        let fd = m.host.socket(&ut, 64 << 10);
+        let svc = eleos_rpc::with_syscalls(eleos_rpc::RpcService::builder(&m), &m)
+            .workers(1, &[3])
+            .build();
+        let io = ServerIoConfig::with_buf_len(8192).batch(4).build(
+            &ut,
+            &[fd],
+            IoPath::Rpc(Arc::new(svc)),
+            Arc::clone(&wire),
+        );
+        let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+        t.enter();
+        (m, ut, t, wire, fd, io)
+    }
+
+    fn echo(_: &mut ThreadCtx, plain: &[u8]) -> Vec<u8> {
+        plain.to_vec()
+    }
+
+    #[test]
+    fn revoke_drops_a_pending_ahead_opened_or_not() {
+        // Twelve queued at depth four: the first reap posts the second
+        // ahead. A send opens it; without one it stays posted. Either
+        // way revocation counts it with the four still queued, and none
+        // of it surfaces.
+        for opened in [false, true] {
+            let (m, ut, mut t, wire, fd, io) = ahead_rig();
+            for i in 0..12u8 {
+                m.host.push_request(&ut, fd, &wire.encrypt(&[i; 24]));
+            }
+            let got = io.recv_batch(&mut t);
+            assert_eq!(got.len(), 4);
+            if opened {
+                io.send_batch(&mut t, &got);
+            }
+            assert!(
+                matches!(
+                    (opened, &*io.ahead.lock().unwrap()),
+                    (false, Some(Ahead::Posted(_))) | (true, Some(Ahead::Opened(_)))
+                ),
+                "opened={opened}: the second reap is pending"
+            );
+            assert_eq!(io.revoke(&mut t), 8, "opened={opened}");
+            assert!(io.ahead.lock().unwrap().is_none(), "opened={opened}");
+            assert!(io.recv_batch(&mut t).is_empty(), "opened={opened}");
+            assert_eq!(io.recv_msg(&mut t), None, "opened={opened}");
+            t.exit();
+        }
+    }
+
+    #[test]
+    fn recv_msg_hands_a_pending_ahead_out_in_arrival_order() {
+        let (m, ut, mut t, wire, fd, io) = ahead_rig();
+        for i in 0..12u8 {
+            m.host.push_request(&ut, fd, &wire.encrypt(&[i; 24]));
+        }
+        assert_eq!(io.serve(&mut t, echo), 4);
+        assert!(matches!(*io.ahead.lock().unwrap(), Some(Ahead::Opened(_))));
+        // Four reaped ahead, then the four still queued.
+        for i in 4..12u8 {
+            assert_eq!(io.recv_msg(&mut t), Some(vec![i; 24]), "request {i}");
+        }
+        assert_eq!(io.recv_msg(&mut t), None);
+        t.exit();
+    }
+
+    #[test]
+    fn a_due_rotation_leaves_the_ahead_to_the_next_fence() {
+        // Eight requests sealed under epoch 0 wait behind a rotation to
+        // epoch 1; the second reap's four are under the draining epoch,
+        // which the rotation at the head of the third reap retires. A
+        // server that never reaps ahead (two workers) refuses those
+        // four, and so must the one worker that reaped them ahead.
+        for workers in [1, 2] {
+            let m = SgxMachine::new(MachineConfig::tiny());
+            let e = m.driver.create_enclave(&m, 1 << 20);
+            let wire = Arc::new(Session::established([31u8; 16]));
+            let ut = ThreadCtx::untrusted(&m, 2);
+            let fd = m.host.socket(&ut, 64 << 10);
+            let svc = eleos_rpc::with_syscalls(eleos_rpc::RpcService::builder(&m), &m)
+                .workers(workers, &[3, 1][..workers])
+                .build();
+            let io = ServerIoConfig::with_buf_len(8192)
+                .batch(4)
+                .rekey_every(4)
+                .build(&ut, &[fd], IoPath::Rpc(Arc::new(svc)), Arc::clone(&wire));
+            let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+            t.enter();
+            for i in 0..12u8 {
+                m.host.push_request(&ut, fd, &wire.encrypt(&[i; 24]));
+            }
+            let served: Vec<usize> = (0..3).map(|_| io.serve(&mut t, echo)).collect();
+            t.exit();
+            let d = m.stats.snapshot();
+            assert_eq!(served, [4, 4, 0], "workers={workers}");
+            assert_eq!((d.rekeys, d.auth_failures), (2, 4), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn reset_counters_under_a_pending_ahead_charges_no_stale_wait() {
+        // Two twins: a reap that leaves the next one posted ahead, or a
+        // serve that leaves it opened, then one more serve. The twin
+        // whose clocks were reset in between must not wait out the
+        // history the reset erased.
+        for serve_first in [false, true] {
+            let cycles = |reset: bool| {
+                let (m, ut, mut t, wire, fd, io) = ahead_rig();
+                for i in 0..12u8 {
+                    m.host.push_request(&ut, fd, &wire.encrypt(&[i; 24]));
+                }
+                if serve_first {
+                    assert_eq!(io.serve(&mut t, echo), 4);
+                } else {
+                    assert_eq!(io.recv_batch(&mut t).len(), 4);
+                }
+                if reset {
+                    m.reset_counters();
+                }
+                let c0 = t.now();
+                assert_eq!(io.serve(&mut t, echo), 4);
+                let cycles = t.now() - c0;
+                t.exit();
+                cycles
+            };
+            let (kept, reset) = (cycles(false), cycles(true));
+            assert!(
+                reset <= kept,
+                "serve_first={serve_first}: {reset} cycles after a reset, {kept} without"
+            );
+        }
     }
 }

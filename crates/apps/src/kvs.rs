@@ -356,14 +356,17 @@ impl Kvs {
     /// together. The batch boundary is a storage fence. Returns the
     /// number of requests handled.
     pub fn handle_batch(&mut self, ctx: &mut ThreadCtx, io: &ServerIo) -> usize {
-        let all: Vec<usize> = (0..io.shard_count()).collect();
-        self.handle_batch_on(ctx, io, &all)
+        let served = io.serve(ctx, |ctx, plain| self.process(ctx, plain));
+        if served > 0 {
+            self.fence(ctx);
+        }
+        served
     }
 
     /// [`Self::handle_batch`] over a shard subset: reaps only the
     /// `active` shards (a fleet replica's owned slice of the shared
-    /// socket set), serves, sends and fences. Returns the number of
-    /// requests handled.
+    /// socket set), serves, sends and fences. It never reaps ahead
+    /// ([`ServerIo::serve_on`]). Returns the number of requests handled.
     pub fn handle_batch_on(
         &mut self,
         ctx: &mut ThreadCtx,

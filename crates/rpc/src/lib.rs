@@ -32,7 +32,10 @@
 //!   the workers run the last ones and still wait once;
 //! - [`RpcBatch::collect`] is the same completion loop without the
 //!   charge: it hands back each job's `(ret, worker_cycles)`, for a
-//!   caller that times its own progress against the workers'.
+//!   caller that times its own progress against the workers';
+//! - [`RpcBatch::wait_all_with`] settles the batch, runs caller work,
+//!   and only then charges the wait, so the work overlaps the workers
+//!   without racing them.
 //!
 //! Two refinements from the paper are implemented:
 //!
@@ -535,8 +538,24 @@ impl RpcBatch {
     /// worker is never credited with overlap it could not provide. For
     /// one group that is `W / lanes` minus the caller's progress since
     /// the post.
-    pub fn wait_all(mut self, ctx: &mut ThreadCtx) -> Vec<u64> {
+    pub fn wait_all(self, ctx: &mut ThreadCtx) -> Vec<u64> {
+        self.wait_all_with(ctx, |_| {})
+    }
+
+    /// [`Self::wait_all`] with caller work between its two steps: the
+    /// completion loop settles every job host-side first, then `work`
+    /// runs on the caller's clock, then the caller is charged what is
+    /// left of the overlap-aware wait. `work` thus overlaps the batch in
+    /// simulated time — its cycles come off the wait — while it never
+    /// runs host-concurrently with a worker, so the two never race for
+    /// the simulated LLC and a seed gives the same cycles every run.
+    pub fn wait_all_with(
+        mut self,
+        ctx: &mut ThreadCtx,
+        work: impl FnOnce(&mut ThreadCtx),
+    ) -> Vec<u64> {
         let jobs = self.complete(ctx);
+        work(ctx);
         let lanes = self.n_workers.min(jobs.len()).max(1) as u64;
         let first = self.first_post();
         let (finish, _) = self.groups.iter().fold((0, 0), |(f, start), &(at, end)| {

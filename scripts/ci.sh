@@ -185,6 +185,27 @@ if awk -v f="$faults" 'BEGIN { exit !(f > 0.1) }'; then
 fi
 printf '   %s ops, 0 failed, %.3f major faults/op\n' "$attempted" "$faults"
 
+echo "== e2e kvs-resident determinism (no CAT: a worker racing the serving thread would move the cycles)"
+# The lone server's one worker copies the next batch in while the
+# enclave serves and transmits while it decrypts: that overlap is
+# modelled, not raced, so two runs of one seed must agree exactly.
+for run in 1 2; do
+    cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
+        --workload kvs-resident --seed 7 --seconds 1 | tail -n 1 > "target/e2e_det_$run.json"
+done
+det_fields() {
+    for f in sim_cycles_per_op reply_p50_cycles reply_p99_cycles; do
+        sed -nE "s/.*\"$f\": (\{\"value\": )?([0-9.e+-]+).*/$f \2/p" "$1"
+    done
+}
+first=$(det_fields target/e2e_det_1.json)
+second=$(det_fields target/e2e_det_2.json)
+if [ "$(printf '%s\n' "$first" | wc -l)" != 3 ] || [ "$first" != "$second" ]; then
+    printf 'kvs-resident seed 7 did not repeat:\n%s\nvs\n%s\n' "$first" "$second" >&2
+    exit 1
+fi
+printf '%s\n' "$first" | sed 's/^/   /'
+
 echo "== rpc_bench smoke (exits non-zero unless every batched depth beats call(), the cost falls through depth 16 and stays within 5% of its minimum past it)"
 cargo run --release -p eleos-bench --bin repro --offline -- rpc_bench --quick --scale 16
 

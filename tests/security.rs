@@ -345,6 +345,101 @@ fn hostile_receive_descriptors_are_rejected_not_trusted() {
     streamed_overcount_discards_what_was_streamed();
     streamed_refused_frames_are_not_billed();
     streamed_rekey_mid_reap_bills_what_it_opens();
+    ahead_runs_are_bounded_like_any_reap();
+}
+
+/// What a lying host writes back for one `recv_mmsg` job, given the
+/// job's arguments and the honest count.
+type Lie = fn(&mut ThreadCtx, [u64; 4], u64) -> u64;
+
+/// A reap posted ahead reads what the host wrote for its job through
+/// the bounds of any reap. Eight requests are queued at depth four, so
+/// the first reap posts the second ahead and the send after it opens
+/// that one while the worker transmits. Three hosts lie about the
+/// ahead job: a count above the depth discards the run and serves
+/// nothing, a 4 GiB descriptor drops its message, and a count below
+/// what the job popped serves only what it counts. None panics, every
+/// served request is answered, and the next honest reap is served.
+fn ahead_runs_are_bounded_like_any_reap() {
+    use eleos::apps::io::{IoPath, ServerIoConfig};
+    use eleos::apps::wire::Session;
+    use eleos::enclave::host::Fd;
+    use eleos::rpc::{funcs, with_syscalls, RpcService, UntrustedFn};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let over: Lie = |_, _, _| 5;
+    let long: Lie = |ctx, args, honest| {
+        ctx.write_untrusted(args[3], &(1u64 << 32).to_le_bytes());
+        honest
+    };
+    let short: Lie = |_, _, honest| honest - 2;
+    let cases: [(&str, Lie, &[u8], u64); 3] = [
+        ("a count above the depth", over, &[], 1),
+        ("an over-long descriptor", long, &[5, 6, 7], 1),
+        ("a count below the queue", short, &[4, 5], 0),
+    ];
+    for (case, lie, served, rejects) in cases {
+        let m = small_machine();
+        let e = m.driver.create_enclave(&m, 1 << 20);
+        let session = Arc::new(Session::established([11u8; 16]));
+        let ut = ThreadCtx::untrusted(&m, 1);
+        let fd = m.host.socket(&ut, 64 << 10);
+        // Call 1 is the job posted ahead; every other call is honest.
+        let calls = AtomicUsize::new(0);
+        let host = Arc::clone(&m);
+        let liar = UntrustedFn::new(move |ctx, args| {
+            let (stripe, max) = ((args[2] >> 32) as usize, (args[2] & 0xffff_ffff) as usize);
+            let honest =
+                host.host
+                    .recv_mmsg(ctx, Fd(args[0] as u32), args[1], stripe, max, args[3]);
+            match calls.fetch_add(1, Ordering::SeqCst) {
+                1 => lie(ctx, args, honest as u64),
+                _ => honest as u64,
+            }
+        });
+        let svc = with_syscalls(RpcService::builder(&m), &m)
+            .register(funcs::RECV_MMSG, liar)
+            .workers(1, &[3])
+            .build();
+        let io = ServerIoConfig::with_buf_len(8192).batch(4).build(
+            &ut,
+            &[fd],
+            IoPath::Rpc(Arc::new(svc)),
+            Arc::clone(&session),
+        );
+        let push = |body: u8| m.host.push_request(&ut, fd, &session.encrypt(&[body; 24]));
+        let bodies =
+            |bodies: &[u8]| -> Vec<Vec<u8>> { bodies.iter().map(|&b| vec![b; 24]).collect() };
+        let replies = || -> Vec<Vec<u8>> {
+            std::iter::from_fn(|| m.host.pop_response(fd))
+                .map(|r| session.decrypt(&r))
+                .collect()
+        };
+        let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+        t.enter();
+
+        for body in 0..8u8 {
+            push(body);
+        }
+        let got = io.recv_batch(&mut t);
+        assert_eq!(got, bodies(&[0, 1, 2, 3]), "{case}: the first reap");
+        let s0 = m.stats.snapshot();
+        io.send_batch(&mut t, &got);
+        assert_eq!(replies(), got, "{case}: the first reap is answered");
+        let got = io.recv_batch(&mut t);
+        let d = m.stats.snapshot() - s0;
+        assert_eq!(got, bodies(served), "{case}: the reap posted ahead");
+        assert_eq!(d.desc_rejects, rejects, "{case}");
+        io.send_batch(&mut t, &got);
+        assert_eq!(replies(), got, "{case}: what was served is answered");
+
+        for body in 8..12u8 {
+            push(body);
+        }
+        let got = io.recv_batch(&mut t);
+        assert_eq!(got, bodies(&[8, 9, 10, 11]), "{case}: the next honest reap");
+        t.exit();
+    }
 }
 
 /// A rotation that lands while the worker copies a streamed reap —
