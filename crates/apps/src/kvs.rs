@@ -877,6 +877,57 @@ mod tests {
     }
 
     #[test]
+    fn a_read_items_expiry_round_trips_bare() {
+        // A hit sets the eviction rule's referenced bit in the item's
+        // node; no expiry a scan yields or a snapshot carries shows it.
+        use eleos_crypto::gcm::AesGcm128;
+        let (mut kvs, mut t) = untrusted_kvs(8 << 20);
+        kvs.init(&mut t);
+        t.compute(5 * 3_400_000_000);
+        let now = now_secs(&t);
+        kvs.set_with_ttl(&mut t, b"ttl-0", b"a", 0);
+        kvs.set_with_ttl(&mut t, b"ttl-2", b"b", 2);
+        // A wire TTL of u32::MAX saturates to the last second there is.
+        let set = build_set_ttl(b"ttl-max", b"c", u32::MAX);
+        assert_eq!(kvs.process(&mut t, &set), [1u8]);
+        let want = [
+            (b"ttl-0".to_vec(), 0),
+            (b"ttl-2".to_vec(), now + 2),
+            (b"ttl-max".to_vec(), u32::MAX),
+        ];
+        for (key, _) in &want {
+            assert!(kvs.get(&mut t, key).is_some(), "{key:?} is live");
+        }
+        let expiries = |kvs: &Kvs, t: &mut ThreadCtx| {
+            let mut seen = Vec::new();
+            kvs.engine
+                .for_each_since(t, 0, |key, _, _, expiry| seen.push((key.to_vec(), expiry)));
+            seen.sort();
+            seen
+        };
+        assert_eq!(expiries(&kvs, &mut t), want);
+
+        let sealer = AesGcm128::new(&[0x35u8; 16]);
+        let snap = kvs.snapshot_since(&mut t, &sealer, 1, 1, 0);
+        let plain = snap
+            .open(&mut t, &sealer, KVS_SECTION)
+            .expect("sealed here");
+        let mut carried: Vec<_> = parse_items(&plain)
+            .expect("item log")
+            .iter()
+            .map(|item| (item.key.to_vec(), item.expiry))
+            .collect();
+        carried.sort();
+        assert_eq!(carried, want);
+        let space = DataSpace::Untrusted(Arc::clone(&t.machine));
+        let mut copy = Kvs::new(space.clone(), space, 8 << 20, 1024);
+        copy.init(&mut t);
+        assert_eq!(copy.try_restore(&mut t, &sealer, &snap).expect("honest"), 3);
+        assert_eq!(expiries(&copy, &mut t), want);
+        t.exit();
+    }
+
+    #[test]
     fn for_each_item_skips_expired() {
         let (mut kvs, mut t) = untrusted_kvs(8 << 20);
         kvs.init(&mut t);

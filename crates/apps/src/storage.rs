@@ -21,6 +21,13 @@
 //! the Eleos move of taking stall-inducing work off the serving threads
 //! — a maintenance plane calls it from a core of its own, and the stall
 //! disappears from the serving cores.
+//!
+//! Eviction is memcached 1.5's second chance on one global LRU. A hit
+//! does not move its item: it writes at most one bit, the *referenced*
+//! bit of the node's record word, and only when that bit is clear. The
+//! tail pull in `evict_one` relinks a referenced tail to the head with
+//! its bit cleared and evicts the first unreferenced one, looking at
+//! no more than `TAIL_TRIES` tails per eviction.
 
 use eleos_enclave::thread::ThreadCtx;
 use eleos_sim::stats::Stats;
@@ -35,10 +42,15 @@ use crate::space::DataSpace;
 const N_EXPIRY: u64 = 12;
 const M_LRU_PREV: u64 = 16;
 const M_LRU_NEXT: u64 = 24;
-/// The record's address in the low 56 bits, its slab class in the top
-/// byte.
+/// The record's address in the low 56 bits, its slab class in bits
+/// 56..63 and the referenced bit in bit 63.
 const M_KV: u64 = 32;
 const KV_ADDR_BITS: u32 = 56;
+/// Set by a hit on an item, cleared when the tail pull relinks it.
+const KV_REFERENCED: u64 = 1 << 63;
+/// Referenced tails `evict_one` relinks before it evicts the next tail
+/// regardless (memcached's tail search bound).
+const TAIL_TRIES: usize = 5;
 
 /// The rebalancer attempts moves every this many fences.
 const FENCE_PERIOD: u32 = 1;
@@ -152,19 +164,22 @@ pub struct SlabEngine {
 struct SlabHit {
     kv: u64,
     class: usize,
+    referenced: bool,
     /// Empty unless the lookup asked for it.
     value: Vec<u8>,
 }
 
 fn pack_kv(kv: u64, class: usize) -> u64 {
-    assert!(kv >> KV_ADDR_BITS == 0 && class < 256, "kv word overflow");
+    assert!(kv >> KV_ADDR_BITS == 0 && class < 128, "kv word overflow");
     kv | (class as u64) << KV_ADDR_BITS
 }
 
+/// The record address and slab class of a record word, without its
+/// referenced bit.
 fn unpack_kv(word: u64) -> (u64, usize) {
     (
         word & ((1 << KV_ADDR_BITS) - 1),
-        (word >> KV_ADDR_BITS) as usize,
+        ((word & !KV_REFERENCED) >> KV_ADDR_BITS) as usize,
     )
 }
 
@@ -239,8 +254,7 @@ impl SlabEngine {
                 self.meta_space
                     .write_u32(ctx, found.node + N_EXPIRY, expiry);
                 self.index.set_version(ctx, word, found.node, version);
-                self.lru_unlink(ctx, found.node);
-                self.lru_push_front(ctx, found.node);
+                self.mark(ctx, found);
                 return true;
             }
         }
@@ -290,8 +304,7 @@ impl SlabEngine {
             Stats::bump(&ctx.machine.stats.expired_items);
             return None;
         }
-        self.lru_unlink(ctx, found.node);
-        self.lru_push_front(ctx, found.node);
+        self.mark(ctx, &found);
         let value = found.hit.value;
         self.note(RECORD_HEADER + key.len() + value.len(), true);
         Some(value)
@@ -426,10 +439,25 @@ impl SlabEngine {
         want_value: bool,
     ) -> Option<Found<SlabHit>> {
         self.index.find(ctx, word, |ctx, node| {
-            let (kv, class) = unpack_kv(self.meta_space.read_u64(ctx, node + M_KV));
+            let kv_word = self.meta_space.read_u64(ctx, node + M_KV);
+            let (kv, class) = unpack_kv(kv_word);
             let value = read_if_key(self.slab.space(), ctx, kv, key, want_value)?;
-            Some(SlabHit { kv, class, value })
+            Some(SlabHit {
+                kv,
+                class,
+                referenced: kv_word & KV_REFERENCED != 0,
+                value,
+            })
         })
+    }
+
+    /// Sets the referenced bit of the item [`Self::find`] returned,
+    /// unless it is set already: a hit writes one word or none.
+    fn mark(&self, ctx: &mut ThreadCtx, found: &Found<SlabHit>) {
+        if !found.hit.referenced {
+            let kv_word = pack_kv(found.hit.kv, found.hit.class) | KV_REFERENCED;
+            self.meta_space.write_u64(ctx, found.node + M_KV, kv_word);
+        }
     }
 
     fn lru_unlink(&mut self, ctx: &mut ThreadCtx, node: u64) {
@@ -470,14 +498,29 @@ impl SlabEngine {
         self.items -= 1;
     }
 
-    /// Removes the LRU tail item to reclaim a chunk. The victim is
-    /// unlinked by node identity: its record is never read.
+    /// Removes an LRU tail item to reclaim a chunk. Up to
+    /// `TAIL_TRIES` referenced tails get a second chance first — bit
+    /// cleared, relinked to the head — and the next tail goes whatever
+    /// its bit. The victim is unlinked by node identity: its record is
+    /// never read.
     fn evict_one(&mut self, ctx: &mut ThreadCtx) -> bool {
-        let victim = self.lru_tail;
-        if victim == NIL {
-            return false;
-        }
-        let (kv, class) = unpack_kv(self.meta_space.read_u64(ctx, victim + M_KV));
+        let mut tries = 0;
+        let (victim, kv_word) = loop {
+            let tail = self.lru_tail;
+            if tail == NIL {
+                return false;
+            }
+            let kv_word = self.meta_space.read_u64(ctx, tail + M_KV);
+            if kv_word & KV_REFERENCED == 0 || tries == TAIL_TRIES {
+                break (tail, kv_word);
+            }
+            tries += 1;
+            self.meta_space
+                .write_u64(ctx, tail + M_KV, kv_word & !KV_REFERENCED);
+            self.lru_unlink(ctx, tail);
+            self.lru_push_front(ctx, tail);
+        };
+        let (kv, class) = unpack_kv(kv_word);
         self.lru_unlink(ctx, victim);
         self.index.remove_node(ctx, victim);
         self.slab.free(class, kv);
@@ -551,14 +594,16 @@ impl SlabEngine {
         let mut moved = 0u64;
         let (meta, slab) = (&self.meta_space, &mut self.slab);
         self.index.for_each_node(ctx, 0, |ctx, node| {
-            let (kv, class) = unpack_kv(meta.read_u64(ctx, node + M_KV));
+            let kv_word = meta.read_u64(ctx, node + M_KV);
+            let (kv, class) = unpack_kv(kv_word);
             if class == donor && kv >= base && kv < end {
                 let dst = slab
                     .alloc_in_class(donor)
                     .expect("donor guaranteed spare chunks");
                 let (key, value) = read_record(slab.space(), ctx, kv);
                 slab.space().write(ctx, dst, &encode_record(&key, &value));
-                meta.write_u64(ctx, node + M_KV, pack_kv(dst, class));
+                let moved_word = pack_kv(dst, class) | (kv_word & KV_REFERENCED);
+                meta.write_u64(ctx, node + M_KV, moved_word);
                 slab.retire_chunk();
                 moved += 1;
             }
@@ -1108,6 +1153,84 @@ mod tests {
         assert!(since(before).0 >= pages_spanned(0, big.len()) - 1);
         assert!(suvm.resident_pages() > 0);
         assert_eq!(eng.get(&mut t, &test_key(99)), Some(big));
+        t.exit();
+    }
+
+    /// The LRU from tail to head: each item's key and referenced bit,
+    /// read without marking anything.
+    fn lru_from_tail(eng: &SlabEngine, t: &mut ThreadCtx) -> Vec<(Vec<u8>, bool)> {
+        let mut items = Vec::new();
+        let mut node = eng.lru_tail;
+        while node != NIL {
+            let kv_word = eng.meta_space.read_u64(t, node + M_KV);
+            let (key, _) = read_record(eng.slab.space(), t, unpack_kv(kv_word).0);
+            items.push((key, kv_word & KV_REFERENCED != 0));
+            node = eng.meta_space.read_u64(t, node + M_LRU_PREV);
+        }
+        items
+    }
+
+    fn lru(items: &[(&[u8], bool)]) -> Vec<(Vec<u8>, bool)> {
+        items.iter().map(|&(k, r)| (k.to_vec(), r)).collect()
+    }
+
+    #[test]
+    fn a_read_item_outlives_an_unread_one_at_the_next_eviction() {
+        let (mut eng, mut t) = slab_engine(4 << 20, false);
+        for key in [b"old", b"mid", b"new"] {
+            assert!(eng.set(&mut t, key, b"v", 0, 1));
+        }
+        // A hit marks the tail where it stands.
+        assert_eq!(eng.get(&mut t, b"old").as_deref(), Some(&b"v"[..]));
+        let marked = lru(&[(b"old", true), (b"mid", false), (b"new", false)]);
+        assert_eq!(lru_from_tail(&eng, &mut t), marked);
+        // The read tail gets its second chance; the oldest unread goes.
+        assert!(eng.evict_one(&mut t));
+        assert_eq!(
+            lru_from_tail(&eng, &mut t),
+            lru(&[(b"new", false), (b"old", false)])
+        );
+        // An in-place SET marks its item too, and does not move it.
+        assert!(eng.set(&mut t, b"new", b"w", 0, 2));
+        assert_eq!(
+            lru_from_tail(&eng, &mut t),
+            lru(&[(b"new", true), (b"old", false)])
+        );
+        // "new" gets its chance now; "old", its chance spent, goes.
+        assert!(eng.evict_one(&mut t));
+        assert_eq!(lru_from_tail(&eng, &mut t), lru(&[(b"new", false)]));
+        assert_eq!((eng.len(), eng.evictions()), (1, 2));
+        assert_eq!(eng.get(&mut t, b"mid"), None);
+        assert_eq!(eng.get(&mut t, b"old"), None);
+        assert_eq!(eng.get(&mut t, b"new").as_deref(), Some(&b"w"[..]));
+        t.exit();
+    }
+
+    #[test]
+    fn a_referenced_tail_run_longer_than_tail_tries_still_frees_a_chunk() {
+        let (mut eng, mut t) = slab_engine(4 << 20, false);
+        let keys: Vec<Vec<u8>> = (0..TAIL_TRIES + 3)
+            .map(|i| format!("k{i}").into_bytes())
+            .collect();
+        for key in &keys {
+            assert!(eng.set(&mut t, key, b"v", 0, 1));
+            assert!(eng.get(&mut t, key).is_some());
+        }
+        let class = eng.slab.class_of(RECORD_HEADER + 3).expect("class");
+        let free = eng.slab.free_chunks(class);
+        assert!(eng.evict_one(&mut t));
+        assert_eq!(eng.slab.free_chunks(class), free + 1);
+        assert_eq!((eng.len(), eng.evictions()), (keys.len() as u64 - 1, 1));
+        // `TAIL_TRIES` tails relinked with their bits cleared, the next
+        // one evicted although it was read, the rest not touched.
+        let (relinked, rest) = keys.split_at(TAIL_TRIES);
+        let want: Vec<(Vec<u8>, bool)> = rest[1..]
+            .iter()
+            .map(|k| (k.clone(), true))
+            .chain(relinked.iter().map(|k| (k.clone(), false)))
+            .collect();
+        assert_eq!(lru_from_tail(&eng, &mut t), want);
+        assert_eq!(eng.get(&mut t, &rest[0]), None);
         t.exit();
     }
 

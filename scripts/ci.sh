@@ -185,6 +185,26 @@ if awk -v f="$faults" 'BEGIN { exit !(f > 0.1) }'; then
 fi
 printf '   %s ops, 0 failed, %.3f major faults/op\n' "$attempted" "$faults"
 
+echo "== e2e kvs-churn guard (a read item gets a second chance at the LRU tail)"
+# The one workload whose GETs miss: half its ops are SETs into a pool
+# that evicts. Move-on-hit, which second-chance eviction replaced, read
+# 0.9585 here; second chance reads 0.9703.
+cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
+    --workload kvs-churn --seed 1 --seconds 6 | tail -n 1 > target/e2e_guard.json
+attempted=$(guard_field attempted)
+failed=$(guard_field failed)
+hits=$(guard_field get_hit_ratio)
+: "${attempted:?no attempted count in the guard run}" "${failed:?no failed count}" "${hits:?no get_hit_ratio}"
+if [ "$failed" != 0 ]; then
+    echo "kvs-churn: $failed of $attempted ops failed" >&2
+    exit 1
+fi
+if awk -v h="$hits" 'BEGIN { exit !(h < 0.965) }'; then
+    printf 'kvs-churn: GET hit ratio %.4f, want >= 0.965\n' "$hits" >&2
+    exit 1
+fi
+printf '   %s ops, 0 failed, GET hit ratio %.4f\n' "$attempted" "$hits"
+
 echo "== e2e kvs-resident determinism (no CAT: a worker racing the serving thread would move the cycles)"
 # The lone server's one worker copies the next batch in while the
 # enclave serves and transmits while it decrypts: that overlap is

@@ -902,7 +902,8 @@ fn serve_deep_backlog() -> (BacklogServe, u64) {
 /// replies on the wire, reject and refuse nothing, and seal and open
 /// the same crypto batches, whatever the loop does with the worker
 /// between rounds. The serving core's clock once the backlog is served
-/// is pinned too.
+/// is pinned too; it fell from 171 096 to 146 272 when a GET hit began
+/// setting a referenced bit instead of relinking its item on the LRU.
 #[test]
 fn deep_backlog_serve_rounds_are_pinned() {
     let (serve, cycles) = serve_deep_backlog();
@@ -917,5 +918,5 @@ fn deep_backlog_serve_rounds_are_pinned() {
             crypto_batches: 6,
         }
     );
-    assert_eq!(cycles, 171_096, "the serving core's clock");
+    assert_eq!(cycles, 146_272, "the serving core's clock");
 }

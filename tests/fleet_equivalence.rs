@@ -1046,24 +1046,24 @@ fn replica_births_and_deaths_are_pinned() {
     const D3: u64 = 0xbc83_66a3_0c36_cd51;
     #[rustfmt::skip]
     let plane_off: [LifeRow; 6] = [
-        ("serve",             [0, 0, 0,    0,       180_694, 77_307,  9_000, 3, 253, 0, 0, 0, 0, 0, 0, D0]),
-        ("kill 1",            [0, 1, 1843, 130_484, 224_428, 167_357, 9_000, 2, 254, 1, 1, 1, 0, 0, 1, D0]),
-        ("serve",             [0, 0, 0,    0,       341_076, 167_357, 9_000, 2, 254, 1, 1, 1, 0, 0, 1, D1]),
-        ("refused respawn 1", [0, 0, 0,    0,       430_791, 182_091, 9_000, 2, 254, 1, 2, 1, 1, 0, 2, D1]),
-        ("respawn 1",         [0, 1, 2386, 141_098, 505_914, 248_066, 9_000, 3, 253, 1, 3, 2, 1, 0, 3, D1]),
-        ("serve",             [0, 0, 0,    0,       605_692, 280_770, 9_000, 3, 253, 1, 3, 2, 1, 0, 3, D2]),
+        ("serve",             [0, 0, 0,    0,       178_614, 76_349,  9_000, 3, 253, 0, 0, 0, 0, 0, 0, D0]),
+        ("kill 1",            [0, 1, 1843, 130_644, 222_538, 166_369, 9_000, 2, 254, 1, 1, 1, 0, 0, 1, D0]),
+        ("serve",             [0, 0, 0,    0,       336_272, 166_369, 9_000, 2, 254, 1, 1, 1, 0, 0, 1, D1]),
+        ("refused respawn 1", [0, 0, 0,    0,       426_367, 181_103, 9_000, 2, 254, 1, 2, 1, 1, 0, 2, D1]),
+        ("respawn 1",         [0, 1, 2386, 141_098, 501_490, 247_078, 9_000, 3, 253, 1, 3, 2, 1, 0, 3, D1]),
+        ("serve",             [0, 0, 0,    0,       597_376, 277_982, 9_000, 3, 253, 1, 3, 2, 1, 0, 3, D2]),
     ];
     #[rustfmt::skip]
     let plane_on: [LifeRow; 9] = [
-        ("serve",             [0, 0, 0,    0,       180_694, 77_307,  499_651,   3, 253, 0, 0, 0, 0, 0, 6,  D0]),
-        ("kill 1",            [0, 1, 138,  33_434,  180_694, 80_607,  533_085,   2, 254, 1, 1, 2, 0, 0, 8,  D0]),
-        ("serve",             [0, 0, 0,    0,       317_198, 80_607,  624_801,   2, 254, 1, 1, 2, 0, 0, 10, D1]),
-        ("refused respawn 1", [0, 0, 0,    0,       317_198, 95_309,  738_173,   2, 254, 1, 2, 2, 1, 0, 11, D1]),
-        ("respawn 1",         [0, 1, 2608, 170_788, 317_198, 112_279, 891_991,   3, 253, 1, 3, 3, 1, 0, 12, D1]),
-        ("serve",             [0, 0, 0,    0,       439_498, 145_903, 1_078_721, 3, 250, 1, 3, 3, 1, 0, 18, D2]),
-        ("mute 2",            [3, 0, 0,    41_517,  447_402, 148_775, 1_369_476, 2, 252, 2, 4, 5, 1, 3, 34, D2]),
-        ("rejoin 2",          [1, 0, 0,    219_782, 469_778, 149_669, 1_689_485, 3, 250, 2, 5, 6, 1, 3, 41, D2]),
-        ("serve",             [0, 0, 0,    0,       573_600, 203_287, 1_872_027, 3, 250, 2, 5, 6, 1, 3, 47, D3]),
+        ("serve",             [0, 0, 0,    0,       178_614, 76_349,  498_441,   3, 253, 0, 0, 0, 0, 0, 6,  D0]),
+        ("kill 1",            [0, 1, 138,  33_434,  178_614, 79_649,  531_875,   2, 254, 1, 1, 2, 0, 0, 8,  D0]),
+        ("serve",             [0, 0, 0,    0,       312_504, 79_649,  623_941,   2, 254, 1, 1, 2, 0, 0, 10, D1]),
+        ("refused respawn 1", [0, 0, 0,    0,       312_504, 94_351,  737_633,   2, 254, 1, 2, 2, 1, 0, 11, D1]),
+        ("respawn 1",         [0, 1, 2608, 170_758, 312_504, 111_321, 891_421,   3, 253, 1, 3, 3, 1, 0, 12, D1]),
+        ("serve",             [0, 0, 0,    0,       429_830, 143_853, 1_078_435, 3, 250, 1, 3, 3, 1, 0, 18, D2]),
+        ("mute 2",            [3, 0, 0,    41_517,  437_654, 146_535, 1_369_190, 2, 252, 2, 4, 5, 1, 3, 34, D2]),
+        ("rejoin 2",          [1, 0, 0,    219_782, 460_030, 147_429, 1_689_199, 3, 250, 2, 5, 6, 1, 3, 41, D2]),
+        ("serve",             [0, 0, 0,    0,       557_222, 197_603, 1_866_597, 3, 250, 2, 5, 6, 1, 3, 47, D3]),
     ];
     assert_eq!(births_and_deaths(false), plane_off, "without the plane");
     assert_eq!(births_and_deaths(true), plane_on, "with the plane");

@@ -541,7 +541,9 @@ fn sharded_serving_cost(shards: usize, cfg: ServerIoConfig) -> ShardedCost {
 /// worker publishes it — and again when a lone server began reaping
 /// ahead: whenever every shard still queues a full sub-batch, the next
 /// reap is copied in while the server serves and read while its
-/// replies are transmitted. Every cell's clock fell.
+/// replies are transmitted. Every cell's clock fell — and fell again,
+/// with its LLC misses, when a GET hit began setting a referenced bit
+/// instead of relinking its item on the LRU.
 #[test]
 fn sharded_serving_cycles_are_pinned() {
     let fixed = || ServerIoConfig::with_buf_len(16 << 10).batch(8);
@@ -554,10 +556,10 @@ fn sharded_serving_cycles_are_pinned() {
         llc_misses,
     };
     let rows = [
-        (2, "fixed-8", fixed(), pin(422_260, 30, 56, 52, 691)),
-        (2, "adaptive", adaptive(), pin(388_644, 12, 24, 24, 898)),
-        (4, "fixed-8", fixed(), pin(500_210, 22, 72, 56, 1_329)),
-        (4, "adaptive", adaptive(), pin(460_994, 10, 37, 34, 1_532)),
+        (2, "fixed-8", fixed(), pin(364_466, 30, 56, 52, 676)),
+        (2, "adaptive", adaptive(), pin(334_394, 12, 24, 24, 854)),
+        (4, "fixed-8", fixed(), pin(442_304, 22, 72, 56, 1_321)),
+        (4, "adaptive", adaptive(), pin(405_314, 10, 37, 34, 1_524)),
     ];
     for (shards, policy, cfg, expected) in rows {
         let measured = sharded_serving_cost(shards, cfg);

@@ -764,13 +764,17 @@ fn pinned_script(rebalance: bool, background: bool) -> Pinned {
 /// The static store, the rebalancer inline and the rebalancer on a
 /// maintenance core, pinned to the cycle on [`pinned_script`]: a change
 /// to how the slab engine is built or dispatched that claims "no charge
-/// moved" leaves every constant here alone.
+/// moved" leaves every constant here alone. The script reads recent
+/// large items, so second-chance eviction (a read item is relinked when
+/// it reaches the LRU tail, not when it is read) evicts other ones than
+/// move-on-hit did on the rebalancer rows: the same 6052 evictions,
+/// 1714 items left where there were 1732.
 #[test]
 fn slab_engines_are_pinned_on_a_fixed_script() {
     assert_eq!(
         pinned_script(false, false),
         Pinned {
-            cores: (10_289_779_450, 0),
+            cores: (10_289_422_082, 0),
             evictions: 7792,
             expired: 100,
             len: 572,
@@ -786,21 +790,21 @@ fn slab_engines_are_pinned_on_a_fixed_script() {
         cores,
         evictions: 6052,
         expired: 100,
-        len: 1732,
+        len: 1714,
         slab_moves: 4,
         slab_items_relocated: 4140,
         maint_stall_cycles,
-        digest: 0xea39_193b_7682_2da7,
-        snapshot_bytes: 2_000_312,
+        digest: 0xc8fb_c77d_0c00_9455,
+        snapshot_bytes: 1_978_239,
     };
     assert_eq!(
         pinned_script(true, false),
-        rebalanced((10_301_769_053, 0), 3_669_796),
+        rebalanced((10_301_072_145, 0), 3_669_212),
         "slab-rebal inline"
     );
     assert_eq!(
         pinned_script(true, true),
-        rebalanced((10_298_109_157, 3_729_296), 0),
+        rebalanced((10_297_414_033, 3_727_712), 0),
         "slab-rebal on core 1"
     );
 }
