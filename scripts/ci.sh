@@ -113,6 +113,16 @@ if grep -rnE 'read_run\(ctx, run, stripe, n, now|groups\[group\]|ctr_for\(Self::
     echo "a superseded receive-leg shape is back (see above)"
     exit 1
 fi
+# A one-worker ring is one timeline: each job runs when it is posted
+# and its batch hands back when it ran (`RpcBatch::jobs`), so nothing
+# settles a batch host-side before charging it, replays a settled reap
+# (`Settled`, its `rebase`), makes a send wait for a reap posted ahead
+# or runs caller work between a settle and a charge.
+if grep -rnE 'RpcBatch::collect|\.collect\(&mut|\bSettled\b|\brebase\b|wait_for_ahead|wait_all_with' \
+        crates/*/src crates/*/tests src examples tests ; then
+    echo "a deleted RPC-settle name is back (see above)"
+    exit 1
+fi
 # Every RPC send is waited for before it returns: no deferred send held
 # between batches, and no `flush` for a caller to remember. Only
 # `bench/src/rig.rs` still calls `async_send`, with `false`.
@@ -205,26 +215,30 @@ if awk -v h="$hits" 'BEGIN { exit !(h < 0.965) }'; then
 fi
 printf '   %s ops, 0 failed, GET hit ratio %.4f\n' "$attempted" "$hits"
 
-echo "== e2e kvs-resident determinism (no CAT: a worker racing the serving thread would move the cycles)"
-# The lone server's one worker copies the next batch in while the
-# enclave serves and transmits while it decrypts: that overlap is
-# modelled, not raced, so two runs of one seed must agree exactly.
-for run in 1 2; do
-    cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
-        --workload kvs-resident --seed 7 --seconds 1 | tail -n 1 > "target/e2e_det_$run.json"
-done
+echo "== e2e determinism on every workload (no CAT: a worker racing the serving thread would move the cycles)"
+# One worker is one timeline: it copies the next batch in while the
+# enclave serves, transmits while it decrypts, and on fleet-open (two
+# shards per replica, no CAT) copies one shard's run while the enclave
+# serves the other. That overlap is modelled, not raced, so two runs of
+# one seed must agree exactly.
 det_fields() {
     for f in sim_cycles_per_op reply_p50_cycles reply_p99_cycles; do
         sed -nE "s/.*\"$f\": (\{\"value\": )?([0-9.e+-]+).*/$f \2/p" "$1"
     done
 }
-first=$(det_fields target/e2e_det_1.json)
-second=$(det_fields target/e2e_det_2.json)
-if [ "$(printf '%s\n' "$first" | wc -l)" != 3 ] || [ "$first" != "$second" ]; then
-    printf 'kvs-resident seed 7 did not repeat:\n%s\nvs\n%s\n' "$first" "$second" >&2
-    exit 1
-fi
-printf '%s\n' "$first" | sed 's/^/   /'
+for workload in kvs-resident kvs-paging kvs-churn fleet-open; do
+    for run in 1 2; do
+        cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
+            --workload "$workload" --seed 7 --seconds 1 | tail -n 1 > "target/e2e_det_$run.json"
+    done
+    first=$(det_fields target/e2e_det_1.json)
+    second=$(det_fields target/e2e_det_2.json)
+    if [ "$(printf '%s\n' "$first" | wc -l)" != 3 ] || [ "$first" != "$second" ]; then
+        printf '%s seed 7 did not repeat:\n%s\nvs\n%s\n' "$workload" "$first" "$second" >&2
+        exit 1
+    fi
+    printf '%s\n' "$first" | sed "s/^/   $workload /"
+done
 
 echo "== rpc_bench smoke (exits non-zero unless every batched depth beats call(), the cost falls through depth 16 and stays within 5% of its minimum past it)"
 cargo run --release -p eleos-bench --bin repro --offline -- rpc_bench --quick --scale 16
@@ -239,12 +253,11 @@ echo "== storage_bench smoke (exits non-zero unless its header claims hold on al
 cargo run --release -p eleos-bench --bin repro --offline -- storage_bench --quick --scale 8
 
 echo "== serving_bench smoke (exits non-zero unless its header claims hold on all 59 cells)"
-# Scale 8, not 16 like the other smokes: every other claim holds at 1/16
-# too, but the `kill-respawn-bg` p99 claim (at least 2x below the
-# synchronous fence's) sits on its boundary. At 1/8 it reads 245 760
-# against 524 288 (2.1x) in most runs and 262 144 (exactly 2.0x) in the
-# rest; at 1/16 it still fails, 294 912 (1.78x) — ROADMAP A-3.
+# Both scales: the `kill-respawn-bg` p99 claim (at least 2x below the
+# synchronous fence's) reads 212 992 against 589 824 (2.8x) at 1/8 and
+# 245 760 (2.4x) at 1/16, the same in every run.
 cargo run --release -p eleos-bench --bin repro --offline -- serving_bench --quick --scale 8
+cargo run --release -p eleos-bench --bin repro --offline -- serving_bench --quick --scale 16
 
 echo "== fmt"
 cargo fmt --all --check

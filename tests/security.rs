@@ -348,6 +348,99 @@ fn hostile_receive_descriptors_are_rejected_not_trusted() {
     ahead_runs_are_bounded_like_any_reap();
 }
 
+/// A serve loop on one worker takes a two-shard reap's runs as they
+/// land: the first run (shard 0) is read, served and sent before the
+/// second (shard 1) is read. Two hostile cases on the first run, at a
+/// depth whose runs are read whole (4) and at one whose runs are read
+/// line by line (8): the host writes back a count above the depth,
+/// which discards the run and counts one `desc_rejects`; or one of its
+/// frames does not open, which drops that frame alone and counts one
+/// `auth_failures`. Either way the second run is still served, and
+/// every reply leaves on its own shard's socket, in order — through
+/// `serve_on` and through `serve`.
+#[test]
+fn a_hostile_run_leaves_the_next_run_of_a_pipelined_serve_whole() {
+    use eleos::apps::io::{IoPath, ServerIoConfig};
+    use eleos::apps::wire::{Session, NONCE_LEN};
+    use eleos::enclave::host::Fd;
+    use eleos::rpc::{funcs, with_syscalls, RpcService, UntrustedFn};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    for depth in [4u64, 8] {
+        for lone in [false, true] {
+            for overcount in [true, false] {
+                let case = format!("depth {depth}, lone {lone}, overcount {overcount}");
+                let m = small_machine();
+                let e = m.driver.create_enclave(&m, 1 << 20);
+                let session = Arc::new(Session::established([13u8; 16]));
+                let ut = ThreadCtx::untrusted(&m, 1);
+                let fds = m.host.socket_set(&ut, 2, 64 << 10);
+                // The first `recv_mmsg` (run 1) lies when told to.
+                let lie = AtomicBool::new(overcount);
+                let host = Arc::clone(&m);
+                let liar = UntrustedFn::new(move |ctx, args| {
+                    let (stripe, max) =
+                        ((args[2] >> 32) as usize, (args[2] & 0xffff_ffff) as usize);
+                    let honest =
+                        host.host
+                            .recv_mmsg(ctx, Fd(args[0] as u32), args[1], stripe, max, args[3]);
+                    if lie.swap(false, Ordering::SeqCst) {
+                        depth + 1
+                    } else {
+                        honest as u64
+                    }
+                });
+                let svc = with_syscalls(RpcService::builder(&m), &m)
+                    .register(funcs::RECV_MMSG, liar)
+                    .workers(1, &[3])
+                    .build();
+                let io = ServerIoConfig::with_buf_len(16 << 10)
+                    .batch(depth as usize)
+                    .shards(2)
+                    .build(&ut, &fds, IoPath::Rpc(Arc::new(svc)), Arc::clone(&session));
+                let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+                t.enter();
+                // Run 1: three requests, the middle one a frame under an
+                // epoch the session never had. Run 2: two requests.
+                let frame = |b: u8| session.encrypt(&[b; 24]);
+                for req in [frame(1), vec![0xff; NONCE_LEN + 24], frame(2)] {
+                    m.host.push_request(&ut, fds[0], &req);
+                }
+                for b in [3, 4] {
+                    m.host.push_request(&ut, fds[1], &frame(b));
+                }
+                let echo = |_: &mut ThreadCtx, plain: &[u8]| plain.to_vec();
+                let served = if lone {
+                    io.serve(&mut t, echo)
+                } else {
+                    io.serve_on(&mut t, &[0, 1], echo)
+                };
+                t.exit();
+                let replies = |fd| -> Vec<Vec<u8>> {
+                    std::iter::from_fn(|| m.host.pop_response(fd))
+                        .map(|r| session.decrypt(&r))
+                        .collect()
+                };
+                let st = m.stats.snapshot();
+                let run1: Vec<Vec<u8>> = if overcount {
+                    Vec::new()
+                } else {
+                    vec![vec![1; 24], vec![2; 24]]
+                };
+                assert_eq!(replies(fds[0]), run1, "{case}: run 1's replies");
+                assert_eq!(
+                    replies(fds[1]),
+                    [vec![3u8; 24], vec![4; 24]],
+                    "{case}: run 2 is served whole, on its own socket"
+                );
+                assert_eq!(served, run1.len() + 2, "{case}");
+                assert_eq!(st.desc_rejects, u64::from(overcount), "{case}");
+                assert_eq!(st.auth_failures, u64::from(!overcount), "{case}");
+            }
+        }
+    }
+}
+
 /// What a lying host writes back for one `recv_mmsg` job, given the
 /// job's arguments and the honest count.
 type Lie = fn(&mut ThreadCtx, [u64; 4], u64) -> u64;
