@@ -53,10 +53,9 @@
 //! its loop too. When [`ServerIo::recv_batch`] (and so
 //! [`ServerIo::serve`] and `Kvs::handle_batch`) hands a reap on, it
 //! posts the next one at once if that reap is certain to come back
-//! full: every shard's queue holds at least the shard's next depth,
-//! read after the controller stepped — and if no ring slot it would
-//! take is still held by the replies of the reap's earlier runs. Its
-//! jobs sit on the timeline:
+//! full: every shard's queue holds at least `batch_max` requests — and
+//! if no ring slot it would take is still held by the replies of the
+//! reap's earlier runs. Its jobs sit on the timeline:
 //! the worker copies batch *N + 1* in while the enclave serves batch
 //! *N*, the send of batch *N* queues behind that copy, and once it has
 //! posted its last group the enclave reads and decrypts batch *N + 1*
@@ -68,11 +67,11 @@
 //! The batches stay the same: a socket's queue is FIFO and the reap
 //! posted ahead asks each shard for exactly the depth the next reap
 //! would, from a queue that holds at least that many, so it pops what
-//! the next reap would have. Each shard's controller is still fed when
-//! the batch is handed on. A pending reap is the next reap whichever
-//! entry point asks — `recv_msg` hands it out one request at a time —
-//! and a due key rotation leaves it unopened, to be opened under the
-//! rotated session at the head of the next reap.
+//! the next reap would have. Each shard's backlog gauge is still read
+//! when the batch is handed on. A pending reap is the next reap
+//! whichever entry point asks — `recv_msg` hands it out one request at
+//! a time — and a due key rotation leaves it unopened, to be opened
+//! under the rotated session at the head of the next reap.
 //!
 //! Only a lone server reaps ahead. A fleet replica reaps through
 //! [`ServerIo::recv_batch_on`], which never does: its shards can be
@@ -117,21 +116,20 @@
 //! [`ParamServer::process`]: crate::param_server::ParamServer::process
 //! [`FaceServer::process`]: crate::face::FaceServer::process
 //!
-//! # Adaptive sub-batch sizing
+//! # Reap depth
 //!
-//! [`ServerIoConfig::adaptive`] replaces the fixed reap depth with a
-//! per-shard AIMD controller: grow the depth while the queue stays
-//! non-empty (burst → batch-`max` amortization), halve it on an empty
-//! reap, and otherwise track an EWMA of arrivals (trickle →
-//! batch-`min` latency). Every scatter-gather descriptor carries the
-//! op's enqueue timestamp, and the reap records each op's
-//! cycles-of-sojourn into the [`sojourn`](eleos_sim::stats::Stats)
-//! histogram, so `repro serving_bench` can report p50/p95/p99 latency
-//! next to throughput.
+//! Every reap asks each shard for `batch_max` messages, the slots its
+//! staging holds, and `recv_mmsg` pops whatever the socket queues, up
+//! to that count: a request never waits in the kernel behind a depth
+//! cap while its shard's slots sit empty. Every scatter-gather
+//! descriptor carries the op's enqueue timestamp, and the reap records
+//! each op's cycles-of-sojourn into the
+//! [`sojourn`](eleos_sim::stats::Stats) histogram, so `repro
+//! serving_bench` can report p50/p95/p99 latency next to throughput.
 //!
 //! # Per-shard telemetry
 //!
-//! Each shard's backlog and depth gauges and its sojourn histogram
+//! Each shard's backlog gauge and its sojourn histogram
 //! live in that server's own pipeline state and are read through
 //! [`ServerIo::shard_stats`] — two servers on one machine never share
 //! a number, and
@@ -174,9 +172,6 @@ use parking_lot::Mutex;
 
 use crate::wire::{OpenGate, Session, SessionState};
 
-/// Fixed-point scale for the per-shard arrival-rate EWMA.
-const EWMA_SCALE: u64 = 16;
-
 /// Sealed bytes an RPC send stages before it posts them as one group
 /// of `send_mmsg` jobs and seals the next group while the worker
 /// transmits this one: twice the 4 KiB of kernel bookkeeping each
@@ -188,14 +183,9 @@ const SEND_GROUP_BYTES: usize = 8 << 10;
 pub struct ServerIoConfig {
     /// Size of each untrusted staging buffer (receive and transmit).
     pub buf_len: usize,
-    /// Messages reaped per shard per batch call: the fixed depth, or
-    /// with [`Self::adaptive`] the controller's initial depth and
-    /// lower bound (it moves within `[batch_min, batch_max]`).
-    pub batch_min: usize,
-    /// Upper bound for the adaptive sub-batch controller; also sizes
-    /// the descriptor staging and the batch stripe
-    /// (`buf_len / batch_max`). Equal to `batch_min` when the depth is
-    /// fixed.
+    /// Messages a reap asks each shard for (it takes what is queued,
+    /// up to this many); also sizes the descriptor staging and the
+    /// batch stripe (`buf_len / batch_max`).
     pub batch_max: usize,
     /// Amortize the cipher setup across each batch (the batched
     /// crypto pipeline). `false` charges every message the full setup
@@ -217,7 +207,6 @@ impl Default for ServerIoConfig {
     fn default() -> Self {
         Self {
             buf_len: 64 << 10,
-            batch_min: 16,
             batch_max: 16,
             batched_crypto: true,
             shards: None,
@@ -236,8 +225,8 @@ impl ServerIoConfig {
         }
     }
 
-    /// Sets a fixed per-call batch size (`batch_min == batch_max`, no
-    /// adaptation).
+    /// Sets the per-call batch size: the most messages a reap takes
+    /// from each shard.
     ///
     /// # Panics
     /// Panics if `batch` is zero — a zero depth would divide the
@@ -248,39 +237,28 @@ impl ServerIoConfig {
             batch > 0,
             "batch(0): a reap needs at least one slot (the stripe size is buf_len / batch)"
         );
-        self.batch_min = batch;
         self.batch_max = batch;
         self
     }
 
-    /// Enables the adaptive sub-batch controller: each reap picks the
-    /// next depth in `[min, max]` from the shard's observed queue
-    /// depth (AIMD: grow while the queue stays non-empty, halve on an
-    /// empty reap, otherwise track the arrival EWMA). `min == max`
-    /// degenerates to a fixed depth.
+    /// Every reap takes what its shards queue, up to `batch_max`, so
+    /// this is [`Self::batch`]`(max)`; `min` is only checked.
     ///
     /// # Panics
     /// Panics if `min` is zero or `min > max`.
+    // Only `bench/src/rig.rs` still calls this; ROADMAP item A deletes it.
+    #[doc(hidden)]
     #[must_use]
-    pub fn adaptive(mut self, min: usize, max: usize) -> Self {
+    pub fn adaptive(self, min: usize, max: usize) -> Self {
         assert!(
             min > 0,
-            "adaptive({min}, {max}): batch_min must be at least one"
+            "adaptive({min}, {max}): the floor must be at least one"
         );
         assert!(
             min <= max,
-            "adaptive({min}, {max}): batch_min must not exceed batch_max"
+            "adaptive({min}, {max}): the floor must not exceed the ceiling"
         );
-        self.batch_min = min;
-        self.batch_max = max;
-        self
-    }
-
-    /// Whether the sub-batch depth adapts (i.e. `batch_min !=
-    /// batch_max`).
-    #[must_use]
-    pub fn is_adaptive(&self) -> bool {
-        self.batch_min != self.batch_max
+        self.batch(max)
     }
 
     /// Enables or disables batch-amortized crypto setup.
@@ -335,14 +313,10 @@ impl ServerIoConfig {
     }
 
     /// Label for the sub-batch sizing policy in experiment output:
-    /// `adaptive` or `fixed-N`.
+    /// `fixed-N`.
     #[must_use]
     pub fn policy_label(&self) -> String {
-        if self.is_adaptive() {
-            "adaptive".to_owned()
-        } else {
-            format!("fixed-{}", self.batch_max)
-        }
+        format!("fixed-{}", self.batch_max)
     }
 
     /// Label for experiment output (mirrors how the paging benches
@@ -357,9 +331,9 @@ impl ServerIoConfig {
     }
 
     /// The single [`ServerIo`] entry point: binds one serving
-    /// pipeline (staging buffers + descriptor arrays + adaptive-depth
-    /// state) to each socket of the shard set and wires the session
-    /// in. One socket is the classic single-socket server — the same
+    /// pipeline (staging buffers + descriptor arrays + telemetry) to
+    /// each socket of the shard set and wires the session in. One
+    /// socket is the classic single-socket server — the same
     /// pipeline with one shard.
     ///
     /// # Panics
@@ -399,7 +373,6 @@ impl ServerIoConfig {
                 "sharded serving rides the RPC path"
             );
         }
-        let depth0 = self.batch_min as u64;
         let descs = self.batch_max * DESC_STRIDE;
         let shards = fds
             .iter()
@@ -409,8 +382,6 @@ impl ServerIoConfig {
                 tx_buf: ctx.machine.alloc_untrusted(self.buf_len),
                 desc_rx: ctx.machine.alloc_untrusted(descs),
                 desc_tx: ctx.machine.alloc_untrusted(descs),
-                depth: AtomicU64::new(depth0),
-                ewma: AtomicU64::new(depth0 * EWMA_SCALE),
                 backlog: AtomicU64::new(0),
                 sojourn: Hist::default(),
             })
@@ -429,7 +400,7 @@ impl ServerIoConfig {
 }
 
 /// One serving pipeline: a socket plus its own untrusted staging
-/// buffers, descriptor arrays, adaptive-depth state and telemetry.
+/// buffers, descriptor arrays and telemetry.
 struct Shard {
     /// The shard's socket.
     fd: Fd,
@@ -445,13 +416,6 @@ struct Shard {
     /// Untrusted descriptor array for scatter-gather sends (same
     /// 16-byte entries; the timestamp word is ignored).
     desc_tx: u64,
-    /// The controller's current sub-batch depth (messages per reap).
-    /// Constant at `cfg.batch_min` when the depth is fixed.
-    depth: AtomicU64,
-    /// Fixed-point ([`EWMA_SCALE`]) EWMA of messages per reap — the
-    /// shard's observed arrival rate, which the controller shrinks
-    /// toward when the queue drains.
-    ewma: AtomicU64,
     /// Kernel-ring backlog left behind this shard's socket by the last
     /// reap that covered it (a gauge).
     backlog: AtomicU64,
@@ -460,15 +424,13 @@ struct Shard {
 }
 
 /// A point-in-time copy of one shard's telemetry
-/// ([`ServerIo::shard_stats`]). `backlog` and `depth` are gauges (last
-/// value); `sojourn` counts from the server's construction, so a
+/// ([`ServerIo::shard_stats`]). `backlog` is a gauge (last value);
+/// `sojourn` counts from the server's construction, so a
 /// measured phase subtracts the reading it took after warm-up.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSnapshot {
     /// Kernel-ring backlog the last reap left behind the socket.
     pub backlog: u64,
-    /// Current sub-batch depth.
-    pub depth: u64,
     /// Sojourn of the ops that waited on this shard's socket.
     pub sojourn: HistSnapshot,
 }
@@ -514,34 +476,9 @@ impl ServerIo {
             .iter()
             .map(|sh| ShardSnapshot {
                 backlog: get(&sh.backlog),
-                depth: get(&sh.depth),
                 sojourn: sh.sojourn.snapshot(),
             })
             .collect()
-    }
-
-    /// One AIMD step for a shard's sub-batch depth, fed by the reap
-    /// it just completed: `got` messages popped, `backlog` still
-    /// queued. Empty reap → halve (we are polling faster than
-    /// arrivals); backlog left behind → grow at least to the backlog
-    /// (the burst needs deeper amortization); drained exactly →
-    /// shrink toward the arrival EWMA.
-    fn adapt(&self, shard: &Shard, got: usize, backlog: usize) {
-        if !self.cfg.is_adaptive() {
-            return;
-        }
-        let (min, max) = (self.cfg.batch_min as u64, self.cfg.batch_max as u64);
-        let ewma = (3 * shard.ewma.load(Ordering::Relaxed) + got as u64 * EWMA_SCALE) / 4;
-        shard.ewma.store(ewma, Ordering::Relaxed);
-        let depth = shard.depth.load(Ordering::Relaxed);
-        let next = if got == 0 {
-            depth / 2
-        } else if backlog > 0 {
-            (depth + 1).max(backlog as u64)
-        } else {
-            depth.min(ewma.div_ceil(EWMA_SCALE))
-        };
-        shard.depth.store(next.clamp(min, max), Ordering::Relaxed);
     }
 
     /// The slot size of a batch: the staging buffers striped into
@@ -569,10 +506,9 @@ impl ServerIo {
     /// Receives and decrypts up to one sub-batch of requests per
     /// shard, each in its socket's arrival order and concatenated
     /// shard by shard, the whole reap's decrypts billed as one batched
-    /// crypto pass. The sub-batch depth is `cfg.batch_min`, or the
-    /// controller's current depth under [`ServerIoConfig::adaptive`].
-    /// On a one-worker ring it may post the next reap before it
-    /// returns (see the module docs' "Reaping ahead").
+    /// crypto pass. Each shard gives what it queues, up to
+    /// `cfg.batch_max`. On a one-worker ring it may post the next reap
+    /// before it returns (see the module docs' "Reaping ahead").
     pub fn recv_batch(&self, ctx: &mut ThreadCtx) -> Vec<Vec<u8>> {
         let all: Vec<usize> = (0..self.shards.len()).collect();
         self.reap(ctx, &all, self.stripe(), None, true, |_, run| run.out)
@@ -637,15 +573,15 @@ impl ServerIo {
 
     /// The one reap behind every receive entry point and the serve
     /// loop: collect raw messages from the `active` shards into
-    /// `stripe`-byte slots — `depth` per shard, or each shard's
-    /// controller depth — open them and hand them to `each`, or hand on
-    /// the reap posted ahead; returns what `each` gives back, in order.
-    /// One worker's reap is handed on run by run as each job published
-    /// it ([`Self::take_run`]), any other whole. Each part feeds its
-    /// controllers and the rekey interval, and past `depth` requests the
-    /// rest waits for the next reap (`recv_msg`). With `post_next` the
-    /// next reap is posted ([`Self::post_ahead`]) before the last run is
-    /// handed on. The `(shard, count)` split is recorded for the
+    /// `stripe`-byte slots — up to `depth` per shard, or `batch_max` —
+    /// open them and hand them to `each`, or hand on the reap posted
+    /// ahead; returns what `each` gives back, in order. One worker's
+    /// reap is handed on run by run as each job published it
+    /// ([`Self::take_run`]), any other whole. Each part reads its
+    /// shards' backlog gauges and feeds the rekey interval, and past
+    /// `depth` requests the rest waits for the next reap (`recv_msg`).
+    /// With `post_next` the next reap is posted ([`Self::post_ahead`])
+    /// before the last run is handed on. The `(shard, count)` split is recorded for the
     /// matching [`Self::send_batch`].
     fn reap(
         &self,
@@ -669,7 +605,7 @@ impl ServerIo {
         };
         let (mut record, mut out) = (Vec::new(), Vec::new());
         let mut hand_on = |ctx: &mut ThreadCtx, mut reaped: Reaped, last: bool| {
-            self.feed(ctx, &mut reaped);
+            self.read_backlogs(ctx, &reaped);
             if let Some(depth) = depth.filter(|&d| reaped.out.len() as u64 > d) {
                 let rest = reaped.split_off(depth as usize);
                 *self.ahead.lock() = Some(Ahead::Opened(rest));
@@ -696,24 +632,20 @@ impl ServerIo {
         out
     }
 
-    /// Feeds each run's controller the count its descriptors delivered,
-    /// against the backlog queued behind its socket now.
-    fn feed(&self, ctx: &ThreadCtx, reaped: &mut Reaped) {
-        for (k, n) in reaped.accepted.drain(..) {
+    /// Reads the backlog queued behind each run's socket now into its
+    /// shard's gauge.
+    fn read_backlogs(&self, ctx: &ThreadCtx, reaped: &Reaped) {
+        for &(k, _) in &reaped.record {
             let shard = &self.shards[k];
             let backlog = ctx.machine.host.rx_pending(shard.fd);
             shard.backlog.store(backlog as u64, Ordering::Relaxed);
-            self.adapt(shard, n, backlog);
         }
     }
 
-    /// One run per `active` shard, at `depth` or the shard's own.
+    /// One run per `active` shard, asking for `depth` or `batch_max`.
     fn runs(&self, active: impl IntoIterator<Item = usize>, depth: Option<u64>) -> Vec<Run> {
-        let want = |k: usize| depth.unwrap_or_else(|| self.shards[k].depth.load(Ordering::Relaxed));
-        let run = |shard| Run {
-            shard,
-            want: want(shard),
-        };
+        let want = depth.unwrap_or(self.cfg.batch_max as u64);
+        let run = |shard| Run { shard, want };
         active.into_iter().map(run).collect()
     }
 
@@ -739,7 +671,7 @@ impl ServerIo {
                     None => break,
                 }
             }
-            return self.open_run(ctx, 0, raw.len(), &raw, &mut self.bill(false));
+            return self.open_run(ctx, 0, &raw, &mut self.bill(false));
         };
         let counts = svc
             .submit_batch(ctx, &self.recv_jobs(&runs, stripe))
@@ -748,8 +680,8 @@ impl ServerIo {
         let mut reaped = Reaped::default();
         for (run, n) in runs.iter().zip(counts) {
             raw.clear();
-            let accepted = self.read_run(ctx, run, stripe, n, &mut Lines::Waited { now }, &mut raw);
-            reaped.append(self.open_run(ctx, run.shard, accepted, &raw, &mut bill));
+            self.read_run(ctx, run, stripe, n, &mut Lines::Waited { now }, &mut raw);
+            reaped.append(self.open_run(ctx, run.shard, &raw, &mut bill));
         }
         reaped
     }
@@ -831,8 +763,8 @@ impl ServerIo {
             span.wait(ctx);
             Lines::Waited { now: ctx.now() }
         };
-        let accepted = self.read_run(ctx, &ran.run, stripe, ran.n, &mut lines, &mut raw);
-        self.open_run(ctx, ran.run.shard, accepted, &raw, bill)
+        self.read_run(ctx, &ran.run, stripe, ran.n, &mut lines, &mut raw);
+        self.open_run(ctx, ran.run.shard, &raw, bill)
     }
 
     /// The open path's gate and crypto index for one reap.
@@ -845,14 +777,13 @@ impl ServerIo {
         }
     }
 
-    /// Opens one run's raw frames — the `accepted` messages `shard`
-    /// delivered — in one pass under the reap's gate, and bills their
-    /// decrypts unless a streamed read billed each frame already.
+    /// Opens one run's raw frames — the messages `shard` delivered — in
+    /// one pass under the reap's gate, and bills their decrypts unless a
+    /// streamed read billed each frame already.
     fn open_run(
         &self,
         ctx: &mut ThreadCtx,
         shard: usize,
-        accepted: usize,
         raw: &[Vec<u8>],
         bill: &mut Bill,
     ) -> Reaped {
@@ -864,7 +795,6 @@ impl ServerIo {
         // A refused frame gets no reply: the record counts what was
         // handed on.
         Reaped {
-            accepted: vec![(shard, accepted)],
             record: vec![(shard, out.len())],
             out,
         }
@@ -872,8 +802,8 @@ impl ServerIo {
 
     /// Posts the next reap ahead when it is certain to come back full:
     /// on a one-worker ring, with every shard's queue holding at least
-    /// that shard's next depth (see the module docs), and a free ring
-    /// slot for each run: a serve's pending replies hold theirs.
+    /// `batch_max` (see the module docs), and a free ring slot for each
+    /// run: a serve's pending replies hold theirs.
     fn post_ahead(&self, ctx: &mut ThreadCtx, svc: &RpcService) {
         let runs = self.runs(0..self.shards.len(), None);
         let host = &ctx.machine.host;
@@ -892,8 +822,7 @@ impl ServerIo {
     /// Reads one reaped run out of its shard's staging buffers — the
     /// one parser of descriptors. Each entry is bounded, its op's
     /// sojourn recorded (globally and against the shard's histogram)
-    /// and its raw payload appended to `raw` in slot order. Returns how
-    /// many messages it accepted.
+    /// and its raw payload appended to `raw` in slot order.
     ///
     /// Streamed, the run is read one line of [`DESC_LINE`] entries at a
     /// time, each at the time the worker published it (a charged read,
@@ -919,7 +848,7 @@ impl ServerIo {
         n: u64,
         lines: &mut Lines<'_>,
         raw: &mut Vec<Vec<u8>>,
-    ) -> usize {
+    ) {
         let sh = &self.shards[run.shard];
         let keep = n <= run.want;
         // The entries the reap reads, and how many one read takes.
@@ -933,7 +862,7 @@ impl ServerIo {
             Lines::Streamed { .. } => DESC_LINE,
         };
         let mut descs = vec![0u8; entries * DESC_STRIDE];
-        let (mut accepted, mut rejects) = (0, 0);
+        let mut rejects = 0;
         for (line, from) in (0..entries).step_by(per_read).enumerate() {
             let now = match lines {
                 Lines::Waited { now } => *now,
@@ -965,7 +894,6 @@ impl ServerIo {
                     ctx.machine.stats.sojourn.record(wait);
                     sh.sojourn.record(wait);
                     raw.push(msg);
-                    accepted += 1;
                 }
             }
         }
@@ -981,7 +909,6 @@ impl ServerIo {
         } else {
             Stats::bump(&ctx.machine.stats.desc_rejects);
         }
-        accepted
     }
 
     /// One raw `recv` syscall on the native/OCALL baselines. Returns
@@ -1413,30 +1340,26 @@ struct Posted {
 /// A reap read and opened, not yet handed on.
 #[derive(Default)]
 struct Reaped {
-    /// `(shard, count)` of the messages each run's descriptors
-    /// delivered: what the shard's depth controller is fed.
-    accepted: Vec<(usize, usize)>,
     /// The requests the session opened, the runs back to back.
     out: Vec<Vec<u8>>,
-    /// `(shard, count)` split of `out`, for the matching send.
+    /// `(shard, count)` split of `out`, for the matching send; its
+    /// shards' backlog gauges are read when it is handed on.
     record: Vec<(usize, usize)>,
 }
 
 impl Reaped {
     /// Appends the next run's.
     fn append(&mut self, mut run: Reaped) {
-        self.accepted.append(&mut run.accepted);
         self.out.append(&mut run.out);
         self.record.append(&mut run.record);
     }
 
     /// Splits a one-shard reap after its first `n` requests and
-    /// returns the rest, whose controller step this one keeps.
+    /// returns the rest.
     fn split_off(&mut self, n: usize) -> Reaped {
         let out = self.out.split_off(n);
         self.record = vec![(0, n)];
         Reaped {
-            accepted: Vec::new(),
             record: vec![(0, out.len())],
             out,
         }
@@ -1516,13 +1439,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "batch_min must not exceed batch_max")]
+    #[should_panic(expected = "the floor must not exceed the ceiling")]
     fn inverted_adaptive_bounds_fail_fast() {
         let _ = ServerIoConfig::default().adaptive(8, 4);
     }
 
     #[test]
-    #[should_panic(expected = "batch_min must be at least one")]
+    #[should_panic(expected = "the floor must be at least one")]
     fn zero_adaptive_floor_fails_fast() {
         let _ = ServerIoConfig::default().adaptive(0, 4);
     }
@@ -1530,14 +1453,11 @@ mod tests {
     #[test]
     fn policy_labels_name_the_depth_rule() {
         assert_eq!(ServerIoConfig::default().batch(8).policy_label(), "fixed-8");
+        // The shim is its ceiling.
         assert_eq!(
             ServerIoConfig::default().adaptive(1, 32).policy_label(),
-            "adaptive"
+            "fixed-32"
         );
-        assert!(!ServerIoConfig::default().batch(8).is_adaptive());
-        assert!(ServerIoConfig::default().adaptive(1, 32).is_adaptive());
-        // Degenerate adaptive range is just a fixed depth.
-        assert!(!ServerIoConfig::default().adaptive(4, 4).is_adaptive());
     }
 
     #[test]
@@ -1788,47 +1708,6 @@ mod tests {
             assert_eq!(wire.decrypt(&reply), [k as u8; 24]);
             assert_eq!(io.shard_stats()[k].sojourn.count(), 1);
         }
-    }
-
-    #[test]
-    fn adaptive_depth_grows_on_backlog_and_halves_when_idle() {
-        let m = SgxMachine::new(MachineConfig::tiny());
-        let e = m.driver.create_enclave(&m, 1 << 20);
-        let wire = Arc::new(Session::established([11u8; 16]));
-        let ut = ThreadCtx::untrusted(&m, 2);
-        let fd = m.host.socket(&ut, 64 << 10);
-        let svc = eleos_rpc::with_syscalls(eleos_rpc::RpcService::builder(&m), &m)
-            .workers(1, &[3])
-            .build();
-        let io = ServerIoConfig::with_buf_len(32 << 10)
-            .adaptive(1, 16)
-            .build(&ut, &[fd], IoPath::Rpc(Arc::new(svc)), Arc::clone(&wire));
-        let depth = || io.shard_stats()[0].depth;
-        assert_eq!(depth(), 1, "adaptive depth starts at the floor");
-        let mut t = ThreadCtx::for_enclave(&m, &e, 0);
-        t.enter();
-        // A standing burst: every reap leaves a backlog, so the depth
-        // must climb toward the ceiling.
-        for _ in 0..40 {
-            m.host.push_request(&ut, fd, &wire.encrypt(&[1u8; 16]));
-        }
-        let mut seen = 0;
-        while seen < 40 {
-            let got = io.recv_batch(&mut t).len();
-            assert!(got > 0, "burst reaps must make progress");
-            seen += got;
-        }
-        assert!(
-            depth() >= 8,
-            "backlog must grow the depth (got {})",
-            depth()
-        );
-        // Idle polls: empty reaps halve the depth back to the floor.
-        for _ in 0..8 {
-            assert!(io.recv_batch(&mut t).is_empty());
-        }
-        assert_eq!(depth(), 1, "empty reaps must shrink to the floor");
-        t.exit();
     }
 
     #[test]

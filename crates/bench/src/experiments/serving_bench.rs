@@ -16,19 +16,16 @@
 //!
 //! The sweep crosses shards ∈ {1, 2, 4} (single-socket merge path vs
 //! per-shard pipelines), sub-batch policy ∈ {fixed-1, fixed-8,
-//! fixed-32, adaptive} and load shape ∈ {steady, bursty, trickle,
-//! skewed}:
+//! fixed-32} and load shape ∈ {steady, bursty, trickle, skewed}. A
+//! reap takes what a socket queues, up to the policy's depth:
 //!
 //! - **steady** keeps a standing backlog across round-robin
-//!   connections (throughput regime: deep batches amortize, adaptive
-//!   should ride the ceiling).
-//! - **bursty** alternates 64-request bursts with quiet gaps
-//!   (adaptive must grow into the burst and decay after it).
-//! - **trickle** spaces arrivals a fixed gap apart; a fixed-depth
-//!   server waits out a full batch before reaping (the clock
-//!   fast-forwards to the last arrival of each group), while adaptive
-//!   serves each arrival as it lands — the latency half of the
-//!   batching trade-off.
+//!   connections (throughput regime: deep batches amortize).
+//! - **bursty** alternates 64-request bursts with quiet gaps (the deep
+//!   policy must take the burst at least as fast as fixed-1).
+//! - **trickle** spaces arrivals a fixed gap apart and serves each as
+//!   it lands: the latency half of the batching trade-off, where a
+//!   deep policy must cost no more tail latency than fixed-1.
 //! - **skewed** draws connections from a Zipf(α=0.99) — most traffic
 //!   lands on a handful of connections, so the shard the head
 //!   connection hashes to runs hot while its siblings poll shallow
@@ -74,7 +71,7 @@
 //! # Session cells
 //!
 //! A third sweep gauges the session lifecycle's serving-path cost on
-//! the steady/adaptive/1-shard baseline. The **rekey** cells rotate
+//! the steady/fixed-32/1-shard baseline. The **rekey** cells rotate
 //! the epoch key every N served requests (`rekey-inf` never rotates —
 //! it is the static-key baseline the others are compared against);
 //! every cell carries `rekeys` and `auth_failures`, and both the
@@ -87,7 +84,7 @@
 use std::sync::Arc;
 
 use eleos_apps::fleet_io::{FleetConfig, FleetKvs, MaintenanceConfig};
-use eleos_apps::io::{ServerIo, ServerIoConfig};
+use eleos_apps::io::ServerIoConfig;
 use eleos_apps::kvs::Kvs;
 use eleos_apps::loadgen::{shard_for, ChaosAction, ChaosPlan, ConnStream, KvsLoad};
 use eleos_crypto::gcm::AesGcm128;
@@ -104,7 +101,7 @@ const WORKERS: usize = 4;
 /// Client connections the load generator multiplexes (each pinned to
 /// one shard by [`shard_for`]).
 const N_CONNS: u64 = 64;
-/// Ceiling of the adaptive controller and the deepest fixed policy.
+/// The deepest fixed policy.
 const BATCH_MAX: usize = 32;
 /// Steady-load feed chunk (a multiple of every fixed depth).
 const CHUNK: usize = 256;
@@ -173,20 +170,18 @@ struct Cell {
     sojourn_p99: u64,
     sojourn_count: u64,
     /// Rows in the cell's own server's per-shard readout
-    /// ([`ServerIo::shard_stats`]); 0 for a fleet cell, whose replicas
-    /// each keep their own.
+    /// ([`ServerIo::shard_stats`](eleos_apps::io::ServerIo::shard_stats));
+    /// 0 for a fleet cell, whose replicas each keep their own.
     shard_rows: usize,
 }
 
 /// The sub-batch sizing policies under test.
 fn policies() -> Vec<(String, ServerIoConfig)> {
     let base = || ServerIoConfig::with_buf_len(64 << 10);
-    let mut out: Vec<(String, ServerIoConfig)> = [1usize, 8, BATCH_MAX]
+    [1usize, 8, BATCH_MAX]
         .iter()
         .map(|&b| (format!("fixed-{b}"), base().batch(b)))
-        .collect();
-    out.push(("adaptive".to_owned(), base().adaptive(1, BATCH_MAX)));
-    out
+        .collect()
 }
 
 /// The connection stream a load shape draws arrivals from.
@@ -238,13 +233,10 @@ fn cell(
         // stream, not of one 256-arrival sample of it.
         "skewed" => (scale.ops(if quick { 2048 } else { 8192 }) / CHUNK * CHUNK).max(8 * CHUNK),
         "bursty" => scale.ops(if quick { 256 } else { 1024 }) / BURST * BURST,
-        "trickle" => scale.ops(if quick { 128 } else { 512 }) / BATCH_MAX * BATCH_MAX,
+        "trickle" => scale.ops(if quick { 128 } else { 512 }),
         other => panic!("unknown load shape {other}"),
     }
     .max(CHUNK);
-    // A fixed-depth server waits out a full batch before reaping; the
-    // adaptive (and fixed-1) server reaps every arrival as it lands.
-    let group = cfg_group(&io);
 
     // One shape iteration serving `n` ops; returns idle fast-forward
     // cycles inserted (waiting on arrivals, not work).
@@ -285,9 +277,8 @@ fn cell(
                         push(now);
                     }
                     drain(ctx, &mut kvs, c);
-                    // Quiet gap: the server keeps polling (empty
-                    // reaps decay the adaptive depth) while the
-                    // clock idles forward.
+                    // Quiet gap: the server keeps polling empty
+                    // sockets while the clock idles forward.
                     for _ in 0..2 {
                         let ff = BURST_QUIET / 2;
                         ctx.compute(ff);
@@ -299,30 +290,20 @@ fn cell(
                 idle
             }
             "trickle" => {
-                let mut idle = 0u64;
-                let mut served = 0usize;
-                while served < n {
-                    let g = group.min(n - served);
-                    let base = ctx.now();
-                    for j in 0..g {
-                        push(base + (j as u64 + 1) * TRICKLE_GAP);
-                    }
-                    // Wait out the arrivals: a full group for the
-                    // fixed depths, one gap for adaptive.
-                    let ff = (base + g as u64 * TRICKLE_GAP).saturating_sub(ctx.now());
-                    ctx.compute(ff);
-                    idle += ff;
-                    drain(ctx, &mut kvs, g);
-                    served += g;
+                // Each arrival lands one gap after the last serve, and
+                // the server reaps it as it lands.
+                for _ in 0..n {
+                    push(ctx.now() + TRICKLE_GAP);
+                    ctx.compute(TRICKLE_GAP);
+                    drain(ctx, &mut kvs, 1);
                 }
-                idle
+                n as u64 * TRICKLE_GAP
             }
             other => panic!("unknown load shape {other}"),
         }
     };
 
-    // Warm-up (fills caches, settles the adaptive depth), then the
-    // measured phase.
+    // Warm-up (fills caches), then the measured phase.
     run_shape(&mut ctx, CHUNK);
     rig.machine.reset_counters();
     let c0 = ctx.now();
@@ -555,7 +536,7 @@ fn fleet_cell(
     }
 }
 
-/// Runs one rekey cell: the steady/adaptive/1-shard baseline with the
+/// Runs one rekey cell: the steady/fixed-32/1-shard baseline with the
 /// session key rotating every `interval` served requests (never, for
 /// `None` — the static-key reference). The client reaps and decrypts
 /// each chunk's replies while their epoch is still inside the
@@ -571,7 +552,7 @@ fn rekey_cell(scale: Scale, chaos: &'static str, interval: Option<u64>, quick: b
         kvs.set(&mut ctx, &gen.key(i), &gen.value(i));
     }
     let fds = rig.socket_set(1);
-    let mut cfg = ServerIoConfig::with_buf_len(64 << 10).adaptive(1, BATCH_MAX);
+    let mut cfg = ServerIoConfig::with_buf_len(64 << 10).batch(BATCH_MAX);
     if let Some(n) = interval {
         cfg = cfg.rekey_every(n);
     }
@@ -626,7 +607,7 @@ fn rekey_cell(scale: Scale, chaos: &'static str, interval: Option<u64>, quick: b
     ctx.exit();
     Cell {
         shards: 1,
-        policy: "adaptive".to_owned(),
+        policy: format!("fixed-{BATCH_MAX}"),
         load: "steady",
         replicas: 1,
         chaos,
@@ -653,9 +634,10 @@ fn rekey_cell(scale: Scale, chaos: &'static str, interval: Option<u64>, quick: b
 /// Runs the revocation chaos cell: two independent sessions (A, the
 /// rig's attested session, and B, a second session on its own socket)
 /// serve interleaved steady traffic; at 50% pushed, B's freshly queued
-/// chunk is revoked — [`ServerIo::revoke`] kills its shard slot and
-/// drops the queued traffic as `auth_failures` — and A serves the rest
-/// of the run alone. `lost_replies` counts only the surviving
+/// chunk is revoked —
+/// [`ServerIo::revoke`](eleos_apps::io::ServerIo::revoke) kills its
+/// shard slot and drops the queued traffic as `auth_failures` — and A
+/// serves the rest of the run alone. `lost_replies` counts only the surviving
 /// session's deficit and must come out zero.
 fn revoke_cell(scale: Scale, quick: bool) -> Cell {
     let rig = Rig::with_workers(scale, Mode::EleosRpc, 4 << 20, false, WORKERS);
@@ -667,7 +649,7 @@ fn revoke_cell(scale: Scale, quick: bool) -> Cell {
         kvs.set(&mut ctx, &gen.key(i), &gen.value(i));
     }
     let fds = rig.socket_set(2);
-    let base = || ServerIoConfig::with_buf_len(64 << 10).adaptive(1, BATCH_MAX);
+    let base = || ServerIoConfig::with_buf_len(64 << 10).batch(BATCH_MAX);
     let io_a = rig.server_io_sharded(&ctx, &fds[..1], base());
     let session_b = Arc::new(eleos_apps::wire::Session::established([0x5bu8; 16]));
     let io_b = base().build(&ctx, &fds[1..], rig.io_path(), Arc::clone(&session_b));
@@ -785,7 +767,7 @@ fn revoke_cell(scale: Scale, quick: bool) -> Cell {
     assert!(revoked, "the schedule must fire the revocation");
     Cell {
         shards: 1,
-        policy: "adaptive".to_owned(),
+        policy: format!("fixed-{BATCH_MAX}"),
         load: "steady",
         replicas: 1,
         chaos: "revoke",
@@ -810,16 +792,6 @@ fn revoke_cell(scale: Scale, quick: bool) -> Cell {
     }
 }
 
-/// The group size a fixed-depth server batches arrivals into (its
-/// fixed depth), or 1 for the adaptive policy.
-fn cfg_group(io: &ServerIo) -> usize {
-    if io.cfg.is_adaptive() {
-        1
-    } else {
-        io.cfg.batch_min
-    }
-}
-
 /// Every load shape of the sweep.
 const LOADS: [&str; 4] = ["steady", "bursty", "trickle", "skewed"];
 /// Every shard count of the sweep.
@@ -829,10 +801,10 @@ const SHARDS: [usize; 3] = [1, 2, 4];
 const FLEET_CELLS: [(&str, usize, &str); 6] = [
     ("fixed-8", 1, "none"),
     ("fixed-8", 2, "none"),
-    ("adaptive", 1, "none"),
-    ("adaptive", 2, "none"),
-    ("adaptive", 3, "kill-respawn"),
-    ("adaptive", 3, "kill-respawn-bg"),
+    ("fixed-32", 1, "none"),
+    ("fixed-32", 2, "none"),
+    ("fixed-32", 3, "kill-respawn"),
+    ("fixed-32", 3, "kill-respawn-bg"),
 ];
 /// The rekey cells: label and rotation interval in served requests.
 const REKEY_CELLS: [(&str, Option<u64>); 4] = [
@@ -841,6 +813,16 @@ const REKEY_CELLS: [(&str, Option<u64>); 4] = [
     ("rekey-1024", Some(1024)),
     ("rekey-256", Some(256)),
 ];
+
+/// The sojourn-histogram bucket above the one whose lower bound is `v`
+/// (exact below 8; each octave above is split into 8 buckets).
+fn next_bucket(v: u64) -> u64 {
+    if v < 8 {
+        v + 1
+    } else {
+        v + (1 << (v.ilog2() - 3))
+    }
+}
 
 /// Checks, on one run's cells, every claim the header and the module
 /// doc make.
@@ -877,7 +859,7 @@ fn check_claims(cells: &[Cell]) {
             .find(|c| c.chaos == chaos)
             .unwrap_or_else(|| panic!("missing session cell {chaos}"))
     };
-    assert_eq!(cells.len(), 59, "48 sweep + 6 fleet + 5 session cells");
+    assert_eq!(cells.len(), 47, "36 sweep + 6 fleet + 5 session cells");
 
     // Every sweep cell is there, with percentiles and one gauge row
     // per shard.
@@ -897,26 +879,26 @@ fn check_claims(cells: &[Cell]) {
     }
 
     for shards in SHARDS {
-        // Bursty load: the adaptive depth must grow into the burst and
-        // at least match the shallow fixed policy's throughput.
-        let ad = sweep("bursty", "adaptive", shards);
+        // Bursty load: the deep policy takes each burst in few reaps,
+        // so it must at least match the shallow policy's throughput.
+        let f32 = sweep("bursty", "fixed-32", shards);
         let f1 = sweep("bursty", "fixed-1", shards);
         assert!(
-            ad.throughput_ops_s >= f1.throughput_ops_s,
-            "bursty shards={shards}: adaptive throughput {:.0} below fixed-1 {:.0}",
-            ad.throughput_ops_s,
+            f32.throughput_ops_s >= f1.throughput_ops_s,
+            "bursty shards={shards}: fixed-32 throughput {:.0} below fixed-1 {:.0}",
+            f32.throughput_ops_s,
             f1.throughput_ops_s
         );
-        // Trickle load: adaptive serves each arrival instead of
-        // waiting out a full fixed-32 batch, so its tail latency must
-        // not exceed the deep fixed policy's.
-        let ad = sweep("trickle", "adaptive", shards);
+        // Trickle load: a reap takes what is queued, so the deep policy
+        // serves each arrival as it lands, as fixed-1 does: its tail
+        // latency is at most one histogram bucket above fixed-1's.
         let f32 = sweep("trickle", "fixed-32", shards);
+        let f1 = sweep("trickle", "fixed-1", shards);
         assert!(
-            ad.sojourn_p99 <= f32.sojourn_p99,
-            "trickle shards={shards}: adaptive p99 {} exceeds fixed-32 p99 {}",
-            ad.sojourn_p99,
-            f32.sojourn_p99
+            f32.sojourn_p99 <= next_bucket(f1.sojourn_p99),
+            "trickle shards={shards}: fixed-32 p99 {} more than one bucket above fixed-1 p99 {}",
+            f32.sojourn_p99,
+            f1.sojourn_p99
         );
     }
 
@@ -951,7 +933,7 @@ fn check_claims(cells: &[Cell]) {
     // Steady state: adding a replica must not tax the pipeline —
     // replicas=2 (each replica serving its shard slice on its own
     // core) stays within 5% busy cycles/op of the single-enclave cell.
-    for policy in ["fixed-8", "adaptive"] {
+    for policy in ["fixed-8", "fixed-32"] {
         let one = fleet(policy, 1, "none").busy_cycles_per_op;
         let two = fleet(policy, 2, "none").busy_cycles_per_op;
         assert!(
@@ -968,8 +950,8 @@ fn check_claims(cells: &[Cell]) {
     // replace that on-path work, so they must stay the same magnitude
     // — the bg cell's own (smaller, that is the win) span is not the
     // bound.
-    let sync = fleet("adaptive", 3, "kill-respawn");
-    let bg = fleet("adaptive", 3, "kill-respawn-bg");
+    let sync = fleet("fixed-32", 3, "kill-respawn");
+    let bg = fleet("fixed-32", 3, "kill-respawn-bg");
     let budget = sync.busy_cycles_per_op * sync.ops as f64;
     for c in [sync, bg] {
         for (fence, cycles) in [
@@ -1038,9 +1020,9 @@ fn check_claims(cells: &[Cell]) {
         "rekey-256 never rotated keys"
     );
     // A session that never rotates must cost what the static-key
-    // pipeline costs (within 2% of the sweep's steady/adaptive/1-shard
+    // pipeline costs (within 2% of the sweep's steady/fixed-32/1-shard
     // cell), and rotating every 4096 requests stays within 5% of it.
-    let baseline = sweep("steady", "adaptive", 1).busy_cycles_per_op;
+    let baseline = sweep("steady", "fixed-32", 1).busy_cycles_per_op;
     for (label, slack) in [("rekey-inf", 1.02), ("rekey-4096", 1.05)] {
         let cpo = session(label).busy_cycles_per_op;
         assert!(
@@ -1076,9 +1058,9 @@ pub fn run(scale: Scale, quick: bool) {
     header(
         "serving_bench",
         "shards x sub-batch policy x load shape, cache-resident KVS GETs",
-        "sharding drops the merge/reorder tax; adaptive depth rides the throughput \
-         ceiling on steady load and the latency floor on trickle load; a second \
-         shard still pays when Zipf-skewed connections stay where they hashed",
+        "sharding drops the merge/reorder tax; a reap that takes what is queued \
+         amortizes a burst at depth 32 and serves a trickle as fast as depth 1; a \
+         second shard still pays when Zipf-skewed connections stay where they hashed",
     );
     let mut cells: Vec<Cell> = Vec::new();
     for load in LOADS {
@@ -1140,7 +1122,7 @@ pub fn run(scale: Scale, quick: bool) {
         cells.push(c);
     }
 
-    // Session sweep: epoch rotation intervals on the steady/adaptive/
+    // Session sweep: epoch rotation intervals on the steady/fixed-32/
     // 1-shard baseline, plus the mid-run revocation cell.
     println!(
         "   {:<8} {:<12} {:>12} {:>10} {:>8} {:>6} {:>6}",
@@ -1200,7 +1182,7 @@ mod tests {
         }
     }
 
-    /// The 59 cells of a run on which every claim holds — the
+    /// The 47 cells of a run on which every claim holds — the
     /// background chaos cell's p99 at exactly half the synchronous
     /// cell's, the boundary a real run lands on.
     fn passing_cells() -> Vec<Cell> {
@@ -1236,14 +1218,14 @@ mod tests {
             cells.push(Cell {
                 chaos,
                 rekeys: u64::from(chaos == "rekey-256"),
-                ..flat("steady", "adaptive", 1)
+                ..flat("steady", "fixed-32", 1)
             });
         }
         cells.push(Cell {
             chaos: "revoke",
             replica_ops: vec![1024, 512],
             auth_failures: 128,
-            ..flat("steady", "adaptive", 1)
+            ..flat("steady", "fixed-32", 1)
         });
         cells
     }
@@ -1261,7 +1243,7 @@ mod tests {
     #[should_panic(expected = "missing sweep cell (skewed, fixed-8, 4)")]
     fn a_missing_sweep_cell_fails_the_run() {
         let mut cells = passing_cells();
-        // Keep the count at 59: the cell is replaced, not just dropped.
+        // Keep the count at 47: the cell is replaced, not just dropped.
         let gone = cells
             .iter()
             .position(|c| (c.load, c.policy.as_str(), c.shards) == ("skewed", "fixed-8", 4))
@@ -1272,23 +1254,50 @@ mod tests {
 
     #[test]
     #[should_panic(
-        expected = "skewed adaptive: shards=2 busy cycles/op 1001 exceeds shards=1 1000"
+        expected = "skewed fixed-32: shards=2 busy cycles/op 1001 exceeds shards=1 1000"
     )]
     fn a_second_shard_that_does_not_pay_under_skew_fails_the_run() {
         let mut cells = passing_cells();
         let two = cells
             .iter_mut()
-            .find(|c| (c.load, c.policy.as_str(), c.shards) == ("skewed", "adaptive", 2))
+            .find(|c| (c.load, c.policy.as_str(), c.shards) == ("skewed", "fixed-32", 2))
             .unwrap();
         two.busy_cycles_per_op = 1001.0;
         check_claims(&cells);
     }
 
     #[test]
-    #[should_panic(expected = "fleet cell (adaptive, 3, kill-respawn) lost replies")]
+    #[should_panic(expected = "fleet cell (fixed-32, 3, kill-respawn) lost replies")]
     fn one_lost_reply_on_a_fleet_cell_fails_the_run() {
         let mut cells = passing_cells();
         chaos_cell(&mut cells, "kill-respawn").lost_replies = 1;
+        check_claims(&cells);
+    }
+
+    /// Sets the trickle cells' p99s: fixed-1 at 3 840, fixed-32 at `f32`.
+    fn trickle_p99(cells: &mut [Cell], f32: u64) {
+        for c in cells.iter_mut().filter(|c| c.load == "trickle") {
+            match c.policy.as_str() {
+                "fixed-1" => c.sojourn_p99 = 3_840,
+                "fixed-32" => c.sojourn_p99 = f32,
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_trickle_p99_one_bucket_above_fixed_1_passes() {
+        // 3 840 = 15 << 8; the bucket above it starts at 16 << 8.
+        let mut cells = passing_cells();
+        trickle_p99(&mut cells, 4_096);
+        check_claims(&cells);
+    }
+
+    #[test]
+    #[should_panic(expected = "trickle shards=1: fixed-32 p99 4608 more than one bucket above")]
+    fn a_trickle_p99_two_buckets_above_fixed_1_fails_the_run() {
+        let mut cells = passing_cells();
+        trickle_p99(&mut cells, 9 << 9);
         check_claims(&cells);
     }
 

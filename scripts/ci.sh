@@ -131,6 +131,15 @@ if grep -rnE 'pending_send|async_send\(true|fn flush\(&self|\b(io|io_a|io_b|fk)\
     echo "a deleted deferred-send name is back (see above)"
     exit 1
 fi
+# A reap asks each shard for `batch_max` and takes what the socket
+# queues: no per-shard AIMD depth controller, no floor to adapt from.
+# Only `bench/src/rig.rs` still calls `adaptive`, a hidden shim for
+# `batch(max)`.
+if grep -rnE 'fn adapt\b|EWMA_SCALE|is_adaptive|batch_min|\.ewma\b' \
+        crates/*/src crates/*/tests src examples tests ; then
+    echo "a deleted depth-controller name is back (see above)"
+    exit 1
+fi
 # PR 23 brought the first `unsafe` into the tree: the hardware AES /
 # CLMUL kernels. It lives in one module; seven crates `forbid` it, and
 # this keeps it out of tests and examples too (`-w`: the lint names
@@ -144,6 +153,31 @@ if git grep -nE 'RUST_MIN_STACK *=' -- . ':!ROADMAP.md' ':!CHANGES.md' ':!ISSUE.
     echo "a tracked file sets RUST_MIN_STACK: shrink what is on the stack instead"
     exit 1
 fi
+
+echo "== every repo path the docs name in backticks exists"
+# One place per fact: a doc points at the file that holds it. A path
+# may carry a `::item` or `:line` suffix (dropped) or one `{a,b}` list.
+checked=0
+for path in $(grep -ohE '`(crates|tests|docs|scripts|bench|examples)/[^` ]*`' docs/*.md DESIGN.md README.md \
+        | tr -d '`' | sed -E 's/::.*//; s/:[0-9].*//' | sort -u); do
+    case $path in
+        *'{'*'}'*)
+            prefix=${path%%\{*} rest=${path#*\{}
+            suffix=${rest#*\}}
+            IFS=, read -ra alts <<< "${rest%%\}*}"
+            files=()
+            for alt in "${alts[@]}"; do files+=("$prefix$alt$suffix"); done ;;
+        *) files=("$path") ;;
+    esac
+    for f in "${files[@]}"; do
+        checked=$((checked + 1))
+        if [ ! -e "$f" ]; then
+            echo "$f is named in the docs but does not exist" >&2
+            exit 1
+        fi
+    done
+done
+echo "   $checked paths, all present"
 
 echo "== build (release)"
 cargo build --release --workspace --offline
@@ -215,6 +249,27 @@ if awk -v h="$hits" 'BEGIN { exit !(h < 0.965) }'; then
 fi
 printf '   %s ops, 0 failed, GET hit ratio %.4f\n' "$attempted" "$hits"
 
+echo "== e2e fleet-open latency guard (a reap takes what each socket queues)"
+# The open-loop workload: a request queued behind another on its shard
+# is reaped with it, not a replica pump later. A per-shard AIMD depth
+# that sat at 1-2 here read 33 561; a reap of up to `batch_max` reads
+# 25 402.
+cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
+    --workload fleet-open --seed 7 --seconds 6 | tail -n 1 > target/e2e_guard.json
+attempted=$(guard_field attempted)
+failed=$(guard_field failed)
+p50=$(guard_field reply_p50_cycles)
+: "${attempted:?no attempted count in the guard run}" "${failed:?no failed count}" "${p50:?no reply_p50_cycles}"
+if [ "$failed" != 0 ]; then
+    echo "fleet-open: $failed of $attempted ops failed" >&2
+    exit 1
+fi
+if awk -v p="$p50" 'BEGIN { exit !(p > 29000) }'; then
+    printf 'fleet-open: reply p50 %s cycles, want <= 29000\n' "$p50" >&2
+    exit 1
+fi
+printf '   %s ops, 0 failed, reply p50 %s cycles\n' "$attempted" "$p50"
+
 echo "== e2e determinism on every workload (no CAT: a worker racing the serving thread would move the cycles)"
 # One worker is one timeline: it copies the next batch in while the
 # enclave serves, transmits while it decrypts, and on fleet-open (two
@@ -252,10 +307,10 @@ cargo run --release -p eleos-bench --bin repro --offline -- crypto_bench --quick
 echo "== storage_bench smoke (exits non-zero unless its header claims hold on all 9 cells)"
 cargo run --release -p eleos-bench --bin repro --offline -- storage_bench --quick --scale 8
 
-echo "== serving_bench smoke (exits non-zero unless its header claims hold on all 59 cells)"
+echo "== serving_bench smoke (exits non-zero unless its header claims hold on all 47 cells)"
 # Both scales: the `kill-respawn-bg` p99 claim (at least 2x below the
-# synchronous fence's) reads 212 992 against 589 824 (2.8x) at 1/8 and
-# 245 760 (2.4x) at 1/16, the same in every run.
+# synchronous fence's) reads 147 456 against 524 288 (3.6x) at 1/8 and
+# 196 608 (2.7x) at 1/16, the same in every run.
 cargo run --release -p eleos-bench --bin repro --offline -- serving_bench --quick --scale 8
 cargo run --release -p eleos-bench --bin repro --offline -- serving_bench --quick --scale 16
 

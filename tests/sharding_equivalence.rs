@@ -3,11 +3,13 @@
 //! - a sharded server (one reap→decrypt→serve→seal→send pipeline per
 //!   socket, connections pinned to shards by [`shard_for`]) returns
 //!   byte-identical replies *per connection* to the single-socket
-//!   baseline, for 1–4 shards, fixed and adaptive sub-batch depths,
-//!   and all four protocol servers (binary KVS, memcached-text KVS,
-//!   parameter server, face verification);
+//!   baseline, for 1–4 shards, sub-batch depths 4 and 8, and all four
+//!   protocol servers (binary KVS, memcached-text KVS, parameter
+//!   server, face verification);
 //! - commutative updates land identically whatever the shard
 //!   interleaving (the parameter-server probe);
+//! - no request is stranded: one serve takes every request a shard
+//!   queues, up to `batch_max`;
 //! - cost accounting: exactly one syscall trap and one
 //!   kernel-metadata charge per shard sub-batch on both legs, and an
 //!   empty shard's poll costs a trap but no metadata walk;
@@ -135,12 +137,11 @@ fn replies_by_conn(rig: &ShardRig, pushed: &[(u64, usize)]) -> Vec<Vec<Vec<u8>>>
     out
 }
 
-/// The two sub-batch sizing policies the sweep crosses with the shard
-/// counts.
+/// The two sub-batch depths the sweep crosses with the shard counts.
 fn policies() -> [ServerIoConfig; 2] {
     [
         ServerIoConfig::with_buf_len(16 << 10).batch(4),
-        ServerIoConfig::with_buf_len(16 << 10).adaptive(1, 8),
+        ServerIoConfig::with_buf_len(16 << 10).batch(8),
     ]
 }
 
@@ -296,7 +297,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
     /// Binary-KVS GET replies are byte-identical per connection across
-    /// 1–4 shards and both sub-batch policies.
+    /// 1–4 shards and both sub-batch depths.
     #[test]
     fn sharded_kvs_matches_single_socket_per_connection(
         seed in prop::collection::vec(any::<u8>(), 32..33),
@@ -315,7 +316,7 @@ proptest! {
     }
 
     /// memcached-text GET replies are byte-identical per connection
-    /// across 1–4 shards and both sub-batch policies.
+    /// across 1–4 shards and both sub-batch depths.
     #[test]
     fn sharded_text_kvs_matches_single_socket_per_connection(
         seed in prop::collection::vec(any::<u8>(), 32..33),
@@ -334,7 +335,7 @@ proptest! {
     }
 
     /// Parameter-server read replies and the post-run counters are
-    /// identical across 1–4 shards and both sub-batch policies: reads
+    /// identical across 1–4 shards and both sub-batch depths: reads
     /// never race updates, and the updates commute.
     #[test]
     fn sharded_param_server_matches_single_socket_per_connection(
@@ -358,7 +359,7 @@ proptest! {
     }
 
     /// Face-verification verdicts are byte-identical per connection
-    /// across 1–4 shards and both sub-batch policies.
+    /// across 1–4 shards and both sub-batch depths.
     #[test]
     fn sharded_face_server_matches_single_socket_per_connection(
         seed in prop::collection::vec(any::<u8>(), 32..33),
@@ -374,6 +375,85 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Satellite: a reap takes what each socket queues
+// ---------------------------------------------------------------------
+
+/// The depth of the stranding checks.
+const DEPTH: usize = 8;
+
+/// Queues `backlogs[k]` requests on shard `k`, then serves twice (through
+/// `serve`, or `serve_on` every shard) and returns the replies each
+/// shard sent per call.
+fn serve_twice(rig: &ShardRig, backlogs: &[usize], on: bool) -> [Vec<usize>; 2] {
+    let ut = ThreadCtx::untrusted(&rig.m, 1);
+    for (&fd, &b) in rig.fds.iter().zip(backlogs) {
+        for i in 0..b {
+            rig.m
+                .host
+                .push_request(&ut, fd, &rig.wire.encrypt(&[i as u8; 24]));
+        }
+    }
+    let all: Vec<usize> = (0..rig.fds.len()).collect();
+    let mut t = rig.thread();
+    let sent = std::array::from_fn(|_| {
+        let echo = |_: &mut ThreadCtx, plain: &[u8]| plain.to_vec();
+        let served = if on {
+            rig.io.serve_on(&mut t, &all, echo)
+        } else {
+            rig.io.serve(&mut t, echo)
+        };
+        let sent: Vec<usize> = rig
+            .fds
+            .iter()
+            .map(|&fd| std::iter::from_fn(|| rig.m.host.pop_response(fd)).count())
+            .collect();
+        assert_eq!(served, sent.iter().sum::<usize>(), "served what it sent");
+        sent
+    });
+    t.exit();
+    sent
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// On one worker, one serve takes `min(b, batch_max)` of the `b`
+    /// requests each shard queues, and the next serve takes the rest:
+    /// nothing waits in the kernel behind a depth below `batch_max`.
+    #[test]
+    fn a_serve_takes_what_each_shard_queues_up_to_batch_max(
+        backlogs in prop::collection::vec(1..=DEPTH + 3, 1..5),
+        on in any::<bool>(),
+    ) {
+        let cfg = ServerIoConfig::with_buf_len(16 << 10).batch(DEPTH);
+        let rig = ShardRig::new(backlogs.len(), 1, cfg);
+        let [first, second] = serve_twice(&rig, &backlogs, on);
+        let want: Vec<usize> = backlogs.iter().map(|&b| b.min(DEPTH)).collect();
+        prop_assert_eq!(&first, &want, "backlogs {:?}, serve_on={}", backlogs, on);
+        let rest: Vec<usize> = backlogs.iter().map(|&b| b - b.min(DEPTH)).collect();
+        prop_assert_eq!(&second, &rest, "backlogs {:?}, serve_on={}", backlogs, on);
+    }
+}
+
+/// A server built through the `adaptive` shim reaps at its ceiling from
+/// the start, an empty reap notwithstanding: after one, a serve still
+/// takes every request each shard queues.
+#[test]
+fn the_adaptive_shim_takes_what_each_shard_queues_after_an_empty_reap() {
+    for shards in 1..=4 {
+        let cfg = ServerIoConfig::with_buf_len(16 << 10).adaptive(1, 32);
+        let rig = ShardRig::new(shards, 1, cfg);
+        assert_eq!(
+            serve_twice(&rig, &vec![0; shards], false),
+            [vec![0; shards], vec![0; shards]]
+        );
+        let [first, second] = serve_twice(&rig, &vec![5; shards], false);
+        assert_eq!(first, vec![5; shards], "shards={shards}");
+        assert_eq!(second, vec![0; shards], "shards={shards}");
     }
 }
 
@@ -546,11 +626,12 @@ fn sharded_serving_cost(shards: usize, cfg: ServerIoConfig) -> ShardedCost {
 /// instead of relinking its item on the LRU — and again when the one
 /// worker became a timeline and the serve loop began serving each
 /// shard's run as its job lands (LLC misses moved both ways with the
-/// new order of the serving core's reads).
+/// new order of the serving core's reads). The depth-32 rows were an
+/// adaptive depth in `[1, 32]` until every reap took what its shards
+/// queued, up to `batch_max`.
 #[test]
 fn sharded_serving_cycles_are_pinned() {
-    let fixed = || ServerIoConfig::with_buf_len(16 << 10).batch(8);
-    let adaptive = || ServerIoConfig::with_buf_len(16 << 10).adaptive(1, 32);
+    let fixed = |depth| ServerIoConfig::with_buf_len(16 << 10).batch(depth);
     let pin = |cycles, rpc_batches, syscalls, kernel_meta_reads, llc_misses| ShardedCost {
         cycles,
         rpc_batches,
@@ -559,12 +640,13 @@ fn sharded_serving_cycles_are_pinned() {
         llc_misses,
     };
     let rows = [
-        (2, "fixed-8", fixed(), pin(342_067, 30, 56, 52, 675)),
-        (2, "adaptive", adaptive(), pin(314_199, 12, 24, 24, 898)),
-        (4, "fixed-8", fixed(), pin(394_049, 22, 72, 56, 1_376)),
-        (4, "adaptive", adaptive(), pin(387_908, 10, 37, 34, 1_495)),
+        (2, fixed(8), pin(342_067, 30, 56, 52, 675)),
+        (2, fixed(32), pin(273_920, 8, 16, 16, 868)),
+        (4, fixed(8), pin(394_049, 22, 72, 56, 1_376)),
+        (4, fixed(32), pin(299_638, 8, 26, 20, 1_543)),
     ];
-    for (shards, policy, cfg, expected) in rows {
+    for (shards, cfg, expected) in rows {
+        let policy = cfg.policy_label();
         let measured = sharded_serving_cost(shards, cfg);
         assert_eq!(measured, expected, "shards={shards}, {policy}");
     }
