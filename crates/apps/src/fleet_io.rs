@@ -1034,9 +1034,7 @@ mod tests {
         let fk = FleetKvs::new(
             &m,
             &fds,
-            ServerIoConfig::with_buf_len(16 << 10)
-                .batch(4)
-                .shards(shards),
+            ServerIoConfig::with_buf_len(16 << 10).batch(4),
             IoPath::Rpc(Arc::new(svc)),
             Arc::clone(&wire),
             sealer,

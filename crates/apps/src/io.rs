@@ -7,9 +7,8 @@
 //! as it is read, and the reap's decrypts are billed as one amortized
 //! crypto batch (the batched crypto pipeline;
 //! [`Session::decrypt_batch_in_enclave`] is its charged form).
-//! `recv_msg` is literally a reap of depth one. Batch size and crypto
-//! amortization are session configuration ([`ServerIoConfig`]), not
-//! per-call arguments.
+//! `recv_msg` is literally a reap of depth one. Batch size is session
+//! configuration ([`ServerIoConfig`]), not a per-call argument.
 //!
 //! Every `ServerIo` is built through exactly one entry point,
 //! [`ServerIoConfig::build`], which wires the staging buffers and the
@@ -187,14 +186,6 @@ pub struct ServerIoConfig {
     /// up to this many); also sizes the descriptor staging and the
     /// batch stripe (`buf_len / batch_max`).
     pub batch_max: usize,
-    /// Amortize the cipher setup across each batch (the batched
-    /// crypto pipeline). `false` charges every message the full setup
-    /// — the per-message baseline `repro crypto_bench` compares
-    /// against. Wire bytes are identical either way.
-    pub batched_crypto: bool,
-    /// Declared shard count, validated against the socket set at
-    /// construction ([`Self::shards`]). `None` accepts any set size.
-    pub shards: Option<usize>,
     /// Rotate the wire session's key epoch after this many decrypted
     /// requests ([`Self::rekey_every`]); `None` never rotates. The
     /// rotation fires at the head of a reap fence and is
@@ -208,8 +199,6 @@ impl Default for ServerIoConfig {
         Self {
             buf_len: 64 << 10,
             batch_max: 16,
-            batched_crypto: true,
-            shards: None,
             rekey_interval: None,
         }
     }
@@ -261,13 +250,6 @@ impl ServerIoConfig {
         self.batch(max)
     }
 
-    /// Enables or disables batch-amortized crypto setup.
-    #[must_use]
-    pub fn batched_crypto(mut self, on: bool) -> Self {
-        self.batched_crypto = on;
-        self
-    }
-
     /// Every send is waited for before it returns, so this accepts
     /// only `false`.
     ///
@@ -281,17 +263,16 @@ impl ServerIoConfig {
         self
     }
 
-    /// Declares the shard count this session expects.
-    /// [`Self::build`] rejects a socket set of any other size —
-    /// a mismatch would silently mis-route the load generator's
-    /// pinning hash, so it fails fast instead.
+    /// The socket set passed to [`Self::build`] is the shard count, so
+    /// this only checks `n`.
     ///
     /// # Panics
     /// Panics if `n` is zero.
+    // Only `bench/src/rig.rs` still calls this; ROADMAP item A deletes it.
+    #[doc(hidden)]
     #[must_use]
-    pub fn shards(mut self, n: usize) -> Self {
+    pub fn shards(self, n: usize) -> Self {
         assert!(n > 0, "shards(0): a server needs at least one shard");
-        self.shards = Some(n);
         self
     }
 
@@ -312,24 +293,6 @@ impl ServerIoConfig {
         self
     }
 
-    /// Label for the sub-batch sizing policy in experiment output:
-    /// `fixed-N`.
-    #[must_use]
-    pub fn policy_label(&self) -> String {
-        format!("fixed-{}", self.batch_max)
-    }
-
-    /// Label for experiment output (mirrors how the paging benches
-    /// name the eviction policy).
-    #[must_use]
-    pub fn crypto_label(&self) -> &'static str {
-        if self.batched_crypto {
-            "batched"
-        } else {
-            "per-msg"
-        }
-    }
-
     /// The single [`ServerIo`] entry point: binds one serving
     /// pipeline (staging buffers + descriptor arrays + telemetry) to
     /// each socket of the shard set and wires the session in. One
@@ -337,11 +300,10 @@ impl ServerIoConfig {
     /// pipeline with one shard.
     ///
     /// # Panics
-    /// Panics if `fds` is empty, if the set's size disagrees with a
-    /// declared [`Self::shards`] count, if `batch_max` does not fit
-    /// the staging buffer, or if
-    /// more than one shard is combined with a non-RPC path (the
-    /// native and OCALL baselines are single-socket loops).
+    /// Panics if `fds` is empty, if `batch_max` does not fit the
+    /// staging buffer, or if more than one shard is combined with a
+    /// non-RPC path (the native and OCALL baselines are single-socket
+    /// loops).
     #[must_use]
     pub fn build(
         self,
@@ -351,16 +313,6 @@ impl ServerIoConfig {
         session: Arc<Session>,
     ) -> ServerIo {
         assert!(!fds.is_empty(), "a server needs at least one socket");
-        if let Some(n) = self.shards {
-            assert_eq!(
-                n,
-                fds.len(),
-                "config declares {n} shard(s) but the socket set has {}: \
-                 the pinning hash would route connections to sockets that \
-                 don't exist (or starve ones that do)",
-                fds.len()
-            );
-        }
         assert!(
             self.buf_len / self.batch_max > 0,
             "batch_max {} too large for a {}-byte staging buffer",
@@ -772,7 +724,6 @@ impl ServerIo {
         Bill {
             gate: self.session.open_gate(),
             next: 0,
-            amortize: self.cfg.batched_crypto,
             streamed,
         }
     }
@@ -788,7 +739,7 @@ impl ServerIo {
         bill: &mut Bill,
     ) -> Reaped {
         let refs: Vec<&[u8]> = raw.iter().map(Vec::as_slice).collect();
-        let (out, _) = self.session.open_reporting_drops(ctx, &bill.gate, &refs);
+        let out = self.session.open_reporting_drops(ctx, &bill.gate, &refs);
         if !bill.streamed {
             bill.charge(ctx, out.iter().map(Vec::len));
         }
@@ -1106,11 +1057,8 @@ impl ServerIo {
         if replies.is_empty() {
             return;
         }
-        let amortize = self.cfg.batched_crypto;
         let IoPath::Rpc(svc) = &self.path else {
-            let msgs = self
-                .session
-                .encrypt_batch_in_enclave(ctx, replies, 0, amortize);
+            let msgs = self.session.encrypt_batch_in_enclave(ctx, replies, 0);
             self.send_sequential(ctx, &msgs);
             return;
         };
@@ -1153,12 +1101,9 @@ impl ServerIo {
         let (placed, ends) = self.plan_send(replies, reap, stripe, svc.worker_count());
         let mut start = 0;
         for end in ends {
-            let msgs = self.session.encrypt_batch_in_enclave(
-                ctx,
-                &replies[start..end],
-                sealed + start,
-                self.cfg.batched_crypto,
-            );
+            let msgs =
+                self.session
+                    .encrypt_batch_in_enclave(ctx, &replies[start..end], sealed + start);
             let jobs = self.stage(ctx, &placed[start..end], &msgs, stripe);
             start = end;
             match send {
@@ -1408,7 +1353,6 @@ enum Lines<'a> {
 struct Bill {
     gate: OpenGate,
     next: usize,
-    amortize: bool,
     streamed: bool,
 }
 
@@ -1421,7 +1365,7 @@ impl Bill {
 
     fn charge(&mut self, ctx: &mut ThreadCtx, lens: impl IntoIterator<Item = usize>) {
         let lens: Vec<usize> = lens.into_iter().collect();
-        ctx.charge_crypto_batch_from(self.next, lens.iter().copied(), self.amortize);
+        ctx.charge_crypto_batch_from(self.next, lens.iter().copied(), true);
         self.next += lens.len();
     }
 }
@@ -1431,6 +1375,7 @@ mod tests {
     use super::*;
     use eleos_enclave::machine::{MachineConfig, SgxMachine};
     use eleos_enclave::thread::ThreadCtx;
+    use eleos_sim::stats::StatsSnapshot;
 
     #[test]
     #[should_panic(expected = "batch(0)")]
@@ -1451,13 +1396,8 @@ mod tests {
     }
 
     #[test]
-    fn policy_labels_name_the_depth_rule() {
-        assert_eq!(ServerIoConfig::default().batch(8).policy_label(), "fixed-8");
-        // The shim is its ceiling.
-        assert_eq!(
-            ServerIoConfig::default().adaptive(1, 32).policy_label(),
-            "fixed-32"
-        );
+    fn adaptive_shim_is_its_ceiling() {
+        assert_eq!(ServerIoConfig::default().adaptive(1, 32).batch_max, 32);
     }
 
     #[test]
@@ -1533,12 +1473,10 @@ mod tests {
     }
 
     /// Reaps eight 24-byte requests at depth 8 on a fresh machine with
-    /// `workers` RPC workers (on cores 3, then 1), with or without the
-    /// batched crypto pipeline. Returns the plaintexts and the serving
-    /// core's cycles for the reap.
-    fn reap_8(workers: usize, batched: bool) -> (Vec<Vec<u8>>, u64) {
-        // A fresh machine per mode so cache state from the first run
-        // cannot skew the second.
+    /// `workers` RPC workers (on cores 3, then 1). Returns the
+    /// plaintexts, the serving core's cycles for the reap and the
+    /// machine's stats over it.
+    fn reap_8(workers: usize) -> (Vec<Vec<u8>>, u64, StatsSnapshot) {
         let m = SgxMachine::new(MachineConfig::tiny());
         let e = m.driver.create_enclave(&m, 1 << 20);
         let wire = Arc::new(Session::established([6u8; 16]));
@@ -1547,44 +1485,45 @@ mod tests {
         let svc = eleos_rpc::with_syscalls(eleos_rpc::RpcService::builder(&m), &m)
             .workers(workers, &[3, 1][..workers])
             .build();
-        let io = ServerIoConfig::with_buf_len(8192)
-            .batch(8)
-            .batched_crypto(batched)
-            .build(&ut, &[fd], IoPath::Rpc(Arc::new(svc)), Arc::clone(&wire));
+        let io = ServerIoConfig::with_buf_len(8192).batch(8).build(
+            &ut,
+            &[fd],
+            IoPath::Rpc(Arc::new(svc)),
+            Arc::clone(&wire),
+        );
         let mut t = ThreadCtx::for_enclave(&m, &e, 0);
         t.enter();
         for i in 0..8u8 {
             m.host.push_request(&ut, fd, &wire.encrypt(&[i; 24]));
         }
-        let c0 = t.now();
+        let (c0, s0) = (t.now(), m.stats.snapshot());
         let msgs = io.recv_batch(&mut t);
-        let cycles = t.now() - c0;
+        let (cycles, d) = (t.now() - c0, m.stats.snapshot() - s0);
         t.exit();
-        (msgs, cycles)
+        (msgs, cycles, d)
     }
 
     #[test]
     fn batched_crypto_saves_serving_cycles_for_the_same_bytes() {
-        // The same reap costs fewer serving-core cycles with the
-        // batched crypto pipeline, and the plaintexts are identical.
         // Two workers: the reap waits for the worker up front and then
-        // decrypts, so the clock falls by exactly the amortized setup.
-        let (per_msg, c_per) = reap_8(2, false);
-        let (batched, c_batched) = reap_8(2, true);
-        assert_eq!(per_msg, batched, "crypto mode must not change bytes");
+        // decrypts its eight requests as one crypto batch — the leader
+        // pays the full setup, each follow-on a quarter of it.
+        let (msgs, _, d) = reap_8(2);
+        assert_eq!(msgs, (0..8u8).map(|i| vec![i; 24]).collect::<Vec<_>>());
         let full = MachineConfig::tiny().costs.crypto_fixed;
-        assert_eq!(c_per - c_batched, 7 * (full - full / 4));
+        assert_eq!(
+            (d.crypto_batches, d.crypto_msgs, d.crypto_setup_cycles),
+            (1, 8, full + 7 * (full / 4))
+        );
     }
 
     #[test]
     fn streamed_batched_crypto_cycles_are_pinned() {
-        // One worker: the reap is streamed, and part of the setup the
-        // batched pipeline saves was overlapped with the worker's copy
-        // anyway, so the clock falls by less than the amortized setup.
-        let (per_msg, c_per) = reap_8(1, false);
-        let (batched, c_batched) = reap_8(1, true);
-        assert_eq!(per_msg, batched, "crypto mode must not change bytes");
-        assert_eq!((c_per, c_batched), (9_056, 7_480));
+        // One worker: the reap is streamed, each descriptor line
+        // decrypted while the worker copies the next.
+        let (msgs, cycles, _) = reap_8(1);
+        assert_eq!(msgs.len(), 8);
+        assert_eq!(cycles, 7_480);
     }
 
     #[test]
@@ -1690,7 +1629,7 @@ mod tests {
         let svc = eleos_rpc::with_syscalls(eleos_rpc::RpcService::builder(&m), &m)
             .workers(2, &[2, 3])
             .build();
-        let io = ServerIoConfig::with_buf_len(8192).batch(4).shards(9).build(
+        let io = ServerIoConfig::with_buf_len(8192).batch(4).build(
             &ut,
             &fds,
             IoPath::Rpc(Arc::new(svc)),
@@ -1740,23 +1679,6 @@ mod tests {
         assert_eq!(d.sojourn.count(), 4, "one sojourn sample per reaped op");
         assert!(d.sojourn.p99() > 0, "reap happens after the arrivals");
         t.exit();
-    }
-
-    #[test]
-    #[should_panic(expected = "config declares 3 shard(s) but the socket set has 2")]
-    fn mismatched_shard_declaration_fails_fast() {
-        let m = SgxMachine::new(MachineConfig::tiny());
-        let ut = ThreadCtx::untrusted(&m, 2);
-        let fds = m.host.socket_set(&ut, 2, 64 << 10);
-        let svc = eleos_rpc::with_syscalls(eleos_rpc::RpcService::builder(&m), &m)
-            .workers(1, &[3])
-            .build();
-        let _ = ServerIoConfig::with_buf_len(8192).batch(4).shards(3).build(
-            &ut,
-            &fds,
-            IoPath::Rpc(Arc::new(svc)),
-            Arc::new(Session::established([1u8; 16])),
-        );
     }
 
     #[test]

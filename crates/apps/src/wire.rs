@@ -50,12 +50,11 @@
 //! one pass under one snapshot of the session's state and keys, and
 //! [`Session::encrypt_batch_in_enclave`] seals a send's responses in
 //! one [`Sealer::seal_batch`] pass per group the send streams (one
-//! group for a send under 8 KiB). With `amortize` set, the cipher setup
-//! is charged once per batch — the leader pays the full
-//! `crypto_fixed`, follow-ons a quarter (`CostModel::crypto_batched`,
-//! the same contract the SUVM write-back drain uses) — which is where
-//! the batched crypto pipeline's cycles/op win comes from on a single
-//! serving core. The client-side [`Session::encrypt`]/
+//! group for a send under 8 KiB). The cipher setup is charged once per
+//! batch — the leader pays the full `crypto_fixed`, follow-ons a
+//! quarter (`CostModel::crypto_batched`, the same contract the SUVM
+//! write-back drain uses) — which is where the batched crypto
+//! pipeline's cycles/op win comes from on a single serving core. The client-side [`Session::encrypt`]/
 //! [`Session::decrypt`] helpers are uncharged batches of one over the
 //! same two paths; there are no other entry points.
 
@@ -460,29 +459,17 @@ impl Session {
         msgs: &[&[u8]],
         amortize: bool,
     ) -> Vec<Vec<u8>> {
-        self.decrypt_batch_reporting_drops(ctx, msgs, amortize).0
-    }
-
-    /// [`Self::decrypt_batch_in_enclave`], also returning the positions
-    /// in `msgs` of the frames it dropped (ascending) — what a reap
-    /// needs to keep its reply routing equal to what it delivered.
-    pub(crate) fn decrypt_batch_reporting_drops(
-        &self,
-        ctx: &mut ThreadCtx,
-        msgs: &[&[u8]],
-        amortize: bool,
-    ) -> (Vec<Vec<u8>>, Vec<usize>) {
         if msgs.is_empty() {
-            return (Vec::new(), Vec::new());
+            return Vec::new();
         }
-        let (plains, dropped) = self.open_reporting_drops(ctx, &self.open_gate(), msgs);
+        let plains = self.open_reporting_drops(ctx, &self.open_gate(), msgs);
         if !plains.is_empty() {
             ctx.charge_crypto_batch(plains.iter().map(Vec::len), amortize);
         }
-        (plains, dropped)
+        plains
     }
 
-    /// [`Self::decrypt_batch_reporting_drops`] for a reap that already
+    /// [`Self::decrypt_batch_in_enclave`] for a reap that already
     /// billed its decrypts frame by frame as it read them (one
     /// [`OpenGate::plain_len`] per frame): the same one open pass and
     /// `auth_failures` count, judged by the `gate` the bill used, and
@@ -493,32 +480,31 @@ impl Session {
         ctx: &ThreadCtx,
         gate: &OpenGate,
         msgs: &[&[u8]],
-    ) -> (Vec<Vec<u8>>, Vec<usize>) {
+    ) -> Vec<Vec<u8>> {
         let (plains, dropped) = self.open_under(gate, msgs);
         if !dropped.is_empty() {
             Stats::add(&ctx.machine.stats.auth_failures, dropped.len() as u64);
         }
-        (plains, dropped)
+        plains
     }
 
     /// Server side: encrypts a batch of responses in one
     /// [`Sealer::seal_batch`] pass under the current epoch, charging
-    /// `ctx` per message (with the setup amortized across the batch
-    /// when `amortize` is set). `first` is the index of `plains[0]` in
-    /// its batch: a send that seals its batch group by group passes
-    /// each group's offset, so the groups pay one batch's setup.
+    /// `ctx` per message with the setup amortized across the batch.
+    /// `first` is the index of `plains[0]` in its batch: a send that
+    /// seals its batch group by group passes each group's offset, so
+    /// the groups pay one batch's setup.
     #[must_use]
     pub fn encrypt_batch_in_enclave(
         &self,
         ctx: &mut ThreadCtx,
         plains: &[&[u8]],
         first: usize,
-        amortize: bool,
     ) -> Vec<Vec<u8>> {
         if plains.is_empty() {
             return Vec::new();
         }
-        ctx.charge_crypto_batch_from(first, plains.iter().map(|p| p.len()), amortize);
+        ctx.charge_crypto_batch_from(first, plains.iter().map(|p| p.len()), true);
         self.seal_raw(plains)
     }
 }
@@ -693,7 +679,7 @@ mod tests {
         let s = Session::established([5u8; 16]);
         let plains: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i ^ 0x5a; 33]).collect();
         let refs: Vec<&[u8]> = plains.iter().map(Vec::as_slice).collect();
-        let msgs = s.encrypt_batch_in_enclave(&mut t, &refs, 0, true);
+        let msgs = s.encrypt_batch_in_enclave(&mut t, &refs, 0);
         assert_eq!(msgs.len(), plains.len());
         for (msg, plain) in msgs.iter().zip(plains.iter()) {
             assert!(!msg[NONCE_LEN..].windows(8).any(|w| w == &plain[..8]));
@@ -718,7 +704,7 @@ mod tests {
             let mut msgs = Vec::new();
             let mut start = 0;
             for &end in ends {
-                msgs.extend(s.encrypt_batch_in_enclave(&mut t, &refs[start..end], start, true));
+                msgs.extend(s.encrypt_batch_in_enclave(&mut t, &refs[start..end], start));
                 start = end;
             }
             let d = m.stats.snapshot();

@@ -1,21 +1,22 @@
-//! Serving-path crypto microbenchmark: server x batch depth x crypto
-//! mode, on cache-resident tables so the wire crypto dominates the
+//! Serving-path crypto microbenchmark: server x batch depth x RPC
+//! workers, on cache-resident tables so the wire crypto dominates the
 //! serving core. The run checks the claim its header prints and fails
 //! otherwise.
 //!
-//! The serving thread's cycles/op is the figure of merit: per-message
-//! crypto pays the full GCM/CTR key-schedule setup (`crypto_fixed`)
-//! for every request and response; the batched pipeline pays it once
-//! per reap and a quarter for each follow-on message — the same
-//! amortization contract `suvm/writeback.rs` uses for sealed
-//! evictions (both now charge through the one
-//! `ThreadCtx::charge_crypto_batch` site). Both modes ride the same
-//! batched ring submission, so the delta isolates the crypto.
+//! The serving thread's cycles/op is the figure of merit. The batched
+//! crypto pipeline pays the GCM/CTR key-schedule setup
+//! (`crypto_fixed`) once per reap and per send, and a quarter of it for
+//! each follow-on message — the same amortization contract
+//! `suvm/writeback.rs` uses for sealed evictions (both charge through
+//! the one `ThreadCtx::charge_crypto_batch` site) — so deeper batches
+//! spread both the ring handoff and the crypto setup over more
+//! requests.
 //!
-//! A second sweep adds the **workers** dimension: a reap is one
-//! `recv_mmsg` job and a send one `send_mmsg` job per socket whatever
-//! the worker count, so a second RPC worker must not change what the
-//! single-socket pipeline costs.
+//! The KVS and text servers run again on two RPC workers. Two workers
+//! cost more per op than one (only a one-worker ring streams a reap
+//! and reaps ahead), so the bench does not compare the two; what it
+//! checks is the claim its header prints: every `(server, workers)`
+//! series is monotone non-increasing in batch depth.
 
 use std::sync::Arc;
 
@@ -26,7 +27,7 @@ use eleos_apps::param_server::TableKind;
 use eleos_apps::text_protocol::{format_get, process_text};
 use eleos_enclave::thread::ThreadCtx;
 
-use crate::harness::{header, run_param_server_batched, x, Mode, Rig, Scale};
+use crate::harness::{header, run_param_server_batched, Mode, Rig, Scale};
 
 /// Items in the KVS/text tables: small enough to stay cache-resident
 /// so crypto, not memory, dominates the serving core.
@@ -38,7 +39,6 @@ const CHUNK: usize = 256;
 /// One measured cell of the sweep.
 struct Cell {
     server: &'static str,
-    crypto: &'static str,
     /// RPC worker threads serving the ring.
     workers: usize,
     batch: usize,
@@ -92,14 +92,7 @@ fn serve(
 }
 
 /// Runs one KVS (binary protocol) or text (memcached ASCII) cell.
-fn kvs_cell(
-    scale: Scale,
-    text: bool,
-    batch: usize,
-    batched: bool,
-    ops: usize,
-    workers: usize,
-) -> Cell {
+fn kvs_cell(scale: Scale, text: bool, batch: usize, ops: usize, workers: usize) -> Cell {
     let rig = Rig::with_workers(scale, Mode::EleosRpc, 4 << 20, false, workers);
     let mut ctx = rig.thread(0);
     let mut kvs = Kvs::new(rig.data_space(), rig.data_space(), 64 << 20, 1 << 10);
@@ -108,10 +101,7 @@ fn kvs_cell(
     for i in 0..N_ITEMS {
         kvs.set(&mut ctx, &load.key(i), &load.value(i));
     }
-    let io_cfg = ServerIoConfig::with_buf_len(64 << 10)
-        .batch(batch)
-        .batched_crypto(batched);
-    let io = rig.server_io_cfg(&ctx, io_cfg);
+    let io = rig.server_io_cfg(&ctx, ServerIoConfig::with_buf_len(64 << 10).batch(batch));
     let wire = Arc::clone(&rig.session);
     let fd = rig.fd;
     let machine = Arc::clone(&rig.machine);
@@ -136,7 +126,6 @@ fn kvs_cell(
     ctx.exit();
     Cell {
         server: if text { "text" } else { "kvs" },
-        crypto: if batched { "batched" } else { "per-msg" },
         workers,
         batch,
         cycles_per_op: cycles as f64 / ops as f64,
@@ -146,7 +135,7 @@ fn kvs_cell(
 }
 
 /// Runs one parameter-server cell (1-update requests, 2 MiB table).
-fn param_cell(scale: Scale, batch: usize, batched: bool, ops: usize) -> Cell {
+fn param_cell(scale: Scale, batch: usize, ops: usize) -> Cell {
     let data = scale.bytes(2 << 20);
     let rig = Rig::new(scale, Mode::EleosRpc, data, false);
     let n_keys = (data / 32) as u64;
@@ -158,12 +147,10 @@ fn param_cell(scale: Scale, batch: usize, batched: bool, ops: usize) -> Cell {
         ops,
         ops / 10,
         batch,
-        batched,
         move || load.next_plain(),
     );
     Cell {
         server: "param",
-        crypto: if batched { "batched" } else { "per-msg" },
         workers: 1,
         batch,
         cycles_per_op: run.e2e_cycles as f64 / run.ops as f64,
@@ -176,18 +163,15 @@ fn param_cell(scale: Scale, batch: usize, batched: bool, ops: usize) -> Cell {
 /// for CI smoke runs.
 ///
 /// # Panics
-/// Panics — so `repro` exits non-zero — unless every `(server, crypto,
+/// Panics — so `repro` exits non-zero — unless every `(server,
 /// workers)` series ran at every batch depth and its cycles/op never
-/// rise with the depth, and on one worker the batched crypto costs
-/// fewer cycles/op than per-message crypto at every depth of two or
-/// more: the claims the header prints.
+/// rise with the depth: the claim the header prints.
 pub fn run(scale: Scale, quick: bool) {
     header(
         "crypto_bench",
-        "server x batch depth x crypto mode, cache-resident tables",
-        "deeper batches amortize ring handoff and GCM/CTR setup: every series' \
-         cycles/op is monotone non-increasing in batch depth, one worker or two, \
-         and batched crypto beats per-msg at every depth >= 2",
+        "server x batch depth x RPC workers, batched wire crypto, cache-resident tables",
+        "deeper batches amortize ring handoff and GCM/CTR setup: every (server, workers) \
+         series' cycles/op is monotone non-increasing in batch depth",
     );
     let batches: &[usize] = if quick {
         &[1, 8]
@@ -198,56 +182,38 @@ pub fn run(scale: Scale, quick: bool) {
     let ops = (scale.ops(if quick { 8_000 } else { 20_000 }) / CHUNK).max(1) * CHUNK;
     let servers: &[&str] = &["kvs", "text", "param"];
     println!(
-        "   {:<7} {:>5} {:>14} {:>14} {:>12} {:>10} {:>10}",
-        "server", "batch", "per-msg c/op", "batched c/op", "crypto gain", "c.batches", "c.msgs"
+        "   {:<7} {:>5} {:>14} {:>10} {:>10}",
+        "server", "batch", "c/op", "c.batches", "c.msgs"
     );
     let mut cells: Vec<Cell> = Vec::new();
-    let mut broken: Vec<String> = Vec::new();
     for &server in servers {
         for &batch in batches {
-            let run_one = |batched: bool| match server {
-                "kvs" => kvs_cell(scale, false, batch, batched, ops, 1),
-                "text" => kvs_cell(scale, true, batch, batched, ops, 1),
-                "param" => param_cell(scale, batch, batched, ops),
+            let cell = match server {
+                "kvs" => kvs_cell(scale, false, batch, ops, 1),
+                "text" => kvs_cell(scale, true, batch, ops, 1),
+                "param" => param_cell(scale, batch, ops),
                 other => panic!("unknown server {other}"),
             };
-            let per_msg = run_one(false);
-            let batched = run_one(true);
             println!(
-                "   {:<7} {:>5} {:>14.0} {:>14.0} {:>12} {:>10} {:>10}",
-                server,
-                batch,
-                per_msg.cycles_per_op,
-                batched.cycles_per_op,
-                x(per_msg.cycles_per_op / batched.cycles_per_op),
-                batched.crypto_batches,
-                batched.crypto_msgs
+                "   {:<7} {:>5} {:>14.0} {:>10} {:>10}",
+                server, batch, cell.cycles_per_op, cell.crypto_batches, cell.crypto_msgs
             );
-            // The header's second claim: past depth one, batched crypto
-            // beats per-message crypto on one worker.
-            if batch >= 2 && batched.cycles_per_op >= per_msg.cycles_per_op {
-                broken.push(format!(
-                    "{server} at batch {batch}: batched {:.1} c/op does not beat per-msg {:.1}",
-                    batched.cycles_per_op, per_msg.cycles_per_op
-                ));
-            }
-            cells.push(per_msg);
-            cells.push(batched);
+            cells.push(cell);
         }
     }
 
-    // Multi-worker sweep: the batched cells again with two RPC workers
-    // polling the ring. Each reap and each send is still one job.
+    // The KVS and text cells again with two RPC workers polling the
+    // ring. Each reap and each send is still one job per socket.
     println!(
-        "   {:<7} {:>5} {:>14} {:>14}  (batched crypto)",
+        "   {:<7} {:>5} {:>14} {:>14}",
         "server", "batch", "1 worker c/op", "2 workers c/op"
     );
     for &server in &["kvs", "text"] {
         for &batch in batches {
-            let two = kvs_cell(scale, server == "text", batch, true, ops, 2);
+            let two = kvs_cell(scale, server == "text", batch, ops, 2);
             let one = cells
                 .iter()
-                .find(|c| c.server == server && c.batch == batch && c.crypto == "batched")
+                .find(|c| (c.server, c.workers, c.batch) == (server, 1, batch))
                 .expect("the single-worker sweep ran this cell");
             println!(
                 "   {:<7} {:>5} {:>14.0} {:>14.0}",
@@ -257,17 +223,17 @@ pub fn run(scale: Scale, quick: bool) {
         }
     }
 
-    // The header's first claim, checked: both crypto modes of every
-    // server on one worker, and the batched KVS/text series again on
-    // two, are monotone.
+    // The header's claim, checked: every server on one worker, and the
+    // KVS/text series again on two, are monotone.
     let series = servers
         .iter()
-        .flat_map(|&server| [(server, "per-msg", 1), (server, "batched", 1)])
-        .chain([("kvs", "batched", 2), ("text", "batched", 2)]);
+        .map(|&server| (server, 1))
+        .chain([("kvs", 2), ("text", 2)]);
+    let mut broken: Vec<String> = Vec::new();
     for key in series {
         let by_depth: Vec<&Cell> = cells
             .iter()
-            .filter(|c| (c.server, c.crypto, c.workers) == key)
+            .filter(|c| (c.server, c.workers) == key)
             .collect();
         if !by_depth.iter().map(|c| c.batch).eq(batches.iter().copied()) {
             broken.push(format!(
@@ -285,7 +251,7 @@ pub fn run(scale: Scale, quick: bool) {
     }
     assert!(broken.is_empty(), "claims that do not hold: {broken:#?}");
     println!(
-        "   {} cells, every series monotone in batch depth, batched beats per-msg from depth 2",
+        "   {} cells, every (server, workers) series monotone in batch depth",
         cells.len()
     );
 }

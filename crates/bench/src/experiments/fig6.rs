@@ -30,14 +30,12 @@ fn e2e_per_req(
 }
 
 /// End-to-end cycles per request when the server pipelines requests
-/// in batches of `batch` over real batched ring submission, with the
-/// wire crypto run batched or per-message.
+/// in batches of `batch` over real batched ring submission.
 fn e2e_per_req_batched(
     scale: Scale,
     mode: Mode,
     data_bytes: usize,
     batch: usize,
-    batched_crypto: bool,
     n_requests: usize,
 ) -> f64 {
     let rig = Rig::new(scale, mode, data_bytes, false);
@@ -50,7 +48,6 @@ fn e2e_per_req_batched(
         n_requests,
         n_requests / 10,
         batch,
-        batched_crypto,
         move || load.next_plain(),
     );
     run.e2e_cycles as f64 / run.ops as f64
@@ -58,13 +55,9 @@ fn e2e_per_req_batched(
 
 /// Runs Figure 6a: eliminating EENTER/EEXIT costs.
 pub fn run_6a(scale: Scale) {
-    let crypto = eleos_apps::io::ServerIoConfig::default().crypto_label();
     header(
         "fig6a",
-        &format!(
-            "slowdown vs untrusted, OCALL vs exit-less RPC (2MB server), \
-             {crypto} wire crypto"
-        ),
+        "slowdown vs untrusted, OCALL vs exit-less RPC (2MB server), batched wire crypto",
         "RPC ~6x better for single-update requests, parity at 64 updates",
     );
     let data = scale.bytes(2 << 20);
@@ -91,31 +84,16 @@ pub fn run_6a(scale: Scale) {
     // server pipelines recv/process/send in batches so each I/O stage
     // is a single amortized ring submission. The sync row (batch 1)
     // pays a full rpc_roundtrip per syscall; deeper batches pay it
-    // once and rpc_post thereafter. The two crypto columns compare
-    // per-message GCM setup against the batched pipeline that pays the
-    // setup once per batch (quarter-rate for follow-ons).
+    // once and rpc_post thereafter, and the wire crypto pays its setup
+    // once per batch (quarter-rate for follow-ons).
     println!("   batched submission sweep (1 key/req, cycles/req):");
-    println!(
-        "   {:<10} {:>14} {:>14} {:>12} {:>12}",
-        "batch", "per-msg c/req", "batched c/req", "crypto gain", "vs batch=1"
-    );
+    println!("   {:<10} {:>14} {:>12}", "batch", "c/req", "vs batch=1");
     let n_req = n.max(256);
-    let sync = e2e_per_req_batched(scale, Mode::EleosRpc, data, 1, false, n_req);
+    let mut sync = None;
     for batch in [1usize, 4, 8, 16, 32, 64] {
-        let per_msg = if batch == 1 {
-            sync
-        } else {
-            e2e_per_req_batched(scale, Mode::EleosRpc, data, batch, false, n_req)
-        };
-        let batched = e2e_per_req_batched(scale, Mode::EleosRpc, data, batch, true, n_req);
-        println!(
-            "   {:<10} {:>14.0} {:>14.0} {:>12} {:>12}",
-            batch,
-            per_msg,
-            batched,
-            x(per_msg / batched),
-            x(sync / batched)
-        );
+        let c_req = e2e_per_req_batched(scale, Mode::EleosRpc, data, batch, n_req);
+        let sync = *sync.get_or_insert(c_req);
+        println!("   {:<10} {:>14.0} {:>12}", batch, c_req, x(sync / c_req));
     }
 }
 

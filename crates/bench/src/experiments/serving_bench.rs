@@ -210,7 +210,7 @@ fn cell(
         kvs.set(&mut ctx, &gen.key(i), &gen.value(i));
     }
     let fds = rig.socket_set(shards);
-    let io = rig.server_io_sharded(&ctx, &fds, cfg.clone().shards(shards));
+    let io = rig.server_io_sharded(&ctx, &fds, cfg);
 
     // The load generator lives on another core; arrivals are stamped
     // on the serving core's timebase so sojourn is one clock.
@@ -367,7 +367,7 @@ fn fleet_cell(
     let fk = FleetKvs::new(
         &rig.machine,
         &fds,
-        cfg.shards(FLEET_SHARDS),
+        cfg,
         rig.io_path(),
         Arc::clone(&rig.session),
         sealer,

@@ -360,12 +360,9 @@ pub fn run_param_server_batched(
     n_requests: usize,
     warmup: usize,
     batch: usize,
-    batched_crypto: bool,
     gen: impl FnMut() -> Vec<u8>,
 ) -> PsRun {
-    let cfg = ServerIoConfig::with_buf_len(64 << 10)
-        .batch(batch)
-        .batched_crypto(batched_crypto);
+    let cfg = ServerIoConfig::with_buf_len(64 << 10).batch(batch);
     measure_param_server(rig, kind, n_keys, n_requests, warmup, cfg, true, gen)
 }
 

@@ -59,9 +59,7 @@ fn main() {
     let fk = FleetKvs::new(
         &machine,
         &fds,
-        ServerIoConfig::with_buf_len(16 << 10)
-            .batch(8)
-            .shards(SHARDS),
+        ServerIoConfig::with_buf_len(16 << 10).batch(8),
         IoPath::Rpc(Arc::new(svc)),
         Arc::clone(&session),
         sealer,

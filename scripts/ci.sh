@@ -140,6 +140,15 @@ if grep -rnE 'fn adapt\b|EWMA_SCALE|is_adaptive|batch_min|\.ewma\b' \
     echo "a deleted depth-controller name is back (see above)"
     exit 1
 fi
+# Batched crypto is the only serving crypto, and a server's shard count
+# is its socket set: no per-message mode or its labels, no second
+# decrypt entry point, no declared count to check against the set. Only
+# `bench/src/rig.rs` still calls `shards`, a hidden shim.
+if grep -rnE '\bbatched_crypto\b|crypto_label|policy_label|decrypt_batch_reporting_drops|config declares|per-msg' \
+        crates/*/src crates/*/tests src examples tests ; then
+    echo "a deleted crypto-mode / shard-declaration name is back (see above)"
+    exit 1
+fi
 # PR 23 brought the first `unsafe` into the tree: the hardware AES /
 # CLMUL kernels. It lives in one module; seven crates `forbid` it, and
 # this keeps it out of tests and examples too (`-w`: the lint names
@@ -178,6 +187,19 @@ for path in $(grep -ohE '`(crates|tests|docs|scripts|bench|examples)/[^` ]*`' do
     done
 done
 echo "   $checked paths, all present"
+
+echo "== every back-ticked path::item the docs name is declared in that file"
+items=0
+for ref in $(grep -ohE '`(crates|tests|docs|scripts|bench|examples)/[^` ]*::[A-Za-z_][A-Za-z0-9_]*`' docs/*.md DESIGN.md README.md \
+        | tr -d '`' | sort -u); do
+    file=${ref%%::*} item=${ref##*::}
+    items=$((items + 1))
+    if ! grep -qE "\b(fn|struct|enum|trait|const|mod|type) $item\b" "$file"; then
+        echo "$ref is named in the docs but $file declares no $item" >&2
+        exit 1
+    fi
+done
+echo "   $items items, all declared"
 
 echo "== build (release)"
 cargo build --release --workspace --offline
@@ -301,7 +323,7 @@ cargo run --release -p eleos-bench --bin repro --offline -- rpc_bench --quick --
 echo "== paging_bench smoke (exits non-zero unless batch >= 8 beats inline for every policy)"
 cargo run --release -p eleos-bench --bin repro --offline -- paging_bench --quick --scale 16
 
-echo "== crypto_bench smoke (exits non-zero unless every series is monotone in batch depth)"
+echo "== crypto_bench smoke (exits non-zero unless every (server, workers) series is monotone in batch depth)"
 cargo run --release -p eleos-bench --bin repro --offline -- crypto_bench --quick --scale 16
 
 echo "== storage_bench smoke (exits non-zero unless its header claims hold on all 9 cells)"

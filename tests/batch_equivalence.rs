@@ -384,9 +384,7 @@ fn run_echo_with_rekey(
     let svc = with_syscalls(RpcService::builder(&m), &m)
         .workers(2, &[2, 3])
         .build();
-    let mut cfg = ServerIoConfig::with_buf_len(16 << 10)
-        .batch(4)
-        .shards(shards);
+    let mut cfg = ServerIoConfig::with_buf_len(16 << 10).batch(4);
     if let Some(n) = rekey_every {
         cfg = cfg.rekey_every(n);
     }

@@ -252,7 +252,7 @@ fn fleet_serves_while_maintenance_ticks_on_another_thread() {
     let fk = Arc::new(FleetKvs::new(
         &m,
         &fds,
-        ServerIoConfig::with_buf_len(16 << 10).batch(4).shards(2),
+        ServerIoConfig::with_buf_len(16 << 10).batch(4),
         IoPath::Rpc(Arc::new(svc)),
         Arc::clone(&wire),
         sealer,

@@ -105,9 +105,7 @@ fn host_side(m: &Arc<SgxMachine>, workers: &[usize]) -> (Vec<Fd>, IoPath, Arc<Se
 
 /// The serving pipeline every rig builds over [`SHARDS`] sockets.
 fn io_config() -> ServerIoConfig {
-    ServerIoConfig::with_buf_len(16 << 10)
-        .batch(4)
-        .shards(SHARDS)
+    ServerIoConfig::with_buf_len(16 << 10).batch(4)
 }
 
 /// The items every store starts with.

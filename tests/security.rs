@@ -396,7 +396,6 @@ fn a_hostile_run_leaves_the_next_run_of_a_pipelined_serve_whole() {
                     .build();
                 let io = ServerIoConfig::with_buf_len(16 << 10)
                     .batch(depth as usize)
-                    .shards(2)
                     .build(&ut, &fds, IoPath::Rpc(Arc::new(svc)), Arc::clone(&session));
                 let mut t = ThreadCtx::for_enclave(&m, &e, 0);
                 t.enter();
@@ -1779,7 +1778,7 @@ fn a_rekey_announcement_rewritten_in_the_ring_is_refused_not_fatal() {
     let fk = FleetKvs::new(
         &m,
         &fds,
-        ServerIoConfig::with_buf_len(16 << 10).batch(4).shards(2),
+        ServerIoConfig::with_buf_len(16 << 10).batch(4),
         IoPath::Rpc(Arc::new(svc)),
         Arc::clone(&wire),
         Arc::new(AesGcm128::new(&[0x2au8; 16])),

@@ -309,7 +309,7 @@ proptest! {
                 let got = run_kvs(shards, cfg.clone(), &conns, &keys, false);
                 prop_assert_eq!(
                     &got, &reference,
-                    "binary KVS diverged (shards={}, {})", shards, cfg.policy_label()
+                    "binary KVS diverged (shards={}, batch_max={})", shards, cfg.batch_max
                 );
             }
         }
@@ -328,7 +328,7 @@ proptest! {
                 let got = run_kvs(shards, cfg.clone(), &conns, &keys, true);
                 prop_assert_eq!(
                     &got, &reference,
-                    "text KVS diverged (shards={}, {})", shards, cfg.policy_label()
+                    "text KVS diverged (shards={}, batch_max={})", shards, cfg.batch_max
                 );
             }
         }
@@ -348,11 +348,11 @@ proptest! {
                 let (replies, probes) = run_param(shards, cfg.clone(), &conns, &keys);
                 prop_assert_eq!(
                     &replies, &ref_replies,
-                    "param server replies diverged (shards={}, {})", shards, cfg.policy_label()
+                    "param server replies diverged (shards={}, batch_max={})", shards, cfg.batch_max
                 );
                 prop_assert_eq!(
                     &probes, &ref_probes,
-                    "param server state diverged (shards={}, {})", shards, cfg.policy_label()
+                    "param server state diverged (shards={}, batch_max={})", shards, cfg.batch_max
                 );
             }
         }
@@ -371,7 +371,7 @@ proptest! {
                 let got = run_face(shards, cfg.clone(), &conns, &keys);
                 prop_assert_eq!(
                     &got, &reference,
-                    "face server diverged (shards={}, {})", shards, cfg.policy_label()
+                    "face server diverged (shards={}, batch_max={})", shards, cfg.batch_max
                 );
             }
         }
@@ -562,9 +562,7 @@ fn sharded_serving_cost(shards: usize, cfg: ServerIoConfig) -> ShardedCost {
     let svc = with_syscalls(RpcService::builder(&m), &m)
         .workers(1, &[3])
         .build();
-    let io = cfg
-        .shards(shards)
-        .build(&ut, &fds, IoPath::Rpc(Arc::new(svc)), Arc::clone(&wire));
+    let io = cfg.build(&ut, &fds, IoPath::Rpc(Arc::new(svc)), Arc::clone(&wire));
     let mut t = ThreadCtx::for_enclave(&m, &e, 0);
     t.enter();
     let space = DataSpace::Untrusted(Arc::clone(&m));
@@ -646,9 +644,9 @@ fn sharded_serving_cycles_are_pinned() {
         (4, fixed(32), pin(299_638, 8, 26, 20, 1_543)),
     ];
     for (shards, cfg, expected) in rows {
-        let policy = cfg.policy_label();
+        let batch_max = cfg.batch_max;
         let measured = sharded_serving_cost(shards, cfg);
-        assert_eq!(measured, expected, "shards={shards}, {policy}");
+        assert_eq!(measured, expected, "shards={shards}, batch_max={batch_max}");
     }
 }
 
