@@ -43,6 +43,7 @@ fn main() {
                 std::thread::yield_now(); // let the consumer keep pace
             }
             t.exit();
+            t.now() / n_records
         })
     };
     let consumer = {
@@ -71,9 +72,10 @@ fn main() {
             checked
         })
     };
-    producer.join().unwrap();
+    let produce = producer.join().unwrap();
     let checked = consumer.join().unwrap();
     println!("consumer verified {checked} of {n_records} sealed records (lossy latest-value ring)");
+    println!("producer: {produce} cycles per record (one record write and one head write)");
 
     // The host sees only ciphertext: scan untrusted memory for a known
     // record payload.
