@@ -1365,7 +1365,7 @@ impl Bill {
 
     fn charge(&mut self, ctx: &mut ThreadCtx, lens: impl IntoIterator<Item = usize>) {
         let lens: Vec<usize> = lens.into_iter().collect();
-        ctx.charge_crypto_batch_from(self.next, lens.iter().copied(), true);
+        ctx.charge_crypto_batch_from(self.next, lens.iter().copied());
         self.next += lens.len();
     }
 }

@@ -8,7 +8,7 @@
 //! (`crypto_fixed`) once per reap and per send, and a quarter of it for
 //! each follow-on message — the same amortization contract
 //! `suvm/writeback.rs` uses for sealed evictions (both charge through
-//! the one `ThreadCtx::charge_crypto_batch` site) — so deeper batches
+//! the one `ThreadCtx::charge_crypto_batch_from` site) — so deeper batches
 //! spread both the ring handoff and the crypto setup over more
 //! requests.
 //!

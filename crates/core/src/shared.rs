@@ -162,13 +162,13 @@ impl SharedToken {
     }
 
     /// Reads `buf.len()` bytes at `addr`, unsealing the covering pages
-    /// with torn-write retry (seqlock).
+    /// with torn-write retry (seqlock). The unseals are billed as one
+    /// crypto batch.
     pub fn read(&self, ctx: &mut ThreadCtx, addr: u64, buf: &mut [u8]) {
         self.check(ctx);
         let r = &self.region;
         let ps = r.page_size;
-        let costs_crypto = r.machine.cfg.costs.crypto(ps);
-        let mut off = 0usize;
+        let (mut off, mut opened) = (0usize, 0usize);
         while off < buf.len() {
             let cur = addr + off as u64;
             let page = cur / ps as u64;
@@ -192,7 +192,8 @@ impl SharedToken {
                             }
                             panic!("shared page failed authentication: untrusted memory tampered");
                         }
-                        ctx.compute(costs_crypto);
+                        ctx.charge_crypto_batch_from(opened, [ps]);
+                        opened += 1;
                         buf[off..off + n].copy_from_slice(&scratch[in_page..in_page + n]);
                     }
                 }
@@ -204,12 +205,12 @@ impl SharedToken {
 
     /// Writes `data` at `addr` (read-modify-write of the covering
     /// pages, resealed with fresh nonces; writers serialize per page).
+    /// The opens and re-seals are billed as one crypto batch.
     pub fn write(&self, ctx: &mut ThreadCtx, addr: u64, data: &[u8]) {
         self.check(ctx);
         let r = &self.region;
         let ps = r.page_size;
-        let costs_crypto = r.machine.cfg.costs.crypto(ps);
-        let mut off = 0usize;
+        let (mut off, mut billed) = (0usize, 0usize);
         while off < data.len() {
             let cur = addr + off as u64;
             let page = cur / ps as u64;
@@ -225,13 +226,15 @@ impl SharedToken {
                     r.gcm
                         .open(nonce, &SharedRegion::aad(page), &mut scratch, tag)
                         .expect("shared page failed authentication");
-                    ctx.compute(costs_crypto);
+                    ctx.charge_crypto_batch_from(billed, [ps]);
+                    billed += 1;
                 }
             }
             scratch[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
             let nonce = r.next_nonce();
             let tag = r.gcm.seal(&nonce, &SharedRegion::aad(page), &mut scratch);
-            ctx.compute(costs_crypto);
+            ctx.charge_crypto_batch_from(billed, [ps]);
+            billed += 1;
             ctx.write_untrusted(r.bs_base + page * ps as u64, &scratch);
             let meta = Box::new([(nonce, tag)]);
             r.seals.commit_write(page, SealState::SubPages { meta });

@@ -237,10 +237,9 @@ impl Suvm {
         if !unmapped {
             return false;
         }
-        // Inline eviction is a batch of one: every seal op pays the
-        // full setup.
+        // An inline eviction seals its page's units as one batch.
         let lens = self.retire(ctx, frame, page, seal);
-        ctx.charge_crypto_batch(lens, false);
+        ctx.charge_crypto_batch_from(0, lens);
         true
     }
 
@@ -250,10 +249,9 @@ impl Suvm {
     ///
     /// This is the *functional* half of an eviction: no crypto cycles
     /// are charged here. Callers feed the returned lengths to
-    /// [`ThreadCtx::charge_crypto_batch`] — inline evictions as a batch
-    /// of one, the write-back drain as one amortized batch across all
-    /// the pages it sealed — so `Costs::crypto_batch_fixed` is billed
-    /// from exactly one place.
+    /// [`ThreadCtx::charge_crypto_batch_from`] — an inline eviction as
+    /// one batch for its page, the write-back drain as one batch
+    /// across all the pages it sealed.
     ///
     /// The crypto-metadata seqlock brackets the (ciphertext, metadata)
     /// update so concurrent readers never mistake a torn pair for
@@ -264,16 +262,21 @@ impl Suvm {
         let mut buf = vec![0u8; ps];
         ctx.read_enclave_raw(self.epcpp_vaddr(frame, 0), &mut buf);
         let sp = self.cfg.sub_page_size;
-        let mut meta = Vec::with_capacity(ps / sp);
-        for (s, unit) in buf.chunks_mut(sp).enumerate() {
-            let nonce = self.next_nonce();
-            let tag = self.sealer.seal(&nonce, &Self::aad(page, s as u32), unit);
-            meta.push((nonce, tag));
-        }
+        let aads: Vec<[u8; 12]> = (0..ps / sp).map(|s| Self::aad(page, s as u32)).collect();
+        let mut jobs: Vec<SealJob<'_>> = buf
+            .chunks_mut(sp)
+            .zip(&aads)
+            .map(|(data, aad)| SealJob {
+                nonce: self.next_nonce(),
+                aad,
+                data,
+            })
+            .collect();
+        let tags = self.sealer.seal_batch(&mut jobs);
+        let meta: Box<[_]> = jobs.iter().map(|j| j.nonce).zip(tags).collect();
+        drop(jobs);
         let lens = vec![sp; meta.len()];
-        let state = SealState::SubPages {
-            meta: meta.into_boxed_slice(),
-        };
+        let state = SealState::SubPages { meta };
         ctx.write_untrusted_raw(self.store.addr_of(page, 0), &buf);
         self.store.seals.commit_write(page, state);
         Stats::add(&self.machine.stats.sealed_bytes, ps as u64);
@@ -302,20 +305,26 @@ impl Suvm {
                 let sp = self.cfg.sub_page_size;
                 let mut buf = vec![0u8; ps];
                 ctx.read_untrusted_raw(self.store.addr_of(page, 0), &mut buf);
-                for (s, (nonce, tag)) in meta.iter().enumerate() {
-                    let span = &mut buf[s * sp..(s + 1) * sp];
-                    if self
-                        .sealer
-                        .open(nonce, &Self::aad(page, s as u32), span, tag)
-                        .is_err()
-                    {
-                        if !self.store.seals.check(page, version) {
-                            return false;
-                        }
-                        panic!("SUVM sub-page failed authentication: backing store tampered");
+                let aads: Vec<[u8; 12]> =
+                    (0..meta.len()).map(|s| Self::aad(page, s as u32)).collect();
+                let mut jobs: Vec<OpenJob<'_>> = buf
+                    .chunks_mut(sp)
+                    .zip(meta.iter().zip(&aads))
+                    .map(|(data, (&(nonce, tag), aad))| OpenJob {
+                        nonce,
+                        aad,
+                        data,
+                        tag,
+                    })
+                    .collect();
+                if self.sealer.open_batch(&mut jobs).is_err() {
+                    if !self.store.seals.check(page, version) {
+                        return false;
                     }
+                    panic!("SUVM sub-page failed authentication: backing store tampered");
                 }
-                ctx.charge_crypto_batch(vec![sp; meta.len()], false);
+                drop(jobs);
+                ctx.charge_crypto_batch_from(0, vec![sp; meta.len()]);
                 ctx.write_enclave_raw(self.epcpp_vaddr(frame, 0), &buf);
                 Stats::add(&self.machine.stats.sealed_bytes, ps as u64);
                 true

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use eleos_crypto::gcm::AesGcm128;
-use eleos_crypto::Sealer;
+use eleos_crypto::{OpenJob, SealJob, Sealer};
 use eleos_enclave::enclave::Enclave;
 use eleos_enclave::machine::SgxMachine;
 use eleos_enclave::thread::ThreadCtx;

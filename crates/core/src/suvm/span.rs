@@ -45,8 +45,10 @@ enum Held {
 /// fault, if any) and pins the frame; every further [`Self::read`]
 /// through the same pin pays `spointer_linked`, like a linked
 /// spointer (§3.2.2). On a page its [`Access`] bypasses EPC++ for, the
-/// cursor unseals each sub-page at most once. The pin is dropped when
-/// the cursor moves to another page or goes out of scope.
+/// cursor unseals each sub-page at most once, and its unseals are
+/// billed as one crypto batch: the first pays the full set-up, each
+/// later one a follow-on's. The pin is dropped when the cursor moves
+/// to another page or goes out of scope.
 ///
 /// The span must not be written while a cursor over it is open.
 pub struct SpanCursor<'a> {
@@ -56,6 +58,9 @@ pub struct SpanCursor<'a> {
     held: Held,
     /// Plaintext of the sub-page named by [`Held::Sealed`].
     plain: Vec<u8>,
+    /// Sub-pages unsealed so far: the next unseal's index in the
+    /// cursor's crypto batch.
+    opened: usize,
 }
 
 impl Suvm {
@@ -69,6 +74,7 @@ impl Suvm {
             access,
             held: Held::Nothing,
             plain: Vec::new(),
+            opened: 0,
         }
     }
 
@@ -174,7 +180,8 @@ impl SpanCursor<'_> {
                                 }
                                 panic!("SUVM sub-page failed authentication");
                             }
-                            ctx.charge_crypto_batch([sp], false);
+                            ctx.charge_crypto_batch_from(self.opened, [sp]);
+                            self.opened += 1;
                             Stats::add(&s.machine.stats.sealed_bytes, sp as u64);
                             held = Some(sub);
                         }

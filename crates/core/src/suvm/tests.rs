@@ -477,7 +477,7 @@ fn paging_cycles_are_pinned() {
     );
     assert_eq!(
         pinned_workload(EvictPolicy::Clock, 0, Access::Adaptive),
-        [2_271_696, 97, 81, 11, 0, 799_744]
+        [2_134_896, 97, 81, 11, 0, 799_744]
     );
     // Pinned at `6da10e1`, before the eviction layer's release paths
     // were folded into one: the FIFO hand under batched write-back, and
@@ -916,36 +916,136 @@ fn cold_sub_page_rig(pages: usize) -> (Arc<SgxMachine>, Arc<Suvm>, ThreadCtx, Sv
     (m, s, t, a, data)
 }
 
+/// `[crypto_batches, crypto_msgs, crypto_setup_cycles, sealed_bytes]`
+/// billed since `s0`.
+fn crypto_since(m: &SgxMachine, s0: eleos_sim::stats::StatsSnapshot) -> [u64; 4] {
+    let d = m.stats.snapshot() - s0;
+    [
+        d.crypto_batches,
+        d.crypto_msgs,
+        d.crypto_setup_cycles,
+        d.sealed_bytes,
+    ]
+}
+
 #[test]
 fn bypass_crypto_is_counted_and_costs_what_it_did() {
-    // The cycle constants were measured at 86d3027, where both paths
-    // charged their sub-page crypto with a bare `ctx.compute` that no
-    // `crypto_*` counter (nor `sealed_bytes`) saw.
+    // Each operation's units are one crypto batch: the second pays a
+    // follow-on's set-up.
     let (m, s, mut t, a, data) = cold_sub_page_rig(4);
     let fixed = m.cfg.costs.crypto_fixed;
-    let crypto = |d: eleos_sim::stats::StatsSnapshot| {
-        [
-            d.crypto_batches,
-            d.crypto_msgs,
-            d.crypto_setup_cycles,
-            d.sealed_bytes,
-        ]
-    };
 
-    // A read over sub-pages 0 and 1: two unseals, each its own batch.
+    // A read over sub-pages 0 and 1: two unseals, one batch.
     let (s0, c0) = (m.stats.snapshot(), t.now());
     let mut buf = vec![0u8; 1008];
     s.read_direct(&mut t, a + 100, &mut buf);
     assert_eq!(buf, &data[100..1108]);
-    assert_eq!(t.now() - c0, 6_008);
-    assert_eq!(crypto(m.stats.snapshot() - s0), [2, 2, 2 * fixed, 2 * 1024]);
+    assert_eq!(t.now() - c0, 5_708);
+    assert_eq!(crypto_since(&m, s0), [1, 2, fixed + fixed / 4, 2 * 1024]);
 
     // A write-through inside one sub-page: its open and its re-seal.
     let (s0, c0) = (m.stats.snapshot(), t.now());
     s.write_direct(&mut t, a + 5000, b"twenty-byte payload!");
-    assert_eq!(t.now() - c0, 6_008);
-    assert_eq!(crypto(m.stats.snapshot() - s0), [1, 2, 2 * fixed, 2 * 1024]);
+    assert_eq!(t.now() - c0, 5_708);
+    assert_eq!(crypto_since(&m, s0), [1, 2, fixed + fixed / 4, 2 * 1024]);
     assert_eq!(s.resident_pages(), 0);
+    t.exit();
+}
+
+#[test]
+fn a_bypass_cursor_bills_its_unseals_as_one_batch() {
+    let (m, s, mut t, a, data) = cold_sub_page_rig(4);
+    let fixed = m.cfg.costs.crypto_fixed;
+    // A header in sub-page 3 of page 1, then a body running on into
+    // sub-page 0 of page 2: three unseals through one cursor.
+    let at = 4096 + 3 * 1024 + 1000;
+    let (mut head, mut body) = ([0u8; 8], vec![0u8; 100]);
+    let s0 = m.stats.snapshot();
+    let mut span = s.span(a + at, Access::Direct);
+    span.read(&mut t, &mut head);
+    assert_eq!(crypto_since(&m, s0), [1, 1, fixed, 1024]);
+    span.read(&mut t, &mut body);
+    drop(span);
+    assert_eq!(head, data[at as usize..at as usize + 8]);
+    assert_eq!(body, &data[at as usize + 8..at as usize + 108]);
+    assert_eq!(
+        crypto_since(&m, s0),
+        [1, 2, fixed + fixed / 4, 2 * 1024],
+        "the body's unseal follows the header's"
+    );
+    t.exit();
+}
+
+#[test]
+fn a_fault_bills_its_page_and_its_victims_page_as_one_batch_each() {
+    let (m, s, mut t, a, data) = cold_sub_page_rig(20);
+    let fixed = m.cfg.costs.crypto_fixed;
+    let page_batch = fixed + 3 * (fixed / 4);
+
+    // A clean fault opens the page's four 1 KiB units as one batch.
+    let s0 = m.stats.snapshot();
+    let mut buf = [0u8; 8];
+    s.read(&mut t, a + 100, &mut buf);
+    assert_eq!(buf, data[100..108]);
+    assert_eq!(crypto_since(&m, s0), [1, 4, page_batch, 4096]);
+
+    // Fill the 16 frames with dirty pages; the next fault seals its
+    // victim's four units as one batch, then opens its own.
+    for page in 0..16u64 {
+        s.write(&mut t, a + page * 4096, &[page as u8; 8]);
+    }
+    let s0 = m.stats.snapshot();
+    s.read(&mut t, a + 16 * 4096 + 100, &mut buf);
+    assert_eq!(buf, data[16 * 4096 + 100..16 * 4096 + 108]);
+    assert_eq!(m.stats.snapshot().suvm_evictions - s0.suvm_evictions, 1);
+    assert_eq!(crypto_since(&m, s0), [2, 8, 2 * page_batch, 2 * 4096]);
+    t.exit();
+}
+
+#[test]
+fn a_write_through_across_two_sub_pages_bills_one_batch_of_four() {
+    let (m, s, mut t, a, mut data) = cold_sub_page_rig(4);
+    let fixed = m.cfg.costs.crypto_fixed;
+    let payload = [0xeeu8; 48];
+    let s0 = m.stats.snapshot();
+    s.write_direct(&mut t, a + 1000, &payload);
+    // Two opens and two re-seals, in one batch.
+    assert_eq!(
+        crypto_since(&m, s0),
+        [1, 4, fixed + 3 * (fixed / 4), 4 * 1024]
+    );
+    assert_eq!(s.resident_pages(), 0);
+    data[1000..1048].copy_from_slice(&payload);
+    let mut buf = vec![0u8; 4096];
+    s.read_direct(&mut t, a, &mut buf);
+    assert_eq!(buf, &data[..4096]);
+    t.exit();
+}
+
+#[test]
+fn a_whole_page_fault_costs_what_it_did() {
+    // One seal unit per page: each batch is a batch of one, so the
+    // cycles are those measured before SUVM billed per operation.
+    let (m, s, mut t) = setup(SuvmConfig::tiny());
+    let fixed = m.cfg.costs.crypto_fixed;
+    let a = s.malloc(20 * 4096);
+    s.write(&mut t, a, &[9u8; 20 * 4096]);
+    while s.evict_one(&mut t) {}
+
+    let (s0, c0) = (m.stats.snapshot(), t.now());
+    let mut buf = [0u8; 8];
+    s.read(&mut t, a + 100, &mut buf);
+    assert_eq!(buf, [9u8; 8]);
+    assert_eq!(t.now() - c0, 7_627);
+    assert_eq!(crypto_since(&m, s0), [1, 1, fixed, 4096]);
+
+    for page in 0..16u64 {
+        s.write(&mut t, a + page * 4096, &[page as u8; 8]);
+    }
+    let (s0, c0) = (m.stats.snapshot(), t.now());
+    s.write(&mut t, a + 16 * 4096, &[1u8; 8]);
+    assert_eq!(t.now() - c0, 14_990);
+    assert_eq!(crypto_since(&m, s0), [2, 2, 2 * fixed, 2 * 4096]);
     t.exit();
 }
 

@@ -17,7 +17,8 @@
 //! purely in the setup cost, which the simulator charges as the full
 //! `crypto_fixed` for the first message of a batch and a quarter of it
 //! for follow-ons (`CostModel::crypto_batched` in `eleos-sim`, the same
-//! model the SUVM write-back drain uses).
+//! model SUVM bills each page, bypass cursor, write-through and
+//! write-back drain by).
 
 use crate::gcm::{Nonce, Tag, TAG_LEN};
 use crate::AuthError;

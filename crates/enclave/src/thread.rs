@@ -98,42 +98,31 @@ impl ThreadCtx {
         self.core.clock.advance(cycles);
     }
 
-    /// Charges the cycle cost of one crypto batch — the **single**
-    /// place `Costs::crypto_batch_fixed` is billed from, shared by the
-    /// wire codec's seal/open pipeline and SUVM's write-back drain.
+    /// Charges the cycle cost of the messages of one crypto batch from
+    /// index `first` on — the **single** place
+    /// `CostModel::crypto_batch_fixed` is billed from, shared by the wire
+    /// codec, SUVM, the shared region and the snapshot codec.
     ///
-    /// `lens` is the byte length of each sealed/opened message. With
-    /// `amortize`, the first message pays the full `crypto_fixed` setup
-    /// (key schedule, GHASH table) and follow-ons a quarter of it;
-    /// without, every message pays the full setup, which is the
-    /// per-message baseline (and the cost of an inline single-page
-    /// eviction). Also bumps the `crypto_batches` / `crypto_msgs` /
-    /// `crypto_setup_cycles` stats so experiments can report the
-    /// amortization.
-    pub fn charge_crypto_batch(&mut self, lens: impl IntoIterator<Item = usize>, amortize: bool) {
-        self.charge_crypto_batch_from(0, lens, amortize);
-    }
-
-    /// [`Self::charge_crypto_batch`] for the messages of one batch from
-    /// index `first` on, for a batch billed piece by piece as each
-    /// piece is sealed: the pieces pay exactly what the whole batch
-    /// would in one call, and only the piece at `first == 0` counts a
-    /// crypto batch.
+    /// `lens` is the byte length of each sealed/opened message. The
+    /// batch's first message (`first == 0`) pays the full
+    /// `crypto_fixed` setup (key schedule, GHASH table) and follow-ons
+    /// a quarter of it. A batch billed piece by piece as each piece is
+    /// sealed passes each piece's offset: the pieces pay exactly what
+    /// the whole batch would in one call, and only the piece at
+    /// `first == 0` counts a crypto batch. Per-message billing is one
+    /// call per message. Also bumps the `crypto_batches` /
+    /// `crypto_msgs` / `crypto_setup_cycles` stats so experiments can
+    /// report the amortization.
     pub fn charge_crypto_batch_from(
         &mut self,
         first: usize,
         lens: impl IntoIterator<Item = usize>,
-        amortize: bool,
     ) {
         let machine = Arc::clone(&self.machine);
         let costs = &machine.cfg.costs;
         let (mut n, mut setup) = (0u64, 0u64);
         for (i, len) in (first..).zip(lens) {
-            let fixed = if amortize {
-                costs.crypto_batch_fixed(i)
-            } else {
-                costs.crypto_fixed
-            };
+            let fixed = costs.crypto_batch_fixed(i);
             setup += fixed;
             self.compute(fixed + (costs.crypto_cpb * len as f64) as u64);
             n += 1;
@@ -146,6 +135,20 @@ impl ThreadCtx {
         }
         Stats::add(&machine.stats.crypto_msgs, n);
         Stats::add(&machine.stats.crypto_setup_cycles, setup);
+    }
+
+    /// Bills each of `lens` as a crypto batch of its own. Kept only
+    /// for `bench/`'s probes, which pin this shape; `amortize` must be
+    /// `false`. Bill a batch with [`Self::charge_crypto_batch_from`].
+    #[doc(hidden)]
+    pub fn charge_crypto_batch(&mut self, lens: impl IntoIterator<Item = usize>, amortize: bool) {
+        assert!(
+            !amortize,
+            "bill an amortized batch with charge_crypto_batch_from"
+        );
+        for len in lens {
+            self.charge_crypto_batch_from(0, [len]);
+        }
     }
 
     /// EENTER: transitions to trusted execution.

@@ -216,9 +216,10 @@ impl CostModel {
     /// schedule + GHASH table), follow-ons a quarter of it (the state
     /// is already hot).
     ///
-    /// This is the one shared amortization contract: the SUVM
-    /// write-back drain and the wire codec's batch entry points both
-    /// charge through it.
+    /// This is the one shared amortization contract: the wire codec and
+    /// SUVM (a page's units, a bypass cursor's unseals, a
+    /// write-through's opens and re-seals, a write-back drain) all
+    /// charge through it, via `ThreadCtx::charge_crypto_batch_from`.
     #[must_use]
     pub fn crypto_batch_fixed(&self, index: usize) -> u64 {
         if index == 0 {

@@ -9,7 +9,7 @@
 //! - cost accounting: exactly one syscall trap and one kernel-metadata
 //!   charge per leg per reap whatever the worker count, and
 //!   `crypto_setup_cycles` only ever charged through the unified
-//!   `ThreadCtx::charge_crypto_batch` path;
+//!   `ThreadCtx::charge_crypto_batch_from` path;
 //! - a pin of what a one-worker send puts on the wire and what it
 //!   costs, for small, 1 KiB and mixed replies, and of what a
 //!   one-worker reap hands the serve loop and what it costs, for the
@@ -269,7 +269,7 @@ fn one_trap_and_one_meta_charge_per_leg_per_reap() {
 }
 
 /// Wire crypto setup is charged through the one unified
-/// `charge_crypto_batch` site: a batch-of-8 amortized decrypt bills
+/// `charge_crypto_batch_from` site: a batch-of-8 amortized decrypt bills
 /// the leader the full setup and each follow-on a quarter.
 #[test]
 fn wire_setup_cycles_follow_the_unified_formula() {
