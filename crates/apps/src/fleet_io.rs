@@ -1457,6 +1457,46 @@ mod tests {
         }
     }
 
+    /// Without the plane a fence's byte-work runs on the serving thread
+    /// after a round's send, so it is billed outside the round: the
+    /// SUVM crypto of a transfer costs what it would on a thread that
+    /// never served, though the round sealed and opened SUVM pages too.
+    #[test]
+    fn a_fences_byte_work_is_billed_outside_the_serve_round() {
+        let transfer = |close_by_hand: bool| {
+            let cfg = FleetConfig {
+                suvm: Some(SuvmConfig {
+                    sub_page_size: 1024,
+                    backing_bytes: 4 << 20,
+                    ..SuvmConfig::tiny()
+                }),
+                ..plane_off()
+            };
+            let rig = fleet_with(2, cfg, Arc::new(AesGcm128::new(&[0x44u8; 16])));
+            let (m, .., fk) = &rig;
+            let cold = |rep: &mut Replica| {
+                let suvm = rep.suvm.as_ref().expect("a SUVM replica");
+                while suvm.evict_one(&mut rep.ctx) {}
+            };
+            fk.with_replica(0, cold);
+            let s0 = m.stats.snapshot();
+            serve_set(&rig, 0, b"seed-3", &[9u8; 48]);
+            let served = m.stats.snapshot() - s0;
+            assert!(served.suvm_direct_accesses > 0, "the round wrote through");
+            if close_by_hand {
+                fk.with_replica(0, |rep| rep.ctx.close_round());
+            }
+            let s0 = m.stats.snapshot();
+            let (_, bytes, _) = fk.send_state(0, 0, 1, true);
+            let d = m.stats.snapshot() - s0;
+            let crypto = [d.crypto_batches, d.crypto_msgs, d.crypto_setup_cycles];
+            (bytes, crypto, d.suvm_direct_accesses + d.suvm_major_faults)
+        };
+        let billed = transfer(false);
+        assert!(billed.2 > 0, "the transfer read SUVM pages");
+        assert_eq!(billed, transfer(true));
+    }
+
     /// The ring is host memory: the host can keep a copy of any
     /// transfer and put it back later. A fence refuses every transfer
     /// but the one it just sealed — whether the replay lands in a

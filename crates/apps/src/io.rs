@@ -4,9 +4,12 @@
 //!
 //! Every receive entry point is one reap: the path-specific code only
 //! collects *raw* wire messages in arrival order, each run is opened
-//! as it is read, and the reap's decrypts are billed as one amortized
-//! crypto batch (the batched crypto pipeline;
-//! [`Session::decrypt_batch_in_enclave`] is its charged form).
+//! as it is read, and the reap opens a serve round: its decrypts, the
+//! replies' seals and the decrypts of a reap read ahead during the send
+//! are billed as one amortized crypto batch under the wire key, and
+//! the send closes the round (`docs/crypto-pipeline.md`, "The serve
+//! round"; [`Session::decrypt_batch_in_enclave`] is the charged form
+//! outside a round).
 //! `recv_msg` is literally a reap of depth one. Batch size is session
 //! configuration ([`ServerIoConfig`]), not a per-call argument.
 //!
@@ -545,6 +548,10 @@ impl ServerIo {
         mut each: impl FnMut(&mut ThreadCtx, Reaped) -> Vec<Vec<u8>>,
     ) -> Vec<Vec<u8>> {
         self.maybe_rekey(ctx);
+        // A reap starts a serve round, under the epoch it reaps in; a
+        // receive no send followed leaves its round here.
+        ctx.close_round();
+        ctx.open_round();
         let pending = self.ahead.lock().take();
         let posted = match (pending, &self.path) {
             (Some(Ahead::Opened(reaped)), _) => Err(reaped),
@@ -579,6 +586,9 @@ impl ServerIo {
                 }
             }
             Err(reaped) => hand_on(ctx, reaped, true),
+        }
+        if record.iter().all(|&(_, n)| n == 0) {
+            ctx.close_round();
         }
         *self.last_reap.lock() = record;
         out
@@ -719,11 +729,10 @@ impl ServerIo {
         self.open_run(ctx, ran.run.shard, &raw, bill)
     }
 
-    /// The open path's gate and crypto index for one reap.
+    /// The open path's gate for one reap.
     fn bill(&self, streamed: bool) -> Bill {
         Bill {
             gate: self.session.open_gate(),
-            next: 0,
             streamed,
         }
     }
@@ -973,7 +982,7 @@ impl ServerIo {
             let refs: Vec<&[u8]> = replies.iter().map(Vec::as_slice).collect();
             match &self.path {
                 IoPath::Rpc(svc) => {
-                    self.post_replies(ctx, svc, &mut send, served, &refs, &run.record, stripe);
+                    self.post_replies(ctx, svc, &mut send, &refs, &run.record, stripe);
                 }
                 _ => self.send_all(ctx, &refs, stripe),
             }
@@ -983,6 +992,7 @@ impl ServerIo {
         if let IoPath::Rpc(svc) = &self.path {
             self.finish_send(ctx, svc, send);
         }
+        ctx.close_round();
         served
     }
 
@@ -1038,6 +1048,8 @@ impl ServerIo {
     }
 
     /// The one encrypt/stage/send path behind every send entry point.
+    /// A send ends the serve round its reap opened; one with no round
+    /// open is a round of its own.
     ///
     /// On the RPC path `replies` is split by the last reap's
     /// `(shard, count)` record and each slice goes out its shard's
@@ -1054,46 +1066,49 @@ impl ServerIo {
     /// reap 1:1 — a bug in the serve loop, not something a peer's
     /// bytes can cause.
     fn send_all(&self, ctx: &mut ThreadCtx, replies: &[&[u8]], stripe: usize) {
-        if replies.is_empty() {
-            return;
+        ctx.open_round();
+        match &self.path {
+            _ if replies.is_empty() => {}
+            IoPath::Rpc(svc) => {
+                let reap = if self.shards.len() == 1 {
+                    vec![(0, replies.len())]
+                } else {
+                    let reap = self.last_reap.lock().clone();
+                    let total: usize = reap.iter().map(|&(_, n)| n).sum();
+                    // Not input-reachable: the record counts exactly the
+                    // requests the reap handed the serve loop (refused
+                    // frames are subtracted there), so only a serve loop
+                    // that drops or invents a reply — a bug in this
+                    // program — can trip it.
+                    assert_eq!(
+                        replies.len(),
+                        total,
+                        "a sharded send must answer the last reap 1:1"
+                    );
+                    reap
+                };
+                let mut send = None;
+                self.post_replies(ctx, svc, &mut send, replies, &reap, stripe);
+                self.finish_send(ctx, svc, send);
+            }
+            _ => {
+                let msgs = self.session.encrypt_batch_in_enclave(ctx, replies);
+                self.send_sequential(ctx, &msgs);
+            }
         }
-        let IoPath::Rpc(svc) = &self.path else {
-            let msgs = self.session.encrypt_batch_in_enclave(ctx, replies, 0);
-            self.send_sequential(ctx, &msgs);
-            return;
-        };
-        let reap = if self.shards.len() == 1 {
-            vec![(0, replies.len())]
-        } else {
-            let reap = self.last_reap.lock().clone();
-            let total: usize = reap.iter().map(|&(_, n)| n).sum();
-            // Not input-reachable: the record counts exactly the
-            // requests the reap handed the serve loop (refused frames
-            // are subtracted there), so only a serve loop that drops or
-            // invents a reply — a bug in this program — can trip it.
-            assert_eq!(
-                replies.len(),
-                total,
-                "a sharded send must answer the last reap 1:1"
-            );
-            reap
-        };
-        let mut send = None;
-        self.post_replies(ctx, svc, &mut send, 0, replies, &reap, stripe);
-        self.finish_send(ctx, svc, send);
+        ctx.close_round();
     }
 
     /// Seals, stages and posts replies into the `send` batch group by
-    /// group ([`Self::plan_send`]) — sealed as the messages from `sealed`
-    /// on of the send's one crypto batch, posted as one `send_mmsg` job
-    /// per socket a group covers while the worker transmits the last.
-    #[allow(clippy::too_many_arguments)]
+    /// group ([`Self::plan_send`]) — each group's seals the next
+    /// messages of the round's wire batch — posted as one `send_mmsg`
+    /// job per socket a group covers while the worker transmits the
+    /// last.
     fn post_replies(
         &self,
         ctx: &mut ThreadCtx,
         svc: &RpcService,
         send: &mut Option<RpcBatch>,
-        sealed: usize,
         replies: &[&[u8]],
         reap: &[(usize, usize)],
         stripe: usize,
@@ -1101,9 +1116,9 @@ impl ServerIo {
         let (placed, ends) = self.plan_send(replies, reap, stripe, svc.worker_count());
         let mut start = 0;
         for end in ends {
-            let msgs =
-                self.session
-                    .encrypt_batch_in_enclave(ctx, &replies[start..end], sealed + start);
+            let msgs = self
+                .session
+                .encrypt_batch_in_enclave(ctx, &replies[start..end]);
             let jobs = self.stage(ctx, &placed[start..end], &msgs, stripe);
             start = end;
             match send {
@@ -1345,14 +1360,13 @@ enum Lines<'a> {
     },
 }
 
-/// A reap's decrypts, billed as messages `0, 1, …` of one crypto batch
-/// across its runs, so they cost what one batched decrypt of them
-/// would. A `streamed` read bills each frame as it reads it, by `gate`
-/// — the gate the open then opens under, so the frames billed are the
-/// frames opened; otherwise each run is billed as it is opened.
+/// A reap's decrypts, billed as the next messages of the serve round's
+/// wire batch under the gate's current key. A `streamed` read bills
+/// each frame as it reads it, by `gate` — the gate the open then opens
+/// under, so the frames billed are the frames opened; otherwise each
+/// run is billed as it is opened.
 struct Bill {
     gate: OpenGate,
-    next: usize,
     streamed: bool,
 }
 
@@ -1363,10 +1377,8 @@ impl Bill {
         }
     }
 
-    fn charge(&mut self, ctx: &mut ThreadCtx, lens: impl IntoIterator<Item = usize>) {
-        let lens: Vec<usize> = lens.into_iter().collect();
-        ctx.charge_crypto_batch_from(self.next, lens.iter().copied());
-        self.next += lens.len();
+    fn charge(&self, ctx: &mut ThreadCtx, lens: impl IntoIterator<Item = usize>) {
+        ctx.charge_crypto(self.gate.current(), lens);
     }
 }
 
@@ -1531,7 +1543,8 @@ mod tests {
         // Four rounds of four echoes through one worker on a
         // CAT-partitioned machine: each send is waited for before it
         // returns, so the sixteen echoes reach the socket in order and
-        // the serving clock is exact.
+        // the serving clock is exact (44 510 until a round's decrypts
+        // and seals were one wire batch).
         let m = SgxMachine::new(MachineConfig::tiny());
         m.enable_cat();
         let e = m.driver.create_enclave(&m, 1 << 20);
@@ -1567,7 +1580,7 @@ mod tests {
         }
         let expected: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 24]).collect();
         assert_eq!(echoed, expected, "every echo, in order");
-        assert_eq!(cycles, 44_510);
+        assert_eq!(cycles, 43_310);
     }
 
     #[test]
@@ -1722,6 +1735,80 @@ mod tests {
         };
         assert_eq!(read(&io), [(4, 2), (0, 0)]);
         assert_eq!(read(&other), [(0, 0), (0, 1)], "servers share no gauge");
+    }
+
+    /// A lone echo server on one worker, reaping four at a time, with
+    /// eight requests queued: two full reaps.
+    fn queued_echo(
+        cfg: ServerIoConfig,
+    ) -> (Arc<SgxMachine>, Arc<Session>, Fd, ServerIo, ThreadCtx) {
+        let m = SgxMachine::new(MachineConfig::tiny());
+        let e = m.driver.create_enclave(&m, 1 << 20);
+        let wire = Arc::new(Session::established([23u8; 16]));
+        let ut = ThreadCtx::untrusted(&m, 2);
+        let fd = m.host.socket(&ut, 64 << 10);
+        let svc = eleos_rpc::with_syscalls(eleos_rpc::RpcService::builder(&m), &m)
+            .workers(1, &[3])
+            .build();
+        let io = cfg
+            .batch(4)
+            .build(&ut, &[fd], IoPath::Rpc(Arc::new(svc)), Arc::clone(&wire));
+        for i in 0..8u8 {
+            m.host.push_request(&ut, fd, &wire.encrypt(&[i; 24]));
+        }
+        let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+        t.enter();
+        (m, wire, fd, io, t)
+    }
+
+    /// Serves one round of echoes and returns its wire crypto:
+    /// `[crypto_batches, crypto_msgs, crypto_setup_cycles]`.
+    fn echo_round(m: &SgxMachine, io: &ServerIo, t: &mut ThreadCtx) -> [u64; 3] {
+        let s0 = m.stats.snapshot();
+        assert_eq!(io.serve(t, |_, plain| plain.to_vec()), 4);
+        let d = m.stats.snapshot() - s0;
+        [d.crypto_batches, d.crypto_msgs, d.crypto_setup_cycles]
+    }
+
+    #[test]
+    fn a_serve_rounds_opens_seals_and_reap_ahead_are_one_wire_batch() {
+        let (m, wire, fd, io, mut t) = queued_echo(ServerIoConfig::with_buf_len(8192));
+        let fixed = m.cfg.costs.crypto_fixed;
+        // Four opens, four seals, and the four opens of the reap posted
+        // ahead, read while the worker transmits.
+        assert_eq!(
+            echo_round(&m, &io, &mut t),
+            [1, 12, fixed + 11 * (fixed / 4)]
+        );
+        // The next round's requests were opened ahead: only its seals.
+        assert_eq!(echo_round(&m, &io, &mut t), [1, 4, fixed + 3 * (fixed / 4)]);
+        t.exit();
+        let echoed: Vec<Vec<u8>> = std::iter::from_fn(|| m.host.pop_response(fd))
+            .map(|r| wire.decrypt(&r))
+            .collect();
+        assert_eq!(echoed, (0..8u8).map(|i| vec![i; 24]).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_rekey_at_the_reap_starts_the_rounds_wire_batch_under_the_new_epoch() {
+        let (m, wire, fd, io, mut t) =
+            queued_echo(ServerIoConfig::with_buf_len(8192).rekey_every(4));
+        let fixed = m.cfg.costs.crypto_fixed;
+        // The interval elapses with the first round, so the reap posted
+        // ahead is left unopened for the rotated session.
+        assert_eq!(echo_round(&m, &io, &mut t), [1, 8, fixed + 7 * (fixed / 4)]);
+        let first: Vec<Vec<u8>> = std::iter::from_fn(|| m.host.pop_response(fd))
+            .map(|r| wire.decrypt(&r))
+            .collect();
+        assert_eq!(wire.epoch(), 0);
+        // The second reap rotates first: its epoch-0 requests open and
+        // its replies seal as one batch under the epoch-1 key.
+        assert_eq!(echo_round(&m, &io, &mut t), [1, 8, fixed + 7 * (fixed / 4)]);
+        assert_eq!((wire.epoch(), m.stats.snapshot().rekeys), (1, 1));
+        t.exit();
+        let second = std::iter::from_fn(|| m.host.pop_response(fd)).map(|r| wire.decrypt(&r));
+        let echoed: Vec<Vec<u8>> = first.into_iter().chain(second).collect();
+        assert_eq!(echoed, (0..8u8).map(|i| vec![i; 24]).collect::<Vec<_>>());
     }
 
     #[test]

@@ -351,11 +351,12 @@ impl Kvs {
 
     /// Serves up to one sub-batch per shard as one pipelined batch
     /// ([`ServerIo::serve`] over [`Self::process`]): receives posted
-    /// together, the whole reap's decrypts billed as one batched crypto
-    /// pass, lookups run back-to-back, responses batch-encrypted and
+    /// together, lookups run back-to-back, responses batch-encrypted and
     /// sent together — on one worker shard by shard, as each shard's
-    /// run lands. The batch boundary is a storage fence. Returns the
-    /// number of requests handled.
+    /// run lands — all in one serve round, which bills each key's crypto
+    /// (the wire's, SUVM's) as one batch. The batch boundary is a
+    /// storage fence, after the round. Returns the number of requests
+    /// handled.
     pub fn handle_batch(&mut self, ctx: &mut ThreadCtx, io: &ServerIo) -> usize {
         let served = io.serve(ctx, |ctx, plain| self.process(ctx, plain));
         if served > 0 {

@@ -51,9 +51,11 @@
 //! [`Session::encrypt_batch_in_enclave`] seals a send's responses in
 //! one [`Sealer::seal_batch`] pass per group the send streams (one
 //! group for a send under 8 KiB). The cipher setup is charged once per
-//! batch — the leader pays the full `crypto_fixed`, follow-ons a
-//! quarter (`CostModel::crypto_batched`, the same contract the SUVM
-//! write-back drain uses) — which is where the batched crypto
+//! batch under the current epoch's key — the leader pays the full
+//! `crypto_fixed`, follow-ons a quarter (`CostModel::crypto_batched`,
+//! the same contract the SUVM write-back drain uses), and a serve round
+//! is one batch from its reap to its send
+//! (`docs/crypto-pipeline.md`) — which is where the batched crypto
 //! pipeline's cycles/op win comes from on a single serving core. The client-side [`Session::encrypt`]/
 //! [`Session::decrypt`] helpers are uncharged batches of one over the
 //! same two paths; there are no other entry points.
@@ -444,11 +446,12 @@ impl Session {
 
     /// Server side: decrypts a sorted batch of wire messages in one
     /// [`Sealer::open_batch`] pass, charging `ctx` per accepted
-    /// message: as one crypto batch when `amortize` is set, otherwise
-    /// each message as a batch of its own (the flag stays only because
-    /// `bench/`'s probes pass it). Messages the session refuses —
-    /// shorter than the nonce prefix, unknown epoch, or any message on
-    /// a revoked session — are dropped and counted into
+    /// message under the current epoch's key: as one crypto batch when
+    /// `amortize` is set (in a serve round, as the round's wire batch),
+    /// otherwise each message as a batch of its own (the flag stays
+    /// only because `bench/`'s probes pass it). Messages the session
+    /// refuses — shorter than the nonce prefix, unknown epoch, or any
+    /// message on a revoked session — are dropped and counted into
     /// `auth_failures`, never served and never charged.
     ///
     /// # Panics
@@ -463,12 +466,13 @@ impl Session {
         if msgs.is_empty() {
             return Vec::new();
         }
-        let plains = self.open_reporting_drops(ctx, &self.open_gate(), msgs);
+        let gate = self.open_gate();
+        let plains = self.open_reporting_drops(ctx, &gate, msgs);
         if amortize {
-            ctx.charge_crypto_batch_from(0, plains.iter().map(Vec::len));
+            ctx.charge_crypto(gate.current(), plains.iter().map(Vec::len));
         } else {
             for p in &plains {
-                ctx.charge_crypto_batch_from(0, [p.len()]);
+                ctx.charge_crypto(gate.current(), [p.len()]);
             }
         }
         plains
@@ -495,21 +499,17 @@ impl Session {
 
     /// Server side: encrypts a batch of responses in one
     /// [`Sealer::seal_batch`] pass under the current epoch, charging
-    /// `ctx` per message with the setup amortized across the batch.
-    /// `first` is the index of `plains[0]` in its batch: a send that
-    /// seals its batch group by group passes each group's offset, so
-    /// the groups pay one batch's setup.
+    /// `ctx` per message as one crypto batch under the epoch's key — in
+    /// a serve round, as the next messages of the round's wire batch.
     #[must_use]
-    pub fn encrypt_batch_in_enclave(
-        &self,
-        ctx: &mut ThreadCtx,
-        plains: &[&[u8]],
-        first: usize,
-    ) -> Vec<Vec<u8>> {
+    pub fn encrypt_batch_in_enclave(&self, ctx: &mut ThreadCtx, plains: &[&[u8]]) -> Vec<Vec<u8>> {
         if plains.is_empty() {
             return Vec::new();
         }
-        ctx.charge_crypto_batch_from(first, plains.iter().map(|p| p.len()));
+        let key = self.keys.read().expect("session keys poisoned")[0]
+            .1
+            .clone();
+        ctx.charge_crypto(&*key, plains.iter().map(|p| p.len()));
         self.seal_raw(plains)
     }
 }
@@ -530,6 +530,12 @@ pub(crate) struct OpenGate {
 }
 
 impl OpenGate {
+    /// The current epoch's key: the key a reap's decrypts are billed
+    /// under.
+    pub(crate) fn current(&self) -> &Ctr128 {
+        &self.keys[0].1
+    }
+
     /// The key for `epoch`, when it is in the gate's buffer.
     fn key(&self, epoch: u32) -> Option<&Ctr128> {
         self.keys
@@ -684,7 +690,7 @@ mod tests {
         let s = Session::established([5u8; 16]);
         let plains: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i ^ 0x5a; 33]).collect();
         let refs: Vec<&[u8]> = plains.iter().map(Vec::as_slice).collect();
-        let msgs = s.encrypt_batch_in_enclave(&mut t, &refs, 0);
+        let msgs = s.encrypt_batch_in_enclave(&mut t, &refs);
         assert_eq!(msgs.len(), plains.len());
         for (msg, plain) in msgs.iter().zip(plains.iter()) {
             assert!(!msg[NONCE_LEN..].windows(8).any(|w| w == &plain[..8]));
@@ -695,8 +701,8 @@ mod tests {
 
     #[test]
     fn a_batch_sealed_in_groups_is_one_batch() {
-        // Six replies sealed whole, or as groups of two and four that
-        // name their offsets: the same bytes, cycles and crypto stats.
+        // Six replies sealed whole, or as groups of two and four in one
+        // serve round: the same bytes, cycles and crypto stats.
         let seal = |ends: &[usize]| {
             let m = SgxMachine::new(MachineConfig::tiny());
             let e = m.driver.create_enclave(&m, 1 << 20);
@@ -708,10 +714,12 @@ mod tests {
             let c0 = t.now();
             let mut msgs = Vec::new();
             let mut start = 0;
+            t.open_round();
             for &end in ends {
-                msgs.extend(s.encrypt_batch_in_enclave(&mut t, &refs[start..end], start));
+                msgs.extend(s.encrypt_batch_in_enclave(&mut t, &refs[start..end]));
                 start = end;
             }
+            t.close_round();
             let d = m.stats.snapshot();
             let cost = (
                 t.now() - c0,

@@ -5,10 +5,10 @@
 //!
 //! The serving thread's cycles/op is the figure of merit. The batched
 //! crypto pipeline pays the GCM/CTR key-schedule setup
-//! (`crypto_fixed`) once per reap and per send, and a quarter of it for
-//! each follow-on message — the same amortization contract
-//! `suvm/writeback.rs` uses for sealed evictions (both charge through
-//! the one `ThreadCtx::charge_crypto_batch_from` site) — so deeper batches
+//! (`crypto_fixed`) once per serve round, from a reap to its send, and
+//! a quarter of it for each follow-on message — the same amortization
+//! contract `suvm/writeback.rs` uses for sealed evictions (both charge
+//! through the one `ThreadCtx::charge_crypto_in` site) — so deeper batches
 //! spread both the ring handoff and the crypto setup over more
 //! requests.
 //!

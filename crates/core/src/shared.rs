@@ -24,7 +24,7 @@ use eleos_crypto::gcm::AesGcm128;
 use eleos_crypto::Sealer;
 use eleos_enclave::enclave::Enclave;
 use eleos_enclave::machine::SgxMachine;
-use eleos_enclave::thread::ThreadCtx;
+use eleos_enclave::thread::{CryptoBatch, ThreadCtx};
 use eleos_sim::alloc::BuddyAllocator;
 use eleos_sim::stats::Stats;
 use parking_lot::Mutex;
@@ -163,12 +163,13 @@ impl SharedToken {
 
     /// Reads `buf.len()` bytes at `addr`, unsealing the covering pages
     /// with torn-write retry (seqlock). The unseals are billed as one
-    /// crypto batch.
+    /// crypto batch (in a serve round, as the round's batch for the
+    /// region's key).
     pub fn read(&self, ctx: &mut ThreadCtx, addr: u64, buf: &mut [u8]) {
         self.check(ctx);
         let r = &self.region;
         let ps = r.page_size;
-        let (mut off, mut opened) = (0usize, 0usize);
+        let (mut off, mut batch) = (0usize, CryptoBatch::default());
         while off < buf.len() {
             let cur = addr + off as u64;
             let page = cur / ps as u64;
@@ -192,8 +193,7 @@ impl SharedToken {
                             }
                             panic!("shared page failed authentication: untrusted memory tampered");
                         }
-                        ctx.charge_crypto_batch_from(opened, [ps]);
-                        opened += 1;
+                        ctx.charge_crypto_in(&mut batch, &r.gcm, [ps]);
                         buf[off..off + n].copy_from_slice(&scratch[in_page..in_page + n]);
                     }
                 }
@@ -205,12 +205,13 @@ impl SharedToken {
 
     /// Writes `data` at `addr` (read-modify-write of the covering
     /// pages, resealed with fresh nonces; writers serialize per page).
-    /// The opens and re-seals are billed as one crypto batch.
+    /// The opens and re-seals are billed as one crypto batch (in a
+    /// serve round, as the round's batch for the region's key).
     pub fn write(&self, ctx: &mut ThreadCtx, addr: u64, data: &[u8]) {
         self.check(ctx);
         let r = &self.region;
         let ps = r.page_size;
-        let (mut off, mut billed) = (0usize, 0usize);
+        let (mut off, mut batch) = (0usize, CryptoBatch::default());
         while off < data.len() {
             let cur = addr + off as u64;
             let page = cur / ps as u64;
@@ -226,15 +227,13 @@ impl SharedToken {
                     r.gcm
                         .open(nonce, &SharedRegion::aad(page), &mut scratch, tag)
                         .expect("shared page failed authentication");
-                    ctx.charge_crypto_batch_from(billed, [ps]);
-                    billed += 1;
+                    ctx.charge_crypto_in(&mut batch, &r.gcm, [ps]);
                 }
             }
             scratch[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
             let nonce = r.next_nonce();
             let tag = r.gcm.seal(&nonce, &SharedRegion::aad(page), &mut scratch);
-            ctx.charge_crypto_batch_from(billed, [ps]);
-            billed += 1;
+            ctx.charge_crypto_in(&mut batch, &r.gcm, [ps]);
             ctx.write_untrusted(r.bs_base + page * ps as u64, &scratch);
             let meta = Box::new([(nonce, tag)]);
             r.seals.commit_write(page, SealState::SubPages { meta });

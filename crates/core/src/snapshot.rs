@@ -132,7 +132,7 @@ impl SnapshotBuilder {
             .collect();
         let tags = sealer.seal_batch(&mut jobs);
         drop(jobs);
-        ctx.charge_crypto_batch_from(0, lens);
+        ctx.charge_crypto(sealer, lens);
         let sections = bodies
             .into_iter()
             .zip(tags)
@@ -196,7 +196,7 @@ impl Snapshot {
         sealer
             .open_batch(&mut jobs)
             .map_err(|_| SnapshotError("section failed authentication"))?;
-        ctx.charge_crypto_batch_from(0, [plain.len()]);
+        ctx.charge_crypto(sealer, [plain.len()]);
         Ok(plain)
     }
 

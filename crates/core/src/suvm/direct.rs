@@ -1,6 +1,7 @@
 //! Direct sub-page backing-store access (§3.2.4).
 use super::span::Access;
 use super::*;
+use eleos_enclave::thread::CryptoBatch;
 
 impl Suvm {
     // ------------------------------------------------------------------
@@ -20,14 +21,15 @@ impl Suvm {
     /// to the backing store (read-modify-write of each touched
     /// sub-page, resealed with a fresh nonce); a page with no such
     /// copy is faulted in and written there, like [`Self::write`]. The
-    /// call's opens and re-seals are billed as one crypto batch. A
+    /// call's opens and re-seals are billed as one crypto batch (in a
+    /// serve round, as the round's SUVM batch). A
     /// write never counts as reuse of its page: a store overwriting a
     /// record reads its key first, and would promote every cold page.
     pub fn write_direct(&self, ctx: &mut ThreadCtx, sva: Sva, data: &[u8]) {
         assert!(ctx.in_enclave(), "SUVM runs inside the enclave");
         let ps = self.cfg.page_size;
         let sp = self.cfg.sub_page_size;
-        let (mut off, mut billed) = (0usize, 0usize);
+        let (mut off, mut batch) = (0usize, CryptoBatch::default());
         while off < data.len() {
             let addr = sva + off as u64;
             let page = self.page_of(addr);
@@ -70,8 +72,7 @@ impl Suvm {
                 let new_tag = self.sealer.seal(&new_nonce, &aad, &mut scratch);
                 ctx.write_untrusted(self.store.addr_of(page, s * sp), &scratch);
                 meta[s] = (new_nonce, new_tag);
-                ctx.charge_crypto_batch_from(billed, [sp, sp]);
-                billed += 2;
+                ctx.charge_crypto_in(&mut batch, &self.sealer, [sp, sp]);
                 Stats::add(&self.machine.stats.sealed_bytes, 2 * sp as u64);
             }
             self.store

@@ -237,9 +237,10 @@ impl Suvm {
         if !unmapped {
             return false;
         }
-        // An inline eviction seals its page's units as one batch.
+        // An inline eviction seals its page's units as one batch (in a
+        // serve round, as more of the round's SUVM batch).
         let lens = self.retire(ctx, frame, page, seal);
-        ctx.charge_crypto_batch_from(0, lens);
+        ctx.charge_crypto(&self.sealer, lens);
         true
     }
 
@@ -249,7 +250,7 @@ impl Suvm {
     ///
     /// This is the *functional* half of an eviction: no crypto cycles
     /// are charged here. Callers feed the returned lengths to
-    /// [`ThreadCtx::charge_crypto_batch_from`] — an inline eviction as
+    /// [`ThreadCtx::charge_crypto`] — an inline eviction as
     /// one batch for its page, the write-back drain as one batch
     /// across all the pages it sealed.
     ///
@@ -324,7 +325,7 @@ impl Suvm {
                     panic!("SUVM sub-page failed authentication: backing store tampered");
                 }
                 drop(jobs);
-                ctx.charge_crypto_batch_from(0, vec![sp; meta.len()]);
+                ctx.charge_crypto(&self.sealer, vec![sp; meta.len()]);
                 ctx.write_enclave_raw(self.epcpp_vaddr(frame, 0), &buf);
                 Stats::add(&self.machine.stats.sealed_bytes, ps as u64);
                 true

@@ -1,6 +1,7 @@
 //! A pinned read cursor over a contiguous secure span, and the rule
 //! that decides how it reaches a page that is not in EPC++.
 use super::*;
+use eleos_enclave::thread::CryptoBatch;
 
 /// How an access reaches a page that is not resident in EPC++. A
 /// resident page is always served from EPC++ (it may be newer than its
@@ -46,9 +47,9 @@ enum Held {
 /// through the same pin pays `spointer_linked`, like a linked
 /// spointer (§3.2.2). On a page its [`Access`] bypasses EPC++ for, the
 /// cursor unseals each sub-page at most once, and its unseals are
-/// billed as one crypto batch: the first pays the full set-up, each
-/// later one a follow-on's. The pin is dropped when the cursor moves
-/// to another page or goes out of scope.
+/// billed as one crypto batch — outside a serve round the cursor's
+/// own, inside one the round's SUVM batch. The pin is dropped when the
+/// cursor moves to another page or goes out of scope.
 ///
 /// The span must not be written while a cursor over it is open.
 pub struct SpanCursor<'a> {
@@ -58,9 +59,8 @@ pub struct SpanCursor<'a> {
     held: Held,
     /// Plaintext of the sub-page named by [`Held::Sealed`].
     plain: Vec<u8>,
-    /// Sub-pages unsealed so far: the next unseal's index in the
-    /// cursor's crypto batch.
-    opened: usize,
+    /// The cursor's crypto batch: its unseals span its reads.
+    batch: CryptoBatch,
 }
 
 impl Suvm {
@@ -74,7 +74,7 @@ impl Suvm {
             access,
             held: Held::Nothing,
             plain: Vec::new(),
-            opened: 0,
+            batch: CryptoBatch::default(),
         }
     }
 
@@ -180,8 +180,7 @@ impl SpanCursor<'_> {
                                 }
                                 panic!("SUVM sub-page failed authentication");
                             }
-                            ctx.charge_crypto_batch_from(self.opened, [sp]);
-                            self.opened += 1;
+                            ctx.charge_crypto_in(&mut self.batch, &s.sealer, [sp]);
                             Stats::add(&s.machine.stats.sealed_bytes, sp as u64);
                             held = Some(sub);
                         }

@@ -1023,6 +1023,65 @@ fn a_write_through_across_two_sub_pages_bills_one_batch_of_four() {
 }
 
 #[test]
+fn two_bypass_reads_in_a_serve_round_are_one_batch() {
+    // Two reads of two sub-pages each, on two cold pages: in a serve
+    // round one SUVM batch of four, outside one a batch per cursor.
+    let reads = |round: bool| {
+        let (m, s, mut t, a, data) = cold_sub_page_rig(4);
+        let s0 = m.stats.snapshot();
+        if round {
+            t.open_round();
+        }
+        for page in [1u64, 2] {
+            let at = page * 4096 + 1000;
+            let mut buf = vec![0u8; 100];
+            s.span(a + at, Access::Adaptive).read(&mut t, &mut buf);
+            assert_eq!(buf, &data[at as usize..at as usize + 100]);
+        }
+        t.close_round();
+        assert_eq!(s.resident_pages(), 0, "both reads bypassed EPC++");
+        t.exit();
+        (crypto_since(&m, s0), m.cfg.costs.crypto_fixed)
+    };
+    let (billed, fixed) = reads(true);
+    assert_eq!(billed, [1, 4, fixed + 3 * (fixed / 4), 4 * 1024]);
+    let (billed, fixed) = reads(false);
+    assert_eq!(billed, [2, 4, 2 * (fixed + fixed / 4), 4 * 1024]);
+}
+
+#[test]
+fn faults_and_inline_evictions_in_a_serve_round_join_its_batch() {
+    // Two faults on a full cache of dirty pages: each seals its
+    // victim's four units and opens its own four. In a serve round
+    // they are one SUVM batch of 16; outside one, four batches of four.
+    let faults = |round: bool| {
+        let (m, s, mut t, a, data) = cold_sub_page_rig(20);
+        for page in 0..16u64 {
+            s.write(&mut t, a + page * 4096, &[page as u8; 8]);
+        }
+        let s0 = m.stats.snapshot();
+        if round {
+            t.open_round();
+        }
+        for page in [16u64, 17] {
+            let mut buf = [0u8; 8];
+            let at = (page * 4096 + 100) as usize;
+            s.read(&mut t, a + at as u64, &mut buf);
+            assert_eq!(buf, data[at..at + 8]);
+        }
+        t.close_round();
+        let evictions = m.stats.snapshot().suvm_evictions - s0.suvm_evictions;
+        assert_eq!(evictions, 2);
+        t.exit();
+        (crypto_since(&m, s0), m.cfg.costs.crypto_fixed)
+    };
+    let (billed, fixed) = faults(true);
+    assert_eq!(billed, [1, 16, fixed + 15 * (fixed / 4), 16 * 1024]);
+    let (billed, fixed) = faults(false);
+    assert_eq!(billed, [4, 16, 4 * (fixed + 3 * (fixed / 4)), 16 * 1024]);
+}
+
+#[test]
 fn a_whole_page_fault_costs_what_it_did() {
     // One seal unit per page: each batch is a batch of one, so the
     // cycles are those measured before SUVM billed per operation.

@@ -8,7 +8,7 @@
 //! elision), dirty ones are flagged `queued` and parked — still mapped
 //! — on a FIFO write-back queue. The swapper drains the queue off the
 //! serving core in batches; the whole drain is charged as **one**
-//! batch via `ThreadCtx::charge_crypto_batch_from` — the same
+//! batch via `ThreadCtx::charge_crypto` — the same
 //! amortization contract the wire pipeline uses (the first seal op pays
 //! the full `crypto_fixed` setup, follow-ons a quarter; no private
 //! amortization lives here), where an inline eviction is one batch per
@@ -172,7 +172,7 @@ impl Suvm {
         }
         // One amortized charge for the whole drain: the batch leader
         // pays the full setup, follow-ons a quarter.
-        ctx.charge_crypto_batch_from(0, seal_lens);
+        ctx.charge_crypto(&self.sealer, seal_lens);
         if sealed > 0 {
             Stats::bump(&self.machine.stats.suvm_wb_batches);
             Stats::add(&self.machine.stats.suvm_wb_pages, sealed as u64);

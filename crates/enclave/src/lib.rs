@@ -48,4 +48,4 @@ pub use epc::EpcPool;
 pub use fs::{FileFd, FsError, HostFs};
 pub use host::{Fd, HostOs};
 pub use machine::{Core, MachineConfig, SgxMachine};
-pub use thread::ThreadCtx;
+pub use thread::{CryptoBatch, ThreadCtx};

@@ -30,6 +30,30 @@ pub struct ThreadCtx {
     enclave: Option<Arc<Enclave>>,
     in_enclave: bool,
     seq_line: u64,
+    /// The serve round's crypto batches, while one is open.
+    round: Option<CryptoBatch>,
+}
+
+/// The running message index of each key's crypto batch within one
+/// operation or one serve round ([`ThreadCtx::charge_crypto_in`]).
+#[derive(Debug, Default)]
+pub struct CryptoBatch {
+    /// `(key identity, index of the key's next message)`.
+    next: Vec<(usize, usize)>,
+}
+
+impl CryptoBatch {
+    /// The index of `key`'s next message.
+    fn next_of(&mut self, key: usize) -> &mut usize {
+        let at = match self.next.iter().position(|&(k, _)| k == key) {
+            Some(at) => at,
+            None => {
+                self.next.push((key, 0));
+                self.next.len() - 1
+            }
+        };
+        &mut self.next[at].1
+    }
 }
 
 impl ThreadCtx {
@@ -43,6 +67,7 @@ impl ThreadCtx {
             enclave: None,
             in_enclave: false,
             seq_line: u64::MAX - 1,
+            round: None,
         }
     }
 
@@ -66,6 +91,7 @@ impl ThreadCtx {
             enclave: Some(Arc::clone(enclave)),
             in_enclave: false,
             seq_line: u64::MAX - 1,
+            round: None,
         }
     }
 
@@ -98,29 +124,63 @@ impl ThreadCtx {
         self.core.clock.advance(cycles);
     }
 
-    /// Charges the cycle cost of the messages of one crypto batch from
-    /// index `first` on — the **single** place
-    /// `CostModel::crypto_batch_fixed` is billed from, shared by the wire
-    /// codec, SUVM, the shared region and the snapshot codec.
+    /// Opens a serve round on this thread: until [`Self::close_round`],
+    /// each key's seals and opens are one crypto batch, whatever
+    /// operation bills them (`docs/crypto-pipeline.md`, "The serve
+    /// round"). A round already open stays open.
+    pub fn open_round(&mut self) {
+        self.round.get_or_insert_with(CryptoBatch::default);
+    }
+
+    /// Closes the serve round, if one is open.
+    pub fn close_round(&mut self) {
+        self.round = None;
+    }
+
+    /// Bills `lens`, the byte length of each message sealed or opened
+    /// under `key`, as one crypto batch — or, in a serve round, as the
+    /// next messages of the round's batch for `key`.
+    pub fn charge_crypto<K: ?Sized>(&mut self, key: &K, lens: impl IntoIterator<Item = usize>) {
+        if self.round.is_some() {
+            self.charge_crypto_in(&mut CryptoBatch::default(), key, lens);
+        } else {
+            self.bill_crypto(0, lens);
+        }
+    }
+
+    /// Bills `lens` under `key` as the next messages of `batch`, the
+    /// batch of an operation that bills piece by piece (a bypass
+    /// cursor, a write-through, a shared-region call) — or, in a serve
+    /// round, of the round's batch for `key`, leaving `batch` alone.
     ///
-    /// `lens` is the byte length of each sealed/opened message. The
-    /// batch's first message (`first == 0`) pays the full
-    /// `crypto_fixed` setup (key schedule, GHASH table) and follow-ons
-    /// a quarter of it. A batch billed piece by piece as each piece is
-    /// sealed passes each piece's offset: the pieces pay exactly what
-    /// the whole batch would in one call, and only the piece at
-    /// `first == 0` counts a crypto batch. Per-message billing is one
-    /// call per message. Also bumps the `crypto_batches` /
+    /// The **single** place `CostModel::crypto_batch_fixed` is billed
+    /// from, shared by the wire codec, SUVM, the shared region and the
+    /// snapshot codec: a batch's first message pays the full
+    /// `crypto_fixed` set-up (key schedule, GHASH table) and every
+    /// later one a quarter of it, and only the first counts a crypto
+    /// batch. Keys are told apart by identity — the address of the
+    /// key object — so two keys are two batches and a rotated key
+    /// starts a new one. Also bumps the `crypto_batches` /
     /// `crypto_msgs` / `crypto_setup_cycles` stats so experiments can
     /// report the amortization.
-    pub fn charge_crypto_batch_from(
+    pub fn charge_crypto_in<K: ?Sized>(
         &mut self,
-        first: usize,
+        batch: &mut CryptoBatch,
+        key: &K,
         lens: impl IntoIterator<Item = usize>,
     ) {
+        let key = std::ptr::from_ref(key).cast::<()>().addr();
+        let first = *self.round.as_mut().unwrap_or(&mut *batch).next_of(key);
+        let n = self.bill_crypto(first, lens);
+        *self.round.as_mut().unwrap_or(batch).next_of(key) += n;
+    }
+
+    /// Bills `lens` as messages `first, first + 1, …` of one batch and
+    /// returns how many there were.
+    fn bill_crypto(&mut self, first: usize, lens: impl IntoIterator<Item = usize>) -> usize {
         let machine = Arc::clone(&self.machine);
         let costs = &machine.cfg.costs;
-        let (mut n, mut setup) = (0u64, 0u64);
+        let (mut n, mut setup) = (0, 0u64);
         for (i, len) in (first..).zip(lens) {
             let fixed = costs.crypto_batch_fixed(i);
             setup += fixed;
@@ -128,26 +188,25 @@ impl ThreadCtx {
             n += 1;
         }
         if n == 0 {
-            return;
+            return 0;
         }
         if first == 0 {
             Stats::bump(&machine.stats.crypto_batches);
         }
-        Stats::add(&machine.stats.crypto_msgs, n);
+        Stats::add(&machine.stats.crypto_msgs, n as u64);
         Stats::add(&machine.stats.crypto_setup_cycles, setup);
+        n
     }
 
-    /// Bills each of `lens` as a crypto batch of its own. Kept only
-    /// for `bench/`'s probes, which pin this shape; `amortize` must be
-    /// `false`. Bill a batch with [`Self::charge_crypto_batch_from`].
+    /// Bills each of `lens` as a crypto batch of its own, in a serve
+    /// round or not. Kept only for `bench/`'s probes, which pin this
+    /// shape; `amortize` must be `false`. Bill a batch with
+    /// [`Self::charge_crypto`].
     #[doc(hidden)]
     pub fn charge_crypto_batch(&mut self, lens: impl IntoIterator<Item = usize>, amortize: bool) {
-        assert!(
-            !amortize,
-            "bill an amortized batch with charge_crypto_batch_from"
-        );
+        assert!(!amortize, "bill an amortized batch with charge_crypto");
         for len in lens {
-            self.charge_crypto_batch_from(0, [len]);
+            self.bill_crypto(0, [len]);
         }
     }
 
@@ -469,6 +528,45 @@ mod tests {
         let m = SgxMachine::new(MachineConfig::tiny());
         let e = m.driver.create_enclave(&m, 16 * PAGE_SIZE);
         (m, e)
+    }
+
+    #[test]
+    fn a_serve_round_bills_one_batch_per_key() {
+        let (m, e) = setup();
+        let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+        let fixed = m.cfg.costs.crypto_fixed;
+        let (a, b) = ([0u8; 16], [0u8; 16]);
+        let billed = |t: &mut ThreadCtx, f: &dyn Fn(&mut ThreadCtx)| {
+            let s0 = m.stats.snapshot();
+            f(t);
+            let d = m.stats.snapshot() - s0;
+            [d.crypto_batches, d.crypto_msgs, d.crypto_setup_cycles]
+        };
+        let script = |t: &mut ThreadCtx| {
+            t.charge_crypto(&a, [64, 64]);
+            t.charge_crypto(&b, [64]);
+            t.charge_crypto(&a, [64]);
+        };
+        // Outside a round each call is a batch of its own.
+        let outside = [3, 4, 3 * fixed + fixed / 4];
+        assert_eq!(billed(&mut t, &script), outside);
+        // In a round each key is one batch, told apart by identity:
+        // two keys of equal bytes are two batches.
+        t.open_round();
+        assert_eq!(billed(&mut t, &script), [2, 4, 2 * fixed + 2 * (fixed / 4)]);
+        // An operation's pieces join the round's batch for their key.
+        let piece = |t: &mut ThreadCtx| t.charge_crypto_in(&mut CryptoBatch::default(), &a, [64]);
+        assert_eq!(billed(&mut t, &piece), [0, 1, fixed / 4]);
+        t.close_round();
+        assert_eq!(billed(&mut t, &script), outside);
+        // Outside a round an operation's pieces are one batch.
+        let piecewise = |t: &mut ThreadCtx| {
+            let mut op = CryptoBatch::default();
+            t.charge_crypto_in(&mut op, &a, [64]);
+            t.charge_crypto(&a, [64]);
+            t.charge_crypto_in(&mut op, &a, [64]);
+        };
+        assert_eq!(billed(&mut t, &piecewise), [2, 3, 2 * fixed + fixed / 4]);
     }
 
     #[test]

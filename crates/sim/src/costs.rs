@@ -218,8 +218,9 @@ impl CostModel {
     ///
     /// This is the one shared amortization contract: the wire codec and
     /// SUVM (a page's units, a bypass cursor's unseals, a
-    /// write-through's opens and re-seals, a write-back drain) all
-    /// charge through it, via `ThreadCtx::charge_crypto_batch_from`.
+    /// write-through's opens and re-seals, a write-back drain, or in a
+    /// serve round all of a key's messages) charge through it, via
+    /// `ThreadCtx::charge_crypto_in`.
     #[must_use]
     pub fn crypto_batch_fixed(&self, index: usize) -> u64 {
         if index == 0 {

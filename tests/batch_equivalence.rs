@@ -9,12 +9,14 @@
 //! - cost accounting: exactly one syscall trap and one kernel-metadata
 //!   charge per leg per reap whatever the worker count, and
 //!   `crypto_setup_cycles` only ever charged through the unified
-//!   `ThreadCtx::charge_crypto_batch_from` path;
+//!   `ThreadCtx::charge_crypto_in` path;
 //! - a pin of what a one-worker send puts on the wire and what it
 //!   costs, for small, 1 KiB and mixed replies, and of what a
 //!   one-worker reap hands the serve loop and what it costs, for the
 //!   same three shapes of request and one `recv_msg`;
-//! - a pin of a lone KVS serving a three-round backlog on one worker.
+//! - a pin of a lone KVS serving a three-round backlog on one worker;
+//! - a serve round costs the same through `Kvs::handle_batch` as
+//!   through the public calls it is made of.
 
 use std::sync::Arc;
 
@@ -269,7 +271,7 @@ fn one_trap_and_one_meta_charge_per_leg_per_reap() {
 }
 
 /// Wire crypto setup is charged through the one unified
-/// `charge_crypto_batch_from` site: a batch-of-8 amortized decrypt bills
+/// `ThreadCtx::charge_crypto_in` site: a batch-of-8 amortized decrypt bills
 /// the leader the full setup and each follow-on a quarter.
 #[test]
 fn wire_setup_cycles_follow_the_unified_formula() {
@@ -560,8 +562,8 @@ const KIB_SEND_CYCLES_ONE_JOB: u64 = 108_322;
 /// The guard of the send leg on one worker: three 32-reply batches —
 /// 24 B replies, 1 KiB replies, and a mix in which reply 13 outgrows
 /// its 2 KiB slot — put the same bytes on the wire in the same order
-/// and seal them in one amortized crypto batch each (the leader at the
-/// full setup, 31 follow-ons at a quarter), whatever the send does with
+/// and seal them as 32 follow-ons of the serve round's wire batch (its
+/// leader is the reap's first decrypt), whatever the send does with
 /// the worker in between. The small batch, under every threshold, also
 /// costs the serving core the same cycles, traps and kernel-metadata
 /// walks; the 1 KiB batch may only get cheaper.
@@ -585,8 +587,8 @@ fn streamed_send_is_pinned() {
         wire,
         reply_rejects,
         crypto_msgs: 32,
-        crypto_batches: 1,
-        crypto_setup_cycles: 3_500,
+        crypto_batches: 0,
+        crypto_setup_cycles: 3_200,
     };
 
     let (got, clock) = send_32(&rig, &mut t, &small);
@@ -594,7 +596,7 @@ fn streamed_send_is_pinned() {
     assert_eq!(
         clock,
         LegClock {
-            cycles: 22_062,
+            cycles: 21_762,
             syscalls: 1,
             kernel_meta_reads: 1,
         },
@@ -613,7 +615,7 @@ fn streamed_send_is_pinned() {
     assert_eq!(
         clock,
         LegClock {
-            cycles: 92_588,
+            cycles: 92_288,
             syscalls: 4,
             kernel_meta_reads: 4,
         },
@@ -899,9 +901,11 @@ fn serve_deep_backlog() -> (BacklogServe, u64) {
 /// three full rounds hand the store the same requests, put the same
 /// replies on the wire, reject and refuse nothing, and seal and open
 /// the same crypto batches, whatever the loop does with the worker
-/// between rounds. The serving core's clock once the backlog is served
-/// is pinned too; it fell from 171 096 to 146 272 when a GET hit began
-/// setting a referenced bit instead of relinking its item on the LRU.
+/// between rounds: one wire batch a round. The serving core's clock
+/// once the backlog is served is pinned too; it fell from 171 096 to
+/// 146 272 when a GET hit began setting a referenced bit instead of
+/// relinking its item on the LRU, and to 145 372 when a round's
+/// decrypts and seals became one wire batch.
 #[test]
 fn deep_backlog_serve_rounds_are_pinned() {
     let (serve, cycles) = serve_deep_backlog();
@@ -913,8 +917,103 @@ fn deep_backlog_serve_rounds_are_pinned() {
             desc_rejects: 0,
             auth_failures: 0,
             crypto_msgs: 192,
-            crypto_batches: 6,
+            crypto_batches: 3,
         }
     );
-    assert_eq!(cycles, 146_272, "the serving core's clock");
+    assert_eq!(cycles, 145_372, "the serving core's clock");
+}
+
+// ---------------------------------------------------------------------
+// The serve round: the library's loop and its public calls agree
+// ---------------------------------------------------------------------
+
+/// What serving three rounds of a cold SUVM store left behind: the
+/// serving core's clock, every counter, and a digest of the replies.
+type ColdServe = (u64, eleos::sim::stats::StatsSnapshot, u64);
+
+/// A lone binary-protocol KVS whose records live in SUVM sealed as
+/// 1 KiB units, every page evicted, behind one RPC worker on a
+/// CAT-partitioned tiny machine: queues 3 x 32 requests (a SET every
+/// fourth, else a GET) and serves them round by round, with
+/// `Kvs::handle_batch` or with the public calls it is made of —
+/// `recv_batch`, `Kvs::process` per request, `send_batch`,
+/// `Kvs::fence` — as the e2e bench's traced loop does.
+fn serve_cold_suvm(public_calls: bool) -> ColdServe {
+    let m = SgxMachine::new(MachineConfig::tiny());
+    m.enable_cat();
+    let e = m.driver.create_enclave(&m, 1 << 20);
+    let wire = Arc::new(Session::established([9u8; 16]));
+    let ut = ThreadCtx::untrusted(&m, 1);
+    let fd = m.host.socket(&ut, 256 << 10);
+    let svc = with_syscalls(RpcService::builder(&m), &m)
+        .workers(1, &[3])
+        .build();
+    let io = ServerIoConfig::with_buf_len(64 << 10).batch(32).build(
+        &ut,
+        &[fd],
+        IoPath::Rpc(Arc::new(svc)),
+        Arc::clone(&wire),
+    );
+    let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+    let suvm = Suvm::new(
+        &t,
+        SuvmConfig {
+            sub_page_size: 1024,
+            backing_bytes: 4 << 20,
+            ..SuvmConfig::tiny()
+        },
+    );
+    t.enter();
+    let meta = DataSpace::Untrusted(Arc::clone(&m));
+    let mut kvs = Kvs::new(meta, DataSpace::suvm(&suvm), 2 << 20, 256);
+    kvs.init(&mut t);
+    let key = |i: usize| format!("key-{i:04}").into_bytes();
+    for i in 0..64 {
+        kvs.set(&mut t, &key(i), &[i as u8; 900]);
+    }
+    while suvm.evict_one(&mut t) {}
+    for r in 0..96 {
+        let plain = match r % 4 {
+            3 => eleos::apps::kvs::build_set(&key(r * 5 % 64), &[r as u8; 900]),
+            _ => build_get(&key(r * 7 % 64)),
+        };
+        m.host.push_request(&ut, fd, &wire.encrypt(&plain));
+    }
+    let (c0, s0) = (t.now(), m.stats.snapshot());
+    let mut replies = 0xcbf2_9ce4_8422_2325;
+    for _round in 0..3 {
+        if public_calls {
+            let requests = io.recv_batch(&mut t);
+            let out: Vec<Vec<u8>> = requests.iter().map(|p| kvs.process(&mut t, p)).collect();
+            io.send_batch(&mut t, &out);
+            if !requests.is_empty() {
+                kvs.fence(&mut t);
+            }
+        } else {
+            kvs.handle_batch(&mut t, &io);
+        }
+        while let Some(msg) = m.host.pop_response(fd) {
+            replies = fnv(replies, &wire.decrypt(&msg));
+        }
+    }
+    let (cycles, mut d) = (t.now() - c0, m.stats.snapshot() - s0);
+    // How often the idle worker polled is host timing, not a charge.
+    d.rpc_idle_polls = 0;
+    t.exit();
+    (cycles, d, replies)
+}
+
+/// The twin of the e2e bench's identity check: a serve round opens at
+/// the reap and ends with the send, which the library's loop and the
+/// loop of its public calls both reach, so on a store whose GETs and
+/// SETs bypass EPC++ they bill the same crypto batches and leave the
+/// same clock and counters. Each round is two batches: the wire's and
+/// SUVM's.
+#[test]
+fn a_serve_round_costs_the_same_through_handle_batch_and_its_public_calls() {
+    let library = serve_cold_suvm(false);
+    assert_eq!(serve_cold_suvm(true), library);
+    let d = library.1;
+    assert!(d.suvm_direct_accesses > 0, "the rounds bypassed EPC++");
+    assert_eq!((d.crypto_batches, d.auth_failures), (6, 0));
 }

@@ -626,7 +626,8 @@ fn sharded_serving_cost(shards: usize, cfg: ServerIoConfig) -> ShardedCost {
 /// shard's run as its job lands (LLC misses moved both ways with the
 /// new order of the serving core's reads). The depth-32 rows were an
 /// adaptive depth in `[1, 32]` until every reap took what its shards
-/// queued, up to `batch_max`.
+/// queued, up to `batch_max`. Every clock fell again when a serve
+/// round's decrypts and seals became one wire batch.
 #[test]
 fn sharded_serving_cycles_are_pinned() {
     let fixed = |depth| ServerIoConfig::with_buf_len(16 << 10).batch(depth);
@@ -638,10 +639,10 @@ fn sharded_serving_cycles_are_pinned() {
         llc_misses,
     };
     let rows = [
-        (2, fixed(8), pin(342_067, 30, 56, 52, 675)),
-        (2, fixed(32), pin(273_920, 8, 16, 16, 868)),
-        (4, fixed(8), pin(394_049, 22, 72, 56, 1_376)),
-        (4, fixed(32), pin(299_638, 8, 26, 20, 1_543)),
+        (2, fixed(8), pin(339_667, 30, 56, 52, 675)),
+        (2, fixed(32), pin(272_720, 8, 16, 16, 868)),
+        (4, fixed(8), pin(391_879, 22, 72, 56, 1_376)),
+        (4, fixed(32), pin(298_438, 8, 26, 20, 1_543)),
     ];
     for (shards, cfg, expected) in rows {
         let batch_max = cfg.batch_max;
