@@ -149,9 +149,10 @@ if grep -rnE '\bbatched_crypto\b|crypto_label|policy_label|decrypt_batch_reporti
     echo "a deleted crypto-mode / shard-declaration name is back (see above)"
     exit 1
 fi
-# A crypto batch is billed by where its messages start, never by a flag:
-# SUVM bills a page, a bypass cursor and a write-through as one batch
-# each, and per-message billing is one call per message. Only
+# A crypto batch is billed by its key and the serve round, never by a
+# flag: outside a round SUVM bills a page, a bypass cursor and a
+# write-through as one batch each, and per-message billing is one call
+# per message. Only
 # `bench/src/probes.rs` still calls the flagged shape, a hidden shim.
 if grep -rnE 'charge_crypto_batch(_from)?\(.*, (true|false)\)|Inline eviction is a batch of one' \
         crates/*/src crates/*/tests src examples tests ; then
