@@ -123,23 +123,29 @@ impl ParamServer {
         let full = self.entries * 2 >= self.buckets;
         ctx.compute(HASH_CYCLES);
         let h = hash64(key) & (self.buckets - 1);
+        // The probe walk, the value read and the write go through one
+        // cursor: on SUVM, one translation per page they touch.
         match self.kind {
             TableKind::OpenAddressing => {
+                let mut cur = self.space.cursor(self.table + h * SLOT_BYTES);
                 let mut slot = h;
                 loop {
                     let addr = self.table + slot * SLOT_BYTES;
-                    let k = self.space.read_u64(ctx, addr);
+                    cur.seek(addr);
+                    let k = cur.read_u64(ctx);
                     if k == key {
-                        let v = self.space.read_u64(ctx, addr + 8).wrapping_add(delta);
-                        self.space.write_u64(ctx, addr + 8, v);
+                        let v = cur.read_u64(ctx).wrapping_add(delta);
+                        cur.seek(addr + 8);
+                        cur.write_u64(ctx, v);
                         return Some(v);
                     }
                     if k == 0 {
                         if full {
                             return None;
                         }
-                        self.space.write_u64(ctx, addr, key);
-                        self.space.write_u64(ctx, addr + 8, delta);
+                        cur.seek(addr);
+                        cur.write_u64(ctx, key);
+                        cur.write_u64(ctx, delta);
                         self.entries += 1;
                         return Some(delta);
                     }
@@ -148,15 +154,19 @@ impl ParamServer {
             }
             TableKind::Chaining => {
                 let head_addr = self.table + h * 8;
-                let mut node = self.space.read_u64(ctx, head_addr);
+                let mut cur = self.space.cursor(head_addr);
+                let mut node = cur.read_u64(ctx);
                 while node != 0 {
-                    let k = self.space.read_u64(ctx, node);
+                    cur.seek(node);
+                    let k = cur.read_u64(ctx);
                     if k == key {
-                        let v = self.space.read_u64(ctx, node + 8).wrapping_add(delta);
-                        self.space.write_u64(ctx, node + 8, v);
+                        let v = cur.read_u64(ctx).wrapping_add(delta);
+                        cur.seek(node + 8);
+                        cur.write_u64(ctx, v);
                         return Some(v);
                     }
-                    node = self.space.read_u64(ctx, node + 16);
+                    cur.seek(node + 16);
+                    node = cur.read_u64(ctx);
                 }
                 if full {
                     return None;
@@ -166,11 +176,15 @@ impl ParamServer {
                 // this space sits at address 0 (the list terminator).
                 let new = self.space.alloc(NODE_BYTES);
                 assert_ne!(new, 0, "node at null address");
-                self.space.write_u64(ctx, new, key);
-                self.space.write_u64(ctx, new + 8, delta);
-                let old_head = self.space.read_u64(ctx, head_addr);
-                self.space.write_u64(ctx, new + 16, old_head);
-                self.space.write_u64(ctx, head_addr, new);
+                cur.seek(new);
+                cur.write_u64(ctx, key);
+                cur.write_u64(ctx, delta);
+                cur.seek(head_addr);
+                let old_head = cur.read_u64(ctx);
+                cur.seek(new + 16);
+                cur.write_u64(ctx, old_head);
+                cur.seek(head_addr);
+                cur.write_u64(ctx, new);
                 self.entries += 1;
                 Some(delta)
             }
@@ -184,12 +198,13 @@ impl ParamServer {
         let h = hash64(key) & (self.buckets - 1);
         match self.kind {
             TableKind::OpenAddressing => {
+                let mut cur = self.space.cursor(self.table + h * SLOT_BYTES);
                 let mut slot = h;
                 loop {
-                    let addr = self.table + slot * SLOT_BYTES;
-                    let k = self.space.read_u64(ctx, addr);
+                    cur.seek(self.table + slot * SLOT_BYTES);
+                    let k = cur.read_u64(ctx);
                     if k == key {
-                        return Some(self.space.read_u64(ctx, addr + 8));
+                        return Some(cur.read_u64(ctx));
                     }
                     if k == 0 {
                         return None;
@@ -198,12 +213,15 @@ impl ParamServer {
                 }
             }
             TableKind::Chaining => {
-                let mut node = self.space.read_u64(ctx, self.table + h * 8);
+                let mut cur = self.space.cursor(self.table + h * 8);
+                let mut node = cur.read_u64(ctx);
                 while node != 0 {
-                    if self.space.read_u64(ctx, node) == key {
-                        return Some(self.space.read_u64(ctx, node + 8));
+                    cur.seek(node);
+                    if cur.read_u64(ctx) == key {
+                        return Some(cur.read_u64(ctx));
                     }
-                    node = self.space.read_u64(ctx, node + 16);
+                    cur.seek(node + 16);
+                    node = cur.read_u64(ctx);
                 }
                 None
             }

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use eleos_core::{Access, Suvm};
+use eleos_core::{Access, SpanCursor, Suvm};
 use eleos_enclave::enclave::Enclave;
 use eleos_enclave::machine::SgxMachine;
 use eleos_enclave::thread::ThreadCtx;
@@ -87,31 +87,21 @@ impl DataSpace {
         }
     }
 
-    /// Reads a length-prefixed record through one pinned span: fills
-    /// `head` from `addr`, asks `tail_len` how many of the bytes that
-    /// follow the caller wants (`None` = not this record), and returns
-    /// them. On SUVM the head and tail share one translation per page
-    /// (a [`SpanCursor`](eleos_core::SpanCursor)) and, where the cursor
-    /// bypasses EPC++, one unseal per sub-page; the other spaces read
-    /// sequentially.
-    pub fn read_record(
-        &self,
-        ctx: &mut ThreadCtx,
-        addr: u64,
-        head: &mut [u8],
-        tail_len: impl FnOnce(&[u8]) -> Option<usize>,
-    ) -> Option<Vec<u8>> {
-        if let DataSpace::Suvm { suvm, access } = self {
-            let mut span = suvm.span(addr, *access);
-            span.read(ctx, head);
-            let mut tail = vec![0u8; tail_len(head)?];
-            span.read(ctx, &mut tail);
-            return Some(tail);
+    /// A cursor at `addr` for a request's accesses to one record. On
+    /// SUVM it is a [`SpanCursor`]: one translation per page, and
+    /// where the cursor bypasses EPC++, one unseal per sub-page and
+    /// writes that re-seal only what they touch. On the other spaces
+    /// its reads and writes are [`Self::read`] and [`Self::write`] at
+    /// its position.
+    #[must_use]
+    pub fn cursor(&self, addr: u64) -> Cursor<'_> {
+        match self {
+            DataSpace::Suvm { suvm, access } => Cursor::Suvm(suvm.span(addr, *access)),
+            _ => Cursor::Plain {
+                space: self,
+                pos: addr,
+            },
         }
-        self.read(ctx, addr, head);
-        let mut tail = vec![0u8; tail_len(head)?];
-        self.read(ctx, addr + head.len() as u64, &mut tail);
-        Some(tail)
     }
 
     /// Writes `data` at `addr`.
@@ -119,10 +109,7 @@ impl DataSpace {
         match self {
             DataSpace::Untrusted(_) => ctx.write_untrusted(addr, data),
             DataSpace::Enclave(_) => ctx.write_enclave(addr, data),
-            DataSpace::Suvm { suvm, access } => match access {
-                Access::Cached => suvm.write(ctx, addr, data),
-                Access::Direct | Access::Adaptive => suvm.write_direct(ctx, addr, data),
-            },
+            DataSpace::Suvm { suvm, access } => suvm.span(addr, *access).write(ctx, data),
         }
     }
 
@@ -167,6 +154,64 @@ impl DataSpace {
     }
 }
 
+/// A sequential position in a [`DataSpace`] ([`DataSpace::cursor`]).
+pub enum Cursor<'a> {
+    /// SUVM: a pinned span.
+    Suvm(SpanCursor<'a>),
+    /// Any other space: plain reads and writes at `pos`.
+    Plain {
+        /// The space.
+        space: &'a DataSpace,
+        /// The next access's address.
+        pos: u64,
+    },
+}
+
+impl Cursor<'_> {
+    /// Moves the cursor to `addr`.
+    pub fn seek(&mut self, addr: u64) {
+        match self {
+            Cursor::Suvm(span) => span.seek(addr),
+            Cursor::Plain { pos, .. } => *pos = addr,
+        }
+    }
+
+    /// Reads the next `buf.len()` bytes and advances.
+    pub fn read(&mut self, ctx: &mut ThreadCtx, buf: &mut [u8]) {
+        match self {
+            Cursor::Suvm(span) => span.read(ctx, buf),
+            Cursor::Plain { space, pos } => {
+                space.read(ctx, *pos, buf);
+                *pos += buf.len() as u64;
+            }
+        }
+    }
+
+    /// Writes `data` and advances.
+    pub fn write(&mut self, ctx: &mut ThreadCtx, data: &[u8]) {
+        match self {
+            Cursor::Suvm(span) => span.write(ctx, data),
+            Cursor::Plain { space, pos } => {
+                space.write(ctx, *pos, data);
+                *pos += data.len() as u64;
+            }
+        }
+    }
+
+    /// Reads the next little-endian `u64` and advances.
+    #[must_use]
+    pub fn read_u64(&mut self, ctx: &mut ThreadCtx) -> u64 {
+        let mut b = [0u8; 8];
+        self.read(ctx, &mut b);
+        u64::from_le_bytes(b)
+    }
+
+    /// Writes a little-endian `u64` and advances.
+    pub fn write_u64(&mut self, ctx: &mut ThreadCtx, v: u64) {
+        self.write(ctx, &v.to_le_bytes());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,7 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn read_record_returns_the_tail_the_caller_asks_for() {
+    fn a_cursor_reads_a_record_across_a_page_boundary() {
         let (m, e, s) = harness();
         let spaces = [
             DataSpace::Untrusted(Arc::clone(&m)),
@@ -218,16 +263,65 @@ mod tests {
             // A record straddling a page boundary of the space.
             let a = space.alloc(2 * 4096) + 4090;
             space.write(&mut t, a, b"\x05\0\0\0hello, tail");
+            let mut cur = space.cursor(a);
             let mut head = [0u8; 4];
-            let tail = space.read_record(&mut t, a, &mut head, |h| {
-                Some(u32::from_le_bytes(h.try_into().unwrap()) as usize)
-            });
-            assert_eq!(tail.as_deref(), Some(&b"hello"[..]), "{}", space.label());
-            let none = space.read_record(&mut t, a, &mut head, |_| None);
-            assert_eq!(none, None, "{}", space.label());
-            assert_eq!(head, [5, 0, 0, 0], "the head is filled either way");
+            cur.read(&mut t, &mut head);
+            assert_eq!(head, [5, 0, 0, 0], "{}", space.label());
+            let mut tail = vec![0u8; u32::from_le_bytes(head) as usize];
+            cur.read(&mut t, &mut tail);
+            assert_eq!(tail, b"hello", "{}", space.label());
+            // Back to the head, rewritten through the same cursor.
+            cur.seek(a + 4);
+            cur.write(&mut t, b"HELLO");
+            drop(cur);
+            let mut buf = [0u8; 9];
+            space.read(&mut t, a, &mut buf);
+            assert_eq!(&buf, b"\x05\0\0\0HELLO", "{}", space.label());
         }
         t.exit();
+    }
+
+    #[test]
+    fn a_plain_cursor_charges_what_reads_and_writes_charge() {
+        // The same script of accesses, through a cursor and through
+        // `DataSpace::read`/`write` at the same addresses, on two
+        // identical rigs: same clock, same counters.
+        let script = |plain: bool, untrusted: bool| {
+            let (m, e, _s) = harness();
+            let space = if untrusted {
+                DataSpace::Untrusted(Arc::clone(&m))
+            } else {
+                DataSpace::Enclave(Arc::clone(&e))
+            };
+            let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+            t.enter();
+            let a = space.alloc(64 << 10);
+            let (s0, c0) = (m.stats.snapshot(), t.now());
+            let mut buf = [0u8; 40];
+            let mut cur = space.cursor(a + 4000);
+            for (i, at) in [4000u64, 4100, 9000, 4100, 30_000, 4060]
+                .into_iter()
+                .enumerate()
+            {
+                let data = [i as u8; 40];
+                if plain {
+                    space.read(&mut t, a + at, &mut buf[..16]);
+                    space.write(&mut t, a + at + 16, &data);
+                    space.read(&mut t, a + at + 56, &mut buf);
+                } else {
+                    cur.seek(a + at);
+                    cur.read(&mut t, &mut buf[..16]);
+                    cur.write(&mut t, &data);
+                    cur.read(&mut t, &mut buf);
+                }
+            }
+            drop(cur);
+            t.exit();
+            (t.now() - c0, m.stats.snapshot() - s0)
+        };
+        for untrusted in [true, false] {
+            assert_eq!(script(true, untrusted), script(false, untrusted));
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ use eleos_sim::stats::Stats;
 
 use crate::index::{Found, HashIndex, NIL};
 use crate::slab::{SlabPool, SLAB_BYTES};
-use crate::space::DataSpace;
+use crate::space::{Cursor, DataSpace};
 
 // Index-node fields. The index owns the chain link and the hash word
 // in bytes 0..12 and the write stamp in bytes 40..48 (see
@@ -86,22 +86,24 @@ fn header_lens(header: &[u8]) -> (usize, usize) {
     (klen as usize, vlen as usize)
 }
 
-/// The engine's full key comparison. Reads the record at `addr`
-/// through one pinned span and returns its value if the record is
-/// `key`'s (empty unless `want_value`); another key's record is given
-/// up on after its header, or after its key when the lengths agree.
+/// The engine's full key comparison. Reads the record under `cur`
+/// and returns its value if the record is `key`'s (empty unless
+/// `want_value`); another key's record is given up on after its
+/// header, or after its key when the lengths agree.
 fn read_if_key(
-    space: &DataSpace,
+    cur: &mut Cursor<'_>,
     ctx: &mut ThreadCtx,
-    addr: u64,
     key: &[u8],
     want_value: bool,
 ) -> Option<Vec<u8>> {
     let mut header = [0u8; RECORD_HEADER];
-    let mut tail = space.read_record(ctx, addr, &mut header, |h| {
-        let (klen, vlen) = header_lens(h);
-        (klen == key.len()).then_some(klen + if want_value { vlen } else { 0 })
-    })?;
+    cur.read(ctx, &mut header);
+    let (klen, vlen) = header_lens(&header);
+    if klen != key.len() {
+        return None;
+    }
+    let mut tail = vec![0u8; klen + if want_value { vlen } else { 0 }];
+    cur.read(ctx, &mut tail);
     if tail[..key.len()] != *key {
         return None;
     }
@@ -109,20 +111,29 @@ fn read_if_key(
     Some(tail)
 }
 
-/// Reads the record at `addr` through one pinned span: its key and
-/// value.
+/// Reads the record at `addr` through one cursor: its key and value.
 fn read_record(space: &DataSpace, ctx: &mut ThreadCtx, addr: u64) -> (Vec<u8>, Vec<u8>) {
+    let mut cur = space.cursor(addr);
     let mut header = [0u8; RECORD_HEADER];
-    let mut klen = 0;
-    let mut key = space
-        .read_record(ctx, addr, &mut header, |h| {
-            let (k, v) = header_lens(h);
-            klen = k;
-            Some(k + v)
-        })
-        .expect("the whole record was asked for");
+    cur.read(ctx, &mut header);
+    let (klen, vlen) = header_lens(&header);
+    let mut key = vec![0u8; klen + vlen];
+    cur.read(ctx, &mut key);
     let value = key.split_off(klen);
     (key, value)
+}
+
+/// What a lookup does with the record of the key it matched, through
+/// the cursor that read the key.
+#[derive(Clone, Copy)]
+enum OnHit<'r> {
+    /// Nothing more: the key was all the caller needed.
+    Check,
+    /// Read the value.
+    Read,
+    /// Overwrite the record with this one, if the item's chunk holds
+    /// it.
+    Write(&'r [u8]),
 }
 
 // --- The engine -----------------------------------------------------
@@ -165,8 +176,10 @@ struct SlabHit {
     kv: u64,
     class: usize,
     referenced: bool,
-    /// Empty unless the lookup asked for it.
+    /// Empty unless the lookup read it.
     value: Vec<u8>,
+    /// Whether the lookup overwrote the record.
+    written: bool,
 }
 
 fn pack_kv(kv: u64, class: usize) -> u64 {
@@ -246,11 +259,11 @@ impl SlabEngine {
         self.note(record_len, false);
         let word = self.index.word(key);
         let record = encode_record(key, value);
-        let found = self.find(ctx, word, key, false);
+        // A record its item's chunk holds is overwritten in place, by
+        // the cursor that checked the key.
+        let found = self.find(ctx, word, key, OnHit::Write(&record));
         if let Some(found) = &found {
-            if self.slab.chunk_size(found.hit.class) >= record_len {
-                // Overwrite in place.
-                self.slab.space().write(ctx, found.hit.kv, &record);
+            if found.hit.written {
                 self.meta_space
                     .write_u32(ctx, found.node + N_EXPIRY, expiry);
                 self.index.set_version(ctx, word, found.node, version);
@@ -296,7 +309,7 @@ impl SlabEngine {
     /// misses.
     pub fn get(&mut self, ctx: &mut ThreadCtx, key: &[u8]) -> Option<Vec<u8>> {
         let word = self.index.word(key);
-        let found = self.find(ctx, word, key, true)?;
+        let found = self.find(ctx, word, key, OnHit::Read)?;
         let expiry = self.meta_space.read_u32(ctx, found.node + N_EXPIRY);
         if expiry != 0 && now_secs(ctx) >= expiry {
             self.drop_found(ctx, word, &found);
@@ -313,7 +326,7 @@ impl SlabEngine {
     /// Deletes `key`; returns whether it existed.
     pub fn delete(&mut self, ctx: &mut ThreadCtx, key: &[u8]) -> bool {
         let word = self.index.word(key);
-        let Some(found) = self.find(ctx, word, key, false) else {
+        let Some(found) = self.find(ctx, word, key, OnHit::Check) else {
             return false;
         };
         self.drop_found(ctx, word, &found);
@@ -324,7 +337,7 @@ impl SlabEngine {
     /// *not* checked — restore merges compare stamps even on items
     /// about to lapse).
     pub fn version_of(&mut self, ctx: &mut ThreadCtx, key: &[u8]) -> Option<u64> {
-        let found = self.find(ctx, self.index.word(key), key, false)?;
+        let found = self.find(ctx, self.index.word(key), key, OnHit::Check)?;
         Some(self.index.version(ctx, found.node))
     }
 
@@ -429,24 +442,34 @@ impl SlabEngine {
         blob
     }
 
-    /// Looks `key` (hashing to `word`) up. Only a node storing `word`
-    /// has its record read.
+    /// Looks `key` (hashing to `word`) up and does `on_hit` to its
+    /// record. Only a node storing `word` has its record read.
     fn find(
         &self,
         ctx: &mut ThreadCtx,
         word: u32,
         key: &[u8],
-        want_value: bool,
+        on_hit: OnHit<'_>,
     ) -> Option<Found<SlabHit>> {
         self.index.find(ctx, word, |ctx, node| {
             let kv_word = self.meta_space.read_u64(ctx, node + M_KV);
             let (kv, class) = unpack_kv(kv_word);
-            let value = read_if_key(self.slab.space(), ctx, kv, key, want_value)?;
+            let mut cur = self.slab.space().cursor(kv);
+            let value = read_if_key(&mut cur, ctx, key, matches!(on_hit, OnHit::Read))?;
+            let written = match on_hit {
+                OnHit::Write(record) if self.slab.chunk_size(class) >= record.len() => {
+                    cur.seek(kv);
+                    cur.write(ctx, record);
+                    true
+                }
+                _ => false,
+            };
             Some(SlabHit {
                 kv,
                 class,
                 referenced: kv_word & KV_REFERENCED != 0,
                 value,
+                written,
             })
         })
     }
@@ -829,7 +852,10 @@ mod tests {
     /// Address of `key`'s record, looked up the way a GET does.
     fn record_addr(eng: &SlabEngine, ctx: &mut ThreadCtx, key: &[u8]) -> u64 {
         let word = eng.index.word(key);
-        eng.find(ctx, word, key, false).expect("stored").hit.kv
+        eng.find(ctx, word, key, OnHit::Check)
+            .expect("stored")
+            .hit
+            .kv
     }
 
     /// Machine, entered thread, clear metadata space and — given a

@@ -14,21 +14,10 @@ impl Suvm {
         self.span(sva, Access::Cached).read(ctx, buf);
     }
 
-    /// Writes `data` starting at `sva`, marking the touched pages dirty.
+    /// Writes `data` starting at `sva`, faulting the touched pages in
+    /// and marking them dirty — a one-shot [`Access::Cached`] cursor.
     pub fn write(&self, ctx: &mut ThreadCtx, sva: Sva, data: &[u8]) {
-        let ps = self.cfg.page_size;
-        let mut off = 0usize;
-        while off < data.len() {
-            let addr = sva + off as u64;
-            let page = self.page_of(addr);
-            let in_page = (addr % ps as u64) as usize;
-            let n = (ps - in_page).min(data.len() - off);
-            let (frame, _) = self.fault_in_and_pin(ctx, page);
-            ctx.write_enclave(self.epcpp_vaddr(frame, in_page), &data[off..off + n]);
-            self.mark_dirty(frame);
-            self.unpin(frame);
-            off += n;
-        }
+        self.span(sva, Access::Cached).write(ctx, data);
     }
 
     /// Prefetches `[sva, sva+len)` into EPC++ (up to the cache size),

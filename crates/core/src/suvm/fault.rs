@@ -228,7 +228,7 @@ impl Suvm {
             // the one this eviction is about to replace. No spinning
             // under the bucket lock — if a write-through holds the
             // seal, this victim is passed over.
-            if seal && !self.store.seals.try_begin_write(page) {
+            if seal && self.store.seals.try_begin_write(page).is_none() {
                 return false;
             }
             b.swap_remove(idx);

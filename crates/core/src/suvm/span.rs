@@ -1,6 +1,7 @@
-//! A pinned read cursor over a contiguous secure span, and the rule
-//! that decides how it reaches a page that is not in EPC++.
+//! A pinned cursor over a contiguous secure span, and the rule that
+//! decides how it reaches a page that is not in EPC++.
 use super::*;
+use eleos_crypto::gcm::{Nonce, Tag};
 use eleos_enclave::thread::CryptoBatch;
 
 /// How an access reaches a page that is not resident in EPC++. A
@@ -34,24 +35,38 @@ enum Held {
     },
     /// `page` was not cached when the cursor reached it and the access
     /// bypasses EPC++: its bytes come from the backing store. `unit`
-    /// is the sub-page whose plaintext the cursor still holds.
+    /// names the sub-page whose plaintext the cursor still holds and
+    /// the page's seal version that plaintext belongs to.
     Sealed {
         page: u64,
-        unit: Option<usize>,
+        unit: Option<(usize, u64)>,
     },
 }
 
-/// A sequential reader over `[sva, ..)` that translates **once per
-/// page**: the first access to a page pays `suvm_lookup` (plus the
-/// fault, if any) and pins the frame; every further [`Self::read`]
-/// through the same pin pays `spointer_linked`, like a linked
-/// spointer (§3.2.2). On a page its [`Access`] bypasses EPC++ for, the
-/// cursor unseals each sub-page at most once, and its unseals are
-/// billed as one crypto batch — outside a serve round the cursor's
-/// own, inside one the round's SUVM batch. The pin is dropped when the
-/// cursor moves to another page or goes out of scope.
+/// A sequential reader and writer over `[sva, ..)` that translates
+/// **once per page**: the first access to a page pays `suvm_lookup`
+/// (plus the fault, if any) and pins the frame; every further
+/// [`Self::read`] or [`Self::write`] through the same pin pays
+/// `spointer_linked`, like a linked spointer (§3.2.2), and a write
+/// through it goes straight to the frame. On a page its [`Access`]
+/// bypasses EPC++ for, the cursor unseals each sub-page at most once
+/// per seal version, and a write re-seals only the sub-pages it
+/// touches, reusing the plaintext of the one the cursor holds while
+/// nobody else has re-sealed the page (§3.2.4). Its opens and seals
+/// are billed as one crypto batch — outside a serve round the
+/// cursor's own, inside one the round's SUVM batch. The pin is dropped
+/// when the cursor moves to another page or goes out of scope.
 ///
-/// The span must not be written while a cursor over it is open.
+/// A write that starts on a page the cursor does not hold is what a
+/// one-shot write is, crypto batch included: [`Access::Cached`] faults
+/// the page in, [`Access::Direct`] and [`Access::Adaptive`] write
+/// through by residency without counting the write as reuse (see
+/// [`Suvm::write_direct`]).
+///
+/// The span must not be written while a cursor over it is open,
+/// except through that cursor. A bypassed sub-page another writer
+/// re-seals meanwhile is opened again: its plaintext is reused only at
+/// the seal version it was opened or written at.
 pub struct SpanCursor<'a> {
     suvm: &'a Suvm,
     pos: Sva,
@@ -59,13 +74,14 @@ pub struct SpanCursor<'a> {
     held: Held,
     /// Plaintext of the sub-page named by [`Held::Sealed`].
     plain: Vec<u8>,
-    /// The cursor's crypto batch: its unseals span its reads.
+    /// The cursor's crypto batch: its opens and seals span its reads
+    /// and writes.
     batch: CryptoBatch,
 }
 
 impl Suvm {
-    /// Opens a read cursor at `sva` that reaches non-resident pages
-    /// by `access`.
+    /// Opens a cursor at `sva` that reaches non-resident pages by
+    /// `access`.
     #[must_use]
     pub fn span(&self, sva: Sva, access: Access) -> SpanCursor<'_> {
         SpanCursor {
@@ -81,7 +97,7 @@ impl Suvm {
     /// Whether an `access` that missed EPC++ on `page` is served from
     /// the backing store instead of faulting the page in. Only reads
     /// ask with [`Access::Adaptive`]: asking stamps the page and ticks
-    /// the read-miss clock.
+    /// the read-miss clock; a write asks with [`Access::Direct`].
     pub(super) fn bypasses(&self, page: u64, access: Access) -> bool {
         let n_subs = self.cfg.page_size / self.cfg.sub_page_size;
         if access == Access::Cached || n_subs == 1 || !self.store.seals.has_copy(page) {
@@ -98,6 +114,12 @@ impl Suvm {
 }
 
 impl SpanCursor<'_> {
+    /// Moves the cursor to `sva`. The held translation stays: an
+    /// access that lands on its page again pays `spointer_linked`.
+    pub fn seek(&mut self, sva: Sva) {
+        self.pos = sva;
+    }
+
     /// Reads the next `buf.len()` bytes of the span and advances.
     pub fn read(&mut self, ctx: &mut ThreadCtx, buf: &mut [u8]) {
         let ps = self.suvm.cfg.page_size;
@@ -107,7 +129,7 @@ impl SpanCursor<'_> {
             let in_page = (self.pos % ps as u64) as usize;
             let n = (ps - in_page).min(buf.len() - off);
             let out = &mut buf[off..off + n];
-            self.translate(ctx, page);
+            self.translate(ctx, page, self.access);
             match self.held {
                 Held::Frame { frame, .. } => {
                     ctx.read_enclave(self.suvm.epcpp_vaddr(frame, in_page), out);
@@ -120,21 +142,65 @@ impl SpanCursor<'_> {
         }
     }
 
-    /// Makes `page` the held translation.
-    fn translate(&mut self, ctx: &mut ThreadCtx, page: u64) {
-        let s = self.suvm;
-        match self.held {
-            Held::Frame { page: p, .. } | Held::Sealed { page: p, .. } if p == page => {
-                ctx.compute(s.machine.cfg.costs.spointer_linked);
-                return;
-            }
-            _ => self.release(),
+    /// Writes `data` at the cursor's position and advances.
+    pub fn write(&mut self, ctx: &mut ThreadCtx, data: &[u8]) {
+        let ps = self.suvm.cfg.page_size;
+        // A write is never reuse of its page: a store overwriting a
+        // record reads its key first, and would promote every cold
+        // page.
+        let access = match self.access {
+            Access::Cached => Access::Cached,
+            Access::Direct | Access::Adaptive => Access::Direct,
+        };
+        // A write that starts off the held page is a one-shot write,
+        // billed as a crypto batch of its own.
+        if !self.holds(self.suvm.page_of(self.pos)) {
+            self.batch = CryptoBatch::default();
         }
+        let mut off = 0usize;
+        while off < data.len() {
+            let page = self.suvm.page_of(self.pos);
+            let in_page = (self.pos % ps as u64) as usize;
+            let n = (ps - in_page).min(data.len() - off);
+            let src = &data[off..off + n];
+            self.translate(ctx, page, access);
+            if let Held::Sealed { .. } = self.held {
+                if !self.write_sealed(ctx, page, in_page, src) {
+                    // Decommitted since the translation: start over.
+                    self.release();
+                    continue;
+                }
+            }
+            if let Held::Frame { frame, .. } = self.held {
+                ctx.write_enclave(self.suvm.epcpp_vaddr(frame, in_page), src);
+                self.suvm.mark_dirty(frame);
+            }
+            self.pos += n as u64;
+            off += n;
+        }
+    }
+
+    fn holds(&self, page: u64) -> bool {
+        match self.held {
+            Held::Frame { page: p, .. } | Held::Sealed { page: p, .. } => p == page,
+            Held::Nothing => false,
+        }
+    }
+
+    /// Makes `page` the held translation, reaching it by `access` if
+    /// the cursor does not hold it already.
+    fn translate(&mut self, ctx: &mut ThreadCtx, page: u64, access: Access) {
+        let s = self.suvm;
+        if self.holds(page) {
+            ctx.compute(s.machine.cfg.costs.spointer_linked);
+            return;
+        }
+        self.release();
         assert!(ctx.in_enclave(), "SUVM runs inside the enclave");
         ctx.compute(s.machine.cfg.costs.suvm_lookup);
         self.held = match s.try_pin(page) {
             Some(frame) => Held::Frame { page, frame },
-            None if s.bypasses(page, self.access) => {
+            None if s.bypasses(page, access) => {
                 Stats::bump(&s.machine.stats.suvm_direct_accesses);
                 Held::Sealed { page, unit: None }
             }
@@ -153,7 +219,8 @@ impl SpanCursor<'_> {
 
     /// Copies `out.len()` bytes at `in_page` of the non-resident
     /// `page` out of the backing store, unsealing only the sub-pages
-    /// the cursor does not already hold in plaintext.
+    /// the cursor does not already hold in plaintext at the page's
+    /// current seal version.
     fn read_sealed(&mut self, ctx: &mut ThreadCtx, page: u64, in_page: usize, out: &mut [u8]) {
         let s = self.suvm;
         let sp = s.cfg.sub_page_size;
@@ -168,12 +235,8 @@ impl SpanCursor<'_> {
                 SealState::Fresh => out.fill(0),
                 SealState::SubPages { meta } => {
                     for sub in in_page / sp..=(end - 1) / sp {
-                        if held != Some(sub) {
-                            self.plain.resize(sp, 0);
-                            ctx.read_untrusted(s.store.addr_of(page, sub * sp), &mut self.plain);
-                            let (nonce, tag) = &meta[sub];
-                            let aad = Suvm::aad(page, sub as u32);
-                            if s.sealer.open(nonce, &aad, &mut self.plain, tag).is_err() {
+                        if held != Some((sub, version)) {
+                            if !self.open_unit(ctx, page, sub, &meta[sub]) {
                                 held = None;
                                 if !s.store.seals.check(page, version) {
                                     continue 'retry; // torn by a concurrent re-seal
@@ -182,7 +245,7 @@ impl SpanCursor<'_> {
                             }
                             ctx.charge_crypto_in(&mut self.batch, &s.sealer, [sp]);
                             Stats::add(&s.machine.stats.sealed_bytes, sp as u64);
-                            held = Some(sub);
+                            held = Some((sub, version));
                         }
                         let lo = in_page.max(sub * sp);
                         let hi = end.min((sub + 1) * sp);
@@ -194,6 +257,92 @@ impl SpanCursor<'_> {
             break;
         }
         self.held = Held::Sealed { page, unit: held };
+    }
+
+    /// Reads sub-page `sub` of `page` out of the backing store into the
+    /// cursor's plaintext and opens it under `meta`; `false` if it
+    /// fails authentication.
+    fn open_unit(
+        &mut self,
+        ctx: &mut ThreadCtx,
+        page: u64,
+        sub: usize,
+        meta: &(Nonce, Tag),
+    ) -> bool {
+        let s = self.suvm;
+        let sp = s.cfg.sub_page_size;
+        self.plain.resize(sp, 0);
+        ctx.read_untrusted(s.store.addr_of(page, sub * sp), &mut self.plain);
+        let (nonce, tag) = meta;
+        s.sealer
+            .open(nonce, &Suvm::aad(page, sub as u32), &mut self.plain, tag)
+            .is_ok()
+    }
+
+    /// Writes `data` at `in_page` of the non-resident `page` through
+    /// to the backing store: a read-modify-write of each touched
+    /// sub-page, re-sealed with a fresh nonce. The sub-page the cursor
+    /// holds is not opened again if nobody re-sealed the page since.
+    /// Returns `false`, writing nothing, when the page was decommitted
+    /// since the translation. A page faulted in since then is written
+    /// in EPC++ instead, as the held frame.
+    fn write_sealed(
+        &mut self,
+        ctx: &mut ThreadCtx,
+        page: u64,
+        in_page: usize,
+        data: &[u8],
+    ) -> bool {
+        let s = self.suvm;
+        let sp = s.cfg.sub_page_size;
+        let end = in_page + data.len();
+        let Held::Sealed { unit: held, .. } = self.held else {
+            unreachable!("write_sealed on a cached page")
+        };
+        // The residency re-check right before the seal write, as a
+        // fresh translation makes it.
+        if let Some(frame) = s.try_pin(page) {
+            self.held = Held::Frame { page, frame };
+            return true;
+        }
+        // Exclusive writer for this page's sealed image from here to
+        // the commit: no re-seal can tear what is opened below.
+        let version = s.store.seals.begin_write(page);
+        let SealState::SubPages { mut meta } = s.store.seals.get_unchecked(page) else {
+            s.store.seals.commit_write(page, SealState::Fresh);
+            return false;
+        };
+        // The held plaintext is current only if the page's last commit
+        // was the one it was read or written at.
+        let mut held = held.filter(|&(_, v)| v + 1 == version);
+        for sub in in_page / sp..=(end - 1) / sp {
+            let open = held.is_none_or(|(unit, _)| unit != sub);
+            if open && !self.open_unit(ctx, page, sub, &meta[sub]) {
+                // No re-seal can tear a unit under the write lock: this
+                // is tampering.
+                panic!("SUVM sub-page failed authentication");
+            }
+            let lo = in_page.max(sub * sp);
+            let hi = end.min((sub + 1) * sp);
+            self.plain[lo - sub * sp..hi - sub * sp]
+                .copy_from_slice(&data[lo - in_page..hi - in_page]);
+            let nonce = s.next_nonce();
+            let mut sealed = self.plain.clone();
+            let tag = s
+                .sealer
+                .seal(&nonce, &Suvm::aad(page, sub as u32), &mut sealed);
+            ctx.write_untrusted(s.store.addr_of(page, sub * sp), &sealed);
+            meta[sub] = (nonce, tag);
+            let msgs = if open { 2 } else { 1 };
+            ctx.charge_crypto_in(&mut self.batch, &s.sealer, vec![sp; msgs]);
+            Stats::add(&s.machine.stats.sealed_bytes, (msgs * sp) as u64);
+            held = Some((sub, version + 1));
+        }
+        s.store
+            .seals
+            .commit_write(page, SealState::SubPages { meta });
+        self.held = Held::Sealed { page, unit: held };
+        true
     }
 }
 

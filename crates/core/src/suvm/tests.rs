@@ -1200,3 +1200,146 @@ fn adaptive_reads_bypass_cold_pages_and_cache_reused_ones() {
     assert_eq!((st.suvm_major_faults, st.suvm_direct_accesses), (4 + 3, 0));
     t.exit();
 }
+
+#[test]
+fn a_read_then_a_write_of_one_bypassed_sub_page_open_it_once() {
+    let (m, s, mut t, a, mut data) = cold_sub_page_rig(4);
+    let fixed = m.cfg.costs.crypto_fixed;
+    // A key check, then an overwrite of the record, in sub-page 1 of
+    // page 2 through one cursor: one open, one seal, one batch.
+    let at = a + 2 * 4096 + 1024 + 100;
+    let (s0, direct0) = (m.stats.snapshot(), m.stats.snapshot().suvm_direct_accesses);
+    let mut span = s.span(at, Access::Direct);
+    let mut head = [0u8; 8];
+    span.read(&mut t, &mut head);
+    span.seek(at);
+    span.write(&mut t, b"a fresh twenty bytes");
+    drop(span);
+    assert_eq!(head, data[(at - a) as usize..(at - a) as usize + 8]);
+    assert_eq!(crypto_since(&m, s0), [1, 2, fixed + fixed / 4, 2 * 1024]);
+    assert_eq!(m.stats.snapshot().suvm_direct_accesses - direct0, 1);
+    assert_eq!(s.resident_pages(), 0);
+
+    // The page reads back what a write-through leaves on a twin rig.
+    let (_m2, s2, mut t2, a2, _) = cold_sub_page_rig(4);
+    s2.write_direct(&mut t2, a2 + (at - a), b"a fresh twenty bytes");
+    let (mut mine, mut twin) = (vec![0u8; 4096], vec![0u8; 4096]);
+    s.read_direct(&mut t, a + 2 * 4096, &mut mine);
+    s2.read_direct(&mut t2, a2 + 2 * 4096, &mut twin);
+    data[(at - a) as usize..(at - a) as usize + 20].copy_from_slice(b"a fresh twenty bytes");
+    assert_eq!(mine, twin);
+    assert_eq!(mine, &data[2 * 4096..3 * 4096]);
+    t.exit();
+    t2.exit();
+}
+
+#[test]
+fn a_write_through_between_a_cursors_read_and_write_forces_a_re_open() {
+    let (m, s, mut t, a, mut data) = cold_sub_page_rig(4);
+    let at = a + 4096 + 100;
+    let mut span = s.span(at, Access::Direct);
+    let mut head = [0u8; 8];
+    span.read(&mut t, &mut head);
+    // Another writer re-seals the sub-page the cursor holds.
+    s.write_direct(&mut t, a + 4096 + 600, b"other writer");
+    let s0 = m.stats.snapshot();
+    span.seek(at);
+    span.write(&mut t, b"cursor");
+    drop(span);
+    // The held plaintext is stale: the write opens the sub-page again.
+    assert_eq!(crypto_since(&m, s0)[1], 2, "an open and a seal");
+    data[4096 + 600..4096 + 612].copy_from_slice(b"other writer");
+    data[4096 + 100..4096 + 106].copy_from_slice(b"cursor");
+    let mut page = vec![0u8; 4096];
+    s.read_direct(&mut t, a + 4096, &mut page);
+    assert_eq!(page, &data[4096..2 * 4096], "both writers' bytes survive");
+    t.exit();
+}
+
+#[test]
+fn a_cursor_re_reads_a_sub_page_someone_else_re_sealed() {
+    let (m, s, mut t, a, data) = cold_sub_page_rig(4);
+    let at = a + 3 * 4096 + 2048 + 10;
+    let mut span = s.span(at, Access::Direct);
+    let mut buf = [0u8; 8];
+    span.read(&mut t, &mut buf);
+    assert_eq!(buf, data[(at - a) as usize..(at - a) as usize + 8]);
+    s.write_direct(&mut t, at, b"NEWBYTES");
+    let s0 = m.stats.snapshot();
+    span.seek(at);
+    span.read(&mut t, &mut buf);
+    assert_eq!(&buf, b"NEWBYTES");
+    assert_eq!(crypto_since(&m, s0)[1], 1, "re-opened at the new version");
+    // At an unchanged version the held plaintext serves the read.
+    let s0 = m.stats.snapshot();
+    span.seek(at);
+    span.read(&mut t, &mut buf);
+    assert_eq!(&buf, b"NEWBYTES");
+    assert_eq!(crypto_since(&m, s0)[1], 0);
+    t.exit();
+}
+
+#[test]
+fn a_cursor_write_through_a_held_frame_translates_nothing() {
+    let (m, s, mut t, a, _) = cold_sub_page_rig(4);
+    let mut span = s.span(a + 100, Access::Cached);
+    let mut head = [0u8; 8];
+    span.read(&mut t, &mut head);
+    let (before, c0) = (lookups(&m), t.now());
+    span.seek(a + 100);
+    span.write(&mut t, b"in the frame");
+    drop(span);
+    assert_eq!(lookups(&m), before, "the pinned frame took the write");
+    assert!(t.now() - c0 < m.cfg.costs.suvm_lookup);
+    assert!(s.frames.iter().any(|f| f.dirty.load(Ordering::Acquire)));
+    let mut buf = [0u8; 12];
+    s.read(&mut t, a + 100, &mut buf);
+    assert_eq!(&buf, b"in the frame");
+    t.exit();
+}
+
+#[test]
+fn a_cursor_write_to_a_page_it_does_not_hold_is_a_one_shot_write() {
+    // Page 0 is what the cursor holds; the write goes to a cold sealed
+    // page (1), a resident one (2) or one never sealed (a new page).
+    // Twin rigs: the cursor's write leaves the same clock, counters
+    // and read-miss clock as the one-shot write `DataSpace::write`
+    // makes for the same `Access`.
+    let run = |access: Access, target: usize, cursor: bool| {
+        let (m, s, mut t, a, _) = cold_sub_page_rig(4);
+        s.write(&mut t, a + 2 * 4096, b"resident");
+        let fresh = s.malloc(4096);
+        let at = [a + 4096 + 900, a + 2 * 4096 + 900, fresh + 900][target];
+        let data = [0x5au8; 300];
+        let mut head = [0u8; 8];
+        let mut span = s.span(a + 100, access);
+        span.read(&mut t, &mut head);
+        let mut span = cursor.then_some(span);
+        let (s0, c0) = (m.stats.snapshot(), t.now());
+        match &mut span {
+            Some(span) => {
+                span.seek(at);
+                span.write(&mut t, &data);
+            }
+            None if access == Access::Cached => s.write(&mut t, at, &data),
+            None => s.write_direct(&mut t, at, &data),
+        }
+        drop(span);
+        let moved = (t.now() - c0, m.stats.snapshot() - s0);
+        let misses = s.read_misses.load(Ordering::Relaxed);
+        let mut back = [0u8; 300];
+        s.read(&mut t, at, &mut back);
+        assert_eq!(back, data);
+        t.exit();
+        (moved, misses)
+    };
+    for access in [Access::Cached, Access::Direct, Access::Adaptive] {
+        for target in 0..3 {
+            assert_eq!(
+                run(access, target, true),
+                run(access, target, false),
+                "{access:?}, target {target}"
+            );
+        }
+    }
+}

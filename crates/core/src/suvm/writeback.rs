@@ -159,7 +159,7 @@ impl Suvm {
                 // before the page leaves the table. If a write-through
                 // holds it the frame stays mapped, dirty and unparked,
                 // like a rescued one.
-                if !self.store.seals.try_begin_write(page) {
+                if self.store.seals.try_begin_write(page).is_none() {
                     return false;
                 }
                 b.swap_remove(idx);

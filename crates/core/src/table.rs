@@ -196,19 +196,22 @@ impl CryptoTable {
         }
     }
 
-    /// Starts a (re-)seal of `page`: bumps the version to odd. Spins
-    /// if another writer is in progress.
-    pub fn begin_write(&self, page: u64) {
-        while !self.try_begin_write(page) {
+    /// Starts a (re-)seal of `page`: bumps the version to odd and
+    /// returns it. Spins if another writer is in progress.
+    pub fn begin_write(&self, page: u64) -> u64 {
+        loop {
+            if let Some(version) = self.try_begin_write(page) {
+                return version;
+            }
             std::hint::spin_loop();
         }
     }
 
-    /// [`Self::begin_write`] without the wait: `false`, and nothing
+    /// [`Self::begin_write`] without the wait: `None`, and nothing
     /// done, when another writer is in progress. For a caller that
     /// holds a lock it must not spin under.
     #[must_use]
-    pub(crate) fn try_begin_write(&self, page: u64) -> bool {
+    pub(crate) fn try_begin_write(&self, page: u64) -> Option<u64> {
         let mut g = self.shard(page).lock();
         let mut inserted = false;
         let e = g.entry(page).or_insert_with(|| {
@@ -218,11 +221,11 @@ impl CryptoTable {
         if inserted {
             self.live.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
-        let free = e.0.is_multiple_of(2);
-        if free {
-            e.0 += 1;
+        if !e.0.is_multiple_of(2) {
+            return None;
         }
-        free
+        e.0 += 1;
+        Some(e.0)
     }
 
     /// Commits a seal started by [`Self::begin_write`].

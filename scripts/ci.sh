@@ -167,6 +167,13 @@ if grep -rnE 'charge_crypto_batch_from|self\.opened\b|(opened|billed) \+= [12]\b
     echo "a deleted hand-threaded crypto-batch index is back (see above)"
     exit 1
 fi
+# A request reads a record through `DataSpace::cursor`, whose SUVM arm
+# is the span cursor that also writes it: no second record reader.
+if grep -rnE 'DataSpace::read_record|\.read_record\(' \
+        crates/*/src crates/*/tests src examples tests ; then
+    echo "a deleted record-reader name is back (see above)"
+    exit 1
+fi
 # PR 23 brought the first `unsafe` into the tree: the hardware AES /
 # CLMUL kernels. It lives in one module; seven crates `forbid` it, and
 # this keeps it out of tests and examples too (`-w`: the lint names
@@ -296,6 +303,20 @@ if awk -v h="$hits" 'BEGIN { exit !(h < 0.965) }'; then
     exit 1
 fi
 printf '   %s ops, 0 failed, GET hit ratio %.4f\n' "$attempted" "$hits"
+
+echo "== param_server guard (an update's value read and write go through the cursor that read its key)"
+# The eleos row of the example: an update's value read at reuse
+# distance 1 used to fault in the page its key read had just bypassed
+# (8 920 SUVM faults); through one cursor per key it reads 611. The
+# example repeats byte for byte.
+cargo run --release --offline --quiet --example param_server > target/param_server.txt
+ps_faults=$(sed -nE 's/^eleos .*suvm faults +([0-9]+).*/\1/p' target/param_server.txt)
+: "${ps_faults:?no eleos row in the param_server output}"
+if [ "$ps_faults" -gt 1000 ]; then
+    echo "param_server: $ps_faults SUVM faults on the eleos row, want <= 1000" >&2
+    exit 1
+fi
+echo "   eleos row: $ps_faults SUVM faults"
 
 echo "== e2e fleet-open latency guard (a reap takes what each socket queues)"
 # The open-loop workload: a request queued behind another on its shard

@@ -448,6 +448,8 @@ fn pinned_request_path(mode: &str, batch: usize) -> (Pinned, Vec<Vec<u8>>) {
 /// its item on the LRU: each fell by 4.8–5.8 k cycles. They fell again
 /// when a serve round's decrypts and seals became one wire batch: 300
 /// cycles of set-up per round, 19 200 at batch 1 and 2 400 at batch 8.
+/// Both Eleos cells fell by 37 450 when a SET overwrite and a parameter
+/// update or read began going through the cursor that read the key.
 #[test]
 fn request_path_cycles_are_pinned() {
     let pin = |now, exits, syscalls, rpc, crypto_setup_cycles| Pinned {
@@ -463,8 +465,8 @@ fn request_path_cycles_are_pinned() {
     let cells = [
         ("native", 1, pin(527_425, 0, 128, 0, 32_000)),
         ("sgx", 1, pin(1_682_769, 128, 128, 0, 32_000)),
-        ("eleos", 1, pin(826_375, 0, 128, 128, 32_000)),
-        ("eleos", 8, pin(414_927, 0, 16, 16, 15_200)),
+        ("eleos", 1, pin(788_925, 0, 128, 128, 32_000)),
+        ("eleos", 8, pin(377_477, 0, 16, 16, 15_200)),
     ];
     let mut reference: Option<Vec<Vec<u8>>> = None;
     for (mode, batch, expected) in cells {

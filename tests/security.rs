@@ -1114,6 +1114,96 @@ fn kvs_get_of_a_tampered_cold_record_fails_closed() {
     );
 }
 
+/// A SET that overwrites a cold record in place checks the key and
+/// writes the record through one cursor, which re-seals the sub-page
+/// it opened for the key check without opening it again. A record that
+/// runs on into a sub-page the key check never opened has that one
+/// opened by the write: tampered, it fails closed there, and is never
+/// laundered into a fresh, valid seal.
+#[test]
+fn an_in_place_set_over_a_tampered_sub_page_fails_closed() {
+    use eleos::apps::kvs::Kvs;
+    use eleos::apps::space::DataSpace;
+
+    let m = small_machine();
+    let e = m.driver.create_enclave(&m, 16 << 20);
+    let t0 = ThreadCtx::for_enclave(&m, &e, 0);
+    let suvm = Suvm::new(
+        &t0,
+        SuvmConfig {
+            sub_page_size: 1024,
+            backing_bytes: 4 << 20,
+            ..SuvmConfig::tiny()
+        },
+    );
+    let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+    t.enter();
+    // Direct access: every touch of a cold page bypasses EPC++, however
+    // often the script re-reads it.
+    let mut kvs = Kvs::new(
+        DataSpace::Untrusted(Arc::clone(&m)),
+        DataSpace::suvm_direct(&suvm),
+        2 << 20,
+        64,
+    );
+    kvs.init(&mut t);
+    let key = |i: u32| format!("key-{i}").into_bytes();
+    for i in 0..40u32 {
+        assert!(kvs.set(&mut t, &key(i), &[i as u8; 700]));
+    }
+    let before = untrusted_image(&m);
+    while suvm.evict_one(&mut t) {}
+    let after = untrusted_image(&m);
+    let units: Vec<u64> = (0..after.len())
+        .step_by(1024)
+        .filter(|&u| before[u..u + 1024] != after[u..u + 1024])
+        .map(|u| u as u64)
+        .collect();
+    let sealed = |m: &SgxMachine| -> Vec<[u8; 1024]> {
+        units
+            .iter()
+            .map(|&u| {
+                let mut b = [0u8; 1024];
+                m.untrusted.read(u, &mut b);
+                b
+            })
+            .collect()
+    };
+    // A record across two sub-pages with its key in the first: its
+    // overwrite re-seals both and bills four messages — the key check's
+    // open, the first sub-page's seal, the second's open and seal.
+    let mut target = None;
+    for i in 0..40u32 {
+        let (image, msgs) = (sealed(&m), m.stats.snapshot().crypto_msgs);
+        assert!(kvs.set(&mut t, &key(i), &[0xa5; 700]));
+        let msgs = m.stats.snapshot().crypto_msgs - msgs;
+        let resealed: Vec<u64> = units
+            .iter()
+            .zip(image.iter().zip(sealed(&m)))
+            .filter(|(_, (old, new))| *old != new)
+            .map(|(&u, _)| u)
+            .collect();
+        if resealed.len() == 2 && msgs == 4 {
+            target = Some((i, resealed[1]));
+            break;
+        }
+    }
+    let (i, second) = target.expect("a record across two sub-pages");
+    assert_eq!(kvs.get(&mut t, &key(i)).as_deref(), Some(&[0xa5; 700][..]));
+    let mut byte = [0u8; 1];
+    m.untrusted.read(second + 200, &mut byte);
+    m.untrusted.write(second + 200, &[byte[0] ^ 0x10]);
+    let faults = m.stats.snapshot().suvm_major_faults;
+    must_fail_closed("an in-place SET over a tampered sub-page", || {
+        kvs.set(&mut t, &key(i), &[0x5a; 700])
+    });
+    assert_eq!(
+        m.stats.snapshot().suvm_major_faults,
+        faults,
+        "written through"
+    );
+}
+
 // ---------------------------------------------------------------------
 // The inter-enclave shared region (§8): a key domain of its own
 // ---------------------------------------------------------------------

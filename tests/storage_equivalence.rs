@@ -13,6 +13,8 @@
 //!   items on them) migrate between classes;
 //! - plus a deterministic non-vacuity check that the transparency
 //!   scaffold really does move slabs;
+//! - a GET / in-place SET / growing SET script replies alike over SUVM
+//!   and over plain untrusted memory;
 //! - a delta round's bounded walk is the full walk filtered: for any
 //!   `base`, `for_each_since(base)` visits exactly the items, values,
 //!   stamps and deadlines — in the same order — that `for_each_since(0)`
@@ -229,6 +231,114 @@ proptest! {
                 check_engine(rebalance, paging, &ops);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// In-place SETs through the cursor that checked the key
+// ---------------------------------------------------------------------
+
+/// One step of a GET / SET script whose SETs overwrite a record in
+/// place (the same length or shorter) or grow it past its chunk.
+#[derive(Clone, Copy, Debug)]
+enum RecordOp {
+    Get { k: u8 },
+    Overwrite { k: u8, shrink: usize },
+    Grow { k: u8, by: usize },
+}
+
+fn record_op_strategy() -> impl Strategy<Value = RecordOp> {
+    prop_oneof![
+        (0u8..24).prop_map(|k| RecordOp::Get { k }),
+        (0u8..24, 0usize..64).prop_map(|(k, shrink)| RecordOp::Overwrite { k, shrink }),
+        (0u8..24, 0usize..64).prop_map(|(k, shrink)| RecordOp::Overwrite { k, shrink }),
+        (0u8..24, 1usize..900).prop_map(|(k, by)| RecordOp::Grow { k, by }),
+    ]
+}
+
+/// Every GET reply of `ops` served by a store whose records live in
+/// `data(machine, suvm)`, behind an eight-frame EPC++ of 1 KiB
+/// sub-pages, each checked against the value last SET.
+fn record_replies(
+    ops: &[RecordOp],
+    data: fn(&Arc<SgxMachine>, &Arc<Suvm>) -> DataSpace,
+) -> Vec<Option<Vec<u8>>> {
+    let m = SgxMachine::new(MachineConfig {
+        epc_bytes: 2 << 20,
+        untrusted_bytes: 64 << 20,
+        ..MachineConfig::tiny()
+    });
+    let e = m.driver.create_enclave(&m, 32 << 20);
+    let t0 = ThreadCtx::for_enclave(&m, &e, 0);
+    let suvm = Suvm::new(
+        &t0,
+        SuvmConfig {
+            sub_page_size: 1024,
+            epcpp_bytes: 8 * 4096,
+            backing_bytes: 32 << 20,
+            ..SuvmConfig::tiny()
+        },
+    );
+    let mut kvs = Kvs::new(
+        DataSpace::Untrusted(Arc::clone(&m)),
+        data(&m, &suvm),
+        16 << 20,
+        64,
+    );
+    let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+    t.enter();
+    kvs.init(&mut t);
+    // Every key starts with a record spanning a sub-page boundary or
+    // two, so overwrites land on cold, bypassed and cached pages.
+    let mut model: Vec<Vec<u8>> = (0..24u8).map(|k| vec![k; 300 + 37 * k as usize]).collect();
+    for (k, value) in model.iter().enumerate() {
+        assert!(kvs.set(&mut t, &[b'k', k as u8], value));
+    }
+    let mut replies = Vec::new();
+    let mut get = |t: &mut ThreadCtx, kvs: &mut Kvs, model: &[Vec<u8>], k: u8| {
+        let got = kvs.get(t, &[b'k', k]);
+        assert_eq!(got.as_ref(), Some(&model[k as usize]), "key {k}");
+        replies.push(got);
+    };
+    for (i, &op) in ops.iter().enumerate() {
+        let (k, len) = match op {
+            RecordOp::Get { k } => {
+                get(&mut t, &mut kvs, &model, k);
+                continue;
+            }
+            RecordOp::Overwrite { k, shrink } => {
+                (k, model[k as usize].len().saturating_sub(shrink).max(1))
+            }
+            RecordOp::Grow { k, by } => (k, (model[k as usize].len() + by).min(2048)),
+        };
+        model[k as usize] = (0..len).map(|j| (i + j) as u8).collect();
+        assert!(
+            kvs.set(&mut t, &[b'k', k], &model[k as usize]),
+            "op {i}: {op:?}"
+        );
+    }
+    for k in 0..24u8 {
+        get(&mut t, &mut kvs, &model, k);
+    }
+    t.exit();
+    replies
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// A SET that overwrites its record in place writes through the
+    /// cursor that checked its key; one that outgrows the chunk
+    /// reinserts. Either way every reply over SUVM — adaptive, cached
+    /// and direct — is the reply over plain untrusted memory.
+    #[test]
+    fn in_place_sets_reply_alike_over_suvm_and_untrusted(
+        ops in prop::collection::vec(record_op_strategy(), 1..200)
+    ) {
+        let plain = record_replies(&ops, |m, _| DataSpace::Untrusted(Arc::clone(m)));
+        prop_assert_eq!(&record_replies(&ops, |_, s| DataSpace::suvm(s)), &plain);
+        prop_assert_eq!(&record_replies(&ops, |_, s| DataSpace::suvm_cached(s)), &plain);
+        prop_assert_eq!(&record_replies(&ops, |_, s| DataSpace::suvm_direct(s)), &plain);
     }
 }
 
