@@ -1104,7 +1104,7 @@ mod tests {
     /// The same accounting where a page leaves EPC++ as four 1 KiB
     /// sub-pages: a request for a cold record pays for the sub-pages
     /// the record spans and faults nothing in, unless the record was
-    /// read a moment ago.
+    /// read twice a moment ago.
     #[test]
     fn slab_cold_records_bypass_the_page_cache() {
         let (mut t, meta, data, suvm) = spaces(Some(1024));
@@ -1118,14 +1118,14 @@ mod tests {
             assert!(eng.set(&mut t, &test_key(k), &value_of(k, 1), 0, 0));
         }
         // "Cold" is evicted and not read for a while: eight pages of
-        // the same space, read four at a time, push every earlier
-        // read miss out of the 16 / 4-miss reuse window.
+        // the same space, each read once, push every earlier read miss
+        // out of the reuse window of two gaps of 16 / 4 misses.
         let other = data.alloc(8 * 4096);
         data.write(&mut t, other, &[1u8; 8 * 4096]);
         let mut next = 0;
         let mut go_cold = |t: &mut ThreadCtx| {
             while suvm.evict_one(t) {}
-            for _ in 0..4 {
+            for _ in 0..8 {
                 data.read(t, other + next % 8 * 4096, &mut [0u8; 8]);
                 next += 1;
             }
@@ -1149,15 +1149,20 @@ mod tests {
             assert_eq!(eng.get(&mut t, &test_key(k)), Some(value_of(k, 1)));
             assert_eq!(since(before), (0, subs), "cold GET of key {k}");
             assert_eq!(suvm.resident_pages(), 0);
-            // Again at once: the record's pages are worth caching (a
+            // Again at once: one short gap is no rate yet ...
+            let before = touched();
+            assert_eq!(eng.get(&mut t, &test_key(k)), Some(value_of(k, 1)));
+            assert_eq!(since(before), (0, subs), "second GET of key {k}");
+            assert_eq!(suvm.resident_pages(), 0);
+            // ... two are: the record's pages are worth caching (a
             // fault unseals all four sub-pages of a page) ...
             let before = touched();
             assert_eq!(eng.get(&mut t, &test_key(k)), Some(value_of(k, 1)));
-            assert_eq!(since(before), (pages, 4 * pages), "second GET of key {k}");
-            // ... and the third GET is a hit.
+            assert_eq!(since(before), (pages, 4 * pages), "third GET of key {k}");
+            // ... and the fourth GET is a hit.
             let before = touched();
             assert_eq!(eng.get(&mut t, &test_key(k)), Some(value_of(k, 1)));
-            assert_eq!(since(before), (0, 0), "third GET of key {k}");
+            assert_eq!(since(before), (0, 0), "fourth GET of key {k}");
         }
 
         // A cold overwrite is written through: the new record faults

@@ -17,11 +17,16 @@ pub enum Access {
     /// the bytes span — the paper's direct-access row (§3.2.4).
     Direct,
     /// Choose per access. A write goes through like
-    /// [`Access::Direct`]; so does a read, unless the page's previous
-    /// read miss was fewer than `frame_limit() / (page_size /
-    /// sub_page_size)` read misses ago. A fault costs about as much as
-    /// bypassing every sub-page of the page, so only a page re-read
-    /// within that window repays being cached, and is faulted in.
+    /// [`Access::Direct`]; so does a read, unless the mean of the
+    /// page's last two gaps between read misses is under the window
+    /// `W = frame_limit() / (page_size / sub_page_size)` read misses,
+    /// that is, unless the read miss two before this one was fewer
+    /// than `2·W` read misses ago. A fault costs about as much as
+    /// bypassing every sub-page of the page, so only a page re-read at
+    /// least once per window repays being cached, and is faulted in;
+    /// judging that rate from two gaps (LRU-2) rather than one keeps a
+    /// single short gap, which uniform access draws by chance, from
+    /// promoting a cold page.
     Adaptive,
 }
 
@@ -107,9 +112,12 @@ impl Suvm {
             return true;
         }
         let now = self.read_misses.fetch_add(1, Ordering::Relaxed) + 1;
-        let last = self.store.seals.stamp_miss(page, now);
-        // (A racing miss may have stamped a later reading: distance 0.)
-        last == 0 || now.saturating_sub(last) >= (self.frame_limit() / n_subs) as u64
+        // Reuse is judged from the last two gaps (LRU-2): their mean is
+        // under the window when this miss is fewer than two windows
+        // after the one two misses back. (A racing miss may have
+        // stamped a later reading: distance 0.)
+        let [_, second] = self.store.seals.stamp_miss(page, now);
+        second == 0 || now.saturating_sub(second) >= 2 * (self.frame_limit() / n_subs) as u64
     }
 }
 

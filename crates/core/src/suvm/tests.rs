@@ -459,7 +459,8 @@ fn release_paths_tail(s: &Suvm, t: &mut ThreadCtx, a: Sva) {
 /// The unit-speed guard for the paging layer: the constants of the
 /// three `Cached` rows were measured at `a8bd3ad`, before the store /
 /// sealer / victim-scan refactor, so any charge that refactor moved
-/// shows up here; the `Adaptive` row was pinned when the rule landed.
+/// shows up here; the `Adaptive` row was pinned when the rule landed
+/// and again when it came to judge reuse from two read-miss gaps.
 #[test]
 fn paging_cycles_are_pinned() {
     use crate::config::EvictPolicy;
@@ -477,7 +478,7 @@ fn paging_cycles_are_pinned() {
     );
     assert_eq!(
         pinned_workload(EvictPolicy::Clock, 0, Access::Adaptive),
-        [2_134_896, 97, 81, 11, 0, 799_744]
+        [2_082_928, 89, 73, 6, 0, 766_976]
     );
     // Pinned at `6da10e1`, before the eviction layer's release paths
     // were folded into one: the FIFO hand under batched write-back, and
@@ -1147,38 +1148,45 @@ fn adaptive_reads_bypass_cold_pages_and_cache_reused_ones() {
         s.span(a + at, Access::Adaptive).read(t, &mut buf);
         assert_eq!(buf, data[at as usize..at as usize + 64], "page {page}");
     };
-    // 16 frames of four sub-pages: a page re-read fewer than 4 read
-    // misses after its last one is worth a frame.
+    // 16 frames of four sub-pages: W = 4 read misses. A page whose
+    // last two gaps between read misses add up to fewer than 2·W = 8
+    // is worth a frame.
     read(&mut t, 0);
     assert_eq!((faults(), s.resident_pages()), (0, 0), "first touch");
     read(&mut t, 0);
     assert_eq!(
         (faults(), s.resident_pages()),
+        (0, 0),
+        "one re-read at distance 1 is one gap, not a rate"
+    );
+    read(&mut t, 0);
+    assert_eq!(
+        (faults(), s.resident_pages()),
         (1, 1),
-        "re-read at distance 1"
+        "the third miss within 2·W"
     );
     read(&mut t, 0);
     assert_eq!(faults(), 1, "now a hit");
-    // Page 1, then three other cold pages: its next miss is the 4th
-    // after its last one — outside the window.
-    for page in [1, 2, 3, 4, 1] {
+    // Page 1 every fourth miss: its third miss is 2·W after its first
+    // — a mean gap of W, outside the window.
+    for page in [1, 2, 3, 4, 1, 5, 6, 7, 1] {
         read(&mut t, page);
     }
     assert_eq!((faults(), s.resident_pages()), (1, 1));
-    // ... and two after that one is inside it.
-    for page in [5, 6, 1] {
+    // ... and two after that one makes gaps of 4 and 2, inside it.
+    for page in [5, 1] {
         read(&mut t, page);
     }
     assert_eq!((faults(), s.resident_pages()), (2, 2));
-    // The window follows the ballooned frame limit: 8 frames, 2 misses.
+    // The window follows the ballooned frame limit: 8 frames, W = 2.
     s.resize(&mut t, 8);
-    for page in [10, 11, 10] {
+    for page in [10, 11, 10, 11, 10] {
         read(&mut t, page);
     }
-    assert_eq!(faults(), 2, "distance 2 no longer qualifies");
+    assert_eq!(faults(), 2, "gaps of 2 and 2 no longer qualify");
     read(&mut t, 10);
-    assert_eq!(faults(), 3);
-    // A write is no reuse: it neither reads nor sets the stamp.
+    assert_eq!(faults(), 3, "gaps of 2 and 1 do");
+    // A write is no reuse: it neither reads nor sets a stamp.
     read(&mut t, 20);
     s.write_direct(&mut t, a + 21 * 4096, b"w");
     s.write_direct(&mut t, a + 21 * 4096 + 1, b"w");

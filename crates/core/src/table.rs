@@ -8,7 +8,7 @@
 //!   EPC++ frame;
 //! - the **crypto-metadata table** ([`CryptoTable`]): backing-store
 //!   page → nonce + HMAC of each sealed unit of its copy, and when
-//!   the page last missed EPC++ on a read.
+//!   the page's last two reads missed EPC++.
 //!
 //! Both conceptually live in EPC; like the paper's prototype, SUVM does
 //! not evict its own metadata (§4.2).
@@ -112,10 +112,10 @@ impl SealState {
     }
 }
 
-/// One page's entry: seqlock version, seal state, and the reading of
-/// the owner's read-miss clock at the page's previous read miss (0 =
-/// none yet).
-type Entry = (u64, SealState, u64);
+/// One page's entry: seqlock version, seal state, and the readings of
+/// the owner's read-miss clock at the page's last two read misses,
+/// latest first (0 = none yet).
+type Entry = (u64, SealState, [u64; 2]);
 
 /// The crypto-metadata table: sharded `page -> Entry`.
 ///
@@ -216,7 +216,7 @@ impl CryptoTable {
         let mut inserted = false;
         let e = g.entry(page).or_insert_with(|| {
             inserted = true;
-            (0, SealState::Fresh, 0)
+            (0, SealState::Fresh, [0; 2])
         });
         if inserted {
             self.live.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -250,12 +250,15 @@ impl CryptoTable {
     }
 
     /// Stamps `page` as having missed on a read at miss-clock `now`
-    /// and returns its previous stamp (0 when it has none, or no
-    /// entry).
-    pub(crate) fn stamp_miss(&self, page: u64, now: u64) -> u64 {
+    /// and returns its previous two stamps, latest first (0 where it
+    /// has none, or no entry). The stamp two back shifts out.
+    pub(crate) fn stamp_miss(&self, page: u64, now: u64) -> [u64; 2] {
         let mut g = self.shard(page).lock();
-        g.get_mut(&page)
-            .map_or(0, |e| std::mem::replace(&mut e.2, now))
+        g.get_mut(&page).map_or([0; 2], |e| {
+            let last = e.2;
+            e.2 = [now, last[0]];
+            last
+        })
     }
 
     /// Forgets `page` (decommit), waiting out any in-flight writer.
@@ -339,18 +342,19 @@ mod tests {
     #[test]
     fn miss_stamps_live_and_die_with_the_entry() {
         let ct = CryptoTable::new(8);
-        assert_eq!(ct.stamp_miss(4, 7), 0, "no entry, nothing to stamp");
-        assert_eq!(ct.stamp_miss(4, 8), 0);
+        assert_eq!(ct.stamp_miss(4, 7), [0, 0], "no entry, nothing to stamp");
+        assert_eq!(ct.stamp_miss(4, 8), [0, 0]);
         ct.begin_write(4);
         ct.commit_write(4, SealState::SubPages { meta: Box::new([]) });
-        assert_eq!(ct.stamp_miss(4, 9), 0, "first miss of a sealed page");
-        assert_eq!(ct.stamp_miss(4, 12), 9);
-        // A re-seal keeps the stamp; a decommit forgets it.
+        assert_eq!(ct.stamp_miss(4, 9), [0, 0], "first miss of a sealed page");
+        assert_eq!(ct.stamp_miss(4, 12), [9, 0]);
+        assert_eq!(ct.stamp_miss(4, 15), [12, 9], "the stamps shift");
+        // A re-seal keeps both stamps; a decommit forgets both.
         ct.begin_write(4);
         ct.commit_write(4, SealState::SubPages { meta: Box::new([]) });
-        assert_eq!(ct.stamp_miss(4, 13), 12);
+        assert_eq!(ct.stamp_miss(4, 16), [15, 12]);
         ct.clear(4);
-        assert_eq!(ct.stamp_miss(4, 14), 0);
+        assert_eq!(ct.stamp_miss(4, 17), [0, 0]);
     }
 
     #[test]
