@@ -78,7 +78,7 @@ impl SgxDriver {
                 let mut g = fr.inner.write();
                 if g.owner == Some((e.id, page)) {
                     g.owner = None;
-                    g.data.fill(0);
+                    g.data.clear();
                     e.set_pte(page, None);
                     inner.free.push(frame);
                 }
@@ -189,13 +189,13 @@ impl SgxDriver {
                         .seal
                         .open(&s.nonce, &aad, buf.as_mut_slice(), &s.tag)
                         .expect("swap page failed authentication: untrusted memory tampered");
-                    g.data = buf;
+                    g.data = buf.into();
                     core.clock.advance(costs.hw_load_page);
                     Stats::bump(&m.stats.hw_loads);
                     Stats::add(&m.stats.sealed_bytes, PAGE_SIZE as u64);
                 }
                 None => {
-                    g.data.fill(0);
+                    g.data.clear();
                     core.clock.advance(costs.hw_zero_page);
                 }
             }
@@ -293,8 +293,9 @@ impl SgxDriver {
             let fr = m.epc.frame(frame);
             let mut g = fr.inner.write();
             debug_assert_eq!(g.owner, Some((vid, page)));
-            let mut ct = Box::new([0u8; PAGE_SIZE]);
-            ct.copy_from_slice(g.data.as_slice());
+            // The page's contents leave the frame for swap; a page never
+            // written seals as zeros.
+            let mut ct = g.data.take().unwrap_or_else(|| Box::new([0u8; PAGE_SIZE]));
             let nonce = enclave.next_nonce();
             let aad = Self::page_aad(vid, page);
             let tag = enclave.seal.seal(&nonce, &aad, ct.as_mut_slice());
@@ -303,7 +304,6 @@ impl SgxDriver {
                 .lock()
                 .insert(page, SealedPage { ct, nonce, tag });
             g.owner = None;
-            g.data.fill(0);
         }
         m.llc
             .lock()

@@ -186,3 +186,72 @@ fn swap_is_per_enclave_isolated() {
     t1.exit();
     t2.exit();
 }
+
+/// EPC frames holding contents of their own.
+fn frames_with_contents(m: &SgxMachine) -> usize {
+    (0..m.epc.frame_count() as u32)
+        .filter(|&i| m.epc.frame(i).inner.read().data.is_present())
+        .count()
+}
+
+#[test]
+fn a_frame_holds_contents_only_once_written() {
+    let m = machine(32);
+    let e = m.driver.create_enclave(&m, 64 * PAGE_SIZE);
+    let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+    t.enter();
+    let b = e.alloc(4 * PAGE_SIZE);
+    let mut buf = [0xffu8; 64];
+    t.read_enclave(b + 100, &mut buf);
+    assert_eq!(buf, [0u8; 64]);
+    assert_eq!(
+        m.stats.snapshot().hw_faults,
+        1,
+        "the read faulted a page in"
+    );
+    assert_eq!(frames_with_contents(&m), 0, "a read allocates nothing");
+    t.write_enclave(b + 100, b"first write");
+    assert_eq!(frames_with_contents(&m), 1);
+    t.exit();
+}
+
+#[test]
+fn ewb_and_destroy_drop_contents_and_eldu_restores_the_page() {
+    let m = machine(16);
+    let e = m.driver.create_enclave(&m, 64 * PAGE_SIZE);
+    let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+    t.enter();
+    let b = e.alloc(48 * PAGE_SIZE);
+    let page = |p: u64| -> Vec<u8> { (0..PAGE_SIZE as u64).map(|i| (i * 7 + p) as u8).collect() };
+    for p in 0..8u64 {
+        t.write_enclave(b + p * PAGE_SIZE as u64, &page(p));
+    }
+    assert_eq!(frames_with_contents(&m), 8);
+    // Reading 32 pages never written evicts the 8 written ones (EWB):
+    // they leave their frames for swap.
+    let mut buf = vec![0u8; PAGE_SIZE];
+    for p in 8..40u64 {
+        t.read_enclave(b + p * PAGE_SIZE as u64, &mut buf);
+    }
+    assert!(m.stats.snapshot().hw_evictions >= 8);
+    assert_eq!(frames_with_contents(&m), 0, "EWB drops the contents");
+    // ELDU brings each page back byte for byte.
+    for p in 0..8u64 {
+        t.read_enclave(b + p * PAGE_SIZE as u64, &mut buf);
+        assert_eq!(buf, page(p), "page {p}");
+    }
+    assert_eq!(frames_with_contents(&m), 8);
+    t.exit();
+    m.driver.destroy_enclave(&m, &e);
+    assert_eq!(frames_with_contents(&m), 0, "destroy drops the contents");
+}
+
+#[test]
+fn a_default_machine_holds_no_frame_contents_or_untrusted_leaf() {
+    let m = SgxMachine::new(MachineConfig::default());
+    assert_eq!(frames_with_contents(&m), 0);
+    assert_eq!(m.untrusted.leaves(), 0);
+    let a = m.alloc_untrusted(64);
+    m.untrusted.write(a, b"first access");
+    assert_eq!(m.untrusted.leaves(), 1);
+}

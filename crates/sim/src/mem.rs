@@ -1,31 +1,62 @@
 //! Backing byte storage for simulated memory regions.
 //!
 //! [`PagedMem`] holds the *contents* of a memory region (untrusted RAM,
-//! or an enclave's swap area) in lazily allocated 4 KiB chunks, each
-//! behind its own `RwLock` so concurrent threads touching different
-//! pages do not serialize. This layer moves bytes only; cycle accounting
-//! happens in the access layers that call it.
+//! or an enclave's swap area) in a two-level table. The top level has
+//! one slot per leaf of `LEAF_PAGES` pages (4 MiB of address space);
+//! a leaf holds one `RwLock` per page, so concurrent threads touching
+//! different pages do not serialize, and each page's 4 KiB chunk sits
+//! behind its lock. Leaves and chunks appear on the first write into
+//! their range: a read of memory never written returns zeros and a
+//! zero fill of it does nothing, so the host footprint follows the
+//! bytes a run writes, not the size of the region. This layer moves
+//! bytes only; cycle accounting happens in the access layers that call
+//! it.
+
+use std::ops::Range;
+use std::sync::OnceLock;
 
 use parking_lot::RwLock;
 
 use crate::costs::PAGE_SIZE;
 
+/// Pages per leaf of the table.
+const LEAF_PAGES: usize = 1024;
+
+/// One page's lock and, once written, its contents.
+type Chunk = RwLock<Option<Box<[u8; PAGE_SIZE]>>>;
+
 /// Lazily allocated, lock-sharded byte storage.
 pub struct PagedMem {
-    chunks: Vec<RwLock<Option<Box<[u8; PAGE_SIZE]>>>>,
+    leaves: Vec<OnceLock<Box<[Chunk]>>>,
     size: usize,
+}
+
+/// Splits `[addr, addr + len)` into per-page pieces: the page, the
+/// offset within it, and the piece's range within the caller's buffer.
+fn pieces(addr: u64, len: usize) -> impl Iterator<Item = (usize, usize, Range<usize>)> {
+    let mut off = 0usize;
+    std::iter::from_fn(move || {
+        (off < len).then(|| {
+            let cur = addr as usize + off;
+            let in_page = cur % PAGE_SIZE;
+            let n = (PAGE_SIZE - in_page).min(len - off);
+            off += n;
+            (cur / PAGE_SIZE, in_page, off - n..off)
+        })
+    })
 }
 
 impl PagedMem {
     /// Creates a zero-initialized region of `size` bytes (rounded up to
-    /// whole pages). Chunks materialize on first write.
+    /// whole pages). Nothing but the top level is allocated: leaves and
+    /// chunks materialize on first write.
     #[must_use]
     pub fn new(size: usize) -> Self {
         let pages = size.div_ceil(PAGE_SIZE);
-        let mut chunks = Vec::with_capacity(pages);
-        chunks.resize_with(pages, || RwLock::new(None));
+        let mut leaves = Vec::with_capacity(pages.div_ceil(LEAF_PAGES));
+        leaves.resize_with(pages.div_ceil(LEAF_PAGES), OnceLock::new);
         Self {
-            chunks,
+            leaves,
             size: pages * PAGE_SIZE,
         }
     }
@@ -34,6 +65,13 @@ impl PagedMem {
     #[must_use]
     pub fn size(&self) -> usize {
         self.size
+    }
+
+    /// Number of leaves allocated so far (diagnostics): one per
+    /// `LEAF_PAGES`-page range that has been written.
+    #[must_use]
+    pub fn leaves(&self) -> usize {
+        self.leaves.iter().filter(|l| l.get().is_some()).count()
     }
 
     fn check(&self, addr: u64, len: usize) {
@@ -47,6 +85,23 @@ impl PagedMem {
         );
     }
 
+    /// Page `page`'s chunk, or `None` while its leaf was never written.
+    fn chunk(&self, page: usize) -> Option<&Chunk> {
+        self.leaves[page / LEAF_PAGES]
+            .get()
+            .map(|leaf| &leaf[page % LEAF_PAGES])
+    }
+
+    /// Page `page`'s chunk, allocating its leaf on first use.
+    fn chunk_or_init(&self, page: usize) -> &Chunk {
+        let i = page / LEAF_PAGES;
+        let leaf = self.leaves[i].get_or_init(|| {
+            let pages = (self.size / PAGE_SIZE - i * LEAF_PAGES).min(LEAF_PAGES);
+            (0..pages).map(|_| RwLock::new(None)).collect()
+        });
+        &leaf[page % LEAF_PAGES]
+    }
+
     /// Copies `buf.len()` bytes starting at `addr` into `buf`.
     ///
     /// # Panics
@@ -54,18 +109,13 @@ impl PagedMem {
     /// segfault).
     pub fn read(&self, addr: u64, buf: &mut [u8]) {
         self.check(addr, buf.len());
-        let mut off = 0usize;
-        while off < buf.len() {
-            let cur = addr as usize + off;
-            let page = cur / PAGE_SIZE;
-            let in_page = cur % PAGE_SIZE;
-            let n = (PAGE_SIZE - in_page).min(buf.len() - off);
-            let guard = self.chunks[page].read();
-            match guard.as_ref() {
-                Some(data) => buf[off..off + n].copy_from_slice(&data[in_page..in_page + n]),
-                None => buf[off..off + n].fill(0),
+        for (page, in_page, r) in pieces(addr, buf.len()) {
+            let dst = &mut buf[r];
+            let guard = self.chunk(page).map(RwLock::read);
+            match guard.as_ref().and_then(|g| g.as_deref()) {
+                Some(data) => dst.copy_from_slice(&data[in_page..in_page + dst.len()]),
+                None => dst.fill(0),
             }
-            off += n;
         }
     }
 
@@ -75,37 +125,33 @@ impl PagedMem {
     /// Panics on out-of-bounds access.
     pub fn write(&self, addr: u64, buf: &[u8]) {
         self.check(addr, buf.len());
-        let mut off = 0usize;
-        while off < buf.len() {
-            let cur = addr as usize + off;
-            let page = cur / PAGE_SIZE;
-            let in_page = cur % PAGE_SIZE;
-            let n = (PAGE_SIZE - in_page).min(buf.len() - off);
-            let mut guard = self.chunks[page].write();
+        for (page, in_page, r) in pieces(addr, buf.len()) {
+            let mut guard = self.chunk_or_init(page).write();
             let data = guard.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            data[in_page..in_page + n].copy_from_slice(&buf[off..off + n]);
-            off += n;
+            data[in_page..in_page + r.len()].copy_from_slice(&buf[r]);
         }
     }
 
     /// Fills `[addr, addr+len)` with `byte`.
     pub fn fill(&self, addr: u64, len: usize, byte: u8) {
         self.check(addr, len);
-        let mut off = 0usize;
-        while off < len {
-            let cur = addr as usize + off;
-            let page = cur / PAGE_SIZE;
-            let in_page = cur % PAGE_SIZE;
-            let n = (PAGE_SIZE - in_page).min(len - off);
-            if byte == 0 && in_page == 0 && n == PAGE_SIZE {
-                // Whole-page zero fill: drop the chunk back to lazy-zero.
-                *self.chunks[page].write() = None;
-            } else {
-                let mut guard = self.chunks[page].write();
+        for (page, in_page, r) in pieces(addr, len) {
+            let n = r.len();
+            if byte != 0 {
+                let mut guard = self.chunk_or_init(page).write();
                 let data = guard.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
                 data[in_page..in_page + n].fill(byte);
+            } else if let Some(chunk) = self.chunk(page) {
+                // A zero fill allocates nothing: a whole page drops its
+                // chunk back to lazy-zero, and a part of a page never
+                // written is zero already.
+                let mut guard = chunk.write();
+                if n == PAGE_SIZE {
+                    *guard = None;
+                } else if let Some(data) = guard.as_mut() {
+                    data[in_page..in_page + n].fill(0);
+                }
             }
-            off += n;
         }
     }
 
@@ -178,6 +224,44 @@ mod tests {
     fn size_rounds_up() {
         let m = PagedMem::new(PAGE_SIZE + 1);
         assert_eq!(m.size(), 2 * PAGE_SIZE);
+    }
+
+    #[test]
+    fn unwritten_ranges_allocate_no_leaf() {
+        let m = PagedMem::new(3 * LEAF_PAGES * PAGE_SIZE);
+        let mut buf = vec![0xffu8; 3 * PAGE_SIZE];
+        m.read(PAGE_SIZE as u64 / 2, &mut buf);
+        assert!(buf.iter().all(|&b| b == 0));
+        assert_eq!(m.read_u64(8), 0);
+        m.fill(100, 200, 0); // partial zero fill
+        m.fill(PAGE_SIZE as u64, 2 * PAGE_SIZE, 0); // whole pages
+        m.fill((LEAF_PAGES * PAGE_SIZE) as u64 - 10, 20, 0); // across leaves
+        assert_eq!(m.leaves(), 0);
+        m.write_u64((2 * LEAF_PAGES * PAGE_SIZE) as u64, 1);
+        assert_eq!(m.leaves(), 1);
+    }
+
+    #[test]
+    fn write_spanning_two_leaves_reads_back() {
+        let m = PagedMem::new(2 * LEAF_PAGES * PAGE_SIZE);
+        let data: Vec<u8> = (0..3 * PAGE_SIZE as u32).map(|i| (i % 253) as u8).collect();
+        let addr = (LEAF_PAGES * PAGE_SIZE - PAGE_SIZE - 100) as u64;
+        m.write(addr, &data);
+        assert_eq!(m.leaves(), 2);
+        let mut out = vec![0u8; data.len() + 200];
+        m.read(addr - 100, &mut out);
+        assert_eq!(&out[..100], &[0u8; 100]);
+        assert_eq!(&out[100..100 + data.len()], &data[..]);
+        assert_eq!(&out[100 + data.len()..], &[0u8; 100]);
+    }
+
+    #[test]
+    fn a_short_last_leaf_holds_only_the_region() {
+        let m = PagedMem::new(LEAF_PAGES * PAGE_SIZE + 3 * PAGE_SIZE);
+        let end = m.size() as u64;
+        m.write_u64(end - 8, 7);
+        assert_eq!(m.read_u64(end - 8), 7);
+        assert_eq!(m.leaves(), 1);
     }
 
     #[test]

@@ -286,16 +286,19 @@ if awk -v c="$setup" 'BEGIN { exit !(c > 480) }'; then
 fi
 printf '   %s ops, 0 failed, %.4f major faults/op, %.1f crypto set-up cycles/op\n' "$attempted" "$faults" "$setup"
 
-echo "== e2e kvs-churn guard (a read item gets a second chance at the LRU tail)"
+echo "== e2e kvs-churn guard (a read item gets a second chance at the LRU tail; memory is allocated on first write)"
 # The one workload whose GETs miss: half its ops are SETs into a pool
 # that evicts. Move-on-hit, which second-chance eviction replaced, read
-# 0.9585 here; second chance reads 0.9703.
+# 0.9585 here; second chance reads 0.9703. Its peak RSS read 74.8 MiB
+# while every EPC frame and untrusted page lock was allocated up front,
+# 45.3 since both appear on first write.
 cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
     --workload kvs-churn --seed 1 --seconds 6 | tail -n 1 > target/e2e_guard.json
 attempted=$(guard_field attempted)
 failed=$(guard_field failed)
 hits=$(guard_field get_hit_ratio)
-: "${attempted:?no attempted count in the guard run}" "${failed:?no failed count}" "${hits:?no get_hit_ratio}"
+rss=$(guard_field host_peak_rss_mb)
+: "${attempted:?no attempted count in the guard run}" "${failed:?no failed count}" "${hits:?no get_hit_ratio}" "${rss:?no host_peak_rss_mb}"
 if [ "$failed" != 0 ]; then
     echo "kvs-churn: $failed of $attempted ops failed" >&2
     exit 1
@@ -304,7 +307,11 @@ if awk -v h="$hits" 'BEGIN { exit !(h < 0.965) }'; then
     printf 'kvs-churn: GET hit ratio %.4f, want >= 0.965\n' "$hits" >&2
     exit 1
 fi
-printf '   %s ops, 0 failed, GET hit ratio %.4f\n' "$attempted" "$hits"
+if awk -v r="$rss" 'BEGIN { exit !(r > 56) }'; then
+    printf 'kvs-churn: peak RSS %.1f MiB, want <= 56\n' "$rss" >&2
+    exit 1
+fi
+printf '   %s ops, 0 failed, GET hit ratio %.4f, peak RSS %.1f MiB\n' "$attempted" "$hits" "$rss"
 
 echo "== param_server guard (an update's value read and write go through the cursor that read its key)"
 # The eleos row of the example: an update's value read at reuse
@@ -321,17 +328,20 @@ if [ "$ps_faults" -gt 200 ]; then
 fi
 echo "   eleos row: $ps_faults SUVM faults"
 
-echo "== e2e fleet-open latency guard (a reap takes what each socket queues)"
+echo "== e2e fleet-open latency guard (a reap takes what each socket queues; memory is allocated on first write)"
 # The open-loop workload: a request queued behind another on its shard
 # is reaped with it, not a replica pump later. A per-shard AIMD depth
 # that sat at 1-2 here read 33 561; a reap of up to `batch_max` reads
-# 25 402.
+# 25 402. Its peak RSS read 45.2 MiB while every EPC frame and
+# untrusted page lock was allocated up front, 8.6 since both appear on
+# first write.
 cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
     --workload fleet-open --seed 7 --seconds 6 | tail -n 1 > target/e2e_guard.json
 attempted=$(guard_field attempted)
 failed=$(guard_field failed)
 p50=$(guard_field reply_p50_cycles)
-: "${attempted:?no attempted count in the guard run}" "${failed:?no failed count}" "${p50:?no reply_p50_cycles}"
+rss=$(guard_field host_peak_rss_mb)
+: "${attempted:?no attempted count in the guard run}" "${failed:?no failed count}" "${p50:?no reply_p50_cycles}" "${rss:?no host_peak_rss_mb}"
 if [ "$failed" != 0 ]; then
     echo "fleet-open: $failed of $attempted ops failed" >&2
     exit 1
@@ -340,7 +350,11 @@ if awk -v p="$p50" 'BEGIN { exit !(p > 29000) }'; then
     printf 'fleet-open: reply p50 %s cycles, want <= 29000\n' "$p50" >&2
     exit 1
 fi
-printf '   %s ops, 0 failed, reply p50 %s cycles\n' "$attempted" "$p50"
+if awk -v r="$rss" 'BEGIN { exit !(r > 16) }'; then
+    printf 'fleet-open: peak RSS %.1f MiB, want <= 16\n' "$rss" >&2
+    exit 1
+fi
+printf '   %s ops, 0 failed, reply p50 %s cycles, peak RSS %.1f MiB\n' "$attempted" "$p50" "$rss"
 
 echo "== e2e determinism on every workload (no CAT: a worker racing the serving thread would move the cycles)"
 # One worker is one timeline: it copies the next batch in while the
