@@ -184,9 +184,8 @@ impl Rig {
         Rig::with_workers(scale, mode, data_bytes, cat, 1)
     }
 
-    /// Builds a rig for `mode` with `workers` RPC worker threads (each
-    /// on its own core, so scatter-gather sub-batches genuinely run in
-    /// parallel).
+    /// Builds a rig for `mode` with `workers` RPC lanes, each on its
+    /// own core, so two sockets' scatter-gather jobs run side by side.
     #[must_use]
     pub fn with_workers(
         scale: Scale,
@@ -530,8 +529,21 @@ mod tests {
 
     #[test]
     fn rig_with_workers_spins_up_the_pool() {
+        // Two jobs of no socket in one batch: the second takes the lane
+        // the first left free, so each lane's core reads a descriptor.
         let rig = Rig::with_workers(Scale(16), Mode::EleosRpc, 1 << 20, false, 2);
-        assert_eq!(rig.rpc.as_ref().expect("rpc mode").worker_count(), 2);
+        let svc = rig.rpc.as_ref().expect("rpc mode");
+        let e = rig.enclave.as_ref().expect("an enclaved mode");
+        let mut t = ThreadCtx::for_enclave(&rig.machine, e, 0);
+        t.enter();
+        let rets = svc
+            .submit_batch(&mut t, &[(99, [0; 4]); 2])
+            .wait_all(&mut t);
+        t.exit();
+        assert_eq!(rets, [eleos_rpc::ERR_UNREGISTERED; 2]);
+        for &core in &RPC_WORKER_CORES[..2] {
+            assert!(rig.machine.core(core).clock.now() > 0, "lane core {core}");
+        }
     }
 
     #[test]
