@@ -5,7 +5,7 @@
 //! repro <id>... [--scale N | --full]
 //!
 //!   ids: all, costs, table1, fig1, fig2a, fig2b, fig6a, fig6b, fig6c,
-//!        rpc_bench, paging_bench, crypto_bench, serving_bench,
+//!        rpc_bench, crypto_bench, serving_bench,
 //!        fig7a, fig7b, table2,
 //!        fig8a, fig8b, table3, fig9, fig10, fig11, table4,
 //!        meta_ablation, ablate_clean, ablate_subpage, ablate_epcpp,
@@ -14,11 +14,11 @@
 //!
 //!   --scale N   divide capacities/datasets by N (default 4)
 //!   --full      the paper's scale (93MB PRM, 500MB datasets; slow)
-//!   --quick     trim the paging_bench/crypto_bench/serving_bench/
-//!               storage_bench axes and op counts (CI smoke)
+//!   --quick     trim the crypto_bench/serving_bench/storage_bench
+//!               axes and op counts (CI smoke)
 //! ```
 //!
-//! `paging_bench`, `crypto_bench`, `serving_bench` and `storage_bench`
+//! `crypto_bench`, `serving_bench` and `storage_bench`
 //! check their own header claims and make `repro` exit non-zero (a
 //! panic, 101) when one does not hold; no id writes a file.
 
@@ -44,7 +44,6 @@ fn main() {
             "fig6b",
             "fig6c",
             "rpc_bench",
-            "paging_bench",
             "crypto_bench",
             "serving_bench",
             "fig7a",
@@ -88,9 +87,6 @@ fn main() {
             "fig6b" => exp::fig6::run_6b(scale),
             "fig6c" => exp::fig6::run_6c(scale),
             "rpc_bench" => exp::rpc_bench::run(scale),
-            "paging_bench" => {
-                exp::paging_bench::run(scale, args.iter().any(|a| a == "--quick"));
-            }
             "crypto_bench" => {
                 exp::crypto_bench::run(scale, args.iter().any(|a| a == "--quick"));
             }

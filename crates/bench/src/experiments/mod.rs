@@ -15,7 +15,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod paging_bench;
 pub mod rpc_bench;
 pub mod serving_bench;
 pub mod storage_bench;

@@ -66,13 +66,6 @@ pub struct SuvmConfig {
     pub headroom_bytes: usize,
     /// EPC++ eviction policy.
     pub policy: EvictPolicy,
-    /// Batched asynchronous write-back. `0` (default) keeps the
-    /// classic inline seal-on-evict fault path. A positive value makes
-    /// the fault path only *detach* victims onto a write-back queue;
-    /// the swapper (or a synchronous fallback when the free pool runs
-    /// dry) drains the queue in batches of this size, sealing with the
-    /// GCM key schedule amortized across the batch.
-    pub wb_batch: usize,
 }
 
 impl Default for SuvmConfig {
@@ -86,7 +79,6 @@ impl Default for SuvmConfig {
             free_watermark: 8,
             headroom_bytes: 4 << 20,
             policy: EvictPolicy::Clock,
-            wb_batch: 0,
         }
     }
 }
@@ -105,7 +97,6 @@ impl SuvmConfig {
             free_watermark: 2,
             headroom_bytes: 64 << 10,
             policy: EvictPolicy::Clock,
-            wb_batch: 0,
         }
     }
 

@@ -64,25 +64,6 @@ impl Suvm {
         let target = (budget / self.cfg.page_size).clamp(2, self.frames.len());
         self.resize(ctx, target);
         let want = self.free_target();
-        if self.cfg.wb_batch > 0 {
-            // Batched mode: this *is* the asynchronous half — drain
-            // whatever the fault path detached since the last tick,
-            // then detach-and-drain until the watermark holds.
-            let batch = self.cfg.wb_batch;
-            while self.drain_writeback(ctx, batch) > 0 {}
-            for _ in 0..self.frames.len() {
-                if self.free.lock().len() >= want {
-                    break;
-                }
-                let (freed, queued) = self.detach_victims(ctx, batch);
-                let drained = self.drain_writeback(ctx, batch);
-                if freed == 0 && queued == 0 && drained == 0 {
-                    break;
-                }
-            }
-            return;
-        }
-        // Inline mode: classic watermark refill.
         while self.free.lock().len() < want {
             if !self.evict_one(ctx) {
                 break;

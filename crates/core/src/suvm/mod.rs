@@ -20,7 +20,6 @@
 //! — chosen per access by [`span::Access::Adaptive`] where the paper
 //! chose per workload.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -48,10 +47,6 @@ pub(crate) struct FrameMeta {
     pub pinned: AtomicU32,
     /// Whether the cached copy diverged from the sealed copy.
     pub dirty: AtomicBool,
-    /// Whether the frame sits on the write-back queue (batched mode).
-    /// Only flipped under the page's bucket lock, so a pin rescuing
-    /// the frame and a drain claiming it cannot both win.
-    pub queued: AtomicBool,
 }
 
 /// A SUVM virtual address (an offset into the instance's secure space).
@@ -73,9 +68,6 @@ pub struct Suvm {
     hand: ClockHand,
     /// Sealed page images + crypto table (see [`store`]).
     store: SealedBuddyStore,
-    /// Detached-but-not-yet-sealed victims awaiting a batched drain
-    /// (`(frame, page)`; see [`writeback`]).
-    wb: Mutex<VecDeque<(u32, u64)>>,
     /// The cipher every backing-store seal/open flows through: the
     /// per-application key of §3.2.3.
     sealer: AesGcm128,
@@ -137,7 +129,6 @@ impl Suvm {
             page: AtomicU64::new(NO_PAGE),
             pinned: AtomicU32::new(0),
             dirty: AtomicBool::new(false),
-            queued: AtomicBool::new(false),
         });
         // Random per-application key stored in the EPC (§3.2.3);
         // deterministic here for reproducible simulations.
@@ -148,7 +139,6 @@ impl Suvm {
             pt: InversePt::new(n * 2),
             hand: ClockHand::new(cfg.policy, n),
             store: SealedBuddyStore::new(&machine, cfg.backing_bytes, cfg.page_size),
-            wb: Mutex::new(VecDeque::new()),
             free: Mutex::new((0..n as u32).rev().collect()),
             limit: AtomicUsize::new(n),
             sealer: AesGcm128::new(&key),
@@ -199,12 +189,6 @@ impl Suvm {
     #[must_use]
     pub fn debug_seal_entries(&self) -> usize {
         self.store.seals.live_entries()
-    }
-
-    /// Detached victims waiting for a batched write-back drain.
-    #[must_use]
-    pub fn writeback_queue_len(&self) -> usize {
-        self.wb.lock().len()
     }
 
     /// This instance's fault/eviction counters (machine-wide stats mix
@@ -303,8 +287,7 @@ impl Suvm {
     }
 
     /// Checks the structural invariants between the inverse page
-    /// table, the frame metadata, the free list and the write-back
-    /// queue. Intended for tests at quiescent points (no concurrent
+    /// table, the frame metadata and the free list. Intended for tests at quiescent points (no concurrent
     /// mutators).
     ///
     /// # Panics
@@ -314,10 +297,6 @@ impl Suvm {
         for (frame, meta) in self.frames.iter().enumerate() {
             let page = meta.page.load(Ordering::Acquire);
             if page == NO_PAGE {
-                assert!(
-                    !meta.queued.load(Ordering::Acquire),
-                    "unmapped frame {frame} sits on the write-back queue"
-                );
                 continue;
             }
             mapped += 1;
@@ -341,18 +320,6 @@ impl Suvm {
                 NO_PAGE,
                 "free frame {f} is still mapped"
             );
-        }
-        for &(frame, page) in self.wb.lock().iter() {
-            // Stale entries (rescued or decommitted since detach) are
-            // legal — drains skip them — but a *live* entry must point
-            // at a still-mapped, genuinely queued frame.
-            if self.frames[frame as usize].queued.load(Ordering::Acquire) {
-                assert_eq!(
-                    self.frames[frame as usize].page.load(Ordering::Acquire),
-                    page,
-                    "queued frame {frame} no longer holds page {page}"
-                );
-            }
         }
     }
 }

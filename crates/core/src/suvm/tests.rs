@@ -213,26 +213,19 @@ fn resize_shrink_and_grow() {
 fn swapper_tick_clamps_the_watermark_to_half_the_pool() {
     // A pool no larger than the watermark: refilling to the configured
     // 8 free frames would evict the whole cache on every tick.
-    for wb_batch in [0usize, 2] {
-        let (_m, s, mut t) = setup(SuvmConfig {
-            epcpp_bytes: 8 * 4096,
-            free_watermark: 8,
-            wb_batch,
-            ..SuvmConfig::tiny()
-        });
-        let a = s.malloc(8 * 4096);
-        for page in 0..6u64 {
-            s.write(&mut t, a + page * 4096, &[1u8; 16]);
-        }
-        assert_eq!(s.resident_pages(), 6);
-        s.swapper_tick(&mut t);
-        assert_eq!(
-            s.resident_pages(),
-            4,
-            "half the frames stay resident (wb_batch {wb_batch})"
-        );
-        t.exit();
+    let (_m, s, mut t) = setup(SuvmConfig {
+        epcpp_bytes: 8 * 4096,
+        free_watermark: 8,
+        ..SuvmConfig::tiny()
+    });
+    let a = s.malloc(8 * 4096);
+    for page in 0..6u64 {
+        s.write(&mut t, a + page * 4096, &[1u8; 16]);
     }
+    assert_eq!(s.resident_pages(), 6);
+    s.swapper_tick(&mut t);
+    assert_eq!(s.resident_pages(), 4, "half the frames stay resident");
+    t.exit();
     // A pool well above the watermark is untouched by the clamp.
     let (_m, s, mut t) = setup(SuvmConfig::tiny()); // 16 frames, watermark 2
     let a = s.malloc(16 * 4096);
@@ -347,31 +340,23 @@ fn all_eviction_policies_preserve_data() {
 /// `access` is one that can bypass EPC++. Returns `[ThreadCtx::now(),
 /// suvm_major_faults, suvm_evictions, suvm_clean_skips, suvm_wb_pages,
 /// sealed_bytes]` at the end of the run.
-fn pinned_workload(
-    policy: crate::config::EvictPolicy,
-    wb_batch: usize,
-    access: Access,
-) -> [u64; 6] {
-    let run = pinned_run(policy, wb_batch, access, |_, _, _| {});
-    run[..6].try_into().unwrap()
+fn pinned_workload(policy: crate::config::EvictPolicy, access: Access) -> [u64; 6] {
+    pinned_run(policy, access, |_, _, _| {})
 }
 
 /// [`pinned_workload`] followed by `tail` (given the workload's 64-page
-/// region). Returns its six values plus `suvm_wb_rescues` and
-/// `suvm_wb_queue_peak`.
+/// region).
 fn pinned_run(
     policy: crate::config::EvictPolicy,
-    wb_batch: usize,
     access: Access,
     tail: impl FnOnce(&Suvm, &mut ThreadCtx, Sva),
-) -> [u64; 8] {
+) -> [u64; 6] {
     use crate::spointer::SPtr;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
     const SPAN: u64 = 64 * 4096;
     let (m, s, mut t) = setup(SuvmConfig {
         policy,
-        wb_batch,
         sub_page_size: if access == Access::Cached { 4096 } else { 1024 },
         ..SuvmConfig::tiny()
     });
@@ -392,9 +377,6 @@ fn pinned_run(
                 linked = Some(p);
             }
         }
-        if wb_batch > 0 && i % 16 == 15 {
-            s.drain_writeback(&mut t, wb_batch);
-        }
     }
     drop(linked);
     s.check_consistency();
@@ -408,32 +390,18 @@ fn pinned_run(
         st.suvm_clean_skips,
         st.suvm_wb_pages,
         st.sealed_bytes,
-        st.suvm_wb_rescues,
-        st.suvm_wb_queue_peak,
     ];
     t.exit();
     out
 }
 
 /// Every other way a frame leaves EPC++, after the seeded workload
-/// over region `a`: a pin rescuing a parked frame (batched mode only),
-/// a quiesce, a `free` of a region holding resident dirty and clean
-/// pages, a balloon down and back up, and one swapper tick over a
-/// refilled cache.
+/// over region `a` and a write to each of its pages: a quiesce, a
+/// `free` of a region holding resident dirty and clean pages, a balloon
+/// down and back up, and one swapper tick over a refilled cache.
 fn release_paths_tail(s: &Suvm, t: &mut ThreadCtx, a: Sva) {
-    let batched = s.cfg.wb_batch > 0;
     for page in 0..64u64 {
-        if s.writeback_queue_len() > 0 {
-            break;
-        }
         s.write(t, a + page * 4096, &[0xa5; 64]);
-    }
-    let parked = s.wb.lock().back().map(|&(_, page)| page);
-    assert_eq!(parked.is_some(), batched, "a dirty victim is parked");
-    if let Some(page) = parked {
-        let rescues = s.machine.stats.snapshot().suvm_wb_rescues;
-        s.read(t, page * 4096, &mut [0u8; 8]);
-        assert_eq!(s.machine.stats.snapshot().suvm_wb_rescues, rescues + 1);
     }
     let b = s.malloc(8 * 4096);
     s.write(t, b, &[7u8; 8 * 4096]);
@@ -457,7 +425,7 @@ fn release_paths_tail(s: &Suvm, t: &mut ThreadCtx, a: Sva) {
 }
 
 /// The unit-speed guard for the paging layer: the constants of the
-/// three `Cached` rows were measured at `a8bd3ad`, before the store /
+/// two `Cached` rows were measured at `a8bd3ad`, before the store /
 /// sealer / victim-scan refactor, so any charge that refactor moved
 /// shows up here; the `Adaptive` row was pinned when the rule landed
 /// and again when it came to judge reuse from two read-miss gaps.
@@ -465,35 +433,24 @@ fn release_paths_tail(s: &Suvm, t: &mut ThreadCtx, a: Sva) {
 fn paging_cycles_are_pinned() {
     use crate::config::EvictPolicy;
     assert_eq!(
-        pinned_workload(EvictPolicy::Clock, 0, Access::Cached),
+        pinned_workload(EvictPolicy::Clock, Access::Cached),
         [3_659_563, 311, 295, 93, 0, 1_839_104]
     );
     assert_eq!(
-        pinned_workload(EvictPolicy::Clock, 8, Access::Cached),
-        [3_863_268, 337, 330, 119, 211, 1_982_464]
-    );
-    assert_eq!(
-        pinned_workload(EvictPolicy::Fifo, 0, Access::Cached),
+        pinned_workload(EvictPolicy::Fifo, Access::Cached),
         [3_718_467, 315, 299, 93, 0, 1_871_872]
     );
     assert_eq!(
-        pinned_workload(EvictPolicy::Clock, 0, Access::Adaptive),
+        pinned_workload(EvictPolicy::Clock, Access::Adaptive),
         [2_082_928, 89, 73, 6, 0, 766_976]
     );
     // Pinned at `6da10e1`, before the eviction layer's release paths
-    // were folded into one: the FIFO hand under batched write-back, and
-    // every other way a frame leaves EPC++ under both write-back modes.
+    // were folded into one, and kept unedited when the batched
+    // write-back queue was deleted: every other way a frame leaves
+    // EPC++, the quiesce's 16 seals billed as one batch.
     assert_eq!(
-        pinned_run(EvictPolicy::Fifo, 8, Access::Cached, |_, _, _| {}),
-        [3_905_646, 336, 334, 116, 218, 2_007_040, 18, 18]
-    );
-    assert_eq!(
-        pinned_run(EvictPolicy::Clock, 0, Access::Cached, release_paths_tail),
-        [5_015_277, 408, 386, 95, 16, 2_568_192, 0, 16]
-    );
-    assert_eq!(
-        pinned_run(EvictPolicy::Clock, 8, Access::Cached, release_paths_tail),
-        [4_258_386, 373, 353, 120, 233, 2_187_264, 24, 18]
+        pinned_run(EvictPolicy::Clock, Access::Cached, release_paths_tail),
+        [5_015_277, 408, 386, 95, 16, 2_568_192]
     );
 }
 
@@ -650,143 +607,28 @@ fn metadata_pressure_slows_faults_when_over_headroom() {
 }
 
 #[test]
-fn batched_writeback_detaches_then_drains() {
-    let (m, s, mut t) = setup(SuvmConfig {
-        wb_batch: 4,
-        ..SuvmConfig::tiny() // 16 frames
-    });
-    let a = s.malloc(64 * 4096);
-    for page in 0..64u64 {
+fn quiesce_seals_every_dirty_page_and_is_idempotent() {
+    // After quiesce the backing store holds every write sealed,
+    // nothing is dirty, and the data survives refaulting (a snapshot
+    // fence for failover).
+    let (_m, s, mut t) = setup(SuvmConfig::tiny());
+    let a = s.malloc(16 * 4096);
+    for page in 0..8u64 {
         s.write(&mut t, a + page * 4096, &[page as u8 + 1; 64]);
     }
-    let st = m.stats.snapshot();
-    assert!(st.suvm_wb_queued > 0, "dirty victims must be queued");
-    assert!(st.suvm_wb_batches > 0, "queue must have been drained");
-    assert!(st.suvm_wb_pages > 0);
-    assert!(st.suvm_wb_queue_peak > 0);
-    // Queue may hold leftovers (possibly stale entries that seal
-    // nothing); drain until it is empty, then the structure must be
-    // consistent and the data intact.
-    while s.writeback_queue_len() > 0 {
-        s.drain_writeback(&mut t, 4);
-    }
+    assert_eq!(s.quiesce(&mut t), 8, "every dirty resident page sealed");
     s.check_consistency();
-    for page in 0..64u64 {
+    assert_eq!(
+        s.quiesce(&mut t),
+        0,
+        "a quiesced instance has nothing dirty"
+    );
+    for page in 0..8u64 {
         let mut b = [0u8; 64];
         s.read(&mut t, a + page * 4096, &mut b);
         assert_eq!(b, [page as u8 + 1; 64], "page {page}");
     }
     t.exit();
-}
-
-#[test]
-fn quiesce_seals_every_dirty_page_and_is_idempotent() {
-    // Regardless of write-back mode: after quiesce the backing store
-    // holds every write sealed, nothing is dirty, and the data
-    // survives refaulting (a snapshot fence for failover).
-    for wb_batch in [0usize, 4] {
-        let (_m, s, mut t) = setup(SuvmConfig {
-            wb_batch,
-            ..SuvmConfig::tiny()
-        });
-        let a = s.malloc(16 * 4096);
-        for page in 0..8u64 {
-            s.write(&mut t, a + page * 4096, &[page as u8 + 1; 64]);
-        }
-        let sealed = s.quiesce(&mut t);
-        assert_eq!(
-            sealed, 8,
-            "every dirty resident page sealed (wb_batch {wb_batch})"
-        );
-        assert_eq!(s.writeback_queue_len(), 0);
-        s.check_consistency();
-        assert_eq!(
-            s.quiesce(&mut t),
-            0,
-            "a quiesced instance has nothing dirty"
-        );
-        for page in 0..8u64 {
-            let mut b = [0u8; 64];
-            s.read(&mut t, a + page * 4096, &mut b);
-            assert_eq!(b, [page as u8 + 1; 64], "page {page}");
-        }
-        t.exit();
-    }
-}
-
-#[test]
-fn pin_rescues_queued_frame_before_drain() {
-    let (m, s, mut t) = setup(SuvmConfig {
-        wb_batch: 16,
-        clean_skip: true,
-        ..SuvmConfig::tiny()
-    });
-    let a = s.malloc(16 * 4096);
-    // Dirty every resident page, then detach victims onto the queue
-    // without draining.
-    for page in 0..8u64 {
-        s.write(&mut t, a + page * 4096, &[9u8; 32]);
-    }
-    let (_freed, queued) = s.detach_victims(&mut t, 8);
-    assert!(queued > 0, "dirty pages must be parked");
-    let before = m.stats.snapshot();
-    // Touch a queued page: the access must rescue it (no refault) and
-    // the later drain must skip it.
-    let mut b = [0u8; 32];
-    s.read(&mut t, a, &mut b);
-    assert_eq!(b, [9u8; 32]);
-    let mid = m.stats.snapshot();
-    assert_eq!(
-        mid.suvm_major_faults, before.suvm_major_faults,
-        "a queued page is still resident — no refault"
-    );
-    assert!(mid.suvm_wb_rescues > before.suvm_wb_rescues);
-    let drained = s.drain_writeback(&mut t, 16);
-    assert!(
-        drained < queued,
-        "the rescued page must be skipped at drain time"
-    );
-    s.check_consistency();
-    t.exit();
-}
-
-#[test]
-fn batched_writeback_amortizes_seal_setup() {
-    // Seal 8 dirty pages inline vs in one drained batch; the batch
-    // charges the full GCM setup once and a quarter for the rest.
-    let run = |wb_batch: usize| {
-        let (m, s, mut t) = setup(SuvmConfig {
-            wb_batch,
-            ..SuvmConfig::tiny()
-        });
-        let a = s.malloc(16 * 4096);
-        for page in 0..8u64 {
-            s.write(&mut t, a + page * 4096, &[3u8; 64]);
-        }
-        let c0 = t.now();
-        if wb_batch > 0 {
-            let (_f, q) = s.detach_victims(&mut t, 8);
-            assert_eq!(q, 8);
-            assert_eq!(s.drain_writeback(&mut t, 8), 8);
-        } else {
-            for _ in 0..8 {
-                assert!(s.evict_one(&mut t));
-            }
-        }
-        let cycles = t.now() - c0;
-        let st = m.stats.snapshot();
-        assert_eq!(st.suvm_evictions, 8);
-        t.exit();
-        cycles
-    };
-    let inline = run(0);
-    let batched = run(8);
-    // 7 pages * (400 - 100) = 2100 cycles saved on the seal setup.
-    assert!(
-        batched < inline,
-        "batched drain must be cheaper: {batched} vs {inline}"
-    );
-    assert!(inline - batched >= 2_000, "{inline} vs {batched}");
 }
 
 /// Page-table lookups so far: every `fault_in_and_pin`/direct lookup

@@ -277,16 +277,8 @@ stats! {
     crypto_msgs,
     /// Fixed setup cycles charged by the wire-crypto pipeline (full for batch leaders, a quarter for follow-ons).
     crypto_setup_cycles,
-    /// SUVM dirty victims parked on the write-back queue (batched mode).
-    suvm_wb_queued,
-    /// SUVM write-back drains that sealed at least one page.
-    suvm_wb_batches,
-    /// SUVM pages sealed by batched write-back drains.
+    /// SUVM pages sealed by a quiesce fence (`Suvm::quiesce`).
     suvm_wb_pages,
-    /// Queued SUVM victims rescued by a pin before write-back.
-    suvm_wb_rescues,
-    /// High-water mark of the SUVM write-back queue depth.
-    suvm_wb_queue_peak,
     /// SUVM page-cache hits (a lookup that found its page resident).
     suvm_hits,
     /// High-water mark of EPC frames any enclave held *beyond* its fair share while siblings were active (fleet contention pressure).
@@ -508,7 +500,7 @@ mod tests {
     fn summary_prints_every_counter_under_its_field_name() {
         let s = Stats::default();
         let live = s.counters();
-        assert_eq!(live.len(), 59);
+        assert_eq!(live.len(), 55);
         for (i, (_, counter)) in live.iter().enumerate() {
             Stats::add(counter, 1_000 + i as u64);
         }

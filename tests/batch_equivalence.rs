@@ -306,7 +306,6 @@ fn suvm_rig() -> (Arc<SgxMachine>, Arc<Suvm>, ThreadCtx) {
         SuvmConfig {
             epcpp_bytes: 8 * 4096,
             backing_bytes: 1 << 20,
-            wb_batch: 8,
             ..SuvmConfig::tiny()
         },
     );
@@ -315,20 +314,18 @@ fn suvm_rig() -> (Arc<SgxMachine>, Arc<Suvm>, ThreadCtx) {
     (m, s, t)
 }
 
-/// SUVM write-back drains charge their setup through the same unified
-/// path: one crypto batch per drain, leader at full setup, follow-ons
-/// at a quarter — no private amortization in `writeback.rs`.
+/// A quiesce that drains several dirty pages home charges their seals
+/// through the same unified path: one crypto batch, its first seal at
+/// the full setup, the others at a quarter — no private amortization in
+/// `writeback.rs`.
 #[test]
 fn drain_setup_cycles_follow_the_unified_formula() {
     let (m, s, mut t) = suvm_rig();
     let sva = s.malloc(SPAN);
     let fill = vec![0xa1u8; SPAN];
     s.write(&mut t, sva, &fill);
-    // Quiesce: every page sealed, cache empty.
+    // Every page sealed, cache empty.
     while s.evict_one(&mut t) {}
-    while s.writeback_queue_len() > 0 {
-        s.drain_writeback(&mut t, 8);
-    }
     // Fault eight pages back in (clean, valid sealed copies), then
     // dirty half of them.
     let mut probe = [0u8; 1];
@@ -338,27 +335,19 @@ fn drain_setup_cycles_follow_the_unified_formula() {
     for page in 0..4u64 {
         s.write(&mut t, sva + page * 4096 + 9, &[0x33; 8]);
     }
-    // Three more faults: the detach pass frees clean victims outright
-    // and parks the dirty ones on the write-back queue, so the queue
-    // fills without a synchronous fallback drain.
-    for page in 8..11u64 {
-        s.read(&mut t, sva + page * 4096, &mut probe);
-    }
-    assert!(
-        s.writeback_queue_len() >= 2,
-        "the workload must queue at least one drainable batch"
-    );
     let full = m.cfg.costs.crypto_fixed;
     let s0 = m.stats.snapshot();
-    let sealed = s.drain_writeback(&mut t, 4);
+    let sealed = s.quiesce(&mut t);
     let d = m.stats.snapshot() - s0;
-    assert!(sealed >= 2, "the drain must seal a batch");
-    assert_eq!(d.crypto_batches, 1, "one unified charge per drain");
+    assert_eq!(sealed, 4, "the quiesce seals the four dirty pages");
+    assert_eq!(d.suvm_wb_pages, 4);
+    assert_eq!(d.suvm_clean_skips, 0, "clean pages stay resident");
+    assert_eq!(d.crypto_batches, 1, "one unified charge per quiesce");
     assert_eq!(d.crypto_msgs, sealed as u64);
     assert_eq!(
         d.crypto_setup_cycles,
         full + (sealed as u64 - 1) * (full / 4),
-        "drain leader pays full setup, follow-ons a quarter"
+        "the first seal pays the full setup, the others a quarter"
     );
     t.exit();
 }

@@ -1,13 +1,13 @@
 //! Property and equivalence tests for SUVM paging: every eviction
-//! policy x write-back mode must satisfy the same invariants —
+//! policy must satisfy the same invariants —
 //!
 //! - SUVM contents always match a flat shadow memory;
 //! - a pinned (spointer-linked) page is never evicted;
 //! - clean pages with a valid sealed copy are never re-sealed;
 //! - the inverse page table and the frame metadata stay consistent
 //!   (`Suvm::check_consistency`);
-//! - batched asynchronous write-back is observationally equivalent to
-//!   inline eviction.
+//!
+//! and the per-access rule tracks the better of the two forced modes.
 
 use std::sync::Arc;
 
@@ -23,7 +23,7 @@ use rand::{RngExt, SeedableRng};
 /// constant.
 const SPAN: usize = 64 << 10;
 
-fn rig(policy: EvictPolicy, wb_batch: usize) -> (Arc<SgxMachine>, Arc<Suvm>, ThreadCtx) {
+fn rig(policy: EvictPolicy) -> (Arc<SgxMachine>, Arc<Suvm>, ThreadCtx) {
     let m = SgxMachine::new(MachineConfig {
         epc_bytes: 2 << 20,
         ..MachineConfig::tiny()
@@ -36,7 +36,6 @@ fn rig(policy: EvictPolicy, wb_batch: usize) -> (Arc<SgxMachine>, Arc<Suvm>, Thr
             epcpp_bytes: 8 * 4096,
             backing_bytes: 1 << 20,
             policy,
-            wb_batch,
             ..SuvmConfig::tiny()
         },
     );
@@ -53,7 +52,6 @@ enum Op {
     Pin { at: usize },
     Unpin,
     EvictOne,
-    Drain,
     Resize { frames: usize },
 }
 
@@ -65,15 +63,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0..SPAN).prop_map(|at| Op::Pin { at }),
         Just(Op::Unpin),
         Just(Op::EvictOne),
-        Just(Op::Drain),
         (4usize..9).prop_map(|frames| Op::Resize { frames }),
     ]
 }
 
 /// Runs `ops` against one configuration, checking every invariant the
 /// paging architecture promises independent of policy.
-fn run_model(policy: EvictPolicy, wb_batch: usize, ops: &[Op]) {
-    let (m, s, mut t) = rig(policy, wb_batch);
+fn run_model(policy: EvictPolicy, ops: &[Op]) {
+    let (m, s, mut t) = rig(policy);
     let sva = s.malloc(SPAN);
     // Populate every page so each one has real content and, once
     // evicted, a sealed copy (a never-written zero-fill page has
@@ -106,9 +103,6 @@ fn run_model(policy: EvictPolicy, wb_batch: usize, ops: &[Op]) {
             Op::EvictOne => {
                 s.evict_one(&mut t);
             }
-            Op::Drain => {
-                s.drain_writeback(&mut t, 4);
-            }
             Op::Resize { frames } => s.resize(&mut t, *frames),
         }
         if let Some((p, at)) = &pinned {
@@ -128,9 +122,6 @@ fn run_model(policy: EvictPolicy, wb_batch: usize, ops: &[Op]) {
     drop(pinned);
     // Quiesce: push everything out, then verify the whole span against
     // the shadow through the sealed path.
-    while s.writeback_queue_len() > 0 {
-        s.drain_writeback(&mut t, 8);
-    }
     while s.evict_one(&mut t) {}
     s.check_consistency();
     let mut back = vec![0u8; SPAN];
@@ -138,10 +129,7 @@ fn run_model(policy: EvictPolicy, wb_batch: usize, ops: &[Op]) {
     prop_assert_eq!(&back, &shadow);
     // Everything is now clean with a valid sealed copy, so a second
     // full eviction must elide every write-back (§3.2.4) regardless of
-    // policy or write-back mode.
-    while s.writeback_queue_len() > 0 {
-        s.drain_writeback(&mut t, 8);
-    }
+    // policy.
     let s0 = m.stats.snapshot();
     while s.evict_one(&mut t) {}
     let d = m.stats.snapshot() - s0;
@@ -151,7 +139,6 @@ fn run_model(policy: EvictPolicy, wb_batch: usize, ops: &[Op]) {
         d.suvm_clean_skips,
         "clean pages must never be re-sealed"
     );
-    prop_assert_eq!(d.suvm_wb_pages, 0, "clean pages must never be queued");
     s.check_consistency();
 }
 
@@ -159,69 +146,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The policy-independent invariants hold under arbitrary
-    /// fault/evict/pin/drain/resize interleavings, for both eviction
-    /// policies and both write-back modes.
+    /// fault/evict/pin/resize interleavings, for both eviction
+    /// policies.
     #[test]
     fn paging_invariants_hold_across_policies(
         ops in prop::collection::vec(op_strategy(), 1..28),
     ) {
         for policy in [EvictPolicy::Clock, EvictPolicy::Fifo] {
-            for wb_batch in [0, 8] {
-                run_model(policy, wb_batch, &ops);
-            }
+            run_model(policy, &ops);
         }
     }
-}
-
-/// The same deterministic workload under inline eviction (`wb_batch =
-/// 0`) and under batched asynchronous write-back (`wb_batch = 8` with
-/// periodic drains) must leave the backing store with the same sealed
-/// population and the same plaintext contents. (The ciphertexts differ
-/// byte-for-byte because every seal draws a fresh GCM nonce; plaintext
-/// equality plus an equal entry count is the store-level equivalence.)
-#[test]
-fn batched_writeback_equals_inline_eviction() {
-    let mut contents: Vec<Vec<u8>> = Vec::new();
-    let mut seal_entries = Vec::new();
-    for wb_batch in [0usize, 8] {
-        let (_m, s, mut t) = rig(EvictPolicy::Clock, wb_batch);
-        let sva = s.malloc(SPAN);
-        let mut shadow = vec![0u8; SPAN];
-        let mut rng = StdRng::seed_from_u64(77);
-        for i in 0..400u64 {
-            let at = rng.random_range(0..(SPAN as u64 - 64)) as usize;
-            if rng.random_range(0..10) < 7 {
-                let data: Vec<u8> = (0..48).map(|j| (i as usize + j) as u8).collect();
-                s.write(&mut t, sva + at as u64, &data);
-                shadow[at..at + 48].copy_from_slice(&data);
-            } else {
-                let mut buf = [0u8; 48];
-                s.read(&mut t, sva + at as u64, &mut buf);
-                assert_eq!(buf, shadow[at..at + 48]);
-            }
-            if wb_batch > 0 && i % 16 == 15 {
-                s.drain_writeback(&mut t, 8);
-            }
-        }
-        while s.writeback_queue_len() > 0 {
-            s.drain_writeback(&mut t, 8);
-        }
-        while s.evict_one(&mut t) {}
-        s.check_consistency();
-        seal_entries.push(s.debug_seal_entries());
-        let mut back = vec![0u8; SPAN];
-        s.read(&mut t, sva, &mut back);
-        assert_eq!(back, shadow, "sealed contents diverge from shadow");
-        contents.push(back);
-    }
-    assert_eq!(
-        contents[0], contents[1],
-        "batched write-back changed the stored plaintext"
-    );
-    assert_eq!(
-        seal_entries[0], seal_entries[1],
-        "batched write-back changed the sealed population"
-    );
 }
 
 /// Draws a page from a percentage and a uniformly random page.
