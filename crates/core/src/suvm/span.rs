@@ -293,7 +293,9 @@ impl SpanCursor<'_> {
     /// holds is not opened again if nobody re-sealed the page since.
     /// Returns `false`, writing nothing, when the page was decommitted
     /// since the translation. A page faulted in since then is written
-    /// in EPC++ instead, as the held frame.
+    /// in EPC++ instead, as the held frame: residency is probed again
+    /// once the seal write is held, because a fault-in publishes only
+    /// while the version it loaded still stands.
     fn write_sealed(
         &mut self,
         ctx: &mut ThreadCtx,
@@ -316,7 +318,16 @@ impl SpanCursor<'_> {
         // Exclusive writer for this page's sealed image from here to
         // the commit: no re-seal can tear what is opened below.
         let version = s.store.seals.begin_write(page);
-        let SealState::SubPages { mut meta } = s.store.seals.get_unchecked(page) else {
+        let state = s.store.seals.get_unchecked(page);
+        // A fault-in that loaded the page before the seal write began
+        // may have published it since the probe above: write there,
+        // leaving the sealed image as it was.
+        if let Some(frame) = s.try_pin(page) {
+            s.store.seals.commit_write(page, state);
+            self.held = Held::Frame { page, frame };
+            return true;
+        }
+        let SealState::SubPages { mut meta } = state else {
             s.store.seals.commit_write(page, SealState::Fresh);
             return false;
         };
