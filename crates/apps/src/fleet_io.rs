@@ -1109,6 +1109,10 @@ mod tests {
             "tampering"
         }
 
+        fn key_id(&self) -> u64 {
+            self.inner.key_id()
+        }
+
         fn seal_batch(&self, jobs: &mut [eleos_crypto::sealer::SealJob<'_>]) -> Vec<[u8; 16]> {
             let tags = self.inner.seal_batch(jobs);
             if self.armed.load(Ordering::Relaxed) {

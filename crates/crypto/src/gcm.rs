@@ -10,7 +10,7 @@
 use crate::aes::{Aes, Block};
 use crate::ctr::{ctr_xor, inc32};
 use crate::ghash::{Ghash, GhashKey};
-use crate::sealer::{BatchAuthError, OpenJob, SealJob, Sealer};
+use crate::sealer::{fresh_key_id, BatchAuthError, OpenJob, SealJob, Sealer};
 use crate::{ct_eq, AuthError};
 
 /// The GCM authentication tag length used throughout Eleos (full 128-bit
@@ -28,12 +28,14 @@ pub type Nonce = [u8; NONCE_LEN];
 pub struct AesGcm128 {
     aes: Aes,
     h: GhashKey,
+    id: u64,
 }
 
 /// AES-GCM with a 256-bit key.
 pub struct AesGcm256 {
     aes: Aes,
     h: GhashKey,
+    id: u64,
 }
 
 fn j0(nonce: &Nonce) -> Block {
@@ -98,7 +100,11 @@ macro_rules! impl_gcm {
             pub fn new(key: &[u8; $keylen]) -> Self {
                 let aes = Aes::$ctor(key);
                 let h = GhashKey::new(&aes.encrypt(&[0u8; 16]));
-                Self { aes, h }
+                Self {
+                    aes,
+                    h,
+                    id: fresh_key_id(),
+                }
             }
 
             /// This key on every path the host can run: the block
@@ -111,7 +117,10 @@ macro_rules! impl_gcm {
                 assert_eq!(aes.len(), h.len(), "one detection decides both");
                 let paths = aes.into_iter().zip(h);
                 paths
-                    .map(|((path, aes), (_, h))| (path, Self { aes, h }))
+                    .map(|((path, aes), (_, h))| {
+                        let id = fresh_key_id();
+                        (path, Self { aes, h, id })
+                    })
                     .collect()
             }
         }
@@ -119,6 +128,10 @@ macro_rules! impl_gcm {
         impl Sealer for $name {
             fn name(&self) -> &'static str {
                 $label
+            }
+
+            fn key_id(&self) -> u64 {
+                self.id
             }
 
             fn seal_batch(&self, jobs: &mut [SealJob<'_>]) -> Vec<Tag> {
