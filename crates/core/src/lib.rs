@@ -12,9 +12,9 @@
 //!   `memcpy`/`memset`/`memcmp`, the in-enclave fault path, a
 //!   user-selectable eviction policy ([`EvictPolicy`]: one CLOCK hand,
 //!   with or without the second chance) over one sealed buddy-allocated
-//!   backing store with clean-page write-back elision, optional batched
-//!   asynchronous write-back, direct sub-page access to the backing
-//!   store (§3.2.4) chosen per access ([`Access`]), the pinned record
+//!   backing store with clean-page write-back elision, direct sub-page
+//!   access to the backing store (§3.2.4) chosen per access
+//!   ([`Access`]), the pinned record
 //!   cursor ([`SpanCursor`]) that translates once per page, and the
 //!   periodic free-pool/ballooning pass the untrusted runtime calls
 //!   ([`Suvm::swapper_tick`], §3.3);

@@ -5,7 +5,7 @@
 //! e.g. a KVS's item log next to a server's session-key epoch —
 //! captured at a fence (no in-flight mutators) and sealed through the
 //! shared [`Sealer`] seam in **one** amortized crypto batch, the same
-//! contract the SUVM write-back drain and the wire reap pipeline use.
+//! contract a SUVM quiesce and the wire reap pipeline use.
 //!
 //! Snapshots are deliberately *portable*: every per-enclave sealing
 //! identity (the SGX sealing key, SUVM's per-domain key) dies with its
