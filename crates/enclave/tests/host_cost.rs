@@ -1,6 +1,6 @@
 //! What one simulated memory touch costs the *host*, taken apart
-//! (ROADMAP N6): the TLB lookup, the LLC charge, one shared-counter add
-//! and the byte copy, each timed alone on one warm machine with the e2e
+//! (ROADMAP N6): the TLB lookup, the LLC charge of one line and of a
+//! 4 KiB span, one shared-counter add and the byte copy, each timed alone on one warm machine with the e2e
 //! bench's geometry. It times and checks nothing, so it is ignored by
 //! default; `scripts/ci.sh` prints its table:
 //!
@@ -92,6 +92,34 @@ fn host_ns_per_memory_model_step() {
     let d = m.stats.snapshot() - s0;
     assert!(d.llc_misses >= 99 * d.llc_hits, "the sweep must miss: {d}");
     rows.push(("`charge_mem`, one line, miss".into(), miss));
+
+    // A 4 KiB span per call: the raw page moves of SUVM's fault and
+    // eviction path. The all-miss rows sweep pages over twice the LLC.
+    let page = |i: u64| EPC_BASE + (i * PAGE_SIZE as u64) % (2 * LLC_BYTES as u64);
+    let s0 = m.stats.snapshot();
+    let miss = ns_per_call(2_000, |i| {
+        m.touch_mem(CacheCtx::Enclave, page(i), PAGE_SIZE, AccessKind::Read);
+    });
+    let d = m.stats.snapshot() - s0;
+    assert!(d.llc_misses >= 99 * d.llc_hits, "the sweep must miss: {d}");
+    rows.push(("`touch_mem`, 4 KiB, all miss".into(), miss));
+    let hit = ns_per_call(20_000, |_| {
+        m.touch_mem(CacheCtx::Enclave, EPC_BASE, PAGE_SIZE, AccessKind::Read);
+    });
+    rows.push(("`touch_mem`, 4 KiB, all hit".into(), hit));
+    let s0 = m.stats.snapshot();
+    let miss = ns_per_call(2_000, |i| {
+        black_box(m.charge_mem(
+            CacheCtx::Enclave,
+            &mut seq,
+            page(i),
+            PAGE_SIZE,
+            AccessKind::Read,
+        ));
+    });
+    let d = m.stats.snapshot() - s0;
+    assert!(d.llc_misses >= 99 * d.llc_hits, "the sweep must miss: {d}");
+    rows.push(("`charge_mem`, 4 KiB, all miss".into(), miss));
 
     for n in [1u64, 0] {
         let add = ns_per_call(1_000_000, |_| Stats::add(&m.stats.llc_hits, black_box(n)));

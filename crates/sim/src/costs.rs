@@ -242,6 +242,7 @@ impl CostModel {
     /// Sequential misses pay the discounted streaming cost; the
     /// Table-1 EPC multipliers then apply on top, so the *relative*
     /// EPC-vs-untrusted cost matches the paper for both patterns.
+    #[inline]
     #[must_use]
     pub fn miss_cost(&self, domain: Domain, kind: AccessKind, sequential: bool) -> u64 {
         let base = if sequential {
@@ -286,6 +287,7 @@ pub enum AccessKind {
 pub const EPC_BASE: u64 = 0x40_0000_0000;
 
 /// Classifies a simulated physical address.
+#[inline]
 #[must_use]
 pub fn domain_of(paddr: u64) -> Domain {
     if paddr >= EPC_BASE {
