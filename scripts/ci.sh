@@ -191,6 +191,16 @@ if grep -rnE 'wb_batch|drain_writeback|detach_victims|writeback_queue_len|suvm_w
     echo "a deleted write-back-queue name is back (see above)"
     exit 1
 fi
+# The LLC walks a span in one pass over compact per-set state: no
+# per-way flag bytes or tick array beside the tag words, and no caller
+# that loops over a span one `access_line` at a time. The pre-walk model
+# lives on only as the test oracle in `crates/sim/src/llc/oracle.rs`.
+if grep -rnE 'F_VALID|F_DIRTY|flags: Vec<u8>|self\.flags\b|victim_tick|access_line\(cctx, line' \
+        crates/*/src crates/*/tests src examples tests \
+    | grep -v '^crates/sim/src/llc/oracle\.rs:' ; then
+    echo "a deleted per-line LLC name is back (see above)"
+    exit 1
+fi
 # PR 23 brought the first `unsafe` into the tree: the hardware AES /
 # CLMUL kernels. It lives in one module; seven crates `forbid` it, and
 # this keeps it out of tests and examples too (`-w`: the lint names
