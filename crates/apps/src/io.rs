@@ -74,8 +74,7 @@
 //! shards' short runs and the hot shard's last partial run are copied
 //! in while the server serves instead of in a reap nothing overlaps.
 //!
-//! Each shard's backlog gauge is still read when the batch is handed
-//! on. A pending reap is the next reap whichever entry point asks —
+//! A pending reap is the next reap whichever entry point asks —
 //! `recv_msg` hands it out one request at a time — and a due key
 //! rotation leaves it unopened, to be opened under the rotated session
 //! at the head of the next reap.
@@ -135,15 +134,6 @@
 //! [`sojourn`](eleos_sim::stats::Stats) histogram, so `repro
 //! serving_bench` can report p50/p95/p99 latency next to throughput.
 //!
-//! # Per-shard telemetry
-//!
-//! Each shard's backlog gauge and its sojourn histogram
-//! live in that server's own pipeline state and are read through
-//! [`ServerIo::shard_stats`] — two servers on one machine never share
-//! a number, and
-//! [`reset_counters`](eleos_enclave::machine::SgxMachine::reset_counters)
-//! does not reach them (a bench subtracts its post-warm-up reading).
-//!
 //! # Replies that do not fit
 //!
 //! How long a reply is is the application's answer to a client's
@@ -175,7 +165,7 @@ use eleos_enclave::host::{Fd, DESC_LINE, DESC_STRIDE};
 use eleos_enclave::thread::ThreadCtx;
 pub use eleos_rpc::IoPath;
 use eleos_rpc::{funcs, RpcBatch, RpcService, Span};
-use eleos_sim::stats::{Hist, HistSnapshot, Stats};
+use eleos_sim::stats::Stats;
 use parking_lot::Mutex;
 
 use crate::wire::{OpenGate, Session, SessionState};
@@ -244,7 +234,7 @@ impl ServerIoConfig {
     ///
     /// # Panics
     /// Panics if `min` is zero or `min > max`.
-    // Only `bench/src/rig.rs` still calls this; ROADMAP item A deletes it.
+    // Only `bench/src/rig.rs` still calls this; ROADMAP N27 deletes it.
     #[doc(hidden)]
     #[must_use]
     pub fn adaptive(self, min: usize, max: usize) -> Self {
@@ -264,7 +254,7 @@ impl ServerIoConfig {
     ///
     /// # Panics
     /// Panics if `on` is `true`.
-    // Only `bench/src/rig.rs` still calls this; ROADMAP item A deletes it.
+    // Only `bench/src/rig.rs` still calls this; ROADMAP N27 deletes it.
     #[doc(hidden)]
     #[must_use]
     pub fn async_send(self, on: bool) -> Self {
@@ -277,7 +267,7 @@ impl ServerIoConfig {
     ///
     /// # Panics
     /// Panics if `n` is zero.
-    // Only `bench/src/rig.rs` still calls this; ROADMAP item A deletes it.
+    // Only `bench/src/rig.rs` still calls this; ROADMAP N27 deletes it.
     #[doc(hidden)]
     #[must_use]
     pub fn shards(self, n: usize) -> Self {
@@ -303,7 +293,7 @@ impl ServerIoConfig {
     }
 
     /// The single [`ServerIo`] entry point: binds one serving
-    /// pipeline (staging buffers + descriptor arrays + telemetry) to
+    /// pipeline (staging buffers + descriptor arrays) to
     /// each socket of the shard set and wires the session in. One
     /// socket is the classic single-socket server — the same
     /// pipeline with one shard.
@@ -343,12 +333,9 @@ impl ServerIoConfig {
                 tx_buf: ctx.machine.alloc_untrusted(self.buf_len),
                 desc_rx: ctx.machine.alloc_untrusted(descs),
                 desc_tx: ctx.machine.alloc_untrusted(descs),
-                backlog: AtomicU64::new(0),
-                sojourn: Hist::default(),
             })
             .collect();
         ServerIo {
-            fd: fds[0],
             shards,
             last_reap: Mutex::new(Vec::new()),
             served: AtomicU64::new(0),
@@ -361,7 +348,7 @@ impl ServerIoConfig {
 }
 
 /// One serving pipeline: a socket plus its own untrusted staging
-/// buffers, descriptor arrays and telemetry.
+/// buffers and descriptor arrays.
 struct Shard {
     /// The shard's socket.
     fd: Fd,
@@ -377,31 +364,12 @@ struct Shard {
     /// Untrusted descriptor array for scatter-gather sends (same
     /// 16-byte entries; the timestamp word is ignored).
     desc_tx: u64,
-    /// Kernel-ring backlog left behind this shard's socket by the last
-    /// reap that covered it (a gauge).
-    backlog: AtomicU64,
-    /// Sojourn of every op that waited on this shard's socket.
-    sojourn: Hist,
-}
-
-/// A point-in-time copy of one shard's telemetry
-/// ([`ServerIo::shard_stats`]). `backlog` is a gauge (last value);
-/// `sojourn` counts from the server's construction, so a
-/// measured phase subtracts the reading it took after warm-up.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSnapshot {
-    /// Kernel-ring backlog the last reap left behind the socket.
-    pub backlog: u64,
-    /// Sojourn of the ops that waited on this shard's socket.
-    pub sojourn: HistSnapshot,
 }
 
 /// One server session: a socket set (one socket per shard — one for
 /// the classic single-socket server), untrusted staging buffers, and
 /// the session cipher.
 pub struct ServerIo {
-    /// Shard 0's socket — *the* socket of a single-socket server.
-    pub fd: Fd,
     /// The serving pipelines, one per socket.
     shards: Vec<Shard>,
     /// `(shard, count)` split of the requests the last reap delivered
@@ -423,25 +391,6 @@ pub struct ServerIo {
 }
 
 impl ServerIo {
-    /// Number of serving pipelines (sockets).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Every shard's telemetry, in shard order.
-    #[must_use]
-    pub fn shard_stats(&self) -> Vec<ShardSnapshot> {
-        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        self.shards
-            .iter()
-            .map(|sh| ShardSnapshot {
-                backlog: get(&sh.backlog),
-                sojourn: sh.sojourn.snapshot(),
-            })
-            .collect()
-    }
-
     /// The slot size of a batch: the staging buffers striped into
     /// `batch_max` message slots.
     fn stripe(&self) -> usize {
@@ -538,8 +487,8 @@ impl ServerIo {
     /// open them and hand them to `each`, or hand on the reap posted
     /// ahead; returns what `each` gives back, in order. An RPC reap is
     /// handed on run by run as each job published it
-    /// ([`Self::take_run`]), a baseline's whole. Each part reads its
-    /// shards' backlog gauges and feeds the rekey interval, and past
+    /// ([`Self::take_run`]), a baseline's whole. Each part feeds the
+    /// rekey interval, and past
     /// `depth` requests the rest waits for the next reap (`recv_msg`).
     /// With `post_next` the next reap is posted ([`Self::post_ahead`])
     /// before the last run is handed on. The `(shard, count)` split is recorded for the
@@ -570,7 +519,6 @@ impl ServerIo {
         };
         let (mut record, mut out) = (Vec::new(), Vec::new());
         let mut hand_on = |ctx: &mut ThreadCtx, mut reaped: Reaped, last: bool| {
-            self.read_backlogs(ctx, &reaped);
             if let Some(depth) = depth.filter(|&d| reaped.out.len() as u64 > d) {
                 let rest = reaped.split_off(depth as usize);
                 *self.ahead.lock() = Some(Ahead::Opened(rest));
@@ -598,16 +546,6 @@ impl ServerIo {
         }
         *self.last_reap.lock() = record;
         out
-    }
-
-    /// Reads the backlog queued behind each run's socket now into its
-    /// shard's gauge.
-    fn read_backlogs(&self, ctx: &ThreadCtx, reaped: &Reaped) {
-        for &(k, _) in &reaped.record {
-            let shard = &self.shards[k];
-            let backlog = ctx.machine.host.rx_pending(shard.fd);
-            shard.backlog.store(backlog as u64, Ordering::Relaxed);
-        }
     }
 
     /// One run per `active` shard, asking for `depth` or `batch_max`.
@@ -769,8 +707,7 @@ impl ServerIo {
 
     /// Reads one reaped run out of its shard's staging buffers — the
     /// one parser of descriptors. Each entry is bounded, its op's
-    /// sojourn recorded (globally and against the shard's histogram)
-    /// and its raw payload appended to `raw` in slot order.
+    /// sojourn recorded and its raw payload appended to `raw` in slot order.
     ///
     /// Streamed, the run is read one line of [`DESC_LINE`] entries at a
     /// time, each at the time the worker published it (a charged read,
@@ -838,9 +775,7 @@ impl ServerIo {
                     bill.frame(ctx, &msg);
                 }
                 if keep {
-                    let wait = now.saturating_sub(enq);
-                    ctx.machine.stats.sojourn.record(wait);
-                    sh.sojourn.record(wait);
+                    ctx.machine.stats.sojourn.record(now.saturating_sub(enq));
                     raw.push(msg);
                 }
             }
@@ -890,7 +825,7 @@ impl ServerIo {
             if let Some(msg) = self.recv_msg(ctx) {
                 return Some(msg);
             }
-            let fd = u64::from(self.fd.0);
+            let fd = u64::from(self.shards[0].fd.0);
             if self.path.call(ctx, funcs::POLL, [fd, 0, 0, 0]) == 0 {
                 std::thread::yield_now();
             }
@@ -1280,8 +1215,7 @@ struct Posted {
 struct Reaped {
     /// The requests the session opened, the runs back to back.
     out: Vec<Vec<u8>>,
-    /// `(shard, count)` split of `out`, for the matching send; its
-    /// shards' backlog gauges are read when it is handed on.
+    /// `(shard, count)` split of `out`, for the matching send.
     record: Vec<(usize, usize)>,
 }
 
@@ -1636,12 +1570,14 @@ mod tests {
         for (k, &fd) in fds.iter().enumerate() {
             m.host.push_request(&ut, fd, &wire.encrypt(&[k as u8; 24]));
         }
+        let s0 = m.stats.snapshot();
         assert_eq!(io.serve(&mut t, |_, plain| plain.to_vec()), 9);
         t.exit();
+        let d = m.stats.snapshot() - s0;
+        assert_eq!(d.sojourn.count(), 9, "one sojourn sample per shard's op");
         for (k, &fd) in fds.iter().enumerate() {
             let reply = m.host.pop_response(fd).expect("every shard answers");
             assert_eq!(wire.decrypt(&reply), [k as u8; 24]);
-            assert_eq!(io.shard_stats()[k].sojourn.count(), 1);
         }
     }
 
@@ -1675,49 +1611,6 @@ mod tests {
         assert_eq!(d.sojourn.count(), 4, "one sojourn sample per reaped op");
         assert!(d.sojourn.p99() > 0, "reap happens after the arrivals");
         t.exit();
-    }
-
-    #[test]
-    fn shard_gauges_read_the_residue_and_belong_to_their_server() {
-        // Shard 0 holds six queued messages at depth two: the reap
-        // takes the oldest two and the backlog gauge reads the four
-        // left behind. A second server on the same machine reaps one
-        // message of its own: neither server's shard numbers may show
-        // the other's.
-        let m = SgxMachine::new(MachineConfig::tiny());
-        let e = m.driver.create_enclave(&m, 1 << 20);
-        let wire = Arc::new(Session::established([17u8; 16]));
-        let ut = ThreadCtx::untrusted(&m, 2);
-        let fds = m.host.socket_set(&ut, 2, 64 << 10);
-        let other_fds = m.host.socket_set(&ut, 2, 64 << 10);
-        let svc = eleos_rpc::with_syscalls(eleos_rpc::RpcService::builder(&m), &m)
-            .workers(2, &[2, 3])
-            .build();
-        let path = IoPath::Rpc(Arc::new(svc));
-        let cfg = ServerIoConfig::with_buf_len(8192).batch(2);
-        let io = cfg
-            .clone()
-            .build(&ut, &fds, path.clone(), Arc::clone(&wire));
-        let other = cfg.build(&ut, &other_fds, path, Arc::clone(&wire));
-        let mut t = ThreadCtx::for_enclave(&m, &e, 0);
-        t.enter();
-        for i in 0..6u8 {
-            m.host.push_request(&ut, fds[0], &wire.encrypt(&[i; 24]));
-        }
-        m.host
-            .push_request(&ut, other_fds[1], &wire.encrypt(&[9; 24]));
-        assert_eq!(other.recv_batch(&mut t), [vec![9u8; 24]]);
-        assert_eq!(io.recv_batch(&mut t), [vec![0u8; 24], vec![1u8; 24]]);
-        t.exit();
-        let read = |io: &ServerIo| -> Vec<(u64, u64)> {
-            let stats = io.shard_stats();
-            stats
-                .iter()
-                .map(|s| (s.backlog, s.sojourn.count()))
-                .collect()
-        };
-        assert_eq!(read(&io), [(4, 2), (0, 0)]);
-        assert_eq!(read(&other), [(0, 0), (0, 1)], "servers share no gauge");
     }
 
     /// A lone echo server on one worker, reaping four at a time, with

@@ -314,7 +314,6 @@ impl SlabEngine {
         if expiry != 0 && now_secs(ctx) >= expiry {
             self.drop_found(ctx, word, &found);
             self.expired += 1;
-            Stats::bump(&ctx.machine.stats.expired_items);
             return None;
         }
         self.mark(ctx, &found);

@@ -68,7 +68,7 @@ fn two_enclaves(scale: Scale, cfg: &Cfg, buf_bytes: usize, ops: usize) -> (f64, 
                     s.read(&mut ctx, base + p * PAGE_SIZE as u64, &mut buf);
                 }
                 ctx.exit();
-                (ctx.now(), s.local_stats().major_faults)
+                (ctx.now(), s.major_faults())
             }
         }));
     }

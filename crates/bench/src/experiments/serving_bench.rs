@@ -169,10 +169,6 @@ struct Cell {
     sojourn_p95: u64,
     sojourn_p99: u64,
     sojourn_count: u64,
-    /// Rows in the cell's own server's per-shard readout
-    /// ([`ServerIo::shard_stats`](eleos_apps::io::ServerIo::shard_stats));
-    /// 0 for a fleet cell, whose replicas each keep their own.
-    shard_rows: usize,
 }
 
 /// The sub-batch sizing policies under test.
@@ -333,7 +329,6 @@ fn cell(
         sojourn_p95: d.sojourn.p95(),
         sojourn_p99: d.sojourn.p99(),
         sojourn_count: d.sojourn.count(),
-        shard_rows: io.shard_stats().len(),
     }
 }
 
@@ -532,7 +527,6 @@ fn fleet_cell(
         sojourn_p95: d.sojourn.p95(),
         sojourn_p99: d.sojourn.p99(),
         sojourn_count: d.sojourn.count(),
-        shard_rows: 0,
     }
 }
 
@@ -627,7 +621,6 @@ fn rekey_cell(scale: Scale, chaos: &'static str, interval: Option<u64>, quick: b
         sojourn_p95: d.sojourn.p95(),
         sojourn_p99: d.sojourn.p99(),
         sojourn_count: d.sojourn.count(),
-        shard_rows: io.shard_stats().len(),
     }
 }
 
@@ -788,7 +781,6 @@ fn revoke_cell(scale: Scale, quick: bool) -> Cell {
         sojourn_p99: d.sojourn.p99(),
         sojourn_count: d.sojourn.count(),
         // The surviving session's server.
-        shard_rows: io_a.shard_stats().len(),
     }
 }
 
@@ -861,8 +853,7 @@ fn check_claims(cells: &[Cell]) {
     };
     assert_eq!(cells.len(), 47, "36 sweep + 6 fleet + 5 session cells");
 
-    // Every sweep cell is there, with percentiles and one gauge row
-    // per shard.
+    // Every sweep cell is there, with percentiles.
     for load in LOADS {
         for (policy, _) in policies() {
             for shards in SHARDS {
@@ -873,7 +864,6 @@ fn check_claims(cells: &[Cell]) {
                     "{at} percentiles not ordered"
                 );
                 assert!(c.sojourn_count > 0, "{at} recorded no sojourn samples");
-                assert_eq!(c.shard_rows, shards, "{at} per-shard gauge rows");
             }
         }
     }
@@ -1178,7 +1168,6 @@ mod tests {
             sojourn_p95: 200,
             sojourn_p99: 300,
             sojourn_count: 1536,
-            shard_rows: shards,
         }
     }
 
@@ -1210,7 +1199,6 @@ mod tests {
                 } else {
                     524_288
                 },
-                shard_rows: 0,
                 ..c
             });
         }

@@ -22,7 +22,7 @@ impl Suvm {
     /// [`Self::fault_in_and_pin`].
     pub(super) fn fault_in(&self, ctx: &mut ThreadCtx, page: u64) -> (u32, bool) {
         Stats::bump(&self.machine.stats.suvm_major_faults);
-        self.local.major_faults.fetch_add(1, Ordering::Relaxed);
+        self.major_faults.fetch_add(1, Ordering::Relaxed);
         self.charge_metadata_pressure(ctx);
         self.machine.trace.record(
             ctx.now(),

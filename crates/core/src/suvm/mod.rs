@@ -76,31 +76,8 @@ pub struct Suvm {
     /// distance on: ticks once per adaptive read that missed EPC++ on
     /// a page it could bypass to.
     read_misses: AtomicU64,
-    /// Per-instance counters (machine-wide stats aggregate across all
-    /// SUVM instances; multi-enclave experiments need them apart).
-    pub(super) local: LocalStats,
-}
-
-/// Per-instance SUVM counters.
-#[derive(Debug, Default)]
-pub struct LocalStats {
-    /// Major faults served by this instance.
-    pub major_faults: AtomicU64,
-    /// Evictions performed by this instance.
-    pub evictions: AtomicU64,
-    /// Evictions that skipped the write-back (clean pages).
-    pub clean_skips: AtomicU64,
-}
-
-/// A plain snapshot of [`LocalStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LocalSnapshot {
-    /// Major faults.
-    pub major_faults: u64,
-    /// Evictions.
-    pub evictions: u64,
-    /// Clean-page elisions.
-    pub clean_skips: u64,
+    /// Major faults this instance served ([`Self::major_faults`]).
+    pub(super) major_faults: AtomicU64,
 }
 
 impl Suvm {
@@ -144,7 +121,7 @@ impl Suvm {
             sealer: AesGcm128::new(&key),
             nonce_ctr: AtomicU64::new(1),
             read_misses: AtomicU64::new(0),
-            local: LocalStats::default(),
+            major_faults: AtomicU64::new(0),
             frames,
             epcpp_base,
             machine,
@@ -185,21 +162,11 @@ impl Suvm {
         self.pt.len()
     }
 
-    /// Number of pages with seal metadata (diagnostics).
+    /// Major faults this instance served (the machine-wide
+    /// `suvm_major_faults` mixes every instance together).
     #[must_use]
-    pub fn debug_seal_entries(&self) -> usize {
-        self.store.seals.live_entries()
-    }
-
-    /// This instance's fault/eviction counters (machine-wide stats mix
-    /// all instances together).
-    #[must_use]
-    pub fn local_stats(&self) -> LocalSnapshot {
-        LocalSnapshot {
-            major_faults: self.local.major_faults.load(Ordering::Relaxed),
-            evictions: self.local.evictions.load(Ordering::Relaxed),
-            clean_skips: self.local.clean_skips.load(Ordering::Relaxed),
-        }
+    pub fn major_faults(&self) -> u64 {
+        self.major_faults.load(Ordering::Relaxed)
     }
 
     // ------------------------------------------------------------------

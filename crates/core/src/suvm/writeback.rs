@@ -65,12 +65,10 @@ impl Suvm {
             // Clean page with a valid sealed copy: discard without the
             // write-back (§3.2.4). SGX's EWB cannot do this.
             Stats::bump(&self.machine.stats.suvm_clean_skips);
-            self.local.clean_skips.fetch_add(1, Ordering::Relaxed);
             Vec::new()
         };
         self.vacate(frame);
         Stats::bump(&self.machine.stats.suvm_evictions);
-        self.local.evictions.fetch_add(1, Ordering::Relaxed);
         self.machine.trace.record(
             ctx.now(),
             eleos_sim::trace::Event::SuvmEvict {

@@ -53,17 +53,14 @@ struct Socket {
     rx_marks: Vec<u64>,
     /// Kernel metadata area address.
     meta: u64,
-    rx_bytes: u64,
-    tx_bytes: u64,
     /// Recent outbound messages, for verification by tests/loadgens.
     tx_log: VecDeque<Vec<u8>>,
 }
 
 impl Socket {
-    /// Commits one outbound message to the wire: counted, and retained
-    /// (up to [`TX_LOG_CAP`]) for inspection.
+    /// Commits one outbound message to the wire: retained (up to
+    /// [`TX_LOG_CAP`]) for inspection.
     fn transmit(&mut self, payload: Vec<u8>) {
-        self.tx_bytes += payload.len() as u64;
         self.tx_log.push_back(payload);
         if self.tx_log.len() > TX_LOG_CAP {
             self.tx_log.pop_front();
@@ -112,8 +109,6 @@ impl HostOs {
                 rx_queue: VecDeque::new(),
                 rx_marks: Vec::new(),
                 meta,
-                rx_bytes: 0,
-                tx_bytes: 0,
                 tx_log: VecDeque::new(),
             },
         );
@@ -206,7 +201,6 @@ impl HostOs {
             let s = sockets.get_mut(&fd).expect("bad fd");
             let (off, len, _enq) = s.rx_queue.pop_front()?;
             let len = len.min(max_len);
-            s.rx_bytes += len as u64;
             (s.staging + off as u64, len, s.meta)
         };
         // Kernel bookkeeping + the copy kernel->user, all polluting the
@@ -264,7 +258,6 @@ impl HostOs {
                     break;
                 };
                 let len = len.min(stripe);
-                s.rx_bytes += len as u64;
                 popped.push((s.staging + off as u64, len, enq));
             }
             s.rx_marks.clear();
@@ -383,14 +376,6 @@ impl HostOs {
         self.rx_pending(fd) > 0
     }
 
-    /// Bytes received / transmitted so far on `fd`.
-    #[must_use]
-    pub fn byte_counts(&self, fd: Fd) -> (u64, u64) {
-        let sockets = self.sockets.lock();
-        let s = sockets.get(&fd).expect("bad fd");
-        (s.rx_bytes, s.tx_bytes)
-    }
-
     /// Pops the oldest retained outbound message (test/loadgen side).
     #[must_use]
     pub fn pop_response(&self, fd: Fd) -> Option<Vec<u8>> {
@@ -423,7 +408,6 @@ mod tests {
 
         t.write_untrusted(buf, b"response!");
         m.host.send(&mut t, fd, buf, 9);
-        assert_eq!(m.host.byte_counts(fd), (12, 9));
         assert_eq!(m.host.pop_response(fd).unwrap(), b"response!");
     }
 
@@ -468,7 +452,6 @@ mod tests {
         for i in 0..n {
             assert_eq!(m.host.pop_response(fd).unwrap(), vec![i as u8; 10]);
         }
-        assert_eq!(m.host.byte_counts(fd), (50, 50));
     }
 
     #[test]

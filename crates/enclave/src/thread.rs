@@ -305,9 +305,7 @@ impl ThreadCtx {
         {
             let mut tlb = self.core.tlb.lock();
             for vpn in first_page..=last_page {
-                if tlb.access(0, vpn) {
-                    Stats::bump(&self.machine.stats.tlb_hits);
-                } else {
+                if !tlb.access(0, vpn) {
                     Stats::bump(&self.machine.stats.tlb_misses);
                     cycles += self.machine.cfg.costs.tlb_walk;
                 }
@@ -446,9 +444,7 @@ impl ThreadCtx {
             if charged {
                 let hit = self.core.tlb.lock().access(e.asid(), page);
                 let c = &self.machine.cfg.costs;
-                if hit {
-                    Stats::bump(&self.machine.stats.tlb_hits);
-                } else {
+                if !hit {
                     Stats::bump(&self.machine.stats.tlb_misses);
                     self.core.clock.advance(c.tlb_walk + c.epcm_check);
                 }

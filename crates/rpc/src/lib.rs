@@ -449,7 +449,6 @@ fn worker_loop(shared: &Shared, mut lanes: Lanes) {
             if shared.stop.load(Ordering::Acquire) {
                 return;
             }
-            Stats::bump(&shared.machine.stats.rpc_idle_polls);
             backoff.snooze();
         }
     }

@@ -221,8 +221,6 @@ stats! {
     llc_misses_epc,
     /// Dirty-line write-backs out of the LLC.
     llc_writebacks,
-    /// TLB hits.
-    tlb_hits,
     /// TLB misses (page walks).
     tlb_misses,
     /// Full TLB flushes (enclave exits, AEX).
@@ -263,8 +261,6 @@ stats! {
     rpc_batches,
     /// RPC posts that found the ring full and had to back off.
     rpc_ring_full,
-    /// RPC worker poll sweeps that found no posted job.
-    rpc_idle_polls,
     /// Bounded-spin yields: a claim attempt exceeded the idle-poll threshold and ceded the CPU with `thread::yield_now`.
     rpc_idle_yields,
     /// RPC calls to unregistered function ids (error sentinel returned).
@@ -313,8 +309,6 @@ stats! {
     slab_moves,
     /// Live items relocated out of departing slabs during rebalancing moves.
     slab_items_relocated,
-    /// Items dropped because their TTL deadline passed (expired lazily, when a GET finds them).
-    expired_items,
     /// Chunks of replica-state transfers (delta rounds, failovers, rejoins) staged on the cross-enclave channel.
     maint_chunks,
     /// Serving-core cycles stalled in maintenance byte-work run inline (the engine tick inside `Kvs::fence`, fleet state transfers inside a kill/respawn fence); 0 from fences when a maintenance plane runs the same work on its own core.
@@ -500,7 +494,7 @@ mod tests {
     fn summary_prints_every_counter_under_its_field_name() {
         let s = Stats::default();
         let live = s.counters();
-        assert_eq!(live.len(), 55);
+        assert_eq!(live.len(), 52);
         for (i, (_, counter)) in live.iter().enumerate() {
             Stats::add(counter, 1_000 + i as u64);
         }

@@ -985,9 +985,7 @@ fn serve_cold_suvm(public_calls: bool) -> ColdServe {
             replies = fnv(replies, &wire.decrypt(&msg));
         }
     }
-    let (cycles, mut d) = (t.now() - c0, m.stats.snapshot() - s0);
-    // How often the idle worker polled is host timing, not a charge.
-    d.rpc_idle_polls = 0;
+    let (cycles, d) = (t.now() - c0, m.stats.snapshot() - s0);
     t.exit();
     (cycles, d, replies)
 }

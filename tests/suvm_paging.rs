@@ -108,14 +108,10 @@ fn run_model(policy: EvictPolicy, ops: &[Op]) {
         if let Some((p, at)) = &pinned {
             // The linked page must still be resident: re-reading through
             // the spointer may not take a major fault.
-            let before = s.local_stats().major_faults;
+            let before = s.major_faults();
             let want = u64::from_le_bytes(shadow[*at..*at + 8].try_into().unwrap());
             prop_assert_eq!(p.get(&mut t), want, "pinned page corrupted");
-            prop_assert_eq!(
-                s.local_stats().major_faults,
-                before,
-                "pinned page was evicted"
-            );
+            prop_assert_eq!(s.major_faults(), before, "pinned page was evicted");
         }
         s.check_consistency();
     }
