@@ -283,14 +283,13 @@ impl ParamServer {
     /// request. (The paper's "in-enclave execution time", Figs 2 and
     /// 6, is the serving thread's clock across this call.)
     ///
-    /// Update request: `[0u8][count u32][(key u64, delta u64) × count]`
-    /// → ack `[applied u32]`, the number of pairs applied: `count`,
-    /// unless new keys overran the table ([`Self::update`]), which also
-    /// counts one `malformed_requests`. Read request ("retrieves their
-    /// values", §2): `[1u8][count u32][key u64 × count]` →
-    /// `[value u64 × count]` (missing keys read as 0). The legacy
-    /// header-less update form (`[count u32][pairs…]`) is also
-    /// accepted.
+    /// Update request ([`build_update_request`]): `[count u32][(key
+    /// u64, delta u64) × count]` → ack `[applied u32]`, the number of
+    /// pairs applied: `count`, unless new keys overran the table
+    /// ([`Self::update`]), which also counts one `malformed_requests`.
+    /// Read request ("retrieves their values", §2,
+    /// [`build_read_request`]): `[1u8][count u32][key u64 × count]` →
+    /// `[value u64 × count]` (missing keys read as 0).
     ///
     /// The body comes from a client, attested but not trusted: anything
     /// else — and an update of key 0, the table's empty-slot marker —
@@ -329,18 +328,18 @@ enum Request {
 }
 
 impl Request {
-    /// Parses `[op u8][count u32]` + `count` fixed-size items (or the
-    /// legacy header-less update); `None` for an empty or truncated
-    /// body, an unknown opcode, a count that disagrees with the bytes
-    /// that follow it, or an update of key 0.
+    /// Parses an update, `[count u32]` + `count` key-delta pairs, or a
+    /// read, `[1u8][count u32]` + `count` keys; `None` for an empty or
+    /// truncated body, an unknown opcode, a count that disagrees with
+    /// the bytes that follow it, or an update of key 0.
     fn parse(plain: &[u8]) -> Option<Self> {
-        // Disambiguate: opcode-framed requests are 1 (mod 16 payload);
-        // the legacy update form is exactly 4 + 16*count bytes.
+        // An update is 4 + 16 * count bytes, a read 5 + 8 * count: only
+        // an update's length is 4 (mod 16).
         let (op, body) = if plain.len() % 16 == 4 {
-            (0, plain)
+            (None, plain)
         } else {
             let (&op, body) = plain.split_first()?;
-            (op, body)
+            (Some(op), body)
         };
         let (count, items) = body.split_first_chunk::<4>()?;
         let count = u32::from_le_bytes(*count) as usize;
@@ -350,18 +349,18 @@ impl Request {
         }
         let words: Vec<u64> = words.iter().map(|w| u64::from_le_bytes(*w)).collect();
         match op {
-            0 if words.len() == count.checked_mul(2)? => words
+            None if words.len() == count.checked_mul(2)? => words
                 .iter()
                 .step_by(2)
                 .all(|&key| key != 0)
                 .then_some(Request::Update(words)),
-            1 if words.len() == count => Some(Request::Read(words)),
+            Some(1) if words.len() == count => Some(Request::Read(words)),
             _ => None,
         }
     }
 }
 
-/// Builds a request plaintext of `keys_and_deltas`.
+/// Builds an update request plaintext of `keys_and_deltas`.
 #[must_use]
 pub fn build_update_request(keys_and_deltas: &[(u64, u64)]) -> Vec<u8> {
     let mut plain = Vec::with_capacity(4 + keys_and_deltas.len() * 16);
