@@ -34,9 +34,8 @@ if grep -rnE 'LibOs|SyscallMode|handle_text_request|handle_text_batch|fn handle_
     echo "a deleted syscall-shim / serve-loop name is back (see above)"
     exit 1
 fi
-# PR 19 made `Stats` flat (per-shard numbers live in `ServerIo`, read by
-# `shard_stats`), deleted the write-only engine gauges and the NUMA
-# model, and with them the 8 MiB test-stack setting.
+# PR 19 made `Stats` flat, deleted the write-only engine gauges and the
+# NUMA model, and with them the 8 MiB test-stack setting.
 if grep -rnE 'FleetShardStats|FleetShardSnapshot|ShardStatsSnapshot|StorageClassStats|StorageClassSnapshot|MAX_SHARDS|MAX_REPLICAS|MAX_STORAGE_CLASSES|publish_gauges|numa_nodes|bind_numa|numa_remote' \
         crates/*/src src examples tests ; then
     echo "a deleted stat-grid / NUMA name is back (see above)"
@@ -199,6 +198,16 @@ if grep -rnE 'F_VALID|F_DIRTY|flags: Vec<u8>|self\.flags\b|victim_tick|access_li
         crates/*/src crates/*/tests src examples tests \
     | grep -v '^crates/sim/src/llc/oracle\.rs:' ; then
     echo "a deleted per-line LLC name is back (see above)"
+    exit 1
+fi
+# Every counter has a reader: no per-shard gauges in `ServerIo`, no
+# `Stats` counter only a bump site touches (TLB hits, expired items,
+# idle worker polls), no host socket byte counts, no per-instance SUVM
+# counters beyond `Suvm::major_faults`, and no `serving_bench` column
+# that only counted gauge rows.
+if grep -rnE 'ShardSnapshot|shard_stats|shard_count|read_backlogs|tlb_hits|expired_items|rpc_idle_polls|byte_counts|LocalStats|LocalSnapshot|debug_seal_entries|shard_rows' \
+        crates/*/src crates/*/tests src examples tests bench/src docs README.md DESIGN.md ; then
+    echo "a deleted write-only telemetry name is back (see above)"
     exit 1
 fi
 # PR 23 brought the first `unsafe` into the tree: the hardware AES /
