@@ -8,26 +8,38 @@
 //! behind its lock. Leaves and chunks appear on the first write into
 //! their range: a read of memory never written returns zeros and a
 //! zero fill of it does nothing, so the host footprint follows the
-//! bytes a run writes, not the size of the region. This layer moves
+//! bytes a run writes, not the size of the region.
+//!
+//! A chunk also goes away again: [`PagedMem::release`] and a zero fill
+//! of a whole page drop the page back to reading zeros, and its 4 KiB
+//! buffer goes into a free pool that the next first write of any page
+//! draws from. So the footprint follows the bytes in use rather than
+//! every byte ever written, and the buffers are reused instead of being
+//! returned to the host allocator and asked for again. This layer moves
 //! bytes only; cycle accounting happens in the access layers that call
 //! it.
 
 use std::ops::Range;
 use std::sync::OnceLock;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::costs::PAGE_SIZE;
 
 /// Pages per leaf of the table.
 const LEAF_PAGES: usize = 1024;
 
+/// One page's contents.
+type Page = Box<[u8; PAGE_SIZE]>;
+
 /// One page's lock and, once written, its contents.
-type Chunk = RwLock<Option<Box<[u8; PAGE_SIZE]>>>;
+type Chunk = RwLock<Option<Page>>;
 
 /// Lazily allocated, lock-sharded byte storage.
 pub struct PagedMem {
     leaves: Vec<OnceLock<Box<[Chunk]>>>,
+    /// Buffers of released pages, handed out again by first writes.
+    pool: Mutex<Vec<Page>>,
     size: usize,
 }
 
@@ -57,6 +69,7 @@ impl PagedMem {
         leaves.resize_with(pages.div_ceil(LEAF_PAGES), OnceLock::new);
         Self {
             leaves,
+            pool: Mutex::new(Vec::new()),
             size: pages * PAGE_SIZE,
         }
     }
@@ -72,6 +85,17 @@ impl PagedMem {
     #[must_use]
     pub fn leaves(&self) -> usize {
         self.leaves.iter().filter(|l| l.get().is_some()).count()
+    }
+
+    /// Number of pages in `[addr, addr + len)` that hold contents
+    /// (diagnostics): written since they were last released.
+    #[must_use]
+    pub fn resident_pages(&self, addr: u64, len: usize) -> usize {
+        self.check(addr, len);
+        let first = addr as usize / PAGE_SIZE;
+        (first..(addr as usize + len).div_ceil(PAGE_SIZE))
+            .filter(|&page| self.chunk(page).is_some_and(|c| c.read().is_some()))
+            .count()
     }
 
     fn check(&self, addr: u64, len: usize) {
@@ -102,6 +126,27 @@ impl PagedMem {
         &leaf[page % LEAF_PAGES]
     }
 
+    /// A zeroed page buffer for a first write: one from the pool, or a
+    /// new one while the pool is empty.
+    fn fresh_page(&self) -> Page {
+        let pooled = self.pool.lock().pop();
+        match pooled {
+            Some(mut data) => {
+                data.fill(0);
+                data
+            }
+            None => Box::new([0u8; PAGE_SIZE]),
+        }
+    }
+
+    /// Drops page `page`'s contents, if any, into the pool.
+    fn drop_page(&self, page: usize) {
+        let data = self.chunk(page).and_then(|c| c.write().take());
+        if let Some(data) = data {
+            self.pool.lock().push(data);
+        }
+    }
+
     /// Copies `buf.len()` bytes starting at `addr` into `buf`.
     ///
     /// # Panics
@@ -127,7 +172,7 @@ impl PagedMem {
         self.check(addr, buf.len());
         for (page, in_page, r) in pieces(addr, buf.len()) {
             let mut guard = self.chunk_or_init(page).write();
-            let data = guard.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
+            let data = guard.get_or_insert_with(|| self.fresh_page());
             data[in_page..in_page + r.len()].copy_from_slice(&buf[r]);
         }
     }
@@ -139,19 +184,33 @@ impl PagedMem {
             let n = r.len();
             if byte != 0 {
                 let mut guard = self.chunk_or_init(page).write();
-                let data = guard.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
+                let data = guard.get_or_insert_with(|| self.fresh_page());
                 data[in_page..in_page + n].fill(byte);
+            } else if n == PAGE_SIZE {
+                // A zero fill allocates nothing: a whole page is
+                // released, and a part of a page never written is zero
+                // already.
+                self.drop_page(page);
             } else if let Some(chunk) = self.chunk(page) {
-                // A zero fill allocates nothing: a whole page drops its
-                // chunk back to lazy-zero, and a part of a page never
-                // written is zero already.
-                let mut guard = chunk.write();
-                if n == PAGE_SIZE {
-                    *guard = None;
-                } else if let Some(data) = guard.as_mut() {
+                if let Some(data) = chunk.write().as_mut() {
                     data[in_page..in_page + n].fill(0);
                 }
             }
+        }
+    }
+
+    /// Releases every whole page within `[addr, addr + len)`: each
+    /// reads zeros from now on, and its buffer goes to the pool. The
+    /// bytes of a page only partly inside the range are kept.
+    ///
+    /// # Panics
+    /// Panics on out-of-bounds access.
+    pub fn release(&self, addr: u64, len: usize) {
+        self.check(addr, len);
+        let first = (addr as usize).div_ceil(PAGE_SIZE);
+        let end = (addr as usize + len) / PAGE_SIZE;
+        for page in first..end {
+            self.drop_page(page);
         }
     }
 
