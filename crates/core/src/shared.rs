@@ -179,6 +179,7 @@ impl SharedToken {
                 let (version, state) = r.seals.read(page);
                 match state {
                     SealState::Fresh => buf[off..off + n].fill(0),
+                    SealState::NoCopy => unreachable!("a shared region caches no page"),
                     SealState::SubPages { meta } => {
                         // Shared regions seal whole pages: one unit.
                         let (nonce, tag) = &meta[0];
@@ -221,6 +222,7 @@ impl SharedToken {
             let mut scratch = vec![0u8; ps];
             match r.seals.get_unchecked(page) {
                 SealState::Fresh => {}
+                SealState::NoCopy => unreachable!("a shared region caches no page"),
                 SealState::SubPages { meta } => {
                     let (nonce, tag) = &meta[0];
                     ctx.read_untrusted(r.bs_base + page * ps as u64, &mut scratch);

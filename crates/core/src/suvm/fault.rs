@@ -114,11 +114,24 @@ impl Suvm {
         debug_assert!(old > 0, "unpin of unpinned frame");
     }
 
-    /// Marks a pinned frame dirty (write access).
+    /// Marks a pinned frame dirty (write access). On its clean → dirty
+    /// transition the page's sealed copy, if it has one, is stale: the
+    /// next eviction overwrites it unread. So the copy is dropped
+    /// ([`crate::table::CryptoTable::drop_copy`]) and its backing bytes
+    /// go back to the untrusted memory's pool; the crypto table keeps
+    /// the entry and its read-miss stamps.
     pub(crate) fn mark_dirty(&self, frame: u32) {
-        self.frames[frame as usize]
-            .dirty
-            .store(true, Ordering::Release);
+        let meta = &self.frames[frame as usize];
+        if meta.dirty.load(Ordering::Acquire) || meta.dirty.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        // Pinned by the caller: the page cannot change under us.
+        let page = meta.page.load(Ordering::Acquire);
+        if self.store.seals.drop_copy(page) {
+            self.machine
+                .untrusted
+                .release(self.store.addr_of(page, 0), self.cfg.page_size);
+        }
     }
 
     fn acquire_frame(&self, ctx: &mut ThreadCtx) -> u32 {
@@ -229,8 +242,9 @@ impl Suvm {
 
     /// Loads `page` into `frame` (not yet visible in the page table).
     /// Returns the seal version the image was loaded at, or `None`
-    /// when the unseal raced a concurrent re-seal of the same page and
-    /// must be retried.
+    /// when the unseal raced a concurrent re-seal of the same page, or
+    /// the page was faulted in and written meanwhile (it has no copy),
+    /// and the fault must be retried.
     ///
     /// # Panics
     /// Panics when the sealed copy fails authentication at a *stable*
@@ -239,6 +253,7 @@ impl Suvm {
         let ps = self.cfg.page_size;
         let (version, state) = self.store.seals.read(page);
         match state {
+            SealState::NoCopy => None,
             SealState::Fresh => {
                 let zeros = vec![0u8; ps];
                 ctx.write_enclave_raw(self.epcpp_vaddr(frame, 0), &zeros);

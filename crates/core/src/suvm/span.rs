@@ -1,6 +1,7 @@
 //! A pinned cursor over a contiguous secure span, and the rule that
 //! decides how it reaches a page that is not in EPC++.
 use super::*;
+use crate::table::Unit;
 use eleos_crypto::gcm::{Nonce, Tag};
 use eleos_enclave::thread::CryptoBatch;
 
@@ -71,7 +72,10 @@ enum Held {
 /// The span must not be written while a cursor over it is open,
 /// except through that cursor. A bypassed sub-page another writer
 /// re-seals meanwhile is opened again: its plaintext is reused only at
-/// the seal version it was opened or written at.
+/// the seal version it was opened or written at. A page another writer
+/// faults in and writes meanwhile has no sealed copy left
+/// ([`crate::table::SealState::NoCopy`]): the cursor translates again
+/// and reads it from its frame.
 pub struct SpanCursor<'a> {
     suvm: &'a Suvm,
     pos: Sva,
@@ -142,7 +146,14 @@ impl SpanCursor<'_> {
                 Held::Frame { frame, .. } => {
                     ctx.read_enclave(self.suvm.epcpp_vaddr(frame, in_page), out);
                 }
-                Held::Sealed { .. } => self.read_sealed(ctx, page, in_page, out),
+                Held::Sealed { .. } => {
+                    if !self.read_sealed(ctx, page, in_page, out) {
+                        // Faulted in and written since the translation:
+                        // its bytes are in its frame.
+                        self.release();
+                        continue;
+                    }
+                }
                 Held::Nothing => unreachable!("translate always holds a page"),
             }
             self.pos += n as u64;
@@ -228,8 +239,16 @@ impl SpanCursor<'_> {
     /// Copies `out.len()` bytes at `in_page` of the non-resident
     /// `page` out of the backing store, unsealing only the sub-pages
     /// the cursor does not already hold in plaintext at the page's
-    /// current seal version.
-    fn read_sealed(&mut self, ctx: &mut ThreadCtx, page: u64, in_page: usize, out: &mut [u8]) {
+    /// current seal version. Returns `false`, reading nothing, when the
+    /// page has been faulted in and written since the translation: it
+    /// has no sealed copy, and the caller translates again.
+    fn read_sealed(
+        &mut self,
+        ctx: &mut ThreadCtx,
+        page: u64,
+        in_page: usize,
+        out: &mut [u8],
+    ) -> bool {
         let s = self.suvm;
         let sp = s.cfg.sub_page_size;
         let end = in_page + out.len();
@@ -237,34 +256,44 @@ impl SpanCursor<'_> {
             unreachable!("read_sealed on a cached page")
         };
         'retry: loop {
-            let (version, state) = s.store.seals.read(page);
-            match state {
-                // Decommitted since the cursor got here.
-                SealState::Fresh => out.fill(0),
-                SealState::SubPages { meta } => {
-                    for sub in in_page / sp..=(end - 1) / sp {
-                        if held != Some((sub, version)) {
-                            if !self.open_unit(ctx, page, sub, &meta[sub]) {
-                                held = None;
-                                if !s.store.seals.check(page, version) {
-                                    continue 'retry; // torn by a concurrent re-seal
-                                }
-                                panic!("SUVM sub-page failed authentication");
-                            }
-                            ctx.charge_crypto_in(&mut self.batch, &s.sealer, [sp]);
-                            Stats::add(&s.machine.stats.sealed_bytes, sp as u64);
-                            held = Some((sub, version));
-                        }
-                        let lo = in_page.max(sub * sp);
-                        let hi = end.min((sub + 1) * sp);
-                        out[lo - in_page..hi - in_page]
-                            .copy_from_slice(&self.plain[lo - sub * sp..hi - sub * sp]);
-                    }
+            // Every unit is read at the first one's version: a re-seal
+            // in between starts the read over.
+            let mut at = None;
+            for sub in in_page / sp..=(end - 1) / sp {
+                let (version, unit) = s.store.seals.read_unit(page, sub);
+                if at.is_some_and(|v| v != version) {
+                    continue 'retry;
                 }
+                at = Some(version);
+                let (lo, hi) = (in_page.max(sub * sp), end.min((sub + 1) * sp));
+                let out = &mut out[lo - in_page..hi - in_page];
+                match unit {
+                    // Decommitted since the cursor got here.
+                    Unit::Fresh => {
+                        out.fill(0);
+                        continue;
+                    }
+                    Unit::NoCopy => return false,
+                    Unit::Sealed(nonce, tag) if held != Some((sub, version)) => {
+                        if !self.open_unit(ctx, page, sub, &(nonce, tag)) {
+                            held = None;
+                            if !s.store.seals.check(page, version) {
+                                continue 'retry; // torn by a concurrent re-seal
+                            }
+                            panic!("SUVM sub-page failed authentication");
+                        }
+                        ctx.charge_crypto_in(&mut self.batch, &s.sealer, [sp]);
+                        Stats::add(&s.machine.stats.sealed_bytes, sp as u64);
+                        held = Some((sub, version));
+                    }
+                    Unit::Sealed(..) => {}
+                }
+                out.copy_from_slice(&self.plain[lo - sub * sp..hi - sub * sp]);
             }
             break;
         }
         self.held = Held::Sealed { page, unit: held };
+        true
     }
 
     /// Reads sub-page `sub` of `page` out of the backing store into the
@@ -292,7 +321,8 @@ impl SpanCursor<'_> {
     /// sub-page, re-sealed with a fresh nonce. The sub-page the cursor
     /// holds is not opened again if nobody re-sealed the page since.
     /// Returns `false`, writing nothing, when the page was decommitted
-    /// since the translation. A page faulted in since then is written
+    /// since the translation, or has no sealed copy: the caller
+    /// translates again. A page faulted in since then is written
     /// in EPC++ instead, as the held frame: residency is probed again
     /// once the seal write is held, because a fault-in publishes only
     /// while the version it loaded still stands.
@@ -328,7 +358,7 @@ impl SpanCursor<'_> {
             return true;
         }
         let SealState::SubPages { mut meta } = state else {
-            s.store.seals.commit_write(page, SealState::Fresh);
+            s.store.seals.commit_write(page, state);
             return false;
         };
         // The held plaintext is current only if the page's last commit

@@ -1193,3 +1193,117 @@ fn a_cursor_write_to_a_page_it_does_not_hold_is_a_one_shot_write() {
         }
     }
 }
+
+/// FNV-1a of `bytes`, continuing from `h`.
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// A digest of `page`'s sealed image: its backing bytes and every
+/// unit's nonce and tag.
+fn sealed_digest(m: &SgxMachine, s: &Suvm, page: u64) -> u64 {
+    let mut image = vec![0u8; s.cfg.page_size];
+    m.untrusted.read(s.store.addr_of(page, 0), &mut image);
+    match s.store.seals.get(page) {
+        SealState::SubPages { meta } => meta
+            .iter()
+            .fold(fnv(0xcbf2_9ce4_8422_2325, &image), |h, (nonce, tag)| {
+                fnv(fnv(h, nonce), tag)
+            }),
+        _ => panic!("page {page} holds no sealed copy"),
+    }
+}
+
+/// Backing-store pages that hold bytes, for each of `pages` pages from
+/// `a`.
+fn backing_held(m: &SgxMachine, s: &Suvm, a: Sva, pages: u64) -> Vec<usize> {
+    (s.page_of(a)..s.page_of(a) + pages)
+        .map(|p| {
+            m.untrusted
+                .resident_pages(s.store.addr_of(p, 0), s.cfg.page_size)
+        })
+        .collect()
+}
+
+#[test]
+fn a_dirtied_page_drops_its_sealed_copy_and_reseals_as_before() {
+    let (m, s, mut t, a, mut data) = cold_sub_page_rig(4);
+    let page = s.page_of(a) + 2;
+    let live = s.store.seals.live_entries();
+    // Faulted in by a read, the page stays clean and keeps its copy.
+    let mut buf = vec![0u8; 4096];
+    s.read(&mut t, a + 2 * 4096, &mut buf);
+    assert_eq!(buf, data[2 * 4096..3 * 4096]);
+    assert_eq!(backing_held(&m, &s, a, 4), [1; 4]);
+    // Its first write makes that copy stale: dropped, bytes released,
+    // the crypto table's entry kept.
+    s.write(&mut t, a + 2 * 4096 + 1500, b"dirtied in EPC++");
+    data[2 * 4096 + 1500..2 * 4096 + 1516].copy_from_slice(b"dirtied in EPC++");
+    assert!(!s.store.seals.has_copy(page));
+    assert_eq!(backing_held(&m, &s, a, 4), [1, 1, 0, 1]);
+    assert_eq!(s.store.seals.live_entries(), live);
+    // Its eviction seals the same nonces and ciphertext as when the
+    // stale copy stayed.
+    assert_eq!(s.quiesce(&mut t), 1);
+    assert_eq!(sealed_digest(&m, &s, page), 0xfe6c_90a1_7f7a_4f77);
+    assert_eq!(backing_held(&m, &s, a, 4), [1; 4]);
+    let mut all = vec![0u8; data.len()];
+    s.read_direct(&mut t, a, &mut all);
+    assert_eq!(all, data);
+    t.exit();
+}
+
+#[test]
+fn clean_pages_keep_their_sealed_copy_and_are_clean_skipped() {
+    let (m, s, mut t, a, data) = cold_sub_page_rig(4);
+    let first = s.page_of(a);
+    let before: Vec<u64> = (first..first + 4)
+        .map(|p| sealed_digest(&m, &s, p))
+        .collect();
+    // Fault every page in; write pages 1 and 3 only.
+    let mut buf = vec![0u8; 4 * 4096];
+    s.read(&mut t, a, &mut buf);
+    assert_eq!(buf, data);
+    for page in [1, 3] {
+        s.write(&mut t, a + page * 4096 + 8, b"dirty");
+    }
+    assert_eq!(backing_held(&m, &s, a, 4), [1, 0, 1, 0]);
+    let s0 = m.stats.snapshot();
+    while s.evict_one(&mut t) {}
+    let d = m.stats.snapshot() - s0;
+    assert_eq!((d.suvm_evictions, d.suvm_clean_skips), (4, 2));
+    // The clean pages' copies were never touched; the dirty pages'
+    // were sealed anew.
+    for (i, page) in (first..first + 4).enumerate() {
+        assert_eq!(
+            sealed_digest(&m, &s, page) == before[i],
+            i % 2 == 0,
+            "page {i}"
+        );
+    }
+    t.exit();
+}
+
+#[test]
+fn a_bypass_cursor_reads_a_page_dirtied_behind_it_from_its_frame() {
+    let (m, s, mut t, a, data) = cold_sub_page_rig(4);
+    let at = a + 4096 + 300;
+    let mut span = s.span(at, Access::Direct);
+    let mut buf = [0u8; 8];
+    span.read(&mut t, &mut buf);
+    assert_eq!(buf, data[4396..4404], "bypassed to the sealed copy");
+    assert_eq!(s.resident_pages(), 0);
+    // Another writer faults the page in and writes it: the cursor's
+    // translation and held plaintext are stale.
+    s.write(&mut t, at, b"NEWBYTES");
+    let before = lookups(&m);
+    span.seek(at);
+    span.read(&mut t, &mut buf);
+    assert_eq!(&buf, b"NEWBYTES");
+    assert_eq!(lookups(&m), before + 1, "translated again, to the frame");
+    drop(span);
+    assert_eq!(pins(&s), 0);
+    t.exit();
+}

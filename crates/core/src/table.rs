@@ -102,14 +102,29 @@ pub enum SealState {
         /// Per-unit `(nonce, tag)` in order.
         meta: Box<[(Nonce, Tag)]>,
     },
+    /// Sealed once, but the page is resident and has been written
+    /// since: its next eviction overwrites the sealed copy unread, so
+    /// the copy was dropped and its bytes released. The page stays
+    /// resident and dirty until that eviction seals it again.
+    NoCopy,
 }
 
 impl SealState {
     /// Whether the backing store holds a valid sealed copy.
     #[must_use]
     pub fn has_copy(&self) -> bool {
-        !matches!(self, SealState::Fresh)
+        matches!(self, SealState::SubPages { .. })
     }
+}
+
+/// What [`CryptoTable::read_unit`] finds of one unit of a page.
+pub(crate) enum Unit {
+    /// The page is [`SealState::Fresh`].
+    Fresh,
+    /// The page is [`SealState::NoCopy`].
+    NoCopy,
+    /// The page is sealed; the unit's nonce and tag.
+    Sealed(Nonce, Tag),
 }
 
 /// One page's entry: seqlock version, seal state, and the readings of
@@ -161,12 +176,28 @@ impl CryptoTable {
     /// writes (odd versions). Unknown pages read as `(0, Fresh)`.
     #[must_use]
     pub fn read(&self, page: u64) -> (u64, SealState) {
+        self.read_with(page, SealState::clone)
+    }
+
+    /// [`Self::read`] of one unit, `sub`: its nonce and tag are copied
+    /// out, and nothing of the page's metadata is cloned.
+    pub(crate) fn read_unit(&self, page: u64, sub: usize) -> (u64, Unit) {
+        self.read_with(page, |state| match state {
+            SealState::Fresh => Unit::Fresh,
+            SealState::NoCopy => Unit::NoCopy,
+            SealState::SubPages { meta } => Unit::Sealed(meta[sub].0, meta[sub].1),
+        })
+    }
+
+    /// Applies `f` to `page`'s state at a stable version, under the
+    /// shard's lock, and returns the version with `f`'s result.
+    fn read_with<R>(&self, page: u64, f: impl FnOnce(&SealState) -> R) -> (u64, R) {
         loop {
             {
                 let g = self.shard(page).lock();
                 match g.get(&page) {
-                    None => return (0, SealState::Fresh),
-                    Some((v, state, _)) if v % 2 == 0 => return (*v, state.clone()),
+                    None => return (0, f(&SealState::Fresh)),
+                    Some((v, state, _)) if v.is_multiple_of(2) => return (*v, f(state)),
                     _ => {}
                 }
             }
@@ -226,6 +257,31 @@ impl CryptoTable {
         }
         e.0 += 1;
         Some(e.0)
+    }
+
+    /// Drops `page`'s sealed copy once its resident frame has been
+    /// written: a stable [`SealState::SubPages`] entry becomes
+    /// [`SealState::NoCopy`] two versions on, so a reader that loaded
+    /// the copy's version sees it change and retries. The miss stamps
+    /// and the entry stay, so [`Self::live_entries`] does not move.
+    /// Waits out a writer in progress. Returns whether a copy was
+    /// dropped: the caller then releases its bytes.
+    pub(crate) fn drop_copy(&self, page: u64) -> bool {
+        loop {
+            {
+                let mut g = self.shard(page).lock();
+                match g.get_mut(&page) {
+                    Some((v, state @ SealState::SubPages { .. }, _)) if v.is_multiple_of(2) => {
+                        *v += 2;
+                        *state = SealState::NoCopy;
+                        return true;
+                    }
+                    Some((v, ..)) if !v.is_multiple_of(2) => {}
+                    _ => return false,
+                }
+            }
+            std::hint::spin_loop();
+        }
     }
 
     /// Commits a seal started by [`Self::begin_write`].
@@ -333,7 +389,7 @@ mod tests {
         assert!(ct.get(9).has_copy());
         match ct.get(9) {
             SealState::SubPages { meta } => assert_eq!(*meta, [([1; 12], [2; 16])]),
-            SealState::Fresh => panic!("wrong state"),
+            _ => panic!("wrong state"),
         }
         ct.clear(9);
         assert!(!ct.get(9).has_copy());

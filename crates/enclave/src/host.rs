@@ -17,16 +17,17 @@
 //! `recv` or `recv_mmsg` has copied its messages out, every whole page
 //! of the ring that the oldest still-queued message has moved past,
 //! bar the page the writer is in, goes back to
-//! [`eleos_sim::mem::PagedMem`]'s pool. Consumed staging bytes
+//! [`eleos_sim::mem::PagedMem`]'s pool
+//! ([`PagedMem::release_ring`]). Consumed staging bytes
 //! therefore read as zeros, and the host memory a socket holds follows
 //! the bytes queued on it rather than the ring's capacity. The LLC and
 //! TLB models see only addresses, so no simulated cycle moves.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 
 use parking_lot::Mutex;
 
-use eleos_sim::costs::PAGE_SIZE;
 use eleos_sim::mem::PagedMem;
 use eleos_sim::stats::Stats;
 
@@ -41,6 +42,18 @@ pub struct Fd(pub u32);
 /// FlexSC (the paper's \[28\]) measures several KiB of kernel state per
 /// syscall; 4 KiB models that footprint.
 const KERNEL_META_BYTES: usize = 4096;
+
+/// Charges a syscall's kernel bookkeeping: one [`KERNEL_META_BYTES`]
+/// read of the socket's metadata area at `meta`, into a scratch buffer
+/// each thread keeps (its bytes are never looked at).
+fn read_kernel_meta(ctx: &mut ThreadCtx, meta: u64) {
+    thread_local! {
+        static SCRATCH: RefCell<[u8; KERNEL_META_BYTES]> =
+            const { RefCell::new([0; KERNEL_META_BYTES]) };
+    }
+    Stats::bump(&ctx.machine.stats.kernel_meta_reads);
+    SCRATCH.with_borrow_mut(|scratch| ctx.read_untrusted(meta, scratch));
+}
 
 /// Bytes per `recv_mmsg`/`send_mmsg` descriptor entry: two little-endian
 /// `u64` words — the message length, then the enqueue timestamp in
@@ -65,12 +78,7 @@ struct Socket {
     /// descriptors out of `recv_mmsg` so the serving path can compute
     /// per-op sojourn.
     rx_queue: VecDeque<(u64, usize, u64)>,
-    /// The queued messages' total length.
-    rx_bytes: usize,
-    /// Ring position up to which consumed pages have been released:
-    /// the start of a page once anything has been (a ring of a page or
-    /// more starts on one, as the buddy allocator aligns a block to its
-    /// size).
+    /// Ring position up to which consumed pages have been released.
     released: u64,
     /// Receives that have popped messages and not yet copied them out.
     copying: usize,
@@ -88,43 +96,30 @@ impl Socket {
     /// length and its enqueue stamp.
     fn pop(&mut self) -> Option<(u64, usize, u64)> {
         let (pos, len, enq) = self.rx_queue.pop_front()?;
-        self.rx_bytes -= len;
         Some((self.staging + pos % self.staging_cap as u64, len, enq))
     }
 
+    /// The oldest queued message's ring position, or the writer's when
+    /// none is queued.
+    fn tail(&self) -> u64 {
+        self.rx_queue.front().map_or(self.head, |&(pos, ..)| pos)
+    }
+
     /// Marks the messages a receive popped as copied out and, once no
-    /// receive is still copying, releases every whole ring page between
-    /// the last release and the oldest queued message, bar the page
-    /// the writer is in.
+    /// receive is still copying, releases the ring pages consumed since
+    /// the last release ([`PagedMem::release_ring`]).
     fn copied(&mut self, mem: &PagedMem) {
         self.copying -= 1;
-        if self.copying > 0 {
-            return;
+        if self.copying == 0 {
+            let tail = self.tail();
+            mem.release_ring(
+                self.staging,
+                self.staging_cap,
+                &mut self.released,
+                tail,
+                self.head,
+            );
         }
-        let cap = self.staging_cap as u64;
-        let tail = self.rx_queue.front().map_or(self.head, |&(pos, ..)| pos);
-        let page = PAGE_SIZE as u64;
-        // The writer's page may hold bytes written since the last
-        // release, a lap ahead of the tail's: the writer can have come
-        // round to `released`, never past that page.
-        let cursor = (self.staging + self.head % cap) / page * page;
-        // Releases ring offsets `[from, to)`, on either side of the
-        // writer's page.
-        let release = |from: u64, to: u64| {
-            let (a, b) = (self.staging + from, self.staging + to);
-            for (x, y) in [(a, b.min(cursor)), (a.max(cursor + page), b)] {
-                if x < y {
-                    mem.release(x, (y - x) as usize);
-                }
-            }
-        };
-        let from = self.released % cap;
-        let to = from + (tail - self.released).min(cap);
-        release(from, to.min(cap));
-        release(0, to.saturating_sub(cap));
-        // The page the tail is in is released once the tail has left it.
-        let in_page = (self.staging + tail % cap) % page;
-        self.released = self.released.max(tail - in_page);
     }
 
     /// Commits one outbound message to the wire: retained (up to
@@ -176,7 +171,6 @@ impl HostOs {
                 staging_cap,
                 head: 0,
                 rx_queue: VecDeque::new(),
-                rx_bytes: 0,
                 released: 0,
                 copying: 0,
                 rx_marks: Vec::new(),
@@ -219,18 +213,25 @@ impl HostOs {
         let mut sockets = self.sockets.lock();
         let s = sockets.get_mut(&fd).expect("bad fd");
         assert!(msg.len() <= s.staging_cap, "message exceeds staging ring");
+        let cap = s.staging_cap as u64;
+        let len = msg.len() as u64;
+        // A message that would not fit before the ring wraps starts the
+        // next lap; the end gap it skips stays unwritten.
+        let at = if s.head % cap + len > cap {
+            s.head.next_multiple_of(cap)
+        } else {
+            s.head
+        };
+        // Its end may come round to the oldest queued message's start,
+        // never past it.
+        let oldest = s.rx_queue.front().map_or(at, |&(pos, ..)| pos);
         assert!(
-            s.rx_bytes + msg.len() <= s.staging_cap,
+            at + len <= oldest + cap,
             "staging ring overrun: generator outpacing server"
         );
-        let cap = s.staging_cap as u64;
-        if s.head % cap + msg.len() as u64 > cap {
-            s.head = s.head.next_multiple_of(cap);
-        }
-        ctx.machine.untrusted.write(s.staging + s.head % cap, msg);
-        s.rx_queue.push_back((s.head, msg.len(), enqueued_at));
-        s.rx_bytes += msg.len();
-        s.head += msg.len() as u64;
+        ctx.machine.untrusted.write(s.staging + at % cap, msg);
+        s.rx_queue.push_back((at, msg.len(), enqueued_at));
+        s.head = at + len;
     }
 
     /// Number of queued inbound messages.
@@ -277,9 +278,7 @@ impl HostOs {
         };
         // Kernel bookkeeping + the copy kernel->user, all polluting the
         // executor's cache partition.
-        Stats::bump(&ctx.machine.stats.kernel_meta_reads);
-        let mut scratch = vec![0u8; KERNEL_META_BYTES];
-        ctx.read_untrusted(meta, &mut scratch);
+        read_kernel_meta(ctx, meta);
         let mut payload = vec![0u8; len];
         ctx.read_untrusted(staging_addr, &mut payload);
         ctx.write_untrusted(buf_addr, &payload);
@@ -351,9 +350,7 @@ impl HostOs {
         // Kernel bookkeeping once per batch, then the copies
         // kernel->user per message, each line of descriptors written
         // once its payloads are in place.
-        Stats::bump(&ctx.machine.stats.kernel_meta_reads);
-        let mut scratch = vec![0u8; KERNEL_META_BYTES];
-        ctx.read_untrusted(meta, &mut scratch);
+        read_kernel_meta(ctx, meta);
         let mut payload = Vec::new();
         for (line, msgs) in popped.chunks(DESC_LINE).enumerate() {
             let first = line * DESC_LINE;
@@ -409,9 +406,7 @@ impl HostOs {
             let sockets = self.sockets.lock();
             sockets.get(&fd).expect("bad fd").meta
         };
-        Stats::bump(&ctx.machine.stats.kernel_meta_reads);
-        let mut scratch = vec![0u8; KERNEL_META_BYTES];
-        ctx.read_untrusted(meta, &mut scratch);
+        read_kernel_meta(ctx, meta);
         let mut descs = vec![0u8; n_msgs * DESC_STRIDE];
         ctx.read_untrusted(desc_addr, &mut descs);
         for i in 0..n_msgs {
@@ -435,9 +430,7 @@ impl HostOs {
             let sockets = self.sockets.lock();
             sockets.get(&fd).expect("bad fd").meta
         };
-        Stats::bump(&ctx.machine.stats.kernel_meta_reads);
-        let mut scratch = vec![0u8; KERNEL_META_BYTES];
-        ctx.read_untrusted(meta, &mut scratch);
+        read_kernel_meta(ctx, meta);
         let mut payload = vec![0u8; len];
         ctx.read_untrusted(buf_addr, &mut payload);
         let mut sockets = self.sockets.lock();
@@ -472,6 +465,7 @@ impl HostOs {
 mod tests {
     use super::*;
     use crate::machine::{MachineConfig, SgxMachine};
+    use eleos_sim::costs::PAGE_SIZE;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -621,8 +615,7 @@ mod tests {
         let sockets = m.host.sockets.lock();
         let s = &sockets[&fd];
         let pages = m.untrusted.resident_pages(s.staging, s.staging_cap);
-        let tail = s.rx_queue.front().map_or(s.head, |&(pos, ..)| pos);
-        (pages, (s.head - tail) as usize)
+        (pages, (s.head - s.tail()) as usize)
     }
 
     /// Request `i`'s bytes: `len` of them, unlike any other request's.
@@ -700,6 +693,24 @@ mod tests {
             }
         }
         assert!(bytes > 100 * cap, "the ring wraps many times over");
+    }
+
+    #[test]
+    #[should_panic(expected = "staging ring overrun")]
+    fn a_wrapped_writer_cannot_overrun_a_queued_message() {
+        // After 600 B in and out, 300 B land at [600, 900), the next
+        // 300 B wrap to [0, 300), and 400 B would take [300, 700) over
+        // the 300 B still queued there, though 1 000 queued bytes fit
+        // in the ring's 1 024.
+        let m = SgxMachine::new(MachineConfig::tiny());
+        let mut t = ThreadCtx::untrusted(&m, 0);
+        let fd = m.host.socket(&t, 1024);
+        let buf = m.alloc_untrusted(1024);
+        m.host.push_request(&t, fd, &[1; 600]);
+        assert_eq!(m.host.recv(&mut t, fd, buf, 1024), Some(600));
+        m.host.push_request(&t, fd, &[2; 300]);
+        m.host.push_request(&t, fd, &[3; 300]);
+        m.host.push_request(&t, fd, &[4; 400]);
     }
 
     #[test]

@@ -23,6 +23,16 @@
 //! fence-paced (snapshot out, restore in, continue), so a full ring
 //! means the fleet orchestration is broken, not that the sender
 //! should wait.
+//!
+//! A receive releases the ring pages it has finished with: once it has
+//! copied its message out, every whole page between the last release
+//! and the oldest staged byte, bar the page the writer is in, goes back
+//! to [`eleos_sim::mem::PagedMem`]'s pool (by
+//! [`release_ring`](eleos_sim::mem::PagedMem::release_ring), the rule
+//! the host's socket rings follow too). So the host memory a channel
+//! holds follows the bytes staged in it, not its capacity; received
+//! bytes read as zeros. The LLC and TLB models see only addresses, so
+//! no simulated cycle moves.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -45,20 +55,29 @@ pub struct FrameError(pub &'static str);
 
 /// One staged message: `kind` discriminates payload types (the fleet
 /// uses it for rekey announcements vs. state-transfer frames),
-/// `at`/`len` locate the payload in the ring.
+/// `at`/`len` locate the payload in the ring (`at` on
+/// [`Inner::head`]'s scale).
 struct Msg {
     kind: u8,
-    at: usize,
+    at: u64,
     len: usize,
 }
 
 struct Inner {
-    /// Ring write cursor (bytes, wraps at `cap`).
-    tail: usize,
-    /// Bytes currently staged (occupancy; the read cursor is implied
-    /// by the front message's `at`).
-    used: usize,
+    /// Bytes staged since the channel opened: the next message starts
+    /// at ring offset `head % cap`.
+    head: u64,
+    /// Ring position up to which received pages have been released.
+    released: u64,
     msgs: VecDeque<Msg>,
+}
+
+impl Inner {
+    /// The oldest staged byte's ring position, or the writer's when
+    /// nothing is staged.
+    fn tail(&self) -> u64 {
+        self.msgs.front().map_or(self.head, |m| m.at)
+    }
 }
 
 /// A bounded exit-less byte channel between enclaves on one machine.
@@ -88,8 +107,8 @@ impl EnclaveChannel {
             buf,
             cap,
             inner: Mutex::new(Inner {
-                tail: 0,
-                used: 0,
+                head: 0,
+                released: 0,
                 msgs: VecDeque::new(),
             }),
         })
@@ -119,14 +138,16 @@ impl EnclaveChannel {
             "cross-enclave channels are for trusted code on both ends"
         );
         let mut inner = self.inner.lock();
+        let used = (inner.head - inner.tail()) as usize;
         assert!(
-            inner.used + bytes.len() <= self.cap,
+            used + bytes.len() <= self.cap,
             "cross-enclave channel full: {} staged + {} new > {} capacity",
-            inner.used,
+            used,
             bytes.len(),
             self.cap
         );
-        let at = inner.tail;
+        let head = inner.head;
+        let at = (head % self.cap as u64) as usize;
         // Stage the payload, splitting at the ring's wrap point; the
         // write itself is charged untrusted-memory traffic.
         let first = (self.cap - at).min(bytes.len());
@@ -140,20 +161,20 @@ impl EnclaveChannel {
         // bare signal still synchronizes).
         let chunks = bytes.len().div_ceil(CHUNK_BYTES).max(1);
         ctx.compute(self.machine.cfg.costs.rpc_post * chunks as u64);
-        inner.tail = (at + bytes.len()) % self.cap;
-        inner.used += bytes.len();
         inner.msgs.push_back(Msg {
             kind,
-            at,
+            at: head,
             len: bytes.len(),
         });
+        inner.head = head + bytes.len() as u64;
         Stats::bump(&self.machine.stats.xchan_msgs);
         Stats::add(&self.machine.stats.xchan_bytes, bytes.len() as u64);
     }
 
     /// Reaps the oldest staged message, if any, without leaving the
     /// enclave. Charges the receiver the untrusted-memory read
-    /// traffic.
+    /// traffic, then releases the ring pages received since the last
+    /// release.
     ///
     /// # Panics
     /// Panics when called from untrusted mode.
@@ -174,15 +195,19 @@ impl EnclaveChannel {
             return None;
         }
         let msg = inner.msgs.pop_front()?;
+        let at = (msg.at % self.cap as u64) as usize;
         let mut bytes = vec![0u8; msg.len];
-        let first = (self.cap - msg.at).min(msg.len);
+        let first = (self.cap - at).min(msg.len);
         if first > 0 {
-            ctx.read_untrusted(self.buf + msg.at as u64, &mut bytes[..first]);
+            ctx.read_untrusted(self.buf + at as u64, &mut bytes[..first]);
         }
         if first < msg.len {
             ctx.read_untrusted(self.buf, &mut bytes[first..]);
         }
-        inner.used -= msg.len;
+        let (tail, head) = (inner.tail(), inner.head);
+        self.machine
+            .untrusted
+            .release_ring(self.buf, self.cap, &mut inner.released, tail, head);
         Some((msg.kind, bytes))
     }
 
@@ -289,6 +314,9 @@ fn parse_begin(begin: &[u8]) -> Option<(&[u8], u32, u64)> {
 mod tests {
     use super::*;
     use eleos_enclave::machine::MachineConfig;
+    use eleos_sim::costs::PAGE_SIZE;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn rig() -> (Arc<SgxMachine>, ThreadCtx, ThreadCtx) {
         let m = SgxMachine::new(MachineConfig::tiny());
@@ -344,6 +372,46 @@ mod tests {
         let msg: Vec<u8> = (0..300u32).map(|i| (i % 251) as u8).collect();
         ch.send(&mut ta, 0, &msg);
         assert_eq!(ch.recv(&mut tb), Some((0, msg)));
+    }
+
+    /// Message `i`'s bytes: `len` of them, unlike any other message's.
+    fn message(i: usize, len: usize) -> Vec<u8> {
+        (0..len).map(|j| (i * 31 + j * 7 + j / 251) as u8).collect()
+    }
+
+    #[test]
+    fn ring_pages_held_follow_the_bytes_staged() {
+        let (m, mut ta, mut tb) = rig();
+        let ch = EnclaveChannel::new(&m, 32 << 10);
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut staged = VecDeque::new();
+        let (mut sent, mut received, mut bytes) = (0usize, 0usize, 0usize);
+        while received < 3_000 {
+            // Bursts of up to 12 messages of up to 5 000 B, some empty,
+            // some across a page or the wrap point.
+            for _ in 0..rng.random_range(0..12) {
+                let len = rng.random_range(0..=5_000);
+                if staged.iter().sum::<usize>() + len > ch.cap {
+                    break;
+                }
+                ch.send(&mut ta, sent as u8, &message(sent, len));
+                staged.push_back(len);
+                (sent, bytes) = (sent + 1, bytes + len);
+            }
+            while ch.pending() > rng.random_range(0..6) {
+                let len = staged.pop_front().expect("staged");
+                let got = ch.recv(&mut tb).expect("staged");
+                assert_eq!(got, (received as u8, message(received, len)));
+                received += 1;
+                let live: usize = staged.iter().sum();
+                let pages = m.untrusted.resident_pages(ch.buf, ch.cap);
+                assert!(
+                    pages <= live.div_ceil(PAGE_SIZE) + 2,
+                    "{pages} pages held for {live} staged bytes"
+                );
+            }
+        }
+        assert!(bytes > 100 * ch.cap, "the ring wraps many times over");
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! buffer goes into a free pool that the next first write of any page
 //! draws from. So the footprint follows the bytes in use rather than
 //! every byte ever written, and the buffers are reused instead of being
-//! returned to the host allocator and asked for again. This layer moves
+//! returned to the host allocator and asked for again. A byte ring in
+//! this memory (a socket's staging ring, a cross-enclave channel) gives
+//! back what its reader has consumed through
+//! [`PagedMem::release_ring`], the one rule both follow. This layer moves
 //! bytes only; cycle accounting happens in the access layers that call
 //! it.
 
@@ -212,6 +215,38 @@ impl PagedMem {
         for page in first..end {
             self.drop_page(page);
         }
+    }
+
+    /// Releases what a ring buffer's reader has consumed. The ring is
+    /// `[base, base + cap)` and counts positions in bytes moved through
+    /// it since it was created, so position `p` lives at
+    /// `base + p % cap`. `tail` is the oldest position still to be read,
+    /// `head` the writer's next one (`tail <= head <= tail + cap`), and
+    /// `released` the position earlier calls have released up to; the
+    /// call advances it.
+    ///
+    /// Every whole page that holds only positions in
+    /// `[max(released, head - cap), tail)` is released: bytes that have
+    /// been read and that the writer has not come round to again, so the
+    /// page the writer is in keeps what it holds. The page `tail` is in
+    /// is released by a later call, once the tail has left it.
+    ///
+    /// # Panics
+    /// Panics when `tail > head` or the ring lies outside the region.
+    pub fn release_ring(&self, base: u64, cap: usize, released: &mut u64, tail: u64, head: u64) {
+        assert!(tail <= head, "a ring's reader is ahead of its writer");
+        let cap = cap as u64;
+        let from = (*released).max(head.saturating_sub(cap));
+        if from < tail {
+            // At most one lap, on either side of the wrap point.
+            let (a, b) = (from % cap, from % cap + (tail - from));
+            self.release(base + a, (b.min(cap) - a) as usize);
+            self.release(base, b.saturating_sub(cap) as usize);
+        }
+        // The position the tail's page starts at, or the lap's first
+        // if that page starts before the ring.
+        let in_page = ((base + tail % cap) % PAGE_SIZE as u64).min(tail % cap);
+        *released = (*released).max(tail - in_page);
     }
 
     /// Reads a little-endian `u64` at `addr`.

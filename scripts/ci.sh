@@ -322,13 +322,15 @@ if awk -v c="$setup" 'BEGIN { exit !(c > 480) }'; then
 fi
 printf '   %s ops, 0 failed, %.4f major faults/op, %.1f crypto set-up cycles/op\n' "$attempted" "$faults" "$setup"
 
-echo "== e2e kvs-churn guard (a read item gets a second chance at the LRU tail; memory is allocated on first write and consumed socket-ring pages are released)"
+echo "== e2e kvs-churn guard (a read item gets a second chance at the LRU tail; memory is allocated on first write, consumed socket-ring pages are released and a dirtied SUVM page drops its stale sealed copy)"
 # The one workload whose GETs miss: half its ops are SETs into a pool
 # that evicts. Move-on-hit, which second-chance eviction replaced, read
 # 0.9585 here; second chance reads 0.9703. Its peak RSS read 74.8 MiB
 # while every EPC frame and untrusted page lock was allocated up front,
 # 45.3 since both appear on first write, 46.8 before a receive released
-# the socket-ring pages it had consumed and 42.9 since.
+# the socket-ring pages it had consumed, 42.9 since (42.7 just before
+# the next change; 42.7-43.1 over seeds 1-5), and 41.0 since a dirtied
+# SUVM page releases its stale sealed copy (40.9-41.1 over seeds 1-5).
 cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
     --workload kvs-churn --seed 1 --seconds 6 | tail -n 1 > target/e2e_guard.json
 attempted=$(guard_field attempted)
@@ -344,8 +346,8 @@ if awk -v h="$hits" 'BEGIN { exit !(h < 0.965) }'; then
     printf 'kvs-churn: GET hit ratio %.4f, want >= 0.965\n' "$hits" >&2
     exit 1
 fi
-if awk -v r="$rss" 'BEGIN { exit !(r > 48) }'; then
-    printf 'kvs-churn: peak RSS %.1f MiB, want <= 48\n' "$rss" >&2
+if awk -v r="$rss" 'BEGIN { exit !(r > 42) }'; then
+    printf 'kvs-churn: peak RSS %.1f MiB, want <= 42\n' "$rss" >&2
     exit 1
 fi
 printf '   %s ops, 0 failed, GET hit ratio %.4f, peak RSS %.1f MiB\n' "$attempted" "$hits" "$rss"
@@ -365,7 +367,7 @@ if [ "$ps_faults" -gt 200 ]; then
 fi
 echo "   eleos row: $ps_faults SUVM faults"
 
-echo "== e2e fleet-open latency guard (a reap takes what each socket queues; each socket has an RPC lane of its own; memory is allocated on first write and consumed socket-ring pages are released)"
+echo "== e2e fleet-open latency guard (a reap takes what each socket queues; each socket has an RPC lane of its own; memory is allocated on first write and consumed socket-ring and channel pages are released)"
 # The open-loop workload: a request queued behind another on its shard
 # is reaped with it, not a replica pump later. A per-shard AIMD depth
 # that sat at 1-2 here read 33 561; a reap of up to `batch_max` read
@@ -373,8 +375,10 @@ echo "== e2e fleet-open latency guard (a reap takes what each socket queues; eac
 # two sockets side by side, and 22 249 since. Its peak RSS read
 # 45.2 MiB while every EPC frame and
 # untrusted page lock was allocated up front, 8.6 since both appear on
-# first write (8.5 just before the next change), and 8.1 since a
-# receive releases the socket-ring pages it has consumed.
+# first write (8.5 just before the next change), 8.1 since a receive
+# releases the socket-ring pages it has consumed (8.08-8.21 over seeds
+# 1-5), and 7.8 since a cross-enclave channel releases its received
+# pages too (7.61-7.78 over seeds 1-5).
 cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
     --workload fleet-open --seed 7 --seconds 6 | tail -n 1 > target/e2e_guard.json
 attempted=$(guard_field attempted)
@@ -390,8 +394,8 @@ if awk -v p="$p50" 'BEGIN { exit !(p > 23000) }'; then
     printf 'fleet-open: reply p50 %s cycles, want <= 23000\n' "$p50" >&2
     exit 1
 fi
-if awk -v r="$rss" 'BEGIN { exit !(r > 10) }'; then
-    printf 'fleet-open: peak RSS %.1f MiB, want <= 10\n' "$rss" >&2
+if awk -v r="$rss" 'BEGIN { exit !(r > 8) }'; then
+    printf 'fleet-open: peak RSS %.1f MiB, want <= 8\n' "$rss" >&2
     exit 1
 fi
 printf '   %s ops, 0 failed, reply p50 %s cycles, peak RSS %.1f MiB\n' "$attempted" "$p50" "$rss"
