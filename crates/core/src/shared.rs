@@ -30,7 +30,7 @@ use eleos_sim::stats::Stats;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::table::{CryptoTable, SealState};
+use crate::table::PageTable;
 
 /// The shared sealed store.
 ///
@@ -65,7 +65,9 @@ pub struct SharedRegion {
     bs_base: u64,
     page_size: usize,
     gcm: AesGcm128,
-    seals: CryptoTable,
+    /// Seal state only: a region caches no page, so no entry has a
+    /// frame.
+    seals: PageTable,
     alloc: Mutex<BuddyAllocator>,
     nonce_ctr: AtomicU64,
 }
@@ -95,7 +97,7 @@ impl SharedRegion {
             machine: Arc::clone(machine),
             page_size,
             gcm: AesGcm128::new(&key),
-            seals: CryptoTable::new(32),
+            seals: PageTable::new(32),
             alloc: Mutex::new(BuddyAllocator::new(bytes as u64, 16)),
             nonce_ctr: AtomicU64::new(1),
         })
@@ -176,28 +178,27 @@ impl SharedToken {
             let in_page = (cur % ps as u64) as usize;
             let n = (ps - in_page).min(buf.len() - off);
             loop {
-                let (version, state) = r.seals.read(page);
-                match state {
-                    SealState::Fresh => buf[off..off + n].fill(0),
-                    SealState::NoCopy => unreachable!("a shared region caches no page"),
-                    SealState::SubPages { meta } => {
-                        // Shared regions seal whole pages: one unit.
-                        let (nonce, tag) = &meta[0];
-                        let mut scratch = vec![0u8; ps];
-                        ctx.read_untrusted(r.bs_base + page * ps as u64, &mut scratch);
-                        if r.gcm
-                            .open(nonce, &SharedRegion::aad(page), &mut scratch, tag)
-                            .is_err()
-                        {
-                            if !r.seals.check(page, version) {
-                                continue; // torn by a concurrent writer
-                            }
-                            panic!("shared page failed authentication: untrusted memory tampered");
-                        }
-                        ctx.charge_crypto_in(&mut batch, &r.gcm, [ps]);
-                        buf[off..off + n].copy_from_slice(&scratch[in_page..in_page + n]);
+                // Shared regions seal whole pages: one unit.
+                let (version, unit) = r
+                    .seals
+                    .stable(page, |e| (e.version, e.copy.as_ref().map(|m| m[0])));
+                let Some((nonce, tag)) = unit else {
+                    buf[off..off + n].fill(0);
+                    break;
+                };
+                let mut scratch = vec![0u8; ps];
+                ctx.read_untrusted(r.bs_base + page * ps as u64, &mut scratch);
+                if r.gcm
+                    .open(&nonce, &SharedRegion::aad(page), &mut scratch, &tag)
+                    .is_err()
+                {
+                    if !r.seals.sealed_at(page, version) {
+                        continue; // torn by a concurrent writer
                     }
+                    panic!("shared page failed authentication: untrusted memory tampered");
                 }
+                ctx.charge_crypto_in(&mut batch, &r.gcm, [ps]);
+                buf[off..off + n].copy_from_slice(&scratch[in_page..in_page + n]);
                 break;
             }
             off += n;
@@ -218,27 +219,26 @@ impl SharedToken {
             let page = cur / ps as u64;
             let in_page = (cur % ps as u64) as usize;
             let n = (ps - in_page).min(data.len() - off);
-            r.seals.begin_write(page);
+            // The odd version makes this the page's one writer.
+            let copy = r.seals.stable(page, |e| {
+                e.version += 1;
+                e.copy.clone()
+            });
             let mut scratch = vec![0u8; ps];
-            match r.seals.get_unchecked(page) {
-                SealState::Fresh => {}
-                SealState::NoCopy => unreachable!("a shared region caches no page"),
-                SealState::SubPages { meta } => {
-                    let (nonce, tag) = &meta[0];
-                    ctx.read_untrusted(r.bs_base + page * ps as u64, &mut scratch);
-                    r.gcm
-                        .open(nonce, &SharedRegion::aad(page), &mut scratch, tag)
-                        .expect("shared page failed authentication");
-                    ctx.charge_crypto_in(&mut batch, &r.gcm, [ps]);
-                }
+            if let Some(meta) = copy {
+                let (nonce, tag) = &meta[0];
+                ctx.read_untrusted(r.bs_base + page * ps as u64, &mut scratch);
+                r.gcm
+                    .open(nonce, &SharedRegion::aad(page), &mut scratch, tag)
+                    .expect("shared page failed authentication");
+                ctx.charge_crypto_in(&mut batch, &r.gcm, [ps]);
             }
             scratch[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
             let nonce = r.next_nonce();
             let tag = r.gcm.seal(&nonce, &SharedRegion::aad(page), &mut scratch);
             ctx.charge_crypto_in(&mut batch, &r.gcm, [ps]);
             ctx.write_untrusted(r.bs_base + page * ps as u64, &scratch);
-            let meta = Box::new([(nonce, tag)]);
-            r.seals.commit_write(page, SealState::SubPages { meta });
+            r.seals.commit(page, Box::new([(nonce, tag)]));
             Stats::add(&r.machine.stats.sealed_bytes, ps as u64);
             off += n;
         }

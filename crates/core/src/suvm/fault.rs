@@ -33,42 +33,38 @@ impl Suvm {
         );
         loop {
             let frame = self.acquire_frame(ctx);
-            let Some(version) = self.load_page_in(ctx, page, frame) else {
-                // Raced a concurrent re-seal of this page; retry.
-                self.push_free(frame);
-                if let Some(frame) = self.try_pin(page) {
-                    return (frame, true);
+            if let Some(version) = self.load_page_in(ctx, page, frame) {
+                if self.publish(page, version, frame) {
+                    return (frame, false);
                 }
-                continue;
-            };
-            // Publish, unless somebody beat us to it or the page was
-            // re-sealed since its image was loaded: a write-through
-            // that began in between holds a newer image than this
-            // frame. A write-through begins its seal write before it
-            // probes residency again, so one of the two sees the other.
-            let won = self.pt.with_bucket(page, |b| {
-                if b.iter().any(|(p, _)| *p == page) || !self.store.seals.check(page, version) {
-                    return false;
-                }
-                let meta = &self.frames[frame as usize];
-                meta.page.store(page, Ordering::Release);
-                meta.pinned.store(1, Ordering::Release);
-                meta.dirty.store(false, Ordering::Release);
-                self.hand.touch(frame);
-                b.push((page, frame));
-                true
-            });
-            if won {
-                return (frame, false);
             }
-            // Lost a race: recycle our frame and pin the winner's.
+            // Lost to a re-seal of the page, or to another fault-in of
+            // it: recycle the frame and pin the winner's, or load again.
             self.push_free(frame);
             if let Some(frame) = self.try_pin(page) {
                 return (frame, true);
             }
-            // The page was re-sealed, or the winner's frame was evicted
-            // already; try again.
         }
+    }
+
+    /// Makes `frame`, loaded with `page`'s image at seal `version`, the
+    /// page's frame, pinned once. It does so only while the page has no
+    /// frame and `version` still stands: a write-through takes the odd
+    /// version under the same lock, so one that began after the load
+    /// holds a newer image than `frame`. Returns whether it published.
+    pub(super) fn publish(&self, page: u64, version: u64, frame: u32) -> bool {
+        self.store.seals.with(page, |e| {
+            if e.frame.is_some() || e.version != version {
+                return false;
+            }
+            e.frame = Some(frame);
+            let meta = &self.frames[frame as usize];
+            meta.page.store(page, Ordering::Release);
+            meta.pinned.store(1, Ordering::Release);
+            meta.dirty.store(false, Ordering::Release);
+            self.hand.touch(frame);
+            true
+        })
     }
 
     /// The §4.1/§4.2 effect: SUVM metadata lives in EPC and is paged
@@ -92,18 +88,23 @@ impl Suvm {
     }
 
     /// Pins `page`'s frame if resident. Pin 0→1 only happens under the
-    /// page's bucket lock, which is what makes eviction's
+    /// page's table lock, which is what makes eviction's
     /// "unpinned ⇒ evictable" check race-free.
     pub(super) fn try_pin(&self, page: u64) -> Option<u32> {
-        self.pt.with_bucket(page, |b| {
-            b.iter().find(|(p, _)| *p == page).map(|&(_, frame)| {
-                let meta = &self.frames[frame as usize];
-                meta.pinned.fetch_add(1, Ordering::AcqRel);
-                Stats::bump(&self.machine.stats.suvm_hits);
-                self.hand.touch(frame);
-                frame
-            })
-        })
+        self.store
+            .seals
+            .with(page, |e| e.frame.map(|f| self.pin(f)))
+    }
+
+    /// Pins `frame`, found as its page's frame under the page's table
+    /// lock, and counts the hit.
+    pub(super) fn pin(&self, frame: u32) -> u32 {
+        self.frames[frame as usize]
+            .pinned
+            .fetch_add(1, Ordering::AcqRel);
+        Stats::bump(&self.machine.stats.suvm_hits);
+        self.hand.touch(frame);
+        frame
     }
 
     /// Unpins a frame previously pinned by [`Self::fault_in_and_pin`].
@@ -116,10 +117,9 @@ impl Suvm {
 
     /// Marks a pinned frame dirty (write access). On its clean → dirty
     /// transition the page's sealed copy, if it has one, is stale: the
-    /// next eviction overwrites it unread. So the copy is dropped
-    /// ([`crate::table::CryptoTable::drop_copy`]) and its backing bytes
-    /// go back to the untrusted memory's pool; the crypto table keeps
-    /// the entry and its read-miss stamps.
+    /// next eviction overwrites it unread. So the copy is dropped and its
+    /// backing bytes go back to the untrusted memory's pool; the entry
+    /// keeps its version and its read-miss stamps.
     pub(crate) fn mark_dirty(&self, frame: u32) {
         let meta = &self.frames[frame as usize];
         if meta.dirty.load(Ordering::Acquire) || meta.dirty.swap(true, Ordering::AcqRel) {
@@ -127,14 +127,14 @@ impl Suvm {
         }
         // Pinned by the caller: the page cannot change under us.
         let page = meta.page.load(Ordering::Acquire);
-        if self.store.seals.drop_copy(page) {
+        if self.store.seals.with(page, |e| e.copy.take()).is_some() {
             self.machine
                 .untrusted
                 .release(self.store.addr_of(page, 0), self.cfg.page_size);
         }
     }
 
-    fn acquire_frame(&self, ctx: &mut ThreadCtx) -> u32 {
+    pub(super) fn acquire_frame(&self, ctx: &mut ThreadCtx) -> u32 {
         loop {
             if let Some(f) = self.free.lock().pop() {
                 if (f as usize) < self.limit.load(Ordering::Acquire) {
@@ -210,10 +210,10 @@ impl Suvm {
     /// one batch for its page, a quiesce as one batch across all the
     /// pages it sealed.
     ///
-    /// The crypto-metadata seqlock brackets the (ciphertext, metadata)
-    /// update so concurrent readers never mistake a torn pair for
-    /// tampering. The caller began the write (`try_begin_write`) when
-    /// it unmapped the page; this commits it.
+    /// The seal version brackets the (ciphertext, metadata) update so
+    /// concurrent readers never mistake a torn pair for tampering. The
+    /// caller took the odd version when it unmapped the page
+    /// ([`Self::claim`]); this commits it.
     pub(super) fn seal_page_raw(&self, ctx: &mut ThreadCtx, page: u64, frame: u32) -> Vec<usize> {
         let ps = self.cfg.page_size;
         let mut buf = vec![0u8; ps];
@@ -233,62 +233,58 @@ impl Suvm {
         let meta: Box<[_]> = jobs.iter().map(|j| j.nonce).zip(tags).collect();
         drop(jobs);
         let lens = vec![sp; meta.len()];
-        let state = SealState::SubPages { meta };
         ctx.write_untrusted_raw(self.store.addr_of(page, 0), &buf);
-        self.store.seals.commit_write(page, state);
+        self.store.seals.commit(page, meta);
         Stats::add(&self.machine.stats.sealed_bytes, ps as u64);
         lens
     }
 
-    /// Loads `page` into `frame` (not yet visible in the page table).
-    /// Returns the seal version the image was loaded at, or `None`
-    /// when the unseal raced a concurrent re-seal of the same page, or
-    /// the page was faulted in and written meanwhile (it has no copy),
-    /// and the fault must be retried.
+    /// Loads `page` into `frame` (not yet visible in the page table):
+    /// its sealed copy, or zeros when it has none. Returns the seal
+    /// version the image was loaded at, or `None` when the unseal raced
+    /// a re-seal of the page or the loss of its copy, and the fault must
+    /// be retried.
     ///
     /// # Panics
-    /// Panics when the sealed copy fails authentication at a *stable*
-    /// metadata version — genuine tampering with untrusted memory.
-    fn load_page_in(&self, ctx: &mut ThreadCtx, page: u64, frame: u32) -> Option<u64> {
+    /// Panics when the sealed copy fails authentication at a version
+    /// that still stands — genuine tampering with untrusted memory.
+    pub(super) fn load_page_in(&self, ctx: &mut ThreadCtx, page: u64, frame: u32) -> Option<u64> {
         let ps = self.cfg.page_size;
-        let (version, state) = self.store.seals.read(page);
-        match state {
-            SealState::NoCopy => None,
-            SealState::Fresh => {
-                let zeros = vec![0u8; ps];
-                ctx.write_enclave_raw(self.epcpp_vaddr(frame, 0), &zeros);
-                // Fast zero-fill: ~32 bytes/cycle.
-                ctx.compute(ps as u64 / 32);
-                Some(version)
+        let (version, copy) = self
+            .store
+            .seals
+            .stable(page, |e| (e.version, e.copy.clone()));
+        let Some(meta) = copy else {
+            let zeros = vec![0u8; ps];
+            ctx.write_enclave_raw(self.epcpp_vaddr(frame, 0), &zeros);
+            // Fast zero-fill: ~32 bytes/cycle.
+            ctx.compute(ps as u64 / 32);
+            return Some(version);
+        };
+        let sp = self.cfg.sub_page_size;
+        let mut buf = vec![0u8; ps];
+        ctx.read_untrusted_raw(self.store.addr_of(page, 0), &mut buf);
+        let aads: Vec<[u8; 12]> = (0..meta.len()).map(|s| Self::aad(page, s as u32)).collect();
+        let mut jobs: Vec<OpenJob<'_>> = buf
+            .chunks_mut(sp)
+            .zip(meta.iter().zip(&aads))
+            .map(|(data, (&(nonce, tag), aad))| OpenJob {
+                nonce,
+                aad,
+                data,
+                tag,
+            })
+            .collect();
+        if self.sealer.open_batch(&mut jobs).is_err() {
+            if !self.store.seals.sealed_at(page, version) {
+                return None;
             }
-            SealState::SubPages { meta } => {
-                let sp = self.cfg.sub_page_size;
-                let mut buf = vec![0u8; ps];
-                ctx.read_untrusted_raw(self.store.addr_of(page, 0), &mut buf);
-                let aads: Vec<[u8; 12]> =
-                    (0..meta.len()).map(|s| Self::aad(page, s as u32)).collect();
-                let mut jobs: Vec<OpenJob<'_>> = buf
-                    .chunks_mut(sp)
-                    .zip(meta.iter().zip(&aads))
-                    .map(|(data, (&(nonce, tag), aad))| OpenJob {
-                        nonce,
-                        aad,
-                        data,
-                        tag,
-                    })
-                    .collect();
-                if self.sealer.open_batch(&mut jobs).is_err() {
-                    if !self.store.seals.check(page, version) {
-                        return None;
-                    }
-                    panic!("SUVM sub-page failed authentication: backing store tampered");
-                }
-                drop(jobs);
-                ctx.charge_crypto(&self.sealer, vec![sp; meta.len()]);
-                ctx.write_enclave_raw(self.epcpp_vaddr(frame, 0), &buf);
-                Stats::add(&self.machine.stats.sealed_bytes, ps as u64);
-                Some(version)
-            }
+            panic!("SUVM sub-page failed authentication: backing store tampered");
         }
+        drop(jobs);
+        ctx.charge_crypto(&self.sealer, vec![sp; meta.len()]);
+        ctx.write_enclave_raw(self.epcpp_vaddr(frame, 0), &buf);
+        Stats::add(&self.machine.stats.sealed_bytes, ps as u64);
+        Some(version)
     }
 }

@@ -9,8 +9,8 @@
 //! - a **backing store** in untrusted memory, holding each evicted
 //!   page as AES-GCM-sealed sub-page images, allocated by a
 //!   memsys5-style buddy allocator;
-//! - the **inverse page table** and **crypto-metadata table** in
-//!   enclave memory (see [`crate::table`]);
+//! - the **page table** in enclave memory, one entry per page for its
+//!   frame and its seal state alike (see [`crate::table`]);
 //! - a software fault path that runs *entirely inside the enclave*: no
 //!   EEXIT, no kernel, no IPIs.
 //!
@@ -33,7 +33,7 @@ use eleos_enclave::thread::ThreadCtx;
 use eleos_sim::stats::Stats;
 
 use crate::config::SuvmConfig;
-use crate::table::{InversePt, SealState, NO_PAGE};
+use crate::table::{Entry, NO_PAGE};
 
 use self::policy::ClockHand;
 use self::store::SealedBuddyStore;
@@ -63,10 +63,9 @@ pub struct Suvm {
     free: Mutex<Vec<u32>>,
     /// Ballooning limit: only frames `0..limit` are usable (§3.3).
     limit: AtomicUsize,
-    pt: InversePt,
     /// Victim selection under [`SuvmConfig::policy`].
     hand: ClockHand,
-    /// Sealed page images + crypto table (see [`store`]).
+    /// Sealed page images + the page table (see [`store`]).
     store: SealedBuddyStore,
     /// The cipher every backing-store seal/open flows through: the
     /// per-application key of §3.2.3.
@@ -113,7 +112,6 @@ impl Suvm {
         key[..4].copy_from_slice(&enclave.id.to_le_bytes());
         key[4..12].copy_from_slice(b"suvm-key");
         Arc::new(Self {
-            pt: InversePt::new(n * 2),
             hand: ClockHand::new(cfg.policy, n),
             store: SealedBuddyStore::new(&machine, cfg.backing_bytes, cfg.page_size),
             free: Mutex::new((0..n as u32).rev().collect()),
@@ -159,7 +157,10 @@ impl Suvm {
     /// Number of pages currently cached in EPC++.
     #[must_use]
     pub fn resident_pages(&self) -> usize {
-        self.pt.len()
+        self.frames
+            .iter()
+            .filter(|f| f.page.load(Ordering::Acquire) != NO_PAGE)
+            .count()
     }
 
     /// Major faults this instance served (the machine-wide
@@ -197,23 +198,29 @@ impl Suvm {
             .free(sva)
             .expect("suvm_free of non-allocated address");
         // Decommit whole pages covered by the block: drop cached frames
-        // (if unpinned) and forget seal state, so the space is really
-        // reclaimed.
+        // (if unpinned), forget seal state and release the sealed bytes,
+        // so the space is really reclaimed.
         let ps = self.cfg.page_size as u64;
         let first = sva.div_ceil(ps);
         let last = (sva + size) / ps;
         for page in first..last {
-            self.pt.with_bucket(page, |b| {
-                if let Some(idx) = b.iter().position(|(p, _)| *p == page) {
-                    let frame = b[idx].1;
-                    if self.frames[frame as usize].pinned.load(Ordering::Acquire) == 0 {
-                        b.swap_remove(idx);
-                        self.vacate(frame);
-                    }
+            self.store.seals.stable(page, |e| {
+                let frame = e
+                    .frame
+                    .take_if(|&mut f| self.frames[f as usize].pinned.load(Ordering::Acquire) == 0);
+                if let Some(frame) = frame {
+                    self.vacate(frame);
                 }
+                *e = Entry {
+                    frame: e.frame,
+                    ..Default::default()
+                };
             });
-            self.store.seals.clear(page);
         }
+        let bytes = (last.saturating_sub(first) * ps) as usize;
+        self.machine
+            .untrusted
+            .release(self.store.addr_of(first, 0), bytes);
     }
 
     // ------------------------------------------------------------------
@@ -253,31 +260,61 @@ impl Suvm {
         }
     }
 
-    /// Checks the structural invariants between the inverse page
-    /// table, the frame metadata and the free list. Intended for tests at quiescent points (no concurrent
-    /// mutators).
+    /// Checks the invariants between the page table, the frame
+    /// metadata, the free list and the backing store. Intended for
+    /// tests at quiescent points (no concurrent mutators):
+    ///
+    /// - a frame caches a page exactly when that page's entry names the
+    ///   frame;
+    /// - a resident dirty page has no sealed copy, and its backing range
+    ///   holds no bytes;
+    /// - a page with no frame has a sealed copy at an even version;
+    /// - no free frame caches a page, and none is free twice.
     ///
     /// # Panics
     /// Panics on any violated invariant.
     pub fn check_consistency(&self) {
-        let mut mapped = 0usize;
+        let ps = self.cfg.page_size;
         for (frame, meta) in self.frames.iter().enumerate() {
             let page = meta.page.load(Ordering::Acquire);
             if page == NO_PAGE {
                 continue;
             }
-            mapped += 1;
-            assert_eq!(
-                self.pt.lookup(page),
-                Some(frame as u32),
-                "frame {frame} claims page {page} but the inverse PT disagrees"
-            );
+            let dirty = meta.dirty.load(Ordering::Acquire);
+            self.store.seals.with(page, |e| {
+                assert_eq!(
+                    e.frame,
+                    Some(frame as u32),
+                    "frame {frame} claims page {page} but the page table disagrees"
+                );
+                assert!(
+                    !dirty || e.copy.is_none(),
+                    "dirty page {page} keeps its stale sealed copy"
+                );
+            });
+            // The copy's release frees whole untrusted pages only.
+            if dirty && ps.is_multiple_of(eleos_sim::costs::PAGE_SIZE) {
+                assert_eq!(
+                    self.machine
+                        .untrusted
+                        .resident_pages(self.store.addr_of(page, 0), ps),
+                    0,
+                    "dirty page {page} still holds backing bytes"
+                );
+            }
         }
-        assert_eq!(
-            self.pt.len(),
-            mapped,
-            "inverse PT holds entries no frame claims"
-        );
+        self.store.seals.for_each(|page, e| match e.frame {
+            Some(frame) => assert_eq!(
+                self.frames[frame as usize].page.load(Ordering::Acquire),
+                page,
+                "page {page} names frame {frame}, which caches another page"
+            ),
+            None => assert!(
+                e.copy.is_some() && e.version.is_multiple_of(2),
+                "page {page} is neither resident nor sealed (version {})",
+                e.version
+            ),
+        });
         let free = self.free.lock();
         let mut seen = std::collections::HashSet::new();
         for &f in free.iter() {

@@ -1,7 +1,6 @@
 //! A pinned cursor over a contiguous secure span, and the rule that
 //! decides how it reaches a page that is not in EPC++.
 use super::*;
-use crate::table::Unit;
 use eleos_crypto::gcm::{Nonce, Tag};
 use eleos_enclave::thread::CryptoBatch;
 
@@ -73,9 +72,8 @@ enum Held {
 /// except through that cursor. A bypassed sub-page another writer
 /// re-seals meanwhile is opened again: its plaintext is reused only at
 /// the seal version it was opened or written at. A page another writer
-/// faults in and writes meanwhile has no sealed copy left
-/// ([`crate::table::SealState::NoCopy`]): the cursor translates again
-/// and reads it from its frame.
+/// faults in and writes meanwhile has no sealed copy left: the cursor
+/// translates again and reads it from its frame.
 pub struct SpanCursor<'a> {
     suvm: &'a Suvm,
     pos: Sva,
@@ -109,19 +107,26 @@ impl Suvm {
     /// the read-miss clock; a write asks with [`Access::Direct`].
     pub(super) fn bypasses(&self, page: u64, access: Access) -> bool {
         let n_subs = self.cfg.page_size / self.cfg.sub_page_size;
-        if access == Access::Cached || n_subs == 1 || !self.store.seals.has_copy(page) {
+        if access == Access::Cached || n_subs == 1 {
             return false;
         }
-        if access == Access::Direct {
-            return true;
-        }
-        let now = self.read_misses.fetch_add(1, Ordering::Relaxed) + 1;
-        // Reuse is judged from the last two gaps (LRU-2): their mean is
-        // under the window when this miss is fewer than two windows
-        // after the one two misses back. (A racing miss may have
-        // stamped a later reading: distance 0.)
-        let [_, second] = self.store.seals.stamp_miss(page, now);
-        second == 0 || now.saturating_sub(second) >= 2 * (self.frame_limit() / n_subs) as u64
+        let window = 2 * (self.frame_limit() / n_subs) as u64;
+        self.store.seals.with(page, |e| {
+            if e.copy.is_none() {
+                return false;
+            }
+            if access == Access::Direct {
+                return true;
+            }
+            let now = self.read_misses.fetch_add(1, Ordering::Relaxed) + 1;
+            // Reuse is judged from the last two gaps (LRU-2): their mean
+            // is under the window when this miss is fewer than two
+            // windows after the one two misses back. (A racing miss may
+            // have stamped a later reading: distance 0.)
+            let second = e.misses[1];
+            e.misses = [now, e.misses[0]];
+            second == 0 || now.saturating_sub(second) >= window
+        })
     }
 }
 
@@ -148,8 +153,6 @@ impl SpanCursor<'_> {
                 }
                 Held::Sealed { .. } => {
                     if !self.read_sealed(ctx, page, in_page, out) {
-                        // Faulted in and written since the translation:
-                        // its bytes are in its frame.
                         self.release();
                         continue;
                     }
@@ -185,7 +188,6 @@ impl SpanCursor<'_> {
             self.translate(ctx, page, access);
             if let Held::Sealed { .. } = self.held {
                 if !self.write_sealed(ctx, page, in_page, src) {
-                    // Decommitted since the translation: start over.
                     self.release();
                     continue;
                 }
@@ -239,9 +241,9 @@ impl SpanCursor<'_> {
     /// Copies `out.len()` bytes at `in_page` of the non-resident
     /// `page` out of the backing store, unsealing only the sub-pages
     /// the cursor does not already hold in plaintext at the page's
-    /// current seal version. Returns `false`, reading nothing, when the
-    /// page has been faulted in and written since the translation: it
-    /// has no sealed copy, and the caller translates again.
+    /// current seal version. Returns `false` when the page has no
+    /// sealed copy any more (faulted in and written, or decommitted) or
+    /// was re-sealed under the read: the caller translates again.
     fn read_sealed(
         &mut self,
         ctx: &mut ThreadCtx,
@@ -255,42 +257,34 @@ impl SpanCursor<'_> {
         let Held::Sealed { unit: mut held, .. } = self.held else {
             unreachable!("read_sealed on a cached page")
         };
-        'retry: loop {
-            // Every unit is read at the first one's version: a re-seal
-            // in between starts the read over.
-            let mut at = None;
-            for sub in in_page / sp..=(end - 1) / sp {
-                let (version, unit) = s.store.seals.read_unit(page, sub);
-                if at.is_some_and(|v| v != version) {
-                    continue 'retry;
-                }
-                at = Some(version);
-                let (lo, hi) = (in_page.max(sub * sp), end.min((sub + 1) * sp));
-                let out = &mut out[lo - in_page..hi - in_page];
-                match unit {
-                    // Decommitted since the cursor got here.
-                    Unit::Fresh => {
-                        out.fill(0);
-                        continue;
-                    }
-                    Unit::NoCopy => return false,
-                    Unit::Sealed(nonce, tag) if held != Some((sub, version)) => {
-                        if !self.open_unit(ctx, page, sub, &(nonce, tag)) {
-                            held = None;
-                            if !s.store.seals.check(page, version) {
-                                continue 'retry; // torn by a concurrent re-seal
-                            }
-                            panic!("SUVM sub-page failed authentication");
-                        }
-                        ctx.charge_crypto_in(&mut self.batch, &s.sealer, [sp]);
-                        Stats::add(&s.machine.stats.sealed_bytes, sp as u64);
-                        held = Some((sub, version));
-                    }
-                    Unit::Sealed(..) => {}
-                }
-                out.copy_from_slice(&self.plain[lo - sub * sp..hi - sub * sp]);
+        // Every unit is read at the first one's version.
+        let mut at = None;
+        for sub in in_page / sp..=(end - 1) / sp {
+            let sealed = s
+                .store
+                .seals
+                .stable(page, |e| Some((e.version, e.copy.as_ref()?[sub])));
+            let Some((version, unit)) = sealed else {
+                return false;
+            };
+            if at.is_some_and(|v| v != version) {
+                return false;
             }
-            break;
+            at = Some(version);
+            if held != Some((sub, version)) {
+                if !self.open_unit(ctx, page, sub, &unit) {
+                    if !s.store.seals.sealed_at(page, version) {
+                        return false;
+                    }
+                    panic!("SUVM sub-page failed authentication");
+                }
+                ctx.charge_crypto_in(&mut self.batch, &s.sealer, [sp]);
+                Stats::add(&s.machine.stats.sealed_bytes, sp as u64);
+                held = Some((sub, version));
+            }
+            let (lo, hi) = (in_page.max(sub * sp), end.min((sub + 1) * sp));
+            out[lo - in_page..hi - in_page]
+                .copy_from_slice(&self.plain[lo - sub * sp..hi - sub * sp]);
         }
         self.held = Held::Sealed { page, unit: held };
         true
@@ -320,12 +314,10 @@ impl SpanCursor<'_> {
     /// to the backing store: a read-modify-write of each touched
     /// sub-page, re-sealed with a fresh nonce. The sub-page the cursor
     /// holds is not opened again if nobody re-sealed the page since.
-    /// Returns `false`, writing nothing, when the page was decommitted
-    /// since the translation, or has no sealed copy: the caller
-    /// translates again. A page faulted in since then is written
-    /// in EPC++ instead, as the held frame: residency is probed again
-    /// once the seal write is held, because a fault-in publishes only
-    /// while the version it loaded still stands.
+    /// Returns `false`, writing nothing, when the page has no sealed
+    /// copy any more: the caller translates again. A page faulted in
+    /// since the translation is written in EPC++ instead, as the held
+    /// frame.
     fn write_sealed(
         &mut self,
         ctx: &mut ThreadCtx,
@@ -339,27 +331,25 @@ impl SpanCursor<'_> {
         let Held::Sealed { unit: held, .. } = self.held else {
             unreachable!("write_sealed on a cached page")
         };
-        // The residency re-check right before the seal write, as a
-        // fresh translation makes it.
-        if let Some(frame) = s.try_pin(page) {
-            self.held = Held::Frame { page, frame };
-            return true;
-        }
-        // Exclusive writer for this page's sealed image from here to
-        // the commit: no re-seal can tear what is opened below.
-        let version = s.store.seals.begin_write(page);
-        let state = s.store.seals.get_unchecked(page);
-        // A fault-in that loaded the page before the seal write began
-        // may have published it since the probe above: write there,
-        // leaving the sealed image as it was.
-        if let Some(frame) = s.try_pin(page) {
-            s.store.seals.commit_write(page, state);
-            self.held = Held::Frame { page, frame };
-            return true;
-        }
-        let SealState::SubPages { mut meta } = state else {
-            s.store.seals.commit_write(page, state);
-            return false;
+        // One probe under the page's lock: a resident page is pinned; a
+        // sealed one takes the odd seal version, which makes this the
+        // page's one writer until the commit and keeps a fault-in that
+        // loaded the older image from publishing it.
+        let begun = s.store.seals.stable(page, |e| match (e.frame, &e.copy) {
+            (Some(frame), _) => Err(Some(s.pin(frame))),
+            (None, Some(copy)) => {
+                e.version += 1;
+                Ok((e.version, copy.clone()))
+            }
+            (None, None) => Err(None),
+        });
+        let (version, mut meta) = match begun {
+            Ok(begun) => begun,
+            Err(Some(frame)) => {
+                self.held = Held::Frame { page, frame };
+                return true;
+            }
+            Err(None) => return false,
         };
         // The held plaintext is current only if the page's last commit
         // was the one it was read or written at.
@@ -367,7 +357,7 @@ impl SpanCursor<'_> {
         for sub in in_page / sp..=(end - 1) / sp {
             let open = held.is_none_or(|(unit, _)| unit != sub);
             if open && !self.open_unit(ctx, page, sub, &meta[sub]) {
-                // No re-seal can tear a unit under the write lock: this
+                // No re-seal can tear a unit under the odd version: this
                 // is tampering.
                 panic!("SUVM sub-page failed authentication");
             }
@@ -387,9 +377,7 @@ impl SpanCursor<'_> {
             Stats::add(&s.machine.stats.sealed_bytes, (msgs * sp) as u64);
             held = Some((sub, version + 1));
         }
-        s.store
-            .seals
-            .commit_write(page, SealState::SubPages { meta });
+        s.store.seals.commit(page, meta);
         self.held = Held::Sealed { page, unit: held };
         true
     }

@@ -4,8 +4,9 @@
 //! memsys5-style buddy allocator, with the crypto metadata (nonce, tag,
 //! version) in an in-enclave table. [`SealedBuddyStore`] is that
 //! layout — one untrusted region, one buddy allocator behind one mutex,
-//! one crypto table — so [`super::Suvm`] only deals in secure virtual
-//! addresses: offsets into the store's one contiguous space.
+//! one page table, which also records where each page is resident — so
+//! [`super::Suvm`] only deals in secure virtual addresses: offsets into
+//! the store's one contiguous space.
 
 use std::sync::Arc;
 
@@ -14,14 +15,14 @@ use parking_lot::Mutex;
 use eleos_enclave::machine::SgxMachine;
 use eleos_sim::alloc::{AllocError, BuddyAllocator};
 
-use crate::table::CryptoTable;
+use crate::table::PageTable;
 
 /// Where sealed page images live and how their space is managed.
 pub(super) struct SealedBuddyStore {
     base: u64,
     alloc: Mutex<BuddyAllocator>,
-    /// The crypto-metadata table guarding this store's pages.
-    pub(super) seals: CryptoTable,
+    /// The page table: each page's frame and seal state.
+    pub(super) seals: PageTable,
     page_size: u64,
 }
 
@@ -30,7 +31,7 @@ impl SealedBuddyStore {
         Self {
             base: machine.alloc_untrusted(backing_bytes),
             alloc: Mutex::new(BuddyAllocator::new(backing_bytes as u64, 16)),
-            seals: CryptoTable::new(64),
+            seals: PageTable::new(64),
             page_size: page_size as u64,
         }
     }

@@ -1,5 +1,5 @@
 //! How a frame leaves EPC++ — the one release path: a claim unmaps the
-//! page under its bucket lock ([`Suvm::claim`]), [`Suvm::retire`] seals
+//! page under its table lock ([`Suvm::claim`]), [`Suvm::retire`] seals
 //! it out or drops it clean, and [`Suvm::vacate`] returns the frame to
 //! the pool (`docs/suvm-paging.md` maps its callers) — and the fence
 //! that sends every dirty page home, [`Suvm::quiesce`].
@@ -17,33 +17,34 @@ impl Suvm {
         self.push_free(frame);
     }
 
-    /// Unmaps `page` from unpinned `frame` under the page's bucket
+    /// Unmaps `page` from unpinned `frame` under the page's table
     /// lock. Returns whether the page must be sealed out, or `None`,
-    /// unmapping nothing, when the mapping changed, the frame is pinned
-    /// or a write-through holds the seal the page needs.
+    /// unmapping nothing, when the mapping changed or the frame is
+    /// pinned.
     pub(super) fn claim(&self, frame: u32, page: u64) -> Option<bool> {
         let meta = &self.frames[frame as usize];
-        self.pt.with_bucket(page, |b| {
-            let idx = b.iter().position(|(p, f)| *p == page && *f == frame)?;
-            if meta.pinned.load(Ordering::Acquire) > 0 {
+        self.store.seals.with(page, |e| {
+            if e.frame != Some(frame) || meta.pinned.load(Ordering::Acquire) > 0 {
                 return None;
             }
-            // Unpinned under the bucket lock: nobody is writing the
+            // Unpinned under the page's lock: nobody is writing the
             // frame, so its dirty flag is final. A clean page with a
             // valid sealed copy is dropped without the write-back.
-            let seal = meta.dirty.load(Ordering::Acquire)
-                || !self.store.seals.has_copy(page)
-                || !self.cfg.clean_skip;
-            // A page that will be sealed takes its seal write *before*
+            let seal =
+                meta.dirty.load(Ordering::Acquire) || e.copy.is_none() || !self.cfg.clean_skip;
+            // A page that will be sealed takes its odd seal version as
             // it leaves the table: whoever misses on it from here on
-            // waits out the odd version and reads the new image, never
-            // the one this eviction is about to replace. No spinning
-            // under the bucket lock — if a write-through holds the
-            // seal, this victim is passed over.
-            if seal && self.store.seals.try_begin_write(page).is_none() {
-                return None;
+            // waits out the seal and reads the new image, never the one
+            // this eviction is about to replace. A resident page's
+            // version is even: no seal runs while it has a frame.
+            if seal {
+                debug_assert!(
+                    e.version.is_multiple_of(2),
+                    "a resident page is being sealed"
+                );
+                e.version += 1;
             }
-            b.swap_remove(idx);
+            e.frame = None;
             Some(seal)
         })
     }
@@ -105,8 +106,6 @@ impl Suvm {
                 0,
                 "quiesce at a fence found a pinned dirty frame {frame} (page {page})"
             );
-            // A write-through holding the seal leaves the page resident
-            // and dirty.
             if let Some(seal) = self.claim(frame, page) {
                 seal_lens.extend(self.retire(ctx, frame, page, seal));
                 sealed += 1;

@@ -1,17 +1,29 @@
-//! SUVM's in-enclave page tables (§4.1).
+//! SUVM's in-enclave page table (§4.1).
 //!
-//! Two tables, both hash tables "with fine-grained locking, using
-//! separate spin-locks for each bucket", pre-allocated large to ease
-//! contention:
+//! The paper keeps two hash tables "with fine-grained locking, using
+//! separate spin-locks for each bucket": the inverse page table
+//! (backing-store page → EPC++ frame) and the crypto-metadata table
+//! (page → nonce and MAC of its sealed copy). Here they are one sharded
+//! table, [`PageTable`], whose [`Entry`] holds all of a page's state:
+//! its frame, its seal version, its sealed copy and its read-miss
+//! stamps. A page's residency and its seal state therefore change
+//! together under one shard lock, and no transition needs a protocol
+//! that spans two tables. The lock structure is the host's business:
+//! a lookup is billed the paper's `suvm_lookup` at its call site,
+//! whatever the layout behind it. Like the paper's prototype, SUVM
+//! does not evict its own metadata (§4.2).
 //!
-//! - the **inverse page table** ([`InversePt`]): backing-store page →
-//!   EPC++ frame;
-//! - the **crypto-metadata table** ([`CryptoTable`]): backing-store
-//!   page → nonce + HMAC of each sealed unit of its copy, and when
-//!   the page's last two reads missed EPC++.
-//!
-//! Both conceptually live in EPC; like the paper's prototype, SUVM does
-//! not evict its own metadata (§4.2).
+//! The version is a per-page **seqlock** over the pair (sealed copy,
+//! ciphertext in the untrusted backing store): a seal takes the version
+//! to odd, rewrites the ciphertext, then commits the new nonces and tags
+//! at the next even version. A reader that opened ciphertext against a
+//! torn pair finds the page no longer sealed at the version it read,
+//! and reads again; only a failing tag at a version that still stands
+//! is evidence of tampering. No seal runs while the page has a frame,
+//! so a resident page's version is even.
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use eleos_crypto::gcm::{Nonce, Tag};
 use parking_lot::Mutex;
@@ -19,320 +31,142 @@ use parking_lot::Mutex;
 /// Sentinel: no page.
 pub const NO_PAGE: u64 = u64::MAX;
 
-/// A guarded bucket of `(page, frame)` pairs.
-type Bucket = Mutex<Vec<(u64, u32)>>;
+/// One page's state.
+#[derive(Default)]
+pub struct Entry {
+    /// The EPC++ frame caching the page, if it is resident.
+    pub frame: Option<u32>,
+    /// The seqlock version: odd while a seal of the page is under way,
+    /// 0 until its first seal begins.
+    pub version: u64,
+    /// The backing store's copy: each sealed unit's `(nonce, tag)`, in
+    /// order, one unit per sub-page. `None` on a page that was never
+    /// sealed, which zero-fills, and on a resident page written since
+    /// its last seal, whose next eviction overwrites the copy unread:
+    /// so the copy was dropped and its bytes released.
+    pub copy: Option<Box<[(Nonce, Tag)]>>,
+    /// The owner's read-miss clock at the page's last two read misses,
+    /// latest first (0 = none yet).
+    pub misses: [u64; 2],
+}
 
-/// The inverse page table.
-pub struct InversePt {
-    buckets: Vec<Bucket>,
+impl Entry {
+    /// Whether the entry holds nothing a lookup could find: no frame
+    /// and no seal version. Such an entry is not stored.
+    fn is_vacant(&self) -> bool {
+        self.frame.is_none() && self.version == 0
+    }
+}
+
+/// The page table: sharded `page -> Entry`.
+pub struct PageTable {
+    shards: Vec<Mutex<HashMap<u64, Entry>>>,
     mask: usize,
+    /// Entries with a seal version ([`Self::live_entries`]).
+    sealed: AtomicUsize,
 }
 
-impl InversePt {
-    /// Creates a table with at least `min_buckets` buckets.
-    #[must_use]
-    pub fn new(min_buckets: usize) -> Self {
-        let n = min_buckets.next_power_of_two().max(16);
-        let mut buckets = Vec::with_capacity(n);
-        buckets.resize_with(n, || Mutex::new(Vec::new()));
-        Self {
-            buckets,
-            mask: n - 1,
-        }
-    }
-
-    fn bucket(&self, page: u64) -> &Bucket {
-        // Fibonacci hashing spreads sequential page numbers.
-        let h = (page.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize;
-        &self.buckets[h & self.mask]
-    }
-
-    /// Runs `f` with the bucket of `page` locked. `f` gets the bucket
-    /// contents and may mutate them.
-    pub fn with_bucket<R>(&self, page: u64, f: impl FnOnce(&mut Vec<(u64, u32)>) -> R) -> R {
-        f(&mut self.bucket(page).lock())
-    }
-
-    /// Looks up the frame of `page` (no side effects).
-    #[must_use]
-    pub fn lookup(&self, page: u64) -> Option<u32> {
-        self.bucket(page)
-            .lock()
-            .iter()
-            .find(|(p, _)| *p == page)
-            .map(|&(_, f)| f)
-    }
-
-    /// Inserts a mapping; the page must not be mapped.
-    pub fn insert(&self, page: u64, frame: u32) {
-        let mut b = self.bucket(page).lock();
-        debug_assert!(b.iter().all(|(p, _)| *p != page));
-        b.push((page, frame));
-    }
-
-    /// Removes a mapping, returning its frame.
-    pub fn remove(&self, page: u64) -> Option<u32> {
-        let mut b = self.bucket(page).lock();
-        let idx = b.iter().position(|(p, _)| *p == page)?;
-        Some(b.swap_remove(idx).1)
-    }
-
-    /// Number of live mappings (diagnostics; takes every lock).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buckets.iter().map(|b| b.lock().len()).sum()
-    }
-
-    /// Whether the table is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// How a page's bytes exist in the backing store.
-#[derive(Clone)]
-pub enum SealState {
-    /// Never evicted: the backing store holds nothing; a fault
-    /// zero-fills.
-    Fresh,
-    /// Sealed as independently authenticated units of the store's
-    /// sub-page size — one unit when that is the page size.
-    SubPages {
-        /// Per-unit `(nonce, tag)` in order.
-        meta: Box<[(Nonce, Tag)]>,
-    },
-    /// Sealed once, but the page is resident and has been written
-    /// since: its next eviction overwrites the sealed copy unread, so
-    /// the copy was dropped and its bytes released. The page stays
-    /// resident and dirty until that eviction seals it again.
-    NoCopy,
-}
-
-impl SealState {
-    /// Whether the backing store holds a valid sealed copy.
-    #[must_use]
-    pub fn has_copy(&self) -> bool {
-        matches!(self, SealState::SubPages { .. })
-    }
-}
-
-/// What [`CryptoTable::read_unit`] finds of one unit of a page.
-pub(crate) enum Unit {
-    /// The page is [`SealState::Fresh`].
-    Fresh,
-    /// The page is [`SealState::NoCopy`].
-    NoCopy,
-    /// The page is sealed; the unit's nonce and tag.
-    Sealed(Nonce, Tag),
-}
-
-/// One page's entry: seqlock version, seal state, and the readings of
-/// the owner's read-miss clock at the page's last two read misses,
-/// latest first (0 = none yet).
-type Entry = (u64, SealState, [u64; 2]);
-
-/// The crypto-metadata table: sharded `page -> Entry`.
-///
-/// The version implements a per-page **seqlock** over the pair
-/// (metadata, sealed bytes in the untrusted backing store): sealing a
-/// page bumps the version to odd, rewrites the ciphertext, then
-/// commits the new nonce/tag and bumps to even. A concurrent reader
-/// that unseals with a torn (meta, ciphertext) pair sees either an odd
-/// version or a version change, and retries — only a *stable* version
-/// with a failing tag is evidence of tampering.
-pub struct CryptoTable {
-    shards: Vec<Mutex<std::collections::HashMap<u64, Entry>>>,
-    mask: usize,
-    live: std::sync::atomic::AtomicUsize,
-}
-
-impl CryptoTable {
+impl PageTable {
     /// Creates a table with `shards` lock shards (rounded to 2^n).
     #[must_use]
     pub fn new(shards: usize) -> Self {
         let n = shards.next_power_of_two().max(8);
         let mut v = Vec::with_capacity(n);
-        v.resize_with(n, || Mutex::new(std::collections::HashMap::new()));
+        v.resize_with(n, || Mutex::new(HashMap::new()));
         Self {
             shards: v,
             mask: n - 1,
-            live: std::sync::atomic::AtomicUsize::new(0),
+            sealed: AtomicUsize::new(0),
         }
     }
 
-    /// Number of pages with recorded seal metadata.
+    /// Number of pages with a seal version: sealed, or being sealed,
+    /// at least once since they were last decommitted. A page that is
+    /// resident but was never sealed does not count.
     #[must_use]
     pub fn live_entries(&self) -> usize {
-        self.live.load(std::sync::atomic::Ordering::Relaxed)
+        self.sealed.load(Ordering::Relaxed)
     }
 
-    fn shard(&self, page: u64) -> &Mutex<std::collections::HashMap<u64, Entry>> {
+    fn shard(&self, page: u64) -> &Mutex<HashMap<u64, Entry>> {
+        // Fibonacci hashing spreads sequential page numbers.
         let h = (page.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33) as usize;
         &self.shards[h & self.mask]
     }
 
-    /// Returns `(version, state)` of `page`, spinning past in-progress
-    /// writes (odd versions). Unknown pages read as `(0, Fresh)`.
-    #[must_use]
-    pub fn read(&self, page: u64) -> (u64, SealState) {
-        self.read_with(page, SealState::clone)
+    /// Runs `f` on `page`'s entry under its shard's lock, at whatever
+    /// version, and returns what `f` returns. A page with no entry is
+    /// handed a vacant one, kept only if `f` gives it a frame or a
+    /// version; an entry `f` leaves vacant is dropped.
+    pub fn with<R>(&self, page: u64, f: impl FnOnce(&mut Entry) -> R) -> R {
+        let mut shard = self.shard(page).lock();
+        let mut vacant = Entry::default();
+        let stored = shard.get_mut(&page);
+        let was_stored = stored.is_some();
+        let e = stored.unwrap_or(&mut vacant);
+        let was_sealed = e.version > 0;
+        let r = f(e);
+        match (was_sealed, e.version > 0) {
+            (false, true) => self.sealed.fetch_add(1, Ordering::Relaxed),
+            (true, false) => self.sealed.fetch_sub(1, Ordering::Relaxed),
+            _ => 0,
+        };
+        let is_vacant = e.is_vacant();
+        if was_stored && is_vacant {
+            shard.remove(&page);
+        } else if !was_stored && !is_vacant {
+            shard.insert(page, vacant);
+        }
+        r
     }
 
-    /// [`Self::read`] of one unit, `sub`: its nonce and tag are copied
-    /// out, and nothing of the page's metadata is cloned.
-    pub(crate) fn read_unit(&self, page: u64, sub: usize) -> (u64, Unit) {
-        self.read_with(page, |state| match state {
-            SealState::Fresh => Unit::Fresh,
-            SealState::NoCopy => Unit::NoCopy,
-            SealState::SubPages { meta } => Unit::Sealed(meta[sub].0, meta[sub].1),
-        })
-    }
-
-    /// Applies `f` to `page`'s state at a stable version, under the
-    /// shard's lock, and returns the version with `f`'s result.
-    fn read_with<R>(&self, page: u64, f: impl FnOnce(&SealState) -> R) -> (u64, R) {
+    /// [`Self::with`] at a stable version: waits out a seal under way.
+    pub fn stable<R>(&self, page: u64, mut f: impl FnMut(&mut Entry) -> R) -> R {
         loop {
-            {
-                let g = self.shard(page).lock();
-                match g.get(&page) {
-                    None => return (0, f(&SealState::Fresh)),
-                    Some((v, state, _)) if v.is_multiple_of(2) => return (*v, f(state)),
-                    _ => {}
-                }
+            if let Some(r) = self.with(page, |e| e.version.is_multiple_of(2).then(|| f(e))) {
+                return r;
             }
             std::hint::spin_loop();
         }
+    }
+
+    /// Commits the seal under way on `page`: `copy` becomes its sealed
+    /// copy at the next (even) version.
+    pub fn commit(&self, page: u64, copy: Box<[(Nonce, Tag)]>) {
+        self.with(page, |e| {
+            debug_assert!(!e.version.is_multiple_of(2), "commit without a seal");
+            e.version += 1;
+            e.copy = Some(copy);
+        });
+    }
+
+    /// Whether `page` still holds a sealed copy at `version`: what a
+    /// reader whose unseal failed asks before it calls that tampering.
+    #[must_use]
+    pub fn sealed_at(&self, page: u64, version: u64) -> bool {
+        self.with(page, |e| e.version == version && e.copy.is_some())
     }
 
     /// Whether the backing store holds a sealed copy of `page`.
-    pub(crate) fn has_copy(&self, page: u64) -> bool {
-        let g = self.shard(page).lock();
-        g.get(&page).is_some_and(|e| e.1.has_copy())
-    }
-
-    /// Returns the seal state of `page` (`Fresh` if unknown).
     #[must_use]
-    pub fn get(&self, page: u64) -> SealState {
-        self.read(page).1
+    pub fn has_copy(&self, page: u64) -> bool {
+        self.with(page, |e| e.copy.is_some())
     }
 
-    /// Whether `page`'s version is still `v`.
+    /// `page`'s sealed copy at a stable version, if it has one.
     #[must_use]
-    pub fn check(&self, page: u64, v: u64) -> bool {
-        let g = self.shard(page).lock();
-        match g.get(&page) {
-            None => v == 0,
-            Some((cur, ..)) => *cur == v,
-        }
+    pub fn get(&self, page: u64) -> Option<Box<[(Nonce, Tag)]>> {
+        self.stable(page, |e| e.copy.clone())
     }
 
-    /// Starts a (re-)seal of `page`: bumps the version to odd and
-    /// returns it. Spins if another writer is in progress.
-    pub fn begin_write(&self, page: u64) -> u64 {
-        loop {
-            if let Some(version) = self.try_begin_write(page) {
-                return version;
+    /// Calls `f` on every stored entry, one shard at a time
+    /// (diagnostics: a caller that wants a consistent view runs it at a
+    /// quiescent point).
+    pub fn for_each(&self, mut f: impl FnMut(u64, &Entry)) {
+        for shard in &self.shards {
+            for (&page, e) in shard.lock().iter() {
+                f(page, e);
             }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// [`Self::begin_write`] without the wait: `None`, and nothing
-    /// done, when another writer is in progress. For a caller that
-    /// holds a lock it must not spin under.
-    #[must_use]
-    pub(crate) fn try_begin_write(&self, page: u64) -> Option<u64> {
-        let mut g = self.shard(page).lock();
-        let mut inserted = false;
-        let e = g.entry(page).or_insert_with(|| {
-            inserted = true;
-            (0, SealState::Fresh, [0; 2])
-        });
-        if inserted {
-            self.live.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        if !e.0.is_multiple_of(2) {
-            return None;
-        }
-        e.0 += 1;
-        Some(e.0)
-    }
-
-    /// Drops `page`'s sealed copy once its resident frame has been
-    /// written: a stable [`SealState::SubPages`] entry becomes
-    /// [`SealState::NoCopy`] two versions on, so a reader that loaded
-    /// the copy's version sees it change and retries. The miss stamps
-    /// and the entry stay, so [`Self::live_entries`] does not move.
-    /// Waits out a writer in progress. Returns whether a copy was
-    /// dropped: the caller then releases its bytes.
-    pub(crate) fn drop_copy(&self, page: u64) -> bool {
-        loop {
-            {
-                let mut g = self.shard(page).lock();
-                match g.get_mut(&page) {
-                    Some((v, state @ SealState::SubPages { .. }, _)) if v.is_multiple_of(2) => {
-                        *v += 2;
-                        *state = SealState::NoCopy;
-                        return true;
-                    }
-                    Some((v, ..)) if !v.is_multiple_of(2) => {}
-                    _ => return false,
-                }
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Commits a seal started by [`Self::begin_write`].
-    pub fn commit_write(&self, page: u64, state: SealState) {
-        let mut g = self.shard(page).lock();
-        let e = g.get_mut(&page).expect("commit without begin");
-        debug_assert_eq!(e.0 % 2, 1, "commit without begin");
-        e.0 += 1;
-        e.1 = state;
-    }
-
-    /// Reads the state without waiting for version stability — only
-    /// valid for the thread that currently holds the write (between
-    /// [`Self::begin_write`] and [`Self::commit_write`]).
-    #[must_use]
-    pub fn get_unchecked(&self, page: u64) -> SealState {
-        self.shard(page)
-            .lock()
-            .get(&page)
-            .map(|(_, s, _)| s.clone())
-            .unwrap_or(SealState::Fresh)
-    }
-
-    /// Stamps `page` as having missed on a read at miss-clock `now`
-    /// and returns its previous two stamps, latest first (0 where it
-    /// has none, or no entry). The stamp two back shifts out.
-    pub(crate) fn stamp_miss(&self, page: u64, now: u64) -> [u64; 2] {
-        let mut g = self.shard(page).lock();
-        g.get_mut(&page).map_or([0; 2], |e| {
-            let last = e.2;
-            e.2 = [now, last[0]];
-            last
-        })
-    }
-
-    /// Forgets `page` (decommit), waiting out any in-flight writer.
-    pub fn clear(&self, page: u64) {
-        loop {
-            {
-                let mut g = self.shard(page).lock();
-                match g.get(&page) {
-                    None => return,
-                    Some((v, ..)) if v % 2 == 0 => {
-                        g.remove(&page);
-                        self.live.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-                        return;
-                    }
-                    _ => {}
-                }
-            }
-            std::hint::spin_loop();
         }
     }
 }
@@ -341,145 +175,125 @@ impl CryptoTable {
 mod tests {
     use super::*;
 
-    #[test]
-    fn insert_lookup_remove() {
-        let pt = InversePt::new(16);
-        assert_eq!(pt.lookup(5), None);
-        pt.insert(5, 2);
-        pt.insert(5 + 16, 3); // likely same bucket family, different page
-        assert_eq!(pt.lookup(5), Some(2));
-        assert_eq!(pt.lookup(21), Some(3));
-        assert_eq!(pt.remove(5), Some(2));
-        assert_eq!(pt.lookup(5), None);
-        assert_eq!(pt.remove(5), None);
-        assert_eq!(pt.len(), 1);
+    fn seal(t: &PageTable, page: u64, copy: Box<[(Nonce, Tag)]>) {
+        t.stable(page, |e| e.version += 1);
+        t.commit(page, copy);
     }
 
     #[test]
-    fn with_bucket_mutation() {
-        let pt = InversePt::new(16);
-        pt.insert(7, 1);
-        let found = pt.with_bucket(7, |b| b.iter().any(|(p, _)| *p == 7));
-        assert!(found);
+    fn an_entry_is_no_larger_than_the_crypto_entry_it_replaced() {
+        // "No copy" is the box's one niche: 16 B, where the three-state
+        // seal enum took 24 B.
+        assert_eq!(std::mem::size_of::<Option<Box<[(Nonce, Tag)]>>>(), 16);
+        // The crypto table's entry was (version, seal enum, stamps):
+        // 8 + 24 + 16 B. The frame fits in what that enum wasted.
+        assert!(std::mem::size_of::<Entry>() <= 48);
     }
 
     #[test]
-    fn many_pages_no_collision_errors() {
-        let pt = InversePt::new(64);
-        for p in 0..1000u64 {
-            pt.insert(p, p as u32);
-        }
-        assert_eq!(pt.len(), 1000);
-        for p in 0..1000u64 {
-            assert_eq!(pt.lookup(p), Some(p as u32), "page {p}");
-        }
-    }
-
-    #[test]
-    fn crypto_table_states() {
-        let ct = CryptoTable::new(8);
-        assert!(!ct.get(9).has_copy());
-        ct.begin_write(9);
-        ct.commit_write(
-            9,
-            SealState::SubPages {
-                meta: Box::new([([1; 12], [2; 16])]),
-            },
+    fn only_a_frame_or_a_seal_version_keeps_an_entry() {
+        let t = PageTable::new(8);
+        t.with(5, |e| e.misses = [1, 0]);
+        assert_eq!(
+            t.with(5, |e| e.misses),
+            [0, 0],
+            "a vacant entry is not kept"
         );
-        assert!(ct.get(9).has_copy());
-        match ct.get(9) {
-            SealState::SubPages { meta } => assert_eq!(*meta, [([1; 12], [2; 16])]),
-            _ => panic!("wrong state"),
-        }
-        ct.clear(9);
-        assert!(!ct.get(9).has_copy());
+        t.with(5, |e| e.frame = Some(2));
+        t.with(21, |e| e.frame = Some(3));
+        assert_eq!(t.with(5, |e| e.frame), Some(2));
+        assert_eq!(t.with(21, |e| e.frame), Some(3));
+        assert_eq!(t.live_entries(), 0, "a resident page was never sealed");
+        assert!(!t.has_copy(5));
+        t.with(5, |e| e.frame = None);
+        let mut left = Vec::new();
+        t.for_each(|page, e| left.push((page, e.frame)));
+        assert_eq!(left, [(21, Some(3))]);
+    }
+
+    #[test]
+    fn seals_count_and_commit_at_even_versions() {
+        let t = PageTable::new(8);
+        assert!(t.get(9).is_none());
+        t.stable(9, |e| e.version += 1);
+        assert_eq!(t.live_entries(), 1, "a seal under way counts");
+        assert!(!t.sealed_at(9, 0));
+        t.commit(9, Box::new([([1; 12], [2; 16])]));
+        assert_eq!(*t.get(9).expect("sealed"), [([1; 12], [2; 16])]);
+        assert!(t.sealed_at(9, 2));
+        // Dropping the copy leaves the version, but not the seal.
+        t.with(9, |e| e.copy = None);
+        assert!(!t.sealed_at(9, 2));
+        assert_eq!(t.live_entries(), 1);
+        // A decommit forgets the page.
+        t.stable(9, |e| *e = Entry::default());
+        assert_eq!(t.live_entries(), 0);
+        assert!(t.get(9).is_none());
     }
 
     #[test]
     fn miss_stamps_live_and_die_with_the_entry() {
-        let ct = CryptoTable::new(8);
-        assert_eq!(ct.stamp_miss(4, 7), [0, 0], "no entry, nothing to stamp");
-        assert_eq!(ct.stamp_miss(4, 8), [0, 0]);
-        ct.begin_write(4);
-        ct.commit_write(4, SealState::SubPages { meta: Box::new([]) });
-        assert_eq!(ct.stamp_miss(4, 9), [0, 0], "first miss of a sealed page");
-        assert_eq!(ct.stamp_miss(4, 12), [9, 0]);
-        assert_eq!(ct.stamp_miss(4, 15), [12, 9], "the stamps shift");
+        let t = PageTable::new(8);
+        let stamp = |now| {
+            t.with(4, |e| {
+                let last = e.misses;
+                e.misses = [now, last[0]];
+                last
+            })
+        };
+        assert_eq!(stamp(7), [0, 0], "no entry, nothing to stamp");
+        assert_eq!(stamp(8), [0, 0]);
+        seal(&t, 4, Box::new([]));
+        assert_eq!(stamp(9), [0, 0], "first miss of a sealed page");
+        assert_eq!(stamp(12), [9, 0]);
+        assert_eq!(stamp(15), [12, 9], "the stamps shift");
         // A re-seal keeps both stamps; a decommit forgets both.
-        ct.begin_write(4);
-        ct.commit_write(4, SealState::SubPages { meta: Box::new([]) });
-        assert_eq!(ct.stamp_miss(4, 16), [15, 12]);
-        ct.clear(4);
-        assert_eq!(ct.stamp_miss(4, 17), [0, 0]);
+        seal(&t, 4, Box::new([]));
+        assert_eq!(stamp(16), [15, 12]);
+        t.stable(4, |e| *e = Entry::default());
+        assert_eq!(stamp(17), [0, 0]);
     }
 
     #[test]
-    fn crypto_table_seqlock_versions() {
-        let ct = CryptoTable::new(8);
-        let (v0, _) = ct.read(5);
-        assert_eq!(v0, 0);
-        assert!(ct.check(5, 0));
-        ct.begin_write(5);
-        // In-flight write: the stable version is gone.
-        assert!(!ct.check(5, 0));
-        ct.commit_write(
-            5,
-            SealState::SubPages {
-                meta: Box::new([([0; 12], [0; 16])]),
-            },
-        );
-        let (v1, s) = ct.read(5);
-        assert_eq!(v1, 2);
-        assert!(s.has_copy());
-        assert!(ct.check(5, 2));
-        assert!(!ct.check(5, 0));
-    }
-
-    #[test]
-    fn crypto_table_concurrent_read_write() {
+    fn stable_readers_never_see_a_seal_under_way() {
         use std::sync::Arc;
-        let ct = Arc::new(CryptoTable::new(8));
+        let t = Arc::new(PageTable::new(8));
         let writer = {
-            let ct = Arc::clone(&ct);
+            let t = Arc::clone(&t);
             std::thread::spawn(move || {
                 for i in 0..2000u64 {
-                    ct.begin_write(1);
-                    ct.commit_write(
-                        1,
-                        SealState::SubPages {
-                            meta: Box::new([([(i % 251) as u8; 12], [0; 16])]),
-                        },
-                    );
+                    seal(&t, 1, Box::new([([(i % 251) as u8; 12], [0; 16])]));
                 }
             })
         };
-        // Readers must only ever observe even versions.
         for _ in 0..2000 {
-            let (v, _) = ct.read(1);
-            assert_eq!(v % 2, 0);
+            assert!(t.stable(1, |e| e.version).is_multiple_of(2));
         }
         writer.join().unwrap();
+        assert_eq!(t.stable(1, |e| e.version), 4000);
     }
 
     #[test]
-    fn concurrent_bucket_access() {
+    fn concurrent_entries_on_shared_shards() {
         use std::sync::Arc;
-        let pt = Arc::new(InversePt::new(64));
+        let t = Arc::new(PageTable::new(8));
         let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let pt = Arc::clone(&pt);
+        for k in 0..4u64 {
+            let t = Arc::clone(&t);
             handles.push(std::thread::spawn(move || {
                 for i in 0..500u64 {
-                    let page = t * 1000 + i;
-                    pt.insert(page, page as u32);
-                    assert_eq!(pt.lookup(page), Some(page as u32));
-                    assert_eq!(pt.remove(page), Some(page as u32));
+                    let page = k * 1000 + i;
+                    t.with(page, |e| e.frame = Some(page as u32));
+                    assert_eq!(t.with(page, |e| e.frame), Some(page as u32));
+                    t.with(page, |e| e.frame = None);
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        assert!(pt.is_empty());
+        let mut left = 0;
+        t.for_each(|_, _| left += 1);
+        assert_eq!(left, 0);
     }
 }
