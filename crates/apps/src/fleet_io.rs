@@ -121,6 +121,11 @@ pub const MSG_DELTA_BEGIN: u8 = 4;
 /// Channel message kind: one bounded chunk of a state transfer.
 pub const MSG_DELTA_CHUNK: u8 = 5;
 
+/// The write stamp of the first serving interval. Seed items carry
+/// stamp 0 and are identical in every replica, so a delta round starts
+/// here: every peer already holds what lies below it.
+const FIRST_SERVING_STAMP: u64 = 1;
+
 /// Tunables for the background maintenance plane (see the module
 /// docs). Enabling it ([`FleetConfig::with_maintenance`]) moves state
 /// transfers, engine byte-work and failure handling onto
@@ -159,7 +164,10 @@ struct MaintState {
     /// Consecutive ticks without heartbeat progress per replica.
     misses: Vec<u64>,
     /// Per-sender write-stamp floor for the next delta: everything
-    /// below it has already been streamed to every serving peer.
+    /// below it has already been streamed to every serving peer. A
+    /// round reads it as at least [`FIRST_SERVING_STAMP`]; a kill fence
+    /// reads it as it is, so a kill before the first round ships the
+    /// seed too.
     delta_base: Vec<u64>,
     /// Dead slots queued for background respawn.
     rejoin: Vec<usize>,
@@ -359,9 +367,13 @@ pub struct FleetKvs {
 impl FleetKvs {
     /// Builds the fleet: `cfg.replicas` enclaves, each with its own
     /// [`ServerIo`] over the **same** socket set `fds` (reaping only
-    /// owned shards) and its own [`Kvs`] seeded identically by
-    /// `seed`. All replicas start serving; shard ownership starts
-    /// round-robin ([`ShardMap::with_replicas`]).
+    /// owned shards) and its own [`Kvs`] filled by `seed`. All replicas
+    /// start serving; shard ownership starts round-robin
+    /// ([`ShardMap::with_replicas`]).
+    ///
+    /// `seed` runs once per replica and must build the same store in
+    /// every one: its items carry stamp 0, and delta rounds never ship
+    /// them, because every peer already holds them.
     ///
     /// # Panics
     /// Panics when `cfg.replicas` is zero or the config/socket-set
@@ -376,7 +388,7 @@ impl FleetKvs {
         session: Arc<Session>,
         sealer: Arc<dyn Sealer>,
         cfg: FleetConfig,
-        mut seed: impl FnMut(&mut ThreadCtx, &mut Kvs),
+        seed: impl Fn(&mut ThreadCtx, &mut Kvs),
     ) -> Self {
         assert!(cfg.replicas > 0, "a fleet needs at least one replica");
         let enclaves: Vec<Arc<Enclave>> = (0..cfg.replicas)
@@ -406,10 +418,9 @@ impl FleetKvs {
         for (r, enclave) in enclaves.iter().enumerate() {
             let mut rep = this.wire_replica(r, enclave);
             seed(&mut rep.ctx, &mut rep.kvs);
-            // Seed items carry stamp 0 (identical in every replica);
-            // serving-interval writes start at 1 so the versioned
-            // restore merge can tell them apart.
-            rep.kvs.set_write_version(1);
+            // Seed items carry stamp 0; serving-interval writes start
+            // above it so the versioned restore merge can tell them apart.
+            rep.kvs.set_write_version(FIRST_SERVING_STAMP);
             slots.push(Mutex::new(Some(Arc::new(parking_lot::Mutex::new(rep)))));
         }
         Self { slots, ..this }
@@ -966,14 +977,15 @@ impl FleetKvs {
                 .unwrap_or(false);
         }
         // 4. Delta round: one incremental snapshot per serving replica
-        // to every serving peer. Each round shrinks what a later kill
+        // to every serving peer, never reaching below the seed every
+        // peer already holds. Each round shrinks what a later kill
         // fence must carry to the writes since this round.
         let serving = self.live();
         if serving.len() < 2 {
             return did;
         }
         for &r in &serving {
-            let base = mp.state().delta_base[r];
+            let base = mp.state().delta_base[r].max(FIRST_SERVING_STAMP);
             let (epoch, ..) = self.send_state(r, base, serving.len() - 1, false);
             let mut delivered = true;
             for &q in serving.iter().filter(|&&q| q != r) {
@@ -1386,6 +1398,54 @@ mod tests {
         let report = fk.kill(0).unwrap();
         assert_eq!(report.heir, 1);
         assert_eq!(m.stats.snapshot().fleet_failovers, 1);
+    }
+
+    #[test]
+    fn replicas_of_a_fresh_fleet_hold_the_same_items() {
+        let (_m, _wire, _fds, fk) = fleet(3);
+        // Each store's hash secret differs, so its index order does
+        // too: the digest is over the items in key order.
+        let digest = |r: usize| {
+            let mut items = Vec::new();
+            fk.with_replica(r, |rep| {
+                rep.kvs.for_each_item(&mut rep.ctx, |key, value| {
+                    items.push([key, value].concat());
+                });
+            });
+            items.sort();
+            let h = items
+                .concat()
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                });
+            (items.len(), h)
+        };
+        assert_eq!(digest(0).0, 32, "every seed item is live");
+        assert_eq!(digest(1), digest(0));
+        assert_eq!(digest(2), digest(0));
+    }
+
+    #[test]
+    fn a_delta_round_skips_the_seed_and_ships_only_later_writes() {
+        let rig = fleet_bg(2);
+        let (m, fk) = (&rig.0, &rig.3);
+        let s0 = m.stats.snapshot();
+        assert!(fk.maintenance_tick(), "a delta round is work");
+        let d = m.stats.snapshot() - s0;
+        assert_eq!(d.snapshot_delta_items, 0, "every peer holds the seed");
+        assert_eq!(d.frame_rejects, 0);
+
+        // Replica 0 ships the SET; replica 1, whose round follows in the
+        // same tick, merged it at the writer's stamp and ships it back
+        // (stamps are fleet-wide intervals, so it cannot tell the copy
+        // from its own writes).
+        serve_set(&rig, 0, b"fresh", &[6u8; 40]);
+        let s0 = m.stats.snapshot();
+        fk.maintenance_tick();
+        let d = m.stats.snapshot() - s0;
+        assert_eq!(d.snapshot_delta_items, 2, "the one SET, no seed item");
+        assert_eq!(stored(fk, 1, b"fresh").unwrap(), vec![6u8; 40]);
     }
 
     #[test]

@@ -226,15 +226,6 @@ impl SlabEngine {
         }
     }
 
-    /// Short label for the snapshot's `storage-meta` section.
-    pub(crate) fn label(&self) -> &'static str {
-        if self.rebalance {
-            "slab-rebal"
-        } else {
-            "slab"
-        }
-    }
-
     /// One-time index initialization (zeroes the bucket heads).
     pub fn init(&self, ctx: &mut ThreadCtx) {
         self.index.init(ctx);
@@ -430,15 +421,6 @@ impl SlabEngine {
             let (key, value) = read_record(self.slab.space(), ctx, kv);
             f(&key, &value, version, expiry);
         });
-    }
-
-    /// Layout parameters for the snapshot's `storage-meta` section,
-    /// which a restore side can sanity-check.
-    pub(crate) fn meta_blob(&self) -> Vec<u8> {
-        let mut blob = Vec::new();
-        blob.extend_from_slice(&self.slab.slab_bytes.to_le_bytes());
-        blob.extend_from_slice(&(self.slab.class_count() as u32).to_le_bytes());
-        blob
     }
 
     /// Looks `key` (hashing to `word`) up and does `on_hit` to its

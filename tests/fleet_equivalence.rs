@@ -805,21 +805,21 @@ fn delta_rounds_and_the_final_kill_ship_pinned_bytes() {
     let d = r.m.stats.snapshot() - s0;
     assert_eq!(d.frame_rejects, 0);
     let after = digest(0);
-    // (items, messages, bytes, chunks) per tick. The first round carries
-    // both replicas' 24 seeds (stamp 0, base 0); a round with nothing
-    // new still sends two empty snapshots.
+    // (items, messages, bytes, chunks) per tick. No round carries a seed
+    // item (stamp 0, below every round's base), so the first round, like
+    // any round with nothing new, sends two empty snapshots.
     assert_eq!(
         rows,
         [
-            (48, 4, 3520, 2),
-            (6, 4, 639, 2),
-            (13, 4, 1031, 2),
-            (0, 4, 324, 2),
-            (6, 4, 641, 2),
-            (13, 4, 1032, 2),
+            (0, 4, 182, 2),
+            (6, 4, 497, 2),
+            (13, 4, 889, 2),
+            (0, 4, 182, 2),
+            (6, 4, 499, 2),
+            (13, 4, 890, 2),
         ]
     );
-    assert_eq!((d.snapshot_delta_items, kill.snapshot_bytes), (1, 191));
+    assert_eq!((d.snapshot_delta_items, kill.snapshot_bytes), (1, 120));
     assert_eq!(
         (before, after),
         (
@@ -1051,23 +1051,23 @@ fn replica_births_and_deaths_are_pinned() {
     #[rustfmt::skip]
     let plane_off: [LifeRow; 6] = [
         ("serve",             [0, 0, 0,    0,       168_370, 75_719,  9_000, 3, 253, 0, 0, 0, 0, 0, 0, D0]),
-        ("kill 1",            [0, 1, 1843, 130_644, 212_294, 165_739, 9_000, 2, 254, 1, 1, 1, 0, 0, 1, D0]),
-        ("serve",             [0, 0, 0,    0,       297_848, 165_739, 9_000, 2, 254, 1, 1, 1, 0, 0, 1, D1]),
-        ("refused respawn 1", [0, 0, 0,    0,       387_943, 180_473, 9_000, 2, 254, 1, 2, 1, 1, 0, 2, D1]),
-        ("respawn 1",         [0, 1, 2386, 141_098, 463_066, 246_448, 9_000, 3, 253, 1, 3, 2, 1, 0, 3, D1]),
-        ("serve",             [0, 0, 0,    0,       548_198, 276_752, 9_000, 3, 253, 1, 3, 2, 1, 0, 3, D2]),
+        ("kill 1",            [0, 1, 1772, 129_790, 211_808, 165_371, 9_000, 2, 254, 1, 1, 1, 0, 0, 1, D0]),
+        ("serve",             [0, 0, 0,    0,       297_362, 165_371, 9_000, 2, 254, 1, 1, 1, 0, 0, 1, D1]),
+        ("refused respawn 1", [0, 0, 0,    0,       387_323, 179_653, 9_000, 2, 254, 1, 2, 1, 1, 0, 2, D1]),
+        ("respawn 1",         [0, 1, 2315, 140_376, 462_210, 245_142, 9_000, 3, 253, 1, 3, 2, 1, 0, 3, D1]),
+        ("serve",             [0, 0, 0,    0,       547_364, 275_446, 9_000, 3, 253, 1, 3, 2, 1, 0, 3, D2]),
     ];
     #[rustfmt::skip]
     let plane_on: [LifeRow; 9] = [
-        ("serve",             [0, 0, 0,    0,       168_370, 75_719,  498_441,   3, 253, 0, 0, 0, 0, 0, 6,  D0]),
-        ("kill 1",            [0, 1, 138,  33_434,  168_370, 79_019,  531_875,   2, 254, 1, 1, 2, 0, 0, 8,  D0]),
-        ("serve",             [0, 0, 0,    0,       275_386, 79_019,  623_941,   2, 254, 1, 1, 2, 0, 0, 10, D1]),
-        ("refused respawn 1", [0, 0, 0,    0,       275_386, 93_721,  737_633,   2, 254, 1, 2, 2, 1, 0, 11, D1]),
-        ("respawn 1",         [0, 1, 2608, 170_758, 275_386, 110_691, 891_421,   3, 253, 1, 3, 3, 1, 0, 12, D1]),
-        ("serve",             [0, 0, 0,    0,       382_366, 142_623, 1_078_435, 3, 250, 1, 3, 3, 1, 0, 18, D2]),
-        ("mute 2",            [3, 0, 0,    41_517,  389_496, 145_305, 1_369_190, 2, 252, 2, 4, 5, 1, 3, 34, D2]),
-        ("rejoin 2",          [1, 0, 0,    219_782, 411_484, 146_199, 1_689_199, 3, 250, 2, 5, 6, 1, 3, 41, D2]),
-        ("serve",             [0, 0, 0,    0,       496_714, 195_345, 1_863_173, 3, 250, 2, 5, 6, 1, 3, 47, D3]),
+        ("serve",             [0, 0, 0,    0,       168_370, 75_719,  160_850,   3, 253, 0, 0, 0, 0, 0, 6,  D0]),
+        ("kill 1",            [0, 1, 67,   32_444,  168_370, 79_019,  193_294,   2, 254, 1, 1, 2, 0, 0, 8,  D0]),
+        ("serve",             [0, 0, 0,    0,       259_696, 79_019,  270_156,   2, 254, 1, 1, 2, 0, 0, 10, D1]),
+        ("refused respawn 1", [0, 0, 0,    0,       259_696, 92_239,  378_780,   2, 254, 1, 2, 2, 1, 0, 11, D1]),
+        ("respawn 1",         [0, 1, 2537, 160_924, 259_696, 104_883, 527_060,   3, 253, 1, 3, 3, 1, 0, 12, D1]),
+        ("serve",             [0, 0, 0,    0,       359_664, 135_491, 714_196,   3, 250, 1, 3, 3, 1, 0, 18, D2]),
+        ("mute 2",            [3, 0, 0,    39_471,  366_794, 138_173, 995_845,   2, 252, 2, 4, 5, 1, 3, 34, D2]),
+        ("rejoin 2",          [1, 0, 0,    223_362, 390_174, 139_067, 1_315_584, 3, 250, 2, 5, 6, 1, 3, 41, D2]),
+        ("serve",             [0, 0, 0,    0,       475_434, 189_017, 1_486_556, 3, 250, 2, 5, 6, 1, 3, 47, D3]),
     ];
     assert_eq!(births_and_deaths(false), plane_off, "without the plane");
     assert_eq!(births_and_deaths(true), plane_on, "with the plane");
@@ -1129,7 +1129,7 @@ fn a_suvm_backed_failover_is_pinned() {
             r.m.core(2).clock.now(),
             sealed,
         ],
-        [251_380, 5879, 267_825, 293_729, 4]
+        [250_526, 5808, 267_339, 293_361, 4]
     );
 }
 

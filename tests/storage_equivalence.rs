@@ -884,7 +884,7 @@ fn slab_engines_are_pinned_on_a_fixed_script() {
     assert_eq!(
         pinned_script(false, false),
         Pinned {
-            cores: (10_289_422_082, 0),
+            cores: (10_289_421_940, 0),
             evictions: 7792,
             expired: 100,
             len: 572,
@@ -892,7 +892,7 @@ fn slab_engines_are_pinned_on_a_fixed_script() {
             slab_items_relocated: 0,
             maint_stall_cycles: 0,
             digest: 0x0676_99e4_b600_4189,
-            snapshot_bytes: 578_810,
+            snapshot_bytes: 578_739,
         },
         "slab"
     );
@@ -905,16 +905,16 @@ fn slab_engines_are_pinned_on_a_fixed_script() {
         slab_items_relocated: 4140,
         maint_stall_cycles,
         digest: 0xc8fb_c77d_0c00_9455,
-        snapshot_bytes: 1_978_239,
+        snapshot_bytes: 1_978_162,
     };
     assert_eq!(
         pinned_script(true, false),
-        rebalanced((10_301_072_145, 0), 3_669_212),
+        rebalanced((10_301_071_993, 0), 3_669_212),
         "slab-rebal inline"
     );
     assert_eq!(
         pinned_script(true, true),
-        rebalanced((10_297_414_033, 3_727_712), 0),
+        rebalanced((10_297_413_881, 3_727_712), 0),
         "slab-rebal on core 1"
     );
 }
