@@ -219,6 +219,14 @@ if grep -rnE 'ShardSnapshot|shard_stats|shard_count|read_backlogs|tlb_hits|expir
     echo "a deleted write-only telemetry name is back (see above)"
     exit 1
 fi
+# A snapshot is one `kvs-items` section: no engine-metadata section
+# beside it, which no restore read, and no engine label or layout blob
+# to fill one.
+if grep -rnE 'STORAGE_META_SECTION|storage-meta|meta_blob' \
+        crates/*/src crates/*/tests src examples tests bench/src docs README.md DESIGN.md ; then
+    echo "a deleted snapshot-section name is back (see above)"
+    exit 1
+fi
 # PR 23 brought the first `unsafe` into the tree: the hardware AES /
 # CLMUL kernels. It lives in one module; seven crates `forbid` it, and
 # this keeps it out of tests and examples too (`-w`: the lint names
@@ -378,16 +386,8 @@ echo "   eleos row: $ps_faults SUVM faults"
 
 echo "== e2e fleet-open latency guard (a reap takes what each socket queues; each socket has an RPC lane of its own; memory is allocated on first write and consumed socket-ring and channel pages are released)"
 # The open-loop workload: a request queued behind another on its shard
-# is reaped with it, not a replica pump later. A per-shard AIMD depth
-# that sat at 1-2 here read 33 561; a reap of up to `batch_max` read
-# 25 402 on one RPC worker, 24 550 before two lanes copied a replica's
-# two sockets side by side, and 22 249 since. Its peak RSS read
-# 45.2 MiB while every EPC frame and
-# untrusted page lock was allocated up front, 8.6 since both appear on
-# first write (8.5 just before the next change), 8.1 since a receive
-# releases the socket-ring pages it has consumed (8.08-8.21 over seeds
-# 1-5), and 7.8 since a cross-enclave channel releases its received
-# pages too (7.61-7.78 over seeds 1-5).
+# is reaped with it, not a replica pump later. Seed 7 reads reply p50
+# 22 260 cycles and peak RSS 5.96-6.11 MiB over four runs.
 cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
     --workload fleet-open --seed 7 --seconds 6 | tail -n 1 > target/e2e_guard.json
 attempted=$(guard_field attempted)
@@ -403,8 +403,8 @@ if awk -v p="$p50" 'BEGIN { exit !(p > 23000) }'; then
     printf 'fleet-open: reply p50 %s cycles, want <= 23000\n' "$p50" >&2
     exit 1
 fi
-if awk -v r="$rss" 'BEGIN { exit !(r > 8) }'; then
-    printf 'fleet-open: peak RSS %.1f MiB, want <= 8\n' "$rss" >&2
+if awk -v r="$rss" 'BEGIN { exit !(r > 7) }'; then
+    printf 'fleet-open: peak RSS %.1f MiB, want <= 7\n' "$rss" >&2
     exit 1
 fi
 printf '   %s ops, 0 failed, reply p50 %s cycles, peak RSS %.1f MiB\n' "$attempted" "$p50" "$rss"
@@ -453,7 +453,7 @@ cargo run --release -p eleos-bench --bin repro --offline -- storage_bench --quic
 echo "== serving_bench smoke (exits non-zero unless its header claims hold on all 47 cells)"
 # Both scales: the `kill-respawn-bg` p99 claim (at least 2x below the
 # synchronous fence's) reads 147 456 against 524 288 (3.6x) at 1/8 and
-# 212 992 (2.5x) at 1/16, the same in every run.
+# 180 224 (2.9x) at 1/16, the same in every run.
 cargo run --release -p eleos-bench --bin repro --offline -- serving_bench --quick --scale 8
 cargo run --release -p eleos-bench --bin repro --offline -- serving_bench --quick --scale 16
 
